@@ -4,6 +4,7 @@ use crate::meta::ClientAccess;
 use flexio_pfs::{PfsError, PfsErrorKind};
 use flexio_sim::Rank;
 use flexio_types::ViewCursor;
+use std::sync::Arc;
 
 /// Integer exponential moving average with α = 1/4: `None` seeds with the
 /// first sample, after which each update moves a quarter of the way to the
@@ -119,6 +120,18 @@ pub fn intersect_window(
     win: &[(u64, u64)],
 ) -> Vec<Piece> {
     let mut out = Vec::new();
+    intersect_window_into(cur, data_end, win, &mut out);
+    out
+}
+
+/// [`intersect_window`], appending to `out` (nothing is allocated for an
+/// empty intersection).
+fn intersect_window_into(
+    cur: &mut ViewCursor<'_>,
+    data_end: u64,
+    win: &[(u64, u64)],
+    out: &mut Vec<Piece>,
+) {
     for &(ws, wlen) in win {
         let we = ws + wlen;
         if cur.data_pos() >= data_end {
@@ -127,7 +140,7 @@ pub fn intersect_window(
         cur.advance_to_file(ws);
         loop {
             if cur.data_pos() >= data_end {
-                return out;
+                return;
             }
             let room = data_end - cur.data_pos();
             match cur.take_below(we, room) {
@@ -136,14 +149,14 @@ pub fn intersect_window(
             }
         }
     }
-    out
 }
 
-/// A cursor wrapper owning the reconstructed view of a remote client, so
+/// A cursor wrapper over the reconstructed view of a client, so
 /// aggregators can walk other ranks' filetypes (§5.3: "the aggregator must
-/// calculate them itself").
+/// calculate them itself"). The access is shared, not owned: a derivation
+/// opens one stream per aggregator over each client's single parsed wire.
 pub struct ClientStream {
-    access: ClientAccess,
+    access: Arc<ClientAccess>,
     /// Total offset/length pairs evaluated so far (for compute charging).
     evaluated_done: u64,
     /// Data position reached (cursor recreated lazily per window batch).
@@ -152,7 +165,8 @@ pub struct ClientStream {
 
 impl ClientStream {
     /// Start a stream at the client's first data byte.
-    pub fn new(access: ClientAccess) -> Self {
+    pub fn new(access: impl Into<Arc<ClientAccess>>) -> Self {
+        let access = access.into();
         let data_pos = access.data_start;
         ClientStream { access, evaluated_done: 0, data_pos }
     }
@@ -164,21 +178,30 @@ impl ClientStream {
 
     /// Pieces of this client inside `win`; returns (pieces, pairs_charged).
     pub fn take_window(&mut self, win: &[(u64, u64)]) -> (Vec<Piece>, u64) {
-        if self.access.data_len == 0 || self.data_pos >= self.access.data_end() {
-            return (Vec::new(), 0);
+        let mut pieces = Vec::new();
+        let charged = self.take_window_into(win, &mut pieces);
+        (pieces, charged)
+    }
+
+    /// [`ClientStream::take_window`] appending the pieces to `out`;
+    /// returns the pairs charged.
+    pub fn take_window_into(&mut self, win: &[(u64, u64)], out: &mut Vec<Piece>) -> u64 {
+        let data_end = self.access.data_end();
+        if win.is_empty() || self.access.data_len == 0 || self.data_pos >= data_end {
+            return 0;
         }
         let mut cur = self.access.view.cursor(self.data_pos);
         let before = cur.evaluated();
-        let pieces = intersect_window(&mut cur, self.access.data_end(), win);
+        let from = out.len();
+        intersect_window_into(&mut cur, data_end, win, out);
         let charged = cur.evaluated() - before;
         self.evaluated_done += charged;
-        if let Some(last) = pieces.last() {
-            self.data_pos = last.data_pos + last.len;
-        } else {
+        self.data_pos = match out[from..].last() {
+            Some(last) => last.data_pos + last.len,
             // The cursor advanced past the window even with no data there.
-            self.data_pos = self.data_pos.max(cur.data_pos().min(self.access.data_end()));
-        }
-        (pieces, charged)
+            None => self.data_pos.max(cur.data_pos().min(data_end)),
+        };
+        charged
     }
 
     /// Total pairs evaluated by this stream.
@@ -193,14 +216,20 @@ pub type PlanEntry = (u64, usize, usize, u64);
 /// Merge per-client piece lists into a file-ordered plan: returns
 /// `(entries, segs)` where entries are sorted by file offset and `segs`
 /// are the merged `(off, len)` runs.
-pub fn merge_pieces(per_client: &[(usize, Vec<Piece>)]) -> (Vec<PlanEntry>, Vec<(u64, u64)>) {
-    let mut entries: Vec<(u64, usize, usize, u64)> = Vec::new();
+pub fn merge_pieces<P: AsRef<[Piece]>>(
+    per_client: &[(usize, P)],
+) -> (Vec<PlanEntry>, Vec<(u64, u64)>) {
+    let mut entries: Vec<(u64, usize, usize, u64)> =
+        Vec::with_capacity(per_client.iter().map(|(_, p)| p.as_ref().len()).sum());
     for (client, pieces) in per_client {
-        for (i, p) in pieces.iter().enumerate() {
+        for (i, p) in pieces.as_ref().iter().enumerate() {
             entries.push((p.file_off, *client, i, p.len));
         }
     }
-    entries.sort_unstable();
+    // Each client's pieces arrive in file order, so this is a merge of a
+    // few presorted runs — what the stable sort is fast at. Entries are
+    // distinct, so stability itself changes nothing.
+    entries.sort();
     let mut segs: Vec<(u64, u64)> = Vec::with_capacity(entries.len());
     for &(off, _, _, len) in &entries {
         match segs.last_mut() {

@@ -23,15 +23,15 @@
 //! [`CycleDriver`] halves per direction, the drive loops own the depth.
 
 use crate::engine::common::{
-    agree_error, group_by_window, merge_pieces, retry_io, ClientStream, Piece, PlanEntry,
+    agree_error, group_by_window, merge_pieces, retry_io, Piece, PlanEntry,
 };
 use crate::engine::pipeline::{self, CapPolicy, CycleDriver, StragglerVerdict};
 use crate::engine::recovery::{crash_boundary, CrashState};
 use crate::engine::schedule::{self, schedule_key, CycleSchedule, ExchangeSchedule};
 use crate::error::{IoError, Result};
-use crate::hints::{aggregator_ranks, ExchangeMode, Hints};
+use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
-use crate::realm::{AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner};
+use crate::realm::{FileRealm, RealmSet};
 use flexio_io::{
     read_packed_nb, read_scattered_nb, resolve, write_gathered_nb, write_packed_nb, IoCompletion,
     Resolved,
@@ -64,7 +64,9 @@ impl DataBuf<'_> {
 /// parsing, realm assignment, window walks, stream intersection — is
 /// skipped and the cached schedule is replayed against the fresh user
 /// buffer, charging only [`schedule::PROBE_PAIRS`]. A first (miss) call
-/// charges exactly what the pre-cache engine charged.
+/// charges exactly what the pre-cache engine charged: the derivation is
+/// computed once per world ([`ExchangeSchedule::shared`]), but every rank
+/// is charged the pairs of its own share of it, where it always was.
 #[allow(clippy::too_many_arguments)] // one call site (MpiFile::run_engine)
 pub fn run(
     rank: &Rank,
@@ -73,7 +75,7 @@ pub fn run(
     mem: &MemLayout,
     buf: &mut DataBuf<'_>,
     hints: &Hints,
-    pfr_state: &mut Option<Vec<FileRealm>>,
+    pfr_state: &mut Option<Arc<RealmSet>>,
     sched_cache: &mut Option<ExchangeSchedule>,
 ) -> Result<()> {
     let nprocs = rank.nprocs();
@@ -105,7 +107,7 @@ pub fn run(
         rank.charge_pairs(schedule::PROBE_PAIRS);
         None
     } else {
-        Some(derive_schedule(rank, &wires, key, my, hints, pfr_state))
+        Some(ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state))
     };
     let sched = match &derived {
         Some(s) => s,
@@ -122,23 +124,22 @@ pub fn run(
     // derivation up front and lets the rest — pure local computation over
     // already-exchanged metadata — proceed as an overlap window behind the
     // first cycle's exchange. Same pair counts, earlier first send.
-    let policy =
-        CapPolicy::resolve(hints, handle.pfs().config().n_osts, sched.agg_ranks.len());
-    let derive_overlap = !hit && policy.allows_derive_overlap() && sched.cycles.len() > 1;
+    let n_agg = sched.agg_ranks().len();
+    let policy = CapPolicy::resolve(hints, handle.pfs().config().n_osts, n_agg);
+    let derive_overlap = !hit && policy.allows_derive_overlap() && sched.n_cycles() > 1;
     let mut derive_win: Option<OverlapWindow> = None;
     if !hit {
         if derive_overlap {
-            rank.charge_pairs(sched.parse_pairs + sched.cycles[0].pairs);
-            let rest: u64 = sched.cycles[1..].iter().map(|c| c.pairs).sum();
+            rank.charge_pairs(sched.parse_pairs() + sched.cycle(0).pairs());
+            let rest: u64 = sched.cycles().skip(1).map(|c| c.pairs()).sum();
             if rest > 0 {
                 derive_win = Some(rank.charge_pairs_overlapped(rest));
             }
         } else {
-            rank.charge_pairs(sched.parse_pairs);
+            rank.charge_pairs(sched.parse_pairs());
         }
     }
     let charge_cycles = !hit && !derive_overlap;
-    let n_agg = sched.agg_ranks.len();
     let outcome = if is_write {
         let mut driver = FlexWrite {
             rank,
@@ -151,7 +152,7 @@ pub fn run(
             charge_cycles,
             crash: crash.as_mut(),
         };
-        pipeline::drive_write(rank, handle, &mut driver, policy, Some(&sched.agg_ranks), derive_win)
+        pipeline::drive_write(rank, handle, &mut driver, policy, Some(sched.agg_ranks()), derive_win)
     } else {
         let mut driver = FlexRead {
             rank,
@@ -164,7 +165,7 @@ pub fn run(
             charge_cycles,
             crash: crash.as_mut(),
         };
-        pipeline::drive_read(rank, handle, &mut driver, policy, Some(&sched.agg_ranks), derive_win)
+        pipeline::drive_read(rank, handle, &mut driver, policy, Some(sched.agg_ranks()), derive_win)
     };
 
     // A crash-aborted drive returns before any further collective could
@@ -188,20 +189,21 @@ pub fn run(
     // the straggling aggregator's persistent realms so later calls steer
     // work to its healthy peers. The cached schedule replays the old
     // ownership (realms are not part of the schedule key), so it is
-    // patched in place against the new realms: the wires are already
-    // parsed, only the window cuts and piece streams move, so the patch
-    // charges the cycle walks but not the parse — and the next identical
-    // call still probes as a hit instead of paying a full miss.
+    // patched in place against the new realms — re-derived through the
+    // world-shared path under the new set's fingerprint: the wires are
+    // already parsed, only the window cuts and piece streams move, so the
+    // patch charges the cycle walks but not the parse — and the next
+    // identical call still probes as a hit instead of paying a full miss.
     if let Some(v) = &outcome.straggler {
         if hints.persistent_file_realms && n_agg >= 2 {
             if let Some(new_realms) =
-                pfr_state.as_deref().and_then(|r| rebalance_realms(r, v, hints))
+                pfr_state.as_deref().and_then(|set| rebalance_realms(&set.realms, v, hints))
             {
-                *pfr_state = Some(new_realms);
+                *pfr_state = Some(Arc::new(RealmSet::new(new_realms)));
                 rank.note_realms_rebalanced();
                 if hints.schedule_cache && sched_cache.is_some() {
-                    let patched = derive_schedule(rank, &wires, key, my, hints, pfr_state);
-                    let cycle_pairs: u64 = patched.cycles.iter().map(|c| c.pairs).sum();
+                    let patched = ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state);
+                    let cycle_pairs: u64 = patched.cycles().map(|c| c.pairs()).sum();
                     rank.charge_pairs(cycle_pairs);
                     *sched_cache = Some(patched);
                     rank.note_schedule_cache_patch();
@@ -363,132 +365,6 @@ fn rebalance_realms(
     )
 }
 
-/// Derive the full per-cycle exchange schedule for one collective call,
-/// charging the same pair-processing costs the engine always charged for
-/// this work. Pure computation over the exchanged metadata: no
-/// communication happens here, so hoisting it out of the cycle loop (to
-/// make it cacheable) cannot change message ordering.
-#[allow(clippy::too_many_lines)]
-fn derive_schedule(
-    rank: &Rank,
-    wires: &[Vec<u8>],
-    key: u64,
-    my: &ClientAccess,
-    hints: &Hints,
-    pfr_state: &mut Option<Vec<FileRealm>>,
-) -> ExchangeSchedule {
-    let nprocs = rank.nprocs();
-    let clients: Vec<ClientAccess> = wires.iter().map(|w| ClientAccess::from_wire(w)).collect();
-    let parse_pairs: u64 = clients.iter().map(|c| c.view.d() as u64).sum();
-
-    // ---- aggregate access region ----------------------------------------
-    let mut lo = u64::MAX;
-    let mut hi = 0u64;
-    for c in &clients {
-        if let Some((a, b)) = c.file_range() {
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
-    }
-    if hi <= lo {
-        // Every rank's access is empty; all agree. An empty schedule is
-        // cached too, so repeated empty calls hit.
-        return ExchangeSchedule { key, agg_ranks: Vec::new(), cycles: Vec::new(), parse_pairs };
-    }
-
-    // ---- realm assignment -------------------------------------------------
-    let n_agg = hints.aggregators(nprocs);
-    let agg_ranks = aggregator_ranks(n_agg, nprocs);
-    let ctx = AssignCtx {
-        aar: (lo, hi),
-        n_aggregators: n_agg,
-        alignment: hints.fr_alignment,
-        clients: &clients,
-    };
-    let assign = |ctx: &AssignCtx<'_>, default: &dyn RealmAssigner| match &hints.realm_assigner {
-        Some(a) => a.assign(ctx),
-        None => default.assign(ctx),
-    };
-    // Persistent realms are borrowed from the per-file state, not cloned
-    // per call; non-persistent realms live only for this derivation.
-    let computed: Vec<FileRealm>;
-    let realms: &[FileRealm] = if hints.persistent_file_realms {
-        if pfr_state.is_none() {
-            *pfr_state = Some(assign(&ctx, &PersistentBlockCyclic));
-        }
-        pfr_state.as_deref().unwrap()
-    } else {
-        computed = assign(&ctx, &EvenAar);
-        &computed
-    };
-    assert_eq!(realms.len(), n_agg, "assigner must produce one realm per aggregator");
-
-    // ---- cycle counts -------------------------------------------------------
-    let cb = hints.cb_buffer_size as u64;
-    let spans: Vec<(u64, u64)> = realms.iter().map(|r| (r.data_lower(lo), r.data_lower(hi))).collect();
-    let ntimes = spans.iter().map(|(b, c)| (c - b).div_ceil(cb)).max().unwrap_or(0);
-
-    // ---- per-pair state ------------------------------------------------------
-    let my_agg_idx = agg_ranks.iter().position(|&r| r == rank.rank());
-    let mut agg_streams: Vec<ClientStream> = if my_agg_idx.is_some() {
-        clients.iter().cloned().map(ClientStream::new).collect()
-    } else {
-        Vec::new()
-    };
-    let mut my_streams: Vec<ClientStream> =
-        (0..n_agg).map(|_| ClientStream::new(my.clone())).collect();
-
-    let mut cycles: Vec<CycleSchedule> = Vec::with_capacity(ntimes as usize);
-    for t in 0..ntimes {
-        // Every rank derives every aggregator's window (realms are
-        // deterministic, so no extra communication is needed).
-        let mut windows: Vec<Vec<(u64, u64)>> = (0..n_agg)
-            .map(|a| {
-                let (base, cap) = spans[a];
-                let d0 = base + t * cb;
-                let d1 = (base + (t + 1) * cb).min(cap);
-                if d0 >= d1 {
-                    Vec::new()
-                } else {
-                    realms[a].segments(d0, d1)
-                }
-            })
-            .collect();
-        let mut pairs: u64 = windows.iter().map(|w| w.len() as u64).sum();
-
-        // Client role: my pieces inside each aggregator's window.
-        let mut my_pieces: Vec<Vec<Piece>> = Vec::with_capacity(n_agg);
-        for a in 0..n_agg {
-            let (p, charged) = my_streams[a].take_window(&windows[a]);
-            pairs += charged;
-            my_pieces.push(p);
-        }
-
-        // Aggregator role: every client's pieces inside my window.
-        let agg_pieces: Vec<(usize, Vec<Piece>)> = if let Some(ai) = my_agg_idx {
-            let w = &windows[ai];
-            agg_streams
-                .iter_mut()
-                .enumerate()
-                .map(|(c, s)| {
-                    let (p, charged) = s.take_window(w);
-                    pairs += charged;
-                    (c, p)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        let my_window = match my_agg_idx {
-            Some(ai) => std::mem::take(&mut windows[ai]),
-            None => Vec::new(),
-        };
-        cycles.push(CycleSchedule { my_window, my_pieces, agg_pieces, pairs });
-    }
-    ExchangeSchedule { key, agg_ranks, cycles, parse_pairs }
-}
-
 /// Build this rank's outgoing payload for one aggregator.
 ///
 /// With `flexio_zero_copy` the payload is an iovec run list borrowed
@@ -609,11 +485,26 @@ impl StageData {
     }
 }
 
+/// Place a sparse send list into the dense one-block-per-rank form the
+/// alltoallw-style collective takes (it sends every peer a message, empty
+/// or not), run it, and pick the blocks of `recv_from` out of the result.
+fn dense_exchange(
+    rank: &Rank,
+    sends: Vec<(usize, Vec<u8>)>,
+    recv_from: &[usize],
+) -> Vec<(usize, Vec<u8>)> {
+    let mut blocks = vec![Vec::new(); rank.nprocs()];
+    for (dst, payload) in sends {
+        blocks[dst] = payload;
+    }
+    let mut out = rank.alltoallv(blocks);
+    recv_from.iter().map(|&src| (src, std::mem::take(&mut out[src]))).collect()
+}
+
 /// Exchange half of a write cycle: clients send their pieces, aggregators
 /// assemble the collective buffer in file order. Pure data movement — the
 /// file is not touched, so the pipelined driver can run this while the
 /// previous cycle's I/O is still in flight.
-#[allow(clippy::too_many_arguments)]
 fn exchange_write(
     rank: &Rank,
     my: &ClientAccess,
@@ -621,57 +512,47 @@ fn exchange_write(
     buf: &DataBuf<'_>,
     hints: &Hints,
     agg_ranks: &[usize],
-    my_pieces: &[Vec<Piece>],
-    agg_pieces: &[(usize, Vec<Piece>)],
+    cyc: CycleSchedule<'_>,
 ) -> Option<WriteStage> {
     let user = match buf {
         DataBuf::Write(b) => *b,
         DataBuf::Read(_) => unreachable!(),
     };
     // Sends: client -> aggregators.
-    let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
-    for (a, pieces) in my_pieces.iter().enumerate() {
-        if pieces.is_empty() {
-            continue;
-        }
-        sends.push((agg_ranks[a], pack_payload(rank, my, mem, user, pieces, hints)));
-    }
-    let recv_from: Vec<usize> =
-        agg_pieces.iter().filter(|(_, p)| !p.is_empty()).map(|(c, _)| *c).collect();
+    let sends: Vec<(usize, Vec<u8>)> = cyc
+        .my_pieces()
+        .map(|(a, pieces)| (agg_ranks[a], pack_payload(rank, my, mem, user, pieces, hints)))
+        .collect();
+    // Clients with data in my window, ascending; `received` keeps this
+    // order, so a client's payload is found by its position here.
+    let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
+    let recv_from: Vec<usize> = agg_pieces.iter().map(|&(c, _)| c).collect();
 
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
-        ExchangeMode::Alltoallw => {
-            let mut blocks = vec![Vec::new(); rank.nprocs()];
-            for (dst, payload) in sends {
-                blocks[dst] = payload;
-            }
-            let out = rank.alltoallv(blocks);
-            recv_from.iter().map(|&c| (c, out[c].clone())).collect()
-        }
+        ExchangeMode::Alltoallw => dense_exchange(rank, sends, &recv_from),
     };
-    if agg_pieces.iter().all(|(_, p)| p.is_empty()) {
+    if agg_pieces.is_empty() {
         return None; // nothing owned this cycle (or not an aggregator)
     }
 
     // Assemble the collective buffer in file order. Within one client,
     // entry order equals the client's own pack order, so a per-client
     // sequential cursor walks each payload exactly once.
-    let nonempty: Vec<(usize, Vec<Piece>)> =
-        agg_pieces.iter().filter(|(_, p)| !p.is_empty()).cloned().collect();
-    let (entries, segs) = merge_pieces(&nonempty);
+    let (entries, segs) = merge_pieces(&agg_pieces);
     let total: u64 = entries.iter().map(|e| e.3).sum();
-    let mut recv_cursor: std::collections::HashMap<usize, (usize, usize)> =
-        received.iter().enumerate().map(|(i, (c, _))| (*c, (i, 0usize))).collect();
+    let mut consumed = vec![0usize; received.len()];
+    let payload_of =
+        |client: usize| recv_from.binary_search(&client).expect("payload for client missing");
     if hints.zero_copy {
         // Record where each stream byte lives instead of moving it: the
         // plan is the same cursor walk as the packed assembly below,
         // minus the copy (and minus its charge).
         let mut runs = Vec::with_capacity(entries.len());
         for &(_off, client, _piece, len) in &entries {
-            let (ri, consumed) = recv_cursor.get_mut(&client).expect("payload for client missing");
-            runs.push((*ri, *consumed, len as usize));
-            *consumed += len as usize;
+            let ri = payload_of(client);
+            runs.push((ri, consumed[ri], len as usize));
+            consumed[ri] += len as usize;
         }
         let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
         return Some(WriteStage { segs, data: StageData::Runs { bufs, runs } });
@@ -679,10 +560,10 @@ fn exchange_write(
     let mut packed = vec![0u8; total as usize];
     let mut pos = 0usize;
     for &(_off, client, _piece, len) in &entries {
-        let (ri, consumed) = recv_cursor.get_mut(&client).expect("payload for client missing");
-        let src = &received[*ri].1;
-        packed[pos..pos + len as usize].copy_from_slice(&src[*consumed..*consumed + len as usize]);
-        *consumed += len as usize;
+        let ri = payload_of(client);
+        let src = &received[ri].1[consumed[ri]..consumed[ri] + len as usize];
+        packed[pos..pos + len as usize].copy_from_slice(src);
+        consumed[ri] += len as usize;
         pos += len as usize;
     }
     if matches!(hints.exchange, ExchangeMode::Nonblocking) {
@@ -794,7 +675,7 @@ impl CycleDriver for FlexWrite<'_> {
     type Stage = WriteStage;
 
     fn n_cycles(&self) -> usize {
-        self.sched.cycles.len()
+        self.sched.n_cycles()
     }
 
     fn boundary(&mut self, _i: usize) -> bool {
@@ -806,21 +687,19 @@ impl CycleDriver for FlexWrite<'_> {
 
     fn begin_cycle(&mut self, i: usize) {
         if self.charge_cycles {
-            self.rank.charge_pairs(self.sched.cycles[i].pairs);
+            self.rank.charge_pairs(self.sched.cycle(i).pairs());
         }
     }
 
     fn exchange(&mut self, i: usize, _incoming: Option<WriteStage>) -> Option<WriteStage> {
-        let cyc = &self.sched.cycles[i];
         exchange_write(
             self.rank,
             self.my,
             self.mem,
             self.buf,
             self.hints,
-            &self.sched.agg_ranks,
-            &cyc.my_pieces,
-            &cyc.agg_pieces,
+            self.sched.agg_ranks(),
+            self.sched.cycle(i),
         )
     }
 
@@ -830,13 +709,8 @@ impl CycleDriver for FlexWrite<'_> {
         outgoing: Option<WriteStage>,
     ) -> Option<(IoCompletion, Option<WriteStage>)> {
         let stage = outgoing.expect("write issue needs an assembled stage");
-        let io = issue_write(
-            self.rank,
-            self.handle,
-            self.hints,
-            &self.sched.cycles[i].my_window,
-            &stage,
-        );
+        let io =
+            issue_write(self.rank, self.handle, self.hints, self.sched.cycle(i).my_window(), &stage);
         Some((io, None))
     }
 }
@@ -872,38 +746,38 @@ fn issue_read(
     rank: &Rank,
     handle: &FileHandle,
     hints: &Hints,
-    window: &[(u64, u64)],
-    agg_pieces: &[(usize, Vec<Piece>)],
+    cyc: CycleSchedule<'_>,
 ) -> Option<(IoCompletion, ReadStage)> {
-    if agg_pieces.iter().all(|(_, p)| p.is_empty()) {
+    let window = cyc.my_window();
+    // Clients with data in my window, ascending.
+    let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
+    if agg_pieces.is_empty() {
         return None;
     }
-    let nonempty: Vec<(usize, Vec<Piece>)> =
-        agg_pieces.iter().filter(|(_, p)| !p.is_empty()).cloned().collect();
-    let (entries, segs) = merge_pieces(&nonempty);
+    let (entries, segs) = merge_pieces(&agg_pieces);
     let t0 = rank.now();
     let mut t = t0;
     let mut err: Option<flexio_pfs::PfsError> = None;
     if hints.zero_copy {
         // Pack-free: scattered reads land straight in per-client payload
         // buffers, so the distribute half can send them as-is.
-        let mut totals: std::collections::BTreeMap<usize, usize> = Default::default();
-        for &(_off, client, _piece, len) in &entries {
-            *totals.entry(client).or_default() += len as usize;
-        }
-        let mut bufs: Vec<(usize, Vec<u8>)> =
-            totals.into_iter().map(|(c, n)| (c, vec![0u8; n])).collect();
+        let mut bufs: Vec<(usize, Vec<u8>)> = agg_pieces
+            .iter()
+            .map(|&(c, pieces)| (c, vec![0u8; pieces.iter().map(|p| p.len as usize).sum()]))
+            .collect();
         // Dest runs in entry order: each entry gets the next `len` bytes
         // of its client's buffer (within a client, entry order equals the
-        // client's own piece order).
-        let mut rem: std::collections::HashMap<usize, &mut [u8]> =
-            bufs.iter_mut().map(|(c, b)| (*c, b.as_mut_slice())).collect();
+        // client's own piece order). `rem[i]` is the unfilled tail of the
+        // `i`-th client's buffer.
+        let mut rem: Vec<&mut [u8]> = bufs.iter_mut().map(|(_, b)| b.as_mut_slice()).collect();
         let mut dests: Vec<&mut [u8]> = Vec::with_capacity(entries.len());
         for &(_off, client, _piece, len) in &entries {
-            let r = rem.remove(&client).expect("client buffer missing");
-            let (head, tail) = r.split_at_mut(len as usize);
+            let i = agg_pieces
+                .binary_search_by_key(&client, |&(c, _)| c)
+                .expect("client buffer missing");
+            let (head, tail) = std::mem::take(&mut rem[i]).split_at_mut(len as usize);
             dests.push(head);
-            rem.insert(client, tail);
+            rem[i] = tail;
         }
         drop(rem);
         // Merged segment boundaries always fall on entry boundaries, so
@@ -993,7 +867,7 @@ fn distribute_read(
     buf: &mut DataBuf<'_>,
     hints: &Hints,
     agg_ranks: &[usize],
-    my_pieces: &[Vec<Piece>],
+    cyc: CycleSchedule<'_>,
     stage: Option<ReadStage>,
 ) {
     // Slice the packed buffer back out per client, in entry order
@@ -1028,34 +902,18 @@ fn distribute_read(
         }
     }
     // Client: receive from every aggregator whose window holds my data.
-    let recv_from: Vec<usize> = my_pieces
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.is_empty())
-        .map(|(a, _)| agg_ranks[a])
-        .collect();
+    let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
-        ExchangeMode::Alltoallw => {
-            let mut blocks = vec![Vec::new(); rank.nprocs()];
-            for (dst, payload) in sends {
-                blocks[dst] = payload;
-            }
-            let out = rank.alltoallv(blocks);
-            recv_from.iter().map(|&a| (a, out[a].clone())).collect()
-        }
+        ExchangeMode::Alltoallw => dense_exchange(rank, sends, &recv_from),
     };
-    // Scatter into the user buffer.
+    // Scatter into the user buffer; `received` is in `my_pieces` order.
     let user = match buf {
         DataBuf::Read(b) => &mut **b,
         DataBuf::Write(_) => unreachable!(),
     };
-    let mut by_src: std::collections::HashMap<usize, Vec<u8>> = received.into_iter().collect();
-    for (a, pieces) in my_pieces.iter().enumerate() {
-        if pieces.is_empty() {
-            continue;
-        }
-        let payload = by_src.remove(&agg_ranks[a]).expect("missing aggregator payload");
+    for ((a, pieces), (src, payload)) in cyc.my_pieces().zip(&received) {
+        debug_assert_eq!(*src, agg_ranks[a], "payloads out of aggregator order");
         let mut pos = 0usize;
         let mut total = 0u64;
         for p in pieces {
@@ -1092,7 +950,7 @@ impl CycleDriver for FlexRead<'_, '_> {
     type Stage = ReadStage;
 
     fn n_cycles(&self) -> usize {
-        self.sched.cycles.len()
+        self.sched.n_cycles()
     }
 
     fn boundary(&mut self, _i: usize) -> bool {
@@ -1104,7 +962,7 @@ impl CycleDriver for FlexRead<'_, '_> {
 
     fn begin_cycle(&mut self, i: usize) {
         if self.charge_cycles {
-            self.rank.charge_pairs(self.sched.cycles[i].pairs);
+            self.rank.charge_pairs(self.sched.cycle(i).pairs());
         }
     }
 
@@ -1115,8 +973,8 @@ impl CycleDriver for FlexRead<'_, '_> {
             self.mem,
             self.buf,
             self.hints,
-            &self.sched.agg_ranks,
-            &self.sched.cycles[i].my_pieces,
+            self.sched.agg_ranks(),
+            self.sched.cycle(i),
             incoming,
         );
         None
@@ -1127,14 +985,8 @@ impl CycleDriver for FlexRead<'_, '_> {
         i: usize,
         _outgoing: Option<ReadStage>,
     ) -> Option<(IoCompletion, Option<ReadStage>)> {
-        issue_read(
-            self.rank,
-            self.handle,
-            self.hints,
-            &self.sched.cycles[i].my_window,
-            &self.sched.cycles[i].agg_pieces,
-        )
-        .map(|(io, stage)| (io, Some(stage)))
+        issue_read(self.rank, self.handle, self.hints, self.sched.cycle(i))
+            .map(|(io, stage)| (io, Some(stage)))
     }
 }
 

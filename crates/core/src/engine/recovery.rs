@@ -43,10 +43,11 @@ use crate::engine::schedule::ExchangeSchedule;
 use crate::error::{IoError, Result};
 use crate::hints::Hints;
 use crate::meta::ClientAccess;
-use crate::realm::FileRealm;
+use crate::realm::RealmSet;
 use flexio_pfs::FileHandle;
 use flexio_sim::Rank;
 use flexio_types::MemLayout;
+use std::sync::Arc;
 
 /// Heartbeat tag: the top of the user tag space (internal collective
 /// tags start at 2^40), far above anything the engines use.
@@ -165,7 +166,7 @@ pub fn run(
     mem: &MemLayout,
     buf: &mut DataBuf<'_>,
     hints: &Hints,
-    pfr_state: &mut Option<Vec<FileRealm>>,
+    pfr_state: &mut Option<Arc<RealmSet>>,
     sched_cache: &mut Option<ExchangeSchedule>,
 ) -> Result<()> {
     let mut members: Vec<usize> = (0..rank.nprocs()).collect();

@@ -1,21 +1,33 @@
-//! Persistent exchange schedules for the flexible engine.
+//! Exchange schedules for the flexible engine: derived once per world,
+//! viewed per rank, cached per file.
 //!
 //! Deriving a collective call's data-movement plan — per-aggregator
-//! windows, each client's `Piece` lists, each aggregator's per-client
-//! `Piece` lists — is pure computation over the participants' flattened
-//! filetypes and the realm set. Under persistent file realms (§5.2/§6.4)
-//! and any timestep-loop workload the inputs repeat call after call, so
-//! the plan is identical every time. This module caches the fully derived
-//! plan, keyed by a digest of everything it depends on; on a hit the
-//! engine skips stream re-derivation entirely and replays the cached
-//! schedule against the fresh user buffer.
+//! windows, and for every `(client, aggregator, cycle)` the pieces of the
+//! client's access inside the aggregator's window — is pure computation
+//! over the participants' flattened filetypes and the realm set, and every
+//! rank computes it from the same allgathered wires. In the paper each
+//! process pays that computation itself (§5.3), and each simulated rank is
+//! still *charged* for it pair by pair; on the host it is computed once
+//! per world (`Derivation`, shared through [`Rank::shared_once`]) and
+//! each rank's [`ExchangeSchedule`] is a sparse view of it: the rank's
+//! row (its pieces per aggregator) plus, if it aggregates, its column
+//! (every client's pieces in its window).
 //!
-//! The cache lives on [`crate::file::MpiFile`] next to the PFR state and
-//! is invalidated by `set_view` and hint changes. Hits and misses are
-//! counted in [`flexio_sim::Stats`].
+//! Under persistent file realms (§5.2/§6.4) and any timestep-loop workload
+//! the inputs repeat call after call, so a rank also keeps its last
+//! schedule on [`crate::file::MpiFile`], keyed by a digest of everything
+//! it depends on; on a hit the engine skips derivation (and its charges)
+//! entirely and replays the schedule against the fresh user buffer. That
+//! cache is invalidated by `set_view` and hint changes; hits and misses
+//! are counted in [`flexio_sim::Stats`].
 
-use crate::engine::common::Piece;
-use crate::hints::Hints;
+use crate::engine::common::{ClientStream, Piece};
+use crate::hints::{aggregator_ranks, Hints};
+use crate::meta::ClientAccess;
+use crate::realm::{AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet};
+use flexio_sim::Rank;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Offset/length pairs charged for probing the cache on a hit. The probe
 /// is a single digest comparison, far cheaper than re-deriving the
@@ -23,43 +35,333 @@ use crate::hints::Hints;
 /// the savings.
 pub const PROBE_PAIRS: u64 = 1;
 
-/// One buffer cycle's pre-derived data movement.
-#[derive(Debug, Clone)]
-pub struct CycleSchedule {
-    /// This rank's aggregator window (file segments), empty for pure
-    /// clients or idle cycles.
-    pub my_window: Vec<(u64, u64)>,
-    /// This rank's pieces inside each aggregator's window (client role),
-    /// indexed by aggregator.
-    pub my_pieces: Vec<Vec<Piece>>,
-    /// Every client's pieces inside this rank's window (aggregator role);
-    /// empty for pure clients.
-    pub agg_pieces: Vec<(usize, Vec<Piece>)>,
-    /// Offset/length pairs this cycle's derivation evaluated (window walk
-    /// plus client/aggregator stream intersections). Charged at the top
-    /// of the cycle on a miss — the same point the pre-cache engine
-    /// charged them — so the virtual clock at every send and file request
-    /// is bit-identical to the uncached engine. Skipped entirely on a hit.
-    pub pairs: u64,
+/// One non-empty `(client, aggregator)` intersection of a buffer cycle:
+/// where its pieces sit in the cycle's piece arena.
+#[derive(Clone)]
+struct Cell {
+    client: usize,
+    agg: usize,
+    pieces: Range<usize>,
 }
 
-/// A complete per-call exchange schedule, reusable while its key matches.
-#[derive(Debug, Clone)]
+/// The non-empty cells of one cycle grouped by a major index (client for
+/// rows, aggregator for columns), minor index ascending within a group.
+#[derive(Default)]
+struct Sparse {
+    cells: Vec<Cell>,
+    /// `cells[start[i]..start[i + 1]]` is group `i`.
+    start: Vec<usize>,
+}
+
+impl Sparse {
+    /// Index `cells`, already sorted by `major`, into `n` groups.
+    fn new(cells: Vec<Cell>, n: usize, major: impl Fn(&Cell) -> usize) -> Sparse {
+        let mut start = vec![0usize; n + 1];
+        for c in &cells {
+            start[major(c) + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        Sparse { cells, start }
+    }
+
+    fn group(&self, i: usize) -> &[Cell] {
+        &self.cells[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// One buffer cycle of a [`Derivation`].
+struct DerivedCycle {
+    /// Every aggregator's window (file segments), by aggregator.
+    windows: Vec<Vec<(u64, u64)>>,
+    /// Pairs evaluated cutting the windows; every rank cuts them all.
+    window_pairs: u64,
+    /// Pairs client `c` evaluates walking its stream through every
+    /// aggregator's window, by client.
+    row_pairs: Vec<u64>,
+    /// Pairs aggregator `a` evaluates walking every client's stream
+    /// through its window, by aggregator.
+    col_pairs: Vec<u64>,
+    /// Piece arena the cells index.
+    pieces: Vec<Piece>,
+    rows: Sparse,
+    cols: Sparse,
+}
+
+/// The complete exchange plan of one collective call, for every rank: the
+/// table each rank used to compute its own row and column of. A pure
+/// function of the allgathered wires, the hints digested by
+/// [`schedule_key`], and the realm set; shared by every rank of the world
+/// that derives from the same inputs while any of them still holds it.
+pub(crate) struct Derivation {
+    agg_ranks: Vec<usize>,
+    parse_pairs: u64,
+    cycles: Vec<DerivedCycle>,
+    /// The persistent realm set this plan was cut against (`None` without
+    /// `persistent_file_realms`, or when every access was empty).
+    pfr: Option<Arc<RealmSet>>,
+    /// Keeps a plugged-in assigner's address — part of the key — from
+    /// being reused by another assigner while this derivation lives.
+    _assigner: Option<Arc<dyn RealmAssigner>>,
+}
+
+impl Derivation {
+    /// Derive the plan. `pfr` is the file's persistent realm set, if one
+    /// exists already; with `persistent_file_realms` and none yet, the
+    /// set assigned here is kept in the result for the file to adopt.
+    ///
+    /// Host cost: each wire is parsed once, each aggregator's window cut
+    /// once per cycle, and each `(client, aggregator)` stream walked once
+    /// — the client's and the aggregator's view of a stream are the same
+    /// walk (`from_wire(to_wire(access))` flattens to the same type), so
+    /// one walk yields both what client `c` and what aggregator `a` are
+    /// charged for it.
+    fn new(wires: &[Vec<u8>], hints: &Hints, pfr: Option<&Arc<RealmSet>>) -> Derivation {
+        let nprocs = wires.len();
+        let clients: Vec<ClientAccess> = wires.iter().map(|w| ClientAccess::from_wire(w)).collect();
+        let parse_pairs: u64 = clients.iter().map(|c| c.view.d() as u64).sum();
+        let mut out = Derivation {
+            agg_ranks: Vec::new(),
+            parse_pairs,
+            cycles: Vec::new(),
+            pfr: None,
+            _assigner: hints.realm_assigner.clone(),
+        };
+
+        // ---- aggregate access region ------------------------------------
+        let mut lo = u64::MAX;
+        let mut hi = 0u64;
+        for c in &clients {
+            if let Some((a, b)) = c.file_range() {
+                lo = lo.min(a);
+                hi = hi.max(b);
+            }
+        }
+        if hi <= lo {
+            // Every rank's access is empty; all agree. An empty schedule
+            // is cached too, so repeated empty calls hit.
+            return out;
+        }
+
+        // ---- realm assignment -------------------------------------------
+        let n_agg = hints.aggregators(nprocs);
+        out.agg_ranks = aggregator_ranks(n_agg, nprocs);
+        let assign = |default: &dyn RealmAssigner| {
+            let ctx = AssignCtx {
+                aar: (lo, hi),
+                n_aggregators: n_agg,
+                alignment: hints.fr_alignment,
+                clients: &clients,
+            };
+            match &hints.realm_assigner {
+                Some(a) => a.assign(&ctx),
+                None => default.assign(&ctx),
+            }
+        };
+        let computed: Vec<FileRealm>;
+        let realms: &[FileRealm] = if hints.persistent_file_realms {
+            let set = match pfr {
+                Some(set) => Arc::clone(set),
+                None => Arc::new(RealmSet::new(assign(&PersistentBlockCyclic))),
+            };
+            &out.pfr.insert(set).realms
+        } else {
+            computed = assign(&EvenAar);
+            &computed
+        };
+        assert_eq!(realms.len(), n_agg, "assigner must produce one realm per aggregator");
+
+        // ---- windows: every aggregator's, every cycle ----------------------
+        let cb = hints.cb_buffer_size as u64;
+        let spans: Vec<(u64, u64)> =
+            realms.iter().map(|r| (r.data_lower(lo), r.data_lower(hi))).collect();
+        let ntimes = spans.iter().map(|(b, c)| (c - b).div_ceil(cb)).max().unwrap_or(0);
+        let mut cycles: Vec<DerivedCycle> = (0..ntimes)
+            .map(|t| {
+                let windows: Vec<Vec<(u64, u64)>> = (0..n_agg)
+                    .map(|a| {
+                        let (base, cap) = spans[a];
+                        let d0 = base + t * cb;
+                        let d1 = (base + (t + 1) * cb).min(cap);
+                        if d0 >= d1 {
+                            Vec::new()
+                        } else {
+                            realms[a].segments(d0, d1)
+                        }
+                    })
+                    .collect();
+                DerivedCycle {
+                    window_pairs: windows.iter().map(|w| w.len() as u64).sum(),
+                    windows,
+                    row_pairs: vec![0; nprocs],
+                    col_pairs: vec![0; n_agg],
+                    pieces: Vec::new(),
+                    rows: Sparse::default(),
+                    cols: Sparse::default(),
+                }
+            })
+            .collect();
+
+        // ---- streams: each (client, aggregator) pair walked once -----------
+        // Client-major, so one stream is live at a time and every cycle's
+        // cells come out sorted by (client, aggregator).
+        let mut cells: Vec<Vec<Cell>> = vec![Vec::new(); cycles.len()];
+        for (c, access) in clients.into_iter().enumerate() {
+            if access.data_len == 0 {
+                continue;
+            }
+            let access = Arc::new(access);
+            for a in 0..n_agg {
+                let mut stream = ClientStream::new(Arc::clone(&access));
+                for (cyc, cells) in cycles.iter_mut().zip(&mut cells) {
+                    let from = cyc.pieces.len();
+                    let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
+                    cyc.row_pairs[c] += charged;
+                    cyc.col_pairs[a] += charged;
+                    if cyc.pieces.len() > from {
+                        cells.push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
+                    }
+                }
+            }
+        }
+        for (cyc, rows) in cycles.iter_mut().zip(cells) {
+            let mut cols = rows.clone();
+            cols.sort_by_key(|c| (c.agg, c.client));
+            cyc.rows = Sparse::new(rows, nprocs, |c| c.client);
+            cyc.cols = Sparse::new(cols, n_agg, |c| c.agg);
+        }
+        out.cycles = cycles;
+        out
+    }
+}
+
+/// One rank's exchange schedule for a collective call, reusable while its
+/// key matches: a view of the world's shared `Derivation` from this
+/// rank's seat.
+#[derive(Clone)]
 pub struct ExchangeSchedule {
-    /// Digest of the inputs the schedule was derived from.
+    /// Digest of the inputs the schedule was derived from
+    /// ([`schedule_key`]).
     pub key: u64,
+    derived: Arc<Derivation>,
+    /// This rank's communicator-relative id (its client row).
+    me: usize,
+    /// This rank's aggregator index (its column), if it aggregates.
+    my_agg: Option<usize>,
+}
+
+impl ExchangeSchedule {
+    /// Rank `me`'s view of `derived`.
+    fn view(key: u64, derived: Arc<Derivation>, me: usize) -> ExchangeSchedule {
+        let my_agg = derived.agg_ranks.iter().position(|&r| r == me);
+        ExchangeSchedule { key, derived, me, my_agg }
+    }
+
+    /// The schedule of `rank` for a call whose allgathered metadata is
+    /// `wires` and whose [`schedule_key`] is `key`, derived at most once
+    /// per world and realm set. `pfr` is the file's persistent realm
+    /// state: read to select the realm set, and (under
+    /// `persistent_file_realms`) left holding the world-shared set the
+    /// schedule was cut against.
+    pub(crate) fn shared(
+        rank: &Rank,
+        wires: &[Vec<u8>],
+        key: u64,
+        hints: &Hints,
+        pfr: &mut Option<Arc<RealmSet>>,
+    ) -> ExchangeSchedule {
+        // The realm set is not a function of the key once it persists
+        // (first call's region, later rebalances), so it keys the cell too.
+        let fingerprint = pfr.as_ref().map_or(0, |set| set.fingerprint);
+        let cell = Digest::new().u64(key).u64(fingerprint).finish();
+        let derived = rank.shared_once(cell, || Derivation::new(wires, hints, pfr.as_ref()));
+        if hints.persistent_file_realms && derived.pfr.is_some() {
+            pfr.clone_from(&derived.pfr);
+        }
+        ExchangeSchedule::view(key, derived, rank.rank())
+    }
+
     /// Aggregator ranks, in aggregator order.
-    pub agg_ranks: Vec<usize>,
-    /// Per-cycle plans, in cycle order.
-    pub cycles: Vec<CycleSchedule>,
+    pub fn agg_ranks(&self) -> &[usize] {
+        &self.derived.agg_ranks
+    }
+
+    /// Number of buffer cycles.
+    pub fn n_cycles(&self) -> usize {
+        self.derived.cycles.len()
+    }
+
     /// Pairs evaluated parsing every rank's wire metadata, charged before
     /// the first cycle on a miss (see [`CycleSchedule::pairs`]).
-    pub parse_pairs: u64,
+    pub fn parse_pairs(&self) -> u64 {
+        self.derived.parse_pairs
+    }
+
+    /// Cycle `i`'s plan for this rank.
+    pub fn cycle(&self, i: usize) -> CycleSchedule<'_> {
+        CycleSchedule { cyc: &self.derived.cycles[i], me: self.me, my_agg: self.my_agg }
+    }
+
+    /// Every cycle's plan, in cycle order.
+    pub fn cycles(&self) -> impl Iterator<Item = CycleSchedule<'_>> {
+        (0..self.n_cycles()).map(|i| self.cycle(i))
+    }
 }
 
-/// FNV-1a, used instead of `std::hash` so the digest is stable across
-/// runs and platforms (no per-process `RandomState`), which keeps
-/// hit/miss traces reproducible.
+/// One buffer cycle's pre-derived data movement, from one rank's seat.
+#[derive(Clone, Copy)]
+pub struct CycleSchedule<'a> {
+    cyc: &'a DerivedCycle,
+    me: usize,
+    my_agg: Option<usize>,
+}
+
+impl<'a> CycleSchedule<'a> {
+    /// This rank's aggregator window (file segments), empty for pure
+    /// clients or idle cycles.
+    pub fn my_window(&self) -> &'a [(u64, u64)] {
+        match self.my_agg {
+            Some(a) => &self.cyc.windows[a],
+            None => &[],
+        }
+    }
+
+    /// This rank's pieces inside each aggregator's window (client role):
+    /// `(aggregator index, pieces)` for the aggregators that hold any, in
+    /// aggregator order.
+    pub fn my_pieces(&self) -> impl Iterator<Item = (usize, &'a [Piece])> + 'a {
+        let cyc = self.cyc;
+        cyc.rows.group(self.me).iter().map(move |c| (c.agg, &cyc.pieces[c.pieces.clone()]))
+    }
+
+    /// Every client's pieces inside this rank's window (aggregator role):
+    /// `(client, pieces)` for the clients that have any, in client order;
+    /// nothing for pure clients.
+    pub fn agg_pieces(&self) -> impl Iterator<Item = (usize, &'a [Piece])> + 'a {
+        let cyc = self.cyc;
+        let cells = self.my_agg.map_or(&[][..], |a| cyc.cols.group(a));
+        cells.iter().map(move |c| (c.client, &cyc.pieces[c.pieces.clone()]))
+    }
+
+    /// Offset/length pairs this rank's derivation of the cycle evaluates:
+    /// the window cuts, its own stream against every aggregator's window,
+    /// and (aggregators) every client's stream against its window. Charged
+    /// at the top of the cycle on a miss — the same point the pre-cache
+    /// engine charged them — so the virtual clock at every send and file
+    /// request is bit-identical to the uncached engine. Skipped entirely
+    /// on a hit.
+    pub fn pairs(&self) -> u64 {
+        self.cyc.window_pairs
+            + self.cyc.row_pairs[self.me]
+            + self.my_agg.map_or(0, |a| self.cyc.col_pairs[a])
+    }
+}
+
+/// Multiply-rotate digest over 8-byte words, used instead of `std::hash`
+/// so the digest is stable across runs and platforms (no per-process
+/// `RandomState`), which keeps hit/miss traces reproducible. Only
+/// equality of digests is ever observed.
 #[derive(Clone, Copy)]
 pub struct Digest(u64);
 
@@ -69,18 +371,24 @@ impl Digest {
         Digest(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Absorb raw bytes.
+    /// Absorb raw bytes: little-endian 8-byte words, then the tail byte
+    /// by byte. Not self-delimiting — callers length-prefix.
     pub fn bytes(mut self, data: &[u8]) -> Self {
-        for &b in data {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self = self.u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
-        Digest(self.0)
+        for &b in words.remainder() {
+            self = self.u64(u64::from(b));
+        }
+        self
     }
 
     /// Absorb one u64 (length-prefixing and field separation).
     pub fn u64(self, v: u64) -> Self {
-        self.bytes(&v.to_le_bytes())
+        // The rotate folds the multiply's well-mixed high bits back down,
+        // so a word's high bits reach the whole state by the next word.
+        Digest((self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29))
     }
 
     /// Finish.
@@ -123,6 +431,7 @@ pub fn schedule_key(wires: &[Vec<u8>], hints: &Hints, nprocs: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexio_types::{flatten, Datatype, FileView};
 
     fn wires() -> Vec<Vec<u8>> {
         vec![vec![1, 2, 3], vec![4, 5], vec![]]
@@ -157,5 +466,137 @@ mod tests {
         let a = schedule_key(&[vec![1, 2], vec![3]], &h, 2);
         let b = schedule_key(&[vec![1], vec![2, 3]], &h, 2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn digest_sees_every_byte_of_words_and_tail() {
+        // 19 bytes = two words + a 3-byte tail; flipping any single bit,
+        // including each word's top bit, must change the digest.
+        let base: Vec<u8> = (0u8..19).collect();
+        let d0 = Digest::new().bytes(&base).finish();
+        for i in 0..base.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut other = base.clone();
+                other[i] ^= bit;
+                assert_ne!(Digest::new().bytes(&other).finish(), d0, "byte {i} bit {bit:#x}");
+            }
+        }
+        // Top bits of two adjacent words together (cancels in a plain
+        // xor-multiply chain).
+        let mut other = base.clone();
+        other[7] ^= 0x80;
+        other[15] ^= 0x80;
+        assert_ne!(Digest::new().bytes(&other).finish(), d0);
+        // Pinned value: the key must not drift across platforms or runs.
+        assert_eq!(Digest::new().bytes(b"flexio schedule key").finish(), 0x9f35_cb4f_6dfb_99e6);
+    }
+
+    /// `n` clients interleaving `block`-byte blocks, `reps` tiles each;
+    /// client `c` starts `c` bytes into its view (an unaligned start) when
+    /// `ragged`.
+    fn interleaved(n: usize, block: u64, reps: u64, ragged: bool) -> Vec<ClientAccess> {
+        (0..n)
+            .map(|c| {
+                let dt = Datatype::resized(0, n as u64 * block, Datatype::bytes(block));
+                let start = if ragged { c as u64 % block } else { 0 };
+                ClientAccess {
+                    view: FileView::new(c as u64 * block, Arc::new(flatten(&dt)), 1).unwrap(),
+                    data_start: start,
+                    data_len: reps * block - start,
+                }
+            })
+            .collect()
+    }
+
+    /// What the per-rank engine computed: client `c` walks its *own*
+    /// access (not a wire round trip) through aggregator `a`'s windows.
+    fn client_side(d: &Derivation, access: &ClientAccess, a: usize) -> Vec<(Vec<Piece>, u64)> {
+        let mut s = ClientStream::new(access.clone());
+        d.cycles.iter().map(|cyc| s.take_window(&cyc.windows[a])).collect()
+    }
+
+    #[test]
+    fn rows_and_columns_agree_with_a_client_side_walk() {
+        for (pfr, alignment, ragged) in [
+            (false, None, false),
+            (false, Some(32), true),
+            (true, Some(64), true),
+            (true, None, false),
+        ] {
+            let clients = interleaved(6, 24, 9, ragged);
+            let wires: Vec<Vec<u8>> = clients.iter().map(ClientAccess::to_wire).collect();
+            let hints = Hints {
+                cb_nodes: Some(3),
+                cb_buffer_size: 100,
+                persistent_file_realms: pfr,
+                fr_alignment: alignment,
+                ..Hints::default()
+            };
+            let d = Arc::new(Derivation::new(&wires, &hints, None));
+            assert_eq!(d.pfr.is_some(), pfr);
+            assert!(d.cycles.len() > 2, "want several cycles");
+            let views: Vec<ExchangeSchedule> =
+                (0..6).map(|c| ExchangeSchedule::view(0, Arc::clone(&d), c)).collect();
+            let mut moved = 0u64;
+            for (c, access) in clients.iter().enumerate() {
+                let mut row_pairs = vec![0u64; d.cycles.len()];
+                for (a, &agg_rank) in d.agg_ranks.iter().enumerate() {
+                    for (t, (want, charged)) in client_side(&d, access, a).into_iter().enumerate() {
+                        row_pairs[t] += charged;
+                        // The client's row entry ...
+                        let row: Vec<Piece> = views[c]
+                            .cycle(t)
+                            .my_pieces()
+                            .filter(|&(agg, _)| agg == a)
+                            .flat_map(|(_, p)| p.to_vec())
+                            .collect();
+                        assert_eq!(row, want, "row: client {c} agg {a} cycle {t}");
+                        // ... and the aggregator's column entry.
+                        let col: Vec<Piece> = views[agg_rank]
+                            .cycle(t)
+                            .agg_pieces()
+                            .filter(|&(client, _)| client == c)
+                            .flat_map(|(_, p)| p.to_vec())
+                            .collect();
+                        assert_eq!(col, want, "column: client {c} agg {a} cycle {t}");
+                        moved += want.iter().map(|p| p.len).sum::<u64>();
+                    }
+                }
+                assert_eq!(
+                    row_pairs,
+                    d.cycles.iter().map(|cyc| cyc.row_pairs[c]).collect::<Vec<_>>()
+                );
+            }
+            assert_eq!(moved, clients.iter().map(|c| c.data_len).sum::<u64>(), "every byte once");
+            // A rank is charged the windows, its row and (aggregators) its
+            // column; sparse lists hold no empty entries.
+            for (c, v) in views.iter().enumerate() {
+                for (t, cyc) in v.cycles().enumerate() {
+                    let col = v.my_agg.map_or(0, |a| d.cycles[t].col_pairs[a]);
+                    assert_eq!(
+                        cyc.pairs(),
+                        d.cycles[t].window_pairs + d.cycles[t].row_pairs[c] + col
+                    );
+                    assert!(cyc.my_pieces().chain(cyc.agg_pieces()).all(|(_, p)| !p.is_empty()));
+                    assert_eq!(
+                        cyc.my_window().is_empty(),
+                        v.my_agg.is_none_or(|a| d.cycles[t].windows[a].is_empty())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_world_access_derives_an_empty_schedule() {
+        let mut clients = interleaved(3, 8, 2, false);
+        for c in &mut clients {
+            c.data_len = 0;
+        }
+        let wires: Vec<Vec<u8>> = clients.iter().map(ClientAccess::to_wire).collect();
+        let hints = Hints { persistent_file_realms: true, ..Hints::default() };
+        let d = Derivation::new(&wires, &hints, None);
+        assert!(d.cycles.is_empty() && d.agg_ranks.is_empty() && d.pfr.is_none());
+        assert_eq!(d.parse_pairs, 3);
     }
 }

@@ -6,7 +6,7 @@ use crate::engine::{self, DataBuf};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::meta::ClientAccess;
-use crate::realm::FileRealm;
+use crate::realm::RealmSet;
 use flexio_io::{read_packed, write_packed};
 use flexio_pfs::{FileHandle, Pfs};
 use flexio_sim::{Phase, Rank};
@@ -41,7 +41,9 @@ pub struct MpiFile<'r> {
     handle: FileHandle,
     view: FileView,
     hints: Hints,
-    pfr_realms: RefCell<Option<Vec<FileRealm>>>,
+    /// Persistent file realms: assigned by the first collective call,
+    /// shared (one `Arc`) by every rank of the world that opened the file.
+    pfr_realms: RefCell<Option<Arc<RealmSet>>>,
     /// Last collective call's exchange schedule (flexible engine);
     /// invalidated by `set_view` and hint changes, revalidated per call by
     /// its input digest.
@@ -241,9 +243,7 @@ impl<'r> MpiFile<'r> {
         // Charge the op's full window whether or not it faulted (the error
         // carries the would-be completion time), then surface the fault —
         // independent I/O has no retry loop or collective agreement.
-        let t = res.unwrap_or_else(|e| e.at);
-        self.rank.advance_to(t);
-        self.rank.note_phase(Phase::Io, t - t0);
+        self.charge_io(res.unwrap_or_else(|e| e.at));
         res.map(|_| ()).map_err(IoError::Pfs)
     }
 
@@ -270,9 +270,7 @@ impl<'r> MpiFile<'r> {
             &self.hints.io_method,
             self.view.ftype().extent,
         );
-        let t = *res.as_ref().unwrap_or_else(|e| &e.at);
-        self.rank.advance_to(t);
-        self.rank.note_phase(Phase::Io, t - t0);
+        self.charge_io(*res.as_ref().unwrap_or_else(|e| &e.at));
         if let Err(e) = res {
             // The packed bytes are exact even on a faulted request, but an
             // independent read has no retry loop: report it without
@@ -351,8 +349,17 @@ impl<'r> MpiFile<'r> {
     /// reports the request outcome, as `MPI_File_sync` would.
     pub fn sync(&self) -> Result<()> {
         let res = self.handle.flush(self.rank.now());
-        self.rank.advance_to(*res.as_ref().unwrap_or_else(|e| &e.at));
+        self.charge_io(*res.as_ref().unwrap_or_else(|e| &e.at));
         res.map(|_| ()).map_err(IoError::Pfs)
+    }
+
+    /// Advance the clock to the completion time `t` of a file-system
+    /// request issued now, attributing the wait to the I/O phase (phase
+    /// buckets must keep summing to the clock).
+    fn charge_io(&self, t: u64) {
+        let t0 = self.rank.now();
+        self.rank.advance_to(t);
+        self.rank.note_phase(Phase::Io, self.rank.now() - t0);
     }
 
     /// Collective close: flush, release locks, barrier. The file is fully
@@ -360,7 +367,7 @@ impl<'r> MpiFile<'r> {
     /// flush request faults.
     pub fn close(self) -> Result<()> {
         let res = self.handle.close(self.rank.now());
-        self.rank.advance_to(*res.as_ref().unwrap_or_else(|e| &e.at));
+        self.charge_io(*res.as_ref().unwrap_or_else(|e| &e.at));
         self.rank.barrier();
         res.map(|_| ()).map_err(IoError::Pfs)
     }

@@ -38,7 +38,9 @@ pub use hints::{aggregator_ranks, Engine, ExchangeMode, Hints, PipelineDepth};
 pub use info::hints_from_info;
 pub use meta::ClientAccess;
 pub use profile::Profile;
-pub use realm::{AssignCtx, BalancedLoad, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner};
+pub use realm::{
+    AssignCtx, BalancedLoad, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet,
+};
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@
 //! implement boundary alignment (§6.4), persistent whole-file realms
 //! (§5.2), and data-balanced boundaries (the §7 "future work" assigner).
 
+use crate::engine::schedule::Digest;
 use crate::meta::ClientAccess;
 use flexio_types::{FileView, FlatType, Seg};
 use std::sync::Arc;
@@ -120,6 +121,37 @@ impl FileRealm {
             }
         }
         self.view.file_to_data_lower(off) != self.view.file_to_data_lower(off + 1)
+    }
+}
+
+/// A file's persistent realm set (§5.2): one realm per aggregator, shared
+/// by every rank of the world that uses it, plus a fingerprint of its
+/// content. Persistent realms outlive the call that assigned them (and
+/// move under straggler rebalancing), so they are not a function of a
+/// later call's inputs; the fingerprint is what lets ranks agree cheaply
+/// on which set a shared schedule derivation was cut against.
+#[derive(Debug)]
+pub struct RealmSet {
+    /// The realms, in aggregator order.
+    pub realms: Vec<FileRealm>,
+    /// Digest of the realms' content: equal sets, equal fingerprints, on
+    /// every rank and in every run.
+    pub fingerprint: u64,
+}
+
+impl RealmSet {
+    /// Wrap `realms`, fingerprinting them.
+    pub fn new(realms: Vec<FileRealm>) -> RealmSet {
+        let mut d = Digest::new().u64(realms.len() as u64);
+        for r in &realms {
+            let (lo, hi) = r.bound.unwrap_or((u64::MAX, 0));
+            let ft = r.view.ftype();
+            d = d.u64(r.view.disp()).u64(lo).u64(hi).u64(ft.extent).u64(ft.segs.len() as u64);
+            for s in &ft.segs {
+                d = d.u64(s.off as u64).u64(s.len);
+            }
+        }
+        RealmSet { fingerprint: d.finish(), realms }
     }
 }
 

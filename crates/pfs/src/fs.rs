@@ -782,6 +782,9 @@ impl FileHandle {
     /// exactly like a [`FileHandle::pwrite_nb`] of the same span; the
     /// assembly below is wire representation, not modeled data movement.
     pub fn pwritev_nb(&self, now: u64, off: u64, bufs: &[&[u8]]) -> NbOp {
+        if let [only] = bufs {
+            return self.pwrite_nb(now, off, only);
+        }
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         let mut joined = Vec::with_capacity(total);
         for b in bufs {
@@ -940,6 +943,33 @@ mod tests {
         let mut buf = [9u8; 6];
         h.read(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 0, 0, 0]);
+        // Entirely past EOF.
+        let mut buf = [9u8; 4];
+        h.read(0, 10, &mut buf).unwrap();
+        assert_eq!(buf, [0; 4]);
+    }
+
+    #[test]
+    fn single_run_vectored_ops_match_the_split_form() {
+        // A single-run gathered write skips the join copy; it must cost
+        // and move exactly what the same span split into two runs does
+        // (and read back the same either way).
+        let data: Vec<u8> = (0..200u8).collect();
+        let run = |split: usize| {
+            let pfs = tiny();
+            let h = pfs.open("f", 0);
+            let srcs: Vec<&[u8]> =
+                [&data[..split], &data[split..]].into_iter().filter(|r| !r.is_empty()).collect();
+            let w = h.pwritev_nb(0, 7, &srcs);
+            let mut back = vec![0u8; data.len()];
+            let (a, b) = back.split_at_mut(split);
+            let mut dests: Vec<&mut [u8]> = [a, b].into_iter().filter(|d| !d.is_empty()).collect();
+            let r = h.preadv_nb(w.done_at(), 7, &mut dests);
+            drop(dests);
+            (w.done_at(), r.done_at(), back, pfs.stats())
+        };
+        assert_eq!(run(0), run(60));
+        assert_eq!(run(0).2, data);
     }
 
     #[test]

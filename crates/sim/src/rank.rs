@@ -403,6 +403,34 @@ impl Rank {
         self.stats.borrow().clone()
     }
 
+    // ----- world-shared values ---------------------------------------------
+
+    /// World-scoped "compute once, share": the value of type `T` under
+    /// `key`, computed by the first rank of this world to ask and shared
+    /// (one `Arc`) with every rank that asks while any rank still holds
+    /// it. The world keeps only a weak reference, so the value is freed
+    /// with its last holder and a later ask recomputes it; nothing
+    /// outlives the world. Sub-communicators share their world's cells.
+    ///
+    /// `init` must be a pure function of what `key` digests (every rank
+    /// must be content with any other rank's result) and must not
+    /// communicate or otherwise yield. Host-side only: no virtual time is
+    /// charged here, callers charge what their cost model says the work
+    /// costs each rank.
+    pub fn shared_once<T: std::any::Any + Send + Sync>(
+        &self,
+        key: u64,
+        init: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        self.world.shared_once(key, init)
+    }
+
+    /// Number of [`Rank::shared_once`] values some rank of this world
+    /// still holds (a residency probe for tests).
+    pub fn shared_live(&self) -> usize {
+        self.world.shared_live()
+    }
+
     // ----- point to point ------------------------------------------------
 
     /// Eager send: never blocks. The message becomes available at the
@@ -775,7 +803,44 @@ fn decode_blocks(buf: &[u8]) -> Vec<(usize, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::run;
+    use crate::world::{run, run_on, Backend};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn shared_once_computes_once_per_world_on_every_backend() {
+        for backend in [Backend::EventLoop, Backend::Sharded(3)] {
+            let inits = AtomicUsize::new(0);
+            let out = run_on(backend, 8, CostModel::default(), |r| {
+                let v = r.shared_once(7, || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    vec![r.nprocs() as u64; 4]
+                });
+                // Everyone is past the lookup before anyone lets go.
+                r.barrier();
+                (Arc::as_ptr(&v) as usize, r.shared_live())
+            });
+            assert_eq!(inits.load(Ordering::SeqCst), 1, "{backend:?}");
+            assert!(out.iter().all(|&(p, live)| p == out[0].0 && live == 1), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn shared_once_separates_keys_and_types_and_frees_with_the_last_holder() {
+        run(2, CostModel::free(), |r| {
+            let a = r.shared_once(1, || 10u64);
+            let b = r.shared_once(2, || 20u64);
+            let c = r.shared_once(1, || String::from("same key, other type"));
+            assert_eq!((*a, *b, c.len()), (10, 20, 20));
+            r.barrier();
+            assert_eq!(r.shared_live(), 3);
+            drop((a, b, c));
+            r.barrier();
+            assert_eq!(r.shared_live(), 0, "cells must not outlive their holders");
+            // A later ask recomputes (and may compute something new).
+            assert_eq!(*r.shared_once(1, || 11u64), 11);
+            r.barrier();
+        });
+    }
 
     #[test]
     fn p2p_roundtrip() {

@@ -1,11 +1,12 @@
 //! The shared world: mailboxes, backend selection, rank dispatch.
 
 use crate::cost::CostModel;
+use std::any::{Any, TypeId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Panic payload raised by [`crate::rank::Rank::maybe_crash`] when a rank
 /// reaches its scheduled crash time: the scheduler recognizes it, marks
@@ -116,6 +117,11 @@ impl Mailbox {
     }
 }
 
+/// The world's "compute once, share" cells (see
+/// [`crate::rank::Rank::shared_once`]): weak references, so a value dies
+/// with its last user and the map never keeps one alive.
+type SharedCells = HashMap<(TypeId, u64), Weak<dyn Any + Send + Sync>>;
+
 /// The shared state of a simulated MPI world.
 pub struct World {
     pub(crate) nprocs: usize,
@@ -126,6 +132,7 @@ pub struct World {
     pub(crate) crash_at: Vec<u64>,
     /// Ranks that have crash-stopped: deliveries to them are dropped.
     pub(crate) dead: Vec<AtomicBool>,
+    shared: Mutex<SharedCells>,
 }
 
 impl World {
@@ -152,7 +159,39 @@ impl World {
             mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
             crash_at,
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
+            shared: Mutex::new(SharedCells::new()),
         })
+    }
+
+    /// The live value of cell `(T, key)`, computing it with `init` when no
+    /// rank of this world currently holds one.
+    ///
+    /// The lock is not held across `init`: ranks are fibers dispatched one
+    /// at a time (on every backend — the sharded pool serializes dispatch
+    /// on the global minimum key), and `init` must not communicate, so no
+    /// second rank can run between the miss and the insert.
+    pub(crate) fn shared_once<T: Any + Send + Sync>(
+        &self,
+        key: u64,
+        init: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let id = (TypeId::of::<T>(), key);
+        let live = self.shared.lock().expect("shared-cell lock poisoned").get(&id).and_then(Weak::upgrade);
+        if let Some(v) = live {
+            return v.downcast::<T>().expect("cell is keyed by its type");
+        }
+        let v = Arc::new(init());
+        let mut cells = self.shared.lock().expect("shared-cell lock poisoned");
+        cells.retain(|_, w| w.strong_count() > 0);
+        let weak: Weak<T> = Arc::downgrade(&v);
+        cells.insert(id, weak);
+        v
+    }
+
+    /// Number of shared cells some rank still holds.
+    pub(crate) fn shared_live(&self) -> usize {
+        let cells = self.shared.lock().expect("shared-cell lock poisoned");
+        cells.values().filter(|w| w.strong_count() > 0).count()
     }
 
     /// The scheduled crash time of `rank` (`u64::MAX` = never).

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build + test, fully offline (no external crates).
+# Tier-1 verification: build + test the workspace and the benchmark
+# package, fully offline (no external crates).
 # Run from the repository root: sh scripts/verify.sh
 #
 # --thorough additionally re-runs the test suite with 512 property-test
@@ -25,6 +26,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
+
+# The benchmark is a package of its own (benchmark/, outside the
+# workspace) that imports engine internals — ClientStream, merge_pieces,
+# group_by_window, write_gathered_nb, resolve, LockTable, AssignCtx, ... —
+# so a signature change there must fail here, not at the benchmark gate.
+# Its tests check the metric registry against BENCHMARK.json and run every
+# workload once (--smoke, ~13 s).
+echo "== cargo test --release --offline --manifest-path benchmark/Cargo.toml =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$THOROUGH" = 1 ]; then
   echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="

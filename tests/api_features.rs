@@ -229,3 +229,41 @@ fn engines_agree_on_darray_pattern() {
     assert_eq!(images[0], images[1]);
     assert_eq!(images[0].len(), 128);
 }
+
+/// Phase buckets sum to the clock through `sync` and `close` too: on a
+/// caching file system both flush dirty pages, and that wait is I/O time.
+#[test]
+fn phase_buckets_sum_to_the_clock_after_a_flushing_close() {
+    for engine in [Engine::Flexible, Engine::Romio] {
+        let pfs = Pfs::new(PfsConfig {
+            n_osts: 2,
+            stripe_size: 4096,
+            page_size: 256,
+            locking: true,
+            lock_expansion: false,
+            client_cache: true,
+            cost: PfsCostModel::default(),
+        });
+        let out = run(4, CostModel::default(), move |rank| {
+            let hints = Hints { engine, cb_nodes: Some(2), ..Hints::default() };
+            let mut f = MpiFile::open(rank, &pfs, "cached", hints).unwrap();
+            let block = Datatype::bytes(100);
+            f.set_view(rank.rank() as u64 * 100, &Datatype::bytes(1), &Datatype::resized(0, 400, block))
+                .unwrap();
+            let data = vec![rank.rank() as u8 + 1; 1000];
+            f.write_all(&data, &Datatype::bytes(1000), 1).unwrap();
+            f.sync().unwrap();
+            f.write_all(&data, &Datatype::bytes(1000), 1).unwrap();
+            let io_before = rank.stats().phase_ns[2];
+            f.close().unwrap();
+            (rank.now(), rank.stats().phase_ns, io_before)
+        });
+        for (r, (clock, phases, _)) in out.iter().enumerate() {
+            assert_eq!(phases.iter().sum::<u64>(), *clock, "{engine:?} rank {r}: buckets != clock");
+        }
+        assert!(
+            out.iter().any(|(_, phases, io_before)| phases[2] > *io_before),
+            "{engine:?}: no rank flushed at close, the test lost its subject"
+        );
+    }
+}

@@ -25,10 +25,18 @@
 //!   bit-identity to the sequential loop across random world sizes,
 //!   shard counts, fanouts, and virtual-clock skews (regressions pinned
 //!   in `shard_determinism.proptest-regressions`).
+//! * The **world-shared "compute once" cell** under the same hostile
+//!   interleavings: a fine-grained flexible collective derives its
+//!   schedule once per world whichever shard wakes first.
 
+use flexio::core::{ExchangeMode, Hints, MpiFile};
+use flexio::hpio::{HpioSpec, TypeStyle};
+use flexio::pfs::{Pfs, PfsConfig};
 use flexio::sim::{
     run_crashable_on, run_jittered, run_on, Backend, CostModel, Rank, Stats, XorShift64Star,
 };
+use flexio::types::Datatype;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A workload that crosses shard boundaries in every way the runtime
 /// allows: ring point-to-point, collectives, a timed park that expires,
@@ -68,6 +76,85 @@ fn jittered_runs_are_bit_identical() {
             let plain = run_on(Backend::Sharded(k), p, CostModel::default(), mixed);
             assert_eq!(plain, baseline, "p={p} k={k}: unjittered pool diverges");
         }
+    }
+}
+
+#[test]
+fn shared_cell_computes_once_under_jitter() {
+    if !Backend::event_loop_supported() {
+        return;
+    }
+    // The cell's soundness argument is "dispatch is runner-exclusive":
+    // with shard threads racing to start and condvars flooded, still
+    // exactly one rank computes and every rank sees that value.
+    for k in [1usize, 2, 4, 7] {
+        let inits = AtomicUsize::new(0);
+        let out = run_jittered(12, CostModel::default(), k, k as u64, 200, |r| {
+            r.advance((r.rank() as u64 * 37) % 101);
+            let v = r.shared_once(5, || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                r.rank()
+            });
+            r.barrier();
+            *v
+        });
+        assert_eq!(inits.load(Ordering::SeqCst), 1, "k={k}");
+        // Lowest clock runs first: rank 0 computed it.
+        assert_eq!(out, vec![0; 12], "k={k}");
+    }
+}
+
+#[test]
+fn fine_grained_flexible_write_is_jitter_proof() {
+    if !Backend::event_loop_supported() {
+        return;
+    }
+    // The engine's use of the cell: 48 ranks, 24 aggregators, 8-byte
+    // regions, nine 512-byte cycles, dense exchange. One rank derives the
+    // world's schedule; clocks, Stats and the image must not depend on
+    // which host thread got there.
+    let spec = HpioSpec {
+        region_size: 8,
+        region_count: 16,
+        region_spacing: 128,
+        mem_noncontig: true,
+        file_noncontig: true,
+        nprocs: 48,
+    };
+    let body = |pfs: std::sync::Arc<Pfs>| {
+        move |rank: &Rank| {
+            let hints = Hints {
+                exchange: ExchangeMode::Alltoallw,
+                cb_nodes: Some(24),
+                cb_buffer_size: 512,
+                ..Hints::default()
+            };
+            let mut f = MpiFile::open(rank, &pfs, "fine", hints).unwrap();
+            let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
+            f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+            let data = spec.make_buffer(rank.rank());
+            f.write_all(&data, &spec.mem_type(), spec.mem_count()).unwrap();
+            assert_eq!(rank.shared_live(), 1);
+            f.close().unwrap();
+            (rank.now(), rank.stats())
+        }
+    };
+    let image = |pfs: &std::sync::Arc<Pfs>| {
+        let h = pfs.open("fine", usize::MAX - 1);
+        let mut out = vec![0u8; h.size() as usize];
+        h.read(0, 0, &mut out).unwrap();
+        out
+    };
+    let pfs = Pfs::new(PfsConfig::default());
+    let baseline = run_on(Backend::EventLoop, spec.nprocs, CostModel::default(), body(pfs.clone()));
+    let want = image(&pfs);
+    assert_eq!(spec.verify(&want), Ok(()));
+    for k in [1usize, 2, 4, 7] {
+        let pfs = Pfs::new(PfsConfig::default());
+        let got =
+            run_jittered(spec.nprocs, CostModel::default(), k, 0xf1e ^ k as u64, 200, body(pfs.clone()));
+        assert_eq!(got, baseline, "k={k}: jittered flexible write diverges");
+        assert_eq!(image(&pfs), want, "k={k}: image diverges");
     }
 }
 

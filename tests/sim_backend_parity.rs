@@ -17,8 +17,12 @@
 //!   aggregators racing a shared OST clock that threads could never pin
 //!   down.
 //! * Phase buckets always sum to each rank's elapsed clock.
+//! * The world-shared schedule derivation (one rank derives, every rank
+//!   views it) is part of that contract: a fine-grained flexible
+//!   configuration with many aggregators runs at every shard count.
 
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
+use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run_on, Backend, CostModel, Stats, XorShift64Star};
 use flexio::types::Datatype;
@@ -239,6 +243,63 @@ fn exchange_modes_identical_across_shards() {
             let (sh, sh_img) = run_one(Backend::Sharded(k));
             assert_eq!(ev_img, sh_img, "{exchange:?} shards={k}: images diverge");
             assert_eq!(ev, sh, "{exchange:?} shards={k}: clocks/stats diverge");
+        }
+    }
+}
+
+#[test]
+fn fine_grained_shared_derivation_identical_across_shards() {
+    if !Backend::event_loop_supported() {
+        return;
+    }
+    // `fine-512`'s shape at 64 ranks: 8-byte regions, 32 aggregators,
+    // nine 512-byte cycles, dense exchange, persistent aligned realms and
+    // a second view (a new derivation cut against the first one's
+    // realms). Whichever rank the backend runs first derives for the
+    // world; every rank must still be charged its own row and column.
+    let spec = HpioSpec {
+        region_size: 8,
+        region_count: 16,
+        region_spacing: 128,
+        mem_noncontig: true,
+        file_noncontig: true,
+        nprocs: 64,
+    };
+    let run_one = |backend: Backend| {
+        let pfs = pfs_with(PfsCostModel::default());
+        let pfs2 = Arc::clone(&pfs);
+        let out = run_on(backend, spec.nprocs, CostModel::default(), move |rank| {
+            let hints = Hints {
+                exchange: ExchangeMode::Alltoallw,
+                cb_nodes: Some(32),
+                cb_buffer_size: 512,
+                persistent_file_realms: true,
+                fr_alignment: Some(256),
+                ..Hints::default()
+            };
+            let mut f = MpiFile::open(rank, &pfs2, "fine", hints).unwrap();
+            let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
+            let data = spec.make_buffer(rank.rank());
+            let mut back = vec![0u8; data.len()];
+            for shift in [0, spec.unit()] {
+                f.set_view(disp + shift, &Datatype::bytes(1), &ftype).unwrap();
+                f.write_all(&data, &spec.mem_type(), spec.mem_count()).unwrap();
+                assert_eq!(rank.shared_live(), 1, "one derivation per world and view");
+            }
+            f.read_all(&mut back, &spec.mem_type(), spec.mem_count()).unwrap();
+            f.close().unwrap();
+            (rank.now(), rank.stats(), back)
+        });
+        (out, read_file(&pfs, "fine"))
+    };
+    let (ev, ev_img) = run_one(Backend::EventLoop);
+    assert_phase_sums(&ev, "event loop");
+    assert!(ev.iter().all(|(_, s, _)| s.schedule_cache_misses == 2 && s.schedule_cache_hits == 1));
+    for k in SHARD_COUNTS {
+        let (sh, sh_img) = run_one(Backend::Sharded(k));
+        assert_eq!(ev_img, sh_img, "shards={k}: images diverge");
+        for r in 0..spec.nprocs {
+            assert_eq!(ev[r], sh[r], "shards={k}: rank {r} (clock, full Stats, read-back) diverge");
         }
     }
 }
