@@ -41,8 +41,8 @@ use std::time::{Duration, Instant};
 
 /// One fine-grained collective write at `nprocs` ranks on `backend`;
 /// returns host wall time for the whole world (spawn, open, write,
-/// close, join).
-fn collective_write(backend: Backend, nprocs: usize) -> Duration {
+/// close, join) and the messages the world sent.
+fn collective_write(backend: Backend, nprocs: usize) -> (Duration, u64) {
     let pfs = Pfs::new(PfsConfig::default());
     let spec = HpioSpec {
         region_size: 8,
@@ -59,15 +59,16 @@ fn collective_write(backend: Backend, nprocs: usize) -> Duration {
         ..Hints::default()
     };
     let t0 = Instant::now();
-    run_on(backend, nprocs, CostModel::default(), move |rank| {
+    let msgs = run_on(backend, nprocs, CostModel::default(), move |rank| {
         let mut f = MpiFile::open(rank, &pfs, "host_scale", hints.clone()).unwrap();
         let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
         f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
         let buf = spec.make_buffer(rank.rank());
         f.write_all(&buf, &spec.mem_type(), spec.mem_count()).unwrap();
         f.close().unwrap();
+        rank.stats().msgs_sent
     });
-    t0.elapsed()
+    (t0.elapsed(), msgs.iter().sum())
 }
 
 /// Spawn/join only: empty rank bodies. Isolates world setup/teardown —
@@ -100,8 +101,14 @@ fn ping_pong(backend: Backend, nprocs: usize) -> Duration {
     t0.elapsed()
 }
 
-fn best_wall(n: usize, f: impl Fn() -> Duration) -> Duration {
+fn best_wall<T: Ord>(n: usize, f: impl Fn() -> T) -> T {
     (0..n.max(1)).map(|_| f()).min().unwrap()
+}
+
+/// Host ns per simulated message: the per-message trajectory the
+/// superlinear rows are made of (messages grow as nprocs², see E-host).
+fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
+    wall.as_secs_f64() * 1e9 / msgs.max(1) as f64
 }
 
 fn ranks_per_sec(nprocs: usize, wall: Duration) -> f64 {
@@ -124,8 +131,8 @@ fn main() {
         // stay within a generous livelock-guard bound of it (a baton bug
         // that spins or serializes pathologically blows straight past
         // 50x; honest single-core gate overhead sits well under it).
-        let el = collective_write(Backend::EventLoop, 256);
-        let sh = collective_write(Backend::Sharded(4), 256);
+        let (el, _) = collective_write(Backend::EventLoop, 256);
+        let (sh, _) = collective_write(Backend::Sharded(4), 256);
         println!(
             "check @256 ranks: event-loop {:.0} ms, 4 shards {:.0} ms, ratio {:.2}x ({cores} core(s))",
             el.as_secs_f64() * 1e3,
@@ -151,21 +158,26 @@ fn main() {
     println!("# avail_cores: {cores}");
     println!("# fine-grained fig4 write: 16 regions x 8 B per rank, cb 512 B,");
     println!("# alltoallw exchange, cb_nodes = nprocs/2 (weak scaling)");
-    println!("# columns: nprocs,backend,wall_ms,ranks_per_wall_sec,ratio_vs_event_loop");
+    println!(
+        "# columns: nprocs,backend,wall_ms,ranks_per_wall_sec,ratio_vs_event_loop,msgs,host_ns_per_msg"
+    );
     for &nprocs in &rows {
-        let el = best_wall(scale.best_of, || collective_write(Backend::EventLoop, nprocs));
+        let (el, msgs) = best_wall(scale.best_of, || collective_write(Backend::EventLoop, nprocs));
         println!(
-            "{nprocs},event-loop,{:.1},{:.1},1.00",
+            "{nprocs},event-loop,{:.1},{:.1},1.00,{msgs},{:.0}",
             el.as_secs_f64() * 1e3,
             ranks_per_sec(nprocs, el),
+            ns_per_msg(el, msgs),
         );
         for &k in shard_cols {
-            let sh = best_wall(scale.best_of, || collective_write(Backend::Sharded(k), nprocs));
+            let (sh, msgs) =
+                best_wall(scale.best_of, || collective_write(Backend::Sharded(k), nprocs));
             println!(
-                "{nprocs},shards-{k},{:.1},{:.1},{:.2}",
+                "{nprocs},shards-{k},{:.1},{:.1},{:.2},{msgs},{:.0}",
                 sh.as_secs_f64() * 1e3,
                 ranks_per_sec(nprocs, sh),
                 el.as_secs_f64() / sh.as_secs_f64(),
+                ns_per_msg(sh, msgs),
             );
         }
     }

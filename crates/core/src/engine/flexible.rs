@@ -92,7 +92,7 @@ pub fn run(
 
     // ---- metadata exchange: flattened filetypes (D pairs each) ----------
     rank.charge_pairs(my.view.d() as u64);
-    let wires = rank.allgatherv(&my.to_wire());
+    let wires = rank.allgatherv_shared(&my.to_wire());
 
     // ---- schedule-cache probe -------------------------------------------
     // Every rank sees the same wires and (by MPI collective semantics) the
@@ -485,22 +485,6 @@ impl StageData {
     }
 }
 
-/// Place a sparse send list into the dense one-block-per-rank form the
-/// alltoallw-style collective takes (it sends every peer a message, empty
-/// or not), run it, and pick the blocks of `recv_from` out of the result.
-fn dense_exchange(
-    rank: &Rank,
-    sends: Vec<(usize, Vec<u8>)>,
-    recv_from: &[usize],
-) -> Vec<(usize, Vec<u8>)> {
-    let mut blocks = vec![Vec::new(); rank.nprocs()];
-    for (dst, payload) in sends {
-        blocks[dst] = payload;
-    }
-    let mut out = rank.alltoallv(blocks);
-    recv_from.iter().map(|&src| (src, std::mem::take(&mut out[src]))).collect()
-}
-
 /// Exchange half of a write cycle: clients send their pieces, aggregators
 /// assemble the collective buffer in file order. Pure data movement — the
 /// file is not touched, so the pipelined driver can run this while the
@@ -530,7 +514,7 @@ fn exchange_write(
 
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
-        ExchangeMode::Alltoallw => dense_exchange(rank, sends, &recv_from),
+        ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
     };
     if agg_pieces.is_empty() {
         return None; // nothing owned this cycle (or not an aggregator)
@@ -905,7 +889,7 @@ fn distribute_read(
     let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
-        ExchangeMode::Alltoallw => dense_exchange(rank, sends, &recv_from),
+        ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
     };
     // Scatter into the user buffer; `received` is in `my_pieces` order.
     let user = match buf {

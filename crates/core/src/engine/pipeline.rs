@@ -158,7 +158,7 @@ impl StragglerDetector {
         agg_ranks: &[usize],
         my_io_ns: u64,
     ) -> Option<StragglerVerdict> {
-        let durs = rank.allgatherv(&my_io_ns.to_le_bytes());
+        let durs = rank.allgatherv_shared(&my_io_ns.to_le_bytes());
         for (a, &ar) in agg_ranks.iter().enumerate() {
             let d = u64::from_le_bytes(
                 durs[ar][..8].try_into().expect("duration payload must be 8 bytes"),

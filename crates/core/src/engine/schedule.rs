@@ -117,9 +117,10 @@ impl Derivation {
     /// walk (`from_wire(to_wire(access))` flattens to the same type), so
     /// one walk yields both what client `c` and what aggregator `a` are
     /// charged for it.
-    fn new(wires: &[Vec<u8>], hints: &Hints, pfr: Option<&Arc<RealmSet>>) -> Derivation {
+    fn new(wires: &[impl AsRef<[u8]>], hints: &Hints, pfr: Option<&Arc<RealmSet>>) -> Derivation {
         let nprocs = wires.len();
-        let clients: Vec<ClientAccess> = wires.iter().map(|w| ClientAccess::from_wire(w)).collect();
+        let clients: Vec<ClientAccess> =
+            wires.iter().map(|w| ClientAccess::from_wire(w.as_ref())).collect();
         let parse_pairs: u64 = clients.iter().map(|c| c.view.d() as u64).sum();
         let mut out = Derivation {
             agg_ranks: Vec::new(),
@@ -266,7 +267,7 @@ impl ExchangeSchedule {
     /// schedule was cut against.
     pub(crate) fn shared(
         rank: &Rank,
-        wires: &[Vec<u8>],
+        wires: &[impl AsRef<[u8]>],
         key: u64,
         hints: &Hints,
         pfr: &mut Option<Arc<RealmSet>>,
@@ -409,7 +410,7 @@ impl Default for Digest {
 /// realms and cycles. The realm set itself is a deterministic function of
 /// these inputs, plus the custom assigner's identity when one is plugged
 /// in.
-pub fn schedule_key(wires: &[Vec<u8>], hints: &Hints, nprocs: usize) -> u64 {
+pub fn schedule_key(wires: &[impl AsRef<[u8]>], hints: &Hints, nprocs: usize) -> u64 {
     let mut d = Digest::new()
         .u64(nprocs as u64)
         .u64(hints.cb_buffer_size as u64)
@@ -423,6 +424,7 @@ pub fn schedule_key(wires: &[Vec<u8>], hints: &Hints, nprocs: usize) -> u64 {
             None => 0,
         });
     for w in wires {
+        let w = w.as_ref();
         d = d.u64(w.len() as u64).bytes(w);
     }
     d.finish()

@@ -59,6 +59,10 @@ mod sched {
         false
     }
 
+    pub(crate) fn is_exclusive_runner(_world: &World) -> bool {
+        false
+    }
+
     pub(crate) fn park_for_recv(
         _w: &World,
         _dst: usize,

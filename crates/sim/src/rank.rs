@@ -11,13 +11,39 @@
 //! naturally: work done while a message is in flight hides its latency.
 
 use crate::cost::CostModel;
-use crate::world::{Msg, World};
+use crate::world::{Msg, Payload, Slot, World};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Tag space reserved for internal collective traffic.
+/// Tag space reserved for internal collective traffic. An internal tag is
+/// `INTERNAL_BASE + (round key << STEP_BITS) + step`, the round key being
+/// `seq * 8 + op`: a collective's sequence number on its rank and its
+/// kind ([`OPS`]). Steps run to `nprocs - 1` in the pairwise and ring
+/// collectives, so the step field is wide enough for any world the
+/// simulator can hold and no round's tags reach into another's.
 const INTERNAL_BASE: u64 = 1 << 40;
+const STEP_BITS: u32 = 24;
+
+/// Collective kinds, indexed by the `op` of a round key.
+const OPS: [&str; 7] =
+    ["barrier", "bcast", "allgatherv", "alltoallv", "exchange", "gatherv", "scatterv"];
+
+/// What a parked receive waits for, for the deadlock report: the user tag,
+/// or the collective (by sequence number and kind) and the step in it.
+pub(crate) fn describe_tag(tag: u64) -> String {
+    if tag < INTERNAL_BASE {
+        return format!("tag={tag}");
+    }
+    let (key, step) = ((tag - INTERNAL_BASE) >> STEP_BITS, tag & ((1 << STEP_BITS) - 1));
+    format!("collective #{} {} step {step}", key / 8, OPS[(key % 8) as usize])
+}
+
+/// The tag of step `step` of the collective with round key `key`.
+fn coll_tag(key: u64, step: usize) -> u64 {
+    debug_assert!(step < 1 << STEP_BITS, "collective step {step} overflows the tag layout");
+    INTERNAL_BASE + (key << STEP_BITS) + step as u64
+}
 
 /// Execution phases, for MPE-style attribution (§6.2 uses MPE logging to
 /// find where time goes).
@@ -440,20 +466,50 @@ impl Rank {
         self.send_tagged(dst, tag, data);
     }
 
-    fn send_tagged(&self, dst: usize, tag: u64, data: &[u8]) {
+    /// Charge one send of `len` bytes (overhead now, α + β·len in
+    /// flight) and return the virtual time the message is available at.
+    fn charge_send(&self, len: usize) -> u64 {
         let c = self.cost();
         self.advance(c.send_overhead_ns);
-        let avail_at = self.now() + c.msg_ns(data.len());
-        {
-            let mut s = self.stats.borrow_mut();
-            s.msgs_sent += 1;
-            s.bytes_sent += data.len() as u64;
-            s.phase_ns[Phase::Comm as usize] += c.send_overhead_ns;
-        }
-        // Mailbox identity is world-frame: group ids translate here and in
-        // `recv_tagged`, nowhere else.
-        self.world
-            .deliver(self.global_of(dst), self.global, tag, Msg { data: data.to_vec(), avail_at });
+        let mut s = self.stats.borrow_mut();
+        s.msgs_sent += 1;
+        s.bytes_sent += len as u64;
+        s.phase_ns[Phase::Comm as usize] += c.send_overhead_ns;
+        self.now() + c.msg_ns(len)
+    }
+
+    /// Charge the completion of a receive: wait for the message if it is
+    /// still in flight, then the receive overhead; all of it Comm time.
+    fn charge_recv(&self, m: Msg) -> Payload {
+        let before = self.now();
+        self.advance_to(m.avail_at);
+        self.advance(self.cost().recv_overhead_ns);
+        self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
+        m.data
+    }
+
+    fn send_tagged(&self, dst: usize, tag: u64, data: &[u8]) {
+        let avail_at = self.charge_send(data.len());
+        // Mailbox identity is world-frame: group ids translate here, in
+        // `recv_tagged` and in the two round forms below, nowhere else.
+        let msg = Msg { data: Payload::Owned(data.to_vec()), avail_at };
+        self.world.deliver(self.global_of(dst), self.global, tag, msg);
+    }
+
+    /// [`Rank::send_tagged`] for step `step` of dense round `key`: the
+    /// same charges, but the payload is moved and lands on the receiver's
+    /// board for the round instead of in its mailbox.
+    fn send_step(&self, key: u64, step: usize, dst: usize, data: Payload) {
+        let avail_at = self.charge_send(data.len());
+        let (dst, tag, at) = (self.global_of(dst), coll_tag(key, step), Slot { key, step });
+        self.world.deliver_slot(dst, self.global, tag, at, Msg { data, avail_at });
+    }
+
+    /// [`Rank::recv_tagged`] for step `step` of dense round `key`.
+    fn recv_step(&self, key: u64, step: usize, src: usize) -> Payload {
+        let (src, tag, at) = (self.global_of(src), coll_tag(key, step), Slot { key, step });
+        let m = self.world.take_slot(self.global, src, tag, at, self.now());
+        self.charge_recv(m)
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
@@ -464,11 +520,7 @@ impl Rank {
 
     fn recv_tagged(&self, src: usize, tag: u64) -> Vec<u8> {
         let m = self.world.take(self.global, self.global_of(src), tag, self.now());
-        let before = self.now();
-        self.advance_to(m.avail_at);
-        self.advance(self.cost().recv_overhead_ns);
-        self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
-        m.data
+        self.charge_recv(m).into_vec()
     }
 
     /// Blocking receive with a virtual-time watchdog: returns `None` when
@@ -480,12 +532,7 @@ impl Rank {
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
         match self.world.take_deadline(self.global, self.global_of(src), tag, before, deadline) {
-            Some(m) => {
-                self.advance_to(m.avail_at);
-                self.advance(self.cost().recv_overhead_ns);
-                self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
-                Some(m.data)
-            }
+            Some(m) => Some(self.charge_recv(m).into_vec()),
             None => {
                 self.advance_to(deadline);
                 self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
@@ -511,34 +558,46 @@ impl Rank {
 
     // ----- collectives ----------------------------------------------------
 
-    fn next_coll_tag(&self, op: u64, round: u64) -> u64 {
-        INTERNAL_BASE + self.seq.get() * 64 + op * 8 + round
+    /// The tag of the collective about to run (one tag per collective:
+    /// the tree and sparse collectives are tag-addressed mailbox traffic).
+    fn next_coll_tag(&self, op: u64) -> u64 {
+        coll_tag(self.round_key(op), 0)
+    }
+
+    /// The round key of the collective about to run: `seq * 8 + op`, the
+    /// same on every participant. A dense round's messages are addressed
+    /// by `(key, step)` — see [`World::deliver_slot`].
+    fn round_key(&self, op: u64) -> u64 {
+        debug_assert!((op as usize) < OPS.len());
+        self.seq.get() * 8 + op
     }
 
     fn finish_coll(&self) {
         self.seq.set(self.seq.get() + 1);
     }
 
+    /// Close a dense round: every message addressed to this rank has been
+    /// taken, so its board goes back to the pool.
+    fn finish_round(&self, key: u64) {
+        self.world.end_round(self.global, key);
+        self.finish_coll();
+    }
+
     /// Dissemination barrier; also synchronizes virtual clocks to a common
     /// lower bound (every rank ends at ≥ the max participant clock).
     pub fn barrier(&self) {
         let p = self.nprocs();
-        if p == 1 {
-            self.finish_coll();
-            return;
-        }
-        let mut k = 0u64;
-        let mut dist = 1usize;
+        let round = self.round_key(0);
+        let (mut step, mut dist) = (0usize, 1usize);
         while dist < p {
-            let tag = self.next_coll_tag(0, k);
             let dst = (self.rank + dist) % p;
             let src = (self.rank + p - dist) % p;
-            self.send_tagged(dst, tag, &[]);
-            let _ = self.recv_tagged(src, tag);
+            self.send_step(round, step, dst, Payload::Owned(Vec::new()));
+            let _ = self.recv_step(round, step, src);
             dist *= 2;
-            k += 1;
+            step += 1;
         }
-        self.finish_coll();
+        self.finish_round(round);
     }
 
     /// Binomial-tree broadcast from `root`.
@@ -549,7 +608,7 @@ impl Rank {
             return data;
         }
         let vrank = (self.rank + p - root) % p;
-        let tag = self.next_coll_tag(1, 0);
+        let tag = self.next_coll_tag(1);
         let mut buf = data;
         // MPICH-style binomial tree: scan up to the lowest set bit to find
         // the parent, then send to children at descending bit positions.
@@ -575,48 +634,127 @@ impl Rank {
     }
 
     /// Ring allgather of variable-size blocks; result indexed by rank.
+    /// [`Rank::allgatherv_shared`] with a private copy of every block.
     pub fn allgatherv(&self, mine: &[u8]) -> Vec<Vec<u8>> {
+        self.allgatherv_shared(mine).iter().map(|b| b.to_vec()).collect()
+    }
+
+    /// Ring allgather of variable-size blocks; result indexed by rank.
+    /// Each block is allocated once, by its owner, and every rank's result
+    /// refers to that one allocation: a hop forwards a reference (the
+    /// message is still charged α + β·len), so a world holds `p` blocks
+    /// rather than `p²` copies.
+    pub fn allgatherv_shared(&self, mine: &[u8]) -> Vec<Arc<[u8]>> {
         let p = self.nprocs();
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-        out[self.rank] = mine.to_vec();
-        if p == 1 {
-            self.finish_coll();
-            return out;
-        }
+        let round = self.round_key(2);
         let right = (self.rank + 1) % p;
         let left = (self.rank + p - 1) % p;
+        // Arrival order: own block, then the blocks of rank - 1, rank - 2,
+        // …; each step forwards what the previous one brought in.
+        let mut out: Vec<Arc<[u8]>> = Vec::with_capacity(p);
+        out.push(Arc::from(mine));
         for step in 0..p - 1 {
-            let tag = self.next_coll_tag(2, step as u64);
-            // Send the block received in the previous step (or own block);
-            // `send_tagged` copies into the message, no local clone needed.
-            let send_idx = (self.rank + p - step) % p;
-            self.send_tagged(right, tag, &out[send_idx]);
-            let recv_idx = (self.rank + p - step - 1) % p;
-            out[recv_idx] = self.recv_tagged(left, tag);
+            let fwd = Arc::clone(&out[step]);
+            self.send_step(round, step, right, Payload::Shared(fwd));
+            out.push(self.recv_step(round, step, left).into_shared());
         }
-        self.finish_coll();
+        self.finish_round(round);
+        // Descending from `rank` to ascending from 0.
+        out.reverse();
+        out.rotate_left(p - 1 - self.rank);
         out
     }
 
-    /// Pairwise-exchange all-to-all of variable-size blocks. Always sends
-    /// one message per peer (including empty blocks), like a true
-    /// `MPI_Alltoallv`. For sparse exchanges prefer [`Rank::exchange`].
-    pub fn alltoallv(&self, blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    /// Pairwise-exchange all-to-all of variable-size blocks, one per rank;
+    /// result indexed by rank. Always sends one message per peer (empty
+    /// blocks included), like a true `MPI_Alltoallv`. When most blocks
+    /// are empty, [`Rank::alltoallv_sparse`] is the same collective
+    /// without the block vectors.
+    pub fn alltoallv(&self, mut blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let p = self.nprocs();
         assert_eq!(blocks.len(), p, "alltoallv needs one block per rank");
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
+        self.pairwise_steps(|dst| std::mem::take(&mut blocks[dst]), |src, block| out[src] = block);
+        out
+    }
+
+    /// [`Rank::alltoallv`] given only the blocks that exist: `sends` lists
+    /// `(dst, payload)` for the peers this rank has data for, `recv_from`
+    /// the peers that have data for it, both strictly ascending. Every
+    /// peer still gets one message per call and its α/β charge — an empty
+    /// one when it is not in `sends` — so the two forms cost the same
+    /// virtual time; what this one saves is the host's block vectors.
+    /// Returns `(src, payload)` in `recv_from` order. For an exchange that
+    /// sends only the listed messages see [`Rank::exchange`].
+    pub fn alltoallv_sparse(
+        &self,
+        mut sends: Vec<(usize, Vec<u8>)>,
+        recv_from: &[usize],
+    ) -> Vec<(usize, Vec<u8>)> {
+        let p = self.nprocs();
+        assert!(
+            sends.windows(2).all(|w| w[0].0 < w[1].0) && sends.last().is_none_or(|s| s.0 < p),
+            "alltoallv: destinations must be strictly ascending ranks"
+        );
+        assert!(
+            recv_from.windows(2).all(|w| w[0] < w[1]) && recv_from.last().is_none_or(|&s| s < p),
+            "alltoallv: sources must be strictly ascending ranks"
+        );
+        let mut out: Vec<(usize, Vec<u8>)> = recv_from.iter().map(|&s| (s, Vec::new())).collect();
+        // The steps ask for destinations ascending from `rank` and hand
+        // over sources descending from it, both wrapping once: two
+        // cursors walk the lists instead of vectors indexed by rank.
+        let mut si = sends.partition_point(|s| s.0 < self.rank);
+        let mut ri = recv_from.partition_point(|&s| s <= self.rank);
+        let block_for = |dst: usize| {
+            if si == sends.len() {
+                si = 0;
+            }
+            match sends.get_mut(si) {
+                Some((d, payload)) if *d == dst => {
+                    si += 1;
+                    std::mem::take(payload)
+                }
+                _ => Vec::new(),
+            }
+        };
+        let place = |src: usize, block: Vec<u8>| {
+            if ri == 0 {
+                ri = recv_from.len();
+            }
+            if ri > 0 && recv_from[ri - 1] == src {
+                ri -= 1;
+                out[ri].1 = block;
+            } else {
+                debug_assert!(block.is_empty(), "alltoallv: {src} sent data but is not in recv_from");
+            }
+        };
+        self.pairwise_steps(block_for, place);
+        out
+    }
+
+    /// The all-to-all itself: step `s` sends the block for `rank + s` and
+    /// receives the block of `rank - s` (step 0 is the local copy of the
+    /// own block), one dense round of `nprocs` steps. `block_for` is asked
+    /// once per destination, `place` handed every source's block once.
+    fn pairwise_steps(
+        &self,
+        mut block_for: impl FnMut(usize) -> Vec<u8>,
+        mut place: impl FnMut(usize, Vec<u8>),
+    ) {
+        let p = self.nprocs();
+        let round = self.round_key(3);
         // Self block: local copy charge.
-        self.charge_memcpy(blocks[self.rank].len() as u64);
-        out[self.rank] = blocks[self.rank].clone();
+        let own = block_for(self.rank);
+        self.charge_memcpy(own.len() as u64);
+        place(self.rank, own);
         for step in 1..p {
-            let tag = self.next_coll_tag(3, step as u64);
             let dst = (self.rank + step) % p;
             let src = (self.rank + p - step) % p;
-            self.send_tagged(dst, tag, &blocks[dst]);
-            out[src] = self.recv_tagged(src, tag);
+            self.send_step(round, step, dst, Payload::Owned(block_for(dst)));
+            place(src, self.recv_step(round, step, src).into_vec());
         }
-        self.finish_coll();
-        out
+        self.finish_round(round);
     }
 
     /// Sparse exchange: send `sends` (rank, payload) pairs, receive one
@@ -628,7 +766,7 @@ impl Rank {
         sends: &[(usize, Vec<u8>)],
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
-        let tag = self.next_coll_tag(4, 0);
+        let tag = self.next_coll_tag(4);
         let mut self_payloads = std::collections::VecDeque::new();
         for (dst, payload) in sends {
             if *dst == self.rank {
@@ -662,7 +800,7 @@ impl Rank {
     /// receive an empty vector.
     pub fn gatherv(&self, root: usize, mine: &[u8]) -> Vec<Vec<u8>> {
         let p = self.nprocs();
-        let tag = self.next_coll_tag(5, 0);
+        let tag = self.next_coll_tag(5);
         // Binomial gather on virtual ranks relative to root: each node
         // accumulates its subtree's blocks, then forwards to its parent.
         let vrank = (self.rank + p - root) % p;
@@ -696,7 +834,7 @@ impl Rank {
     /// provides `blocks`; every rank returns its own block.
     pub fn scatterv(&self, root: usize, blocks: Vec<Vec<u8>>) -> Vec<u8> {
         let p = self.nprocs();
-        let tag = self.next_coll_tag(6, 0);
+        let tag = self.next_coll_tag(6);
         let vrank = (self.rank + p - root) % p;
         // Receive this subtree's blocks from the parent (non-roots).
         let mut subtree: Vec<(usize, Vec<u8>)> = if vrank == 0 {
@@ -740,14 +878,12 @@ impl Rank {
 
     /// Allreduce over `u64` with a binary operator (gather + local fold).
     pub fn allreduce_u64(&self, val: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        let parts = self.allgatherv(&val.to_le_bytes());
+        let parts = self.allgatherv_shared(&val.to_le_bytes());
         parts
             .iter()
             .map(|b| {
                 u64::from_le_bytes(
-                    b.as_slice()
-                        .try_into()
-                        .expect("allreduce_u64: every contribution must be exactly 8 bytes"),
+                    b[..].try_into().expect("allreduce_u64: every contribution must be exactly 8 bytes"),
                 )
             })
             .reduce(op)
@@ -803,7 +939,7 @@ fn decode_blocks(buf: &[u8]) -> Vec<(usize, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{run, run_on, Backend};
+    use crate::world::{run, run_crashable_on, run_on, Backend};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -1021,6 +1157,159 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Distinct bytes for every (iteration, collective, src, dst).
+    fn stamp(i: usize, coll: usize, src: usize, dst: usize) -> Vec<u8> {
+        let len = 1 + (src + 2 * dst + i) % 5;
+        vec![(i * 97 + coll * 31 + src * 7 + dst * 3) as u8; len]
+    }
+
+    /// Three passes of alltoallv / allgatherv / barrier / exchange /
+    /// sparse alltoallv over `comm`, every payload checked.
+    fn mixed_rounds(comm: &Rank) {
+        let (me, p) = (comm.rank(), comm.nprocs());
+        for i in 0..3 {
+            let got = comm.alltoallv((0..p).map(|d| stamp(i, 0, me, d)).collect());
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &stamp(i, 0, src, me), "alltoallv pass {i}: {src} -> {me}");
+            }
+            let got = comm.allgatherv(&stamp(i, 1, me, 0));
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &stamp(i, 1, src, 0), "allgatherv pass {i}: block of {src}");
+            }
+            comm.barrier();
+            let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
+            let got = comm.exchange(&[(next, stamp(i, 2, me, next))], &[prev]);
+            assert_eq!(got, vec![(prev, stamp(i, 2, prev, me))], "exchange pass {i}");
+            // Everyone has data for ranks 0 and p - 1 only.
+            let ends: Vec<usize> = if p == 1 { vec![0] } else { vec![0, p - 1] };
+            let sends = ends.iter().map(|&d| (d, stamp(i, 3, me, d))).collect();
+            let all: Vec<usize> = (0..p).collect();
+            let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
+            let got = comm.alltoallv_sparse(sends, recv_from);
+            assert_eq!(got.len(), recv_from.len());
+            for (src, b) in &got {
+                assert_eq!(b, &stamp(i, 3, *src, me), "sparse alltoallv pass {i}: {src} -> {me}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_rounds_back_to_back_keep_their_messages_apart() {
+        // 130 ranks: steps run far past the 8 the old tag layout had room
+        // for (step 64 of one collective was step 0 of the next). Then
+        // the same passes over a subgroup, whose boards are its width.
+        for backend in [Backend::EventLoop, Backend::Sharded(4)] {
+            run_on(backend, 130, CostModel::default(), |r| {
+                mixed_rounds(r);
+                r.barrier();
+                // The others sit the second half out (a handle's sequence
+                // number is its rank's, so they could not rejoin a world
+                // collective afterwards — as with a real communicator
+                // split, membership is decided before the calls).
+                let members: Vec<usize> = (0..130).filter(|m| m % 3 != 1).collect();
+                if members.contains(&r.rank()) {
+                    let comm = r.subgroup(&members);
+                    mixed_rounds(&comm);
+                    comm.barrier();
+                }
+                let (live, _) = r.world.board_census(r.global);
+                assert_eq!(live, 0, "rank {} left a board behind", r.rank());
+            });
+        }
+    }
+
+    #[test]
+    fn internal_tags_name_their_round_and_never_alias() {
+        let tag = |seq: u64, op: u64, step: usize| coll_tag(seq * 8 + op, step);
+        // The old layout's alias: step 64 + s of collective q was step s
+        // of collective q + 1.
+        assert_ne!(tag(4, 3, 70), tag(5, 3, 6));
+        assert!(tag(0, 0, 0) >= INTERNAL_BASE);
+        assert!(tag(4, 6, (1 << STEP_BITS) - 1) < tag(5, 0, 0));
+        assert_eq!(describe_tag(tag(4, 3, 70)), "collective #4 alltoallv step 70");
+        assert_eq!(describe_tag(tag(9, 0, 2)), "collective #9 barrier step 2");
+        assert_eq!(describe_tag(17), "tag=17");
+    }
+
+    #[test]
+    fn board_slot_is_four_words() {
+        // DESIGN "Dense rounds" quotes board memory as 32 B per step.
+        assert_eq!(std::mem::size_of::<Option<Msg>>(), 32);
+    }
+
+    #[test]
+    fn crashed_ranks_messages_are_taken_and_its_boards_reaped() {
+        // Rank 2 dies right after a world alltoallv that its left
+        // neighbour entered a virtual second late: by then rank 2 has
+        // sent its last block to rank 1, which is still several steps
+        // from taking it. The block is taken in the normal course, the
+        // dead rank's boards are gone, and the survivors go on over a
+        // four-rank subgroup whose rounds run on four-step boards.
+        for backend in [Backend::EventLoop, Backend::Sharded(3)] {
+            let out = run_crashable_on(backend, 5, CostModel::default(), &[(2, 1)], |r| {
+                if r.rank() == 1 {
+                    r.advance(1_000_000_000);
+                }
+                let got = r.alltoallv((0..5).map(|d| stamp(0, 0, r.rank(), d)).collect());
+                for (src, b) in got.iter().enumerate() {
+                    assert_eq!(b, &stamp(0, 0, src, r.rank()));
+                }
+                if r.rank() == 2 {
+                    // Still to be taken by rank 1: the step-4 block.
+                    assert_eq!(r.world.board_census(1).0, 1, "rank 1 should hold a live board");
+                }
+                r.maybe_crash();
+                let comm = r.subgroup(&[0, 1, 3, 4]);
+                mixed_rounds(&comm);
+                let survivors = comm.allreduce_sum(1);
+                // The last collective: nobody can be a round ahead now.
+                comm.barrier();
+                assert_eq!(r.world.board_census(2), (0, 0), "dead rank's boards must be reaped");
+                // (`end_round` itself asserts that a pooled board is empty.)
+                let (live, pooled) = r.world.board_census(r.global);
+                assert_eq!(live, 0, "rank {}: board left live", r.rank());
+                assert!(pooled <= 2, "rank {}: {pooled} boards pooled", r.rank());
+                survivors
+            });
+            assert_eq!(out, vec![Some(4), Some(4), None, Some(4), Some(4)], "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn deadlock_on_a_dead_rank_names_the_round_and_step() {
+        use std::sync::atomic::AtomicUsize;
+        // Ranks 0 and 2 enter an alltoallv with rank 1, which sleeps a
+        // virtual second and then dies without entering it: their blocks
+        // for it land on its board and go down with it. Rank 3 watches
+        // from outside the round.
+        let (before, after) = (AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX));
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::world::run_crashable(4, CostModel::default(), &[(1, 1)], |r| match r.rank() {
+                1 => {
+                    let _ = r.recv_timeout(1, 5, 1_000_000_000);
+                    r.maybe_crash();
+                }
+                3 => {
+                    let _ = r.recv_timeout(3, 5, 500_000_000);
+                    before.store(r.world.board_census(1).0, Ordering::SeqCst);
+                    let _ = r.recv_timeout(3, 5, 2_000_000_000);
+                    let (live, pooled) = r.world.board_census(1);
+                    after.store(live + pooled, Ordering::SeqCst);
+                }
+                _ => {
+                    r.subgroup(&[0, 1, 2]).alltoallv(vec![vec![7]; 3]);
+                }
+            })
+        }));
+        assert_eq!(before.load(Ordering::SeqCst), 1, "blocks for rank 1 should be on its board");
+        assert_eq!(after.load(Ordering::SeqCst), 0, "a dead rank's boards must be reaped");
+        let err = got.expect_err("waiting on a dead rank must be reported");
+        let msg = err.downcast_ref::<String>().expect("panic carries a String");
+        assert!(msg.contains("crash-stopped"), "{msg}");
+        assert!(msg.contains("rank 0 (") && msg.contains("recv(src=1, collective #0 alltoallv step 2)"), "{msg}");
+        assert!(msg.contains("rank 2 (") && msg.contains("recv(src=1, collective #0 alltoallv step 1)"), "{msg}");
     }
 
     #[test]

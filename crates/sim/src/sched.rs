@@ -5,7 +5,8 @@
 //!
 //! Ranks are resumable state machines (stackful fibers, [`crate::fiber`])
 //! parked on their one blocking primitive — a message receive that found
-//! its `(src, tag)` queue empty ([`World::take`]). The scheduler always
+//! its `(src, tag)` queue, or its slot of a dense round's board, empty
+//! ([`World::take`], [`World::take_slot`]). The scheduler always
 //! resumes the runnable rank with the **lowest virtual clock**, rank id as
 //! tie-break, so host execution order is a pure function of the workload:
 //! no OS wakeup races, no `Condvar` herds, bit-identical clocks and
@@ -54,7 +55,7 @@
 //! with no matching message in flight is reported as a deadlock with
 //! identical diagnostics under both drivers.
 
-use crate::fiber::{prepare, switch_stacks, Context, FiberStack, Payload};
+use crate::fiber::{prepare, switch_stacks, Context, FiberStack, Payload, StackArena};
 use crate::rank::Rank;
 use crate::world::{Msg, World};
 use std::any::Any;
@@ -246,6 +247,8 @@ struct Sched {
     /// empty whenever the receiver is parked).
     handoff: Vec<Option<Msg>>,
     slots: Vec<FiberSlot>,
+    /// The memory behind every slot's stack.
+    stacks: StackArena,
     host_ctx: Context,
     /// Pool coordination state; `None` for the solo driver.
     shared: Option<Arc<ShardShared>>,
@@ -271,6 +274,18 @@ pub(crate) fn scheduler_active_for(world: &World) -> bool {
     // SAFETY: a non-null ACTIVE points at the Sched owned by the run
     // frame further up this same thread's (host) stack.
     !el.is_null() && std::ptr::eq(unsafe { (*el).world }, world)
+}
+
+/// True when the calling code is the one rank fiber a scheduler driving
+/// `world` has dispatched, and no teardown is under way: the only time
+/// peer fibers of a pool run concurrently is the forced unwind, when each
+/// shard resumes its own fibers to run their destructors. This is the
+/// guard on the world's lock-free runner-owned state (the landing
+/// boards).
+pub(crate) fn is_exclusive_runner(world: &World) -> bool {
+    let el = ACTIVE.with(|a| a.get());
+    // SAFETY: as in `scheduler_active_for`.
+    !el.is_null() && unsafe { std::ptr::eq((*el).world, world) && !(*el).unwinding }
 }
 
 /// Park the current rank until a message for `(src, tag)` is delivered,
@@ -666,12 +681,13 @@ where
         dirty: Vec::new(),
         handoff: (0..count).map(|_| None).collect(),
         slots: Vec::with_capacity(count),
+        stacks: StackArena::new(count, stack_bytes),
         host_ctx: Context::null(),
         shared,
     };
-    for _ in 0..count {
+    for li in 0..count {
         el.slots.push(FiberSlot {
-            stack: FiberStack::new(stack_bytes),
+            stack: el.stacks.stack(li),
             ctx: Context::null(),
             payload: Box::new(Payload {
                 run: None,
@@ -1011,7 +1027,10 @@ fn deadlock_message(waiting: &[Option<ParkedRecv>], live: usize, nprocs: usize, 
         .iter()
         .enumerate()
         .filter_map(|(r, w)| {
-            w.map(|w| format!("rank {r} (clock {} ns) <- recv(src={}, tag={})", w.clock, w.src, w.tag))
+            w.map(|w| {
+                let what = crate::rank::describe_tag(w.tag);
+                format!("rank {r} (clock {} ns) <- recv(src={}, {what})", w.clock, w.src)
+            })
         })
         .collect();
     let shown = parked.len().min(8);

@@ -1,7 +1,9 @@
-//! The shared world: mailboxes, backend selection, rank dispatch.
+//! The shared world: mailboxes, landing boards, backend selection, rank
+//! dispatch.
 
 use crate::cost::CostModel;
 use std::any::{Any, TypeId};
+use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -63,11 +65,43 @@ impl Backend {
     }
 }
 
+/// A message's bytes. Point-to-point and all-to-all traffic owns its
+/// buffer; an allgather block is one allocation shared by every rank it
+/// passes through, so a ring hop costs a reference count, not a copy.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>),
+}
+
+impl Payload {
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Owned(v) => v.len(),
+            Payload::Shared(a) => a.len(),
+        }
+    }
+
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => a.to_vec(),
+        }
+    }
+
+    pub fn into_shared(self) -> Arc<[u8]> {
+        match self {
+            Payload::Owned(v) => v.into(),
+            Payload::Shared(a) => a,
+        }
+    }
+}
+
 /// A message in flight: payload plus the virtual time it becomes available
 /// at the receiver.
 #[derive(Debug)]
 pub(crate) struct Msg {
-    pub data: Vec<u8>,
+    pub data: Payload,
     pub avail_at: u64,
 }
 
@@ -102,7 +136,9 @@ impl Hasher for TagHasher {
 
 type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
 
-/// One rank's incoming-message store. Only the overflow path — deliveries
+/// One rank's incoming-message store for tag-addressed traffic (`send`/
+/// `recv`, `exchange`, the tree collectives; the dense rounds land on
+/// [`Boards`]). Only the overflow path — deliveries
 /// that found no matching parked receiver — lands here; the mutex also
 /// carries cross-shard queue/pop ordering under the sharded pool (only
 /// one shard dispatches at a time, so it is never contended on the
@@ -117,6 +153,50 @@ impl Mailbox {
     }
 }
 
+/// Where one message of a dense collective round lands: the round is
+/// `key` (the collective's sequence number and kind, see
+/// `Rank::round_key`), and the message is the one its receiver takes at
+/// `step` — a rank takes the steps of a round in ascending order.
+#[derive(Clone, Copy)]
+pub(crate) struct Slot {
+    pub key: u64,
+    pub step: usize,
+}
+
+/// One rank's landing slots for one round: `slots[i]` is step `taken + i`.
+/// The window opens at the first step the rank has not taken yet and
+/// reaches as far as the furthest step a peer has delivered, so a board
+/// is as long as its senders run ahead of its owner — a handful of slots
+/// in a ring allgather at any world size, up to `nprocs` in a skewed
+/// all-to-all — not as long as the round.
+struct Board {
+    key: u64,
+    taken: usize,
+    slots: VecDeque<Option<Msg>>,
+}
+
+/// One rank's boards: the rounds some peer has already delivered into
+/// (`live`: the round the rank is in and, when a peer runs ahead, the
+/// next one) and the emptied slot windows of finished rounds (`free`),
+/// reused so a steady stream of rounds allocates nothing.
+#[derive(Default)]
+struct Boards {
+    live: Vec<Board>,
+    free: Vec<VecDeque<Option<Msg>>>,
+}
+
+/// State that only the one running rank fiber touches, so it needs no
+/// lock of its own: the sequential loop has a single host thread, and the
+/// pool runs one segment at a time with the gate mutex's release/acquire
+/// ordering each runner's writes before the next runner's reads (DESIGN
+/// "Rank runtime", invariants 1 and 2). Every access goes through
+/// [`World::boards`], which checks that the caller is that runner.
+struct RunnerCell<T>(UnsafeCell<T>);
+
+// SAFETY: see the type's docs — access is serialized by the scheduler,
+// and `World::boards` refuses callers the scheduler did not dispatch.
+unsafe impl<T: Send> Sync for RunnerCell<T> {}
+
 /// The world's "compute once, share" cells (see
 /// [`crate::rank::Rank::shared_once`]): weak references, so a value dies
 /// with its last user and the map never keeps one alive.
@@ -127,6 +207,8 @@ pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
     pub(crate) mailboxes: Vec<Mailbox>,
+    /// Per-rank landing boards of the dense collective rounds.
+    boards: Vec<RunnerCell<Boards>>,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
     /// never). Checked by [`crate::rank::Rank::maybe_crash`].
     pub(crate) crash_at: Vec<u64>,
@@ -157,6 +239,7 @@ impl World {
             nprocs,
             cost,
             mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
+            boards: (0..nprocs).map(|_| RunnerCell(UnsafeCell::new(Boards::default()))).collect(),
             crash_at,
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
             shared: Mutex::new(SharedCells::new()),
@@ -204,12 +287,13 @@ impl World {
         self.dead[rank].load(Ordering::Relaxed)
     }
 
-    /// Mark `rank` dead and drop everything queued in its mailbox, so the
-    /// scheduler's deadlock diagnostics and memory footprint never carry
-    /// already-dead ranks.
+    /// Mark `rank` dead and drop everything queued in its mailbox and on
+    /// its boards (pooled ones included), so the scheduler's deadlock
+    /// diagnostics and memory footprint never carry already-dead ranks.
     pub(crate) fn reap_rank(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::Relaxed);
         self.mailboxes[rank].queues.lock().unwrap().clear();
+        *self.boards(rank) = Boards::default();
     }
 
     /// Number of ranks.
@@ -240,6 +324,97 @@ impl World {
         queues.entry((src, tag)).or_default().push_back(msg);
     }
 
+    /// `rank`'s boards. Only the running rank fiber may ask (for its own
+    /// boards or a peer's): that is what makes the unguarded `&mut` sound.
+    #[allow(clippy::mut_from_ref)]
+    fn boards(&self, rank: usize) -> &mut Boards {
+        assert!(
+            crate::sched::is_exclusive_runner(self),
+            "collective outside the rank runtime (ranks only run inside flexio_sim::run)"
+        );
+        // SAFETY: the caller is the one fiber its scheduler is running
+        // (checked above), callers never hold the reference across a park
+        // or a second `boards` call, and runner hand-over synchronizes
+        // through the gate mutex (see `RunnerCell`).
+        unsafe { &mut *self.boards[rank].0.get() }
+    }
+
+    /// [`World::deliver`] for a message of a dense collective round: the
+    /// receiver knows which step it takes the message at, so a delivery
+    /// that finds it not yet parked on `(src, tag)` is written straight
+    /// into that step's slot of the receiver's board for the round — no
+    /// hash, no lock, and no allocation once the receiver's pooled
+    /// windows have grown to its senders' lead. The first delivery of a
+    /// round opens its board (from the receiver's pool when it has one).
+    pub(crate) fn deliver_slot(&self, dst: usize, src: usize, tag: u64, at: Slot, msg: Msg) {
+        if self.is_dead(dst) {
+            return;
+        }
+        let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
+            return;
+        };
+        let boards = self.boards(dst);
+        let b = match boards.live.iter().position(|b| b.key == at.key) {
+            Some(b) => &mut boards.live[b],
+            None => {
+                let slots = boards.free.pop().unwrap_or_default();
+                boards.live.push(Board { key: at.key, taken: 0, slots });
+                boards.live.last_mut().expect("just pushed")
+            }
+        };
+        debug_assert!(at.step >= b.taken, "step {} of round {} delivered twice", at.step, at.key);
+        let i = at.step - b.taken;
+        if i >= b.slots.len() {
+            b.slots.resize_with(i + 1, || None);
+        }
+        debug_assert!(b.slots[i].is_none(), "two messages for step {} of round {}", at.step, at.key);
+        b.slots[i] = Some(msg);
+    }
+
+    /// [`World::take`] for a message of a dense collective round: look at
+    /// the slot [`World::deliver_slot`] would have filled, park on
+    /// `(src, tag)` when it is empty.
+    pub(crate) fn take_slot(&self, dst: usize, src: usize, tag: u64, at: Slot, now: u64) -> Msg {
+        loop {
+            if let Some(b) = self.boards(dst).live.iter_mut().find(|b| b.key == at.key) {
+                let i = at.step - b.taken;
+                if let Some(m) = b.slots.get_mut(i).and_then(Option::take) {
+                    // Earlier steps came by hand-off; the window moves on.
+                    b.slots.drain(..=i);
+                    b.taken = at.step + 1;
+                    return m;
+                }
+            }
+            if let Some(m) = self.park(dst, src, tag, now) {
+                return m;
+            }
+        }
+    }
+
+    /// `rank` has taken every message of round `key`: its board, if any
+    /// delivery ever needed one, goes back to the pool. Every slot must
+    /// be empty by now — a message left behind would surface in whichever
+    /// later round reuses the window.
+    pub(crate) fn end_round(&self, rank: usize, key: u64) {
+        let boards = self.boards(rank);
+        if let Some(i) = boards.live.iter().position(|b| b.key == key) {
+            let mut slots = boards.live.swap_remove(i).slots;
+            debug_assert!(
+                slots.iter().all(Option::is_none),
+                "rank {rank} left round {key} with an untaken message on its board"
+            );
+            slots.clear();
+            boards.free.push(slots);
+        }
+    }
+
+    /// `(live, pooled)` board counts of `rank` (tests).
+    #[cfg(test)]
+    pub(crate) fn board_census(&self, rank: usize) -> (usize, usize) {
+        let b = self.boards(rank);
+        (b.live.len(), b.free.len())
+    }
+
     /// Pop the next message from `(src, tag)` for rank `dst`, parking the
     /// caller until one arrives. `now` is the receiver's virtual clock —
     /// its wake-up priority.
@@ -252,16 +427,21 @@ impl World {
             if let Some(m) = Self::pop_queued(&self.mailboxes[dst], src, tag) {
                 return m;
             }
-            // Parking resumes with the message in hand when the delivery
-            // matched (the common case); a spurious resume re-checks the
-            // queue.
-            match crate::sched::park_for_recv(self, dst, src, tag, now, None) {
-                crate::sched::ParkWake::Delivered(m) => return m,
-                crate::sched::ParkWake::Spurious => continue,
-                crate::sched::ParkWake::TimedOut => {
-                    unreachable!("deadline-free park cannot time out")
-                }
+            if let Some(m) = self.park(dst, src, tag, now) {
+                return m;
             }
+        }
+    }
+
+    /// Park `dst` until a delivery for `(src, tag)` is handed to it (the
+    /// common case: resumes with the message in hand); `None` on a
+    /// spurious resume, after which the caller looks again at where an
+    /// un-parked delivery would have waited.
+    fn park(&self, dst: usize, src: usize, tag: u64, now: u64) -> Option<Msg> {
+        match crate::sched::park_for_recv(self, dst, src, tag, now, None) {
+            crate::sched::ParkWake::Delivered(m) => Some(m),
+            crate::sched::ParkWake::Spurious => None,
+            crate::sched::ParkWake::TimedOut => unreachable!("deadline-free park cannot time out"),
         }
     }
 

@@ -109,7 +109,8 @@ if [ "$THOROUGH" = 1 ]; then
       FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
       PROPTEST_CASES="${PROPTEST_CASES:-512}" \
       cargo test -q --release --offline \
-        --test sim_backend_parity --test shard_determinism --test workload_fuzz
+        --test sim_backend_parity --test shard_determinism --test workload_fuzz \
+        --test sim_collective_charges
   done
 
   # Scale leg: the 4096-rank (event-loop) and 16384-rank (sharded pool)
