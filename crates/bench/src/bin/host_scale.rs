@@ -35,13 +35,15 @@ use flexio_bench::Scale;
 use flexio_core::{ExchangeMode, Hints, MpiFile};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
-use flexio_sim::{run_on, Backend, CostModel};
+use flexio_sim::{last_run_counters, run_on, Backend, CostModel};
 use flexio_types::Datatype;
 use std::time::{Duration, Instant};
 
 /// One fine-grained collective write at `nprocs` ranks on `backend`;
 /// returns host wall time for the whole world (spawn, open, write,
-/// close, join) and the messages the world sent.
+/// close, join) and the messages the world sent. The scheduler's
+/// counters for the world are [`last_run_counters`] afterwards (they are
+/// a function of the workload, the same on every repetition).
 fn collective_write(backend: Backend, nprocs: usize) -> (Duration, u64) {
     let pfs = Pfs::new(PfsConfig::default());
     let spec = HpioSpec {
@@ -159,25 +161,31 @@ fn main() {
     println!("# fine-grained fig4 write: 16 regions x 8 B per rank, cb 512 B,");
     println!("# alltoallw exchange, cb_nodes = nprocs/2 (weak scaling)");
     println!(
-        "# columns: nprocs,backend,wall_ms,ranks_per_wall_sec,ratio_vs_event_loop,msgs,host_ns_per_msg"
+        "# columns: nprocs,backend,wall_ms,ranks_per_wall_sec,ratio_vs_event_loop,msgs,host_ns_per_msg,switches,heap_pushes"
     );
     for &nprocs in &rows {
         let (el, msgs) = best_wall(scale.best_of, || collective_write(Backend::EventLoop, nprocs));
+        let c = last_run_counters();
         println!(
-            "{nprocs},event-loop,{:.1},{:.1},1.00,{msgs},{:.0}",
+            "{nprocs},event-loop,{:.1},{:.1},1.00,{msgs},{:.0},{},{}",
             el.as_secs_f64() * 1e3,
             ranks_per_sec(nprocs, el),
             ns_per_msg(el, msgs),
+            c.fiber_switches,
+            c.heap_pushes,
         );
         for &k in shard_cols {
             let (sh, msgs) =
                 best_wall(scale.best_of, || collective_write(Backend::Sharded(k), nprocs));
+            let c = last_run_counters();
             println!(
-                "{nprocs},shards-{k},{:.1},{:.1},{:.2},{msgs},{:.0}",
+                "{nprocs},shards-{k},{:.1},{:.1},{:.2},{msgs},{:.0},{},{}",
                 sh.as_secs_f64() * 1e3,
                 ranks_per_sec(nprocs, sh),
                 el.as_secs_f64() / sh.as_secs_f64(),
                 ns_per_msg(sh, msgs),
+                c.fiber_switches,
+                c.heap_pushes,
             );
         }
     }

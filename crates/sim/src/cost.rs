@@ -54,7 +54,13 @@ impl CostModel {
     }
 
     /// Wire time of an `n`-byte message (latency + transfer).
+    #[inline]
     pub fn msg_ns(&self, n: usize) -> u64 {
+        // Most messages of a dense round are empty; spare them the
+        // float round trip (which comes to the same: 0 · β casts to 0).
+        if n == 0 {
+            return self.net_latency_ns;
+        }
         self.net_latency_ns + (n as f64 * self.net_ns_per_byte) as u64
     }
 

@@ -74,6 +74,14 @@ mod sched {
         unreachable!("the fiber rank runtime is unsupported on this architecture")
     }
 
+    pub(crate) fn park_round(_w: &World, _dst: usize, _src: usize, _tag: u64, _now: u64) {
+        unreachable!("the fiber rank runtime is unsupported on this architecture")
+    }
+
+    pub(crate) fn sleep_in_round(_w: &World, _r: usize) {
+        unreachable!("the fiber rank runtime is unsupported on this architecture")
+    }
+
     pub(crate) fn try_handoff(
         _w: &World,
         _dst: usize,
@@ -125,7 +133,10 @@ mod sched {
 pub use cost::CostModel;
 pub use prng::XorShift64Star;
 pub use rank::{OverlapWindow, Phase, Rank, RecvReq, Stats};
-pub use world::{run, run_crashable, run_crashable_on, run_jittered, run_on, Backend, World};
+pub use world::{
+    last_run_counters, run, run_crashable, run_crashable_on, run_jittered, run_on, Backend,
+    SchedCounters, World,
+};
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {

@@ -126,10 +126,42 @@ impl Stats {
     }
 }
 
+/// One physical rank's clock, collective sequence number and counters
+/// (every field of [`Stats`]), in one allocation that all of the rank's
+/// communicator handles share. Plain `Cell`s: a charge is a handful of
+/// loads and stores with no borrow flag to test.
+#[derive(Default)]
+struct RankState {
+    clock: Cell<u64>,
+    seq: Cell<u64>,
+    msgs_sent: Cell<u64>,
+    bytes_sent: Cell<u64>,
+    pairs_processed: Cell<u64>,
+    memcpy_bytes: Cell<u64>,
+    bytes_copied: Cell<u64>,
+    phase_ns: [Cell<u64>; 3],
+    schedule_cache_hits: Cell<u64>,
+    schedule_cache_misses: Cell<u64>,
+    schedule_cache_patches: Cell<u64>,
+    flatten_cache_hits: Cell<u64>,
+    flatten_cache_misses: Cell<u64>,
+    overlap_saved_ns: Cell<u64>,
+    derive_overlap_saved_ns: Cell<u64>,
+    pipeline_depth_used: Cell<u64>,
+    io_retries: Cell<u64>,
+    degraded_cycles: Cell<u64>,
+    realms_rebalanced: Cell<u64>,
+    ranks_recovered: Cell<u64>,
+}
+
+fn add(c: &Cell<u64>, n: u64) {
+    c.set(c.get() + n);
+}
+
 /// A handle to one simulated MPI rank — either the world communicator or
 /// a sub-communicator made with [`Rank::subgroup`]. Group handles share
 /// the clock, collective sequence, and counters of the rank they were
-/// split from (`Rc`), so a collective run over a subgroup charges the
+/// split from (one `Rc`), so a collective run over a subgroup charges the
 /// same physical rank; only the id frame changes.
 pub struct Rank {
     world: Arc<World>,
@@ -139,9 +171,7 @@ pub struct Rank {
     rank: usize,
     /// Sorted world-frame ids of the group (`None` = whole world).
     group: Option<Arc<Vec<usize>>>,
-    clock: Rc<Cell<u64>>,
-    seq: Rc<Cell<u64>>,
-    stats: Rc<std::cell::RefCell<Stats>>,
+    state: Rc<RankState>,
 }
 
 /// Handle for a posted non-blocking receive.
@@ -188,9 +218,7 @@ impl Rank {
             global: rank,
             rank,
             group: None,
-            clock: Rc::new(Cell::new(0)),
-            seq: Rc::new(Cell::new(0)),
-            stats: Default::default(),
+            state: Rc::default(),
         }
     }
 
@@ -240,9 +268,7 @@ impl Rank {
             global: self.global,
             rank,
             group: Some(Arc::new(globals)),
-            clock: Rc::clone(&self.clock),
-            seq: Rc::clone(&self.seq),
-            stats: Rc::clone(&self.stats),
+            state: Rc::clone(&self.state),
         }
     }
 
@@ -270,18 +296,18 @@ impl Rank {
 
     /// Current virtual time, ns.
     pub fn now(&self) -> u64 {
-        self.clock.get()
+        self.state.clock.get()
     }
 
     /// Advance the virtual clock by `ns`.
     pub fn advance(&self, ns: u64) {
-        self.clock.set(self.clock.get() + ns);
+        add(&self.state.clock, ns);
     }
 
     /// Move the clock forward to `t` if `t` is later.
     pub fn advance_to(&self, t: u64) {
-        if t > self.clock.get() {
-            self.clock.set(t);
+        if t > self.state.clock.get() {
+            self.state.clock.set(t);
         }
     }
 
@@ -289,23 +315,21 @@ impl Rank {
     pub fn charge_pairs(&self, n: u64) {
         let ns = self.cost().pairs_ns(n);
         self.advance(ns);
-        let mut s = self.stats.borrow_mut();
-        s.pairs_processed += n;
-        s.phase_ns[Phase::Compute as usize] += ns;
+        add(&self.state.pairs_processed, n);
+        self.note_phase(Phase::Compute, ns);
     }
 
     /// Charge a local buffer copy of `bytes` (Compute phase).
     pub fn charge_memcpy(&self, bytes: u64) {
         let ns = self.cost().memcpy_ns(bytes);
         self.advance(ns);
-        let mut s = self.stats.borrow_mut();
-        s.memcpy_bytes += bytes;
-        s.phase_ns[Phase::Compute as usize] += ns;
+        add(&self.state.memcpy_bytes, bytes);
+        self.note_phase(Phase::Compute, ns);
     }
 
     /// Attribute `ns` of already-elapsed virtual time to a phase.
     pub fn note_phase(&self, phase: Phase, ns: u64) {
-        self.stats.borrow_mut().phase_ns[phase as usize] += ns;
+        add(&self.state.phase_ns[phase as usize], ns);
     }
 
     /// Record `bytes` moved through an intermediate staging buffer on the
@@ -313,23 +337,19 @@ impl Rank {
     /// only: callers charge the copy's virtual time separately (usually
     /// via [`Rank::charge_memcpy`]) when the exchange mode models it.
     pub fn note_bytes_copied(&self, bytes: u64) {
-        self.stats.borrow_mut().bytes_copied += bytes;
+        add(&self.state.bytes_copied, bytes);
     }
 
     /// Record an in-place patch of the cached exchange schedule after a
     /// realm rebalance ([`Stats::schedule_cache_patches`]).
     pub fn note_schedule_cache_patch(&self) {
-        self.stats.borrow_mut().schedule_cache_patches += 1;
+        add(&self.state.schedule_cache_patches, 1);
     }
 
     /// Record an exchange-schedule cache probe outcome.
     pub fn note_schedule_cache(&self, hit: bool) {
-        let mut s = self.stats.borrow_mut();
-        if hit {
-            s.schedule_cache_hits += 1;
-        } else {
-            s.schedule_cache_misses += 1;
-        }
+        let s = &self.state;
+        add(if hit { &s.schedule_cache_hits } else { &s.schedule_cache_misses }, 1);
     }
 
     /// Open an overlapped window for an operation issued at the current
@@ -351,7 +371,7 @@ impl Rank {
     /// [`Stats::overlap_saved_ns`].
     pub fn overlap_complete(&self, w: OverlapWindow) -> u64 {
         let hidden = self.finish_window(w);
-        self.stats.borrow_mut().overlap_saved_ns += hidden;
+        add(&self.state.overlap_saved_ns, hidden);
         hidden
     }
 
@@ -363,7 +383,7 @@ impl Rank {
         let duration = w.duration();
         let remainder = w.done_at.saturating_sub(self.now());
         self.advance_to(w.done_at);
-        self.stats.borrow_mut().phase_ns[w.phase as usize] += remainder;
+        self.note_phase(w.phase, remainder);
         duration - remainder
     }
 
@@ -374,7 +394,7 @@ impl Rank {
     /// compute time is pending until [`Rank::overlap_complete_derive`],
     /// so exchange or I/O performed in between hides it.
     pub fn charge_pairs_overlapped(&self, n: u64) -> OverlapWindow {
-        self.stats.borrow_mut().pairs_processed += n;
+        add(&self.state.pairs_processed, n);
         OverlapWindow { issued_at: self.now(), done_at: self.now() + self.cost().pairs_ns(n), phase: Phase::Compute }
     }
 
@@ -383,50 +403,66 @@ impl Rank {
     /// hidden ns accumulate in [`Stats::derive_overlap_saved_ns`].
     pub fn overlap_complete_derive(&self, w: OverlapWindow) -> u64 {
         let hidden = self.finish_window(w);
-        self.stats.borrow_mut().derive_overlap_saved_ns += hidden;
+        add(&self.state.derive_overlap_saved_ns, hidden);
         hidden
     }
 
     /// Record that `depth` buffer cycles were concurrently active in the
     /// engine's pipeline; keeps the per-rank high-water mark.
     pub fn note_pipeline_depth(&self, depth: u64) {
-        let mut s = self.stats.borrow_mut();
-        s.pipeline_depth_used = s.pipeline_depth_used.max(depth);
+        let used = &self.state.pipeline_depth_used;
+        used.set(used.get().max(depth));
     }
 
     /// Record one retried file-system request.
     pub fn note_io_retry(&self) {
-        self.stats.borrow_mut().io_retries += 1;
+        add(&self.state.io_retries, 1);
     }
 
     /// Record a buffer cycle run while an aggregator straggled.
     pub fn note_degraded_cycle(&self) {
-        self.stats.borrow_mut().degraded_cycles += 1;
+        add(&self.state.degraded_cycles, 1);
     }
 
     /// Record a persistent-file-realm rebalance away from a straggler.
     pub fn note_realms_rebalanced(&self) {
-        self.stats.borrow_mut().realms_rebalanced += 1;
+        add(&self.state.realms_rebalanced, 1);
     }
 
     /// Record `n` crash-stopped peers agreed dead and recovered past.
     pub fn note_ranks_recovered(&self, n: u64) {
-        self.stats.borrow_mut().ranks_recovered += n;
+        add(&self.state.ranks_recovered, n);
     }
 
     /// Record a flatten-cache probe outcome.
     pub fn note_flatten_cache(&self, hit: bool) {
-        let mut s = self.stats.borrow_mut();
-        if hit {
-            s.flatten_cache_hits += 1;
-        } else {
-            s.flatten_cache_misses += 1;
-        }
+        let s = &self.state;
+        add(if hit { &s.flatten_cache_hits } else { &s.flatten_cache_misses }, 1);
     }
 
     /// Snapshot of this rank's counters.
     pub fn stats(&self) -> Stats {
-        self.stats.borrow().clone()
+        let s = &self.state;
+        Stats {
+            msgs_sent: s.msgs_sent.get(),
+            bytes_sent: s.bytes_sent.get(),
+            pairs_processed: s.pairs_processed.get(),
+            memcpy_bytes: s.memcpy_bytes.get(),
+            bytes_copied: s.bytes_copied.get(),
+            phase_ns: [s.phase_ns[0].get(), s.phase_ns[1].get(), s.phase_ns[2].get()],
+            schedule_cache_hits: s.schedule_cache_hits.get(),
+            schedule_cache_misses: s.schedule_cache_misses.get(),
+            schedule_cache_patches: s.schedule_cache_patches.get(),
+            flatten_cache_hits: s.flatten_cache_hits.get(),
+            flatten_cache_misses: s.flatten_cache_misses.get(),
+            overlap_saved_ns: s.overlap_saved_ns.get(),
+            derive_overlap_saved_ns: s.derive_overlap_saved_ns.get(),
+            pipeline_depth_used: s.pipeline_depth_used.get(),
+            io_retries: s.io_retries.get(),
+            degraded_cycles: s.degraded_cycles.get(),
+            realms_rebalanced: s.realms_rebalanced.get(),
+            ranks_recovered: s.ranks_recovered.get(),
+        }
     }
 
     // ----- world-shared values ---------------------------------------------
@@ -471,10 +507,9 @@ impl Rank {
     fn charge_send(&self, len: usize) -> u64 {
         let c = self.cost();
         self.advance(c.send_overhead_ns);
-        let mut s = self.stats.borrow_mut();
-        s.msgs_sent += 1;
-        s.bytes_sent += len as u64;
-        s.phase_ns[Phase::Comm as usize] += c.send_overhead_ns;
+        add(&self.state.msgs_sent, 1);
+        add(&self.state.bytes_sent, len as u64);
+        self.note_phase(Phase::Comm, c.send_overhead_ns);
         self.now() + c.msg_ns(len)
     }
 
@@ -484,7 +519,7 @@ impl Rank {
         let before = self.now();
         self.advance_to(m.avail_at);
         self.advance(self.cost().recv_overhead_ns);
-        self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
+        self.note_phase(Phase::Comm, self.now() - before);
         m.data
     }
 
@@ -494,22 +529,6 @@ impl Rank {
         // `recv_tagged` and in the two round forms below, nowhere else.
         let msg = Msg { data: Payload::Owned(data.to_vec()), avail_at };
         self.world.deliver(self.global_of(dst), self.global, tag, msg);
-    }
-
-    /// [`Rank::send_tagged`] for step `step` of dense round `key`: the
-    /// same charges, but the payload is moved and lands on the receiver's
-    /// board for the round instead of in its mailbox.
-    fn send_step(&self, key: u64, step: usize, dst: usize, data: Payload) {
-        let avail_at = self.charge_send(data.len());
-        let (dst, tag, at) = (self.global_of(dst), coll_tag(key, step), Slot { key, step });
-        self.world.deliver_slot(dst, self.global, tag, at, Msg { data, avail_at });
-    }
-
-    /// [`Rank::recv_tagged`] for step `step` of dense round `key`.
-    fn recv_step(&self, key: u64, step: usize, src: usize) -> Payload {
-        let (src, tag, at) = (self.global_of(src), coll_tag(key, step), Slot { key, step });
-        let m = self.world.take_slot(self.global, src, tag, at, self.now());
-        self.charge_recv(m)
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
@@ -535,7 +554,7 @@ impl Rank {
             Some(m) => Some(self.charge_recv(m).into_vec()),
             None => {
                 self.advance_to(deadline);
-                self.stats.borrow_mut().phase_ns[Phase::Comm as usize] += self.now() - before;
+                self.note_phase(Phase::Comm, self.now() - before);
                 None
             }
         }
@@ -566,38 +585,56 @@ impl Rank {
 
     /// The round key of the collective about to run: `seq * 8 + op`, the
     /// same on every participant. A dense round's messages are addressed
-    /// by `(key, step)` — see [`World::deliver_slot`].
+    /// by `(key, step)` — see [`World::deliver_step`].
     fn round_key(&self, op: u64) -> u64 {
         debug_assert!((op as usize) < OPS.len());
-        self.seq.get() * 8 + op
+        self.state.seq.get() * 8 + op
     }
 
     fn finish_coll(&self) {
-        self.seq.set(self.seq.get() + 1);
+        add(&self.state.seq, 1);
     }
 
-    /// Close a dense round: every message addressed to this rank has been
-    /// taken, so its board goes back to the pool.
-    fn finish_round(&self, key: u64) {
-        self.world.end_round(self.global, key);
+    /// Run one dense round of `steps` to its end: put a cursor for it
+    /// into the world, take the first segment of [`step_round`] right
+    /// here, and sleep while the scheduler takes the rest — one switch out
+    /// and one back in however many steps park. Then adopt what the
+    /// cursor charged and hand back the bytes it received.
+    fn run_round(&self, op: u64, steps: std::ops::Range<usize>, kind: RoundKind) -> Vec<(usize, Payload)> {
+        let key = self.round_key(op);
+        let cursor = Cursor {
+            key,
+            step: steps.start,
+            end: steps.end,
+            clock: self.now(),
+            msgs_sent: 0,
+            bytes_sent: 0,
+            comm_ns: 0,
+            rank: self.rank,
+            nprocs: self.nprocs(),
+            group: self.group.clone(),
+            kind,
+            received: Vec::new(),
+        };
+        self.world.begin_round(self.global, cursor);
+        if !step_round(&self.world, self.global, None) {
+            crate::sched::sleep_in_round(&self.world, self.global);
+        }
+        let c = self.world.end_round(self.global, key);
+        self.state.clock.set(c.clock);
+        add(&self.state.msgs_sent, c.msgs_sent);
+        add(&self.state.bytes_sent, c.bytes_sent);
+        self.note_phase(Phase::Comm, c.comm_ns);
         self.finish_coll();
+        c.received
     }
 
     /// Dissemination barrier; also synchronizes virtual clocks to a common
     /// lower bound (every rank ends at ≥ the max participant clock).
+    /// Round `k` exchanges empty messages at distance `2^k`.
     pub fn barrier(&self) {
-        let p = self.nprocs();
-        let round = self.round_key(0);
-        let (mut step, mut dist) = (0usize, 1usize);
-        while dist < p {
-            let dst = (self.rank + dist) % p;
-            let src = (self.rank + p - dist) % p;
-            self.send_step(round, step, dst, Payload::Owned(Vec::new()));
-            let _ = self.recv_step(round, step, src);
-            dist *= 2;
-            step += 1;
-        }
-        self.finish_round(round);
+        let steps = self.nprocs().next_power_of_two().trailing_zeros() as usize;
+        self.run_round(0, 0..steps, RoundKind::Dissemination);
     }
 
     /// Binomial-tree broadcast from `root`.
@@ -646,19 +683,14 @@ impl Rank {
     /// rather than `p²` copies.
     pub fn allgatherv_shared(&self, mine: &[u8]) -> Vec<Arc<[u8]>> {
         let p = self.nprocs();
-        let round = self.round_key(2);
-        let right = (self.rank + 1) % p;
-        let left = (self.rank + p - 1) % p;
+        let mine: Arc<[u8]> = Arc::from(mine);
         // Arrival order: own block, then the blocks of rank - 1, rank - 2,
         // …; each step forwards what the previous one brought in.
+        let got = self.run_round(2, 0..p - 1, RoundKind::Ring { mine: Arc::clone(&mine) });
         let mut out: Vec<Arc<[u8]>> = Vec::with_capacity(p);
-        out.push(Arc::from(mine));
-        for step in 0..p - 1 {
-            let fwd = Arc::clone(&out[step]);
-            self.send_step(round, step, right, Payload::Shared(fwd));
-            out.push(self.recv_step(round, step, left).into_shared());
-        }
-        self.finish_round(round);
+        out.push(mine);
+        out.extend(got.into_iter().map(|(_, block)| block.into_shared()));
+        debug_assert_eq!(out.len(), p);
         // Descending from `rank` to ascending from 0.
         out.reverse();
         out.rotate_left(p - 1 - self.rank);
@@ -670,11 +702,14 @@ impl Rank {
     /// blocks included), like a true `MPI_Alltoallv`. When most blocks
     /// are empty, [`Rank::alltoallv_sparse`] is the same collective
     /// without the block vectors.
-    pub fn alltoallv(&self, mut blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    pub fn alltoallv(&self, blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let p = self.nprocs();
         assert_eq!(blocks.len(), p, "alltoallv needs one block per rank");
+        let sends = blocks.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-        self.pairwise_steps(|dst| std::mem::take(&mut blocks[dst]), |src, block| out[src] = block);
+        for (src, block) in self.pairwise_round(sends) {
+            out[src] = block;
+        }
         out
     }
 
@@ -688,7 +723,7 @@ impl Rank {
     /// sends only the listed messages see [`Rank::exchange`].
     pub fn alltoallv_sparse(
         &self,
-        mut sends: Vec<(usize, Vec<u8>)>,
+        sends: Vec<(usize, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
         let p = self.nprocs();
@@ -701,60 +736,38 @@ impl Rank {
             "alltoallv: sources must be strictly ascending ranks"
         );
         let mut out: Vec<(usize, Vec<u8>)> = recv_from.iter().map(|&s| (s, Vec::new())).collect();
-        // The steps ask for destinations ascending from `rank` and hand
-        // over sources descending from it, both wrapping once: two
-        // cursors walk the lists instead of vectors indexed by rank.
-        let mut si = sends.partition_point(|s| s.0 < self.rank);
-        let mut ri = recv_from.partition_point(|&s| s <= self.rank);
-        let block_for = |dst: usize| {
-            if si == sends.len() {
-                si = 0;
+        for (src, block) in self.pairwise_round(sends) {
+            match recv_from.binary_search(&src) {
+                Ok(i) => out[i].1 = block,
+                Err(_) => debug_assert!(false, "alltoallv: {src} sent data but is not in recv_from"),
             }
-            match sends.get_mut(si) {
-                Some((d, payload)) if *d == dst => {
-                    si += 1;
-                    std::mem::take(payload)
-                }
-                _ => Vec::new(),
-            }
-        };
-        let place = |src: usize, block: Vec<u8>| {
-            if ri == 0 {
-                ri = recv_from.len();
-            }
-            if ri > 0 && recv_from[ri - 1] == src {
-                ri -= 1;
-                out[ri].1 = block;
-            } else {
-                debug_assert!(block.is_empty(), "alltoallv: {src} sent data but is not in recv_from");
-            }
-        };
-        self.pairwise_steps(block_for, place);
+        }
         out
     }
 
     /// The all-to-all itself: step `s` sends the block for `rank + s` and
     /// receives the block of `rank - s` (step 0 is the local copy of the
-    /// own block), one dense round of `nprocs` steps. `block_for` is asked
-    /// once per destination, `place` handed every source's block once.
-    fn pairwise_steps(
-        &self,
-        mut block_for: impl FnMut(usize) -> Vec<u8>,
-        mut place: impl FnMut(usize, Vec<u8>),
-    ) {
+    /// own block), one dense round of `nprocs` steps. `sends` is ascending
+    /// by destination; returns the non-empty blocks received, by source.
+    fn pairwise_round(&self, mut sends: Vec<(usize, Vec<u8>)>) -> Vec<(usize, Vec<u8>)> {
         let p = self.nprocs();
-        let round = self.round_key(3);
         // Self block: local copy charge.
-        let own = block_for(self.rank);
+        let mut next = sends.partition_point(|s| s.0 < self.rank);
+        let own = match sends.get_mut(next) {
+            Some((dst, block)) if *dst == self.rank => {
+                next += 1;
+                std::mem::take(block)
+            }
+            _ => Vec::new(),
+        };
         self.charge_memcpy(own.len() as u64);
-        place(self.rank, own);
-        for step in 1..p {
-            let dst = (self.rank + step) % p;
-            let src = (self.rank + p - step) % p;
-            self.send_step(round, step, dst, Payload::Owned(block_for(dst)));
-            place(src, self.recv_step(round, step, src).into_vec());
+        let got = self.run_round(3, 1..p, RoundKind::Pairwise { sends, next });
+        let mut out: Vec<(usize, Vec<u8>)> =
+            got.into_iter().map(|(step, block)| ((self.rank + p - step) % p, block.into_vec())).collect();
+        if !own.is_empty() {
+            out.push((self.rank, own));
         }
-        self.finish_round(round);
+        out
     }
 
     /// Sparse exchange: send `sends` (rank, payload) pairs, receive one
@@ -903,6 +916,152 @@ impl Rank {
     /// Sum of `val` across ranks.
     pub fn allreduce_sum(&self, val: u64) -> u64 {
         self.allreduce_u64(val, |a, b| a + b)
+    }
+}
+
+/// What the three dense rounds differ in: whom a step sends to and
+/// receives from, and which bytes it sends.
+pub(crate) enum RoundKind {
+    /// `barrier`: step `k` pairs with the ranks `2^k` away; no bytes.
+    Dissemination,
+    /// `allgatherv`: every step sends right what the previous one
+    /// received from the left, starting with the rank's own block.
+    Ring { mine: Arc<[u8]> },
+    /// `alltoallv`: step `s` sends `rank + s` its block and receives
+    /// `rank - s`'s. `sends` holds the non-empty blocks, ascending by
+    /// destination; `next` walks it (the steps ask for destinations
+    /// ascending from `rank + 1`, wrapping once).
+    Pairwise { sends: Vec<(usize, Vec<u8>)>, next: usize },
+}
+
+/// A rank's position in the dense round it is in, kept in the world
+/// (beside the boards) and not on the rank's fiber stack so that whoever
+/// pops the rank's next wake can carry on from it: the rank's own fiber
+/// for the first segment, the scheduler — on its own stack, the fiber
+/// left asleep — for every one after ([`step_round`]).
+pub(crate) struct Cursor {
+    /// The round ([`Rank::round_key`]).
+    pub key: u64,
+    /// The step whose message the rank takes next, and where the round
+    /// ends. A parked cursor has sent step `step`'s message already.
+    step: usize,
+    end: usize,
+    /// The rank's clock, and what the round has added to its counters so
+    /// far; the fiber adopts them when it leaves the round.
+    clock: u64,
+    msgs_sent: u64,
+    bytes_sent: u64,
+    comm_ns: u64,
+    /// The communicator frame the round runs in.
+    rank: usize,
+    nprocs: usize,
+    group: Option<Arc<Vec<usize>>>,
+    kind: RoundKind,
+    /// The messages with bytes in them received so far, `(step, bytes)`
+    /// in delivery order — which in a ring is step order, one sender
+    /// delivering them all.
+    pub received: Vec<(usize, Payload)>,
+}
+
+impl Cursor {
+    /// Whether the round's last step has been taken.
+    pub fn is_done(&self) -> bool {
+        self.step == self.end
+    }
+
+    /// The peers of step `step`, in the round's communicator frame: whom
+    /// it sends to and whom it receives from.
+    fn peers(&self, step: usize) -> (usize, usize) {
+        let (r, p) = (self.rank, self.nprocs);
+        let dist = match self.kind {
+            RoundKind::Dissemination => 1 << step,
+            RoundKind::Ring { .. } => 1,
+            RoundKind::Pairwise { .. } => step,
+        };
+        // `dist < p`, so one conditional subtraction wraps.
+        let wrap = |x: usize| if x >= p { x - p } else { x };
+        (wrap(r + dist), wrap(r + p - dist))
+    }
+
+    /// Translate a communicator-relative id to its world-frame id.
+    fn global_of(&self, r: usize) -> usize {
+        self.group.as_ref().map_or(r, |g| g[r])
+    }
+
+    /// The bytes of the message step `step` sends `dst`, if it has any.
+    fn block_for(&mut self, step: usize, dst: usize) -> Option<Payload> {
+        match &mut self.kind {
+            RoundKind::Dissemination => None,
+            RoundKind::Ring { mine } => Some(Payload::Shared(match step {
+                0 => Arc::clone(mine),
+                _ => match &self.received[step - 1] {
+                    (at, Payload::Shared(block)) if *at == step - 1 => Arc::clone(block),
+                    _ => unreachable!("a ring receives its shared blocks in step order"),
+                },
+            })),
+            RoundKind::Pairwise { sends, next } => {
+                if *next == sends.len() {
+                    *next = 0;
+                }
+                match sends.get_mut(*next) {
+                    Some((d, block)) if *d == dst => {
+                        *next += 1;
+                        (!block.is_empty()).then(|| Payload::Owned(std::mem::take(block)))
+                    }
+                    _ => None,
+                }
+            }
+        }
+    }
+}
+
+/// Advance rank `r`'s dense round as far as the messages delivered so far
+/// take it — the one step loop of `barrier`, `allgatherv` and `alltoallv`.
+/// A step sends its message ([`World::deliver_step`]: hand-off to a peer
+/// parked on it, or onto the peer's board), then looks for the one it
+/// receives; if that has not been delivered the rank parks on it
+/// ([`crate::sched::park_round`]) and this returns `false`. The rank's
+/// fiber calls it on entering the round (`arrived: None`); from then on
+/// the scheduler does, with the time the awaited message is available at,
+/// each time it pops the rank's wake — the same sends, hand-off matches,
+/// park points and park clocks in the same order as when the fiber woke
+/// for every one of them, without waking it. Returns `true` once the
+/// last step is taken: the fiber (woken for that, if it slept) leaves the
+/// round with the cursor.
+pub(crate) fn step_round(world: &World, r: usize, mut arrived: Option<u64>) -> bool {
+    let c = world.cursor(r).as_mut().expect("a rank steps the round it is in");
+    let cost = world.cost();
+    loop {
+        let avail_at = match arrived.take() {
+            Some(at) => at,
+            None => {
+                if c.is_done() {
+                    return true;
+                }
+                let (dst, src) = c.peers(c.step);
+                let data = c.block_for(c.step, dst);
+                let (dst, src) = (c.global_of(dst), c.global_of(src));
+                let len = data.as_ref().map_or(0, Payload::len);
+                c.clock += cost.send_overhead_ns;
+                c.msgs_sent += 1;
+                c.bytes_sent += len as u64;
+                c.comm_ns += cost.send_overhead_ns;
+                let (tag, at) = (coll_tag(c.key, c.step), Slot { key: c.key, step: c.step });
+                world.deliver_step(dst, r, tag, at, data, c.clock + cost.msg_ns(len));
+                match world.take_step(r, at) {
+                    Some(at) => at,
+                    None => {
+                        crate::sched::park_round(world, r, src, tag, c.clock);
+                        return false;
+                    }
+                }
+            }
+        };
+        // The receive: wait out the flight, then the overhead; all Comm.
+        let done = c.clock.max(avail_at) + cost.recv_overhead_ns;
+        c.comm_ns += done - c.clock;
+        c.clock = done;
+        c.step += 1;
     }
 }
 
@@ -1234,9 +1393,9 @@ mod tests {
     }
 
     #[test]
-    fn board_slot_is_four_words() {
-        // DESIGN "Dense rounds" quotes board memory as 32 B per step.
-        assert_eq!(std::mem::size_of::<Option<Msg>>(), 32);
+    fn cursor_is_a_few_cache_lines() {
+        // DESIGN "Dense rounds" quotes cursor memory as 136 B a rank.
+        assert!(std::mem::size_of::<Option<Cursor>>() <= 136, "{}", std::mem::size_of::<Option<Cursor>>());
     }
 
     #[test]
@@ -1267,6 +1426,8 @@ mod tests {
                 // The last collective: nobody can be a round ahead now.
                 comm.barrier();
                 assert_eq!(r.world.board_census(2), (0, 0), "dead rank's boards must be reaped");
+                assert!(!r.world.in_round(2), "dead rank's cursor must be reaped");
+                assert!(!r.world.in_round(r.global), "rank {} left its cursor behind", r.rank());
                 // (`end_round` itself asserts that a pooled board is empty.)
                 let (live, pooled) = r.world.board_census(r.global);
                 assert_eq!(live, 0, "rank {}: board left live", r.rank());
@@ -1275,6 +1436,32 @@ mod tests {
             });
             assert_eq!(out, vec![Some(4), Some(4), None, Some(4), Some(4)], "{backend:?}");
         }
+    }
+
+    #[test]
+    fn reaping_a_rank_drops_its_cursor_with_its_boards() {
+        // Ranks 1 and 2 sleep in an alltoallv that rank 0 never enters,
+        // rank 2's block for rank 1 still on rank 1's board (rank 1 is
+        // parked on rank 0's). Reaping rank 1 — as the crash path does —
+        // must leave nothing of it.
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(3, CostModel::default(), |r| {
+                if r.rank() != 0 {
+                    r.alltoallv(vec![vec![r.rank() as u8]; 3]);
+                    return;
+                }
+                // Let the other two enter and park.
+                let _ = r.recv_timeout(0, 5, 1_000_000);
+                assert!(r.world.in_round(1) && r.world.in_round(2));
+                assert_eq!(r.world.board_census(1).0, 1, "rank 2's block for rank 1 waits on a board");
+                r.world.reap_rank(1);
+                assert!(!r.world.in_round(1), "a dead rank's cursor must be reaped");
+                assert_eq!(r.world.board_census(1), (0, 0), "a dead rank's boards must be reaped");
+            })
+        }));
+        let err = got.expect_err("two ranks wait for rank 0 for ever");
+        let msg = err.downcast_ref::<String>().expect("a deadlock report, not a failed assertion");
+        assert!(msg.contains("deadlock"), "{msg}");
     }
 
     #[test]
@@ -1307,9 +1494,17 @@ mod tests {
         assert_eq!(after.load(Ordering::SeqCst), 0, "a dead rank's boards must be reaped");
         let err = got.expect_err("waiting on a dead rank must be reported");
         let msg = err.downcast_ref::<String>().expect("panic carries a String");
-        assert!(msg.contains("crash-stopped"), "{msg}");
-        assert!(msg.contains("rank 0 (") && msg.contains("recv(src=1, collective #0 alltoallv step 2)"), "{msg}");
-        assert!(msg.contains("rank 2 (") && msg.contains("recv(src=1, collective #0 alltoallv step 1)"), "{msg}");
+        // Word for word what the report said when the two ranks stood
+        // parked on their own fiber stacks (commit 6c2ce6c): asleep with
+        // the scheduler stepping their cursors they wait for the same
+        // message at the same clock.
+        assert_eq!(
+            msg,
+            "flexio-sim event loop deadlock: 2 of 4 ranks parked with no message in flight: \
+             rank 0 (clock 72010 ns) <- recv(src=1, collective #0 alltoallv step 2); \
+             rank 2 (clock 4000 ns) <- recv(src=1, collective #0 alltoallv step 1) \
+             (1 rank(s) crash-stopped earlier)"
+        );
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! Ranks are resumable state machines (stackful fibers, [`crate::fiber`])
 //! parked on their one blocking primitive — a message receive that found
 //! its `(src, tag)` queue, or its slot of a dense round's board, empty
-//! ([`World::take`], [`World::take_slot`]). The scheduler always
+//! ([`World::take`], [`crate::rank::step_round`]). The scheduler always
 //! resumes the runnable rank with the **lowest virtual clock**, rank id as
 //! tie-break, so host execution order is a pure function of the workload:
 //! no OS wakeup races, no `Condvar` herds, bit-identical clocks and
-//! counters on every run.
+//! counters on every run. A rank parked inside a dense round is resumed
+//! without its fiber: the round's state is a cursor in the world, and the
+//! scheduler advances it on its own stack ([`run_segment`]).
 //!
 //! Why lowest-clock-first matters: message payloads and per-rank charges
 //! never depend on host order (per-`(src, tag)` queues are single-producer
@@ -57,12 +59,13 @@
 
 use crate::fiber::{prepare, switch_stacks, Context, FiberStack, Payload, StackArena};
 use crate::rank::Rank;
-use crate::world::{Msg, World};
+use crate::world::{Msg, SchedCounters, World, LAST_RUN};
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Default fiber stack size: 1 MiB of (lazily committed) address space.
@@ -72,14 +75,34 @@ const DEFAULT_STACK_BYTES: usize = 1 << 20;
 /// destructors) when another rank has panicked or the world deadlocked.
 struct ForcedUnwind;
 
-/// Heap-entry discriminant for wake entries (initial starts and handoff
-/// resumes). Timer entries carry the park generation instead, which a
-/// per-park increment keeps strictly below this.
-const WAKE_ENTRY: u64 = u64::MAX;
+/// Bits of a ready-heap key that hold its kind; the rank id gets the
+/// other 24 of the word (as a collective's step gets of a tag).
+const KIND_BITS: u32 = 40;
 
-/// A ready-heap key: `(virtual clock, global rank id, kind)`. Rank ids are
-/// globally unique, so keys totally order across shards.
-type Key = (u64, usize, u64);
+/// Heap-entry discriminant for wake entries (initial starts and handoff
+/// resumes). Timer entries carry the park generation instead, which
+/// `note_park` keeps strictly below this.
+const WAKE_ENTRY: u64 = (1 << KIND_BITS) - 1;
+
+/// A ready-heap key: `(virtual clock, global rank id, kind)`, ordered in
+/// that order. Rank ids are globally unique, so keys totally order across
+/// shards. Packed into one integer because every pop compares its way
+/// down the heap: a tuple's field-by-field comparison is a chain of
+/// branches the host mispredicts, one integer's is not (a quarter off the
+/// host time of a skewed 512-rank `alltoallv`, most of it in `pop`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    fn new(clock: u64, rank: usize, kind: u64) -> Key {
+        debug_assert!(kind <= WAKE_ENTRY && (rank as u64) < 1 << (64 - KIND_BITS));
+        Key((clock as u128) << 64 | (rank as u128) << KIND_BITS | kind as u128)
+    }
+
+    fn parts(self) -> (u64, usize, u64) {
+        ((self.0 >> 64) as u64, (self.0 as u64 >> KIND_BITS) as usize, self.0 as u64 & WAKE_ENTRY)
+    }
+}
 
 /// How a park ended, as seen by `World::take`/`take_deadline`.
 pub(crate) enum ParkWake {
@@ -112,6 +135,10 @@ struct FiberSlot {
     /// Boxed so its address is stable for the initial register image.
     payload: Box<Payload>,
     done: bool,
+    /// The fiber sleeps in a dense round ([`sleep_in_round`]): its wakes
+    /// advance the round's cursor on the scheduler's stack, and it is
+    /// switched to only once the cursor has taken its last step.
+    in_round: bool,
 }
 
 /// A cross-shard delivery parked in the target shard's inbox: the sender
@@ -170,6 +197,9 @@ struct ShardShared {
     /// One condvar per shard (all waiting on `gate`): a shard is notified
     /// when some other shard observed it holding the global minimum.
     cvs: Vec<Condvar>,
+    /// The shards' [`SchedCounters`], added up as each one leaves.
+    fiber_switches: AtomicU64,
+    heap_pushes: AtomicU64,
 }
 
 impl ShardShared {
@@ -252,6 +282,7 @@ struct Sched {
     host_ctx: Context,
     /// Pool coordination state; `None` for the solo driver.
     shared: Option<Arc<ShardShared>>,
+    counters: SchedCounters,
 }
 
 std::thread_local! {
@@ -288,6 +319,42 @@ pub(crate) fn is_exclusive_runner(world: &World) -> bool {
     !el.is_null() && unsafe { std::ptr::eq((*el).world, world) && !(*el).unwinding }
 }
 
+/// The scheduler driving `world` on this thread.
+fn active_for(world: &World) -> *mut Sched {
+    let el = ACTIVE.with(|a| a.get());
+    assert!(
+        !el.is_null() && std::ptr::eq(unsafe { (*el).world }, world),
+        "park outside the owning scheduler"
+    );
+    el
+}
+
+impl Sched {
+    /// Record that rank `dst` — the one running — now waits for a message
+    /// for `(src, tag)`, `now` being its wake-up priority, and push the
+    /// park's timer if it has a deadline. Returns the rank's local index.
+    fn note_park(&mut self, dst: usize, src: usize, tag: u64, now: u64, deadline: Option<u64>) -> usize {
+        debug_assert_eq!(self.current, dst, "a rank may only take from its own mailbox");
+        let li = dst - self.lo;
+        self.park_seq[li] += 1;
+        let gen = self.park_seq[li];
+        self.waiting[li] = Some(ParkedRecv { src, tag, clock: now, gen });
+        if self.shared.is_some() {
+            self.dirty.push(dst);
+        }
+        if let Some(d) = deadline {
+            assert!(gen < WAKE_ENTRY, "rank {dst} parked 2^{KIND_BITS} times");
+            self.push_ready(Key::new(d.max(now), dst, gen));
+        }
+        li
+    }
+
+    fn push_ready(&mut self, key: Key) {
+        self.counters.heap_pushes += 1;
+        self.ready.push(Reverse(key));
+    }
+}
+
 /// Park the current rank until a message for `(src, tag)` is delivered,
 /// or — when `deadline` (absolute virtual ns) is given — until that much
 /// virtual time passes with no delivery. Called by `World::take`/
@@ -303,11 +370,7 @@ pub(crate) fn park_for_recv(
     now: u64,
     deadline: Option<u64>,
 ) -> ParkWake {
-    let el = ACTIVE.with(|a| a.get());
-    assert!(
-        !el.is_null() && std::ptr::eq(unsafe { (*el).world }, world),
-        "park_for_recv outside the owning scheduler"
-    );
+    let el = active_for(world);
     // SAFETY: the owning host thread; no other code touches this Sched
     // between here and the switch (borrows end before switching).
     let (my, host, li) = unsafe {
@@ -317,17 +380,7 @@ pub(crate) fn park_for_recv(
             // rather than parking a fiber nobody will ever wake.
             panic_any(ForcedUnwind);
         }
-        debug_assert_eq!(el.current, dst, "a rank may only take from its own mailbox");
-        let li = dst - el.lo;
-        el.park_seq[li] += 1;
-        let gen = el.park_seq[li];
-        el.waiting[li] = Some(ParkedRecv { src, tag, clock: now, gen });
-        if el.shared.is_some() {
-            el.dirty.push(dst);
-        }
-        if let Some(d) = deadline {
-            el.ready.push(Reverse((d.max(now), dst, gen)));
-        }
+        let li = el.note_park(dst, src, tag, now, deadline);
         (&mut el.slots[li].ctx as *mut Context, &el.host_ctx as *const Context, li)
     };
     // SAFETY: host_ctx holds the scheduler context that switched us in.
@@ -349,6 +402,39 @@ pub(crate) fn park_for_recv(
     }
 }
 
+/// The park of a dense round's step: exactly [`park_for_recv`]'s
+/// bookkeeping — the `waiting` entry a delivery matches and the deadlock
+/// report prints, at the same clock — and no switch. Whoever is stepping
+/// the round (`rank::step_round`: the rank's fiber in its first segment,
+/// the scheduler afterwards) returns to its caller instead.
+pub(crate) fn park_round(world: &World, dst: usize, src: usize, tag: u64, now: u64) {
+    // SAFETY: the owning host thread, short borrow, no switch inside.
+    unsafe { (*active_for(world)).note_park(dst, src, tag, now, None) };
+}
+
+/// Put rank `r`'s fiber to sleep until its round's cursor — parked by
+/// [`park_round`] a moment ago — has taken its last step: every wake of
+/// the rank in between is the scheduler's to act on ([`run_segment`]).
+pub(crate) fn sleep_in_round(world: &World, r: usize) {
+    let el = active_for(world);
+    // SAFETY: as in `park_for_recv`.
+    let (my, host, li) = unsafe {
+        let el = &mut *el;
+        let li = r - el.lo;
+        debug_assert!(el.current == r && el.waiting[li].is_some(), "only a parked round sleeps");
+        el.slots[li].in_round = true;
+        (&mut el.slots[li].ctx as *mut Context, &el.host_ctx as *const Context, li)
+    };
+    // SAFETY: host_ctx holds the scheduler context that switched us in.
+    unsafe { switch_stacks(my, host) };
+    // SAFETY: as above.
+    let el = unsafe { &mut *el };
+    if el.unwinding {
+        panic_any(ForcedUnwind);
+    }
+    debug_assert!(!el.slots[li].in_round, "rank {r} woken inside its round");
+}
+
 /// Delivery fast path: if `dst` is parked on exactly `(src, tag)`, hand
 /// the message straight to it and mark it runnable at its park-time
 /// clock. Same-shard receivers take the lock-free direct slot; receivers
@@ -368,7 +454,7 @@ pub(crate) fn try_handoff(world: &World, dst: usize, src: usize, tag: u64, msg: 
             if w.src == src && w.tag == tag {
                 el.waiting[dst - el.lo] = None;
                 el.handoff[dst - el.lo] = Some(msg);
-                el.ready.push(Reverse((w.clock, dst, WAKE_ENTRY)));
+                el.push_ready(Key::new(w.clock, dst, WAKE_ENTRY));
                 if el.shared.is_some() {
                     el.dirty.push(dst);
                 }
@@ -393,7 +479,7 @@ fn cross_shard_handoff(el: &Sched, dst: usize, src: usize, tag: u64, msg: Msg) -
     if let Some(w) = g.parked[dst] {
         if w.src == src && w.tag == tag {
             g.parked[dst] = None;
-            let key = (w.clock, dst, WAKE_ENTRY);
+            let key = Key::new(w.clock, dst, WAKE_ENTRY);
             g.inboxes[target].push(InboxDelivery { dst, clock: w.clock, msg });
             if g.mins[target].is_none_or(|k| key < k) {
                 g.mins[target] = Some(key);
@@ -519,7 +605,7 @@ where
             // Pre-seeded so the argmin is right even before a late-
             // starting shard's first gate entry (jitter must not be able
             // to reorder anything).
-            mins: (0..k).map(|s| Some((0, starts[s], WAKE_ENTRY))).collect(),
+            mins: (0..k).map(|s| Some(Key::new(0, starts[s], WAKE_ENTRY))).collect(),
             inboxes: (0..k).map(|_| Vec::new()).collect(),
             running: None,
             parked: vec![None; nprocs],
@@ -530,8 +616,10 @@ where
             panic_payload: None,
         }),
         cvs: (0..k).map(|_| Condvar::new()).collect(),
+        fiber_switches: AtomicU64::new(0),
+        heap_pushes: AtomicU64::new(0),
     });
-    let pool_done = std::sync::atomic::AtomicBool::new(false);
+    let pool_done = AtomicBool::new(false);
     let join_err = std::thread::scope(|s| {
         if jitter.is_some() {
             // The jitter harness also hammers every shard condvar with
@@ -544,7 +632,7 @@ where
             let shared = &shared;
             let pool_done = &pool_done;
             s.spawn(move || {
-                while !pool_done.load(std::sync::atomic::Ordering::Relaxed) {
+                while !pool_done.load(Ordering::Relaxed) {
                     for c in &shared.cvs {
                         c.notify_all();
                     }
@@ -598,7 +686,7 @@ where
                 join_err.get_or_insert(e);
             }
         }
-        pool_done.store(true, std::sync::atomic::Ordering::Relaxed);
+        pool_done.store(true, Ordering::Relaxed);
         join_err
     });
     // A thread that panicked while holding the gate poisons it; the
@@ -618,6 +706,12 @@ where
         drop(results);
         resume_unwind(e);
     }
+    LAST_RUN.with(|c| {
+        c.set(SchedCounters {
+            fiber_switches: shared.fiber_switches.load(Ordering::Relaxed),
+            heap_pushes: shared.heap_pushes.load(Ordering::Relaxed),
+        })
+    });
     results.into_iter().map(|c| c.0.into_inner()).collect()
 }
 
@@ -661,6 +755,7 @@ where
     // reset explicitly; per-rank scoping keeps hit/miss counts identical
     // across shard layouts).
     flexio_types::flatten::reset_flatten_cache();
+    assert!(world.nprocs() <= 1 << (64 - KIND_BITS), "a world holds at most 2^24 ranks");
     let mut el = Sched {
         world: Arc::as_ptr(&world),
         nprocs: world.nprocs(),
@@ -684,6 +779,7 @@ where
         stacks: StackArena::new(count, stack_bytes),
         host_ctx: Context::null(),
         shared,
+        counters: SchedCounters::default(),
     };
     for li in 0..count {
         el.slots.push(FiberSlot {
@@ -694,6 +790,7 @@ where
                 final_ctx: (std::ptr::null_mut(), std::ptr::null()),
             }),
             done: false,
+            in_round: false,
         });
     }
     // From here on `el` must not move: fibers hold raw pointers into it.
@@ -751,7 +848,7 @@ where
         slot.payload.run = Some(body);
         slot.payload.final_ctx = (&mut slot.ctx as *mut Context, &el.host_ctx as *const Context);
         slot.ctx = prepare(&slot.stack, &mut *slot.payload as *mut Payload);
-        el.ready.push(Reverse((0, r, WAKE_ENTRY)));
+        el.push_ready(Key::new(0, r, WAKE_ENTRY));
     }
 
     // Nested `run` calls (a rank driving an inner world) save and restore
@@ -771,7 +868,65 @@ where
     // scope 0 restored for direct (non-simulated) callers.
     flexio_types::flatten::set_flatten_scope(0);
     flexio_types::flatten::reset_flatten_cache();
+    match &el.shared {
+        // Statistics only: the pool reads the sums after joining.
+        Some(sh) => {
+            sh.fiber_switches.fetch_add(el.counters.fiber_switches, Ordering::Relaxed);
+            sh.heap_pushes.fetch_add(el.counters.heap_pushes, Ordering::Relaxed);
+        }
+        None => LAST_RUN.with(|c| c.set(el.counters)),
+    }
     el.panic_payload.take()
+}
+
+/// Run the segment a popped key of rank `r` stands for — the one hook
+/// both drivers dispatch through. A rank asleep in a dense round has its
+/// cursor advanced right here, on the scheduler's stack
+/// ([`crate::rank::step_round`], the function its fiber entered the
+/// round through): what the fiber would have done between this wake and
+/// its next park — take the message, send the next step's, look for the
+/// one after — minus the two stack switches around it. Only when the
+/// cursor has taken its last step, or the rank is not in a round at all,
+/// is the fiber switched to. Returns whether the rank's stack canary is
+/// intact — read only after the fiber ran: nothing else can have touched
+/// it, and its cache line is as cold as any in the world.
+///
+/// # Safety
+/// `el_ptr` is the pinned scheduler of the calling thread, no borrow of
+/// it is live, and `r` is a live rank of it that is not parked.
+unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
+    // SAFETY (here and below): scoped borrows on the owning thread that
+    // end before anything that re-borrows the scheduler runs.
+    let (world, li, woke) = unsafe {
+        let el = &mut *el_ptr;
+        let li = r - el.lo;
+        el.current = r;
+        let woke = el.slots[li]
+            .in_round
+            .then(|| el.handoff[li].take().expect("a round's wake carries its message's time").avail_at);
+        (el.world, li, woke)
+    };
+    // SAFETY: `shard_main` holds the world for the whole drive.
+    let world = unsafe { &*world };
+    if let Some(avail_at) = woke {
+        if !crate::rank::step_round(world, r, Some(avail_at)) {
+            return true;
+        }
+        unsafe { (&mut (*el_ptr).slots)[li].in_round = false };
+    }
+    debug_assert!(
+        world.cursor(r).as_ref().is_none_or(crate::rank::Cursor::is_done),
+        "rank {r} resumed with a half-stepped round"
+    );
+    let (host, fctx) = unsafe {
+        let el = &mut *el_ptr;
+        el.counters.fiber_switches += 1;
+        (&mut el.host_ctx as *mut Context, &el.slots[li].ctx as *const Context)
+    };
+    flexio_types::flatten::set_flatten_scope(r as u64);
+    // SAFETY: fctx is a live suspended (or fresh) fiber context.
+    unsafe { switch_stacks(host, fctx) };
+    unsafe { (&(*el_ptr).slots)[li].stack.canary_ok() }
 }
 
 /// The sequential driver: repeatedly pop the lowest key of the one global
@@ -789,7 +944,7 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
             }
             el.ready.pop()
         };
-        let Some(Reverse((_clock, r, kind))) = next else {
+        let Some((_clock, r, kind)) = next.map(|Reverse(k)| k.parts()) else {
             // Live ranks but nothing runnable: every one of them is parked
             // on a receive no one will ever send. Report and unwind.
             let diag = unsafe {
@@ -799,8 +954,8 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
             unsafe { force_unwind_local(el_ptr) };
             return Err(diag);
         };
-        // Scoped borrow; must end before switching into the fiber.
-        let (host, fctx) = {
+        // Scoped borrow; must end before the segment runs.
+        {
             let el = unsafe { &mut *el_ptr };
             if el.slots[r].done {
                 continue;
@@ -808,7 +963,8 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
             if kind != WAKE_ENTRY {
                 // A park timer. It fires only if the rank is still in the
                 // very park that set it (same generation); a handoff that
-                // beat the deadline — or any later park — makes it stale.
+                // beat the deadline — or any later park, a dense round's
+                // included — makes it stale.
                 match el.waiting[r] {
                     Some(w) if w.gen == kind => {
                         el.waiting[r] = None;
@@ -819,16 +975,13 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
             } else {
                 debug_assert!(el.waiting[r].is_none(), "wake entry for a parked rank");
             }
-            el.current = r;
-            (&mut el.host_ctx as *mut Context, &el.slots[r].ctx as *const Context)
-        };
-        flexio_types::flatten::set_flatten_scope(r as u64);
-        // SAFETY: fctx is a live suspended (or fresh) fiber context.
-        unsafe { switch_stacks(host, fctx) };
+        }
+        // SAFETY: rank `r` is live and the popped key is its to run.
+        let canary_ok = unsafe { run_segment(el_ptr, r) };
         let need_unwind = unsafe {
             let el = &mut *el_ptr;
             assert!(
-                el.slots[r].stack.canary_ok(),
+                canary_ok,
                 "rank {r} overflowed its {}-byte fiber stack (raise FLEXIO_SIM_STACK_KB)",
                 el.stack_bytes
             );
@@ -904,7 +1057,7 @@ unsafe fn drive_gated(el_ptr: *mut Sched) {
                 debug_assert!(el.waiting[li].is_some(), "inbox delivery for an unparked rank");
                 el.waiting[li] = None;
                 el.handoff[li] = Some(d.msg);
-                el.ready.push(Reverse((d.clock, d.dst, WAKE_ENTRY)));
+                el.push_ready(Key::new(d.clock, d.dst, WAKE_ENTRY));
             }
             g.mins[me] = el.ready.peek().map(|&Reverse(k)| k);
         }
@@ -953,8 +1106,8 @@ unsafe fn drive_gated(el_ptr: *mut Sched) {
         // other shard while the segment is in flight; `g.mins[me]`
         // deliberately keeps the executing key so re-election after the
         // release still sees it if it remains the minimum.
-        let Reverse((_clock, r, kind)) = unsafe { (*el_ptr).ready.pop().expect("published min vanished") };
-        let (host, fctx) = {
+        let (_clock, r, kind) = unsafe { (*el_ptr).ready.pop().expect("published min vanished").0.parts() };
+        {
             let el = unsafe { &mut *el_ptr };
             let li = r - el.lo;
             if el.slots[li].done {
@@ -972,15 +1125,11 @@ unsafe fn drive_gated(el_ptr: *mut Sched) {
             } else {
                 debug_assert!(el.waiting[li].is_none(), "wake entry for a parked rank");
             }
-            el.current = r;
-            (&mut el.host_ctx as *mut Context, &el.slots[li].ctx as *const Context)
-        };
+        }
         g.running = Some(me);
         drop(g); // user code must not run under the gate
-        flexio_types::flatten::set_flatten_scope(r as u64);
-        // SAFETY: fctx is a live suspended (or fresh) fiber context.
-        unsafe { switch_stacks(host, fctx) };
-        let canary_ok = unsafe { (&(*el_ptr).slots)[r - (*el_ptr).lo].stack.canary_ok() };
+        // SAFETY: rank `r` is live and the popped key is its to run.
+        let canary_ok = unsafe { run_segment(el_ptr, r) };
         if !canary_ok {
             // Only the overflowed stack is unsafe to unwind. Retire its
             // slot so the forced unwind skips it, surface the failure
@@ -1125,19 +1274,39 @@ mod tests {
 
     #[test]
     fn deadlock_reports_match_across_drivers() {
-        let report = |backend| {
-            let got = std::panic::catch_unwind(|| {
-                run_on(backend, 3, CostModel::free(), |r| {
-                    let _ = r.recv((r.rank() + 1) % 3, 9);
-                })
-            });
+        let report = |backend, body: fn(&crate::rank::Rank)| {
+            let got = std::panic::catch_unwind(|| run_on(backend, 4, CostModel::default(), body));
             let err = got.expect_err("deadlocked world must panic");
             err.downcast_ref::<String>().expect("panic carries a String").clone()
         };
-        let solo = report(Backend::EventLoop);
-        for k in [1, 2, 3] {
-            assert_eq!(solo, report(Backend::Sharded(k)), "deadlock diagnostics diverge at k={k}");
+        let p2p: fn(&crate::rank::Rank) = |r| {
+            let _ = r.recv((r.rank() + 1) % 4, 9);
+        };
+        // Three ranks asleep in a ring that the fourth never joins.
+        let round: fn(&crate::rank::Rank) = |r| {
+            if r.rank() == 3 {
+                let _ = r.recv(3, 9);
+            } else {
+                r.allgatherv(&[r.rank() as u8]);
+                r.barrier();
+            }
+        };
+        for body in [p2p, round] {
+            let solo = report(Backend::EventLoop, body);
+            for k in [1, 2, 3] {
+                assert_eq!(solo, report(Backend::Sharded(k), body), "deadlock diagnostics diverge at k={k}");
+            }
         }
+        // The text of commit 6c2ce6c, where a rank parked in a round
+        // stood on its own fiber stack.
+        assert_eq!(
+            report(Backend::EventLoop, round),
+            "flexio-sim event loop deadlock: 4 of 4 ranks parked with no message in flight: \
+             rank 0 (clock 4000 ns) <- recv(src=3, collective #0 allgatherv step 0); \
+             rank 1 (clock 72010 ns) <- recv(src=0, collective #0 allgatherv step 1); \
+             rank 2 (clock 140020 ns) <- recv(src=1, collective #0 allgatherv step 2); \
+             rank 3 (clock 0 ns) <- recv(src=3, tag=9)"
+        );
     }
 
     #[test]
@@ -1187,6 +1356,24 @@ mod tests {
                 3,
                 "every rank's locals must be dropped, including parked fibers ({backend:?})"
             );
+            // The same with a hundred peers asleep in an alltoallv, their
+            // cursors stepped by the scheduler as far as they go without
+            // the last rank's blocks: that rank waits a virtual
+            // millisecond on a timer, then panics instead of entering.
+            DROPS.store(0, Ordering::SeqCst);
+            let got = std::panic::catch_unwind(|| {
+                run_on(backend, 101, CostModel::default(), |r| {
+                    let _probe = Probe;
+                    if r.rank() == 100 {
+                        let _ = r.recv_timeout(100, 5, 1_000_000);
+                        panic!("teardown in a round");
+                    }
+                    r.alltoallv(vec![vec![r.rank() as u8]; 101]);
+                })
+            });
+            let err = got.expect_err("rank panic must propagate");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"teardown in a round"), "the original payload");
+            assert_eq!(DROPS.load(Ordering::SeqCst), 101, "sleeping fibers must unwind too ({backend:?})");
         }
     }
 
@@ -1303,6 +1490,29 @@ mod tests {
                 }
             });
             assert_eq!(out[0].as_deref(), Some(b"fastlate".as_slice()));
+            // The same timer left behind by a rank that is asleep in a
+            // dense round when it pops (its peer enters 50 virtual ms
+            // late): the round's park is a later generation, so the
+            // timer is skipped — not taken for the wake that steps the
+            // sleeper's cursor.
+            let out = run_crashable_on(backend, 2, CostModel::default(), &[], |r| {
+                if r.rank() == 1 {
+                    r.send(0, 1, b"fast");
+                    r.advance(50_000_000);
+                } else {
+                    r.recv_timeout(1, 1, r.now() + 10_000_000).expect("fast msg");
+                }
+                let got = r.alltoallv(vec![vec![r.rank() as u8; 3]; 2]);
+                r.barrier();
+                (got, r.now())
+            });
+            let late = out[1].as_ref().expect("no crash scheduled").1;
+            assert!(late > 50_000_000);
+            for (rank, o) in out.iter().enumerate() {
+                let (got, now) = o.as_ref().expect("no crash scheduled");
+                assert_eq!(got, &vec![vec![0u8; 3], vec![1u8; 3]], "rank {rank}");
+                assert!(*now >= 50_000_000, "rank {rank} left the round before its peer entered");
+            }
         }
     }
 

@@ -2,8 +2,9 @@
 //! dispatch.
 
 use crate::cost::CostModel;
+use crate::rank::Cursor;
 use std::any::{Any, TypeId};
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -105,6 +106,40 @@ pub(crate) struct Msg {
     pub avail_at: u64,
 }
 
+impl Msg {
+    /// What a dense round hands a parked receiver: the message's bytes,
+    /// if it has any, are with the receiver already
+    /// ([`World::deliver_step`]).
+    pub fn time_only(avail_at: u64) -> Msg {
+        Msg { data: Payload::Owned(Vec::new()), avail_at }
+    }
+}
+
+/// What a run cost its scheduler: the two things a message can make it
+/// do that are dearer than a few loads and stores.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SchedCounters {
+    /// Switches from the scheduler into a rank's fiber (each has its
+    /// switch back): one per rank start, per park of a point-to-point or
+    /// tree-collective receive, and per dense round that parked at all.
+    pub fiber_switches: u64,
+    /// Entries pushed onto the ready heap: rank starts, wakes of parked
+    /// receives (a dense round's steps included) and park timers.
+    pub heap_pushes: u64,
+}
+
+std::thread_local! {
+    /// Counters of the last world this thread finished driving.
+    pub(crate) static LAST_RUN: Cell<SchedCounters> =
+        const { Cell::new(SchedCounters { fiber_switches: 0, heap_pushes: 0 }) };
+}
+
+/// The scheduler counters of the last `run`/`run_on`/`run_crashable` that
+/// returned on this thread, summed over the pool's shards if it had any.
+pub fn last_run_counters() -> SchedCounters {
+    LAST_RUN.with(Cell::get)
+}
+
 /// Multiply-rotate hasher for the mailbox queue map. The keys are small
 /// fixed-size `(src, tag)` pairs from trusted (in-process) senders, and
 /// every message pays two to three lookups — SipHash was a measurable
@@ -163,38 +198,67 @@ pub(crate) struct Slot {
     pub step: usize,
 }
 
-/// One rank's landing slots for one round: `slots[i]` is step `taken + i`.
+/// A slot no message has landed in yet. (A message's availability time
+/// is a virtual clock in ns, which never gets here.)
+const ABSENT: u64 = u64::MAX;
+
+/// One rank's landing slots for one round. All a receive needs of a
+/// message is the time it becomes available at, so that is all a slot
+/// holds: `avail[i]` is step `taken + i`'s, [`ABSENT`] until it lands.
 /// The window opens at the first step the rank has not taken yet and
 /// reaches as far as the furthest step a peer has delivered, so a board
 /// is as long as its senders run ahead of its owner — a handful of slots
 /// in a ring allgather at any world size, up to `nprocs` in a skewed
-/// all-to-all — not as long as the round.
+/// all-to-all — not as long as the round. The few messages that carry
+/// bytes leave them in `blocks` (`(step, bytes)`, in delivery order)
+/// when they land before the rank has entered the round; once it has,
+/// they go straight to its cursor.
+#[derive(Default)]
 struct Board {
     key: u64,
     taken: usize,
-    slots: VecDeque<Option<Msg>>,
+    avail: VecDeque<u64>,
+    blocks: Vec<(usize, Payload)>,
 }
 
 /// One rank's boards: the rounds some peer has already delivered into
 /// (`live`: the round the rank is in and, when a peer runs ahead, the
-/// next one) and the emptied slot windows of finished rounds (`free`),
-/// reused so a steady stream of rounds allocates nothing.
+/// next one) and the emptied boards of finished rounds (`free`), reused
+/// so a steady stream of rounds allocates nothing.
 #[derive(Default)]
 struct Boards {
     live: Vec<Board>,
-    free: Vec<VecDeque<Option<Msg>>>,
+    free: Vec<Board>,
 }
 
-/// State that only the one running rank fiber touches, so it needs no
-/// lock of its own: the sequential loop has a single host thread, and the
+impl Boards {
+    /// The board of round `key`, opened (from the pool when it has one)
+    /// by the first delivery of the round.
+    fn open(&mut self, key: u64) -> &mut Board {
+        let at = match self.live.iter().position(|b| b.key == key) {
+            Some(at) => at,
+            None => {
+                let mut b = self.free.pop().unwrap_or_default();
+                (b.key, b.taken) = (key, 0);
+                self.live.push(b);
+                self.live.len() - 1
+            }
+        };
+        &mut self.live[at]
+    }
+}
+
+/// State that only the one running segment touches — a rank's fiber, or
+/// the scheduler stepping a sleeping rank's round — so it needs no lock
+/// of its own: the sequential loop has a single host thread, and the
 /// pool runs one segment at a time with the gate mutex's release/acquire
 /// ordering each runner's writes before the next runner's reads (DESIGN
 /// "Rank runtime", invariants 1 and 2). Every access goes through
-/// [`World::boards`], which checks that the caller is that runner.
+/// [`World::runner_owned`], which checks that the caller is that runner.
 struct RunnerCell<T>(UnsafeCell<T>);
 
 // SAFETY: see the type's docs — access is serialized by the scheduler,
-// and `World::boards` refuses callers the scheduler did not dispatch.
+// and `World::runner_owned` refuses callers the scheduler did not dispatch.
 unsafe impl<T: Send> Sync for RunnerCell<T> {}
 
 /// The world's "compute once, share" cells (see
@@ -209,6 +273,10 @@ pub struct World {
     pub(crate) mailboxes: Vec<Mailbox>,
     /// Per-rank landing boards of the dense collective rounds.
     boards: Vec<RunnerCell<Boards>>,
+    /// Per-rank round cursor: `Some` from the moment a rank enters a
+    /// dense round until its fiber has left it (see
+    /// [`crate::rank::step_round`]).
+    cursors: Vec<RunnerCell<Option<Cursor>>>,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
     /// never). Checked by [`crate::rank::Rank::maybe_crash`].
     pub(crate) crash_at: Vec<u64>,
@@ -240,6 +308,7 @@ impl World {
             cost,
             mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
             boards: (0..nprocs).map(|_| RunnerCell(UnsafeCell::new(Boards::default()))).collect(),
+            cursors: (0..nprocs).map(|_| RunnerCell(UnsafeCell::new(None))).collect(),
             crash_at,
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
             shared: Mutex::new(SharedCells::new()),
@@ -288,12 +357,14 @@ impl World {
     }
 
     /// Mark `rank` dead and drop everything queued in its mailbox and on
-    /// its boards (pooled ones included), so the scheduler's deadlock
-    /// diagnostics and memory footprint never carry already-dead ranks.
+    /// its boards (pooled ones included) and its round cursor, so the
+    /// scheduler's deadlock diagnostics and memory footprint never carry
+    /// already-dead ranks.
     pub(crate) fn reap_rank(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::Relaxed);
         self.mailboxes[rank].queues.lock().unwrap().clear();
         *self.boards(rank) = Boards::default();
+        *self.cursor(rank) = None;
     }
 
     /// Number of ranks.
@@ -324,88 +395,125 @@ impl World {
         queues.entry((src, tag)).or_default().push_back(msg);
     }
 
-    /// `rank`'s boards. Only the running rank fiber may ask (for its own
-    /// boards or a peer's): that is what makes the unguarded `&mut` sound.
+    /// One rank's cell of runner-owned state. Only the running segment
+    /// may ask (for its own rank's or a peer's): that is what makes the
+    /// unguarded `&mut` sound.
     #[allow(clippy::mut_from_ref)]
-    fn boards(&self, rank: usize) -> &mut Boards {
+    fn runner_owned<'a, T>(&'a self, cell: &'a RunnerCell<T>) -> &'a mut T {
         assert!(
             crate::sched::is_exclusive_runner(self),
             "collective outside the rank runtime (ranks only run inside flexio_sim::run)"
         );
-        // SAFETY: the caller is the one fiber its scheduler is running
-        // (checked above), callers never hold the reference across a park
-        // or a second `boards` call, and runner hand-over synchronizes
-        // through the gate mutex (see `RunnerCell`).
-        unsafe { &mut *self.boards[rank].0.get() }
+        // SAFETY: the caller is the one segment its scheduler is running
+        // (checked above); callers never hold the reference across a park
+        // or a second request for the same cell (a round's step holds its
+        // own rank's cursor while it asks for a *peer's* cursor and for
+        // boards, which are other cells); and runner hand-over
+        // synchronizes through the gate mutex (see `RunnerCell`).
+        unsafe { &mut *cell.0.get() }
     }
 
-    /// [`World::deliver`] for a message of a dense collective round: the
-    /// receiver knows which step it takes the message at, so a delivery
-    /// that finds it not yet parked on `(src, tag)` is written straight
-    /// into that step's slot of the receiver's board for the round — no
+    fn boards(&self, rank: usize) -> &mut Boards {
+        self.runner_owned(&self.boards[rank])
+    }
+
+    /// `rank`'s round cursor (`None` outside a dense round).
+    pub(crate) fn cursor(&self, rank: usize) -> &mut Option<Cursor> {
+        self.runner_owned(&self.cursors[rank])
+    }
+
+    /// `rank` enters the round `cursor` describes: the bytes that landed
+    /// on its board ahead of it move to the cursor, where later ones are
+    /// delivered directly.
+    pub(crate) fn begin_round(&self, rank: usize, mut cursor: Cursor) {
+        if let Some(b) = self.boards(rank).live.iter_mut().find(|b| b.key == cursor.key) {
+            std::mem::swap(&mut cursor.received, &mut b.blocks);
+        }
+        let slot = self.cursor(rank);
+        debug_assert!(slot.is_none(), "rank {rank} entered a round inside a round");
+        *slot = Some(cursor);
+    }
+
+    /// [`World::deliver`] for a message of a dense collective round, in
+    /// the same order: dropped if the receiver is dead; its bytes, if it
+    /// has any, left with the receiver (its cursor once it is in the
+    /// round, its board for the round until then); then its availability
+    /// time handed to a receiver parked on exactly this `(src, tag)`, or
+    /// written into the slot of the step the receiver takes it at — no
     /// hash, no lock, and no allocation once the receiver's pooled
-    /// windows have grown to its senders' lead. The first delivery of a
-    /// round opens its board (from the receiver's pool when it has one).
-    pub(crate) fn deliver_slot(&self, dst: usize, src: usize, tag: u64, at: Slot, msg: Msg) {
+    /// windows have grown to its senders' lead.
+    pub(crate) fn deliver_step(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u64,
+        at: Slot,
+        data: Option<Payload>,
+        avail_at: u64,
+    ) {
         if self.is_dead(dst) {
             return;
         }
-        let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
-            return;
-        };
-        let boards = self.boards(dst);
-        let b = match boards.live.iter().position(|b| b.key == at.key) {
-            Some(b) => &mut boards.live[b],
-            None => {
-                let slots = boards.free.pop().unwrap_or_default();
-                boards.live.push(Board { key: at.key, taken: 0, slots });
-                boards.live.last_mut().expect("just pushed")
+        debug_assert_ne!(avail_at, ABSENT);
+        if let Some(data) = data {
+            match self.cursor(dst) {
+                Some(c) if c.key == at.key => c.received.push((at.step, data)),
+                _ => self.boards(dst).open(at.key).blocks.push((at.step, data)),
             }
-        };
+        }
+        if crate::sched::try_handoff(self, dst, src, tag, Msg::time_only(avail_at)).is_none() {
+            return;
+        }
+        let b = self.boards(dst).open(at.key);
         debug_assert!(at.step >= b.taken, "step {} of round {} delivered twice", at.step, at.key);
         let i = at.step - b.taken;
-        if i >= b.slots.len() {
-            b.slots.resize_with(i + 1, || None);
-        }
-        debug_assert!(b.slots[i].is_none(), "two messages for step {} of round {}", at.step, at.key);
-        b.slots[i] = Some(msg);
-    }
-
-    /// [`World::take`] for a message of a dense collective round: look at
-    /// the slot [`World::deliver_slot`] would have filled, park on
-    /// `(src, tag)` when it is empty.
-    pub(crate) fn take_slot(&self, dst: usize, src: usize, tag: u64, at: Slot, now: u64) -> Msg {
-        loop {
-            if let Some(b) = self.boards(dst).live.iter_mut().find(|b| b.key == at.key) {
-                let i = at.step - b.taken;
-                if let Some(m) = b.slots.get_mut(i).and_then(Option::take) {
-                    // Earlier steps came by hand-off; the window moves on.
-                    b.slots.drain(..=i);
-                    b.taken = at.step + 1;
-                    return m;
-                }
-            }
-            if let Some(m) = self.park(dst, src, tag, now) {
-                return m;
-            }
+        if i >= b.avail.len() {
+            // Mostly `i == len`: the sender is one more step ahead.
+            b.avail.resize(i, ABSENT);
+            b.avail.push_back(avail_at);
+        } else {
+            debug_assert_eq!(b.avail[i], ABSENT, "two messages for step {} of round {}", at.step, at.key);
+            b.avail[i] = avail_at;
         }
     }
 
-    /// `rank` has taken every message of round `key`: its board, if any
-    /// delivery ever needed one, goes back to the pool. Every slot must
-    /// be empty by now — a message left behind would surface in whichever
-    /// later round reuses the window.
-    pub(crate) fn end_round(&self, rank: usize, key: u64) {
+    /// The receive half of [`World::deliver_step`]: the availability time
+    /// of the message `rank` takes at `at`, if it has landed.
+    pub(crate) fn take_step(&self, rank: usize, at: Slot) -> Option<u64> {
+        let b = self.boards(rank).live.iter_mut().find(|b| b.key == at.key)?;
+        let i = at.step - b.taken;
+        let avail_at = *b.avail.get(i).filter(|&&t| t != ABSENT)?;
+        // Earlier steps came by hand-off; the window moves on.
+        b.avail.drain(..=i);
+        b.taken = at.step + 1;
+        Some(avail_at)
+    }
+
+    /// `rank`'s fiber leaves round `key` with its cursor: every message
+    /// addressed to it has been taken, so its board, if any delivery ever
+    /// needed one, goes back to the pool. Every slot must be empty by now
+    /// — a message left behind would surface in whichever later round
+    /// reuses the board.
+    pub(crate) fn end_round(&self, rank: usize, key: u64) -> Cursor {
         let boards = self.boards(rank);
         if let Some(i) = boards.live.iter().position(|b| b.key == key) {
-            let mut slots = boards.live.swap_remove(i).slots;
+            let mut b = boards.live.swap_remove(i);
             debug_assert!(
-                slots.iter().all(Option::is_none),
+                b.avail.iter().all(|&t| t == ABSENT) && b.blocks.is_empty(),
                 "rank {rank} left round {key} with an untaken message on its board"
             );
-            slots.clear();
-            boards.free.push(slots);
+            b.avail.clear();
+            boards.free.push(b);
         }
+        let c = self.cursor(rank).take().expect("a rank leaves the round it entered");
+        debug_assert!(c.key == key && c.is_done(), "rank {rank} left round {key} half-stepped");
+        c
+    }
+
+    /// Whether `rank` has a round cursor (tests).
+    #[cfg(test)]
+    pub(crate) fn in_round(&self, rank: usize) -> bool {
+        self.cursor(rank).is_some()
     }
 
     /// `(live, pooled)` board counts of `rank` (tests).

@@ -27,6 +27,16 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
+# The two charge-and-order fixtures again on 64 KiB fiber stacks (the
+# default is 1 MiB): a dense round's step loop runs on the scheduler's
+# stack, not on its rank's fiber, and what is left on the fibers — rank
+# bodies, the engine above them — passes at 32 KiB and overflows at 16.
+# The stack canary turns a step loop that creeps back onto the fibers,
+# or a frame that balloons, into a failure here.
+echo "== FLEXIO_SIM_STACK_KB=64 cargo test --test sim_collective_charges --test shared_derivation =="
+FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
+  --test sim_collective_charges --test shared_derivation
+
 # The benchmark is a package of its own (benchmark/, outside the
 # workspace) that imports engine internals — ClientStream, merge_pieces,
 # group_by_window, write_gathered_nb, resolve, LockTable, AssignCtx, ... —

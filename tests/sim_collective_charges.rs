@@ -21,6 +21,19 @@
 //! out of the event loop, of the sharded pool at 2, 4 and 7 shards, and
 //! of whatever `FLEXIO_SIM_SHARDS` selects (the `--thorough` sweep).
 //!
+//! The 257- and 512-rank worlds and the two sections after them were
+//! harvested on commit 6c2ce6c, the last one whose ranks stepped through
+//! a round on their own fibers, for the change that has the scheduler
+//! step a sleeping rank's round cursor instead: `[interleaved p=8]` runs
+//! rounds on a 5-of-8 subgroup while the other three ranks exchange
+//! point-to-point messages at clocks that fall between the round's
+//! wakes (one counter orders every record of both groups, so a round
+//! whose wakes were released in one go, ahead of the heap entries that
+//! used to pop between them, shows as a changed index); `[back-to-back
+//! p=9]` has one rank enter each round a virtual millisecond late, run
+//! through it on messages already waiting, and deliver into the next
+//! round while its peers are still parked in this one.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::sim::{run_on, Backend, CostModel, Rank};
@@ -28,7 +41,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const FIXTURE: &str = "tests/fixtures/sim_collective_charges.txt";
-const WORLDS: [usize; 6] = [1, 2, 3, 8, 65, 130];
+const WORLDS: [usize; 8] = [1, 2, 3, 8, 65, 130, 257, 512];
 const CASES: [&str; 6] = [
     "alltoallv-dense-mixed",
     "alltoallv-all-empty",
@@ -68,26 +81,33 @@ fn sends_to(src: usize, a: usize) -> bool {
     a.is_multiple_of(4) && !(src + a).is_multiple_of(3)
 }
 
+/// One record: `rank [label] clock msgs bytes compute/comm/io order digest`.
+fn record_line(rank: &Rank, label: &str, at: usize, digest: u64) -> String {
+    let s = rank.stats();
+    format!(
+        "{} {label}{} {} {} {}/{}/{} {at} {:08x}",
+        rank.rank(),
+        rank.now(),
+        s.msgs_sent,
+        s.bytes_sent,
+        s.phase_ns[0],
+        s.phase_ns[1],
+        s.phase_ns[2],
+        digest as u32 ^ (digest >> 32) as u32,
+    )
+}
+
+fn digest_blocks(blocks: &[Vec<u8>]) -> u64 {
+    blocks.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(fnv(h, &[b.len() as u8]), b))
+}
+
 /// One rank's pass through the six collectives; one record per case.
 fn rank_body(rank: &Rank, order: &[AtomicUsize]) -> Vec<String> {
     let (me, p) = (rank.rank(), rank.nprocs());
     let mut recs = Vec::new();
     let mut record = |case: usize, digest: u64| {
         let at = order[case].fetch_add(1, Ordering::SeqCst);
-        let s = rank.stats();
-        recs.push(format!(
-            "{me} {} {} {} {}/{}/{} {at} {:08x}",
-            rank.now(),
-            s.msgs_sent,
-            s.bytes_sent,
-            s.phase_ns[0],
-            s.phase_ns[1],
-            s.phase_ns[2],
-            digest as u32 ^ (digest >> 32) as u32,
-        ));
-    };
-    let digest_blocks = |blocks: &[Vec<u8>]| {
-        blocks.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(fnv(h, &[b.len() as u8]), b))
+        recs.push(record_line(rank, "", at, digest));
     };
     let dense = |case: usize| -> Vec<Vec<u8>> {
         (0..p).map(|d| block(case, me, d, mixed_len(case, me, d))).collect()
@@ -136,11 +156,119 @@ fn rank_body(rank: &Rank, order: &[AtomicUsize]) -> Vec<String> {
     recs
 }
 
+/// The four dense rounds over `comm`, one record each (labelled `pass`
+/// and the collective), `late` deciding who enters which round late.
+fn four_rounds(
+    rank: &Rank,
+    comm: &Rank,
+    pass: usize,
+    order: &AtomicUsize,
+    recs: &mut Vec<String>,
+    late: impl Fn(usize),
+) {
+    let (me, p) = (comm.rank(), comm.nprocs());
+    let mut record = |what: &str, digest: u64| {
+        let at = order.fetch_add(1, Ordering::SeqCst);
+        recs.push(record_line(rank, &format!("{pass}.{what} "), at, digest));
+    };
+    let case = 10 + pass;
+    late(0);
+    let got = comm.alltoallv((0..p).map(|d| block(case, me, d, mixed_len(case, me, d))).collect());
+    for (src, b) in got.iter().enumerate() {
+        assert_eq!(b, &block(case, src, me, mixed_len(case, src, me)), "pass {pass}: block {src}->{me}");
+    }
+    record("alltoallv", digest_blocks(&got));
+    late(1);
+    let got = comm.allgatherv(&block(case, me, 0, (me * 37 % 11) * 9));
+    for (src, b) in got.iter().enumerate() {
+        assert_eq!(b, &block(case, src, 0, (src * 37 % 11) * 9), "pass {pass}: block of {src}");
+    }
+    record("allgatherv", digest_blocks(&got));
+    late(2);
+    comm.barrier();
+    record("barrier", 0);
+    late(3);
+    // Everyone has data for the first and the last rank only.
+    let ends: Vec<usize> = if p == 1 { vec![0] } else { vec![0, p - 1] };
+    let sends = ends.iter().map(|&d| (d, block(case, me, d, 1 + (me + d) % 40))).collect();
+    let all: Vec<usize> = (0..p).collect();
+    let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
+    let got = comm.alltoallv_sparse(sends, recv_from);
+    for (src, b) in &got {
+        assert_eq!(b, &block(case, *src, me, 1 + (src + me) % 40), "pass {pass}: sparse {src}->{me}");
+    }
+    let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
+    record("sparse", digest_blocks(&payloads));
+}
+
+const ROUND_MEMBERS: [usize; 5] = [0, 2, 3, 5, 7];
+const P2P_MEMBERS: [usize; 3] = [1, 4, 6];
+
+/// Five of eight ranks run dense rounds over their subgroup; the other
+/// three pass messages round a ring of their own (and `exchange` over
+/// their subgroup every third turn) at clocks a few tens of virtual
+/// microseconds apart, so their heap entries pop between the wakes of a
+/// round in progress.
+fn interleaved_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
+    let me = rank.rank();
+    let mut recs = Vec::new();
+    if ROUND_MEMBERS.contains(&me) {
+        let comm = rank.subgroup(&ROUND_MEMBERS);
+        for pass in 0..3 {
+            four_rounds(rank, &comm, pass, order, &mut recs, |at| {
+                if at % 2 == 0 {
+                    skew(rank, pass + at)
+                }
+            });
+        }
+        return recs;
+    }
+    let comm = rank.subgroup(&P2P_MEMBERS);
+    let g = comm.rank();
+    let (next, prev) = ((g + 1) % 3, (g + 2) % 3);
+    for turn in 0..40 {
+        let mut record = |what: &str, digest: u64| {
+            let at = order.fetch_add(1, Ordering::SeqCst);
+            recs.push(record_line(rank, &format!("{turn}.{what} "), at, digest));
+        };
+        rank.advance(((me * 31 + turn * 17) % 7) as u64 * 15_000);
+        rank.send(P2P_MEMBERS[next], turn as u64, &block(20, me, turn, 1 + turn % 9));
+        let got = rank.recv(P2P_MEMBERS[prev], turn as u64);
+        assert_eq!(got, block(20, P2P_MEMBERS[prev], turn, 1 + turn % 9));
+        record("p2p", fnv(0xcbf2_9ce4_8422_2325, &got));
+        if turn % 3 == 2 {
+            let got = comm.exchange(&[(next, block(21, g, turn, 5))], &[prev]);
+            assert_eq!(got, vec![(prev, block(21, prev, turn, 5))]);
+            record("exchange", fnv(0xcbf2_9ce4_8422_2325, &got[0].1));
+        }
+    }
+    recs
+}
+
+/// Rounds back to back with one rank a virtual millisecond late into
+/// each: it finds its messages waiting, goes through the round without
+/// parking much and is delivering into the next while its peers are
+/// still parked in this one.
+fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
+    let (me, p) = (rank.rank(), rank.nprocs());
+    let mut recs = Vec::new();
+    for pass in 0..4 {
+        four_rounds(rank, rank, pass, order, &mut recs, |at| {
+            if me == (pass * 4 + at) * 2 % p {
+                rank.advance(1_000_000)
+            }
+        });
+    }
+    recs
+}
+
 /// The fixture text for one backend: `[p=N case]` headers, then one line
-/// per rank: `rank clock msgs bytes compute/comm/io order digest`.
-fn harvest(backend: Backend) -> String {
+/// per rank: `rank clock msgs bytes compute/comm/io order digest`; then
+/// the two mixed sections, one line per record, labelled. Worlds of more
+/// than `max_world` ranks are left out.
+fn harvest(backend: Backend, max_world: usize) -> String {
     let mut out = String::new();
-    for p in WORLDS {
+    for p in WORLDS.into_iter().filter(|&p| p <= max_world) {
         let order: Vec<AtomicUsize> = CASES.iter().map(|_| AtomicUsize::new(0)).collect();
         let per_rank = run_on(backend, p, CostModel::default(), |rank| rank_body(rank, &order));
         for (case, name) in CASES.iter().enumerate() {
@@ -150,34 +278,67 @@ fn harvest(backend: Backend) -> String {
             }
         }
     }
+    type Body = fn(&Rank, &AtomicUsize) -> Vec<String>;
+    let mixed: [(&str, usize, Body); 2] =
+        [("interleaved", 8, interleaved_body), ("back-to-back", 9, back_to_back_body)];
+    for (name, p, body) in mixed {
+        let order = AtomicUsize::new(0);
+        let per_rank = run_on(backend, p, CostModel::default(), |rank| body(rank, &order));
+        writeln!(out, "[{name} p={p}]").unwrap();
+        for line in per_rank.iter().flatten() {
+            writeln!(out, "{line}").unwrap();
+        }
+    }
     out
 }
 
 #[test]
 fn collectives_reproduce_the_parent_commit_fixture() {
-    let got = harvest(Backend::EventLoop);
+    let got = harvest(Backend::EventLoop, usize::MAX);
     if std::env::var_os("FLEXIO_REGEN_FIXTURE").is_some() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
         std::fs::write(FIXTURE, &got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(FIXTURE).expect("fixture missing (FLEXIO_REGEN_FIXTURE=1)");
-    let compare = |got: &str, backend: Backend| {
+    let compare = |got: &str, backend: Backend, max_world: usize| {
+        // The fixture's sections a harvest with this limit reproduces.
+        let mut kept = true;
+        let want: Vec<&str> = want
+            .lines()
+            .filter(|line| {
+                if let Some(world) = line.strip_prefix("[p=") {
+                    let p: usize = world.split(' ').next().unwrap().parse().unwrap();
+                    kept = p <= max_world;
+                } else if line.starts_with('[') {
+                    kept = true;
+                }
+                kept
+            })
+            .collect();
         let mut header = "";
-        for (g, w) in got.lines().zip(want.lines()) {
+        for (g, w) in got.lines().zip(&want) {
             if w.starts_with('[') {
                 header = w;
             }
             assert_eq!(
-                g, w,
+                g, *w,
                 "{backend:?}, first differing line under {header} \
                  (rank clock msgs bytes compute/comm/io host-order digest)"
             );
         }
-        assert_eq!(got.lines().count(), want.lines().count(), "{backend:?}");
+        assert_eq!(got.lines().count(), want.len(), "{backend:?}");
     };
-    compare(&got, Backend::EventLoop);
-    for backend in [Backend::Sharded(2), Backend::Sharded(4), Backend::Sharded(7), Backend::from_env()] {
-        compare(&harvest(backend), backend);
+    compare(&got, Backend::EventLoop, usize::MAX);
+    // The pool is an order of magnitude slower than the loop: the two
+    // largest worlds go through it at one width (and at whatever width
+    // `FLEXIO_SIM_SHARDS` asks for), the rest at three.
+    for (backend, max_world) in [
+        (Backend::Sharded(2), 130),
+        (Backend::Sharded(4), usize::MAX),
+        (Backend::Sharded(7), 130),
+        (Backend::from_env(), usize::MAX),
+    ] {
+        compare(&harvest(backend, max_world), backend, max_world);
     }
 }
