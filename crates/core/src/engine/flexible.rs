@@ -365,6 +365,23 @@ fn rebalance_realms(
     )
 }
 
+/// The maximal `(data_pos, len)` ranges of `pieces`: pieces that continue
+/// each other in the client's data space (a contiguous memory type under a
+/// fine-grained filetype) share one memory-layout lookup.
+fn data_ranges(pieces: &[Piece]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let first = pieces.get(i)?;
+        let mut end = first.data_pos + first.len;
+        i += 1;
+        while let Some(p) = pieces.get(i).filter(|p| p.data_pos == end) {
+            end += p.len;
+            i += 1;
+        }
+        Some((first.data_pos, end - first.data_pos))
+    })
+}
+
 /// Build this rank's outgoing payload for one aggregator.
 ///
 /// With `flexio_zero_copy` the payload is an iovec run list borrowed
@@ -385,8 +402,8 @@ fn pack_payload(
     let total: u64 = pieces.iter().map(|p| p.len).sum();
     if hints.zero_copy {
         let mut payload = Vec::with_capacity(total as usize);
-        for p in pieces {
-            for run in mem.runs(user, p.data_pos - my.data_start, p.len) {
+        for (start, len) in data_ranges(pieces) {
+            for run in mem.runs(user, start - my.data_start, len) {
                 payload.extend_from_slice(run.bytes);
             }
         }
@@ -394,9 +411,9 @@ fn pack_payload(
     }
     let mut payload = vec![0u8; total as usize];
     let mut pos = 0usize;
-    for p in pieces {
-        mem.gather(user, p.data_pos - my.data_start, &mut payload[pos..pos + p.len as usize]);
-        pos += p.len as usize;
+    for (start, len) in data_ranges(pieces) {
+        mem.gather(user, start - my.data_start, &mut payload[pos..pos + len as usize]);
+        pos += len as usize;
     }
     if matches!(hints.exchange, ExchangeMode::Nonblocking) {
         // Alltoallw sends straight from the user buffer; the non-blocking
@@ -513,7 +530,7 @@ fn exchange_write(
     let recv_from: Vec<usize> = agg_pieces.iter().map(|&(c, _)| c).collect();
 
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
-        ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
+        ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
         ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
     };
     if agg_pieces.is_empty() {
@@ -591,46 +608,34 @@ fn issue_write(
             }
         }
         let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
+        if sieved {
+            // Double buffering (§5.1/§6.2): sieving beneath the collective
+            // buffer copies once more, collective buffer -> sieve buffer.
+            // Zero-copy keeps this one copy of the model's (it replaces
+            // the packed path's assembly + double-buffer pair for the
+            // same bytes); the host hands the runs down as they are.
+            rank.charge_memcpy(glen);
+            rank.note_bytes_copied(glen);
+        }
         let (nt, e) = match &stage.data {
             StageData::Packed(packed) => {
-                // Double buffering (§5.1/§6.2): sieving beneath the
-                // collective buffer copies once more, collective buffer
-                // -> sieve buffer.
-                if sieved {
-                    rank.charge_memcpy(glen);
-                    rank.note_bytes_copied(glen);
-                }
                 let data = &packed[pos..pos + glen as usize];
                 retry_io(rank, hints, t, |at| {
                     write_packed_nb(handle, at, &group, data, &hints.io_method, period)
                         .into_result()
                 })
             }
-            StageData::Runs { bufs, runs } if sieved => {
-                // Sieving needs a contiguous patch stream for its
-                // read-modify-write, so this group still packs — the one
-                // copy zero-copy keeps (it replaces the packed path's
-                // assembly + double-buffer pair for the same bytes).
-                // The chunk is widened to the whole group span: one RMW
-                // read + one write-back per realm chunk, the same
-                // span-sized staging ROMIO's integrated RMW pass uses,
-                // instead of serialized sieve-buffer-sized round trips.
-                let data: Vec<u8> =
-                    StageData::run_slices(bufs, runs, pos, glen as usize).concat();
-                rank.charge_memcpy(glen);
-                rank.note_bytes_copied(glen);
-                let method = span_wide_sieve(&group);
-                retry_io(rank, hints, t, |at| {
-                    write_packed_nb(handle, at, &group, &data, &method, period).into_result()
-                })
-            }
             StageData::Runs { bufs, runs } => {
                 // Pack-free: hand the received payloads' sub-slices to
-                // the scatter-gather write as-is.
+                // the scatter-gather write as-is. A sieved group's chunk
+                // is widened to the whole group span: one RMW read + one
+                // write-back per realm chunk, the same span-sized staging
+                // ROMIO's integrated RMW pass uses, instead of serialized
+                // sieve-buffer-sized round trips.
                 let slices = StageData::run_slices(bufs, runs, pos, glen as usize);
+                let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
                 retry_io(rank, hints, t, |at| {
-                    write_gathered_nb(handle, at, &group, &slices, &hints.io_method, period)
-                        .into_result()
+                    write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
                 })
             }
         };
@@ -888,7 +893,7 @@ fn distribute_read(
     // Client: receive from every aggregator whose window holds my data.
     let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
-        ExchangeMode::Nonblocking => rank.exchange(&sends, &recv_from),
+        ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
         ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
     };
     // Scatter into the user buffer; `received` is in `my_pieces` order.
@@ -1056,6 +1061,16 @@ mod tests {
         // Zero helper average (no samples worth comparing) declines too.
         let verdict = StragglerVerdict { straggler: 1, loads: vec![(0, 0), (1, 9000)] };
         assert!(rebalance_realms(&old, &verdict, &hints).is_none());
+    }
+
+    #[test]
+    fn data_ranges_merge_only_what_continues() {
+        let piece = |file_off, data_pos, len| Piece { file_off, data_pos, len };
+        // 0..8 continues into 8..12; 20 starts a new range; an empty list
+        // has none. File offsets play no part.
+        let pieces = [piece(100, 0, 8), piece(300, 8, 4), piece(200, 20, 4), piece(900, 24, 1)];
+        assert_eq!(data_ranges(&pieces).collect::<Vec<_>>(), vec![(0, 12), (20, 5)]);
+        assert_eq!(data_ranges(&[]).count(), 0);
     }
 
     #[test]

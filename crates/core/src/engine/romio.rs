@@ -472,7 +472,7 @@ impl CycleDriver for RomioWrite<'_> {
             .filter(|(_, l)| !l.is_empty())
             .map(|(c, _)| c)
             .collect();
-        let received = self.rank.exchange(&sends, &recv_from);
+        let received = self.rank.exchange(sends, &recv_from);
         if self.my_agg_idx.is_none() || recv_from.is_empty() {
             return None;
         }
@@ -677,7 +677,7 @@ impl CycleDriver for RomioRead<'_, '_> {
             .filter(|(_, p)| !p.is_empty())
             .map(|(a, _)| self.agg_ranks[a])
             .collect();
-        let received = self.rank.exchange(&sends, &recv_from);
+        let received = self.rank.exchange(sends, &recv_from);
         let user = match self.buf {
             DataBuf::Read(b) => &mut **b,
             DataBuf::Write(_) => unreachable!(),

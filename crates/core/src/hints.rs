@@ -105,8 +105,9 @@ pub struct Hints {
     /// each byte once — pack, collective-buffer assembly, and
     /// distribution copies disappear from the charge stream and the
     /// [`flexio_sim::Stats::bytes_copied`] ledger; sieve-resolved groups
-    /// still pack (the RMW patch needs a contiguous stream) and charge
-    /// that one copy. Off reproduces the packed path byte- and
+    /// are still charged the one copy into the sieve buffer (the model's
+    /// RMW patches a contiguous stream; the host hands the runs down as
+    /// they are). Off reproduces the packed path byte- and
     /// charge-identically.
     pub zero_copy: bool,
     /// Prefetch the ROMIO engine's data-sieving RMW pre-read one pipeline

@@ -21,6 +21,42 @@
 
 use flexio_types::{Datatype, Dt};
 
+/// Fill `out` with a stamp sequence: `first`, then each byte `step` more
+/// than the last modulo `modulus` (`step < modulus`). The sequence repeats
+/// every `modulus` bytes, so one period is computed — a conditional
+/// subtract per byte, no division — and the rest is doubled in.
+fn fill_stamps(out: &mut [u8], first: u8, step: u8, modulus: u8) {
+    let period = out.len().min(modulus as usize);
+    let mut v = first as u16;
+    for b in &mut out[..period] {
+        *b = v as u8;
+        v += step as u16;
+        if v >= modulus as u16 {
+            v -= modulus as u16;
+        }
+    }
+    // `filled` stays a multiple of the period, so a prefix continues it.
+    let mut filled = period;
+    while filled < out.len() {
+        let take = filled.min(out.len() - filled);
+        out.copy_within(..take, filled);
+        filled += take;
+    }
+}
+
+/// Where `content[off..]` first differs from `want`, as `(index into
+/// want, expected, got)`; bytes past the end of `content` count as zeros.
+/// Compares by slice and walks bytes only to report the mismatch.
+fn first_mismatch(content: &[u8], off: usize, want: &[u8]) -> Option<(usize, u8, u8)> {
+    if content.get(off..off + want.len()) == Some(want) {
+        return None;
+    }
+    want.iter().enumerate().find_map(|(b, &w)| {
+        let got = content.get(off + b).copied().unwrap_or(0);
+        (got != w).then_some((b, w, got))
+    })
+}
+
 /// How the filetype describes the (identical) access pattern — the Fig. 4
 /// "struct vs vector" axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,12 +172,10 @@ impl HpioSpec {
     /// Build the user buffer with stamps at the data positions.
     pub fn make_buffer(&self, rank: usize) -> Vec<u8> {
         let mut buf = vec![0u8; self.buffer_span() as usize];
+        let rs = self.region_size;
         for i in 0..self.region_count {
-            for b in 0..self.region_size {
-                let idx = i * self.region_size + b;
-                let pos = if self.mem_noncontig { i * self.unit() + b } else { idx };
-                buf[pos as usize] = self.stamp(rank, idx);
-            }
+            let pos = if self.mem_noncontig { i * self.unit() } else { i * rs } as usize;
+            fill_stamps(&mut buf[pos..pos + rs as usize], self.stamp(rank, i * rs), 7, 251);
         }
         buf
     }
@@ -158,15 +192,21 @@ impl HpioSpec {
     }
 
     /// Verify the full file image against the stamps; returns the first
-    /// mismatch as `(rank, idx, expected, got)`.
+    /// mismatch as `(rank, idx, expected, got)`. Bytes past the end of
+    /// `content` count as zeros.
     pub fn verify(&self, content: &[u8]) -> Result<(), (usize, u64, u8, u8)> {
+        let rs = self.region_size;
+        if rs == 0 {
+            return Ok(());
+        }
+        // A region is contiguous in the file: one offset and one compare.
+        let mut want = vec![0u8; rs as usize];
         for rank in 0..self.nprocs {
-            for idx in 0..self.bytes_per_proc() {
-                let off = self.file_offset(rank, idx) as usize;
-                let want = self.stamp(rank, idx);
-                let got = content.get(off).copied().unwrap_or(0);
-                if got != want {
-                    return Err((rank, idx, want, got));
+            for i in 0..self.region_count {
+                let off = self.file_offset(rank, i * rs) as usize;
+                fill_stamps(&mut want, self.stamp(rank, i * rs), 7, 251);
+                if let Some((b, w, got)) = first_mismatch(content, off, &want) {
+                    return Err((rank, i * rs + b as u64, w, got));
                 }
             }
         }
@@ -255,7 +295,9 @@ impl TimeStepSpec {
 
     /// Build this rank's (contiguous) buffer for time step `t`.
     pub fn make_buffer(&self, rank: usize, t: u64) -> Vec<u8> {
-        (0..self.bytes_per_rank_step(rank)).map(|i| self.stamp(rank, t, i)).collect()
+        let mut buf = vec![0u8; self.bytes_per_rank_step(rank) as usize];
+        fill_stamps(&mut buf, self.stamp(rank, t, 0), 3, 249);
+        buf
     }
 
     /// File offset of data byte `idx` of `rank` at step `t`.
@@ -272,16 +314,21 @@ impl TimeStepSpec {
             + within
     }
 
-    /// Verify the final file against all steps' stamps.
+    /// Verify the final file against all steps' stamps; returns the first
+    /// mismatch as `(rank, step, idx, expected, got)`. Bytes past the end
+    /// of `content` count as zeros.
     pub fn verify(&self, content: &[u8]) -> Result<(), (usize, u64, u64, u8, u8)> {
+        let es = self.elem_size;
+        // An element is contiguous in the file: one offset and one compare.
+        let mut want = vec![0u8; es as usize];
         for rank in 0..self.nprocs {
+            let elems = self.bytes_per_rank_step(rank).checked_div(es).unwrap_or(0);
             for t in 0..self.steps {
-                for idx in 0..self.bytes_per_rank_step(rank) {
-                    let off = self.file_offset(rank, t, idx) as usize;
-                    let want = self.stamp(rank, t, idx);
-                    let got = content.get(off).copied().unwrap_or(0);
-                    if got != want {
-                        return Err((rank, t, idx, want, got));
+                for e in 0..elems {
+                    let off = self.file_offset(rank, t, e * es) as usize;
+                    fill_stamps(&mut want, self.stamp(rank, t, e * es), 3, 249);
+                    if let Some((b, w, got)) = first_mismatch(content, off, &want) {
+                        return Err((rank, t, e * es + b as u64, w, got));
                     }
                 }
             }
@@ -383,6 +430,139 @@ mod tests {
         img[12] ^= 0xFF;
         let err = s.verify(&img).unwrap_err();
         assert_eq!(err.0, 1); // rank 1's first region starts at 12
+    }
+
+    // ---- the per-byte definitions the fast oracles must equal ------------
+
+    fn hpio_buffer_ref(s: &HpioSpec, rank: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; s.buffer_span() as usize];
+        for i in 0..s.region_count {
+            for b in 0..s.region_size {
+                let idx = i * s.region_size + b;
+                let pos = if s.mem_noncontig { i * s.unit() + b } else { idx };
+                buf[pos as usize] = s.stamp(rank, idx);
+            }
+        }
+        buf
+    }
+
+    fn hpio_verify_ref(s: &HpioSpec, content: &[u8]) -> Result<(), (usize, u64, u8, u8)> {
+        for rank in 0..s.nprocs {
+            for idx in 0..s.bytes_per_proc() {
+                let off = s.file_offset(rank, idx) as usize;
+                let want = s.stamp(rank, idx);
+                let got = content.get(off).copied().unwrap_or(0);
+                if got != want {
+                    return Err((rank, idx, want, got));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn timestep_buffer_ref(s: &TimeStepSpec, rank: usize, t: u64) -> Vec<u8> {
+        (0..s.bytes_per_rank_step(rank)).map(|i| s.stamp(rank, t, i)).collect()
+    }
+
+    fn timestep_verify_ref(
+        s: &TimeStepSpec,
+        content: &[u8],
+    ) -> Result<(), (usize, u64, u64, u8, u8)> {
+        for rank in 0..s.nprocs {
+            for t in 0..s.steps {
+                for idx in 0..s.bytes_per_rank_step(rank) {
+                    let off = s.file_offset(rank, t, idx) as usize;
+                    let want = s.stamp(rank, t, idx);
+                    let got = content.get(off).copied().unwrap_or(0);
+                    if got != want {
+                        return Err((rank, t, idx, want, got));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Images on which the oracles must agree: the correct one (accepted),
+    /// a flipped byte near the start, in the middle and at the very end, a
+    /// zeroed byte, a short image and an empty one.
+    fn damaged(img: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = vec![img.to_vec()];
+        for at in [1, img.len() / 2, img.len() - 1] {
+            let mut bad = img.to_vec();
+            bad[at] ^= 0x5A;
+            out.push(bad);
+        }
+        out.push(img[..img.len() * 2 / 3].to_vec());
+        out.push(Vec::new());
+        out
+    }
+
+    #[test]
+    fn hpio_fast_oracles_equal_the_per_byte_definition() {
+        // Region sizes around the stamp period (251) and the page size.
+        for region_size in [1, 8, 250, 251, 252, 4096] {
+            for (mem_noncontig, file_noncontig) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let s = HpioSpec {
+                    region_size,
+                    region_count: 3,
+                    region_spacing: 5,
+                    mem_noncontig,
+                    file_noncontig,
+                    nprocs: 3,
+                };
+                let mut img = vec![0u8; (s.unit() * s.nprocs as u64 * s.region_count) as usize];
+                for rank in 0..s.nprocs {
+                    let buf = s.make_buffer(rank);
+                    assert_eq!(buf, hpio_buffer_ref(&s, rank), "{s:?} rank {rank}");
+                    for idx in 0..s.bytes_per_proc() {
+                        img[s.file_offset(rank, idx) as usize] = s.stamp(rank, idx);
+                    }
+                }
+                // Trim to the last data byte so that a short image is short
+                // of data, not of padding.
+                let end = img.iter().rposition(|&b| b != 0).unwrap() + 1;
+                for (k, image) in damaged(&img[..end]).iter().enumerate() {
+                    assert_eq!(s.verify(image), hpio_verify_ref(&s, image), "{s:?} image {k}");
+                    // The last byte is data, and an empty image holds none.
+                    assert!(s.verify(image).is_ok() || k > 0);
+                    assert!(s.verify(image).is_err() || !matches!(k, 3 | 5), "{s:?} image {k}");
+                }
+                assert_eq!(s.verify(&img), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn timestep_fast_oracles_equal_the_per_byte_definition() {
+        let base = TimeStepSpec { elem_size: 8, elems_per_point: 7, points: 3, steps: 2, nprocs: 3 };
+        for s in [
+            base,
+            TimeStepSpec { elem_size: 1, ..base },
+            TimeStepSpec { elem_size: 252, ..base },
+            TimeStepSpec { elem_size: 4096, points: 1, ..base },
+            // more_procs_than_elements: ranks 3 and 4 own nothing.
+            TimeStepSpec { elem_size: 4, elems_per_point: 3, points: 2, steps: 1, nprocs: 5 },
+        ] {
+            let mut img = vec![0u8; s.file_bytes() as usize];
+            for rank in 0..s.nprocs {
+                for t in 0..s.steps {
+                    let buf = s.make_buffer(rank, t);
+                    assert_eq!(buf, timestep_buffer_ref(&s, rank, t), "{s:?} rank {rank} step {t}");
+                    for (idx, &b) in buf.iter().enumerate() {
+                        img[s.file_offset(rank, t, idx as u64) as usize] = b;
+                    }
+                }
+            }
+            for (k, image) in damaged(&img).iter().enumerate() {
+                assert_eq!(s.verify(image), timestep_verify_ref(&s, image), "{s:?} image {k}");
+                // Every byte of the file is some rank's data.
+                assert_eq!(s.verify(image).is_ok(), k == 0, "{s:?} image {k}");
+            }
+            assert_eq!(s.verify(&img), Ok(()));
+        }
     }
 
     #[test]

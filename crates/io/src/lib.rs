@@ -208,7 +208,8 @@ pub fn write_packed(
 
 /// Issue half of [`write_packed`]: data is committed immediately, the
 /// returned completion carries the virtual window the write occupies and
-/// any fault an underlying request reported.
+/// any fault an underlying request reported. A packed stream is a run
+/// list of one.
 pub fn write_packed_nb(
     h: &FileHandle,
     now: u64,
@@ -217,34 +218,7 @@ pub fn write_packed_nb(
     method: &IoMethod,
     pattern_extent: u64,
 ) -> IoCompletion {
-    if segs.is_empty() {
-        return IoCompletion::span(now, now);
-    }
-    check_segs(segs, packed.len());
-    let (done_at, err) = match resolve(method, segs, pattern_extent) {
-        Resolved::Contiguous => {
-            let op = h.pwrite_nb(now, segs[0].0, packed);
-            (op.done_at(), op.error())
-        }
-        Resolved::Naive => {
-            // List I/O requests depend on each other only through the
-            // handle's request stream; chain their completion times. A
-            // faulted request still charges its window, so the remaining
-            // segments are issued and the first fault captured.
-            let mut t = now;
-            let mut pos = 0usize;
-            let mut err = None;
-            for &(off, len) in segs {
-                let op = h.pwrite_nb(t, off, &packed[pos..pos + len as usize]);
-                t = op.done_at();
-                err = err.or(op.error());
-                pos += len as usize;
-            }
-            (t, err)
-        }
-        Resolved::DataSieve(buffer) => sieve_write(h, now, segs, packed, buffer),
-    };
-    IoCompletion::new(now, done_at, err)
+    write_gathered_nb(h, now, segs, &[packed], method, pattern_extent)
 }
 
 /// Read the file segments into `packed` using `method`. Returns the
@@ -264,7 +238,8 @@ pub fn read_packed(
 
 /// Issue half of [`read_packed`]: `packed` is filled immediately, the
 /// returned completion carries the virtual window the read occupies and
-/// any fault an underlying request reported.
+/// any fault an underlying request reported. A packed buffer is a run
+/// list of one.
 pub fn read_packed_nb(
     h: &FileHandle,
     now: u64,
@@ -273,45 +248,74 @@ pub fn read_packed_nb(
     method: &IoMethod,
     pattern_extent: u64,
 ) -> IoCompletion {
-    if segs.is_empty() {
-        return IoCompletion::span(now, now);
-    }
-    check_segs(segs, packed.len());
-    let (done_at, err) = match resolve(method, segs, pattern_extent) {
-        Resolved::Contiguous => {
-            let op = h.pread_nb(now, segs[0].0, packed);
-            (op.done_at(), op.error())
-        }
-        Resolved::Naive => {
-            let mut t = now;
-            let mut pos = 0usize;
-            let mut err = None;
-            for &(off, len) in segs {
-                let op = h.pread_nb(t, off, &mut packed[pos..pos + len as usize]);
-                t = op.done_at();
-                err = err.or(op.error());
-                pos += len as usize;
-            }
-            (t, err)
-        }
-        Resolved::DataSieve(buffer) => sieve_read(h, now, segs, packed, buffer),
-    };
-    IoCompletion::new(now, done_at, err)
+    read_scattered_nb(h, now, segs, &mut [packed], method, pattern_extent)
 }
 
-/// Scatter-gather twin of [`write_packed_nb`]: the packed stream arrives
-/// as an iovec-style run list (`runs`, concatenating to the segments'
-/// bytes) instead of one contiguous buffer, so callers holding borrowed
+/// A position in a source run list: hands out the sub-runs covering the
+/// next `n` stream bytes, so that segments (or sieve chunks) and runs can
+/// cut the same byte stream independently.
+struct RunCursor<'a> {
+    runs: std::slice::Iter<'a, &'a [u8]>,
+    /// Unconsumed rest of the current run.
+    cur: &'a [u8],
+}
+
+impl<'a> RunCursor<'a> {
+    fn new(runs: &'a [&'a [u8]]) -> Self {
+        RunCursor { runs: runs.iter(), cur: &[] }
+    }
+
+    /// Append the sub-runs of the next `n` bytes to `out`.
+    fn take(&mut self, mut n: usize, out: &mut Vec<&'a [u8]>) {
+        while n > 0 {
+            while self.cur.is_empty() {
+                self.cur = self.runs.next().expect("source runs exhausted");
+            }
+            let (head, tail) = self.cur.split_at(self.cur.len().min(n));
+            out.push(head);
+            self.cur = tail;
+            n -= head.len();
+        }
+    }
+}
+
+/// [`RunCursor`] over a destination run list.
+struct DestCursor<'a, 'b> {
+    dests: std::slice::IterMut<'a, &'b mut [u8]>,
+    cur: &'a mut [u8],
+}
+
+impl<'a, 'b> DestCursor<'a, 'b> {
+    fn new(dests: &'a mut [&'b mut [u8]]) -> Self {
+        DestCursor { dests: dests.iter_mut(), cur: &mut [] }
+    }
+
+    fn take(&mut self, mut n: usize, out: &mut Vec<&'a mut [u8]>) {
+        while n > 0 {
+            while self.cur.is_empty() {
+                self.cur = self.dests.next().expect("dest runs exhausted");
+            }
+            let cur = std::mem::take(&mut self.cur);
+            let (head, tail) = cur.split_at_mut(cur.len().min(n));
+            n -= head.len();
+            out.push(head);
+            self.cur = tail;
+        }
+    }
+}
+
+/// Write the file segments from an iovec-style run list (`runs`,
+/// concatenating to the segments' bytes), so callers holding borrowed
 /// user-buffer or received-payload slices skip the intermediate packed
 /// copy. Segment boundaries and run boundaries cut the same byte stream
 /// independently — neither needs to nest in the other.
 ///
-/// Charged identically to [`write_packed_nb`] of the same segments: the
-/// PFS sees the same requests (vectored where the packed path was
-/// contiguous per request). Data sieving still assembles a contiguous
-/// patch stream internally — the sieve chunk RMW needs one — which is why
-/// engines route sieve-resolved groups through the packed path and charge
-/// that copy explicitly.
+/// This is the one write body ([`write_packed_nb`] is the run list of
+/// one): the PFS sees the same requests whatever the cut, vectored, and no
+/// arm assembles a buffer — a sieve chunk commits its sub-runs as they
+/// are ([`FileHandle::sieve_chunk_write`] charges the chunk and patches
+/// the segments). Whether a copy is *charged* is the caller's model: the
+/// engines charge a sieved group's double-buffer copy themselves.
 pub fn write_gathered_nb(
     h: &FileHandle,
     now: u64,
@@ -323,58 +327,42 @@ pub fn write_gathered_nb(
     if segs.is_empty() {
         return IoCompletion::span(now, now);
     }
-    let run_total: usize = runs.iter().map(|r| r.len()).sum();
-    check_segs(segs, run_total);
+    check_segs(segs, runs.iter().map(|r| r.len()).sum());
     let (done_at, err) = match resolve(method, segs, pattern_extent) {
         Resolved::Contiguous => {
             let op = h.pwritev_nb(now, segs[0].0, runs);
             (op.done_at(), op.error())
         }
         Resolved::Naive => {
-            // One vectored request per segment, the sub-runs carved out of
-            // the shared stream; completion times chain like list I/O.
+            // List I/O: one vectored request per segment, the sub-runs
+            // carved out of the shared stream. Requests depend on each
+            // other only through the handle's request stream; chain their
+            // completion times. A faulted request still charges its
+            // window, so the remaining segments are issued and the first
+            // fault captured.
             let mut t = now;
             let mut err = None;
-            let mut ri = 0usize;
-            let mut within = 0usize;
+            let mut cursor = RunCursor::new(runs);
+            let mut sub: Vec<&[u8]> = Vec::new();
             for &(off, len) in segs {
-                let mut sub: Vec<&[u8]> = Vec::new();
-                let mut remaining = len as usize;
-                while remaining > 0 {
-                    let r = runs[ri];
-                    let take = (r.len() - within).min(remaining);
-                    sub.push(&r[within..within + take]);
-                    within += take;
-                    remaining -= take;
-                    if within == r.len() {
-                        ri += 1;
-                        within = 0;
-                    }
-                }
+                sub.clear();
+                cursor.take(len as usize, &mut sub);
                 let op = h.pwritev_nb(t, off, &sub);
                 t = op.done_at();
                 err = err.or(op.error());
             }
             (t, err)
         }
-        Resolved::DataSieve(buffer) => {
-            // The sieve RMW patches a contiguous chunk stream: assemble one
-            // here. Callers wanting this copy *charged* use the packed path.
-            let mut joined = Vec::with_capacity(run_total);
-            for r in runs {
-                joined.extend_from_slice(r);
-            }
-            sieve_write(h, now, segs, &joined, buffer)
-        }
+        Resolved::DataSieve(buffer) => sieve_write(h, now, segs, runs, buffer),
     };
     IoCompletion::new(now, done_at, err)
 }
 
-/// Scatter-gather twin of [`read_packed_nb`]: the segments' bytes land
-/// straight in the caller's run list (`dests`, filled in stream order)
-/// with no intermediate packed buffer. Charged identically to
-/// [`read_packed_nb`] of the same segments; sieve chunks extract into the
-/// destination runs directly (the chunk buffer is inherent to sieving).
+/// Read the file segments straight into the caller's run list (`dests`,
+/// filled in stream order) with no intermediate packed buffer — the one
+/// read body ([`read_packed_nb`] is the run list of one). A sieve chunk is
+/// charged as one read of the chunk and delivers its segments' bytes to
+/// the destination runs directly ([`FileHandle::sieve_chunk_read`]).
 pub fn read_scattered_nb(
     h: &FileHandle,
     now: u64,
@@ -386,8 +374,7 @@ pub fn read_scattered_nb(
     if segs.is_empty() {
         return IoCompletion::span(now, now);
     }
-    let dest_total: usize = dests.iter().map(|d| d.len()).sum();
-    check_segs(segs, dest_total);
+    check_segs(segs, dests.iter().map(|d| d.len()).sum());
     let (done_at, err) = match resolve(method, segs, pattern_extent) {
         Resolved::Contiguous => {
             let op = h.preadv_nb(now, segs[0].0, dests);
@@ -396,92 +383,86 @@ pub fn read_scattered_nb(
         Resolved::Naive => {
             let mut t = now;
             let mut err = None;
-            let mut iter = dests.iter_mut();
-            let mut cur: &mut [u8] = &mut [];
+            let mut cursor = DestCursor::new(dests);
+            let mut sub: Vec<&mut [u8]> = Vec::new();
             for &(off, len) in segs {
-                let mut sub: Vec<&mut [u8]> = Vec::new();
-                let mut remaining = len as usize;
-                while remaining > 0 {
-                    while cur.is_empty() {
-                        cur = std::mem::take(iter.next().expect("dest runs exhausted"));
-                    }
-                    let take = cur.len().min(remaining);
-                    let (head, tail) = std::mem::take(&mut cur).split_at_mut(take);
-                    sub.push(head);
-                    cur = tail;
-                    remaining -= take;
-                }
+                sub.clear();
+                cursor.take(len as usize, &mut sub);
                 let op = h.preadv_nb(t, off, &mut sub);
                 t = op.done_at();
                 err = err.or(op.error());
             }
             (t, err)
         }
-        Resolved::DataSieve(buffer) => {
-            let mut packed = vec![0u8; dest_total];
-            let (t, err) = sieve_read(h, now, segs, &mut packed, buffer);
-            let mut pos = 0usize;
-            for d in dests.iter_mut() {
-                d.copy_from_slice(&packed[pos..pos + d.len()]);
-                pos += d.len();
-            }
-            (t, err)
-        }
+        Resolved::DataSieve(buffer) => sieve_read(h, now, segs, dests, buffer),
     };
     IoCompletion::new(now, done_at, err)
 }
 
+/// The sieve chunks of `segs` under a sieve buffer of `buffer` bytes, in
+/// file order: `(chunk start, chunk length, segments clipped to the
+/// chunk)`. A chunk starts at a segment start — empty sieve windows are
+/// not read or written (as in ADIOI), so distant segment groups do not
+/// drag the whole gap through the sieve buffer — and a segment longer than
+/// the buffer continues into the next chunk.
+fn sieve_chunks(
+    segs: &[(u64, u64)],
+    buffer: usize,
+) -> impl Iterator<Item = (u64, u64, Vec<(u64, u64)>)> + '_ {
+    let buffer = buffer.max(1) as u64;
+    let end = segs.last().map_or(0, |&(off, len)| off + len);
+    let mut chunk_start = segs.first().map_or(0, |s| s.0);
+    let mut si = 0usize;
+    std::iter::from_fn(move || {
+        if chunk_start >= end {
+            return None;
+        }
+        let chunk_end = (chunk_start + buffer).min(end);
+        let mut clipped: Vec<(u64, u64)> = Vec::new();
+        while si < segs.len() && segs[si].0 < chunk_end {
+            let (off, len) = segs[si];
+            let lo = off.max(chunk_start);
+            let hi = (off + len).min(chunk_end);
+            clipped.push((lo, hi - lo));
+            if off + len > chunk_end {
+                break; // segment continues into the next chunk
+            }
+            si += 1;
+        }
+        let item = (chunk_start, chunk_end - chunk_start, clipped);
+        chunk_start = match segs.get(si) {
+            Some(&(off, _)) => off.max(chunk_end),
+            None => end,
+        };
+        Some(item)
+    })
+}
+
 /// Data-sieving write: for each sieve-buffer-sized chunk of the covering
 /// extent, pre-read it (unless the chunk is fully covered by data), patch
-/// in the packed bytes, and write the whole chunk back.
+/// in the segments' bytes, and write the whole chunk back — as the file
+/// system charges it; the chunk's sub-runs go down as they are.
 fn sieve_write(
     h: &FileHandle,
     now: u64,
     segs: &[(u64, u64)],
-    packed: &[u8],
+    runs: &[&[u8]],
     buffer: usize,
 ) -> (u64, Option<PfsError>) {
-    let buffer = buffer.max(1) as u64;
-    let start = segs[0].0;
-    let end = segs.last().unwrap().0 + segs.last().unwrap().1;
     let mut t = now;
     let mut err = None;
-    let mut chunk_start = start;
-    // Cursor into segs/packed shared across chunks.
-    let mut si = 0usize;
-    let mut packed_pos = 0usize;
-    while chunk_start < end {
-        let chunk_end = (chunk_start + buffer).min(end);
-        // Collect the segment runs overlapping this chunk, clipped.
-        let covered = chunk_fully_covered(segs, si, chunk_start, chunk_end);
-        let mut chunk_segs: Vec<(u64, u64)> = Vec::new();
-        let mut chunk_packed: Vec<u8> = Vec::new();
-        while si < segs.len() && segs[si].0 < chunk_end {
-            let (off, len) = segs[si];
-            let seg_end = off + len;
-            let lo = off.max(chunk_start);
-            let hi = seg_end.min(chunk_end);
-            let in_packed = packed_pos + (lo - off) as usize;
-            chunk_segs.push((lo, hi - lo));
-            chunk_packed.extend_from_slice(&packed[in_packed..in_packed + (hi - lo) as usize]);
-            if seg_end <= chunk_end {
-                packed_pos += len as usize;
-                si += 1;
-            } else {
-                break; // segment continues into the next chunk
-            }
-        }
+    let mut cursor = RunCursor::new(runs);
+    let mut sub: Vec<&[u8]> = Vec::new();
+    for (chunk_start, chunk_len, chunk_segs) in sieve_chunks(segs, buffer) {
+        // Disjoint segments cover the chunk exactly when they fill it.
+        let data_len = total_len(&chunk_segs);
+        let covered = data_len == chunk_len;
+        sub.clear();
+        cursor.take(data_len as usize, &mut sub);
         // Atomic read-modify-write: the file system holds its RMW lock
         // across the pre-read and the write-back so concurrent writers
         // to gap bytes are never clobbered (ROMIO's fcntl sieve lock).
-        t = match h.sieve_chunk_write(
-            t,
-            chunk_start,
-            chunk_end - chunk_start,
-            &chunk_segs,
-            &chunk_packed,
-            covered,
-        ) {
+        t = match h.sieve_chunk_write(t, chunk_start, chunk_len, &chunk_segs, &sub, covered) {
             Ok(done) => done,
             Err(e) => {
                 // The chunk's data landed and its window was charged
@@ -491,80 +472,35 @@ fn sieve_write(
                 e.at
             }
         };
-        // Skip straight to the next segment: empty sieve windows are not
-        // read or written (as in ADIOI), so distant segment groups do not
-        // drag the whole gap through the sieve buffer.
-        chunk_start = match segs.get(si) {
-            Some(&(off, _)) => off.max(chunk_end),
-            None => end,
-        };
     }
     (t, err)
 }
 
-/// Data-sieving read: read each chunk of the covering extent and extract
-/// the segment bytes.
+/// Data-sieving read: one read per chunk of the covering extent, of which
+/// the segments' bytes land in the destination runs.
 fn sieve_read(
     h: &FileHandle,
     now: u64,
     segs: &[(u64, u64)],
-    packed: &mut [u8],
+    dests: &mut [&mut [u8]],
     buffer: usize,
 ) -> (u64, Option<PfsError>) {
-    let buffer = buffer.max(1) as u64;
-    let start = segs[0].0;
-    let end = segs.last().unwrap().0 + segs.last().unwrap().1;
     let mut t = now;
     let mut err = None;
-    let mut chunk_start = start;
-    let mut si = 0usize;
-    let mut packed_pos = 0usize;
-    while chunk_start < end {
-        let chunk_end = (chunk_start + buffer).min(end);
-        let clen = (chunk_end - chunk_start) as usize;
-        let mut buf = vec![0u8; clen];
-        t = match h.read(t, chunk_start, &mut buf) {
+    let mut cursor = DestCursor::new(dests);
+    let mut sub: Vec<&mut [u8]> = Vec::new();
+    for (chunk_start, chunk_len, chunk_segs) in sieve_chunks(segs, buffer) {
+        sub.clear();
+        cursor.take(total_len(&chunk_segs) as usize, &mut sub);
+        t = match h.sieve_chunk_read(t, chunk_start, chunk_len, &chunk_segs, &mut sub) {
             Ok(done) => done,
             Err(e) => {
                 err = err.or(Some(e));
                 e.at
             }
         };
-        while si < segs.len() && segs[si].0 < chunk_end {
-            let (off, len) = segs[si];
-            let seg_end = off + len;
-            let lo = off.max(chunk_start);
-            let hi = seg_end.min(chunk_end);
-            let in_packed = packed_pos + (lo - off) as usize;
-            packed[in_packed..in_packed + (hi - lo) as usize]
-                .copy_from_slice(&buf[(lo - chunk_start) as usize..(hi - chunk_start) as usize]);
-            if seg_end <= chunk_end {
-                packed_pos += len as usize;
-                si += 1;
-            } else {
-                break;
-            }
-        }
-        chunk_start = match segs.get(si) {
-            Some(&(off, _)) => off.max(chunk_end),
-            None => end,
-        };
     }
     (t, err)
-}
-
-fn chunk_fully_covered(segs: &[(u64, u64)], si: usize, chunk_start: u64, chunk_end: u64) -> bool {
-    let mut pos = chunk_start;
-    for &(off, len) in &segs[si..] {
-        if off > pos {
-            return false;
-        }
-        pos = pos.max(off + len);
-        if pos >= chunk_end {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -725,7 +661,7 @@ mod tests {
         let data = packed_for(&segs);
         // Single contiguous run resolves to Contiguous in write_packed; use
         // sieve_write directly to check the coverage logic.
-        let (t, err) = super::sieve_write(&h, 0, &segs, &data, 64);
+        let (t, err) = super::sieve_write(&h, 0, &segs, &[&data], 64);
         assert!(err.is_none());
         assert!(t > 0);
         assert_eq!(pfs.stats().bytes_read, 0, "covered chunk must skip pre-read");
@@ -992,12 +928,19 @@ mod tests {
     }
 
     #[test]
-    fn chunk_fully_covered_logic() {
-        let segs = [(0u64, 10u64), (10, 10), (30, 10)];
-        assert!(chunk_fully_covered(&segs, 0, 0, 20));
-        assert!(!chunk_fully_covered(&segs, 0, 0, 21));
-        assert!(!chunk_fully_covered(&segs, 0, 25, 35));
-        assert!(chunk_fully_covered(&segs, 2, 30, 40));
-        assert!(chunk_fully_covered(&segs, 0, 5, 15));
+    fn sieve_chunks_start_at_data_and_clip_segments() {
+        let segs = [(0u64, 10u64), (10, 10), (30, 10), (500, 25)];
+        let chunks: Vec<_> = sieve_chunks(&segs, 16).collect();
+        assert_eq!(
+            chunks,
+            vec![
+                (0, 16, vec![(0, 10), (10, 6)]), // covered: 16 of 16
+                (16, 16, vec![(16, 4), (30, 2)]),
+                (32, 16, vec![(32, 8)]),
+                (500, 16, vec![(500, 16)]), // the gap before it is skipped
+                (516, 9, vec![(516, 9)]),
+            ]
+        );
+        assert_eq!(sieve_chunks(&[], 16).count(), 0);
     }
 }

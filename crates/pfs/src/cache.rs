@@ -21,8 +21,6 @@ struct Page {
 pub struct ClientCache {
     pages: HashMap<u64, Page>,
     page_size: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// A contiguous dirty run ready to be written back.
@@ -37,7 +35,7 @@ pub struct DirtyRun {
 impl ClientCache {
     /// New cache with the given page size.
     pub fn new(page_size: u64) -> Self {
-        ClientCache { pages: HashMap::new(), page_size, hits: 0, misses: 0 }
+        ClientCache { pages: HashMap::new(), page_size }
     }
 
     /// Is the page containing `off` cached?
@@ -58,11 +56,6 @@ impl ClientCache {
     /// True if no pages are cached.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// `(cache_hits, cache_misses)` counted by [`ClientCache::read`].
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Insert a clean page fetched from the server.
@@ -89,31 +82,57 @@ impl ClientCache {
     /// overwritten pages must already be cached (fill them first via
     /// [`ClientCache::missing_pages`] + [`ClientCache::fill`]).
     pub fn write(&mut self, off: u64, data: &[u8]) {
+        self.write_pieces(off, data.len() as u64, std::iter::once((off, data)));
+    }
+
+    /// Mark every page of `[off, off+len)` dirty and copy `pieces` —
+    /// ascending, non-overlapping `(absolute offset, bytes)` runs inside
+    /// the range — to where they land; bytes of the range no piece covers
+    /// keep what their page holds. One page lookup per page, however many
+    /// pieces fall in it. A page the range covers whole is created on
+    /// demand (the caller's pieces must then cover it, or it reads as
+    /// zeros); a partially covered page must already be cached.
+    pub fn write_pieces<'a>(
+        &mut self,
+        off: u64,
+        len: u64,
+        mut pieces: impl Iterator<Item = (u64, &'a [u8])>,
+    ) {
+        if len == 0 {
+            return;
+        }
         let ps = self.page_size;
-        let mut pos = 0u64;
-        let len = data.len() as u64;
-        while pos < len {
-            let abs = off + pos;
-            let page_idx = abs / ps;
-            let in_page = abs % ps;
-            let n = (ps - in_page).min(len - pos);
+        let end = off + len;
+        // The piece (or the rest of one) that starts at or past the page
+        // being filled.
+        let mut pending = pieces.next();
+        for page_idx in off / ps..=(end - 1) / ps {
+            let (p_start, p_end) = (page_idx * ps, (page_idx + 1) * ps);
             let page = self.pages.entry(page_idx).or_insert_with(|| {
                 debug_assert!(
-                    in_page == 0 && n == ps,
+                    off <= p_start && end >= p_end,
                     "partial write to uncached page {page_idx}; fill it first"
                 );
                 Page { data: vec![0u8; ps as usize].into_boxed_slice(), dirty: false }
             });
-            page.data[in_page as usize..(in_page + n) as usize]
-                .copy_from_slice(&data[pos as usize..(pos + n) as usize]);
             page.dirty = true;
-            pos += n;
+            while let Some((at, bytes)) = pending {
+                debug_assert!(at >= p_start && at + bytes.len() as u64 <= end, "piece outside range");
+                if at >= p_end {
+                    break;
+                }
+                let n = ((p_end - at) as usize).min(bytes.len());
+                let in_page = (at - p_start) as usize;
+                page.data[in_page..in_page + n].copy_from_slice(&bytes[..n]);
+                pending = if n < bytes.len() { Some((at + n as u64, &bytes[n..])) } else { pieces.next() };
+            }
         }
+        debug_assert!(pending.is_none(), "piece past the end of the range");
     }
 
     /// Read `buf.len()` bytes at `off`. Every page must be cached (fill
-    /// misses first). Returns the number of page hits counted.
-    pub fn read(&mut self, off: u64, buf: &mut [u8]) {
+    /// misses first).
+    pub fn read(&self, off: u64, buf: &mut [u8]) {
         let ps = self.page_size;
         let mut pos = 0u64;
         let len = buf.len() as u64;
@@ -125,14 +144,8 @@ impl ClientCache {
             let page = self.pages.get(&page_idx).expect("read of uncached page; fill first");
             buf[pos as usize..(pos + n) as usize]
                 .copy_from_slice(&page.data[in_page as usize..(in_page + n) as usize]);
-            self.hits += 1;
             pos += n;
         }
-    }
-
-    /// Record a miss (the fs layer calls this when it has to fetch).
-    pub fn note_miss(&mut self) {
-        self.misses += 1;
     }
 
     /// Collect dirty pages intersecting `[start, end)` as coalesced runs,

@@ -350,26 +350,120 @@ impl Pfs {
     }
 
     fn store(&self, file: &FileObj, off: u64, data: &[u8]) {
-        if data.is_empty() {
+        self.store_pieces(file, off, data.len() as u64, std::iter::once((off, data)));
+    }
+
+    /// Grow the image to `off + len`, raise the file size to it, and copy
+    /// `pieces` (inside that range) to where they land. Zero bytes store
+    /// nothing and raise nothing.
+    fn store_pieces<'a>(
+        &self,
+        file: &FileObj,
+        off: u64,
+        len: u64,
+        pieces: impl Iterator<Item = (u64, &'a [u8])>,
+    ) {
+        if len == 0 {
             return;
         }
-        let end = off as usize + data.len();
+        let end = (off + len) as usize;
         let mut content = file.content.write().unwrap();
         if content.len() < end {
             content.resize(end, 0);
         }
-        content[off as usize..end].copy_from_slice(data);
+        for (at, bytes) in pieces {
+            content[at as usize..at as usize + bytes.len()].copy_from_slice(bytes);
+        }
         drop(content);
         file.size.fetch_max(end as u64, Ordering::SeqCst);
     }
 
-    fn load(&self, file: &FileObj, off: u64, buf: &mut [u8]) {
+    /// Fill each `(offset, destination)` piece from the image; bytes past
+    /// its end read as zeros.
+    fn load<'a>(&self, file: &FileObj, pieces: impl Iterator<Item = (u64, &'a mut [u8])>) {
         let content = file.content.read().unwrap();
-        let flen = content.len();
-        for (i, b) in buf.iter_mut().enumerate() {
-            let p = off as usize + i;
-            *b = if p < flen { content[p] } else { 0 };
+        for (at, buf) in pieces {
+            let at = (at as usize).min(content.len());
+            let have = (content.len() - at).min(buf.len());
+            buf[..have].copy_from_slice(&content[at..at + have]);
+            buf[have..].fill(0);
         }
+    }
+}
+
+/// The bytes a data operation moves, as opposed to the span it is charged
+/// for: `runs` concatenate to the bytes of `segs` (sorted, disjoint
+/// `(offset, len)` file segments inside the span). Segment boundaries and
+/// run boundaries cut the same stream independently; the iterator yields
+/// the `(offset, bytes)` pieces no boundary of either kind divides,
+/// ascending.
+struct Pieces<'a> {
+    segs: std::slice::Iter<'a, (u64, u64)>,
+    /// Unconsumed rest of the current segment.
+    seg: (u64, u64),
+    runs: std::slice::Iter<'a, &'a [u8]>,
+    /// Unconsumed rest of the current run.
+    run: &'a [u8],
+}
+
+/// The shape [`Pieces`] relies on: every segment inside `[off, off+len)`
+/// and the run list exactly as long as the segments.
+fn well_formed(off: u64, len: u64, segs: &[(u64, u64)], run_bytes: u64) -> bool {
+    segs.iter().all(|&(so, sl)| so >= off && so + sl <= off + len)
+        && segs.iter().map(|s| s.1).sum::<u64>() == run_bytes
+}
+
+fn pieces<'a>(segs: &'a [(u64, u64)], runs: &'a [&'a [u8]]) -> Pieces<'a> {
+    Pieces { segs: segs.iter(), seg: (0, 0), runs: runs.iter(), run: &[] }
+}
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.seg.1 == 0 {
+            self.seg = *self.segs.next()?;
+        }
+        while self.run.is_empty() {
+            self.run = self.runs.next()?;
+        }
+        let (at, left) = self.seg;
+        let n = left.min(self.run.len() as u64);
+        let (head, rest) = self.run.split_at(n as usize);
+        self.run = rest;
+        self.seg = (at + n, left - n);
+        Some((at, head))
+    }
+}
+
+/// [`Pieces`] over destination runs: the read direction.
+struct PiecesMut<'a, 'b> {
+    segs: std::slice::Iter<'a, (u64, u64)>,
+    seg: (u64, u64),
+    dests: std::slice::IterMut<'a, &'b mut [u8]>,
+    dest: &'a mut [u8],
+}
+
+fn pieces_mut<'a, 'b>(segs: &'a [(u64, u64)], dests: &'a mut [&'b mut [u8]]) -> PiecesMut<'a, 'b> {
+    PiecesMut { segs: segs.iter(), seg: (0, 0), dests: dests.iter_mut(), dest: &mut [] }
+}
+
+impl<'a> Iterator for PiecesMut<'a, '_> {
+    type Item = (u64, &'a mut [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.seg.1 == 0 {
+            self.seg = *self.segs.next()?;
+        }
+        while self.dest.is_empty() {
+            self.dest = self.dests.next()?;
+        }
+        let (at, left) = self.seg;
+        let n = left.min(self.dest.len() as u64);
+        let (head, rest) = std::mem::take(&mut self.dest).split_at_mut(n as usize);
+        self.dest = rest;
+        self.seg = (at + n, left - n);
+        Some((at, head))
     }
 }
 
@@ -490,12 +584,6 @@ impl FileHandle {
             return t;
         }
         self.pfs.stats.lock_grants.fetch_add(1, Ordering::Relaxed);
-        if std::env::var_os("FLEXIO_LOCK_DEBUG").is_some() && !acq.revoked.is_empty() {
-            eprintln!(
-                "lock: client {} acquiring [{lstart},{lend}) revokes {:?}",
-                self.client, acq.revoked
-            );
-        }
         for (victim, s, e) in &acq.revoked {
             self.pfs.stats.lock_revocations.fetch_add(1, Ordering::Relaxed);
             t += self.pfs.cfg.cost.lock_revoke_ns;
@@ -539,15 +627,35 @@ impl FileHandle {
     /// [`PfsError::at`] carries the failed op's completion time so the
     /// caller's clock advances identically either way.
     pub fn write(&self, now: u64, off: u64, data: &[u8]) -> Result<u64, PfsError> {
+        let len = data.len() as u64;
         let _serial = self.file.serial.lock().unwrap();
-        self.write_locked(now, off, data)
+        self.write_charged(now, off, len, &[(off, len)], &[data])
     }
 
-    fn write_locked(&self, now: u64, off: u64, data: &[u8]) -> Result<u64, PfsError> {
-        if data.is_empty() {
+    /// The one write body: **charge** a write of the span `[off, off+len)`
+    /// — locks, partial-page cache fills, OST time, the fault draws: a
+    /// function of `(off, len)` and the file's state, never of a buffer —
+    /// and **move** only the bytes of `segs`, taken from `runs` (see
+    /// [`Pieces`]). A plain write passes the span as its one segment; a
+    /// sieve commit passes the segments it patches, and the gap bytes of
+    /// the span, which the model writes back, stay where they already are.
+    /// The caller holds the file's RMW lock.
+    fn write_charged(
+        &self,
+        now: u64,
+        off: u64,
+        len: u64,
+        segs: &[(u64, u64)],
+        runs: &[&[u8]],
+    ) -> Result<u64, PfsError> {
+        debug_assert!(
+            well_formed(off, len, segs, runs.iter().map(|r| r.len() as u64).sum()),
+            "segment outside span, or run list length mismatch"
+        );
+        if len == 0 {
             return Ok(now);
         }
-        let mut t = self.acquire_locks(now, off, data.len() as u64);
+        let mut t = self.acquire_locks(now, off, len);
         if self.pfs.cfg.client_cache {
             let mut coh = self.file.coherency.lock().unwrap();
             let ps = self.pfs.cfg.page_size;
@@ -557,10 +665,10 @@ impl FileHandle {
                 .entry(self.client)
                 .or_insert_with(|| ClientCache::new(ps));
             // Fill partially-overwritten pages that hold existing data.
-            let end = off + data.len() as u64;
+            let end = off + len;
             let mut fills: Vec<u64> = Vec::new();
             if !off.is_multiple_of(ps) || !end.is_multiple_of(ps) {
-                for page in cache.missing_pages(off, data.len() as u64) {
+                for page in cache.missing_pages(off, len) {
                     let p_start = page * ps;
                     let p_covered = off <= p_start && end >= p_start + ps;
                     if !p_covered && p_start < size_before {
@@ -579,31 +687,30 @@ impl FileHandle {
                     }
                 };
                 let mut buf = vec![0u8; ps as usize];
-                self.pfs.load(&self.file, p_start, &mut buf);
-                let cache = coh.caches.get_mut(&self.client).unwrap();
+                self.pfs.load(&self.file, std::iter::once((p_start, &mut buf[..])));
                 cache.fill(page, buf);
-                cache.note_miss();
                 self.pfs.stats.cache_fills.fetch_add(1, Ordering::Relaxed);
                 t = t.max(fin);
             }
-            let cache = coh.caches.get_mut(&self.client).unwrap();
             // Zero-fill pages that are partial but beyond EOF.
-            for page in cache.missing_pages(off, data.len() as u64) {
+            for page in cache.missing_pages(off, len) {
                 let p_start = page * ps;
                 let p_covered = off <= p_start && end >= p_start + ps;
                 if !p_covered {
                     cache.fill(page, vec![0u8; ps as usize]);
                 }
             }
-            cache.write(off, data);
-            t += (data.len() as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
+            // Every page of the span goes dirty, gap-only ones included:
+            // the model wrote the whole span into the cache.
+            cache.write_pieces(off, len, pieces(segs, runs));
+            t += (len as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
             self.file.size.fetch_max(end, Ordering::SeqCst);
             match err {
                 Some(e) => Err(PfsError { at: t, ..e }),
                 None => Ok(t),
             }
         } else {
-            let res = self.pfs.raw_io(&self.file, t, off, data.len() as u64, true);
+            let res = self.pfs.raw_io(&self.file, t, off, len, true);
             // Torn-write injection applies to the direct (uncached) write
             // path only — the path durable collective data and epoch
             // headers take. Cached writes land in volatile client memory
@@ -616,8 +723,11 @@ impl FileHandle {
             if let Some(inj) = &self.pfs.fault {
                 let ost = self.pfs.cfg.ost_of(off);
                 if let Some(frac) = inj.roll_torn(ost) {
-                    let keep = (data.len() as f64 * frac) as usize;
-                    self.pfs.store(&self.file, off, &data[..keep]);
+                    let keep = (len as f64 * frac) as u64;
+                    let torn = pieces(segs, runs)
+                        .take_while(|&(at, _)| at < off + keep)
+                        .map(|(at, b)| (at, &b[..b.len().min((off + keep - at) as usize)]));
+                    self.pfs.store_pieces(&self.file, off, keep, torn);
                     self.pfs.stats.torn_writes.fetch_add(1, Ordering::Relaxed);
                     let at = match &res {
                         Ok(fin) => t.max(*fin),
@@ -626,7 +736,7 @@ impl FileHandle {
                     return Err(PfsError { kind: PfsErrorKind::TornWrite, ost, at });
                 }
             }
-            self.pfs.store(&self.file, off, data);
+            self.pfs.store_pieces(&self.file, off, len, pieces(segs, runs));
             res.map(|fin| t.max(fin))
         }
     }
@@ -637,15 +747,33 @@ impl FileHandle {
     /// still filled correctly (the contents are exact, the *request*
     /// failed), so retrying is idempotent.
     pub fn read(&self, now: u64, off: u64, buf: &mut [u8]) -> Result<u64, PfsError> {
+        let len = buf.len() as u64;
         let _serial = self.file.serial.lock().unwrap();
-        self.read_locked(now, off, buf)
+        self.read_charged(now, off, len, &[(off, len)], &mut [buf])
     }
 
-    fn read_locked(&self, now: u64, off: u64, buf: &mut [u8]) -> Result<u64, PfsError> {
-        if buf.is_empty() {
+    /// The one read body, [`FileHandle::write_charged`]'s twin: charge a
+    /// read of the span `[off, off+len)` (with a client cache, filling its
+    /// missing pages) and deliver only the bytes of `segs`, into `dests`.
+    /// No segments is a charge alone — a sieve commit's pre-read, whose
+    /// bytes the commit would only write back. The caller holds the file's
+    /// RMW lock.
+    fn read_charged(
+        &self,
+        now: u64,
+        off: u64,
+        len: u64,
+        segs: &[(u64, u64)],
+        dests: &mut [&mut [u8]],
+    ) -> Result<u64, PfsError> {
+        debug_assert!(
+            well_formed(off, len, segs, dests.iter().map(|d| d.len() as u64).sum()),
+            "segment outside span, or run list length mismatch"
+        );
+        if len == 0 {
             return Ok(now);
         }
-        let mut t = self.acquire_locks(now, off, buf.len() as u64);
+        let mut t = self.acquire_locks(now, off, len);
         if self.pfs.cfg.client_cache {
             let mut coh = self.file.coherency.lock().unwrap();
             let ps = self.pfs.cfg.page_size;
@@ -653,7 +781,7 @@ impl FileHandle {
                 .caches
                 .entry(self.client)
                 .or_insert_with(|| ClientCache::new(ps));
-            let missing = cache.missing_pages(off, buf.len() as u64);
+            let missing = cache.missing_pages(off, len);
             let mut err: Option<PfsError> = None;
             // Fetch missing pages as coalesced runs.
             let mut i = 0;
@@ -672,53 +800,56 @@ impl FileHandle {
                     }
                 };
                 t = t.max(fin);
-                let mut data = vec![0u8; run_len as usize];
-                self.pfs.load(&self.file, run_off, &mut data);
-                let cache = coh.caches.get_mut(&self.client).unwrap();
-                for (k, page) in (missing[i]..=missing[j]).enumerate() {
-                    cache.fill(page, data[k * ps as usize..(k + 1) * ps as usize].to_vec());
-                    cache.note_miss();
+                for page in missing[i]..=missing[j] {
+                    let mut data = vec![0u8; ps as usize];
+                    self.pfs.load(&self.file, std::iter::once((page * ps, &mut data[..])));
+                    cache.fill(page, data);
                     self.pfs.stats.cache_fills.fetch_add(1, Ordering::Relaxed);
                 }
                 i = j + 1;
             }
-            let cache = coh.caches.get_mut(&self.client).unwrap();
-            cache.read(off, buf);
-            t += (buf.len() as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
+            for (at, dst) in pieces_mut(segs, dests) {
+                cache.read(at, dst);
+            }
+            t += (len as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
             match err {
                 Some(e) => Err(PfsError { at: t, ..e }),
                 None => Ok(t),
             }
         } else {
-            let res = self.pfs.raw_io(&self.file, t, off, buf.len() as u64, false);
-            self.pfs.load(&self.file, off, buf);
+            let res = self.pfs.raw_io(&self.file, t, off, len, false);
+            self.pfs.load(&self.file, pieces_mut(segs, dests));
             res.map(|fin| t.max(fin))
         }
     }
 
     /// Atomic data-sieving chunk commit (read-modify-write): read
-    /// `[off, off+len)`, overlay the caller's packed segments, and write
-    /// the whole range back — all while holding the file's RMW lock, so no
+    /// `[off, off+len)`, overlay the caller's segments, and write the
+    /// whole range back — all while holding the file's RMW lock, so no
     /// other client's write can interleave between the pre-read and the
     /// write-back (ROMIO wraps sieving writes in an fcntl lock for exactly
-    /// this reason). `segs` are absolute `(offset, len)` runs inside the
-    /// chunk, `packed` their concatenated bytes. When `covered` the
-    /// pre-read is skipped.
+    /// this reason). `segs` are sorted absolute `(offset, len)` runs
+    /// inside the chunk, `runs` a run list concatenating to their bytes
+    /// (cut anywhere, empty runs allowed). When `covered` the pre-read is
+    /// skipped.
+    ///
+    /// The pre-read and the write-back are *charged* for the whole chunk;
+    /// the host moves only the segments' bytes, because the gap bytes the
+    /// pre-read would fetch are the bytes the write-back would store.
     pub fn sieve_chunk_write(
         &self,
         now: u64,
         off: u64,
         len: u64,
         segs: &[(u64, u64)],
-        packed: &[u8],
+        runs: &[&[u8]],
         covered: bool,
     ) -> Result<u64, PfsError> {
         let _serial = self.file.serial.lock().unwrap();
-        let mut buf = vec![0u8; len as usize];
         let mut t = now;
         let mut err: Option<PfsError> = None;
         if !covered {
-            t = match self.read_locked(t, off, &mut buf) {
+            t = match self.read_charged(t, off, len, &[], &mut []) {
                 Ok(t) => t,
                 Err(e) => {
                     err = Some(e);
@@ -726,20 +857,30 @@ impl FileHandle {
                 }
             };
         }
-        let mut pos = 0usize;
-        for &(so, sl) in segs {
-            debug_assert!(so >= off && so + sl <= off + len, "segment outside chunk");
-            buf[(so - off) as usize..(so - off + sl) as usize]
-                .copy_from_slice(&packed[pos..pos + sl as usize]);
-            pos += sl as usize;
-        }
-        match self.write_locked(t, off, &buf) {
+        match self.write_charged(t, off, len, segs, runs) {
             Ok(t) => match err {
                 Some(e) => Err(PfsError { at: t, ..e }),
                 None => Ok(t),
             },
             Err(e) => Err(PfsError { at: e.at, ..err.unwrap_or(e) }),
         }
+    }
+
+    /// Data-sieving chunk read: one request for `[off, off+len)`, of
+    /// which only the bytes of `segs` (sorted absolute `(offset, len)`
+    /// runs inside the chunk) are delivered, into `dests` (a run list
+    /// their bytes fill in order, cut anywhere). Charged exactly like a
+    /// [`FileHandle::read`] of the chunk.
+    pub fn sieve_chunk_read(
+        &self,
+        now: u64,
+        off: u64,
+        len: u64,
+        segs: &[(u64, u64)],
+        dests: &mut [&mut [u8]],
+    ) -> Result<u64, PfsError> {
+        let _serial = self.file.serial.lock().unwrap();
+        self.read_charged(now, off, len, segs, dests)
     }
 
     /// Record that one more nonblocking op is outstanding on this handle
@@ -778,51 +919,24 @@ impl FileHandle {
     /// Gathered nonblocking write: the concatenation of `bufs` lands at
     /// `off` as one request — the PFS client ships an iovec run list, so
     /// callers holding scattered source runs (borrowed user-buffer or
-    /// received-payload slices) need no intermediate packed copy. Charged
-    /// exactly like a [`FileHandle::pwrite_nb`] of the same span; the
-    /// assembly below is wire representation, not modeled data movement.
+    /// received-payload slices) need no intermediate packed copy, and none
+    /// is made here: each run is stored where it lands. Charged exactly
+    /// like a [`FileHandle::pwrite_nb`] of the same span.
     pub fn pwritev_nb(&self, now: u64, off: u64, bufs: &[&[u8]]) -> NbOp {
-        if let [only] = bufs {
-            return self.pwrite_nb(now, off, only);
-        }
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let mut joined = Vec::with_capacity(total);
-        for b in bufs {
-            joined.extend_from_slice(b);
-        }
-        NbOp::from_result(now, self.write(now, off, &joined))
+        let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
+        let _serial = self.file.serial.lock().unwrap();
+        NbOp::from_result(now, self.write_charged(now, off, total, &[(off, total)], bufs))
     }
 
     /// Scattered nonblocking read: one request for the span starting at
     /// `off`, delivered straight into the caller's run list (`dests`
-    /// filled in order) — the read-side iovec twin of
-    /// [`FileHandle::pwritev_nb`], charged exactly like a
+    /// filled in order, each from where its bytes live) — the read-side
+    /// iovec twin of [`FileHandle::pwritev_nb`], charged exactly like a
     /// [`FileHandle::pread_nb`] of the same span.
     pub fn preadv_nb(&self, now: u64, off: u64, dests: &mut [&mut [u8]]) -> NbOp {
-        let total: usize = dests.iter().map(|d| d.len()).sum();
-        let mut span = vec![0u8; total];
-        let op = NbOp::from_result(now, self.read(now, off, &mut span));
-        let mut pos = 0usize;
-        for d in dests.iter_mut() {
-            d.copy_from_slice(&span[pos..pos + d.len()]);
-            pos += d.len();
-        }
-        op
-    }
-
-    /// Nonblocking [`FileHandle::sieve_chunk_write`]: the whole
-    /// read-modify-write commits atomically at issue time; the handle
-    /// carries its virtual window (and any injected fault).
-    pub fn sieve_chunk_write_nb(
-        &self,
-        now: u64,
-        off: u64,
-        len: u64,
-        segs: &[(u64, u64)],
-        packed: &[u8],
-        covered: bool,
-    ) -> NbOp {
-        NbOp::from_result(now, self.sieve_chunk_write(now, off, len, segs, packed, covered))
+        let total: u64 = dests.iter().map(|d| d.len() as u64).sum();
+        let _serial = self.file.serial.lock().unwrap();
+        NbOp::from_result(now, self.read_charged(now, off, total, &[(off, total)], dests))
     }
 
     /// Truncate or extend the file to exactly `size` bytes. Shrinking
@@ -951,9 +1065,8 @@ mod tests {
 
     #[test]
     fn single_run_vectored_ops_match_the_split_form() {
-        // A single-run gathered write skips the join copy; it must cost
-        // and move exactly what the same span split into two runs does
-        // (and read back the same either way).
+        // One run or two, a gathered write and a scattered read cost and
+        // move exactly the same.
         let data: Vec<u8> = (0..200u8).collect();
         let run = |split: usize| {
             let pfs = tiny();
@@ -1159,10 +1272,29 @@ mod tests {
         let o2 = b.pread_nb(o1.done_at(), 3, &mut bb);
         assert_eq!(t2, o2.done_at());
         assert_eq!(ba, bb);
-        let segs = [(8u64, 16u64)];
-        let t3 = a.sieve_chunk_write(t2, 0, 64, &segs, &[9u8; 16], false).unwrap();
-        let o3 = b.sieve_chunk_write_nb(o2.done_at(), 0, 64, &segs, &[9u8; 16], false);
-        assert_eq!(t3, o3.done_at());
+    }
+
+    #[test]
+    fn empty_vectored_ops_touch_nothing() {
+        // No bytes, no request: `size`, the lock table, the cache and every
+        // counter stay put, whether the run list is empty or all-empty.
+        for cache in [false, true] {
+            let pfs = Pfs::new(locking_cfg(cache));
+            let h = pfs.open("f", 0);
+            assert_eq!(h.pwritev_nb(7, 40, &[]).wait(0), Ok(7));
+            assert_eq!(h.pwritev_nb(7, 40, &[&[], &[]]).wait(0), Ok(7));
+            assert_eq!(h.preadv_nb(9, 40, &mut []).wait(0), Ok(9));
+            assert_eq!(h.preadv_nb(9, 40, &mut [&mut [], &mut []]).wait(0), Ok(9));
+            assert_eq!(h.sieve_chunk_write(5, 40, 0, &[], &[], false), Ok(5));
+            assert_eq!(h.size(), 0);
+            assert_eq!(pfs.stats(), StatsSnapshot::default());
+            let coh = h.file.coherency.lock().unwrap();
+            assert!(coh.caches.is_empty(), "an empty op created a client cache");
+            drop(coh);
+            // A second client still gets the stripe without a revocation.
+            pfs.open("f", 1).write(0, 40, &[1u8; 8]).unwrap();
+            assert_eq!(pfs.stats().lock_revocations, 0);
+        }
     }
 
     #[test]

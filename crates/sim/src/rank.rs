@@ -524,10 +524,15 @@ impl Rank {
     }
 
     fn send_tagged(&self, dst: usize, tag: u64, data: &[u8]) {
+        self.send_owned(dst, tag, data.to_vec());
+    }
+
+    /// [`Rank::send_tagged`] of a buffer the message takes over as it is.
+    fn send_owned(&self, dst: usize, tag: u64, data: Vec<u8>) {
         let avail_at = self.charge_send(data.len());
         // Mailbox identity is world-frame: group ids translate here, in
         // `recv_tagged` and in the two round forms below, nowhere else.
-        let msg = Msg { data: Payload::Owned(data.to_vec()), avail_at };
+        let msg = Msg { data: Payload::Owned(data), avail_at };
         self.world.deliver(self.global_of(dst), self.global, tag, msg);
     }
 
@@ -773,19 +778,21 @@ impl Rank {
     /// Sparse exchange: send `sends` (rank, payload) pairs, receive one
     /// message from every rank in `recv_from`. All participants must call
     /// this the same number of times with consistent expectations. Returns
-    /// `(src, payload)` pairs in `recv_from` order.
+    /// `(src, payload)` pairs in `recv_from` order. The payloads are taken
+    /// by value: each becomes its message (or, sent to self, its own
+    /// receipt) without a copy.
     pub fn exchange(
         &self,
-        sends: &[(usize, Vec<u8>)],
+        sends: Vec<(usize, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
         let tag = self.next_coll_tag(4);
         let mut self_payloads = std::collections::VecDeque::new();
         for (dst, payload) in sends {
-            if *dst == self.rank {
-                self_payloads.push_back(payload.clone());
+            if dst == self.rank {
+                self_payloads.push_back(payload);
             } else {
-                self.send_tagged(*dst, tag, payload);
+                self.send_owned(dst, tag, payload);
             }
         }
         let mut out = Vec::with_capacity(recv_from.len());
@@ -1262,14 +1269,11 @@ mod tests {
         // Rank 0 sends to 1 and 2; ranks 1,2 send back to 0.
         let out = run(3, CostModel::default(), |r| match r.rank() {
             0 => {
-                let got = r.exchange(
-                    &[(1, vec![1]), (2, vec![2])],
-                    &[1, 2],
-                );
+                let got = r.exchange(vec![(1, vec![1]), (2, vec![2])], &[1, 2]);
                 got.iter().map(|(s, d)| (*s, d.clone())).collect::<Vec<_>>()
             }
             me => {
-                let got = r.exchange(&[(0, vec![me as u8 * 10])], &[0]);
+                let got = r.exchange(vec![(0, vec![me as u8 * 10])], &[0]);
                 got.iter().map(|(s, d)| (*s, d.clone())).collect::<Vec<_>>()
             }
         });
@@ -1281,7 +1285,7 @@ mod tests {
     #[test]
     fn exchange_self_delivery() {
         let out = run(2, CostModel::free(), |r| {
-            let got = r.exchange(&[(r.rank(), vec![9, 9])], &[r.rank()]);
+            let got = r.exchange(vec![(r.rank(), vec![9, 9])], &[r.rank()]);
             got[0].1.clone()
         });
         assert_eq!(out[0], vec![9, 9]);
@@ -1339,7 +1343,7 @@ mod tests {
             }
             comm.barrier();
             let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
-            let got = comm.exchange(&[(next, stamp(i, 2, me, next))], &[prev]);
+            let got = comm.exchange(vec![(next, stamp(i, 2, me, next))], &[prev]);
             assert_eq!(got, vec![(prev, stamp(i, 2, prev, me))], "exchange pass {i}");
             // Everyone has data for ranks 0 and p - 1 only.
             let ends: Vec<usize> = if p == 1 { vec![0] } else { vec![0, p - 1] };

@@ -104,8 +104,8 @@ impl Oracle {
 /// legitimately differ in length (page-granular sieve writes, reads past
 /// EOF), but never in content.
 pub fn eq_padded(a: &[u8], b: &[u8]) -> bool {
-    let n = a.len().max(b.len());
-    (0..n).all(|i| a.get(i).copied().unwrap_or(0) == b.get(i).copied().unwrap_or(0))
+    let n = a.len().min(b.len());
+    a[..n] == b[..n] && a[n..].iter().chain(&b[n..]).all(|&x| x == 0)
 }
 
 #[cfg(test)]
@@ -158,9 +158,15 @@ mod tests {
 
     #[test]
     fn eq_padded_ignores_only_trailing_zeros() {
+        assert!(eq_padded(&[1, 2], &[1, 2]));
+        assert!(eq_padded(&[], &[]));
         assert!(eq_padded(&[1, 2], &[1, 2, 0, 0]));
+        assert!(eq_padded(&[1, 2, 0, 0], &[1, 2]));
         assert!(eq_padded(&[], &[0; 4]));
+        assert!(eq_padded(&[0; 4], &[]));
         assert!(!eq_padded(&[1, 2], &[1, 2, 3]));
+        assert!(!eq_padded(&[1, 2, 0, 3], &[1, 2]));
+        assert!(!eq_padded(&[1, 2, 0], &[1, 3]));
         assert!(!eq_padded(&[1], &[2]));
     }
 }

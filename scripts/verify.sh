@@ -27,6 +27,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
+# Every other leg is a release build, where no `debug_assert!` executes.
+# One debug-profile leg (seconds) for the data path's — segment and
+# run-list shape (`check_segs`, "segment outside chunk"), "partial write
+# to uncached page", "invalidating dirty page" — over the crates that hold
+# them and the differential property that drives them hardest.
+echo "== cargo test (debug profile): pfs, io, hpio, workload + data_path_differential =="
+cargo test -q --offline -p flexio-pfs -p flexio-io -p flexio-hpio -p flexio-workload
+cargo test -q --offline --test data_path_differential
+
 # The two charge-and-order fixtures again on 64 KiB fiber stacks (the
 # default is 1 MiB): a dense round's step loop runs on the scheduler's
 # stack, not on its rank's fiber, and what is left on the fibers — rank
@@ -58,6 +67,13 @@ if [ "$THOROUGH" = 1 ]; then
   FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
     cargo test -q --release --offline --test fault_injection
+
+  # Data-path differential sweep: run-wise pfs/io against the
+  # one-buffer-per-request reference, same pinned seed discipline.
+  echo "== data-path differential sweep (tests/data_path_differential.rs) =="
+  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
+    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
+    cargo test -q --release --offline --test data_path_differential
 
   # Differential engine-parity sweep: pipelined flexible AND ROMIO runs
   # against their depth-1 serial oracles on the shared pipeline core,

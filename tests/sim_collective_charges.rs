@@ -237,7 +237,7 @@ fn interleaved_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
         assert_eq!(got, block(20, P2P_MEMBERS[prev], turn, 1 + turn % 9));
         record("p2p", fnv(0xcbf2_9ce4_8422_2325, &got));
         if turn % 3 == 2 {
-            let got = comm.exchange(&[(next, block(21, g, turn, 5))], &[prev]);
+            let got = comm.exchange(vec![(next, block(21, g, turn, 5))], &[prev]);
             assert_eq!(got, vec![(prev, block(21, prev, turn, 5))]);
             record("exchange", fnv(0xcbf2_9ce4_8422_2325, &got[0].1));
         }
