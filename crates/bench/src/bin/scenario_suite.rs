@@ -102,7 +102,7 @@ fn main() {
         xs.push(spec.kind.name().to_string());
         for ((name, engine), (_, col)) in engines.iter().zip(&mut series) {
             let out =
-                run_spec(&spec, RunConfig { engine: *engine, zero_copy: true, faulted: false, shards: 0 });
+                run_spec(&spec, RunConfig { engine: *engine, zero_copy: true, faulted: false });
             check_invariants(&out, name);
             let ns: u64 =
                 out.phases.iter().map(|p| p.clocks.iter().copied().max().unwrap_or(0)).sum();

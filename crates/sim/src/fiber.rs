@@ -1,4 +1,4 @@
-//! Stackful fibers for the event-loop rank runtime (x86_64).
+//! Stackful fibers for the rank runtime.
 //!
 //! A fiber is a heap-allocated stack plus a saved stack pointer; switching
 //! fibers is six callee-saved register pushes, a stack-pointer swap, six
@@ -10,8 +10,12 @@
 //!
 //! Scope notes:
 //!
-//! * x86_64 only (gated in `lib.rs`); other architectures fall back to the
-//!   threaded runtime. The switch saves rbx/rbp/r12–r15/rsp — the SysV
+//! * x86_64 only, and there is no fallback: the three pieces that name
+//!   registers — [`switch_stacks`], `fiber_entry` and [`prepare`]'s
+//!   register image — are gated here, their bodies elsewhere refuse, and
+//!   `run` refuses before reaching them
+//!   (`Backend::event_loop_supported`). Everything above them compiles
+//!   on every target. The switch saves rbx/rbp/r12–r15/rsp — the SysV
 //!   callee-saved set. mxcsr and the x87 control word are not saved:
 //!   nothing in this workspace (or in code the simulator can call) changes
 //!   rounding modes mid-rank.
@@ -59,6 +63,7 @@ pub(crate) struct Payload {
 /// # Safety
 /// `restore` must hold a stack pointer produced by [`prepare`] or by a
 /// previous save through this function, on a stack that is still live.
+#[cfg(target_arch = "x86_64")]
 #[unsafe(naked)]
 pub(crate) unsafe extern "C" fn switch_stacks(save: *mut Context, restore: *const Context) {
     core::arch::naked_asm!(
@@ -80,10 +85,25 @@ pub(crate) unsafe extern "C" fn switch_stacks(save: *mut Context, restore: *cons
     )
 }
 
+/// What the register-level pieces say on a target they are not written
+/// for (`run` refuses such a target before any of them is reached).
+#[cfg(not(target_arch = "x86_64"))]
+const UNSUPPORTED: &str = "the fiber rank runtime is unsupported on this architecture";
+
+/// See the x86_64 definition.
+///
+/// # Safety
+/// None to uphold: never returns.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe extern "C" fn switch_stacks(_save: *mut Context, _restore: *const Context) {
+    unreachable!("{UNSUPPORTED}")
+}
+
 /// First frame of every fiber: the initial register image parks the
 /// payload pointer in r12 and this trampoline's address as the `ret`
 /// target, so the first `switch_stacks` into the fiber lands here with a
 /// 16-byte-aligned stack and the payload in hand.
+#[cfg(target_arch = "x86_64")]
 #[unsafe(naked)]
 unsafe extern "C" fn fiber_entry() {
     core::arch::naked_asm!(
@@ -98,6 +118,8 @@ unsafe extern "C" fn fiber_entry() {
 
 /// Body of every fiber. Runs the payload (which catches unwinds and does
 /// all scheduler bookkeeping), then switches to the scheduler forever.
+/// Only `fiber_entry`'s assembly names it.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 unsafe extern "C" fn fiber_main(p: *mut Payload) -> ! {
     {
         let payload = unsafe { &mut *p };
@@ -206,14 +228,26 @@ impl FiberStack {
 }
 
 /// Build the initial context for a fresh fiber on `stack`: the first
-/// switch into it `ret`s to [`fiber_entry`] with `payload` in r12.
+/// switch into it `ret`s to `fiber_entry` with `payload` in r12.
 pub(crate) fn prepare(stack: &FiberStack, payload: *mut Payload) -> Context {
+    // SAFETY: one past the end of the stack's window of its arena block.
+    let top = unsafe { stack.base.add(stack.size) };
+    debug_assert_eq!(top as usize % 16, 0);
+    // SAFETY: `top` is the 16-aligned top of a live stack of at least
+    // 4096 bytes (`StackArena::new`), nothing on it yet.
+    unsafe { register_image(top, payload) }
+}
+
+/// The register image of a fresh fiber whose stack ends at `top`,
+/// ascending from the saved stack pointer, matching the pop order in
+/// [`switch_stacks`]: r15 r14 r13 r12 rbx rbp ret. The ret slot sits at
+/// top-8 so `fiber_entry` starts 16-aligned.
+///
+/// # Safety
+/// `top` is 16-aligned with 56 writable bytes below it.
+#[cfg(target_arch = "x86_64")]
+unsafe fn register_image(top: *mut u8, payload: *mut Payload) -> Context {
     unsafe {
-        let top = stack.base.add(stack.size);
-        debug_assert_eq!(top as usize % 16, 0);
-        // Register image, ascending from the saved stack pointer, matching
-        // the pop order in `switch_stacks`: r15 r14 r13 r12 rbx rbp ret.
-        // The ret slot sits at top-8 so `fiber_entry` starts 16-aligned.
         let sp = top.sub(7 * 8) as *mut u64;
         sp.add(0).write(0); // r15
         sp.add(1).write(0); // r14
@@ -224,4 +258,13 @@ pub(crate) fn prepare(stack: &FiberStack, payload: *mut Payload) -> Context {
         sp.add(6).write(fiber_entry as *const () as usize as u64); // ret target
         Context { sp: sp as *mut u8 }
     }
+}
+
+/// See the x86_64 definition.
+///
+/// # Safety
+/// None to uphold: never returns.
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn register_image(_top: *mut u8, _payload: *mut Payload) -> Context {
+    unreachable!("{UNSUPPORTED}")
 }

@@ -1,8 +1,8 @@
 //! A minimal in-repo property-testing harness.
 //!
-//! The external `proptest` crate is unavailable in offline builds (see the
-//! `proptests` feature gate), so suites that must always run use this
-//! harness instead: random cases from the deterministic
+//! The external `proptest` crate is unavailable in offline builds (the
+//! other crates' `proptests` feature gates suites that need it), so
+//! suites that must always run use this harness instead: random cases from the deterministic
 //! [`XorShift64Star`], a fixed default seed so CI is reproducible, and a
 //! proptest-compatible regressions file (`cc <hex-seed>` lines) whose
 //! cases replay before any fresh ones.

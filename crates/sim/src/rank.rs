@@ -1,8 +1,7 @@
 //! Per-rank handle: point-to-point messaging, collectives, virtual clock.
 //!
 //! Each rank owns a virtual clock (ns) and runs as a fiber of the rank
-//! scheduler — one host thread, or a sharded pool of them with identical
-//! results (see [`crate::Backend`]).
+//! scheduler, on the one host thread that drives its world.
 //! Message timing follows an alpha/beta model; computation is charged
 //! explicitly by the layers above (offset/length-pair processing, buffer
 //! copies, file-system service times). A receive completes at
@@ -1105,25 +1104,23 @@ fn decode_blocks(buf: &[u8]) -> Vec<(usize, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{run, run_crashable_on, run_on, Backend};
+    use crate::world::{run, run_crashable};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn shared_once_computes_once_per_world_on_every_backend() {
-        for backend in [Backend::EventLoop, Backend::Sharded(3)] {
-            let inits = AtomicUsize::new(0);
-            let out = run_on(backend, 8, CostModel::default(), |r| {
-                let v = r.shared_once(7, || {
-                    inits.fetch_add(1, Ordering::SeqCst);
-                    vec![r.nprocs() as u64; 4]
-                });
-                // Everyone is past the lookup before anyone lets go.
-                r.barrier();
-                (Arc::as_ptr(&v) as usize, r.shared_live())
+    fn shared_once_computes_once_per_world() {
+        let inits = AtomicUsize::new(0);
+        let out = run(8, CostModel::default(), |r| {
+            let v = r.shared_once(7, || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                vec![r.nprocs() as u64; 4]
             });
-            assert_eq!(inits.load(Ordering::SeqCst), 1, "{backend:?}");
-            assert!(out.iter().all(|&(p, live)| p == out[0].0 && live == 1), "{backend:?}");
-        }
+            // Everyone is past the lookup before anyone lets go.
+            r.barrier();
+            (Arc::as_ptr(&v) as usize, r.shared_live())
+        });
+        assert_eq!(inits.load(Ordering::SeqCst), 1);
+        assert!(out.iter().all(|&(p, live)| p == out[0].0 && live == 1));
     }
 
     #[test]
@@ -1363,24 +1360,22 @@ mod tests {
         // 130 ranks: steps run far past the 8 the old tag layout had room
         // for (step 64 of one collective was step 0 of the next). Then
         // the same passes over a subgroup, whose boards are its width.
-        for backend in [Backend::EventLoop, Backend::Sharded(4)] {
-            run_on(backend, 130, CostModel::default(), |r| {
-                mixed_rounds(r);
-                r.barrier();
-                // The others sit the second half out (a handle's sequence
-                // number is its rank's, so they could not rejoin a world
-                // collective afterwards — as with a real communicator
-                // split, membership is decided before the calls).
-                let members: Vec<usize> = (0..130).filter(|m| m % 3 != 1).collect();
-                if members.contains(&r.rank()) {
-                    let comm = r.subgroup(&members);
-                    mixed_rounds(&comm);
-                    comm.barrier();
-                }
-                let (live, _) = r.world.board_census(r.global);
-                assert_eq!(live, 0, "rank {} left a board behind", r.rank());
-            });
-        }
+        run(130, CostModel::default(), |r| {
+            mixed_rounds(r);
+            r.barrier();
+            // The others sit the second half out (a handle's sequence
+            // number is its rank's, so they could not rejoin a world
+            // collective afterwards — as with a real communicator
+            // split, membership is decided before the calls).
+            let members: Vec<usize> = (0..130).filter(|m| m % 3 != 1).collect();
+            if members.contains(&r.rank()) {
+                let comm = r.subgroup(&members);
+                mixed_rounds(&comm);
+                comm.barrier();
+            }
+            let (live, _) = r.world.board_census(r.global);
+            assert_eq!(live, 0, "rank {} left a board behind", r.rank());
+        });
     }
 
     #[test]
@@ -1410,36 +1405,34 @@ mod tests {
         // from taking it. The block is taken in the normal course, the
         // dead rank's boards are gone, and the survivors go on over a
         // four-rank subgroup whose rounds run on four-step boards.
-        for backend in [Backend::EventLoop, Backend::Sharded(3)] {
-            let out = run_crashable_on(backend, 5, CostModel::default(), &[(2, 1)], |r| {
-                if r.rank() == 1 {
-                    r.advance(1_000_000_000);
-                }
-                let got = r.alltoallv((0..5).map(|d| stamp(0, 0, r.rank(), d)).collect());
-                for (src, b) in got.iter().enumerate() {
-                    assert_eq!(b, &stamp(0, 0, src, r.rank()));
-                }
-                if r.rank() == 2 {
-                    // Still to be taken by rank 1: the step-4 block.
-                    assert_eq!(r.world.board_census(1).0, 1, "rank 1 should hold a live board");
-                }
-                r.maybe_crash();
-                let comm = r.subgroup(&[0, 1, 3, 4]);
-                mixed_rounds(&comm);
-                let survivors = comm.allreduce_sum(1);
-                // The last collective: nobody can be a round ahead now.
-                comm.barrier();
-                assert_eq!(r.world.board_census(2), (0, 0), "dead rank's boards must be reaped");
-                assert!(!r.world.in_round(2), "dead rank's cursor must be reaped");
-                assert!(!r.world.in_round(r.global), "rank {} left its cursor behind", r.rank());
-                // (`end_round` itself asserts that a pooled board is empty.)
-                let (live, pooled) = r.world.board_census(r.global);
-                assert_eq!(live, 0, "rank {}: board left live", r.rank());
-                assert!(pooled <= 2, "rank {}: {pooled} boards pooled", r.rank());
-                survivors
-            });
-            assert_eq!(out, vec![Some(4), Some(4), None, Some(4), Some(4)], "{backend:?}");
-        }
+        let out = run_crashable(5, CostModel::default(), &[(2, 1)], |r| {
+            if r.rank() == 1 {
+                r.advance(1_000_000_000);
+            }
+            let got = r.alltoallv((0..5).map(|d| stamp(0, 0, r.rank(), d)).collect());
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &stamp(0, 0, src, r.rank()));
+            }
+            if r.rank() == 2 {
+                // Still to be taken by rank 1: the step-4 block.
+                assert_eq!(r.world.board_census(1).0, 1, "rank 1 should hold a live board");
+            }
+            r.maybe_crash();
+            let comm = r.subgroup(&[0, 1, 3, 4]);
+            mixed_rounds(&comm);
+            let survivors = comm.allreduce_sum(1);
+            // The last collective: nobody can be a round ahead now.
+            comm.barrier();
+            assert_eq!(r.world.board_census(2), (0, 0), "dead rank's boards must be reaped");
+            assert!(!r.world.in_round(2), "dead rank's cursor must be reaped");
+            assert!(!r.world.in_round(r.global), "rank {} left its cursor behind", r.rank());
+            // (`end_round` itself asserts that a pooled board is empty.)
+            let (live, pooled) = r.world.board_census(r.global);
+            assert_eq!(live, 0, "rank {}: board left live", r.rank());
+            assert!(pooled <= 2, "rank {}: {pooled} boards pooled", r.rank());
+            survivors
+        });
+        assert_eq!(out, vec![Some(4), Some(4), None, Some(4), Some(4)]);
     }
 
     #[test]
@@ -1477,7 +1470,7 @@ mod tests {
         // from outside the round.
         let (before, after) = (AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX));
         let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::world::run_crashable(4, CostModel::default(), &[(1, 1)], |r| match r.rank() {
+            run_crashable(4, CostModel::default(), &[(1, 1)], |r| match r.rank() {
                 1 => {
                     let _ = r.recv_timeout(1, 5, 1_000_000_000);
                     r.maybe_crash();

@@ -1,5 +1,5 @@
-//! The shared world: mailboxes, landing boards, backend selection, rank
-//! dispatch.
+//! The shared world: mailboxes, landing boards, shared cells, and the
+//! entry points that drive one ([`run`], [`run_crashable`]).
 
 use crate::cost::CostModel;
 use crate::rank::Cursor;
@@ -9,7 +9,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 /// Panic payload raised by [`crate::rank::Rank::maybe_crash`] when a rank
 /// reaches its scheduled crash time: the scheduler recognizes it, marks
@@ -17,47 +17,20 @@ use std::sync::{Arc, Mutex, Weak};
 /// the simulation analogue of a crash-stop process failure.
 pub(crate) struct CrashStop;
 
-/// Which rank runtime drives a world's ranks. Both are the same fiber
-/// scheduler; they differ only in how many host threads drive it, and
-/// they produce bit-identical clocks, Stats, and bytes.
+/// The rank runtime that drives a world's ranks. There is one, and [`run`]
+/// uses it; the enum (and [`run_on`], which takes it) is still here only
+/// because the benchmark package — which a change to the crates may not
+/// edit — names `run_on(Backend::EventLoop, …)`. A `[benchmark]` change
+/// drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One host thread drives every rank as a cooperatively-scheduled
     /// fiber over virtual time, lowest clock first (deterministic by
-    /// construction; supports thousands of ranks per process). The
-    /// default.
+    /// construction; supports thousands of ranks per process).
     EventLoop,
-    /// A pool of `n` host threads, ranks partitioned by id into
-    /// contiguous shards, cross-shard delivery through gate-protected
-    /// inboxes, dispatch serialized on the global minimum key
-    /// (`FLEXIO_SIM_SHARDS=n`; clamped to `1..=nprocs`). Bit-identical
-    /// to [`Backend::EventLoop`] regardless of shard count or host-
-    /// thread interleaving; spreads scheduler state across threads at
-    /// high rank counts.
-    Sharded(usize),
 }
 
 impl Backend {
-    /// The backend `run` uses: an `n`-shard pool when `FLEXIO_SIM_SHARDS`
-    /// is set to `n >= 2`, the sequential event loop otherwise (`0` and
-    /// `1` mean sequential too).
-    pub fn from_env() -> Backend {
-        match std::env::var("FLEXIO_SIM_SHARDS") {
-            Ok(v) => {
-                let n: usize = v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("FLEXIO_SIM_SHARDS must be a shard count, got {v:?}"));
-                if n >= 2 {
-                    Backend::Sharded(n)
-                } else {
-                    Backend::EventLoop
-                }
-            }
-            Err(_) => Backend::EventLoop,
-        }
-    }
-
     /// Whether the fiber runtime is available on this build target (the
     /// fiber layer is x86_64-only; since the thread-per-rank runtime's
     /// retirement there is no fallback elsewhere).
@@ -134,8 +107,8 @@ std::thread_local! {
         const { Cell::new(SchedCounters { fiber_switches: 0, heap_pushes: 0 }) };
 }
 
-/// The scheduler counters of the last `run`/`run_on`/`run_crashable` that
-/// returned on this thread, summed over the pool's shards if it had any.
+/// The scheduler counters of the last `run`/`run_crashable` that returned
+/// on this thread.
 pub fn last_run_counters() -> SchedCounters {
     LAST_RUN.with(Cell::get)
 }
@@ -169,24 +142,11 @@ impl Hasher for TagHasher {
     }
 }
 
-type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
-
 /// One rank's incoming-message store for tag-addressed traffic (`send`/
 /// `recv`, `exchange`, the tree collectives; the dense rounds land on
-/// [`Boards`]). Only the overflow path — deliveries
-/// that found no matching parked receiver — lands here; the mutex also
-/// carries cross-shard queue/pop ordering under the sharded pool (only
-/// one shard dispatches at a time, so it is never contended on the
-/// simulation's critical path).
-pub(crate) struct Mailbox {
-    pub queues: Mutex<QueueMap>,
-}
-
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox { queues: Mutex::new(QueueMap::default()) }
-    }
-}
+/// [`Boards`]), one FIFO queue per `(src, tag)`. Only the overflow path —
+/// deliveries that found no matching parked receiver — lands here.
+type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
 
 /// Where one message of a dense collective round lands: the round is
 /// `key` (the collective's sequence number and kind, see
@@ -250,15 +210,19 @@ impl Boards {
 
 /// State that only the one running segment touches — a rank's fiber, or
 /// the scheduler stepping a sleeping rank's round — so it needs no lock
-/// of its own: the sequential loop has a single host thread, and the
-/// pool runs one segment at a time with the gate mutex's release/acquire
-/// ordering each runner's writes before the next runner's reads (DESIGN
-/// "Rank runtime", invariants 1 and 2). Every access goes through
-/// [`World::runner_owned`], which checks that the caller is that runner.
+/// of its own: one host thread drives a world from its first segment to
+/// its last, one segment at a time (DESIGN "Rank runtime"). Every access
+/// goes through [`World::runner_owned`], which checks that the caller is
+/// a segment of that drive.
+#[derive(Default)]
 struct RunnerCell<T>(UnsafeCell<T>);
 
-// SAFETY: see the type's docs — access is serialized by the scheduler,
-// and `World::runner_owned` refuses callers the scheduler did not dispatch.
+// SAFETY: the field is private and `World::runner_owned` is the only code
+// that reaches into it. It refuses any caller whose thread's active
+// scheduler is not the one driving this world, and a world is driven by
+// exactly one scheduler, on one thread (`run`/`run_crashable` build the
+// world they drive): every access that gets through is on that thread.
+// Another thread that holds the `Arc<World>` can only be refused.
 unsafe impl<T: Send> Sync for RunnerCell<T> {}
 
 /// The world's "compute once, share" cells (see
@@ -270,7 +234,7 @@ type SharedCells = HashMap<(TypeId, u64), Weak<dyn Any + Send + Sync>>;
 pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
-    pub(crate) mailboxes: Vec<Mailbox>,
+    mailboxes: Vec<RunnerCell<QueueMap>>,
     /// Per-rank landing boards of the dense collective rounds.
     boards: Vec<RunnerCell<Boards>>,
     /// Per-rank round cursor: `Some` from the moment a rank enters a
@@ -282,7 +246,7 @@ pub struct World {
     pub(crate) crash_at: Vec<u64>,
     /// Ranks that have crash-stopped: deliveries to them are dropped.
     pub(crate) dead: Vec<AtomicBool>,
-    shared: Mutex<SharedCells>,
+    shared: RunnerCell<SharedCells>,
 }
 
 impl World {
@@ -306,34 +270,34 @@ impl World {
         Arc::new(World {
             nprocs,
             cost,
-            mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
-            boards: (0..nprocs).map(|_| RunnerCell(UnsafeCell::new(Boards::default()))).collect(),
-            cursors: (0..nprocs).map(|_| RunnerCell(UnsafeCell::new(None))).collect(),
+            mailboxes: (0..nprocs).map(|_| RunnerCell::default()).collect(),
+            boards: (0..nprocs).map(|_| RunnerCell::default()).collect(),
+            cursors: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             crash_at,
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
-            shared: Mutex::new(SharedCells::new()),
+            shared: RunnerCell::default(),
         })
     }
 
     /// The live value of cell `(T, key)`, computing it with `init` when no
     /// rank of this world currently holds one.
     ///
-    /// The lock is not held across `init`: ranks are fibers dispatched one
-    /// at a time (on every backend — the sharded pool serializes dispatch
-    /// on the global minimum key), and `init` must not communicate, so no
-    /// second rank can run between the miss and the insert.
+    /// The map is not borrowed across `init` (which may itself ask for a
+    /// cell): ranks are fibers dispatched one at a time and `init` must
+    /// not communicate, so no second rank can run between the miss and
+    /// the insert.
     pub(crate) fn shared_once<T: Any + Send + Sync>(
         &self,
         key: u64,
         init: impl FnOnce() -> T,
     ) -> Arc<T> {
         let id = (TypeId::of::<T>(), key);
-        let live = self.shared.lock().expect("shared-cell lock poisoned").get(&id).and_then(Weak::upgrade);
+        let live = self.runner_owned(&self.shared).get(&id).and_then(Weak::upgrade);
         if let Some(v) = live {
             return v.downcast::<T>().expect("cell is keyed by its type");
         }
         let v = Arc::new(init());
-        let mut cells = self.shared.lock().expect("shared-cell lock poisoned");
+        let cells = self.runner_owned(&self.shared);
         cells.retain(|_, w| w.strong_count() > 0);
         let weak: Weak<T> = Arc::downgrade(&v);
         cells.insert(id, weak);
@@ -342,8 +306,7 @@ impl World {
 
     /// Number of shared cells some rank still holds.
     pub(crate) fn shared_live(&self) -> usize {
-        let cells = self.shared.lock().expect("shared-cell lock poisoned");
-        cells.values().filter(|w| w.strong_count() > 0).count()
+        self.runner_owned(&self.shared).values().filter(|w| w.strong_count() > 0).count()
     }
 
     /// The scheduled crash time of `rank` (`u64::MAX` = never).
@@ -362,7 +325,7 @@ impl World {
     /// already-dead ranks.
     pub(crate) fn reap_rank(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::Relaxed);
-        self.mailboxes[rank].queues.lock().unwrap().clear();
+        self.queues(rank).clear();
         *self.boards(rank) = Boards::default();
         *self.cursor(rank) = None;
     }
@@ -384,15 +347,13 @@ impl World {
             return;
         }
         // Fast path: a receiver already parked on exactly `(src, tag)`
-        // gets the message handed to it directly (same-shard: lock-free
-        // slot; cross-shard: gate inbox). When it is parked, its queue is
-        // provably empty — only its owning shard could have filled it and
-        // it drained before parking — so FIFO order holds.
+        // gets the message handed to it directly. When it is parked, its
+        // queue is provably empty — it drained it before parking — so FIFO
+        // order holds.
         let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
             return;
         };
-        let mut queues = self.mailboxes[dst].queues.lock().unwrap();
-        queues.entry((src, tag)).or_default().push_back(msg);
+        self.queues(dst).entry((src, tag)).or_default().push_back(msg);
     }
 
     /// One rank's cell of runner-owned state. Only the running segment
@@ -401,16 +362,21 @@ impl World {
     #[allow(clippy::mut_from_ref)]
     fn runner_owned<'a, T>(&'a self, cell: &'a RunnerCell<T>) -> &'a mut T {
         assert!(
-            crate::sched::is_exclusive_runner(self),
-            "collective outside the rank runtime (ranks only run inside flexio_sim::run)"
+            crate::sched::scheduler_active_for(self),
+            "communication outside the rank runtime (ranks only run inside flexio_sim::run)"
         );
-        // SAFETY: the caller is the one segment its scheduler is running
-        // (checked above); callers never hold the reference across a park
+        // SAFETY: the caller is a segment of the one drive of this world,
+        // on the thread that drives it (checked above), and segments run
+        // one at a time; callers never hold the reference across a park
         // or a second request for the same cell (a round's step holds its
         // own rank's cursor while it asks for a *peer's* cursor and for
-        // boards, which are other cells); and runner hand-over
-        // synchronizes through the gate mutex (see `RunnerCell`).
+        // boards, which are other cells).
         unsafe { &mut *cell.0.get() }
+    }
+
+    /// `rank`'s tag-addressed queues.
+    fn queues(&self, rank: usize) -> &mut QueueMap {
+        self.runner_owned(&self.mailboxes[rank])
     }
 
     fn boards(&self, rank: usize) -> &mut Boards {
@@ -527,12 +493,8 @@ impl World {
     /// caller until one arrives. `now` is the receiver's virtual clock —
     /// its wake-up priority.
     pub(crate) fn take(&self, dst: usize, src: usize, tag: u64, now: u64) -> Msg {
-        assert!(
-            crate::sched::scheduler_active_for(self),
-            "recv outside the rank runtime (ranks only run inside flexio_sim::run)"
-        );
         loop {
-            if let Some(m) = Self::pop_queued(&self.mailboxes[dst], src, tag) {
+            if let Some(m) = self.pop_queued(dst, src, tag) {
                 return m;
             }
             if let Some(m) = self.park(dst, src, tag, now) {
@@ -565,12 +527,8 @@ impl World {
         now: u64,
         deadline: u64,
     ) -> Option<Msg> {
-        assert!(
-            crate::sched::scheduler_active_for(self),
-            "recv_timeout outside the rank runtime (ranks only run inside flexio_sim::run)"
-        );
         loop {
-            if let Some(m) = Self::pop_queued(&self.mailboxes[dst], src, tag) {
+            if let Some(m) = self.pop_queued(dst, src, tag) {
                 return Some(m);
             }
             match crate::sched::park_for_recv(self, dst, src, tag, now, Some(deadline)) {
@@ -578,19 +536,16 @@ impl World {
                 crate::sched::ParkWake::Spurious => continue,
                 // Re-check once: a delivery racing the timer entry would
                 // have been queued, not handed off.
-                crate::sched::ParkWake::TimedOut => {
-                    return Self::pop_queued(&self.mailboxes[dst], src, tag)
-                }
+                crate::sched::ParkWake::TimedOut => return self.pop_queued(dst, src, tag),
             }
         }
     }
 
-    /// Pop the head of `(src, tag)` if present, removing the queue when
-    /// that drains it (drained queues are removed so unique collective
-    /// tags can't grow the map without bound).
-    fn pop_queued(mb: &Mailbox, src: usize, tag: u64) -> Option<Msg> {
-        let mut queues = mb.queues.lock().unwrap();
-        if let Entry::Occupied(mut e) = queues.entry((src, tag)) {
+    /// Pop the head of `dst`'s `(src, tag)` queue if present, removing
+    /// the queue when that drains it (drained queues are removed so
+    /// unique collective tags can't grow the map without bound).
+    fn pop_queued(&self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
+        if let Entry::Occupied(mut e) = self.queues(dst).entry((src, tag)) {
             let m = e.get_mut().pop_front().expect("empty queue left in mailbox map");
             if e.get().is_empty() {
                 e.remove();
@@ -601,20 +556,9 @@ impl World {
     }
 }
 
-/// Run `f` on every rank of a fresh world and return the per-rank results
-/// in rank order. Panics in any rank propagate. Uses
-/// [`Backend::from_env`]: the sequential event loop unless
-/// `FLEXIO_SIM_SHARDS` requests a pool.
-pub fn run<R, F>(nprocs: usize, cost: CostModel, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    run_on(Backend::from_env(), nprocs, cost, f)
-}
-
-/// [`run`] on an explicitly chosen backend.
-pub fn run_on<R, F>(backend: Backend, nprocs: usize, cost: CostModel, f: F) -> Vec<R>
+/// Drive a fresh world's ranks to completion: `None` for crash-stopped
+/// ranks, `Some` for the rest.
+fn drive<R, F>(world: Arc<World>, f: F) -> Vec<Option<R>>
 where
     R: Send,
     F: Fn(&crate::rank::Rank) -> R + Sync,
@@ -624,18 +568,36 @@ where
         "the flexio-sim rank runtime requires x86_64 stackful fibers \
          (the thread-per-rank fallback was retired)"
     );
-    let world = World::new(nprocs, cost);
-    match backend {
-        Backend::EventLoop => crate::sched::run_event_loop(world, f),
-        Backend::Sharded(k) => crate::sched::run_pool(world, k, f),
-    }
+    crate::sched::run_event_loop_partial(world, f)
+}
+
+/// Run `f` on every rank of a fresh world and return the per-rank results
+/// in rank order. Panics in any rank propagate.
+pub fn run<R, F>(nprocs: usize, cost: CostModel, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&crate::rank::Rank) -> R + Sync,
+{
+    drive(World::new(nprocs, cost), f)
+        .into_iter()
+        .map(|r| r.expect("rank finished without a result"))
+        .collect()
+}
+
+/// [`run`], under the name the benchmark package calls it by (see
+/// [`Backend`]; goes when the benchmark stops naming it).
+pub fn run_on<R, F>(_backend: Backend, nprocs: usize, cost: CostModel, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&crate::rank::Rank) -> R + Sync,
+{
+    run(nprocs, cost, f)
 }
 
 /// Run `f` on every rank of a fresh world carrying a crash-stop schedule:
 /// each `(rank, at_ns)` pair kills that rank at its first
 /// [`Rank::maybe_crash`] check at or past `at_ns` of virtual time.
-/// Crashed ranks return `None`; survivors return `Some`. Uses
-/// [`Backend::from_env`].
+/// Crashed ranks return `None`; survivors return `Some`.
 ///
 /// [`Rank::maybe_crash`]: crate::rank::Rank::maybe_crash
 pub fn run_crashable<R, F>(
@@ -648,61 +610,7 @@ where
     R: Send,
     F: Fn(&crate::rank::Rank) -> R + Sync,
 {
-    run_crashable_on(Backend::from_env(), nprocs, cost, crashes, f)
-}
-
-/// [`run_crashable`] on an explicitly chosen backend.
-pub fn run_crashable_on<R, F>(
-    backend: Backend,
-    nprocs: usize,
-    cost: CostModel,
-    crashes: &[(usize, u64)],
-    f: F,
-) -> Vec<Option<R>>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    assert!(
-        Backend::event_loop_supported(),
-        "crash-stop simulation requires the fiber rank runtime (x86_64)"
-    );
-    let world = World::with_crashes(nprocs, cost, crashes);
-    match backend {
-        Backend::EventLoop => crate::sched::run_event_loop_partial(world, f),
-        Backend::Sharded(k) => crate::sched::run_pool_partial(world, k, None, f),
-    }
-}
-
-/// Determinism-harness entry: [`run`] on a `shards`-wide pool whose
-/// spawned host threads start with a pseudo-random stagger of up to
-/// `max_jitter_us` wall microseconds (derived from `seed`), and whose
-/// shard condvars are flooded with unrequested notifies for the whole
-/// run (spurious wakeups far denser than any OS produces), deliberately
-/// perturbing host scheduling. The result must still be bit-identical to
-/// [`Backend::EventLoop`] — that is the pool's whole contract — so this
-/// exists for tests to prove it under hostile interleavings.
-pub fn run_jittered<R, F>(
-    nprocs: usize,
-    cost: CostModel,
-    shards: usize,
-    seed: u64,
-    max_jitter_us: u64,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&crate::rank::Rank) -> R + Sync,
-{
-    assert!(
-        Backend::event_loop_supported(),
-        "the flexio-sim rank runtime requires x86_64 stackful fibers"
-    );
-    let world = World::new(nprocs, cost);
-    crate::sched::run_pool_partial(world, shards, Some((seed, max_jitter_us.saturating_mul(1000))), f)
-        .into_iter()
-        .map(|r| r.expect("rank finished without a result"))
-        .collect()
+    drive(World::with_crashes(nprocs, cost, crashes), f)
 }
 
 #[cfg(test)]
@@ -713,25 +621,6 @@ mod tests {
     fn run_returns_rank_order() {
         let out = run(4, CostModel::free(), |r| r.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn sharded_run_returns_rank_order() {
-        for k in [1, 2, 3, 7] {
-            let out = run_on(Backend::Sharded(k), 4, CostModel::free(), |r| r.rank() * 10);
-            assert_eq!(out, vec![0, 10, 20, 30], "k={k}");
-        }
-    }
-
-    #[test]
-    fn jittered_pool_matches_event_loop() {
-        let ev = run(5, CostModel::default(), |r| (r.now(), r.allreduce_sum(r.rank() as u64)));
-        for seed in 0..3u64 {
-            let j = run_jittered(5, CostModel::default(), 3, seed, 200, |r| {
-                (r.now(), r.allreduce_sum(r.rank() as u64))
-            });
-            assert_eq!(ev, j, "seed={seed}");
-        }
     }
 
     #[test]

@@ -153,24 +153,20 @@ std::thread_local! {
 ///
 /// The cache behind [`flatten_shared`] is partitioned into independent
 /// scopes so hit/miss behaviour — and therefore the virtual-time charges
-/// layered on top — stays per simulated rank regardless of how ranks map
-/// onto host threads. The rank scheduler multiplexes many ranks onto
-/// each host thread (all of them, sequentially, or one shard's worth
-/// under the sharded pool) and calls this with the global rank id on
-/// each context switch, so cache behaviour is identical at every shard
-/// count. Plain (non-simulated) callers never need to touch it: they
-/// use the default scope 0.
+/// layered on top — stays per simulated rank although every rank of a
+/// world runs on one host thread: the rank scheduler calls this with the
+/// rank id on each switch into a rank's fiber. Plain (non-simulated)
+/// callers never need to touch it: they use the default scope 0.
 pub fn set_flatten_scope(scope: u64) {
     FLATTEN_SCOPE.with(|s| s.set(scope));
 }
 
 /// Drop every scope's cached flattenings on the current thread.
 ///
-/// The rank scheduler calls this on each host thread when a world
-/// starts (and again when it finishes), reproducing the cold cache a
-/// fresh thread would have seen — without it, a second `run` on the
-/// same host thread would observe warm caches and drift from the
-/// per-world hit/miss counts every other shard layout produces.
+/// The rank scheduler calls this when a world starts (and again when it
+/// finishes), reproducing the cold cache a fresh thread would have seen —
+/// without it, a second `run` on the same host thread would observe warm
+/// caches and its hit/miss counts would depend on what ran before it.
 pub fn reset_flatten_cache() {
     FLATTEN_CACHE.with(|c| c.borrow_mut().clear());
 }

@@ -11,7 +11,7 @@ use crate::spec::{PhaseOp, WorkloadSpec};
 use crate::tiled::read_file;
 use flexio_core::{Engine, Hints, IoError, MpiFile};
 use flexio_pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
-use flexio_sim::{run_on, Backend, CostModel, Stats};
+use flexio_sim::{run, CostModel, Stats};
 use flexio_types::Datatype;
 use std::sync::Arc;
 
@@ -24,23 +24,6 @@ pub struct RunConfig {
     pub zero_copy: bool,
     /// Inject the spec's transient-fault plan.
     pub faulted: bool,
-    /// Host-thread shards driving each phase's world: 0 defers to
-    /// `FLEXIO_SIM_SHARDS` (the [`Backend::from_env`] default), 1 pins
-    /// the sequential event loop, n >= 2 pins the sharded pool. Results
-    /// are bit-identical either way; the fuzz suite still runs both to
-    /// prove it.
-    pub shards: usize,
-}
-
-impl RunConfig {
-    /// The sim backend this config pins (see [`RunConfig::shards`]).
-    pub fn backend(&self) -> Backend {
-        match self.shards {
-            0 => Backend::from_env(),
-            1 => Backend::EventLoop,
-            n => Backend::Sharded(n),
-        }
-    }
 }
 
 /// Everything one phase produced, rank-indexed.
@@ -100,7 +83,7 @@ pub fn run_spec(spec: &WorkloadSpec, cfg: RunConfig) -> RunOutcome {
         };
         let inner = Arc::clone(&pfs);
         let ph = phase.clone();
-        let per_rank = run_on(cfg.backend(), phase.nprocs, CostModel::default(), move |rank| {
+        let per_rank = run(phase.nprocs, CostModel::default(), move |rank| {
             let plan = &ph.plans[rank.rank()];
             let mut f = MpiFile::open(rank, &inner, "workload", hints.clone())
                 .expect("hints validated by construction");
@@ -193,7 +176,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_matches_oracle() {
         let spec = checkpoint_spec(11, 3, 8, 2, 2);
-        let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false, shards: 0 };
+        let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false };
         let out = run_spec(&spec, cfg);
         let o = Oracle::from_spec(&spec);
         assert!(eq_padded(&out.image, o.image()), "image diverged from oracle");

@@ -27,6 +27,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
+# `cargo test` stops at 512 ranks so that it stays seconds in a debug
+# build too; every change still drives one 4096-rank world (release
+# only: ~5 s here, most of a minute in debug).
+echo "== 4096-rank scale smoke (tests/scale_smoke.rs) =="
+cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_4096_ranks
+
 # Every other leg is a release build, where no `debug_assert!` executes.
 # One debug-profile leg (seconds) for the data path's — segment and
 # run-list shape (`check_segs`, "segment outside chunk"), "partial write
@@ -125,26 +131,12 @@ if [ "$THOROUGH" = 1 ]; then
       cargo test -q --release --offline --test workload_fuzz crash_point_fuzz
   done
 
-  # Sharded-pool leg: route every `Backend::from_env` world in the
-  # backend-sensitive suites onto the pool at two widths (an even and an
-  # odd one) and demand the full determinism battery holds. Specific
-  # --test targets only: unit tests assume an unmutated environment.
-  for k in 4 7; do
-    echo "== sharded-pool sweep (FLEXIO_SIM_SHARDS=$k) =="
-    FLEXIO_SIM_SHARDS="$k" \
-      FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-      PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-      cargo test -q --release --offline \
-        --test sim_backend_parity --test shard_determinism --test workload_fuzz \
-        --test sim_collective_charges
-  done
-
-  # Scale leg: the 4096-rank (event-loop) and 16384-rank (sharded pool)
-  # collective write/read smokes (byte-identity + phase-sum invariants)
-  # and the host_scale sanity check (the pool must stay within the
-  # livelock-guard bound of the sequential loop).
-  echo "== 4096/16384-rank scale smoke (tests/scale_smoke.rs, ignored set) =="
-  cargo test -q --release --offline --test scale_smoke -- --ignored
+  # Scale leg: the 16384-rank collective write/read smoke (byte-identity
+  # + phase-sum invariants; minutes) and the host_scale sanity check (the
+  # scheduler's messages, fiber switches and heap pushes for a 256-rank
+  # world, exactly).
+  echo "== 16384-rank scale smoke (tests/scale_smoke.rs) =="
+  cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_16384_ranks
 
   echo "== host_scale sanity (--check) =="
   cargo run --release --offline -p flexio-bench --bin host_scale -- --check

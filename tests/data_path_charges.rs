@@ -17,7 +17,7 @@ use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::io::IoMethod;
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, StatsSnapshot};
-use flexio::sim::{run_on, Backend, CostModel, Rank, Stats};
+use flexio::sim::{run, CostModel, Rank, Stats};
 use flexio::types::Datatype;
 use flexio::workload::read_file;
 use std::fmt::Write as _;
@@ -70,7 +70,7 @@ fn fnv(data: &[u8]) -> u64 {
 /// clock and counters (after `close`: the close-time flush is part of the
 /// cached shapes' contract).
 fn world(nprocs: usize, body: impl Fn(&Rank) + Sync) -> Vec<(u64, Stats)> {
-    run_on(Backend::EventLoop, nprocs, CostModel::default(), |rank| {
+    run(nprocs, CostModel::default(), |rank| {
         body(rank);
         (rank.now(), rank.stats())
     })

@@ -1,19 +1,19 @@
-//! Scale smoke tests (ISSUE 7 satellite, sharded legs from ISSUE 10):
-//! worlds far beyond the paper's 64 processes, runnable in one host
-//! process only because of the fiber rank runtime. Byte-identity is
-//! checked against an independently computed expected file image, and
-//! every rank's phase buckets must still sum to its clock.
+//! Scale smoke tests: worlds far beyond the paper's 64 processes,
+//! runnable in one host process only because of the fiber rank runtime.
+//! Byte-identity is checked against an independently computed expected
+//! file image, and every rank's phase buckets must still sum to its
+//! clock.
 //!
-//! Tier-1 runs the 512-rank sequential case and a 4096-rank case on the
-//! sharded pool (the pool's per-dispatch gate cost is what limits debug
-//! wall time, so this doubles as a budget regression). The sequential
-//! 4096-rank and sharded 16384-rank cases are `#[ignore]`d (release-mode
-//! CI `scale` job and `scripts/verify.sh --thorough` run them with
-//! `--release --ignored`).
+//! Tier-1 (`cargo test`, debug or release) runs the 512-rank case. The
+//! 4096- and 16384-rank cases are `#[ignore]`d, release-scale runs:
+//! `scripts/verify.sh` runs the 4096-rank one on every change (seconds
+//! in release, most of a minute in debug), the CI `scale` job and
+//! `verify.sh --thorough` run both (`--release -- --ignored`; the
+//! 16384-rank world takes minutes).
 
 use flexio::core::{Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run_on, Backend, CostModel, XorShift64Star};
+use flexio::sim::{run, Backend, CostModel, XorShift64Star};
 use flexio::types::Datatype;
 use std::sync::Arc;
 
@@ -28,9 +28,9 @@ fn rank_data(rank: usize, len: usize) -> Vec<u8> {
 
 /// Collective write + read-back at `nprocs` ranks with `cb` aggregators,
 /// interleaved `BLOCK`-byte blocks, `blocks` filetype instances per rank.
-/// The invariants hold on every backend: expected file image, correct
-/// read-back, and phase buckets summing to each rank's clock.
-fn scale_roundtrip(backend: Backend, nprocs: usize, cb: usize, blocks: u64) {
+/// The invariants: expected file image, correct read-back, and phase
+/// buckets summing to each rank's clock.
+fn scale_roundtrip(nprocs: usize, cb: usize, blocks: u64) {
     assert!(
         Backend::event_loop_supported(),
         "scale smoke requires the fiber rank runtime"
@@ -46,7 +46,7 @@ fn scale_roundtrip(backend: Backend, nprocs: usize, cb: usize, blocks: u64) {
     });
     let pfs2 = Arc::clone(&pfs);
     let len = (blocks * BLOCK) as usize;
-    let out = run_on(backend, nprocs, CostModel::default(), move |rank| {
+    let out = run(nprocs, CostModel::default(), move |rank| {
         let hints = Hints { cb_nodes: Some(cb), ..Hints::default() };
         let mut f = MpiFile::open(rank, &pfs2, "scale", hints).unwrap();
         let block = Datatype::bytes(BLOCK);
@@ -90,28 +90,17 @@ fn scale_roundtrip(backend: Backend, nprocs: usize, cb: usize, blocks: u64) {
 
 #[test]
 fn scale_smoke_512_ranks() {
-    scale_roundtrip(Backend::EventLoop, 512, 16, 2);
+    scale_roundtrip(512, 16, 2);
 }
 
 #[test]
-fn scale_smoke_4096_ranks_sharded() {
-    // Tier-1 leg on the pool: every invariant above, plus (implicitly)
-    // the gate protocol surviving 4096 fibers spread over 4 shards. One
-    // block per rank keeps the debug wall time at the intrinsic cost of
-    // a 4096-rank collective open — measured, the pool is no slower than
-    // the sequential loop here despite the gate (the release legs below
-    // carry the heavy variants).
-    scale_roundtrip(Backend::Sharded(4), 4096, 256, 1);
-}
-
-#[test]
-#[ignore = "release-scale run; exercised by the CI scale job and verify.sh --thorough"]
+#[ignore = "release-scale run; exercised by verify.sh and the CI scale job"]
 fn scale_smoke_4096_ranks() {
-    scale_roundtrip(Backend::EventLoop, 4096, 64, 2);
+    scale_roundtrip(4096, 64, 2);
 }
 
 #[test]
 #[ignore = "release-scale run; exercised by the CI scale job and verify.sh --thorough"]
-fn scale_smoke_16384_ranks_sharded() {
-    scale_roundtrip(Backend::Sharded(7), 16384, 128, 2);
+fn scale_smoke_16384_ranks() {
+    scale_roundtrip(16384, 128, 2);
 }

@@ -16,7 +16,7 @@
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, run_crashable_on, Backend, CostModel, Stats};
+use flexio::sim::{run, run_crashable, CostModel, Stats};
 use flexio::types::Datatype;
 use flexio::workload::read_file;
 use std::fmt::Write as _;
@@ -120,7 +120,7 @@ fn run_scenario(scn: &Scenario) -> String {
     let spec = spec();
     let inner = Arc::clone(&pfs);
     let per_rank: Vec<Option<(u64, Vec<u64>, Stats)>> =
-        run_crashable_on(Backend::EventLoop, NPROCS, CostModel::default(), &crashes, move |rank| {
+        run_crashable(NPROCS, CostModel::default(), &crashes, move |rank| {
             let r = rank.rank();
             let mut f = MpiFile::open(rank, &inner, "fx", hints.clone()).unwrap();
             let (disp, ftype) = spec.file_view(r, TypeStyle::Succinct);

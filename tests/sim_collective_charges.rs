@@ -17,9 +17,7 @@
 //! pooled, reused and run ahead of) and records, per rank and collective:
 //! exit clock, cumulative `msgs_sent` / `bytes_sent` / `phase_ns`, the
 //! index at which the rank left the collective in host order (a shared
-//! counter), and a digest of what it received. The same text must come
-//! out of the event loop, of the sharded pool at 2, 4 and 7 shards, and
-//! of whatever `FLEXIO_SIM_SHARDS` selects (the `--thorough` sweep).
+//! counter), and a digest of what it received.
 //!
 //! The 257- and 512-rank worlds and the two sections after them were
 //! harvested on commit 6c2ce6c, the last one whose ranks stepped through
@@ -36,7 +34,7 @@
 //!
 //! Regenerate only when a change is *meant* to move virtual time.
 
-use flexio::sim::{run_on, Backend, CostModel, Rank};
+use flexio::sim::{run, CostModel, Rank};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -262,15 +260,14 @@ fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
-/// The fixture text for one backend: `[p=N case]` headers, then one line
-/// per rank: `rank clock msgs bytes compute/comm/io order digest`; then
-/// the two mixed sections, one line per record, labelled. Worlds of more
-/// than `max_world` ranks are left out.
-fn harvest(backend: Backend, max_world: usize) -> String {
+/// The fixture text: `[p=N case]` headers, then one line per rank: `rank
+/// clock msgs bytes compute/comm/io order digest`; then the two mixed
+/// sections, one line per record, labelled.
+fn harvest() -> String {
     let mut out = String::new();
-    for p in WORLDS.into_iter().filter(|&p| p <= max_world) {
+    for p in WORLDS {
         let order: Vec<AtomicUsize> = CASES.iter().map(|_| AtomicUsize::new(0)).collect();
-        let per_rank = run_on(backend, p, CostModel::default(), |rank| rank_body(rank, &order));
+        let per_rank = run(p, CostModel::default(), |rank| rank_body(rank, &order));
         for (case, name) in CASES.iter().enumerate() {
             writeln!(out, "[p={p} {name}]").unwrap();
             for recs in &per_rank {
@@ -283,7 +280,7 @@ fn harvest(backend: Backend, max_world: usize) -> String {
         [("interleaved", 8, interleaved_body), ("back-to-back", 9, back_to_back_body)];
     for (name, p, body) in mixed {
         let order = AtomicUsize::new(0);
-        let per_rank = run_on(backend, p, CostModel::default(), |rank| body(rank, &order));
+        let per_rank = run(p, CostModel::default(), |rank| body(rank, &order));
         writeln!(out, "[{name} p={p}]").unwrap();
         for line in per_rank.iter().flatten() {
             writeln!(out, "{line}").unwrap();
@@ -294,51 +291,23 @@ fn harvest(backend: Backend, max_world: usize) -> String {
 
 #[test]
 fn collectives_reproduce_the_parent_commit_fixture() {
-    let got = harvest(Backend::EventLoop, usize::MAX);
+    let got = harvest();
     if std::env::var_os("FLEXIO_REGEN_FIXTURE").is_some() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
         std::fs::write(FIXTURE, &got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(FIXTURE).expect("fixture missing (FLEXIO_REGEN_FIXTURE=1)");
-    let compare = |got: &str, backend: Backend, max_world: usize| {
-        // The fixture's sections a harvest with this limit reproduces.
-        let mut kept = true;
-        let want: Vec<&str> = want
-            .lines()
-            .filter(|line| {
-                if let Some(world) = line.strip_prefix("[p=") {
-                    let p: usize = world.split(' ').next().unwrap().parse().unwrap();
-                    kept = p <= max_world;
-                } else if line.starts_with('[') {
-                    kept = true;
-                }
-                kept
-            })
-            .collect();
-        let mut header = "";
-        for (g, w) in got.lines().zip(&want) {
-            if w.starts_with('[') {
-                header = w;
-            }
-            assert_eq!(
-                g, *w,
-                "{backend:?}, first differing line under {header} \
-                 (rank clock msgs bytes compute/comm/io host-order digest)"
-            );
+    let mut header = "";
+    for (g, w) in got.lines().zip(want.lines()) {
+        if w.starts_with('[') {
+            header = w;
         }
-        assert_eq!(got.lines().count(), want.len(), "{backend:?}");
-    };
-    compare(&got, Backend::EventLoop, usize::MAX);
-    // The pool is an order of magnitude slower than the loop: the two
-    // largest worlds go through it at one width (and at whatever width
-    // `FLEXIO_SIM_SHARDS` asks for), the rest at three.
-    for (backend, max_world) in [
-        (Backend::Sharded(2), 130),
-        (Backend::Sharded(4), usize::MAX),
-        (Backend::Sharded(7), 130),
-        (Backend::from_env(), usize::MAX),
-    ] {
-        compare(&harvest(backend, max_world), backend, max_world);
+        assert_eq!(
+            g, w,
+            "first differing line under {header} \
+             (rank clock msgs bytes compute/comm/io host-order digest)"
+        );
     }
+    assert_eq!(got.lines().count(), want.lines().count());
 }

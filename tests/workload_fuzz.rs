@@ -14,9 +14,7 @@
 //! * **faulted vs clean**: the spec's transient-fault plan (with a
 //!   generous retry budget) must perturb time, never data;
 //! * **run-twice determinism**: an identical rerun must be bit-identical
-//!   in images, read-backs, outcomes, clocks, and stats;
-//! * **sharded vs sequential**: a seed-pinned sharded-pool run (2–4 host
-//!   threads) must be bit-identical in *everything* to the base run.
+//!   in images, read-backs, outcomes, clocks, and stats.
 //!
 //! Uniform invariants on every run: phase buckets sum to each rank's
 //! clock, `bytes_copied ≤ memcpy_bytes`, and collective outcomes agree
@@ -36,7 +34,7 @@ use flexio::workload::{
 /// Run one spec through every axis and cross-check.
 fn fuzz_one(spec: &WorkloadSpec) {
     let zc = env_zero_copy();
-    let flexible = RunConfig { engine: Engine::Flexible, zero_copy: zc, faulted: false, shards: 0 };
+    let flexible = RunConfig { engine: Engine::Flexible, zero_copy: zc, faulted: false };
     let a = run_spec(spec, flexible);
     check_invariants(&a, "flexible/clean");
 
@@ -96,14 +94,6 @@ fn fuzz_one(spec: &WorkloadSpec) {
     // Run-twice determinism: bit-identical everything.
     let e = run_spec(spec, flexible);
     assert_eq!(a, e, "identical rerun produced a different outcome");
-
-    // Sharded vs base backend: pin a seed-derived pool width (2..=4) and
-    // demand full bit-identity — images, read-backs, outcomes, clocks,
-    // and stats. This is the workload-level leg of the ISSUE 10
-    // determinism contract; the sim-level suites cover the rest.
-    let k = 2 + (spec.fault_seed % 3) as usize;
-    let f = run_spec(spec, RunConfig { shards: k, ..flexible });
-    assert_eq!(a, f, "sharded pool ({k} shards) diverged from the base backend");
 }
 
 #[test]
@@ -169,7 +159,7 @@ fn reads_past_last_writer_extent_see_zeros() {
     let spec = restart_spec(0xE0F, 3, 4, 64, 1, 64);
     let oracle = Oracle::from_spec(&spec);
     for engine in [Engine::Flexible, Engine::Romio] {
-        let out = run_spec(&spec, RunConfig { engine, zero_copy: true, faulted: false, shards: 0 });
+        let out = run_spec(&spec, RunConfig { engine, zero_copy: true, faulted: false });
         let read = &out.phases[1];
         for (r, plan) in spec.phases[1].plans.iter().enumerate() {
             assert_eq!(
@@ -234,7 +224,7 @@ fn crash_generator_covers_the_axes() {
 #[test]
 fn outcome_equality_is_sensitive() {
     let spec = checkpoint_spec(0xE11, 2, 16, 2, 1);
-    let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false, shards: 0 };
+    let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false };
     let a: RunOutcome = run_spec(&spec, cfg);
     let mut b = a.clone();
     assert_eq!(a, b);
