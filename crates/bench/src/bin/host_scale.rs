@@ -13,15 +13,17 @@
 //! park/wake and message dispatch — dominates wall time rather than
 //! simulated data volume. Weak scaling: per-rank work is constant, the
 //! world grows. A second section isolates the runtime-overhead floor
-//! with two microbenchmarks at 64 ranks: spawn/join (empty rank bodies)
-//! and a 64-step ping-pong (park-per-message chains). See EXPERIMENTS.md
-//! E-host.
+//! with two microbenchmarks at 64 ranks — spawn/join (empty rank bodies)
+//! and a 64-step ping-pong (park-per-message chains) — and one at 512:
+//! an `alltoallv` of empty blocks, the dense round's step loop and
+//! nothing else, in host ns per message. See EXPERIMENTS.md E-host.
 //!
 //! Flags: the shared `--best-of N` (best wall time of N, default 3) and
 //! `--nprocs N` (restrict the main table to one row), `--full` (extend
-//! the sweep to 4096 ranks), `--check` (CI sanity: one 256-rank world,
-//! asserts the scheduler's deterministic work per world — messages,
-//! fiber switches, heap pushes — exactly, prints one line, exits).
+//! the sweep to 4096 ranks), `--check` (CI sanity: one 256-rank and one
+//! 512-rank world, asserts the scheduler's deterministic work per world
+//! — messages, fiber switches, heap pushes — exactly, prints one line
+//! each, exits).
 
 use flexio_bench::Scale;
 use flexio_core::{ExchangeMode, Hints, MpiFile};
@@ -92,6 +94,23 @@ fn ping_pong(nprocs: usize) -> Duration {
     t0.elapsed()
 }
 
+/// Four `alltoallv` rounds of empty blocks: `4 · p · (p − 1)` messages
+/// that allocate nothing and carry nothing, so wall time per message is
+/// the round's step loop — send, hand-off match or board slot, take or
+/// park, heap push and pop — and the world's spawn/join is under a
+/// hundredth of it. (The benchmark's `sim.alltoallv_us` probe sends an
+/// 8-byte block to every peer and is bound by its 262 144 allocations.)
+fn round_empty(nprocs: usize) -> (Duration, u64) {
+    let t0 = Instant::now();
+    let msgs = run(nprocs, CostModel::default(), |rank| {
+        for _ in 0..4 {
+            rank.alltoallv_sparse(Vec::new(), &[]);
+        }
+        rank.stats().msgs_sent
+    });
+    (t0.elapsed(), msgs.iter().sum())
+}
+
 fn best_wall<T: Ord>(n: usize, f: impl Fn() -> T) -> T {
     (0..n.max(1)).map(|_| f()).min().unwrap()
 }
@@ -106,12 +125,14 @@ fn ranks_per_sec(nprocs: usize, wall: Duration) -> f64 {
     nprocs as f64 / wall.as_secs_f64()
 }
 
-/// What the 256-rank world costs its scheduler (`results/host_scale.txt`,
-/// PR 16 block). All three are functions of the workload alone; a change
-/// that moves one has changed the scheduler's work per world and has to
-/// say so here.
-const CHECK_MSGS: u64 = 658_944;
-const CHECK_COUNTERS: SchedCounters = SchedCounters { fiber_switches: 3_581, heap_pushes: 241_253 };
+/// What the 256- and the 512-rank world cost their scheduler
+/// (`results/host_scale.txt`, PR 16 block): `(nprocs, msgs, counters)`.
+/// All three are functions of the workload alone; a change that moves
+/// one has changed the scheduler's work per world and has to say so here.
+const CHECK: [(usize, u64, SchedCounters); 2] = [
+    (256, 658_944, SchedCounters { fiber_switches: 3_581, heap_pushes: 241_253 }),
+    (512, 2_630_144, SchedCounters { fiber_switches: 7_165, heap_pushes: 978_573 }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -124,15 +145,17 @@ fn main() {
     );
 
     if check {
-        let (wall, msgs) = collective_write(256);
-        let c = last_run_counters();
-        println!(
-            "check @256 ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes",
-            wall.as_secs_f64() * 1e3,
-            c.fiber_switches,
-            c.heap_pushes
-        );
-        assert_eq!((msgs, c), (CHECK_MSGS, CHECK_COUNTERS), "the scheduler's work per world moved");
+        for (nprocs, want_msgs, want) in CHECK {
+            let (wall, msgs) = collective_write(nprocs);
+            let c = last_run_counters();
+            println!(
+                "check @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes",
+                wall.as_secs_f64() * 1e3,
+                c.fiber_switches,
+                c.heap_pushes
+            );
+            assert_eq!((msgs, c), (want_msgs, want), "the scheduler's work per {nprocs}-rank world moved");
+        }
         return;
     }
 
@@ -165,4 +188,9 @@ fn main() {
     for (name, f) in [("spawn-join", spawn_join as fn(usize) -> Duration), ("ping-pong", ping_pong)] {
         println!("{name},{:.2}", best_wall(scale.best_of, || f(64)).as_secs_f64() * 1e3);
     }
+
+    println!("\n# Dense-round floor @512 ranks (four alltoallv of empty blocks)");
+    println!("# columns: microbench,wall_ms,msgs,host_ns_per_msg");
+    let (wall, msgs) = best_wall(scale.best_of, || round_empty(512));
+    println!("round-empty,{:.2},{msgs},{:.1}", wall.as_secs_f64() * 1e3, ns_per_msg(wall, msgs));
 }

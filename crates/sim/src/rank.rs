@@ -10,6 +10,7 @@
 //! naturally: work done while a message is in flight hides its latency.
 
 use crate::cost::CostModel;
+use crate::sched::Segment;
 use crate::world::{Msg, Payload, Slot, World};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -243,6 +244,12 @@ impl Rank {
         }
     }
 
+    /// This segment's token: every entry point that communicates asks
+    /// once, and panics here when called outside `flexio_sim::run`.
+    fn seg(&self) -> Segment<'_> {
+        crate::sched::segment(&self.world)
+    }
+
     /// Split off a sub-communicator over `members` (ids relative to THIS
     /// handle's frame, strictly ascending, containing the caller). The
     /// returned handle shares this rank's clock, sequence, and counters;
@@ -278,7 +285,7 @@ impl Rank {
     /// again. Call at points where dying is survivable for the rest of
     /// the world, i.e. *between* collectives, never inside one.
     pub fn maybe_crash(&self) {
-        if self.now() >= self.world.crash_time(self.global) && !self.world.is_dead(self.global) {
+        if self.now() >= self.world.crash_time(self.global) && !self.seg().is_dead(self.global) {
             std::panic::panic_any(crate::world::CrashStop);
         }
     }
@@ -483,13 +490,13 @@ impl Rank {
         key: u64,
         init: impl FnOnce() -> T,
     ) -> Arc<T> {
-        self.world.shared_once(key, init)
+        self.seg().shared_once(key, init)
     }
 
     /// Number of [`Rank::shared_once`] values some rank of this world
     /// still holds (a residency probe for tests).
     pub fn shared_live(&self) -> usize {
-        self.world.shared_live()
+        self.seg().shared_live()
     }
 
     // ----- point to point ------------------------------------------------
@@ -497,7 +504,7 @@ impl Rank {
     /// Eager send: never blocks. The message becomes available at the
     /// destination after latency + transfer time.
     pub fn send(&self, dst: usize, tag: u64, data: &[u8]) {
-        debug_assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40");
+        assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40, got {tag}");
         self.send_tagged(dst, tag, data);
     }
 
@@ -532,17 +539,17 @@ impl Rank {
         // Mailbox identity is world-frame: group ids translate here, in
         // `recv_tagged` and in the two round forms below, nowhere else.
         let msg = Msg { data: Payload::Owned(data), avail_at };
-        self.world.deliver(self.global_of(dst), self.global, tag, msg);
+        self.seg().deliver(self.global_of(dst), self.global, tag, msg);
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        debug_assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40");
+        assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40, got {tag}");
         self.recv_tagged(src, tag)
     }
 
     fn recv_tagged(&self, src: usize, tag: u64) -> Vec<u8> {
-        let m = self.world.take(self.global, self.global_of(src), tag, self.now());
+        let m = self.seg().take(self.global, self.global_of(src), tag, self.now());
         self.charge_recv(m).into_vec()
     }
 
@@ -554,7 +561,7 @@ impl Rank {
     /// only; this is the primitive under crash-stop failure detection.
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
-        match self.world.take_deadline(self.global, self.global_of(src), tag, before, deadline) {
+        match self.seg().take_deadline(self.global, self.global_of(src), tag, before, deadline) {
             Some(m) => Some(self.charge_recv(m).into_vec()),
             None => {
                 self.advance_to(deadline);
@@ -589,7 +596,7 @@ impl Rank {
 
     /// The round key of the collective about to run: `seq * 8 + op`, the
     /// same on every participant. A dense round's messages are addressed
-    /// by `(key, step)` — see [`World::deliver_step`].
+    /// by `(key, step)` — see [`Segment::deliver_step`].
     fn round_key(&self, op: u64) -> u64 {
         debug_assert!((op as usize) < OPS.len());
         self.state.seq.get() * 8 + op
@@ -620,11 +627,12 @@ impl Rank {
             kind,
             received: Vec::new(),
         };
-        self.world.begin_round(self.global, cursor);
-        if !step_round(&self.world, self.global, None) {
-            crate::sched::sleep_in_round(&self.world, self.global);
+        let seg = self.seg();
+        seg.begin_round(self.global, cursor);
+        if !step_round(seg, self.global, None) {
+            seg.sleep_in_round(self.global);
         }
-        let c = self.world.end_round(self.global, key);
+        let c = seg.end_round(self.global, key);
         self.state.clock.set(c.clock);
         add(&self.state.msgs_sent, c.msgs_sent);
         add(&self.state.bytes_sent, c.bytes_sent);
@@ -740,11 +748,19 @@ impl Rank {
             "alltoallv: sources must be strictly ascending ranks"
         );
         let mut out: Vec<(usize, Vec<u8>)> = recv_from.iter().map(|&s| (s, Vec::new())).collect();
+        let key = self.round_key(3);
         for (src, block) in self.pairwise_round(sends) {
-            match recv_from.binary_search(&src) {
-                Ok(i) => out[i].1 = block,
-                Err(_) => debug_assert!(false, "alltoallv: {src} sent data but is not in recv_from"),
-            }
+            // The two sides of a block disagree about it: in every
+            // profile, since carrying on would drop the bytes.
+            let Ok(i) = recv_from.binary_search(&src) else {
+                panic!(
+                    "alltoallv_sparse: rank {} got {} bytes from rank {src}, which its recv_from does not list ({})",
+                    self.rank,
+                    block.len(),
+                    describe_tag(coll_tag(key, (self.rank + p - src) % p)),
+                )
+            };
+            out[i].1 = block;
         }
         out
     }
@@ -807,9 +823,11 @@ impl Rank {
                 out.push((src, self.recv_tagged(src, tag)));
             }
         }
-        debug_assert!(
+        assert!(
             self_payloads.is_empty(),
-            "send to self without matching self in recv_from"
+            "exchange: rank {} sends to itself but its recv_from does not list it ({})",
+            self.rank,
+            describe_tag(tag),
         );
         self.finish_coll();
         out
@@ -1023,10 +1041,12 @@ impl Cursor {
 
 /// Advance rank `r`'s dense round as far as the messages delivered so far
 /// take it — the one step loop of `barrier`, `allgatherv` and `alltoallv`.
-/// A step sends its message ([`World::deliver_step`]: hand-off to a peer
+/// A step sends its message ([`Segment::deliver_step`]: hand-off to a peer
 /// parked on it, or onto the peer's board), then looks for the one it
 /// receives; if that has not been delivered the rank parks on it
-/// ([`crate::sched::park_round`]) and this returns `false`. The rank's
+/// ([`Segment::park_round`]) and this returns `false`. A call is one
+/// span of steps under one token — its caller's: nothing between the
+/// first send and the park re-establishes whose segment this is. The rank's
 /// fiber calls it on entering the round (`arrived: None`); from then on
 /// the scheduler does, with the time the awaited message is available at,
 /// each time it pops the rank's wake — the same sends, hand-off matches,
@@ -1034,9 +1054,9 @@ impl Cursor {
 /// for every one of them, without waking it. Returns `true` once the
 /// last step is taken: the fiber (woken for that, if it slept) leaves the
 /// round with the cursor.
-pub(crate) fn step_round(world: &World, r: usize, mut arrived: Option<u64>) -> bool {
-    let c = world.cursor(r).as_mut().expect("a rank steps the round it is in");
-    let cost = world.cost();
+pub(crate) fn step_round(seg: Segment<'_>, r: usize, mut arrived: Option<u64>) -> bool {
+    let c = seg.cursor(r).as_mut().expect("a rank steps the round it is in");
+    let cost = seg.world().cost();
     loop {
         let avail_at = match arrived.take() {
             Some(at) => at,
@@ -1053,11 +1073,11 @@ pub(crate) fn step_round(world: &World, r: usize, mut arrived: Option<u64>) -> b
                 c.bytes_sent += len as u64;
                 c.comm_ns += cost.send_overhead_ns;
                 let (tag, at) = (coll_tag(c.key, c.step), Slot { key: c.key, step: c.step });
-                world.deliver_step(dst, r, tag, at, data, c.clock + cost.msg_ns(len));
-                match world.take_step(r, at) {
+                seg.deliver_step(dst, r, tag, at, data, c.clock + cost.msg_ns(len));
+                match seg.take_step(r, at) {
                     Some(at) => at,
                     None => {
-                        crate::sched::park_round(world, r, src, tag, c.clock);
+                        seg.park_round(r, src, tag, c.clock);
                         return false;
                     }
                 }
@@ -1106,6 +1126,21 @@ mod tests {
     use super::*;
     use crate::world::{run, run_crashable};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn no_token_outside_the_runtime_or_for_a_world_it_does_not_drive() {
+        let stray_send = || {
+            let err = std::panic::catch_unwind(|| {
+                Rank::new(World::new(2, CostModel::free()), 0).send(1, 0, &[]);
+            })
+            .expect_err("a rank of a world nobody drives must not reach its state");
+            let msg = err.downcast_ref::<String>().expect("panic carries a String");
+            assert!(msg.contains("outside the rank runtime"), "{msg}");
+        };
+        stray_send();
+        // Inside a run, but of another world than the stray rank's.
+        run(1, CostModel::free(), |_| stray_send());
+    }
 
     #[test]
     fn shared_once_computes_once_per_world() {
@@ -1261,6 +1296,39 @@ mod tests {
         }
     }
 
+    // The next three are callers' contracts, checked in every profile
+    // (they were `debug_assert!`s: a release build dropped the block,
+    // aliased a collective's tag, dropped the payload).
+
+    #[test]
+    #[should_panic(
+        expected = "rank 2 got 3 bytes from rank 0, which its recv_from does not list (collective #1 alltoallv step 2)"
+    )]
+    fn sparse_alltoallv_refuses_a_block_its_receiver_does_not_list() {
+        run(3, CostModel::default(), |r| {
+            r.barrier();
+            let sends = if r.rank() == 0 { vec![(2, vec![7; 3])] } else { Vec::new() };
+            r.alltoallv_sparse(sends, &[]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "user tags must stay below 2^40")]
+    fn user_tag_in_the_collective_range_is_refused() {
+        run(1, CostModel::free(), |r| r.send(0, INTERNAL_BASE, &[]));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 1 sends to itself but its recv_from does not list it (collective #0 exchange step 0)"
+    )]
+    fn exchange_refuses_a_self_send_nobody_receives() {
+        run(2, CostModel::free(), |r| {
+            let sends = if r.rank() == 1 { vec![(1, vec![9])] } else { Vec::new() };
+            r.exchange(sends, &[]);
+        });
+    }
+
     #[test]
     fn exchange_sparse() {
         // Rank 0 sends to 1 and 2; ranks 1,2 send back to 0.
@@ -1373,7 +1441,7 @@ mod tests {
                 mixed_rounds(&comm);
                 comm.barrier();
             }
-            let (live, _) = r.world.board_census(r.global);
+            let (live, _) = r.seg().board_census(r.global);
             assert_eq!(live, 0, "rank {} left a board behind", r.rank());
         });
     }
@@ -1398,6 +1466,55 @@ mod tests {
     }
 
     #[test]
+    fn a_late_entrants_ring_grows_to_its_senders_lead_and_is_left_empty() {
+        // Rank 7 sits out 50 virtual ms on a timer — late on the host, not
+        // only in virtual time — while its peers run a ring allgatherv as
+        // far as they can without it: its left neighbour, which needs
+        // nothing of rank 7 but its own block, last, has sent it the whole
+        // round by the time it enters. It takes the 39 messages in one
+        // segment off a ring that grew to hold them; `end_round` finds it
+        // empty and vacates the header.
+        let p = 40;
+        let out = run(p, CostModel::default(), |r| {
+            if r.rank() == 7 {
+                assert_eq!(r.recv_timeout(7, 1, 50_000_000), None);
+                assert_eq!(r.seg().ring_census(7), (64, p - 1), "steps 0..=38, rounded up");
+            }
+            let got = r.allgatherv(&stamp(0, 1, r.rank(), 0));
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &stamp(0, 1, src, 0));
+            }
+            let (_, landed) = r.seg().ring_census(r.global);
+            // Nobody is a round ahead of anybody after this.
+            r.barrier();
+            assert_eq!(r.seg().board_census(r.global).0, 0, "rank {}: board left open", r.rank());
+            landed
+        });
+        // What waits on a rank's rings as it leaves is the next round's:
+        // a 40-rank barrier's six messages at most.
+        assert!(out.iter().all(|&landed| landed <= 6), "{out:?}");
+    }
+
+    #[test]
+    fn a_ring_allgatherv_fills_the_boards_downstream_of_its_last_entrant() {
+        // The bound on a board is the window bound — its senders' lead,
+        // at most the round — and a ring allgatherv reaches it: whoever
+        // enters last finds the whole round waiting (see the test above),
+        // runs through it in one segment and so fills the board of its
+        // right neighbour, parked a few steps in, which then does the
+        // same to the next. (A fixed `nprocs`-slot array per *round* is
+        // what the window saves, not this.) 512 slots are 4 KiB a rank.
+        let out = run(512, CostModel::default(), |r| {
+            r.allgatherv(&[r.rank() as u8; 3]);
+            r.barrier();
+            r.seg().ring_census(r.global)
+        });
+        for (rank, &(slots, landed)) in out.iter().enumerate() {
+            assert!((256..=512).contains(&slots) && landed == 0, "rank {rank}: {slots} slots, {landed} landed");
+        }
+    }
+
+    #[test]
     fn crashed_ranks_messages_are_taken_and_its_boards_reaped() {
         // Rank 2 dies right after a world alltoallv that its left
         // neighbour entered a virtual second late: by then rank 2 has
@@ -1415,7 +1532,7 @@ mod tests {
             }
             if r.rank() == 2 {
                 // Still to be taken by rank 1: the step-4 block.
-                assert_eq!(r.world.board_census(1).0, 1, "rank 1 should hold a live board");
+                assert_eq!(r.seg().board_census(1).0, 1, "rank 1 should hold a live board");
             }
             r.maybe_crash();
             let comm = r.subgroup(&[0, 1, 3, 4]);
@@ -1423,11 +1540,11 @@ mod tests {
             let survivors = comm.allreduce_sum(1);
             // The last collective: nobody can be a round ahead now.
             comm.barrier();
-            assert_eq!(r.world.board_census(2), (0, 0), "dead rank's boards must be reaped");
-            assert!(!r.world.in_round(2), "dead rank's cursor must be reaped");
-            assert!(!r.world.in_round(r.global), "rank {} left its cursor behind", r.rank());
+            assert_eq!(r.seg().board_census(2), (0, 0), "dead rank's boards must be reaped");
+            assert!(!r.seg().in_round(2), "dead rank's cursor must be reaped");
+            assert!(!r.seg().in_round(r.global), "rank {} left its cursor behind", r.rank());
             // (`end_round` itself asserts that a pooled board is empty.)
-            let (live, pooled) = r.world.board_census(r.global);
+            let (live, pooled) = r.seg().board_census(r.global);
             assert_eq!(live, 0, "rank {}: board left live", r.rank());
             assert!(pooled <= 2, "rank {}: {pooled} boards pooled", r.rank());
             survivors
@@ -1449,11 +1566,11 @@ mod tests {
                 }
                 // Let the other two enter and park.
                 let _ = r.recv_timeout(0, 5, 1_000_000);
-                assert!(r.world.in_round(1) && r.world.in_round(2));
-                assert_eq!(r.world.board_census(1).0, 1, "rank 2's block for rank 1 waits on a board");
-                r.world.reap_rank(1);
-                assert!(!r.world.in_round(1), "a dead rank's cursor must be reaped");
-                assert_eq!(r.world.board_census(1), (0, 0), "a dead rank's boards must be reaped");
+                assert!(r.seg().in_round(1) && r.seg().in_round(2));
+                assert_eq!(r.seg().board_census(1).0, 1, "rank 2's block for rank 1 waits on a board");
+                r.seg().reap_rank(1);
+                assert!(!r.seg().in_round(1), "a dead rank's cursor must be reaped");
+                assert_eq!(r.seg().board_census(1), (0, 0), "a dead rank's boards must be reaped");
             })
         }));
         let err = got.expect_err("two ranks wait for rank 0 for ever");
@@ -1477,9 +1594,9 @@ mod tests {
                 }
                 3 => {
                     let _ = r.recv_timeout(3, 5, 500_000_000);
-                    before.store(r.world.board_census(1).0, Ordering::SeqCst);
+                    before.store(r.seg().board_census(1).0, Ordering::SeqCst);
                     let _ = r.recv_timeout(3, 5, 2_000_000_000);
-                    let (live, pooled) = r.world.board_census(1);
+                    let (live, pooled) = r.seg().board_census(1);
                     after.store(live + pooled, Ordering::SeqCst);
                 }
                 _ => {

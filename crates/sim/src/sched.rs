@@ -5,7 +5,7 @@
 //! Ranks are resumable state machines (stackful fibers, [`crate::fiber`])
 //! parked on their one blocking primitive — a message receive that found
 //! its `(src, tag)` queue, or its slot of a dense round's board, empty
-//! ([`World::take`], [`crate::rank::step_round`]). The scheduler always
+//! ([`Segment::take`], [`crate::rank::step_round`]). The scheduler always
 //! resumes the runnable rank with the **lowest virtual clock**, rank id as
 //! tie-break, so host execution order is a pure function of the workload:
 //! no OS wakeup races, bit-identical clocks and counters on every run. A
@@ -23,9 +23,11 @@
 //!
 //! One thread is also the world's whole ownership rule: between a pop of
 //! the ready heap and the next, exactly one segment runs, and everything
-//! it touches — this scheduler, the world's mailboxes, boards and cursors
-//! — is touched by nobody else. There is no second driver (DESIGN.md
-//! "Rank runtime", "Why there is no pool").
+//! it touches — this scheduler, the world's records, mailboxes, boards
+//! and cursors — is touched by nobody else. A segment proves what it is
+//! once, with a [`Segment`] token, and reaches all of it through that.
+//! There is no second driver (DESIGN.md "Rank runtime", "Why there is no
+//! pool").
 //!
 //! Error handling: a panic in any rank force-unwinds every other live
 //! fiber (their park points re-raise a private `ForcedUnwind` panic, so
@@ -78,7 +80,7 @@ impl Key {
     }
 }
 
-/// How a park ended, as seen by `World::take`/`take_deadline`.
+/// How a park ended, as seen by `Segment::take`/`take_deadline`.
 pub(crate) enum ParkWake {
     /// A delivery matching `(src, tag)` was handed directly to the parked
     /// receiver (the common case).
@@ -89,18 +91,6 @@ pub(crate) enum ParkWake {
     TimedOut,
 }
 
-/// A rank parked in `World::take`: what it waits for and the virtual
-/// clock it parked at (its wake-up priority).
-#[derive(Clone, Copy)]
-struct ParkedRecv {
-    src: usize,
-    tag: u64,
-    clock: u64,
-    /// This park's generation: a stale timer entry (from an earlier park
-    /// of the same rank) no longer matches and is skipped on pop.
-    gen: u64,
-}
-
 struct FiberSlot {
     stack: FiberStack,
     /// Saved context while the fiber is suspended (initially the fresh
@@ -109,7 +99,7 @@ struct FiberSlot {
     /// Boxed so its address is stable for the initial register image.
     payload: Box<Payload>,
     done: bool,
-    /// The fiber sleeps in a dense round ([`sleep_in_round`]): its wakes
+    /// The fiber sleeps in a dense round ([`Segment::sleep_in_round`]): its wakes
     /// advance the round's cursor on the scheduler's stack, and it is
     /// switched to only once the cursor has taken its last step.
     in_round: bool,
@@ -134,18 +124,21 @@ struct Sched {
     /// equal `(time, rank)` the timer pops first and is discarded as
     /// stale if the handoff already cleared the park.
     ready: BinaryHeap<Reverse<Key>>,
-    /// Per-rank park state; `Some` while blocked in `World::take`.
-    waiting: Vec<Option<ParkedRecv>>,
-    /// Per-rank park generation counter (see [`ParkedRecv::gen`]).
+    /// Per-rank park generation: the number of the rank's current (or
+    /// last) park. A timer entry carries the generation of the park that
+    /// set it; a stale one (from an earlier park of the same rank) no
+    /// longer matches and is skipped on pop. What a parked rank waits
+    /// for is in its record in the world ([`crate::world::Peer`]).
     park_seq: Vec<u64>,
     /// Set when a park's deadline fired; consumed by the resumed fiber.
     timed_out: Vec<bool>,
     /// Ranks that crash-stopped ([`crate::world::CrashStop`]).
     crashed: usize,
-    /// Direct-handoff slot per rank: a delivery matching a parked
-    /// receiver's `(src, tag)` lands here, bypassing the mailbox map
-    /// entirely (the queue is provably empty whenever the receiver is
-    /// parked: it drained it before parking).
+    /// Direct-handoff slot per rank: a tag-addressed delivery matching a
+    /// parked receiver's `(src, tag)` lands here, bypassing the mailbox
+    /// map entirely (the queue is provably empty whenever the receiver is
+    /// parked: it drained it before parking). A dense round's hand-off
+    /// is a `u64` in the receiver's record instead.
     handoff: Vec<Option<Msg>>,
     slots: Vec<FiberSlot>,
     /// The memory behind every slot's stack.
@@ -172,7 +165,8 @@ fn stack_bytes(raw: Option<&str>) -> usize {
         .unwrap_or_else(|| panic!("FLEXIO_SIM_STACK_KB must be a decimal KiB count, got {v:?}"))
 }
 
-/// The scheduler driving `world`, if it is this thread's active one.
+/// The scheduler driving `world`, if it is this thread's active one: the
+/// one ownership test, behind [`segment`].
 fn active(world: &World) -> Option<*mut Sched> {
     let el = ACTIVE.with(|a| a.get());
     // SAFETY: a non-null ACTIVE points at the Sched owned by the run
@@ -180,137 +174,158 @@ fn active(world: &World) -> Option<*mut Sched> {
     (!el.is_null() && std::ptr::eq(unsafe { (*el).world }, world)).then_some(el)
 }
 
-/// True when the calling code is a segment of the scheduler driving
+/// Proof that the code holding it is a segment of the scheduler driving
 /// `world` — a rank's fiber, or the scheduler stepping a sleeping rank's
-/// round — on the one thread that does. This is the guard on everything
-/// the world keeps without a lock (mailboxes, boards, cursors, shared
-/// cells): segments run one at a time, the forced unwind of a teardown
-/// included (it resumes one fiber after another).
-pub(crate) fn scheduler_active_for(world: &World) -> bool {
-    active(world).is_some()
+/// round — on the one thread that does. Everything the world keeps
+/// without a lock (records, mailboxes, boards, cursors, shared cells:
+/// the `impl Segment` in `world.rs`) and this scheduler's park state and
+/// ready heap (the one below) is reached through a token and in no
+/// other way. Segments run one at a time, the forced unwind of a
+/// teardown included (it resumes one fiber after another), so whoever
+/// holds a token is the only code touching any of it; a token held
+/// across a park is as good after the resume, when its holder is the
+/// running segment again. It never leaves the crate, holds a raw
+/// pointer (so it is neither `Send` nor `Sync`), and is made in two
+/// places: [`segment`], which tests [`active`], and the drive itself.
+#[derive(Clone, Copy)]
+pub(crate) struct Segment<'w> {
+    world: &'w World,
+    el: *mut Sched,
 }
 
-/// The scheduler driving `world` on this thread.
-fn active_for(world: &World) -> *mut Sched {
-    active(world).expect("park outside the owning scheduler")
+/// The token of the segment calling: every communication entry point of
+/// [`Rank`] starts here, once, whatever it goes on to touch.
+pub(crate) fn segment(world: &World) -> Segment<'_> {
+    let el = active(world)
+        .expect("communication outside the rank runtime (ranks only run inside flexio_sim::run)");
+    Segment { world, el }
 }
 
-impl Sched {
+impl<'w> Segment<'w> {
+    /// The world this is a segment of.
+    pub(crate) fn world(self) -> &'w World {
+        self.world
+    }
+
     /// Record that rank `dst` — the one running — now waits for a message
     /// for `(src, tag)`, `now` being its wake-up priority, and push the
     /// park's timer if it has a deadline.
-    fn note_park(&mut self, dst: usize, src: usize, tag: u64, now: u64, deadline: Option<u64>) {
-        debug_assert_eq!(self.current, dst, "a rank may only take from its own mailbox");
-        self.park_seq[dst] += 1;
-        let gen = self.park_seq[dst];
-        self.waiting[dst] = Some(ParkedRecv { src, tag, clock: now, gen });
+    fn note_park(self, dst: usize, src: usize, tag: u64, now: u64, deadline: Option<u64>) {
+        self.peer(dst).park(src, tag, now);
+        // SAFETY: the token — the driving thread, the running segment;
+        // short borrow, no switch inside.
+        let el = unsafe { &mut *self.el };
+        debug_assert_eq!(el.current, dst, "a rank may only take from its own mailbox");
+        el.park_seq[dst] += 1;
         if let Some(d) = deadline {
+            let gen = el.park_seq[dst];
             assert!(gen < WAKE_ENTRY, "rank {dst} parked 2^{KIND_BITS} times");
-            self.push_ready(Key::new(d.max(now), dst, gen));
+            el.push_ready(Key::new(d.max(now), dst, gen));
         }
     }
 
+    /// Park the current rank until a message for `(src, tag)` is
+    /// delivered, or — when `deadline` (absolute virtual ns) is given —
+    /// until that much virtual time passes with no delivery. Called by
+    /// `Segment::take`/`take_deadline` after finding the queue empty;
+    /// `now` is the rank's virtual clock, which becomes its wake-up
+    /// priority. The deadline is a heap timer entry ordered with every
+    /// other wake-up, so timeouts are as deterministic as deliveries.
+    pub(crate) fn park_for_recv(
+        self,
+        dst: usize,
+        src: usize,
+        tag: u64,
+        now: u64,
+        deadline: Option<u64>,
+    ) -> ParkWake {
+        // SAFETY: the token; no other code touches this Sched between
+        // here and the switch (borrows end before switching).
+        let (my, host) = unsafe {
+            if (*self.el).unwinding {
+                // A destructor receiving during forced unwind: re-raise
+                // rather than parking a fiber nobody will ever wake.
+                panic_any(ForcedUnwind);
+            }
+            self.note_park(dst, src, tag, now, deadline);
+            let el = &mut *self.el;
+            (&mut el.slots[dst].ctx as *mut Context, &el.host_ctx as *const Context)
+        };
+        // SAFETY: host_ctx holds the scheduler context that switched us in.
+        unsafe { switch_stacks(my, host) };
+        // Resumed: a matching message was handed off, the deadline fired,
+        // or the world is being torn down and this fiber must unwind.
+        // SAFETY: the token; the loop that resumed us is in `switch_stacks`.
+        let el = unsafe { &mut *self.el };
+        if el.unwinding {
+            panic_any(ForcedUnwind);
+        }
+        if el.timed_out[dst] {
+            el.timed_out[dst] = false;
+            return ParkWake::TimedOut;
+        }
+        match el.handoff[dst].take() {
+            Some(m) => ParkWake::Delivered(m),
+            None => ParkWake::Spurious,
+        }
+    }
+
+    /// The park of a dense round's step: exactly [`Segment::park_for_recv`]'s
+    /// bookkeeping — the park entry a delivery matches and the deadlock
+    /// report prints, at the same clock — and no switch. Whoever is
+    /// stepping the round (`rank::step_round`: the rank's fiber in its
+    /// first segment, the scheduler afterwards) returns to its caller
+    /// instead.
+    pub(crate) fn park_round(self, dst: usize, src: usize, tag: u64, now: u64) {
+        self.note_park(dst, src, tag, now, None);
+    }
+
+    /// Put rank `r`'s fiber to sleep until its round's cursor — parked by
+    /// [`Segment::park_round`] a moment ago — has taken its last step:
+    /// every wake of the rank in between is the scheduler's to act on
+    /// ([`run_segment`]).
+    pub(crate) fn sleep_in_round(self, r: usize) {
+        debug_assert!(self.peer(r).parked().is_some(), "only a parked round sleeps");
+        // SAFETY: as in `park_for_recv`.
+        let (my, host) = unsafe {
+            let el = &mut *self.el;
+            debug_assert_eq!(el.current, r, "only the running rank goes to sleep");
+            el.slots[r].in_round = true;
+            (&mut el.slots[r].ctx as *mut Context, &el.host_ctx as *const Context)
+        };
+        // SAFETY: host_ctx holds the scheduler context that switched us in.
+        unsafe { switch_stacks(my, host) };
+        // SAFETY: as above.
+        let el = unsafe { &mut *self.el };
+        if el.unwinding {
+            panic_any(ForcedUnwind);
+        }
+        debug_assert!(!el.slots[r].in_round, "rank {r} woken inside its round");
+    }
+
+    /// Mark `dst` — whose park a delivery has just ended
+    /// (`Peer::unpark_if`) — runnable at `clock`, its park-time clock.
+    /// What was delivered is where the woken rank looks for it: in its
+    /// record for a dense round's step, in the hand-off slot
+    /// ([`Segment::hand_over`]) for a tag-addressed message.
+    pub(crate) fn wake(self, dst: usize, clock: u64) {
+        // SAFETY: the token; short borrow, no switch inside.
+        unsafe { (*self.el).push_ready(Key::new(clock, dst, WAKE_ENTRY)) };
+    }
+
+    /// [`Segment::wake`] for a tag-addressed message: `msg` goes straight
+    /// to the parked receiver, bypassing its mailbox.
+    pub(crate) fn hand_over(self, dst: usize, clock: u64, msg: Msg) {
+        // SAFETY: the token; short borrow, no switch inside.
+        unsafe { (&mut (*self.el).handoff)[dst] = Some(msg) };
+        self.wake(dst, clock);
+    }
+}
+
+impl Sched {
     fn push_ready(&mut self, key: Key) {
         self.counters.heap_pushes += 1;
         self.ready.push(Reverse(key));
-    }
-}
-
-/// Park the current rank until a message for `(src, tag)` is delivered,
-/// or — when `deadline` (absolute virtual ns) is given — until that much
-/// virtual time passes with no delivery. Called by `World::take`/
-/// `take_deadline` after finding the queue empty; `now` is the rank's
-/// virtual clock, which becomes its wake-up priority. The deadline is a
-/// heap timer entry ordered with every other wake-up, so timeouts are as
-/// deterministic as deliveries.
-pub(crate) fn park_for_recv(
-    world: &World,
-    dst: usize,
-    src: usize,
-    tag: u64,
-    now: u64,
-    deadline: Option<u64>,
-) -> ParkWake {
-    let el = active_for(world);
-    // SAFETY: the driving thread; no other code touches this Sched
-    // between here and the switch (borrows end before switching).
-    let (my, host) = unsafe {
-        let el = &mut *el;
-        if el.unwinding {
-            // A destructor receiving during forced unwind: re-raise
-            // rather than parking a fiber nobody will ever wake.
-            panic_any(ForcedUnwind);
-        }
-        el.note_park(dst, src, tag, now, deadline);
-        (&mut el.slots[dst].ctx as *mut Context, &el.host_ctx as *const Context)
-    };
-    // SAFETY: host_ctx holds the scheduler context that switched us in.
-    unsafe { switch_stacks(my, host) };
-    // Resumed: a matching message was handed off, the deadline fired, or
-    // the world is being torn down and this fiber must unwind.
-    // SAFETY: as above; the loop that resumed us is in `switch_stacks`.
-    let el = unsafe { &mut *el };
-    if el.unwinding {
-        panic_any(ForcedUnwind);
-    }
-    if el.timed_out[dst] {
-        el.timed_out[dst] = false;
-        return ParkWake::TimedOut;
-    }
-    match el.handoff[dst].take() {
-        Some(m) => ParkWake::Delivered(m),
-        None => ParkWake::Spurious,
-    }
-}
-
-/// The park of a dense round's step: exactly [`park_for_recv`]'s
-/// bookkeeping — the `waiting` entry a delivery matches and the deadlock
-/// report prints, at the same clock — and no switch. Whoever is stepping
-/// the round (`rank::step_round`: the rank's fiber in its first segment,
-/// the scheduler afterwards) returns to its caller instead.
-pub(crate) fn park_round(world: &World, dst: usize, src: usize, tag: u64, now: u64) {
-    // SAFETY: the driving thread, short borrow, no switch inside.
-    unsafe { (*active_for(world)).note_park(dst, src, tag, now, None) };
-}
-
-/// Put rank `r`'s fiber to sleep until its round's cursor — parked by
-/// [`park_round`] a moment ago — has taken its last step: every wake of
-/// the rank in between is the scheduler's to act on ([`run_segment`]).
-pub(crate) fn sleep_in_round(world: &World, r: usize) {
-    let el = active_for(world);
-    // SAFETY: as in `park_for_recv`.
-    let (my, host) = unsafe {
-        let el = &mut *el;
-        debug_assert!(el.current == r && el.waiting[r].is_some(), "only a parked round sleeps");
-        el.slots[r].in_round = true;
-        (&mut el.slots[r].ctx as *mut Context, &el.host_ctx as *const Context)
-    };
-    // SAFETY: host_ctx holds the scheduler context that switched us in.
-    unsafe { switch_stacks(my, host) };
-    // SAFETY: as above.
-    let el = unsafe { &mut *el };
-    if el.unwinding {
-        panic_any(ForcedUnwind);
-    }
-    debug_assert!(!el.slots[r].in_round, "rank {r} woken inside its round");
-}
-
-/// Delivery fast path: if `dst` is parked on exactly `(src, tag)`, hand
-/// the message straight to it and mark it runnable at its park-time
-/// clock. Returns the message back when no such receiver is parked (or
-/// no scheduler drives `world`); the caller then queues it.
-pub(crate) fn try_handoff(world: &World, dst: usize, src: usize, tag: u64, msg: Msg) -> Option<Msg> {
-    let Some(el) = active(world) else { return Some(msg) };
-    // SAFETY: the driving thread, short borrow, no switch inside.
-    let el = unsafe { &mut *el };
-    match el.waiting[dst] {
-        Some(w) if w.src == src && w.tag == tag => {
-            el.waiting[dst] = None;
-            el.handoff[dst] = Some(msg);
-            el.push_ready(Key::new(w.clock, dst, WAKE_ENTRY));
-            None
-        }
-        _ => Some(msg),
     }
 }
 
@@ -368,7 +383,6 @@ where
         unwinding: false,
         panic_payload: None,
         ready: BinaryHeap::with_capacity(nprocs),
-        waiting: vec![None; nprocs],
         park_seq: vec![0; nprocs],
         timed_out: vec![false; nprocs],
         crashed: 0,
@@ -410,14 +424,14 @@ where
                         let el = &mut *el_ptr;
                         if p.is::<crate::world::CrashStop>() {
                             // Crash-stop: the rank is gone, the world goes
-                            // on. Reap its mailbox, park state, and any
-                            // pending handoff so no scheduler structure —
-                            // deadlock reports included — ever lists it
-                            // again. Its result slot stays `None`.
+                            // on. Reap its record (park entry, boards),
+                            // mailbox and any pending handoff so no
+                            // scheduler structure — deadlock reports
+                            // included — ever lists it again. Its result
+                            // slot stays `None`.
                             el.crashed += 1;
-                            el.waiting[r] = None;
                             el.handoff[r] = None;
-                            reap_world.reap_rank(r);
+                            segment(&reap_world).reap_rank(r);
                         } else if !p.is::<ForcedUnwind>() && el.panic_payload.is_none() {
                             el.panic_payload = Some(p);
                         }
@@ -446,10 +460,11 @@ where
     // Nested `run` calls (a rank driving an inner world) save and restore
     // the outer scheduler around their own.
     let prev_active = ACTIVE.with(|a| a.replace(el_ptr));
-    // SAFETY: `el` is pinned until this frame returns and no borrow of it
-    // is live; a stack-canary failure panics out of the drive, which the
-    // caller must be prepared for.
-    let outcome = unsafe { drive_solo(el_ptr) };
+    // SAFETY: `el` is pinned until this frame returns, no borrow of it is
+    // live, and it is this thread's active scheduler, driving `world`:
+    // the drive is the segments' own segment. A stack-canary failure
+    // panics out of the drive, which the caller must be prepared for.
+    let outcome = unsafe { drive_solo(Segment { world: &world, el: el_ptr }) };
     ACTIVE.with(|a| a.set(prev_active));
     // Leave the host thread's flatten cache as cold as we found our own:
     // scope 0 restored for direct (non-simulated) callers.
@@ -469,38 +484,36 @@ where
 /// Run the segment a popped key of rank `r` stands for. A rank asleep in
 /// a dense round has its cursor advanced right here, on the scheduler's
 /// stack ([`crate::rank::step_round`], the function its fiber entered the
-/// round through): what the fiber would have done between this wake and
-/// its next park — take the message, send the next step's, look for the
-/// one after — minus the two stack switches around it. Only when the
-/// cursor has taken its last step, or the rank is not in a round at all,
-/// is the fiber switched to. Returns whether the rank's stack canary is
-/// intact — read only after the fiber ran: nothing else can have touched
-/// it, and its cache line is as cold as any in the world.
+/// round through, under the drive's own token): what the fiber would
+/// have done between this wake and its next park — take the message, send
+/// the next step's, look for the one after — minus the two stack switches
+/// around it. Only when the cursor has taken its last step, or the rank
+/// is not in a round at all, is the fiber switched to. Returns whether
+/// the rank's stack canary is intact — read only after the fiber ran:
+/// nothing else can have touched it, and its cache line is as cold as any
+/// in the world.
 ///
 /// # Safety
-/// `el_ptr` is the pinned scheduler of the calling thread, no borrow of
-/// it is live, and `r` is a live rank of it that is not parked.
-unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
+/// `seg` is the drive's token (its scheduler pinned, the calling thread's
+/// active one), no borrow of the scheduler is live, and `r` is a live
+/// rank of it that is not parked.
+unsafe fn run_segment(seg: Segment<'_>, r: usize) -> bool {
+    let el_ptr = seg.el;
     // SAFETY (here and below): scoped borrows on the driving thread that
     // end before anything that re-borrows the scheduler runs.
-    let (world, woke) = unsafe {
+    let in_round = unsafe {
         let el = &mut *el_ptr;
         el.current = r;
-        let woke = el.slots[r]
-            .in_round
-            .then(|| el.handoff[r].take().expect("a round's wake carries its message's time").avail_at);
-        (el.world, woke)
+        el.slots[r].in_round
     };
-    // SAFETY: `run_event_loop_partial` holds the world for the whole drive.
-    let world = unsafe { &*world };
-    if let Some(avail_at) = woke {
-        if !crate::rank::step_round(world, r, Some(avail_at)) {
+    if in_round {
+        if !crate::rank::step_round(seg, r, Some(seg.peer(r).take_handed())) {
             return true;
         }
         unsafe { (&mut (*el_ptr).slots)[r].in_round = false };
     }
     debug_assert!(
-        world.cursor(r).as_ref().is_none_or(crate::rank::Cursor::is_done),
+        seg.cursor(r).as_ref().is_none_or(crate::rank::Cursor::is_done),
         "rank {r} resumed with a half-stepped round"
     );
     let (host, fctx) = unsafe {
@@ -517,7 +530,12 @@ unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
 /// The driver: repeatedly pop the lowest key of the heap and run that
 /// segment. Returns the deadlock diagnostics (fibers already unwound)
 /// instead of panicking so the caller can clean up thread-locals first.
-unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
+///
+/// # Safety
+/// `seg` holds the pinned scheduler of the world it names, which is the
+/// calling thread's active one, and no borrow of it is live.
+unsafe fn drive_solo(seg: Segment<'_>) -> Result<(), String> {
+    let el_ptr = seg.el;
     loop {
         // SAFETY (this block and below): all Sched access happens on this
         // thread in scopes that end before any context switch.
@@ -531,10 +549,7 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
         let Some((_clock, r, kind)) = next.map(|Reverse(k)| k.parts()) else {
             // Live ranks but nothing runnable: every one of them is parked
             // on a receive no one will ever send. Report and unwind.
-            let diag = unsafe {
-                let el = &*el_ptr;
-                deadlock_message(&el.waiting, el.live, el.crashed)
-            };
+            let diag = unsafe { deadlock_message(seg, (*el_ptr).live, (*el_ptr).crashed) };
             unsafe { force_unwind(el_ptr) };
             return Err(diag);
         };
@@ -544,24 +559,23 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
             if el.slots[r].done {
                 continue;
             }
+            let peer = seg.peer(r);
             if kind != WAKE_ENTRY {
                 // A park timer. It fires only if the rank is still in the
                 // very park that set it (same generation); a handoff that
                 // beat the deadline — or any later park, a dense round's
                 // included — makes it stale.
-                match el.waiting[r] {
-                    Some(w) if w.gen == kind => {
-                        el.waiting[r] = None;
-                        el.timed_out[r] = true;
-                    }
-                    _ => continue,
+                if peer.parked().is_none() || el.park_seq[r] != kind {
+                    continue;
                 }
+                peer.unpark();
+                el.timed_out[r] = true;
             } else {
-                debug_assert!(el.waiting[r].is_none(), "wake entry for a parked rank");
+                debug_assert!(peer.parked().is_none(), "wake entry for a parked rank");
             }
         }
         // SAFETY: rank `r` is live and the popped key is its to run.
-        let canary_ok = unsafe { run_segment(el_ptr, r) };
+        let canary_ok = unsafe { run_segment(seg, r) };
         let need_unwind = unsafe {
             let el = &mut *el_ptr;
             assert!(
@@ -580,13 +594,11 @@ unsafe fn drive_solo(el_ptr: *mut Sched) -> Result<(), String> {
 }
 
 /// Human-readable summary of who is stuck waiting on what.
-fn deadlock_message(waiting: &[Option<ParkedRecv>], live: usize, crashed: usize) -> String {
-    let nprocs = waiting.len();
-    let mut parked: Vec<String> = waiting
-        .iter()
-        .enumerate()
-        .filter_map(|(r, w)| {
-            w.map(|w| {
+fn deadlock_message(seg: Segment<'_>, live: usize, crashed: usize) -> String {
+    let nprocs = seg.world().nprocs();
+    let mut parked: Vec<String> = (0..nprocs)
+        .filter_map(|r| {
+            seg.peer(r).parked().map(|w| {
                 let what = crate::rank::describe_tag(w.tag);
                 format!("rank {r} (clock {} ns) <- recv(src={}, {what})", w.clock, w.src)
             })

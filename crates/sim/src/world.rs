@@ -1,14 +1,14 @@
-//! The shared world: mailboxes, landing boards, shared cells, and the
-//! entry points that drive one ([`run`], [`run_crashable`]).
+//! The shared world: per-rank records, mailboxes, landing boards, shared
+//! cells, and the entry points that drive one ([`run`], [`run_crashable`]).
 
 use crate::cost::CostModel;
 use crate::rank::Cursor;
+use crate::sched::{ParkWake, Segment};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Panic payload raised by [`crate::rank::Rank::maybe_crash`] when a rank
@@ -79,15 +79,6 @@ pub(crate) struct Msg {
     pub avail_at: u64,
 }
 
-impl Msg {
-    /// What a dense round hands a parked receiver: the message's bytes,
-    /// if it has any, are with the receiver already
-    /// ([`World::deliver_step`]).
-    pub fn time_only(avail_at: u64) -> Msg {
-        Msg { data: Payload::Owned(Vec::new()), avail_at }
-    }
-}
-
 /// What a run cost its scheduler: the two things a message can make it
 /// do that are dearer than a few loads and stores.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +135,7 @@ impl Hasher for TagHasher {
 
 /// One rank's incoming-message store for tag-addressed traffic (`send`/
 /// `recv`, `exchange`, the tree collectives; the dense rounds land on
-/// [`Boards`]), one FIFO queue per `(src, tag)`. Only the overflow path —
+/// the rank's boards), one FIFO queue per `(src, tag)`. Only the overflow path —
 /// deliveries that found no matching parked receiver — lands here.
 type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
 
@@ -162,67 +153,221 @@ pub(crate) struct Slot {
 /// is a virtual clock in ns, which never gets here.)
 const ABSENT: u64 = u64::MAX;
 
-/// One rank's landing slots for one round. All a receive needs of a
-/// message is the time it becomes available at, so that is all a slot
-/// holds: `avail[i]` is step `taken + i`'s, [`ABSENT`] until it lands.
-/// The window opens at the first step the rank has not taken yet and
-/// reaches as far as the furthest step a peer has delivered, so a board
-/// is as long as its senders run ahead of its owner — a handful of slots
-/// in a ring allgather at any world size, up to `nprocs` in a skewed
-/// all-to-all — not as long as the round. The few messages that carry
-/// bytes leave them in `blocks` (`(step, bytes)`, in delivery order)
-/// when they land before the rank has entered the round; once it has,
-/// they go straight to its cursor.
+/// The key of a header no round's board is open in. (`seq * 8 + op`
+/// never gets here.)
+const NO_ROUND: u64 = u64::MAX;
+
+/// [`Peer::park_src`] of a rank that is not parked. (A world holds at
+/// most 2^24 ranks.)
+const NOT_PARKED: u32 = u32::MAX;
+
+/// One board's landing slots. All a receive needs of a message is the
+/// time it becomes available at, so that is all a slot holds
+/// ([`ABSENT`] until it lands, and again once it is taken). The slots
+/// are a power-of-two ring indexed `step & mask` over the window that
+/// opens at the first step the board's owner has not taken (`taken`,
+/// kept beside the ring) and reaches as far as the furthest step a peer
+/// has delivered: the ring doubles when a sender's lead outgrows it and
+/// never shrinks, so a board is as long as its senders have ever run
+/// ahead of its owner — 8–32 slots in a pairwise exchange entered
+/// together, the whole round in a ring allgather (whose last entrant
+/// runs it in one segment and fills its neighbour's board), up to
+/// `nprocs` either way — not as long as the round times the rounds in
+/// flight.
 #[derive(Default)]
+struct Ring(Box<[u64]>);
+
+impl Ring {
+    /// One cache line: what the first delivery to a rank allocates.
+    const MIN_SLOTS: usize = 8;
+
+    /// `step`'s message lands; `taken` is where the window opens.
+    fn land(&mut self, taken: usize, step: usize, avail_at: u64) {
+        debug_assert!(step >= taken, "step {step} delivered twice");
+        if step - taken >= self.0.len() {
+            self.grow(taken, step - taken);
+        }
+        let mask = self.0.len() - 1;
+        debug_assert_eq!(self.0[step & mask], ABSENT, "two messages for step {step}");
+        self.0[step & mask] = avail_at;
+    }
+
+    /// Make room for a sender `lead` steps ahead of `taken`. Every landed
+    /// step lies in `taken .. taken + len`, which the old ring maps one to
+    /// one onto its slots; the new one, being longer, does too.
+    #[cold]
+    fn grow(&mut self, taken: usize, lead: usize) {
+        let len = (lead + 1).next_power_of_two().max(Self::MIN_SLOTS);
+        let mut slots = vec![ABSENT; len].into_boxed_slice();
+        for step in taken..taken + self.0.len() {
+            slots[step & (len - 1)] = self.0[step & (self.0.len() - 1)];
+        }
+        self.0 = slots;
+    }
+
+    /// Take `step`'s message off the ring, if it has landed.
+    fn take(&mut self, step: usize) -> Option<u64> {
+        // A ring nothing ever landed on has no slots (and no mask).
+        let slot = self.0.get_mut(step & self.0.len().wrapping_sub(1))?;
+        (*slot != ABSENT).then(|| std::mem::replace(slot, ABSENT))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&t| t == ABSENT)
+    }
+}
+
+/// What a delivery to a rank reads and writes, in one cache line: whether
+/// the rank is dead, what it is parked on (the hand-off match), and the
+/// header of the board its round's messages land on. The scheduler's
+/// park table *is* these records' park entries; there is no other.
+#[repr(align(64))]
+pub(crate) struct Peer {
+    /// The park entry: the `(src, tag)` the rank waits for and the clock
+    /// it parked at, its wake-up priority. `park_src` is [`NOT_PARKED`]
+    /// while the rank is ready or running.
+    park_tag: u64,
+    park_clock: u64,
+    /// What the delivery that ended a dense round's park handed over:
+    /// its message's availability time ([`ABSENT`] once the woken step
+    /// has read it).
+    handed: u64,
+    /// The board header: the round it is open for ([`NO_ROUND`] = none),
+    /// the first step its owner has not taken, and the slots. Open for
+    /// the round the rank is in from entry to exit; between rounds, for
+    /// whichever round a peer delivers first.
+    key: u64,
+    ring: Ring,
+    park_src: u32,
+    taken: u32,
+    /// The rank has crash-stopped: deliveries to it are dropped.
+    dead: bool,
+}
+
+impl Default for Peer {
+    fn default() -> Peer {
+        Peer {
+            park_tag: 0,
+            park_clock: 0,
+            handed: ABSENT,
+            key: NO_ROUND,
+            ring: Ring::default(),
+            park_src: NOT_PARKED,
+            taken: 0,
+            dead: false,
+        }
+    }
+}
+
+/// A rank's park entry, read out of its record.
+#[derive(Clone, Copy)]
+pub(crate) struct Parked {
+    pub src: usize,
+    pub tag: u64,
+    pub clock: u64,
+}
+
+impl Peer {
+    /// The rank now waits for a message for `(src, tag)`; `clock` is its
+    /// wake-up priority.
+    pub fn park(&mut self, src: usize, tag: u64, clock: u64) {
+        debug_assert!(self.park_src == NOT_PARKED && src < NOT_PARKED as usize);
+        (self.park_src, self.park_tag, self.park_clock) = (src as u32, tag, clock);
+    }
+
+    /// What the rank is parked on, if it is parked.
+    pub fn parked(&self) -> Option<Parked> {
+        (self.park_src != NOT_PARKED).then_some(Parked {
+            src: self.park_src as usize,
+            tag: self.park_tag,
+            clock: self.park_clock,
+        })
+    }
+
+    /// End the rank's park (a timer fired, or the rank is being reaped).
+    pub fn unpark(&mut self) {
+        self.park_src = NOT_PARKED;
+    }
+
+    /// The availability time a dense round's hand-off left for the rank,
+    /// read by whoever acts on its wake.
+    pub fn take_handed(&mut self) -> u64 {
+        debug_assert_ne!(self.handed, ABSENT, "a round's wake carries its message's time");
+        std::mem::replace(&mut self.handed, ABSENT)
+    }
+
+    /// The hand-off match: if the rank is parked on exactly `(src, tag)`
+    /// it is parked no longer, and this returns its park clock — the
+    /// priority its wake is pushed at. When it is parked on a message,
+    /// nothing of that `(src, tag)` waits anywhere else — it looked before
+    /// parking — so FIFO order holds.
+    fn unpark_if(&mut self, src: usize, tag: u64) -> Option<u64> {
+        (self.park_src as usize == src && self.park_tag == tag).then(|| {
+            self.park_src = NOT_PARKED;
+            self.park_clock
+        })
+    }
+}
+
+/// A board that is not in its rank's record: the round is one a peer
+/// runs ahead into while the rank is still in (or, rarely, headed for)
+/// another. Its owner has taken none of its steps. A vacated entry
+/// (`key` = [`NO_ROUND`]) keeps its ring for the next round that needs
+/// one, so a steady stream of rounds allocates nothing.
 struct Board {
     key: u64,
-    taken: usize,
-    avail: VecDeque<u64>,
+    ring: Ring,
+    /// The messages that carry bytes, `(step, bytes)` in delivery order:
+    /// they wait here until the rank enters the round, then move to its
+    /// cursor, where later ones are delivered directly.
     blocks: Vec<(usize, Payload)>,
 }
 
-/// One rank's boards: the rounds some peer has already delivered into
-/// (`live`: the round the rank is in and, when a peer runs ahead, the
-/// next one) and the emptied boards of finished rounds (`free`), reused
-/// so a steady stream of rounds allocates nothing.
+/// The part of a rank's boards that a delivery seldom needs: the bytes
+/// that landed for the header's round ahead of its owner, and the boards
+/// of other rounds than the header's. One communicator's rounds put at
+/// most one board here (dense collectives are fully synchronizing: no
+/// peer can finish a round before the rank has entered it, so none can be
+/// more than one round ahead); ranks in overlapping communicators can
+/// hold a few more.
 #[derive(Default)]
-struct Boards {
-    live: Vec<Board>,
-    free: Vec<Board>,
+struct Spill {
+    blocks: Vec<(usize, Payload)>,
+    ahead: Vec<Board>,
 }
 
-impl Boards {
-    /// The board of round `key`, opened (from the pool when it has one)
-    /// by the first delivery of the round.
-    fn open(&mut self, key: u64) -> &mut Board {
-        let at = match self.live.iter().position(|b| b.key == key) {
-            Some(at) => at,
-            None => {
-                let mut b = self.free.pop().unwrap_or_default();
-                (b.key, b.taken) = (key, 0);
-                self.live.push(b);
-                self.live.len() - 1
-            }
-        };
-        &mut self.live[at]
-    }
+/// The board of round `key` among `ahead` (a [`Spill`]'s), opened — in a
+/// vacated entry when there is one — by the first delivery of the round.
+fn board_of(ahead: &mut Vec<Board>, key: u64) -> &mut Board {
+    let at = ahead.iter().position(|b| b.key == key).unwrap_or_else(|| {
+        let at = ahead.iter().position(|b| b.key == NO_ROUND).unwrap_or_else(|| {
+            ahead.push(Board { key: NO_ROUND, ring: Ring::default(), blocks: Vec::new() });
+            ahead.len() - 1
+        });
+        ahead[at].key = key;
+        at
+    });
+    &mut ahead[at]
 }
 
 /// State that only the one running segment touches — a rank's fiber, or
 /// the scheduler stepping a sleeping rank's round — so it needs no lock
 /// of its own: one host thread drives a world from its first segment to
 /// its last, one segment at a time (DESIGN "Rank runtime"). Every access
-/// goes through [`World::runner_owned`], which checks that the caller is
-/// a segment of that drive.
+/// goes through [`World::runner_owned`], which takes the segment's token
+/// and gives out only cells of the world the token is for.
 #[derive(Default)]
 struct RunnerCell<T>(UnsafeCell<T>);
 
 // SAFETY: the field is private and `World::runner_owned` is the only code
-// that reaches into it. It refuses any caller whose thread's active
-// scheduler is not the one driving this world, and a world is driven by
-// exactly one scheduler, on one thread (`run`/`run_crashable` build the
-// world they drive): every access that gets through is on that thread.
-// Another thread that holds the `Arc<World>` can only be refused.
+// that reaches into it. It asks for a `Segment`, which exists only on the
+// thread whose active scheduler drives the segment's world
+// (`sched::segment` is the one place that makes one from a `&World`, and
+// it checks exactly that; the token is neither `Send` nor `Sync`), and a
+// world is driven by exactly one scheduler, on one thread
+// (`run`/`run_crashable` build the world they drive): every access that
+// gets through is on that thread. Another thread that holds the
+// `Arc<World>` cannot obtain a token for it.
 unsafe impl<T: Send> Sync for RunnerCell<T> {}
 
 /// The world's "compute once, share" cells (see
@@ -234,18 +379,18 @@ type SharedCells = HashMap<(TypeId, u64), Weak<dyn Any + Send + Sync>>;
 pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
+    /// Per-rank record: park entry, dead flag, board header.
+    peers: Box<[RunnerCell<Peer>]>,
+    /// Per-rank boards beside the header's.
+    spills: Vec<RunnerCell<Spill>>,
     mailboxes: Vec<RunnerCell<QueueMap>>,
-    /// Per-rank landing boards of the dense collective rounds.
-    boards: Vec<RunnerCell<Boards>>,
     /// Per-rank round cursor: `Some` from the moment a rank enters a
     /// dense round until its fiber has left it (see
     /// [`crate::rank::step_round`]).
     cursors: Vec<RunnerCell<Option<Cursor>>>,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
     /// never). Checked by [`crate::rank::Rank::maybe_crash`].
-    pub(crate) crash_at: Vec<u64>,
-    /// Ranks that have crash-stopped: deliveries to them are dropped.
-    pub(crate) dead: Vec<AtomicBool>,
+    crash_at: Vec<u64>,
     shared: RunnerCell<SharedCells>,
 }
 
@@ -270,64 +415,18 @@ impl World {
         Arc::new(World {
             nprocs,
             cost,
+            peers: (0..nprocs).map(|_| RunnerCell::default()).collect(),
+            spills: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             mailboxes: (0..nprocs).map(|_| RunnerCell::default()).collect(),
-            boards: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             cursors: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             crash_at,
-            dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
             shared: RunnerCell::default(),
         })
-    }
-
-    /// The live value of cell `(T, key)`, computing it with `init` when no
-    /// rank of this world currently holds one.
-    ///
-    /// The map is not borrowed across `init` (which may itself ask for a
-    /// cell): ranks are fibers dispatched one at a time and `init` must
-    /// not communicate, so no second rank can run between the miss and
-    /// the insert.
-    pub(crate) fn shared_once<T: Any + Send + Sync>(
-        &self,
-        key: u64,
-        init: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        let id = (TypeId::of::<T>(), key);
-        let live = self.runner_owned(&self.shared).get(&id).and_then(Weak::upgrade);
-        if let Some(v) = live {
-            return v.downcast::<T>().expect("cell is keyed by its type");
-        }
-        let v = Arc::new(init());
-        let cells = self.runner_owned(&self.shared);
-        cells.retain(|_, w| w.strong_count() > 0);
-        let weak: Weak<T> = Arc::downgrade(&v);
-        cells.insert(id, weak);
-        v
-    }
-
-    /// Number of shared cells some rank still holds.
-    pub(crate) fn shared_live(&self) -> usize {
-        self.runner_owned(&self.shared).values().filter(|w| w.strong_count() > 0).count()
     }
 
     /// The scheduled crash time of `rank` (`u64::MAX` = never).
     pub(crate) fn crash_time(&self, rank: usize) -> u64 {
         self.crash_at[rank]
-    }
-
-    /// Whether `rank` has crash-stopped.
-    pub(crate) fn is_dead(&self, rank: usize) -> bool {
-        self.dead[rank].load(Ordering::Relaxed)
-    }
-
-    /// Mark `rank` dead and drop everything queued in its mailbox and on
-    /// its boards (pooled ones included) and its round cursor, so the
-    /// scheduler's deadlock diagnostics and memory footprint never carry
-    /// already-dead ranks.
-    pub(crate) fn reap_rank(&self, rank: usize) {
-        self.dead[rank].store(true, Ordering::Relaxed);
-        self.queues(rank).clear();
-        *self.boards(rank) = Boards::default();
-        *self.cursor(rank) = None;
     }
 
     /// Number of ranks.
@@ -340,76 +439,162 @@ impl World {
         &self.cost
     }
 
-    pub(crate) fn deliver(&self, dst: usize, src: usize, tag: u64, msg: Msg) {
-        // Messages to a crash-stopped rank fall on the floor, exactly like
-        // packets to a dead host.
-        if self.is_dead(dst) {
-            return;
-        }
-        // Fast path: a receiver already parked on exactly `(src, tag)`
-        // gets the message handed to it directly. When it is parked, its
-        // queue is provably empty — it drained it before parking — so FIFO
-        // order holds.
-        let Some(msg) = crate::sched::try_handoff(self, dst, src, tag, msg) else {
-            return;
-        };
-        self.queues(dst).entry((src, tag)).or_default().push_back(msg);
+    /// One cell of the runner-owned state of the world `seg` is a segment
+    /// of. The token is what makes the unguarded `&mut` sound, and the
+    /// cell is picked out of the token's own world, so there is no way to
+    /// show one world's token for another world's cell.
+    #[allow(clippy::mut_from_ref)]
+    fn runner_owned<'w, T>(
+        seg: Segment<'w>,
+        cell: impl FnOnce(&'w World) -> &'w RunnerCell<T>,
+    ) -> &'w mut T {
+        // SAFETY: `seg` proves that the caller is a segment of the one
+        // drive of this world, on the thread that drives it
+        // (`sched::segment` checked it, once, when the segment's entry
+        // point asked for the token), and segments run one at a time;
+        // callers never hold the reference across a park or a second
+        // request for the same cell (a round's step holds its own rank's
+        // cursor while it asks for a *peer's* cursor and for records and
+        // spills, which are other cells).
+        unsafe { &mut *cell(seg.world()).0.get() }
+    }
+}
+
+/// The world's share of what a segment may touch (the scheduler's is in
+/// `sched.rs`): everything below is reached through the token, never
+/// through a bare `&World`.
+impl<'w> Segment<'w> {
+    /// `rank`'s record.
+    pub(crate) fn peer(self, rank: usize) -> &'w mut Peer {
+        World::runner_owned(self, |w| &w.peers[rank])
     }
 
-    /// One rank's cell of runner-owned state. Only the running segment
-    /// may ask (for its own rank's or a peer's): that is what makes the
-    /// unguarded `&mut` sound.
-    #[allow(clippy::mut_from_ref)]
-    fn runner_owned<'a, T>(&'a self, cell: &'a RunnerCell<T>) -> &'a mut T {
-        assert!(
-            crate::sched::scheduler_active_for(self),
-            "communication outside the rank runtime (ranks only run inside flexio_sim::run)"
-        );
-        // SAFETY: the caller is a segment of the one drive of this world,
-        // on the thread that drives it (checked above), and segments run
-        // one at a time; callers never hold the reference across a park
-        // or a second request for the same cell (a round's step holds its
-        // own rank's cursor while it asks for a *peer's* cursor and for
-        // boards, which are other cells).
-        unsafe { &mut *cell.0.get() }
+    fn spill(self, rank: usize) -> &'w mut Spill {
+        World::runner_owned(self, |w| &w.spills[rank])
     }
 
     /// `rank`'s tag-addressed queues.
-    fn queues(&self, rank: usize) -> &mut QueueMap {
-        self.runner_owned(&self.mailboxes[rank])
-    }
-
-    fn boards(&self, rank: usize) -> &mut Boards {
-        self.runner_owned(&self.boards[rank])
+    fn queues(self, rank: usize) -> &'w mut QueueMap {
+        World::runner_owned(self, |w| &w.mailboxes[rank])
     }
 
     /// `rank`'s round cursor (`None` outside a dense round).
-    pub(crate) fn cursor(&self, rank: usize) -> &mut Option<Cursor> {
-        self.runner_owned(&self.cursors[rank])
+    pub(crate) fn cursor(self, rank: usize) -> &'w mut Option<Cursor> {
+        World::runner_owned(self, |w| &w.cursors[rank])
     }
 
-    /// `rank` enters the round `cursor` describes: the bytes that landed
-    /// on its board ahead of it move to the cursor, where later ones are
-    /// delivered directly.
-    pub(crate) fn begin_round(&self, rank: usize, mut cursor: Cursor) {
-        if let Some(b) = self.boards(rank).live.iter_mut().find(|b| b.key == cursor.key) {
-            std::mem::swap(&mut cursor.received, &mut b.blocks);
+    /// The live value of cell `(T, key)`, computing it with `init` when no
+    /// rank of this world currently holds one.
+    ///
+    /// The map is not borrowed across `init` (which may itself ask for a
+    /// cell): ranks are fibers dispatched one at a time and `init` must
+    /// not communicate, so no second rank can run between the miss and
+    /// the insert.
+    pub(crate) fn shared_once<T: Any + Send + Sync>(self, key: u64, init: impl FnOnce() -> T) -> Arc<T> {
+        let id = (TypeId::of::<T>(), key);
+        let live = World::runner_owned(self, |w| &w.shared).get(&id).and_then(Weak::upgrade);
+        if let Some(v) = live {
+            return v.downcast::<T>().expect("cell is keyed by its type");
         }
+        let v = Arc::new(init());
+        let cells = World::runner_owned(self, |w| &w.shared);
+        cells.retain(|_, w| w.strong_count() > 0);
+        let weak: Weak<T> = Arc::downgrade(&v);
+        cells.insert(id, weak);
+        v
+    }
+
+    /// Number of shared cells some rank still holds.
+    pub(crate) fn shared_live(self) -> usize {
+        World::runner_owned(self, |w| &w.shared).values().filter(|w| w.strong_count() > 0).count()
+    }
+
+    /// Whether `rank` has crash-stopped.
+    pub(crate) fn is_dead(self, rank: usize) -> bool {
+        self.peer(rank).dead
+    }
+
+    /// Mark `rank` dead and drop its park entry, everything queued in its
+    /// mailbox and on its boards (ring and pooled ones included) and its
+    /// round cursor, so the scheduler's deadlock diagnostics and memory
+    /// footprint never carry already-dead ranks.
+    pub(crate) fn reap_rank(self, rank: usize) {
+        *self.peer(rank) = Peer { dead: true, ..Peer::default() };
+        *self.spill(rank) = Spill::default();
+        self.queues(rank).clear();
+        *self.cursor(rank) = None;
+    }
+
+    pub(crate) fn deliver(self, dst: usize, src: usize, tag: u64, msg: Msg) {
+        let p = self.peer(dst);
+        // Messages to a crash-stopped rank fall on the floor, exactly like
+        // packets to a dead host.
+        if p.dead {
+            return;
+        }
+        // Fast path: a receiver already parked on exactly `(src, tag)`
+        // gets the message handed to it directly.
+        match p.unpark_if(src, tag) {
+            Some(clock) => self.hand_over(dst, clock, msg),
+            None => self.queues(dst).entry((src, tag)).or_default().push_back(msg),
+        }
+    }
+
+    /// Where a message of round `key` lands when `p` — `rank`'s record —
+    /// is not open for it: the round's board beside the record if it has
+    /// one, or is to get one because the header is taken; `None` if the
+    /// header was vacant — it is open for `key` now (the first delivery
+    /// of a round opens its board).
+    #[cold]
+    fn board_beside(self, rank: usize, p: &mut Peer, key: u64) -> Option<&'w mut Board> {
+        debug_assert_ne!(p.key, key);
+        let ahead = &mut self.spill(rank).ahead;
+        if p.key == NO_ROUND && !ahead.iter().any(|b| b.key == key) {
+            debug_assert!(p.ring.is_empty());
+            (p.key, p.taken) = (key, 0);
+            return None;
+        }
+        Some(board_of(ahead, key))
+    }
+
+    /// `rank` enters the round `cursor` describes: its header is the
+    /// round's from here to [`Segment::end_round`] (the board a peer
+    /// opened for it ahead of time moves in; one that a peer opened in
+    /// the vacant header for a later round moves out), and the bytes that
+    /// landed ahead of the rank move to the cursor, where later ones are
+    /// delivered directly.
+    pub(crate) fn begin_round(self, rank: usize, mut cursor: Cursor) {
+        let (p, spill) = (self.peer(rank), self.spill(rank));
+        if p.key != cursor.key {
+            if p.key != NO_ROUND {
+                let b = board_of(&mut spill.ahead, p.key);
+                std::mem::swap(&mut b.ring, &mut p.ring);
+                std::mem::swap(&mut b.blocks, &mut spill.blocks);
+            }
+            (p.key, p.taken) = (cursor.key, 0);
+            if let Some(b) = spill.ahead.iter_mut().find(|b| b.key == cursor.key) {
+                std::mem::swap(&mut b.ring, &mut p.ring);
+                std::mem::swap(&mut b.blocks, &mut spill.blocks);
+                b.key = NO_ROUND;
+            }
+        }
+        std::mem::swap(&mut cursor.received, &mut spill.blocks);
         let slot = self.cursor(rank);
         debug_assert!(slot.is_none(), "rank {rank} entered a round inside a round");
         *slot = Some(cursor);
     }
 
-    /// [`World::deliver`] for a message of a dense collective round, in
+    /// [`Segment::deliver`] for a message of a dense collective round, in
     /// the same order: dropped if the receiver is dead; its bytes, if it
     /// has any, left with the receiver (its cursor once it is in the
     /// round, its board for the round until then); then its availability
     /// time handed to a receiver parked on exactly this `(src, tag)`, or
-    /// written into the slot of the step the receiver takes it at — no
-    /// hash, no lock, and no allocation once the receiver's pooled
-    /// windows have grown to its senders' lead.
+    /// written into the slot of the step the receiver takes it at. All of
+    /// which is in the receiver's record, and the slot: two cache lines —
+    /// no hash, no lock, and no allocation once the receiver's ring has
+    /// grown to its senders' lead.
     pub(crate) fn deliver_step(
-        &self,
+        self,
         dst: usize,
         src: usize,
         tag: u64,
@@ -417,60 +602,57 @@ impl World {
         data: Option<Payload>,
         avail_at: u64,
     ) {
-        if self.is_dead(dst) {
+        let p = self.peer(dst);
+        if p.dead {
             return;
         }
         debug_assert_ne!(avail_at, ABSENT);
+        // The round's board: the record's, or — seldom — one beside it.
+        // (Nothing is opened ahead of a hand-off: a receiver parked on
+        // this message is in the round, its header open for it.)
+        let mut beside = if p.key == at.key { None } else { self.board_beside(dst, p, at.key) };
         if let Some(data) = data {
-            match self.cursor(dst) {
-                Some(c) if c.key == at.key => c.received.push((at.step, data)),
-                _ => self.boards(dst).open(at.key).blocks.push((at.step, data)),
-            }
+            let blocks = match (self.cursor(dst), &mut beside) {
+                (Some(c), _) if c.key == at.key => &mut c.received,
+                (_, Some(b)) => &mut b.blocks,
+                (_, None) => &mut self.spill(dst).blocks,
+            };
+            blocks.push((at.step, data));
         }
-        if crate::sched::try_handoff(self, dst, src, tag, Msg::time_only(avail_at)).is_none() {
+        if let Some(clock) = p.unpark_if(src, tag) {
+            p.handed = avail_at;
+            self.wake(dst, clock);
             return;
         }
-        let b = self.boards(dst).open(at.key);
-        debug_assert!(at.step >= b.taken, "step {} of round {} delivered twice", at.step, at.key);
-        let i = at.step - b.taken;
-        if i >= b.avail.len() {
-            // Mostly `i == len`: the sender is one more step ahead.
-            b.avail.resize(i, ABSENT);
-            b.avail.push_back(avail_at);
-        } else {
-            debug_assert_eq!(b.avail[i], ABSENT, "two messages for step {} of round {}", at.step, at.key);
-            b.avail[i] = avail_at;
+        match beside {
+            Some(b) => b.ring.land(0, at.step, avail_at),
+            None => p.ring.land(p.taken as usize, at.step, avail_at),
         }
     }
 
-    /// The receive half of [`World::deliver_step`]: the availability time
-    /// of the message `rank` takes at `at`, if it has landed.
-    pub(crate) fn take_step(&self, rank: usize, at: Slot) -> Option<u64> {
-        let b = self.boards(rank).live.iter_mut().find(|b| b.key == at.key)?;
-        let i = at.step - b.taken;
-        let avail_at = *b.avail.get(i).filter(|&&t| t != ABSENT)?;
-        // Earlier steps came by hand-off; the window moves on.
-        b.avail.drain(..=i);
-        b.taken = at.step + 1;
-        Some(avail_at)
+    /// The receive half of [`Segment::deliver_step`]: the availability
+    /// time of the message `rank` takes at `at`, if it has landed. Either
+    /// way the window moves on: a message that has not landed is one the
+    /// rank now parks on, and comes by hand-off.
+    pub(crate) fn take_step(self, rank: usize, at: Slot) -> Option<u64> {
+        let p = self.peer(rank);
+        debug_assert_eq!(p.key, at.key, "rank {rank} takes a step of a round it is not in");
+        p.taken = at.step as u32 + 1;
+        p.ring.take(at.step)
     }
 
     /// `rank`'s fiber leaves round `key` with its cursor: every message
-    /// addressed to it has been taken, so its board, if any delivery ever
-    /// needed one, goes back to the pool. Every slot must be empty by now
-    /// — a message left behind would surface in whichever later round
-    /// reuses the board.
-    pub(crate) fn end_round(&self, rank: usize, key: u64) -> Cursor {
-        let boards = self.boards(rank);
-        if let Some(i) = boards.live.iter().position(|b| b.key == key) {
-            let mut b = boards.live.swap_remove(i);
-            debug_assert!(
-                b.avail.iter().all(|&t| t == ABSENT) && b.blocks.is_empty(),
-                "rank {rank} left round {key} with an untaken message on its board"
-            );
-            b.avail.clear();
-            boards.free.push(b);
-        }
+    /// addressed to it has been taken, so its header is vacant again (and
+    /// keeps its ring). Every slot must be empty by now — a message left
+    /// behind would surface in whichever later round the header opens for.
+    pub(crate) fn end_round(self, rank: usize, key: u64) -> Cursor {
+        let p = self.peer(rank);
+        debug_assert_eq!(p.key, key, "rank {rank} leaves a round it is not in");
+        debug_assert!(
+            p.ring.is_empty() && self.spill(rank).blocks.is_empty(),
+            "rank {rank} left round {key} with an untaken message on its board"
+        );
+        p.key = NO_ROUND;
         let c = self.cursor(rank).take().expect("a rank leaves the round it entered");
         debug_assert!(c.key == key && c.is_done(), "rank {rank} left round {key} half-stepped");
         c
@@ -478,65 +660,63 @@ impl World {
 
     /// Whether `rank` has a round cursor (tests).
     #[cfg(test)]
-    pub(crate) fn in_round(&self, rank: usize) -> bool {
+    pub(crate) fn in_round(self, rank: usize) -> bool {
         self.cursor(rank).is_some()
     }
 
-    /// `(live, pooled)` board counts of `rank` (tests).
+    /// `(live, pooled)` board counts of `rank` (tests): boards open for a
+    /// round, and rings kept for the next.
     #[cfg(test)]
-    pub(crate) fn board_census(&self, rank: usize) -> (usize, usize) {
-        let b = self.boards(rank);
-        (b.live.len(), b.free.len())
+    pub(crate) fn board_census(self, rank: usize) -> (usize, usize) {
+        let (p, ahead) = (self.peer(rank), &self.spill(rank).ahead);
+        let live = usize::from(p.key != NO_ROUND) + ahead.iter().filter(|b| b.key != NO_ROUND).count();
+        let rings = usize::from(!p.ring.0.is_empty()) + ahead.iter().filter(|b| !b.ring.0.is_empty()).count();
+        (live, rings.saturating_sub(live))
+    }
+
+    /// `(slots, landed)` of `rank`'s rings (tests): the length of the
+    /// longest, and the messages waiting on all of them.
+    #[cfg(test)]
+    pub(crate) fn ring_census(self, rank: usize) -> (usize, usize) {
+        let rings = || std::iter::once(&self.peer(rank).ring).chain(self.spill(rank).ahead.iter().map(|b| &b.ring));
+        let landed = rings().flat_map(|r| r.0.iter()).filter(|&&t| t != ABSENT).count();
+        (rings().map(|r| r.0.len()).max().unwrap_or(0), landed)
     }
 
     /// Pop the next message from `(src, tag)` for rank `dst`, parking the
     /// caller until one arrives. `now` is the receiver's virtual clock —
     /// its wake-up priority.
-    pub(crate) fn take(&self, dst: usize, src: usize, tag: u64, now: u64) -> Msg {
+    pub(crate) fn take(self, dst: usize, src: usize, tag: u64, now: u64) -> Msg {
         loop {
             if let Some(m) = self.pop_queued(dst, src, tag) {
                 return m;
             }
-            if let Some(m) = self.park(dst, src, tag, now) {
-                return m;
+            // The common case resumes with the message in hand; after a
+            // spurious resume, look again at where an un-parked delivery
+            // would have waited.
+            match self.park_for_recv(dst, src, tag, now, None) {
+                ParkWake::Delivered(m) => return m,
+                ParkWake::Spurious => continue,
+                ParkWake::TimedOut => unreachable!("deadline-free park cannot time out"),
             }
         }
     }
 
-    /// Park `dst` until a delivery for `(src, tag)` is handed to it (the
-    /// common case: resumes with the message in hand); `None` on a
-    /// spurious resume, after which the caller looks again at where an
-    /// un-parked delivery would have waited.
-    fn park(&self, dst: usize, src: usize, tag: u64, now: u64) -> Option<Msg> {
-        match crate::sched::park_for_recv(self, dst, src, tag, now, None) {
-            crate::sched::ParkWake::Delivered(m) => Some(m),
-            crate::sched::ParkWake::Spurious => None,
-            crate::sched::ParkWake::TimedOut => unreachable!("deadline-free park cannot time out"),
-        }
-    }
-
-    /// [`World::take`] with a virtual-time watchdog: returns `None` when
+    /// [`Segment::take`] with a virtual-time watchdog: returns `None` when
     /// no matching message has been delivered by `deadline` (absolute
     /// virtual ns). The deterministic timer is a scheduler feature, and
     /// crash detection is what needs it.
-    pub(crate) fn take_deadline(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        now: u64,
-        deadline: u64,
-    ) -> Option<Msg> {
+    pub(crate) fn take_deadline(self, dst: usize, src: usize, tag: u64, now: u64, deadline: u64) -> Option<Msg> {
         loop {
             if let Some(m) = self.pop_queued(dst, src, tag) {
                 return Some(m);
             }
-            match crate::sched::park_for_recv(self, dst, src, tag, now, Some(deadline)) {
-                crate::sched::ParkWake::Delivered(m) => return Some(m),
-                crate::sched::ParkWake::Spurious => continue,
+            match self.park_for_recv(dst, src, tag, now, Some(deadline)) {
+                ParkWake::Delivered(m) => return Some(m),
+                ParkWake::Spurious => continue,
                 // Re-check once: a delivery racing the timer entry would
                 // have been queued, not handed off.
-                crate::sched::ParkWake::TimedOut => return self.pop_queued(dst, src, tag),
+                ParkWake::TimedOut => return self.pop_queued(dst, src, tag),
             }
         }
     }
@@ -544,7 +724,7 @@ impl World {
     /// Pop the head of `dst`'s `(src, tag)` queue if present, removing
     /// the queue when that drains it (drained queues are removed so
     /// unique collective tags can't grow the map without bound).
-    fn pop_queued(&self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
+    fn pop_queued(self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
         if let Entry::Occupied(mut e) = self.queues(dst).entry((src, tag)) {
             let m = e.get_mut().pop_front().expect("empty queue left in mailbox map");
             if e.get().is_empty() {
@@ -621,6 +801,55 @@ mod tests {
     fn run_returns_rank_order() {
         let out = run(4, CostModel::free(), |r| r.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn a_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Peer>(), 64);
+        assert_eq!(std::mem::align_of::<RunnerCell<Peer>>(), 64);
+    }
+
+    #[test]
+    fn ring_wraps_around_without_growing() {
+        let mut ring = Ring::default();
+        assert!(ring.is_empty() && ring.take(0).is_none(), "a ring nothing landed on has no slots");
+        // A sender three steps ahead of the owner, for many laps.
+        for step in 0..100usize {
+            ring.land(step.saturating_sub(3), step, 1000 + step as u64);
+            if let Some(due) = step.checked_sub(3) {
+                assert_eq!(ring.take(due), Some(1000 + due as u64));
+                assert_eq!(ring.take(due), None, "a taken slot is free for the next lap");
+            }
+        }
+        assert_eq!(ring.0.len(), Ring::MIN_SLOTS);
+        for due in 97..100 {
+            assert_eq!(ring.take(due), Some(1000 + due as u64));
+        }
+        assert!(ring.is_empty());
+        assert_eq!(ring.take(100), None);
+    }
+
+    #[test]
+    fn ring_growth_keeps_what_has_landed() {
+        let mut ring = Ring::default();
+        // A window that opens at step 6 of an 8-slot ring: 9 and 13 wrap.
+        for step in [6usize, 9, 13] {
+            ring.land(6, step, step as u64 * 10);
+        }
+        assert_eq!(ring.0.len(), Ring::MIN_SLOTS);
+        // A sender 129 steps ahead: the ring grows while non-empty and
+        // wrapped, and every landed step keeps its time.
+        ring.land(6, 135, 7);
+        assert_eq!(ring.0.len(), 256);
+        for step in 6..137usize {
+            let want = match step {
+                6 | 9 | 13 => Some(step as u64 * 10),
+                135 => Some(7),
+                _ => None,
+            };
+            assert_eq!(ring.take(step), want, "step {step}");
+        }
+        assert!(ring.is_empty());
     }
 
     #[test]

@@ -37,10 +37,15 @@ cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_
 # One debug-profile leg (seconds) for the data path's — segment and
 # run-list shape (`check_segs`, "segment outside chunk"), "partial write
 # to uncached page", "invalidating dirty page" — over the crates that hold
-# them and the differential property that drives them hardest.
-echo "== cargo test (debug profile): pfs, io, hpio, workload + data_path_differential =="
-cargo test -q --offline -p flexio-pfs -p flexio-io -p flexio-hpio -p flexio-workload
-cargo test -q --offline --test data_path_differential
+# them and the differential property that drives them hardest; and for
+# the rank runtime's — a dense round's step loop ("delivered twice", "two
+# messages for step", "left round … with an untaken message", "resumed
+# with a half-stepped round", "wake entry for a parked rank") — over
+# `flexio-sim`'s own tests and the fixture that drives late entrants,
+# crash-stops and two communicators' boards through it.
+echo "== cargo test (debug profile): sim, pfs, io, hpio, workload + data_path_differential, sim_collective_charges =="
+cargo test -q --offline -p flexio-sim -p flexio-pfs -p flexio-io -p flexio-hpio -p flexio-workload
+cargo test -q --offline --test data_path_differential --test sim_collective_charges
 
 # The two charge-and-order fixtures again on 64 KiB fiber stacks (the
 # default is 1 MiB): a dense round's step loop runs on the scheduler's

@@ -32,9 +32,31 @@
 //! through it on messages already waiting, and deliver into the next
 //! round while its peers are still parked in this one.
 //!
+//! The four sections after those were harvested on commit 029eed1, the
+//! last one whose boards were `VecDeque` windows looked up per message,
+//! for the change that keeps a rank's round header and park entry in one
+//! record and its slots in a ring: `[late-entrant p=130]` and `[… p=512]`
+//! (a rank sits out 50 virtual ms on a timer — late on the host, not
+//! only in virtual time — and then enters a sparse `alltoallv`, where it
+//! finds the first stretch of the round waiting: what a pairwise exchange
+//! can deliver ahead of a rank, the senders further round stalling on
+//! *its* blocks, or on a rank that does, first; another does the same
+//! before an `allgatherv`, where it finds the *whole* round waiting, its
+//! left neighbour needing nothing of it but its own block, last. Each
+//! takes what it finds in one segment, off a board that grew, non-empty,
+//! to that lead, and the ranks downstream of the ring's late entrant
+//! follow one by one, each on a board the one before filled while it
+//! stood parked a few steps in — grown while wrapped),
+//! `[crash-mid-round p=24]` (the first rank to leave a
+//! round crash-stops while its peers are still stepping through it on
+//! its messages; the survivors send it heartbeats, time out on its own,
+//! and run on over a subgroup) and `[two-communicators p=64]` (row and
+//! column rounds of an 8 × 8 grid alternating, a straggler holding its
+//! row in one round while the columns deliver the next).
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
-use flexio::sim::{run, CostModel, Rank};
+use flexio::sim::{run, run_crashable, CostModel, Rank};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -260,9 +282,142 @@ fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
+/// The sparse `alltoallv` of case 3's geometry and an `allgatherv`,
+/// three times over. In passes 1 and 2 one rank sits out 50 virtual ms on
+/// a timer before each of the two: a park, so it is late on the host and
+/// not only in virtual time — by the time it enters, every peer has run
+/// until it is stuck on this rank's messages.
+fn late_entrant_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
+    let (me, p) = (rank.rank(), rank.nprocs());
+    let mut recs = Vec::new();
+    let sit_out = |who: usize| {
+        if me == who {
+            assert_eq!(rank.recv_timeout(me, 7, rank.now() + 50_000_000), None);
+        }
+    };
+    for pass in 0..3 {
+        let mut record = |what: &str, digest: u64| {
+            let at = order.fetch_add(1, Ordering::SeqCst);
+            recs.push(record_line(rank, &format!("{pass}.{what} "), at, digest));
+        };
+        let case = 30 + pass;
+        if pass > 0 {
+            // Multiples of four: the late rank is an aggregator, so
+            // blocks with bytes in them wait for it too.
+            sit_out((pass * p / 3) & !3);
+        }
+        let sends: Vec<(usize, Vec<u8>)> = (0..p)
+            .filter(|&a| sends_to(me, a))
+            .map(|a| (a, block(case, me, a, 1 + (me + a) % 40)))
+            .collect();
+        let recv_from: Vec<usize> = (0..p).filter(|&s| sends_to(s, me)).collect();
+        let got = rank.alltoallv_sparse(sends, &recv_from);
+        for ((src, b), &want) in got.iter().zip(&recv_from) {
+            assert_eq!(*src, want);
+            assert_eq!(b, &block(case, want, me, 1 + (want + me) % 40), "pass {pass}: block {want}->{me}");
+        }
+        let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
+        record("sparse", digest_blocks(&payloads));
+        if pass > 0 {
+            sit_out(p - pass * p / 5);
+        }
+        let got = rank.allgatherv(&block(case, me, 0, (me * 37 % 11) * 9));
+        for (src, b) in got.iter().enumerate() {
+            assert_eq!(b, &block(case, src, 0, (src * 37 % 11) * 9), "pass {pass}: block of {src}");
+        }
+        record("allgatherv", digest_blocks(&got));
+    }
+    recs
+}
+
+/// Who dies in `[crash-mid-round p=24]` (at its first checkpoint), and
+/// who enters the round before that checkpoint a virtual millisecond
+/// late. The victim is the first rank to leave that round on the host
+/// (asserted below), so every peer is still inside it when it goes.
+const CRASH_VICTIM: usize = 6;
+const CRASH_LATE: usize = 12;
+
+/// A world `alltoallv`, a crash checkpoint, a heartbeat round that finds
+/// the victim gone (the sends to it fall on the floor, the receive from
+/// it times out), and the four rounds again over the survivors.
+fn crash_mid_round_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
+    let (me, p) = (rank.rank(), rank.nprocs());
+    let mut recs = Vec::new();
+    if me == CRASH_LATE {
+        rank.advance(1_000_000);
+    }
+    let got = rank.alltoallv((0..p).map(|d| block(40, me, d, mixed_len(40, me, d))).collect());
+    for (src, b) in got.iter().enumerate() {
+        assert_eq!(b, &block(40, src, me, mixed_len(40, src, me)), "block {src}->{me}");
+    }
+    let at = order.fetch_add(1, Ordering::SeqCst);
+    assert_eq!(at == 0, me == CRASH_VICTIM, "rank {me} left the round at {at}");
+    recs.push(record_line(rank, "alltoallv ", at, digest_blocks(&got)));
+    rank.maybe_crash();
+    for peer in (0..p).filter(|&r| r != me) {
+        rank.send(peer, 77, &[me as u8]);
+    }
+    let deadline = rank.now() + 5_000_000;
+    let alive: Vec<usize> =
+        (0..p).filter(|&r| r == me || rank.recv_timeout(r, 77, deadline) == Some(vec![r as u8])).collect();
+    assert_eq!(alive, (0..p).filter(|&r| r != CRASH_VICTIM).collect::<Vec<_>>());
+    let at = order.fetch_add(1, Ordering::SeqCst);
+    recs.push(record_line(rank, "detect ", at, alive.len() as u64));
+    let comm = rank.subgroup(&alive);
+    four_rounds(rank, &comm, 0, order, &mut recs, |at| {
+        if at % 2 == 1 {
+            skew(rank, at)
+        }
+    });
+    recs
+}
+
+/// An 8 × 8 grid whose rows and columns are communicators: every pass
+/// runs a row `alltoallv`, a column `alltoallv`, a row `allgatherv` and a
+/// column `barrier`, entered at uneven clocks and with one rank a
+/// virtual millisecond late into the row round — its row stays in that
+/// round while the other rows finish theirs and deliver the column
+/// round's messages to it, so its members hold the boards of two rounds
+/// at once.
+fn two_communicators_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
+    let me = rank.rank();
+    let (row, col) = (me / 8, me % 8);
+    let rows = rank.subgroup(&(0..8).map(|c| row * 8 + c).collect::<Vec<_>>());
+    let cols = rank.subgroup(&(0..8).map(|r| r * 8 + col).collect::<Vec<_>>());
+    let mut recs = Vec::new();
+    for pass in 0..2 {
+        let mut record = |what: &str, digest: u64| {
+            let at = order.fetch_add(1, Ordering::SeqCst);
+            recs.push(record_line(rank, &format!("{pass}.{what} "), at, digest));
+        };
+        let case = 50 + pass;
+        skew(rank, pass);
+        if me == (pass * 27 + 21) % 64 {
+            rank.advance(1_000_000);
+        }
+        for (what, comm) in [("row", &rows), ("col", &cols)] {
+            let (g, n) = (comm.rank(), comm.nprocs());
+            let got = comm.alltoallv((0..n).map(|d| block(case, g, d, mixed_len(case, g, d))).collect());
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &block(case, src, g, mixed_len(case, src, g)), "pass {pass} {what}: {src}->{g}");
+            }
+            record(&format!("{what}-alltoallv"), digest_blocks(&got));
+        }
+        let got = rows.allgatherv(&block(case, col, 0, (me * 37 % 11) * 9));
+        for (src, b) in got.iter().enumerate() {
+            assert_eq!(b, &block(case, src, 0, ((row * 8 + src) * 37 % 11) * 9), "pass {pass}: block of {src}");
+        }
+        record("row-allgatherv", digest_blocks(&got));
+        skew(rank, pass + 3);
+        cols.barrier();
+        record("col-barrier", 0);
+    }
+    recs
+}
+
 /// The fixture text: `[p=N case]` headers, then one line per rank: `rank
 /// clock msgs bytes compute/comm/io order digest`; then the two mixed
-/// sections, one line per record, labelled.
+/// sections and the four after them, one line per record, labelled.
 fn harvest() -> String {
     let mut out = String::new();
     for p in WORLDS {
@@ -276,13 +431,21 @@ fn harvest() -> String {
         }
     }
     type Body = fn(&Rank, &AtomicUsize) -> Vec<String>;
-    let mixed: [(&str, usize, Body); 2] =
-        [("interleaved", 8, interleaved_body), ("back-to-back", 9, back_to_back_body)];
+    let mixed: [(&str, usize, Body); 6] = [
+        ("interleaved", 8, interleaved_body),
+        ("back-to-back", 9, back_to_back_body),
+        ("late-entrant", 130, late_entrant_body),
+        ("late-entrant", 512, late_entrant_body),
+        ("crash-mid-round", 24, crash_mid_round_body),
+        ("two-communicators", 64, two_communicators_body),
+    ];
     for (name, p, body) in mixed {
         let order = AtomicUsize::new(0);
-        let per_rank = run(p, CostModel::default(), |rank| body(rank, &order));
+        let crashes: &[(usize, u64)] = if name == "crash-mid-round" { &[(CRASH_VICTIM, 0)] } else { &[] };
+        // A crash-stopped rank has no records.
+        let per_rank = run_crashable(p, CostModel::default(), crashes, |rank| body(rank, &order));
         writeln!(out, "[{name} p={p}]").unwrap();
-        for line in per_rank.iter().flatten() {
+        for line in per_rank.iter().flatten().flatten() {
             writeln!(out, "{line}").unwrap();
         }
     }
