@@ -86,6 +86,6 @@ fn main() {
         for (name, copied) in &ledgers {
             print!("  {name}={copied}");
         }
-        println!(" (bytes_copied, summed over ranks; flexio_zero_copy default on)");
+        println!(" (bytes_copied, summed over ranks)");
     }
 }

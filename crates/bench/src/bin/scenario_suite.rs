@@ -101,8 +101,7 @@ fn main() {
         let (wb, rb) = moved_bytes(&spec);
         xs.push(spec.kind.name().to_string());
         for ((name, engine), (_, col)) in engines.iter().zip(&mut series) {
-            let out =
-                run_spec(&spec, RunConfig { engine: *engine, zero_copy: true, faulted: false });
+            let out = run_spec(&spec, RunConfig { engine: *engine, faulted: false });
             check_invariants(&out, name);
             let ns: u64 =
                 out.phases.iter().map(|p| p.clocks.iter().copied().max().unwrap_or(0)).sum();

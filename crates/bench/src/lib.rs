@@ -123,8 +123,10 @@ pub fn hpio_collective_write_ns(
 
 /// [`hpio_collective_write_ns`] plus the staging-copy ledger: returns
 /// `(slowest rank's elapsed ns, sum of Stats::bytes_copied over ranks)`.
-/// The ledger counts the engine data-path copies the zero-copy run
-/// sheds; it is deterministic for a given workload and hint set.
+/// The ledger counts the copies the engines' data path is charged (a
+/// sieved group's double-buffer copy, ROMIO's placement into its
+/// integrated sieve buffer); it is deterministic for a given workload
+/// and hint set.
 pub fn hpio_collective_write_sample(
     pfs: &Arc<Pfs>,
     spec: HpioSpec,

@@ -12,19 +12,18 @@
 //!   any assigner can be plugged in; persistent file realms and boundary
 //!   alignment are hints, not code forks.
 //! * **The collective buffer is separate** from any sieve buffer: each
-//!   buffer cycle hands one packed non-contiguous request to `flexio-io`,
-//!   which may choose a different method every cycle (§5.1). The price is
-//!   the double-buffer copy, charged here.
+//!   buffer cycle hands one non-contiguous request per realm chunk — the
+//!   received payloads' runs, as delivered — to `flexio-io`, which may
+//!   choose a different method every cycle (§5.1). A sieved chunk is
+//!   charged the one copy into its sieve buffer, here.
 //! * **Exchange flavour** (§5.4): sparse non-blocking, or a dense
-//!   alltoallw-style collective that skips pack/unpack copies.
+//!   alltoallw-style collective with one message per peer pair.
 //!
 //! The buffer cycles themselves run on the shared N-deep pipeline core
 //! ([`crate::engine::pipeline`]): this module contributes the two
 //! [`CycleDriver`] halves per direction, the drive loops own the depth.
 
-use crate::engine::common::{
-    agree_error, group_by_window, merge_pieces, retry_io, Piece, PlanEntry,
-};
+use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io, Piece};
 use crate::engine::pipeline::{self, CapPolicy, CycleDriver, StragglerVerdict};
 use crate::engine::recovery::{crash_boundary, CrashState};
 use crate::engine::schedule::{self, schedule_key, CycleSchedule, ExchangeSchedule};
@@ -32,10 +31,7 @@ use crate::error::{IoError, Result};
 use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::{FileRealm, RealmSet};
-use flexio_io::{
-    read_packed_nb, read_scattered_nb, resolve, write_gathered_nb, write_packed_nb, IoCompletion,
-    Resolved,
-};
+use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, IoCompletion, Resolved};
 use flexio_pfs::FileHandle;
 use flexio_sim::{OverlapWindow, Rank};
 use flexio_types::{FlatType, MemLayout, Seg};
@@ -384,51 +380,27 @@ fn data_ranges(pieces: &[Piece]) -> impl Iterator<Item = (u64, u64)> + '_ {
 
 /// Build this rank's outgoing payload for one aggregator.
 ///
-/// With `flexio_zero_copy` the payload is an iovec run list borrowed
-/// straight off the flattened memory view ([`MemLayout::runs`]) handed to
-/// the NIC — no pack copy is modeled, so nothing is charged and nothing
-/// enters the [`flexio_sim::Stats::bytes_copied`] ledger (the `Vec` built
-/// below is the simulator's wire representation, exactly as the alltoallw
-/// mode always modeled it). The packed path gathers into a staging buffer
-/// and, under the non-blocking exchange, charges that copy (§5.4).
-fn pack_payload(
-    rank: &Rank,
-    my: &ClientAccess,
-    mem: &MemLayout,
-    user: &[u8],
-    pieces: &[Piece],
-    hints: &Hints,
-) -> Vec<u8> {
+/// The payload models an iovec run list borrowed straight off the
+/// flattened memory view ([`MemLayout::runs`]) and handed to the NIC — no
+/// pack copy is modeled, so nothing is charged and nothing enters the
+/// [`flexio_sim::Stats::bytes_copied`] ledger (the `Vec` built below is
+/// the simulator's wire representation).
+fn pack_payload(my: &ClientAccess, mem: &MemLayout, user: &[u8], pieces: &[Piece]) -> Vec<u8> {
     let total: u64 = pieces.iter().map(|p| p.len).sum();
-    if hints.zero_copy {
-        let mut payload = Vec::with_capacity(total as usize);
-        for (start, len) in data_ranges(pieces) {
-            for run in mem.runs(user, start - my.data_start, len) {
-                payload.extend_from_slice(run.bytes);
-            }
-        }
-        return payload;
-    }
-    let mut payload = vec![0u8; total as usize];
-    let mut pos = 0usize;
+    let mut payload = Vec::with_capacity(total as usize);
     for (start, len) in data_ranges(pieces) {
-        mem.gather(user, start - my.data_start, &mut payload[pos..pos + len as usize]);
-        pos += len as usize;
-    }
-    if matches!(hints.exchange, ExchangeMode::Nonblocking) {
-        // Alltoallw sends straight from the user buffer; the non-blocking
-        // path packs first (§5.4).
-        rank.charge_memcpy(total);
-        rank.note_bytes_copied(total);
+        for run in mem.runs(user, start - my.data_start, len) {
+            payload.extend_from_slice(run.bytes);
+        }
     }
     payload
 }
 
 /// Sieve method covering a whole segment group in one chunk: one RMW
-/// read and one write-back for the group's span. The zero-copy issue
-/// paths use this for sieve-resolved groups — the staging is span-sized
-/// either way (ROMIO's integrated RMW holds the same span), and a single
-/// round trip replaces the packed path's serialized sieve-buffer chunks.
+/// read and one write-back for the group's span. The issue halves use
+/// this for sieve-resolved groups — the staging is span-sized either way
+/// (ROMIO's integrated RMW holds the same span), and a single round trip
+/// replaces serialized sieve-buffer-sized chunks.
 fn span_wide_sieve(group: &[(u64, u64)]) -> flexio_io::IoMethod {
     let span = group.last().unwrap().0 + group.last().unwrap().1 - group[0].0;
     flexio_io::IoMethod::DataSieve { buffer: span as usize }
@@ -451,41 +423,28 @@ fn group_period(group: &[(u64, u64)]) -> u64 {
     }
 }
 
-/// One write cycle's assembled collective buffer, ready for the file.
+/// One write cycle's collective buffer, ready for the file: the received
+/// payloads held as delivered, never assembled into one.
 struct WriteStage {
     /// Sorted, merged file segments of this aggregator's window slice.
     segs: Vec<(u64, u64)>,
-    /// The segments' bytes, in one of two representations.
-    data: StageData,
+    /// The received payloads, in ascending client order.
+    bufs: Vec<Vec<u8>>,
+    /// The run plan mapping the file-order segment stream onto
+    /// `(payload index, offset, len)` slices of `bufs`. The issue half
+    /// hands these slices to the scatter-gather PFS entry points.
+    runs: Vec<(usize, usize, usize)>,
 }
 
-/// How a stage holds the window's bytes between exchange and issue.
-enum StageData {
-    /// The classic path: one copy into a collective buffer, concatenated
-    /// in file order.
-    Packed(Vec<u8>),
-    /// The zero-copy path: received payloads held as delivered, plus the
-    /// run plan mapping the file-order segment stream onto
-    /// `(payload index, offset, len)` slices. The issue half hands these
-    /// slices to the scatter-gather PFS entry points without assembling
-    /// an intermediate buffer.
-    Runs { bufs: Vec<Vec<u8>>, runs: Vec<(usize, usize, usize)> },
-}
-
-impl StageData {
+impl WriteStage {
     /// Borrow the sub-slices of `runs` covering stream bytes
     /// `[start, start + len)`. Stream positions are byte offsets into the
     /// file-order concatenation of the stage's segments, so a window
     /// group's slice list is exactly its contiguous stream range.
-    fn run_slices<'a>(
-        bufs: &'a [Vec<u8>],
-        runs: &[(usize, usize, usize)],
-        start: usize,
-        len: usize,
-    ) -> Vec<&'a [u8]> {
+    fn run_slices(&self, start: usize, len: usize) -> Vec<&[u8]> {
         let mut out = Vec::new();
         let (mut pos, end) = (0usize, start + len);
-        for &(bi, off, rlen) in runs {
+        for &(bi, off, rlen) in &self.runs {
             if pos >= end {
                 break;
             }
@@ -496,14 +455,14 @@ impl StageData {
             }
             let lo = start.saturating_sub(rstart);
             let hi = rlen - pos.saturating_sub(end).min(rlen);
-            out.push(&bufs[bi][off + lo..off + hi]);
+            out.push(&self.bufs[bi][off + lo..off + hi]);
         }
         out
     }
 }
 
 /// Exchange half of a write cycle: clients send their pieces, aggregators
-/// assemble the collective buffer in file order. Pure data movement — the
+/// plan the collective buffer in file order. Pure data movement — the
 /// file is not touched, so the pipelined driver can run this while the
 /// previous cycle's I/O is still in flight.
 fn exchange_write(
@@ -522,7 +481,7 @@ fn exchange_write(
     // Sends: client -> aggregators.
     let sends: Vec<(usize, Vec<u8>)> = cyc
         .my_pieces()
-        .map(|(a, pieces)| (agg_ranks[a], pack_payload(rank, my, mem, user, pieces, hints)))
+        .map(|(a, pieces)| (agg_ranks[a], pack_payload(my, mem, user, pieces)))
         .collect();
     // Clients with data in my window, ascending; `received` keeps this
     // order, so a client's payload is found by its position here.
@@ -537,50 +496,29 @@ fn exchange_write(
         return None; // nothing owned this cycle (or not an aggregator)
     }
 
-    // Assemble the collective buffer in file order. Within one client,
-    // entry order equals the client's own pack order, so a per-client
-    // sequential cursor walks each payload exactly once.
+    // Record where each byte of the file-order stream lives instead of
+    // moving it. Within one client, entry order equals the client's own
+    // pack order, so a per-client sequential cursor walks each payload
+    // exactly once.
     let (entries, segs) = merge_pieces(&agg_pieces);
-    let total: u64 = entries.iter().map(|e| e.3).sum();
     let mut consumed = vec![0usize; received.len()];
-    let payload_of =
-        |client: usize| recv_from.binary_search(&client).expect("payload for client missing");
-    if hints.zero_copy {
-        // Record where each stream byte lives instead of moving it: the
-        // plan is the same cursor walk as the packed assembly below,
-        // minus the copy (and minus its charge).
-        let mut runs = Vec::with_capacity(entries.len());
-        for &(_off, client, _piece, len) in &entries {
-            let ri = payload_of(client);
-            runs.push((ri, consumed[ri], len as usize));
-            consumed[ri] += len as usize;
-        }
-        let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
-        return Some(WriteStage { segs, data: StageData::Runs { bufs, runs } });
-    }
-    let mut packed = vec![0u8; total as usize];
-    let mut pos = 0usize;
+    let mut runs = Vec::with_capacity(entries.len());
     for &(_off, client, _piece, len) in &entries {
-        let ri = payload_of(client);
-        let src = &received[ri].1[consumed[ri]..consumed[ri] + len as usize];
-        packed[pos..pos + len as usize].copy_from_slice(src);
+        let ri = recv_from.binary_search(&client).expect("payload for client missing");
+        runs.push((ri, consumed[ri], len as usize));
         consumed[ri] += len as usize;
-        pos += len as usize;
     }
-    if matches!(hints.exchange, ExchangeMode::Nonblocking) {
-        rank.charge_memcpy(total); // assembly into the collective buffer
-        rank.note_bytes_copied(total);
-    }
-    Some(WriteStage { segs, data: StageData::Packed(packed) })
+    let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
+    Some(WriteStage { segs, bufs, runs })
 }
 
-/// Issue half of a write cycle: commit the assembled collective buffer to
-/// the file with nonblocking requests, retrying transient faults per
-/// realm chunk. Returns the virtual window the I/O occupies — carrying
-/// the first retry-exhausted fault, if any; the caller decides whether to
-/// block on it (serial engine) or overlap it (pipelined engine). Every
-/// chunk is issued even after an exhausted one, so all data that *can*
-/// land does, and the error agreement sees one deterministic first fault.
+/// Issue half of a write cycle: commit the stage's runs to the file with
+/// nonblocking requests, retrying transient faults per realm chunk.
+/// Returns the virtual window the I/O occupies — carrying the first
+/// retry-exhausted fault, if any; the caller decides whether to block on
+/// it (serial engine) or overlap it (pipelined engine). Every chunk is
+/// issued even after an exhausted one, so all data that *can* land does,
+/// and the error agreement sees one deterministic first fault.
 fn issue_write(
     rank: &Rank,
     handle: &FileHandle,
@@ -610,35 +548,22 @@ fn issue_write(
         let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
         if sieved {
             // Double buffering (§5.1/§6.2): sieving beneath the collective
-            // buffer copies once more, collective buffer -> sieve buffer.
-            // Zero-copy keeps this one copy of the model's (it replaces
-            // the packed path's assembly + double-buffer pair for the
-            // same bytes); the host hands the runs down as they are.
+            // buffer copies once, received payloads -> sieve buffer. This
+            // is a copy of the model's; the host hands the runs down as
+            // they are.
             rank.charge_memcpy(glen);
             rank.note_bytes_copied(glen);
         }
-        let (nt, e) = match &stage.data {
-            StageData::Packed(packed) => {
-                let data = &packed[pos..pos + glen as usize];
-                retry_io(rank, hints, t, |at| {
-                    write_packed_nb(handle, at, &group, data, &hints.io_method, period)
-                        .into_result()
-                })
-            }
-            StageData::Runs { bufs, runs } => {
-                // Pack-free: hand the received payloads' sub-slices to
-                // the scatter-gather write as-is. A sieved group's chunk
-                // is widened to the whole group span: one RMW read + one
-                // write-back per realm chunk, the same span-sized staging
-                // ROMIO's integrated RMW pass uses, instead of serialized
-                // sieve-buffer-sized round trips.
-                let slices = StageData::run_slices(bufs, runs, pos, glen as usize);
-                let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
-                retry_io(rank, hints, t, |at| {
-                    write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
-                })
-            }
-        };
+        // Hand the received payloads' sub-slices to the scatter-gather
+        // write as-is. A sieved group's chunk is widened to the whole
+        // group span: one RMW read + one write-back per realm chunk, the
+        // same span-sized staging ROMIO's integrated RMW pass uses,
+        // instead of serialized sieve-buffer-sized round trips.
+        let slices = stage.run_slices(pos, glen as usize);
+        let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
+        let (nt, e) = retry_io(rank, hints, t, |at| {
+            write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
+        });
         t = nt;
         err = err.or(e);
         pos += glen as usize;
@@ -705,29 +630,13 @@ impl CycleDriver for FlexWrite<'_> {
 }
 
 /// One read cycle's collective buffer, read from the file and awaiting
-/// distribution to the clients.
-struct ReadStage {
-    /// Merged plan entries `(file_off, client, piece_idx, len)` in file
-    /// order — the slicing map from the packed buffer to per-client sends.
-    entries: Vec<PlanEntry>,
-    /// The window's bytes, in one of two representations.
-    data: ReadStageData,
-}
-
-/// How a read stage holds the window's bytes between issue and
-/// distribution.
-enum ReadStageData {
-    /// The classic path: the window concatenated in file order; the
-    /// distribute half slices (copies) it into per-client payloads.
-    Packed(Vec<u8>),
-    /// The zero-copy path: per-client payload buffers, in ascending
-    /// client order, filled directly by the scattered read — ready to
-    /// send without a slicing pass.
-    PerClient(Vec<(usize, Vec<u8>)>),
-}
+/// distribution: per-client payload buffers, in ascending client order,
+/// filled directly by the scattered read — ready to send without a
+/// slicing pass.
+type ReadStage = Vec<(usize, Vec<u8>)>;
 
 /// Issue half of a read cycle: an aggregator with data this cycle reads
-/// its window slice into a collective buffer with nonblocking requests.
+/// its window slice into per-client payloads with nonblocking requests.
 /// Returns the I/O's virtual window and the filled stage; `None` — with
 /// nothing charged, so a re-issue is free — for pure clients and idle
 /// cycles.
@@ -747,75 +656,29 @@ fn issue_read(
     let t0 = rank.now();
     let mut t = t0;
     let mut err: Option<flexio_pfs::PfsError> = None;
-    if hints.zero_copy {
-        // Pack-free: scattered reads land straight in per-client payload
-        // buffers, so the distribute half can send them as-is.
-        let mut bufs: Vec<(usize, Vec<u8>)> = agg_pieces
-            .iter()
-            .map(|&(c, pieces)| (c, vec![0u8; pieces.iter().map(|p| p.len as usize).sum()]))
-            .collect();
-        // Dest runs in entry order: each entry gets the next `len` bytes
-        // of its client's buffer (within a client, entry order equals the
-        // client's own piece order). `rem[i]` is the unfilled tail of the
-        // `i`-th client's buffer.
-        let mut rem: Vec<&mut [u8]> = bufs.iter_mut().map(|(_, b)| b.as_mut_slice()).collect();
-        let mut dests: Vec<&mut [u8]> = Vec::with_capacity(entries.len());
-        for &(_off, client, _piece, len) in &entries {
-            let i = agg_pieces
-                .binary_search_by_key(&client, |&(c, _)| c)
-                .expect("client buffer missing");
-            let (head, tail) = std::mem::take(&mut rem[i]).split_at_mut(len as usize);
-            dests.push(head);
-            rem[i] = tail;
-        }
-        drop(rem);
-        // Merged segment boundaries always fall on entry boundaries, so
-        // every window group covers a whole number of entries/dest runs.
-        let mut ei = 0usize;
-        for (wi, group) in group_by_window(&segs, window) {
-            let glen: u64 = group.iter().map(|(_, l)| l).sum();
-            let period = group_period(&group);
-            match handle.lock_range(t, window[wi].0, window[wi].1) {
-                Ok(nt) => t = nt,
-                Err(e) => {
-                    t = e.at;
-                    err = err.or(Some(e));
-                }
-            }
-            let mut got = 0u64;
-            let mut ej = ei;
-            while got < glen {
-                got += entries[ej].3;
-                ej += 1;
-            }
-            let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
-            let method = if sieved {
-                // Sieving drains its chunk buffer into the per-client
-                // payloads — the one copy zero-copy keeps on reads. One
-                // span-wide chunk per group, as on the write side.
-                rank.charge_memcpy(glen);
-                rank.note_bytes_copied(glen);
-                span_wide_sieve(&group)
-            } else {
-                hints.io_method
-            };
-            let (nt, e) = retry_io(rank, hints, t, |at| {
-                read_scattered_nb(handle, at, &group, &mut dests[ei..ej], &method, period)
-                    .into_result()
-            });
-            t = nt;
-            err = err.or(e);
-            ei = ej;
-        }
-        drop(dests);
-        return Some((
-            IoCompletion::span(t0, t).or_error(err),
-            ReadStage { entries, data: ReadStageData::PerClient(bufs) },
-        ));
+    // Scattered reads land straight in per-client payload buffers, so the
+    // distribute half can send them as-is.
+    let mut bufs: ReadStage = agg_pieces
+        .iter()
+        .map(|&(c, pieces)| (c, vec![0u8; pieces.iter().map(|p| p.len as usize).sum()]))
+        .collect();
+    // Dest runs in entry order: each entry gets the next `len` bytes of
+    // its client's buffer (within a client, entry order equals the
+    // client's own piece order). `rem[i]` is the unfilled tail of the
+    // `i`-th client's buffer.
+    let mut rem: Vec<&mut [u8]> = bufs.iter_mut().map(|(_, b)| b.as_mut_slice()).collect();
+    let mut dests: Vec<&mut [u8]> = Vec::with_capacity(entries.len());
+    for &(_off, client, _piece, len) in &entries {
+        let i =
+            agg_pieces.binary_search_by_key(&client, |&(c, _)| c).expect("client buffer missing");
+        let (head, tail) = std::mem::take(&mut rem[i]).split_at_mut(len as usize);
+        dests.push(head);
+        rem[i] = tail;
     }
-    let total: u64 = entries.iter().map(|e| e.3).sum();
-    let mut packed = vec![0u8; total as usize];
-    let mut pos = 0usize;
+    drop(rem);
+    // Merged segment boundaries always fall on entry boundaries, so every
+    // window group covers a whole number of entries/dest runs.
+    let mut ei = 0usize;
     for (wi, group) in group_by_window(&segs, window) {
         let glen: u64 = group.iter().map(|(_, l)| l).sum();
         let period = group_period(&group);
@@ -826,28 +689,38 @@ fn issue_read(
                 err = err.or(Some(e));
             }
         }
-        if matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_)) {
-            rank.charge_memcpy(glen); // sieve buffer -> collective buffer
-            rank.note_bytes_copied(glen);
+        let mut got = 0u64;
+        let mut ej = ei;
+        while got < glen {
+            got += entries[ej].3;
+            ej += 1;
         }
-        let dst = &mut packed[pos..pos + glen as usize];
+        let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
+        let method = if sieved {
+            // Sieving drains its chunk buffer into the per-client
+            // payloads — the one modelled copy on reads. One span-wide
+            // chunk per group, as on the write side.
+            rank.charge_memcpy(glen);
+            rank.note_bytes_copied(glen);
+            span_wide_sieve(&group)
+        } else {
+            hints.io_method
+        };
         let (nt, e) = retry_io(rank, hints, t, |at| {
-            read_packed_nb(handle, at, &group, dst, &hints.io_method, period).into_result()
+            read_scattered_nb(handle, at, &group, &mut dests[ei..ej], &method, period).into_result()
         });
         t = nt;
         err = err.or(e);
-        pos += glen as usize;
+        ei = ej;
     }
-    Some((
-        IoCompletion::span(t0, t).or_error(err),
-        ReadStage { entries, data: ReadStageData::Packed(packed) },
-    ))
+    drop(dests);
+    Some((IoCompletion::span(t0, t).or_error(err), bufs))
 }
 
-/// Distribute half of a read cycle: the aggregator slices its collective
-/// buffer per client, everyone exchanges, clients scatter into the user
-/// buffer. Every rank must call this every cycle (collective exchange)
-/// whether or not it holds a stage.
+/// Distribute half of a read cycle: the aggregator sends its per-client
+/// payloads, everyone exchanges, clients scatter into the user buffer.
+/// Every rank must call this every cycle (collective exchange) whether or
+/// not it holds a stage.
 #[allow(clippy::too_many_arguments)]
 fn distribute_read(
     rank: &Rank,
@@ -859,37 +732,7 @@ fn distribute_read(
     cyc: CycleSchedule<'_>,
     stage: Option<ReadStage>,
 ) {
-    // Slice the packed buffer back out per client, in entry order
-    // (within a client, entry order == the client's own piece order).
-    // The zero-copy stage already holds per-client payloads — filled in
-    // place by the scattered read — so no slicing pass (and no charge).
-    let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
-    if let Some(stage) = stage {
-        match stage.data {
-            ReadStageData::PerClient(bufs) => sends = bufs,
-            ReadStageData::Packed(packed) => {
-                let total: u64 = stage.entries.iter().map(|e| e.3).sum();
-                let mut per_client: std::collections::HashMap<usize, Vec<u8>> = Default::default();
-                let mut pos = 0usize;
-                for &(_off, client, _piece, len) in &stage.entries {
-                    per_client
-                        .entry(client)
-                        .or_default()
-                        .extend_from_slice(&packed[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                if matches!(hints.exchange, ExchangeMode::Nonblocking) {
-                    rank.charge_memcpy(total); // collective buffer -> send payloads
-                    rank.note_bytes_copied(total);
-                }
-                let mut targets: Vec<usize> = per_client.keys().copied().collect();
-                targets.sort_unstable();
-                for c in targets {
-                    sends.push((c, per_client.remove(&c).unwrap()));
-                }
-            }
-        }
-    }
+    let sends = stage.unwrap_or_default();
     // Client: receive from every aggregator whose window holds my data.
     let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
@@ -903,19 +746,12 @@ fn distribute_read(
     };
     for ((a, pieces), (src, payload)) in cyc.my_pieces().zip(&received) {
         debug_assert_eq!(*src, agg_ranks[a], "payloads out of aggregator order");
+        // The receive models an iovec run list borrowed off the flattened
+        // view, landing bytes in user memory directly: nothing is charged.
         let mut pos = 0usize;
-        let mut total = 0u64;
         for p in pieces {
             mem.scatter(user, p.data_pos - my.data_start, &payload[pos..pos + p.len as usize]);
             pos += p.len as usize;
-            total += p.len;
-        }
-        if matches!(hints.exchange, ExchangeMode::Nonblocking) && !hints.zero_copy {
-            // Zero-copy receives through an iovec run list borrowed off
-            // the flattened view, landing bytes in user memory directly;
-            // the packed path unpacks a staging buffer.
-            rank.charge_memcpy(total);
-            rank.note_bytes_copied(total);
         }
     }
 }

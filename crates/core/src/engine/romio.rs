@@ -13,13 +13,13 @@
 //!   collective buffer.
 //!
 //! The buffer cycles run on the shared pipeline core
-//! ([`crate::engine::pipeline`]), so `flexio_double_buffer` and
-//! `flexio_pipeline_depth` mean the same thing here as under the flexible
-//! engine — depth 1 charges exactly like the historical serial loop
-//! (fixture-enforced), deeper pipelines overlap each cycle's *final*
-//! buffer-to-file request with the next cycle's exchange. A write cycle's
-//! sieving *read* stays blocking at any depth: it is the read half of a
-//! read-modify-write, and the payloads can only be placed after it lands.
+//! ([`crate::engine::pipeline`]), so `flexio_pipeline_depth` means the
+//! same thing here as under the flexible engine — depth 1 charges exactly
+//! like the historical serial loop (fixture-enforced), deeper pipelines
+//! overlap each cycle's *final* buffer-to-file request with the next
+//! cycle's exchange. A write cycle's sieving *read* stays blocking at any
+//! depth: it is the read half of a read-modify-write, and the payloads
+//! can only be placed after it lands.
 
 use crate::engine::common::{agree_error, retry_io, Piece};
 use crate::engine::flexible::DataBuf;
@@ -440,9 +440,8 @@ impl CycleDriver for RomioWrite<'_> {
             DataBuf::Read(_) => unreachable!(),
         };
         // Client -> aggregator payloads (non-blocking exchange, as the old
-        // code does). The packed path gathers into a staging buffer and
-        // charges the copy; zero-copy sends an iovec run list borrowed
-        // off the flattened view, so the `Vec` below is only the wire
+        // code does). The send models an iovec run list borrowed off the
+        // flattened view, so the `Vec` below is only the wire
         // representation — nothing charged, nothing in the ledger.
         let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
         for (a, pieces) in my_cycle.iter().enumerate() {
@@ -459,10 +458,6 @@ impl CycleDriver for RomioWrite<'_> {
                     &mut payload[pos..pos + p.len as usize],
                 );
                 pos += p.len as usize;
-            }
-            if !self.hints.zero_copy {
-                self.rank.charge_memcpy(total);
-                self.rank.note_bytes_copied(total);
             }
             sends.push((self.agg_ranks[a], payload));
         }
@@ -498,13 +493,13 @@ impl CycleDriver for RomioWrite<'_> {
         };
         let t0;
         let mut t_done;
-        if self.hints.zero_copy && !stage.holes {
+        if !stage.holes {
             // The requests tile the spanning range exactly, so the
             // collective buffer adds nothing: sort the received payloads'
             // request runs by file offset and commit them as one gathered
-            // write — the placement copy and its charge disappear. With
-            // holes the buffer IS the sieve buffer and the packed path
-            // below stays (the read-modify-write needs contiguous bytes).
+            // write, with no placement copy. With holes the buffer IS the
+            // sieve buffer and the placement below stays (the
+            // read-modify-write needs contiguous bytes).
             let mut plan: Vec<(u64, usize, usize, usize)> = Vec::new();
             for (ri, (src, _)) in stage.received.iter().enumerate() {
                 let mut pos = 0usize;
@@ -532,19 +527,17 @@ impl CycleDriver for RomioWrite<'_> {
                 Some(p) => p.buf,
                 None => {
                     let mut fresh = vec![0u8; stage.span as usize];
-                    if stage.holes {
-                        // The read half of the read-modify-write blocks at
-                        // ANY pipeline depth: payloads cannot be placed
-                        // over gap data that has not arrived. Only the
-                        // commit write below overlaps.
-                        let rt0 = self.rank.now();
-                        let (nt, e) = retry_io(self.rank, self.hints, rt0, |at| {
-                            self.handle.read(at, stage.blo, &mut fresh)
-                        });
-                        err = err.or(e);
-                        self.rank.advance_to(nt);
-                        self.rank.note_phase(Phase::Io, nt - rt0);
-                    }
+                    // The read half of the read-modify-write blocks at
+                    // ANY pipeline depth: payloads cannot be placed over
+                    // gap data that has not arrived. Only the commit
+                    // write below overlaps.
+                    let rt0 = self.rank.now();
+                    let (nt, e) = retry_io(self.rank, self.hints, rt0, |at| {
+                        self.handle.read(at, stage.blo, &mut fresh)
+                    });
+                    err = err.or(e);
+                    self.rank.advance_to(nt);
+                    self.rank.note_phase(Phase::Io, nt - rt0);
                     fresh
                 }
             };
@@ -647,12 +640,11 @@ impl CycleDriver for RomioRead<'_, '_> {
     fn exchange(&mut self, i: usize, incoming: Option<RomioReadStage>) -> Option<RomioReadStage> {
         let RomioCycle { my_cycle, agg_cycle } = &self.cycles[i];
         // Aggregator: slice the collective buffer per client. The buffer
-        // persists in the stage, so zero-copy sends each client an iovec
+        // persists in the stage, so each client's send models an iovec
         // run list pointing straight into it — the slicing pass below is
-        // then wire representation only, not a charged copy.
+        // wire representation only, not a charged copy.
         let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
         if let Some(stage) = incoming {
-            let mut total = 0u64;
             for (c, l) in agg_cycle.iter().enumerate() {
                 if l.is_empty() {
                     continue;
@@ -662,13 +654,8 @@ impl CycleDriver for RomioRead<'_, '_> {
                     payload.extend_from_slice(
                         &stage.cbuf[(o - stage.blo) as usize..(o - stage.blo + len) as usize],
                     );
-                    total += len;
                 }
                 sends.push((c, payload));
-            }
-            if !self.hints.zero_copy {
-                self.rank.charge_memcpy(total);
-                self.rank.note_bytes_copied(total);
             }
         }
         let recv_from: Vec<usize> = my_cycle
@@ -688,8 +675,8 @@ impl CycleDriver for RomioRead<'_, '_> {
                 continue;
             }
             let payload = by_src.remove(&self.agg_ranks[a]).expect("missing payload");
+            // Received into the user buffer's runs directly: no charge.
             let mut pos = 0usize;
-            let mut total = 0u64;
             for p in pieces {
                 self.mem.scatter(
                     user,
@@ -697,12 +684,6 @@ impl CycleDriver for RomioRead<'_, '_> {
                     &payload[pos..pos + p.len as usize],
                 );
                 pos += p.len as usize;
-                total += p.len;
-            }
-            if !self.hints.zero_copy {
-                // Zero-copy receives into the user buffer's runs directly.
-                self.rank.charge_memcpy(total);
-                self.rank.note_bytes_copied(total);
             }
         }
         None

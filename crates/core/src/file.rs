@@ -7,7 +7,7 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::RealmSet;
-use flexio_io::{read_packed, write_packed};
+use flexio_io::{read_scattered_nb, write_gathered_nb};
 use flexio_pfs::{FileHandle, Pfs};
 use flexio_sim::{Phase, Rank};
 use flexio_types::{flatten_shared, Datatype, FileView, MemLayout};
@@ -232,14 +232,15 @@ impl<'r> MpiFile<'r> {
         }
         let (segs, packed) = self.flatten_access(offset_etypes, total, Some((buf, &mem)));
         let t0 = self.rank.now();
-        let res = write_packed(
+        let res = write_gathered_nb(
             &self.handle,
             t0,
             &segs,
-            &packed,
+            &[&packed],
             &self.hints.io_method,
             self.view.ftype().extent,
-        );
+        )
+        .into_result();
         // Charge the op's full window whether or not it faulted (the error
         // carries the would-be completion time), then surface the fault —
         // independent I/O has no retry loop or collective agreement.
@@ -262,14 +263,15 @@ impl<'r> MpiFile<'r> {
         }
         let (segs, mut packed) = self.flatten_access(offset_etypes, total, None);
         let t0 = self.rank.now();
-        let res = read_packed(
+        let res = read_scattered_nb(
             &self.handle,
             t0,
             &segs,
-            &mut packed,
+            &mut [&mut packed],
             &self.hints.io_method,
             self.view.ftype().extent,
-        );
+        )
+        .into_result();
         self.charge_io(*res.as_ref().unwrap_or_else(|e| &e.at));
         if let Err(e) = res {
             // The packed bytes are exact even on a faulted request, but an

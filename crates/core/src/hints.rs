@@ -22,12 +22,13 @@ pub enum Engine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
     /// Sparse non-blocking sends/receives, overlapped with address
-    /// computation; packing/assembly copies are charged.
+    /// computation: one message per peer that has data.
     #[default]
     Nonblocking,
-    /// `MPI_Alltoallw`-style dense collective operating directly on user /
-    /// collective buffers: no packing or assembly copies, but one message
-    /// per peer pair regardless of sparsity.
+    /// `MPI_Alltoallw`-style dense collective: one message per peer pair
+    /// regardless of sparsity. Both flavours send and receive through run
+    /// lists borrowed off the user and collective buffers, so neither is
+    /// charged a pack or assembly copy.
     Alltoallw,
 }
 
@@ -56,6 +57,15 @@ pub enum PipelineDepth {
 }
 
 /// Tunables for collective and independent I/O, ROMIO-hint style.
+///
+/// The data path itself is not a tunable: user data moves as borrowed
+/// iovec-style runs through the exchange and the vectored PFS interface,
+/// with no pack, assembly or distribution copy. The copies the model
+/// charges — and ledgers in [`flexio_sim::Stats::bytes_copied`] — are the
+/// two a contiguous staging buffer is really needed for: a sieve-resolved
+/// group's copy into (reads: out of) its sieve buffer, and the ROMIO
+/// engine's placement into its integrated sieve buffer when a write
+/// cycle's requests leave holes.
 #[derive(Clone)]
 pub struct Hints {
     /// Number of I/O aggregators (`cb_nodes`). `None` = every rank.
@@ -63,7 +73,12 @@ pub struct Hints {
     /// Collective buffer size per aggregator per cycle (`cb_buffer_size`).
     pub cb_buffer_size: usize,
     /// How aggregators move the collective buffer to/from the file
-    /// (flexible engine only; the ROMIO engine always sieves, §5.1).
+    /// (flexible engine only; the ROMIO engine always sieves, §5.1), and
+    /// how independent I/O moves a noncontiguous access. A sieved
+    /// collective group is one span-wide chunk per realm chunk whatever
+    /// the buffer size says, so [`IoMethod::DataSieve`]'s `buffer` (and
+    /// [`IoMethod::Conditional`]'s `sieve_buffer`) sizes chunks only for
+    /// independent I/O.
     pub io_method: IoMethod,
     /// Align file-realm boundaries to this many bytes (the paper's new
     /// alignment hint, §6.4). Typically the stripe or page size.
@@ -80,15 +95,11 @@ pub struct Hints {
     /// under persistent file realms; off reproduces the pre-cache engine
     /// exactly (useful for ablations).
     pub schedule_cache: bool,
-    /// Software-pipeline the buffer cycles (both engines): two collective
-    /// buffers per aggregator, with the exchange for cycle *i+1*
-    /// overlapping the file I/O of cycle *i* (the original ROMIO
-    /// double-buffering the paper's §4 inherits). On by default; off
-    /// reproduces the strictly serial per-cycle engine charge for charge.
-    pub double_buffer: bool,
     /// Pipeline depth policy (`flexio_pipeline_depth`): how many buffer
-    /// cycles may be in flight at once. Ignored (forced to 1) when
-    /// [`Hints::double_buffer`] is off.
+    /// cycles may be in flight at once, under both engines — depth *d* is
+    /// *d* collective buffers per aggregator, with the exchange for cycle
+    /// *i+1* overlapping the file I/O of cycle *i* (at 2, the original
+    /// ROMIO double-buffering the paper's §4 inherits).
     pub pipeline_depth: PipelineDepth,
     /// How many times an aggregator retries a transiently failed file-
     /// system request before the collective gives up and agrees on an
@@ -98,18 +109,6 @@ pub struct Hints {
     /// (`flexio_retry_backoff_us`); doubles on each subsequent retry and
     /// is charged in virtual time like any other wait.
     pub retry_backoff_us: u64,
-    /// Zero-copy datatype path (`flexio_zero_copy`): move user data as
-    /// borrowed iovec-style segment runs through the exchange and the
-    /// vectored PFS interface instead of packing it into intermediate
-    /// buffers. On (the default) the steady-state collective path moves
-    /// each byte once — pack, collective-buffer assembly, and
-    /// distribution copies disappear from the charge stream and the
-    /// [`flexio_sim::Stats::bytes_copied`] ledger; sieve-resolved groups
-    /// are still charged the one copy into the sieve buffer (the model's
-    /// RMW patches a contiguous stream; the host hands the runs down as
-    /// they are). Off reproduces the packed path byte- and
-    /// charge-identically.
-    pub zero_copy: bool,
     /// Prefetch the ROMIO engine's data-sieving RMW pre-read one pipeline
     /// cycle ahead (`flexio_sieve_prefetch`), overlapping it with the
     /// previous cycle instead of blocking inside `issue`. Off by default;
@@ -150,11 +149,9 @@ impl Default for Hints {
             persistent_file_realms: false,
             exchange: ExchangeMode::default(),
             schedule_cache: true,
-            double_buffer: true,
             pipeline_depth: PipelineDepth::default(),
             io_retries: 4,
             retry_backoff_us: 100,
-            zero_copy: true,
             sieve_prefetch: false,
             crash_recovery: false,
             watchdog_us: 200_000,
@@ -174,11 +171,9 @@ impl std::fmt::Debug for Hints {
             .field("persistent_file_realms", &self.persistent_file_realms)
             .field("exchange", &self.exchange)
             .field("schedule_cache", &self.schedule_cache)
-            .field("double_buffer", &self.double_buffer)
             .field("pipeline_depth", &self.pipeline_depth)
             .field("io_retries", &self.io_retries)
             .field("retry_backoff_us", &self.retry_backoff_us)
-            .field("zero_copy", &self.zero_copy)
             .field("sieve_prefetch", &self.sieve_prefetch)
             .field("crash_recovery", &self.crash_recovery)
             .field("watchdog_us", &self.watchdog_us)
@@ -208,7 +203,7 @@ impl Hints {
         if self.pipeline_depth == PipelineDepth::Fixed(0) {
             return Err(crate::error::IoError::BadHints(
                 "flexio_pipeline_depth must be a positive integer or auto (0 disables nothing; \
-                 use flexio_double_buffer=disable or depth 1 for the serial engine)",
+                 use depth 1 for the serial engine)",
             ));
         }
         if self.io_retries > 32 {

@@ -17,11 +17,9 @@
 //! | `flexio_engine` | `flexible` or `romio` |
 //! | `flexio_exchange` | `nonblocking` or `alltoallw` |
 //! | `flexio_schedule_cache` | `enable`/`disable` exchange-schedule caching (flexio extension, default enable) |
-//! | `flexio_double_buffer` | `enable`/`disable` pipelined buffer cycles (exchange/I-O overlap; flexio extension, default enable) |
-//! | `flexio_pipeline_depth` | `auto` or a positive integer: buffer cycles in flight at once (flexio extension, default auto; `1` = serial, `2` = classic double buffering) |
+//! | `flexio_pipeline_depth` | `auto` or a positive integer: buffer cycles in flight at once (flexio extension, default auto; `1` = the strictly serial engine, `2` = classic double buffering) |
 //! | `flexio_io_retries` | retries per failed file-system request before the collective agrees on an error (flexio extension, default 4, max 32) |
 //! | `flexio_retry_backoff_us` | base microseconds of the first retry backoff, doubling per retry, charged in virtual time (flexio extension, default 100) |
-//! | `flexio_zero_copy` | `enable`/`disable` the zero-copy datatype path: borrowed segment runs from user buffers through the exchange and the vectored PFS interface instead of packed staging copies (flexio extension, default enable; disable reproduces the packed path byte- and charge-identically) |
 //! | `flexio_sieve_prefetch` | `enable`/`disable` prefetching the ROMIO engine's data-sieving RMW pre-read one pipeline cycle ahead (flexio extension, default disable) |
 //! | `flexio_crash_recovery` | `enable`/`disable` surviving crash-stopped ranks: agree on the dead set, re-elect aggregators over survivors, replay the interrupted call (flexio extension, default disable; disabled, a crash terminates the collective with a collectively agreed error) |
 //! | `flexio_watchdog_us` | failure-detection watchdog in virtual microseconds: heartbeat wait at collective boundaries before suspecting a peer dead (flexio extension, default 200000; must exceed per-cycle clock skew) |
@@ -108,28 +106,12 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
                     }
                 };
             }
-            "flexio_double_buffer" => {
-                h.double_buffer = match value {
-                    "enable" | "true" => true,
-                    "disable" | "false" => false,
-                    _ => {
-                        return Err(IoError::BadHints("flexio_double_buffer takes enable/disable"))
-                    }
-                };
-            }
             "flexio_pipeline_depth" => {
                 h.pipeline_depth = match value {
                     "auto" => PipelineDepth::Auto,
                     _ => PipelineDepth::Fixed(value.parse().map_err(|_| {
                         IoError::BadHints("flexio_pipeline_depth takes auto or a positive integer")
                     })?),
-                };
-            }
-            "flexio_zero_copy" => {
-                h.zero_copy = match value {
-                    "enable" | "true" => true,
-                    "disable" | "false" => false,
-                    _ => return Err(IoError::BadHints("flexio_zero_copy takes enable/disable")),
                 };
             }
             "flexio_sieve_prefetch" => {
@@ -246,16 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn double_buffer_switch() {
-        assert!(Hints::default().double_buffer);
-        let h = hints_from_info(Hints::default(), &[("flexio_double_buffer", "disable")]).unwrap();
-        assert!(!h.double_buffer);
-        let h = hints_from_info(h, &[("flexio_double_buffer", "enable")]).unwrap();
-        assert!(h.double_buffer);
-        assert!(hints_from_info(Hints::default(), &[("flexio_double_buffer", "maybe")]).is_err());
-    }
-
-    #[test]
     fn pipeline_depth_key() {
         assert_eq!(Hints::default().pipeline_depth, PipelineDepth::Auto);
         let h = hints_from_info(Hints::default(), &[("flexio_pipeline_depth", "4")]).unwrap();
@@ -285,16 +257,6 @@ mod tests {
         assert!(hints_from_info(Hints::default(), &[("flexio_retry_backoff_us", "-1")]).is_err());
         // Hints::validate bounds the doubling backoff at the end of parsing.
         assert!(hints_from_info(Hints::default(), &[("flexio_io_retries", "33")]).is_err());
-    }
-
-    #[test]
-    fn zero_copy_switch() {
-        assert!(Hints::default().zero_copy);
-        let h = hints_from_info(Hints::default(), &[("flexio_zero_copy", "disable")]).unwrap();
-        assert!(!h.zero_copy);
-        let h = hints_from_info(h, &[("flexio_zero_copy", "enable")]).unwrap();
-        assert!(h.zero_copy);
-        assert!(hints_from_info(Hints::default(), &[("flexio_zero_copy", "mostly")]).is_err());
     }
 
     #[test]
@@ -396,14 +358,23 @@ mod tests {
     #[test]
     fn unknown_flexio_prefixed_keys_are_ignored_too() {
         // The ignore-unknown rule is namespace-blind: a newer writer's
-        // flexio_* hints must not break an older reader.
+        // flexio_* hints must not break an older reader, nor an older
+        // writer's retired ones (the packed staging path and the on/off
+        // twin of `flexio_pipeline_depth`) a newer reader — whatever
+        // their values.
         let h = hints_from_info(
             Hints::default(),
-            &[("flexio_future_knob", "whatever"), ("cb_nodes", "3")],
+            &[
+                ("flexio_future_knob", "whatever"),
+                ("flexio_zero_copy", "disable"),
+                ("flexio_double_buffer", "maybe"),
+                ("cb_nodes", "3"),
+            ],
         )
         .unwrap();
         assert_eq!(h.cb_nodes, Some(3));
         assert_eq!(h.cb_buffer_size, Hints::default().cb_buffer_size);
+        assert_eq!(h.pipeline_depth, Hints::default().pipeline_depth);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct Profile {
     /// Total buffer-copy bytes across ranks.
     pub memcpy_total: u64,
     /// Total bytes moved through intermediate staging buffers on the
-    /// collective data path across ranks (the zero-copy ledger).
+    /// collective data path across ranks (the `bytes_copied` ledger).
     pub bytes_copied_total: u64,
     /// Total messages sent across ranks.
     pub msgs_total: u64,

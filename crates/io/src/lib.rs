@@ -1,8 +1,9 @@
 //! # flexio-io — independent I/O methods over the parallel file system
 //!
 //! These are the "optimizations beneath collective I/O" of the paper's
-//! §5.1/§6.3: ways of moving a *packed* byte stream to/from a sorted list
-//! of non-contiguous file segments.
+//! §5.1/§6.3: ways of moving a byte stream — handed over as an iovec-style
+//! run list, never packed — to/from a sorted list of non-contiguous file
+//! segments.
 //!
 //! * [`IoMethod::Naive`] — list I/O: one file-system call per contiguous
 //!   segment. Pays per-request overhead per segment (and page RMW for
@@ -22,7 +23,7 @@
 
 use flexio_pfs::{FileHandle, PfsError};
 
-/// How to move packed data between memory and non-contiguous file space.
+/// How to move data between memory and non-contiguous file space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMethod {
     /// One file-system call per contiguous segment (list I/O).
@@ -87,8 +88,18 @@ fn total_len(segs: &[(u64, u64)]) -> u64 {
     segs.iter().map(|(_, l)| l).sum()
 }
 
-fn check_segs(segs: &[(u64, u64)], packed_len: usize) {
-    debug_assert_eq!(total_len(segs), packed_len as u64, "packed buffer length mismatch");
+/// The caller's contract: the run list is exactly as long as the segments
+/// — checked in every profile, because without the check a longer source
+/// list writes past the last segment (another aggregator's realm) or
+/// drops its tail, and a longer destination list is left partly unfilled,
+/// all without an error. The segment list's shape is internal and O(n)
+/// to check: debug builds only.
+fn check_segs(segs: &[(u64, u64)], run_bytes: usize) {
+    let seg_bytes = total_len(segs);
+    assert!(
+        seg_bytes == run_bytes as u64,
+        "segments cover {seg_bytes} bytes but the run list holds {run_bytes}"
+    );
     debug_assert!(
         segs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
         "segments must be sorted and non-overlapping"
@@ -96,15 +107,16 @@ fn check_segs(segs: &[(u64, u64)], packed_len: usize) {
     debug_assert!(segs.iter().all(|(_, l)| *l > 0), "zero-length segment");
 }
 
-/// A packed-stream I/O operation in flight: the issue/wait split of
-/// [`write_packed`]/[`read_packed`]. Like [`flexio_pfs::NbOp`], the data
+/// A non-contiguous I/O operation in flight: what [`write_gathered_nb`]
+/// and [`read_scattered_nb`] return. Like [`flexio_pfs::NbOp`], the data
 /// movement is already done when the completion is returned — only the
 /// op's virtual window is pending, so a caller can overlap it with other
-/// work and charge `max` instead of the sum.
+/// work and charge `max` instead of the sum, or block on it at once with
+/// [`IoCompletion::into_result`].
 ///
 /// If any underlying PFS request faulted, the completion still spans the
 /// full virtual window (every request was issued, so a retry of the same
-/// packed op is idempotent) and [`IoCompletion::error`] reports the first
+/// op is idempotent) and [`IoCompletion::error`] reports the first
 /// fault, stamped with the op's completion time.
 #[must_use = "an issued I/O must be waited on to charge its virtual time"]
 #[derive(Debug, Clone, Copy)]
@@ -191,66 +203,6 @@ impl IoCompletion {
     }
 }
 
-/// Write `packed` (segments concatenated in order) to the file segments
-/// using `method`. Returns the virtual completion time, or the first
-/// injected fault (stamped with that completion time — the data is
-/// committed and the window fully charged either way).
-pub fn write_packed(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    packed: &[u8],
-    method: &IoMethod,
-    pattern_extent: u64,
-) -> Result<u64, PfsError> {
-    write_packed_nb(h, now, segs, packed, method, pattern_extent).into_result()
-}
-
-/// Issue half of [`write_packed`]: data is committed immediately, the
-/// returned completion carries the virtual window the write occupies and
-/// any fault an underlying request reported. A packed stream is a run
-/// list of one.
-pub fn write_packed_nb(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    packed: &[u8],
-    method: &IoMethod,
-    pattern_extent: u64,
-) -> IoCompletion {
-    write_gathered_nb(h, now, segs, &[packed], method, pattern_extent)
-}
-
-/// Read the file segments into `packed` using `method`. Returns the
-/// virtual completion time, or the first injected fault (stamped with
-/// that completion time — `packed` is filled and the window fully
-/// charged either way).
-pub fn read_packed(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    packed: &mut [u8],
-    method: &IoMethod,
-    pattern_extent: u64,
-) -> Result<u64, PfsError> {
-    read_packed_nb(h, now, segs, packed, method, pattern_extent).into_result()
-}
-
-/// Issue half of [`read_packed`]: `packed` is filled immediately, the
-/// returned completion carries the virtual window the read occupies and
-/// any fault an underlying request reported. A packed buffer is a run
-/// list of one.
-pub fn read_packed_nb(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    packed: &mut [u8],
-    method: &IoMethod,
-    pattern_extent: u64,
-) -> IoCompletion {
-    read_scattered_nb(h, now, segs, &mut [packed], method, pattern_extent)
-}
-
 /// A position in a source run list: hands out the sub-runs covering the
 /// next `n` stream bytes, so that segments (or sieve chunks) and runs can
 /// cut the same byte stream independently.
@@ -305,17 +257,20 @@ impl<'a, 'b> DestCursor<'a, 'b> {
 }
 
 /// Write the file segments from an iovec-style run list (`runs`,
-/// concatenating to the segments' bytes), so callers holding borrowed
-/// user-buffer or received-payload slices skip the intermediate packed
-/// copy. Segment boundaries and run boundaries cut the same byte stream
-/// independently — neither needs to nest in the other.
+/// concatenating to the segments' bytes — exactly as many; a mismatch
+/// panics), so callers hand over borrowed user-buffer or received-payload
+/// slices as they are; a packed stream is a run list of one. Segment
+/// boundaries and run boundaries cut the same byte stream independently
+/// — neither needs to nest in the other.
 ///
-/// This is the one write body ([`write_packed_nb`] is the run list of
-/// one): the PFS sees the same requests whatever the cut, vectored, and no
-/// arm assembles a buffer — a sieve chunk commits its sub-runs as they
-/// are ([`FileHandle::sieve_chunk_write`] charges the chunk and patches
-/// the segments). Whether a copy is *charged* is the caller's model: the
-/// engines charge a sieved group's double-buffer copy themselves.
+/// The data is committed immediately; the returned completion carries the
+/// virtual window the write occupies and the first fault an underlying
+/// request reported. The PFS sees the same requests whatever the cut,
+/// vectored, and no arm assembles a buffer — a sieve chunk commits its
+/// sub-runs as they are ([`FileHandle::sieve_chunk_write`] charges the
+/// chunk and patches the segments). Whether a copy is *charged* is the
+/// caller's model: the engines charge a sieved group's double-buffer copy
+/// themselves.
 pub fn write_gathered_nb(
     h: &FileHandle,
     now: u64,
@@ -359,10 +314,11 @@ pub fn write_gathered_nb(
 }
 
 /// Read the file segments straight into the caller's run list (`dests`,
-/// filled in stream order) with no intermediate packed buffer — the one
-/// read body ([`read_packed_nb`] is the run list of one). A sieve chunk is
-/// charged as one read of the chunk and delivers its segments' bytes to
-/// the destination runs directly ([`FileHandle::sieve_chunk_read`]).
+/// filled in stream order, exactly as long as the segments; a mismatch
+/// panics) — [`write_gathered_nb`]'s twin. `dests` is filled immediately,
+/// whatever the completion reports. A sieve chunk is charged as one read
+/// of the chunk and delivers its segments' bytes to the destination runs
+/// directly ([`FileHandle::sieve_chunk_read`]).
 pub fn read_scattered_nb(
     h: &FileHandle,
     now: u64,
@@ -521,6 +477,30 @@ mod tests {
         (0..n).map(|i| (start + i * stride, len)).collect()
     }
 
+    /// A packed stream is a run list of one: the blocking form most
+    /// tests want.
+    fn write_one(
+        h: &FileHandle,
+        now: u64,
+        segs: &[(u64, u64)],
+        data: &[u8],
+        method: &IoMethod,
+        pattern_extent: u64,
+    ) -> Result<u64, PfsError> {
+        write_gathered_nb(h, now, segs, &[data], method, pattern_extent).into_result()
+    }
+
+    fn read_one(
+        h: &FileHandle,
+        now: u64,
+        segs: &[(u64, u64)],
+        out: &mut [u8],
+        method: &IoMethod,
+        pattern_extent: u64,
+    ) -> Result<u64, PfsError> {
+        read_scattered_nb(h, now, segs, &mut [out], method, pattern_extent).into_result()
+    }
+
     fn packed_for(segs: &[(u64, u64)]) -> Vec<u8> {
         (0..total_len(segs)).map(|i| (i % 241 + 1) as u8).collect()
     }
@@ -557,7 +537,7 @@ mod tests {
         let h = pfs.open("f", 0);
         let segs = strided_segs(5, 10, 7, 23);
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
         assert_eq!(readback(&pfs, &segs), data);
     }
 
@@ -567,7 +547,7 @@ mod tests {
         let h = pfs.open("f", 0);
         let segs = strided_segs(5, 10, 7, 23);
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 64 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 64 }, 0).unwrap();
         assert_eq!(readback(&pfs, &segs), data);
     }
 
@@ -579,7 +559,7 @@ mod tests {
         h.write(0, 0, &vec![9u8; 300]).unwrap();
         let segs = strided_segs(10, 5, 4, 20);
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 32 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 32 }, 0).unwrap();
         assert_eq!(readback(&pfs, &segs), data);
         // Gap bytes untouched.
         let mut gap = [0u8; 4];
@@ -594,7 +574,7 @@ mod tests {
         // One 100-byte segment with a 10-byte sieve buffer.
         let segs = vec![(3u64, 100u64), (200, 8)];
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 10 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 10 }, 0).unwrap();
         assert_eq!(readback(&pfs, &segs), data);
     }
 
@@ -610,9 +590,9 @@ mod tests {
             let h = pfs.open("f", 0);
             let segs = strided_segs(11, 9, 6, 31);
             let data = packed_for(&segs);
-            write_packed(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
+            write_one(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
             let mut out = vec![0u8; data.len()];
-            read_packed(&h, 0, &segs, &mut out, &method, 100).unwrap();
+            read_one(&h, 0, &segs, &mut out, &method, 100).unwrap();
             assert_eq!(out, data, "method {method:?}");
         }
     }
@@ -623,12 +603,12 @@ mod tests {
         let h = pfs_a.open("f", 0);
         let segs = strided_segs(0, 16, 4, 16);
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
         let naive_reqs = pfs_a.stats().ost_requests;
 
         let pfs_b = timed_pfs();
         let h = pfs_b.open("f", 0);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 1 << 20 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 1 << 20 }, 0).unwrap();
         let sieve_reqs = pfs_b.stats().ost_requests;
         assert!(
             naive_reqs > sieve_reqs,
@@ -643,12 +623,12 @@ mod tests {
 
         let pfs_a = timed_pfs();
         let h = pfs_a.open("f", 0);
-        write_packed(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::Naive, 0).unwrap();
         let naive_bytes = pfs_a.stats().bytes_written;
 
         let pfs_b = timed_pfs();
         let h = pfs_b.open("f", 0);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 1 << 20 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 1 << 20 }, 0).unwrap();
         let sieve_bytes = pfs_b.stats().bytes_written;
         assert!(sieve_bytes > naive_bytes * 5, "sieve {sieve_bytes} vs naive {naive_bytes}");
     }
@@ -659,8 +639,9 @@ mod tests {
         let h = pfs.open("f", 0);
         let segs = vec![(0u64, 64u64)];
         let data = packed_for(&segs);
-        // Single contiguous run resolves to Contiguous in write_packed; use
-        // sieve_write directly to check the coverage logic.
+        // A single contiguous run resolves to Contiguous in
+        // write_gathered_nb; use sieve_write directly to check the
+        // coverage logic.
         let (t, err) = super::sieve_write(&h, 0, &segs, &[&data], 64);
         assert!(err.is_none());
         assert!(t > 0);
@@ -671,7 +652,7 @@ mod tests {
     fn write_empty_segments_noop() {
         let pfs = pfs();
         let h = pfs.open("f", 0);
-        let t = write_packed(&h, 5, &[], &[], &IoMethod::Naive, 0).unwrap();
+        let t = write_one(&h, 5, &[], &[], &IoMethod::Naive, 0).unwrap();
         assert_eq!(t, 5);
         assert_eq!(h.size(), 0);
     }
@@ -686,7 +667,7 @@ mod tests {
         let before = pfs.stats().bytes_read;
         let segs = vec![(0u64, 4u64), (8, 4), (3000, 4), (3008, 4)];
         let data = packed_for(&segs);
-        write_packed(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 64 }, 0).unwrap();
+        write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 64 }, 0).unwrap();
         let read = pfs.stats().bytes_read - before;
         assert!(read < 100, "sieve read {read} bytes; it must skip the 3 KB gap");
         assert_eq!(readback(&pfs, &segs), data);
@@ -713,10 +694,10 @@ mod tests {
             let d1 = vec![2u8; 32 * 8];
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    write_packed(&h0, 0, &segs0, &d0, &IoMethod::DataSieve { buffer: 96 }, 0).unwrap()
+                    write_one(&h0, 0, &segs0, &d0, &IoMethod::DataSieve { buffer: 96 }, 0).unwrap()
                 });
                 s.spawn(|| {
-                    write_packed(&h1, 0, &segs1, &d1, &IoMethod::DataSieve { buffer: 96 }, 0).unwrap()
+                    write_one(&h1, 0, &segs1, &d1, &IoMethod::DataSieve { buffer: 96 }, 0).unwrap()
                 });
             });
             let mut img = vec![0u8; 512];
@@ -729,33 +710,27 @@ mod tests {
     }
 
     #[test]
-    fn nb_split_matches_blocking() {
+    fn completion_reports_its_window_and_wait_clamps() {
         for method in [
             IoMethod::Naive,
             IoMethod::DataSieve { buffer: 48 },
             IoMethod::default(),
         ] {
-            let pfs_a = timed_pfs();
-            let pfs_b = timed_pfs();
-            let ha = pfs_a.open("f", 0);
-            let hb = pfs_b.open("f", 0);
+            let pfs = timed_pfs();
+            let h = pfs.open("f", 0);
             let segs = strided_segs(11, 9, 6, 31);
             let data = packed_for(&segs);
-            let t_blocking = write_packed(&ha, 700, &segs, &data, &method, 100).unwrap();
-            let c = write_packed_nb(&hb, 700, &segs, &data, &method, 100);
+            let c = write_gathered_nb(&h, 700, &segs, &[&data], &method, 100);
             assert_eq!(c.issued_at(), 700);
-            assert_eq!(c.done_at(), t_blocking, "method {method:?}");
-            assert_eq!(c.duration(), t_blocking - 700);
-            let mut out_a = vec![0u8; data.len()];
-            let mut out_b = vec![0u8; data.len()];
-            let r_blocking = read_packed(&ha, t_blocking, &segs, &mut out_a, &method, 100).unwrap();
-            // The nb read sees the committed data without waiting on the
+            assert!(c.done_at() > 700, "method {method:?}");
+            assert_eq!(c.duration(), c.done_at() - 700);
+            assert_eq!(c.into_result(), Ok(c.done_at()));
+            // The read sees the committed data without waiting on the
             // write's completion handle first.
-            let r = read_packed_nb(&hb, t_blocking, &segs, &mut out_b, &method, 100);
-            assert_eq!(r.done_at(), r_blocking);
-            assert_eq!(out_b, data);
-            assert_eq!(out_a, out_b);
-            assert_eq!(readback(&pfs_b, &segs), data);
+            let mut out = vec![0u8; data.len()];
+            let r = read_scattered_nb(&h, c.done_at(), &segs, &mut [&mut out], &method, 100);
+            assert_eq!(out, data);
+            assert_eq!(readback(&pfs, &segs), data);
             // wait() clamps in both directions.
             assert_eq!(r.wait(0).unwrap(), r.done_at());
             assert_eq!(r.wait(r.done_at() + 3).unwrap(), r.done_at() + 3);
@@ -790,7 +765,7 @@ mod tests {
             let hb = pfs_b.open("f", 0);
             let segs = strided_segs(11, 9, 6, 31);
             let data = packed_for(&segs);
-            let packed = write_packed_nb(&ha, 700, &segs, &data, &method, 100);
+            let packed = write_gathered_nb(&ha, 700, &segs, &[&data], &method, 100);
             let runs = odd_runs(&data);
             let gathered = write_gathered_nb(&hb, 700, &segs, &runs, &method, 100);
             assert_eq!(gathered.done_at(), packed.done_at(), "method {method:?}");
@@ -828,12 +803,13 @@ mod tests {
             let hb = pfs_b.open("f", 0);
             let segs = strided_segs(11, 9, 6, 31);
             let data = packed_for(&segs);
-            let ta = write_packed(&ha, 0, &segs, &data, &IoMethod::Naive, 100).unwrap();
-            let tb = write_packed(&hb, 0, &segs, &data, &IoMethod::Naive, 100).unwrap();
+            let ta = write_one(&ha, 0, &segs, &data, &IoMethod::Naive, 100).unwrap();
+            let tb = write_one(&hb, 0, &segs, &data, &IoMethod::Naive, 100).unwrap();
             assert_eq!(ta, tb);
             let t = ta;
             let mut packed_out = vec![0u8; data.len()];
-            let packed = read_packed_nb(&ha, t, &segs, &mut packed_out, &method, 100);
+            let packed =
+                read_scattered_nb(&ha, t, &segs, &mut [&mut packed_out], &method, 100);
             // Scatter into unevenly sized destination runs (incl. empties).
             let mut bufs: Vec<Vec<u8>> = Vec::new();
             let mut remaining = data.len();
@@ -865,14 +841,45 @@ mod tests {
         assert_eq!(h.size(), 0);
     }
 
+    // The length contract holds in every profile: each of these returned
+    // no error from a release build before it was an `assert!`.
+
     #[test]
-    fn nb_empty_segments_noop() {
+    #[should_panic(expected = "segments cover 4 bytes but the run list holds 8")]
+    fn run_list_longer_than_one_segment_panics() {
+        // Contiguous arm: all 8 bytes used to reach the file, 4 of them
+        // past the segment.
         let pfs = pfs();
         let h = pfs.open("f", 0);
-        let c = write_packed_nb(&h, 5, &[], &[], &IoMethod::Naive, 0);
-        assert_eq!((c.issued_at(), c.done_at()), (5, 5));
-        let r = read_packed_nb(&h, 7, &[], &mut [], &IoMethod::Naive, 0);
-        assert_eq!((r.issued_at(), r.done_at()), (7, 7));
+        let _ = write_gathered_nb(&h, 0, &[(0, 4)], &[&[7u8; 8]], &IoMethod::Naive, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
+    fn run_list_longer_than_the_segments_panics() {
+        // Naive arm: the last 4 bytes used to be dropped.
+        let pfs = pfs();
+        let h = pfs.open("f", 0);
+        let _ = write_gathered_nb(&h, 0, &[(0, 4), (100, 4)], &[&[7u8; 12]], &IoMethod::Naive, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
+    fn dest_list_longer_than_the_segments_panics() {
+        // The destination's tail used to be left unfilled.
+        let pfs = pfs();
+        let h = pfs.open("f", 0);
+        let mut out = [0u8; 12];
+        let _ =
+            read_scattered_nb(&h, 0, &[(0, 4), (100, 4)], &mut [&mut out], &IoMethod::Naive, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segments cover 8 bytes but the run list holds 5")]
+    fn run_list_shorter_than_the_segments_panics() {
+        let pfs = pfs();
+        let h = pfs.open("f", 0);
+        let _ = write_gathered_nb(&h, 0, &[(0, 4), (100, 4)], &[&[7u8; 5]], &IoMethod::Naive, 0);
     }
 
     #[test]
@@ -900,8 +907,8 @@ mod tests {
             let hf = faulty.open("f", 0);
             let segs = strided_segs(5, 10, 7, 23);
             let data = packed_for(&segs);
-            let t_clean = write_packed(&hc, 0, &segs, &data, &method, 0).unwrap();
-            let e = write_packed(&hf, 0, &segs, &data, &method, 0).unwrap_err();
+            let t_clean = write_one(&hc, 0, &segs, &data, &method, 0).unwrap();
+            let e = write_one(&hf, 0, &segs, &data, &method, 0).unwrap_err();
             // Every request is still issued and charged, so the fault is
             // stamped with the fault-free completion time.
             assert_eq!(e.at, t_clean, "method {method:?}");
@@ -917,7 +924,7 @@ mod tests {
         let h = pfs.open("f", 0);
         let segs = strided_segs(0, 4, 8, 32);
         let data = packed_for(&segs);
-        let c = write_packed_nb(&h, 10, &segs, &data, &IoMethod::Naive, 1 << 20);
+        let c = write_gathered_nb(&h, 10, &segs, &[&data], &IoMethod::Naive, 1 << 20);
         let e = c.error().expect("full-rate plan must fault");
         assert_eq!(e.at, c.done_at());
         let late = c.done_at() + 100;

@@ -406,11 +406,21 @@ struct Pieces<'a> {
     run: &'a [u8],
 }
 
-/// The shape [`Pieces`] relies on: every segment inside `[off, off+len)`
-/// and the run list exactly as long as the segments.
-fn well_formed(off: u64, len: u64, segs: &[(u64, u64)], run_bytes: u64) -> bool {
-    segs.iter().all(|&(so, sl)| so >= off && so + sl <= off + len)
-        && segs.iter().map(|s| s.1).sum::<u64>() == run_bytes
+/// The shape [`Pieces`] relies on. That the run list is exactly as long
+/// as the segments is the caller's contract, checked in every profile: a
+/// mismatch would move fewer bytes than either side names, without an
+/// error. That every segment lies inside `[off, off+len)` is internal
+/// shape, checked in debug builds.
+fn check_shape(off: u64, len: u64, segs: &[(u64, u64)], run_bytes: u64) {
+    let seg_bytes: u64 = segs.iter().map(|s| s.1).sum();
+    assert!(
+        seg_bytes == run_bytes,
+        "segments cover {seg_bytes} bytes but the run list holds {run_bytes}"
+    );
+    debug_assert!(
+        segs.iter().all(|&(so, sl)| so >= off && so + sl <= off + len),
+        "segment outside span"
+    );
 }
 
 fn pieces<'a>(segs: &'a [(u64, u64)], runs: &'a [&'a [u8]]) -> Pieces<'a> {
@@ -648,10 +658,7 @@ impl FileHandle {
         segs: &[(u64, u64)],
         runs: &[&[u8]],
     ) -> Result<u64, PfsError> {
-        debug_assert!(
-            well_formed(off, len, segs, runs.iter().map(|r| r.len() as u64).sum()),
-            "segment outside span, or run list length mismatch"
-        );
+        check_shape(off, len, segs, runs.iter().map(|r| r.len() as u64).sum());
         if len == 0 {
             return Ok(now);
         }
@@ -766,10 +773,7 @@ impl FileHandle {
         segs: &[(u64, u64)],
         dests: &mut [&mut [u8]],
     ) -> Result<u64, PfsError> {
-        debug_assert!(
-            well_formed(off, len, segs, dests.iter().map(|d| d.len() as u64).sum()),
-            "segment outside span, or run list length mismatch"
-        );
+        check_shape(off, len, segs, dests.iter().map(|d| d.len() as u64).sum());
         if len == 0 {
             return Ok(now);
         }
@@ -1295,6 +1299,21 @@ mod tests {
             pfs.open("f", 1).write(0, 40, &[1u8; 8]).unwrap();
             assert_eq!(pfs.stats().lock_revocations, 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
+    fn sieve_chunk_write_rejects_a_run_list_longer_than_its_segments() {
+        let h = tiny().open("f", 0);
+        let _ = h.sieve_chunk_write(0, 0, 104, &[(0, 4), (100, 4)], &[&[7u8; 12]], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
+    fn sieve_chunk_read_rejects_a_dest_list_longer_than_its_segments() {
+        let h = tiny().open("f", 0);
+        let mut out = [0u8; 12];
+        let _ = h.sieve_chunk_read(0, 0, 104, &[(0, 4), (100, 4)], &mut [&mut out]);
     }
 
     #[test]

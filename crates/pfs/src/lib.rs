@@ -44,118 +44,3 @@ pub use extent::ExtentSet;
 pub use fault::{CrashSpec, FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
 pub use fs::{FileHandle, FileObj, NbGuard, NbOp, Pfs, PfsStats, StatsSnapshot};
 pub use lock::{Acquire, LockTable};
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    struct Op {
-        write: bool,
-        off: u64,
-        len: usize,
-    }
-
-    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        proptest::collection::vec(
-            (any::<bool>(), 0u64..600, 1usize..120)
-                .prop_map(|(write, off, len)| Op { write, off, len }),
-            1..40,
-        )
-    }
-
-    fn check_against_reference(cfg: PfsConfig, ops: Vec<Op>) {
-        let pfs = Pfs::new(cfg);
-        let h = pfs.open("f", 0);
-        let mut reference = vec![0u8; 1024];
-        let mut t = 0u64;
-        let mut stamp = 1u8;
-        for op in &ops {
-            if op.write {
-                let data: Vec<u8> = (0..op.len).map(|i| stamp.wrapping_add(i as u8)).collect();
-                stamp = stamp.wrapping_add(17);
-                t = h.write(t, op.off, &data).unwrap();
-                reference[op.off as usize..op.off as usize + op.len].copy_from_slice(&data);
-            } else {
-                let mut buf = vec![0u8; op.len];
-                t = h.read(t, op.off, &mut buf).unwrap();
-                assert_eq!(
-                    buf,
-                    &reference[op.off as usize..op.off as usize + op.len],
-                    "read mismatch at {:?}",
-                    op
-                );
-            }
-        }
-        let t2 = h.close(t).unwrap();
-        assert!(t2 >= t);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Uncached path matches a flat byte-array reference model.
-        #[test]
-        fn uncached_matches_reference(ops in arb_ops()) {
-            check_against_reference(PfsConfig::test_tiny(), ops);
-        }
-
-        /// Cached+locked path matches the same reference model.
-        #[test]
-        fn cached_matches_reference(ops in arb_ops()) {
-            let cfg = PfsConfig {
-                locking: true,
-                client_cache: true,
-                ..PfsConfig::test_tiny()
-            };
-            check_against_reference(cfg, ops);
-        }
-
-        /// Two clients with disjoint halves, cached: flush order can't
-        /// corrupt; final contents exact after closes.
-        #[test]
-        fn two_client_disjoint_cached(seed in 0u64..500) {
-            let cfg = PfsConfig {
-                locking: true,
-                client_cache: true,
-                ..PfsConfig::test_tiny()
-            };
-            let pfs = Pfs::new(cfg);
-            let a = pfs.open("f", 0);
-            let b = pfs.open("f", 1);
-            // Client 0 owns [0, 512), client 1 owns [512, 1024).
-            for i in 0..8u64 {
-                let o = (seed + i * 37) % 448;
-                a.write(i, o, &[i as u8 + 1; 64]).unwrap();
-                b.write(i, 512 + o, &[i as u8 + 101; 64]).unwrap();
-            }
-            a.close(100).unwrap();
-            b.close(100).unwrap();
-            let c = pfs.open("f", 2);
-            let mut buf = vec![0u8; 1024];
-            c.read(0, 0, &mut buf).unwrap();
-            // Every written byte must be one of the stamps from the correct half.
-            for (i, &v) in buf.iter().enumerate() {
-                if v != 0 {
-                    if i < 512 {
-                        prop_assert!((1..=8).contains(&v), "byte {i} = {v}");
-                    } else {
-                        prop_assert!((101..=108).contains(&v), "byte {i} = {v}");
-                    }
-                }
-            }
-        }
-
-        /// Virtual completion times are monotone in `now`.
-        #[test]
-        fn time_monotone(now in 0u64..10_000_000, len in 1usize..200) {
-            let pfs = Pfs::new(PfsConfig { cost: PfsCostModel::default(), ..PfsConfig::test_tiny() });
-            let h = pfs.open("f", 0);
-            let t = h.write(now, 0, &vec![1u8; len]).unwrap();
-            prop_assert!(t > now);
-            let t2 = h.read(t, 0, &mut vec![0u8; len]).unwrap();
-            prop_assert!(t2 > t);
-        }
-    }
-}

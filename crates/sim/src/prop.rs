@@ -1,11 +1,10 @@
 //! A minimal in-repo property-testing harness.
 //!
-//! The external `proptest` crate is unavailable in offline builds (the
-//! other crates' `proptests` feature gates suites that need it), so
-//! suites that must always run use this harness instead: random cases from the deterministic
-//! [`XorShift64Star`], a fixed default seed so CI is reproducible, and a
-//! proptest-compatible regressions file (`cc <hex-seed>` lines) whose
-//! cases replay before any fresh ones.
+//! The external `proptest` crate is unavailable in offline builds, so
+//! every property suite of the workspace runs on this harness instead:
+//! random cases from the deterministic [`XorShift64Star`], a fixed default
+//! seed so CI is reproducible, and a proptest-compatible regressions file
+//! (`cc <hex-seed>` lines) whose cases replay before any fresh ones.
 //!
 //! Environment knobs (both optional):
 //!

@@ -68,12 +68,14 @@ pub struct Stats {
     pub pairs_processed: u64,
     /// Bytes charged via [`Rank::charge_memcpy`].
     pub memcpy_bytes: u64,
-    /// Bytes the collective engine moved through intermediate staging
-    /// buffers on the data path (pack, collective-buffer assembly,
-    /// distribution slicing, sieve double-buffering). Recorded via
-    /// [`Rank::note_bytes_copied`] — a pure ledger, no virtual time. The
-    /// zero-copy datatype path exists to drive this down; the counter
-    /// makes the elimination measurable rather than asserted.
+    /// Bytes the collective engines moved through an intermediate
+    /// staging buffer on the data path: a sieve-resolved group's copy
+    /// into (or out of) its sieve buffer, and the ROMIO engine's
+    /// placement into its integrated sieve buffer — the data path hands
+    /// runs down everywhere else and copies nothing. Recorded via
+    /// [`Rank::note_bytes_copied`] — a pure ledger, no virtual time, and
+    /// never more than [`Stats::memcpy_bytes`], which also counts
+    /// transport self-delivery and independent I/O's pack.
     pub bytes_copied: u64,
     /// Virtual ns attributed to compute / comm / io phases.
     pub phase_ns: [u64; 3],
@@ -340,8 +342,8 @@ impl Rank {
 
     /// Record `bytes` moved through an intermediate staging buffer on the
     /// collective data path ([`Stats::bytes_copied`]). A ledger entry
-    /// only: callers charge the copy's virtual time separately (usually
-    /// via [`Rank::charge_memcpy`]) when the exchange mode models it.
+    /// only: callers charge the copy's virtual time separately, with
+    /// [`Rank::charge_memcpy`].
     pub fn note_bytes_copied(&self, bytes: u64) {
         add(&self.state.bytes_copied, bytes);
     }

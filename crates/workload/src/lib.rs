@@ -55,4 +55,4 @@ pub use spec::{
     PhaseOp, PhaseSpec, RankPlan, ScenarioKind, WorkloadSpec,
 };
 pub use strided::StridedSpec;
-pub use tiled::{env_zero_copy, read_file, run_tiled, step_data, RankOutcome, TiledShape};
+pub use tiled::{read_file, run_tiled, step_data, RankOutcome, TiledShape};

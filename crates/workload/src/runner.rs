@@ -3,9 +3,9 @@
 //! One simulated world per phase — phases may have *different* rank
 //! counts (restart W→R, scans) — all sharing one [`Pfs`] instance, so the
 //! file written by phase `k` is exactly what phase `k+1` opens. The
-//! engine, copy path, and fault axis are the run's [`RunConfig`], not the
-//! spec's: the differential fuzz suite runs one spec under several
-//! configs and compares.
+//! engine and fault axis are the run's [`RunConfig`], not the spec's: the
+//! differential fuzz suite runs one spec under several configs and
+//! compares.
 
 use crate::spec::{PhaseOp, WorkloadSpec};
 use crate::tiled::read_file;
@@ -20,8 +20,6 @@ use std::sync::Arc;
 pub struct RunConfig {
     /// Collective engine.
     pub engine: Engine,
-    /// Zero-copy datatype path on/off.
-    pub zero_copy: bool,
     /// Inject the spec's transient-fault plan.
     pub faulted: bool,
 }
@@ -76,7 +74,6 @@ pub fn run_spec(spec: &WorkloadSpec, cfg: RunConfig) -> RunOutcome {
             persistent_file_realms: spec.pfr,
             schedule_cache: spec.cache,
             pipeline_depth: spec.depth,
-            zero_copy: cfg.zero_copy,
             io_retries: 12,
             retry_backoff_us: 20,
             ..Hints::default()
@@ -176,7 +173,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_matches_oracle() {
         let spec = checkpoint_spec(11, 3, 8, 2, 2);
-        let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false };
+        let cfg = RunConfig { engine: Engine::Flexible, faulted: false };
         let out = run_spec(&spec, cfg);
         let o = Oracle::from_spec(&spec);
         assert!(eq_padded(&out.image, o.image()), "image diverged from oracle");

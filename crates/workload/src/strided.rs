@@ -1,6 +1,6 @@
 //! The strided rank-shifted workload of `tests/engine_equivalence.rs`,
 //! promoted from a private test struct to a shared spec so other suites
-//! (and the proptest strategies that wrap it) describe it once.
+//! (and the generators that draw it) describe it once.
 
 use flexio_types::{Datatype, Dt};
 

@@ -2,8 +2,8 @@
 //!
 //! `tests/engine_pipeline_parity.rs` and `tests/fault_injection.rs` used
 //! to carry private copies of the same seeded data generator, file-image
-//! probe, zero-copy env gate, and tiled collective world; this module is
-//! the single home for all of them. The byte streams and world bodies are
+//! probe and tiled collective world; this module is the single home for
+//! all of them. The byte streams and world bodies are
 //! kept *exactly* as the suites had them, so pinned regression seeds and
 //! harvested charge fixtures replay identically.
 
@@ -15,14 +15,6 @@ use std::sync::Arc;
 
 /// Each rank's `(elapsed, stats, per-call outcomes, read-back)`.
 pub type RankOutcome = (u64, Stats, Vec<Result<(), IoError>>, Vec<u8>);
-
-/// CI's `zerocopy` matrix leg sweeps the differential suites on both
-/// sides of the `flexio_zero_copy` hint with the same seeds:
-/// `FLEXIO_ZERO_COPY=disable` (or `0`/`off`) forces the packed staging
-/// path; anything else (and unset) keeps the zero-copy default.
-pub fn env_zero_copy() -> bool {
-    !matches!(std::env::var("FLEXIO_ZERO_COPY").as_deref(), Ok("disable") | Ok("0") | Ok("off"))
-}
 
 /// Seeded per-rank, per-step data: deterministic across platforms and
 /// identical to what the differential suites have always written.

@@ -34,15 +34,17 @@ echo "== 4096-rank scale smoke (tests/scale_smoke.rs) =="
 cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_4096_ranks
 
 # Every other leg is a release build, where no `debug_assert!` executes.
-# One debug-profile leg (seconds) for the data path's — segment and
-# run-list shape (`check_segs`, "segment outside chunk"), "partial write
-# to uncached page", "invalidating dirty page" — over the crates that hold
-# them and the differential property that drives them hardest; and for
-# the rank runtime's — a dense round's step loop ("delivered twice", "two
-# messages for step", "left round … with an untaken message", "resumed
-# with a half-stepped round", "wake entry for a parked rank") — over
-# `flexio-sim`'s own tests and the fixture that drives late entrants,
-# crash-stops and two communicators' boards through it.
+# One debug-profile leg (seconds) for the data path's — segment-list
+# shape (`check_segs`: sorted, disjoint, no empty segment; `check_shape`:
+# "segment outside span"; the run list's *length* is an `assert!` in
+# every profile), "partial write to uncached page", "invalidating dirty
+# page" — over the crates that hold them and the differential property
+# that drives them hardest; and for the rank runtime's — a dense round's
+# step loop ("delivered twice", "two messages for step", "left round …
+# with an untaken message", "resumed with a half-stepped round", "wake
+# entry for a parked rank") — over `flexio-sim`'s own tests and the
+# fixture that drives late entrants, crash-stops and two communicators'
+# boards through it.
 echo "== cargo test (debug profile): sim, pfs, io, hpio, workload + data_path_differential, sim_collective_charges =="
 cargo test -q --offline -p flexio-sim -p flexio-pfs -p flexio-io -p flexio-hpio -p flexio-workload
 cargo test -q --offline --test data_path_differential --test sim_collective_charges
@@ -94,29 +96,21 @@ if [ "$THOROUGH" = 1 ]; then
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
     cargo test -q --release --offline --test engine_pipeline_parity
 
-  # Zerocopy leg: the same parity + chaos sweeps with the packed staging
-  # path forced (`flexio_zero_copy` off), same seeds — both sides of the
-  # hint must hold every invariant. The zero-copy side is the default
-  # above, so only the off side needs a separate pass.
-  echo "== zerocopy-off sweep (parity + chaos, FLEXIO_ZERO_COPY=disable) =="
-  FLEXIO_ZERO_COPY=disable \
-    FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
+  # Layer and engine-equivalence properties: datatypes and views, the
+  # file system against a flat reference, the realm assigners, engine vs
+  # engine and hint vs hint bytes, same pinned seed discipline.
+  echo "== property sweep (tests/properties.rs, tests/engine_equivalence.rs) =="
+  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test engine_pipeline_parity --test fault_injection
+    cargo test -q --release --offline --test properties --test engine_equivalence
 
   # Workload-fuzz leg: the seeded scenario fuzzer (five workload
-  # families x oracle/engine/zero-copy/fault/determinism axes), same
+  # families x oracle/engine/fault/determinism axes), same
   # pinned seed discipline; a red case prints a `cc <seed>` line (plus
   # its shrunk `s<level>` form) to pin in
   # tests/workload_fuzz.proptest-regressions.
   echo "== workload fuzz sweep (tests/workload_fuzz.rs) =="
   FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test workload_fuzz
-
-  echo "== workload fuzz sweep, packed path (FLEXIO_ZERO_COPY=disable) =="
-  FLEXIO_ZERO_COPY=disable \
-    FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
     cargo test -q --release --offline --test workload_fuzz
 

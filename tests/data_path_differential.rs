@@ -427,7 +427,8 @@ impl Chain {
     }
 }
 
-/// The parent commit's `write_packed_nb`, from public `FileHandle` calls.
+/// The parent commit's packed-stream write (`flexio-io`'s one entry then),
+/// from public `FileHandle` calls.
 fn reference_write(
     h: &FileHandle,
     now: u64,
@@ -462,7 +463,7 @@ fn reference_write(
     chain.finish()
 }
 
-/// The parent commit's `read_packed_nb`, from public `FileHandle` calls.
+/// The parent commit's packed-stream read, from public `FileHandle` calls.
 fn reference_read(
     h: &FileHandle,
     now: u64,

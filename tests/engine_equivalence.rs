@@ -6,26 +6,34 @@
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, CostModel};
+use flexio::sim::prop::Runner;
+use flexio::sim::{run, CostModel, XorShift64Star};
 use flexio::types::Datatype;
 use flexio::workload::StridedSpec;
-use proptest::prelude::*;
 use std::sync::Arc;
 
-fn arb_workload() -> impl Strategy<Value = StridedSpec> {
-    (2usize..6, 1u64..48, 0u64..64, 1u64..24).prop_map(|(nprocs, block, gap, count)| {
-        StridedSpec {
-            nprocs,
-            block,
-            gap,
-            count,
-            disp_unit: block + gap,
-        }
-    })
+/// A draw in `[lo, lo + range)`: shrinks toward `lo`.
+fn draw(rng: &mut XorShift64Star, lo: u64, range: u64) -> u64 {
+    lo + rng.next_u64() % range
 }
 
-fn run_write(w: &StridedSpec, hints: Hints) -> Vec<u8> {
-    let pfs = Pfs::new(PfsConfig {
+fn coin(rng: &mut XorShift64Star) -> bool {
+    draw(rng, 0, 2) == 1
+}
+
+fn arb_workload(rng: &mut XorShift64Star) -> StridedSpec {
+    let (nprocs, block, gap, count) =
+        (draw(rng, 2, 4) as usize, draw(rng, 1, 47), draw(rng, 0, 64), draw(rng, 1, 23));
+    StridedSpec { nprocs, block, gap, count, disp_unit: block + gap }
+}
+
+/// A property's runner, replaying the suite's pinned cases first.
+fn runner(name: &'static str) -> Runner {
+    Runner::new(name).cases(24).regressions(include_str!("engine_equivalence.proptest-regressions"))
+}
+
+fn tiny_pfs() -> Arc<Pfs> {
+    Pfs::new(PfsConfig {
         n_osts: 3,
         stripe_size: 192,
         page_size: 32,
@@ -33,125 +41,135 @@ fn run_write(w: &StridedSpec, hints: Hints) -> Vec<u8> {
         lock_expansion: true,
         client_cache: false,
         cost: PfsCostModel::free(),
-    });
-    {
-        let pfs = Arc::clone(&pfs);
-        let w = w.clone();
-        run(w.nprocs, CostModel::free(), move |rank| {
-            let mut f = MpiFile::open(rank, &pfs, "eq", hints.clone()).unwrap();
-            f.set_view(w.disp(rank.rank()), &Datatype::bytes(1), &w.filetype()).unwrap();
-            let data = w.data(rank.rank());
-            f.write_all(&data, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
-            f.close();
-        });
-    }
-    let h = pfs.open("eq", usize::MAX - 1);
+    })
+}
+
+fn image(pfs: &Arc<Pfs>, path: &str) -> Vec<u8> {
+    let h = pfs.open(path, usize::MAX - 1);
     let mut out = vec![0u8; h.size() as usize];
-    h.read(0, 0, &mut out);
+    h.read(0, 0, &mut out).unwrap();
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn run_write(w: &StridedSpec, hints: Hints) -> Vec<u8> {
+    let pfs = tiny_pfs();
+    run(w.nprocs, CostModel::free(), |rank| {
+        let mut f = MpiFile::open(rank, &pfs, "eq", hints.clone()).unwrap();
+        f.set_view(w.disp(rank.rank()), &Datatype::bytes(1), &w.filetype()).unwrap();
+        let data = w.data(rank.rank());
+        f.write_all(&data, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
+        f.close().unwrap();
+    });
+    image(&pfs, "eq")
+}
 
-    /// Flexible and ROMIO engines agree byte for byte.
-    #[test]
-    fn engines_agree(w in arb_workload(), cb_pow in 6u32..12, aggs in 1usize..6) {
-        let cb = 1usize << cb_pow;
-        let base = Hints {
-            cb_nodes: Some(aggs.min(w.nprocs)),
-            cb_buffer_size: cb,
-            ..Hints::default()
-        };
-        let flexible = run_write(&w, Hints { engine: Engine::Flexible, ..base.clone() });
-        let romio = run_write(&w, Hints { engine: Engine::Romio, ..base });
-        prop_assert_eq!(flexible, romio);
-    }
-
-    /// Hint combinations never change the bytes, only the timing.
-    #[test]
-    fn hints_do_not_change_bytes(
-        w in arb_workload(),
-        pfr in any::<bool>(),
-        align in any::<bool>(),
-        alltoallw in any::<bool>(),
-        naive in any::<bool>(),
-    ) {
-        let reference = run_write(&w, Hints::default());
-        let hints = Hints {
-            persistent_file_realms: pfr,
-            fr_alignment: align.then_some(192),
-            exchange: if alltoallw { ExchangeMode::Alltoallw } else { ExchangeMode::Nonblocking },
-            io_method: if naive { IoMethod::Naive } else { IoMethod::DataSieve { buffer: 128 } },
-            cb_buffer_size: 256,
-            ..Hints::default()
-        };
-        let shuffled = run_write(&w, hints);
-        prop_assert_eq!(reference, shuffled);
-    }
-
-    /// write_all then read_all round-trips under random hints.
-    #[test]
-    fn write_read_roundtrip(w in arb_workload(), aggs in 1usize..6, romio in any::<bool>()) {
-        let pfs = Pfs::new(PfsConfig {
-            n_osts: 3,
-            stripe_size: 192,
-            page_size: 32,
-            locking: false,
-            lock_expansion: true,
-            client_cache: false,
-            cost: PfsCostModel::free(),
-        });
-        let w2 = w.clone();
-        let outs = run(w.nprocs, CostModel::free(), move |rank| {
-            let hints = Hints {
-                engine: if romio { Engine::Romio } else { Engine::Flexible },
-                cb_nodes: Some(aggs.min(w2.nprocs)),
-                cb_buffer_size: 512,
+/// Flexible and ROMIO engines agree byte for byte.
+#[test]
+fn engines_agree() {
+    runner("engines_agree").run(
+        |rng| (arb_workload(rng), 1usize << draw(rng, 6, 6), draw(rng, 1, 5) as usize),
+        |(w, cb, aggs)| {
+            let base = Hints {
+                cb_nodes: Some((*aggs).min(w.nprocs)),
+                cb_buffer_size: *cb,
                 ..Hints::default()
             };
-            let mut f = MpiFile::open(rank, &pfs, "rt", hints).unwrap();
-            f.set_view(w2.disp(rank.rank()), &Datatype::bytes(1), &w2.filetype()).unwrap();
-            let data = w2.data(rank.rank());
-            f.write_all(&data, &Datatype::bytes(w2.bytes_per_rank()), 1).unwrap();
-            let mut back = vec![0u8; data.len()];
-            f.read_all(&mut back, &Datatype::bytes(w2.bytes_per_rank()), 1).unwrap();
-            f.close();
-            (data, back)
-        });
-        for (data, back) in outs {
-            prop_assert_eq!(data, back);
-        }
-    }
+            let flexible = run_write(w, Hints { engine: Engine::Flexible, ..base.clone() });
+            let romio = run_write(w, Hints { engine: Engine::Romio, ..base });
+            assert_eq!(flexible, romio);
+        },
+    );
+}
 
-    /// Independent I/O through a view agrees with collective I/O.
-    #[test]
-    fn independent_agrees_with_collective(w in arb_workload()) {
-        let collective = run_write(&w, Hints::default());
-        // Same pattern via independent write_at from each rank in turn.
-        let pfs = Pfs::new(PfsConfig {
-            n_osts: 3,
-            stripe_size: 192,
-            page_size: 32,
-            locking: false,
-            lock_expansion: true,
-            client_cache: false,
-            cost: PfsCostModel::free(),
-        });
-        {
-            let pfs = Arc::clone(&pfs);
-            let w = w.clone();
-            run(w.nprocs, CostModel::free(), move |rank| {
-                let mut f = MpiFile::open(rank, &pfs, "ind", Hints::default()).unwrap();
+/// Hint combinations never change the bytes, only the timing.
+#[test]
+fn hints_do_not_change_bytes() {
+    runner("hints_do_not_change_bytes").run(
+        |rng| (arb_workload(rng), [coin(rng), coin(rng), coin(rng), coin(rng)]),
+        |(w, [pfr, align, alltoallw, naive])| {
+            let reference = run_write(w, Hints::default());
+            let hints = Hints {
+                persistent_file_realms: *pfr,
+                fr_alignment: align.then_some(192),
+                exchange: if *alltoallw {
+                    ExchangeMode::Alltoallw
+                } else {
+                    ExchangeMode::Nonblocking
+                },
+                io_method: if *naive { IoMethod::Naive } else { IoMethod::DataSieve { buffer: 128 } },
+                cb_buffer_size: 256,
+                ..Hints::default()
+            };
+            assert_eq!(reference, run_write(w, hints));
+        },
+    );
+}
+
+/// `write_all` then `read_all` round-trips under random hints.
+#[test]
+fn write_read_roundtrip() {
+    runner("write_read_roundtrip").run(
+        |rng| (arb_workload(rng), draw(rng, 1, 5) as usize, coin(rng)),
+        |(w, aggs, romio)| {
+            let pfs = tiny_pfs();
+            let outs = run(w.nprocs, CostModel::free(), |rank| {
+                let hints = Hints {
+                    engine: if *romio { Engine::Romio } else { Engine::Flexible },
+                    cb_nodes: Some((*aggs).min(w.nprocs)),
+                    cb_buffer_size: 512,
+                    ..Hints::default()
+                };
+                let mut f = MpiFile::open(rank, &pfs, "rt", hints).unwrap();
                 f.set_view(w.disp(rank.rank()), &Datatype::bytes(1), &w.filetype()).unwrap();
                 let data = w.data(rank.rank());
-                f.write_at(0, &data, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
-                f.close();
+                f.write_all(&data, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
+                let mut back = vec![0u8; data.len()];
+                f.read_all(&mut back, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
+                f.close().unwrap();
+                (data, back)
             });
+            for (data, back) in outs {
+                assert_eq!(data, back);
+            }
+        },
+    );
+}
+
+/// Independent I/O through a view agrees with collective I/O.
+#[test]
+fn independent_agrees_with_collective() {
+    runner("independent_agrees_with_collective").run(arb_workload, |w| {
+        let collective = run_write(w, Hints::default());
+        // Same pattern via independent write_at from each rank in turn.
+        let pfs = tiny_pfs();
+        run(w.nprocs, CostModel::free(), |rank| {
+            let mut f = MpiFile::open(rank, &pfs, "ind", Hints::default()).unwrap();
+            f.set_view(w.disp(rank.rank()), &Datatype::bytes(1), &w.filetype()).unwrap();
+            let data = w.data(rank.rank());
+            f.write_at(0, &data, &Datatype::bytes(w.bytes_per_rank()), 1).unwrap();
+            f.close().unwrap();
+        });
+        assert_eq!(collective, image(&pfs, "ind"));
+    });
+}
+
+/// The one case the external proptest crate ever pinned for this suite
+/// (its 256-bit seed means nothing to the in-repo harness, so the shrunk
+/// value it recorded is replayed as is): the same bytes from both
+/// engines at collective-buffer sizes and aggregator counts across
+/// `engines_agree`'s ranges.
+#[test]
+fn pinned_proptest_case() {
+    let w = StridedSpec { nprocs: 5, block: 43, gap: 59, count: 6, disp_unit: 102 };
+    let reference = run_write(&w, Hints::default());
+    for engine in [Engine::Flexible, Engine::Romio] {
+        for cb_buffer_size in [64, 256, 2048] {
+            for aggs in 1..=5 {
+                let hints =
+                    Hints { engine, cb_nodes: Some(aggs), cb_buffer_size, ..Hints::default() };
+                let got = run_write(&w, hints);
+                assert_eq!(reference, got, "{engine:?} cb {cb_buffer_size} aggs {aggs}");
+            }
         }
-        let h = pfs.open("ind", usize::MAX - 1);
-        let mut independent = vec![0u8; h.size() as usize];
-        h.read(0, 0, &mut independent);
-        prop_assert_eq!(collective, independent);
     }
 }

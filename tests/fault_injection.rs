@@ -20,7 +20,7 @@ use flexio::core::{Engine, ExchangeMode, Hints, IoError, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, StragglerSpec};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
-use flexio::workload::{env_zero_copy, read_file, run_tiled, RankOutcome, TiledShape};
+use flexio::workload::{read_file, run_tiled, RankOutcome, TiledShape};
 use std::sync::Arc;
 
 /// One randomized chaos case: a tiled collective workload, the engine and
@@ -113,7 +113,6 @@ fn chaos_hints(c: &Chaos) -> Hints {
         pipeline_depth: c.depth,
         io_retries: c.io_retries,
         retry_backoff_us: c.backoff_us,
-        zero_copy: env_zero_copy(),
         ..Hints::default()
     }
 }

@@ -342,41 +342,3 @@ fn ablation_balanced_realms_beat_even_on_clustered_access() {
         "balanced {balanced} should beat even {even} on clustered access"
     );
 }
-
-#[test]
-fn old_engine_single_buffer_copies_less_than_new() {
-    // §5.1: integrated sieving saves one buffer copy per byte.
-    let spec = HpioSpec {
-        region_size: 64,
-        region_count: 256,
-        region_spacing: 64,
-        mem_noncontig: false,
-        file_noncontig: true,
-        nprocs: 4,
-    };
-    let copies = |engine: Engine| {
-        let pfs = default_pfs();
-        let out = run(spec.nprocs, CostModel::default(), move |rank| {
-            let hints = Hints {
-                engine,
-                cb_nodes: Some(2),
-                io_method: IoMethod::DataSieve { buffer: 512 << 10 },
-                // §5.1 compares the classic packed staging paths; with
-                // zero-copy both engines shed these copies entirely.
-                zero_copy: false,
-                ..Hints::default()
-            };
-            let mut f = MpiFile::open(rank, &pfs, "f", hints).unwrap();
-            let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
-            f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
-            let buf = spec.make_buffer(rank.rank());
-            f.write_all(&buf, &spec.mem_type(), spec.mem_count()).unwrap();
-            f.close().unwrap();
-            rank.stats().memcpy_bytes
-        });
-        out.iter().sum::<u64>()
-    };
-    let old = copies(Engine::Romio);
-    let new = copies(Engine::Flexible);
-    assert!(new > old, "new engine copies {new} should exceed old {old}");
-}

@@ -1,16 +1,19 @@
-//! Pipelined-engine tests: double buffering must never change the bytes
-//! on disk or the deterministic work counters — only the virtual time.
-//! The serial engine (`flexio_double_buffer disable`) must charge exactly
-//! what the pre-pipeline engine charged, and the pipelined engine must
-//! harvest measurable overlap on cycle-rich workloads.
+//! Pipelined-engine tests: pipelining the buffer cycles must never change
+//! the bytes on disk or the deterministic work counters — only the
+//! virtual time. The serial engine (`flexio_pipeline_depth=1`) must hide
+//! nothing, and the pipelined engine (the default, `auto`) must harvest
+//! measurable overlap on cycle-rich workloads.
 
-use flexio::core::{ExchangeMode, Hints, MpiFile};
+use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Stats, XorShift64Star};
 use flexio::types::Datatype;
 use std::sync::Arc;
 
 const BLOCK: u64 = 64;
+
+const PIPELINED: PipelineDepth = PipelineDepth::Auto;
+const SERIAL: PipelineDepth = PipelineDepth::Fixed(1);
 
 fn test_pfs() -> Arc<Pfs> {
     Pfs::new(PfsConfig {
@@ -88,10 +91,10 @@ fn pipelined_byte_identical_to_serial() {
     let (nprocs, blocks, steps) = (8, 24, 3);
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
         for cache in [true, false] {
-            let image = |double_buffer: bool| {
+            let image = |pipeline_depth: PipelineDepth| {
                 let pfs = test_pfs();
                 let hints = Hints {
-                    double_buffer,
+                    pipeline_depth,
                     exchange,
                     schedule_cache: cache,
                     cb_nodes: Some(4),
@@ -101,8 +104,8 @@ fn pipelined_byte_identical_to_serial() {
                 let out = roundtrip(&pfs, "pipe", nprocs, blocks, steps, hints);
                 (read_file(&pfs, "pipe"), out)
             };
-            let (img_p, out_p) = image(true);
-            let (img_s, out_s) = image(false);
+            let (img_p, out_p) = image(PIPELINED);
+            let (img_s, out_s) = image(SERIAL);
             assert_eq!(
                 img_p, img_s,
                 "file images diverge ({exchange:?}, cache={cache})"
@@ -125,10 +128,10 @@ fn pipelined_counters_match_serial() {
     // messages, and payload bytes must be identical per rank.
     let (nprocs, blocks, steps) = (8, 24, 3);
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        let stats = |double_buffer: bool| {
+        let stats = |pipeline_depth: PipelineDepth| {
             let pfs = test_pfs();
             let hints = Hints {
-                double_buffer,
+                pipeline_depth,
                 exchange,
                 cb_nodes: Some(4),
                 cb_buffer_size: 256,
@@ -136,8 +139,8 @@ fn pipelined_counters_match_serial() {
             };
             roundtrip(&pfs, "cnt", nprocs, blocks, steps, hints)
         };
-        let pipelined = stats(true);
-        let serial = stats(false);
+        let pipelined = stats(PIPELINED);
+        let serial = stats(SERIAL);
         for r in 0..nprocs {
             let (p, s) = (&pipelined[r].1, &serial[r].1);
             assert_eq!(p.pairs_processed, s.pairs_processed, "rank {r} pairs ({exchange:?})");
@@ -150,12 +153,12 @@ fn pipelined_counters_match_serial() {
 
 #[test]
 fn serial_engine_never_overlaps() {
-    // `flexio_double_buffer disable` is the strictly serial engine: no
+    // `flexio_pipeline_depth=1` is the strictly serial engine: no
     // virtual time may be reported as hidden, on any rank, either
     // direction.
     let pfs = timed_pfs();
     let hints = Hints {
-        double_buffer: false,
+        pipeline_depth: SERIAL,
         cb_nodes: Some(4),
         cb_buffer_size: 256,
         ..Hints::default()
@@ -173,10 +176,10 @@ fn pipelined_saves_time_single_aggregator() {
     // must finish strictly earlier than the serial engine and report the
     // hidden time, while the per-phase buckets still sum to elapsed
     // wall-clock on the aggregator.
-    let elapsed = |double_buffer: bool| {
+    let elapsed = |pipeline_depth: PipelineDepth| {
         let pfs = timed_pfs();
         let hints = Hints {
-            double_buffer,
+            pipeline_depth,
             cb_nodes: Some(1),
             cb_buffer_size: 512, // many fill/drain cycles
             ..Hints::default()
@@ -186,92 +189,14 @@ fn pipelined_saves_time_single_aggregator() {
         let saved: u64 = out.iter().map(|(_, s, _)| s.overlap_saved_ns).sum();
         (now_max, saved)
     };
-    let (t_pipe, saved_pipe) = elapsed(true);
-    let (t_serial, saved_serial) = elapsed(false);
+    let (t_pipe, saved_pipe) = elapsed(PIPELINED);
+    let (t_serial, saved_serial) = elapsed(SERIAL);
     assert_eq!(saved_serial, 0);
     assert!(saved_pipe > 0, "pipelined run hid no time");
     assert!(
         t_pipe < t_serial,
         "pipelined {t_pipe} ns not faster than serial {t_serial} ns"
     );
-}
-
-#[test]
-fn zero_copy_matches_packed_and_copies_strictly_less() {
-    // `flexio_zero_copy` may only change which copies are modeled, never
-    // the bytes or the work counters: same file image, same read-backs,
-    // same pairs/messages/payload, phase buckets still summing to the
-    // clock — and under the non-blocking exchange the staging ledger (and
-    // the charged copy bytes) must drop strictly.
-    let (nprocs, blocks, steps) = (8, 24, 3);
-    let run_with = |zero_copy: bool| {
-        let pfs = timed_pfs();
-        let hints = Hints {
-            zero_copy,
-            cb_nodes: Some(4),
-            cb_buffer_size: 256,
-            ..Hints::default()
-        };
-        let out = roundtrip(&pfs, "zc", nprocs, blocks, steps, hints);
-        (read_file(&pfs, "zc"), out)
-    };
-    let (img_on, on) = run_with(true);
-    let (img_off, off) = run_with(false);
-    assert_eq!(img_on, img_off, "zero-copy changed the file image");
-    for r in 0..nprocs {
-        let (now_on, s_on, back_on) = &on[r];
-        let (now_off, s_off, back_off) = &off[r];
-        assert_eq!(back_on, back_off, "rank {r} read-back diverged");
-        assert_eq!(s_on.pairs_processed, s_off.pairs_processed, "rank {r} pairs");
-        assert_eq!(s_on.msgs_sent, s_off.msgs_sent, "rank {r} messages");
-        assert_eq!(s_on.bytes_sent, s_off.bytes_sent, "rank {r} payload");
-        assert_eq!(s_on.phase_ns.iter().sum::<u64>(), *now_on, "rank {r} ON phase sum");
-        assert_eq!(s_off.phase_ns.iter().sum::<u64>(), *now_off, "rank {r} OFF phase sum");
-        assert!(
-            s_on.bytes_copied < s_off.bytes_copied,
-            "rank {r} ledger not strictly lower: {} vs {}",
-            s_on.bytes_copied,
-            s_off.bytes_copied
-        );
-        assert!(
-            s_on.memcpy_bytes < s_off.memcpy_bytes,
-            "rank {r} charged copies not strictly lower"
-        );
-        // The ledger only tracks engine staging copies; the charged total
-        // additionally counts transport self-delivery, so it dominates.
-        assert!(s_off.bytes_copied <= s_off.memcpy_bytes, "rank {r} ledger exceeds charges");
-    }
-}
-
-#[test]
-fn alltoallw_zero_copy_is_charge_identical() {
-    // The alltoallw exchange already modeled pack-free sends, so flipping
-    // `flexio_zero_copy` must not move a single charge there — only the
-    // internal staging representation changes.
-    let (nprocs, blocks, steps) = (8, 24, 2);
-    let run_with = |zero_copy: bool| {
-        let pfs = timed_pfs();
-        let hints = Hints {
-            zero_copy,
-            exchange: ExchangeMode::Alltoallw,
-            cb_nodes: Some(4),
-            cb_buffer_size: 256,
-            ..Hints::default()
-        };
-        let out = roundtrip(&pfs, "a2a", nprocs, blocks, steps, hints);
-        (read_file(&pfs, "a2a"), out)
-    };
-    let (img_on, on) = run_with(true);
-    let (img_off, off) = run_with(false);
-    assert_eq!(img_on, img_off, "zero-copy changed the file image");
-    for r in 0..nprocs {
-        let (now_on, s_on, _) = &on[r];
-        let (now_off, s_off, _) = &off[r];
-        assert_eq!(now_on, now_off, "rank {r} clock moved");
-        assert_eq!(s_on.memcpy_bytes, s_off.memcpy_bytes, "rank {r} copies");
-        assert_eq!(s_on.bytes_copied, s_off.bytes_copied, "rank {r} ledger");
-        assert_eq!(s_on.phase_ns, s_off.phase_ns, "rank {r} phases");
-    }
 }
 
 #[test]

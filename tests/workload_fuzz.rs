@@ -3,14 +3,12 @@
 //!
 //! Every generated case — checkpoint N-to-1, restart with shifted rank
 //! counts, many-task regions, read-heavy scans, mixed subarray/irregular
-//! views — is run under four differential axes and one oracle:
+//! views — is run under three differential axes and one oracle:
 //!
 //! * **oracle**: the flexible engine's file image and every read-back
 //!   must match the engine-free expected-image oracle (zeros past EOF);
 //! * **engine vs engine**: ROMIO must land the same bytes and read-backs
 //!   as the flexible engine;
-//! * **zero-copy vs packed**: disabling `flexio_zero_copy` must change
-//!   nothing but the staging ledger;
 //! * **faulted vs clean**: the spec's transient-fault plan (with a
 //!   generous retry budget) must perturb time, never data;
 //! * **run-twice determinism**: an identical rerun must be bit-identical
@@ -25,7 +23,7 @@ use flexio::core::Engine;
 use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
 use flexio::workload::{
-    check_invariants, checkpoint_spec, env_zero_copy, eq_padded, generate, generate_crash,
+    check_invariants, checkpoint_spec, eq_padded, generate, generate_crash,
     many_task_spec, mixed_subarray_spec, read_scan_spec, restart_spec, run_spec,
     verify_crash_checkpoint, CrashScenario, Oracle, PhaseOp, RunConfig, RunOutcome, ScenarioKind,
     WorkloadSpec,
@@ -33,8 +31,7 @@ use flexio::workload::{
 
 /// Run one spec through every axis and cross-check.
 fn fuzz_one(spec: &WorkloadSpec) {
-    let zc = env_zero_copy();
-    let flexible = RunConfig { engine: Engine::Flexible, zero_copy: zc, faulted: false };
+    let flexible = RunConfig { engine: Engine::Flexible, faulted: false };
     let a = run_spec(spec, flexible);
     check_invariants(&a, "flexible/clean");
 
@@ -65,22 +62,6 @@ fn fuzz_one(spec: &WorkloadSpec) {
     for (pi, (pa, pb)) in a.phases.iter().zip(&b.phases).enumerate() {
         assert_eq!(pa.read_backs, pb.read_backs, "phase {pi}: engine read-backs differ");
         assert_eq!(pa.outcomes, pb.outcomes, "phase {pi}: engine outcomes differ");
-    }
-
-    // Zero-copy vs packed (same engine).
-    let c = run_spec(spec, RunConfig { zero_copy: false, ..flexible });
-    check_invariants(&c, "flexible/packed");
-    assert!(eq_padded(&c.image, &a.image), "zero-copy changed the bytes on disk");
-    for (pi, (pa, pc)) in a.phases.iter().zip(&c.phases).enumerate() {
-        assert_eq!(pa.read_backs, pc.read_backs, "phase {pi}: zero-copy read-backs differ");
-        for (r, (sa, sc)) in pa.stats.iter().zip(&pc.stats).enumerate() {
-            assert!(
-                sa.bytes_copied <= sc.bytes_copied || !zc,
-                "phase {pi} rank {r}: zero-copy raised the staging ledger ({} > {})",
-                sa.bytes_copied,
-                sc.bytes_copied
-            );
-        }
     }
 
     // Faulted vs clean: retries absorb the spec's transient plan.
@@ -159,7 +140,7 @@ fn reads_past_last_writer_extent_see_zeros() {
     let spec = restart_spec(0xE0F, 3, 4, 64, 1, 64);
     let oracle = Oracle::from_spec(&spec);
     for engine in [Engine::Flexible, Engine::Romio] {
-        let out = run_spec(&spec, RunConfig { engine, zero_copy: true, faulted: false });
+        let out = run_spec(&spec, RunConfig { engine, faulted: false });
         let read = &out.phases[1];
         for (r, plan) in spec.phases[1].plans.iter().enumerate() {
             assert_eq!(
@@ -224,7 +205,7 @@ fn crash_generator_covers_the_axes() {
 #[test]
 fn outcome_equality_is_sensitive() {
     let spec = checkpoint_spec(0xE11, 2, 16, 2, 1);
-    let cfg = RunConfig { engine: Engine::Flexible, zero_copy: true, faulted: false };
+    let cfg = RunConfig { engine: Engine::Flexible, faulted: false };
     let a: RunOutcome = run_spec(&spec, cfg);
     let mut b = a.clone();
     assert_eq!(a, b);
