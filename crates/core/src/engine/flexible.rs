@@ -32,7 +32,7 @@ use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::{FileRealm, RealmSet};
 use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, IoCompletion, Resolved};
-use flexio_pfs::FileHandle;
+use flexio_pfs::{FileHandle, LockKind};
 use flexio_sim::{OverlapWindow, Rank};
 use flexio_types::{FlatType, MemLayout, Seg};
 use std::sync::Arc;
@@ -406,6 +406,21 @@ fn span_wide_sieve(group: &[(u64, u64)]) -> flexio_io::IoMethod {
     flexio_io::IoMethod::DataSieve { buffer: span as usize }
 }
 
+/// The kind of lock request an aggregator makes for a realm chunk. A
+/// persistent realm set is the engine's promise to come back to the same
+/// chunks call after call (§5.2), so its chunks are locked *ahead*: the
+/// grant is the chunk, and no peer's first request finds it grown over
+/// its own realm. A per-call realm has no future to lock ahead for and
+/// asks like any plain access. (Always asking ahead was measured and
+/// rejected — DESIGN "Lock requests: ordinary and ahead".)
+fn realm_lock_kind(hints: &Hints) -> LockKind {
+    if hints.persistent_file_realms {
+        LockKind::Ahead
+    } else {
+        LockKind::Ordinary
+    }
+}
+
 /// Estimate the period of an aggregated segment group: the average
 /// distance between consecutive segment starts. For the paper's regular
 /// workloads this equals the datatype extent, which §6.3 found to be the
@@ -536,9 +551,11 @@ fn issue_write(
         let glen: u64 = group.iter().map(|(_, l)| l).sum();
         let period = group_period(&group);
         // Lock the whole realm chunk (as ROMIO locks the sieve extent).
-        // Realm chunks are stable across calls under persistent file
-        // realms, so the lock is acquired once and reused.
-        match handle.lock_range(t, window[wi].0, window[wi].1) {
+        // Under persistent file realms the chunk is asked for ahead, so a
+        // stripe-aligned chunk is granted once and never cancelled by a
+        // peer locking its own (tests/performance_shapes.rs,
+        // `fig7_shape_pfr_plus_alignment_minimizes_lock_traffic`).
+        match handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints)) {
             Ok(nt) => t = nt,
             Err(e) => {
                 t = e.at;
@@ -682,7 +699,7 @@ fn issue_read(
     for (wi, group) in group_by_window(&segs, window) {
         let glen: u64 = group.iter().map(|(_, l)| l).sum();
         let period = group_period(&group);
-        match handle.lock_range(t, window[wi].0, window[wi].1) {
+        match handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints)) {
             Ok(nt) => t = nt,
             Err(e) => {
                 t = e.at;

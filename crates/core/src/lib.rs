@@ -270,6 +270,47 @@ mod tests {
     }
 
     #[test]
+    fn only_persistent_realms_are_locked_ahead() {
+        // Two aggregators, two stripes each, the same stripe-aligned
+        // realms in all three calls either way. Persistent realms are
+        // asked for ahead: one exact grant each, for good. Per-call realms
+        // are asked for like any access: the first arrival's grant grows
+        // over the whole file and falls to the second's request.
+        let traffic = |pfr: bool| {
+            let pfs = Pfs::new(PfsConfig {
+                n_osts: 4,
+                stripe_size: 256,
+                page_size: 64,
+                locking: true,
+                lock_expansion: true,
+                client_cache: true,
+                cost: PfsCostModel::free(),
+            });
+            let inner = Arc::clone(&pfs);
+            run(2, CostModel::free(), move |rank| {
+                let hints = Hints {
+                    persistent_file_realms: pfr,
+                    fr_alignment: Some(256),
+                    ..Hints::default()
+                };
+                let mut f = MpiFile::open(rank, &inner, "f", hints).unwrap();
+                let bt = Datatype::bytes(8);
+                let ft = Datatype::resized(0, 16, bt.clone());
+                f.set_view(rank.rank() as u64 * 8, &bt, &ft).unwrap();
+                for step in 0..3u8 {
+                    f.write_all_at(0, &[step + 1; 512], &Datatype::bytes(512), 1).unwrap();
+                }
+                f.close().unwrap();
+            });
+            let s = pfs.stats();
+            (s.lock_grants, s.lock_revocations)
+        };
+        assert_eq!(traffic(true), (2, 0));
+        let (grants, revocations) = traffic(false);
+        assert!(grants > 2 && revocations > 0, "per-call realms: {grants} grants, {revocations} revocations");
+    }
+
+    #[test]
     fn buffer_too_small_rejected() {
         let pfs = small_pfs();
         run(1, CostModel::free(), move |rank| {

@@ -167,11 +167,18 @@ pub struct FaultInjector {
 /// One round of the splitmix64 finalizer — a strong 64-bit mix used to
 /// turn `(seed, ost, request-index)` into an i.i.d.-looking decision
 /// stream (same family as the repo's xorshift64* PRNG).
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Deterministic draw `i` of stream `seed`, in `0..range`, for the crate's
+/// own randomized unit tests (which have no PRNG crate to lean on).
+#[cfg(test)]
+pub(crate) fn test_draw(seed: u64, i: u64, range: u64) -> u64 {
+    mix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i) % range
 }
 
 impl FaultInjector {

@@ -9,7 +9,7 @@
 use crate::cache::ClientCache;
 use crate::config::PfsConfig;
 use crate::fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind};
-use crate::lock::LockTable;
+use crate::lock::{LockKind, LockTable};
 use std::sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -579,8 +579,10 @@ impl FileHandle {
 
     /// Acquire coherence locks for `[off, off+len)` (stripe-expanded, as
     /// Lustre does), flushing and invalidating conflicting clients' cached
-    /// pages. Returns the new virtual time.
-    fn acquire_locks(&self, now: u64, off: u64, len: u64) -> u64 {
+    /// pages. Returns the new virtual time. The kind decides only how far
+    /// the grant reaches ([`LockKind`]); a grant of either kind costs the
+    /// same.
+    fn acquire_locks(&self, now: u64, off: u64, len: u64, kind: LockKind) -> u64 {
         if !self.pfs.cfg.locking || len == 0 {
             return now;
         }
@@ -589,7 +591,7 @@ impl FileHandle {
         let lend = (off + len).div_ceil(ss) * ss;
         let mut t = now;
         let mut coh = self.file.coherency.lock().unwrap();
-        let acq = coh.table.acquire(self.client, lstart, lend);
+        let acq = coh.table.request(self.client, lstart, lend, kind);
         if acq.already_held {
             return t;
         }
@@ -622,12 +624,22 @@ impl FileHandle {
 
     /// Explicitly acquire coherence locks covering `[off, off+len)`, as
     /// ROMIO does around a data-sieving read-modify-write. Subsequent
-    /// reads/writes inside the range find the lock already held. Returns
-    /// the virtual completion time (a no-op without locking). Lock
+    /// reads/writes inside the range find the lock already held. A caller
+    /// that will come back to the same extent call after call asks
+    /// [`LockKind::Ahead`], so that the grant is the (stripe-rounded)
+    /// extent and nothing more; one that will not asks
+    /// [`LockKind::Ordinary`], which is what a plain read or write asks.
+    /// Returns the virtual completion time (a no-op without locking). Lock
     /// traffic is retried internally and never surfaces a fault, but the
     /// signature is fallible for uniformity with the data path.
-    pub fn lock_range(&self, now: u64, off: u64, len: u64) -> Result<u64, PfsError> {
-        Ok(self.acquire_locks(now, off, len))
+    pub fn lock_range(
+        &self,
+        now: u64,
+        off: u64,
+        len: u64,
+        kind: LockKind,
+    ) -> Result<u64, PfsError> {
+        Ok(self.acquire_locks(now, off, len, kind))
     }
 
     /// Write `data` at `off`, starting at virtual time `now`; returns the
@@ -662,7 +674,7 @@ impl FileHandle {
         if len == 0 {
             return Ok(now);
         }
-        let mut t = self.acquire_locks(now, off, len);
+        let mut t = self.acquire_locks(now, off, len, LockKind::Ordinary);
         if self.pfs.cfg.client_cache {
             let mut coh = self.file.coherency.lock().unwrap();
             let ps = self.pfs.cfg.page_size;
@@ -777,7 +789,7 @@ impl FileHandle {
         if len == 0 {
             return Ok(now);
         }
-        let mut t = self.acquire_locks(now, off, len);
+        let mut t = self.acquire_locks(now, off, len, LockKind::Ordinary);
         if self.pfs.cfg.client_cache {
             let mut coh = self.file.coherency.lock().unwrap();
             let ps = self.pfs.cfg.page_size;
@@ -1702,5 +1714,103 @@ mod tests {
             "expected ping-pong, got {} revocations",
             pfs.stats().lock_revocations
         );
+    }
+
+    // ---- lock requests: ordinary and ahead --------------------------------
+
+    #[test]
+    fn an_ahead_conflict_costs_the_victim_what_an_ordinary_one_does() {
+        // Client 0 holds dirty cached pages under an expanded `[0, ∞)`;
+        // client 1 asks for the second stripe, once per kind. Either way
+        // the whole lock is cancelled: same completion time, same counters,
+        // the victim's dirty bytes on the OSTs and its pages gone.
+        let run = |kind: LockKind| {
+            let pfs = Pfs::new(PfsConfig { lock_expansion: true, ..locking_cfg(true) });
+            let a = pfs.open("f", 0);
+            let b = pfs.open("f", 1);
+            let t = a.write(0, 8, &[5u8; 40]).unwrap(); // pages 0..3 dirty, nothing on an OST
+            assert_eq!(pfs.stats().ost_requests, 0);
+            let t = b.lock_range(t, 64, 64, kind).unwrap();
+            {
+                let coh = a.file.coherency.lock().unwrap();
+                assert!(coh.caches[&0].is_empty(), "{kind:?}: victim pages survived");
+                assert!(!coh.table.holds(0, 0, 1), "{kind:?}: victim lock survived");
+                assert!(coh.table.holds(1, 64, 128) && !coh.table.holds(1, 63, 129));
+            }
+            let mut image = vec![0u8; 48];
+            pfs.load(&a.file, std::iter::once((0, image.as_mut_slice())));
+            assert_eq!(image[8..48], [5u8; 40], "{kind:?}: victim's dirty bytes were not flushed");
+            (t, pfs.stats())
+        };
+        let (t_ahead, ahead) = run(LockKind::Ahead);
+        let (t_plain, plain) = run(LockKind::Ordinary);
+        assert_eq!((ahead.lock_grants, ahead.lock_revocations), (2, 1));
+        assert_eq!(ahead.flush_bytes, 48, "three whole pages flushed");
+        assert_eq!(t_ahead, t_plain);
+        assert_eq!(ahead, plain);
+    }
+
+    #[test]
+    fn an_ahead_grant_keeps_a_neighbours_first_request_from_cancelling_it() {
+        // Two clients, one stripe each, locked before they write — the
+        // shape of two aggregators' realm chunks. Asked ordinarily, the
+        // first arrival is granted `[0, ∞)` and the second cancels it,
+        // flushing what it cached; asked ahead, neither touches the other.
+        let traffic = |kind: LockKind| {
+            let pfs = Pfs::new(PfsConfig { lock_expansion: true, ..locking_cfg(true) });
+            let (a, b) = (pfs.open("f", 0), pfs.open("f", 1));
+            for step in 0..4u64 {
+                let t = a.lock_range(step, 0, 64, kind).unwrap();
+                a.write(t, 0, &[1u8; 64]).unwrap();
+                let t = b.lock_range(step, 64, 64, kind).unwrap();
+                b.write(t, 64, &[2u8; 64]).unwrap();
+            }
+            let s = pfs.stats();
+            (s.lock_grants, s.lock_revocations, s.flush_bytes)
+        };
+        assert_eq!(traffic(LockKind::Ahead), (2, 0, 0));
+        assert_eq!(traffic(LockKind::Ordinary), (3, 1, 64));
+    }
+
+    #[test]
+    fn with_expansion_off_both_kinds_charge_the_same() {
+        // `locking_cfg` is a precise table: a random mix of explicit lock
+        // requests, writes and reads by three clients must cost the same to
+        // the nanosecond and the counter whichever kind the requests are.
+        use crate::fault::test_draw as draw;
+        for seed in 0..8u64 {
+            let mk = || {
+                let pfs = Pfs::new(locking_cfg(true));
+                let hs: Vec<FileHandle> = (0..3).map(|c| pfs.open("f", c)).collect();
+                (pfs, hs)
+            };
+            let ((pa, ha), (pb, hb)) = (mk(), mk());
+            let (mut ta, mut tb) = (0u64, 0u64);
+            for i in 0..300u64 {
+                let c = draw(seed, 4 * i, 3) as usize;
+                let off = draw(seed, 4 * i + 1, 512);
+                let len = 1 + draw(seed, 4 * i + 2, 96);
+                match draw(seed, 4 * i + 3, 3) {
+                    0 => {
+                        ta = ha[c].lock_range(ta, off, len, LockKind::Ahead).unwrap();
+                        tb = hb[c].lock_range(tb, off, len, LockKind::Ordinary).unwrap();
+                    }
+                    1 => {
+                        let data = vec![i as u8; len as usize];
+                        ta = ha[c].write(ta, off, &data).unwrap();
+                        tb = hb[c].write(tb, off, &data).unwrap();
+                    }
+                    _ => {
+                        let (mut ba, mut bb) = (vec![0u8; len as usize], vec![0u8; len as usize]);
+                        ta = ha[c].read(ta, off, &mut ba).unwrap();
+                        tb = hb[c].read(tb, off, &mut bb).unwrap();
+                        assert_eq!(ba, bb, "seed {seed} op {i}");
+                    }
+                }
+                assert_eq!(ta, tb, "seed {seed} op {i}");
+                assert_eq!(pa.stats(), pb.stats(), "seed {seed} op {i}");
+            }
+            assert!(pa.stats().lock_revocations > 0, "seed {seed}: never conflicted");
+        }
     }
 }

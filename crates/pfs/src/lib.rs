@@ -43,4 +43,4 @@ pub use config::{PfsConfig, PfsCostModel};
 pub use extent::ExtentSet;
 pub use fault::{CrashSpec, FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
 pub use fs::{FileHandle, FileObj, NbGuard, NbOp, Pfs, PfsStats, StatsSnapshot};
-pub use lock::{Acquire, LockTable};
+pub use lock::{Acquire, LockKind, LockTable};

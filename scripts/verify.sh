@@ -24,6 +24,10 @@ cargo build --release --offline
 echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The root manifest's `default-members` is the whole workspace, so this is
+# every member's unit tests as well as the root package's integration
+# suites (and `cargo build` above built the bench bins the golden-file leg
+# below runs).
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
@@ -34,19 +38,20 @@ echo "== 4096-rank scale smoke (tests/scale_smoke.rs) =="
 cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_4096_ranks
 
 # Every other leg is a release build, where no `debug_assert!` executes.
-# One debug-profile leg (seconds) for the data path's — segment-list
-# shape (`check_segs`: sorted, disjoint, no empty segment; `check_shape`:
-# "segment outside span"; the run list's *length* is an `assert!` in
-# every profile), "partial write to uncached page", "invalidating dirty
-# page" — over the crates that hold them and the differential property
-# that drives them hardest; and for the rank runtime's — a dense round's
-# step loop ("delivered twice", "two messages for step", "left round …
-# with an untaken message", "resumed with a half-stepped round", "wake
-# entry for a parked rank") — over `flexio-sim`'s own tests and the
-# fixture that drives late entrants, crash-stops and two communicators'
-# boards through it.
-echo "== cargo test (debug profile): sim, pfs, io, hpio, workload + data_path_differential, sim_collective_charges =="
-cargo test -q --offline -p flexio-sim -p flexio-pfs -p flexio-io -p flexio-hpio -p flexio-workload
+# One debug-profile leg (seconds) over exactly the crates that hold one —
+# the data path's segment-list shape (`check_segs`: sorted, disjoint, no
+# empty segment; `check_shape`: "segment outside span"; the run list's
+# *length* is an `assert!` in every profile), "partial write to uncached
+# page", "invalidating dirty page"; the rank runtime's dense-round step
+# loop ("delivered twice", "two messages for step", "left round … with an
+# untaken message", "resumed with a half-stepped round", "wake entry for a
+# parked rank"); the flattener's and the engines' own — plus the
+# differential property that drives the data path hardest and the fixture
+# that drives late entrants, crash-stops and two communicators' boards
+# through the step loop. (`flexio-hpio`, `flexio-workload` and
+# `flexio-bench` hold none; the release leg above runs their tests.)
+echo "== cargo test (debug profile): types, sim, pfs, io, core + data_path_differential, sim_collective_charges =="
+cargo test -q --offline -p flexio-types -p flexio-sim -p flexio-pfs -p flexio-io -p flexio-core
 cargo test -q --offline --test data_path_differential --test sim_collective_charges
 
 # The two charge-and-order fixtures again on 64 KiB fiber stacks (the
@@ -67,6 +72,15 @@ FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
 # workload once (--smoke, ~13 s).
 echo "== cargo test --release --offline --manifest-path benchmark/Cargo.toml =="
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
+# The first golden file: virtual results are bit-reproducible, so Fig. 7
+# at default scale (~5 s) must print results/fig7_default.txt exactly
+# (everything below its `#@` provenance lines). A change that moves a row
+# regenerates the file — `sh scripts/regen_results.sh` — and says why in
+# EXPERIMENTS E3.
+echo "== fig7_pfr_alignment (default scale) vs results/fig7_default.txt =="
+cargo run -q --release --offline -p flexio-bench --bin fig7_pfr_alignment \
+  | diff -I '^#@' results/fig7_default.txt -
 
 if [ "$THOROUGH" = 1 ]; then
   echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="

@@ -14,6 +14,14 @@
 //! carried until the path was deleted are tabulated in EXPERIMENTS
 //! "Packed staging vs runs".)
 //!
+//! Two of the sixteen blocks are younger: `[timestep | Flexible …]`, both
+//! exchange modes, were harvested on the tree that made the flexible
+//! engine lock a persistent realm's chunks *ahead* (DESIGN "Lock requests:
+//! ordinary and ahead") — 23/27 grants and 10/12 revocations became 13 and
+//! 0, and with them the flushes, refills and clocks; their image hash did
+//! not move. The other fourteen blocks (every ROMIO block, and every shape
+//! without locks or without persistent realms) are 98c15ec's lines still.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
@@ -161,8 +169,15 @@ fn timestep(axes: Axes) -> String {
     let (out, snap) = block("timestep", axes, &pfs, &[per_rank]);
     assert_eq!(spec.verify(&read_file(&pfs, PATH)), Ok(()), "timestep | {}", axes.label());
     assert!(snap.cache_fills > 0 && snap.flush_bytes > 0, "timestep | {}", axes.label());
-    if axes.engine == Engine::Romio {
-        assert!(snap.lock_revocations > 0, "timestep | {}: no revocation storm", axes.label());
+    match axes.engine {
+        Engine::Romio => {
+            assert!(snap.lock_revocations > 0, "timestep | {}: no revocation storm", axes.label())
+        }
+        // Persistent stripe-aligned realms, locked ahead: nobody's grant
+        // ever reaches a peer's realm.
+        Engine::Flexible => {
+            assert_eq!(snap.lock_revocations, 0, "timestep | {}: a realm lock was lost", axes.label())
+        }
     }
     out
 }

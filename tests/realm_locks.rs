@@ -1,0 +1,242 @@
+//! Persistent realms keep their locks: what the flexible engine's *ahead*
+//! realm-chunk request (DESIGN "Lock requests: ordinary and ahead") buys
+//! end to end, and what becomes of such a lock when its realm set is
+//! replaced.
+//!
+//! * With persistent, stripe-aligned realms the run's clock is a function
+//!   of its work, not of which aggregator reaches the lock manager first:
+//!   skewing the ranks' start by at most δ moves the slowest rank's end by
+//!   at most δ (+ ε, below). This is ROADMAP item 5's time-shift relation
+//!   in its first instance. Before the ahead request the same skew at the
+//!   benchmark's scale swung the end between 175.9 and 254.0 ms
+//!   (`results/flexbench_pr21_realm_locks.txt`).
+//! * A straggler rebalance or a crash recovery replaces the realm set
+//!   while the old owners still hold ahead locks on the old chunks. Nothing
+//!   releases those: the new owner's request conflicts with them and
+//!   cancels them through the lock manager's ordinary path — revocation,
+//!   victim flush, invalidation — and the bytes come out right.
+
+use flexio::core::{Engine, Hints, MpiFile, PipelineDepth};
+use flexio::hpio::TimeStepSpec;
+use flexio::io::IoMethod;
+use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel, StatsSnapshot};
+use flexio::sim::prop::Runner;
+use flexio::sim::{run, run_crashable, CostModel, XorShift64Star};
+use flexio::types::Datatype;
+use flexio::workload::{read_file, run_tiled, TiledShape};
+use std::sync::{Arc, OnceLock};
+
+// ---- arrival order no longer moves the clock --------------------------------
+
+/// `timestep-locks-64`'s shape at a sixteenth of its size: 16 ranks, 8
+/// aggregators, eight steps into a 3.1 MiB file of fifty 64 KiB stripes
+/// over 8 OSTs; locks, lock expansion, a client cache, data sieving,
+/// persistent realms aligned to the stripe (seven stripes each, so every
+/// aggregator shares every OST with its neighbours).
+const SKEW_SPEC: TimeStepSpec =
+    TimeStepSpec { elem_size: 32, elems_per_point: 100, points: 128, steps: 8, nprocs: 16 };
+const SKEW_STRIPE: u64 = 64 << 10;
+
+/// The largest start skew drawn, ns (the benchmark-scale experiment's
+/// 0.6 ms).
+const MAX_DELTA_NS: u64 = 600_000;
+
+/// What the bound allows beyond the skew itself. Everything between a
+/// rank's start and its end is max-plus in the ranks' clocks — messages,
+/// collectives, lock grants of disjoint ahead extents — so a start moved
+/// by at most δ moves every later event by at most δ; the one exception is
+/// an OST's queue, which serves requests in arrival order: a skewed start
+/// can swap two aggregators' requests at an OST they share, and the one
+/// that lost its place waits one request longer than it did unskewed (or,
+/// having gained one, shorter). ε is that: one stripe-sized request's
+/// service time at an OST (request + seek + 64 KiB at the OST's rate,
+/// 286 µs). The largest excursions seen over 512 cases under the pinned
+/// seed are +69 µs and −84 µs.
+fn epsilon_ns() -> u64 {
+    let c = PfsCostModel::default();
+    c.request_ns + c.seek_ns + (SKEW_STRIPE as f64 * c.ns_per_byte) as u64
+}
+
+/// One run with every rank's start delayed by its entry of `skews`.
+/// Returns the slowest rank's end, the file system's counters and the
+/// image.
+fn skewed_timesteps(skews: &[u64]) -> (u64, StatsSnapshot, Vec<u8>) {
+    let spec = SKEW_SPEC;
+    let pfs = Pfs::new(PfsConfig {
+        stripe_size: SKEW_STRIPE,
+        page_size: 4096,
+        locking: true,
+        lock_expansion: true,
+        client_cache: true,
+        ..PfsConfig::default()
+    });
+    let hints = Hints {
+        persistent_file_realms: true,
+        fr_alignment: Some(SKEW_STRIPE),
+        cb_nodes: Some(8),
+        io_method: IoMethod::DataSieve { buffer: 512 << 10 },
+        ..Hints::default()
+    };
+    let ends = run(spec.nprocs, CostModel::default(), |rank| {
+        // Compute charged before `open`: the rank simply arrives late.
+        rank.advance(skews[rank.rank()]);
+        let mut f = MpiFile::open(rank, &pfs, "ts", hints.clone()).unwrap();
+        for t in 0..spec.steps {
+            let (disp, ftype) = spec.file_view(rank.rank(), t);
+            f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+            let buf = spec.make_buffer(rank.rank(), t);
+            f.write_all(&buf, &Datatype::bytes(buf.len() as u64), 1).unwrap();
+        }
+        f.close().unwrap();
+        rank.now()
+    });
+    let stats = pfs.stats();
+    (ends.into_iter().max().unwrap(), stats, read_file(&pfs, "ts"))
+}
+
+#[test]
+fn start_skew_moves_the_end_by_no_more_than_the_skew() {
+    static UNSKEWED: OnceLock<u64> = OnceLock::new();
+    let draw = |rng: &mut XorShift64Star| -> Vec<u64> {
+        let delta = rng.next_u64() % (MAX_DELTA_NS + 1);
+        (0..SKEW_SPEC.nprocs).map(|_| rng.next_u64() % (delta + 1)).collect()
+    };
+    Runner::new("start_skew_moves_the_end_by_no_more_than_the_skew").run(draw, |skews| {
+        let base = *UNSKEWED.get_or_init(|| skewed_timesteps(&[0; SKEW_SPEC.nprocs]).0);
+        let (end, stats, image) = skewed_timesteps(skews);
+        assert_eq!(stats.lock_revocations, 0, "a realm lock was lost to arrival order");
+        assert_eq!(stats.lock_grants, 8, "one grant per aggregator, whoever came first");
+        assert_eq!(SKEW_SPEC.verify(&image), Ok(()));
+        let delta = *skews.iter().max().unwrap();
+        let eps = epsilon_ns();
+        assert!(
+            end + eps >= base && end <= base + delta + eps,
+            "unskewed end {base}, skewed by at most {delta}: end {end} is outside \
+             [{}, {}]",
+            base - eps,
+            base + delta + eps
+        );
+    });
+}
+
+// ---- a replaced realm set's old locks ---------------------------------------
+
+/// A straggler rebalance moves realm boundaries inside a stripe the old
+/// owner holds ahead. The geometry is `tests/fault_injection.rs`'s
+/// `rebalance_converges_in_one_detection` — three aggregators, one 8 KiB
+/// stripe and one OST each, OST 0 eight times slower — with the lock
+/// manager on: after the first call aggregator 0 keeps a quarter of its
+/// stripe and the other two own the rest of it.
+#[test]
+fn a_rebalanced_realm_cancels_the_old_owners_ahead_lock() {
+    let cfg = PfsConfig {
+        n_osts: 3,
+        stripe_size: 8192,
+        page_size: 64,
+        locking: true,
+        lock_expansion: true,
+        client_cache: false, // the detector times OST I/O; a cache would hide it
+        cost: PfsCostModel::default(),
+    };
+    let hints = Hints {
+        engine: Engine::Flexible,
+        cb_nodes: Some(3),
+        cb_buffer_size: 2048,
+        persistent_file_realms: true,
+        fr_alignment: Some(2048),
+        pipeline_depth: PipelineDepth::Fixed(1),
+        ..Hints::default()
+    };
+    let shape = TiledShape { nprocs: 6, block: 64, reps: 64, steps: 4 };
+    let work = |pfs: Arc<Pfs>| {
+        let out = run_tiled(&pfs, "slow", shape, &hints, false);
+        assert!(out.iter().all(|(_, _, results, _)| results.iter().all(|r| r.is_ok())));
+        let rebalanced: u64 = out.iter().map(|(_, s, _, _)| s.realms_rebalanced).sum();
+        let stats = pfs.stats();
+        (read_file(&pfs, "slow"), rebalanced, stats)
+    };
+    let (image, rebalanced, stats) = work(Pfs::with_faults(cfg, FaultPlan::straggler(0, 8.0)));
+    let (oracle, none, calm) = work(Pfs::new(cfg));
+    // Undisturbed: one stripe, one ahead grant each, for all four calls.
+    assert_eq!((none, calm.lock_grants, calm.lock_revocations), (0, 3, 0));
+    // Rebalanced once; from then on stripe 0 has three owners, and each
+    // one's request cancels the holder before it.
+    assert_eq!(rebalanced, shape.nprocs as u64, "expected one collective rebalance");
+    assert!(stats.lock_revocations > 0, "the old owner's lock on stripe 0 was never cancelled");
+    assert_eq!(image, oracle, "a cancelled ahead lock cost bytes");
+}
+
+/// A crash recovery drops the realm set and re-partitions over the
+/// survivors while the dead aggregator still holds its realm ahead — with
+/// the only copy of what it wrote there in its client cache. Four ranks,
+/// all aggregators, 2 KiB realms of four stripes; rank 1 dies between the
+/// two calls; the three survivors' new realms are 3 KiB, so rank 0's grows
+/// over the dead rank's.
+#[test]
+fn a_recovered_realm_cancels_the_dead_owners_ahead_lock() {
+    const NPROCS: usize = 4;
+    const BLOCK: u64 = 64;
+    const REPS: u64 = 32;
+    const VICTIM: usize = 1;
+    let tile_byte = |rank: usize, gen: u64, i: u64| (rank as u64 * 61 + gen * 17 + i * 3 + 1) as u8;
+    let plan = FaultPlan {
+        crashes: vec![CrashSpec { rank: VICTIM, at_ns: 500_000_000 }],
+        ..FaultPlan::default()
+    };
+    let pfs = Pfs::with_faults(
+        PfsConfig {
+            n_osts: 4,
+            stripe_size: 512,
+            page_size: 64,
+            locking: true,
+            lock_expansion: true,
+            client_cache: true,
+            cost: PfsCostModel::default(),
+        },
+        plan.clone(),
+    );
+    let hints = Hints {
+        persistent_file_realms: true,
+        fr_alignment: Some(512),
+        crash_recovery: true,
+        watchdog_us: 200_000,
+        ..Hints::default()
+    };
+    let out = run_crashable(NPROCS, CostModel::default(), &plan.crash_schedule(), |rank| {
+        let me = rank.rank();
+        let mut f = MpiFile::open(rank, &pfs, "ck", hints.clone()).unwrap();
+        let ftype = Datatype::resized(0, NPROCS as u64 * BLOCK, Datatype::bytes(BLOCK));
+        f.set_view(me as u64 * BLOCK, &Datatype::bytes(1), &ftype).unwrap();
+        let len = REPS * BLOCK;
+        for gen in 0..2u64 {
+            let data: Vec<u8> = (0..len).map(|i| tile_byte(me, gen, i)).collect();
+            f.write_all(&data, &Datatype::bytes(len), 1).unwrap();
+            // The first call is milliseconds; the crash time falls in this
+            // pause, so the victim dies at the second call's entry.
+            rank.advance_to(1_000_000_000);
+        }
+        // No `close`: it barriers, and a peer is dead.
+    });
+    assert!(out[VICTIM].is_none(), "the victim must have crashed");
+    assert!(out.iter().enumerate().all(|(r, o)| r == VICTIM || o.is_some()));
+
+    // Call 1: four realms, four ahead grants. Call 2, over the survivors:
+    // rank 0's realm [0, 3072) conflicts with the dead rank's [2048, 4096)
+    // and cancels it — the one revocation of the run — rank 2's is new
+    // ([3072, 6144)), rank 3's old lock still covers its realm.
+    let stats = pfs.stats();
+    assert_eq!((stats.lock_grants, stats.lock_revocations), (6, 1));
+    assert_eq!(stats.flush_bytes, 2048, "the cancellation flushes the dead rank's dirty realm");
+
+    // Survivors' tiles carry the second call's data, the victim's the
+    // first's — including those that sat in its cache when it died.
+    let image = read_file(&pfs, "ck");
+    assert_eq!(image.len() as u64, NPROCS as u64 * BLOCK * REPS);
+    for (off, &got) in image.iter().enumerate() {
+        let (tile, i) = (off as u64 / BLOCK, off as u64 % BLOCK);
+        let owner = (tile % NPROCS as u64) as usize;
+        let gen = u64::from(owner != VICTIM);
+        let want = tile_byte(owner, gen, tile / NPROCS as u64 * BLOCK + i);
+        assert_eq!(got, want, "byte {off} (rank {owner}'s tile {})", tile / NPROCS as u64);
+    }
+}
