@@ -1,0 +1,169 @@
+//! Host-capacity scaling: ranks simulated per wall-clock second.
+//!
+//! Unlike every other experiment, this one measures **wall time**, not
+//! virtual time: virtual results are bit-identical run to run, so the
+//! only thing that moves is how fast the host can turn the crank. Its
+//! rows are therefore not golden; `--check` asserts the part of them
+//! that is deterministic.
+
+use crate::report::{row, Report};
+use crate::worlds::{hpio_call, How};
+use crate::Args;
+use flexio_core::{ExchangeMode, Hints};
+use flexio_hpio::{HpioSpec, TypeStyle};
+use flexio_pfs::{Pfs, PfsConfig};
+use flexio_sim::{last_run_counters, run, Backend, CostModel, SchedCounters};
+use std::time::{Duration, Instant};
+
+/// Host time is noisy where virtual time is not: every wall-clock cell
+/// is the fastest of this many runs.
+const BEST_OF: usize = 3;
+
+fn best_wall<T: Ord>(f: impl Fn() -> T) -> T {
+    (0..BEST_OF).map(|_| f()).min().unwrap()
+}
+
+/// One fine-grained collective write at `nprocs` ranks: host wall time
+/// for the whole world (spawn, open, write, close, join) and the messages
+/// it sent. The scheduler's counters for the world are
+/// [`last_run_counters`] afterwards (a function of the workload, the same
+/// on every repetition).
+fn collective_write(nprocs: usize) -> (Duration, u64) {
+    let pfs = Pfs::new(PfsConfig::default());
+    let spec = HpioSpec { region_count: 16, nprocs, ..HpioSpec::fig4(8) };
+    let hints = Hints {
+        cb_nodes: Some((nprocs / 2).max(1)),
+        cb_buffer_size: 512,
+        exchange: ExchangeMode::Alltoallw,
+        ..Hints::default()
+    };
+    // No barrier: the world's own messages and switches are what `--check` pins.
+    let untimed = How::UntimedWrite(CostModel::default());
+    let t0 = Instant::now();
+    let s = hpio_call(&pfs, "host_scale", spec, TypeStyle::Succinct, &hints, untimed);
+    (t0.elapsed(), s.sum(|s| s.msgs_sent))
+}
+
+/// Time one world on the host.
+fn timed_world<R: Send>(
+    nprocs: usize,
+    body: impl Fn(&flexio_sim::Rank) -> R + Sync,
+) -> (Duration, Vec<R>) {
+    let t0 = Instant::now();
+    let out = run(nprocs, CostModel::default(), body);
+    (t0.elapsed(), out)
+}
+
+/// Spawn/join only: empty rank bodies. Isolates world setup/teardown.
+fn spawn_join(nprocs: usize) -> Duration {
+    timed_world(nprocs, |_rank| {}).0
+}
+
+/// 64-step neighbour ping-pong: every receive parks (the partner's send
+/// happens strictly after), so this isolates the per-message
+/// park/deliver/wake cost with no I/O-path work at all.
+fn ping_pong(nprocs: usize) -> Duration {
+    let world = timed_world(nprocs, |rank| {
+        let p = rank.nprocs();
+        for step in 0..64u64 {
+            if rank.rank() % 2 == 0 {
+                rank.send((rank.rank() + 1) % p, step, &[1u8; 8]);
+                rank.recv((rank.rank() + 1) % p, step);
+            } else {
+                rank.recv((rank.rank() + p - 1) % p, step);
+                rank.send((rank.rank() + p - 1) % p, step, &[1u8; 8]);
+            }
+        }
+    });
+    world.0
+}
+
+/// Four `alltoallv` rounds of empty blocks: `4 · p · (p − 1)` messages
+/// that allocate nothing and carry nothing, so wall time per message is
+/// the round's step loop — send, hand-off match or board slot, take or
+/// park, heap push and pop — and the world's spawn/join is under a
+/// hundredth of it. (The benchmark's `sim.alltoallv_us` probe sends an
+/// 8-byte block to every peer and is bound by its 262 144 allocations.)
+fn round_empty(nprocs: usize) -> (Duration, u64) {
+    let (wall, msgs) = timed_world(nprocs, |rank| {
+        for _ in 0..4 {
+            rank.alltoallv_sparse(Vec::new(), &[]);
+        }
+        rank.stats().msgs_sent
+    });
+    (wall, msgs.iter().sum())
+}
+
+fn ms(wall: Duration) -> f64 {
+    wall.as_secs_f64() * 1e3
+}
+
+/// Host ns per simulated message: the per-message trajectory the
+/// superlinear rows are made of (messages grow as nprocs², see E-host).
+fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
+    wall.as_secs_f64() * 1e9 / msgs.max(1) as f64
+}
+
+/// What the 256- and the 512-rank world cost their scheduler:
+/// `(nprocs, msgs, counters)`. All three are functions of the workload
+/// alone; a change that moves one has changed the scheduler's work per
+/// world and has to say so here.
+const CHECK: [(usize, u64, SchedCounters); 2] = [
+    (256, 658_944, SchedCounters { fiber_switches: 3_581, heap_pushes: 241_253 }),
+    (512, 2_630_144, SchedCounters { fiber_switches: 7_165, heap_pushes: 978_573 }),
+];
+
+/// The main family is a fig4-style non-contiguous collective write,
+/// deliberately fine-grained (16 regions x 8 B per rank, 512 B collective
+/// buffer, dense alltoallw exchange) so that host-runtime overhead —
+/// park/wake and message dispatch — dominates wall time rather than
+/// simulated data volume. Weak scaling: per-rank work is constant, the
+/// world grows. Two more isolate the runtime-overhead floor: spawn/join
+/// and a 64-step ping-pong at 64 ranks, and at 512 an `alltoallv` of
+/// empty blocks, the dense round's step loop and nothing else.
+///
+/// `--nprocs N` restricts the main family to one row, `--full` extends
+/// it to 4096 ranks, `--check` runs one 256-rank and one 512-rank world
+/// and asserts the scheduler's deterministic work per world exactly.
+pub(crate) fn host(args: &Args, r: &mut Report) {
+    assert!(Backend::event_loop_supported(), "needs the fiber rank runtime (x86_64 only)");
+    if args.check {
+        for (nprocs, want_msgs, want) in CHECK {
+            let (wall, msgs) = collective_write(nprocs);
+            let c = last_run_counters();
+            r.note(&format!(
+                "check @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes",
+                ms(wall),
+                c.fiber_switches,
+                c.heap_pushes
+            ));
+            let moved = "the scheduler's work per world moved";
+            assert_eq!((msgs, c), (want_msgs, want), "{moved} at {nprocs} ranks");
+        }
+        return;
+    }
+
+    r.note("fine-grained fig4 write: 16 regions x 8 B per rank, cb 512 B,");
+    r.note("alltoallw exchange, cb_nodes = nprocs/2 (weak scaling)");
+    r.section("nprocs,wall_ms:1,ranks_per_wall_sec:1,msgs,host_ns_per_msg:0,switches,heap_pushes");
+    let sweep: &[usize] = if args.full { &[16, 64, 256, 1024, 4096] } else { &[16, 64, 256, 1024] };
+    for &nprocs in args.nprocs.as_ref().map_or(sweep, std::slice::from_ref) {
+        let (wall, msgs) = best_wall(|| collective_write(nprocs));
+        let c = last_run_counters();
+        let per_sec = nprocs as f64 / wall.as_secs_f64();
+        row!(r;
+            nprocs, ms(wall), per_sec, msgs, ns_per_msg(wall, msgs),
+            c.fiber_switches, c.heap_pushes,
+        );
+    }
+
+    r.heading("runtime-overhead floor @64 ranks (no I/O-path work)");
+    r.section("microbench,wall_ms:2");
+    row!(r; "spawn-join", ms(best_wall(|| spawn_join(64))));
+    row!(r; "ping-pong", ms(best_wall(|| ping_pong(64))));
+
+    r.heading("dense-round floor @512 ranks (four alltoallv of empty blocks)");
+    r.section("microbench,wall_ms:2,msgs,host_ns_per_msg:1");
+    let (wall, msgs) = best_wall(|| round_empty(512));
+    row!(r; "round-empty", ms(wall), msgs, ns_per_msg(wall, msgs));
+}

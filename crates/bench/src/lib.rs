@@ -1,183 +1,284 @@
-//! # flexio-bench — harness utilities for regenerating the paper's figures
+//! # flexio-bench — one runner for the paper's figures and the ablations
 //!
-//! Each `src/bin/fig*.rs` binary reproduces one figure of the evaluation
-//! section; `ablation_*.rs` binaries cover the design-choice studies
-//! DESIGN.md calls out. Binaries print CSV (one row per point) plus a
-//! human-readable table, and take `--paper` for full paper scale or the
-//! default reduced scale that finishes in seconds.
+//! `bench <exp>` runs one entry of [`EXPERIMENTS`] — the paper's figures
+//! (E1–E3), the design-choice ablations (A1–A8), the read-direction
+//! study, the scenario suite and the host-capacity measurement — and
+//! prints it in one format: `#` comment lines, CSV rows under a
+//! `# columns:` line, pivot tables (see [`report`]). An experiment is a
+//! value: a name, a title, the flags it takes and a `run` that pushes rows
+//! into a [`Report`]; argument parsing, the header and all printing
+//! belong to the runner.
 //!
 //! Bandwidth is aggregate useful bytes divided by the **virtual** time of
-//! the slowest rank — the same metric the paper plots. Runs repeat
-//! `best_of` times and keep the fastest (the paper reports best-of-5 on a
-//! shared file system).
+//! the slowest rank — the same metric the paper plots. The simulator is
+//! bit-deterministic, so every row of a virtual-time experiment is the
+//! same on every run: `results/<exp>_default.txt` and `_paper.txt` are
+//! this binary's stdout, and `scripts/verify.sh` diffs them exactly.
 
-#![warn(missing_docs)]
+mod ablations;
+mod figures;
+mod host;
+mod report;
+mod scenario;
+mod worlds;
 
-use flexio_core::{Engine, Hints, MpiFile};
-use flexio_hpio::{HpioSpec, TypeStyle};
-use flexio_pfs::Pfs;
-use flexio_sim::{run, CostModel};
-use flexio_types::Datatype;
-use std::sync::Arc;
+use flexio_core::Engine;
+use report::Report;
+use std::process::ExitCode;
 
-/// Number of repetitions to take the best of (paper: 5; default here: 3).
-pub const BEST_OF: usize = 3;
+/// The flags every virtual-time experiment takes: `--paper` for full
+/// paper scale (the default reduced scale finishes in seconds) and
+/// `--nprocs N` to run the same shape at another world size.
+const SCALE: &[&str] = &["--paper", "--nprocs"];
+/// [`SCALE`] plus `--engine {romio,flexible,both}`.
+const SCALE_ENGINE: &[&str] = &["--paper", "--nprocs", "--engine"];
 
-/// Convert (bytes, virtual ns) into MB/s.
-pub fn mbps(bytes: u64, ns: u64) -> f64 {
-    if ns == 0 {
-        return f64::INFINITY;
-    }
-    bytes as f64 / (ns as f64 / 1e9) / 1e6
+/// One entry of the registry.
+pub struct Experiment {
+    /// What `bench <exp>` calls it: EXPERIMENTS.md's section name.
+    pub name: &'static str,
+    /// First line of its output.
+    title: &'static str,
+    /// Whether its rows are virtual-time results — bit-reproducible, and
+    /// therefore golden files under `results/` — or host wall-clock.
+    pub virtual_time: bool,
+    /// The flags it takes.
+    flags: &'static [&'static str],
+    run: fn(&Args, &mut Report),
 }
 
-/// Parse command-line flags shared by all harnesses.
-#[derive(Debug, Clone, Copy)]
-pub struct Scale {
+/// A virtual-time experiment.
+const fn virt(
+    name: &'static str,
+    title: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args, &mut Report),
+) -> Experiment {
+    Experiment { name, title, virtual_time: true, flags, run }
+}
+
+/// Every experiment, in EXPERIMENTS.md's order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    virt("e1", "E1 / Fig. 4 — HPIO scalability: struct vs vector vs old ROMIO", SCALE, figures::e1),
+    virt(
+        "e2",
+        "E2 / Fig. 5 — conditional data sieving and naive I/O beneath collective writes",
+        SCALE,
+        figures::e2,
+    ),
+    virt(
+        "e2-spikes",
+        "E2 / Fig. 5 — the page-alignment spikes, isolated",
+        SCALE,
+        figures::e2_spikes,
+    ),
+    virt("e3", "E3 / Fig. 7 — persistent file realms x file-realm alignment", SCALE, figures::e3),
+    virt("a1", "A1 — metadata representation (§5.3)", SCALE, ablations::a1),
+    virt("a2", "A2 — exchange mode (§5.4)", SCALE, ablations::a2),
+    virt("a3", "A3 — realm assignment on sparse clustered access (§7)", SCALE, ablations::a3),
+    virt("a4", "A4 — exchange-schedule cache on a checkpoint overwrite", SCALE, ablations::a4),
+    virt("a5", "A5 — pipelined buffer cycles (§4 double buffering)", SCALE_ENGINE, ablations::a5),
+    virt("a6", "A6 — pipeline depth (adaptive vs fixed)", SCALE_ENGINE, ablations::a6),
+    virt("a7", "A7 — fault injection: retries and straggler rebalancing", SCALE, ablations::a7),
+    virt("a8", "A8 — crash recovery: survivor completion vs crash point", SCALE, ablations::a8),
+    virt("read", "Collective read — Fig. 4's patterns in the read direction", SCALE, figures::read),
+    virt(
+        "scenario",
+        "E-workloads — scenario suite: five families, both engines",
+        SCALE_ENGINE,
+        scenario::scenario,
+    ),
+    Experiment {
+        name: "host",
+        title: "E-host — host-capacity scaling: ranks simulated per wall-second",
+        virtual_time: false,
+        flags: &["--nprocs", "--full", "--check"],
+        run: host::host,
+    },
+];
+
+const BOTH_ENGINES: [(&str, Engine); 2] =
+    [("romio", Engine::Romio), ("flexible", Engine::Flexible)];
+
+/// What the command line asked of an experiment.
+#[derive(Debug, Clone, PartialEq)]
+struct Args {
     /// Full paper scale (64 procs, 4096 regions, 1 GiB files)?
-    pub paper: bool,
-    /// Repetitions to take the best of.
-    pub best_of: usize,
-    /// Process-count override (`--nprocs N`). `None` = the scale's
-    /// default (64 at paper scale). The event-loop runtime makes worlds
-    /// far past 64 ranks practical; every harness honours this flag.
-    pub nprocs: Option<usize>,
+    paper: bool,
+    /// World-size override; `None` = the scale's default.
+    nprocs: Option<usize>,
+    /// Engines to run, labelled for CSV rows and table series.
+    engines: Vec<(&'static str, Engine)>,
+    /// `host`: extend the sweep to 4096 ranks.
+    full: bool,
+    /// `host`: assert the deterministic counters and exit.
+    check: bool,
 }
 
-impl Scale {
-    /// Read from `std::env::args`: `--paper`, `--repeat N` (with
-    /// `--best-of N` accepted as a synonym), and `--nprocs N`. Defaults
-    /// to best-of-3 per DESIGN.md.
-    pub fn from_args() -> Scale {
-        Self::from_arg_list(&std::env::args().collect::<Vec<_>>())
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            paper: false,
+            nprocs: None,
+            engines: BOTH_ENGINES.to_vec(),
+            full: false,
+            check: false,
+        }
     }
+}
 
-    fn from_arg_list(args: &[String]) -> Scale {
-        let paper = args.iter().any(|a| a == "--paper");
-        let best_of = args
-            .iter()
-            .position(|a| a == "--repeat" || a == "--best-of")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(BEST_OF);
-        let nprocs = args
-            .iter()
-            .position(|a| a == "--nprocs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0);
-        Scale { paper, best_of, nprocs }
-    }
-
+impl Args {
     /// The process count to run at: the `--nprocs` override if given,
-    /// else the harness's default for this scale.
-    pub fn nprocs_or(&self, default: usize) -> usize {
+    /// else the experiment's default for this scale.
+    fn nprocs_or(&self, default: usize) -> usize {
         self.nprocs.unwrap_or(default)
     }
 
-    /// The standard header line every figure binary prints, recording the
-    /// exact scale and repetition count a results file was generated with.
-    pub fn describe(&self) -> String {
-        let mut s = format!(
-            "scale: {} | best-of: {}",
-            if self.paper { "paper" } else { "default" },
-            self.best_of
-        );
+    /// The world size and the two aggregator counts to sweep: the
+    /// experiment's defaults for this scale, or `--nprocs N` with an
+    /// eighth and a half of it.
+    fn world(&self, default: (usize, [usize; 2])) -> (usize, [usize; 2]) {
+        self.nprocs.map_or(default, |n| (n, [(n / 8).max(1), (n / 2).max(1)]))
+    }
+
+    /// The header line recording what a results file was generated with.
+    fn describe(&self, exp: &Experiment) -> String {
+        let mut s = format!("bench {}", exp.name);
+        if exp.flags.contains(&"--paper") {
+            s += if self.paper { " | scale: paper" } else { " | scale: default" };
+        }
         if let Some(n) = self.nprocs {
-            s.push_str(&format!(" | nprocs: {n}"));
+            s += &format!(" | nprocs: {n}");
+        }
+        if let [(engine, _)] = self.engines[..] {
+            s += &format!(" | engine: {engine}");
+        }
+        for (on, flag) in [(self.full, "full"), (self.check, "check")] {
+            if on {
+                s += &format!(" | {flag}");
+            }
         }
         s
     }
 }
 
-/// Engines selected by the shared `--engine {romio,flexible,both}` flag
-/// (default `both` — the pipeline runs on shared machinery now, so the
-/// ablations compare engines at equal depth by default), labelled for
-/// CSV rows and table series.
-pub fn engines_from_args() -> Vec<(&'static str, Engine)> {
-    engines_from_arg_list(&std::env::args().collect::<Vec<_>>())
+#[derive(Debug, PartialEq)]
+enum Command {
+    List,
+    Run(&'static str, Args),
 }
 
-fn engines_from_arg_list(args: &[String]) -> Vec<(&'static str, Engine)> {
-    let choice =
-        args.iter().position(|a| a == "--engine").and_then(|i| args.get(i + 1)).map(String::as_str);
-    match choice {
-        Some("romio") => vec![("romio", Engine::Romio)],
-        Some("flexible") => vec![("flexible", Engine::Flexible)],
-        None | Some("both") => vec![("romio", Engine::Romio), ("flexible", Engine::Flexible)],
-        Some(other) => panic!("--engine must be romio, flexible, or both, got {other:?}"),
-    }
+fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// Run one HPIO collective write and return the slowest rank's elapsed
-/// virtual ns (the collective-write time only, excluding open/close).
-pub fn hpio_collective_write_ns(
-    pfs: &Arc<Pfs>,
-    spec: HpioSpec,
-    style: TypeStyle,
-    hints: &Hints,
-    path: &str,
-) -> u64 {
-    hpio_collective_write_sample(pfs, spec, style, hints, path).0
-}
-
-/// [`hpio_collective_write_ns`] plus the staging-copy ledger: returns
-/// `(slowest rank's elapsed ns, sum of Stats::bytes_copied over ranks)`.
-/// The ledger counts the copies the engines' data path is charged (a
-/// sieved group's double-buffer copy, ROMIO's placement into its
-/// integrated sieve buffer); it is deterministic for a given workload
-/// and hint set.
-pub fn hpio_collective_write_sample(
-    pfs: &Arc<Pfs>,
-    spec: HpioSpec,
-    style: TypeStyle,
-    hints: &Hints,
-    path: &str,
-) -> (u64, u64) {
-    let pfs = Arc::clone(pfs);
-    let path = path.to_string();
-    let hints = hints.clone();
-    let out = run(spec.nprocs, CostModel::default(), move |rank| {
-        let mut f = MpiFile::open(rank, &pfs, &path, hints.clone()).unwrap();
-        let (disp, ftype) = spec.file_view(rank.rank(), style);
-        f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
-        let buf = spec.make_buffer(rank.rank());
-        rank.barrier();
-        let t0 = rank.now();
-        f.write_all(&buf, &spec.mem_type(), spec.mem_count()).unwrap();
-        let elapsed = rank.now() - t0;
-        f.close().unwrap();
-        (rank.allreduce_max(elapsed), rank.stats().bytes_copied)
-    });
-    (out[0].0, out.iter().map(|(_, c)| c).sum())
-}
-
-/// Best-of-N wrapper: fresh file system per repetition (fresh OST clocks).
-pub fn best_of_ns(n: usize, mut f: impl FnMut() -> u64) -> u64 {
-    (0..n.max(1)).map(|_| f()).min().unwrap()
-}
-
-/// Render one figure panel as an aligned text table: rows = x values,
-/// columns = series.
-pub fn print_table(title: &str, xlabel: &str, xs: &[String], series: &[(String, Vec<f64>)]) {
-    println!("\n## {title}");
-    print!("{:>12}", xlabel);
-    for (name, _) in series {
-        print!("{name:>14}");
-    }
-    println!();
-    for (i, x) in xs.iter().enumerate() {
-        print!("{x:>12}");
-        for (_, vals) in series {
-            print!("{:>14.2}", vals[i]);
+/// Parse the arguments after the program name. Everything that is not
+/// understood is an error: a silently ignored `--papr` would print
+/// default-scale rows under no warning.
+fn parse(argv: &[String]) -> Result<Command, String> {
+    let mut argv = argv.iter().map(String::as_str);
+    let exp = match argv.next() {
+        None => return Err("missing experiment".to_string()),
+        Some("--list") => {
+            return match argv.next() {
+                None => Ok(Command::List),
+                Some(extra) => Err(format!("`--list` takes no argument, got `{extra}`")),
+            }
         }
-        println!();
+        Some(name) => find(name).ok_or_else(|| format!("unknown experiment `{name}`"))?,
+    };
+    let mut args = Args::default();
+    while let Some(flag) = argv.next() {
+        if !["--paper", "--nprocs", "--engine", "--full", "--check"].contains(&flag) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        if !exp.flags.contains(&flag) {
+            return Err(format!("`{}` does not take `{flag}`", exp.name));
+        }
+        let mut value = || argv.next().ok_or_else(|| format!("`{flag}` needs a value"));
+        match flag {
+            "--paper" => args.paper = true,
+            "--full" => args.full = true,
+            "--check" => args.check = true,
+            "--nprocs" => {
+                let v = value()?;
+                args.nprocs = match v.parse() {
+                    Ok(n) if n > 0 => Some(n),
+                    _ => return Err(format!("`--nprocs` needs a positive integer, got `{v}`")),
+                };
+            }
+            "--engine" => {
+                args.engines = match value()? {
+                    "both" => BOTH_ENGINES.to_vec(),
+                    v => match BOTH_ENGINES.iter().find(|(name, _)| *name == v) {
+                        Some(&one) => vec![one],
+                        None => {
+                            return Err(format!(
+                                "`--engine` must be romio, flexible or both, got `{v}`"
+                            ))
+                        }
+                    },
+                };
+            }
+            _ => unreachable!("listed above"),
+        }
+    }
+    Ok(Command::Run(exp.name, args))
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: bench <exp> [--paper] [--nprocs N] [--engine romio|flexible|both]\n\
+         \x20      bench host [--nprocs N] [--full] [--check]\n\
+         \x20      bench --list\n\
+         experiments: {}",
+        names.join(" ")
+    )
+}
+
+/// The `bench` binary: run what `argv` (without the program name) asks
+/// for. A bad command line prints one line naming the problem plus the
+/// usage on stderr, nothing on stdout, and exits 2.
+pub fn run_cli(argv: &[String]) -> ExitCode {
+    match parse(argv) {
+        Err(problem) => {
+            eprintln!("bench: {problem}\n{}", usage());
+            ExitCode::from(2)
+        }
+        Ok(Command::List) => {
+            for e in EXPERIMENTS {
+                let clock = if e.virtual_time { "virtual" } else { "host" };
+                println!("{}\t{clock}\t{}", e.name, e.title);
+            }
+            ExitCode::SUCCESS
+        }
+        Ok(Command::Run(name, args)) => {
+            let exp = find(name).expect("parse returns registered names");
+            let mut report = Report::default();
+            report.note(exp.title);
+            report.note(&args.describe(exp));
+            (exp.run)(&args, &mut report);
+            ExitCode::SUCCESS
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worlds::mbps;
+
+    fn parse_line(line: &str) -> Result<Command, String> {
+        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    fn args_of(line: &str) -> Args {
+        match parse_line(line) {
+            Ok(Command::Run(_, args)) => args,
+            other => panic!("{line:?} parsed to {other:?}"),
+        }
+    }
 
     #[test]
     fn mbps_math() {
@@ -187,63 +288,96 @@ mod tests {
     }
 
     #[test]
-    fn best_of_takes_min() {
-        let mut vals = vec![5u64, 3, 4].into_iter();
-        assert_eq!(best_of_ns(3, || vals.next().unwrap()), 3);
-    }
-
-    #[test]
     fn scale_defaults() {
-        let s = Scale { paper: false, best_of: BEST_OF, nprocs: None };
-        assert_eq!(s.best_of, 3);
-        assert_eq!(s.nprocs_or(64), 64);
-    }
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+        let a = args_of("e1");
+        assert_eq!(a, Args::default());
+        assert!(!a.paper && !a.full && !a.check);
+        assert_eq!(a.nprocs_or(64), 64);
+        assert_eq!(a.describe(find("e1").unwrap()), "bench e1 | scale: default");
+        assert_eq!(a.describe(find("host").unwrap()), "bench host");
     }
 
     #[test]
     fn engine_flag_selects_engines() {
-        let both = [("romio", Engine::Romio), ("flexible", Engine::Flexible)];
-        assert_eq!(engines_from_arg_list(&args(&["bin"])), both);
-        assert_eq!(engines_from_arg_list(&args(&["bin", "--engine", "both"])), both);
+        assert_eq!(args_of("a5").engines, BOTH_ENGINES);
+        assert_eq!(args_of("a5 --engine both").engines, BOTH_ENGINES);
+        assert_eq!(args_of("a6 --engine romio").engines, [("romio", Engine::Romio)]);
+        let a = args_of("scenario --paper --engine flexible");
+        assert_eq!(a.engines, [("flexible", Engine::Flexible)]);
         assert_eq!(
-            engines_from_arg_list(&args(&["bin", "--engine", "romio"])),
-            [("romio", Engine::Romio)]
+            a.describe(find("scenario").unwrap()),
+            "bench scenario | scale: paper | engine: flexible"
         );
-        assert_eq!(
-            engines_from_arg_list(&args(&["bin", "--engine", "flexible"])),
-            [("flexible", Engine::Flexible)]
-        );
-    }
-
-    #[test]
-    fn scale_parses_repeat_and_best_of() {
-        let s = Scale::from_arg_list(&args(&["bin"]));
-        assert!(!s.paper);
-        assert_eq!(s.best_of, BEST_OF);
-        let s = Scale::from_arg_list(&args(&["bin", "--paper", "--repeat", "7"]));
-        assert!(s.paper);
-        assert_eq!(s.best_of, 7);
-        let s = Scale::from_arg_list(&args(&["bin", "--best-of", "1"]));
-        assert_eq!(s.best_of, 1);
-        // Malformed counts fall back to the default rather than panicking.
-        let s = Scale::from_arg_list(&args(&["bin", "--repeat", "lots"]));
-        assert_eq!(s.best_of, BEST_OF);
-        assert_eq!(s.describe(), "scale: default | best-of: 3");
     }
 
     #[test]
     fn scale_parses_nprocs_override() {
-        let s = Scale::from_arg_list(&args(&["bin"]));
-        assert_eq!(s.nprocs, None);
-        let s = Scale::from_arg_list(&args(&["bin", "--paper", "--nprocs", "1024"]));
-        assert_eq!(s.nprocs, Some(1024));
-        assert_eq!(s.nprocs_or(64), 1024);
-        assert_eq!(s.describe(), "scale: paper | best-of: 3 | nprocs: 1024");
-        // Malformed or zero counts fall back to the harness default.
-        assert_eq!(Scale::from_arg_list(&args(&["bin", "--nprocs", "many"])).nprocs, None);
-        assert_eq!(Scale::from_arg_list(&args(&["bin", "--nprocs", "0"])).nprocs, None);
+        assert_eq!(args_of("e1").nprocs, None);
+        let a = args_of("e1 --paper --nprocs 1024");
+        assert!(a.paper);
+        assert_eq!(a.nprocs, Some(1024));
+        assert_eq!(a.nprocs_or(64), 1024);
+        assert_eq!(a.describe(find("e1").unwrap()), "bench e1 | scale: paper | nprocs: 1024");
+        let a = args_of("host --nprocs 256 --full --check");
+        assert_eq!((a.nprocs, a.full, a.check), (Some(256), true, true));
+        assert_eq!(a.describe(find("host").unwrap()), "bench host | nprocs: 256 | full | check");
+    }
+
+    #[test]
+    fn list_is_a_command_of_its_own() {
+        assert_eq!(parse_line("--list"), Ok(Command::List));
+        assert_eq!(parse_line("--list e1"), Err("`--list` takes no argument, got `e1`".into()));
+    }
+
+    #[test]
+    fn a_missing_or_unknown_experiment_is_rejected() {
+        assert_eq!(parse_line(""), Err("missing experiment".into()));
+        assert_eq!(parse_line("nope"), Err("unknown experiment `nope`".into()));
+        // Flags do not stand in for the experiment.
+        assert_eq!(parse_line("--paper e3"), Err("unknown experiment `--paper`".into()));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        assert_eq!(parse_line("e3 --papr"), Err("unknown flag `--papr`".into()));
+        assert_eq!(parse_line("e3 extra"), Err("unknown flag `extra`".into()));
+        // The repetition knob is gone, not ignored.
+        assert_eq!(parse_line("e3 --repeat 3"), Err("unknown flag `--repeat`".into()));
+        assert_eq!(parse_line("e3 --best-of 3"), Err("unknown flag `--best-of`".into()));
+    }
+
+    #[test]
+    fn a_missing_or_malformed_value_is_rejected() {
+        assert_eq!(parse_line("e3 --nprocs"), Err("`--nprocs` needs a value".into()));
+        assert_eq!(parse_line("a5 --engine"), Err("`--engine` needs a value".into()));
+        let positive = |v: &str| Err(format!("`--nprocs` needs a positive integer, got `{v}`"));
+        assert_eq!(parse_line("e3 --nprocs many"), positive("many"));
+        assert_eq!(parse_line("e3 --nprocs 0"), positive("0"));
+        assert_eq!(parse_line("e3 --nprocs -4"), positive("-4"));
+        assert_eq!(parse_line("e3 --nprocs --paper"), positive("--paper"));
+        assert_eq!(
+            parse_line("a5 --engine mpich"),
+            Err("`--engine` must be romio, flexible or both, got `mpich`".into())
+        );
+    }
+
+    #[test]
+    fn a_flag_the_experiment_does_not_take_is_rejected() {
+        assert_eq!(parse_line("a1 --engine romio"), Err("`a1` does not take `--engine`".into()));
+        assert_eq!(parse_line("e3 --check"), Err("`e3` does not take `--check`".into()));
+        assert_eq!(parse_line("host --paper"), Err("`host` does not take `--paper`".into()));
+    }
+
+    #[test]
+    fn the_registry_is_the_fifteen_experiments_with_unique_names() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names.join(" "),
+            "e1 e2 e2-spikes e3 a1 a2 a3 a4 a5 a6 a7 a8 read scenario host"
+        );
+        assert!(usage().ends_with(&names.join(" ")));
+        let host_time: Vec<&str> =
+            EXPERIMENTS.iter().filter(|e| !e.virtual_time).map(|e| e.name).collect();
+        assert_eq!(host_time, ["host"]);
     }
 }

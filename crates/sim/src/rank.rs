@@ -288,7 +288,7 @@ impl Rank {
     /// the world, i.e. *between* collectives, never inside one.
     pub fn maybe_crash(&self) {
         if self.now() >= self.world.crash_time(self.global) && !self.seg().is_dead(self.global) {
-            std::panic::panic_any(crate::world::CrashStop);
+            std::panic::resume_unwind(Box::new(crate::world::CrashStop));
         }
     }
 

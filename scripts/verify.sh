@@ -5,7 +5,8 @@
 #
 # --thorough additionally re-runs the test suite with 512 property-test
 # cases per property (the in-repo harness in flexio_sim::prop honours
-# PROPTEST_CASES), for a nightly-ish deeper sweep.
+# PROPTEST_CASES) and diffs the `--paper` results files, for a nightly-ish
+# deeper sweep.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,8 +27,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The root manifest's `default-members` is the whole workspace, so this is
 # every member's unit tests as well as the root package's integration
-# suites (and `cargo build` above built the bench bins the golden-file leg
-# below runs).
+# suites (and `cargo build` above built the `bench` binary the golden-rows
+# leg below runs).
 echo "== cargo test -q --release --offline =="
 cargo test -q --release --offline
 
@@ -73,14 +74,22 @@ FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
 echo "== cargo test --release --offline --manifest-path benchmark/Cargo.toml =="
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-# The first golden file: virtual results are bit-reproducible, so Fig. 7
-# at default scale (~5 s) must print results/fig7_default.txt exactly
-# (everything below its `#@` provenance lines). A change that moves a row
-# regenerates the file — `sh scripts/regen_results.sh` — and says why in
-# EXPERIMENTS E3.
-echo "== fig7_pfr_alignment (default scale) vs results/fig7_default.txt =="
-cargo run -q --release --offline -p flexio-bench --bin fig7_pfr_alignment \
-  | diff -I '^#@' results/fig7_default.txt -
+# Golden rows: virtual results are bit-reproducible, so every virtual-time
+# experiment `bench --list` names must print its results/<exp>_default.txt
+# exactly (everything below the file's `#@` provenance lines; ~20 s for all
+# 14, and A4-A8 assert their byte-identity and shape claims while their
+# rows are being diffed). --thorough diffs the 14 `--paper` files as well
+# (~8 min). A change that moves a row regenerates the files —
+# `sh scripts/regen_results.sh [--paper]` — and says why in EXPERIMENTS;
+# crates/bench/tests/claims.rs then checks the paper's claims on the new
+# rows.
+if [ "$THOROUGH" = 1 ]; then
+  echo "== golden rows: bench <exp> and bench <exp> --paper vs results/ =="
+  sh scripts/regen_results.sh --check --paper
+else
+  echo "== golden rows: bench <exp> vs results/<exp>_default.txt =="
+  sh scripts/regen_results.sh --check
+fi
 
 if [ "$THOROUGH" = 1 ]; then
   echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="
@@ -145,14 +154,14 @@ if [ "$THOROUGH" = 1 ]; then
   done
 
   # Scale leg: the 16384-rank collective write/read smoke (byte-identity
-  # + phase-sum invariants; minutes) and the host_scale sanity check (the
-  # scheduler's messages, fiber switches and heap pushes for a 256-rank
-  # world, exactly).
+  # + phase-sum invariants; minutes) and `bench host --check` (the
+  # scheduler's messages, fiber switches and heap pushes for a 256- and a
+  # 512-rank world, exactly).
   echo "== 16384-rank scale smoke (tests/scale_smoke.rs) =="
   cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_16384_ranks
 
-  echo "== host_scale sanity (--check) =="
-  cargo run --release --offline -p flexio-bench --bin host_scale -- --check
+  echo "== bench host --check =="
+  cargo run -q --release --offline -p flexio-bench -- host --check
 fi
 
 echo "== tier-1 verification passed =="
