@@ -394,7 +394,7 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
     // rebalanced.
     const STEPS: u64 = 4;
     // Realms must be I/O-dominated: the detector's per-cycle heartbeat is
-    // a ring allgather (~p x net latency), so each aggregator serves at
+    // an allgather (~log2 p x net latency), so each aggregator serves at
     // least 1 MiB per collective call.
     let reps = if args.paper { 16 } else { 8 };
     // `--nprocs N` rescales the world; aggregator counts then track the

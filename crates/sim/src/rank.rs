@@ -19,9 +19,10 @@ use std::sync::Arc;
 /// Tag space reserved for internal collective traffic. An internal tag is
 /// `INTERNAL_BASE + (round key << STEP_BITS) + step`, the round key being
 /// `seq * 8 + op`: a collective's sequence number on its rank and its
-/// kind ([`OPS`]). Steps run to `nprocs - 1` in the pairwise and ring
-/// collectives, so the step field is wide enough for any world the
-/// simulator can hold and no round's tags reach into another's.
+/// kind ([`OPS`]). Steps run to `nprocs - 1` in the pairwise `alltoallv`
+/// (the log-step rounds take ⌈log2 nprocs⌉), so the step field is wide
+/// enough for any world the simulator can hold and no round's tags reach
+/// into another's.
 const INTERNAL_BASE: u64 = 1 << 40;
 const STEP_BITS: u32 = 24;
 
@@ -477,10 +478,14 @@ impl Rank {
 
     /// World-scoped "compute once, share": the value of type `T` under
     /// `key`, computed by the first rank of this world to ask and shared
-    /// (one `Arc`) with every rank that asks while any rank still holds
-    /// it. The world keeps only a weak reference, so the value is freed
-    /// with its last holder and a later ask recomputes it; nothing
-    /// outlives the world. Sub-communicators share their world's cells.
+    /// (one `Arc`) with every rank that asks after it. The world holds the
+    /// value until every member of this communicator (`nprocs()` asks,
+    /// the first included) has taken it, so a member that finishes with
+    /// it early cannot make a slower one recompute it; from then on it
+    /// keeps only a weak reference, so the value is freed with its last
+    /// holder and a later ask recomputes it. A member that never asks
+    /// leaves the value pinned until the world ends; nothing outlives the
+    /// world. Sub-communicators share their world's cells.
     ///
     /// `init` must be a pure function of what `key` digests (every rank
     /// must be content with any other rank's result) and must not
@@ -492,11 +497,12 @@ impl Rank {
         key: u64,
         init: impl FnOnce() -> T,
     ) -> Arc<T> {
-        self.seg().shared_once(key, init)
+        self.seg().shared_once(key, self.nprocs(), init)
     }
 
-    /// Number of [`Rank::shared_once`] values some rank of this world
-    /// still holds (a residency probe for tests).
+    /// Number of [`Rank::shared_once`] values of this world that are
+    /// alive — held by a rank, or pinned for a member that has not taken
+    /// its value yet (a residency probe for tests).
     pub fn shared_live(&self) -> usize {
         self.seg().shared_live()
     }
@@ -523,7 +529,7 @@ impl Rank {
 
     /// Charge the completion of a receive: wait for the message if it is
     /// still in flight, then the receive overhead; all of it Comm time.
-    fn charge_recv(&self, m: Msg) -> Payload {
+    fn charge_recv(&self, m: Msg) -> Vec<u8> {
         let before = self.now();
         self.advance_to(m.avail_at);
         self.advance(self.cost().recv_overhead_ns);
@@ -540,7 +546,7 @@ impl Rank {
         let avail_at = self.charge_send(data.len());
         // Mailbox identity is world-frame: group ids translate here, in
         // `recv_tagged` and in the two round forms below, nowhere else.
-        let msg = Msg { data: Payload::Owned(data), avail_at };
+        let msg = Msg { data, avail_at };
         self.seg().deliver(self.global_of(dst), self.global, tag, msg);
     }
 
@@ -552,7 +558,7 @@ impl Rank {
 
     fn recv_tagged(&self, src: usize, tag: u64) -> Vec<u8> {
         let m = self.seg().take(self.global, self.global_of(src), tag, self.now());
-        self.charge_recv(m).into_vec()
+        self.charge_recv(m)
     }
 
     /// Blocking receive with a virtual-time watchdog: returns `None` when
@@ -564,7 +570,7 @@ impl Rank {
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
         match self.seg().take_deadline(self.global, self.global_of(src), tag, before, deadline) {
-            Some(m) => Some(self.charge_recv(m).into_vec()),
+            Some(m) => Some(self.charge_recv(m)),
             None => {
                 self.advance_to(deadline);
                 self.note_phase(Phase::Comm, self.now() - before);
@@ -643,12 +649,17 @@ impl Rank {
         c.received
     }
 
+    /// The steps of a log-step round: ⌈log2 nprocs⌉, step `k` pairing
+    /// with the ranks `2^k` away.
+    fn log_steps(&self) -> std::ops::Range<usize> {
+        0..self.nprocs().next_power_of_two().trailing_zeros() as usize
+    }
+
     /// Dissemination barrier; also synchronizes virtual clocks to a common
     /// lower bound (every rank ends at ≥ the max participant clock).
     /// Round `k` exchanges empty messages at distance `2^k`.
     pub fn barrier(&self) {
-        let steps = self.nprocs().next_power_of_two().trailing_zeros() as usize;
-        self.run_round(0, 0..steps, RoundKind::Dissemination);
+        self.run_round(0, self.log_steps(), RoundKind::Dissemination);
     }
 
     /// Binomial-tree broadcast from `root`.
@@ -684,26 +695,35 @@ impl Rank {
         buf
     }
 
-    /// Ring allgather of variable-size blocks; result indexed by rank.
+    /// Allgather of variable-size blocks (Bruck); result indexed by rank.
     /// [`Rank::allgatherv_shared`] with a private copy of every block.
     pub fn allgatherv(&self, mine: &[u8]) -> Vec<Vec<u8>> {
         self.allgatherv_shared(mine).iter().map(|b| b.to_vec()).collect()
     }
 
-    /// Ring allgather of variable-size blocks; result indexed by rank.
-    /// Each block is allocated once, by its owner, and every rank's result
-    /// refers to that one allocation: a hop forwards a reference (the
-    /// message is still charged α + β·len), so a world holds `p` blocks
-    /// rather than `p²` copies.
+    /// Allgather of variable-size blocks; result indexed by rank. Bruck's
+    /// algorithm: ⌈log2 p⌉ steps, step `k` sending `rank + 2^k` the first
+    /// min(2^k, p − 2^k) blocks this rank holds and receiving as many from
+    /// `rank − 2^k`, one message of α + β·Σlen each. Each block is
+    /// allocated once, by its owner, and every rank's result refers to
+    /// that one allocation: a step forwards references, so a world holds
+    /// `p` blocks rather than `p²` copies.
     pub fn allgatherv_shared(&self, mine: &[u8]) -> Vec<Arc<[u8]>> {
         let p = self.nprocs();
         let mine: Arc<[u8]> = Arc::from(mine);
-        // Arrival order: own block, then the blocks of rank - 1, rank - 2,
-        // …; each step forwards what the previous one brought in.
-        let got = self.run_round(2, 0..p - 1, RoundKind::Ring { mine: Arc::clone(&mine) });
+        let mut got = self.run_round(2, self.log_steps(), RoundKind::Bruck { mine: Arc::clone(&mine) });
+        // Held order: own block, then step 0's (rank - 1's), step 1's
+        // (rank - 2's and rank - 3's), …; the messages were received in
+        // step order but may have been delivered out of it.
+        got.sort_unstable_by_key(|&(step, _)| step);
         let mut out: Vec<Arc<[u8]>> = Vec::with_capacity(p);
         out.push(mine);
-        out.extend(got.into_iter().map(|(_, block)| block.into_shared()));
+        for (_, blocks) in got {
+            match blocks {
+                Payload::Blocks(blocks) => out.extend(blocks),
+                Payload::Owned(_) => unreachable!("an allgatherv step carries blocks"),
+            }
+        }
         debug_assert_eq!(out.len(), p);
         // Descending from `rank` to ascending from 0.
         out.reverse();
@@ -784,8 +804,13 @@ impl Rank {
         };
         self.charge_memcpy(own.len() as u64);
         let got = self.run_round(3, 1..p, RoundKind::Pairwise { sends, next });
-        let mut out: Vec<(usize, Vec<u8>)> =
-            got.into_iter().map(|(step, block)| ((self.rank + p - step) % p, block.into_vec())).collect();
+        let mut out: Vec<(usize, Vec<u8>)> = got
+            .into_iter()
+            .map(|(step, block)| match block {
+                Payload::Owned(block) => ((self.rank + p - step) % p, block),
+                Payload::Blocks(_) => unreachable!("an alltoallv step carries one buffer"),
+            })
+            .collect();
         if !own.is_empty() {
             out.push((self.rank, own));
         }
@@ -950,9 +975,10 @@ impl Rank {
 pub(crate) enum RoundKind {
     /// `barrier`: step `k` pairs with the ranks `2^k` away; no bytes.
     Dissemination,
-    /// `allgatherv`: every step sends right what the previous one
-    /// received from the left, starting with the rank's own block.
-    Ring { mine: Arc<[u8]> },
+    /// `allgatherv` (Bruck): the peers of [`RoundKind::Dissemination`];
+    /// step `k` sends the first min(2^k, p − 2^k) blocks the rank holds —
+    /// `mine`, then what steps `0..k` brought in, in step order.
+    Bruck { mine: Arc<[u8]> },
     /// `alltoallv`: step `s` sends `rank + s` its block and receives
     /// `rank - s`'s. `sends` holds the non-empty blocks, ascending by
     /// destination; `next` walks it (the steps ask for destinations
@@ -984,8 +1010,8 @@ pub(crate) struct Cursor {
     group: Option<Arc<Vec<usize>>>,
     kind: RoundKind,
     /// The messages with bytes in them received so far, `(step, bytes)`
-    /// in delivery order — which in a ring is step order, one sender
-    /// delivering them all.
+    /// in delivery order — not step order when a step has its own sender:
+    /// a later step's message can land before an earlier one's.
     pub received: Vec<(usize, Payload)>,
 }
 
@@ -1000,8 +1026,7 @@ impl Cursor {
     fn peers(&self, step: usize) -> (usize, usize) {
         let (r, p) = (self.rank, self.nprocs);
         let dist = match self.kind {
-            RoundKind::Dissemination => 1 << step,
-            RoundKind::Ring { .. } => 1,
+            RoundKind::Dissemination | RoundKind::Bruck { .. } => 1 << step,
             RoundKind::Pairwise { .. } => step,
         };
         // `dist < p`, so one conditional subtraction wraps.
@@ -1018,13 +1043,25 @@ impl Cursor {
     fn block_for(&mut self, step: usize, dst: usize) -> Option<Payload> {
         match &mut self.kind {
             RoundKind::Dissemination => None,
-            RoundKind::Ring { mine } => Some(Payload::Shared(match step {
-                0 => Arc::clone(mine),
-                _ => match &self.received[step - 1] {
-                    (at, Payload::Shared(block)) if *at == step - 1 => Arc::clone(block),
-                    _ => unreachable!("a ring receives its shared blocks in step order"),
-                },
-            })),
+            RoundKind::Bruck { mine } => {
+                let n = (1 << step).min(self.nprocs - (1 << step));
+                let mut blocks = Vec::with_capacity(n);
+                blocks.push(Arc::clone(mine));
+                // Steps `0..step` have been taken; `received` may also
+                // hold a later step's message, which is not held yet.
+                for k in 0..step {
+                    if blocks.len() == n {
+                        break;
+                    }
+                    let got = self.received.iter().find_map(|(at, m)| match m {
+                        Payload::Blocks(got) if *at == k => Some(got),
+                        _ => None,
+                    });
+                    let got = got.expect("a taken allgatherv step left its blocks");
+                    blocks.extend(got.iter().take(n - blocks.len()).cloned());
+                }
+                Some(Payload::Blocks(blocks))
+            }
             RoundKind::Pairwise { sends, next } => {
                 if *next == sends.len() {
                     *next = 0;
@@ -1162,7 +1199,7 @@ mod tests {
 
     #[test]
     fn shared_once_separates_keys_and_types_and_frees_with_the_last_holder() {
-        run(2, CostModel::free(), |r| {
+        let out = run(2, CostModel::free(), |r| {
             let a = r.shared_once(1, || 10u64);
             let b = r.shared_once(2, || 20u64);
             let c = r.shared_once(1, || String::from("same key, other type"));
@@ -1172,10 +1209,39 @@ mod tests {
             drop((a, b, c));
             r.barrier();
             assert_eq!(r.shared_live(), 0, "cells must not outlive their holders");
-            // A later ask recomputes (and may compute something new).
-            assert_eq!(*r.shared_once(1, || 11u64), 11);
             r.barrier();
+            // A later ask recomputes, once: whoever asks first lets go at
+            // once, and its value waits, pinned, for the other.
+            let v = *r.shared_once(1, || 11 + r.rank() as u64);
+            r.barrier();
+            assert_eq!(r.shared_live(), 0, "taken by both and let go");
+            v
         });
+        assert_eq!(out[0], out[1]);
+    }
+
+    #[test]
+    fn a_value_waits_for_every_member_of_the_asking_communicator() {
+        // Each rank takes the value and lets go of it before the next one
+        // runs. A weak cell alone would be dead at every ask (eight
+        // derivations); pinned until all eight have taken it, it is
+        // computed once and freed with the last taker.
+        let inits = AtomicUsize::new(0);
+        let init = || inits.fetch_add(1, Ordering::SeqCst);
+        run(8, CostModel::free(), |r| {
+            drop(r.shared_once(3, init));
+            r.barrier();
+            assert_eq!(r.shared_live(), 0, "taken by all eight and let go");
+            r.barrier();
+            // A sub-communicator's ask pins for its own members only.
+            if r.rank() % 3 == 0 {
+                let comm = r.subgroup(&[0, 3, 6]);
+                drop(comm.shared_once(4, init));
+                comm.barrier();
+                assert_eq!(r.shared_live(), 0, "taken by all three and let go");
+            }
+        });
+        assert_eq!(inits.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -1281,6 +1347,69 @@ mod tests {
                 assert_eq!(blk, &vec![i as u8; i + 1]);
             }
         }
+    }
+
+    #[test]
+    fn bruck_allgatherv_delivers_every_block_once_in_log_steps() {
+        // For p in 1..=70 — empty blocks, skewed sizes, skewed entry clocks
+        // (so a later step's message can land before an earlier one's),
+        // the whole world or a sub-communicator of it: every member ends
+        // with every block in rank order; the round sends ⌈log2 p⌉
+        // messages a member, p·⌈log2 p⌉ in all; and every member receives
+        // exactly total − own bytes, each other block once.
+        crate::prop::Runner::new("bruck_allgatherv").run(
+            |rng| {
+                let p = 1 + rng.next_below(70) as usize;
+                let shape = rng.next_below(3);
+                let sizes: Vec<usize> = (0..p)
+                    .map(|_| match shape {
+                        0 => 0,
+                        1 if rng.next_below(8) == 0 => 256 + rng.next_below(768) as usize,
+                        _ => rng.next_below(24) as usize,
+                    })
+                    .collect();
+                let skew: Vec<u64> = (0..p).map(|_| rng.next_below(4) * 40_000).collect();
+                let members: Vec<usize> = match rng.next_below(2) {
+                    0 => (0..p).collect(),
+                    _ => {
+                        let some: Vec<usize> = (0..p).filter(|_| rng.next_below(2) == 0).collect();
+                        if some.is_empty() { vec![p - 1] } else { some }
+                    }
+                };
+                (sizes, skew, members)
+            },
+            |(sizes, skew, members)| {
+                let (m, steps) = (members.len(), members.len().next_power_of_two().trailing_zeros() as u64);
+                let block = |g: usize| (0..sizes[g]).map(|i| (g * 31 + i) as u8).collect::<Vec<u8>>();
+                let total: usize = members.iter().map(|&g| sizes[g]).sum();
+                let out = run(sizes.len(), CostModel::default(), |r| {
+                    if !members.contains(&r.rank()) {
+                        return None;
+                    }
+                    let comm = r.subgroup(members);
+                    r.advance(skew[r.rank()]);
+                    let before = r.stats();
+                    let got = comm.allgatherv_shared(&block(r.rank()));
+                    let sent = (r.stats().msgs_sent - before.msgs_sent, r.stats().bytes_sent - before.bytes_sent);
+                    for (&g, b) in members.iter().zip(&got) {
+                        assert_eq!(b[..], block(g)[..], "rank {}: block of {g}", r.rank());
+                    }
+                    assert_eq!(got.len(), m);
+                    // The round again, for what its messages carried.
+                    r.advance(skew[r.rank()]);
+                    let mine = Arc::from(block(r.rank()));
+                    let msgs = comm.run_round(2, comm.log_steps(), RoundKind::Bruck { mine });
+                    assert_eq!(msgs.len() as u64, steps, "rank {}: one message a step", r.rank());
+                    let received: usize = msgs.iter().map(|(_, m)| m.len()).sum();
+                    assert_eq!(received, total - sizes[r.rank()], "rank {}: bytes received", r.rank());
+                    Some(sent)
+                });
+                let sent: Vec<(u64, u64)> = out.into_iter().flatten().collect();
+                assert!(sent.iter().all(|&(msgs, _)| msgs == steps), "{sent:?}");
+                assert_eq!(sent.iter().map(|s| s.0).sum::<u64>(), m as u64 * steps);
+                assert_eq!(sent.iter().map(|s| s.1).sum::<u64>(), ((m - 1) * total) as u64);
+            },
+        );
     }
 
     #[test]
@@ -1467,53 +1596,75 @@ mod tests {
         assert!(std::mem::size_of::<Option<Cursor>>() <= 136, "{}", std::mem::size_of::<Option<Cursor>>());
     }
 
+    /// A `p`-rank world whose rank `late` sits out 50 virtual ms on a
+    /// timer — late on the host, not only in virtual time — before it
+    /// enters `round`, which its peers run as far as they can without it.
+    /// Per rank: its ring census as it enters (the late rank's only), as
+    /// it leaves, and after a barrier.
+    fn late_entrant(p: usize, late: usize, round: impl Fn(&Rank) + Sync) -> Vec<[(usize, usize); 3]> {
+        run(p, CostModel::default(), |r| {
+            let mut entry = (0, 0);
+            if r.rank() == late {
+                assert_eq!(r.recv_timeout(late, 1, 50_000_000), None);
+                entry = r.seg().ring_census(late);
+            }
+            round(r);
+            let leave = r.seg().ring_census(r.global);
+            // Nobody is a round ahead of anybody after this.
+            r.barrier();
+            assert_eq!(r.seg().board_census(r.global).0, 0, "rank {}: board left open", r.rank());
+            [entry, leave, r.seg().ring_census(r.global)]
+        })
+    }
+
+    fn checked_alltoallv(r: &Rank) {
+        let got = r.alltoallv((0..r.nprocs()).map(|d| stamp(0, 0, r.rank(), d)).collect());
+        for (src, b) in got.iter().enumerate() {
+            assert_eq!(b, &stamp(0, 0, src, r.rank()));
+        }
+    }
+
     #[test]
     fn a_late_entrants_ring_grows_to_its_senders_lead_and_is_left_empty() {
-        // Rank 7 sits out 50 virtual ms on a timer — late on the host, not
-        // only in virtual time — while its peers run a ring allgatherv as
-        // far as they can without it: its left neighbour, which needs
-        // nothing of rank 7 but its own block, last, has sent it the whole
-        // round by the time it enters. It takes the 39 messages in one
-        // segment off a ring that grew to hold them; `end_round` finds it
-        // empty and vacates the header.
+        // Rank 7's peers run a pairwise alltoallv without it until each
+        // stalls on a step that needs one of its blocks, or on a sender
+        // that did first: eight of them have sent it theirs by then, past
+        // the first ring's eight slots. It takes them in one segment off
+        // a ring that grew, non-empty, to 16, steps the other 31 steps of
+        // the round round that ring, wrapping twice, and `end_round` finds
+        // it empty and vacates the header.
         let p = 40;
-        let out = run(p, CostModel::default(), |r| {
-            if r.rank() == 7 {
-                assert_eq!(r.recv_timeout(7, 1, 50_000_000), None);
-                assert_eq!(r.seg().ring_census(7), (64, p - 1), "steps 0..=38, rounded up");
-            }
+        let out = late_entrant(p, 7, checked_alltoallv);
+        assert_eq!(out[7][0], (16, 8), "the senders' lead, rounded up");
+        // What waits on a rank's rings as it leaves is the next round's:
+        // a 40-rank barrier's six messages at most.
+        assert!(out.iter().all(|o| o[1].1 <= 6 && o[2].1 == 0), "{out:?}");
+    }
+
+    #[test]
+    fn a_boards_length_is_its_senders_lead() {
+        // The bound on a board is the window bound — its senders' lead,
+        // at most the round (a fixed `nprocs`-slot array per *round* is
+        // what the window saves). A log-step round's is its ⌈log2 p⌉
+        // steps: at 512 ranks the late entrant of an allgatherv finds all
+        // nine waiting (16 slots) and everyone else stays at the first
+        // eight. A pairwise exchange's lead is where its peers stall on
+        // the late rank: 31 steps, and every board at 512 ranks holds 32
+        // slots — the late rank's and those it fills on the way through.
+        let allgatherv = |r: &Rank| {
             let got = r.allgatherv(&stamp(0, 1, r.rank(), 0));
             for (src, b) in got.iter().enumerate() {
                 assert_eq!(b, &stamp(0, 1, src, 0));
             }
-            let (_, landed) = r.seg().ring_census(r.global);
-            // Nobody is a round ahead of anybody after this.
-            r.barrier();
-            assert_eq!(r.seg().board_census(r.global).0, 0, "rank {}: board left open", r.rank());
-            landed
-        });
-        // What waits on a rank's rings as it leaves is the next round's:
-        // a 40-rank barrier's six messages at most.
-        assert!(out.iter().all(|&landed| landed <= 6), "{out:?}");
-    }
-
-    #[test]
-    fn a_ring_allgatherv_fills_the_boards_downstream_of_its_last_entrant() {
-        // The bound on a board is the window bound — its senders' lead,
-        // at most the round — and a ring allgatherv reaches it: whoever
-        // enters last finds the whole round waiting (see the test above),
-        // runs through it in one segment and so fills the board of its
-        // right neighbour, parked a few steps in, which then does the
-        // same to the next. (A fixed `nprocs`-slot array per *round* is
-        // what the window saves, not this.) 512 slots are 4 KiB a rank.
-        let out = run(512, CostModel::default(), |r| {
-            r.allgatherv(&[r.rank() as u8; 3]);
-            r.barrier();
-            r.seg().ring_census(r.global)
-        });
-        for (rank, &(slots, landed)) in out.iter().enumerate() {
-            assert!((256..=512).contains(&slots) && landed == 0, "rank {rank}: {slots} slots, {landed} landed");
+        };
+        let out = late_entrant(512, 100, allgatherv);
+        assert_eq!(out[100][0], (16, 9));
+        for (rank, o) in out.iter().enumerate() {
+            assert_eq!(o[2], (if rank == 100 { 16 } else { 8 }, 0), "rank {rank}");
         }
+        let out = late_entrant(512, 100, checked_alltoallv);
+        assert_eq!(out[100][0], (32, 31));
+        assert!(out.iter().all(|o| o[2] == (32, 0)), "{out:?}");
     }
 
     #[test]

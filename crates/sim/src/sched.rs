@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn deadlock_report_keeps_the_parked_fiber_text() {
-        // Three ranks asleep in a ring that the fourth never joins.
+        // Three ranks asleep in an allgatherv that the fourth never joins.
         let got = std::panic::catch_unwind(|| {
             run(4, CostModel::default(), |r| {
                 if r.rank() == 3 {
@@ -717,14 +717,17 @@ mod tests {
             })
         });
         let err = got.expect_err("deadlocked world must panic");
-        // The text of commit 6c2ce6c, where a rank parked in a round
-        // stood on its own fiber stack.
+        // The format of commit 6c2ce6c, where a rank parked in a round
+        // stood on its own fiber stack, for the log-step round: rank 0
+        // waits at step 0 for rank 3; rank 1 has its step-0 message and
+        // waits at step 1 for rank 3 (two back); rank 2 waits at step 1
+        // for rank 0, which never got as far as sending it.
         assert_eq!(
             err.downcast_ref::<String>().expect("panic carries a String"),
             "flexio-sim event loop deadlock: 4 of 4 ranks parked with no message in flight: \
              rank 0 (clock 4000 ns) <- recv(src=3, collective #0 allgatherv step 0); \
-             rank 1 (clock 72010 ns) <- recv(src=0, collective #0 allgatherv step 1); \
-             rank 2 (clock 140020 ns) <- recv(src=1, collective #0 allgatherv step 2); \
+             rank 1 (clock 72010 ns) <- recv(src=3, collective #0 allgatherv step 1); \
+             rank 2 (clock 72010 ns) <- recv(src=0, collective #0 allgatherv step 1); \
              rank 3 (clock 0 ns) <- recv(src=3, tag=9)"
         );
     }

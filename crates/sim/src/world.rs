@@ -39,43 +39,31 @@ impl Backend {
     }
 }
 
-/// A message's bytes. Point-to-point and all-to-all traffic owns its
-/// buffer; an allgather block is one allocation shared by every rank it
-/// passes through, so a ring hop costs a reference count, not a copy.
+/// The bytes of a dense round's message. An `alltoallv` step owns its
+/// buffer; an `allgatherv` step carries several ranks' blocks, each one
+/// allocation shared by every rank it passes through, so forwarding a
+/// block costs a reference count, not a copy.
 #[derive(Debug)]
 pub(crate) enum Payload {
     Owned(Vec<u8>),
-    Shared(Arc<[u8]>),
+    Blocks(Vec<Arc<[u8]>>),
 }
 
 impl Payload {
+    /// The bytes the message is charged for.
     pub fn len(&self) -> usize {
         match self {
             Payload::Owned(v) => v.len(),
-            Payload::Shared(a) => a.len(),
-        }
-    }
-
-    pub fn into_vec(self) -> Vec<u8> {
-        match self {
-            Payload::Owned(v) => v,
-            Payload::Shared(a) => a.to_vec(),
-        }
-    }
-
-    pub fn into_shared(self) -> Arc<[u8]> {
-        match self {
-            Payload::Owned(v) => v.into(),
-            Payload::Shared(a) => a,
+            Payload::Blocks(blocks) => blocks.iter().map(|b| b.len()).sum(),
         }
     }
 }
 
-/// A message in flight: payload plus the virtual time it becomes available
-/// at the receiver.
+/// A tag-addressed message in flight: its bytes plus the virtual time it
+/// becomes available at the receiver.
 #[derive(Debug)]
 pub(crate) struct Msg {
-    pub data: Payload,
+    pub data: Vec<u8>,
     pub avail_at: u64,
 }
 
@@ -169,11 +157,10 @@ const NOT_PARKED: u32 = u32::MAX;
 /// kept beside the ring) and reaches as far as the furthest step a peer
 /// has delivered: the ring doubles when a sender's lead outgrows it and
 /// never shrinks, so a board is as long as its senders have ever run
-/// ahead of its owner — 8–32 slots in a pairwise exchange entered
-/// together, the whole round in a ring allgather (whose last entrant
-/// runs it in one segment and fills its neighbour's board), up to
-/// `nprocs` either way — not as long as the round times the rounds in
-/// flight.
+/// ahead of its owner — at most ⌈log2 nprocs⌉ steps in a barrier or an
+/// allgather, 8–32 slots in a pairwise exchange entered together, more
+/// for a rank that enters one late (32 at 512 ranks), never more than
+/// `nprocs` — not as long as the round times the rounds in flight.
 #[derive(Default)]
 struct Ring(Box<[u64]>);
 
@@ -370,10 +357,19 @@ struct RunnerCell<T>(UnsafeCell<T>);
 // `Arc<World>` cannot obtain a token for it.
 unsafe impl<T: Send> Sync for RunnerCell<T> {}
 
-/// The world's "compute once, share" cells (see
-/// [`crate::rank::Rank::shared_once`]): weak references, so a value dies
-/// with its last user and the map never keeps one alive.
-type SharedCells = HashMap<(TypeId, u64), Weak<dyn Any + Send + Sync>>;
+/// One of the world's "compute once, share" cells (see
+/// [`crate::rank::Rank::shared_once`]).
+struct SharedCell {
+    value: Weak<dyn Any + Send + Sync>,
+    /// The value, held by the world until `takers` more asks have taken
+    /// it — the members of the asking communicator that have not yet —
+    /// so that no member recomputes it because the others let go first.
+    /// After that the cell is weak: the value dies with its last user.
+    pin: Option<Arc<dyn Any + Send + Sync>>,
+    takers: usize,
+}
+
+type SharedCells = HashMap<(TypeId, u64), SharedCell>;
 
 /// The shared state of a simulated MPI world.
 pub struct World {
@@ -483,30 +479,44 @@ impl<'w> Segment<'w> {
         World::runner_owned(self, |w| &w.cursors[rank])
     }
 
-    /// The live value of cell `(T, key)`, computing it with `init` when no
-    /// rank of this world currently holds one.
+    /// The live value of cell `(T, key)`, computing it with `init` when
+    /// the cell holds none; pinned for `takers` asks in all, this one
+    /// included.
     ///
     /// The map is not borrowed across `init` (which may itself ask for a
     /// cell): ranks are fibers dispatched one at a time and `init` must
     /// not communicate, so no second rank can run between the miss and
     /// the insert.
-    pub(crate) fn shared_once<T: Any + Send + Sync>(self, key: u64, init: impl FnOnce() -> T) -> Arc<T> {
+    pub(crate) fn shared_once<T: Any + Send + Sync>(
+        self,
+        key: u64,
+        takers: usize,
+        init: impl FnOnce() -> T,
+    ) -> Arc<T> {
         let id = (TypeId::of::<T>(), key);
-        let live = World::runner_owned(self, |w| &w.shared).get(&id).and_then(Weak::upgrade);
-        if let Some(v) = live {
-            return v.downcast::<T>().expect("cell is keyed by its type");
+        if let Some(cell) = World::runner_owned(self, |w| &w.shared).get_mut(&id) {
+            if let Some(v) = cell.value.upgrade() {
+                cell.takers = cell.takers.saturating_sub(1);
+                if cell.takers == 0 {
+                    cell.pin = None;
+                }
+                return v.downcast::<T>().expect("cell is keyed by its type");
+            }
         }
         let v = Arc::new(init());
         let cells = World::runner_owned(self, |w| &w.shared);
-        cells.retain(|_, w| w.strong_count() > 0);
-        let weak: Weak<T> = Arc::downgrade(&v);
-        cells.insert(id, weak);
+        cells.retain(|_, c| c.value.strong_count() > 0);
+        let takers = takers.saturating_sub(1);
+        let pin = (takers > 0).then(|| Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
+        let value: Weak<T> = Arc::downgrade(&v);
+        cells.insert(id, SharedCell { value, pin, takers });
         v
     }
 
-    /// Number of shared cells some rank still holds.
+    /// Number of shared cells whose value is alive: held by some rank, or
+    /// pinned for a member that has not taken it yet.
     pub(crate) fn shared_live(self) -> usize {
-        World::runner_owned(self, |w| &w.shared).values().filter(|w| w.strong_count() > 0).count()
+        World::runner_owned(self, |w| &w.shared).values().filter(|c| c.value.strong_count() > 0).count()
     }
 
     /// Whether `rank` has crash-stopped.
@@ -748,7 +758,21 @@ where
         "the flexio-sim rank runtime requires x86_64 stackful fibers \
          (the thread-per-rank fallback was retired)"
     );
-    crate::sched::run_event_loop_partial(world, f)
+    let out = crate::sched::run_event_loop_partial(world, f);
+    // The world is gone — stacks, boards, shared cells — and with it most
+    // of what the heap grew for: hand the free pages back to the system,
+    // or the next world's allocation pattern decides how much of them
+    // stays resident.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's `malloc_trim` takes no pointer and may be called
+        // at any time; 0 keeps no pad at the top of the heap.
+        unsafe { malloc_trim(0) };
+    }
+    out
 }
 
 /// Run `f` on every rank of a fresh world and return the per-rank results

@@ -8,8 +8,9 @@
 #
 #   sh scripts/regen_results.sh                  write the default-scale files (~20 s)
 #   sh scripts/regen_results.sh --paper          and the --paper files (~8 min)
-#   sh scripts/regen_results.sh --check          write nothing: fail unless every
-#   sh scripts/regen_results.sh --check --paper  file is exactly what this tree prints
+#   sh scripts/regen_results.sh --check          write nothing: diff every file, then
+#   sh scripts/regen_results.sh --check --paper  fail listing each one that is not
+#                                                exactly what this tree prints
 #                                                (scripts/verify.sh and CI run these)
 #
 # Only a release build is run, and a file is replaced only by the complete
@@ -41,6 +42,7 @@ tmp="target/regen_results.$$"
 trap 'rm -f "$tmp"' EXIT
 
 cargo build -q --release --offline -p flexio-bench
+mismatched=""
 for exp in $(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }'); do
   for scale in $SCALES; do
     out="results/${exp}_$scale.txt"
@@ -55,8 +57,7 @@ for exp in $(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }'); do
     elif [ "$CHECK" = 1 ]; then
       echo "MISMATCH  $out is not what \`bench $exp${flag:+ $flag}\` prints:" >&2
       diff -I '^#@' "$out" "$tmp" >&2 || true
-      echo "(if the rows moved on purpose: sh scripts/regen_results.sh${flag:+ $flag}, and say why in EXPERIMENTS)" >&2
-      exit 1
+      mismatched="$mismatched $out"
     else
       {
         echo "#@ stdout of \`bench $exp${flag:+ $flag}\` (flexio-bench, release)"
@@ -67,3 +68,12 @@ for exp in $(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }'); do
     fi
   done
 done
+
+if [ -n "$mismatched" ]; then
+  echo "$(echo $mismatched | wc -w) file(s) do not match what this tree prints:" >&2
+  for out in $mismatched; do
+    echo "  $out" >&2
+  done
+  echo "(if the rows moved on purpose: sh scripts/regen_results.sh [--paper], and say why in EXPERIMENTS)" >&2
+  exit 1
+fi

@@ -28,9 +28,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # The root manifest's `default-members` is the whole workspace, so this is
 # every member's unit tests as well as the root package's integration
 # suites (and `cargo build` above built the `bench` binary the golden-rows
-# leg below runs).
-echo "== cargo test -q --release --offline =="
-cargo test -q --release --offline
+# leg below runs). `--no-fail-fast`: one red run names every failing test
+# binary, not only the first.
+echo "== cargo test -q --release --offline --no-fail-fast =="
+cargo test -q --release --offline --no-fail-fast
 
 # `cargo test` stops at 512 ranks so that it stays seconds in a debug
 # build too; every change still drives one 4096-rank world (release

@@ -19,8 +19,15 @@
 //! engine lock a persistent realm's chunks *ahead* (DESIGN "Lock requests:
 //! ordinary and ahead") — 23/27 grants and 10/12 revocations became 13 and
 //! 0, and with them the flushes, refills and clocks; their image hash did
-//! not move. The other fourteen blocks (every ROMIO block, and every shape
-//! without locks or without persistent realms) are 98c15ec's lines still.
+//! not move.
+//!
+//! Then all sixteen were regenerated once more, on purpose, when the
+//! `allgatherv` became Bruck's log-step round (DESIGN "Virtual-time
+//! model"): every block's clocks and message counts moved, and in twelve
+//! the file system's counters too — arrival order at the OSTs and the lock
+//! manager (seeks, ordinary grants and revocations, which request draws a
+//! fault). No image hash moved: the round changed when bytes arrive, never
+//! which.
 //!
 //! Regenerate only when a change is *meant* to move virtual time.
 

@@ -216,20 +216,25 @@ fn assert_charges(got: &[(u64, Stats)], want: &[ChargeRow], label: &str) {
 /// number for number. Harvested, like the table below, on cc3b7af, the
 /// last commit with a packed staging path, in a scratch clone whose only
 /// edit switched these tests from that path to the default one: the run
-/// path's charges as that commit computed them, not this tree's.
+/// path's charges as that commit computed them, not this tree's — except
+/// for one deliberate move since. The `allgatherv` became Bruck's log-step
+/// round: at four ranks two steps instead of a ring's three hops, so each
+/// of ROMIO's six allgathers here sends one message fewer a rank (57 → 51,
+/// 53 → 47, 49 → 43; bytes unchanged) and every clock and Comm bucket is
+/// 408 000 ns lower; Compute, Io and pairs did not move.
 const ROMIO_SERIAL_1AGG: [ChargeRow; 4] = [
-    (4_656_248, [36_960, 2_646_464, 1_972_824], 0, 292, 3_840, 57, 3_360),
-    (4_660_248, [12_000, 4_648_248, 0], 0, 100, 0, 49, 3_104),
-    (4_664_248, [12_000, 4_652_248, 0], 0, 100, 0, 49, 3_104),
-    (4_600_248, [12_000, 4_588_248, 0], 0, 100, 0, 49, 3_104),
+    (4_248_248, [36_960, 2_238_464, 1_972_824], 0, 292, 3_840, 51, 3_360),
+    (4_252_248, [12_000, 4_240_248, 0], 0, 100, 0, 43, 3_104),
+    (4_256_248, [12_000, 4_244_248, 0], 0, 100, 0, 43, 3_104),
+    (4_192_248, [12_000, 4_180_248, 0], 0, 100, 0, 43, 3_104),
 ];
 
 /// Same, with two aggregators (ranks 0 and 2).
 const ROMIO_SERIAL_2AGG: [ChargeRow; 4] = [
-    (4_147_340, [24_480, 3_136_448, 986_412], 0, 196, 1_920, 53, 3_232),
-    (4_147_340, [12_000, 4_135_340, 0], 0, 100, 0, 49, 3_104),
-    (4_155_276, [24_480, 3_144_384, 986_412], 0, 196, 1_920, 53, 3_232),
-    (4_143_340, [12_000, 4_131_340, 0], 0, 100, 0, 49, 3_104),
+    (3_739_340, [24_480, 2_728_448, 986_412], 0, 196, 1_920, 47, 3_232),
+    (3_739_340, [12_000, 3_727_340, 0], 0, 100, 0, 43, 3_104),
+    (3_747_276, [24_480, 2_736_384, 986_412], 0, 196, 1_920, 47, 3_232),
+    (3_735_340, [12_000, 3_723_340, 0], 0, 100, 0, 43, 3_104),
 ];
 
 #[test]

@@ -9,7 +9,12 @@
 //! digest of its full [`Stats`], plus a hash of the file image. A charge
 //! that moved between ranks, calls or buffer cycles shifts a send and
 //! with it some rank's clock, so equality here is the "bit-identical
-//! virtual time" contract of the shared derivation.
+//! virtual time" contract of the shared derivation. It was regenerated
+//! once on purpose since, when the `allgatherv` became Bruck's log-step
+//! round: clocks, message counts and `Stats` digests moved everywhere, and
+//! pairs per call in the straggler and crash scenarios, where timing
+//! decides when realms are rebalanced and where the replay starts. No
+//! image hash moved.
 //!
 //! Regenerate only when a change is *meant* to move virtual time.
 

@@ -54,6 +54,14 @@
 //! column rounds of an 8 × 8 grid alternating, a straggler holding its
 //! row in one round while the columns deliver the next).
 //!
+//! The whole file was regenerated once on purpose, when the `allgatherv`
+//! became Bruck's log-step round: every `allgatherv` and `barrier` section
+//! from three ranks up and every mixed section moved (each runs an
+//! `allgatherv` before its later records), while the 32 `alltoallv`
+//! sections of the per-size worlds and the one- and two-rank
+//! `allgatherv`/`barrier` sections came out byte-identical to the
+//! harvests above.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::sim::{run, run_crashable, CostModel, Rank};
