@@ -45,7 +45,7 @@ pub fn retry_io(
                     .saturating_mul(1000)
                     .saturating_mul(1u64 << attempt.min(32));
                 t = e.at.saturating_add(backoff);
-                rank.note_io_retry();
+                rank.tally(|s| s.io_retries += 1);
                 attempt += 1;
             }
         }

@@ -97,7 +97,7 @@ pub fn run(
     let key = schedule_key(&wires, hints, nprocs);
     let hit = hints.schedule_cache && sched_cache.as_ref().is_some_and(|s| s.key == key);
     if hints.schedule_cache {
-        rank.note_schedule_cache(hit);
+        rank.tally(|s| if hit { s.schedule_cache_hits += 1 } else { s.schedule_cache_misses += 1 });
     }
     let derived: Option<ExchangeSchedule> = if hit {
         rank.charge_pairs(schedule::PROBE_PAIRS);
@@ -196,13 +196,13 @@ pub fn run(
                 pfr_state.as_deref().and_then(|set| rebalance_realms(&set.realms, v, hints))
             {
                 *pfr_state = Some(Arc::new(RealmSet::new(new_realms)));
-                rank.note_realms_rebalanced();
+                rank.tally(|s| s.realms_rebalanced += 1);
                 if hints.schedule_cache && sched_cache.is_some() {
                     let patched = ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state);
                     let cycle_pairs: u64 = patched.cycles().map(|c| c.pairs()).sum();
                     rank.charge_pairs(cycle_pairs);
                     *sched_cache = Some(patched);
-                    rank.note_schedule_cache_patch();
+                    rank.tally(|s| s.schedule_cache_patches += 1);
                 } else {
                     *sched_cache = None;
                 }
@@ -569,7 +569,7 @@ fn issue_write(
             // is a copy of the model's; the host hands the runs down as
             // they are.
             rank.charge_memcpy(glen);
-            rank.note_bytes_copied(glen);
+            rank.tally(|s| s.bytes_copied += glen);
         }
         // Hand the received payloads' sub-slices to the scatter-gather
         // write as-is. A sieved group's chunk is widened to the whole
@@ -718,7 +718,7 @@ fn issue_read(
             // payloads — the one modelled copy on reads. One span-wide
             // chunk per group, as on the write side.
             rank.charge_memcpy(glen);
-            rank.note_bytes_copied(glen);
+            rank.tally(|s| s.bytes_copied += glen);
             span_wide_sieve(&group)
         } else {
             hints.io_method

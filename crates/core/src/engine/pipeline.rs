@@ -317,10 +317,11 @@ pub(crate) fn drive_write<D: CycleDriver>(
                 // charged Compute time; nothing is hidden, so
                 // overlap_saved_ns stays 0.
                 rank.overlap_complete(rank.overlap_begin(io.done_at(), Phase::Io));
-                rank.note_pipeline_depth(1);
+                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(1));
             } else {
                 inflight.push_back((rank.overlap_begin(io.done_at(), Phase::Io), handle.nb_issued()));
-                rank.note_pipeline_depth(inflight.len() as u64 + 1);
+                let depth = inflight.len() as u64 + 1;
+                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(depth));
                 ewma_io = Some(ewma(ewma_io, io.duration()));
                 ewma_exch = Some(ewma(ewma_exch, exch_ns));
                 cap = policy.adapt(ewma_io.unwrap_or(0), ewma_exch.unwrap_or(0));
@@ -328,7 +329,7 @@ pub(crate) fn drive_write<D: CycleDriver>(
         }
         if watching {
             if let Some(v) = detector.observe(rank, watch.expect("watching implies ranks"), cycle_io_ns) {
-                rank.note_degraded_cycle();
+                rank.tally(|s| s.degraded_cycles += 1);
                 outcome.straggler = Some(v);
             }
         }
@@ -399,7 +400,7 @@ pub(crate) fn drive_read<D: CycleDriver>(
                     outcome.err = outcome.err.or(io.error());
                     cycle_io_ns += io.duration();
                     rank.overlap_complete(rank.overlap_begin(io.done_at(), Phase::Io));
-                    rank.note_pipeline_depth(1);
+                    rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(1));
                     Some(stage.expect("read issue returns a stage"))
                 }
                 None => None,
@@ -426,7 +427,8 @@ pub(crate) fn drive_read<D: CycleDriver>(
                     stage.expect("read issue returns a stage"),
                     handle.nb_issued(),
                 ));
-                rank.note_pipeline_depth(q.len() as u64 + 1);
+                let depth = q.len() as u64 + 1;
+                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(depth));
                 ewma_io = Some(ewma(ewma_io, io.duration()));
                 ewma_exch = Some(ewma(ewma_exch, exch_ns));
                 cap = policy.adapt(ewma_io.unwrap_or(0), ewma_exch.unwrap_or(0));
@@ -435,7 +437,7 @@ pub(crate) fn drive_read<D: CycleDriver>(
         }
         if watching {
             if let Some(v) = detector.observe(rank, watch.expect("watching implies ranks"), cycle_io_ns) {
-                rank.note_degraded_cycle();
+                rank.tally(|s| s.degraded_cycles += 1);
                 outcome.straggler = Some(v);
             }
         }

@@ -189,8 +189,10 @@ pub fn run(
                 if !hints.crash_recovery {
                     return Err(IoError::RanksFailed(dead_world));
                 }
-                comm.note_ranks_recovered(dead_world.len() as u64);
-                comm.note_realms_rebalanced();
+                comm.tally(|s| {
+                    s.ranks_recovered += dead_world.len() as u64;
+                    s.realms_rebalanced += 1;
+                });
                 *pfr_state = None;
                 *sched_cache = None;
                 members.retain(|m| !dead_world.contains(m));

@@ -101,7 +101,7 @@ impl<'r> MpiFile<'r> {
     /// Any view change drops the cached exchange schedule.
     pub fn set_view(&mut self, disp: u64, etype: &Datatype, filetype: &Datatype) -> Result<()> {
         let (flat, hit) = flatten_shared(filetype);
-        self.rank.note_flatten_cache(hit);
+        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
         self.rank.charge_pairs(if hit { 1 } else { flat.segs.len() as u64 });
         self.view = FileView::new(disp, flat, etype.size())?;
         *self.sched_cache.borrow_mut() = None;
@@ -119,7 +119,7 @@ impl<'r> MpiFile<'r> {
 
     fn mem_layout(&self, buf_len: usize, memtype: &Datatype, count: u64) -> Result<MemLayout> {
         let (flat, hit) = flatten_shared(memtype);
-        self.rank.note_flatten_cache(hit);
+        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
         let mem = MemLayout::new(flat, count);
         let needed = mem.span();
         if needed > buf_len as u64 {

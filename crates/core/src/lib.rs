@@ -29,7 +29,6 @@ pub mod file;
 pub mod hints;
 pub mod info;
 pub mod meta;
-pub mod profile;
 pub mod realm;
 
 pub use error::{IoError, Result};
@@ -37,7 +36,6 @@ pub use file::MpiFile;
 pub use hints::{aggregator_ranks, Engine, ExchangeMode, Hints, PipelineDepth};
 pub use info::hints_from_info;
 pub use meta::ClientAccess;
-pub use profile::Profile;
 pub use realm::{
     AssignCtx, BalancedLoad, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet,
 };

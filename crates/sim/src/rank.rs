@@ -58,8 +58,10 @@ pub enum Phase {
     Io,
 }
 
-/// Per-rank counters, owned by the rank itself (no sharing).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// Per-rank counters, owned by the rank itself (no sharing). This struct
+/// is the store: a rank keeps one in its state and every charge writes it
+/// through [`Rank::tally`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Stats {
     /// Messages sent (point-to-point, including collective internals).
     pub msgs_sent: u64,
@@ -73,9 +75,9 @@ pub struct Stats {
     /// staging buffer on the data path: a sieve-resolved group's copy
     /// into (or out of) its sieve buffer, and the ROMIO engine's
     /// placement into its integrated sieve buffer — the data path hands
-    /// runs down everywhere else and copies nothing. Recorded via
-    /// [`Rank::note_bytes_copied`] — a pure ledger, no virtual time, and
-    /// never more than [`Stats::memcpy_bytes`], which also counts
+    /// runs down everywhere else and copies nothing. A pure ledger, no
+    /// virtual time (the copy is charged with [`Rank::charge_memcpy`]),
+    /// and never more than [`Stats::memcpy_bytes`], which also counts
     /// transport self-delivery and independent I/O's pack.
     pub bytes_copied: u64,
     /// Virtual ns attributed to compute / comm / io phases.
@@ -103,11 +105,11 @@ pub struct Stats {
     /// savings can be attributed independently.
     pub derive_overlap_saved_ns: u64,
     /// High-water mark of buffer cycles concurrently active in the
-    /// collective engine's pipeline (1 = strictly serial). Recorded via
-    /// [`Rank::note_pipeline_depth`]; a watermark, not an accumulator.
+    /// collective engine's pipeline (1 = strictly serial); a watermark,
+    /// not an accumulator.
     pub pipeline_depth_used: u64,
     /// File-system requests this rank re-issued after a transient fault
-    /// (collective-engine retry loops; [`Rank::note_io_retry`]).
+    /// (collective-engine retry loops).
     pub io_retries: u64,
     /// Buffer cycles during which the engine observed a straggling
     /// aggregator (EWMA service time ≥ 2× the others' average).
@@ -116,49 +118,19 @@ pub struct Stats {
     /// from a straggling aggregator for subsequent collective calls.
     pub realms_rebalanced: u64,
     /// Crash-stopped peers this rank agreed dead and recovered past
-    /// (collective membership shrink + replay; [`Rank::note_ranks_recovered`]).
+    /// (collective membership shrink + replay).
     pub ranks_recovered: u64,
 }
 
-impl Stats {
-    /// [`Stats::overlap_saved_ns`] in microseconds — the virtual time the
-    /// engine's exchange/I-O pipelining saved versus running the same
-    /// operations back to back.
-    pub fn overlap_saved_us(&self) -> u64 {
-        self.overlap_saved_ns / 1_000
-    }
-}
-
-/// One physical rank's clock, collective sequence number and counters
-/// (every field of [`Stats`]), in one allocation that all of the rank's
-/// communicator handles share. Plain `Cell`s: a charge is a handful of
-/// loads and stores with no borrow flag to test.
+/// One physical rank's clock, collective sequence number and counters, in
+/// one allocation that all of the rank's communicator handles share.
+/// Plain `Cell`s: a charge is a handful of loads and stores with no
+/// borrow flag to test.
 #[derive(Default)]
 struct RankState {
     clock: Cell<u64>,
     seq: Cell<u64>,
-    msgs_sent: Cell<u64>,
-    bytes_sent: Cell<u64>,
-    pairs_processed: Cell<u64>,
-    memcpy_bytes: Cell<u64>,
-    bytes_copied: Cell<u64>,
-    phase_ns: [Cell<u64>; 3],
-    schedule_cache_hits: Cell<u64>,
-    schedule_cache_misses: Cell<u64>,
-    schedule_cache_patches: Cell<u64>,
-    flatten_cache_hits: Cell<u64>,
-    flatten_cache_misses: Cell<u64>,
-    overlap_saved_ns: Cell<u64>,
-    derive_overlap_saved_ns: Cell<u64>,
-    pipeline_depth_used: Cell<u64>,
-    io_retries: Cell<u64>,
-    degraded_cycles: Cell<u64>,
-    realms_rebalanced: Cell<u64>,
-    ranks_recovered: Cell<u64>,
-}
-
-fn add(c: &Cell<u64>, n: u64) {
-    c.set(c.get() + n);
+    stats: Cell<Stats>,
 }
 
 /// A handle to one simulated MPI rank — either the world communicator or
@@ -310,7 +282,7 @@ impl Rank {
 
     /// Advance the virtual clock by `ns`.
     pub fn advance(&self, ns: u64) {
-        add(&self.state.clock, ns);
+        self.state.clock.set(self.state.clock.get() + ns);
     }
 
     /// Move the clock forward to `t` if `t` is later.
@@ -324,41 +296,36 @@ impl Rank {
     pub fn charge_pairs(&self, n: u64) {
         let ns = self.cost().pairs_ns(n);
         self.advance(ns);
-        add(&self.state.pairs_processed, n);
-        self.note_phase(Phase::Compute, ns);
+        self.tally(|s| {
+            s.pairs_processed += n;
+            s.phase_ns[Phase::Compute as usize] += ns;
+        });
     }
 
     /// Charge a local buffer copy of `bytes` (Compute phase).
     pub fn charge_memcpy(&self, bytes: u64) {
         let ns = self.cost().memcpy_ns(bytes);
         self.advance(ns);
-        add(&self.state.memcpy_bytes, bytes);
-        self.note_phase(Phase::Compute, ns);
+        self.tally(|s| {
+            s.memcpy_bytes += bytes;
+            s.phase_ns[Phase::Compute as usize] += ns;
+        });
     }
 
     /// Attribute `ns` of already-elapsed virtual time to a phase.
     pub fn note_phase(&self, phase: Phase, ns: u64) {
-        add(&self.state.phase_ns[phase as usize], ns);
+        self.tally(|s| s.phase_ns[phase as usize] += ns);
     }
 
-    /// Record `bytes` moved through an intermediate staging buffer on the
-    /// collective data path ([`Stats::bytes_copied`]). A ledger entry
-    /// only: callers charge the copy's virtual time separately, with
-    /// [`Rank::charge_memcpy`].
-    pub fn note_bytes_copied(&self, bytes: u64) {
-        add(&self.state.bytes_copied, bytes);
-    }
-
-    /// Record an in-place patch of the cached exchange schedule after a
-    /// realm rebalance ([`Stats::schedule_cache_patches`]).
-    pub fn note_schedule_cache_patch(&self) {
-        add(&self.state.schedule_cache_patches, 1);
-    }
-
-    /// Record an exchange-schedule cache probe outcome.
-    pub fn note_schedule_cache(&self, hit: bool) {
-        let s = &self.state;
-        add(if hit { &s.schedule_cache_hits } else { &s.schedule_cache_misses }, 1);
+    /// Update this rank's counters: `f` gets the current [`Stats`] to
+    /// change in place — the one write path to them, for this crate's
+    /// charges and for the layers above alike (`rank.tally(|s|
+    /// s.io_retries += 1)`). No virtual time moves here; a counter that
+    /// stands for work is charged separately.
+    pub fn tally(&self, f: impl FnOnce(&mut Stats)) {
+        let mut s = self.state.stats.get();
+        f(&mut s);
+        self.state.stats.set(s);
     }
 
     /// Open an overlapped window for an operation issued at the current
@@ -380,7 +347,7 @@ impl Rank {
     /// [`Stats::overlap_saved_ns`].
     pub fn overlap_complete(&self, w: OverlapWindow) -> u64 {
         let hidden = self.finish_window(w);
-        add(&self.state.overlap_saved_ns, hidden);
+        self.tally(|s| s.overlap_saved_ns += hidden);
         hidden
     }
 
@@ -403,7 +370,7 @@ impl Rank {
     /// compute time is pending until [`Rank::overlap_complete_derive`],
     /// so exchange or I/O performed in between hides it.
     pub fn charge_pairs_overlapped(&self, n: u64) -> OverlapWindow {
-        add(&self.state.pairs_processed, n);
+        self.tally(|s| s.pairs_processed += n);
         OverlapWindow { issued_at: self.now(), done_at: self.now() + self.cost().pairs_ns(n), phase: Phase::Compute }
     }
 
@@ -412,66 +379,13 @@ impl Rank {
     /// hidden ns accumulate in [`Stats::derive_overlap_saved_ns`].
     pub fn overlap_complete_derive(&self, w: OverlapWindow) -> u64 {
         let hidden = self.finish_window(w);
-        add(&self.state.derive_overlap_saved_ns, hidden);
+        self.tally(|s| s.derive_overlap_saved_ns += hidden);
         hidden
-    }
-
-    /// Record that `depth` buffer cycles were concurrently active in the
-    /// engine's pipeline; keeps the per-rank high-water mark.
-    pub fn note_pipeline_depth(&self, depth: u64) {
-        let used = &self.state.pipeline_depth_used;
-        used.set(used.get().max(depth));
-    }
-
-    /// Record one retried file-system request.
-    pub fn note_io_retry(&self) {
-        add(&self.state.io_retries, 1);
-    }
-
-    /// Record a buffer cycle run while an aggregator straggled.
-    pub fn note_degraded_cycle(&self) {
-        add(&self.state.degraded_cycles, 1);
-    }
-
-    /// Record a persistent-file-realm rebalance away from a straggler.
-    pub fn note_realms_rebalanced(&self) {
-        add(&self.state.realms_rebalanced, 1);
-    }
-
-    /// Record `n` crash-stopped peers agreed dead and recovered past.
-    pub fn note_ranks_recovered(&self, n: u64) {
-        add(&self.state.ranks_recovered, n);
-    }
-
-    /// Record a flatten-cache probe outcome.
-    pub fn note_flatten_cache(&self, hit: bool) {
-        let s = &self.state;
-        add(if hit { &s.flatten_cache_hits } else { &s.flatten_cache_misses }, 1);
     }
 
     /// Snapshot of this rank's counters.
     pub fn stats(&self) -> Stats {
-        let s = &self.state;
-        Stats {
-            msgs_sent: s.msgs_sent.get(),
-            bytes_sent: s.bytes_sent.get(),
-            pairs_processed: s.pairs_processed.get(),
-            memcpy_bytes: s.memcpy_bytes.get(),
-            bytes_copied: s.bytes_copied.get(),
-            phase_ns: [s.phase_ns[0].get(), s.phase_ns[1].get(), s.phase_ns[2].get()],
-            schedule_cache_hits: s.schedule_cache_hits.get(),
-            schedule_cache_misses: s.schedule_cache_misses.get(),
-            schedule_cache_patches: s.schedule_cache_patches.get(),
-            flatten_cache_hits: s.flatten_cache_hits.get(),
-            flatten_cache_misses: s.flatten_cache_misses.get(),
-            overlap_saved_ns: s.overlap_saved_ns.get(),
-            derive_overlap_saved_ns: s.derive_overlap_saved_ns.get(),
-            pipeline_depth_used: s.pipeline_depth_used.get(),
-            io_retries: s.io_retries.get(),
-            degraded_cycles: s.degraded_cycles.get(),
-            realms_rebalanced: s.realms_rebalanced.get(),
-            ranks_recovered: s.ranks_recovered.get(),
-        }
+        self.state.stats.get()
     }
 
     // ----- world-shared values ---------------------------------------------
@@ -521,9 +435,11 @@ impl Rank {
     fn charge_send(&self, len: usize) -> u64 {
         let c = self.cost();
         self.advance(c.send_overhead_ns);
-        add(&self.state.msgs_sent, 1);
-        add(&self.state.bytes_sent, len as u64);
-        self.note_phase(Phase::Comm, c.send_overhead_ns);
+        self.tally(|s| {
+            s.msgs_sent += 1;
+            s.bytes_sent += len as u64;
+            s.phase_ns[Phase::Comm as usize] += c.send_overhead_ns;
+        });
         self.now() + c.msg_ns(len)
     }
 
@@ -611,7 +527,7 @@ impl Rank {
     }
 
     fn finish_coll(&self) {
-        add(&self.state.seq, 1);
+        self.state.seq.set(self.state.seq.get() + 1);
     }
 
     /// Run one dense round of `steps` to its end: put a cursor for it
@@ -642,9 +558,11 @@ impl Rank {
         }
         let c = seg.end_round(self.global, key);
         self.state.clock.set(c.clock);
-        add(&self.state.msgs_sent, c.msgs_sent);
-        add(&self.state.bytes_sent, c.bytes_sent);
-        self.note_phase(Phase::Comm, c.comm_ns);
+        self.tally(|s| {
+            s.msgs_sent += c.msgs_sent;
+            s.bytes_sent += c.bytes_sent;
+            s.phase_ns[Phase::Comm as usize] += c.comm_ns;
+        });
         self.finish_coll();
         c.received
     }
@@ -1882,7 +1800,6 @@ mod tests {
         assert_eq!(*hidden, 0);
         assert_eq!(s.overlap_saved_ns, 0);
         assert_eq!(s.phase_ns[Phase::Io as usize], 5_000);
-        assert_eq!(s.overlap_saved_us(), 0);
     }
 
     #[test]
@@ -1930,13 +1847,17 @@ mod tests {
 
     #[test]
     fn pipeline_depth_is_a_watermark() {
-        let out = run(1, CostModel::default(), |r| {
-            r.note_pipeline_depth(2);
-            r.note_pipeline_depth(5);
-            r.note_pipeline_depth(3);
+        // Tallies compose: a watermark kept through `tally` keeps the
+        // deepest value, and a sub-communicator's handle writes the same
+        // store as the world's.
+        let out = run(2, CostModel::default(), |r| {
+            let deepest = |d: u64| move |s: &mut Stats| s.pipeline_depth_used = s.pipeline_depth_used.max(d);
+            r.tally(deepest(2));
+            r.subgroup(&[r.rank()]).tally(deepest(5));
+            r.tally(deepest(3));
             r.stats().pipeline_depth_used
         });
-        assert_eq!(out[0], 5);
+        assert_eq!(out, [5, 5]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Integration tests for the supporting API surface: darray/subarray
-//! datatypes driving collective I/O, Info-string hints, and profiling.
+//! datatypes driving collective I/O, Info-string hints, and per-rank
+//! cost attribution.
 
-use flexio::core::{hints_from_info, Engine, Hints, MpiFile, Profile};
+use flexio::core::{hints_from_info, Engine, Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, CostModel};
+use flexio::sim::{run, CostModel, Phase};
 use flexio::types::{darray, subarray, Datatype, Distribution};
 use std::sync::Arc;
 
@@ -129,8 +130,10 @@ fn info_hints_drive_collective() {
 
 #[test]
 fn profile_attributes_engine_costs() {
-    // The profile must show the enumerated filetype costing more compute
-    // (pair evaluations) than the succinct one — §6.2's MPE attribution.
+    // The per-rank counters must show the enumerated filetype costing more
+    // compute (pair evaluations) than the succinct one — §6.2's MPE
+    // attribution, folded over the ranks: `(Σ pairs, max compute ns,
+    // Σ bytes sent)`.
     let profile_for = |succinct: bool| {
         let pfs = Pfs::new(PfsConfig::default());
         let stats = run(4, CostModel::default(), move |rank| {
@@ -149,20 +152,21 @@ fn profile_attributes_engine_costs() {
             f.close().unwrap();
             rank.stats()
         });
-        Profile::from_stats(&stats)
+        (
+            stats.iter().map(|s| s.pairs_processed).sum::<u64>(),
+            stats.iter().map(|s| s.phase_ns[Phase::Compute as usize]).max().unwrap(),
+            stats.iter().map(|s| s.bytes_sent).sum::<u64>(),
+        )
     };
-    let succinct = profile_for(true);
-    let enumerated = profile_for(false);
+    let (succinct_pairs, succinct_compute, succinct_sent) = profile_for(true);
+    let (enumerated_pairs, enumerated_compute, _) = profile_for(false);
     assert!(
-        enumerated.pairs_total > succinct.pairs_total * 2,
-        "enumerated {} vs succinct {}",
-        enumerated.pairs_total,
-        succinct.pairs_total
+        enumerated_pairs > succinct_pairs * 2,
+        "enumerated {enumerated_pairs} vs succinct {succinct_pairs}"
     );
-    assert!(enumerated.compute_ns_max > succinct.compute_ns_max);
+    assert!(enumerated_compute > succinct_compute);
     // Both moved the same data.
-    assert!(succinct.bytes_sent_total > 0);
-    assert!(!succinct.summary().is_empty());
+    assert!(succinct_sent > 0);
 }
 
 #[test]
