@@ -149,17 +149,6 @@ pub struct CrashOutcome {
     pub restart: RestartResult,
 }
 
-/// `FLEXIO_CRASH_RECOVERY` override for the fuzz axis' recovery coin:
-/// `enable`/`1`/`on` pins it true, `disable`/`0`/`off` pins it false,
-/// unset leaves the drawn value (CI runs the pinned matrix).
-pub fn env_crash_recovery() -> Option<bool> {
-    match std::env::var("FLEXIO_CRASH_RECOVERY").as_deref() {
-        Ok("enable") | Ok("1") | Ok("on") => Some(true),
-        Ok("disable") | Ok("0") | Ok("off") => Some(false),
-        _ => None,
-    }
-}
-
 /// Draw one crash-checkpoint case. Shrinking lands near the floors:
 /// fewer ranks, smaller tiles, zero clean epochs, an entry-time crash.
 pub fn generate_crash(rng: &mut XorShift64Star) -> CrashScenario {
@@ -173,7 +162,7 @@ pub fn generate_crash(rng: &mut XorShift64Star) -> CrashScenario {
         aggs: 1 + (rng.next_u64() as usize) % nprocs,
         victim: (rng.next_u64() as usize) % nprocs,
         at_ns: range(rng, 0, 2_000_000),
-        recovery: env_crash_recovery().unwrap_or_else(|| coin(rng)),
+        recovery: coin(rng),
         watchdog_us: 200_000,
         torn_rate: if coin(rng) { (rng.next_u64() % 200) as f64 / 1000.0 } else { 0.0 },
     }

@@ -43,9 +43,8 @@ pub mod strided;
 pub mod tiled;
 
 pub use crash::{
-    assert_writer_tiles, env_crash_recovery, expected_epoch_image, generate_crash,
-    run_crash_checkpoint, verify_crash_checkpoint, CrashOutcome, CrashScenario, RankRecord,
-    RestartResult,
+    assert_writer_tiles, expected_epoch_image, generate_crash, run_crash_checkpoint,
+    verify_crash_checkpoint, CrashOutcome, CrashScenario, RankRecord, RestartResult,
 };
 pub use gen::generate;
 pub use oracle::{eq_padded, Oracle};

@@ -129,30 +129,19 @@ if [ "$THOROUGH" = 1 ]; then
     cargo test -q --release --offline --test properties --test engine_equivalence
 
   # Workload-fuzz leg: the seeded scenario fuzzer (five workload
-  # families x oracle/engine/fault/determinism axes), same
-  # pinned seed discipline; a red case prints a `cc <seed>` line (plus
-  # its shrunk `s<level>` form) to pin in
-  # tests/workload_fuzz.proptest-regressions.
-  echo "== workload fuzz sweep (tests/workload_fuzz.rs) =="
+  # families x oracle/engine/fault/determinism axes) and the crash-point
+  # fuzz axis, which verifies every drawn crash-point / victim /
+  # torn-rate case with `flexio_crash_recovery` on and off; same pinned
+  # seed discipline; a red case prints a `cc <seed>` line (plus its
+  # shrunk `s<level>` form) to pin in the suite's .proptest-regressions.
+  echo "== workload and crash-point fuzz sweep (tests/workload_fuzz.rs) =="
   FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
     cargo test -q --release --offline --test workload_fuzz
 
-  # Crash-recovery leg: the directed crash suite, then the crash-point
-  # fuzz axis with the recovery coin pinned to each side in turn, so
-  # both positions of `flexio_crash_recovery` sweep the identical
-  # crash-point / victim / torn-rate case list under the pinned seed.
   echo "== crash-recovery directed suite (tests/crash_recovery.rs) =="
   FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     cargo test -q --release --offline --test crash_recovery
-
-  for pos in enable disable; do
-    echo "== crash-point fuzz sweep (FLEXIO_CRASH_RECOVERY=$pos) =="
-    FLEXIO_CRASH_RECOVERY="$pos" \
-      FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-      PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-      cargo test -q --release --offline --test workload_fuzz crash_point_fuzz
-  done
 
   # Scale leg: the 16384-rank collective write/read smoke (byte-identity
   # + phase-sum invariants; minutes) and `bench host --check` (the

@@ -153,9 +153,12 @@ fn reads_past_last_writer_extent_see_zeros() {
 }
 
 /// The crash-point fuzz axis: drawn crash times, victims, world sizes,
-/// clean-epoch counts, torn-header rates, and the recovery switch (both
-/// positions unless `FLEXIO_CRASH_RECOVERY` pins one — the CI matrix
-/// does). Each case runs the full battery in
+/// clean-epoch counts and torn-header rates, each verified under both
+/// positions of the recovery switch, so both sides sweep the identical
+/// case list. (The generator still draws a recovery coin, which keeps
+/// the seeds pinned in `crash_recovery.proptest-regressions` replaying
+/// the scenarios they were pinned for; the drawn side is one of the two
+/// verified.) Each run is the full battery in
 /// `flexio::workload::verify_crash_checkpoint`: determinism, survivor
 /// byte-identity masked to survivor tiles, recovery-counter agreement,
 /// phase-sum through recovery, collective error agreement with recovery
@@ -166,7 +169,9 @@ fn crash_point_fuzz() {
         .cases(12)
         .regressions(include_str!("crash_recovery.proptest-regressions"))
         .run(generate_crash, |scn| {
-            verify_crash_checkpoint(scn);
+            for recovery in [true, false] {
+                verify_crash_checkpoint(&CrashScenario { recovery, ..scn.clone() });
+            }
         });
 }
 
@@ -192,9 +197,7 @@ fn crash_generator_covers_the_axes() {
         }
         victims.insert(s.victim);
     }
-    if std::env::var("FLEXIO_CRASH_RECOVERY").is_err() {
-        assert!(on > 0 && off > 0, "recovery coin is stuck ({on} on, {off} off)");
-    }
+    assert!(on > 0 && off > 0, "recovery coin is stuck ({on} on, {off} off)");
     assert!(late > 0, "no late crash times drawn");
     assert!(victims.len() >= 3, "victims not spread: {victims:?}");
     let _ = entry;
