@@ -27,8 +27,7 @@
 
 use crate::engine::common::ewma;
 use crate::hints::{Hints, PipelineDepth};
-use flexio_io::IoCompletion;
-use flexio_pfs::{FileHandle, NbGuard, PfsError};
+use flexio_pfs::{FileHandle, IoCompletion, NbGuard, PfsError};
 use flexio_sim::{OverlapWindow, Phase, Rank};
 use std::collections::VecDeque;
 

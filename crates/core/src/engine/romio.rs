@@ -27,8 +27,7 @@ use crate::engine::pipeline::{self, CapPolicy, CycleDriver};
 use crate::error::{IoError, Result};
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
-use flexio_io::IoCompletion;
-use flexio_pfs::{FileHandle, PfsError};
+use flexio_pfs::{FileHandle, IoCompletion, PfsError};
 use flexio_sim::{Phase, Rank};
 use flexio_types::MemLayout;
 

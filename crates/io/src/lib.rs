@@ -21,7 +21,8 @@
 
 #![warn(missing_docs)]
 
-use flexio_pfs::{FileHandle, PfsError};
+use flexio_pfs::{FileHandle, IoCompletion, RunCursor, RunCursorMut};
+use std::borrow::Cow;
 
 /// How to move data between memory and non-contiguous file space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,151 +108,23 @@ fn check_segs(segs: &[(u64, u64)], run_bytes: usize) {
     debug_assert!(segs.iter().all(|(_, l)| *l > 0), "zero-length segment");
 }
 
-/// A non-contiguous I/O operation in flight: what [`write_gathered_nb`]
-/// and [`read_scattered_nb`] return. Like [`flexio_pfs::NbOp`], the data
-/// movement is already done when the completion is returned — only the
-/// op's virtual window is pending, so a caller can overlap it with other
-/// work and charge `max` instead of the sum, or block on it at once with
-/// [`IoCompletion::into_result`].
-///
-/// If any underlying PFS request faulted, the completion still spans the
-/// full virtual window (every request was issued, so a retry of the same
-/// op is idempotent) and [`IoCompletion::error`] reports the first
-/// fault, stamped with the op's completion time.
-#[must_use = "an issued I/O must be waited on to charge its virtual time"]
-#[derive(Debug, Clone, Copy)]
-pub struct IoCompletion {
-    issued_at: u64,
-    done_at: u64,
-    err: Option<PfsError>,
-}
+/// One request of a chain: charged for the span `[off, off+len)`, moving
+/// the bytes of its segments.
+type Request<'a> = (u64, u64, Cow<'a, [(u64, u64)]>);
 
-impl IoCompletion {
-    /// A completion spanning `[issued_at, done_at)` — for callers that
-    /// compose several lower-level ops (locks, sieve chunks, stripes) into
-    /// one logical request window.
-    pub fn span(issued_at: u64, done_at: u64) -> IoCompletion {
-        debug_assert!(done_at >= issued_at, "completion must not end before it starts");
-        IoCompletion { issued_at, done_at, err: None }
-    }
-
-    /// The window covering both `self` and `other` (earliest issue to
-    /// latest completion) — chained ops reported as one. Keeps the first
-    /// fault of the pair (`self`'s takes precedence).
-    pub fn merged(self, other: IoCompletion) -> IoCompletion {
-        IoCompletion {
-            issued_at: self.issued_at.min(other.issued_at),
-            done_at: self.done_at.max(other.done_at),
-            err: self.err.or(other.err),
+/// The chain of requests a resolved method issues, in file order: a
+/// contiguous access is one request over its span, list I/O one request
+/// per segment, data sieving one per sieve chunk ([`sieve_chunks`]).
+fn requests(segs: &[(u64, u64)], how: Resolved) -> Box<dyn Iterator<Item = Request<'_>> + '_> {
+    match how {
+        Resolved::Contiguous => Box::new(
+            segs.first().map(|&(off, _)| (off, total_len(segs), Cow::Borrowed(segs))).into_iter(),
+        ),
+        Resolved::Naive => {
+            Box::new(segs.iter().map(|s| (s.0, s.1, Cow::Borrowed(std::slice::from_ref(s)))))
         }
-    }
-
-    /// Virtual time the operation was issued at.
-    pub fn issued_at(&self) -> u64 {
-        self.issued_at
-    }
-
-    /// Virtual time the operation completes at (successfully or not).
-    pub fn done_at(&self) -> u64 {
-        self.done_at
-    }
-
-    /// The operation's virtual duration.
-    pub fn duration(&self) -> u64 {
-        self.done_at.saturating_sub(self.issued_at)
-    }
-
-    /// The first fault any underlying request reported, if any, with
-    /// `at` normalised to the op's completion time.
-    pub fn error(&self) -> Option<PfsError> {
-        self.err
-    }
-
-    /// Block until completion: the later of `now` and `done_at`, or the
-    /// op's fault stamped at that moment.
-    pub fn wait(&self, now: u64) -> Result<u64, PfsError> {
-        let done = now.max(self.done_at);
-        match self.err {
-            Some(e) => Err(PfsError { at: done, ..e }),
-            None => Ok(done),
-        }
-    }
-
-    /// Record a fault observed while composing this window (a failed lock
-    /// acquisition, a retry-exhausted request) unless an earlier fault is
-    /// already carried; the recorded fault is restamped to the window's
-    /// completion time like any other.
-    pub fn or_error(self, err: Option<PfsError>) -> IoCompletion {
-        IoCompletion::new(self.issued_at, self.done_at, self.err.or(err))
-    }
-
-    /// Split into the completion time and any fault — for callers that
-    /// charge the window regardless of outcome.
-    pub fn into_result(self) -> Result<u64, PfsError> {
-        match self.err {
-            Some(e) => Err(e),
-            None => Ok(self.done_at),
-        }
-    }
-
-    fn new(issued_at: u64, done_at: u64, err: Option<PfsError>) -> IoCompletion {
-        IoCompletion {
-            issued_at,
-            done_at,
-            err: err.map(|e| PfsError { at: done_at, ..e }),
-        }
-    }
-}
-
-/// A position in a source run list: hands out the sub-runs covering the
-/// next `n` stream bytes, so that segments (or sieve chunks) and runs can
-/// cut the same byte stream independently.
-struct RunCursor<'a> {
-    runs: std::slice::Iter<'a, &'a [u8]>,
-    /// Unconsumed rest of the current run.
-    cur: &'a [u8],
-}
-
-impl<'a> RunCursor<'a> {
-    fn new(runs: &'a [&'a [u8]]) -> Self {
-        RunCursor { runs: runs.iter(), cur: &[] }
-    }
-
-    /// Append the sub-runs of the next `n` bytes to `out`.
-    fn take(&mut self, mut n: usize, out: &mut Vec<&'a [u8]>) {
-        while n > 0 {
-            while self.cur.is_empty() {
-                self.cur = self.runs.next().expect("source runs exhausted");
-            }
-            let (head, tail) = self.cur.split_at(self.cur.len().min(n));
-            out.push(head);
-            self.cur = tail;
-            n -= head.len();
-        }
-    }
-}
-
-/// [`RunCursor`] over a destination run list.
-struct DestCursor<'a, 'b> {
-    dests: std::slice::IterMut<'a, &'b mut [u8]>,
-    cur: &'a mut [u8],
-}
-
-impl<'a, 'b> DestCursor<'a, 'b> {
-    fn new(dests: &'a mut [&'b mut [u8]]) -> Self {
-        DestCursor { dests: dests.iter_mut(), cur: &mut [] }
-    }
-
-    fn take(&mut self, mut n: usize, out: &mut Vec<&'a mut [u8]>) {
-        while n > 0 {
-            while self.cur.is_empty() {
-                self.cur = self.dests.next().expect("dest runs exhausted");
-            }
-            let cur = std::mem::take(&mut self.cur);
-            let (head, tail) = cur.split_at_mut(cur.len().min(n));
-            n -= head.len();
-            out.push(head);
-            self.cur = tail;
+        Resolved::DataSieve(buffer) => {
+            Box::new(sieve_chunks(segs, buffer).map(|(off, len, c)| (off, len, Cow::Owned(c))))
         }
     }
 }
@@ -263,14 +136,17 @@ impl<'a, 'b> DestCursor<'a, 'b> {
 /// boundaries and run boundaries cut the same byte stream independently
 /// — neither needs to nest in the other.
 ///
-/// The data is committed immediately; the returned completion carries the
-/// virtual window the write occupies and the first fault an underlying
-/// request reported. The PFS sees the same requests whatever the cut,
-/// vectored, and no arm assembles a buffer — a sieve chunk commits its
-/// sub-runs as they are ([`FileHandle::sieve_chunk_write`] charges the
-/// chunk and patches the segments). Whether a copy is *charged* is the
-/// caller's model: the engines charge a sieved group's double-buffer copy
-/// themselves.
+/// The resolved method is a chain of requests — one over a contiguous
+/// access's span, one per segment (list I/O) or one per sieve chunk —
+/// that goes down one after the other through [`FileHandle::write_span`],
+/// each with the sub-runs of its segments as they are: a request whose
+/// segments leave gaps in its span (a sieve chunk) is a read-modify-write,
+/// every other one a plain write.
+/// The data is committed immediately; the returned completion spans the
+/// chain and carries the first fault any request reported — a faulted
+/// request still charges its window, so the rest are issued. Whether a
+/// copy is *charged* is the caller's model: the engines charge a sieved
+/// group's double-buffer copy themselves.
 pub fn write_gathered_nb(
     h: &FileHandle,
     now: u64,
@@ -279,46 +155,32 @@ pub fn write_gathered_nb(
     method: &IoMethod,
     pattern_extent: u64,
 ) -> IoCompletion {
-    if segs.is_empty() {
-        return IoCompletion::span(now, now);
-    }
     check_segs(segs, runs.iter().map(|r| r.len()).sum());
-    let (done_at, err) = match resolve(method, segs, pattern_extent) {
-        Resolved::Contiguous => {
-            let op = h.pwritev_nb(now, segs[0].0, runs);
-            (op.done_at(), op.error())
+    let (mut t, mut err) = (now, None);
+    let mut cursor = RunCursor::new(runs);
+    let mut sub: Vec<&[u8]> = Vec::new();
+    for (off, len, req) in requests(segs, resolve(method, segs, pattern_extent)) {
+        let data = total_len(&req);
+        sub.clear();
+        let mut left = data as usize;
+        while left > 0 {
+            let run = cursor.next_slice(left).expect("source runs exhausted");
+            left -= run.len();
+            sub.push(run);
         }
-        Resolved::Naive => {
-            // List I/O: one vectored request per segment, the sub-runs
-            // carved out of the shared stream. Requests depend on each
-            // other only through the handle's request stream; chain their
-            // completion times. A faulted request still charges its
-            // window, so the remaining segments are issued and the first
-            // fault captured.
-            let mut t = now;
-            let mut err = None;
-            let mut cursor = RunCursor::new(runs);
-            let mut sub: Vec<&[u8]> = Vec::new();
-            for &(off, len) in segs {
-                sub.clear();
-                cursor.take(len as usize, &mut sub);
-                let op = h.pwritev_nb(t, off, &sub);
-                t = op.done_at();
-                err = err.or(op.error());
-            }
-            (t, err)
-        }
-        Resolved::DataSieve(buffer) => sieve_write(h, now, segs, runs, buffer),
-    };
-    IoCompletion::new(now, done_at, err)
+        let c = h.write_span(t, off, len, &req, &sub, data == len);
+        t = c.done_at();
+        err = err.or(c.error());
+    }
+    IoCompletion::span(now, t).or_error(err)
 }
 
 /// Read the file segments straight into the caller's run list (`dests`,
 /// filled in stream order, exactly as long as the segments; a mismatch
-/// panics) — [`write_gathered_nb`]'s twin. `dests` is filled immediately,
-/// whatever the completion reports. A sieve chunk is charged as one read
-/// of the chunk and delivers its segments' bytes to the destination runs
-/// directly ([`FileHandle::sieve_chunk_read`]).
+/// panics) — [`write_gathered_nb`]'s twin, over
+/// [`FileHandle::read_span`]. `dests` is filled immediately, whatever
+/// the completion reports; a sieve chunk is charged as one read of the
+/// chunk and delivers only its segments' bytes.
 pub fn read_scattered_nb(
     h: &FileHandle,
     now: u64,
@@ -327,32 +189,23 @@ pub fn read_scattered_nb(
     method: &IoMethod,
     pattern_extent: u64,
 ) -> IoCompletion {
-    if segs.is_empty() {
-        return IoCompletion::span(now, now);
-    }
     check_segs(segs, dests.iter().map(|d| d.len()).sum());
-    let (done_at, err) = match resolve(method, segs, pattern_extent) {
-        Resolved::Contiguous => {
-            let op = h.preadv_nb(now, segs[0].0, dests);
-            (op.done_at(), op.error())
+    let (mut t, mut err) = (now, None);
+    let mut cursor = RunCursorMut::new(dests);
+    let mut sub: Vec<&mut [u8]> = Vec::new();
+    for (off, len, req) in requests(segs, resolve(method, segs, pattern_extent)) {
+        sub.clear();
+        let mut left = total_len(&req) as usize;
+        while left > 0 {
+            let run = cursor.next_slice(left).expect("dest runs exhausted");
+            left -= run.len();
+            sub.push(run);
         }
-        Resolved::Naive => {
-            let mut t = now;
-            let mut err = None;
-            let mut cursor = DestCursor::new(dests);
-            let mut sub: Vec<&mut [u8]> = Vec::new();
-            for &(off, len) in segs {
-                sub.clear();
-                cursor.take(len as usize, &mut sub);
-                let op = h.preadv_nb(t, off, &mut sub);
-                t = op.done_at();
-                err = err.or(op.error());
-            }
-            (t, err)
-        }
-        Resolved::DataSieve(buffer) => sieve_read(h, now, segs, dests, buffer),
-    };
-    IoCompletion::new(now, done_at, err)
+        let c = h.read_span(t, off, len, &req, &mut sub);
+        t = c.done_at();
+        err = err.or(c.error());
+    }
+    IoCompletion::span(now, t).or_error(err)
 }
 
 /// The sieve chunks of `segs` under a sieve buffer of `buffer` bytes, in
@@ -394,75 +247,10 @@ fn sieve_chunks(
     })
 }
 
-/// Data-sieving write: for each sieve-buffer-sized chunk of the covering
-/// extent, pre-read it (unless the chunk is fully covered by data), patch
-/// in the segments' bytes, and write the whole chunk back — as the file
-/// system charges it; the chunk's sub-runs go down as they are.
-fn sieve_write(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    runs: &[&[u8]],
-    buffer: usize,
-) -> (u64, Option<PfsError>) {
-    let mut t = now;
-    let mut err = None;
-    let mut cursor = RunCursor::new(runs);
-    let mut sub: Vec<&[u8]> = Vec::new();
-    for (chunk_start, chunk_len, chunk_segs) in sieve_chunks(segs, buffer) {
-        // Disjoint segments cover the chunk exactly when they fill it.
-        let data_len = total_len(&chunk_segs);
-        let covered = data_len == chunk_len;
-        sub.clear();
-        cursor.take(data_len as usize, &mut sub);
-        // Atomic read-modify-write: the file system holds its RMW lock
-        // across the pre-read and the write-back so concurrent writers
-        // to gap bytes are never clobbered (ROMIO's fcntl sieve lock).
-        t = match h.sieve_chunk_write(t, chunk_start, chunk_len, &chunk_segs, &sub, covered) {
-            Ok(done) => done,
-            Err(e) => {
-                // The chunk's data landed and its window was charged
-                // (`e.at` is its completion time); record the first fault
-                // and keep issuing the remaining chunks.
-                err = err.or(Some(e));
-                e.at
-            }
-        };
-    }
-    (t, err)
-}
-
-/// Data-sieving read: one read per chunk of the covering extent, of which
-/// the segments' bytes land in the destination runs.
-fn sieve_read(
-    h: &FileHandle,
-    now: u64,
-    segs: &[(u64, u64)],
-    dests: &mut [&mut [u8]],
-    buffer: usize,
-) -> (u64, Option<PfsError>) {
-    let mut t = now;
-    let mut err = None;
-    let mut cursor = DestCursor::new(dests);
-    let mut sub: Vec<&mut [u8]> = Vec::new();
-    for (chunk_start, chunk_len, chunk_segs) in sieve_chunks(segs, buffer) {
-        sub.clear();
-        cursor.take(total_len(&chunk_segs) as usize, &mut sub);
-        t = match h.sieve_chunk_read(t, chunk_start, chunk_len, &chunk_segs, &mut sub) {
-            Ok(done) => done,
-            Err(e) => {
-                err = err.or(Some(e));
-                e.at
-            }
-        };
-    }
-    (t, err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexio_pfs::{Pfs, PfsConfig, PfsCostModel};
+    use flexio_pfs::{Pfs, PfsConfig, PfsCostModel, PfsError};
     use std::sync::Arc;
 
     fn pfs() -> Arc<Pfs> {
@@ -635,15 +423,13 @@ mod tests {
 
     #[test]
     fn fully_covered_chunk_skips_preread() {
+        // Two sieve chunks, each filled by its one segment: a covered chunk
+        // is a plain write, never a read-modify-write.
         let pfs = timed_pfs();
         let h = pfs.open("f", 0);
-        let segs = vec![(0u64, 64u64)];
+        let segs = vec![(0u64, 64u64), (100, 4)];
         let data = packed_for(&segs);
-        // A single contiguous run resolves to Contiguous in
-        // write_gathered_nb; use sieve_write directly to check the
-        // coverage logic.
-        let (t, err) = super::sieve_write(&h, 0, &segs, &[&data], 64);
-        assert!(err.is_none());
+        let t = write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 64 }, 0).unwrap();
         assert!(t > 0);
         assert_eq!(pfs.stats().bytes_read, 0, "covered chunk must skip pre-read");
     }
@@ -884,14 +670,21 @@ mod tests {
 
     #[test]
     fn completion_span_and_merge() {
-        let a = IoCompletion::span(100, 250);
-        assert_eq!((a.issued_at(), a.done_at(), a.duration()), (100, 250, 150));
-        let b = IoCompletion::span(200, 220);
-        let m = a.merged(b);
-        assert_eq!((m.issued_at(), m.done_at()), (100, 250));
-        let c = IoCompletion::span(50, 400).merged(a);
-        assert_eq!((c.issued_at(), c.done_at()), (50, 400));
-        assert_eq!(IoCompletion::span(7, 7).duration(), 0);
+        // A naive write's completion spans its chain of per-segment
+        // requests, issued one after the other: from `now` to the last
+        // one's completion, exactly as if issued by hand.
+        let segs = strided_segs(5, 4, 7, 23);
+        let data = packed_for(&segs);
+        let chained = timed_pfs();
+        let c = write_gathered_nb(&chained.open("f", 0), 300, &segs, &[&data], &IoMethod::Naive, 0);
+        let by_hand = timed_pfs();
+        let h = by_hand.open("f", 0);
+        let mut t = 300;
+        for (&(off, len), run) in segs.iter().zip(data.chunks(7)) {
+            t = h.write_span(t, off, len, &[(off, len)], &[run], true).done_at();
+        }
+        assert_eq!((c.issued_at(), c.done_at(), c.duration()), (300, t, t - 300));
+        assert_eq!(chained.stats(), by_hand.stats());
     }
 
     #[test]
@@ -929,8 +722,9 @@ mod tests {
         assert_eq!(e.at, c.done_at());
         let late = c.done_at() + 100;
         assert_eq!(c.wait(late).unwrap_err().at, late, "wait stamps the caller's clock");
-        // merged() keeps the fault; a clean span does not invent one.
-        assert!(IoCompletion::span(0, 5).merged(c).error().is_some());
+        // A fault recorded into a window is restamped with its end; a
+        // clean span does not invent one.
+        assert_eq!(IoCompletion::span(0, 5).or_error(c.error()).error().map(|e| e.at), Some(5));
         assert!(IoCompletion::span(0, 5).error().is_none());
     }
 

@@ -42,5 +42,7 @@ pub use cache::{ClientCache, DirtyRun};
 pub use config::{PfsConfig, PfsCostModel};
 pub use extent::ExtentSet;
 pub use fault::{CrashSpec, FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
-pub use fs::{FileHandle, FileObj, NbGuard, NbOp, Pfs, StatsSnapshot};
+pub use fs::{
+    FileHandle, FileObj, IoCompletion, NbGuard, Pfs, RunCursor, RunCursorMut, StatsSnapshot,
+};
 pub use lock::{Acquire, LockKind, LockTable};

@@ -13,11 +13,10 @@
 //! (Root test crate: `flexio-pfs` and `flexio-io` have no dependencies, so
 //! the `flexio_sim::prop` harness is only reachable from here.)
 
-use flexio::io::{
-    read_scattered_nb, resolve, write_gathered_nb, IoCompletion, IoMethod, Resolved,
-};
+use flexio::io::{read_scattered_nb, resolve, write_gathered_nb, IoMethod, Resolved};
 use flexio::pfs::{
-    FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsError, StatsSnapshot, StragglerSpec,
+    FaultPlan, FileHandle, IoCompletion, Pfs, PfsConfig, PfsCostModel, PfsError, StatsSnapshot,
+    StragglerSpec,
 };
 use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
@@ -291,15 +290,15 @@ fn pfs_moves_runs_and_charges_spans() {
         let packed = seeded(c.world.data_seed, total as usize);
         let span = seeded(c.world.data_seed ^ 2, c.len as usize);
 
-        // sieve_chunk_write vs read + overlay + write.
+        // write_span vs read + overlay + write.
         let (pa, a) = build(&c.world);
         let (pb, b) = build(&c.world);
         let want = reference_commit(&a, NOW, c.off, c.len, &c.segs, &packed, c.covered);
-        let got =
-            b.sieve_chunk_write(NOW, c.off, c.len, &c.segs, &runs_of(&packed, &c.cuts), c.covered);
-        assert_eq!(got, want, "sieve_chunk_write result");
+        let got = b.write_span(NOW, c.off, c.len, &c.segs, &runs_of(&packed, &c.cuts), c.covered);
+        assert_eq!(got.issued_at(), NOW);
+        assert_eq!(got.into_result(), want, "write_span result");
         let t = want.unwrap_or_else(|e| e.at);
-        assert_eq!(observe(&pb, &b, c, t), observe(&pa, &a, c, t), "sieve_chunk_write");
+        assert_eq!(observe(&pb, &b, c, t), observe(&pa, &a, c, t), "write_span");
 
         // pwritev_nb vs write of the join.
         let (pa, a) = build(&c.world);
@@ -323,7 +322,7 @@ fn pfs_moves_runs_and_charges_spans() {
         let t = want.unwrap_or_else(|e| e.at);
         assert_eq!(observe(&pb, &b, c, t), observe(&pa, &a, c, t), "preadv_nb");
 
-        // sieve_chunk_read vs read of the chunk + extraction.
+        // read_span vs read of the span + extraction.
         let (pa, a) = build(&c.world);
         let (pb, b) = build(&c.world);
         let mut chunk = vec![0u8; c.len as usize];
@@ -334,12 +333,11 @@ fn pfs_moves_runs_and_charges_spans() {
             .flat_map(|&(so, sl)| chunk[(so - c.off) as usize..(so - c.off + sl) as usize].to_vec())
             .collect();
         let mut got_bytes = vec![0xEEu8; total as usize];
-        let got =
-            b.sieve_chunk_read(NOW, c.off, c.len, &c.segs, &mut dests_of(&mut got_bytes, &c.cuts));
-        assert_eq!(got, want, "sieve_chunk_read result");
-        assert_eq!(got_bytes, want_bytes, "sieve_chunk_read bytes");
+        let got = b.read_span(NOW, c.off, c.len, &c.segs, &mut dests_of(&mut got_bytes, &c.cuts));
+        assert_eq!(got.into_result(), want, "read_span result");
+        assert_eq!(got_bytes, want_bytes, "read_span bytes");
         let t = want.unwrap_or_else(|e| e.at);
-        assert_eq!(observe(&pb, &b, c, t), observe(&pa, &a, c, t), "sieve_chunk_read");
+        assert_eq!(observe(&pb, &b, c, t), observe(&pa, &a, c, t), "read_span");
     });
 }
 
@@ -360,8 +358,8 @@ fn torn_commit_that_keeps_nothing_leaves_the_file_alone() {
     let (pa, a) = build(&c.world);
     let (pb, b) = build(&c.world);
     let want = reference_commit(&a, NOW, c.off, c.len, &c.segs, &[9], c.covered);
-    let got = b.sieve_chunk_write(NOW, c.off, c.len, &c.segs, &[&[9]], c.covered);
-    assert_eq!(got, want);
+    let got = b.write_span(NOW, c.off, c.len, &c.segs, &[&[9]], c.covered);
+    assert_eq!(got.into_result(), want);
     assert_eq!(want.unwrap_err().kind, flexio::pfs::PfsErrorKind::TornWrite);
     assert_eq!((a.size(), b.size()), (0, 0));
     assert_eq!(observe(&pb, &b, &c, NOW), observe(&pa, &a, &c, NOW));
