@@ -102,31 +102,13 @@ pub struct Piece {
     pub len: u64,
 }
 
-impl Piece {
-    /// Exclusive end file offset.
-    pub fn file_end(&self) -> u64 {
-        self.file_off + self.len
-    }
-}
-
-/// Stream the pieces of a client's access that fall inside the window
-/// `win` (sorted disjoint file segments). `cur` is the stateful cursor for
-/// this (client, aggregator) pair — windows ascend monotonically across
-/// buffer cycles, so the cursor never rewinds. `data_end` clips to the
-/// client's access length.
-pub fn intersect_window(
-    cur: &mut ViewCursor<'_>,
-    data_end: u64,
-    win: &[(u64, u64)],
-) -> Vec<Piece> {
-    let mut out = Vec::new();
-    intersect_window_into(cur, data_end, win, &mut out);
-    out
-}
-
-/// [`intersect_window`], appending to `out` (nothing is allocated for an
-/// empty intersection).
-fn intersect_window_into(
+/// Append to `out` the pieces of a client's access that fall inside the
+/// window `win` (sorted disjoint file segments); nothing is allocated for
+/// an empty intersection. `cur` is the stateful cursor for this (client,
+/// aggregator) pair — windows ascend monotonically across buffer cycles,
+/// so the cursor never rewinds. `data_end` clips to the client's access
+/// length.
+fn intersect_window(
     cur: &mut ViewCursor<'_>,
     data_end: u64,
     win: &[(u64, u64)],
@@ -157,8 +139,6 @@ fn intersect_window_into(
 /// opens one stream per aggregator over each client's single parsed wire.
 pub struct ClientStream {
     access: Arc<ClientAccess>,
-    /// Total offset/length pairs evaluated so far (for compute charging).
-    evaluated_done: u64,
     /// Data position reached (cursor recreated lazily per window batch).
     data_pos: u64,
 }
@@ -168,12 +148,7 @@ impl ClientStream {
     pub fn new(access: impl Into<Arc<ClientAccess>>) -> Self {
         let access = access.into();
         let data_pos = access.data_start;
-        ClientStream { access, evaluated_done: 0, data_pos }
-    }
-
-    /// The underlying access.
-    pub fn access(&self) -> &ClientAccess {
-        &self.access
+        ClientStream { access, data_pos }
     }
 
     /// Pieces of this client inside `win`; returns (pieces, pairs_charged).
@@ -193,20 +168,14 @@ impl ClientStream {
         let mut cur = self.access.view.cursor(self.data_pos);
         let before = cur.evaluated();
         let from = out.len();
-        intersect_window_into(&mut cur, data_end, win, out);
+        intersect_window(&mut cur, data_end, win, out);
         let charged = cur.evaluated() - before;
-        self.evaluated_done += charged;
         self.data_pos = match out[from..].last() {
             Some(last) => last.data_pos + last.len,
             // The cursor advanced past the window even with no data there.
             None => self.data_pos.max(cur.data_pos().min(data_end)),
         };
         charged
-    }
-
-    /// Total pairs evaluated by this stream.
-    pub fn evaluated(&self) -> u64 {
-        self.evaluated_done
     }
 }
 
@@ -290,9 +259,7 @@ mod tests {
     #[test]
     fn intersect_single_window() {
         // 4 data / 4 gap, disp 0; window [0, 10)
-        let a = access(0, 4, 8, 0, 100);
-        let mut cur = a.view.cursor(0);
-        let pieces = intersect_window(&mut cur, 100, &[(0, 10)]);
+        let (pieces, _) = ClientStream::new(access(0, 4, 8, 0, 100)).take_window(&[(0, 10)]);
         assert_eq!(
             pieces,
             vec![
@@ -304,9 +271,7 @@ mod tests {
 
     #[test]
     fn intersect_respects_data_end() {
-        let a = access(0, 4, 8, 0, 5);
-        let mut cur = a.view.cursor(0);
-        let pieces = intersect_window(&mut cur, 5, &[(0, 100)]);
+        let (pieces, _) = ClientStream::new(access(0, 4, 8, 0, 5)).take_window(&[(0, 100)]);
         let total: u64 = pieces.iter().map(|p| p.len).sum();
         assert_eq!(total, 5);
         assert_eq!(pieces.last().unwrap().file_off, 8);
@@ -314,9 +279,8 @@ mod tests {
 
     #[test]
     fn intersect_multi_segment_window() {
-        let a = access(0, 4, 8, 0, 100);
-        let mut cur = a.view.cursor(0);
-        let pieces = intersect_window(&mut cur, 100, &[(0, 4), (16, 4)]);
+        let (pieces, _) =
+            ClientStream::new(access(0, 4, 8, 0, 100)).take_window(&[(0, 4), (16, 4)]);
         assert_eq!(
             pieces,
             vec![

@@ -13,6 +13,6 @@ pub mod recovery;
 pub mod romio;
 pub mod schedule;
 
-pub use common::{intersect_window, merge_pieces, ClientStream, Piece};
+pub use common::{merge_pieces, ClientStream, Piece};
 pub use flexible::DataBuf;
 pub use schedule::{CycleSchedule, ExchangeSchedule};

@@ -35,7 +35,7 @@ pub mod world;
 
 pub use cost::CostModel;
 pub use prng::XorShift64Star;
-pub use rank::{OverlapWindow, Phase, Rank, RecvReq, Stats};
+pub use rank::{OverlapWindow, Phase, Rank, Stats};
 pub use world::{last_run_counters, run, run_crashable, run_on, Backend, SchedCounters, World};
 
 #[cfg(test)]
@@ -77,7 +77,10 @@ mod properties {
                     for op in ops {
                         match op {
                             0 => r.barrier(),
-                            1 => drop(r.bcast(0, vec![1, 2, 3])),
+                            1 => {
+                                let (next, prev) = ((r.rank() + 1) % 3, (r.rank() + 2) % 3);
+                                drop(r.exchange(vec![(next, vec![1, 2, 3])], &[prev]))
+                            }
                             2 => drop(r.allgatherv(&[r.rank() as u8])),
                             _ => drop(r.allreduce_max(r.rank() as u64)),
                         }

@@ -27,8 +27,7 @@ const INTERNAL_BASE: u64 = 1 << 40;
 const STEP_BITS: u32 = 24;
 
 /// Collective kinds, indexed by the `op` of a round key.
-const OPS: [&str; 7] =
-    ["barrier", "bcast", "allgatherv", "alltoallv", "exchange", "gatherv", "scatterv"];
+const OPS: [&str; 4] = ["barrier", "allgatherv", "alltoallv", "exchange"];
 
 /// What a parked receive waits for, for the deadlock report: the user tag,
 /// or the collective (by sequence number and kind) and the step in it.
@@ -147,13 +146,6 @@ pub struct Rank {
     /// Sorted world-frame ids of the group (`None` = whole world).
     group: Option<Arc<Vec<usize>>>,
     state: Rc<RankState>,
-}
-
-/// Handle for a posted non-blocking receive.
-#[must_use = "irecv does nothing until waited on"]
-pub struct RecvReq {
-    src: usize,
-    tag: u64,
 }
 
 /// An in-flight operation of known virtual completion time (e.g. a
@@ -495,28 +487,7 @@ impl Rank {
         }
     }
 
-    /// Post a non-blocking receive; complete it with [`Rank::wait`].
-    pub fn irecv(&self, src: usize, tag: u64) -> RecvReq {
-        RecvReq { src, tag }
-    }
-
-    /// Complete a posted receive.
-    pub fn wait(&self, req: RecvReq) -> Vec<u8> {
-        self.recv_tagged(req.src, req.tag)
-    }
-
-    /// Complete many receives; the result order matches the request order.
-    pub fn waitall(&self, reqs: Vec<RecvReq>) -> Vec<Vec<u8>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
     // ----- collectives ----------------------------------------------------
-
-    /// The tag of the collective about to run (one tag per collective:
-    /// the tree and sparse collectives are tag-addressed mailbox traffic).
-    fn next_coll_tag(&self, op: u64) -> u64 {
-        coll_tag(self.round_key(op), 0)
-    }
 
     /// The round key of the collective about to run: `seq * 8 + op`, the
     /// same on every participant. A dense round's messages are addressed
@@ -580,39 +551,6 @@ impl Rank {
         self.run_round(0, self.log_steps(), RoundKind::Dissemination);
     }
 
-    /// Binomial-tree broadcast from `root`.
-    pub fn bcast(&self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        let p = self.nprocs();
-        if p == 1 {
-            self.finish_coll();
-            return data;
-        }
-        let vrank = (self.rank + p - root) % p;
-        let tag = self.next_coll_tag(1);
-        let mut buf = data;
-        // MPICH-style binomial tree: scan up to the lowest set bit to find
-        // the parent, then send to children at descending bit positions.
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let parent = ((vrank - mask) + root) % p;
-                buf = self.recv_tagged(parent, tag);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let child = ((vrank + mask) + root) % p;
-                self.send_tagged(child, tag, &buf);
-            }
-            mask >>= 1;
-        }
-        self.finish_coll();
-        buf
-    }
-
     /// Allgather of variable-size blocks (Bruck); result indexed by rank.
     /// [`Rank::allgatherv_shared`] with a private copy of every block.
     pub fn allgatherv(&self, mine: &[u8]) -> Vec<Vec<u8>> {
@@ -629,7 +567,7 @@ impl Rank {
     pub fn allgatherv_shared(&self, mine: &[u8]) -> Vec<Arc<[u8]>> {
         let p = self.nprocs();
         let mine: Arc<[u8]> = Arc::from(mine);
-        let mut got = self.run_round(2, self.log_steps(), RoundKind::Bruck { mine: Arc::clone(&mine) });
+        let mut got = self.run_round(1, self.log_steps(), RoundKind::Bruck { mine: Arc::clone(&mine) });
         // Held order: own block, then step 0's (rank - 1's), step 1's
         // (rank - 2's and rank - 3's), …; the messages were received in
         // step order but may have been delivered out of it.
@@ -688,7 +626,7 @@ impl Rank {
             "alltoallv: sources must be strictly ascending ranks"
         );
         let mut out: Vec<(usize, Vec<u8>)> = recv_from.iter().map(|&s| (s, Vec::new())).collect();
-        let key = self.round_key(3);
+        let key = self.round_key(2);
         for (src, block) in self.pairwise_round(sends) {
             // The two sides of a block disagree about it: in every
             // profile, since carrying on would drop the bytes.
@@ -721,7 +659,7 @@ impl Rank {
             _ => Vec::new(),
         };
         self.charge_memcpy(own.len() as u64);
-        let got = self.run_round(3, 1..p, RoundKind::Pairwise { sends, next });
+        let got = self.run_round(2, 1..p, RoundKind::Pairwise { sends, next });
         let mut out: Vec<(usize, Vec<u8>)> = got
             .into_iter()
             .map(|(step, block)| match block {
@@ -746,7 +684,7 @@ impl Rank {
         sends: Vec<(usize, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
-        let tag = self.next_coll_tag(4);
+        let tag = coll_tag(self.round_key(3), 0);
         let mut self_payloads = std::collections::VecDeque::new();
         for (dst, payload) in sends {
             if dst == self.rank {
@@ -776,86 +714,6 @@ impl Rank {
         );
         self.finish_coll();
         out
-    }
-
-    /// Gather variable-size blocks at `root` (binomial tree). Non-roots
-    /// receive an empty vector.
-    pub fn gatherv(&self, root: usize, mine: &[u8]) -> Vec<Vec<u8>> {
-        let p = self.nprocs();
-        let tag = self.next_coll_tag(5);
-        // Binomial gather on virtual ranks relative to root: each node
-        // accumulates its subtree's blocks, then forwards to its parent.
-        let vrank = (self.rank + p - root) % p;
-        let mut acc: Vec<(usize, Vec<u8>)> = vec![(self.rank, mine.to_vec())];
-        let mut mask = 1usize;
-        // Collect children while ascending to this node's lowest set bit;
-        // children past the world size simply don't exist.
-        while vrank & mask == 0 && mask < p {
-            if vrank + mask < p {
-                let child = ((vrank + mask) + root) % p;
-                let payload = self.recv_tagged(child, tag);
-                acc.extend(decode_blocks(&payload));
-            }
-            mask <<= 1;
-        }
-        if vrank != 0 {
-            let parent = ((vrank - mask) + root) % p;
-            self.send_tagged(parent, tag, &encode_blocks(&acc));
-            self.finish_coll();
-            return Vec::new();
-        }
-        self.finish_coll();
-        let mut out = vec![Vec::new(); p];
-        for (src, data) in acc {
-            out[src] = data;
-        }
-        out
-    }
-
-    /// Scatter per-rank blocks from `root` (binomial tree). Only the root
-    /// provides `blocks`; every rank returns its own block.
-    pub fn scatterv(&self, root: usize, blocks: Vec<Vec<u8>>) -> Vec<u8> {
-        let p = self.nprocs();
-        let tag = self.next_coll_tag(6);
-        let vrank = (self.rank + p - root) % p;
-        // Receive this subtree's blocks from the parent (non-roots).
-        let mut subtree: Vec<(usize, Vec<u8>)> = if vrank == 0 {
-            assert_eq!(blocks.len(), p, "root must provide one block per rank");
-            blocks.into_iter().enumerate().collect()
-        } else {
-            let mut mask = 1usize;
-            while vrank & mask == 0 {
-                mask <<= 1;
-            }
-            let parent = ((vrank - mask) + root) % p;
-            decode_blocks(&self.recv_tagged(parent, tag))
-        };
-        // Forward sub-subtrees to children, keeping our own block.
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                break;
-            }
-            if vrank + mask < p {
-                // Children's virtual ranks are in [vrank+mask, vrank+2*mask).
-                let lo = vrank + mask;
-                let hi = (vrank + 2 * mask).min(p);
-                let in_range = |r: usize| {
-                    let vr = (r + p - root) % p;
-                    vr >= lo && vr < hi
-                };
-                let (theirs, ours): (Vec<_>, Vec<_>) =
-                    subtree.into_iter().partition(|(r, _)| in_range(*r));
-                subtree = ours;
-                let child = ((vrank + mask) + root) % p;
-                self.send_tagged(child, tag, &encode_blocks(&theirs));
-            }
-            mask <<= 1;
-        }
-        self.finish_coll();
-        debug_assert_eq!(subtree.len(), 1);
-        debug_assert_eq!(subtree[0].0, self.rank);
-        subtree.pop().expect("scatterv: own block must remain after tree forwarding").1
     }
 
     /// Allreduce over `u64` with a binary operator (gather + local fold).
@@ -1048,36 +906,6 @@ pub(crate) fn step_round(seg: Segment<'_>, r: usize, mut arrived: Option<u64>) -
     }
 }
 
-/// Encode `(rank, payload)` blocks for tree forwarding.
-fn encode_blocks(blocks: &[(usize, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for (r, b) in blocks {
-        out.extend_from_slice(&(*r as u64).to_le_bytes());
-        out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-        out.extend_from_slice(b);
-    }
-    out
-}
-
-fn decode_blocks(buf: &[u8]) -> Vec<(usize, Vec<u8>)> {
-    let rd = |i: usize| {
-        u64::from_le_bytes(
-            buf[i..i + 8].try_into().expect("decode_blocks: truncated scatterv header"),
-        )
-    };
-    let n = rd(0) as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 8usize;
-    for _ in 0..n {
-        let r = rd(pos) as usize;
-        let len = rd(pos + 8) as usize;
-        out.push((r, buf[pos + 16..pos + 16 + len].to_vec()));
-        pos += 16 + len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1217,10 +1045,9 @@ mod tests {
                 r.send(1, 1, &[0u8; 1000]);
                 0
             } else {
-                let req = r.irecv(0, 1);
                 r.advance(10_000_000); // compute while in flight
                 let t0 = r.now();
-                let _ = r.wait(req);
+                let _ = r.recv(0, 1);
                 r.now() - t0 // only recv overhead remains
             }
         });
@@ -1238,19 +1065,6 @@ mod tests {
         });
         for t in &out {
             assert!(*t >= 1_000_000_000, "clock {} below slowest rank", t);
-        }
-    }
-
-    #[test]
-    fn bcast_from_each_root() {
-        for root in 0..5 {
-            let out = run(5, CostModel::default(), |r| {
-                let data = if r.rank() == root { vec![42u8, 1, 2, 3] } else { vec![] };
-                r.bcast(root, data)
-            });
-            for v in out {
-                assert_eq!(v, vec![42u8, 1, 2, 3]);
-            }
         }
     }
 
@@ -1316,7 +1130,7 @@ mod tests {
                     // The round again, for what its messages carried.
                     r.advance(skew[r.rank()]);
                     let mine = Arc::from(block(r.rank()));
-                    let msgs = comm.run_round(2, comm.log_steps(), RoundKind::Bruck { mine });
+                    let msgs = comm.run_round(1, comm.log_steps(), RoundKind::Bruck { mine });
                     assert_eq!(msgs.len() as u64, steps, "rank {}: one message a step", r.rank());
                     let received: usize = msgs.iter().map(|(_, m)| m.len()).sum();
                     assert_eq!(received, total - sizes[r.rank()], "rank {}: bytes received", r.rank());
@@ -1500,10 +1314,10 @@ mod tests {
         let tag = |seq: u64, op: u64, step: usize| coll_tag(seq * 8 + op, step);
         // The old layout's alias: step 64 + s of collective q was step s
         // of collective q + 1.
-        assert_ne!(tag(4, 3, 70), tag(5, 3, 6));
+        assert_ne!(tag(4, 2, 70), tag(5, 2, 6));
         assert!(tag(0, 0, 0) >= INTERNAL_BASE);
-        assert!(tag(4, 6, (1 << STEP_BITS) - 1) < tag(5, 0, 0));
-        assert_eq!(describe_tag(tag(4, 3, 70)), "collective #4 alltoallv step 70");
+        assert!(tag(4, 3, (1 << STEP_BITS) - 1) < tag(5, 0, 0));
+        assert_eq!(describe_tag(tag(4, 2, 70)), "collective #4 alltoallv step 70");
         assert_eq!(describe_tag(tag(9, 0, 2)), "collective #9 barrier step 2");
         assert_eq!(describe_tag(17), "tag=17");
     }
@@ -1693,48 +1507,14 @@ mod tests {
     }
 
     #[test]
-    fn gatherv_collects_at_root() {
-        for root in 0..5 {
-            let out = run(5, CostModel::default(), move |r| {
-                let mine = vec![r.rank() as u8; r.rank() + 1];
-                r.gatherv(root, &mine)
-            });
-            for (rank, v) in out.iter().enumerate() {
-                if rank == root {
-                    for (src, blk) in v.iter().enumerate() {
-                        assert_eq!(blk, &vec![src as u8; src + 1], "root {root} src {src}");
-                    }
-                } else {
-                    assert!(v.is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scatterv_distributes_from_root() {
-        for root in 0..5 {
-            let out = run(5, CostModel::default(), move |r| {
-                let blocks = if r.rank() == root {
-                    (0..5).map(|i| vec![i as u8 * 3; i + 2]).collect()
-                } else {
-                    Vec::new()
-                };
-                r.scatterv(root, blocks)
-            });
-            for (rank, blk) in out.iter().enumerate() {
-                assert_eq!(blk, &vec![rank as u8 * 3; rank + 2], "root {root}");
-            }
-        }
-    }
-
-    #[test]
     fn gather_then_scatter_roundtrip() {
+        // Every rank's block to rank 0 and back, as two sparse exchanges:
+        // many senders into one receiver, then one sender to many.
         let out = run(4, CostModel::free(), |r| {
             let mine = vec![r.rank() as u8 + 40; 3];
-            let gathered = r.gatherv(0, &mine);
-            let blocks = if r.rank() == 0 { gathered } else { Vec::new() };
-            r.scatterv(0, blocks)
+            let everyone: Vec<usize> = if r.rank() == 0 { (0..4).collect() } else { Vec::new() };
+            let gathered = r.exchange(vec![(0, mine)], &everyone);
+            r.exchange(gathered, &[0]).pop().expect("one block from rank 0").1
         });
         for (rank, blk) in out.iter().enumerate() {
             assert_eq!(blk, &vec![rank as u8 + 40; 3]);
@@ -2014,13 +1794,13 @@ mod tests {
     fn single_rank_collectives() {
         let out = run(1, CostModel::default(), |r| {
             r.barrier();
-            let b = r.bcast(0, vec![5]);
+            let e = r.exchange(vec![(0, vec![5])], &[0]);
             let g = r.allgatherv(&[7]);
             let a = r.alltoallv(vec![vec![9]]);
-            (b, g, a)
+            (e, g, a)
         });
-        let (b, g, a) = &out[0];
-        assert_eq!(b, &vec![5]);
+        let (e, g, a) = &out[0];
+        assert_eq!(e, &vec![(0, vec![5])]);
         assert_eq!(g, &vec![vec![7]]);
         assert_eq!(a, &vec![vec![9]]);
     }

@@ -627,8 +627,8 @@ mod tests {
     use crate::world::{run, run_crashable};
     use crate::Phase;
 
-    /// A workload exercising every park point: p2p, barrier, bcast,
-    /// allgatherv, alltoallv, exchange, gatherv/scatterv, overlap windows.
+    /// A workload exercising every park point: p2p, barrier, allgatherv,
+    /// alltoallv, exchange (one to many and many to one), overlap windows.
     fn mixed_workload(r: &crate::rank::Rank) -> (u64, crate::rank::Stats, Vec<u8>) {
         let p = r.nprocs();
         let next = (r.rank() + 1) % p;
@@ -637,16 +637,17 @@ mod tests {
         let got = r.recv(prev, 1);
         r.charge_pairs(got.len() as u64);
         r.barrier();
-        let seed = r.bcast(0, if r.rank() == 0 { vec![7; 16] } else { vec![] });
+        let everyone: Vec<usize> = if r.rank() == 0 { (0..p).collect() } else { Vec::new() };
+        let seeds = everyone.iter().map(|&d| (d, vec![7; 16])).collect();
+        let seed = r.exchange(seeds, &[0]).pop().expect("rank 0's seed").1;
         let all = r.allgatherv(&[r.rank() as u8, seed[0]]);
         let blocks: Vec<Vec<u8>> = (0..p).map(|d| vec![(r.rank() * p + d) as u8; 5]).collect();
         let x = r.alltoallv(blocks);
         let w = r.overlap_begin(r.now() + 10_000, Phase::Io);
         r.charge_memcpy(4096);
         r.overlap_complete(w);
-        let g = r.gatherv(0, &x[prev]);
-        let s = r.scatterv(0, if r.rank() == 0 { g } else { Vec::new() });
-        let mut img: Vec<u8> = s;
+        let g = r.exchange(vec![(0, x[prev].clone())], &everyone);
+        let mut img: Vec<u8> = g.into_iter().flat_map(|(_, b)| b).collect();
         img.extend(all.into_iter().flatten());
         (r.now(), r.stats(), img)
     }

@@ -4,9 +4,9 @@
 # Run from the repository root: sh scripts/verify.sh
 #
 # --thorough additionally re-runs the test suite with 512 property-test
-# cases per property (the in-repo harness in flexio_sim::prop honours
-# PROPTEST_CASES) and diffs the `--paper` results files, for a nightly-ish
-# deeper sweep.
+# cases per property under the pinned base seed (the in-repo harness in
+# flexio_sim::prop honours PROPTEST_CASES and FLEXIO_PROP_SEED) and diffs
+# the `--paper` results files, for a nightly-ish deeper sweep.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -93,55 +93,19 @@ else
 fi
 
 if [ "$THOROUGH" = 1 ]; then
-  echo "== PROPTEST_CASES=512 cargo test -q --release --offline (property sweep) =="
-  PROPTEST_CASES=512 cargo test -q --release --offline
-
-  # Chaos sweep: the fault-injection suite with an explicitly pinned
-  # base seed, so a failure here reproduces verbatim from the log.
-  # Override FLEXIO_PROP_SEED / PROPTEST_CASES in the environment to
-  # explore a different slice of the fault space.
-  echo "== chaos sweep (tests/fault_injection.rs) =="
+  # The property sweep: the whole suite at 512 cases a property under one
+  # pinned base seed. A case's seed is a function of the base seed, the
+  # property's name and the case index alone, so this one run is every
+  # seeded suite's sweep (fault injection, the data-path differential,
+  # engine parity, the layer and engine-equivalence properties, the
+  # workload and crash-point fuzzers, crash recovery) case for case. A red
+  # case prints a `cc <seed>` line (plus its shrunk `s<level>` form) to
+  # pin in the suite's .proptest-regressions; override FLEXIO_PROP_SEED /
+  # PROPTEST_CASES in the environment to explore another slice.
+  echo "== property sweep: the suite at 512 cases, pinned seed =="
   FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
     PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test fault_injection
-
-  # Data-path differential sweep: run-wise pfs/io against the
-  # one-buffer-per-request reference, same pinned seed discipline.
-  echo "== data-path differential sweep (tests/data_path_differential.rs) =="
-  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test data_path_differential
-
-  # Differential engine-parity sweep: pipelined flexible AND ROMIO runs
-  # against their depth-1 serial oracles on the shared pipeline core,
-  # same pinned seed discipline as the chaos sweep.
-  echo "== engine parity sweep (tests/engine_pipeline_parity.rs) =="
-  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test engine_pipeline_parity
-
-  # Layer and engine-equivalence properties: datatypes and views, the
-  # file system against a flat reference, the realm assigners, engine vs
-  # engine and hint vs hint bytes, same pinned seed discipline.
-  echo "== property sweep (tests/properties.rs, tests/engine_equivalence.rs) =="
-  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test properties --test engine_equivalence
-
-  # Workload-fuzz leg: the seeded scenario fuzzer (five workload
-  # families x oracle/engine/fault/determinism axes) and the crash-point
-  # fuzz axis, which verifies every drawn crash-point / victim /
-  # torn-rate case with `flexio_crash_recovery` on and off; same pinned
-  # seed discipline; a red case prints a `cc <seed>` line (plus its
-  # shrunk `s<level>` form) to pin in the suite's .proptest-regressions.
-  echo "== workload and crash-point fuzz sweep (tests/workload_fuzz.rs) =="
-  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    PROPTEST_CASES="${PROPTEST_CASES:-512}" \
-    cargo test -q --release --offline --test workload_fuzz
-
-  echo "== crash-recovery directed suite (tests/crash_recovery.rs) =="
-  FLEXIO_PROP_SEED="${FLEXIO_PROP_SEED:-0xf1e810}" \
-    cargo test -q --release --offline --test crash_recovery
+    cargo test -q --release --offline
 
   # Scale leg: the 16384-rank collective write/read smoke (byte-identity
   # + phase-sum invariants; minutes) and `bench host --check` (the

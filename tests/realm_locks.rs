@@ -10,6 +10,10 @@
 //!   in its first instance. Before the ahead request the same skew at the
 //!   benchmark's scale swung the end between 175.9 and 254.0 ms
 //!   (`results/flexbench_pr21_realm_locks.txt`).
+//! * Asked ahead, a persistent, stripe-aligned realm chunk is granted once
+//!   and never revoked, call after call, in both directions; asked
+//!   ordinarily, the same realms lose locks to each other. These are exact
+//!   counts per call, which the golden rows do not carry.
 //! * A straggler rebalance or a crash recovery replaces the realm set
 //!   while the old owners still hold ahead locks on the old chunks. Nothing
 //!   releases those: the new owner's request conflicts with them and
@@ -117,6 +121,143 @@ fn start_skew_moves_the_end_by_no_more_than_the_skew() {
             base + delta + eps
         );
     });
+}
+
+// ---- granted once, never revoked --------------------------------------------
+
+/// The Fig. 6/7 time-step shape under locks, lock expansion and a client
+/// cache, data sieving on (as in the paper's PFR experiment, §6.4: the
+/// aggregator writes one contiguous sieve span per cycle, so the lock
+/// manager sees realm-shaped extents). `read` first writes the file in a
+/// world of its own (its close drops every lock) and then counts the
+/// traffic of eight collective reads through the same views. Returns the
+/// file system's counters after the first counted call and after the last
+/// — a rank reads the former behind a barrier, before any rank can be past
+/// the second call's metadata allgather.
+fn timestep_lock_traffic(
+    spec: TimeStepSpec,
+    stripe: u64,
+    aggs: usize,
+    pfr: bool,
+    align: bool,
+    read: bool,
+) -> (StatsSnapshot, StatsSnapshot) {
+    let pfs = Pfs::new(PfsConfig {
+        n_osts: 4,
+        stripe_size: stripe,
+        page_size: 64,
+        locking: true,
+        lock_expansion: true,
+        client_cache: true,
+        cost: PfsCostModel::default(),
+    });
+    let hints = Hints {
+        persistent_file_realms: pfr,
+        fr_alignment: align.then_some(stripe),
+        cb_nodes: Some(aggs),
+        io_method: IoMethod::DataSieve { buffer: 512 << 10 },
+        ..Hints::default()
+    };
+    let world = |read: bool| {
+        run(spec.nprocs, CostModel::default(), |rank| {
+            let mut f = MpiFile::open(rank, &pfs, "ts", hints.clone()).unwrap();
+            let mut after_first = None;
+            for t in 0..spec.steps {
+                let (disp, ftype) = spec.file_view(rank.rank(), t);
+                f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+                let mut buf = spec.make_buffer(rank.rank(), t);
+                let n = buf.len() as u64;
+                let (memtype, count) = (Datatype::bytes(n.max(1)), (n > 0) as u64);
+                if read {
+                    let want = std::mem::replace(&mut buf, vec![0u8; n as usize]);
+                    f.read_all(&mut buf, &memtype, count).unwrap();
+                    assert_eq!(buf, want, "rank {} step {t}: read-back differs", rank.rank());
+                } else {
+                    f.write_all(&buf, &memtype, count).unwrap();
+                }
+                if t == 0 {
+                    rank.barrier();
+                    after_first = Some(pfs.stats());
+                }
+            }
+            f.close().unwrap();
+            after_first.unwrap()
+        })
+    };
+    let mut base = StatsSnapshot::default();
+    if read {
+        world(false);
+        base = pfs.stats();
+    }
+    let firsts = world(read);
+    assert!(firsts.iter().all(|s| *s == firsts[0]), "ranks saw different call-1 counters");
+    let since = |s: StatsSnapshot| StatsSnapshot {
+        lock_grants: s.lock_grants - base.lock_grants,
+        lock_revocations: s.lock_revocations - base.lock_revocations,
+        ..s
+    };
+    (since(firsts[0]), since(pfs.stats()))
+}
+
+#[test]
+fn fig7_shape_pfr_plus_alignment_minimizes_lock_traffic() {
+    // §6.4: PFR + aligned realms => a realm's lock, once granted, is never
+    // revoked; shifting unaligned realms => ping-pong. Stripe == slice
+    // size: each step's realm shift crosses exactly one stripe, so every
+    // other configuration must re-lock — unaligned PFR at its realm
+    // boundaries, the per-call realms wherever the expanding grants of a
+    // call's first arrivals reached.
+    let spec = TimeStepSpec {
+        elem_size: 32,
+        elems_per_point: 16,
+        points: 64,
+        steps: 8,
+        nprocs: 8,
+    };
+    let revocations =
+        |pfr, align| timestep_lock_traffic(spec, 512, 4, pfr, align, false).1.lock_revocations;
+    assert_eq!(revocations(true, true), 0, "pfr + aligned realms lost a lock");
+    let worst = revocations(false, false);
+    assert!(worst > 0, "the shifting-unaligned regime must revoke locks");
+    assert!(revocations(true, false) > 0, "unaligned persistent realms share boundary stripes");
+    assert!(revocations(false, true) > 0, "per-call realms ask ordinarily: grants grow, then fall");
+}
+
+/// A geometry in which the persistent realms' period covers the file and
+/// the aggregate access region's ends stay inside one stripe over all
+/// eight steps (as at the benchmark's scale: 2 MiB stripes against a
+/// 3 200 B step), so that an aggregator's realm chunk is the same
+/// stripe-rounded extent in every call: 4 aggregators × 64 KiB realms of
+/// eight 8 KiB stripes over a 256 KiB file, all four holding data.
+const ONCE_SPEC: TimeStepSpec =
+    TimeStepSpec { elem_size: 32, elems_per_point: 16, points: 64, steps: 8, nprocs: 8 };
+const ONCE_STRIPE: u64 = 8192;
+const ONCE_AGGS: usize = 4;
+
+#[test]
+fn fig7_shape_pfr_aligned_locks_are_granted_once() {
+    // What `flexible.rs::issue_write` says of its realm-chunk lock: one
+    // grant per aggregator that holds data, all of them in call 1, none
+    // revoked in eight calls.
+    let (first, last) = timestep_lock_traffic(ONCE_SPEC, ONCE_STRIPE, ONCE_AGGS, true, true, false);
+    assert_eq!((first.lock_grants, first.lock_revocations), (ONCE_AGGS as u64, 0));
+    assert_eq!((last.lock_grants, last.lock_revocations), (ONCE_AGGS as u64, 0));
+    // Nothing was flushed before close, nothing refilled: every cached
+    // page lived through all eight calls.
+    assert_eq!(last.flush_bytes, ONCE_SPEC.file_bytes());
+    // The same realms asked for ordinarily (no PFR) lose locks to each
+    // other, call after call.
+    let (_, no_pfr) = timestep_lock_traffic(ONCE_SPEC, ONCE_STRIPE, ONCE_AGGS, false, true, false);
+    assert!(no_pfr.lock_revocations > 0 && no_pfr.lock_grants > ONCE_AGGS as u64);
+}
+
+#[test]
+fn fig7_shape_pfr_aligned_read_locks_are_granted_once() {
+    // The read direction's twin (`issue_read`): the file is written, then
+    // read back in eight collective calls.
+    let (first, last) = timestep_lock_traffic(ONCE_SPEC, ONCE_STRIPE, ONCE_AGGS, true, true, true);
+    assert_eq!((first.lock_grants, first.lock_revocations), (ONCE_AGGS as u64, 0));
+    assert_eq!((last.lock_grants, last.lock_revocations), (ONCE_AGGS as u64, 0));
 }
 
 // ---- a replaced realm set's old locks ---------------------------------------

@@ -80,6 +80,13 @@ fn assert_phase_sums(out: &[RankTrace], label: &str) {
     }
 }
 
+/// Rank 0's `data` on every rank: one sparse exchange from rank 0.
+fn from_root(r: &Rank, data: Vec<u8>) -> Vec<u8> {
+    let everyone = if r.rank() == 0 { 0..r.nprocs() } else { 0..0 };
+    let sends = everyone.map(|d| (d, data.clone())).collect();
+    r.exchange(sends, &[0]).pop().expect("rank 0's block").1
+}
+
 /// Ring point-to-point, collectives, a timed park that expires, and
 /// payload-dependent clock advances.
 fn mixed(r: &Rank) -> RankTrace {
@@ -92,7 +99,7 @@ fn mixed(r: &Rank) -> RankTrace {
     let none = r.recv_timeout((r.rank() + 1) % p, 99, r.now() + 50);
     assert!(none.is_none(), "tag 99 is never sent");
     r.barrier();
-    let seed = r.bcast(0, if r.rank() == 0 { vec![3; 4] } else { vec![] });
+    let seed = from_root(r, vec![3; 4]);
     let all = r.allgatherv(&[r.rank() as u8, seed[0], got[0]]);
     (r.now(), r.stats(), all.into_iter().flatten().collect())
 }
@@ -120,13 +127,14 @@ fn pure_collectives_bit_identical_run_to_run() {
         let got = r.recv((r.rank() + p - 1) % p, 1);
         r.charge_pairs(got.len() as u64);
         r.barrier();
-        let seed = r.bcast(0, if r.rank() == 0 { vec![9; 8] } else { vec![] });
+        let seed = from_root(r, vec![9; 8]);
         let all = r.allgatherv(&[r.rank() as u8, seed[0]]);
         let blocks: Vec<Vec<u8>> = (0..p).map(|d| vec![(r.rank() + d) as u8; 7]).collect();
         let x = r.alltoallv(blocks);
-        let g = r.gatherv(0, &x[(r.rank() + 1) % p]);
-        let s = r.scatterv(0, if r.rank() == 0 { g } else { Vec::new() });
-        let mut img = s;
+        // Every rank's block to rank 0 and back: many to one, one to many.
+        let everyone: Vec<usize> = if r.rank() == 0 { (0..p).collect() } else { Vec::new() };
+        let g = r.exchange(vec![(0, x[(r.rank() + 1) % p].clone())], &everyone);
+        let mut img = r.exchange(g, &[0]).pop().expect("one block from rank 0").1;
         img.extend(all.into_iter().flatten());
         (r.now(), r.stats(), img)
     };
