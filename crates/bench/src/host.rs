@@ -78,16 +78,17 @@ fn ping_pong(nprocs: usize) -> Duration {
     world.0
 }
 
-/// Four `alltoallv` rounds of empty blocks: `4 · p · (p − 1)` messages
-/// that allocate nothing and carry nothing, so wall time per message is
-/// the round's step loop — send, hand-off match or board slot, take or
-/// park, heap push and pop — and the world's spawn/join is under a
-/// hundredth of it. (The benchmark's `sim.alltoallv_us` probe sends an
-/// 8-byte block to every peer and is bound by its 262 144 allocations.)
+/// Four dense `alltoallv` rounds of empty blocks: `4 · p · (p − 1)`
+/// messages that carry nothing, so wall time per message is the round's
+/// step loop — send, hand-off match or board slot, take or park, heap
+/// push and pop — and the world's spawn/join is under a hundredth of it.
+/// (An `alltoallw` of empty lists sends nothing at all; the benchmark's
+/// `sim.alltoallv_us` probe sends an 8-byte block to every peer and is
+/// bound by its 262 144 allocations.)
 fn round_empty(nprocs: usize) -> (Duration, u64) {
     let (wall, msgs) = timed_world(nprocs, |rank| {
         for _ in 0..4 {
-            rank.alltoallv_sparse(Vec::new(), &[]);
+            rank.alltoallv(vec![Vec::new(); rank.nprocs()]);
         }
         rank.stats().msgs_sent
     });
@@ -114,15 +115,22 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// wakes of the shorter round fall differently; fiber switches unchanged).
 /// Charging sub-page direct writes with an aligned start their RMW page
 /// read moved the heap pushes once more, 241 333 → 241 331 and 977 867 →
-/// 977 864: the worlds' 8-byte regions are such writes.
+/// 977 864: the worlds' 8-byte regions are such writes. Then the
+/// alltoallw exchange stopped sending a message per peer pair and sends
+/// only the blocks that exist: 595 712 → 12 328 and 2 373 120 → 26 720
+/// messages, and with the empty blocks gone the wakes of their parked
+/// steps go too (heap pushes 241 331 → 2 263 and 977 864 → 3 901). Fiber
+/// switches fall less, 3 581 → 1 693 and 7 165 → 2 856: a receive of the
+/// point-to-point exchange that parks switches its fiber out and back,
+/// where a whole dense round did that once.
 const CHECK: [(usize, u64, SchedCounters); 2] = [
-    (256, 595_712, SchedCounters { fiber_switches: 3_581, heap_pushes: 241_331 }),
-    (512, 2_373_120, SchedCounters { fiber_switches: 7_165, heap_pushes: 977_864 }),
+    (256, 12_328, SchedCounters { fiber_switches: 1_693, heap_pushes: 2_263 }),
+    (512, 26_720, SchedCounters { fiber_switches: 2_856, heap_pushes: 3_901 }),
 ];
 
 /// The main family is a fig4-style non-contiguous collective write,
 /// deliberately fine-grained (16 regions x 8 B per rank, 512 B collective
-/// buffer, dense alltoallw exchange) so that host-runtime overhead —
+/// buffer, alltoallw exchange) so that host-runtime overhead —
 /// park/wake and message dispatch — dominates wall time rather than
 /// simulated data volume. Weak scaling: per-rank work is constant, the
 /// world grows. Two more isolate the runtime-overhead floor: spawn/join

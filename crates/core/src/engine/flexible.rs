@@ -16,8 +16,8 @@
 //!   received payloads' runs, as delivered — to `flexio-io`, which may
 //!   choose a different method every cycle (§5.1). A sieved chunk is
 //!   charged the one copy into its sieve buffer, here.
-//! * **Exchange flavour** (§5.4): sparse non-blocking, or a dense
-//!   alltoallw-style collective with one message per peer pair.
+//! * **Exchange flavour** (§5.4): sparse non-blocking, or an
+//!   `MPI_Alltoallw` collective over the blocks that exist.
 //!
 //! The buffer cycles themselves run on the shared N-deep pipeline core
 //! ([`crate::engine::pipeline`]): this module contributes the two
@@ -505,7 +505,7 @@ fn exchange_write(
 
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
-        ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
+        ExchangeMode::Alltoallw => rank.alltoallw(sends, &recv_from),
     };
     if agg_pieces.is_empty() {
         return None; // nothing owned this cycle (or not an aggregator)
@@ -742,7 +742,7 @@ fn distribute_read(
     let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
     let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
         ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
-        ExchangeMode::Alltoallw => rank.alltoallv_sparse(sends, &recv_from),
+        ExchangeMode::Alltoallw => rank.alltoallw(sends, &recv_from),
     };
     // Scatter into the user buffer; `received` is in `my_pieces` order.
     let user = match buf {

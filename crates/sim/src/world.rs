@@ -731,6 +731,18 @@ impl<'w> Segment<'w> {
         }
     }
 
+    /// The first collective message still in a mailbox, `(rank, src,
+    /// tag)` lowest first. Read when every rank has finished: a
+    /// collective's block its receiver did not list, which nothing else
+    /// would ever report. (Dead ranks' mailboxes were emptied when they
+    /// were reaped, and deliveries to them dropped.)
+    pub(crate) fn untaken_collective(self) -> Option<(usize, usize, u64)> {
+        (0..self.world().nprocs).find_map(|rank| {
+            let keys = self.queues(rank).keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
+            keys.min().map(|&(src, tag)| (rank, src, tag))
+        })
+    }
+
     /// Pop the head of `dst`'s `(src, tag)` queue if present, removing
     /// the queue when that drains it (drained queues are removed so
     /// unique collective tags can't grow the map without bound).

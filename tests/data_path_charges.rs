@@ -29,6 +29,13 @@
 //! fault). No image hash moved: the round changed when bytes arrive, never
 //! which.
 //!
+//! The four `[… | Flexible zc=on Alltoallw]` blocks were regenerated
+//! again when `alltoallw` became MPICH's scattered isend/irecv over the
+//! blocks that exist instead of a pairwise round with a message per
+//! peer: their clocks, message counts and file-system counters moved.
+//! The twelve other blocks — ROMIO, which runs no `alltoallw`, and the
+//! non-blocking exchange — and every image hash came out byte-identical.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};

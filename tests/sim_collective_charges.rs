@@ -1,13 +1,14 @@
-//! Charge-and-order fixture for `flexio-sim`'s dense collectives.
+//! Charge-and-order fixture for `flexio-sim`'s collectives.
 //!
 //! `tests/fixtures/sim_collective_charges.txt` was written by this file
 //! (`FLEXIO_REGEN_FIXTURE=1`, the convention of `shared_derivation.rs`)
 //! run on the last commit whose `alltoallv`/`allgatherv`/`barrier` moved
 //! every message through the tag-addressed mailbox (PR 14's tree; there
-//! `alltoallv_sparse` was `flexible.rs::dense_exchange` — place the send
-//! list into one block per rank, run the dense `alltoallv`, pick the
-//! blocks of `recv_from` out of the result — and the harvest called
-//! exactly that). The slot-addressed boards that replaced the
+//! the listed-blocks form, today's `alltoallw`, was
+//! `flexible.rs::dense_exchange` — place the send list into one block
+//! per rank, run the dense `alltoallv`, pick the blocks of `recv_from`
+//! out of the result — and the harvest called exactly that). The
+//! slot-addressed boards that replaced the
 //! mailbox for those rounds must not move a single charge **or the host
 //! order in which ranks run**: the PFS ratchets observe execution order,
 //! so a rank that leaves a collective earlier on the host than it used to
@@ -37,10 +38,11 @@
 //! for the change that keeps a rank's round header and park entry in one
 //! record and its slots in a ring: `[late-entrant p=130]` and `[… p=512]`
 //! (a rank sits out 50 virtual ms on a timer — late on the host, not
-//! only in virtual time — and then enters a sparse `alltoallv`, where it
-//! finds the first stretch of the round waiting: what a pairwise exchange
-//! can deliver ahead of a rank, the senders further round stalling on
-//! *its* blocks, or on a rank that does, first; another does the same
+//! only in virtual time — and then enters an `alltoallw`, harvested when
+//! that was a pairwise round: the late rank found the first stretch of
+//! the round waiting, what a pairwise exchange can deliver ahead of a
+//! rank, the senders further round stalling on *its* blocks, or on a rank
+//! that does, first; another does the same
 //! before an `allgatherv`, where it finds the *whole* round waiting, its
 //! left neighbour needing nothing of it but its own block, last. Each
 //! takes what it finds in one segment, off a board that grew, non-empty,
@@ -62,6 +64,16 @@
 //! `allgatherv`/`barrier` sections came out byte-identical to the
 //! harvests above.
 //!
+//! It was regenerated a second time when `alltoallw` stopped being a
+//! pairwise round and became MPICH's scattered isend/irecv over the
+//! listed blocks: 26 of the 54 sections moved — every `alltoallw`
+//! section from two ranks up, the `allgatherv`/`barrier` sections after
+//! it in the same world, and the interleaved, back-to-back, late-entrant
+//! and crash-mid-round sections. Every dense `alltoallv` section and
+//! `[two-communicators p=64]` came out byte-identical, and so did every
+//! record of `[interleaved p=8]`'s point-to-point ranks (their `exchange`
+//! included) but for its host-order index.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::sim::{run, run_crashable, CostModel, Rank};
@@ -74,7 +86,7 @@ const CASES: [&str; 6] = [
     "alltoallv-dense-mixed",
     "alltoallv-all-empty",
     "alltoallv-dense-skewed",
-    "alltoallv-sparse",
+    "alltoallw",
     "allgatherv-mixed",
     "barrier-skewed",
 ];
@@ -103,7 +115,7 @@ fn skew(rank: &Rank, salt: usize) {
     rank.advance(((rank.rank() * 7919 + salt) % 13) as u64 * 50_000);
 }
 
-/// The sparse case's geometry: every fourth rank is an "aggregator";
+/// The `alltoallw` case's geometry: every fourth rank is an "aggregator";
 /// `src` has data for aggregator `a` unless `(src + a) % 3 == 0`.
 fn sends_to(src: usize, a: usize) -> bool {
     a.is_multiple_of(4) && !(src + a).is_multiple_of(3)
@@ -163,7 +175,7 @@ fn rank_body(rank: &Rank, order: &[AtomicUsize]) -> Vec<String> {
         .map(|a| (a, block(3, me, a, 1 + (me + a) % 40)))
         .collect();
     let recv_from: Vec<usize> = (0..p).filter(|&s| sends_to(s, me)).collect();
-    let got = rank.alltoallv_sparse(sends, &recv_from);
+    let got = rank.alltoallw(sends, &recv_from);
     assert_eq!(got.len(), recv_from.len());
     for ((src, b), &want) in got.iter().zip(&recv_from) {
         assert_eq!(*src, want);
@@ -221,12 +233,12 @@ fn four_rounds(
     let sends = ends.iter().map(|&d| (d, block(case, me, d, 1 + (me + d) % 40))).collect();
     let all: Vec<usize> = (0..p).collect();
     let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
-    let got = comm.alltoallv_sparse(sends, recv_from);
+    let got = comm.alltoallw(sends, recv_from);
     for (src, b) in &got {
-        assert_eq!(b, &block(case, *src, me, 1 + (src + me) % 40), "pass {pass}: sparse {src}->{me}");
+        assert_eq!(b, &block(case, *src, me, 1 + (src + me) % 40), "pass {pass}: alltoallw {src}->{me}");
     }
     let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
-    record("sparse", digest_blocks(&payloads));
+    record("alltoallw", digest_blocks(&payloads));
 }
 
 const ROUND_MEMBERS: [usize; 5] = [0, 2, 3, 5, 7];
@@ -290,7 +302,7 @@ fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
-/// The sparse `alltoallv` of case 3's geometry and an `allgatherv`,
+/// The `alltoallw` of case 3's geometry and an `allgatherv`,
 /// three times over. In passes 1 and 2 one rank sits out 50 virtual ms on
 /// a timer before each of the two: a park, so it is late on the host and
 /// not only in virtual time — by the time it enters, every peer has run
@@ -319,13 +331,13 @@ fn late_entrant_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
             .map(|a| (a, block(case, me, a, 1 + (me + a) % 40)))
             .collect();
         let recv_from: Vec<usize> = (0..p).filter(|&s| sends_to(s, me)).collect();
-        let got = rank.alltoallv_sparse(sends, &recv_from);
+        let got = rank.alltoallw(sends, &recv_from);
         for ((src, b), &want) in got.iter().zip(&recv_from) {
             assert_eq!(*src, want);
             assert_eq!(b, &block(case, want, me, 1 + (want + me) % 40), "pass {pass}: block {want}->{me}");
         }
         let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
-        record("sparse", digest_blocks(&payloads));
+        record("alltoallw", digest_blocks(&payloads));
         if pass > 0 {
             sit_out(p - pass * p / 5);
         }
