@@ -78,11 +78,12 @@ fn ping_pong(nprocs: usize) -> Duration {
     world.0
 }
 
-/// Four dense `alltoallv` rounds of empty blocks: `4 · p · (p − 1)`
-/// messages that carry nothing, so wall time per message is the round's
-/// step loop — send, hand-off match or board slot, take or park, heap
-/// push and pop — and the world's spawn/join is under a hundredth of it.
-/// (An `alltoallw` of empty lists sends nothing at all; the benchmark's
+/// The p² floor: four dense `alltoallv` calls of empty blocks, `4 · p ·
+/// (p − 1)` messages through the mailbox that carry nothing, so wall time
+/// per message is what every message costs the runtime — send, hand-off
+/// match or mailbox entry, take or park, fiber switch, heap push and pop
+/// — and the world's spawn/join is under a hundredth of it. (An
+/// `alltoallw` of empty lists sends nothing at all; the benchmark's
 /// `sim.alltoallv_us` probe sends an 8-byte block to every peer and is
 /// bound by its 262 144 allocations.)
 fn round_empty(nprocs: usize) -> (Duration, u64) {
@@ -119,13 +120,15 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// alltoallw exchange stopped sending a message per peer pair and sends
 /// only the blocks that exist: 595 712 → 12 328 and 2 373 120 → 26 720
 /// messages, and with the empty blocks gone the wakes of their parked
-/// steps go too (heap pushes 241 331 → 2 263 and 977 864 → 3 901). Fiber
-/// switches fall less, 3 581 → 1 693 and 7 165 → 2 856: a receive of the
-/// point-to-point exchange that parks switches its fiber out and back,
-/// where a whole dense round did that once.
+/// steps go too (heap pushes 241 331 → 2 263 and 977 864 → 3 901). Last,
+/// the collectives became sends and receives on the mailbox, each rank
+/// stepping its own on its fiber: every wake is now a switch into the
+/// woken fiber, where the scheduler used to step a parked round without
+/// one, so fiber switches equal heap pushes (1 693 → 2 263 and 2 856 →
+/// 3 901); messages and heap pushes did not move.
 const CHECK: [(usize, u64, SchedCounters); 2] = [
-    (256, 12_328, SchedCounters { fiber_switches: 1_693, heap_pushes: 2_263 }),
-    (512, 26_720, SchedCounters { fiber_switches: 2_856, heap_pushes: 3_901 }),
+    (256, 12_328, SchedCounters { fiber_switches: 2_263, heap_pushes: 2_263 }),
+    (512, 26_720, SchedCounters { fiber_switches: 3_901, heap_pushes: 3_901 }),
 ];
 
 /// The main family is a fig4-style non-contiguous collective write,
@@ -134,8 +137,9 @@ const CHECK: [(usize, u64, SchedCounters); 2] = [
 /// park/wake and message dispatch — dominates wall time rather than
 /// simulated data volume. Weak scaling: per-rank work is constant, the
 /// world grows. Two more isolate the runtime-overhead floor: spawn/join
-/// and a 64-step ping-pong at 64 ranks, and at 512 an `alltoallv` of
-/// empty blocks, the dense round's step loop and nothing else.
+/// and a 64-step ping-pong at 64 ranks, and at 512 dense `alltoallv`
+/// calls of empty blocks: the p² floor, the mailbox's cost per message
+/// and nothing else.
 ///
 /// `--nprocs N` restricts the main family to one row, `--full` extends
 /// it to 4096 ranks, `--check` runs one 256-rank and one 512-rank world
@@ -177,7 +181,7 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
     row!(r; "spawn-join", ms(best_wall(|| spawn_join(64))));
     row!(r; "ping-pong", ms(best_wall(|| ping_pong(64))));
 
-    r.heading("dense-round floor @512 ranks (four alltoallv of empty blocks)");
+    r.heading("p^2 floor @512 ranks (four alltoallv of empty blocks through the mailbox)");
     r.section("microbench,wall_ms:2,msgs,host_ns_per_msg:1");
     let (wall, msgs) = best_wall(|| round_empty(512));
     row!(r; "round-empty", ms(wall), msgs, ns_per_msg(wall, msgs));

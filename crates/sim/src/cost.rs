@@ -56,8 +56,9 @@ impl CostModel {
     /// Wire time of an `n`-byte message (latency + transfer).
     #[inline]
     pub fn msg_ns(&self, n: usize) -> u64 {
-        // Most messages of a dense round are empty; spare them the
-        // float round trip (which comes to the same: 0 · β casts to 0).
+        // Barrier messages and a dense `alltoallv`'s empty blocks carry
+        // nothing; spare them the float round trip (which comes to the
+        // same: 0 · β casts to 0).
         if n == 0 {
             return self.net_latency_ns;
         }

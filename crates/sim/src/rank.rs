@@ -11,7 +11,7 @@
 
 use crate::cost::CostModel;
 use crate::sched::Segment;
-use crate::world::{Msg, Payload, Slot, World};
+use crate::world::{Msg, Payload, World};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -424,7 +424,7 @@ impl Rank {
     /// destination after latency + transfer time.
     pub fn send(&self, dst: usize, tag: u64, data: &[u8]) {
         assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40, got {tag}");
-        self.send_tagged(dst, tag, data);
+        self.send_tagged(dst, tag, Payload::Owned(data.to_vec()));
     }
 
     /// Charge one send of `len` bytes (overhead now, α + β·len in
@@ -442,7 +442,7 @@ impl Rank {
 
     /// Charge the completion of a receive: wait for the message if it is
     /// still in flight, then the receive overhead; all of it Comm time.
-    fn charge_recv(&self, m: Msg) -> Vec<u8> {
+    fn charge_recv(&self, m: Msg) -> Payload {
         let before = self.now();
         self.advance_to(m.avail_at);
         self.advance(self.cost().recv_overhead_ns);
@@ -450,15 +450,11 @@ impl Rank {
         m.data
     }
 
-    fn send_tagged(&self, dst: usize, tag: u64, data: &[u8]) {
-        self.send_owned(dst, tag, data.to_vec());
-    }
-
-    /// [`Rank::send_tagged`] of a buffer the message takes over as it is.
-    fn send_owned(&self, dst: usize, tag: u64, data: Vec<u8>) {
+    /// Send `data` as it is: the message takes it over.
+    fn send_tagged(&self, dst: usize, tag: u64, data: Payload) {
         let avail_at = self.charge_send(data.len());
         // Mailbox identity is world-frame: group ids translate here, in
-        // `recv_tagged` and in the two round forms below, nowhere else.
+        // `recv_tagged` and in `recv_timeout`, nowhere else.
         let msg = Msg { data, avail_at };
         self.seg().deliver(self.global_of(dst), self.global, tag, msg);
     }
@@ -466,10 +462,10 @@ impl Rank {
     /// Blocking receive of the next message from `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
         assert!(tag < INTERNAL_BASE, "user tags must stay below 2^40, got {tag}");
-        self.recv_tagged(src, tag)
+        self.recv_tagged(src, tag).into_vec()
     }
 
-    fn recv_tagged(&self, src: usize, tag: u64) -> Vec<u8> {
+    fn recv_tagged(&self, src: usize, tag: u64) -> Payload {
         let m = self.seg().take(self.global, self.global_of(src), tag, self.now());
         self.charge_recv(m)
     }
@@ -483,7 +479,7 @@ impl Rank {
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
         match self.seg().take_deadline(self.global, self.global_of(src), tag, before, deadline) {
-            Some(m) => Some(self.charge_recv(m)),
+            Some(m) => Some(self.charge_recv(m).into_vec()),
             None => {
                 self.advance_to(deadline);
                 self.note_phase(Phase::Comm, self.now() - before);
@@ -495,8 +491,8 @@ impl Rank {
     // ----- collectives ----------------------------------------------------
 
     /// The round key of the collective about to run: `seq * 8 + op`, the
-    /// same on every participant. A dense round's messages are addressed
-    /// by `(key, step)` — see [`Segment::deliver_step`].
+    /// same on every participant. Its messages are tagged
+    /// `coll_tag(key, step)`.
     fn round_key(&self, op: u64) -> u64 {
         debug_assert!((op as usize) < OPS.len());
         self.state.seq.get() * 8 + op
@@ -506,41 +502,22 @@ impl Rank {
         self.state.seq.set(self.state.seq.get() + 1);
     }
 
-    /// Run one dense round of `steps` to its end: put a cursor for it
-    /// into the world, take the first segment of [`step_round`] right
-    /// here, and sleep while the scheduler takes the rest — one switch out
-    /// and one back in however many steps park. Then adopt what the
-    /// cursor charged and hand back the bytes it received.
-    fn run_round(&self, op: u64, steps: std::ops::Range<usize>, kind: RoundKind) -> Vec<(usize, Payload)> {
-        let key = self.round_key(op);
-        let cursor = Cursor {
-            key,
-            step: steps.start,
-            end: steps.end,
-            clock: self.now(),
-            msgs_sent: 0,
-            bytes_sent: 0,
-            comm_ns: 0,
-            rank: self.rank,
-            nprocs: self.nprocs(),
-            group: self.group.clone(),
-            kind,
-            received: Vec::new(),
-        };
-        let seg = self.seg();
-        seg.begin_round(self.global, cursor);
-        if !step_round(seg, self.global, None) {
-            seg.sleep_in_round(self.global);
-        }
-        let c = seg.end_round(self.global, key);
-        self.state.clock.set(c.clock);
-        self.tally(|s| {
-            s.msgs_sent += c.msgs_sent;
-            s.bytes_sent += c.bytes_sent;
-            s.phase_ns[Phase::Comm as usize] += c.comm_ns;
-        });
-        self.finish_coll();
-        c.received
+    /// Step `step` of a collective with round key `key`: send `data` to
+    /// `dst`, then receive the step's message from `src` — the one thing
+    /// every step of `barrier`, `allgatherv` and `alltoallv` does.
+    fn step(&self, key: u64, step: usize, (dst, src): (usize, usize), data: Payload) -> Payload {
+        let tag = coll_tag(key, step);
+        self.send_tagged(dst, tag, data);
+        self.recv_tagged(src, tag)
+    }
+
+    /// The peers `dist` away (`0 < dist < nprocs`): whom a step sends to
+    /// and whom it receives from.
+    fn peers_at(&self, dist: usize) -> (usize, usize) {
+        let (r, p) = (self.rank, self.nprocs());
+        // `dist < p`, so one conditional subtraction wraps.
+        let wrap = |x: usize| if x >= p { x - p } else { x };
+        (wrap(r + dist), wrap(r + p - dist))
     }
 
     /// The steps of a log-step round: ⌈log2 nprocs⌉, step `k` pairing
@@ -553,7 +530,11 @@ impl Rank {
     /// lower bound (every rank ends at ≥ the max participant clock).
     /// Round `k` exchanges empty messages at distance `2^k`.
     pub fn barrier(&self) {
-        self.run_round(0, self.log_steps(), RoundKind::Dissemination);
+        let key = self.round_key(0);
+        for k in self.log_steps() {
+            self.step(key, k, self.peers_at(1 << k), Payload::Owned(Vec::new()));
+        }
+        self.finish_coll();
     }
 
     /// Allgather of variable-size blocks (Bruck); result indexed by rank.
@@ -571,48 +552,45 @@ impl Rank {
     /// `p` blocks rather than `p²` copies.
     pub fn allgatherv_shared(&self, mine: &[u8]) -> Vec<Arc<[u8]>> {
         let p = self.nprocs();
-        let mine: Arc<[u8]> = Arc::from(mine);
-        let mut got = self.run_round(1, self.log_steps(), RoundKind::Bruck { mine: Arc::clone(&mine) });
-        // Held order: own block, then step 0's (rank - 1's), step 1's
-        // (rank - 2's and rank - 3's), …; the messages were received in
-        // step order but may have been delivered out of it.
-        got.sort_unstable_by_key(|&(step, _)| step);
-        let mut out: Vec<Arc<[u8]>> = Vec::with_capacity(p);
-        out.push(mine);
-        for (_, blocks) in got {
-            match blocks {
-                Payload::Blocks(blocks) => out.extend(blocks),
+        let key = self.round_key(1);
+        // Held order: own block, then step 0's (rank − 1's), step 1's
+        // (rank − 2's and rank − 3's), …
+        let mut held: Vec<Arc<[u8]>> = Vec::with_capacity(p);
+        held.push(Arc::from(mine));
+        for k in self.log_steps() {
+            let n = (1 << k).min(p - (1 << k));
+            match self.step(key, k, self.peers_at(1 << k), Payload::Blocks(held[..n].to_vec())) {
+                Payload::Blocks(blocks) => held.extend(blocks),
                 Payload::Owned(_) => unreachable!("an allgatherv step carries blocks"),
             }
         }
-        debug_assert_eq!(out.len(), p);
+        self.finish_coll();
+        debug_assert_eq!(held.len(), p);
         // Descending from `rank` to ascending from 0.
-        out.reverse();
-        out.rotate_left(p - 1 - self.rank);
-        out
+        held.reverse();
+        held.rotate_left(p - 1 - self.rank);
+        held
     }
 
     /// Pairwise-exchange all-to-all of variable-size blocks, one per rank;
     /// result indexed by rank. Step `s` sends the block for `rank + s` and
-    /// receives the block of `rank − s`, one dense round of `nprocs − 1`
-    /// steps after the local copy of the own block: one message per peer,
-    /// empty blocks included. [`Rank::alltoallw`] sends only the blocks
-    /// that exist.
+    /// receives the block of `rank − s`, `nprocs − 1` steps after the
+    /// local copy of the own block: one message per peer, empty blocks
+    /// included. [`Rank::alltoallw`] sends only the blocks that exist.
     pub fn alltoallv(&self, mut blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let p = self.nprocs();
         assert_eq!(blocks.len(), p, "alltoallv needs one block per rank");
         let own = std::mem::take(&mut blocks[self.rank]);
         self.charge_memcpy(own.len() as u64);
-        let sends: Vec<(usize, Vec<u8>)> = blocks.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();
-        let next = sends.partition_point(|s| s.0 < self.rank);
+        let key = self.round_key(2);
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
         out[self.rank] = own;
-        for (step, block) in self.run_round(2, 1..p, RoundKind::Pairwise { sends, next }) {
-            match block {
-                Payload::Owned(block) => out[(self.rank + p - step) % p] = block,
-                Payload::Blocks(_) => unreachable!("an alltoallv step carries one buffer"),
-            }
+        for s in 1..p {
+            let (dst, src) = self.peers_at(s);
+            let block = Payload::Owned(std::mem::take(&mut blocks[dst]));
+            out[src] = self.step(key, s, (dst, src), block).into_vec();
         }
+        self.finish_coll();
         out
     }
 
@@ -664,7 +642,7 @@ impl Rank {
             if dst == self.rank {
                 self_payloads.push_back(payload);
             } else {
-                self.send_owned(dst, tag, payload);
+                self.send_tagged(dst, tag, Payload::Owned(payload));
             }
         }
         let mut out = Vec::with_capacity(recv_from.len());
@@ -677,7 +655,7 @@ impl Rank {
                 self.charge_memcpy(payload.len() as u64);
                 out.push((self.rank, payload));
             } else {
-                out.push((src, self.recv_tagged(src, tag)));
+                out.push((src, self.recv_tagged(src, tag).into_vec()));
             }
         }
         assert!(
@@ -718,166 +696,6 @@ impl Rank {
     /// Sum of `val` across ranks.
     pub fn allreduce_sum(&self, val: u64) -> u64 {
         self.allreduce_u64(val, |a, b| a + b)
-    }
-}
-
-/// What the three dense rounds differ in: whom a step sends to and
-/// receives from, and which bytes it sends.
-pub(crate) enum RoundKind {
-    /// `barrier`: step `k` pairs with the ranks `2^k` away; no bytes.
-    Dissemination,
-    /// `allgatherv` (Bruck): the peers of [`RoundKind::Dissemination`];
-    /// step `k` sends the first min(2^k, p − 2^k) blocks the rank holds —
-    /// `mine`, then what steps `0..k` brought in, in step order.
-    Bruck { mine: Arc<[u8]> },
-    /// `alltoallv`: step `s` sends `rank + s` its block and receives
-    /// `rank - s`'s. `sends` holds the non-empty blocks for other ranks,
-    /// ascending by destination; `next` walks it (the steps ask for
-    /// destinations ascending from `rank + 1`, wrapping once).
-    Pairwise { sends: Vec<(usize, Vec<u8>)>, next: usize },
-}
-
-/// A rank's position in the dense round it is in, kept in the world
-/// (beside the boards) and not on the rank's fiber stack so that whoever
-/// pops the rank's next wake can carry on from it: the rank's own fiber
-/// for the first segment, the scheduler — on its own stack, the fiber
-/// left asleep — for every one after ([`step_round`]).
-pub(crate) struct Cursor {
-    /// The round ([`Rank::round_key`]).
-    pub key: u64,
-    /// The step whose message the rank takes next, and where the round
-    /// ends. A parked cursor has sent step `step`'s message already.
-    step: usize,
-    end: usize,
-    /// The rank's clock, and what the round has added to its counters so
-    /// far; the fiber adopts them when it leaves the round.
-    clock: u64,
-    msgs_sent: u64,
-    bytes_sent: u64,
-    comm_ns: u64,
-    /// The communicator frame the round runs in.
-    rank: usize,
-    nprocs: usize,
-    group: Option<Arc<Vec<usize>>>,
-    kind: RoundKind,
-    /// The messages with bytes in them received so far, `(step, bytes)`
-    /// in delivery order — not step order when a step has its own sender:
-    /// a later step's message can land before an earlier one's.
-    pub received: Vec<(usize, Payload)>,
-}
-
-impl Cursor {
-    /// Whether the round's last step has been taken.
-    pub fn is_done(&self) -> bool {
-        self.step == self.end
-    }
-
-    /// The peers of step `step`, in the round's communicator frame: whom
-    /// it sends to and whom it receives from.
-    fn peers(&self, step: usize) -> (usize, usize) {
-        let (r, p) = (self.rank, self.nprocs);
-        let dist = match self.kind {
-            RoundKind::Dissemination | RoundKind::Bruck { .. } => 1 << step,
-            RoundKind::Pairwise { .. } => step,
-        };
-        // `dist < p`, so one conditional subtraction wraps.
-        let wrap = |x: usize| if x >= p { x - p } else { x };
-        (wrap(r + dist), wrap(r + p - dist))
-    }
-
-    /// Translate a communicator-relative id to its world-frame id.
-    fn global_of(&self, r: usize) -> usize {
-        self.group.as_ref().map_or(r, |g| g[r])
-    }
-
-    /// The bytes of the message step `step` sends `dst`, if it has any.
-    fn block_for(&mut self, step: usize, dst: usize) -> Option<Payload> {
-        match &mut self.kind {
-            RoundKind::Dissemination => None,
-            RoundKind::Bruck { mine } => {
-                let n = (1 << step).min(self.nprocs - (1 << step));
-                let mut blocks = Vec::with_capacity(n);
-                blocks.push(Arc::clone(mine));
-                // Steps `0..step` have been taken; `received` may also
-                // hold a later step's message, which is not held yet.
-                for k in 0..step {
-                    if blocks.len() == n {
-                        break;
-                    }
-                    let got = self.received.iter().find_map(|(at, m)| match m {
-                        Payload::Blocks(got) if *at == k => Some(got),
-                        _ => None,
-                    });
-                    let got = got.expect("a taken allgatherv step left its blocks");
-                    blocks.extend(got.iter().take(n - blocks.len()).cloned());
-                }
-                Some(Payload::Blocks(blocks))
-            }
-            RoundKind::Pairwise { sends, next } => {
-                if *next == sends.len() {
-                    *next = 0;
-                }
-                match sends.get_mut(*next) {
-                    Some((d, block)) if *d == dst => {
-                        *next += 1;
-                        (!block.is_empty()).then(|| Payload::Owned(std::mem::take(block)))
-                    }
-                    _ => None,
-                }
-            }
-        }
-    }
-}
-
-/// Advance rank `r`'s dense round as far as the messages delivered so far
-/// take it — the one step loop of `barrier`, `allgatherv` and `alltoallv`.
-/// A step sends its message ([`Segment::deliver_step`]: hand-off to a peer
-/// parked on it, or onto the peer's board), then looks for the one it
-/// receives; if that has not been delivered the rank parks on it
-/// ([`Segment::park_round`]) and this returns `false`. A call is one
-/// span of steps under one token — its caller's: nothing between the
-/// first send and the park re-establishes whose segment this is. The rank's
-/// fiber calls it on entering the round (`arrived: None`); from then on
-/// the scheduler does, with the time the awaited message is available at,
-/// each time it pops the rank's wake — the same sends, hand-off matches,
-/// park points and park clocks in the same order as when the fiber woke
-/// for every one of them, without waking it. Returns `true` once the
-/// last step is taken: the fiber (woken for that, if it slept) leaves the
-/// round with the cursor.
-pub(crate) fn step_round(seg: Segment<'_>, r: usize, mut arrived: Option<u64>) -> bool {
-    let c = seg.cursor(r).as_mut().expect("a rank steps the round it is in");
-    let cost = seg.world().cost();
-    loop {
-        let avail_at = match arrived.take() {
-            Some(at) => at,
-            None => {
-                if c.is_done() {
-                    return true;
-                }
-                let (dst, src) = c.peers(c.step);
-                let data = c.block_for(c.step, dst);
-                let (dst, src) = (c.global_of(dst), c.global_of(src));
-                let len = data.as_ref().map_or(0, Payload::len);
-                c.clock += cost.send_overhead_ns;
-                c.msgs_sent += 1;
-                c.bytes_sent += len as u64;
-                c.comm_ns += cost.send_overhead_ns;
-                let (tag, at) = (coll_tag(c.key, c.step), Slot { key: c.key, step: c.step });
-                seg.deliver_step(dst, r, tag, at, data, c.clock + cost.msg_ns(len));
-                match seg.take_step(r, at) {
-                    Some(at) => at,
-                    None => {
-                        seg.park_round(r, src, tag, c.clock);
-                        return false;
-                    }
-                }
-            }
-        };
-        // The receive: wait out the flight, then the overhead; all Comm.
-        let done = c.clock.max(avail_at) + cost.recv_overhead_ns;
-        c.comm_ns += done - c.clock;
-        c.clock = done;
-        c.step += 1;
     }
 }
 
@@ -1062,8 +880,9 @@ mod tests {
         // (so a later step's message can land before an earlier one's),
         // the whole world or a sub-communicator of it: every member ends
         // with every block in rank order; the round sends ⌈log2 p⌉
-        // messages a member, p·⌈log2 p⌉ in all; and every member receives
-        // exactly total − own bytes, each other block once.
+        // messages a member, p·⌈log2 p⌉ in all; and the members send
+        // (p − 1)·total bytes in all — every member receives each other
+        // block once.
         crate::prop::Runner::new("bruck_allgatherv").run(
             |rng| {
                 let p = 1 + rng.next_below(70) as usize;
@@ -1102,13 +921,6 @@ mod tests {
                         assert_eq!(b[..], block(g)[..], "rank {}: block of {g}", r.rank());
                     }
                     assert_eq!(got.len(), m);
-                    // The round again, for what its messages carried.
-                    r.advance(skew[r.rank()]);
-                    let mine = Arc::from(block(r.rank()));
-                    let msgs = comm.run_round(1, comm.log_steps(), RoundKind::Bruck { mine });
-                    assert_eq!(msgs.len() as u64, steps, "rank {}: one message a step", r.rank());
-                    let received: usize = msgs.iter().map(|(_, m)| m.len()).sum();
-                    assert_eq!(received, total - sizes[r.rank()], "rank {}: bytes received", r.rank());
                     Some(sent)
                 });
                 let sent: Vec<(u64, u64)> = out.into_iter().flatten().collect();
@@ -1332,7 +1144,8 @@ mod tests {
     fn dense_rounds_back_to_back_keep_their_messages_apart() {
         // 130 ranks: steps run far past the 8 the old tag layout had room
         // for (step 64 of one collective was step 0 of the next). Then
-        // the same passes over a subgroup, whose boards are its width.
+        // the same passes over a subgroup. A message left untaken would
+        // fail the world-end check.
         run(130, CostModel::default(), |r| {
             mixed_rounds(r);
             r.barrier();
@@ -1346,8 +1159,6 @@ mod tests {
                 mixed_rounds(&comm);
                 comm.barrier();
             }
-            let (live, _) = r.seg().board_census(r.global);
-            assert_eq!(live, 0, "rank {} left a board behind", r.rank());
         });
     }
 
@@ -1366,90 +1177,13 @@ mod tests {
     }
 
     #[test]
-    fn cursor_is_a_few_cache_lines() {
-        // DESIGN "Dense rounds" quotes cursor memory as 136 B a rank.
-        assert!(std::mem::size_of::<Option<Cursor>>() <= 136, "{}", std::mem::size_of::<Option<Cursor>>());
-    }
-
-    /// A `p`-rank world whose rank `late` sits out 50 virtual ms on a
-    /// timer — late on the host, not only in virtual time — before it
-    /// enters `round`, which its peers run as far as they can without it.
-    /// Per rank: its ring census as it enters (the late rank's only), as
-    /// it leaves, and after a barrier.
-    fn late_entrant(p: usize, late: usize, round: impl Fn(&Rank) + Sync) -> Vec<[(usize, usize); 3]> {
-        run(p, CostModel::default(), |r| {
-            let mut entry = (0, 0);
-            if r.rank() == late {
-                assert_eq!(r.recv_timeout(late, 1, 50_000_000), None);
-                entry = r.seg().ring_census(late);
-            }
-            round(r);
-            let leave = r.seg().ring_census(r.global);
-            // Nobody is a round ahead of anybody after this.
-            r.barrier();
-            assert_eq!(r.seg().board_census(r.global).0, 0, "rank {}: board left open", r.rank());
-            [entry, leave, r.seg().ring_census(r.global)]
-        })
-    }
-
-    fn checked_alltoallv(r: &Rank) {
-        let got = r.alltoallv((0..r.nprocs()).map(|d| stamp(0, 0, r.rank(), d)).collect());
-        for (src, b) in got.iter().enumerate() {
-            assert_eq!(b, &stamp(0, 0, src, r.rank()));
-        }
-    }
-
-    #[test]
-    fn a_late_entrants_ring_grows_to_its_senders_lead_and_is_left_empty() {
-        // Rank 7's peers run a pairwise alltoallv without it until each
-        // stalls on a step that needs one of its blocks, or on a sender
-        // that did first: eight of them have sent it theirs by then, past
-        // the first ring's eight slots. It takes them in one segment off
-        // a ring that grew, non-empty, to 16, steps the other 31 steps of
-        // the round round that ring, wrapping twice, and `end_round` finds
-        // it empty and vacates the header.
-        let p = 40;
-        let out = late_entrant(p, 7, checked_alltoallv);
-        assert_eq!(out[7][0], (16, 8), "the senders' lead, rounded up");
-        // What waits on a rank's rings as it leaves is the next round's:
-        // a 40-rank barrier's six messages at most.
-        assert!(out.iter().all(|o| o[1].1 <= 6 && o[2].1 == 0), "{out:?}");
-    }
-
-    #[test]
-    fn a_boards_length_is_its_senders_lead() {
-        // The bound on a board is the window bound — its senders' lead,
-        // at most the round (a fixed `nprocs`-slot array per *round* is
-        // what the window saves). A log-step round's is its ⌈log2 p⌉
-        // steps: at 512 ranks the late entrant of an allgatherv finds all
-        // nine waiting (16 slots) and everyone else stays at the first
-        // eight. A pairwise exchange's lead is where its peers stall on
-        // the late rank: 31 steps, and every board at 512 ranks holds 32
-        // slots — the late rank's and those it fills on the way through.
-        let allgatherv = |r: &Rank| {
-            let got = r.allgatherv(&stamp(0, 1, r.rank(), 0));
-            for (src, b) in got.iter().enumerate() {
-                assert_eq!(b, &stamp(0, 1, src, 0));
-            }
-        };
-        let out = late_entrant(512, 100, allgatherv);
-        assert_eq!(out[100][0], (16, 9));
-        for (rank, o) in out.iter().enumerate() {
-            assert_eq!(o[2], (if rank == 100 { 16 } else { 8 }, 0), "rank {rank}");
-        }
-        let out = late_entrant(512, 100, checked_alltoallv);
-        assert_eq!(out[100][0], (32, 31));
-        assert!(out.iter().all(|o| o[2] == (32, 0)), "{out:?}");
-    }
-
-    #[test]
     fn crashed_ranks_messages_are_taken_and_its_boards_reaped() {
         // Rank 2 dies right after a world alltoallv that its left
         // neighbour entered a virtual second late: by then rank 2 has
         // sent its last block to rank 1, which is still several steps
-        // from taking it. The block is taken in the normal course, the
-        // dead rank's boards are gone, and the survivors go on over a
-        // four-rank subgroup whose rounds run on four-step boards.
+        // from taking it. The block is taken in the normal course (the
+        // world-end check finds no collective message left behind), and
+        // the survivors go on over a four-rank subgroup.
         let out = run_crashable(5, CostModel::default(), &[(2, 1)], |r| {
             if r.rank() == 1 {
                 r.advance(1_000_000_000);
@@ -1458,62 +1192,22 @@ mod tests {
             for (src, b) in got.iter().enumerate() {
                 assert_eq!(b, &stamp(0, 0, src, r.rank()));
             }
-            if r.rank() == 2 {
-                // Still to be taken by rank 1: the step-4 block.
-                assert_eq!(r.seg().board_census(1).0, 1, "rank 1 should hold a live board");
-            }
             r.maybe_crash();
             let comm = r.subgroup(&[0, 1, 3, 4]);
             mixed_rounds(&comm);
             let survivors = comm.allreduce_sum(1);
-            // The last collective: nobody can be a round ahead now.
             comm.barrier();
-            assert_eq!(r.seg().board_census(2), (0, 0), "dead rank's boards must be reaped");
-            assert!(!r.seg().in_round(2), "dead rank's cursor must be reaped");
-            assert!(!r.seg().in_round(r.global), "rank {} left its cursor behind", r.rank());
-            // (`end_round` itself asserts that a pooled board is empty.)
-            let (live, pooled) = r.seg().board_census(r.global);
-            assert_eq!(live, 0, "rank {}: board left live", r.rank());
-            assert!(pooled <= 2, "rank {}: {pooled} boards pooled", r.rank());
             survivors
         });
         assert_eq!(out, vec![Some(4), Some(4), None, Some(4), Some(4)]);
     }
 
     #[test]
-    fn reaping_a_rank_drops_its_cursor_with_its_boards() {
-        // Ranks 1 and 2 sleep in an alltoallv that rank 0 never enters,
-        // rank 2's block for rank 1 still on rank 1's board (rank 1 is
-        // parked on rank 0's). Reaping rank 1 — as the crash path does —
-        // must leave nothing of it.
-        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(3, CostModel::default(), |r| {
-                if r.rank() != 0 {
-                    r.alltoallv(vec![vec![r.rank() as u8]; 3]);
-                    return;
-                }
-                // Let the other two enter and park.
-                let _ = r.recv_timeout(0, 5, 1_000_000);
-                assert!(r.seg().in_round(1) && r.seg().in_round(2));
-                assert_eq!(r.seg().board_census(1).0, 1, "rank 2's block for rank 1 waits on a board");
-                r.seg().reap_rank(1);
-                assert!(!r.seg().in_round(1), "a dead rank's cursor must be reaped");
-                assert_eq!(r.seg().board_census(1), (0, 0), "a dead rank's boards must be reaped");
-            })
-        }));
-        let err = got.expect_err("two ranks wait for rank 0 for ever");
-        let msg = err.downcast_ref::<String>().expect("a deadlock report, not a failed assertion");
-        assert!(msg.contains("deadlock"), "{msg}");
-    }
-
-    #[test]
     fn deadlock_on_a_dead_rank_names_the_round_and_step() {
-        use std::sync::atomic::AtomicUsize;
         // Ranks 0 and 2 enter an alltoallv with rank 1, which sleeps a
         // virtual second and then dies without entering it: their blocks
-        // for it land on its board and go down with it. Rank 3 watches
-        // from outside the round.
-        let (before, after) = (AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX));
+        // for it wait in its mailbox and go down with it. Rank 3 sits on
+        // timers outside the round.
         let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_crashable(4, CostModel::default(), &[(1, 1)], |r| match r.rank() {
                 1 => {
@@ -1522,24 +1216,18 @@ mod tests {
                 }
                 3 => {
                     let _ = r.recv_timeout(3, 5, 500_000_000);
-                    before.store(r.seg().board_census(1).0, Ordering::SeqCst);
                     let _ = r.recv_timeout(3, 5, 2_000_000_000);
-                    let (live, pooled) = r.seg().board_census(1);
-                    after.store(live + pooled, Ordering::SeqCst);
                 }
                 _ => {
                     r.subgroup(&[0, 1, 2]).alltoallv(vec![vec![7]; 3]);
                 }
             })
         }));
-        assert_eq!(before.load(Ordering::SeqCst), 1, "blocks for rank 1 should be on its board");
-        assert_eq!(after.load(Ordering::SeqCst), 0, "a dead rank's boards must be reaped");
         let err = got.expect_err("waiting on a dead rank must be reported");
         let msg = err.downcast_ref::<String>().expect("panic carries a String");
-        // Word for word what the report said when the two ranks stood
-        // parked on their own fiber stacks (commit 6c2ce6c): asleep with
-        // the scheduler stepping their cursors they wait for the same
-        // message at the same clock.
+        // Word for word what the report has said since the ranks parked
+        // on their own fiber stacks (commit 6c2ce6c): both wait for the
+        // dead rank's message, each at the clock it parked at.
         assert_eq!(
             msg,
             "flexio-sim event loop deadlock: 2 of 4 ranks parked with no message in flight: \

@@ -2,16 +2,13 @@
 //! scheduled fiber over virtual time, all of them driven by the one host
 //! thread that called [`crate::run`].
 //!
-//! Ranks are resumable state machines (stackful fibers, [`crate::fiber`])
-//! parked on their one blocking primitive — a message receive that found
-//! its `(src, tag)` queue, or its slot of a dense round's board, empty
-//! ([`Segment::take`], [`crate::rank::step_round`]). The scheduler always
-//! resumes the runnable rank with the **lowest virtual clock**, rank id as
-//! tie-break, so host execution order is a pure function of the workload:
-//! no OS wakeup races, bit-identical clocks and counters on every run. A
-//! rank parked inside a dense round is resumed without its fiber: the
-//! round's state is a cursor in the world, and the scheduler advances it
-//! on its own stack ([`run_segment`]).
+//! Ranks are stackful fibers ([`crate::fiber`]) parked on their one
+//! blocking primitive — a receive that found nothing waiting for its
+//! `(src, tag)` ([`Segment::take`]); every collective is sends and
+//! receives. The scheduler always resumes the runnable rank with the
+//! **lowest virtual clock**, rank id as tie-break, so host execution order
+//! is a pure function of the workload: no OS wakeup races, bit-identical
+//! clocks and counters on every run.
 //!
 //! Why lowest-clock-first matters: message payloads and per-rank charges
 //! never depend on host order (per-`(src, tag)` queues are single-producer
@@ -23,9 +20,9 @@
 //!
 //! One thread is also the world's whole ownership rule: between a pop of
 //! the ready heap and the next, exactly one segment runs, and everything
-//! it touches — this scheduler, the world's records, mailboxes, boards
-//! and cursors — is touched by nobody else. A segment proves what it is
-//! once, with a [`Segment`] token, and reaches all of it through that.
+//! it touches — this scheduler, the world's records and mailboxes — is
+//! touched by nobody else. A segment proves what it is once, with a
+//! [`Segment`] token, and reaches all of it through that.
 //! There is no second driver (DESIGN.md "Rank runtime", "Why there is no
 //! pool").
 //!
@@ -99,10 +96,6 @@ struct FiberSlot {
     /// Boxed so its address is stable for the initial register image.
     payload: Box<Payload>,
     done: bool,
-    /// The fiber sleeps in a dense round ([`Segment::sleep_in_round`]): its wakes
-    /// advance the round's cursor on the scheduler's stack, and it is
-    /// switched to only once the cursor has taken its last step.
-    in_round: bool,
 }
 
 /// The scheduler of one world, owned by the [`run_event_loop_partial`]
@@ -134,11 +127,10 @@ struct Sched {
     timed_out: Vec<bool>,
     /// Ranks that crash-stopped ([`crate::world::CrashStop`]).
     crashed: usize,
-    /// Direct-handoff slot per rank: a tag-addressed delivery matching a
-    /// parked receiver's `(src, tag)` lands here, bypassing the mailbox
-    /// map entirely (the queue is provably empty whenever the receiver is
-    /// parked: it drained it before parking). A dense round's hand-off
-    /// is a `u64` in the receiver's record instead.
+    /// Direct-handoff slot per rank: a delivery matching a parked
+    /// receiver's `(src, tag)` lands here, bypassing the mailbox map
+    /// entirely (nothing for that `(src, tag)` waits there whenever the
+    /// receiver is parked: it looked before parking).
     handoff: Vec<Option<Msg>>,
     slots: Vec<FiberSlot>,
     /// The memory behind every slot's stack.
@@ -175,10 +167,9 @@ fn active(world: &World) -> Option<*mut Sched> {
 }
 
 /// Proof that the code holding it is a segment of the scheduler driving
-/// `world` — a rank's fiber, or the scheduler stepping a sleeping rank's
-/// round — on the one thread that does. Everything the world keeps
-/// without a lock (records, mailboxes, boards, cursors, shared cells:
-/// the `impl Segment` in `world.rs`) and this scheduler's park state and
+/// `world` — a rank's fiber — on the one thread that does. Everything the
+/// world keeps without a lock (records, mailboxes, shared cells: the
+/// `impl Segment` in `world.rs`) and this scheduler's park state and
 /// ready heap (the one below) is reached through a token and in no
 /// other way. Segments run one at a time, the forced unwind of a
 /// teardown included (it resumes one fiber after another), so whoever
@@ -270,55 +261,14 @@ impl<'w> Segment<'w> {
         }
     }
 
-    /// The park of a dense round's step: exactly [`Segment::park_for_recv`]'s
-    /// bookkeeping — the park entry a delivery matches and the deadlock
-    /// report prints, at the same clock — and no switch. Whoever is
-    /// stepping the round (`rank::step_round`: the rank's fiber in its
-    /// first segment, the scheduler afterwards) returns to its caller
-    /// instead.
-    pub(crate) fn park_round(self, dst: usize, src: usize, tag: u64, now: u64) {
-        self.note_park(dst, src, tag, now, None);
-    }
-
-    /// Put rank `r`'s fiber to sleep until its round's cursor — parked by
-    /// [`Segment::park_round`] a moment ago — has taken its last step:
-    /// every wake of the rank in between is the scheduler's to act on
-    /// ([`run_segment`]).
-    pub(crate) fn sleep_in_round(self, r: usize) {
-        debug_assert!(self.peer(r).parked().is_some(), "only a parked round sleeps");
-        // SAFETY: as in `park_for_recv`.
-        let (my, host) = unsafe {
-            let el = &mut *self.el;
-            debug_assert_eq!(el.current, r, "only the running rank goes to sleep");
-            el.slots[r].in_round = true;
-            (&mut el.slots[r].ctx as *mut Context, &el.host_ctx as *const Context)
-        };
-        // SAFETY: host_ctx holds the scheduler context that switched us in.
-        unsafe { switch_stacks(my, host) };
-        // SAFETY: as above.
-        let el = unsafe { &mut *self.el };
-        if el.unwinding {
-            panic_any(ForcedUnwind);
-        }
-        debug_assert!(!el.slots[r].in_round, "rank {r} woken inside its round");
-    }
-
-    /// Mark `dst` — whose park a delivery has just ended
-    /// (`Peer::unpark_if`) — runnable at `clock`, its park-time clock.
-    /// What was delivered is where the woken rank looks for it: in its
-    /// record for a dense round's step, in the hand-off slot
-    /// ([`Segment::hand_over`]) for a tag-addressed message.
-    pub(crate) fn wake(self, dst: usize, clock: u64) {
-        // SAFETY: the token; short borrow, no switch inside.
-        unsafe { (*self.el).push_ready(Key::new(clock, dst, WAKE_ENTRY)) };
-    }
-
-    /// [`Segment::wake`] for a tag-addressed message: `msg` goes straight
-    /// to the parked receiver, bypassing its mailbox.
+    /// Hand `msg` to `dst`, whose park a delivery has just ended
+    /// (`Peer::unpark_if`), bypassing its mailbox, and mark it runnable at
+    /// `clock`, its park-time clock.
     pub(crate) fn hand_over(self, dst: usize, clock: u64, msg: Msg) {
         // SAFETY: the token; short borrow, no switch inside.
-        unsafe { (&mut (*self.el).handoff)[dst] = Some(msg) };
-        self.wake(dst, clock);
+        let el = unsafe { &mut *self.el };
+        el.handoff[dst] = Some(msg);
+        el.push_ready(Key::new(clock, dst, WAKE_ENTRY));
     }
 }
 
@@ -401,7 +351,6 @@ where
                 final_ctx: (std::ptr::null_mut(), std::ptr::null()),
             }),
             done: false,
-            in_round: false,
         });
     }
     // From here on `el` must not move: fibers hold raw pointers into it.
@@ -424,8 +373,8 @@ where
                         let el = &mut *el_ptr;
                         if p.is::<crate::world::CrashStop>() {
                             // Crash-stop: the rank is gone, the world goes
-                            // on. Reap its record (park entry, boards),
-                            // mailbox and any pending handoff so no
+                            // on. Reap its record (park entry), mailbox
+                            // and any pending handoff so no
                             // scheduler structure — deadlock reports
                             // included — ever lists it again. Its result
                             // slot stays `None`.
@@ -493,43 +442,21 @@ where
     results.into_iter().map(UnsafeCell::into_inner).collect()
 }
 
-/// Run the segment a popped key of rank `r` stands for. A rank asleep in
-/// a dense round has its cursor advanced right here, on the scheduler's
-/// stack ([`crate::rank::step_round`], the function its fiber entered the
-/// round through, under the drive's own token): what the fiber would
-/// have done between this wake and its next park — take the message, send
-/// the next step's, look for the one after — minus the two stack switches
-/// around it. Only when the cursor has taken its last step, or the rank
-/// is not in a round at all, is the fiber switched to. Returns whether
-/// the rank's stack canary is intact — read only after the fiber ran:
-/// nothing else can have touched it, and its cache line is as cold as any
-/// in the world.
+/// Switch to rank `r`'s fiber for the segment a popped key of it stands
+/// for, and return whether its stack canary is intact — read only after
+/// the fiber ran: nothing else can have touched it, and its cache line is
+/// as cold as any in the world.
 ///
 /// # Safety
-/// `seg` is the drive's token (its scheduler pinned, the calling thread's
-/// active one), no borrow of the scheduler is live, and `r` is a live
-/// rank of it that is not parked.
-unsafe fn run_segment(seg: Segment<'_>, r: usize) -> bool {
-    let el_ptr = seg.el;
+/// `el_ptr` is the drive's pinned scheduler, the calling thread's active
+/// one, no borrow of it is live, and `r` is a live rank of it that is not
+/// parked.
+unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
     // SAFETY (here and below): scoped borrows on the driving thread that
-    // end before anything that re-borrows the scheduler runs.
-    let in_round = unsafe {
-        let el = &mut *el_ptr;
-        el.current = r;
-        el.slots[r].in_round
-    };
-    if in_round {
-        if !crate::rank::step_round(seg, r, Some(seg.peer(r).take_handed())) {
-            return true;
-        }
-        unsafe { (&mut (*el_ptr).slots)[r].in_round = false };
-    }
-    debug_assert!(
-        seg.cursor(r).as_ref().is_none_or(crate::rank::Cursor::is_done),
-        "rank {r} resumed with a half-stepped round"
-    );
+    // end before the fiber runs.
     let (host, fctx) = unsafe {
         let el = &mut *el_ptr;
+        el.current = r;
         el.counters.fiber_switches += 1;
         (&mut el.host_ctx as *mut Context, &el.slots[r].ctx as *const Context)
     };
@@ -575,8 +502,7 @@ unsafe fn drive_solo(seg: Segment<'_>) -> Result<(), String> {
             if kind != WAKE_ENTRY {
                 // A park timer. It fires only if the rank is still in the
                 // very park that set it (same generation); a handoff that
-                // beat the deadline — or any later park, a dense round's
-                // included — makes it stale.
+                // beat the deadline — or any later park — makes it stale.
                 if peer.parked().is_none() || el.park_seq[r] != kind {
                     continue;
                 }
@@ -587,7 +513,7 @@ unsafe fn drive_solo(seg: Segment<'_>) -> Result<(), String> {
             }
         }
         // SAFETY: rank `r` is live and the popped key is its to run.
-        let canary_ok = unsafe { run_segment(seg, r) };
+        let canary_ok = unsafe { run_segment(el_ptr, r) };
         let need_unwind = unsafe {
             let el = &mut *el_ptr;
             assert!(
@@ -718,7 +644,7 @@ mod tests {
 
     #[test]
     fn deadlock_report_keeps_the_parked_fiber_text() {
-        // Three ranks asleep in an allgatherv that the fourth never joins.
+        // Three ranks parked in an allgatherv that the fourth never joins.
         let got = std::panic::catch_unwind(|| {
             run(4, CostModel::default(), |r| {
                 if r.rank() == 3 {
@@ -730,8 +656,8 @@ mod tests {
             })
         });
         let err = got.expect_err("deadlocked world must panic");
-        // The format of commit 6c2ce6c, where a rank parked in a round
-        // stood on its own fiber stack, for the log-step round: rank 0
+        // Each parked rank names the collective and the step it waits at,
+        // with the clock it parked at: rank 0
         // waits at step 0 for rank 3; rank 1 has its step-0 message and
         // waits at step 1 for rank 3 (two back); rank 2 waits at step 1
         // for rank 0, which never got as far as sending it.
@@ -789,10 +715,10 @@ mod tests {
             3,
             "every rank's locals must be dropped, including parked fibers"
         );
-        // The same with a hundred peers asleep in an alltoallv, their
-        // cursors stepped by the scheduler as far as they go without
-        // the last rank's blocks: that rank waits a virtual
-        // millisecond on a timer, then panics instead of entering.
+        // The same with a hundred peers parked in an alltoallv, each as
+        // far as it goes without the last rank's blocks: that rank waits
+        // a virtual millisecond on a timer, then panics instead of
+        // entering.
         DROPS.store(0, Ordering::SeqCst);
         let got = std::panic::catch_unwind(|| {
             run(101, CostModel::default(), |r| {
@@ -806,7 +732,7 @@ mod tests {
         });
         let err = got.expect_err("rank panic must propagate");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"teardown in a round"), "the original payload");
-        assert_eq!(DROPS.load(Ordering::SeqCst), 101, "sleeping fibers must unwind too");
+        assert_eq!(DROPS.load(Ordering::SeqCst), 101, "parked fibers must unwind too");
     }
 
     #[test]
@@ -901,11 +827,10 @@ mod tests {
             }
         });
         assert_eq!(out[0].as_deref(), Some(b"fastlate".as_slice()));
-        // The same timer left behind by a rank that is asleep in a
-        // dense round when it pops (its peer enters 50 virtual ms
-        // late): the round's park is a later generation, so the
-        // timer is skipped — not taken for the wake that steps the
-        // sleeper's cursor.
+        // The same timer left behind by a rank that is parked in an
+        // alltoallv when it pops (its peer enters 50 virtual ms late):
+        // that park is a later generation, so the timer is skipped —
+        // not taken for the wake of the collective's receive.
         let out = run_crashable(2, CostModel::default(), &[], |r| {
             if r.rank() == 1 {
                 r.send(0, 1, b"fast");

@@ -1,8 +1,7 @@
-//! The shared world: per-rank records, mailboxes, landing boards, shared
-//! cells, and the entry points that drive one ([`run`], [`run_crashable`]).
+//! The shared world: per-rank records, mailboxes, shared cells, and the
+//! entry points that drive one ([`run`], [`run_crashable`]).
 
 use crate::cost::CostModel;
-use crate::rank::Cursor;
 use crate::sched::{ParkWake, Segment};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, UnsafeCell};
@@ -39,10 +38,10 @@ impl Backend {
     }
 }
 
-/// The bytes of a dense round's message. An `alltoallv` step owns its
-/// buffer; an `allgatherv` step carries several ranks' blocks, each one
-/// allocation shared by every rank it passes through, so forwarding a
-/// block costs a reference count, not a copy.
+/// The bytes of a message. Most messages own their buffer; an
+/// `allgatherv` step carries several ranks' blocks, each one allocation
+/// shared by every rank it passes through, so forwarding a block costs a
+/// reference count, not a copy.
 #[derive(Debug)]
 pub(crate) enum Payload {
     Owned(Vec<u8>),
@@ -57,13 +56,21 @@ impl Payload {
             Payload::Blocks(blocks) => blocks.iter().map(|b| b.len()).sum(),
         }
     }
+
+    /// The buffer of a message that owns one.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Blocks(_) => unreachable!("only an allgatherv step carries shared blocks"),
+        }
+    }
 }
 
-/// A tag-addressed message in flight: its bytes plus the virtual time it
-/// becomes available at the receiver.
+/// A message in flight: its bytes plus the virtual time it becomes
+/// available at the receiver.
 #[derive(Debug)]
 pub(crate) struct Msg {
-    pub data: Vec<u8>,
+    pub data: Payload,
     pub avail_at: u64,
 }
 
@@ -72,11 +79,11 @@ pub(crate) struct Msg {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Switches from the scheduler into a rank's fiber (each has its
-    /// switch back): one per rank start, per park of a point-to-point or
-    /// tree-collective receive, and per dense round that parked at all.
+    /// switch back): one per rank start and one per wake of a parked
+    /// receive.
     pub fiber_switches: u64,
     /// Entries pushed onto the ready heap: rank starts, wakes of parked
-    /// receives (a dense round's steps included) and park timers.
+    /// receives and park timers.
     pub heap_pushes: u64,
 }
 
@@ -121,128 +128,53 @@ impl Hasher for TagHasher {
     }
 }
 
-/// One rank's incoming-message store for tag-addressed traffic (`send`/
-/// `recv`, `exchange`, the tree collectives; the dense rounds land on
-/// the rank's boards), one FIFO queue per `(src, tag)`. Only the overflow path —
-/// deliveries that found no matching parked receiver — lands here.
-type QueueMap = HashMap<(usize, u64), VecDeque<Msg>, BuildHasherDefault<TagHasher>>;
-
-/// Where one message of a dense collective round lands: the round is
-/// `key` (the collective's sequence number and kind, see
-/// `Rank::round_key`), and the message is the one its receiver takes at
-/// `step` — a rank takes the steps of a round in ascending order.
-#[derive(Clone, Copy)]
-pub(crate) struct Slot {
-    pub key: u64,
-    pub step: usize,
+/// What waits in a rank's mailbox for one `(src, tag)`. A collective's
+/// tag names one message from each source, which waits on its own; a
+/// FIFO queue is built only when a second message shares a `(src, tag)`,
+/// as a user tag's may.
+enum Waiting {
+    One(Msg),
+    Many(VecDeque<Msg>),
 }
 
-/// A slot no message has landed in yet. (A message's availability time
-/// is a virtual clock in ns, which never gets here.)
-const ABSENT: u64 = u64::MAX;
+impl Waiting {
+    fn push(&mut self, msg: Msg) {
+        let queue = match std::mem::replace(self, Waiting::Many(VecDeque::new())) {
+            Waiting::One(first) => VecDeque::from([first, msg]),
+            Waiting::Many(mut queue) => {
+                queue.push_back(msg);
+                queue
+            }
+        };
+        *self = Waiting::Many(queue);
+    }
+}
 
-/// The key of a header no round's board is open in. (`seq * 8 + op`
-/// never gets here.)
-const NO_ROUND: u64 = u64::MAX;
+/// One rank's incoming-message store: what waits for each `(src, tag)`.
+/// Only deliveries that found no matching parked receiver land here.
+type QueueMap = HashMap<(usize, u64), Waiting, BuildHasherDefault<TagHasher>>;
 
 /// [`Peer::park_src`] of a rank that is not parked. (A world holds at
 /// most 2^24 ranks.)
 const NOT_PARKED: u32 = u32::MAX;
 
-/// One board's landing slots. All a receive needs of a message is the
-/// time it becomes available at, so that is all a slot holds
-/// ([`ABSENT`] until it lands, and again once it is taken). The slots
-/// are a power-of-two ring indexed `step & mask` over the window that
-/// opens at the first step the board's owner has not taken (`taken`,
-/// kept beside the ring) and reaches as far as the furthest step a peer
-/// has delivered: the ring doubles when a sender's lead outgrows it and
-/// never shrinks, so a board is as long as its senders have ever run
-/// ahead of its owner — at most ⌈log2 nprocs⌉ steps in a barrier or an
-/// allgather, 8–32 slots in a pairwise exchange entered together, more
-/// for a rank that enters one late (32 at 512 ranks), never more than
-/// `nprocs` — not as long as the round times the rounds in flight.
-#[derive(Default)]
-struct Ring(Box<[u64]>);
-
-impl Ring {
-    /// One cache line: what the first delivery to a rank allocates.
-    const MIN_SLOTS: usize = 8;
-
-    /// `step`'s message lands; `taken` is where the window opens.
-    fn land(&mut self, taken: usize, step: usize, avail_at: u64) {
-        debug_assert!(step >= taken, "step {step} delivered twice");
-        if step - taken >= self.0.len() {
-            self.grow(taken, step - taken);
-        }
-        let mask = self.0.len() - 1;
-        debug_assert_eq!(self.0[step & mask], ABSENT, "two messages for step {step}");
-        self.0[step & mask] = avail_at;
-    }
-
-    /// Make room for a sender `lead` steps ahead of `taken`. Every landed
-    /// step lies in `taken .. taken + len`, which the old ring maps one to
-    /// one onto its slots; the new one, being longer, does too.
-    #[cold]
-    fn grow(&mut self, taken: usize, lead: usize) {
-        let len = (lead + 1).next_power_of_two().max(Self::MIN_SLOTS);
-        let mut slots = vec![ABSENT; len].into_boxed_slice();
-        for step in taken..taken + self.0.len() {
-            slots[step & (len - 1)] = self.0[step & (self.0.len() - 1)];
-        }
-        self.0 = slots;
-    }
-
-    /// Take `step`'s message off the ring, if it has landed.
-    fn take(&mut self, step: usize) -> Option<u64> {
-        // A ring nothing ever landed on has no slots (and no mask).
-        let slot = self.0.get_mut(step & self.0.len().wrapping_sub(1))?;
-        (*slot != ABSENT).then(|| std::mem::replace(slot, ABSENT))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&t| t == ABSENT)
-    }
-}
-
-/// What a delivery to a rank reads and writes, in one cache line: whether
-/// the rank is dead, what it is parked on (the hand-off match), and the
-/// header of the board its round's messages land on. The scheduler's
-/// park table *is* these records' park entries; there is no other.
-#[repr(align(64))]
+/// What a delivery to a rank reads and writes: whether the rank is dead
+/// and what it is parked on (the hand-off match). The scheduler's park
+/// table *is* these records' park entries; there is no other.
 pub(crate) struct Peer {
     /// The park entry: the `(src, tag)` the rank waits for and the clock
     /// it parked at, its wake-up priority. `park_src` is [`NOT_PARKED`]
     /// while the rank is ready or running.
     park_tag: u64,
     park_clock: u64,
-    /// What the delivery that ended a dense round's park handed over:
-    /// its message's availability time ([`ABSENT`] once the woken step
-    /// has read it).
-    handed: u64,
-    /// The board header: the round it is open for ([`NO_ROUND`] = none),
-    /// the first step its owner has not taken, and the slots. Open for
-    /// the round the rank is in from entry to exit; between rounds, for
-    /// whichever round a peer delivers first.
-    key: u64,
-    ring: Ring,
     park_src: u32,
-    taken: u32,
     /// The rank has crash-stopped: deliveries to it are dropped.
     dead: bool,
 }
 
 impl Default for Peer {
     fn default() -> Peer {
-        Peer {
-            park_tag: 0,
-            park_clock: 0,
-            handed: ABSENT,
-            key: NO_ROUND,
-            ring: Ring::default(),
-            park_src: NOT_PARKED,
-            taken: 0,
-            dead: false,
-        }
+        Peer { park_tag: 0, park_clock: 0, park_src: NOT_PARKED, dead: false }
     }
 }
 
@@ -276,13 +208,6 @@ impl Peer {
         self.park_src = NOT_PARKED;
     }
 
-    /// The availability time a dense round's hand-off left for the rank,
-    /// read by whoever acts on its wake.
-    pub fn take_handed(&mut self) -> u64 {
-        debug_assert_ne!(self.handed, ABSENT, "a round's wake carries its message's time");
-        std::mem::replace(&mut self.handed, ABSENT)
-    }
-
     /// The hand-off match: if the rank is parked on exactly `(src, tag)`
     /// it is parked no longer, and this returns its park clock — the
     /// priority its wake is pushed at. When it is parked on a message,
@@ -296,51 +221,10 @@ impl Peer {
     }
 }
 
-/// A board that is not in its rank's record: the round is one a peer
-/// runs ahead into while the rank is still in (or, rarely, headed for)
-/// another. Its owner has taken none of its steps. A vacated entry
-/// (`key` = [`NO_ROUND`]) keeps its ring for the next round that needs
-/// one, so a steady stream of rounds allocates nothing.
-struct Board {
-    key: u64,
-    ring: Ring,
-    /// The messages that carry bytes, `(step, bytes)` in delivery order:
-    /// they wait here until the rank enters the round, then move to its
-    /// cursor, where later ones are delivered directly.
-    blocks: Vec<(usize, Payload)>,
-}
-
-/// The part of a rank's boards that a delivery seldom needs: the bytes
-/// that landed for the header's round ahead of its owner, and the boards
-/// of other rounds than the header's. One communicator's rounds put at
-/// most one board here (dense collectives are fully synchronizing: no
-/// peer can finish a round before the rank has entered it, so none can be
-/// more than one round ahead); ranks in overlapping communicators can
-/// hold a few more.
-#[derive(Default)]
-struct Spill {
-    blocks: Vec<(usize, Payload)>,
-    ahead: Vec<Board>,
-}
-
-/// The board of round `key` among `ahead` (a [`Spill`]'s), opened — in a
-/// vacated entry when there is one — by the first delivery of the round.
-fn board_of(ahead: &mut Vec<Board>, key: u64) -> &mut Board {
-    let at = ahead.iter().position(|b| b.key == key).unwrap_or_else(|| {
-        let at = ahead.iter().position(|b| b.key == NO_ROUND).unwrap_or_else(|| {
-            ahead.push(Board { key: NO_ROUND, ring: Ring::default(), blocks: Vec::new() });
-            ahead.len() - 1
-        });
-        ahead[at].key = key;
-        at
-    });
-    &mut ahead[at]
-}
-
-/// State that only the one running segment touches — a rank's fiber, or
-/// the scheduler stepping a sleeping rank's round — so it needs no lock
-/// of its own: one host thread drives a world from its first segment to
-/// its last, one segment at a time (DESIGN "Rank runtime"). Every access
+/// State that only the one running segment — a rank's fiber — touches,
+/// so it needs no lock of its own: one host thread drives a world from
+/// its first segment to its last, one segment at a time (DESIGN "Rank
+/// runtime"). Every access
 /// goes through [`World::runner_owned`], which takes the segment's token
 /// and gives out only cells of the world the token is for.
 #[derive(Default)]
@@ -375,15 +259,9 @@ type SharedCells = HashMap<(TypeId, u64), SharedCell>;
 pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
-    /// Per-rank record: park entry, dead flag, board header.
+    /// Per-rank record: park entry, dead flag.
     peers: Box<[RunnerCell<Peer>]>,
-    /// Per-rank boards beside the header's.
-    spills: Vec<RunnerCell<Spill>>,
     mailboxes: Vec<RunnerCell<QueueMap>>,
-    /// Per-rank round cursor: `Some` from the moment a rank enters a
-    /// dense round until its fiber has left it (see
-    /// [`crate::rank::step_round`]).
-    cursors: Vec<RunnerCell<Option<Cursor>>>,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
     /// never). Checked by [`crate::rank::Rank::maybe_crash`].
     crash_at: Vec<u64>,
@@ -412,9 +290,7 @@ impl World {
             nprocs,
             cost,
             peers: (0..nprocs).map(|_| RunnerCell::default()).collect(),
-            spills: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             mailboxes: (0..nprocs).map(|_| RunnerCell::default()).collect(),
-            cursors: (0..nprocs).map(|_| RunnerCell::default()).collect(),
             crash_at,
             shared: RunnerCell::default(),
         })
@@ -449,9 +325,7 @@ impl World {
         // (`sched::segment` checked it, once, when the segment's entry
         // point asked for the token), and segments run one at a time;
         // callers never hold the reference across a park or a second
-        // request for the same cell (a round's step holds its own rank's
-        // cursor while it asks for a *peer's* cursor and for records and
-        // spills, which are other cells).
+        // request for the same cell.
         unsafe { &mut *cell(seg.world()).0.get() }
     }
 }
@@ -465,18 +339,9 @@ impl<'w> Segment<'w> {
         World::runner_owned(self, |w| &w.peers[rank])
     }
 
-    fn spill(self, rank: usize) -> &'w mut Spill {
-        World::runner_owned(self, |w| &w.spills[rank])
-    }
-
-    /// `rank`'s tag-addressed queues.
+    /// `rank`'s mailbox.
     fn queues(self, rank: usize) -> &'w mut QueueMap {
         World::runner_owned(self, |w| &w.mailboxes[rank])
-    }
-
-    /// `rank`'s round cursor (`None` outside a dense round).
-    pub(crate) fn cursor(self, rank: usize) -> &'w mut Option<Cursor> {
-        World::runner_owned(self, |w| &w.cursors[rank])
     }
 
     /// The live value of cell `(T, key)`, computing it with `init` when
@@ -524,15 +389,12 @@ impl<'w> Segment<'w> {
         self.peer(rank).dead
     }
 
-    /// Mark `rank` dead and drop its park entry, everything queued in its
-    /// mailbox and on its boards (ring and pooled ones included) and its
-    /// round cursor, so the scheduler's deadlock diagnostics and memory
+    /// Mark `rank` dead and drop its park entry and everything waiting in
+    /// its mailbox, so the scheduler's deadlock diagnostics and memory
     /// footprint never carry already-dead ranks.
     pub(crate) fn reap_rank(self, rank: usize) {
         *self.peer(rank) = Peer { dead: true, ..Peer::default() };
-        *self.spill(rank) = Spill::default();
         self.queues(rank).clear();
-        *self.cursor(rank) = None;
     }
 
     pub(crate) fn deliver(self, dst: usize, src: usize, tag: u64, msg: Msg) {
@@ -546,151 +408,13 @@ impl<'w> Segment<'w> {
         // gets the message handed to it directly.
         match p.unpark_if(src, tag) {
             Some(clock) => self.hand_over(dst, clock, msg),
-            None => self.queues(dst).entry((src, tag)).or_default().push_back(msg),
+            None => match self.queues(dst).entry((src, tag)) {
+                Entry::Vacant(e) => {
+                    e.insert(Waiting::One(msg));
+                }
+                Entry::Occupied(mut e) => e.get_mut().push(msg),
+            },
         }
-    }
-
-    /// Where a message of round `key` lands when `p` — `rank`'s record —
-    /// is not open for it: the round's board beside the record if it has
-    /// one, or is to get one because the header is taken; `None` if the
-    /// header was vacant — it is open for `key` now (the first delivery
-    /// of a round opens its board).
-    #[cold]
-    fn board_beside(self, rank: usize, p: &mut Peer, key: u64) -> Option<&'w mut Board> {
-        debug_assert_ne!(p.key, key);
-        let ahead = &mut self.spill(rank).ahead;
-        if p.key == NO_ROUND && !ahead.iter().any(|b| b.key == key) {
-            debug_assert!(p.ring.is_empty());
-            (p.key, p.taken) = (key, 0);
-            return None;
-        }
-        Some(board_of(ahead, key))
-    }
-
-    /// `rank` enters the round `cursor` describes: its header is the
-    /// round's from here to [`Segment::end_round`] (the board a peer
-    /// opened for it ahead of time moves in; one that a peer opened in
-    /// the vacant header for a later round moves out), and the bytes that
-    /// landed ahead of the rank move to the cursor, where later ones are
-    /// delivered directly.
-    pub(crate) fn begin_round(self, rank: usize, mut cursor: Cursor) {
-        let (p, spill) = (self.peer(rank), self.spill(rank));
-        if p.key != cursor.key {
-            if p.key != NO_ROUND {
-                let b = board_of(&mut spill.ahead, p.key);
-                std::mem::swap(&mut b.ring, &mut p.ring);
-                std::mem::swap(&mut b.blocks, &mut spill.blocks);
-            }
-            (p.key, p.taken) = (cursor.key, 0);
-            if let Some(b) = spill.ahead.iter_mut().find(|b| b.key == cursor.key) {
-                std::mem::swap(&mut b.ring, &mut p.ring);
-                std::mem::swap(&mut b.blocks, &mut spill.blocks);
-                b.key = NO_ROUND;
-            }
-        }
-        std::mem::swap(&mut cursor.received, &mut spill.blocks);
-        let slot = self.cursor(rank);
-        debug_assert!(slot.is_none(), "rank {rank} entered a round inside a round");
-        *slot = Some(cursor);
-    }
-
-    /// [`Segment::deliver`] for a message of a dense collective round, in
-    /// the same order: dropped if the receiver is dead; its bytes, if it
-    /// has any, left with the receiver (its cursor once it is in the
-    /// round, its board for the round until then); then its availability
-    /// time handed to a receiver parked on exactly this `(src, tag)`, or
-    /// written into the slot of the step the receiver takes it at. All of
-    /// which is in the receiver's record, and the slot: two cache lines —
-    /// no hash, no lock, and no allocation once the receiver's ring has
-    /// grown to its senders' lead.
-    pub(crate) fn deliver_step(
-        self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        at: Slot,
-        data: Option<Payload>,
-        avail_at: u64,
-    ) {
-        let p = self.peer(dst);
-        if p.dead {
-            return;
-        }
-        debug_assert_ne!(avail_at, ABSENT);
-        // The round's board: the record's, or — seldom — one beside it.
-        // (Nothing is opened ahead of a hand-off: a receiver parked on
-        // this message is in the round, its header open for it.)
-        let mut beside = if p.key == at.key { None } else { self.board_beside(dst, p, at.key) };
-        if let Some(data) = data {
-            let blocks = match (self.cursor(dst), &mut beside) {
-                (Some(c), _) if c.key == at.key => &mut c.received,
-                (_, Some(b)) => &mut b.blocks,
-                (_, None) => &mut self.spill(dst).blocks,
-            };
-            blocks.push((at.step, data));
-        }
-        if let Some(clock) = p.unpark_if(src, tag) {
-            p.handed = avail_at;
-            self.wake(dst, clock);
-            return;
-        }
-        match beside {
-            Some(b) => b.ring.land(0, at.step, avail_at),
-            None => p.ring.land(p.taken as usize, at.step, avail_at),
-        }
-    }
-
-    /// The receive half of [`Segment::deliver_step`]: the availability
-    /// time of the message `rank` takes at `at`, if it has landed. Either
-    /// way the window moves on: a message that has not landed is one the
-    /// rank now parks on, and comes by hand-off.
-    pub(crate) fn take_step(self, rank: usize, at: Slot) -> Option<u64> {
-        let p = self.peer(rank);
-        debug_assert_eq!(p.key, at.key, "rank {rank} takes a step of a round it is not in");
-        p.taken = at.step as u32 + 1;
-        p.ring.take(at.step)
-    }
-
-    /// `rank`'s fiber leaves round `key` with its cursor: every message
-    /// addressed to it has been taken, so its header is vacant again (and
-    /// keeps its ring). Every slot must be empty by now — a message left
-    /// behind would surface in whichever later round the header opens for.
-    pub(crate) fn end_round(self, rank: usize, key: u64) -> Cursor {
-        let p = self.peer(rank);
-        debug_assert_eq!(p.key, key, "rank {rank} leaves a round it is not in");
-        debug_assert!(
-            p.ring.is_empty() && self.spill(rank).blocks.is_empty(),
-            "rank {rank} left round {key} with an untaken message on its board"
-        );
-        p.key = NO_ROUND;
-        let c = self.cursor(rank).take().expect("a rank leaves the round it entered");
-        debug_assert!(c.key == key && c.is_done(), "rank {rank} left round {key} half-stepped");
-        c
-    }
-
-    /// Whether `rank` has a round cursor (tests).
-    #[cfg(test)]
-    pub(crate) fn in_round(self, rank: usize) -> bool {
-        self.cursor(rank).is_some()
-    }
-
-    /// `(live, pooled)` board counts of `rank` (tests): boards open for a
-    /// round, and rings kept for the next.
-    #[cfg(test)]
-    pub(crate) fn board_census(self, rank: usize) -> (usize, usize) {
-        let (p, ahead) = (self.peer(rank), &self.spill(rank).ahead);
-        let live = usize::from(p.key != NO_ROUND) + ahead.iter().filter(|b| b.key != NO_ROUND).count();
-        let rings = usize::from(!p.ring.0.is_empty()) + ahead.iter().filter(|b| !b.ring.0.is_empty()).count();
-        (live, rings.saturating_sub(live))
-    }
-
-    /// `(slots, landed)` of `rank`'s rings (tests): the length of the
-    /// longest, and the messages waiting on all of them.
-    #[cfg(test)]
-    pub(crate) fn ring_census(self, rank: usize) -> (usize, usize) {
-        let rings = || std::iter::once(&self.peer(rank).ring).chain(self.spill(rank).ahead.iter().map(|b| &b.ring));
-        let landed = rings().flat_map(|r| r.0.iter()).filter(|&&t| t != ABSENT).count();
-        (rings().map(|r| r.0.len()).max().unwrap_or(0), landed)
     }
 
     /// Pop the next message from `(src, tag)` for rank `dst`, parking the
@@ -733,8 +457,8 @@ impl<'w> Segment<'w> {
 
     /// The first collective message still in a mailbox, `(rank, src,
     /// tag)` lowest first. Read when every rank has finished: a
-    /// collective's block its receiver did not list, which nothing else
-    /// would ever report. (Dead ranks' mailboxes were emptied when they
+    /// collective's block its receiver did not list — or a step of a
+    /// round nobody took — which nothing else would ever report. (Dead ranks' mailboxes were emptied when they
     /// were reaped, and deliveries to them dropped.)
     pub(crate) fn untaken_collective(self) -> Option<(usize, usize, u64)> {
         (0..self.world().nprocs).find_map(|rank| {
@@ -743,18 +467,18 @@ impl<'w> Segment<'w> {
         })
     }
 
-    /// Pop the head of `dst`'s `(src, tag)` queue if present, removing
-    /// the queue when that drains it (drained queues are removed so
-    /// unique collective tags can't grow the map without bound).
+    /// Take the first message waiting for `dst` from `(src, tag)`, if
+    /// there is one, removing the entry when that empties it (so unique
+    /// collective tags cannot grow the map without bound).
     fn pop_queued(self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
-        if let Entry::Occupied(mut e) = self.queues(dst).entry((src, tag)) {
-            let m = e.get_mut().pop_front().expect("empty queue left in mailbox map");
-            if e.get().is_empty() {
-                e.remove();
-            }
-            return Some(m);
+        let Entry::Occupied(mut e) = self.queues(dst).entry((src, tag)) else { return None };
+        match e.get_mut() {
+            Waiting::Many(queue) if queue.len() > 1 => queue.pop_front(),
+            _ => match e.remove() {
+                Waiting::One(m) => Some(m),
+                Waiting::Many(mut queue) => queue.pop_front(),
+            },
         }
-        None
     }
 }
 
@@ -771,7 +495,7 @@ where
          (the thread-per-rank fallback was retired)"
     );
     let out = crate::sched::run_event_loop_partial(world, f);
-    // The world is gone — stacks, boards, shared cells — and with it most
+    // The world is gone — stacks, mailboxes, shared cells — and with it most
     // of what the heap grew for: hand the free pages back to the system,
     // or the next world's allocation pattern decides how much of them
     // stays resident.
@@ -837,55 +561,6 @@ mod tests {
     fn run_returns_rank_order() {
         let out = run(4, CostModel::free(), |r| r.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn a_record_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Peer>(), 64);
-        assert_eq!(std::mem::align_of::<RunnerCell<Peer>>(), 64);
-    }
-
-    #[test]
-    fn ring_wraps_around_without_growing() {
-        let mut ring = Ring::default();
-        assert!(ring.is_empty() && ring.take(0).is_none(), "a ring nothing landed on has no slots");
-        // A sender three steps ahead of the owner, for many laps.
-        for step in 0..100usize {
-            ring.land(step.saturating_sub(3), step, 1000 + step as u64);
-            if let Some(due) = step.checked_sub(3) {
-                assert_eq!(ring.take(due), Some(1000 + due as u64));
-                assert_eq!(ring.take(due), None, "a taken slot is free for the next lap");
-            }
-        }
-        assert_eq!(ring.0.len(), Ring::MIN_SLOTS);
-        for due in 97..100 {
-            assert_eq!(ring.take(due), Some(1000 + due as u64));
-        }
-        assert!(ring.is_empty());
-        assert_eq!(ring.take(100), None);
-    }
-
-    #[test]
-    fn ring_growth_keeps_what_has_landed() {
-        let mut ring = Ring::default();
-        // A window that opens at step 6 of an 8-slot ring: 9 and 13 wrap.
-        for step in [6usize, 9, 13] {
-            ring.land(6, step, step as u64 * 10);
-        }
-        assert_eq!(ring.0.len(), Ring::MIN_SLOTS);
-        // A sender 129 steps ahead: the ring grows while non-empty and
-        // wrapped, and every landed step keeps its time.
-        ring.land(6, 135, 7);
-        assert_eq!(ring.0.len(), 256);
-        for step in 6..137usize {
-            let want = match step {
-                6 | 9 | 13 => Some(step as u64 * 10),
-                135 => Some(7),
-                _ => None,
-            };
-            assert_eq!(ring.take(step), want, "step {step}");
-        }
-        assert!(ring.is_empty());
     }
 
     #[test]
