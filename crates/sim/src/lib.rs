@@ -95,6 +95,79 @@ mod properties {
         );
     }
 
+    /// One drawn collective over `comm`; returns the blocks it received.
+    /// A block's length and bytes, whether a sparse collective lists it,
+    /// and a rank's compute before the call are functions of `(seed, src,
+    /// dst)` that every member computes alike.
+    fn drawn_collective(comm: &Rank, op: u64, seed: u64) -> Vec<Vec<u8>> {
+        let (me, p) = (comm.rank(), comm.nprocs());
+        let draw = |src: usize, dst: usize| XorShift64Star::new(seed ^ (src * 1031 + dst) as u64).next_u64();
+        let block = |src: usize, dst: usize| {
+            let d = draw(src, dst);
+            vec![d as u8; (d >> 8) as usize % 24]
+        };
+        let listed = |src: usize, dst: usize| (draw(src, dst) >> 40) % 3 != 0;
+        comm.advance((draw(me, p) >> 16) % 50_000);
+        match op {
+            0 => {
+                comm.barrier();
+                Vec::new()
+            }
+            1 => comm.allgatherv(&block(me, 0)),
+            2 => comm.alltoallv((0..p).map(|d| block(me, d)).collect()),
+            _ => {
+                let sends = (0..p).filter(|&d| listed(me, d)).map(|d| (d, block(me, d))).collect();
+                let recv_from: Vec<usize> = (0..p).filter(|&s| listed(s, me)).collect();
+                let got = if op == 3 { comm.alltoallw(sends, &recv_from) } else { comm.exchange(sends, &recv_from) };
+                got.into_iter().map(|(_, b)| b).collect()
+            }
+        }
+    }
+
+    /// The time-shift relation: when every rank starts T₀ later, every
+    /// exit clock is exactly T₀ later, and the bytes, every `Stats` field
+    /// and the scheduler's work are the same. Each case runs a drawn
+    /// sequence of `barrier`, `allgatherv`, `alltoallv`, `alltoallw` and
+    /// `exchange` over the world, then another per communicator of a drawn
+    /// split, from drawn per-rank entry skews.
+    #[test]
+    fn collectives_shift_with_the_start_time() {
+        Runner::new("collectives_time_shift").run(
+            |rng| {
+                let p = 1 + rng.next_below(24) as usize;
+                let groups = 1 + rng.next_below(3);
+                let group: Vec<u64> = (0..p).map(|_| rng.next_below(groups)).collect();
+                let mut ops = || (0..1 + rng.next_below(6)).map(|_| (rng.next_below(5), rng.next_u64())).collect();
+                let (world_ops, group_ops): (Vec<_>, Vec<Vec<_>>) = (ops(), (0..groups).map(|_| ops()).collect());
+                let skew: Vec<u64> = (0..p).map(|_| rng.next_below(4) * 40_000).collect();
+                let t0 = 1 + rng.next_below(1 << 40);
+                (group, world_ops, group_ops, skew, t0)
+            },
+            |(group, world_ops, group_ops, skew, t0)| {
+                let world = |start: u64| {
+                    let out = run(group.len(), CostModel::default(), |r| {
+                        r.advance(start + skew[r.rank()]);
+                        let mine = group[r.rank()];
+                        let members: Vec<usize> = (0..group.len()).filter(|&m| group[m] == mine).collect();
+                        let comm = r.subgroup(&members);
+                        let got: Vec<Vec<u8>> = (world_ops.iter().map(|op| (r, op)))
+                            .chain(group_ops[mine as usize].iter().map(|op| (&comm, op)))
+                            .flat_map(|(c, &(op, seed))| drawn_collective(c, op, seed))
+                            .collect();
+                        (r.now(), r.stats(), got)
+                    });
+                    (out, last_run_counters())
+                };
+                let ((base, base_sched), (shifted, shifted_sched)) = (world(0), world(*t0));
+                assert_eq!(shifted_sched, base_sched, "the scheduler's work moved");
+                for (rank, (b, s)) in base.iter().zip(&shifted).enumerate() {
+                    assert_eq!(s.0, b.0 + t0, "rank {rank}: exit clock");
+                    assert_eq!((&s.1, &s.2), (&b.1, &b.2), "rank {rank}: stats and bytes");
+                }
+            },
+        );
+    }
+
     /// alltoallv is a permutation-correct exchange for random payloads.
     #[test]
     fn alltoallv_correct() {

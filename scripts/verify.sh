@@ -44,24 +44,23 @@ cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_
 # the data path's segment-list shape (`check_segs`: sorted, disjoint, no
 # empty segment; `check_shape`: "segment outside span"; the run list's
 # *length* is an `assert!` in every profile), "partial write to uncached
-# page", "invalidating dirty page"; the rank runtime's dense-round step
-# loop ("delivered twice", "two messages for step", "left round … with an
-# untaken message", "resumed with a half-stepped round", "wake entry for a
-# parked rank"); the flattener's and the engines' own — plus the
-# differential property that drives the data path hardest and the fixture
-# that drives late entrants, crash-stops and two communicators' boards
-# through the step loop. (`flexio-hpio`, `flexio-workload` and
-# `flexio-bench` hold none; the release leg above runs their tests.)
+# page", "invalidating dirty page"; the rank runtime's ("wake entry for a
+# parked rank", "a rank may only take from its own mailbox", a park
+# entry set twice, "collective step … overflows the tag layout"); the
+# flattener's and the engines' own — plus the differential property
+# that drives the data path hardest and the fixture that drives late
+# entrants, crash-stops and two communicators through the collectives.
+# (`flexio-hpio`, `flexio-workload` and `flexio-bench` hold none; the
+# release leg above runs their tests.)
 echo "== cargo test (debug profile): types, sim, pfs, io, core + data_path_differential, sim_collective_charges =="
 cargo test -q --offline -p flexio-types -p flexio-sim -p flexio-pfs -p flexio-io -p flexio-core
 cargo test -q --offline --test data_path_differential --test sim_collective_charges
 
 # The two charge-and-order fixtures again on 64 KiB fiber stacks (the
-# default is 1 MiB): a dense round's step loop runs on the scheduler's
-# stack, not on its rank's fiber, and what is left on the fibers — rank
-# bodies, the engine above them — passes at 32 KiB and overflows at 16.
-# The stack canary turns a step loop that creeps back onto the fibers,
-# or a frame that balloons, into a failure here.
+# default is 1 MiB). Everything a rank runs is on its fiber — its body,
+# the engine above it, the collectives' loops — and the two pass at
+# 12 KiB and overflow at 10. The stack canary turns a frame that
+# balloons into a failure here.
 echo "== FLEXIO_SIM_STACK_KB=64 cargo test --test sim_collective_charges --test shared_derivation =="
 FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
   --test sim_collective_charges --test shared_derivation

@@ -1,80 +1,37 @@
 //! Charge-and-order fixture for `flexio-sim`'s collectives.
 //!
-//! `tests/fixtures/sim_collective_charges.txt` was written by this file
-//! (`FLEXIO_REGEN_FIXTURE=1`, the convention of `shared_derivation.rs`)
-//! run on the last commit whose `alltoallv`/`allgatherv`/`barrier` moved
-//! every message through the tag-addressed mailbox (PR 14's tree; there
-//! the listed-blocks form, today's `alltoallw`, was
-//! `flexible.rs::dense_exchange` — place the send list into one block
-//! per rank, run the dense `alltoallv`, pick the blocks of `recv_from`
-//! out of the result — and the harvest called exactly that). The
-//! slot-addressed boards that replaced the
-//! mailbox for those rounds must not move a single charge **or the host
-//! order in which ranks run**: the PFS ratchets observe execution order,
-//! so a rank that leaves a collective earlier on the host than it used to
-//! is a behaviour change even when every clock agrees.
+//! `tests/fixtures/sim_collective_charges.txt` pins, per rank and
+//! collective: the exit clock, cumulative `msgs_sent` / `bytes_sent` /
+//! `phase_ns`, the index at which the rank left the collective in host
+//! order (one shared counter), and a digest of what it received. A
+//! change to how the runtime moves messages must move neither a charge
+//! **nor the host order in which ranks run**: the PFS ratchets observe
+//! execution order, so a rank that leaves a collective earlier on the
+//! host is a behaviour change even when every clock agrees.
 //!
-//! One world per size runs six collectives back to back (so boards are
-//! pooled, reused and run ahead of) and records, per rank and collective:
-//! exit clock, cumulative `msgs_sent` / `bytes_sent` / `phase_ns`, the
-//! index at which the rank left the collective in host order (a shared
-//! counter), and a digest of what it received.
+//! The worlds:
+//! - one per size, 1 to 512 ranks, runs the six cases of `CASES` back to
+//!   back from uneven entry clocks;
+//! - `[interleaved p=8]`: collectives on a 5-of-8 subgroup while the
+//!   other three ranks pass point-to-point messages at clocks that fall
+//!   between the collectives' wakes;
+//! - `[back-to-back p=9]`: one rank enters each collective a virtual
+//!   millisecond late, runs through it on messages already waiting, and
+//!   sends into the next while its peers still wait in this one;
+//! - `[late-entrant p=130]` and `[… p=512]`: a rank sits out 50 virtual
+//!   ms on a timer — late on the host, not only in virtual time — before
+//!   an `alltoallw` and before an `allgatherv`;
+//! - `[crash-mid-round p=24]`: the first rank to leave a collective
+//!   crash-stops while its peers are still in it; the survivors time out
+//!   on it and run on over a subgroup;
+//! - `[two-communicators p=64]`: row and column collectives of an 8 × 8
+//!   grid alternating, a straggler holding its row in one while the
+//!   columns send it the next.
 //!
-//! The 257- and 512-rank worlds and the two sections after them were
-//! harvested on commit 6c2ce6c, the last one whose ranks stepped through
-//! a round on their own fibers, for the change that has the scheduler
-//! step a sleeping rank's round cursor instead: `[interleaved p=8]` runs
-//! rounds on a 5-of-8 subgroup while the other three ranks exchange
-//! point-to-point messages at clocks that fall between the round's
-//! wakes (one counter orders every record of both groups, so a round
-//! whose wakes were released in one go, ahead of the heap entries that
-//! used to pop between them, shows as a changed index); `[back-to-back
-//! p=9]` has one rank enter each round a virtual millisecond late, run
-//! through it on messages already waiting, and deliver into the next
-//! round while its peers are still parked in this one.
-//!
-//! The four sections after those were harvested on commit 029eed1, the
-//! last one whose boards were `VecDeque` windows looked up per message,
-//! for the change that keeps a rank's round header and park entry in one
-//! record and its slots in a ring: `[late-entrant p=130]` and `[… p=512]`
-//! (a rank sits out 50 virtual ms on a timer — late on the host, not
-//! only in virtual time — and then enters an `alltoallw`, harvested when
-//! that was a pairwise round: the late rank found the first stretch of
-//! the round waiting, what a pairwise exchange can deliver ahead of a
-//! rank, the senders further round stalling on *its* blocks, or on a rank
-//! that does, first; another does the same
-//! before an `allgatherv`, where it finds the *whole* round waiting, its
-//! left neighbour needing nothing of it but its own block, last. Each
-//! takes what it finds in one segment, off a board that grew, non-empty,
-//! to that lead, and the ranks downstream of the ring's late entrant
-//! follow one by one, each on a board the one before filled while it
-//! stood parked a few steps in — grown while wrapped),
-//! `[crash-mid-round p=24]` (the first rank to leave a
-//! round crash-stops while its peers are still stepping through it on
-//! its messages; the survivors send it heartbeats, time out on its own,
-//! and run on over a subgroup) and `[two-communicators p=64]` (row and
-//! column rounds of an 8 × 8 grid alternating, a straggler holding its
-//! row in one round while the columns deliver the next).
-//!
-//! The whole file was regenerated once on purpose, when the `allgatherv`
-//! became Bruck's log-step round: every `allgatherv` and `barrier` section
-//! from three ranks up and every mixed section moved (each runs an
-//! `allgatherv` before its later records), while the 32 `alltoallv`
-//! sections of the per-size worlds and the one- and two-rank
-//! `allgatherv`/`barrier` sections came out byte-identical to the
-//! harvests above.
-//!
-//! It was regenerated a second time when `alltoallw` stopped being a
-//! pairwise round and became MPICH's scattered isend/irecv over the
-//! listed blocks: 26 of the 54 sections moved — every `alltoallw`
-//! section from two ranks up, the `allgatherv`/`barrier` sections after
-//! it in the same world, and the interleaved, back-to-back, late-entrant
-//! and crash-mid-round sections. Every dense `alltoallv` section and
-//! `[two-communicators p=64]` came out byte-identical, and so did every
-//! record of `[interleaved p=8]`'s point-to-point ranks (their `exchange`
-//! included) but for its host-order index.
-//!
-//! Regenerate only when a change is *meant* to move virtual time.
+//! The fixture has moved on purpose twice, and was regenerated each time:
+//! when the `allgatherv` became Bruck's log-step round, and when
+//! `alltoallw` became MPICH's scattered isend/irecv over the listed
+//! blocks. Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::sim::{run, run_crashable, CostModel, Rank};
 use std::fmt::Write as _;
@@ -196,8 +153,8 @@ fn rank_body(rank: &Rank, order: &[AtomicUsize]) -> Vec<String> {
     recs
 }
 
-/// The four dense rounds over `comm`, one record each (labelled `pass`
-/// and the collective), `late` deciding who enters which round late.
+/// Four collectives over `comm`, one record each (labelled `pass` and
+/// the collective), `late` deciding who enters which one late.
 fn four_rounds(
     rank: &Rank,
     comm: &Rank,
@@ -244,11 +201,11 @@ fn four_rounds(
 const ROUND_MEMBERS: [usize; 5] = [0, 2, 3, 5, 7];
 const P2P_MEMBERS: [usize; 3] = [1, 4, 6];
 
-/// Five of eight ranks run dense rounds over their subgroup; the other
+/// Five of eight ranks run collectives over their subgroup; the other
 /// three pass messages round a ring of their own (and `exchange` over
 /// their subgroup every third turn) at clocks a few tens of virtual
 /// microseconds apart, so their heap entries pop between the wakes of a
-/// round in progress.
+/// collective in progress.
 fn interleaved_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     let me = rank.rank();
     let mut recs = Vec::new();
@@ -285,9 +242,9 @@ fn interleaved_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
-/// Rounds back to back with one rank a virtual millisecond late into
-/// each: it finds its messages waiting, goes through the round without
-/// parking much and is delivering into the next while its peers are
+/// Collectives back to back with one rank a virtual millisecond late
+/// into each: it finds its messages waiting, goes through the collective
+/// without parking much and is sending into the next while its peers are
 /// still parked in this one.
 fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     let (me, p) = (rank.rank(), rank.nprocs());
@@ -395,10 +352,10 @@ fn crash_mid_round_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
 /// An 8 × 8 grid whose rows and columns are communicators: every pass
 /// runs a row `alltoallv`, a column `alltoallv`, a row `allgatherv` and a
 /// column `barrier`, entered at uneven clocks and with one rank a
-/// virtual millisecond late into the row round — its row stays in that
-/// round while the other rows finish theirs and deliver the column
-/// round's messages to it, so its members hold the boards of two rounds
-/// at once.
+/// virtual millisecond late into the row `alltoallv` — its row stays in
+/// that one while the other rows finish theirs and send it the column
+/// `alltoallv`'s messages, so its members hold messages of two
+/// collectives at once.
 fn two_communicators_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     let me = rank.rank();
     let (row, col) = (me / 8, me % 8);
