@@ -24,11 +24,11 @@ fn best_wall<T: Ord>(f: impl Fn() -> T) -> T {
 }
 
 /// One fine-grained collective write at `nprocs` ranks: host wall time
-/// for the whole world (spawn, open, write, close, join) and the messages
-/// it sent. The scheduler's counters for the world are
-/// [`last_run_counters`] afterwards (a function of the workload, the same
-/// on every repetition).
-fn collective_write(nprocs: usize) -> (Duration, u64) {
+/// for the whole world (spawn, open, write, close, join), the messages it
+/// sent and the offset/length pairs its ranks were charged. The
+/// scheduler's counters for the world are [`last_run_counters`]
+/// afterwards (a function of the workload, the same on every repetition).
+fn collective_write(nprocs: usize) -> (Duration, u64, u64) {
     let pfs = Pfs::new(PfsConfig::default());
     let spec = HpioSpec { region_count: 16, nprocs, ..HpioSpec::fig4(8) };
     let hints = Hints {
@@ -41,7 +41,7 @@ fn collective_write(nprocs: usize) -> (Duration, u64) {
     let untimed = How::UntimedWrite(CostModel::default());
     let t0 = Instant::now();
     let s = hpio_call(&pfs, "host_scale", spec, TypeStyle::Succinct, &hints, untimed);
-    (t0.elapsed(), s.sum(|s| s.msgs_sent))
+    (t0.elapsed(), s.sum(|s| s.msgs_sent), s.sum(|s| s.pairs_processed))
 }
 
 /// Time one world on the host.
@@ -100,16 +100,18 @@ fn ms(wall: Duration) -> f64 {
     wall.as_secs_f64() * 1e3
 }
 
-/// Host ns per simulated message: the per-message trajectory the
-/// superlinear rows are made of (messages grow as nprocs², see E-host).
+/// Host ns per simulated message: the wall divided by the messages. It
+/// grows with the world because messages are not what the main family's
+/// wall is made of (57 552 at 1024 ranks, 4.7× the 256-rank world's, for
+/// 8–10× the wall; see E-host for what the wall is).
 fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
     wall.as_secs_f64() * 1e9 / msgs.max(1) as f64
 }
 
-/// What the 256- and the 512-rank world cost their scheduler:
-/// `(nprocs, msgs, counters)`. All three are functions of the workload
-/// alone; a change that moves one has changed the scheduler's work per
-/// world and has to say so here. Last moved by the log-step `allgatherv`:
+/// What the 256- and the 512-rank world cost their scheduler, and the
+/// pairs their ranks are charged: `(nprocs, msgs, counters, pairs)`. All are functions of the workload
+/// alone; a change that moves one has changed the work per world and has
+/// to say so here. Last moved by the log-step `allgatherv`:
 /// the world's one metadata allgather is ⌈log2 p⌉ messages a rank instead
 /// of a ring's p − 1 (658 944 → 595 712 and 2 630 144 → 2 373 120
 /// messages; heap pushes 241 253 → 241 333 and 978 573 → 977 867 as the
@@ -126,38 +128,55 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// woken fiber, where the scheduler used to step a parked round without
 /// one, so fiber switches equal heap pushes (1 693 → 2 263 and 2 856 →
 /// 3 901); messages and heap pushes did not move.
-const CHECK: [(usize, u64, SchedCounters); 2] = [
-    (256, 12_328, SchedCounters { fiber_switches: 2_263, heap_pushes: 2_263 }),
-    (512, 26_720, SchedCounters { fiber_switches: 3_901, heap_pushes: 3_901 }),
+///
+/// `pairs` is the offset/length pairs charged to the world's ranks,
+/// summed: almost all of it the flexible engine's schedule derivation,
+/// charged pair by pair. The 512-rank world is `fine-512`'s shape (512
+/// clients, 16 regions of 8 B each, 256 aggregators, 512 B buffer
+/// cycles), so it pins that derivation's charges. The derivation that
+/// walked every `(client, aggregator, cycle)` cell measured the same.
+const CHECK: [(usize, u64, SchedCounters, u64); 2] = [
+    (256, 12_328, SchedCounters { fiber_switches: 2_263, heap_pushes: 2_263 }, 491_520),
+    (512, 26_720, SchedCounters { fiber_switches: 3_901, heap_pushes: 3_901 }, 1_949_696),
 ];
 
 /// The main family is a fig4-style non-contiguous collective write,
 /// deliberately fine-grained (16 regions x 8 B per rank, 512 B collective
-/// buffer, alltoallw exchange) so that host-runtime overhead —
-/// park/wake and message dispatch — dominates wall time rather than
-/// simulated data volume. Weak scaling: per-rank work is constant, the
-/// world grows. Two more isolate the runtime-overhead floor: spawn/join
-/// and a 64-step ping-pong at 64 ranks, and at 512 dense `alltoallv`
-/// calls of empty blocks: the p² floor, the mailbox's cost per message
-/// and nothing else.
+/// buffer, alltoallw exchange, `cb_nodes` = nprocs/2) so that host work
+/// per rank, not simulated data volume, is the wall. Weak scaling: each
+/// rank's data is constant, the world grows, and what every rank reads
+/// of the others grows with it. As measured (E-host), at 1024 ranks
+/// about a fifth of the wall is the schedule derivation (one walk per
+/// `(client, aggregator)` pair, nprocs²/2 of them), an eighth is every
+/// rank digesting every rank's wire for the schedule key (nprocs²), and
+/// the other two thirds — the runtime's spawn, messages and park/wake,
+/// and the engine's exchange and file I/O — is not yet attributed.
+///
+/// Two more isolate the runtime-overhead floor: spawn/join and a 64-step
+/// ping-pong at 64 ranks, and at 512 dense `alltoallv` calls of empty
+/// blocks: the p² floor, the mailbox's cost per message and nothing
+/// else.
 ///
 /// `--nprocs N` restricts the main family to one row, `--full` extends
 /// it to 4096 ranks, `--check` runs one 256-rank and one 512-rank world
-/// and asserts the scheduler's deterministic work per world exactly.
+/// and asserts the scheduler's deterministic work per world and the
+/// pairs its ranks are charged exactly.
 pub(crate) fn host(args: &Args, r: &mut Report) {
     assert!(Backend::event_loop_supported(), "needs the fiber rank runtime (x86_64 only)");
     if args.check {
-        for (nprocs, want_msgs, want) in CHECK {
-            let (wall, msgs) = collective_write(nprocs);
+        for (nprocs, want_msgs, want, want_pairs) in CHECK {
+            let (wall, msgs, pairs) = collective_write(nprocs);
             let c = last_run_counters();
             r.note(&format!(
-                "check @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes",
+                "check @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes, \
+                 {pairs} pairs",
                 ms(wall),
                 c.fiber_switches,
                 c.heap_pushes
             ));
             let moved = "the scheduler's work per world moved";
             assert_eq!((msgs, c), (want_msgs, want), "{moved} at {nprocs} ranks");
+            assert_eq!(pairs, want_pairs, "the derivation's charges moved at {nprocs} ranks");
         }
         return;
     }
@@ -167,7 +186,7 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
     r.section("nprocs,wall_ms:1,ranks_per_wall_sec:1,msgs,host_ns_per_msg:0,switches,heap_pushes");
     let sweep: &[usize] = if args.full { &[16, 64, 256, 1024, 4096] } else { &[16, 64, 256, 1024] };
     for &nprocs in args.nprocs.as_ref().map_or(sweep, std::slice::from_ref) {
-        let (wall, msgs) = best_wall(|| collective_write(nprocs));
+        let (wall, msgs, _) = best_wall(|| collective_write(nprocs));
         let c = last_run_counters();
         let per_sec = nprocs as f64 / wall.as_secs_f64();
         row!(r;

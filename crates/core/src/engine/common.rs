@@ -135,12 +135,18 @@ fn intersect_window(
 
 /// A cursor wrapper over the reconstructed view of a client, so
 /// aggregators can walk other ranks' filetypes (§5.3: "the aggregator must
-/// calculate them itself"). The access is shared, not owned: a derivation
-/// opens one stream per aggregator over each client's single parsed wire.
+/// calculate them itself"). A derivation opens one stream per client and
+/// [rewinds](ClientStream::rewind) it for each aggregator.
 pub struct ClientStream {
     access: Arc<ClientAccess>,
     /// Data position reached (cursor recreated lazily per window batch).
     data_pos: u64,
+    /// File offset of data byte `data_pos`, `u64::MAX` once the access is
+    /// exhausted: a window ending at or below it holds nothing of the
+    /// stream, and walking it charges nothing.
+    next_off: u64,
+    /// `next_off` at the access's first data byte.
+    first_off: u64,
 }
 
 impl ClientStream {
@@ -148,7 +154,23 @@ impl ClientStream {
     pub fn new(access: impl Into<Arc<ClientAccess>>) -> Self {
         let access = access.into();
         let data_pos = access.data_start;
-        ClientStream { access, data_pos }
+        let first_off = if access.data_len == 0 { u64::MAX } else { access.view.data_to_file(data_pos) };
+        ClientStream { access, data_pos, next_off: first_off, first_off }
+    }
+
+    /// Back to the client's first data byte, as [`ClientStream::new`]
+    /// left it.
+    pub(crate) fn rewind(&mut self) {
+        self.data_pos = self.access.data_start;
+        self.next_off = self.first_off;
+    }
+
+    /// File offset of the stream's next data byte (`u64::MAX` once the
+    /// access is exhausted). [`ClientStream::take_window_into`] over a
+    /// window that ends at or below it charges 0, appends nothing and
+    /// leaves the stream where it was.
+    pub(crate) fn next_off(&self) -> u64 {
+        self.next_off
     }
 
     /// Pieces of this client inside `win`; returns (pieces, pairs_charged).
@@ -174,6 +196,15 @@ impl ClientStream {
             Some(last) => last.data_pos + last.len,
             // The cursor advanced past the window even with no data there.
             None => self.data_pos.max(cur.data_pos().min(data_end)),
+        };
+        self.next_off = if self.data_pos >= data_end {
+            u64::MAX
+        } else if cur.data_pos() == self.data_pos {
+            cur.file_off()
+        } else {
+            // A later segment of the window moved the cursor past the last
+            // piece; the stream resumes after the piece.
+            self.access.view.data_to_file(self.data_pos)
         };
         charged
     }
@@ -322,6 +353,76 @@ mod tests {
         assert_eq!(p[0], Piece { file_off: 10, data_pos: 6, len: 2 });
         let total: u64 = p.iter().map(|x| x.len).sum();
         assert_eq!(total, 10);
+    }
+
+    /// A window ending at or below the stream's next byte charges 0, yields
+    /// nothing, and leaves the stream as a stream that never saw it.
+    fn assert_skippable(s: &mut ClientStream, fresh: &mut ClientStream, win: &[(u64, u64)]) {
+        let end = win.last().map_or(0, |&(o, l)| o + l);
+        assert!(end <= s.next_off(), "window {win:?} reaches past the next byte {}", s.next_off());
+        assert_eq!(s.take_window(win), (Vec::new(), 0), "window {win:?}");
+        assert_eq!(s.next_off(), fresh.next_off());
+        assert_eq!(s.take_window(&[(0, 1000)]), fresh.take_window(&[(0, 1000)]));
+    }
+
+    #[test]
+    fn a_window_at_or_below_the_next_byte_is_a_walk_that_does_nothing() {
+        // 4 data / 4 gap from file 0; the stream starts at data 2 (file 2).
+        let a = Arc::new(access(0, 4, 8, 2, 40));
+        let at = |wins: &[&[(u64, u64)]]| {
+            let mut s = ClientStream::new(Arc::clone(&a));
+            for w in wins {
+                s.take_window(w);
+            }
+            s
+        };
+        assert_eq!(at(&[]).next_off(), 2);
+        assert_skippable(&mut at(&[]), &mut at(&[]), &[(0, 2)]);
+        // A piece cut by the window's end: the next byte is the cut.
+        let cut: &[(u64, u64)] = &[(0, 10)];
+        assert_eq!(at(&[cut]).next_off(), 10);
+        assert_skippable(&mut at(&[cut]), &mut at(&[cut]), &[(3, 2), (9, 1)]);
+        // A piece that ends its region: the next byte is across the gap,
+        // taken from the walk's cursor, so a window inside the gap skips.
+        let whole: &[(u64, u64)] = &[(0, 4)];
+        assert_eq!(at(&[whole]).next_off(), 8);
+        assert_skippable(&mut at(&[whole]), &mut at(&[whole]), &[(4, 4)]);
+        // A later window segment moved the cursor past the last piece: the
+        // stream still resumes right after the piece.
+        let past: &[(u64, u64)] = &[(0, 3), (21, 2)];
+        let (pieces, _) = at(&[]).take_window(past);
+        assert_eq!(pieces, vec![Piece { file_off: 2, data_pos: 2, len: 1 }]);
+        assert_eq!(at(&[past]).next_off(), 3);
+        assert_skippable(&mut at(&[past]), &mut at(&[past]), &[(1, 2)]);
+        // A window with nothing of the stream still moves it (and charges).
+        let dry: &[(u64, u64)] = &[(4, 4), (12, 4)];
+        let mut s = at(&[]);
+        let (pieces, charged) = s.take_window(dry);
+        assert!(pieces.is_empty() && charged > 0);
+        assert_eq!(s.next_off(), 16);
+        assert_skippable(&mut at(&[dry]), &mut at(&[dry]), &[(15, 1)]);
+        // Exhausted: every window is skippable.
+        let all: &[(u64, u64)] = &[(0, 1 << 20)];
+        assert_eq!(at(&[all]).next_off(), u64::MAX);
+        assert_eq!(at(&[all]).take_window(&[(0, u64::MAX / 2)]), (Vec::new(), 0));
+        assert_eq!(ClientStream::new(access(0, 4, 8, 2, 0)).next_off(), u64::MAX);
+    }
+
+    #[test]
+    fn a_rewound_stream_is_a_new_stream() {
+        let a = Arc::new(access(5, 3, 7, 4, 30));
+        let windows: [&[(u64, u64)]; 4] = [&[(0, 12)], &[(12, 2), (20, 9)], &[(29, 1)], &[(30, 100)]];
+        let mut s = ClientStream::new(Arc::clone(&a));
+        for w in &windows[..3] {
+            s.take_window(w);
+        }
+        s.rewind();
+        let mut fresh = ClientStream::new(a);
+        assert_eq!(s.next_off(), fresh.next_off());
+        for w in windows {
+            assert_eq!(s.take_window(w), fresh.take_window(w), "window {w:?}");
+            assert_eq!(s.next_off(), fresh.next_off());
+        }
     }
 
     #[test]

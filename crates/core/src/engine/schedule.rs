@@ -112,8 +112,9 @@ impl Derivation {
     /// set assigned here is kept in the result for the file to adopt.
     ///
     /// Host cost: each wire is parsed once, each aggregator's window cut
-    /// once per cycle, and each `(client, aggregator)` stream walked once
-    /// — the client's and the aggregator's view of a stream are the same
+    /// once per cycle, and each `(client, aggregator)` stream walked once,
+    /// through only the cycles whose windows reach past its next byte —
+    /// the client's and the aggregator's view of a stream are the same
     /// walk (`from_wire(to_wire(access))` flattens to the same type), so
     /// one walk yields both what client `c` and what aggregator `a` are
     /// charged for it.
@@ -204,25 +205,45 @@ impl Derivation {
             })
             .collect();
 
-        // ---- streams: each (client, aggregator) pair walked once -----------
-        // Client-major, so one stream is live at a time and every cycle's
-        // cells come out sorted by (client, aggregator).
+        // ---- streams: one per client, rewound for each aggregator ----------
+        // `reach[a][t]`: the furthest file offset aggregator `a`'s windows
+        // reach by cycle `t`, non-decreasing in `t`.
+        let reach: Vec<Vec<u64>> = (0..n_agg)
+            .map(|a| {
+                let mut end = 0;
+                let ends = cycles.iter().map(|cyc| {
+                    if let Some(&(s, l)) = cyc.windows[a].last() {
+                        end = end.max(s + l);
+                    }
+                    end
+                });
+                ends.collect()
+            })
+            .collect();
+        // Client-major, so every cycle's cells come out sorted by (client,
+        // aggregator). A cycle whose window ends at or below the stream's
+        // next byte is skipped: walking it would charge nothing, yield
+        // nothing and leave the stream where it is.
         let mut cells: Vec<Vec<Cell>> = vec![Vec::new(); cycles.len()];
         for (c, access) in clients.into_iter().enumerate() {
             if access.data_len == 0 {
                 continue;
             }
-            let access = Arc::new(access);
-            for a in 0..n_agg {
-                let mut stream = ClientStream::new(Arc::clone(&access));
-                for (cyc, cells) in cycles.iter_mut().zip(&mut cells) {
+            let mut stream = ClientStream::new(access);
+            for (a, reach) in reach.iter().enumerate() {
+                stream.rewind();
+                let mut t = 0;
+                loop {
+                    t += reach[t..].partition_point(|&end| end <= stream.next_off());
+                    let Some(cyc) = cycles.get_mut(t) else { break };
                     let from = cyc.pieces.len();
                     let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
                     cyc.row_pairs[c] += charged;
                     cyc.col_pairs[a] += charged;
                     if cyc.pieces.len() > from {
-                        cells.push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
+                        cells[t].push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
                     }
+                    t += 1;
                 }
             }
         }
@@ -587,6 +608,125 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One cycle of the cell-by-cell walk: the piece arena, the non-empty
+    /// `(client, aggregator, pieces)` cells in walk order, the pairs by
+    /// client and by aggregator.
+    type Walked = (Vec<Piece>, Vec<(usize, usize, Range<usize>)>, Vec<u64>, Vec<u64>);
+
+    /// The reference: every `(client, aggregator, cycle)` walked through
+    /// its window, a new stream per `(client, aggregator)` pair.
+    fn cell_by_cell(d: &Derivation, clients: &[ClientAccess]) -> Vec<Walked> {
+        let n_agg = d.agg_ranks.len();
+        let mut out: Vec<Walked> = (0..d.cycles.len())
+            .map(|_| (Vec::new(), Vec::new(), vec![0; clients.len()], vec![0; n_agg]))
+            .collect();
+        for (c, access) in clients.iter().enumerate() {
+            for a in 0..n_agg {
+                let mut stream = ClientStream::new(access.clone());
+                for (cyc, (pieces, cells, rows, cols)) in d.cycles.iter().zip(&mut out) {
+                    let from = pieces.len();
+                    let charged = stream.take_window_into(&cyc.windows[a], pieces);
+                    rows[c] += charged;
+                    cols[a] += charged;
+                    if pieces.len() > from {
+                        cells.push((c, a, from..pieces.len()));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A drawn world for [`derivation_equals_the_cell_by_cell_walk`].
+    #[derive(Debug)]
+    struct World {
+        clients: Vec<ClientAccess>,
+        cb_nodes: usize,
+        cb_buffer_size: usize,
+        pfr: bool,
+        alignment: Option<u64>,
+        /// Under PFR, the realm set an earlier call over `[0, hi)` left:
+        /// blocks much smaller than this call's region, so a window has
+        /// several segments.
+        earlier_hi: Option<u64>,
+    }
+
+    /// `n` clients interleaving `k` regions of `block` bytes a tile (`gap`
+    /// bytes after each), over `tiles` tiles after a `header`. Each client
+    /// draws its own filetype: Succinct (one tile of `k` regions, tiled)
+    /// or Enumerated (every region of the access listed, `D` = region
+    /// count), a ragged start, and an empty access one time in six.
+    fn draw_world(rng: &mut flexio_sim::XorShift64Star) -> World {
+        let n = 1 + rng.next_below(16) as usize;
+        let (block, gap) = (1 + rng.next_below(16), rng.next_below(8));
+        let (k, tiles, header) = (1 + rng.next_below(4), 1 + rng.next_below(6), rng.next_below(64));
+        let stride = block + gap;
+        let extent = k * n as u64 * stride;
+        let clients: Vec<ClientAccess> = (0..n)
+            .map(|c| {
+                let enumerated = rng.next_below(2) == 0;
+                let reps = if enumerated { tiles } else { 1 };
+                let regions: Vec<(i64, u64)> =
+                    (0..reps * k).map(|j| ((j * n as u64 * stride) as i64, block)).collect();
+                let dt = Datatype::resized(0, reps * extent, Datatype::hindexed(regions, Datatype::bytes(1)));
+                let total = tiles * k * block;
+                let data_start = rng.next_below(2 * block).min(total - 1);
+                let data_len = match rng.next_below(6) {
+                    0 => 0,
+                    _ => 1 + rng.next_below(total - data_start),
+                };
+                let view = FileView::new(header + c as u64 * stride, Arc::new(flatten(&dt)), 1).unwrap();
+                ClientAccess { view, data_start, data_len }
+            })
+            .collect();
+        let cb_nodes = 1 + rng.next_below(n as u64) as usize;
+        let cb_buffer_size = 1 + rng.next_below(2 * block + 8) as usize;
+        let pfr = rng.next_below(2) == 0;
+        let alignment = (rng.next_below(2) == 0).then(|| 1 + rng.next_below(32));
+        let earlier_hi = (pfr && rng.next_below(2) == 0).then(|| 1 + rng.next_below(extent));
+        World { clients, cb_nodes, cb_buffer_size, pfr, alignment, earlier_hi }
+    }
+
+    #[test]
+    fn derivation_equals_the_cell_by_cell_walk() {
+        flexio_sim::prop::Runner::new("derivation_cell_by_cell").run(draw_world, |w| {
+            let wires: Vec<Vec<u8>> = w.clients.iter().map(ClientAccess::to_wire).collect();
+            let hints = Hints {
+                cb_nodes: Some(w.cb_nodes),
+                cb_buffer_size: w.cb_buffer_size,
+                persistent_file_realms: w.pfr,
+                fr_alignment: w.alignment,
+                ..Hints::default()
+            };
+            let earlier = w.earlier_hi.map(|hi| {
+                let ctx = AssignCtx {
+                    aar: (0, hi),
+                    n_aggregators: w.cb_nodes,
+                    alignment: w.alignment,
+                    clients: &[],
+                };
+                Arc::new(RealmSet::new(PersistentBlockCyclic.assign(&ctx)))
+            });
+            let d = Derivation::new(&wires, &hints, earlier.as_ref());
+            let parsed: Vec<ClientAccess> = wires.iter().map(|wire| ClientAccess::from_wire(wire)).collect();
+            let walked = cell_by_cell(&d, &parsed);
+            for (t, (cyc, (pieces, cells, rows, cols))) in d.cycles.iter().zip(walked).enumerate() {
+                let window_pairs: u64 = cyc.windows.iter().map(|w| w.len() as u64).sum();
+                assert_eq!(cyc.window_pairs, window_pairs, "cycle {t}: window pairs");
+                assert_eq!(cyc.pieces, pieces, "cycle {t}: piece arena");
+                let of = |s: &Sparse| -> Vec<(usize, usize, Range<usize>)> {
+                    s.cells.iter().map(|c| (c.client, c.agg, c.pieces.clone())).collect()
+                };
+                assert_eq!(of(&cyc.rows), cells, "cycle {t}: rows");
+                let mut by_agg = cells;
+                by_agg.sort_by_key(|&(c, a, _)| (a, c));
+                assert_eq!(of(&cyc.cols), by_agg, "cycle {t}: columns");
+                assert_eq!(cyc.row_pairs, rows, "cycle {t}: row pairs");
+                assert_eq!(cyc.col_pairs, cols, "cycle {t}: column pairs");
+            }
+        });
     }
 
     #[test]
