@@ -26,7 +26,7 @@
 use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io, Piece};
 use crate::engine::pipeline::{self, CapPolicy, CycleDriver, StragglerVerdict};
 use crate::engine::recovery::{crash_boundary, CrashState};
-use crate::engine::schedule::{self, schedule_key, CycleSchedule, ExchangeSchedule};
+use crate::engine::schedule::{self, CycleSchedule, ExchangeSchedule};
 use crate::error::{IoError, Result};
 use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
@@ -74,7 +74,6 @@ pub fn run(
     pfr_state: &mut Option<Arc<RealmSet>>,
     sched_cache: &mut Option<ExchangeSchedule>,
 ) -> Result<()> {
-    let nprocs = rank.nprocs();
     let is_write = buf.is_write();
     // Crash machinery arms only when the plan schedules crashes: all
     // ranks see the same plan, so the per-cycle boundary checks (and
@@ -93,8 +92,9 @@ pub fn run(
     // ---- schedule-cache probe -------------------------------------------
     // Every rank sees the same wires and (by MPI collective semantics) the
     // same hints, so every rank reaches the same hit/miss verdict and the
-    // replayed communication pattern stays globally consistent.
-    let key = schedule_key(&wires, hints, nprocs);
+    // replayed communication pattern stays globally consistent. The wires
+    // are digested once for the world, not once a rank.
+    let key = schedule::shared_key(rank, &wires, hints);
     let hit = hints.schedule_cache && sched_cache.as_ref().is_some_and(|s| s.key == key);
     if hints.schedule_cache {
         rank.tally(|s| if hit { s.schedule_cache_hits += 1 } else { s.schedule_cache_misses += 1 });

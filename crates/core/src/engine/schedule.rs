@@ -25,7 +25,7 @@ use crate::engine::common::{ClientStream, Piece};
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::{AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet};
-use flexio_sim::Rank;
+use flexio_sim::{GatherTable, Rank};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -118,10 +118,14 @@ impl Derivation {
     /// walk (`from_wire(to_wire(access))` flattens to the same type), so
     /// one walk yields both what client `c` and what aggregator `a` are
     /// charged for it.
-    fn new(wires: &[impl AsRef<[u8]>], hints: &Hints, pfr: Option<&Arc<RealmSet>>) -> Derivation {
-        let nprocs = wires.len();
+    fn new(
+        wires: impl IntoIterator<Item = impl AsRef<[u8]>>,
+        hints: &Hints,
+        pfr: Option<&Arc<RealmSet>>,
+    ) -> Derivation {
         let clients: Vec<ClientAccess> =
-            wires.iter().map(|w| ClientAccess::from_wire(w.as_ref())).collect();
+            wires.into_iter().map(|w| ClientAccess::from_wire(w.as_ref())).collect();
+        let nprocs = clients.len();
         let parse_pairs: u64 = clients.iter().map(|c| c.view.d() as u64).sum();
         let mut out = Derivation {
             agg_ranks: Vec::new(),
@@ -288,7 +292,7 @@ impl ExchangeSchedule {
     /// schedule was cut against.
     pub(crate) fn shared(
         rank: &Rank,
-        wires: &[impl AsRef<[u8]>],
+        wires: &GatherTable,
         key: u64,
         hints: &Hints,
         pfr: &mut Option<Arc<RealmSet>>,
@@ -297,11 +301,18 @@ impl ExchangeSchedule {
         // (first call's region, later rebalances), so it keys the cell too.
         let fingerprint = pfr.as_ref().map_or(0, |set| set.fingerprint);
         let cell = Digest::new().u64(key).u64(fingerprint).finish();
-        let derived = rank.shared_once(cell, || Derivation::new(wires, hints, pfr.as_ref()));
+        let derived = rank.shared_once(cell, || Derivation::new(wires.iter(), hints, pfr.as_ref()));
         if hints.persistent_file_realms && derived.pfr.is_some() {
             pfr.clone_from(&derived.pfr);
         }
         ExchangeSchedule::view(key, derived, rank.rank())
+    }
+
+    /// Number of world-shared derivations alive in `rank`'s world: viewed
+    /// by a schedule, or pinned for a member that has not taken its view
+    /// yet (a residency probe for tests).
+    pub fn derivations_live(rank: &Rank) -> usize {
+        rank.shared_live_of::<Derivation>()
     }
 
     /// Aggregator ranks, in aggregator order.
@@ -431,8 +442,31 @@ impl Default for Digest {
 /// realms and cycles. The realm set itself is a deterministic function of
 /// these inputs, plus the custom assigner's identity when one is plugged
 /// in.
-pub fn schedule_key(wires: &[impl AsRef<[u8]>], hints: &Hints, nprocs: usize) -> u64 {
-    let mut d = Digest::new()
+pub fn schedule_key(wires: impl IntoIterator<Item = impl AsRef<[u8]>>, hints: &Hints, nprocs: usize) -> u64 {
+    key_of(wires_digest(wires), hints, nprocs)
+}
+
+/// [`schedule_key`] of the call whose metadata round is `wires`, with the
+/// wires — all of the key's work that grows with the world — digested
+/// once per world: by the first member to ask, in a cell keyed by the
+/// round's identity, read by the rest. The hints are mixed in by each
+/// rank, as they always were: a plugged-in assigner's identity is the
+/// address of the rank's own `Arc` of it.
+pub(crate) fn shared_key(rank: &Rank, wires: &GatherTable, hints: &Hints) -> u64 {
+    struct WiresDigest(u64);
+    let digest = rank.shared_once(wires.round(), || WiresDigest(wires_digest(wires.iter())));
+    key_of(digest.0, hints, wires.len())
+}
+
+/// Every wire, length-prefixed.
+fn wires_digest(wires: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {
+    let digest = wires.into_iter().fold(Digest::new(), |d, w| d.u64(w.as_ref().len() as u64).bytes(w.as_ref()));
+    digest.finish()
+}
+
+/// The key of a call whose wires digest to `wires`.
+fn key_of(wires: u64, hints: &Hints, nprocs: usize) -> u64 {
+    Digest::new()
         .u64(nprocs as u64)
         .u64(hints.cb_buffer_size as u64)
         .u64(hints.aggregators(nprocs) as u64)
@@ -443,12 +477,9 @@ pub fn schedule_key(wires: &[impl AsRef<[u8]>], hints: &Hints, nprocs: usize) ->
             // rebound assigner (new Arc) conservatively misses.
             Some(a) => std::sync::Arc::as_ptr(a) as *const () as u64,
             None => 0,
-        });
-    for w in wires {
-        let w = w.as_ref();
-        d = d.u64(w.len() as u64).bytes(w);
-    }
-    d.finish()
+        })
+        .u64(wires)
+        .finish()
 }
 
 #[cfg(test)]
@@ -463,23 +494,33 @@ mod tests {
     #[test]
     fn key_stable_for_equal_inputs() {
         let h = Hints::default();
-        assert_eq!(schedule_key(&wires(), &h, 3), schedule_key(&wires(), &h, 3));
+        assert_eq!(schedule_key(wires(), &h, 3), schedule_key(wires(), &h, 3));
     }
 
     #[test]
     fn key_changes_with_inputs() {
         let h = Hints::default();
-        let base = schedule_key(&wires(), &h, 3);
+        let base = schedule_key(wires(), &h, 3);
         let mut other = wires();
         other[0][0] = 9;
         assert_ne!(schedule_key(&other, &h, 3), base);
-        assert_ne!(schedule_key(&wires(), &h, 4), base);
+        assert_ne!(schedule_key(wires(), &h, 4), base);
         let h2 = Hints { cb_buffer_size: 1 << 12, ..Hints::default() };
-        assert_ne!(schedule_key(&wires(), &h2, 3), base);
+        assert_ne!(schedule_key(wires(), &h2, 3), base);
         let h3 = Hints { persistent_file_realms: true, ..Hints::default() };
-        assert_ne!(schedule_key(&wires(), &h3, 3), base);
+        assert_ne!(schedule_key(wires(), &h3, 3), base);
         let h4 = Hints { fr_alignment: Some(64), ..Hints::default() };
-        assert_ne!(schedule_key(&wires(), &h4, 3), base);
+        assert_ne!(schedule_key(wires(), &h4, 3), base);
+    }
+
+    #[test]
+    fn the_key_digested_once_per_world_is_every_ranks_key() {
+        let wire = |r: usize| vec![r as u8; r % 5];
+        let h = Hints { cb_nodes: Some(2), ..Hints::default() };
+        flexio_sim::run(7, flexio_sim::CostModel::free(), |rank| {
+            let wires = rank.allgatherv_shared(&wire(rank.rank()));
+            assert_eq!(shared_key(rank, &wires, &h), schedule_key((0..7).map(wire), &h, 7));
+        });
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod world;
 
 pub use cost::CostModel;
 pub use prng::XorShift64Star;
-pub use rank::{OverlapWindow, Phase, Rank, Stats};
+pub use rank::{GatherTable, OverlapWindow, Phase, Rank, Stats};
 pub use world::{last_run_counters, run, run_crashable, run_on, Backend, SchedCounters, World};
 
 #[cfg(test)]

@@ -39,13 +39,13 @@ impl Backend {
 }
 
 /// The bytes of a message. Most messages own their buffer; an
-/// `allgatherv` step carries several ranks' blocks, each one allocation
-/// shared by every rank it passes through, so forwarding a block costs a
-/// reference count, not a copy.
+/// `allgatherv` step carries only the byte count it is charged for: the
+/// blocks it stands for are in the round's table
+/// ([`crate::rank::GatherTable`]), which every member of the round shares.
 #[derive(Debug)]
 pub(crate) enum Payload {
     Owned(Vec<u8>),
-    Blocks(Vec<Arc<[u8]>>),
+    Sized(usize),
 }
 
 impl Payload {
@@ -53,7 +53,7 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Owned(v) => v.len(),
-            Payload::Blocks(blocks) => blocks.iter().map(|b| b.len()).sum(),
+            Payload::Sized(n) => *n,
         }
     }
 
@@ -61,7 +61,7 @@ impl Payload {
     pub fn into_vec(self) -> Vec<u8> {
         match self {
             Payload::Owned(v) => v,
-            Payload::Blocks(_) => unreachable!("only an allgatherv step carries shared blocks"),
+            Payload::Sized(_) => unreachable!("only an allgatherv step carries a size alone"),
         }
     }
 }
@@ -378,10 +378,12 @@ impl<'w> Segment<'w> {
         v
     }
 
-    /// Number of shared cells whose value is alive: held by some rank, or
-    /// pinned for a member that has not taken it yet.
-    pub(crate) fn shared_live(self) -> usize {
-        World::runner_owned(self, |w| &w.shared).values().filter(|c| c.value.strong_count() > 0).count()
+    /// Number of shared cells whose value is alive — held by some rank, or
+    /// pinned for a member that has not taken it yet — and, given a type,
+    /// holds one of that type.
+    pub(crate) fn shared_live(self, of: Option<TypeId>) -> usize {
+        let cells = World::runner_owned(self, |w| &w.shared).iter();
+        cells.filter(|((ty, _), c)| of.is_none_or(|of| of == *ty) && c.value.strong_count() > 0).count()
     }
 
     /// Whether `rank` has crash-stopped.

@@ -22,6 +22,7 @@
 //!
 //! Regenerate only when a change is *meant* to move virtual time.
 
+use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel};
@@ -243,7 +244,7 @@ fn eight_set_view_steps_keep_one_derivation_resident() {
             f.set_view(disp, &Datatype::bytes(spec.elem_size), &ftype).unwrap();
             let data = spec.make_buffer(rank.rank(), step);
             f.write_all(&data, &Datatype::bytes(data.len() as u64), 1).unwrap();
-            assert_eq!(rank.shared_live(), 1, "step {step}: stale derivations resident");
+            assert_eq!(ExchangeSchedule::derivations_live(rank), 1, "step {step}: stale derivations resident");
         }
         assert_eq!(rank.stats().schedule_cache_misses, spec.steps);
         f.close().unwrap();

@@ -26,16 +26,18 @@
 //!   on it and run on over a subgroup;
 //! - `[two-communicators p=64]`: row and column collectives of an 8 × 8
 //!   grid alternating, a straggler holding its row in one while the
-//!   columns send it the next.
+//!   columns send it the next; the rows' `allgatherv` rounds, run at
+//!   once under one round key, keep eight tables apart.
 //!
 //! The fixture has moved on purpose twice, and was regenerated each time:
 //! when the `allgatherv` became Bruck's log-step round, and when
 //! `alltoallw` became MPICH's scattered isend/irecv over the listed
 //! blocks. Regenerate only when a change is *meant* to move virtual time.
 
-use flexio::sim::{run, run_crashable, CostModel, Rank};
+use flexio::sim::{run, run_crashable, CostModel, GatherTable, Rank};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 const FIXTURE: &str = "tests/fixtures/sim_collective_charges.txt";
 const WORLDS: [usize; 8] = [1, 2, 3, 8, 65, 130, 257, 512];
@@ -94,8 +96,9 @@ fn record_line(rank: &Rank, label: &str, at: usize, digest: u64) -> String {
     )
 }
 
-fn digest_blocks(blocks: &[Vec<u8>]) -> u64 {
-    blocks.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(fnv(h, &[b.len() as u8]), b))
+fn digest_blocks(blocks: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {
+    let digest = |h, b: &[u8]| fnv(fnv(h, &[b.len() as u8]), b);
+    blocks.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| digest(h, b.as_ref()))
 }
 
 /// One rank's pass through the six collectives; one record per case.
@@ -349,6 +352,24 @@ fn crash_mid_round_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
+/// The row `allgatherv` tables of `[two-communicators p=64]`, `(pass, row,
+/// table)` for every rank, kept until the world has ended.
+static ROW_TABLES: Mutex<Vec<(usize, usize, Arc<GatherTable>)>> = Mutex::new(Vec::new());
+
+/// The eight rows run each pass's `allgatherv` at once under one round
+/// key: each row's members must have shared one table, and no two rows
+/// one.
+fn check_row_tables() {
+    let tables = std::mem::take(&mut *ROW_TABLES.lock().unwrap());
+    assert_eq!(tables.len(), 2 * 64);
+    for (pass, row, table) in &tables {
+        for (other_pass, other_row, other) in &tables {
+            let same = (pass, row) == (other_pass, other_row);
+            assert_eq!(Arc::ptr_eq(table, other), same, "pass {pass} row {row}, pass {other_pass} row {other_row}");
+        }
+    }
+}
+
 /// An 8 × 8 grid whose rows and columns are communicators: every pass
 /// runs a row `alltoallv`, a column `alltoallv`, a row `allgatherv` and a
 /// column `barrier`, entered at uneven clocks and with one rank a
@@ -380,11 +401,12 @@ fn two_communicators_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
             }
             record(&format!("{what}-alltoallv"), digest_blocks(&got));
         }
-        let got = rows.allgatherv(&block(case, col, 0, (me * 37 % 11) * 9));
-        for (src, b) in got.iter().enumerate() {
-            assert_eq!(b, &block(case, src, 0, ((row * 8 + src) * 37 % 11) * 9), "pass {pass}: block of {src}");
+        let table = rows.allgatherv_shared(&block(case, col, 0, (me * 37 % 11) * 9));
+        for (src, b) in table.iter().enumerate() {
+            assert_eq!(b, block(case, src, 0, ((row * 8 + src) * 37 % 11) * 9), "pass {pass}: block of {src}");
         }
-        record("row-allgatherv", digest_blocks(&got));
+        record("row-allgatherv", digest_blocks(table.iter()));
+        ROW_TABLES.lock().unwrap().push((pass, row, table));
         skew(rank, pass + 3);
         cols.barrier();
         record("col-barrier", 0);
@@ -426,6 +448,7 @@ fn harvest() -> String {
             writeln!(out, "{line}").unwrap();
         }
     }
+    check_row_tables();
     out
 }
 

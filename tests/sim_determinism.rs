@@ -24,6 +24,7 @@
 //! Wherever every charge is attributed to a phase (the collective-I/O
 //! workloads), phase buckets sum to each rank's elapsed clock.
 
+use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
@@ -276,7 +277,7 @@ fn fine_grained_flexible_write_is_bit_identical() {
             f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
             let data = spec.make_buffer(rank.rank());
             f.write_all(&data, &spec.mem_type(), spec.mem_count()).unwrap();
-            assert_eq!(rank.shared_live(), 1);
+            assert_eq!(ExchangeSchedule::derivations_live(rank), 1);
             f.close().unwrap();
             (rank.now(), rank.stats())
         });
@@ -322,7 +323,7 @@ fn fine_grained_shared_derivation_bit_identical_run_to_run() {
             for shift in [0, spec.unit()] {
                 f.set_view(disp + shift, &Datatype::bytes(1), &ftype).unwrap();
                 f.write_all(&data, &spec.mem_type(), spec.mem_count()).unwrap();
-                assert_eq!(rank.shared_live(), 1, "one derivation per world and view");
+                assert_eq!(ExchangeSchedule::derivations_live(rank), 1, "one derivation per world and view");
             }
             f.read_all(&mut back, &spec.mem_type(), spec.mem_count()).unwrap();
             f.close().unwrap();
