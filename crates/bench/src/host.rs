@@ -135,6 +135,11 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// clients, 16 regions of 8 B each, 256 aggregators, 512 B buffer
 /// cycles), so it pins that derivation's charges. The derivation that
 /// walked every `(client, aggregator, cycle)` cell measured the same.
+///
+/// Sharing one table per `allgatherv` round, whose step messages carry
+/// only their byte counts, and digesting the schedule key's wires once
+/// per world moved no constant: the same messages of the same sizes park
+/// and wake the same ranks, and the pairs are charged as before.
 const CHECK: [(usize, u64, SchedCounters, u64); 2] = [
     (256, 12_328, SchedCounters { fiber_switches: 2_263, heap_pushes: 2_263 }, 491_520),
     (512, 26_720, SchedCounters { fiber_switches: 3_901, heap_pushes: 3_901 }, 1_949_696),
@@ -145,12 +150,15 @@ const CHECK: [(usize, u64, SchedCounters, u64); 2] = [
 /// buffer, alltoallw exchange, `cb_nodes` = nprocs/2) so that host work
 /// per rank, not simulated data volume, is the wall. Weak scaling: each
 /// rank's data is constant, the world grows, and what every rank reads
-/// of the others grows with it. As measured (E-host), at 1024 ranks
-/// about a fifth of the wall is the schedule derivation (one walk per
-/// `(client, aggregator)` pair, nprocs²/2 of them), an eighth is every
-/// rank digesting every rank's wire for the schedule key (nprocs²), and
-/// the other two thirds — the runtime's spawn, messages and park/wake,
-/// and the engine's exchange and file I/O — is not yet attributed.
+/// of the others grows with it. As measured (E-host: each part's host
+/// time without the time its ranks spent parked), at 1024 ranks about a
+/// third of the wall is the buffer cycles' exchange and file I/O, a
+/// third the schedule derivation (one walk per `(client, aggregator)`
+/// pair, nprocs²/2 of them), and most of the rest spawn, open and close
+/// and the scheduler between segments. The metadata allgather and the
+/// schedule key are a few percent together: the round shares one table
+/// and the key's wires are digested once per world, where every rank
+/// used to hold every block and digest every wire (a third of the wall).
 ///
 /// Two more isolate the runtime-overhead floor: spawn/join and a 64-step
 /// ping-pong at 64 ranks, and at 512 dense `alltoallv` calls of empty

@@ -155,9 +155,7 @@ impl StragglerDetector {
     ) -> Option<StragglerVerdict> {
         let durs = rank.allgatherv_shared(&my_io_ns.to_le_bytes());
         for (a, &ar) in agg_ranks.iter().enumerate() {
-            let d = u64::from_le_bytes(
-                durs[ar][..8].try_into().expect("duration payload must be 8 bytes"),
-            );
+            let d = u64::from_le_bytes(durs.get(ar).try_into().expect("duration payload must be 8 bytes"));
             if d > 0 {
                 self.agg_ewma[a] = Some(ewma(self.agg_ewma[a], d));
             }
