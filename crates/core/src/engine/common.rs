@@ -3,7 +3,7 @@
 use crate::meta::ClientAccess;
 use flexio_pfs::{PfsError, PfsErrorKind};
 use flexio_sim::Rank;
-use flexio_types::ViewCursor;
+use flexio_types::{CursorPos, ViewCursor};
 use std::sync::Arc;
 
 /// Integer exponential moving average with α = 1/4: `None` seeds with the
@@ -104,49 +104,55 @@ pub struct Piece {
 
 /// Append to `out` the pieces of a client's access that fall inside the
 /// window `win` (sorted disjoint file segments); nothing is allocated for
-/// an empty intersection. `cur` is the stateful cursor for this (client,
-/// aggregator) pair — windows ascend monotonically across buffer cycles,
-/// so the cursor never rewinds. `data_end` clips to the client's access
-/// length.
+/// an empty intersection. `cur` is the stream's cursor, standing before
+/// `data_end`, which clips to the client's access length. Returns the
+/// data position the cursor stops at.
 fn intersect_window(
     cur: &mut ViewCursor<'_>,
     data_end: u64,
     win: &[(u64, u64)],
     out: &mut Vec<Piece>,
-) {
+) -> u64 {
+    let mut pos = cur.data_pos();
     for &(ws, wlen) in win {
-        let we = ws + wlen;
-        if cur.data_pos() >= data_end {
+        cur.advance_to_file(ws);
+        pos = cur.data_pos();
+        while pos < data_end {
+            let Some(p) = cur.take_below(ws + wlen, data_end - pos) else { break };
+            out.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: p.len });
+            pos += p.len;
+        }
+        if pos >= data_end {
             break;
         }
-        cur.advance_to_file(ws);
-        loop {
-            if cur.data_pos() >= data_end {
-                return;
-            }
-            let room = data_end - cur.data_pos();
-            match cur.take_below(we, room) {
-                Some(p) => out.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: p.len }),
-                None => break,
-            }
-        }
     }
+    pos
 }
 
 /// A cursor wrapper over the reconstructed view of a client, so
 /// aggregators can walk other ranks' filetypes (§5.3: "the aggregator must
 /// calculate them itself"). A derivation opens one stream per client and
 /// [rewinds](ClientStream::rewind) it for each aggregator.
+///
+/// The stream keeps its cursor's position between walks, so a walk
+/// resumes where the last one left off with no seek. A window that holds
+/// none of the stream's bytes costs the host one closed-form
+/// [`ViewCursor::advance_to_file`](flexio_types::ViewCursor::advance_to_file)
+/// per window segment and is charged exactly what walking it pair by
+/// pair would charge.
 pub struct ClientStream {
     access: Arc<ClientAccess>,
-    /// Data position reached (cursor recreated lazily per window batch).
+    /// Data position reached.
     data_pos: u64,
+    /// The cursor's position at `data_pos`, exactly as a cursor seeking
+    /// `data_pos` would stand.
+    pos: CursorPos,
     /// File offset of data byte `data_pos`, `u64::MAX` once the access is
     /// exhausted: a window ending at or below it holds nothing of the
     /// stream, and walking it charges nothing.
     next_off: u64,
-    /// `next_off` at the access's first data byte.
-    first_off: u64,
+    /// `pos` and `next_off` at the access's first data byte, computed once.
+    first: (CursorPos, u64),
 }
 
 impl ClientStream {
@@ -154,15 +160,16 @@ impl ClientStream {
     pub fn new(access: impl Into<Arc<ClientAccess>>) -> Self {
         let access = access.into();
         let data_pos = access.data_start;
-        let first_off = if access.data_len == 0 { u64::MAX } else { access.view.data_to_file(data_pos) };
-        ClientStream { access, data_pos, next_off: first_off, first_off }
+        let cur = access.view.cursor(data_pos);
+        let first = (cur.pos(), if access.data_len == 0 { u64::MAX } else { cur.file_off() });
+        ClientStream { access, data_pos, pos: first.0, next_off: first.1, first }
     }
 
     /// Back to the client's first data byte, as [`ClientStream::new`]
     /// left it.
     pub(crate) fn rewind(&mut self) {
         self.data_pos = self.access.data_start;
-        self.next_off = self.first_off;
+        (self.pos, self.next_off) = self.first;
     }
 
     /// File offset of the stream's next data byte (`u64::MAX` once the
@@ -187,26 +194,28 @@ impl ClientStream {
         if win.is_empty() || self.access.data_len == 0 || self.data_pos >= data_end {
             return 0;
         }
-        let mut cur = self.access.view.cursor(self.data_pos);
-        let before = cur.evaluated();
+        let mut cur = self.access.view.cursor_at(self.pos);
         let from = out.len();
-        intersect_window(&mut cur, data_end, win, out);
-        let charged = cur.evaluated() - before;
+        let reached = intersect_window(&mut cur, data_end, win, out);
         self.data_pos = match out[from..].last() {
             Some(last) => last.data_pos + last.len,
             // The cursor advanced past the window even with no data there.
-            None => self.data_pos.max(cur.data_pos().min(data_end)),
+            None => reached.min(data_end),
         };
-        self.next_off = if self.data_pos >= data_end {
-            u64::MAX
-        } else if cur.data_pos() == self.data_pos {
-            cur.file_off()
+        if self.data_pos >= data_end {
+            self.next_off = u64::MAX;
+        } else if reached == self.data_pos {
+            self.pos = cur.pos();
+            self.next_off = cur.file_off();
         } else {
             // A later segment of the window moved the cursor past the last
-            // piece; the stream resumes after the piece.
-            self.access.view.data_to_file(self.data_pos)
-        };
-        charged
+            // piece; the stream resumes after the piece, where a cursor
+            // seeking it stands.
+            let resumed = self.access.view.cursor(self.data_pos);
+            self.pos = resumed.pos();
+            self.next_off = resumed.file_off();
+        }
+        cur.evaluated()
     }
 }
 

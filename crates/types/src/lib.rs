@@ -25,5 +25,5 @@ pub use datatype::{Datatype, Dt};
 pub use flatten::{flatten, flatten_shared, FlatType, Seg};
 pub use subarray::{darray, subarray, Distribution};
 pub use view::{
-    pack, unpack, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,
+    pack, unpack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,
 };
