@@ -108,8 +108,8 @@ if [ "$THOROUGH" = 1 ]; then
 
   # Scale leg: the 16384-rank collective write/read smoke (byte-identity
   # + phase-sum invariants; minutes) and `bench host --check` (the
-  # scheduler's messages, fiber switches and heap pushes for a 256- and a
-  # 512-rank world, exactly).
+  # scheduler's messages, fiber switches and heap pushes, and the summed
+  # pairs, for a 256-, a 512- and a 1024-rank world, exactly).
   echo "== 16384-rank scale smoke (tests/scale_smoke.rs) =="
   cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_16384_ranks
 
