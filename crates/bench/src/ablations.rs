@@ -242,7 +242,6 @@ impl PipelineWorkload {
         &mut self,
         (engine, aggs): (Engine, usize),
         depth: PipelineDepth,
-        sieve_prefetch: bool,
         arm: Arguments,
     ) -> (Sample, u64) {
         let hints = Hints {
@@ -250,7 +249,6 @@ impl PipelineWorkload {
             cb_nodes: Some(aggs),
             cb_buffer_size: 256 << 10,
             pipeline_depth: depth,
-            sieve_prefetch,
             ..Hints::default()
         };
         let pfs = Pfs::new(PfsConfig::default());
@@ -284,7 +282,7 @@ pub(crate) fn a5(args: &Args, r: &mut Report) {
             let mut serial_ns = 0;
             for (mode, depth) in [("serial", 1), ("pipelined", 2)] {
                 let depth = PipelineDepth::Fixed(depth);
-                let (s, _) = w.arm((engine, aggs), depth, false, format_args!("{ename} {mode}"));
+                let (s, _) = w.arm((engine, aggs), depth, format_args!("{ename} {mode}"));
                 row!(r; aggs, ename, mode, s.ns, w.mbps(&s), s.sum(|s| s.overlap_saved_ns));
                 if mode == "serial" {
                     serial_ns = s.ns;
@@ -324,29 +322,19 @@ pub(crate) fn a6(args: &Args, r: &mut Report) {
     );
     for aggs in w.agg_counts {
         for &(ename, engine) in &args.engines {
-            let mut variants: Vec<_> =
-                depths.iter().map(|&(n, d)| (n.to_string(), d, false)).collect();
-            // ROMIO's sieve RMW read blocks inside issue;
-            // `flexio_sieve_prefetch` hoists it one cycle ahead, so only
-            // ROMIO gets the `+pf` variants (the flexible engine has no
-            // dependent pre-read to hoist).
-            if engine == Engine::Romio {
-                variants.extend(depths[1..].iter().map(|&(n, d)| (format!("{n}+pf"), d, true)));
-            }
             let (mut auto_bw, mut fixed2_bw) = (0.0, 0.0);
-            for (name, depth, prefetch) in variants {
-                let (s, nb_peak) =
-                    w.arm((engine, aggs), depth, prefetch, format_args!("{ename} {name}"));
+            for &(name, depth) in &depths {
+                let (s, nb_peak) = w.arm((engine, aggs), depth, format_args!("{ename} {name}"));
                 let bw = w.mbps(&s);
                 row!(r;
-                    aggs, ename, name.as_str(), s.ns, bw,
+                    aggs, ename, name, s.ns, bw,
                     s.sum(|s| s.overlap_saved_ns),
                     s.sum(|s| s.derive_overlap_saved_ns),
                     s.stats.iter().map(|s| s.pipeline_depth_used).max().unwrap_or(0),
                     nb_peak,
                     s.sum(|s| s.bytes_copied),
                 );
-                match name.as_str() {
+                match name {
                     "auto" => auto_bw = bw,
                     "depth-2" => fixed2_bw = bw,
                     _ => {}

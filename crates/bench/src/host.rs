@@ -9,7 +9,7 @@
 use crate::report::{row, Report};
 use crate::worlds::{hpio_call, How};
 use crate::Args;
-use flexio_core::{ExchangeMode, Hints};
+use flexio_core::{Engine, ExchangeMode, Hints};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::{last_run_counters, run, Backend, CostModel, SchedCounters};
@@ -23,18 +23,19 @@ fn best_wall<T: Ord>(f: impl Fn() -> T) -> T {
     (0..BEST_OF).map(|_| f()).min().unwrap()
 }
 
-/// One fine-grained collective write at `nprocs` ranks: host wall time
+/// One fine-grained collective write at `nprocs` ranks under `engine`: host wall time
 /// for the whole world (spawn, open, write, close, join), the messages it
 /// sent and the offset/length pairs its ranks were charged. The
 /// scheduler's counters for the world are [`last_run_counters`]
 /// afterwards (a function of the workload, the same on every repetition).
-fn collective_write(nprocs: usize) -> (Duration, u64, u64) {
+fn collective_write(engine: Engine, nprocs: usize) -> (Duration, u64, u64) {
     let pfs = Pfs::new(PfsConfig::default());
     let spec = HpioSpec { region_count: 16, nprocs, ..HpioSpec::fig4(8) };
     let hints = Hints {
         cb_nodes: Some((nprocs / 2).max(1)),
         cb_buffer_size: 512,
         exchange: ExchangeMode::Alltoallw,
+        engine,
         ..Hints::default()
     };
     // No barrier: the world's own messages and switches are what `--check` pins.
@@ -108,11 +109,12 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
     wall.as_secs_f64() * 1e9 / msgs.max(1) as f64
 }
 
-/// What the 256-, 512- and 1024-rank worlds cost their scheduler, and the
-/// pairs their ranks are charged: `(nprocs, msgs, counters, pairs)`. All are functions of the workload
-/// alone; a change that moves one has changed the work per world and has
-/// to say so here. Last moved by the log-step `allgatherv`:
-/// the world's one metadata allgather is ⌈log2 p⌉ messages a rank instead
+/// What the 256-, 512- and 1024-rank flexible worlds and the 512-rank
+/// ROMIO world cost their scheduler, and the pairs their ranks are
+/// charged: `(engine, nprocs, msgs, counters, pairs)`. All are functions
+/// of the workload alone; a change that moves one has changed the work
+/// per world and has to say so here. Last moved by the log-step
+/// `allgatherv`: the world's one metadata allgather is ⌈log2 p⌉ messages a rank instead
 /// of a ring's p − 1 (658 944 → 595 712 and 2 630 144 → 2 373 120
 /// messages; heap pushes 241 253 → 241 333 and 978 573 → 977 867 as the
 /// wakes of the shorter round fall differently; fiber switches unchanged).
@@ -145,11 +147,23 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// commit before the derivation charged its empty cells in closed form (the
 /// cursor kept between walks, within-tile skips counted by a search over
 /// segment ends); that change moved none of the three worlds' numbers.
-const CHECK: [(usize, u64, SchedCounters, u64); 3] = [
-    (256, 12_328, SchedCounters { fiber_switches: 2_263, heap_pushes: 2_263 }, 491_520),
-    (512, 26_720, SchedCounters { fiber_switches: 3_901, heap_pushes: 3_901 }, 1_949_696),
-    (1024, 57_552, SchedCounters { fiber_switches: 11_815, heap_pushes: 11_815 }, 7_766_016),
+///
+/// The fourth world is the ROMIO baseline at `fine-512`'s shape (512
+/// ranks, 256 aggregators, 512 B buffer cycles; ROMIO always exchanges
+/// point to point, so the `alltoallw` hint plays no part). Its constants
+/// were taken from a run of 5d71e89, the commit before the engines' cycle
+/// drivers took one trait per direction and ROMIO one window splitter:
+/// they pin that ROMIO's messages, wakes and charged pairs did not move.
+const CHECK: [(Engine, usize, u64, SchedCounters, u64); 4] = [
+    (Engine::Flexible, 256, 12_328, counters(2_263, 2_263), 491_520),
+    (Engine::Flexible, 512, 26_720, counters(3_901, 3_901), 1_949_696),
+    (Engine::Flexible, 1024, 57_552, counters(11_815, 11_815), 7_766_016),
+    (Engine::Romio, 512, 292_848, counters(104_322, 104_322), 25_600),
 ];
+
+const fn counters(fiber_switches: u64, heap_pushes: u64) -> SchedCounters {
+    SchedCounters { fiber_switches, heap_pushes }
+}
 
 /// The main family is a fig4-style non-contiguous collective write,
 /// deliberately fine-grained (16 regions x 8 B per rank, 512 B collective
@@ -174,24 +188,26 @@ const CHECK: [(usize, u64, SchedCounters, u64); 3] = [
 ///
 /// `--nprocs N` restricts the main family to one row, `--full` extends
 /// it to 4096 ranks, `--check` runs one 256-, one 512- and one 1024-rank
-/// world and asserts the scheduler's deterministic work per world and the
-/// pairs its ranks are charged exactly.
+/// flexible world and one 512-rank ROMIO world and asserts the
+/// scheduler's deterministic work per world and the pairs its ranks are
+/// charged exactly.
 pub(crate) fn host(args: &Args, r: &mut Report) {
     assert!(Backend::event_loop_supported(), "needs the fiber rank runtime (x86_64 only)");
     if args.check {
-        for (nprocs, want_msgs, want, want_pairs) in CHECK {
-            let (wall, msgs, pairs) = collective_write(nprocs);
+        for (engine, nprocs, want_msgs, want, want_pairs) in CHECK {
+            let (wall, msgs, pairs) = collective_write(engine, nprocs);
             let c = last_run_counters();
             r.note(&format!(
-                "check @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, {} heap pushes, \
-                 {pairs} pairs",
+                "check {engine:?} @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, \
+                 {} heap pushes, {pairs} pairs",
                 ms(wall),
                 c.fiber_switches,
                 c.heap_pushes
             ));
             let moved = "the scheduler's work per world moved";
-            assert_eq!((msgs, c), (want_msgs, want), "{moved} at {nprocs} ranks");
-            assert_eq!(pairs, want_pairs, "the derivation's charges moved at {nprocs} ranks");
+            assert_eq!((msgs, c), (want_msgs, want), "{moved}: {engine:?} at {nprocs} ranks");
+            let charges = "the charged pairs moved";
+            assert_eq!(pairs, want_pairs, "{charges}: {engine:?} at {nprocs} ranks");
         }
         return;
     }
@@ -201,7 +217,7 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
     r.section("nprocs,wall_ms:1,ranks_per_wall_sec:1,msgs,host_ns_per_msg:0,switches,heap_pushes");
     let sweep: &[usize] = if args.full { &[16, 64, 256, 1024, 4096] } else { &[16, 64, 256, 1024] };
     for &nprocs in args.nprocs.as_ref().map_or(sweep, std::slice::from_ref) {
-        let (wall, msgs, _) = best_wall(|| collective_write(nprocs));
+        let (wall, msgs, _) = best_wall(|| collective_write(Engine::Flexible, nprocs));
         let c = last_run_counters();
         let per_sec = nprocs as f64 / wall.as_secs_f64();
         row!(r;

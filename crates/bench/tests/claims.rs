@@ -344,11 +344,10 @@ fn a6_auto_depth_is_within_3_percent_of_depth_2_for_the_flexible_engine() {
             let serial = serial.select("mode", "serial");
             assert_eq!(at(engine, "depth-1").num("ns"), serial.num("ns"), "{engine}, {aggs} aggs");
         }
-        // Without the prefetch ROMIO's curve is nearly flat past depth 2
-        // (depth 4 buys 1.3 % and 3.0 %); with it, depth 4 pays.
+        // ROMIO's sieving read blocks inside each write cycle, so its
+        // curve is nearly flat past depth 2 (depth 4 buys 1.3 % and 3.0 %).
         let romio = |depth: &str| at("romio", depth).num("mbps");
         assert!(romio("depth-4") < 1.04 * romio("depth-2"), "{aggs} aggs");
-        assert!(romio("depth-4+pf") > 1.15 * romio("depth-2+pf"), "{aggs} aggs");
     }
 }
 

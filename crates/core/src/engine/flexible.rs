@@ -20,13 +20,16 @@
 //!   `MPI_Alltoallw` collective over the blocks that exist.
 //!
 //! The buffer cycles themselves run on the shared N-deep pipeline core
-//! ([`crate::engine::pipeline`]): this module contributes the two
-//! [`CycleDriver`] halves per direction, the drive loops own the depth.
+//! ([`crate::engine::pipeline`]): this module contributes one driver
+//! whose user buffer picks the direction's two halves, the drive loops
+//! own the depth.
 
 use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io, Piece};
-use crate::engine::pipeline::{self, CapPolicy, CycleDriver, StragglerVerdict};
+use crate::engine::pipeline::{
+    self, CapPolicy, CycleDriver, ReadDriver, StragglerVerdict, WriteDriver,
+};
 use crate::engine::recovery::{crash_boundary, CrashState};
-use crate::engine::schedule::{self, CycleSchedule, ExchangeSchedule};
+use crate::engine::schedule::{self, ExchangeSchedule};
 use crate::error::{IoError, Result};
 use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
@@ -43,12 +46,6 @@ pub enum DataBuf<'a> {
     Write(&'a [u8]),
     /// Collective read: data flows file → user buffer.
     Read(&'a mut [u8]),
-}
-
-impl DataBuf<'_> {
-    fn is_write(&self) -> bool {
-        matches!(self, DataBuf::Write(_))
-    }
 }
 
 /// Run one collective read/write with the flexible engine. Must be called
@@ -74,7 +71,6 @@ pub fn run(
     pfr_state: &mut Option<Arc<RealmSet>>,
     sched_cache: &mut Option<ExchangeSchedule>,
 ) -> Result<()> {
-    let is_write = buf.is_write();
     // Crash machinery arms only when the plan schedules crashes: all
     // ranks see the same plan, so the per-cycle boundary checks (and
     // their heartbeats) run collectively or not at all, and crash-free
@@ -136,32 +132,20 @@ pub fn run(
         }
     }
     let charge_cycles = !hit && !derive_overlap;
-    let outcome = if is_write {
-        let mut driver = FlexWrite {
-            rank,
-            handle,
-            my,
-            mem,
-            buf: &*buf,
-            hints,
-            sched,
-            charge_cycles,
-            crash: crash.as_mut(),
-        };
-        pipeline::drive_write(rank, handle, &mut driver, policy, Some(sched.agg_ranks()), derive_win)
-    } else {
-        let mut driver = FlexRead {
-            rank,
-            handle,
-            my,
-            mem,
-            buf: &mut *buf,
-            hints,
-            sched,
-            charge_cycles,
-            crash: crash.as_mut(),
-        };
-        pipeline::drive_read(rank, handle, &mut driver, policy, Some(sched.agg_ranks()), derive_win)
+    let (watch, crash_st) = (Some(sched.agg_ranks()), crash.as_mut());
+    let outcome = match buf {
+        DataBuf::Write(user) => {
+            let user = &**user;
+            let mut flex =
+                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, crash: crash_st };
+            pipeline::drive_write(rank, handle, &mut flex, policy, watch, derive_win)
+        }
+        DataBuf::Read(user) => {
+            let user = &mut **user;
+            let mut flex =
+                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, crash: crash_st };
+            pipeline::drive_read(rank, handle, &mut flex, policy, watch, derive_win)
+        }
     };
 
     // A crash-aborted drive returns before any further collective could
@@ -329,36 +313,12 @@ fn rebalance_realms(
         }
         shares[h].sort_unstable();
     }
-    Some(
-        shares
-            .into_iter()
-            .map(|segs| {
-                // Merge runs the handoff made adjacent.
-                let mut merged: Vec<(u64, u64)> = Vec::with_capacity(segs.len());
-                for (o, l) in segs {
-                    match merged.last_mut() {
-                        Some(last) if last.0 + last.1 == o => last.1 += l,
-                        _ => merged.push((o, l)),
-                    }
-                }
-                let size: u64 = merged.iter().map(|(_, l)| l).sum();
-                let mut prefix = vec![0u64];
-                for &(_, l) in &merged {
-                    prefix.push(prefix.last().unwrap() + l);
-                }
-                let pattern = FlatType {
-                    segs: merged.iter().map(|&(o, l)| Seg::new(o as i64, l)).collect(),
-                    lb: 0,
-                    extent: period,
-                    size,
-                    monotonic: true,
-                    contiguous: merged.len() <= 1,
-                    prefix,
-                };
-                FileRealm::tiled(Arc::new(pattern), 0)
-            })
-            .collect(),
-    )
+    // `from_segs` merges the runs the handoff made adjacent.
+    let realm = |segs: Vec<(u64, u64)>| {
+        let segs = segs.into_iter().map(|(o, l)| Seg::new(o as i64, l)).collect();
+        FileRealm::tiled(Arc::new(FlatType::from_segs(segs, 0, period)), 0)
+    };
+    Some(shares.into_iter().map(realm).collect())
 }
 
 /// The maximal `(data_pos, len)` ranges of `pieces`: pieces that continue
@@ -476,129 +436,37 @@ impl WriteStage {
     }
 }
 
-/// Exchange half of a write cycle: clients send their pieces, aggregators
-/// plan the collective buffer in file order. Pure data movement — the
-/// file is not touched, so the pipelined driver can run this while the
-/// previous cycle's I/O is still in flight.
-fn exchange_write(
-    rank: &Rank,
-    my: &ClientAccess,
-    mem: &MemLayout,
-    buf: &DataBuf<'_>,
-    hints: &Hints,
-    agg_ranks: &[usize],
-    cyc: CycleSchedule<'_>,
-) -> Option<WriteStage> {
-    let user = match buf {
-        DataBuf::Write(b) => *b,
-        DataBuf::Read(_) => unreachable!(),
-    };
-    // Sends: client -> aggregators.
-    let sends: Vec<(usize, Vec<u8>)> = cyc
-        .my_pieces()
-        .map(|(a, pieces)| (agg_ranks[a], pack_payload(my, mem, user, pieces)))
-        .collect();
-    // Clients with data in my window, ascending; `received` keeps this
-    // order, so a client's payload is found by its position here.
-    let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
-    let recv_from: Vec<usize> = agg_pieces.iter().map(|&(c, _)| c).collect();
-
-    let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
-        ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
-        ExchangeMode::Alltoallw => rank.alltoallw(sends, &recv_from),
-    };
-    if agg_pieces.is_empty() {
-        return None; // nothing owned this cycle (or not an aggregator)
-    }
-
-    // Record where each byte of the file-order stream lives instead of
-    // moving it. Within one client, entry order equals the client's own
-    // pack order, so a per-client sequential cursor walks each payload
-    // exactly once.
-    let (entries, segs) = merge_pieces(&agg_pieces);
-    let mut consumed = vec![0usize; received.len()];
-    let mut runs = Vec::with_capacity(entries.len());
-    for &(_off, client, _piece, len) in &entries {
-        let ri = recv_from.binary_search(&client).expect("payload for client missing");
-        runs.push((ri, consumed[ri], len as usize));
-        consumed[ri] += len as usize;
-    }
-    let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
-    Some(WriteStage { segs, bufs, runs })
-}
-
-/// Issue half of a write cycle: commit the stage's runs to the file with
-/// nonblocking requests, retrying transient faults per realm chunk.
-/// Returns the virtual window the I/O occupies — carrying the first
-/// retry-exhausted fault, if any; the caller decides whether to block on
-/// it (serial engine) or overlap it (pipelined engine). Every chunk is
-/// issued even after an exhausted one, so all data that *can* land does,
-/// and the error agreement sees one deterministic first fault.
-fn issue_write(
-    rank: &Rank,
-    handle: &FileHandle,
-    hints: &Hints,
-    window: &[(u64, u64)],
-    stage: &WriteStage,
-) -> IoCompletion {
-    // One buffer-to-file request per realm chunk: sieving must never span
-    // a realm boundary (the gap would belong to another aggregator).
-    let t0 = rank.now();
-    let mut t = t0;
-    let mut err: Option<flexio_pfs::PfsError> = None;
-    let mut pos = 0usize;
-    for (wi, group) in group_by_window(&stage.segs, window) {
-        let glen: u64 = group.iter().map(|(_, l)| l).sum();
-        let period = group_period(&group);
-        // Lock the whole realm chunk (as ROMIO locks the sieve extent).
-        // Under persistent file realms the chunk is asked for ahead, so a
-        // stripe-aligned chunk is granted once and never cancelled by a
-        // peer locking its own (tests/realm_locks.rs,
-        // `fig7_shape_pfr_plus_alignment_minimizes_lock_traffic`).
-        t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
-        let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
-        if sieved {
-            // Double buffering (§5.1/§6.2): sieving beneath the collective
-            // buffer copies once, received payloads -> sieve buffer. This
-            // is a copy of the model's; the host hands the runs down as
-            // they are.
-            rank.charge_memcpy(glen);
-            rank.tally(|s| s.bytes_copied += glen);
-        }
-        // Hand the received payloads' sub-slices to the scatter-gather
-        // write as-is. A sieved group's chunk is widened to the whole
-        // group span: one RMW read + one write-back per realm chunk, the
-        // same span-sized staging ROMIO's integrated RMW pass uses,
-        // instead of serialized sieve-buffer-sized round trips.
-        let slices = stage.run_slices(pos, glen as usize);
-        let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
-        let (nt, e) = retry_io(rank, hints, t, |at| {
-            write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
-        });
-        t = nt;
-        err = err.or(e);
-        pos += glen as usize;
-    }
-    IoCompletion::span(t0, t).or_error(err)
-}
-
-/// [`CycleDriver`] for the flexible engine's write direction, over the
-/// (possibly cached) exchange schedule.
-struct FlexWrite<'a> {
+/// One collective call's cycle driver over the (possibly cached) exchange
+/// schedule. The user buffer says the direction: `&[u8]` drives writes
+/// ([`WriteDriver`]), `&mut [u8]` reads ([`ReadDriver`]).
+struct Flex<'a, U> {
     rank: &'a Rank,
     handle: &'a FileHandle,
     my: &'a ClientAccess,
     mem: &'a MemLayout,
-    buf: &'a DataBuf<'a>,
+    user: U,
     hints: &'a Hints,
     sched: &'a ExchangeSchedule,
     charge_cycles: bool,
     crash: Option<&'a mut CrashState>,
 }
 
-impl CycleDriver for FlexWrite<'_> {
-    type Stage = WriteStage;
+impl<U> Flex<'_, U> {
+    /// The cycle's client↔aggregator data movement, in the hinted
+    /// flavour (§5.4).
+    fn exchange_blocks(
+        &self,
+        sends: Vec<(usize, Vec<u8>)>,
+        recv_from: &[usize],
+    ) -> Vec<(usize, Vec<u8>)> {
+        match self.hints.exchange {
+            ExchangeMode::Nonblocking => self.rank.exchange(sends, recv_from),
+            ExchangeMode::Alltoallw => self.rank.alltoallw(sends, recv_from),
+        }
+    }
+}
 
+impl<U> CycleDriver for Flex<'_, U> {
     fn n_cycles(&self) -> usize {
         self.sched.n_cycles()
     }
@@ -615,28 +483,96 @@ impl CycleDriver for FlexWrite<'_> {
             self.rank.charge_pairs(self.sched.cycle(i).pairs());
         }
     }
+}
 
-    fn exchange(&mut self, i: usize, _incoming: Option<WriteStage>) -> Option<WriteStage> {
-        exchange_write(
-            self.rank,
-            self.my,
-            self.mem,
-            self.buf,
-            self.hints,
-            self.sched.agg_ranks(),
-            self.sched.cycle(i),
-        )
+impl WriteDriver for Flex<'_, &[u8]> {
+    type Stage = WriteStage;
+
+    /// Clients send their pieces, aggregators plan the collective buffer
+    /// in file order. Pure data movement — the file is not touched, so the
+    /// pipelined driver can run this while the previous cycle's I/O is
+    /// still in flight.
+    fn exchange(&mut self, i: usize) -> Option<WriteStage> {
+        let cyc = self.sched.cycle(i);
+        let agg_ranks = self.sched.agg_ranks();
+        // Sends: client -> aggregators.
+        let sends: Vec<(usize, Vec<u8>)> = cyc
+            .my_pieces()
+            .map(|(a, pieces)| (agg_ranks[a], pack_payload(self.my, self.mem, self.user, pieces)))
+            .collect();
+        // Clients with data in my window, ascending; `received` keeps this
+        // order, so a client's payload is found by its position here.
+        let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
+        let recv_from: Vec<usize> = agg_pieces.iter().map(|&(c, _)| c).collect();
+        let received = self.exchange_blocks(sends, &recv_from);
+        if agg_pieces.is_empty() {
+            return None; // nothing owned this cycle (or not an aggregator)
+        }
+
+        // Record where each byte of the file-order stream lives instead of
+        // moving it. Within one client, entry order equals the client's own
+        // pack order, so a per-client sequential cursor walks each payload
+        // exactly once.
+        let (entries, segs) = merge_pieces(&agg_pieces);
+        let mut consumed = vec![0usize; received.len()];
+        let mut runs = Vec::with_capacity(entries.len());
+        for &(_off, client, _piece, len) in &entries {
+            let ri = recv_from.binary_search(&client).expect("payload for client missing");
+            runs.push((ri, consumed[ri], len as usize));
+            consumed[ri] += len as usize;
+        }
+        let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
+        Some(WriteStage { segs, bufs, runs })
     }
 
-    fn issue(
-        &mut self,
-        i: usize,
-        outgoing: Option<WriteStage>,
-    ) -> Option<(IoCompletion, Option<WriteStage>)> {
-        let stage = outgoing.expect("write issue needs an assembled stage");
-        let io =
-            issue_write(self.rank, self.handle, self.hints, self.sched.cycle(i).my_window(), &stage);
-        Some((io, None))
+    /// Commit the stage's runs to the file with nonblocking requests,
+    /// retrying transient faults per realm chunk. Every chunk is issued
+    /// even after an exhausted one, so all data that *can* land does, and
+    /// the error agreement sees one deterministic first fault.
+    fn issue(&mut self, i: usize, stage: WriteStage) -> IoCompletion {
+        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
+        let window = self.sched.cycle(i).my_window();
+        // One buffer-to-file request per realm chunk: sieving must never
+        // span a realm boundary (the gap would belong to another
+        // aggregator).
+        let t0 = rank.now();
+        let mut t = t0;
+        let mut err: Option<flexio_pfs::PfsError> = None;
+        let mut pos = 0usize;
+        for (wi, group) in group_by_window(&stage.segs, window) {
+            let glen: u64 = group.iter().map(|(_, l)| l).sum();
+            let period = group_period(&group);
+            // Lock the whole realm chunk (as ROMIO locks the sieve
+            // extent). Under persistent file realms the chunk is asked for
+            // ahead, so a stripe-aligned chunk is granted once and never
+            // cancelled by a peer locking its own (tests/realm_locks.rs,
+            // `fig7_shape_pfr_plus_alignment_minimizes_lock_traffic`).
+            t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
+            let sieved =
+                matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
+            if sieved {
+                // Double buffering (§5.1/§6.2): sieving beneath the
+                // collective buffer copies once, received payloads -> sieve
+                // buffer. This is a copy of the model's; the host hands the
+                // runs down as they are.
+                rank.charge_memcpy(glen);
+                rank.tally(|s| s.bytes_copied += glen);
+            }
+            // Hand the received payloads' sub-slices to the scatter-gather
+            // write as-is. A sieved group's chunk is widened to the whole
+            // group span: one RMW read + one write-back per realm chunk,
+            // the same span-sized staging ROMIO's integrated RMW pass uses,
+            // instead of serialized sieve-buffer-sized round trips.
+            let slices = stage.run_slices(pos, glen as usize);
+            let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
+            let (nt, e) = retry_io(rank, hints, t, |at| {
+                write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
+            });
+            t = nt;
+            err = err.or(e);
+            pos += glen as usize;
+        }
+        IoCompletion::span(t0, t).or_error(err)
     }
 }
 
@@ -646,177 +582,103 @@ impl CycleDriver for FlexWrite<'_> {
 /// slicing pass.
 type ReadStage = Vec<(usize, Vec<u8>)>;
 
-/// Issue half of a read cycle: an aggregator with data this cycle reads
-/// its window slice into per-client payloads with nonblocking requests.
-/// Returns the I/O's virtual window and the filled stage; `None` — with
-/// nothing charged, so a re-issue is free — for pure clients and idle
-/// cycles.
-fn issue_read(
-    rank: &Rank,
-    handle: &FileHandle,
-    hints: &Hints,
-    cyc: CycleSchedule<'_>,
-) -> Option<(IoCompletion, ReadStage)> {
-    let window = cyc.my_window();
-    // Clients with data in my window, ascending.
-    let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
-    if agg_pieces.is_empty() {
-        return None;
-    }
-    let (entries, segs) = merge_pieces(&agg_pieces);
-    let t0 = rank.now();
-    let mut t = t0;
-    let mut err: Option<flexio_pfs::PfsError> = None;
-    // Scattered reads land straight in per-client payload buffers, so the
-    // distribute half can send them as-is.
-    let mut bufs: ReadStage = agg_pieces
-        .iter()
-        .map(|&(c, pieces)| (c, vec![0u8; pieces.iter().map(|p| p.len as usize).sum()]))
-        .collect();
-    // Dest runs in entry order: each entry gets the next `len` bytes of
-    // its client's buffer (within a client, entry order equals the
-    // client's own piece order). `rem[i]` is the unfilled tail of the
-    // `i`-th client's buffer.
-    let mut rem: Vec<&mut [u8]> = bufs.iter_mut().map(|(_, b)| b.as_mut_slice()).collect();
-    let mut dests: Vec<&mut [u8]> = Vec::with_capacity(entries.len());
-    for &(_off, client, _piece, len) in &entries {
-        let i =
-            agg_pieces.binary_search_by_key(&client, |&(c, _)| c).expect("client buffer missing");
-        let (head, tail) = std::mem::take(&mut rem[i]).split_at_mut(len as usize);
-        dests.push(head);
-        rem[i] = tail;
-    }
-    drop(rem);
-    // Merged segment boundaries always fall on entry boundaries, so every
-    // window group covers a whole number of entries/dest runs.
-    let mut ei = 0usize;
-    for (wi, group) in group_by_window(&segs, window) {
-        let glen: u64 = group.iter().map(|(_, l)| l).sum();
-        let period = group_period(&group);
-        t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
-        let mut got = 0u64;
-        let mut ej = ei;
-        while got < glen {
-            got += entries[ej].3;
-            ej += 1;
-        }
-        let sieved = matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
-        let method = if sieved {
-            // Sieving drains its chunk buffer into the per-client
-            // payloads — the one modelled copy on reads. One span-wide
-            // chunk per group, as on the write side.
-            rank.charge_memcpy(glen);
-            rank.tally(|s| s.bytes_copied += glen);
-            span_wide_sieve(&group)
-        } else {
-            hints.io_method
-        };
-        let (nt, e) = retry_io(rank, hints, t, |at| {
-            read_scattered_nb(handle, at, &group, &mut dests[ei..ej], &method, period).into_result()
-        });
-        t = nt;
-        err = err.or(e);
-        ei = ej;
-    }
-    drop(dests);
-    Some((IoCompletion::span(t0, t).or_error(err), bufs))
-}
-
-/// Distribute half of a read cycle: the aggregator sends its per-client
-/// payloads, everyone exchanges, clients scatter into the user buffer.
-/// Every rank must call this every cycle (collective exchange) whether or
-/// not it holds a stage.
-#[allow(clippy::too_many_arguments)]
-fn distribute_read(
-    rank: &Rank,
-    my: &ClientAccess,
-    mem: &MemLayout,
-    buf: &mut DataBuf<'_>,
-    hints: &Hints,
-    agg_ranks: &[usize],
-    cyc: CycleSchedule<'_>,
-    stage: Option<ReadStage>,
-) {
-    let sends = stage.unwrap_or_default();
-    // Client: receive from every aggregator whose window holds my data.
-    let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
-    let received: Vec<(usize, Vec<u8>)> = match hints.exchange {
-        ExchangeMode::Nonblocking => rank.exchange(sends, &recv_from),
-        ExchangeMode::Alltoallw => rank.alltoallw(sends, &recv_from),
-    };
-    // Scatter into the user buffer; `received` is in `my_pieces` order.
-    let user = match buf {
-        DataBuf::Read(b) => &mut **b,
-        DataBuf::Write(_) => unreachable!(),
-    };
-    for ((a, pieces), (src, payload)) in cyc.my_pieces().zip(&received) {
-        debug_assert_eq!(*src, agg_ranks[a], "payloads out of aggregator order");
-        // The receive models an iovec run list borrowed off the flattened
-        // view, landing bytes in user memory directly: nothing is charged.
-        let mut pos = 0usize;
-        for p in pieces {
-            mem.scatter(user, p.data_pos - my.data_start, &payload[pos..pos + p.len as usize]);
-            pos += p.len as usize;
-        }
-    }
-}
-
-/// [`CycleDriver`] for the flexible engine's read direction: issue
-/// prefetches a cycle's window into a fresh collective buffer,
-/// exchange distributes it to the clients.
-struct FlexRead<'a, 'b> {
-    rank: &'a Rank,
-    handle: &'a FileHandle,
-    my: &'a ClientAccess,
-    mem: &'a MemLayout,
-    buf: &'a mut DataBuf<'b>,
-    hints: &'a Hints,
-    sched: &'a ExchangeSchedule,
-    charge_cycles: bool,
-    crash: Option<&'a mut CrashState>,
-}
-
-impl CycleDriver for FlexRead<'_, '_> {
+impl ReadDriver for Flex<'_, &mut [u8]> {
     type Stage = ReadStage;
 
-    fn n_cycles(&self) -> usize {
-        self.sched.n_cycles()
-    }
-
-    fn boundary(&mut self, _i: usize) -> bool {
-        match self.crash.as_deref_mut() {
-            Some(st) => crash_boundary(self.rank, st),
-            None => true,
+    /// An aggregator with data this cycle reads its window slice into
+    /// per-client payloads with nonblocking requests.
+    fn issue(&mut self, i: usize) -> Option<(IoCompletion, ReadStage)> {
+        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
+        let cyc = self.sched.cycle(i);
+        let window = cyc.my_window();
+        // Clients with data in my window, ascending.
+        let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
+        if agg_pieces.is_empty() {
+            return None;
         }
-    }
-
-    fn begin_cycle(&mut self, i: usize) {
-        if self.charge_cycles {
-            self.rank.charge_pairs(self.sched.cycle(i).pairs());
+        let (entries, segs) = merge_pieces(&agg_pieces);
+        let t0 = rank.now();
+        let mut t = t0;
+        let mut err: Option<flexio_pfs::PfsError> = None;
+        // Scattered reads land straight in per-client payload buffers, so
+        // the distribute half can send them as-is.
+        let mut bufs: ReadStage = agg_pieces
+            .iter()
+            .map(|&(c, pieces)| (c, vec![0u8; pieces.iter().map(|p| p.len as usize).sum()]))
+            .collect();
+        // Dest runs in entry order: each entry gets the next `len` bytes of
+        // its client's buffer (within a client, entry order equals the
+        // client's own piece order). `rem[i]` is the unfilled tail of the
+        // `i`-th client's buffer.
+        let mut rem: Vec<&mut [u8]> = bufs.iter_mut().map(|(_, b)| b.as_mut_slice()).collect();
+        let mut dests: Vec<&mut [u8]> = Vec::with_capacity(entries.len());
+        for &(_off, client, _piece, len) in &entries {
+            let i = agg_pieces
+                .binary_search_by_key(&client, |&(c, _)| c)
+                .expect("client buffer missing");
+            let (head, tail) = std::mem::take(&mut rem[i]).split_at_mut(len as usize);
+            dests.push(head);
+            rem[i] = tail;
         }
+        drop(rem);
+        // Merged segment boundaries always fall on entry boundaries, so
+        // every window group covers a whole number of entries/dest runs.
+        let mut ei = 0usize;
+        for (wi, group) in group_by_window(&segs, window) {
+            let glen: u64 = group.iter().map(|(_, l)| l).sum();
+            let period = group_period(&group);
+            t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
+            let mut got = 0u64;
+            let mut ej = ei;
+            while got < glen {
+                got += entries[ej].3;
+                ej += 1;
+            }
+            let sieved =
+                matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
+            let method = if sieved {
+                // Sieving drains its chunk buffer into the per-client
+                // payloads — the one modelled copy on reads. One span-wide
+                // chunk per group, as on the write side.
+                rank.charge_memcpy(glen);
+                rank.tally(|s| s.bytes_copied += glen);
+                span_wide_sieve(&group)
+            } else {
+                hints.io_method
+            };
+            let (nt, e) = retry_io(rank, hints, t, |at| {
+                read_scattered_nb(handle, at, &group, &mut dests[ei..ej], &method, period)
+                    .into_result()
+            });
+            t = nt;
+            err = err.or(e);
+            ei = ej;
+        }
+        drop(dests);
+        Some((IoCompletion::span(t0, t).or_error(err), bufs))
     }
 
-    fn exchange(&mut self, i: usize, incoming: Option<ReadStage>) -> Option<ReadStage> {
-        distribute_read(
-            self.rank,
-            self.my,
-            self.mem,
-            self.buf,
-            self.hints,
-            self.sched.agg_ranks(),
-            self.sched.cycle(i),
-            incoming,
-        );
-        None
-    }
-
-    fn issue(
-        &mut self,
-        i: usize,
-        _outgoing: Option<ReadStage>,
-    ) -> Option<(IoCompletion, Option<ReadStage>)> {
-        issue_read(self.rank, self.handle, self.hints, self.sched.cycle(i))
-            .map(|(io, stage)| (io, Some(stage)))
+    /// The aggregator sends its per-client payloads, everyone exchanges,
+    /// clients scatter into the user buffer.
+    fn distribute(&mut self, i: usize, stage: Option<ReadStage>) {
+        let cyc = self.sched.cycle(i);
+        let agg_ranks = self.sched.agg_ranks();
+        // Client: receive from every aggregator whose window holds my data.
+        let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
+        let received = self.exchange_blocks(stage.unwrap_or_default(), &recv_from);
+        // Scatter into the user buffer; `received` is in `my_pieces` order.
+        for ((a, pieces), (src, payload)) in cyc.my_pieces().zip(&received) {
+            debug_assert_eq!(*src, agg_ranks[a], "payloads out of aggregator order");
+            // The receive models an iovec run list borrowed off the
+            // flattened view, landing bytes in user memory directly:
+            // nothing is charged.
+            let mut pos = 0usize;
+            for p in pieces {
+                let bytes = &payload[pos..pos + p.len as usize];
+                self.mem.scatter(self.user, p.data_pos - self.my.data_start, bytes);
+                pos += p.len as usize;
+            }
+        }
     }
 }
 
@@ -830,15 +692,7 @@ mod tests {
     fn tiled_realms(runs: &[(u64, u64)], period: u64) -> Vec<FileRealm> {
         runs.iter()
             .map(|&(o, l)| {
-                let pattern = FlatType {
-                    segs: vec![Seg::new(o as i64, l)],
-                    lb: 0,
-                    extent: period,
-                    size: l,
-                    monotonic: true,
-                    contiguous: true,
-                    prefix: vec![0, l],
-                };
+                let pattern = FlatType::from_segs(vec![Seg::new(o as i64, l)], 0, period);
                 FileRealm::tiled(Arc::new(pattern), 0)
             })
             .collect()

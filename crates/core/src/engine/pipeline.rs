@@ -18,8 +18,8 @@
 //! * the EWMA-driven [`CapPolicy::Auto`] depth adaptation, and
 //! * the per-cycle straggler watch feeding graceful degradation.
 //!
-//! An engine plugs in by implementing [`CycleDriver`] twice — once per
-//! direction — and handing the driver to [`drive_write`] or
+//! An engine plugs in with one driver per direction — [`CycleDriver`]
+//! plus [`WriteDriver`] or [`ReadDriver`] — handed to [`drive_write`] or
 //! [`drive_read`]. Depth 1 (`cap == 0`) issues and immediately completes
 //! every window, which charges exactly like the blocking engines did
 //! (`Rank::overlap_begin` + immediate complete ≡ advance + phase note),
@@ -189,26 +189,12 @@ impl StragglerDetector {
     }
 }
 
-/// One engine direction's per-cycle behaviour, plugged into
-/// [`drive_write`] / [`drive_read`]. The driver owns everything
-/// engine-specific — schedules, cursors, buffers, charge accounting — and
-/// the drive loop owns everything depth-specific.
-///
-/// The two halves map onto the two directions like this:
-///
-/// * **Write** ([`drive_write`]): `exchange(i, None)` runs the cycle's
-///   collective data movement and returns the assembled stage (`None` on
-///   ranks with no file data this cycle); `issue(i, Some(stage))` commits
-///   the stage to the file and returns its [`IoCompletion`].
-/// * **Read** ([`drive_read`]): `issue(i, None)` reads cycle `i`'s window
-///   into a fresh collective buffer, returning the completion and the
-///   filled stage (`None` — with nothing charged, so a re-issue is free —
-///   on idle ranks); `exchange(i, stage)` distributes it (every rank calls
-///   this every cycle: the exchange is collective).
+/// What the drive loops ask of an engine in either direction. The driver
+/// owns everything engine-specific — schedules, cursors, buffers, charge
+/// accounting — and the drive loop owns everything depth-specific. A
+/// direction adds its two halves on top: [`WriteDriver`] for
+/// [`drive_write`], [`ReadDriver`] for [`drive_read`].
 pub(crate) trait CycleDriver {
-    /// One cycle's collective buffer in engine-specific form.
-    type Stage;
-
     /// Total buffer cycles this collective call runs.
     fn n_cycles(&self) -> usize;
 
@@ -226,27 +212,101 @@ pub(crate) trait CycleDriver {
     /// cycle's derivation pairs). Runs exactly once per cycle, in order,
     /// whatever the pipeline depth.
     fn begin_cycle(&mut self, _i: usize) {}
-
-    /// Exchange half — pure data movement, no file contact, so the drive
-    /// loop may run it while earlier cycles' I/O is still in flight.
-    fn exchange(&mut self, i: usize, incoming: Option<Self::Stage>) -> Option<Self::Stage>;
-
-    /// Issue half — the file I/O. The returned completion carries the
-    /// op's virtual window and the first retry-exhausted fault; the drive
-    /// loop decides whether to block on it (depth 1) or keep it in
-    /// flight.
-    fn issue(
-        &mut self,
-        i: usize,
-        outgoing: Option<Self::Stage>,
-    ) -> Option<(IoCompletion, Option<Self::Stage>)>;
 }
 
-/// Is the straggler watch live? Only under a fault plan (the per-cycle
-/// allgather would otherwise break fault-free charge identity) and with
-/// at least two watched aggregators.
-fn watch_on(handle: &FileHandle, watch: Option<&[usize]>) -> bool {
-    handle.pfs().fault_plan().is_some() && watch.is_some_and(|a| a.len() >= 2)
+/// The write direction's halves: exchange into a collective buffer, then
+/// commit it to the file.
+pub(crate) trait WriteDriver: CycleDriver {
+    /// One cycle's exchanged collective buffer in engine-specific form.
+    type Stage;
+
+    /// Exchange half — the cycle's collective data movement, no file
+    /// contact, so the drive loop may run it while earlier cycles' I/O is
+    /// still in flight. `None` on ranks with no file data this cycle.
+    fn exchange(&mut self, i: usize) -> Option<Self::Stage>;
+
+    /// Issue half — commit the stage to the file. The completion carries
+    /// the op's virtual window and the first retry-exhausted fault; the
+    /// drive loop decides whether to block on it (depth 1) or keep it in
+    /// flight.
+    fn issue(&mut self, i: usize, stage: Self::Stage) -> IoCompletion;
+}
+
+/// The read direction's halves: read a cycle's window into a collective
+/// buffer, then distribute it.
+pub(crate) trait ReadDriver: CycleDriver {
+    /// One cycle's filled collective buffer in engine-specific form.
+    type Stage;
+
+    /// Issue half — read cycle `i`'s window into a fresh collective
+    /// buffer: the completion and the filled stage, or `None` — with
+    /// nothing charged, so a re-issue is free — on ranks with no file
+    /// data this cycle.
+    fn issue(&mut self, i: usize) -> Option<(IoCompletion, Self::Stage)>;
+
+    /// Distribute half — collective: every rank calls it every cycle,
+    /// with the stage its issue filled (`None` on idle ranks).
+    fn distribute(&mut self, i: usize, stage: Option<Self::Stage>);
+}
+
+/// The depth state both drive loops keep: the cap and the smoothed
+/// durations it follows, the straggler watch and the outcome so far.
+struct Pace<'a> {
+    policy: CapPolicy,
+    cap: usize,
+    // Smoothed I/O and exchange durations feeding the auto depth policy:
+    // one fast or slow cycle no longer swings the cap to its own ratio.
+    ewma_io: Option<u64>,
+    ewma_exch: Option<u64>,
+    /// The watched aggregator ranks and their detector. Only under a
+    /// fault plan (the per-cycle allgather would otherwise break
+    /// fault-free charge identity) and with at least two aggregators.
+    watch: Option<(&'a [usize], StragglerDetector)>,
+    outcome: CycleOutcome,
+}
+
+impl<'a> Pace<'a> {
+    fn new(handle: &FileHandle, policy: CapPolicy, watch: Option<&'a [usize]>) -> Pace<'a> {
+        let watch = watch
+            .filter(|a| handle.pfs().fault_plan().is_some() && a.len() >= 2)
+            .map(|a| (a, StragglerDetector::new(a.len())));
+        let (cap, outcome) = (policy.initial_cap(), CycleOutcome::default());
+        Pace { policy, cap, ewma_io: None, ewma_exch: None, watch, outcome }
+    }
+
+    /// Note an issued I/O's first fault; returns its duration.
+    fn issued(&mut self, io: &IoCompletion) -> u64 {
+        self.outcome.err = self.outcome.err.or(io.error());
+        io.duration()
+    }
+
+    /// An I/O kept in flight as the `depth`-th buffer, after an exchange
+    /// of `exch_ns`: record the depth reached and re-derive the cap.
+    fn in_flight(&mut self, rank: &Rank, io: &IoCompletion, exch_ns: u64, depth: usize) {
+        rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(depth as u64));
+        let (io_ns, exch) = (ewma(self.ewma_io, io.duration()), ewma(self.ewma_exch, exch_ns));
+        (self.ewma_io, self.ewma_exch) = (Some(io_ns), Some(exch));
+        self.cap = self.policy.adapt(io_ns, exch);
+    }
+
+    /// Feed the straggler watch this cycle's local I/O time.
+    fn observe(&mut self, rank: &Rank, cycle_io_ns: u64) {
+        if let Some((ranks, detector)) = &mut self.watch {
+            if let Some(v) = detector.observe(rank, ranks, cycle_io_ns) {
+                rank.tally(|s| s.degraded_cycles += 1);
+                self.outcome.straggler = Some(v);
+            }
+        }
+    }
+}
+
+/// Block on `io` at once. Begin/complete (rather than a raw advance +
+/// note) keeps the phase buckets summing to elapsed even when a copy
+/// inside the issue already charged Compute time; nothing is hidden, so
+/// `overlap_saved_ns` stays 0.
+fn wait_now(rank: &Rank, io: &IoCompletion) {
+    rank.overlap_complete(rank.overlap_begin(io.done_at(), Phase::Io));
+    rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(1));
 }
 
 /// Drive the write cycles as an N-deep software pipeline: up to `cap`
@@ -263,7 +323,7 @@ fn watch_on(handle: &FileHandle, watch: Option<&[usize]>) -> bool {
 /// (`None` for engines with nothing to rebalance); `derive_win` is an
 /// open overlap window settled after cycle 0's exchange (the flexible
 /// engine's derive-overlap; `None` otherwise).
-pub(crate) fn drive_write<D: CycleDriver>(
+pub(crate) fn drive_write<D: WriteDriver>(
     rank: &Rank,
     handle: &FileHandle,
     driver: &mut D,
@@ -271,22 +331,16 @@ pub(crate) fn drive_write<D: CycleDriver>(
     watch: Option<&[usize]>,
     mut derive_win: Option<OverlapWindow>,
 ) -> CycleOutcome {
-    let mut cap = policy.initial_cap();
+    let mut pace = Pace::new(handle, policy, watch);
     let mut inflight: VecDeque<(OverlapWindow, NbGuard)> = VecDeque::new();
-    let mut outcome = CycleOutcome::default();
-    // Smoothed I/O and exchange durations feeding the auto depth policy:
-    // one fast or slow cycle no longer swings the cap to its own ratio.
-    let (mut ewma_io, mut ewma_exch) = (None, None);
-    let watching = watch_on(handle, watch);
-    let mut detector = StragglerDetector::new(watch.map_or(0, <[usize]>::len));
     for i in 0..driver.n_cycles() {
         if !driver.boundary(i) {
-            outcome.aborted = true;
+            pace.outcome.aborted = true;
             break;
         }
         driver.begin_cycle(i);
         let exch_t0 = rank.now();
-        let stage = driver.exchange(i, None);
+        let stage = driver.exchange(i);
         let exch_ns = rank.now().saturating_sub(exch_t0);
         if i == 0 {
             // Cycle 1+'s derivation has been overlapping this exchange;
@@ -298,40 +352,25 @@ pub(crate) fn drive_write<D: CycleDriver>(
         // All cap+1 collective buffers are full once the next exchange has
         // run: drain the oldest in-flight I/O before reusing its buffer
         // (dropping its guard retires it from the handle's inflight tally).
-        while inflight.len() >= cap.max(1) {
+        while inflight.len() >= pace.cap.max(1) {
             let (w, _guard) = inflight.pop_front().expect("nonempty");
             rank.overlap_complete(w);
         }
         let mut cycle_io_ns = 0u64;
         if let Some(stage) = stage {
-            let (io, _) = driver.issue(i, Some(stage)).expect("write issue returns a completion");
-            outcome.err = outcome.err.or(io.error());
-            cycle_io_ns = io.duration();
-            if cap == 0 {
-                // Wait immediately. Begin/complete (rather than a raw
-                // advance + note) keeps the phase buckets summing to
-                // elapsed even when a copy inside the issue already
-                // charged Compute time; nothing is hidden, so
-                // overlap_saved_ns stays 0.
-                rank.overlap_complete(rank.overlap_begin(io.done_at(), Phase::Io));
-                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(1));
+            let io = driver.issue(i, stage);
+            cycle_io_ns = pace.issued(&io);
+            if pace.cap == 0 {
+                wait_now(rank, &io);
             } else {
-                inflight.push_back((rank.overlap_begin(io.done_at(), Phase::Io), handle.nb_issued()));
-                let depth = inflight.len() as u64 + 1;
-                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(depth));
-                ewma_io = Some(ewma(ewma_io, io.duration()));
-                ewma_exch = Some(ewma(ewma_exch, exch_ns));
-                cap = policy.adapt(ewma_io.unwrap_or(0), ewma_exch.unwrap_or(0));
+                let w = rank.overlap_begin(io.done_at(), Phase::Io);
+                inflight.push_back((w, handle.nb_issued()));
+                pace.in_flight(rank, &io, exch_ns, inflight.len() + 1);
             }
         }
-        if watching {
-            if let Some(v) = detector.observe(rank, watch.expect("watching implies ranks"), cycle_io_ns) {
-                rank.tally(|s| s.degraded_cycles += 1);
-                outcome.straggler = Some(v);
-            }
-        }
+        pace.observe(rank, cycle_io_ns);
         // If Auto just lowered the cap, fall back to it right away.
-        while inflight.len() > cap {
+        while inflight.len() > pace.cap {
             let (w, _guard) = inflight.pop_front().expect("nonempty");
             rank.overlap_complete(w);
         }
@@ -339,7 +378,7 @@ pub(crate) fn drive_write<D: CycleDriver>(
     for (w, _guard) in inflight {
         rank.overlap_complete(w);
     }
-    outcome
+    pace.outcome
 }
 
 /// Drive the read cycles as an N-deep pipeline running in the opposite
@@ -352,7 +391,7 @@ pub(crate) fn drive_write<D: CycleDriver>(
 /// engine; `cap == 0` reads, waits, and distributes serially, matching
 /// the serial engine charge for charge. Under [`CapPolicy::Auto`] the cap
 /// follows the measured I/O:distribute ratio.
-pub(crate) fn drive_read<D: CycleDriver>(
+pub(crate) fn drive_read<D: ReadDriver>(
     rank: &Rank,
     handle: &FileHandle,
     driver: &mut D,
@@ -361,7 +400,7 @@ pub(crate) fn drive_read<D: CycleDriver>(
     mut derive_win: Option<OverlapWindow>,
 ) -> CycleOutcome {
     let n = driver.n_cycles();
-    let mut cap = policy.initial_cap();
+    let mut pace = Pace::new(handle, policy, watch);
     // Prefetched reads: (cycle index, overlap window, filled stage, nb
     // guard), in cycle order. `next` is the first cycle not yet issued.
     let mut q: VecDeque<(usize, OverlapWindow, D::Stage, NbGuard)> = VecDeque::new();
@@ -369,13 +408,9 @@ pub(crate) fn drive_read<D: CycleDriver>(
     // The previous cycle's distribute duration — the exchange-side work a
     // prefetched read hides behind.
     let mut exch_ns = 0u64;
-    let mut outcome = CycleOutcome::default();
-    let (mut ewma_io, mut ewma_exch) = (None, None);
-    let watching = watch_on(handle, watch);
-    let mut detector = StragglerDetector::new(watch.map_or(0, <[usize]>::len));
     for i in 0..n {
         if !driver.boundary(i) {
-            outcome.aborted = true;
+            pace.outcome.aborted = true;
             break;
         }
         driver.begin_cycle(i);
@@ -390,22 +425,13 @@ pub(crate) fn drive_read<D: CycleDriver>(
         } else {
             // Fill (or serial path, or an idle cycle between prefetches):
             // issue this cycle's read and block on it.
-            match driver.issue(i, None) {
-                Some((io, stage)) => {
-                    // Immediate begin/complete, not advance + note: see
-                    // the serial write path.
-                    outcome.err = outcome.err.or(io.error());
-                    cycle_io_ns += io.duration();
-                    rank.overlap_complete(rank.overlap_begin(io.done_at(), Phase::Io));
-                    rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(1));
-                    Some(stage.expect("read issue returns a stage"))
-                }
-                None => None,
-            }
+            driver.issue(i).map(|(io, stage)| {
+                cycle_io_ns += pace.issued(&io);
+                wait_now(rank, &io);
+                stage
+            })
         };
-        if next <= i {
-            next = i + 1;
-        }
+        next = next.max(i + 1);
         if i == 0 {
             // Cycle 1+'s derivation overlapped the fill read; settle up
             // before prefetching needs its piece lists.
@@ -414,36 +440,22 @@ pub(crate) fn drive_read<D: CycleDriver>(
             }
         }
         // Prefetch up to `cap` cycles ahead of the one being distributed.
-        while cap > 0 && next < n && q.len() < cap && next <= i + cap {
-            if let Some((io, stage)) = driver.issue(next, None) {
-                outcome.err = outcome.err.or(io.error());
-                cycle_io_ns += io.duration();
-                q.push_back((
-                    next,
-                    rank.overlap_begin(io.done_at(), Phase::Io),
-                    stage.expect("read issue returns a stage"),
-                    handle.nb_issued(),
-                ));
-                let depth = q.len() as u64 + 1;
-                rank.tally(|s| s.pipeline_depth_used = s.pipeline_depth_used.max(depth));
-                ewma_io = Some(ewma(ewma_io, io.duration()));
-                ewma_exch = Some(ewma(ewma_exch, exch_ns));
-                cap = policy.adapt(ewma_io.unwrap_or(0), ewma_exch.unwrap_or(0));
+        while pace.cap > 0 && next < n && q.len() < pace.cap && next <= i + pace.cap {
+            if let Some((io, stage)) = driver.issue(next) {
+                cycle_io_ns += pace.issued(&io);
+                let w = rank.overlap_begin(io.done_at(), Phase::Io);
+                q.push_back((next, w, stage, handle.nb_issued()));
+                pace.in_flight(rank, &io, exch_ns, q.len() + 1);
             }
             next += 1;
         }
-        if watching {
-            if let Some(v) = detector.observe(rank, watch.expect("watching implies ranks"), cycle_io_ns) {
-                rank.tally(|s| s.degraded_cycles += 1);
-                outcome.straggler = Some(v);
-            }
-        }
+        pace.observe(rank, cycle_io_ns);
         let dist_t0 = rank.now();
-        driver.exchange(i, stage);
+        driver.distribute(i, stage);
         exch_ns = rank.now().saturating_sub(dist_t0);
     }
     debug_assert!(
-        q.is_empty() || outcome.aborted,
+        q.is_empty() || pace.outcome.aborted,
         "a read stage was issued but never distributed"
     );
     // An aborted loop leaves prefetched reads in flight; drain their
@@ -451,7 +463,7 @@ pub(crate) fn drive_read<D: CycleDriver>(
     for (_, w, _, _guard) in q {
         rank.overlap_complete(w);
     }
-    outcome
+    pace.outcome
 }
 
 #[cfg(test)]

@@ -23,11 +23,11 @@
 
 use crate::engine::common::{agree_error, retry_io, Piece};
 use crate::engine::flexible::DataBuf;
-use crate::engine::pipeline::{self, CapPolicy, CycleDriver};
+use crate::engine::pipeline::{self, CapPolicy, CycleDriver, ReadDriver, WriteDriver};
 use crate::error::{IoError, Result};
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
-use flexio_pfs::{FileHandle, IoCompletion, PfsError};
+use flexio_pfs::{FileHandle, IoCompletion};
 use flexio_sim::{Phase, Rank};
 use flexio_types::MemLayout;
 
@@ -51,48 +51,75 @@ fn decode_pairs(buf: &[u8]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Take the pieces of `list[*idx..]` that start below `win_end`, splitting
-/// a piece that crosses the boundary. `split_tail` holds a partially
-/// consumed piece carried between cycles.
-fn take_below_window(
-    list: &[Piece],
-    idx: &mut usize,
-    split_tail: &mut Option<Piece>,
-    win_end: u64,
-) -> Vec<Piece> {
-    let mut out = Vec::new();
-    if let Some(tail) = split_tail.take() {
-        if tail.file_off < win_end {
-            let take = tail.len.min(win_end - tail.file_off);
-            out.push(Piece { file_off: tail.file_off, data_pos: tail.data_pos, len: take });
-            if take < tail.len {
-                *split_tail = Some(Piece {
-                    file_off: tail.file_off + take,
-                    data_pos: tail.data_pos + take,
-                    len: tail.len - take,
-                });
-                return out;
+/// A file-ordered extent the [`WindowSplitter`] cuts: a client's
+/// [`Piece`] or an aggregator's received `(offset, length)` request.
+trait Extent: Copy {
+    fn off(&self) -> u64;
+    fn size(&self) -> u64;
+    /// The first `n` bytes (`0 < n < size`) and the rest.
+    fn split(self, n: u64) -> (Self, Self);
+}
+
+impl Extent for Piece {
+    fn off(&self) -> u64 {
+        self.file_off
+    }
+    fn size(&self) -> u64 {
+        self.len
+    }
+    fn split(self, n: u64) -> (Piece, Piece) {
+        let (file_off, data_pos) = (self.file_off + n, self.data_pos + n);
+        (Piece { len: n, ..self }, Piece { file_off, data_pos, len: self.len - n })
+    }
+}
+
+impl Extent for (u64, u64) {
+    fn off(&self) -> u64 {
+        self.0
+    }
+    fn size(&self) -> u64 {
+        self.1
+    }
+    fn split(self, n: u64) -> ((u64, u64), (u64, u64)) {
+        ((self.0, n), (self.0 + n, self.1 - n))
+    }
+}
+
+/// Cuts one file-ordered list into consecutive windows: each
+/// [`take`](Self::take) returns the extents not yet taken that start below
+/// the window's end, splitting the one that crosses it and carrying its
+/// tail into the next window.
+struct WindowSplitter<'l, E> {
+    list: &'l [E],
+    next: usize,
+    tail: Option<E>,
+}
+
+impl<'l, E: Extent> WindowSplitter<'l, E> {
+    fn new(list: &'l [E]) -> Self {
+        WindowSplitter { list, next: 0, tail: None }
+    }
+
+    fn take(&mut self, win_end: u64) -> Vec<E> {
+        let mut out = Vec::new();
+        while let Some(e) = self.tail.or_else(|| self.list.get(self.next).copied()) {
+            if e.off() >= win_end {
+                break;
             }
-        } else {
-            *split_tail = Some(tail);
-            return out;
+            if self.tail.take().is_none() {
+                self.next += 1;
+            }
+            if e.size() <= win_end - e.off() {
+                out.push(e);
+            } else {
+                let (head, rest) = e.split(win_end - e.off());
+                out.push(head);
+                self.tail = Some(rest);
+                break;
+            }
         }
+        out
     }
-    while *idx < list.len() && list[*idx].file_off < win_end {
-        let p = list[*idx];
-        *idx += 1;
-        let take = p.len.min(win_end - p.file_off);
-        out.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: take });
-        if take < p.len {
-            *split_tail = Some(Piece {
-                file_off: p.file_off + take,
-                data_pos: p.data_pos + take,
-                len: p.len - take,
-            });
-            break;
-        }
-    }
-    out
 }
 
 /// One precomputed buffer cycle: this rank's pieces per aggregator
@@ -114,11 +141,10 @@ pub fn run(
     handle: &FileHandle,
     my: &ClientAccess,
     mem: &MemLayout,
-    mut buf: DataBuf<'_>,
+    buf: DataBuf<'_>,
     hints: &Hints,
 ) -> Result<()> {
     let nprocs = rank.nprocs();
-    let is_write = matches!(buf, DataBuf::Write(_));
 
     // ---- flatten the ENTIRE access into M offset/length pairs ------------
     let mut all_pieces: Vec<Piece> = Vec::new();
@@ -237,75 +263,38 @@ pub fn run(
         .unwrap_or(0);
 
     // ---- precompute every cycle's piece lists ------------------------------
-    // Client side: per-aggregator index + split carry into my lists.
-    let mut cli_idx = vec![0usize; n_agg];
-    let mut cli_tail: Vec<Option<Piece>> = vec![None; n_agg];
-    // Aggregator side: per-client index + split carry into received lists.
-    let mut agg_idx = vec![0usize; nprocs];
-    let mut agg_tail: Vec<Option<(u64, u64)>> = vec![None; nprocs];
+    // Client side: one splitter per aggregator over my lists. Aggregator
+    // side: one per client over the received lists.
+    let mut cli: Vec<WindowSplitter<Piece>> =
+        per_agg.iter().map(|l| WindowSplitter::new(l)).collect();
+    let mut agg: Vec<WindowSplitter<(u64, u64)>> =
+        others.iter().map(|l| WindowSplitter::new(l)).collect();
     let mut cycles: Vec<RomioCycle> = Vec::with_capacity(ntimes as usize);
     for t in 0..ntimes {
-        // Window per aggregator, in file space (the old code cycles over
-        // the realm's file extent, not its data stream).
-        let windows: Vec<Option<(u64, u64)>> = agg_bounds
+        // Window end per aggregator, in file space (the old code cycles
+        // over the realm's file extent, not its data stream); `None` once
+        // the realm is exhausted.
+        let win_ends: Vec<Option<u64>> = agg_bounds
             .iter()
             .map(|&(s, e)| {
                 if e <= s {
                     return None;
                 }
-                let w0 = s + t * cb;
                 let w1 = (s + (t + 1) * cb).min(e);
-                if w0 >= w1 {
-                    None
-                } else {
-                    Some((w0, w1))
-                }
+                (s + t * cb < w1).then_some(w1)
             })
             .collect();
-
         // Client: pieces to each aggregator this cycle.
-        let mut my_cycle: Vec<Vec<Piece>> = Vec::with_capacity(n_agg);
-        for a in 0..n_agg {
-            let pieces = match windows[a] {
-                Some((_, w1)) => {
-                    take_below_window(&per_agg[a], &mut cli_idx[a], &mut cli_tail[a], w1)
-                }
-                None => Vec::new(),
-            };
-            my_cycle.push(pieces);
-        }
-
+        let my_cycle: Vec<Vec<Piece>> = win_ends
+            .iter()
+            .zip(&mut cli)
+            .map(|(w, split)| w.map_or_else(Vec::new, |w1| split.take(w1)))
+            .collect();
         // Aggregator: requests from each client this cycle.
         let mut agg_cycle: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nprocs];
-        if let Some(ai) = my_agg_idx {
-            if let Some((_, w1)) = windows[ai] {
-                for (c, list) in others.iter().enumerate() {
-                    let mut out = Vec::new();
-                    if let Some((o, l)) = agg_tail[c].take() {
-                        if o < w1 {
-                            let take = l.min(w1 - o);
-                            out.push((o, take));
-                            if take < l {
-                                agg_tail[c] = Some((o + take, l - take));
-                            }
-                        } else {
-                            agg_tail[c] = Some((o, l));
-                        }
-                    }
-                    if agg_tail[c].is_none() {
-                        while agg_idx[c] < list.len() && list[agg_idx[c]].0 < w1 {
-                            let (o, l) = list[agg_idx[c]];
-                            agg_idx[c] += 1;
-                            let take = l.min(w1 - o);
-                            out.push((o, take));
-                            if take < l {
-                                agg_tail[c] = Some((o + take, l - take));
-                                break;
-                            }
-                        }
-                    }
-                    agg_cycle[c] = out;
-                }
+        if let Some(w1) = my_agg_idx.and_then(|ai| win_ends[ai]) {
+            for (c, split) in agg.iter_mut().enumerate() {
+                agg_cycle[c] = split.take(w1);
             }
         }
         cycles.push(RomioCycle { my_cycle, agg_cycle });
@@ -317,33 +306,16 @@ pub fn run(
     // those slots stay empty; the depth semantics are exactly the
     // flexible engine's.
     let policy = CapPolicy::resolve(hints, handle.pfs().config().n_osts, agg_ranks.len());
-    let outcome = if is_write {
-        let mut driver = RomioWrite {
-            rank,
-            handle,
-            my,
-            mem,
-            buf: &buf,
-            hints,
-            agg_ranks: &agg_ranks,
-            cycles: &cycles,
-            my_agg_idx,
-            prefetch: None,
-        };
-        pipeline::drive_write(rank, handle, &mut driver, policy, None, None)
-    } else {
-        let mut driver = RomioRead {
-            rank,
-            handle,
-            my,
-            mem,
-            buf: &mut buf,
-            hints,
-            agg_ranks: &agg_ranks,
-            cycles: &cycles,
-            my_agg_idx,
-        };
-        pipeline::drive_read(rank, handle, &mut driver, policy, None, None)
+    let (agg_ranks, cycles) = (&agg_ranks[..], &cycles[..]);
+    let outcome = match buf {
+        DataBuf::Write(user) => {
+            let mut romio = Romio { rank, handle, my, mem, user, hints, agg_ranks, cycles };
+            pipeline::drive_write(rank, handle, &mut romio, policy, None, None)
+        }
+        DataBuf::Read(user) => {
+            let mut romio = Romio { rank, handle, my, mem, user, hints, agg_ranks, cycles };
+            pipeline::drive_read(rank, handle, &mut romio, policy, None, None)
+        }
     };
     let first_err = outcome.err;
 
@@ -381,18 +353,24 @@ fn cycle_span(agg_cycle: &[Vec<(u64, u64)>]) -> Option<(u64, u64, bool)> {
     Some((blo, bhi - blo, covered < bhi - blo))
 }
 
-/// Gap data for an upcoming cycle's read-modify-write, fetched
-/// nonblockingly behind the current cycle's commit window
-/// (`flexio_sieve_prefetch`). Holding it here instead of re-reading at
-/// the cycle itself turns the one blocking read in the ROMIO write path
-/// into overlappable I/O.
-struct SievePrefetch {
-    /// Cycle index the buffer belongs to.
-    cycle: usize,
-    /// File offset the spanning read started at.
-    blo: u64,
-    /// The spanning range's bytes as of the prefetch.
-    buf: Vec<u8>,
+/// One collective call's ROMIO cycle driver over the precomputed cycle
+/// lists. The user buffer says the direction: `&[u8]` drives writes
+/// ([`WriteDriver`]), `&mut [u8]` reads ([`ReadDriver`]).
+struct Romio<'a, U> {
+    rank: &'a Rank,
+    handle: &'a FileHandle,
+    my: &'a ClientAccess,
+    mem: &'a MemLayout,
+    user: U,
+    hints: &'a Hints,
+    agg_ranks: &'a [usize],
+    cycles: &'a [RomioCycle],
+}
+
+impl<U> CycleDriver for Romio<'_, U> {
+    fn n_cycles(&self) -> usize {
+        self.cycles.len()
+    }
 }
 
 /// One write cycle's exchanged payloads, awaiting the integrated
@@ -409,35 +387,11 @@ struct RomioWriteStage {
     received: Vec<(usize, Vec<u8>)>,
 }
 
-/// [`CycleDriver`] for the ROMIO write direction, over the precomputed
-/// cycle lists.
-struct RomioWrite<'a> {
-    rank: &'a Rank,
-    handle: &'a FileHandle,
-    my: &'a ClientAccess,
-    mem: &'a MemLayout,
-    buf: &'a DataBuf<'a>,
-    hints: &'a Hints,
-    agg_ranks: &'a [usize],
-    cycles: &'a [RomioCycle],
-    my_agg_idx: Option<usize>,
-    /// Next cycle's gap data, when `flexio_sieve_prefetch` fetched it.
-    prefetch: Option<SievePrefetch>,
-}
-
-impl CycleDriver for RomioWrite<'_> {
+impl WriteDriver for Romio<'_, &[u8]> {
     type Stage = RomioWriteStage;
 
-    fn n_cycles(&self) -> usize {
-        self.cycles.len()
-    }
-
-    fn exchange(&mut self, i: usize, _incoming: Option<RomioWriteStage>) -> Option<RomioWriteStage> {
+    fn exchange(&mut self, i: usize) -> Option<RomioWriteStage> {
         let RomioCycle { my_cycle, agg_cycle } = &self.cycles[i];
-        let user = match self.buf {
-            DataBuf::Write(b) => *b,
-            DataBuf::Read(_) => unreachable!(),
-        };
         // Client -> aggregator payloads (non-blocking exchange, as the old
         // code does). The send models an iovec run list borrowed off the
         // flattened view, so the `Vec` below is only the wire
@@ -452,7 +406,7 @@ impl CycleDriver for RomioWrite<'_> {
             let mut pos = 0usize;
             for p in pieces {
                 self.mem.gather(
-                    user,
+                    self.user,
                     p.data_pos - self.my.data_start,
                     &mut payload[pos..pos + p.len as usize],
                 );
@@ -467,32 +421,20 @@ impl CycleDriver for RomioWrite<'_> {
             .map(|(c, _)| c)
             .collect();
         let received = self.rank.exchange(sends, &recv_from);
-        if self.my_agg_idx.is_none() || recv_from.is_empty() {
-            return None;
-        }
         // Spanning range of this cycle's requests (pure arithmetic over
-        // already-charged pairs).
-        let (blo, span, holes) = cycle_span(agg_cycle).expect("non-empty recv list spans bytes");
+        // already-charged pairs); none where nothing was received.
+        let (blo, span, holes) = cycle_span(agg_cycle)?;
         Some(RomioWriteStage { blo, span, holes, received })
     }
 
-    fn issue(
-        &mut self,
-        i: usize,
-        outgoing: Option<RomioWriteStage>,
-    ) -> Option<(IoCompletion, Option<RomioWriteStage>)> {
-        let stage = outgoing.expect("write issue needs an exchanged stage");
+    /// Read the span if it has holes, place, write. The read half of the
+    /// read-modify-write blocks at ANY pipeline depth: payloads cannot be
+    /// placed over gap data that has not arrived. Only the commit write
+    /// overlaps.
+    fn issue(&mut self, i: usize, stage: RomioWriteStage) -> IoCompletion {
+        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
         let agg_cycle = &self.cycles[i].agg_cycle;
-        let mut err: Option<PfsError> = None;
-        let pre = match self.prefetch.take() {
-            Some(p) if p.cycle == i && p.blo == stage.blo && p.buf.len() == stage.span as usize => {
-                Some(p)
-            }
-            _ => None,
-        };
-        let t0;
-        let mut t_done;
-        if !stage.holes {
+        let (t0, (t, err)) = if !stage.holes {
             // The requests tile the spanning range exactly, so the
             // collective buffer adds nothing: sort the received payloads'
             // request runs by file offset and commit them as one gathered
@@ -512,34 +454,16 @@ impl CycleDriver for RomioWrite<'_> {
                 .iter()
                 .map(|&(_, ri, pos, len)| &stage.received[ri].1[pos..pos + len])
                 .collect();
-            t0 = self.rank.now();
-            let (nt, e) = retry_io(self.rank, self.hints, t0, |at| {
-                self.handle.pwritev_nb(at, stage.blo, &slices).wait(at)
-            });
-            t_done = nt;
-            err = err.or(e);
+            let t0 = rank.now();
+            (t0, retry_io(rank, hints, t0, |at| handle.pwritev_nb(at, stage.blo, &slices).wait(at)))
         } else {
             // Integrated sieve: single buffer spanning [blo, blo+span).
-            let mut cbuf = match pre {
-                // The gap data was prefetched behind the previous cycle's
-                // commit window; no blocking read this cycle.
-                Some(p) => p.buf,
-                None => {
-                    let mut fresh = vec![0u8; stage.span as usize];
-                    // The read half of the read-modify-write blocks at
-                    // ANY pipeline depth: payloads cannot be placed over
-                    // gap data that has not arrived. Only the commit
-                    // write below overlaps.
-                    let rt0 = self.rank.now();
-                    let (nt, e) = retry_io(self.rank, self.hints, rt0, |at| {
-                        self.handle.read(at, stage.blo, &mut fresh)
-                    });
-                    err = err.or(e);
-                    self.rank.advance_to(nt);
-                    self.rank.note_phase(Phase::Io, nt - rt0);
-                    fresh
-                }
-            };
+            let mut cbuf = vec![0u8; stage.span as usize];
+            let rt0 = rank.now();
+            let (nt, read_err) =
+                retry_io(rank, hints, rt0, |at| handle.read(at, stage.blo, &mut cbuf));
+            rank.advance_to(nt);
+            rank.note_phase(Phase::Io, nt - rt0);
             // Place every client's payload directly into the collective
             // buffer (this IS the sieve buffer: one copy total).
             let mut total_placed = 0u64;
@@ -552,35 +476,13 @@ impl CycleDriver for RomioWrite<'_> {
                     total_placed += len;
                 }
             }
-            self.rank.charge_memcpy(total_placed);
-            self.rank.tally(|s| s.bytes_copied += total_placed);
-            t0 = self.rank.now();
-            let (nt, e) =
-                retry_io(self.rank, self.hints, t0, |at| self.handle.write(at, stage.blo, &cbuf));
-            t_done = nt;
-            err = err.or(e);
-        }
-        // Sieve prefetch (`flexio_sieve_prefetch`): fetch the NEXT
-        // cycle's gap data now, nonblockingly alongside this cycle's
-        // commit, so its read-modify-write no longer starts with a
-        // blocking read. The window rides this cycle's I/O completion,
-        // which the pipeline already overlaps with the next exchange.
-        // Safe because each cycle's spanning range is a disjoint slice of
-        // this aggregator's realm — nothing written later can change the
-        // prefetched bytes. A faulted prefetch is dropped (the fallback
-        // blocking read retries on its own schedule); its wire time still
-        // extends the window, as a real speculative read would.
-        if self.hints.sieve_prefetch && i + 1 < self.cycles.len() {
-            if let Some((nblo, nspan, true)) = cycle_span(&self.cycles[i + 1].agg_cycle) {
-                let mut buf = vec![0u8; nspan as usize];
-                let op = self.handle.preadv_nb(t0, nblo, &mut [&mut buf]);
-                t_done = t_done.max(op.done_at());
-                if op.error().is_none() {
-                    self.prefetch = Some(SievePrefetch { cycle: i + 1, blo: nblo, buf });
-                }
-            }
-        }
-        Some((IoCompletion::span(t0, t_done).or_error(err), None))
+            rank.charge_memcpy(total_placed);
+            rank.tally(|s| s.bytes_copied += total_placed);
+            let t0 = rank.now();
+            let (t, write_err) = retry_io(rank, hints, t0, |at| handle.write(at, stage.blo, &cbuf));
+            (t0, (t, read_err.or(write_err)))
+        };
+        IoCompletion::span(t0, t).or_error(err)
     }
 }
 
@@ -591,59 +493,27 @@ struct RomioReadStage {
     cbuf: Vec<u8>,
 }
 
-/// [`CycleDriver`] for the ROMIO read direction: issue prefetches a
-/// cycle's spanning sieve read, exchange slices and distributes it.
-struct RomioRead<'a, 'b> {
-    rank: &'a Rank,
-    handle: &'a FileHandle,
-    my: &'a ClientAccess,
-    mem: &'a MemLayout,
-    buf: &'a mut DataBuf<'b>,
-    hints: &'a Hints,
-    agg_ranks: &'a [usize],
-    cycles: &'a [RomioCycle],
-    my_agg_idx: Option<usize>,
-}
-
-impl CycleDriver for RomioRead<'_, '_> {
+impl ReadDriver for Romio<'_, &mut [u8]> {
     type Stage = RomioReadStage;
 
-    fn n_cycles(&self) -> usize {
-        self.cycles.len()
-    }
-
-    fn issue(
-        &mut self,
-        i: usize,
-        _outgoing: Option<RomioReadStage>,
-    ) -> Option<(IoCompletion, Option<RomioReadStage>)> {
-        let agg_cycle = &self.cycles[i].agg_cycle;
-        if self.my_agg_idx.is_none() || agg_cycle.iter().all(|l| l.is_empty()) {
-            return None;
-        }
-        // One sieving read of the spanning range.
-        let mut blo = u64::MAX;
-        let mut bhi = 0u64;
-        for l in agg_cycle {
-            for &(o, len) in l {
-                blo = blo.min(o);
-                bhi = bhi.max(o + len);
-            }
-        }
-        let mut cbuf = vec![0u8; (bhi - blo) as usize];
+    /// One sieving read of the cycle's spanning range.
+    fn issue(&mut self, i: usize) -> Option<(IoCompletion, RomioReadStage)> {
+        let (blo, span, _) = cycle_span(&self.cycles[i].agg_cycle)?;
+        let mut cbuf = vec![0u8; span as usize];
         let t0 = self.rank.now();
         let (t, e) = retry_io(self.rank, self.hints, t0, |at| self.handle.read(at, blo, &mut cbuf));
-        Some((IoCompletion::span(t0, t).or_error(e), Some(RomioReadStage { blo, cbuf })))
+        Some((IoCompletion::span(t0, t).or_error(e), RomioReadStage { blo, cbuf }))
     }
 
-    fn exchange(&mut self, i: usize, incoming: Option<RomioReadStage>) -> Option<RomioReadStage> {
+    /// Slice the collective buffer per client, exchange, scatter.
+    fn distribute(&mut self, i: usize, stage: Option<RomioReadStage>) {
         let RomioCycle { my_cycle, agg_cycle } = &self.cycles[i];
         // Aggregator: slice the collective buffer per client. The buffer
         // persists in the stage, so each client's send models an iovec
         // run list pointing straight into it — the slicing pass below is
         // wire representation only, not a charged copy.
         let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
-        if let Some(stage) = incoming {
+        if let Some(stage) = stage {
             for (c, l) in agg_cycle.iter().enumerate() {
                 if l.is_empty() {
                     continue;
@@ -657,34 +527,69 @@ impl CycleDriver for RomioRead<'_, '_> {
                 sends.push((c, payload));
             }
         }
-        let recv_from: Vec<usize> = my_cycle
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(a, _)| self.agg_ranks[a])
-            .collect();
+        let mine: Vec<(usize, &Vec<Piece>)> =
+            my_cycle.iter().enumerate().filter(|(_, p)| !p.is_empty()).collect();
+        let recv_from: Vec<usize> = mine.iter().map(|&(a, _)| self.agg_ranks[a]).collect();
+        // The receives come back in `recv_from` order, ascending
+        // aggregator, so each pairs with its pieces by position.
         let received = self.rank.exchange(sends, &recv_from);
-        let user = match self.buf {
-            DataBuf::Read(b) => &mut **b,
-            DataBuf::Write(_) => unreachable!(),
-        };
-        let mut by_src: std::collections::HashMap<usize, Vec<u8>> = received.into_iter().collect();
-        for (a, pieces) in my_cycle.iter().enumerate() {
-            if pieces.is_empty() {
-                continue;
-            }
-            let payload = by_src.remove(&self.agg_ranks[a]).expect("missing payload");
+        for ((_, pieces), (_, payload)) in mine.iter().zip(&received) {
             // Received into the user buffer's runs directly: no charge.
             let mut pos = 0usize;
-            for p in pieces {
-                self.mem.scatter(
-                    user,
-                    p.data_pos - self.my.data_start,
-                    &payload[pos..pos + p.len as usize],
-                );
+            for p in pieces.iter() {
+                let bytes = &payload[pos..pos + p.len as usize];
+                self.mem.scatter(self.user, p.data_pos - self.my.data_start, bytes);
                 pos += p.len as usize;
             }
         }
-        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn piece(file_off: u64, data_pos: u64, len: u64) -> Piece {
+        Piece { file_off, data_pos, len }
+    }
+
+    #[test]
+    fn a_piece_crossing_one_window_end_is_split_there() {
+        let list = [piece(0, 0, 4), piece(6, 4, 6), piece(20, 10, 2)];
+        let mut split = WindowSplitter::new(&list);
+        assert_eq!(split.take(8), vec![piece(0, 0, 4), piece(6, 4, 2)]);
+        // The tail keeps its data position; the next piece follows it.
+        assert_eq!(split.take(16), vec![piece(8, 6, 4)]);
+        assert_eq!(split.take(24), vec![piece(20, 10, 2)]);
+        assert_eq!(split.take(32), vec![]);
+    }
+
+    #[test]
+    fn a_request_crossing_two_window_ends_is_cut_into_three() {
+        let list = [(2u64, 20u64), (30, 1)];
+        let mut split = WindowSplitter::new(&list);
+        assert_eq!(split.take(8), vec![(2, 6)]);
+        assert_eq!(split.take(16), vec![(8, 8)]);
+        assert_eq!(split.take(24), vec![(16, 6)]);
+        assert_eq!(split.take(32), vec![(30, 1)]);
+    }
+
+    #[test]
+    fn a_tail_waits_through_a_window_that_takes_nothing() {
+        // A window ending at or below the carried tail takes nothing and
+        // keeps the tail for the next one.
+        let list = [piece(4, 0, 8)];
+        let mut split = WindowSplitter::new(&list);
+        assert_eq!(split.take(6), vec![piece(4, 0, 2)]);
+        assert_eq!(split.take(6), vec![]);
+        assert_eq!(split.take(12), vec![piece(6, 2, 6)]);
+        assert_eq!(split.take(u64::MAX), vec![]);
+    }
+
+    #[test]
+    fn an_empty_list_yields_empty_windows() {
+        let mut split = WindowSplitter::<(u64, u64)>::new(&[]);
+        assert_eq!(split.take(0), vec![]);
+        assert_eq!(split.take(u64::MAX), vec![]);
     }
 }

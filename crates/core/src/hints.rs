@@ -112,12 +112,6 @@ pub struct Hints {
     /// (`flexio_retry_backoff_us`); doubles on each subsequent retry and
     /// is charged in virtual time like any other wait.
     pub retry_backoff_us: u64,
-    /// Prefetch the ROMIO engine's data-sieving RMW pre-read one pipeline
-    /// cycle ahead (`flexio_sieve_prefetch`), overlapping it with the
-    /// previous cycle instead of blocking inside `issue`. Off by default;
-    /// the bytes are identical either way (cycle windows are disjoint per
-    /// aggregator), only the virtual timing moves.
-    pub sieve_prefetch: bool,
     /// Survive crash-stopped ranks (`flexio_crash_recovery`): when a rank
     /// dies mid-collective, survivors agree on the dead set, re-elect
     /// aggregators and re-partition realms over the shrunk group, and
@@ -155,7 +149,6 @@ impl Default for Hints {
             pipeline_depth: PipelineDepth::default(),
             io_retries: 4,
             retry_backoff_us: 100,
-            sieve_prefetch: false,
             crash_recovery: false,
             watchdog_us: 200_000,
             engine: Engine::default(),
@@ -177,7 +170,6 @@ impl std::fmt::Debug for Hints {
             .field("pipeline_depth", &self.pipeline_depth)
             .field("io_retries", &self.io_retries)
             .field("retry_backoff_us", &self.retry_backoff_us)
-            .field("sieve_prefetch", &self.sieve_prefetch)
             .field("crash_recovery", &self.crash_recovery)
             .field("watchdog_us", &self.watchdog_us)
             .field("engine", &self.engine)

@@ -20,7 +20,6 @@
 //! | `flexio_pipeline_depth` | `auto` or a positive integer: buffer cycles in flight at once (flexio extension, default auto; `1` = the strictly serial engine, `2` = classic double buffering) |
 //! | `flexio_io_retries` | retries per failed file-system request before the collective agrees on an error (flexio extension, default 4, max 32) |
 //! | `flexio_retry_backoff_us` | base microseconds of the first retry backoff, doubling per retry, charged in virtual time (flexio extension, default 100) |
-//! | `flexio_sieve_prefetch` | `enable`/`disable` prefetching the ROMIO engine's data-sieving RMW pre-read one pipeline cycle ahead (flexio extension, default disable) |
 //! | `flexio_crash_recovery` | `enable`/`disable` surviving crash-stopped ranks: agree on the dead set, re-elect aggregators over survivors, replay the interrupted call (flexio extension, default disable; disabled, a crash terminates the collective with a collectively agreed error) |
 //! | `flexio_watchdog_us` | failure-detection watchdog in virtual microseconds: heartbeat wait at collective boundaries before suspecting a peer dead (flexio extension, default 200000; must exceed per-cycle clock skew) |
 //!
@@ -112,15 +111,6 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
                     _ => PipelineDepth::Fixed(value.parse().map_err(|_| {
                         IoError::BadHints("flexio_pipeline_depth takes auto or a positive integer")
                     })?),
-                };
-            }
-            "flexio_sieve_prefetch" => {
-                h.sieve_prefetch = match value {
-                    "enable" | "true" => true,
-                    "disable" | "false" => false,
-                    _ => {
-                        return Err(IoError::BadHints("flexio_sieve_prefetch takes enable/disable"))
-                    }
                 };
             }
             "flexio_crash_recovery" => {
@@ -260,16 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn sieve_prefetch_switch() {
-        assert!(!Hints::default().sieve_prefetch);
-        let h = hints_from_info(Hints::default(), &[("flexio_sieve_prefetch", "enable")]).unwrap();
-        assert!(h.sieve_prefetch);
-        let h = hints_from_info(h, &[("flexio_sieve_prefetch", "disable")]).unwrap();
-        assert!(!h.sieve_prefetch);
-        assert!(hints_from_info(Hints::default(), &[("flexio_sieve_prefetch", "soon")]).is_err());
-    }
-
-    #[test]
     fn crash_recovery_keys() {
         assert!(!Hints::default().crash_recovery);
         let h = hints_from_info(
@@ -359,15 +339,16 @@ mod tests {
     fn unknown_flexio_prefixed_keys_are_ignored_too() {
         // The ignore-unknown rule is namespace-blind: a newer writer's
         // flexio_* hints must not break an older reader, nor an older
-        // writer's retired ones (the packed staging path and the on/off
-        // twin of `flexio_pipeline_depth`) a newer reader — whatever
-        // their values.
+        // writer's retired ones (the packed staging path, the on/off
+        // twin of `flexio_pipeline_depth` and the ROMIO sieve prefetch) a
+        // newer reader — whatever their values.
         let h = hints_from_info(
             Hints::default(),
             &[
                 ("flexio_future_knob", "whatever"),
                 ("flexio_zero_copy", "disable"),
                 ("flexio_double_buffer", "maybe"),
+                ("flexio_sieve_prefetch", "enable"),
                 ("cb_nodes", "3"),
             ],
         )

@@ -244,15 +244,7 @@ impl RealmAssigner for PersistentBlockCyclic {
         }
         (0..ctx.n_aggregators)
             .map(|i| {
-                let pattern = FlatType {
-                    segs: vec![Seg::new(0, block)],
-                    lb: 0,
-                    extent: block * a,
-                    size: block,
-                    monotonic: true,
-                    contiguous: true,
-                    prefix: vec![0, block],
-                };
+                let pattern = FlatType::from_segs(vec![Seg::new(0, block)], 0, block * a);
                 FileRealm::tiled(Arc::new(pattern), i as u64 * block)
             })
             .collect()
@@ -361,15 +353,7 @@ mod tests {
     #[test]
     fn tiled_realm_block_cyclic() {
         // blocks of 10 every 30 bytes starting at 10 (aggregator 1 of 3).
-        let pattern = FlatType {
-            segs: vec![Seg::new(0, 10)],
-            lb: 0,
-            extent: 30,
-            size: 10,
-            monotonic: true,
-            contiguous: true,
-            prefix: vec![0, 10],
-        };
+        let pattern = FlatType::from_segs(vec![Seg::new(0, 10)], 0, 30);
         let r = FileRealm::tiled(Arc::new(pattern), 10);
         assert!(r.owns(10));
         assert!(r.owns(19));

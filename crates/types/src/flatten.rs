@@ -53,7 +53,11 @@ pub struct FlatType {
 }
 
 impl FlatType {
-    fn from_segs(mut segs: Vec<Seg>, lb: i64, extent: u64) -> Self {
+    /// The flattened type with these segments, in typemap order, tiled
+    /// every `extent` bytes from lower bound `lb`: empty segments are
+    /// dropped, order-adjacent runs merged, and the derived fields
+    /// (`size`, `monotonic`, `contiguous`, `prefix`) computed.
+    pub fn from_segs(mut segs: Vec<Seg>, lb: i64, extent: u64) -> Self {
         // Drop empties, merge order-adjacent contiguous runs.
         segs.retain(|s| s.len > 0);
         let mut merged: Vec<Seg> = Vec::with_capacity(segs.len());
