@@ -236,9 +236,9 @@ const ONCE_AGGS: usize = 4;
 
 #[test]
 fn fig7_shape_pfr_aligned_locks_are_granted_once() {
-    // What `flexible.rs::issue_write` says of its realm-chunk lock: one
-    // grant per aggregator that holds data, all of them in call 1, none
-    // revoked in eight calls.
+    // What the flexible write driver's `issue` says of its realm-chunk
+    // lock: one grant per aggregator that holds data, all of them in
+    // call 1, none revoked in eight calls.
     let (first, last) = timestep_lock_traffic(ONCE_SPEC, ONCE_STRIPE, ONCE_AGGS, true, true, false);
     assert_eq!((first.lock_grants, first.lock_revocations), (ONCE_AGGS as u64, 0));
     assert_eq!((last.lock_grants, last.lock_revocations), (ONCE_AGGS as u64, 0));
@@ -253,8 +253,8 @@ fn fig7_shape_pfr_aligned_locks_are_granted_once() {
 
 #[test]
 fn fig7_shape_pfr_aligned_read_locks_are_granted_once() {
-    // The read direction's twin (`issue_read`): the file is written, then
-    // read back in eight collective calls.
+    // The read direction's twin (the read driver's `issue`): the file is
+    // written, then read back in eight collective calls.
     let (first, last) = timestep_lock_traffic(ONCE_SPEC, ONCE_STRIPE, ONCE_AGGS, true, true, true);
     assert_eq!((first.lock_grants, first.lock_revocations), (ONCE_AGGS as u64, 0));
     assert_eq!((last.lock_grants, last.lock_revocations), (ONCE_AGGS as u64, 0));
