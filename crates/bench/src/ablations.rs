@@ -1,6 +1,6 @@
-//! The design-choice studies DESIGN.md calls out (A1–A8). A4–A8 assert
-//! their own byte-identity and shape claims while they run: a clean exit
-//! is itself evidence.
+//! The design-choice studies DESIGN.md calls out (A1–A4, A6–A8). A4 and
+//! A6–A8 assert their own byte-identity and shape claims while they run: a
+//! clean exit is itself evidence.
 
 use crate::report::{row, Report};
 use crate::worlds::{hpio_call, locking_pfs, mbps, tiled_steps, How, Sample, StepSample};
@@ -138,9 +138,11 @@ fn a3_world(nprocs: usize, cluster: u64, straggler: u64, assigner: Arc<dyn Realm
 /// A4: the exchange-schedule cache on the steady-state checkpoint pattern
 /// — persistent file realms, one fixed block-cyclic view, 32 time steps
 /// each overwriting the checkpoint region with fresh data. Call 1 derives
-/// the schedule (identically with the cache on or off); calls 2..N replay
-/// it on a hit. Per step: offset/length pairs processed and virtual
-/// wall-clock for both settings; the final images must be byte-identical.
+/// the schedule; calls 2..N replay it on a hit. The uncached ("off") arm
+/// calls `set_hints` with the same hints before every step, which drops
+/// the schedule, so every call derives as call 1 does. Per step:
+/// offset/length pairs processed and virtual wall-clock for both arms;
+/// the final images must be byte-identical.
 ///
 /// Paper scale: 64 clients, 32 aggregators, 2 MiB stripes, 100 × 32 B
 /// elements per point, 2048 points per rank.
@@ -152,22 +154,21 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
         if args.paper { (64, 3200, 2048, 2 << 20) } else { (16, 3200, 256, 512 << 10) };
     let nprocs = args.nprocs_or(nprocs);
     let aggs = (nprocs / 2).max(1);
-    let checkpoint = |cache: bool| -> (StepSample, Vec<u8>) {
+    let hints = Hints {
+        persistent_file_realms: true,
+        fr_alignment: Some(stripe),
+        cb_nodes: Some(aggs),
+        io_method: IoMethod::DataSieve { buffer: 512 << 10 },
+        ..Hints::default()
+    };
+    let checkpoint = |each_step: &(dyn Fn(&mut MpiFile<'_>) + Sync)| -> (StepSample, Vec<u8>) {
         let pfs = locking_pfs(stripe);
-        let hints = Hints {
-            schedule_cache: cache,
-            persistent_file_realms: true,
-            fr_alignment: Some(stripe),
-            cb_nodes: Some(aggs),
-            io_method: IoMethod::DataSieve { buffer: 512 << 10 },
-            ..Hints::default()
-        };
-        let s = tiled_steps(&pfs, "ckpt", (nprocs, slice, points, STEPS), &hints);
+        let s = tiled_steps(&pfs, "ckpt", (nprocs, slice, points, STEPS), &hints, each_step);
         assert!(s.err.is_none(), "fault-free checkpoint failed: {:?}", s.err);
         (s, read_file(&pfs, "ckpt"))
     };
-    let (on, image) = checkpoint(true);
-    let (off, image_off) = checkpoint(false);
+    let (on, image) = checkpoint(&|_| {});
+    let (off, image_off) = checkpoint(&|f| f.set_hints(hints.clone()).unwrap());
     assert!(image == image_off, "cache changed the bytes on disk");
     // The surviving checkpoint must be the last step's data.
     for rank in 0..nprocs {
@@ -211,7 +212,7 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
     r.note("file images byte-identical: yes");
 }
 
-/// The E1 workload the pipeline ablations (A5, A6) run: 512 B regions,
+/// The E1 workload the pipeline ablation (A6) runs: 512 B regions,
 /// and a small collective buffer to force many buffer cycles per call —
 /// the regime double buffering targets (one cycle has nothing to overlap
 /// with).
@@ -265,40 +266,6 @@ impl PipelineWorkload {
     fn mbps(&self, s: &Sample) -> f64 {
         mbps(self.spec.aggregate_bytes(), s.ns)
     }
-}
-
-/// A5 (§4 double buffering): serial (depth 1) vs pipelined (depth 2)
-/// buffer cycles for both engines at equal depth — same bytes, same
-/// exchange work, but the pipelined run overlaps the exchange for cycle
-/// i+1 with the file I/O of cycle i. Reports the slowest rank's
-/// collective-write time and the summed hidden time; every engine × mode
-/// combination must leave a byte-identical file image, and pipelined
-/// must never be slower than serial.
-pub(crate) fn a5(args: &Args, r: &mut Report) {
-    let mut w = PipelineWorkload::new(args, r);
-    r.section("aggs,engine,mode,ns,mbps:2,hidden_ns");
-    for aggs in w.agg_counts {
-        for &(ename, engine) in &args.engines {
-            let mut serial_ns = 0;
-            for (mode, depth) in [("serial", 1), ("pipelined", 2)] {
-                let depth = PipelineDepth::Fixed(depth);
-                let (s, _) = w.arm((engine, aggs), depth, format_args!("{ename} {mode}"));
-                row!(r; aggs, ename, mode, s.ns, w.mbps(&s), s.sum(|s| s.overlap_saved_ns));
-                if mode == "serial" {
-                    serial_ns = s.ns;
-                }
-                assert!(
-                    s.ns <= serial_ns,
-                    "{ename}: pipelined ({} ns) slower than serial ({serial_ns} ns) at {aggs} aggs",
-                    s.ns
-                );
-            }
-        }
-    }
-    let title = "serial vs pipelined — I/O bandwidth (MB/s)";
-    r.pivot(title, None, "aggs", &["engine", "mode"], "mbps");
-    r.heading("file images byte-identical across engines and modes at every aggregator count");
-    r.note("pipelined never slower than serial for any engine");
 }
 
 /// A6: pipeline depth 1 (serial), 2 (classic double buffering), 4 and
@@ -418,7 +385,7 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
             retry_backoff_us: 100,
             ..Hints::default()
         };
-        let s = tiled_steps(&pfs, "a7", (nprocs, BLOCK, reps, STEPS), &hints);
+        let s = tiled_steps(&pfs, "a7", (nprocs, BLOCK, reps, STEPS), &hints, &|_| {});
         let image = read_file(&pfs, "a7");
         (s, image, pfs.stats().faults_injected)
     };

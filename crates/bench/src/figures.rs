@@ -8,6 +8,7 @@ use flexio_hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio_io::IoMethod;
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::CostModel;
+use flexio_types::Datatype;
 
 /// Fig. 4's three methods: the flexible engine with succinct and with
 /// enumerated filetypes, and the ROMIO baseline.
@@ -178,7 +179,10 @@ pub(crate) fn e3(args: &Args, r: &mut Report) {
                 steps,
                 hints: &hints,
                 time_each_step: false,
-                view: &|rank, t| Some(spec.file_view(rank, t)),
+                before_step: &|f, rank, t| {
+                    let (disp, ftype) = spec.file_view(rank, t);
+                    f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+                },
                 data: &|rank, t| spec.make_buffer(rank, t),
             }
             .run();

@@ -1,7 +1,7 @@
 //! # flexio-bench — one runner for the paper's figures and the ablations
 //!
 //! `bench <exp>` runs one entry of [`EXPERIMENTS`] — the paper's figures
-//! (E1–E3), the design-choice ablations (A1–A8), the read-direction
+//! (E1–E3), the design-choice ablations (A1–A4, A6–A8), the read-direction
 //! study, the scenario suite and the host-capacity measurement — and
 //! prints it in one format: `#` comment lines, CSV rows under a
 //! `# columns:` line, pivot tables (see [`report`]). An experiment is a
@@ -77,7 +77,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     virt("a2", "A2 — exchange mode (§5.4)", SCALE, ablations::a2),
     virt("a3", "A3 — realm assignment on sparse clustered access (§7)", SCALE, ablations::a3),
     virt("a4", "A4 — exchange-schedule cache on a checkpoint overwrite", SCALE, ablations::a4),
-    virt("a5", "A5 — pipelined buffer cycles (§4 double buffering)", SCALE_ENGINE, ablations::a5),
     virt("a6", "A6 — pipeline depth (adaptive vs fixed)", SCALE_ENGINE, ablations::a6),
     virt("a7", "A7 — fault injection: retries and straggler rebalancing", SCALE, ablations::a7),
     virt("a8", "A8 — crash recovery: survivor completion vs crash point", SCALE, ablations::a8),
@@ -299,8 +298,8 @@ mod tests {
 
     #[test]
     fn engine_flag_selects_engines() {
-        assert_eq!(args_of("a5").engines, BOTH_ENGINES);
-        assert_eq!(args_of("a5 --engine both").engines, BOTH_ENGINES);
+        assert_eq!(args_of("a6").engines, BOTH_ENGINES);
+        assert_eq!(args_of("a6 --engine both").engines, BOTH_ENGINES);
         assert_eq!(args_of("a6 --engine romio").engines, [("romio", Engine::Romio)]);
         let a = args_of("scenario --paper --engine flexible");
         assert_eq!(a.engines, [("flexible", Engine::Flexible)]);
@@ -349,14 +348,14 @@ mod tests {
     #[test]
     fn a_missing_or_malformed_value_is_rejected() {
         assert_eq!(parse_line("e3 --nprocs"), Err("`--nprocs` needs a value".into()));
-        assert_eq!(parse_line("a5 --engine"), Err("`--engine` needs a value".into()));
+        assert_eq!(parse_line("a6 --engine"), Err("`--engine` needs a value".into()));
         let positive = |v: &str| Err(format!("`--nprocs` needs a positive integer, got `{v}`"));
         assert_eq!(parse_line("e3 --nprocs many"), positive("many"));
         assert_eq!(parse_line("e3 --nprocs 0"), positive("0"));
         assert_eq!(parse_line("e3 --nprocs -4"), positive("-4"));
         assert_eq!(parse_line("e3 --nprocs --paper"), positive("--paper"));
         assert_eq!(
-            parse_line("a5 --engine mpich"),
+            parse_line("a6 --engine mpich"),
             Err("`--engine` must be romio, flexible or both, got `mpich`".into())
         );
     }
@@ -369,11 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_is_the_fifteen_experiments_with_unique_names() {
+    fn the_registry_is_the_fourteen_experiments_with_unique_names() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(
             names.join(" "),
-            "e1 e2 e2-spikes e3 a1 a2 a3 a4 a5 a6 a7 a8 read scenario host"
+            "e1 e2 e2-spikes e3 a1 a2 a3 a4 a6 a7 a8 read scenario host"
         );
         assert!(usage().ends_with(&names.join(" ")));
         let host_time: Vec<&str> =

@@ -5,7 +5,7 @@ use flexio_core::{Hints, IoError, MpiFile};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::{run, CostModel, Stats};
-use flexio_types::{Datatype, Dt};
+use flexio_types::Datatype;
 use flexio_workload::step_data;
 use std::sync::Arc;
 
@@ -127,9 +127,9 @@ pub(crate) struct StepRun<'a> {
     /// Time every step on its own — a barrier before it and a
     /// slowest-rank reduction after it — instead of the whole run.
     pub time_each_step: bool,
-    /// `(rank, step)` → the view to set before that step's write, if it
-    /// changes.
-    pub view: &'a (dyn Fn(usize, u64) -> Option<(u64, Dt)> + Sync),
+    /// `(file, rank, step)`: what the rank does to its open file before
+    /// that step's write — set a view, or drop the cached schedule.
+    pub before_step: &'a (dyn Fn(&mut MpiFile<'_>, usize, u64) + Sync),
     /// `(rank, step)` → the bytes that step writes.
     pub data: &'a (dyn Fn(usize, u64) -> Vec<u8> + Sync),
 }
@@ -161,12 +161,14 @@ impl StepSample {
 /// `steps` timed collective writes of the tiled interleave: rank `r` owns
 /// the `block`-byte tile at `r * block` of every `nprocs * block` stripe
 /// (one fixed view, the restart-file pattern) and overwrites `reps` tiles
-/// with fresh [`step_data`] each step.
+/// with fresh [`step_data`] each step. `each_step` runs on the open file
+/// before every step's write, after the view is set.
 pub(crate) fn tiled_steps(
     pfs: &Arc<Pfs>,
     path: &str,
     (nprocs, block, reps, steps): (usize, u64, u64, u64),
     hints: &Hints,
+    each_step: &(dyn Fn(&mut MpiFile<'_>) + Sync),
 ) -> StepSample {
     let stripe = nprocs as u64 * block;
     StepRun {
@@ -176,9 +178,12 @@ pub(crate) fn tiled_steps(
         steps,
         hints,
         time_each_step: true,
-        view: &|rank, step| {
-            let tile = || Datatype::resized(0, stripe, Datatype::bytes(block));
-            (step == 0).then(|| (rank as u64 * block, tile()))
+        before_step: &|f, rank, step| {
+            if step == 0 {
+                let tile = Datatype::resized(0, stripe, Datatype::bytes(block));
+                f.set_view(rank as u64 * block, &Datatype::bytes(1), &tile).unwrap();
+            }
+            each_step(f);
         },
         data: &|rank, step| step_data(rank, step, (reps * block) as usize),
     }
@@ -195,9 +200,7 @@ impl StepRun<'_> {
             }
             let start = rank.now();
             for step in 0..self.steps {
-                if let Some((disp, ftype)) = (self.view)(rank.rank(), step) {
-                    f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
-                }
+                (self.before_step)(&mut f, rank.rank(), step);
                 let data = (self.data)(rank.rank(), step);
                 let n = data.len() as u64;
                 if self.time_each_step {

@@ -314,15 +314,16 @@ fn a4_the_cache_charges_call_1_in_full_and_replays_every_later_call() {
 }
 
 #[test]
-fn a5_pipelined_is_never_slower_than_serial_and_serial_hides_nothing() {
-    let f = rows("a5");
+fn a6_depth_2_is_never_slower_than_depth_1_and_depth_1_hides_nothing() {
+    let f = rows("a6");
     for aggs in f.distinct("aggs") {
         for engine in f.distinct("engine") {
-            let at =
-                |mode: &str| f.select("aggs", &aggs).select("engine", &engine).select("mode", mode);
-            assert!(at("pipelined").num("ns") <= at("serial").num("ns"), "{engine}, {aggs} aggs");
-            assert_eq!(at("serial").num("hidden_ns"), 0.0);
-            assert!(at("pipelined").num("hidden_ns") > 0.0);
+            let at = |depth: &str| {
+                f.select("aggs", &aggs).select("engine", &engine).select("depth", depth)
+            };
+            assert!(at("depth-2").num("ns") <= at("depth-1").num("ns"), "{engine}, {aggs} aggs");
+            assert_eq!(at("depth-1").num("hidden_ns"), 0.0);
+            assert!(at("depth-2").num("hidden_ns") > 0.0);
         }
     }
 }
@@ -338,12 +339,6 @@ fn a6_auto_depth_is_within_3_percent_of_depth_2_for_the_flexible_engine() {
         };
         let (auto, two) = (at("flexible", "auto"), at("flexible", "depth-2"));
         assert!(auto.num("mbps") >= 0.97 * two.num("mbps"), "{aggs} aggs");
-        // Depth 1 and A5's serial rows are one engine in two spellings.
-        for engine in ["romio", "flexible"] {
-            let serial = rows("a5").select("aggs", &aggs).select("engine", engine);
-            let serial = serial.select("mode", "serial");
-            assert_eq!(at(engine, "depth-1").num("ns"), serial.num("ns"), "{engine}, {aggs} aggs");
-        }
         // ROMIO's sieving read blocks inside each write cycle, so its
         // curve is nearly flat past depth 2 (depth 4 buys 1.3 % and 3.0 %).
         let romio = |depth: &str| at("romio", depth).num("mbps");

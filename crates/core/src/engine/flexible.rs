@@ -52,14 +52,15 @@ pub enum DataBuf<'a> {
 /// by every rank of the world (standard collective semantics); ranks with
 /// `my.data_len == 0` still participate in the exchanges.
 ///
-/// `sched_cache` holds the last call's exchange schedule. When the digest
-/// of this call's inputs matches, the entire derivation — metadata
+/// `sched_cache` is the file's schedule slot: the last call's exchange
+/// schedule, or nothing after `open`, `set_view` and `set_hints`. When the
+/// digest of this call's inputs matches, the entire derivation — metadata
 /// parsing, realm assignment, window walks, stream intersection — is
-/// skipped and the cached schedule is replayed against the fresh user
-/// buffer, charging only [`schedule::PROBE_PAIRS`]. A first (miss) call
-/// charges exactly what the pre-cache engine charged: the derivation is
-/// computed once per world ([`ExchangeSchedule::shared`]), but every rank
-/// is charged the pairs of its own share of it, where it always was.
+/// skipped and the slot's schedule is replayed against the fresh user
+/// buffer, charging only [`schedule::PROBE_PAIRS`]. A miss derives the
+/// schedule once per world ([`ExchangeSchedule::shared`]) into the slot,
+/// the cycles run from there, and every rank is charged the pairs of its
+/// own share of it, where a derivation has always charged them.
 #[allow(clippy::too_many_arguments)] // one call site (MpiFile::run_engine)
 pub fn run(
     rank: &Rank,
@@ -91,26 +92,20 @@ pub fn run(
     // replayed communication pattern stays globally consistent. The wires
     // are digested once for the world, not once a rank.
     let key = schedule::shared_key(rank, &wires, hints);
-    let hit = hints.schedule_cache && sched_cache.as_ref().is_some_and(|s| s.key == key);
-    if hints.schedule_cache {
-        rank.tally(|s| if hit { s.schedule_cache_hits += 1 } else { s.schedule_cache_misses += 1 });
-    }
-    let derived: Option<ExchangeSchedule> = if hit {
+    let hit = sched_cache.as_ref().is_some_and(|s| s.key == key);
+    rank.tally(|s| if hit { s.schedule_cache_hits += 1 } else { s.schedule_cache_misses += 1 });
+    let sched = if hit {
         rank.charge_pairs(schedule::PROBE_PAIRS);
-        None
+        sched_cache.as_ref().expect("hit implies a cached schedule")
     } else {
-        Some(ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state))
-    };
-    let sched = match &derived {
-        Some(s) => s,
-        None => sched_cache.as_ref().expect("hit implies a cached schedule"),
+        &*sched_cache.insert(ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state))
     };
 
     // ---- buffer cycles ----------------------------------------------------
-    // Derivation pairs are charged where the pre-cache engine charged
-    // them — parse before the loop, window/stream work at the top of each
-    // cycle — so a miss's virtual clock matches the uncached engine at
-    // every send and file request. A hit skips all of it.
+    // A miss charges the derivation's pairs where the work falls — parse
+    // before the loop, window/stream work at the top of each cycle — so
+    // every send and file request sees the clock a fresh derivation
+    // reaches it at. A hit skips all of it.
     //
     // With a deep (≥ 3) or auto pipeline, a miss instead charges cycle 0's
     // derivation up front and lets the rest — pure local computation over
@@ -157,12 +152,6 @@ pub fn run(
         return Err(IoError::RanksFailed(dead));
     }
 
-    if hints.schedule_cache {
-        if let Some(s) = derived {
-            *sched_cache = Some(s);
-        }
-    }
-
     // ---- graceful degradation -------------------------------------------
     // Every rank ran the same straggler detector over the same allgathered
     // durations, so the rebalance decision is already collective. Shrink
@@ -181,15 +170,11 @@ pub fn run(
             {
                 *pfr_state = Some(Arc::new(RealmSet::new(new_realms)));
                 rank.tally(|s| s.realms_rebalanced += 1);
-                if hints.schedule_cache && sched_cache.is_some() {
-                    let patched = ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state);
-                    let cycle_pairs: u64 = patched.cycles().map(|c| c.pairs()).sum();
-                    rank.charge_pairs(cycle_pairs);
-                    *sched_cache = Some(patched);
-                    rank.tally(|s| s.schedule_cache_patches += 1);
-                } else {
-                    *sched_cache = None;
-                }
+                let patched = ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state);
+                let cycle_pairs: u64 = patched.cycles().map(|c| c.pairs()).sum();
+                rank.charge_pairs(cycle_pairs);
+                *sched_cache = Some(patched);
+                rank.tally(|s| s.schedule_cache_patches += 1);
             }
         }
     }

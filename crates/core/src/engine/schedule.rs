@@ -18,8 +18,8 @@
 //! schedule on [`crate::file::MpiFile`], keyed by a digest of everything
 //! it depends on; on a hit the engine skips derivation (and its charges)
 //! entirely and replays the schedule against the fresh user buffer. That
-//! cache is invalidated by `set_view` and hint changes; hits and misses
-//! are counted in [`flexio_sim::Stats`].
+//! cache is always on; `set_view` and `set_hints` drop it, and hits and
+//! misses are counted in [`flexio_sim::Stats`].
 
 use crate::engine::common::{ClientStream, Piece};
 use crate::hints::{aggregator_ranks, Hints};
@@ -414,10 +414,9 @@ impl<'a> CycleSchedule<'a> {
     /// Offset/length pairs this rank's derivation of the cycle evaluates:
     /// the window cuts, its own stream against every aggregator's window,
     /// and (aggregators) every client's stream against its window. Charged
-    /// at the top of the cycle on a miss — the same point the pre-cache
-    /// engine charged them — so the virtual clock at every send and file
-    /// request is bit-identical to the uncached engine. Skipped entirely
-    /// on a hit.
+    /// at the top of the cycle on a miss, where the walk falls, so every
+    /// send and file request sees the clock a fresh derivation reaches it
+    /// at. Skipped entirely on a hit.
     pub fn pairs(&self) -> u64 {
         self.cyc.window_pairs
             + self.cyc.row_pairs[self.me]

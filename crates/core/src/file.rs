@@ -44,9 +44,9 @@ pub struct MpiFile<'r> {
     /// Persistent file realms: assigned by the first collective call,
     /// shared (one `Arc`) by every rank of the world that opened the file.
     pfr_realms: RefCell<Option<Arc<RealmSet>>>,
-    /// Last collective call's exchange schedule (flexible engine);
-    /// invalidated by `set_view` and hint changes, revalidated per call by
-    /// its input digest.
+    /// Last collective call's exchange schedule (flexible engine): every
+    /// call leaves one here, `set_view` and `set_hints` drop it, and the
+    /// next call replays it only if its input digest still matches.
     sched_cache: RefCell<Option<ExchangeSchedule>>,
 }
 
@@ -74,7 +74,9 @@ impl<'r> MpiFile<'r> {
     /// Replace the hints (e.g. to switch engine or I/O method mid-run).
     /// Drops the cached exchange schedule: hints shape realm assignment
     /// and data movement, so a schedule derived under the old hints must
-    /// not be replayed under the new ones.
+    /// not be replayed under the new ones. The next collective call
+    /// derives its schedule afresh, even under the same hints — the way to
+    /// run an uncached call.
     pub fn set_hints(&mut self, hints: Hints) -> Result<()> {
         hints.validate_for(self.rank.nprocs())?;
         self.hints = hints;

@@ -91,13 +91,6 @@ pub struct Hints {
     pub persistent_file_realms: bool,
     /// Data exchange flavour (§5.4).
     pub exchange: ExchangeMode,
-    /// Cache the derived exchange schedule (windows + piece lists) across
-    /// collective calls with identical inputs, replaying it on a hit
-    /// instead of re-deriving every client↔realm intersection. On (the
-    /// default) it pays for itself on any repeated call — the steady state
-    /// under persistent file realms; off reproduces the pre-cache engine
-    /// exactly (useful for ablations).
-    pub schedule_cache: bool,
     /// Pipeline depth policy (`flexio_pipeline_depth`): how many buffer
     /// cycles may be in flight at once, under both engines — depth *d* is
     /// *d* collective buffers per aggregator, with the exchange for cycle
@@ -145,7 +138,6 @@ impl Default for Hints {
             fr_alignment: None,
             persistent_file_realms: false,
             exchange: ExchangeMode::default(),
-            schedule_cache: true,
             pipeline_depth: PipelineDepth::default(),
             io_retries: 4,
             retry_backoff_us: 100,
@@ -166,7 +158,6 @@ impl std::fmt::Debug for Hints {
             .field("fr_alignment", &self.fr_alignment)
             .field("persistent_file_realms", &self.persistent_file_realms)
             .field("exchange", &self.exchange)
-            .field("schedule_cache", &self.schedule_cache)
             .field("pipeline_depth", &self.pipeline_depth)
             .field("io_retries", &self.io_retries)
             .field("retry_backoff_us", &self.retry_backoff_us)

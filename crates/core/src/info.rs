@@ -8,20 +8,23 @@
 //! |---|---|
 //! | `cb_nodes` | number of I/O aggregators |
 //! | `cb_buffer_size` | collective buffer bytes per cycle |
-//! | `romio_cb_write` / `romio_cb_read` | `enable`/`disable` collective buffering (disable = independent I/O beneath `*_all`; we map it to engine selection) |
-//! | `ind_wr_buffer_size` | data-sieve buffer bytes |
-//! | `romio_ds_write` | `enable` = always sieve, `disable` = naive, `automatic` = conditional |
+//! | `ind_wr_buffer_size` / `ind_rd_buffer_size` | data-sieve buffer bytes (one buffer serves both directions) |
+//! | `romio_ds_write` / `romio_ds_read` | `enable` = always sieve, `disable` = naive, `automatic` = conditional (one setting serves both directions) |
 //! | `ds_extent_threshold` | conditional crossover bytes (flexio extension) |
 //! | `striping_unit` | file-realm alignment bytes (the paper's new hint) |
 //! | `flexio_pfr` | `enable` persistent file realms (the paper's PFR switch) |
 //! | `flexio_engine` | `flexible` or `romio` |
 //! | `flexio_exchange` | `nonblocking` or `alltoallw` |
-//! | `flexio_schedule_cache` | `enable`/`disable` exchange-schedule caching (flexio extension, default enable) |
 //! | `flexio_pipeline_depth` | `auto` or a positive integer: buffer cycles in flight at once (flexio extension, default auto; `1` = the strictly serial engine, `2` = classic double buffering) |
 //! | `flexio_io_retries` | retries per failed file-system request before the collective agrees on an error (flexio extension, default 4, max 32) |
 //! | `flexio_retry_backoff_us` | base microseconds of the first retry backoff, doubling per retry, charged in virtual time (flexio extension, default 100) |
 //! | `flexio_crash_recovery` | `enable`/`disable` surviving crash-stopped ranks: agree on the dead set, re-elect aggregators over survivors, replay the interrupted call (flexio extension, default disable; disabled, a crash terminates the collective with a collectively agreed error) |
 //! | `flexio_watchdog_us` | failure-detection watchdog in virtual microseconds: heartbeat wait at collective boundaries before suspecting a peer dead (flexio extension, default 200000; must exceed per-cycle clock skew) |
+//!
+//! Accepted and ignored: `romio_cb_write` / `romio_cb_read`. Every
+//! `*_all` call runs two-phase collective buffering under the engine
+//! `flexio_engine` names; there is no independent-I/O fallback for these
+//! keys to select, so any value leaves the hints as they are.
 //!
 //! Unknown keys are ignored, as MPI requires.
 
@@ -94,15 +97,6 @@ pub fn hints_from_info(base: Hints, info: &[(&str, &str)]) -> Result<Hints> {
                     "nonblocking" => ExchangeMode::Nonblocking,
                     "alltoallw" => ExchangeMode::Alltoallw,
                     _ => return Err(IoError::BadHints("flexio_exchange takes nonblocking/alltoallw")),
-                };
-            }
-            "flexio_schedule_cache" => {
-                h.schedule_cache = match value {
-                    "enable" | "true" => true,
-                    "disable" | "false" => false,
-                    _ => {
-                        return Err(IoError::BadHints("flexio_schedule_cache takes enable/disable"))
-                    }
                 };
             }
             "flexio_pipeline_depth" => {
@@ -205,16 +199,6 @@ mod tests {
         assert!(h.persistent_file_realms);
         assert_eq!(h.engine, Engine::Romio);
         assert_eq!(h.exchange, ExchangeMode::Alltoallw);
-    }
-
-    #[test]
-    fn schedule_cache_switch() {
-        assert!(Hints::default().schedule_cache);
-        let h = hints_from_info(Hints::default(), &[("flexio_schedule_cache", "disable")]).unwrap();
-        assert!(!h.schedule_cache);
-        let h = hints_from_info(h, &[("flexio_schedule_cache", "enable")]).unwrap();
-        assert!(h.schedule_cache);
-        assert!(hints_from_info(Hints::default(), &[("flexio_schedule_cache", "maybe")]).is_err());
     }
 
     #[test]
@@ -340,8 +324,9 @@ mod tests {
         // The ignore-unknown rule is namespace-blind: a newer writer's
         // flexio_* hints must not break an older reader, nor an older
         // writer's retired ones (the packed staging path, the on/off
-        // twin of `flexio_pipeline_depth` and the ROMIO sieve prefetch) a
-        // newer reader — whatever their values.
+        // twin of `flexio_pipeline_depth`, the ROMIO sieve prefetch and
+        // the schedule-cache switch) a newer reader — whatever their
+        // values.
         let h = hints_from_info(
             Hints::default(),
             &[
@@ -349,6 +334,7 @@ mod tests {
                 ("flexio_zero_copy", "disable"),
                 ("flexio_double_buffer", "maybe"),
                 ("flexio_sieve_prefetch", "enable"),
+                ("flexio_schedule_cache", "disable"),
                 ("cb_nodes", "3"),
             ],
         )
@@ -356,6 +342,18 @@ mod tests {
         assert_eq!(h.cb_nodes, Some(3));
         assert_eq!(h.cb_buffer_size, Hints::default().cb_buffer_size);
         assert_eq!(h.pipeline_depth, Hints::default().pipeline_depth);
+        let h = hints_from_info(Hints::default(), &[("flexio_schedule_cache", "disable")]).unwrap();
+        assert_eq!(format!("{h:?}"), format!("{:?}", Hints::default()));
+    }
+
+    #[test]
+    fn romio_cb_keys_are_accepted_and_ignored() {
+        // Every `*_all` call is collective buffered; the keys select
+        // nothing, whatever their value.
+        for (key, value) in [("romio_cb_write", "disable"), ("romio_cb_read", "enable")] {
+            let h = hints_from_info(Hints::default(), &[(key, value)]).unwrap();
+            assert_eq!(format!("{h:?}"), format!("{:?}", Hints::default()), "{key}={value}");
+        }
     }
 
     #[test]

@@ -139,7 +139,6 @@ pub fn generate(rng: &mut XorShift64Star) -> WorkloadSpec {
     spec.exchange =
         if coin(rng) { ExchangeMode::Alltoallw } else { ExchangeMode::Nonblocking };
     spec.pfr = coin(rng);
-    spec.cache = coin(rng);
     spec.depth = match rng.next_u64() % 6 {
         0..=3 => PipelineDepth::Fixed(1 + (rng.next_u64() % 5) as u32),
         _ => PipelineDepth::Auto,

@@ -26,9 +26,9 @@
 //!   read-backs engine-free, straight from the datatypes, so differential
 //!   suites have an independent referee.
 //!
-//! The crate also hosts the shared generator/runner helpers that
-//! `tests/engine_pipeline_parity.rs` and `tests/fault_injection.rs`
-//! previously copy-pasted ([`tiled`]), and the strided workload shape of
+//! The crate also hosts the shared data stream, file-image probe and
+//! tiled world the integration suites used to copy-paste ([`tiled`]),
+//! and the strided workload shape of
 //! `tests/engine_equivalence.rs` ([`strided`]).
 
 #![warn(missing_docs)]

@@ -72,7 +72,6 @@ pub fn run_spec(spec: &WorkloadSpec, cfg: RunConfig) -> RunOutcome {
             cb_buffer_size: spec.cb,
             exchange: spec.exchange,
             persistent_file_realms: spec.pfr,
-            schedule_cache: spec.cache,
             pipeline_depth: spec.depth,
             io_retries: 12,
             retry_backoff_us: 20,

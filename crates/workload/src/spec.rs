@@ -181,8 +181,6 @@ pub struct WorkloadSpec {
     pub exchange: ExchangeMode,
     /// Persistent file realms.
     pub pfr: bool,
-    /// Exchange-schedule cache.
-    pub cache: bool,
     /// Pipeline depth.
     pub depth: PipelineDepth,
     /// Seed for the transient-fault plan (faulted axis only).
@@ -201,7 +199,6 @@ impl WorkloadSpec {
             cb: 1024,
             exchange: ExchangeMode::default(),
             pfr: false,
-            cache: true,
             depth: PipelineDepth::default(),
             fault_seed: 1,
             fault_rate: 0.01,

@@ -13,6 +13,9 @@
 #                                                exactly what this tree prints
 #                                                (scripts/verify.sh and CI run these)
 #
+# Either mode fails on an orphan: a results/<exp>_{default,paper}.txt whose
+# <exp> is not in `bench --list` (the flexbench_* records are not golden).
+#
 # Only a release build is run, and a file is replaced only by the complete
 # output of a run that exited 0. A file whose rows did not move keeps its
 # provenance lines: `#@ commit:` names the tree that last changed it.
@@ -42,8 +45,22 @@ tmp="target/regen_results.$$"
 trap 'rm -f "$tmp"' EXIT
 
 cargo build -q --release --offline -p flexio-bench
+exps="$(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }')"
+
+# A golden file of an experiment `bench --list` no longer names is an
+# orphan: nothing regenerates or checks it, so it fails either mode.
+orphans=""
+for out in results/*_default.txt results/*_paper.txt; do
+  [ -f "$out" ] || continue
+  case "$out" in results/flexbench_*) continue ;; esac
+  exp="$(basename "$out" .txt)"
+  exp="${exp%_default}"
+  exp="${exp%_paper}"
+  echo "$exps" | grep -qx -- "$exp" || orphans="$orphans $out"
+done
+
 mismatched=""
-for exp in $(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }'); do
+for exp in $exps; do
   for scale in $SCALES; do
     out="results/${exp}_$scale.txt"
     flag=""
@@ -69,11 +86,18 @@ for exp in $(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }'); do
   done
 done
 
+if [ -n "$orphans" ]; then
+  echo "$(echo $orphans | wc -w) golden file(s) of no experiment \`bench --list\` names:" >&2
+  for out in $orphans; do
+    echo "  $out" >&2
+  done
+  echo "(delete them with the experiment, and say so in EXPERIMENTS)" >&2
+fi
 if [ -n "$mismatched" ]; then
   echo "$(echo $mismatched | wc -w) file(s) do not match what this tree prints:" >&2
   for out in $mismatched; do
     echo "  $out" >&2
   done
   echo "(if the rows moved on purpose: sh scripts/regen_results.sh [--paper], and say why in EXPERIMENTS)" >&2
-  exit 1
 fi
+[ -z "$orphans$mismatched" ] || exit 1

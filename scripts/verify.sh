@@ -77,8 +77,9 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Golden rows: virtual results are bit-reproducible, so every virtual-time
 # experiment `bench --list` names must print its results/<exp>_default.txt
 # exactly (everything below the file's `#@` provenance lines; ~20 s for all
-# 14, and A4-A8 assert their byte-identity and shape claims while their
-# rows are being diffed). --thorough diffs the 14 `--paper` files as well
+# 13, and A4, A6-A8 assert their byte-identity and shape claims while their
+# rows are being diffed), and no results/ file may outlive its experiment.
+# --thorough diffs the 13 `--paper` files as well
 # (~8 min). A change that moves a row regenerates the files —
 # `sh scripts/regen_results.sh [--paper]` — and says why in EXPERIMENTS;
 # crates/bench/tests/claims.rs then checks the paper's claims on the new

@@ -7,6 +7,7 @@ use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel};
 use flexio::types::Datatype;
+use flexio::workload::read_file;
 use std::sync::Arc;
 
 fn test_pfs(locking: bool, cache: bool) -> Arc<Pfs> {
@@ -19,13 +20,6 @@ fn test_pfs(locking: bool, cache: bool) -> Arc<Pfs> {
         client_cache: cache,
         cost: PfsCostModel::free(),
     })
-}
-
-fn read_file(pfs: &Arc<Pfs>, path: &str) -> Vec<u8> {
-    let h = pfs.open(path, usize::MAX - 1);
-    let mut out = vec![0u8; h.size() as usize];
-    h.read(0, 0, &mut out).unwrap();
-    out
 }
 
 /// Run an HPIO collective write under `hints` and verify every stamp.

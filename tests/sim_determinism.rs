@@ -30,6 +30,7 @@ use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, run_crashable, Backend, CostModel, Rank, Stats, XorShift64Star};
 use flexio::types::Datatype;
+use flexio::workload::{read_file, step_data};
 use std::sync::Arc;
 
 const BLOCK: u64 = 64;
@@ -44,20 +45,6 @@ fn pfs_with(cost: PfsCostModel) -> Arc<Pfs> {
         client_cache: false,
         cost,
     })
-}
-
-fn read_file(pfs: &Arc<Pfs>, path: &str) -> Vec<u8> {
-    let h = pfs.open(path, usize::MAX - 1);
-    let mut out = vec![0u8; h.size() as usize];
-    h.read(0, 0, &mut out).unwrap();
-    out
-}
-
-fn step_data(rank: usize, step: u64, len: usize) -> Vec<u8> {
-    let mut rng = XorShift64Star::new((rank as u64) << 32 | (step + 1));
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
 }
 
 /// Per-rank observation: (final clock, full stats, read-back bytes).
