@@ -4,9 +4,9 @@
 //! (E1–E3), the design-choice ablations (A1–A4, A6–A8), the read-direction
 //! study, the scenario suite and the host-capacity measurement — and
 //! prints it in one format: `#` comment lines, CSV rows under a
-//! `# columns:` line, pivot tables (see [`report`]). An experiment is a
+//! `# columns:` line, pivot tables (see the `report` module). An experiment is a
 //! value: a name, a title, the flags it takes and a `run` that pushes rows
-//! into a [`Report`]; argument parsing, the header and all printing
+//! into a `Report`; argument parsing, the header and all printing
 //! belong to the runner.
 //!
 //! Bandwidth is aggregate useful bytes divided by the **virtual** time of

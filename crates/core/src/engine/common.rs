@@ -3,7 +3,7 @@
 use crate::meta::ClientAccess;
 use flexio_pfs::{PfsError, PfsErrorKind};
 use flexio_sim::Rank;
-use flexio_types::{CursorPos, ViewCursor};
+use flexio_types::{CursorPos, Piece, ViewCursor};
 use std::sync::Arc;
 
 /// Integer exponential moving average with α = 1/4: `None` seeds with the
@@ -90,18 +90,6 @@ pub fn agree_error(rank: &Rank, local: Option<PfsError>) -> Option<PfsError> {
     Some(PfsError { kind, ost: ((winner >> 8) & 0xff_ffff) as usize, at })
 }
 
-/// One piece of a client's access that falls in an aggregator's window:
-/// a contiguous file run plus its position in the client's data space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Piece {
-    /// Absolute file offset.
-    pub file_off: u64,
-    /// Position in the owning client's data space.
-    pub data_pos: u64,
-    /// Length in bytes.
-    pub len: u64,
-}
-
 /// Append to `out` the pieces of a client's access that fall inside the
 /// window `win` (sorted disjoint file segments); nothing is allocated for
 /// an empty intersection. `cur` is the stream's cursor, standing before
@@ -119,7 +107,7 @@ fn intersect_window(
         pos = cur.data_pos();
         while pos < data_end {
             let Some(p) = cur.take_below(ws + wlen, data_end - pos) else { break };
-            out.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: p.len });
+            out.push(p);
             pos += p.len;
         }
         if pos >= data_end {
@@ -132,7 +120,7 @@ fn intersect_window(
 /// A cursor wrapper over the reconstructed view of a client, so
 /// aggregators can walk other ranks' filetypes (§5.3: "the aggregator must
 /// calculate them itself"). A derivation opens one stream per client and
-/// [rewinds](ClientStream::rewind) it for each aggregator.
+/// rewinds it (`ClientStream::rewind`) for each aggregator.
 ///
 /// The stream keeps its cursor's position between walks, so a walk
 /// resumes where the last one left off with no seek. A window that holds

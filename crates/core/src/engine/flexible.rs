@@ -20,11 +20,11 @@
 //!   `MPI_Alltoallw` collective over the blocks that exist.
 //!
 //! The buffer cycles themselves run on the shared N-deep pipeline core
-//! ([`crate::engine::pipeline`]): this module contributes one driver
+//! (`engine::pipeline`): this module contributes one driver
 //! whose user buffer picks the direction's two halves, the drive loops
 //! own the depth.
 
-use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io, Piece};
+use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io};
 use crate::engine::pipeline::{
     self, CapPolicy, CycleDriver, ReadDriver, StragglerVerdict, WriteDriver,
 };
@@ -37,7 +37,7 @@ use crate::realm::{FileRealm, RealmSet};
 use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, Resolved};
 use flexio_pfs::{FileHandle, IoCompletion, LockKind};
 use flexio_sim::{OverlapWindow, Rank};
-use flexio_types::{FlatType, MemLayout, Seg};
+use flexio_types::{FlatType, MemLayout, Piece, Seg};
 use std::sync::Arc;
 
 /// Direction + user buffer for one collective call.
@@ -58,7 +58,7 @@ pub enum DataBuf<'a> {
 /// parsing, realm assignment, window walks, stream intersection — is
 /// skipped and the slot's schedule is replayed against the fresh user
 /// buffer, charging only [`schedule::PROBE_PAIRS`]. A miss derives the
-/// schedule once per world ([`ExchangeSchedule::shared`]) into the slot,
+/// schedule once per world (`ExchangeSchedule::shared`) into the slot,
 /// the cycles run from there, and every rank is charged the pairs of its
 /// own share of it, where a derivation has always charged them.
 #[allow(clippy::too_many_arguments)] // one call site (MpiFile::run_engine)

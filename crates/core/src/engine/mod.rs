@@ -13,6 +13,7 @@ pub mod recovery;
 pub mod romio;
 pub mod schedule;
 
-pub use common::{merge_pieces, ClientStream, Piece};
+pub use common::{merge_pieces, ClientStream};
+pub use flexio_types::Piece;
 pub use flexible::DataBuf;
 pub use schedule::{CycleSchedule, ExchangeSchedule};

@@ -3,10 +3,10 @@
 //! The sim's crash model kills a rank's fiber at a scheduled virtual
 //! time, but only at *crash checkpoints* ([`Rank::maybe_crash`]): the
 //! entry of a recovery-wrapped collective and the top of every buffer
-//! cycle ([`CycleDriver::boundary`]). A checkpoint fires **before** the
-//! rank sends that boundary's heartbeats, so a dead rank contributed
-//! nothing to the boundary and every survivor's detector reaches the
-//! same verdict without a consensus protocol:
+//! cycle (`pipeline::CycleDriver::boundary`). A checkpoint fires
+//! **before** the rank sends that boundary's heartbeats, so a dead rank
+//! contributed nothing to the boundary and every survivor's detector
+//! reaches the same verdict without a consensus protocol:
 //!
 //! 1. **Heartbeat round** — every rank sends a one-byte heartbeat to
 //!    every peer, then collects heartbeats with [`Rank::recv_timeout`]
@@ -35,7 +35,6 @@
 //! byte, reads re-fill every survivor buffer, so survivors end
 //! byte-identical to a fault-free run over the surviving ranks.
 //!
-//! [`CycleDriver::boundary`]: crate::engine::pipeline::CycleDriver::boundary
 //! [`IoError::RanksFailed`]: crate::error::IoError::RanksFailed
 
 use crate::engine::flexible::{self, DataBuf};

@@ -13,7 +13,7 @@
 //!   collective buffer.
 //!
 //! The buffer cycles run on the shared pipeline core
-//! ([`crate::engine::pipeline`]), so `flexio_pipeline_depth` means the
+//! (`engine::pipeline`), so `flexio_pipeline_depth` means the
 //! same thing here as under the flexible engine — depth 1 charges exactly
 //! like the historical serial loop (fixture-enforced), deeper pipelines
 //! overlap each cycle's *final* buffer-to-file request with the next
@@ -21,7 +21,7 @@
 //! depth: it is the read half of a read-modify-write, and the payloads
 //! can only be placed after it lands.
 
-use crate::engine::common::{agree_error, retry_io, Piece};
+use crate::engine::common::{agree_error, retry_io};
 use crate::engine::flexible::DataBuf;
 use crate::engine::pipeline::{self, CapPolicy, CycleDriver, ReadDriver, WriteDriver};
 use crate::error::{IoError, Result};
@@ -29,7 +29,7 @@ use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
 use flexio_pfs::{FileHandle, IoCompletion};
 use flexio_sim::{Phase, Rank};
-use flexio_types::MemLayout;
+use flexio_types::{MemLayout, Piece};
 
 fn encode_pairs(pieces: &[Piece]) -> Vec<u8> {
     let mut out = Vec::with_capacity(pieces.len() * 16);
@@ -152,8 +152,7 @@ pub fn run(
         let mut cur = my.view.cursor(my.data_start);
         let end = my.data_end();
         while cur.data_pos() < end {
-            let p = cur.take(end - cur.data_pos());
-            all_pieces.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: p.len });
+            all_pieces.push(cur.take(end - cur.data_pos()));
         }
         rank.charge_pairs(cur.evaluated());
     }

@@ -21,11 +21,12 @@
 //! cache is always on; `set_view` and `set_hints` drop it, and hits and
 //! misses are counted in [`flexio_sim::Stats`].
 
-use crate::engine::common::{ClientStream, Piece};
+use crate::engine::common::ClientStream;
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::{AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet};
 use flexio_sim::{GatherTable, Rank};
+use flexio_types::Piece;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -112,8 +113,8 @@ struct DerivedCycle {
 
 /// The complete exchange plan of one collective call, for every rank: the
 /// table each rank used to compute its own row and column of. A pure
-/// function of the allgathered wires, the hints digested by
-/// [`schedule_key`], and the realm set; shared by every rank of the world
+/// function of the allgathered wires, the hints digested into its key
+/// ([`shared_key`]), and the realm set; shared by every rank of the world
 /// that derives from the same inputs while any of them still holds it.
 pub(crate) struct Derivation {
     agg_ranks: Vec<usize>,
@@ -301,8 +302,9 @@ impl Derivation {
 /// rank's seat.
 #[derive(Clone)]
 pub struct ExchangeSchedule {
-    /// Digest of the inputs the schedule was derived from
-    /// ([`schedule_key`]).
+    /// Digest of the inputs the schedule was derived from: every rank's
+    /// wire metadata, the world size and the hints that shape realms and
+    /// cycles.
     pub key: u64,
     derived: Arc<Derivation>,
     /// This rank's communicator-relative id (its client row).
@@ -319,7 +321,7 @@ impl ExchangeSchedule {
     }
 
     /// The schedule of `rank` for a call whose allgathered metadata is
-    /// `wires` and whose [`schedule_key`] is `key`, derived at most once
+    /// `wires` and whose key ([`shared_key`]) is `key`, derived at most once
     /// per world and realm set. `pfr` is the file's persistent realm
     /// state: read to select the realm set, and (under
     /// `persistent_file_realms`) left holding the world-shared set the
@@ -469,22 +471,17 @@ impl Default for Digest {
     }
 }
 
-/// Digest of everything the schedule derivation reads: every rank's wire
+/// The schedule key of the call whose metadata round is `wires`: a digest
+/// of everything the schedule derivation reads — every rank's wire
 /// metadata (filetype + displacement + access range, which also pins the
 /// aggregate access region), the world size, and the hints that shape
 /// realms and cycles. The realm set itself is a deterministic function of
 /// these inputs, plus the custom assigner's identity when one is plugged
-/// in.
-pub fn schedule_key(wires: impl IntoIterator<Item = impl AsRef<[u8]>>, hints: &Hints, nprocs: usize) -> u64 {
-    key_of(wires_digest(wires), hints, nprocs)
-}
-
-/// [`schedule_key`] of the call whose metadata round is `wires`, with the
-/// wires — all of the key's work that grows with the world — digested
-/// once per world: by the first member to ask, in a cell keyed by the
-/// round's identity, read by the rest. The hints are mixed in by each
-/// rank, as they always were: a plugged-in assigner's identity is the
-/// address of the rank's own `Arc` of it.
+/// in. The wires — all of the key's work that grows with the world — are
+/// digested once per world: by the first member to ask, in a cell keyed
+/// by the round's identity, read by the rest. The hints are mixed in by
+/// each rank, as they always were: a plugged-in assigner's identity is
+/// the address of the rank's own `Arc` of it.
 pub(crate) fn shared_key(rank: &Rank, wires: &GatherTable, hints: &Hints) -> u64 {
     struct WiresDigest(u64);
     let digest = rank.shared_once(wires.round(), || WiresDigest(wires_digest(wires.iter())));
@@ -519,6 +516,12 @@ fn key_of(wires: u64, hints: &Hints, nprocs: usize) -> u64 {
 mod tests {
     use super::*;
     use flexio_types::{flatten, Datatype, FileView};
+
+    /// The schedule key of a call with every wire digested here: the
+    /// reference for [`shared_key`].
+    fn schedule_key(wires: impl IntoIterator<Item = impl AsRef<[u8]>>, hints: &Hints, nprocs: usize) -> u64 {
+        key_of(wires_digest(wires), hints, nprocs)
+    }
 
     fn wires() -> Vec<Vec<u8>> {
         vec![vec![1, 2, 3], vec![4, 5], vec![]]
@@ -734,7 +737,7 @@ mod tests {
             cur.advance_to_file(ws);
             while cur.data_pos() < data_end {
                 let Some(p) = cur.take_below(ws + wlen, data_end - cur.data_pos()) else { continue 'window };
-                out.push(Piece { file_off: p.file_off, data_pos: p.data_pos, len: p.len });
+                out.push(p);
             }
             break;
         }

@@ -39,14 +39,6 @@ impl FileRealm {
         }
     }
 
-    /// Build from any monotonic flattened datatype, clipped to a range.
-    pub fn from_pattern(pattern: Arc<FlatType>, disp: u64, bound: Option<(u64, u64)>) -> FileRealm {
-        FileRealm {
-            view: FileView::new(disp, pattern, 1).expect("invalid realm pattern"),
-            bound,
-        }
-    }
-
     /// `D` of the realm's datatype: pairs per tile.
     pub fn d(&self) -> usize {
         self.view.d()

@@ -43,11 +43,6 @@ impl ClientCache {
         self.pages.contains_key(&page_idx)
     }
 
-    /// Page index of `off`.
-    pub fn page_of(&self, off: u64) -> u64 {
-        off / self.page_size
-    }
-
     /// Number of cached pages.
     pub fn len(&self) -> usize {
         self.pages.len()

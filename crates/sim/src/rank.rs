@@ -322,11 +322,6 @@ impl Rank {
         }
     }
 
-    /// Whether this rank has a crash scheduled at any time (dead or not).
-    pub fn crash_scheduled(&self) -> bool {
-        self.world.crash_time(self.global) != u64::MAX
-    }
-
     /// The world's cost model.
     pub fn cost(&self) -> &CostModel {
         self.world.cost()
@@ -532,8 +527,8 @@ impl Rank {
     }
 
     fn recv_tagged(&self, src: usize, tag: u64) -> Payload {
-        let m = self.seg().take(self.global, self.global_of(src), tag, self.now());
-        self.charge_recv(m)
+        let m = self.seg().take(self.global, self.global_of(src), tag, self.now(), None);
+        self.charge_recv(m.expect("only a deadline ends a park without its message"))
     }
 
     /// Blocking receive with a virtual-time watchdog: returns `None` when
@@ -544,7 +539,7 @@ impl Rank {
     /// only; this is the primitive under crash-stop failure detection.
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
-        match self.seg().take_deadline(self.global, self.global_of(src), tag, before, deadline) {
+        match self.seg().take(self.global, self.global_of(src), tag, before, Some(deadline)) {
             Some(m) => Some(self.charge_recv(m).into_vec()),
             None => {
                 self.advance_to(deadline);
@@ -628,7 +623,7 @@ impl Rank {
     /// `rank − 2^k`, one message of α + β·Σlen each.
     ///
     /// The blocks do not travel: the round has one [`GatherTable`] (a
-    /// [`Rank::shared_once`] cell under [`Rank::round_id`]), each member
+    /// [`Rank::shared_once`] cell under `Rank::round_id`), each member
     /// deposits its own block in it on entry, and a step's message carries
     /// only the byte count it is charged for. So a world holds `p` blocks
     /// and a member's share of the host work is its steps and one table

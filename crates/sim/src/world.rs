@@ -1,10 +1,12 @@
-//! The shared world: per-rank records, mailboxes, shared cells, and the
-//! entry points that drive one ([`run`], [`run_crashable`]).
+//! A world — its size, cost model and crash schedule — the per-rank
+//! record its scheduler keeps (park entry, handed message, mailbox, dead
+//! flag), what a delivery and a receive do with it, and the entry points
+//! that drive a world ([`run`], [`run_crashable`]).
 
 use crate::cost::CostModel;
-use crate::sched::{ParkWake, Segment};
+use crate::sched::Segment;
 use std::any::{Any, TypeId};
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -151,16 +153,17 @@ impl Waiting {
 }
 
 /// One rank's incoming-message store: what waits for each `(src, tag)`.
-/// Only deliveries that found no matching parked receiver land here.
 type QueueMap = HashMap<(usize, u64), Waiting, BuildHasherDefault<TagHasher>>;
 
 /// [`Peer::park_src`] of a rank that is not parked. (A world holds at
 /// most 2^24 ranks.)
 const NOT_PARKED: u32 = u32::MAX;
 
-/// What a delivery to a rank reads and writes: whether the rank is dead
-/// and what it is parked on (the hand-off match). The scheduler's park
-/// table *is* these records' park entries; there is no other.
+/// Everything the runtime keeps for one rank between its segments: what
+/// it is parked on, the message a delivery handed it, its mailbox and
+/// whether it is dead. The scheduler holds one record per rank and no
+/// other per-rank state besides the fibers; the records are its whole
+/// park table, and a delivery touches only the receiver's.
 pub(crate) struct Peer {
     /// The park entry: the `(src, tag)` the rank waits for and the clock
     /// it parked at, its wake-up priority. `park_src` is [`NOT_PARKED`]
@@ -168,13 +171,24 @@ pub(crate) struct Peer {
     park_tag: u64,
     park_clock: u64,
     park_src: u32,
+    /// The number of the rank's current (or last) park. A park timer
+    /// carries the generation of the park that set it, so one that pops
+    /// after that park ended no longer matches.
+    gen: u64,
+    /// The message a delivery handed the parked rank; the rank takes it
+    /// when it resumes.
+    pub handed: Option<Msg>,
+    /// Only deliveries that found the rank not parked on their `(src,
+    /// tag)` wait here.
+    mailbox: QueueMap,
     /// The rank has crash-stopped: deliveries to it are dropped.
     dead: bool,
 }
 
 impl Default for Peer {
     fn default() -> Peer {
-        Peer { park_tag: 0, park_clock: 0, park_src: NOT_PARKED, dead: false }
+        let mailbox = QueueMap::default();
+        Peer { park_tag: 0, park_clock: 0, park_src: NOT_PARKED, gen: 0, handed: None, mailbox, dead: false }
     }
 }
 
@@ -188,10 +202,12 @@ pub(crate) struct Parked {
 
 impl Peer {
     /// The rank now waits for a message for `(src, tag)`; `clock` is its
-    /// wake-up priority.
-    pub fn park(&mut self, src: usize, tag: u64, clock: u64) {
+    /// wake-up priority. Returns the park's generation.
+    pub fn park(&mut self, src: usize, tag: u64, clock: u64) -> u64 {
         debug_assert!(self.park_src == NOT_PARKED && src < NOT_PARKED as usize);
         (self.park_src, self.park_tag, self.park_clock) = (src as u32, tag, clock);
+        self.gen += 1;
+        self.gen
     }
 
     /// What the rank is parked on, if it is parked.
@@ -203,16 +219,23 @@ impl Peer {
         })
     }
 
-    /// End the rank's park (a timer fired, or the rank is being reaped).
-    pub fn unpark(&mut self) {
-        self.park_src = NOT_PARKED;
+    /// A park timer of generation `gen` popped: if the rank is still in
+    /// the very park that set it, that park ends here, with nothing
+    /// handed, and this returns true. A hand-off that beat the deadline,
+    /// or any later park, makes the timer stale.
+    pub fn time_out(&mut self, gen: u64) -> bool {
+        let fires = self.park_src != NOT_PARKED && self.gen == gen;
+        if fires {
+            self.park_src = NOT_PARKED;
+        }
+        fires
     }
 
     /// The hand-off match: if the rank is parked on exactly `(src, tag)`
     /// it is parked no longer, and this returns its park clock — the
     /// priority its wake is pushed at. When it is parked on a message,
-    /// nothing of that `(src, tag)` waits anywhere else — it looked before
-    /// parking — so FIFO order holds.
+    /// nothing of that `(src, tag)` waits in its mailbox — it looked
+    /// before parking — so FIFO order holds.
     fn unpark_if(&mut self, src: usize, tag: u64) -> Option<u64> {
         (self.park_src as usize == src && self.park_tag == tag).then(|| {
             self.park_src = NOT_PARKED;
@@ -221,29 +244,9 @@ impl Peer {
     }
 }
 
-/// State that only the one running segment — a rank's fiber — touches,
-/// so it needs no lock of its own: one host thread drives a world from
-/// its first segment to its last, one segment at a time (DESIGN "Rank
-/// runtime"). Every access
-/// goes through [`World::runner_owned`], which takes the segment's token
-/// and gives out only cells of the world the token is for.
-#[derive(Default)]
-struct RunnerCell<T>(UnsafeCell<T>);
-
-// SAFETY: the field is private and `World::runner_owned` is the only code
-// that reaches into it. It asks for a `Segment`, which exists only on the
-// thread whose active scheduler drives the segment's world
-// (`sched::segment` is the one place that makes one from a `&World`, and
-// it checks exactly that; the token is neither `Send` nor `Sync`), and a
-// world is driven by exactly one scheduler, on one thread
-// (`run`/`run_crashable` build the world they drive): every access that
-// gets through is on that thread. Another thread that holds the
-// `Arc<World>` cannot obtain a token for it.
-unsafe impl<T: Send> Sync for RunnerCell<T> {}
-
 /// One of the world's "compute once, share" cells (see
 /// [`crate::rank::Rank::shared_once`]).
-struct SharedCell {
+pub(crate) struct SharedCell {
     value: Weak<dyn Any + Send + Sync>,
     /// The value, held by the world until `takers` more asks have taken
     /// it — the members of the asking communicator that have not yet —
@@ -253,19 +256,18 @@ struct SharedCell {
     takers: usize,
 }
 
-type SharedCells = HashMap<(TypeId, u64), SharedCell>;
+pub(crate) type SharedCells = HashMap<(TypeId, u64), SharedCell>;
 
-/// The shared state of a simulated MPI world.
+/// A simulated MPI world: its size, cost model and crash schedule. What
+/// its ranks leave for each other at run time — records, mailboxes,
+/// shared cells — belongs to the one scheduler that drives it
+/// (`sched.rs`).
 pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
-    /// Per-rank record: park entry, dead flag.
-    peers: Box<[RunnerCell<Peer>]>,
-    mailboxes: Vec<RunnerCell<QueueMap>>,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
     /// never). Checked by [`crate::rank::Rank::maybe_crash`].
     crash_at: Vec<u64>,
-    shared: RunnerCell<SharedCells>,
 }
 
 impl World {
@@ -286,14 +288,7 @@ impl World {
             assert!(r < nprocs, "crash rank {r} out of range for {nprocs} ranks");
             crash_at[r] = crash_at[r].min(at);
         }
-        Arc::new(World {
-            nprocs,
-            cost,
-            peers: (0..nprocs).map(|_| RunnerCell::default()).collect(),
-            mailboxes: (0..nprocs).map(|_| RunnerCell::default()).collect(),
-            crash_at,
-            shared: RunnerCell::default(),
-        })
+        Arc::new(World { nprocs, cost, crash_at })
     }
 
     /// The scheduled crash time of `rank` (`u64::MAX` = never).
@@ -310,40 +305,12 @@ impl World {
     pub fn cost(&self) -> &CostModel {
         &self.cost
     }
-
-    /// One cell of the runner-owned state of the world `seg` is a segment
-    /// of. The token is what makes the unguarded `&mut` sound, and the
-    /// cell is picked out of the token's own world, so there is no way to
-    /// show one world's token for another world's cell.
-    #[allow(clippy::mut_from_ref)]
-    fn runner_owned<'w, T>(
-        seg: Segment<'w>,
-        cell: impl FnOnce(&'w World) -> &'w RunnerCell<T>,
-    ) -> &'w mut T {
-        // SAFETY: `seg` proves that the caller is a segment of the one
-        // drive of this world, on the thread that drives it
-        // (`sched::segment` checked it, once, when the segment's entry
-        // point asked for the token), and segments run one at a time;
-        // callers never hold the reference across a park or a second
-        // request for the same cell.
-        unsafe { &mut *cell(seg.world()).0.get() }
-    }
 }
 
-/// The world's share of what a segment may touch (the scheduler's is in
-/// `sched.rs`): everything below is reached through the token, never
-/// through a bare `&World`.
+/// What a segment does with the records and cells of its drive. It
+/// reaches them only through the token's accessors
+/// ([`Segment::peer`], [`Segment::shared_cells`]).
 impl<'w> Segment<'w> {
-    /// `rank`'s record.
-    pub(crate) fn peer(self, rank: usize) -> &'w mut Peer {
-        World::runner_owned(self, |w| &w.peers[rank])
-    }
-
-    /// `rank`'s mailbox.
-    fn queues(self, rank: usize) -> &'w mut QueueMap {
-        World::runner_owned(self, |w| &w.mailboxes[rank])
-    }
-
     /// The live value of cell `(T, key)`, computing it with `init` when
     /// the cell holds none; pinned for `takers` asks in all, this one
     /// included.
@@ -359,7 +326,7 @@ impl<'w> Segment<'w> {
         init: impl FnOnce() -> T,
     ) -> Arc<T> {
         let id = (TypeId::of::<T>(), key);
-        if let Some(cell) = World::runner_owned(self, |w| &w.shared).get_mut(&id) {
+        if let Some(cell) = self.shared_cells().get_mut(&id) {
             if let Some(v) = cell.value.upgrade() {
                 cell.takers = cell.takers.saturating_sub(1);
                 if cell.takers == 0 {
@@ -369,7 +336,7 @@ impl<'w> Segment<'w> {
             }
         }
         let v = Arc::new(init());
-        let cells = World::runner_owned(self, |w| &w.shared);
+        let cells = self.shared_cells();
         cells.retain(|_, c| c.value.strong_count() > 0);
         let takers = takers.saturating_sub(1);
         let pin = (takers > 0).then(|| Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
@@ -382,7 +349,7 @@ impl<'w> Segment<'w> {
     /// pinned for a member that has not taken it yet — and, given a type,
     /// holds one of that type.
     pub(crate) fn shared_live(self, of: Option<TypeId>) -> usize {
-        let cells = World::runner_owned(self, |w| &w.shared).iter();
+        let cells = self.shared_cells().iter();
         cells.filter(|((ty, _), c)| of.is_none_or(|of| of == *ty) && c.value.strong_count() > 0).count()
     }
 
@@ -391,12 +358,12 @@ impl<'w> Segment<'w> {
         self.peer(rank).dead
     }
 
-    /// Mark `rank` dead and drop its park entry and everything waiting in
-    /// its mailbox, so the scheduler's deadlock diagnostics and memory
-    /// footprint never carry already-dead ranks.
+    /// Mark `rank` dead and reset the rest of its record — park entry,
+    /// handed message, mailbox — in one write, so the scheduler's
+    /// deadlock diagnostics and memory footprint never carry already-dead
+    /// ranks.
     pub(crate) fn reap_rank(self, rank: usize) {
         *self.peer(rank) = Peer { dead: true, ..Peer::default() };
-        self.queues(rank).clear();
     }
 
     pub(crate) fn deliver(self, dst: usize, src: usize, tag: u64, msg: Msg) {
@@ -407,10 +374,14 @@ impl<'w> Segment<'w> {
             return;
         }
         // Fast path: a receiver already parked on exactly `(src, tag)`
-        // gets the message handed to it directly.
+        // gets the message handed to it directly, and wakes at its park
+        // clock.
         match p.unpark_if(src, tag) {
-            Some(clock) => self.hand_over(dst, clock, msg),
-            None => match self.queues(dst).entry((src, tag)) {
+            Some(clock) => {
+                p.handed = Some(msg);
+                self.wake(dst, clock);
+            }
+            None => match p.mailbox.entry((src, tag)) {
                 Entry::Vacant(e) => {
                     e.insert(Waiting::One(msg));
                 }
@@ -421,50 +392,23 @@ impl<'w> Segment<'w> {
 
     /// Pop the next message from `(src, tag)` for rank `dst`, parking the
     /// caller until one arrives. `now` is the receiver's virtual clock —
-    /// its wake-up priority.
-    pub(crate) fn take(self, dst: usize, src: usize, tag: u64, now: u64) -> Msg {
-        loop {
-            if let Some(m) = self.pop_queued(dst, src, tag) {
-                return m;
-            }
-            // The common case resumes with the message in hand; after a
-            // spurious resume, look again at where an un-parked delivery
-            // would have waited.
-            match self.park_for_recv(dst, src, tag, now, None) {
-                ParkWake::Delivered(m) => return m,
-                ParkWake::Spurious => continue,
-                ParkWake::TimedOut => unreachable!("deadline-free park cannot time out"),
-            }
-        }
-    }
-
-    /// [`Segment::take`] with a virtual-time watchdog: returns `None` when
-    /// no matching message has been delivered by `deadline` (absolute
-    /// virtual ns). The deterministic timer is a scheduler feature, and
-    /// crash detection is what needs it.
-    pub(crate) fn take_deadline(self, dst: usize, src: usize, tag: u64, now: u64, deadline: u64) -> Option<Msg> {
-        loop {
-            if let Some(m) = self.pop_queued(dst, src, tag) {
-                return Some(m);
-            }
-            match self.park_for_recv(dst, src, tag, now, Some(deadline)) {
-                ParkWake::Delivered(m) => return Some(m),
-                ParkWake::Spurious => continue,
-                // Re-check once: a delivery racing the timer entry would
-                // have been queued, not handed off.
-                ParkWake::TimedOut => return self.pop_queued(dst, src, tag),
-            }
-        }
+    /// its wake-up priority. With a `deadline` (absolute virtual ns) this
+    /// returns `None` when no matching message has been delivered by
+    /// then; the deterministic timer is a scheduler feature, and crash
+    /// detection is what needs it. Without one it returns `Some`.
+    pub(crate) fn take(self, dst: usize, src: usize, tag: u64, now: u64, deadline: Option<u64>) -> Option<Msg> {
+        self.pop_queued(dst, src, tag).or_else(|| self.park_for_recv(dst, src, tag, now, deadline))
     }
 
     /// The first collective message still in a mailbox, `(rank, src,
     /// tag)` lowest first. Read when every rank has finished: a
     /// collective's block its receiver did not list — or a step of a
-    /// round nobody took — which nothing else would ever report. (Dead ranks' mailboxes were emptied when they
-    /// were reaped, and deliveries to them dropped.)
+    /// round nobody took — which nothing else would ever report. (Dead
+    /// ranks' mailboxes were emptied when they were reaped, and
+    /// deliveries to them dropped.)
     pub(crate) fn untaken_collective(self) -> Option<(usize, usize, u64)> {
         (0..self.world().nprocs).find_map(|rank| {
-            let keys = self.queues(rank).keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
+            let keys = self.peer(rank).mailbox.keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
             keys.min().map(|&(src, tag)| (rank, src, tag))
         })
     }
@@ -473,7 +417,7 @@ impl<'w> Segment<'w> {
     /// there is one, removing the entry when that empties it (so unique
     /// collective tags cannot grow the map without bound).
     fn pop_queued(self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
-        let Entry::Occupied(mut e) = self.queues(dst).entry((src, tag)) else { return None };
+        let Entry::Occupied(mut e) = self.peer(dst).mailbox.entry((src, tag)) else { return None };
         match e.get_mut() {
             Waiting::Many(queue) if queue.len() > 1 => queue.pop_front(),
             _ => match e.remove() {

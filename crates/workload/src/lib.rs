@@ -18,10 +18,10 @@
 //!   the harness's greedy case shrinking and replay from `cc` regression
 //!   lines;
 //! * [`runner::run_spec`] materializes the spec against a real
-//!   [`Pfs`](flexio_pfs::Pfs) under a chosen engine / copy-path / fault
-//!   axis, one simulated world per phase (rank counts may differ phase to
-//!   phase — that is the restart scenario's point), returning images,
-//!   clocks, stats, and read-backs;
+//!   [`Pfs`](flexio_pfs::Pfs) under a chosen engine, faulted or not
+//!   ([`runner::RunConfig`]), one simulated world per phase (rank counts
+//!   may differ phase to phase — that is the restart scenario's point),
+//!   returning images, clocks, stats, and read-backs;
 //! * [`oracle::Oracle`] computes the expected file image and expected
 //!   read-backs engine-free, straight from the datatypes, so differential
 //!   suites have an independent referee.

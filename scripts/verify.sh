@@ -25,6 +25,11 @@ cargo build --release --offline
 echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Public documentation may link only to items that exist and are public,
+# so a renamed or deleted item cannot survive in a doc link (~3 s).
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The root manifest's `default-members` is the whole workspace, so this is
 # every member's unit tests as well as the root package's integration
 # suites (and `cargo build` above built the `bench` binary the golden-rows
@@ -38,6 +43,12 @@ cargo test -q --release --offline --no-fail-fast
 # only: ~5 s here, most of a minute in debug).
 echo "== 4096-rank scale smoke (tests/scale_smoke.rs) =="
 cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_4096_ranks
+
+# The scheduler's proof obligation (under 1 s): the messages, fiber
+# switches and heap pushes, and the summed pairs, of a 256-, a 512- and a
+# 1024-rank flexible world and a 512-rank ROMIO world, exactly.
+echo "== bench host --check =="
+cargo run -q --release --offline -p flexio-bench -- host --check
 
 # Every other leg is a release build, where no `debug_assert!` executes.
 # One debug-profile leg (seconds) over exactly the crates that hold one —
@@ -108,14 +119,9 @@ if [ "$THOROUGH" = 1 ]; then
     cargo test -q --release --offline
 
   # Scale leg: the 16384-rank collective write/read smoke (byte-identity
-  # + phase-sum invariants; minutes) and `bench host --check` (the
-  # scheduler's messages, fiber switches and heap pushes, and the summed
-  # pairs, for a 256-, a 512- and a 1024-rank world, exactly).
+  # + phase-sum invariants; minutes).
   echo "== 16384-rank scale smoke (tests/scale_smoke.rs) =="
   cargo test -q --release --offline --test scale_smoke -- --ignored --exact scale_smoke_16384_ranks
-
-  echo "== bench host --check =="
-  cargo run -q --release --offline -p flexio-bench -- host --check
 fi
 
 echo "== tier-1 verification passed =="
