@@ -9,10 +9,11 @@
 use crate::report::{row, Report};
 use crate::worlds::{hpio_call, How};
 use crate::Args;
+use flexio_core::engine::schedule::derivation_window_walks;
 use flexio_core::{Engine, ExchangeMode, Hints};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
-use flexio_sim::{last_run_counters, run, Backend, CostModel, SchedCounters};
+use flexio_sim::{last_run_counters, run, stack_blocks_mapped, Backend, CostModel, SchedCounters};
 use std::time::{Duration, Instant};
 
 /// Host time is noisy where virtual time is not: every wall-clock cell
@@ -161,6 +162,19 @@ const CHECK: [(Engine, usize, u64, SchedCounters, u64); 4] = [
     (Engine::Romio, 512, 292_848, counters(104_322, 104_322), 25_600),
 ];
 
+/// Window walks the 512-rank flexible world's schedule derivation makes:
+/// one per `(client, aggregator, cycle)` cell it walks. At 134 113 while
+/// every cell after a client's first byte was walked, empty ones included;
+/// charging the empty cells between two of a client's bytes by the run
+/// left the walks of the cells that hold a piece or reach past such a
+/// run. Host work alone: no pair moved.
+const CHECK_WALKS_512: u64 = 15_073;
+
+/// Fiber-stack blocks two back-to-back 512-rank flexible worlds map on a
+/// fresh thread: 512 stacks of the default 1 MiB are nine 64 MiB blocks,
+/// and the second world takes the blocks the first gave back.
+const CHECK_BLOCKS_512: [u64; 2] = [9, 0];
+
 const fn counters(fiber_switches: u64, heap_pushes: u64) -> SchedCounters {
     SchedCounters { fiber_switches, heap_pushes }
 }
@@ -195,11 +209,13 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
     assert!(Backend::event_loop_supported(), "needs the fiber rank runtime (x86_64 only)");
     if args.check {
         for (engine, nprocs, want_msgs, want, want_pairs) in CHECK {
+            let walks_before = derivation_window_walks();
             let (wall, msgs, pairs) = collective_write(engine, nprocs);
+            let walks = derivation_window_walks() - walks_before;
             let c = last_run_counters();
             r.note(&format!(
                 "check {engine:?} @{nprocs} ranks: {:.0} ms, {msgs} msgs, {} fiber switches, \
-                 {} heap pushes, {pairs} pairs",
+                 {} heap pushes, {pairs} pairs, {walks} window walks",
                 ms(wall),
                 c.fiber_switches,
                 c.heap_pushes
@@ -208,7 +224,21 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
             assert_eq!((msgs, c), (want_msgs, want), "{moved}: {engine:?} at {nprocs} ranks");
             let charges = "the charged pairs moved";
             assert_eq!(pairs, want_pairs, "{charges}: {engine:?} at {nprocs} ranks");
+            if (engine, nprocs) == (Engine::Flexible, 512) {
+                assert_eq!(walks, CHECK_WALKS_512, "the derivation's window walks moved");
+            }
         }
+        // On a thread of its own, so no world before it left blocks behind.
+        let blocks = std::thread::spawn(|| {
+            CHECK_BLOCKS_512.map(|_| {
+                let before = stack_blocks_mapped();
+                collective_write(Engine::Flexible, 512);
+                stack_blocks_mapped() - before
+            })
+        });
+        let blocks = blocks.join().expect("the stack-block worlds ran");
+        r.note(&format!("check Flexible @512 ranks twice: {blocks:?} fiber-stack blocks mapped"));
+        assert_eq!(blocks, CHECK_BLOCKS_512, "the fiber-stack blocks a repeated world maps moved");
         return;
     }
 

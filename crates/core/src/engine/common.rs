@@ -205,6 +205,47 @@ impl ClientStream {
         }
         cur.evaluated()
     }
+
+    /// What [`ClientStream::take_window_into`] would do with a window
+    /// starting at `start`, past the stream's next byte, if the window
+    /// holds none of the stream's bytes: `None` if `start` is one of them.
+    /// The walk's closed-form skip is piecewise constant in the window's
+    /// start, so one answer covers every window that starts in `[start,
+    /// run.until)` and ends at or below `run.next`: the stream's next byte
+    /// from `start` on, `u64::MAX` once the access is exhausted (past its
+    /// end only the first segment's skip is charged, whatever the window's
+    /// end). Each such walk charges `run.charge` and appends nothing.
+    pub(crate) fn empty_run(&self, start: u64) -> Option<EmptyRun> {
+        debug_assert!(start > self.next_off, "a window at or below the stream's next byte");
+        let view = &self.access.view;
+        let mut cur = view.cursor_at(self.pos);
+        cur.advance_to_file(start);
+        let extent = view.ftype().extent;
+        // The skip charges a pair per segment end passed in the target
+        // tile and one for a tile jump: it changes at the next segment end,
+        // or where the next tile begins if `start` lies in a trailing gap.
+        let start_tile = view.disp() + (start - view.disp()) / extent * extent;
+        let until = if cur.tile_start() > start_tile { cur.tile_start() } else { cur.seg_end() };
+        let charge = cur.evaluated();
+        if cur.data_pos() >= self.access.data_end() {
+            Some(EmptyRun { charge, until, next: u64::MAX })
+        } else if cur.file_off() == start {
+            None
+        } else {
+            Some(EmptyRun { charge, until: until.min(cur.file_off()), next: cur.file_off() })
+        }
+    }
+}
+
+/// A run of window starts whose walks hold nothing of a stream and are
+/// charged alike ([`ClientStream::empty_run`]).
+pub(crate) struct EmptyRun {
+    /// Pairs each such walk charges.
+    pub charge: u64,
+    /// Window starts below this share the charge.
+    pub until: u64,
+    /// Windows ending at or below this hold none of the stream's bytes.
+    pub next: u64,
 }
 
 /// One assembly-plan entry: `(file_off, client, piece_idx, len)`.

@@ -93,6 +93,48 @@ fn group_starts(cells: &[Cell], n: usize, major: impl Fn(&Cell) -> usize) -> Vec
     start
 }
 
+std::thread_local! {
+    /// Window walks [`Derivation::new`] has made on this thread.
+    static WINDOW_WALKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Window walks the schedule derivations run on this thread have made,
+/// summed: each is one `(client, aggregator, cycle)` cell walked through
+/// its window, where the cells a derivation charges by the run cost none.
+/// A function of the workload; `bench host --check` pins it.
+pub fn derivation_window_walks() -> u64 {
+    WINDOW_WALKS.with(std::cell::Cell::get)
+}
+
+/// Where an aggregator's windows lie: from the start of its cycle-0
+/// window to its last window's end.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Span {
+    start: u64,
+    end: u64,
+    agg: usize,
+}
+
+/// Every aggregator's span, sorted, if no two overlap (per-call contiguous
+/// realms, for one): a client's gap then holds a run of whole spans, and
+/// the derivation charges their empty cells by the run. `None` if two
+/// spans overlap or an aggregator's first window is in a later cycle.
+fn disjoint_spans(cycles: &[DerivedCycle], reach: &[Vec<u64>]) -> Option<Vec<Span>> {
+    let first = cycles.first()?;
+    let mut spans = Vec::with_capacity(reach.len());
+    for (agg, reach) in reach.iter().enumerate() {
+        let end = reach.last().copied().unwrap_or(0);
+        match first.windows[agg].first() {
+            Some(&(start, _)) => spans.push(Span { start, end, agg }),
+            // No window in any cycle: a walk never reaches it.
+            None if end == 0 => {}
+            None => return None,
+        }
+    }
+    spans.sort_unstable();
+    spans.windows(2).all(|w| w[0].end <= w[1].start).then_some(spans)
+}
+
 /// One buffer cycle of a [`Derivation`].
 struct DerivedCycle {
     /// Every aggregator's window (file segments), by aggregator.
@@ -120,6 +162,9 @@ pub(crate) struct Derivation {
     agg_ranks: Vec<usize>,
     parse_pairs: u64,
     cycles: Vec<DerivedCycle>,
+    /// Empty cells charged by the run instead of walked: host work saved,
+    /// no pair moved.
+    run_cells: u64,
     /// The persistent realm set this plan was cut against (`None` without
     /// `persistent_file_realms`, or when every access was empty).
     pfr: Option<Arc<RealmSet>>,
@@ -143,8 +188,13 @@ impl Derivation {
     /// computed once per client) and no search for its first cycle unless
     /// the stream has outrun it; a window that holds none of the stream's
     /// bytes — nearly every one at `fine-512`'s shape — is charged in
-    /// closed form, one O(log D) skip per window segment. The columns are
-    /// the rows regrouped by a counting sort.
+    /// closed form, one O(log D) skip per window segment. When the
+    /// aggregators' spans are disjoint ([`disjoint_spans`]), the empty cells
+    /// between two of a client's bytes are not walked at all: a run of
+    /// them shares one skip's charge ([`ClientStream::empty_run`]), added
+    /// k times to the client's row and once per aggregator through a
+    /// difference array over the sorted spans. The columns are the rows
+    /// regrouped by a counting sort.
     fn new(
         wires: impl IntoIterator<Item = impl AsRef<[u8]>>,
         hints: &Hints,
@@ -158,6 +208,7 @@ impl Derivation {
             agg_ranks: Vec::new(),
             parse_pairs,
             cycles: Vec::new(),
+            run_cells: 0,
             pfr: None,
             _assigner: hints.realm_assigner.clone(),
         };
@@ -259,35 +310,91 @@ impl Derivation {
         // outruns the next cycle but not the last searches for the cycle
         // to walk.
         let mut cells: Vec<Vec<Cell>> = vec![Vec::new(); cycles.len()];
+        let mut walks = 0u64;
+        let mut walk = |c: usize, a: usize, stream: &mut ClientStream, cycles: &mut [DerivedCycle]| {
+            stream.rewind();
+            let reach = &reach[a];
+            let last = reach.last().copied().unwrap_or(0);
+            let mut t = 0;
+            while t < cycles.len() {
+                let next = stream.next_off();
+                if reach[t] <= next {
+                    if last <= next {
+                        break;
+                    }
+                    t += reach[t..].partition_point(|&end| end <= next);
+                }
+                let cyc = &mut cycles[t];
+                let from = cyc.pieces.len();
+                let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
+                walks += 1;
+                cyc.row_pairs[c] += charged;
+                cyc.col_pairs[a] += charged;
+                if cyc.pieces.len() > from {
+                    cells[t].push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
+                }
+                t += 1;
+            }
+        };
+        // With the aggregators' spans disjoint and sorted, the spans that
+        // end at or below a client's first byte charge it nothing, and of
+        // the spans starting in one `empty_run` range all but perhaps the
+        // last end at or below the run's next byte: each is empty in every
+        // cycle — its first walk is cycle 0's, charged the run's charge,
+        // and leaves the stream past its last window. The rest (a span
+        // holding the client's first byte or a run's last span) are
+        // walked, in aggregator order, as the walk of every pair had them.
+        let spans = disjoint_spans(&cycles, &reach);
+        let mut col_diff = vec![0u64; spans.as_ref().map_or(0, |s| s.len() + 1)];
+        let mut one_by_one: Vec<usize> = Vec::new();
         for (c, access) in clients.into_iter().enumerate() {
             if access.data_len == 0 {
                 continue;
             }
             let mut stream = ClientStream::new(access);
-            for (a, reach) in reach.iter().enumerate() {
-                stream.rewind();
-                let last = reach.last().copied().unwrap_or(0);
-                let mut t = 0;
-                while t < cycles.len() {
-                    let next = stream.next_off();
-                    if reach[t] <= next {
-                        if last <= next {
-                            break;
-                        }
-                        t += reach[t..].partition_point(|&end| end <= next);
-                    }
-                    let cyc = &mut cycles[t];
-                    let from = cyc.pieces.len();
-                    let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
-                    cyc.row_pairs[c] += charged;
-                    cyc.col_pairs[a] += charged;
-                    if cyc.pieces.len() > from {
-                        cells[t].push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
-                    }
-                    t += 1;
+            let Some(spans) = &spans else {
+                for a in 0..n_agg {
+                    walk(c, a, &mut stream, &mut cycles);
                 }
+                continue;
+            };
+            let first = stream.next_off();
+            one_by_one.clear();
+            let mut i = spans.partition_point(|s| s.end <= first);
+            while i < spans.len() {
+                let run = (spans[i].start > first).then(|| stream.empty_run(spans[i].start)).flatten();
+                let Some(run) = run else {
+                    one_by_one.push(spans[i].agg);
+                    i += 1;
+                    continue;
+                };
+                let to = i + spans[i..].partition_point(|s| s.start < run.until);
+                // Only the last span of the run can reach past `run.next`.
+                let empty = if spans[to - 1].end > run.next {
+                    one_by_one.push(spans[to - 1].agg);
+                    to - 1
+                } else {
+                    to
+                };
+                out.run_cells += (empty - i) as u64;
+                cycles[0].row_pairs[c] += (empty - i) as u64 * run.charge;
+                col_diff[i] = col_diff[i].wrapping_add(run.charge);
+                col_diff[empty] = col_diff[empty].wrapping_sub(run.charge);
+                i = to;
+            }
+            one_by_one.sort_unstable();
+            for &a in &one_by_one {
+                walk(c, a, &mut stream, &mut cycles);
             }
         }
+        if let Some(spans) = &spans {
+            let mut charge = 0u64;
+            for (span, &d) in spans.iter().zip(&col_diff) {
+                charge = charge.wrapping_add(d);
+                cycles[0].col_pairs[span.agg] += charge;
+            }
+        }
+        WINDOW_WALKS.with(|w| w.set(w.get() + walks));
         for (cyc, rows) in cycles.iter_mut().zip(cells) {
             cyc.rows = Sparse::new(rows, nprocs, |c| c.client);
             cyc.cols = cyc.rows.regroup(n_agg, |c| c.agg);
@@ -760,6 +867,43 @@ mod tests {
         /// blocks much smaller than this call's region, so a window has
         /// several segments.
         earlier_hi: Option<u64>,
+        assigner: Plugged,
+    }
+
+    /// The realm assigner a drawn world plugs in, if any.
+    #[derive(Debug, Clone, Copy)]
+    enum Plugged {
+        None,
+        /// [`EvenAar`]'s realms dealt last aggregator first: disjoint
+        /// spans in the reverse of aggregator order.
+        Mirrored,
+        /// [`PersistentBlockCyclic`]'s realms for one call: spans that
+        /// interleave whenever a realm has several blocks.
+        BlockCyclic,
+    }
+
+    struct Mirrored;
+
+    impl RealmAssigner for Mirrored {
+        fn assign(&self, ctx: &AssignCtx<'_>) -> Vec<FileRealm> {
+            let mut realms = EvenAar.assign(ctx);
+            realms.reverse();
+            realms
+        }
+
+        fn name(&self) -> &'static str {
+            "mirrored"
+        }
+    }
+
+    impl Plugged {
+        fn assigner(self) -> Option<Arc<dyn RealmAssigner>> {
+            match self {
+                Plugged::None => None,
+                Plugged::Mirrored => Some(Arc::new(Mirrored)),
+                Plugged::BlockCyclic => Some(Arc::new(PersistentBlockCyclic)),
+            }
+        }
     }
 
     /// `n` clients interleaving `k` regions of `block` bytes a tile (`gap`
@@ -795,13 +939,14 @@ mod tests {
         let pfr = rng.next_below(2) == 0;
         let alignment = (rng.next_below(2) == 0).then(|| 1 + rng.next_below(32));
         let earlier_hi = (pfr && rng.next_below(2) == 0).then(|| 1 + rng.next_below(extent));
-        World { clients, cb_nodes, cb_buffer_size, pfr, alignment, earlier_hi }
+        let assigner = [Plugged::None, Plugged::None, Plugged::Mirrored, Plugged::BlockCyclic][rng.next_below(4) as usize];
+        World { clients, cb_nodes, cb_buffer_size, pfr, alignment, earlier_hi, assigner }
     }
 
     /// Derive from `clients`' wires and check every cycle against
     /// [`cell_by_cell`]: pieces, cells and the pairs of every row and
-    /// column.
-    fn assert_derives_cell_by_cell(clients: &[ClientAccess], hints: &Hints, earlier: Option<&Arc<RealmSet>>) {
+    /// column. Returns the cells the derivation charged by the run.
+    fn assert_derives_cell_by_cell(clients: &[ClientAccess], hints: &Hints, earlier: Option<&Arc<RealmSet>>) -> u64 {
         let wires: Vec<Vec<u8>> = clients.iter().map(ClientAccess::to_wire).collect();
         let d = Derivation::new(&wires, hints, earlier);
         let parsed: Vec<ClientAccess> = wires.iter().map(|wire| ClientAccess::from_wire(wire)).collect();
@@ -820,16 +965,24 @@ mod tests {
             assert_eq!(cyc.row_pairs, rows, "cycle {t}: row pairs");
             assert_eq!(cyc.col_pairs, cols, "cycle {t}: column pairs");
         }
+        d.run_cells
     }
 
+    /// The grouped derivation against the cell-by-cell walk: a world
+    /// whose aggregators' spans are disjoint has its empty cells between a
+    /// client's bytes charged by the run, in aggregator order or not
+    /// (`Mirrored`); one whose spans interleave (`BlockCyclic`, and PFR's
+    /// realms) walks every cell. Both must charge every cell alike.
     #[test]
     fn derivation_equals_the_cell_by_cell_walk() {
+        let (worlds, by_run) = (std::cell::Cell::new(0u64), std::cell::Cell::new(0u64));
         flexio_sim::prop::Runner::new("derivation_cell_by_cell").run(draw_world, |w| {
             let hints = Hints {
                 cb_nodes: Some(w.cb_nodes),
                 cb_buffer_size: w.cb_buffer_size,
                 persistent_file_realms: w.pfr,
                 fr_alignment: w.alignment,
+                realm_assigner: w.assigner.assigner(),
                 ..Hints::default()
             };
             let earlier = w.earlier_hi.map(|hi| {
@@ -841,8 +994,12 @@ mod tests {
                 };
                 Arc::new(RealmSet::new(PersistentBlockCyclic.assign(&ctx)))
             });
-            assert_derives_cell_by_cell(&w.clients, &hints, earlier.as_ref());
+            let cells = assert_derives_cell_by_cell(&w.clients, &hints, earlier.as_ref());
+            worlds.set(worlds.get() + 1);
+            by_run.set(by_run.get() + u64::from(cells > 0));
         });
+        let (worlds, by_run) = (worlds.get(), by_run.get());
+        assert!(by_run * 4 >= worlds, "only {by_run} of {worlds} worlds charged a cell by the run");
     }
 
     /// `fine-512`'s shape at 64 ranks: 16 regions of 8 B a client,
@@ -878,7 +1035,12 @@ mod tests {
                 persistent_file_realms: pfr,
                 ..Hints::default()
             };
-            assert_derives_cell_by_cell(&clients, &hints, None);
+            let by_run = assert_derives_cell_by_cell(&clients, &hints, None);
+            // 64 clients × 32 aggregators: a client's first byte is half
+            // way along its first tile on average, 16 of the cells past it
+            // hold a piece, and nearly all the rest sit whole in its gaps
+            // (992). PFR's block-cyclic realms interleave: none.
+            assert!(pfr || by_run > 64 * 32 / 4, "{by_run} cells charged by the run");
         }
     }
 

@@ -20,13 +20,16 @@
 //!   nothing in this workspace (or in code the simulator can call) changes
 //!   rounding modes mid-rank.
 //! * Stacks are carved out of large heap blocks ([`StackArena`]) with a
-//!   canary word at the low end of each, checked on every return to the
-//!   scheduler. The blocks commit lazily, so thousands of mostly-idle
-//!   ranks cost virtual address space, not resident memory. There is no
-//!   guard page; the canary plus a generous default size (1 MiB,
+//!   canary word at the low end of each, armed when a world takes the
+//!   block and checked on every return to the scheduler. The blocks
+//!   commit lazily, so thousands of mostly-idle ranks cost virtual
+//!   address space, not resident memory, and a thread keeps a few for its
+//!   next world, whose stacks then reuse pages already touched. There is
+//!   no guard page; the canary plus a generous default size (1 MiB,
 //!   `FLEXIO_SIM_STACK_KB`) stands in.
 
 use std::alloc::{alloc, dealloc, Layout};
+use std::cell::{Cell, RefCell};
 
 /// Written at the lowest address of every fiber stack; if a deep call
 /// chain runs the stack down this far the scheduler panics instead of
@@ -136,14 +139,51 @@ unsafe extern "C" fn fiber_main(p: *mut Payload) -> ! {
 
 /// Bytes per block of a [`StackArena`] (64 stacks of the default size).
 /// The point of the size: the system allocator serves a block this large
-/// as a mapping of its own, returned to the OS when the block is freed.
-/// glibc raises its mmap threshold as mapped blocks are freed (to 32 MiB
-/// at most), so stacks allocated one by one come off the ordinary heap
-/// from the second world on; there a finished world's touched stack pages
-/// stay resident, the next world's stacks land at other offsets and touch
-/// other pages, and 512-rank worlds run back to back crept to over 400 MB
-/// of resident free heap (20–30 MB of it ever in use at once).
+/// as a mapping of its own. glibc raises its mmap threshold as mapped
+/// blocks are freed (to 32 MiB at most), so stacks allocated one by one
+/// came off the ordinary heap from the second world on; there a finished
+/// world's touched stack pages stayed resident, the next world's stacks
+/// landed at other offsets and touched other pages, and 512-rank worlds
+/// run back to back crept to over 400 MB of resident free heap (20–30 MB
+/// of it ever in use at once). A block is never split: a world takes
+/// whole blocks, and gives them back whole ([`FREE_BLOCKS`]).
 const BLOCK_BYTES: usize = 64 << 20;
+
+/// Blocks a thread keeps for its next world once a world ends: the
+/// blocks of 1 008 stacks of the default size, so back-to-back worlds of
+/// up to that many ranks map nothing and touch no fresh page, and their
+/// stacks sit at the addresses the last world's did. A world that needs
+/// more maps the rest and frees what exceeds the cap when it ends, which
+/// bounds what an idle thread keeps resident to the stack pages one such
+/// world touched.
+const FREE_BLOCKS: usize = 16;
+
+fn block_layout() -> Layout {
+    Layout::from_size_align(BLOCK_BYTES, 16).expect("fiber stack block layout")
+}
+
+/// The blocks a thread keeps between worlds, freed with the thread.
+struct FreeBlocks(Vec<*mut u8>);
+
+impl Drop for FreeBlocks {
+    fn drop(&mut self) {
+        for &base in &self.0 {
+            // SAFETY: every kept block came from `alloc(block_layout())`.
+            unsafe { dealloc(base, block_layout()) };
+        }
+    }
+}
+
+std::thread_local! {
+    static FREE: RefCell<FreeBlocks> = const { RefCell::new(FreeBlocks(Vec::new())) };
+    static MAPPED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Fiber-stack blocks this thread has mapped, summed over its worlds: a
+/// world that finds enough blocks kept by the last one maps none.
+pub fn stack_blocks_mapped() -> u64 {
+    MAPPED.with(Cell::get)
+}
 
 /// Gap between neighbouring stacks of a block. Without it every stack
 /// top sits at the same offset modulo the (power-of-two) stack size, so
@@ -153,10 +193,11 @@ const BLOCK_BYTES: usize = 64 << 20;
 /// 128 KiB an L2 way covers.
 const COLOUR_BYTES: usize = 256;
 
-/// The stacks of one scheduler's fibers, allocated in blocks of
-/// [`BLOCK_BYTES`] and freed together.
+/// The stacks of one scheduler's fibers, carved out of whole
+/// [`BLOCK_BYTES`] blocks taken from the thread's kept blocks (or mapped)
+/// and given back together.
 pub(crate) struct StackArena {
-    blocks: Vec<(*mut u8, Layout)>,
+    blocks: Vec<*mut u8>,
     stack_bytes: usize,
     /// Distance between the bases of neighbouring stacks.
     stride: usize,
@@ -167,22 +208,27 @@ impl StackArena {
     /// Room for `count` stacks of `stack_bytes` each (rounded up to 16 so
     /// every top is aligned, and to 4096 at least, leaving room for the
     /// canary plus the initial register image even under silly env
-    /// overrides), a canary written at the low end of each.
+    /// overrides), a canary written at the low end of each. A stack too
+    /// large for a block is refused.
     pub fn new(count: usize, stack_bytes: usize) -> StackArena {
         let stack_bytes = stack_bytes.max(4096).next_multiple_of(16);
         let stride = stack_bytes + COLOUR_BYTES;
-        let per_block = (BLOCK_BYTES / stride).max(1);
-        let blocks = (0..count.div_ceil(per_block))
-            .map(|b| {
-                let stacks = per_block.min(count - b * per_block);
-                let layout =
-                    Layout::from_size_align(stacks * stride, 16).expect("fiber stack block layout");
-                // SAFETY: layout has non-zero size.
-                let base = unsafe { alloc(layout) };
-                assert!(!base.is_null(), "fiber stack allocation failed ({} bytes)", layout.size());
-                (base, layout)
-            })
-            .collect();
+        assert!(stride <= BLOCK_BYTES, "FLEXIO_SIM_STACK_KB: a {stack_bytes}-byte fiber stack does not fit a block");
+        let per_block = BLOCK_BYTES / stride;
+        let want = count.div_ceil(per_block);
+        // The blocks the last world gave back last, in its order: the same
+        // stacks at the same addresses.
+        let mut blocks = FREE.with(|f| {
+            let kept = &mut f.borrow_mut().0;
+            kept.split_off(kept.len().saturating_sub(want))
+        });
+        while blocks.len() < want {
+            // SAFETY: the layout has non-zero size.
+            let base = unsafe { alloc(block_layout()) };
+            assert!(!base.is_null(), "fiber stack allocation failed ({BLOCK_BYTES} bytes)");
+            MAPPED.with(|m| m.set(m.get() + 1));
+            blocks.push(base);
+        }
         let arena = StackArena { blocks, stack_bytes, stride, per_block };
         for i in 0..count {
             // SAFETY: the stack's base is 16-aligned and inside its block.
@@ -193,18 +239,34 @@ impl StackArena {
 
     /// Stack `i`. The window is only valid while the arena lives.
     pub fn stack(&self, i: usize) -> FiberStack {
-        let (block, _) = self.blocks[i / self.per_block];
-        // SAFETY: `new` sized block `i / per_block` to hold this stack.
+        let block = self.blocks[i / self.per_block];
+        // SAFETY: block `i / per_block` holds `per_block` stacks.
         let base = unsafe { block.add(i % self.per_block * self.stride) };
         FiberStack { base, size: self.stack_bytes }
+    }
+
+    /// The address ranges of the arena's blocks.
+    #[cfg(test)]
+    pub fn blocks(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.blocks.iter().map(|&b| b as usize..b as usize + BLOCK_BYTES)
     }
 }
 
 impl Drop for StackArena {
     fn drop(&mut self) {
-        for &(base, layout) in &self.blocks {
-            // SAFETY: base/layout come from the matching alloc in `new`.
-            unsafe { dealloc(base, layout) };
+        let blocks = std::mem::take(&mut self.blocks);
+        // A thread that is exiting has no list left to keep them in.
+        let spill = FREE
+            .try_with(|f| {
+                let kept = &mut f.borrow_mut().0;
+                let room = FREE_BLOCKS.saturating_sub(kept.len()).min(blocks.len());
+                kept.extend_from_slice(&blocks[..room]);
+                blocks[room..].to_vec()
+            })
+            .unwrap_or(blocks);
+        for base in spill {
+            // SAFETY: every block of an arena came from `alloc(block_layout())`.
+            unsafe { dealloc(base, block_layout()) };
         }
     }
 }
@@ -224,6 +286,14 @@ impl FiberStack {
         // SAFETY: base is live (the arena outlives its scheduler's slots)
         // and holds the canary written in `StackArena::new`.
         unsafe { (self.base as *const u64).read() == STACK_CANARY }
+    }
+
+    /// What a call chain that ran the stack down to its lowest word leaves
+    /// there.
+    #[cfg(test)]
+    pub fn clobber_canary(&self) {
+        // SAFETY: as in `canary_ok`; the canary word belongs to no frame.
+        unsafe { (self.base as *mut u64).write(0) }
     }
 }
 

@@ -36,6 +36,7 @@ pub mod world;
 pub use cost::CostModel;
 pub use prng::XorShift64Star;
 pub use rank::{GatherTable, OverlapWindow, Phase, Rank, Stats};
+pub use fiber::stack_blocks_mapped;
 pub use world::{last_run_counters, run, run_crashable, run_on, Backend, SchedCounters, World};
 
 #[cfg(test)]

@@ -689,6 +689,91 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 101, "parked fibers must unwind too");
     }
 
+    /// The fiber-stack blocks of the world whose rank calls.
+    fn my_worlds_blocks() -> Vec<std::ops::Range<usize>> {
+        let el = super::ACTIVE.with(|a| a.get());
+        // SAFETY: called from a rank, so `el` is its world's live scheduler.
+        unsafe { (*el).stacks.blocks().collect() }
+    }
+
+    /// Overwrite the calling rank's stack canary, as an overflow would.
+    fn overflow_my_stack() {
+        let el = super::ACTIVE.with(|a| a.get());
+        // SAFETY: as in `my_worlds_blocks`.
+        unsafe { (&(*el).slots)[(*el).current].stack.clobber_canary() }
+    }
+
+    /// Blocks mapped by `f`, run on this thread.
+    fn blocks_mapped_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = crate::stack_blocks_mapped();
+        let out = f();
+        (crate::stack_blocks_mapped() - before, out)
+    }
+
+    #[test]
+    fn a_second_world_reuses_the_first_worlds_stack_blocks() {
+        // A thread of its own, so no earlier world left blocks behind.
+        std::thread::spawn(|| {
+            let world = |p: usize| move || run(p, CostModel::free(), |_| my_worlds_blocks()).swap_remove(0);
+            let (first, a) = blocks_mapped_by(world(512));
+            assert!(first > 1 && first == a.len() as u64, "512 stacks take several blocks, got {first}");
+            let (second, b) = blocks_mapped_by(world(512));
+            assert_eq!(second, 0, "the second world maps no block");
+            assert_eq!(a, b, "and takes the first world's blocks, in order");
+            // A world twice as large maps only what the first did not keep.
+            let (larger, c) = blocks_mapped_by(world(1024));
+            assert_eq!(larger, (c.len() - a.len()) as u64);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_nested_world_never_takes_a_block_its_outer_world_holds() {
+        std::thread::spawn(|| {
+            // Leave several blocks behind for the worlds below.
+            run(300, CostModel::free(), |_| ());
+            let (mapped, out) = blocks_mapped_by(|| {
+                run(3, CostModel::free(), |_| {
+                    let outer = my_worlds_blocks();
+                    let inner = run(2, CostModel::free(), |_| my_worlds_blocks());
+                    (outer, inner[0].clone())
+                })
+            });
+            assert_eq!(mapped, 0, "kept blocks serve both");
+            for (outer, inner) in out {
+                for b in &inner {
+                    assert!(outer.iter().all(|o| o.end <= b.start || b.end <= o.start), "{b:?} in {outer:?}");
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn an_overflow_is_caught_on_a_reused_stack() {
+        std::thread::spawn(|| {
+            let world = |overflow: bool| {
+                run(4, CostModel::free(), |r| {
+                    if overflow && r.rank() == 2 {
+                        overflow_my_stack();
+                    }
+                })
+            };
+            world(false);
+            let (mapped, got) = blocks_mapped_by(|| std::panic::catch_unwind(|| world(true)));
+            assert_eq!(mapped, 0, "the overflowing world runs on the first world's block");
+            let err = got.expect_err("an overwritten canary must panic");
+            let msg = err.downcast_ref::<String>().expect("panic carries a String");
+            assert!(msg.starts_with("rank 2 overflowed its"), "{msg}");
+            // The block goes back with the canary down; taking it re-arms it.
+            world(false);
+        })
+        .join()
+        .unwrap();
+    }
+
     #[test]
     fn nested_worlds_inside_a_fiber() {
         let out = run(3, CostModel::free(), |r| {

@@ -235,6 +235,18 @@ impl<'a> ViewCursor<'a> {
         self.view.disp + self.tile * self.ft().extent + (s.off as u64) + self.within
     }
 
+    /// File offset one past the end of the cursor's current segment.
+    #[inline]
+    pub fn seg_end(&self) -> u64 {
+        self.tile_start() + self.ft().segs[self.seg].end() as u64
+    }
+
+    /// File offset of the cursor's filetype instance (its tile).
+    #[inline]
+    pub fn tile_start(&self) -> u64 {
+        self.view.disp + self.tile * self.ft().extent
+    }
+
     /// Where the cursor stands.
     #[inline]
     pub fn pos(&self) -> CursorPos {

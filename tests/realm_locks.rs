@@ -6,7 +6,7 @@
 //! * With persistent, stripe-aligned realms the run's clock is a function
 //!   of its work, not of which aggregator reaches the lock manager first:
 //!   skewing the ranks' start by at most δ moves the slowest rank's end by
-//!   at most δ (+ ε, below). This is ROADMAP item 5's time-shift relation
+//!   at most δ (+ ε, below). This is ROADMAP item 9's time-shift relation
 //!   in its first instance. Before the ahead request the same skew at the
 //!   benchmark's scale swung the end between 175.9 and 254.0 ms
 //!   (`results/flexbench_pr21_realm_locks.txt`).
