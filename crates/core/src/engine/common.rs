@@ -1,7 +1,8 @@
 //! Machinery shared by both two-phase engines.
 
+use crate::error::IoError;
 use crate::meta::ClientAccess;
-use flexio_pfs::{PfsError, PfsErrorKind};
+use flexio_pfs::{FileHandle, PfsError, PfsErrorKind};
 use flexio_sim::Rank;
 use flexio_types::{CursorPos, Piece, ViewCursor};
 use std::sync::Arc;
@@ -88,6 +89,23 @@ pub fn agree_error(rank: &Rank, local: Option<PfsError>) -> Option<PfsError> {
         c => unreachable!("unknown agreed fault kind code {c}"),
     };
     Some(PfsError { kind, ost: ((winner >> 8) & 0xff_ffff) as usize, at })
+}
+
+/// The verdict that ends both engines' calls. It is gated on the fault
+/// plan's presence: without one no request can fail, so no agreement
+/// round is charged (fault-free runs stay charge-identical); with one
+/// every rank sees the same plan, so all ranks [`agree_error`] together
+/// and return the same verdict.
+pub(crate) fn verdict(
+    rank: &Rank,
+    handle: &FileHandle,
+    err: Option<PfsError>,
+) -> crate::error::Result<()> {
+    if handle.pfs().fault_plan().is_none() {
+        debug_assert!(err.is_none(), "a fault was reported without a fault plan");
+        return Ok(());
+    }
+    agree_error(rank, err).map_or(Ok(()), |e| Err(IoError::Transient(e)))
 }
 
 /// Append to `out` the pieces of a client's access that fall inside the

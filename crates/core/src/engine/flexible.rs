@@ -24,17 +24,17 @@
 //! whose user buffer picks the direction's two halves, the drive loops
 //! own the depth.
 
-use crate::engine::common::{agree_error, group_by_window, merge_pieces, retry_io};
+use crate::engine::common::{group_by_window, merge_pieces, retry_io, verdict};
 use crate::engine::pipeline::{
     self, CapPolicy, CycleDriver, ReadDriver, StragglerVerdict, WriteDriver,
 };
-use crate::engine::recovery::{crash_boundary, CrashState};
+use crate::engine::recovery::crash_boundary;
 use crate::engine::schedule::{self, ExchangeSchedule};
 use crate::error::{IoError, Result};
 use crate::hints::{ExchangeMode, Hints};
 use crate::meta::ClientAccess;
 use crate::realm::{FileRealm, RealmSet};
-use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, Resolved};
+use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, IoMethod, Resolved};
 use flexio_pfs::{FileHandle, IoCompletion, LockKind};
 use flexio_sim::{OverlapWindow, Rank};
 use flexio_types::{FlatType, MemLayout, Piece, Seg};
@@ -61,7 +61,7 @@ pub enum DataBuf<'a> {
 /// schedule once per world (`ExchangeSchedule::shared`) into the slot,
 /// the cycles run from there, and every rank is charged the pairs of its
 /// own share of it, where a derivation has always charged them.
-#[allow(clippy::too_many_arguments)] // one call site (MpiFile::run_engine)
+#[allow(clippy::too_many_arguments)] // two call sites: MpiFile::run_engine, recovery::run
 pub fn run(
     rank: &Rank,
     handle: &FileHandle,
@@ -76,11 +76,11 @@ pub fn run(
     // ranks see the same plan, so the per-cycle boundary checks (and
     // their heartbeats) run collectively or not at all, and crash-free
     // plans stay charge-identical.
-    let mut crash = handle
+    let watchdog = handle
         .pfs()
         .fault_plan()
         .is_some_and(|p| !p.crashes.is_empty())
-        .then(|| CrashState::new(hints));
+        .then(|| hints.watchdog_us.saturating_mul(1000));
 
     // ---- metadata exchange: flattened filetypes (D pairs each) ----------
     rank.charge_pairs(my.view.d() as u64);
@@ -127,18 +127,18 @@ pub fn run(
         }
     }
     let charge_cycles = !hit && !derive_overlap;
-    let (watch, crash_st) = (Some(sched.agg_ranks()), crash.as_mut());
+    let watch = Some(sched.agg_ranks());
     let outcome = match buf {
         DataBuf::Write(user) => {
             let user = &**user;
             let mut flex =
-                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, crash: crash_st };
+                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, watchdog };
             pipeline::drive_write(rank, handle, &mut flex, policy, watch, derive_win)
         }
         DataBuf::Read(user) => {
             let user = &mut **user;
             let mut flex =
-                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, crash: crash_st };
+                Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, watchdog };
             pipeline::drive_read(rank, handle, &mut flex, policy, watch, derive_win)
         }
     };
@@ -147,8 +147,7 @@ pub fn run(
     // hang on the dead peers: the straggler machinery and the error
     // agreement both assume every member answers. The dead set is already
     // agreed (two-round detection), so this error is collective too.
-    if outcome.aborted {
-        let dead = crash.map(|c| c.dead).expect("only the crash boundary aborts");
+    if let Some(dead) = outcome.dead {
         return Err(IoError::RanksFailed(dead));
     }
 
@@ -179,18 +178,7 @@ pub fn run(
         }
     }
 
-    // ---- collective error agreement -------------------------------------
-    // Gated on the fault plan's presence: without one no request can fail
-    // (keeping fault-free runs charge-identical), and with one every rank
-    // sees the same plan, so all ranks take this branch together.
-    if handle.pfs().fault_plan().is_some() {
-        if let Some(e) = agree_error(rank, outcome.err) {
-            return Err(IoError::Transient(e));
-        }
-    } else {
-        debug_assert!(outcome.err.is_none(), "a fault was reported without a fault plan");
-    }
-    Ok(())
+    verdict(rank, handle, outcome.err)
 }
 
 /// Rebuild the persistent block-cyclic realms with the straggler's
@@ -346,9 +334,9 @@ fn pack_payload(my: &ClientAccess, mem: &MemLayout, user: &[u8], pieces: &[Piece
 /// this for sieve-resolved groups — the staging is span-sized either way
 /// (ROMIO's integrated RMW holds the same span), and a single round trip
 /// replaces serialized sieve-buffer-sized chunks.
-fn span_wide_sieve(group: &[(u64, u64)]) -> flexio_io::IoMethod {
+fn span_wide_sieve(group: &[(u64, u64)]) -> IoMethod {
     let span = group.last().unwrap().0 + group.last().unwrap().1 - group[0].0;
-    flexio_io::IoMethod::DataSieve { buffer: span as usize }
+    IoMethod::DataSieve { buffer: span as usize }
 }
 
 /// The kind of lock request an aggregator makes for a realm chunk. A
@@ -391,34 +379,10 @@ struct WriteStage {
     /// The received payloads, in ascending client order.
     bufs: Vec<Vec<u8>>,
     /// The run plan mapping the file-order segment stream onto
-    /// `(payload index, offset, len)` slices of `bufs`. The issue half
-    /// hands these slices to the scatter-gather PFS entry points.
+    /// `(payload index, offset, len)` slices of `bufs`, one per plan
+    /// entry. The issue half hands these slices to the scatter-gather PFS
+    /// entry points.
     runs: Vec<(usize, usize, usize)>,
-}
-
-impl WriteStage {
-    /// Borrow the sub-slices of `runs` covering stream bytes
-    /// `[start, start + len)`. Stream positions are byte offsets into the
-    /// file-order concatenation of the stage's segments, so a window
-    /// group's slice list is exactly its contiguous stream range.
-    fn run_slices(&self, start: usize, len: usize) -> Vec<&[u8]> {
-        let mut out = Vec::new();
-        let (mut pos, end) = (0usize, start + len);
-        for &(bi, off, rlen) in &self.runs {
-            if pos >= end {
-                break;
-            }
-            let rstart = pos;
-            pos += rlen;
-            if pos <= start {
-                continue;
-            }
-            let lo = start.saturating_sub(rstart);
-            let hi = rlen - pos.saturating_sub(end).min(rlen);
-            out.push(&self.bufs[bi][off + lo..off + hi]);
-        }
-        out
-    }
 }
 
 /// One collective call's cycle driver over the (possibly cached) exchange
@@ -433,7 +397,8 @@ struct Flex<'a, U> {
     hints: &'a Hints,
     sched: &'a ExchangeSchedule,
     charge_cycles: bool,
-    crash: Option<&'a mut CrashState>,
+    /// The crash watchdog in ns; `Some` only under a crash schedule.
+    watchdog: Option<u64>,
 }
 
 impl<U> Flex<'_, U> {
@@ -449,6 +414,66 @@ impl<U> Flex<'_, U> {
             ExchangeMode::Alltoallw => self.rank.alltoallw(sends, recv_from),
         }
     }
+
+    /// The issue half's file loop, in either direction: one request per
+    /// realm chunk of cycle `i`'s window — sieving must never span a realm
+    /// boundary, the gap would belong to another aggregator. `segs` are
+    /// the cycle's merged segments and `runs` their bytes, one run per
+    /// plan entry in file order; merged segments end on entry boundaries,
+    /// so every group covers whole runs, which `io` moves. Every chunk is
+    /// issued even after an exhausted one, so all data that *can* move
+    /// does, and the error agreement sees one deterministic first fault.
+    fn issue_chunks<R: AsRef<[u8]>>(
+        &self,
+        i: usize,
+        segs: &[(u64, u64)],
+        runs: &mut [R],
+        mut io: impl FnMut(u64, &[(u64, u64)], &mut [R], &IoMethod, u64) -> IoCompletion,
+    ) -> IoCompletion {
+        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
+        let window = self.sched.cycle(i).my_window();
+        let t0 = rank.now();
+        let (mut t, mut err, mut ei) = (t0, None, 0);
+        for (wi, group) in group_by_window(segs, window) {
+            let glen: u64 = group.iter().map(|(_, l)| l).sum();
+            let period = group_period(&group);
+            // Lock the whole realm chunk (as ROMIO locks the sieve
+            // extent). Under persistent file realms the chunk is asked for
+            // ahead, so a stripe-aligned chunk is granted once and never
+            // cancelled by a peer locking its own (tests/realm_locks.rs,
+            // `fig7_shape_pfr_plus_alignment_minimizes_lock_traffic`).
+            t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
+            let (mut ej, mut got) = (ei, 0u64);
+            while got < glen {
+                got += runs[ej].as_ref().len() as u64;
+                ej += 1;
+            }
+            let sieved =
+                matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
+            let method = if sieved {
+                // Double buffering (§5.1/§6.2): sieving beneath the
+                // collective buffer copies once, between the runs and the
+                // sieve buffer — a copy of the model's; the host hands the
+                // runs down as they are. The chunk is widened to the whole
+                // group span — one RMW read and one write-back per realm
+                // chunk on writes, one read on reads — the span-sized
+                // staging ROMIO's integrated RMW pass uses, instead of
+                // serialized sieve-buffer-sized round trips.
+                rank.charge_memcpy(glen);
+                rank.tally(|s| s.bytes_copied += glen);
+                span_wide_sieve(&group)
+            } else {
+                hints.io_method
+            };
+            let (nt, e) = retry_io(rank, hints, t, |at| {
+                io(at, &group, &mut runs[ei..ej], &method, period).into_result()
+            });
+            t = nt;
+            err = err.or(e);
+            ei = ej;
+        }
+        IoCompletion::span(t0, t).or_error(err)
+    }
 }
 
 impl<U> CycleDriver for Flex<'_, U> {
@@ -456,11 +481,8 @@ impl<U> CycleDriver for Flex<'_, U> {
         self.sched.n_cycles()
     }
 
-    fn boundary(&mut self, _i: usize) -> bool {
-        match self.crash.as_deref_mut() {
-            Some(st) => crash_boundary(self.rank, st),
-            None => true,
-        }
+    fn boundary(&mut self, _i: usize) -> Option<Vec<usize>> {
+        self.watchdog.and_then(|w| crash_boundary(self.rank, w))
     }
 
     fn begin_cycle(&mut self, i: usize) {
@@ -511,53 +533,13 @@ impl WriteDriver for Flex<'_, &[u8]> {
     }
 
     /// Commit the stage's runs to the file with nonblocking requests,
-    /// retrying transient faults per realm chunk. Every chunk is issued
-    /// even after an exhausted one, so all data that *can* land does, and
-    /// the error agreement sees one deterministic first fault.
+    /// retrying transient faults per realm chunk.
     fn issue(&mut self, i: usize, stage: WriteStage) -> IoCompletion {
-        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
-        let window = self.sched.cycle(i).my_window();
-        // One buffer-to-file request per realm chunk: sieving must never
-        // span a realm boundary (the gap would belong to another
-        // aggregator).
-        let t0 = rank.now();
-        let mut t = t0;
-        let mut err: Option<flexio_pfs::PfsError> = None;
-        let mut pos = 0usize;
-        for (wi, group) in group_by_window(&stage.segs, window) {
-            let glen: u64 = group.iter().map(|(_, l)| l).sum();
-            let period = group_period(&group);
-            // Lock the whole realm chunk (as ROMIO locks the sieve
-            // extent). Under persistent file realms the chunk is asked for
-            // ahead, so a stripe-aligned chunk is granted once and never
-            // cancelled by a peer locking its own (tests/realm_locks.rs,
-            // `fig7_shape_pfr_plus_alignment_minimizes_lock_traffic`).
-            t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
-            let sieved =
-                matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
-            if sieved {
-                // Double buffering (§5.1/§6.2): sieving beneath the
-                // collective buffer copies once, received payloads -> sieve
-                // buffer. This is a copy of the model's; the host hands the
-                // runs down as they are.
-                rank.charge_memcpy(glen);
-                rank.tally(|s| s.bytes_copied += glen);
-            }
-            // Hand the received payloads' sub-slices to the scatter-gather
-            // write as-is. A sieved group's chunk is widened to the whole
-            // group span: one RMW read + one write-back per realm chunk,
-            // the same span-sized staging ROMIO's integrated RMW pass uses,
-            // instead of serialized sieve-buffer-sized round trips.
-            let slices = stage.run_slices(pos, glen as usize);
-            let method = if sieved { span_wide_sieve(&group) } else { hints.io_method };
-            let (nt, e) = retry_io(rank, hints, t, |at| {
-                write_gathered_nb(handle, at, &group, &slices, &method, period).into_result()
-            });
-            t = nt;
-            err = err.or(e);
-            pos += glen as usize;
-        }
-        IoCompletion::span(t0, t).or_error(err)
+        let mut runs: Vec<&[u8]> =
+            stage.runs.iter().map(|&(bi, off, len)| &stage.bufs[bi][off..off + len]).collect();
+        self.issue_chunks(i, &stage.segs, &mut runs, |at, group, runs, method, period| {
+            write_gathered_nb(self.handle, at, group, runs, method, period)
+        })
     }
 }
 
@@ -573,18 +555,12 @@ impl ReadDriver for Flex<'_, &mut [u8]> {
     /// An aggregator with data this cycle reads its window slice into
     /// per-client payloads with nonblocking requests.
     fn issue(&mut self, i: usize) -> Option<(IoCompletion, ReadStage)> {
-        let (rank, handle, hints) = (self.rank, self.handle, self.hints);
-        let cyc = self.sched.cycle(i);
-        let window = cyc.my_window();
         // Clients with data in my window, ascending.
-        let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
+        let agg_pieces: Vec<(usize, &[Piece])> = self.sched.cycle(i).agg_pieces().collect();
         if agg_pieces.is_empty() {
             return None;
         }
         let (entries, segs) = merge_pieces(&agg_pieces);
-        let t0 = rank.now();
-        let mut t = t0;
-        let mut err: Option<flexio_pfs::PfsError> = None;
         // Scattered reads land straight in per-client payload buffers, so
         // the distribute half can send them as-is.
         let mut bufs: ReadStage = agg_pieces
@@ -605,42 +581,11 @@ impl ReadDriver for Flex<'_, &mut [u8]> {
             dests.push(head);
             rem[i] = tail;
         }
-        drop(rem);
-        // Merged segment boundaries always fall on entry boundaries, so
-        // every window group covers a whole number of entries/dest runs.
-        let mut ei = 0usize;
-        for (wi, group) in group_by_window(&segs, window) {
-            let glen: u64 = group.iter().map(|(_, l)| l).sum();
-            let period = group_period(&group);
-            t = handle.lock_range(t, window[wi].0, window[wi].1, realm_lock_kind(hints));
-            let mut got = 0u64;
-            let mut ej = ei;
-            while got < glen {
-                got += entries[ej].3;
-                ej += 1;
-            }
-            let sieved =
-                matches!(resolve(&hints.io_method, &group, period), Resolved::DataSieve(_));
-            let method = if sieved {
-                // Sieving drains its chunk buffer into the per-client
-                // payloads — the one modelled copy on reads. One span-wide
-                // chunk per group, as on the write side.
-                rank.charge_memcpy(glen);
-                rank.tally(|s| s.bytes_copied += glen);
-                span_wide_sieve(&group)
-            } else {
-                hints.io_method
-            };
-            let (nt, e) = retry_io(rank, hints, t, |at| {
-                read_scattered_nb(handle, at, &group, &mut dests[ei..ej], &method, period)
-                    .into_result()
-            });
-            t = nt;
-            err = err.or(e);
-            ei = ej;
-        }
-        drop(dests);
-        Some((IoCompletion::span(t0, t).or_error(err), bufs))
+        let io = self.issue_chunks(i, &segs, &mut dests, |at, group, dests, method, period| {
+            read_scattered_nb(self.handle, at, group, dests, method, period)
+        });
+        drop((rem, dests));
+        Some((io, bufs))
     }
 
     /// The aggregator sends its per-client payloads, everyone exchanges,

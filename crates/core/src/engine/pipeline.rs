@@ -15,8 +15,11 @@
 //! * the overlap accounting through [`Rank::overlap_begin`] /
 //!   [`Rank::overlap_complete`] — elapsed time is `max(io, exchange)`,
 //!   never the sum, with the hidden part in `Stats::overlap_saved_ns`,
-//! * the EWMA-driven [`CapPolicy::Auto`] depth adaptation, and
-//! * the per-cycle straggler watch feeding graceful degradation.
+//! * the EWMA-driven [`CapPolicy::Auto`] depth adaptation,
+//! * the per-cycle straggler watch feeding graceful degradation, and
+//! * the crash abort: a [`CycleDriver::boundary`] that returns a dead set
+//!   ends the loop, drains what is in flight and hands the set back in
+//!   [`CycleOutcome::dead`].
 //!
 //! An engine plugs in with one driver per direction — [`CycleDriver`]
 //! plus [`WriteDriver`] or [`ReadDriver`] — handed to [`drive_write`] or
@@ -118,16 +121,16 @@ pub(crate) struct StragglerVerdict {
 }
 
 /// What one engine pass reports back beyond its data movement: the first
-/// retry-exhausted fault (fed to the error agreement) and the straggler
-/// verdict the EWMA detector converged on, if any.
+/// retry-exhausted fault (fed to the error agreement), the straggler
+/// verdict the EWMA detector converged on, and the peers a crash boundary
+/// found dead, if any.
 #[derive(Debug, Default)]
 pub(crate) struct CycleOutcome {
     pub err: Option<PfsError>,
     pub straggler: Option<StragglerVerdict>,
-    /// A [`CycleDriver::boundary`] check failed: the remaining cycles were
-    /// skipped and in-flight I/O drained. The driver knows why (for the
-    /// flexible engine: peers found crash-stopped).
-    pub aborted: bool,
+    /// The dead set a [`CycleDriver::boundary`] returned: the remaining
+    /// cycles were skipped and in-flight I/O drained.
+    pub dead: Option<Vec<usize>>,
 }
 
 /// Tracks per-aggregator smoothed I/O durations across buffer cycles and
@@ -200,12 +203,12 @@ pub(crate) trait CycleDriver {
 
     /// Crash boundary before cycle `i` moves any data: the one place a
     /// scheduled rank crash may fire and dead peers are detected, so every
-    /// survivor sees the same partial-cycle prefix. Return `false` to
-    /// abort the drive loop — remaining cycles are skipped, in-flight I/O
-    /// is drained, and the outcome comes back with `aborted` set. The
+    /// survivor sees the same partial-cycle prefix. Returning the peers
+    /// found dead aborts the drive loop — remaining cycles are skipped,
+    /// in-flight I/O is drained, and the outcome carries the dead set. The
     /// default (no crash machinery) never aborts.
-    fn boundary(&mut self, _i: usize) -> bool {
-        true
+    fn boundary(&mut self, _i: usize) -> Option<Vec<usize>> {
+        None
     }
 
     /// Top-of-cycle accounting before any data moves (e.g. charging the
@@ -334,8 +337,8 @@ pub(crate) fn drive_write<D: WriteDriver>(
     let mut pace = Pace::new(handle, policy, watch);
     let mut inflight: VecDeque<(OverlapWindow, NbGuard)> = VecDeque::new();
     for i in 0..driver.n_cycles() {
-        if !driver.boundary(i) {
-            pace.outcome.aborted = true;
+        if let Some(dead) = driver.boundary(i) {
+            pace.outcome.dead = Some(dead);
             break;
         }
         driver.begin_cycle(i);
@@ -409,8 +412,8 @@ pub(crate) fn drive_read<D: ReadDriver>(
     // prefetched read hides behind.
     let mut exch_ns = 0u64;
     for i in 0..n {
-        if !driver.boundary(i) {
-            pace.outcome.aborted = true;
+        if let Some(dead) = driver.boundary(i) {
+            pace.outcome.dead = Some(dead);
             break;
         }
         driver.begin_cycle(i);
@@ -455,7 +458,7 @@ pub(crate) fn drive_read<D: ReadDriver>(
         exch_ns = rank.now().saturating_sub(dist_t0);
     }
     debug_assert!(
-        q.is_empty() || pace.outcome.aborted,
+        q.is_empty() || pace.outcome.dead.is_some(),
         "a read stage was issued but never distributed"
     );
     // An aborted loop leaves prefetched reads in flight; drain their

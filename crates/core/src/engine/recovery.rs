@@ -25,9 +25,11 @@
 //! rank's clock to the deadline), so a generous default watchdog is
 //! nearly free; it is charged exactly like any other communication wait.
 //!
+//! Both checkpoints — a call's entry and each cycle boundary — are
+//! `crash_boundary`, which returns the dead set; a cycle boundary's ends
+//! the drive loop, and the engine returns it as [`IoError::RanksFailed`].
 //! [`run`] wraps the flexible engine with the recovery loop: detect at
-//! entry, run the engine (which detects at every cycle boundary), and on
-//! a failed-rank verdict either surface [`IoError::RanksFailed`]
+//! entry, run the engine, and on a failed-rank verdict either surface it
 //! (`flexio_crash_recovery=disable` — the same agreed list on every
 //! survivor, never a hang) or shrink the communicator to the survivors,
 //! re-elect aggregators and re-partition realms over them, and replay
@@ -54,33 +56,13 @@ const HB_TAG: u64 = (1 << 40) - 64;
 /// Suspect-bitmap exchange tag.
 const SUSPECT_TAG: u64 = HB_TAG + 1;
 
-/// Per-call crash-detection state threaded into the cycle drivers: the
-/// watchdog in nanoseconds and, after an aborted drive, the
-/// communicator-relative ranks found dead.
-pub(crate) struct CrashState {
-    pub watchdog_ns: u64,
-    pub dead: Vec<usize>,
-}
-
-impl CrashState {
-    pub(crate) fn new(hints: &Hints) -> CrashState {
-        CrashState { watchdog_ns: hints.watchdog_us.saturating_mul(1000), dead: Vec::new() }
-    }
-}
-
 /// One crash checkpoint: fire a scheduled crash if its time has come
 /// (this rank never returns then — the fiber unwinds and the world reaps
-/// it), otherwise run failure detection. Returns `false` when dead peers
-/// were found, with the verdict left in `st.dead`.
-pub(crate) fn crash_boundary(rank: &Rank, st: &mut CrashState) -> bool {
+/// it), otherwise run failure detection. Returns the communicator-relative
+/// ranks agreed dead, or `None` when every peer answered.
+pub(crate) fn crash_boundary(rank: &Rank, watchdog_ns: u64) -> Option<Vec<usize>> {
     rank.maybe_crash();
-    let dead = detect_failures(rank, st.watchdog_ns);
-    if dead.is_empty() {
-        true
-    } else {
-        st.dead = dead;
-        false
-    }
+    Some(detect_failures(rank, watchdog_ns)).filter(|dead| !dead.is_empty())
 }
 
 /// Two-round crash detection over `rank`'s communicator. Returns the
@@ -140,9 +122,10 @@ pub(crate) fn detect_failures(rank: &Rank, watchdog_ns: u64) -> Vec<usize> {
 }
 
 /// Run one flexible-engine collective under the crash-recovery loop.
-/// `MpiFile::run_engine` routes here instead of [`flexible::run`] when
-/// the installed fault plan schedules rank crashes; without crashes the
-/// plain path is taken and nothing here runs (charge identity).
+/// `MpiFile::run_engine` routes here instead of [`flexible::run`], whose
+/// signature this shares, when the installed fault plan schedules rank
+/// crashes; without crashes the plain path is taken and nothing here runs
+/// (charge identity).
 ///
 /// `rank` must be the world communicator the collective was issued on;
 /// the loop derives shrinking survivor subgroups from it. On a verdict:
@@ -157,7 +140,7 @@ pub(crate) fn detect_failures(rank: &Rank, watchdog_ns: u64) -> Vec<usize> {
 ///   shrunk communicator on replay.
 ///
 /// [`IoError::RanksFailed`]: crate::error::IoError::RanksFailed
-#[allow(clippy::too_many_arguments)] // mirrors flexible::run (one call site)
+#[allow(clippy::too_many_arguments)] // flexible::run's, so MpiFile::run_engine calls either
 pub fn run(
     rank: &Rank,
     handle: &FileHandle,
@@ -175,12 +158,9 @@ pub fn run(
         // Entry checkpoint: a rank whose crash time already passed dies
         // here, where every survivor detects it — before the engine's
         // metadata allgather could hang on the dead peer.
-        comm.maybe_crash();
-        let dead_local = detect_failures(&comm, watchdog_ns);
-        let res = if dead_local.is_empty() {
-            flexible::run(&comm, handle, my, mem, buf, hints, pfr_state, sched_cache)
-        } else {
-            Err(IoError::RanksFailed(dead_local))
+        let res = match crash_boundary(&comm, watchdog_ns) {
+            Some(dead) => Err(IoError::RanksFailed(dead)),
+            None => flexible::run(&comm, handle, my, mem, buf, hints, pfr_state, sched_cache),
         };
         match res {
             Err(IoError::RanksFailed(dead)) => {

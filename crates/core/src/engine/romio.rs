@@ -21,34 +21,31 @@
 //! depth: it is the read half of a read-modify-write, and the payloads
 //! can only be placed after it lands.
 
-use crate::engine::common::{agree_error, retry_io};
+use crate::engine::common::{retry_io, verdict};
 use crate::engine::flexible::DataBuf;
 use crate::engine::pipeline::{self, CapPolicy, CycleDriver, ReadDriver, WriteDriver};
-use crate::error::{IoError, Result};
+use crate::error::Result;
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
 use flexio_pfs::{FileHandle, IoCompletion};
 use flexio_sim::{Phase, Rank};
 use flexio_types::{MemLayout, Piece};
 
-fn encode_pairs(pieces: &[Piece]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pieces.len() * 16);
-    for p in pieces {
-        out.extend_from_slice(&p.file_off.to_le_bytes());
-        out.extend_from_slice(&p.len.to_le_bytes());
+/// The wire form of `(offset, length)` pairs — the metadata lists and
+/// the two scalar rounds alike: 16 little-endian bytes a pair.
+fn encode_pairs(pairs: impl ExactSizeIterator<Item = (u64, u64)>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(pairs.len() * 16);
+    for (off, len) in pairs {
+        out.extend_from_slice(&off.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
     }
     out
 }
 
-fn decode_pairs(buf: &[u8]) -> Vec<(u64, u64)> {
-    buf.chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().unwrap()),
-                u64::from_le_bytes(c[8..16].try_into().unwrap()),
-            )
-        })
-        .collect()
+/// The pairs [`encode_pairs`] wrote.
+fn decode_pairs(buf: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    buf.chunks_exact(16).map(move |c| (word(&c[..8]), word(&c[8..])))
 }
 
 /// A file-ordered extent the [`WindowSplitter`] cuts: a client's
@@ -159,19 +156,10 @@ pub fn run(
     let m = all_pieces.len() as u64;
 
     // ---- aggregate access region (scalar allgather) -----------------------
-    let (first, end) = match my.file_range() {
-        Some((a, b)) => (a, b),
-        None => (u64::MAX, 0),
-    };
-    let mut scalar = Vec::with_capacity(16);
-    scalar.extend_from_slice(&first.to_le_bytes());
-    scalar.extend_from_slice(&end.to_le_bytes());
-    let ranges = rank.allgatherv(&scalar);
-    let mut lo = u64::MAX;
-    let mut hi = 0u64;
-    for r in &ranges {
-        let a = u64::from_le_bytes(r[0..8].try_into().unwrap());
-        let b = u64::from_le_bytes(r[8..16].try_into().unwrap());
+    let range = my.file_range().unwrap_or((u64::MAX, 0));
+    let ranges = rank.allgatherv(&encode_pairs(std::iter::once(range)));
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for (a, b) in ranges.iter().flat_map(|r| decode_pairs(r)) {
         if b > 0 {
             lo = lo.min(a);
             hi = hi.max(b);
@@ -213,7 +201,7 @@ pub fn run(
         let mut b = vec![Vec::new(); nprocs];
         for (a, list) in per_agg.iter().enumerate() {
             if !list.is_empty() {
-                b[agg_ranks[a]] = encode_pairs(list);
+                b[agg_ranks[a]] = encode_pairs(list.iter().map(|p| (p.file_off, p.len)));
             }
         }
         b
@@ -225,7 +213,7 @@ pub fn run(
     let mut others: Vec<Vec<(u64, u64)>> = Vec::new();
     let (mut st, mut en) = (u64::MAX, 0u64);
     if my_agg_idx.is_some() {
-        others = lists_in.iter().map(|b| decode_pairs(b)).collect();
+        others = lists_in.iter().map(|b| decode_pairs(b).collect()).collect();
         let m_recv: u64 = others.iter().map(|l| l.len() as u64).sum();
         rank.charge_pairs(m_recv);
         for l in &others {
@@ -239,20 +227,9 @@ pub fn run(
     }
 
     // Everyone learns each aggregator's actual data bounds.
-    let mut bscal = Vec::with_capacity(16);
-    bscal.extend_from_slice(&st.to_le_bytes());
-    bscal.extend_from_slice(&en.to_le_bytes());
-    let all_bounds = rank.allgatherv(&bscal);
-    let agg_bounds: Vec<(u64, u64)> = agg_ranks
-        .iter()
-        .map(|&ar| {
-            let b = &all_bounds[ar];
-            (
-                u64::from_le_bytes(b[0..8].try_into().unwrap()),
-                u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            )
-        })
-        .collect();
+    let all_bounds = rank.allgatherv(&encode_pairs(std::iter::once((st, en))));
+    let agg_bounds: Vec<(u64, u64)> =
+        agg_ranks.iter().flat_map(|&ar| decode_pairs(&all_bounds[ar])).collect();
 
     let cb = hints.cb_buffer_size as u64;
     let ntimes = agg_bounds
@@ -316,21 +293,7 @@ pub fn run(
             pipeline::drive_read(rank, handle, &mut romio, policy, None, None)
         }
     };
-    let first_err = outcome.err;
-
-    // ---- collective error agreement ---------------------------------------
-    // Same gate as the flexible engine: a fault plan is the only source of
-    // request errors, and its presence is identical on every rank, so
-    // fault-free runs pay no extra communication and faulted runs always
-    // reach the same verdict together.
-    if handle.pfs().fault_plan().is_some() {
-        if let Some(e) = agree_error(rank, first_err) {
-            return Err(IoError::Transient(e));
-        }
-    } else {
-        debug_assert!(first_err.is_none(), "a fault was reported without a fault plan");
-    }
-    Ok(())
+    verdict(rank, handle, outcome.err)
 }
 
 /// Spanning range of one cycle's requests at this aggregator:

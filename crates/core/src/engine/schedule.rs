@@ -945,7 +945,10 @@ mod tests {
 
     /// Derive from `clients`' wires and check every cycle against
     /// [`cell_by_cell`]: pieces, cells and the pairs of every row and
-    /// column. Returns the cells the derivation charged by the run.
+    /// column. Also checks, for every aggregator, the invariant the
+    /// flexible engine's file loop slices its runs by: the realm-chunk
+    /// groups of a column's merged segments end on entry boundaries.
+    /// Returns the cells the derivation charged by the run.
     fn assert_derives_cell_by_cell(clients: &[ClientAccess], hints: &Hints, earlier: Option<&Arc<RealmSet>>) -> u64 {
         let wires: Vec<Vec<u8>> = clients.iter().map(ClientAccess::to_wire).collect();
         let d = Derivation::new(&wires, hints, earlier);
@@ -964,6 +967,21 @@ mod tests {
             assert_eq!(of(&cyc.cols), by_agg, "cycle {t}: columns");
             assert_eq!(cyc.row_pairs, rows, "cycle {t}: row pairs");
             assert_eq!(cyc.col_pairs, cols, "cycle {t}: column pairs");
+            for (a, window) in cyc.windows.iter().enumerate() {
+                let column: Vec<(usize, &[Piece])> = (cyc.cols.group(a).iter())
+                    .map(|c| (c.client, &cyc.pieces[c.pieces.clone()]))
+                    .collect();
+                let (entries, segs) = crate::engine::common::merge_pieces(&column);
+                let (mut entries, mut grouped, mut taken) = (entries.iter(), 0u64, 0u64);
+                for (_, group) in crate::engine::common::group_by_window(&segs, window) {
+                    grouped += group.iter().map(|s| s.1).sum::<u64>();
+                    while taken < grouped {
+                        taken += entries.next().expect("the entries cover every group").3;
+                    }
+                    assert_eq!(taken, grouped, "cycle {t}, aggregator {a}: a group splits an entry");
+                }
+                assert!(entries.next().is_none(), "cycle {t}, aggregator {a}: an entry past the groups");
+            }
         }
         d.run_cells
     }

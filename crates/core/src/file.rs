@@ -169,52 +169,25 @@ impl<'r> MpiFile<'r> {
     }
 
     fn run_engine(&self, acc: &ClientAccess, mem: &MemLayout, mut buf: DataBuf<'_>) -> Result<()> {
-        match self.hints.engine {
-            Engine::Flexible => {
-                let mut pfr = self.pfr_realms.borrow_mut();
-                let mut sched = self.sched_cache.borrow_mut();
-                // Under a crash-scheduling fault plan the call runs inside
-                // the recovery loop (entry detection + survivor replay);
-                // without crashes the plain engine path is byte- and
-                // charge-identical to before the crash machinery existed.
-                let crashes =
-                    self.handle.pfs().fault_plan().is_some_and(|p| !p.crashes.is_empty());
-                if crashes {
-                    engine::recovery::run(
-                        self.rank,
-                        &self.handle,
-                        acc,
-                        mem,
-                        &mut buf,
-                        &self.hints,
-                        &mut pfr,
-                        &mut sched,
-                    )
-                } else {
-                    engine::flexible::run(
-                        self.rank,
-                        &self.handle,
-                        acc,
-                        mem,
-                        &mut buf,
-                        &self.hints,
-                        &mut pfr,
-                        &mut sched,
-                    )
-                }
+        // Under a crash-scheduling fault plan a flexible call runs inside
+        // the recovery loop (entry detection + survivor replay); without
+        // crashes the plain engine path is byte- and charge-identical to
+        // before the crash machinery existed. The baseline engine has no
+        // crash checkpoints or recovery protocol: under a crash schedule
+        // its scheduled crashes would silently never fire.
+        let crashes = self.handle.pfs().fault_plan().is_some_and(|p| !p.crashes.is_empty());
+        let run = match (self.hints.engine, crashes) {
+            (Engine::Romio, true) => {
+                return Err(IoError::BadHints("crash-stop fault plans require the flexible engine"))
             }
-            Engine::Romio => {
-                // The baseline engine has no crash checkpoints or recovery
-                // protocol; running it under a crash schedule would let the
-                // scheduled crashes silently never fire.
-                if self.handle.pfs().fault_plan().is_some_and(|p| !p.crashes.is_empty()) {
-                    return Err(IoError::BadHints(
-                        "crash-stop fault plans require the flexible engine",
-                    ));
-                }
-                engine::romio::run(self.rank, &self.handle, acc, mem, buf, &self.hints)
+            (Engine::Romio, false) => {
+                return engine::romio::run(self.rank, &self.handle, acc, mem, buf, &self.hints)
             }
-        }
+            (Engine::Flexible, true) => engine::recovery::run,
+            (Engine::Flexible, false) => engine::flexible::run,
+        };
+        let (mut pfr, mut sched) = (self.pfr_realms.borrow_mut(), self.sched_cache.borrow_mut());
+        run(self.rank, &self.handle, acc, mem, &mut buf, &self.hints, &mut pfr, &mut sched)
     }
 
     /// Independent (non-collective) write through the view at an etype

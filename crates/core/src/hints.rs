@@ -183,6 +183,14 @@ impl Hints {
         if self.cb_nodes == Some(0) {
             return Err(crate::error::IoError::BadHints("cb_nodes must be nonzero"));
         }
+        if matches!(
+            self.io_method,
+            IoMethod::DataSieve { buffer: 0 } | IoMethod::Conditional { sieve_buffer: 0, .. }
+        ) {
+            return Err(crate::error::IoError::BadHints(
+                "the sieve buffer (ind_wr_buffer_size / ind_rd_buffer_size) must be nonzero",
+            ));
+        }
         if self.fr_alignment == Some(0) {
             return Err(crate::error::IoError::BadHints("fr_alignment must be nonzero"));
         }

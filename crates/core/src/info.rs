@@ -287,6 +287,22 @@ mod tests {
         assert!(hints_from_info(Hints::default(), &[("romio_ds_write", "sometimes")]).is_err());
         assert!(hints_from_info(Hints::default(), &[("cb_buffer_size", "0")]).is_err());
         assert!(hints_from_info(Hints::default(), &[("striping_unit", "0")]).is_err());
+        // A zero sieve buffer would cut independent I/O into 1-byte
+        // read-modify-write chunks; without sieving it is unused.
+        for key in ["ind_wr_buffer_size", "ind_rd_buffer_size"] {
+            for ds in ["enable", "automatic"] {
+                let r = hints_from_info(Hints::default(), &[(key, "0"), ("romio_ds_write", ds)]);
+                assert!(matches!(r, Err(IoError::BadHints(m)) if m.contains("sieve buffer")));
+            }
+            let naive = [(key, "0"), ("romio_ds_write", "disable")];
+            assert_eq!(hints_from_info(Hints::default(), &naive).unwrap().io_method, IoMethod::Naive);
+        }
+        for io_method in [
+            IoMethod::DataSieve { buffer: 0 },
+            IoMethod::Conditional { extent_threshold: 16 << 10, sieve_buffer: 0 },
+        ] {
+            assert!(Hints { io_method, ..Hints::default() }.validate().is_err());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the caller's virtual `now` and return the virtual completion time — the
 //! sim rank advances its own clock with the result.
 
-use crate::cache::ClientCache;
+use crate::cache::{ClientCache, DirtyRun};
 use crate::config::PfsConfig;
 use crate::fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind};
 use crate::lock::{LockKind, LockTable};
@@ -268,47 +268,46 @@ impl Pfs {
         if len == 0 {
             return Ok(now);
         }
-        let mut finish = now;
-        let mut err: Option<PfsError> = None;
+        let (mut finish, mut err) = (now, None);
         let mut pos = off;
         let end = off + len;
         while pos < end {
             let stripe_end = (pos / self.cfg.stripe_size + 1) * self.cfg.stripe_size;
             let chunk_end = end.min(stripe_end);
             let rmw = if is_write { self.rmw_pages_for(file, pos, chunk_end - pos) } else { 0 };
-            match self.ost_chunk(file, now, pos, chunk_end - pos, is_write, rmw) {
-                Ok(t) => finish = finish.max(t),
-                Err(e) => {
-                    finish = finish.max(e.at);
-                    err.get_or_insert(e);
-                }
-            }
+            let res = self.ost_chunk(file, now, pos, chunk_end - pos, is_write, rmw);
+            finish = finish.max(keep_first(&mut err, res));
             pos = chunk_end;
         }
         self.tally(|s| if is_write { s.bytes_written += len } else { s.bytes_read += len });
-        match err {
-            Some(e) => Err(PfsError { at: finish, ..e }),
-            None => Ok(finish),
-        }
+        err.map_or(Ok(finish), |e| Err(PfsError { at: finish, ..e }))
     }
 
-    /// [`Pfs::raw_io`] for internal coherence traffic (lock-revocation
-    /// victim flushes): the lock manager retries transient errors
-    /// internally, so only the time matters to the caller.
-    fn raw_io_infallible(&self, file: &FileObj, now: u64, off: u64, len: u64, is_write: bool) -> u64 {
-        match self.raw_io(file, now, off, len, is_write) {
-            Ok(t) => t,
-            Err(e) => e.at,
+    /// Write a client cache's dirty runs back, one request after another
+    /// from `now`, storing only the bytes below the file's size: the rest
+    /// of a page past the end holds no file bytes, and storing it would
+    /// raise the size to the page boundary. The data lands even when a
+    /// request faults. Returns the completion time and the first fault.
+    fn write_back(&self, file: &FileObj, now: u64, runs: Vec<DirtyRun>) -> (u64, Option<PfsError>) {
+        let (mut t, mut err) = (now, None);
+        for run in runs {
+            let len = run.data.len() as u64;
+            self.tally(|s| s.flush_bytes += len);
+            t = t.max(keep_first(&mut err, self.raw_io(file, t, run.off, len, true)));
+            let keep = file.size().saturating_sub(run.off).min(len);
+            let kept = &run.data[..keep as usize];
+            self.store_pieces(file, run.off, keep, std::iter::once((run.off, kept)));
         }
+        (t, err)
     }
 
-    /// Store a cache write-back of whole pages at `off`: only the bytes
-    /// below the file's size. The rest of a page past the end holds no
-    /// file bytes, and storing it would raise the size to the page
-    /// boundary.
-    fn write_back(&self, file: &FileObj, off: u64, data: &[u8]) {
-        let keep = file.size().saturating_sub(off).min(data.len() as u64);
-        self.store_pieces(file, off, keep, std::iter::once((off, &data[..keep as usize])));
+    /// Fill `page` of `cache` from the image, as an OST read delivers it.
+    fn fill_page(&self, file: &FileObj, cache: &mut ClientCache, page: u64) {
+        let ps = self.cfg.page_size;
+        let mut buf = vec![0u8; ps as usize];
+        self.load(file, std::iter::once((page * ps, &mut buf[..])));
+        cache.fill(page, buf);
+        self.tally(|s| s.cache_fills += 1);
     }
 
     /// Grow the image to `off + len`, raise the file size to it, and copy
@@ -347,6 +346,15 @@ impl Pfs {
             buf[have..].fill(0);
         }
     }
+}
+
+/// Fold one request's result into `err`, which keeps a sequence's first
+/// fault, and return the request's completion time — a fault's own `at`.
+fn keep_first(err: &mut Option<PfsError>, res: Result<u64, PfsError>) -> u64 {
+    res.unwrap_or_else(|e| {
+        err.get_or_insert(e);
+        e.at
+    })
 }
 
 /// A position in a run list — an iovec-style list of byte slices read as
@@ -618,15 +626,9 @@ impl FileHandle {
         for (victim, s, e) in &acq.revoked {
             t += self.pfs.cfg.cost.lock_revoke_ns;
             if let Some(cache) = coh.caches.get_mut(victim) {
-                let runs = cache.take_dirty(*s, *e);
-                for run in runs {
-                    self.pfs.tally(|s| s.flush_bytes += run.data.len() as u64);
-                    let fin = self
-                        .pfs
-                        .raw_io_infallible(&self.file, t, run.off, run.data.len() as u64, true);
-                    self.pfs.write_back(&self.file, run.off, &run.data);
-                    t = t.max(fin);
-                }
+                // The lock manager retries its own traffic: only the time
+                // reaches the requester, never the fault.
+                t = self.pfs.write_back(&self.file, t, cache.take_dirty(*s, *e)).0;
                 cache.invalidate(*s, *e);
             }
         }
@@ -676,39 +678,20 @@ impl FileHandle {
                 .caches
                 .entry(self.client)
                 .or_insert_with(|| ClientCache::new(ps));
-            // Fill partially-overwritten pages that hold existing data.
+            // A partially overwritten page is filled from the store when
+            // it holds existing data, with zeros (and no request) past EOF.
             let end = off + len;
-            let mut fills: Vec<u64> = Vec::new();
-            if !off.is_multiple_of(ps) || !end.is_multiple_of(ps) {
-                for page in cache.missing_pages(off, len) {
-                    let p_start = page * ps;
-                    let p_covered = off <= p_start && end >= p_start + ps;
-                    if !p_covered && p_start < size_before {
-                        fills.push(page);
-                    }
-                }
-            }
-            let mut err: Option<PfsError> = None;
-            for page in fills {
-                let p_start = page * ps;
-                let fin = match self.pfs.raw_io(&self.file, t, p_start, ps, false) {
-                    Ok(fin) => fin,
-                    Err(e) => {
-                        err.get_or_insert(e);
-                        e.at
-                    }
-                };
-                let mut buf = vec![0u8; ps as usize];
-                self.pfs.load(&self.file, std::iter::once((p_start, &mut buf[..])));
-                cache.fill(page, buf);
-                self.pfs.tally(|s| s.cache_fills += 1);
-                t = t.max(fin);
-            }
-            // Zero-fill pages that are partial but beyond EOF.
+            let mut err = None;
             for page in cache.missing_pages(off, len) {
                 let p_start = page * ps;
-                let p_covered = off <= p_start && end >= p_start + ps;
-                if !p_covered {
+                if off <= p_start && end >= p_start + ps {
+                    continue; // overwritten whole
+                }
+                if p_start < size_before {
+                    let res = self.pfs.raw_io(&self.file, t, p_start, ps, false);
+                    t = t.max(keep_first(&mut err, res));
+                    self.pfs.fill_page(&self.file, cache, page);
+                } else {
                     cache.fill(page, vec![0u8; ps as usize]);
                 }
             }
@@ -717,10 +700,7 @@ impl FileHandle {
             cache.write_pieces(off, len, pieces(segs, runs));
             t += (len as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
             self.file.size.fetch_max(end, Ordering::SeqCst);
-            match err {
-                Some(e) => Err(PfsError { at: t, ..e }),
-                None => Ok(t),
-            }
+            err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
         } else {
             let res = self.pfs.raw_io(&self.file, t, off, len, true);
             // Torn-write injection applies to the direct (uncached) write
@@ -788,41 +768,21 @@ impl FileHandle {
                 .caches
                 .entry(self.client)
                 .or_insert_with(|| ClientCache::new(ps));
-            let missing = cache.missing_pages(off, len);
-            let mut err: Option<PfsError> = None;
+            let mut err = None;
             // Fetch missing pages as coalesced runs.
-            let mut i = 0;
-            while i < missing.len() {
-                let mut j = i;
-                while j + 1 < missing.len() && missing[j + 1] == missing[j] + 1 {
-                    j += 1;
+            for run in cache.missing_pages(off, len).chunk_by(|a, b| b - a == 1) {
+                let (first, pages) = (run[0], run.len() as u64);
+                let res = self.pfs.raw_io(&self.file, t, first * ps, pages * ps, false);
+                t = t.max(keep_first(&mut err, res));
+                for &page in run {
+                    self.pfs.fill_page(&self.file, cache, page);
                 }
-                let run_off = missing[i] * ps;
-                let run_len = (missing[j] + 1) * ps - run_off;
-                let fin = match self.pfs.raw_io(&self.file, t, run_off, run_len, false) {
-                    Ok(fin) => fin,
-                    Err(e) => {
-                        err.get_or_insert(e);
-                        e.at
-                    }
-                };
-                t = t.max(fin);
-                for page in missing[i]..=missing[j] {
-                    let mut data = vec![0u8; ps as usize];
-                    self.pfs.load(&self.file, std::iter::once((page * ps, &mut data[..])));
-                    cache.fill(page, data);
-                    self.pfs.tally(|s| s.cache_fills += 1);
-                }
-                i = j + 1;
             }
             for (at, dst) in pieces_mut(segs, dests) {
                 cache.read(at, dst);
             }
             t += (len as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
-            match err {
-                Some(e) => Err(PfsError { at: t, ..e }),
-                None => Ok(t),
-            }
+            err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
         } else {
             let res = self.pfs.raw_io(&self.file, t, off, len, false);
             self.pfs.load(&self.file, pieces_mut(segs, dests));
@@ -958,31 +918,12 @@ impl FileHandle {
     /// (so a failed flush cannot lose dirty pages); the error tells the
     /// caller the *request* outcome.
     pub fn flush(&self, now: u64) -> Result<u64, PfsError> {
-        let mut t = now;
-        if !self.pfs.cfg.client_cache {
-            return Ok(t);
-        }
-        let mut err: Option<PfsError> = None;
         let mut coh = self.file.coherency.lock().unwrap();
-        if let Some(cache) = coh.caches.get_mut(&self.client) {
-            for run in cache.take_all_dirty() {
-                self.pfs.tally(|s| s.flush_bytes += run.data.len() as u64);
-                let fin = match self.pfs.raw_io(&self.file, t, run.off, run.data.len() as u64, true)
-                {
-                    Ok(fin) => fin,
-                    Err(e) => {
-                        err.get_or_insert(e);
-                        e.at
-                    }
-                };
-                self.pfs.write_back(&self.file, run.off, &run.data);
-                t = t.max(fin);
-            }
-        }
-        match err {
-            Some(e) => Err(PfsError { at: t, ..e }),
-            None => Ok(t),
-        }
+        let Some(cache) = coh.caches.get_mut(&self.client) else {
+            return Ok(now); // nothing cached, or no client cache at all
+        };
+        let (t, err) = self.pfs.write_back(&self.file, now, cache.take_all_dirty());
+        err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
     }
 
     /// Flush, invalidate the cache, and release this client's locks.
@@ -1641,6 +1582,32 @@ mod tests {
         assert_eq!(buf, [5u8; 32]);
         assert_eq!(pfs.stats().lock_revocations, 1);
         assert_eq!(pfs.stats().flush_bytes, 32);
+    }
+
+    #[test]
+    fn a_faulted_write_back_lands_and_is_counted() {
+        // Every OST request faults. A flush reports its fault, stamped at
+        // the end of its write-back, yet counts and stores the run; a
+        // revocation writes the victim's run back the same way, and the
+        // requester sees only its own request's fault.
+        let pfs = Pfs::with_faults(locking_cfg(true), FaultPlan::transient(3, 1.0));
+        let a = pfs.open("f", 0);
+        a.write(0, 0, &[5u8; 32]).unwrap(); // whole pages: cached, no request
+        let err = a.flush(1000).unwrap_err();
+        assert_eq!(err.kind, PfsErrorKind::TransientOst);
+        assert_eq!(err.at, 91_137, "one 32-byte write-back request after 1 000");
+        assert_eq!(pfs.stats().flush_bytes, 32);
+        assert_eq!(a.file.content.read().unwrap()[..], [5u8; 32]);
+        a.write(err.at, 32, &[6u8; 16]).unwrap(); // the lock is still held
+        let b = pfs.open("f", 1);
+        let mut buf = [0u8; 16];
+        let err = b.read(err.at, 32, &mut buf).unwrap_err();
+        assert_eq!(err.kind, PfsErrorKind::TransientOst);
+        assert_eq!(err.at, 1_901_281);
+        assert_eq!(buf, [6u8; 16], "the victim's run reached the file first");
+        assert_eq!(pfs.stats().lock_revocations, 1);
+        assert_eq!(pfs.stats().flush_bytes, 48);
+        assert_eq!(a.file.content.read().unwrap()[32..], [6u8; 16]);
     }
 
     #[test]
