@@ -72,15 +72,11 @@ pub fn run(
     pfr_state: &mut Option<Arc<RealmSet>>,
     sched_cache: &mut Option<ExchangeSchedule>,
 ) -> Result<()> {
-    // Crash machinery arms only when the plan schedules crashes: all
-    // ranks see the same plan, so the per-cycle boundary checks (and
-    // their heartbeats) run collectively or not at all, and crash-free
-    // plans stay charge-identical.
-    let watchdog = handle
-        .pfs()
-        .fault_plan()
-        .is_some_and(|p| !p.crashes.is_empty())
-        .then(|| hints.watchdog_us.saturating_mul(1000));
+    // Crash machinery arms only in a crashable world: every rank of it
+    // is crashable, so the per-cycle boundary checks (and their
+    // heartbeats) run collectively or not at all, and worlds that cannot
+    // crash stay charge-identical.
+    let watchdog = rank.crashable().then(|| hints.watchdog_us.saturating_mul(1000));
 
     // ---- metadata exchange: flattened filetypes (D pairs each) ----------
     rank.charge_pairs(my.view.d() as u64);
@@ -397,7 +393,7 @@ struct Flex<'a, U> {
     hints: &'a Hints,
     sched: &'a ExchangeSchedule,
     charge_cycles: bool,
-    /// The crash watchdog in ns; `Some` only under a crash schedule.
+    /// The crash watchdog in ns; `Some` only in a crashable world.
     watchdog: Option<u64>,
 }
 

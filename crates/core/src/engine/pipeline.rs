@@ -9,9 +9,9 @@
 //! exactly the same thing under the flexible engine and the ROMIO
 //! baseline:
 //!
-//! * the in-flight window deque (one [`OverlapWindow`] + [`NbGuard`] per
-//!   outstanding cycle, drained when its collective buffer must be
-//!   reused),
+//! * the in-flight window deque (one [`OverlapWindow`] per outstanding
+//!   cycle, drained when its collective buffer must be reused; its length
+//!   is what [`FileHandle::note_queued`] reports),
 //! * the overlap accounting through [`Rank::overlap_begin`] /
 //!   [`Rank::overlap_complete`] — elapsed time is `max(io, exchange)`,
 //!   never the sum, with the hidden part in `Stats::overlap_saved_ns`,
@@ -30,7 +30,7 @@
 
 use crate::engine::common::ewma;
 use crate::hints::{Hints, PipelineDepth};
-use flexio_pfs::{FileHandle, IoCompletion, NbGuard, PfsError};
+use flexio_pfs::{FileHandle, IoCompletion, PfsError};
 use flexio_sim::{OverlapWindow, Phase, Rank};
 use std::collections::VecDeque;
 
@@ -335,7 +335,7 @@ pub(crate) fn drive_write<D: WriteDriver>(
     mut derive_win: Option<OverlapWindow>,
 ) -> CycleOutcome {
     let mut pace = Pace::new(handle, policy, watch);
-    let mut inflight: VecDeque<(OverlapWindow, NbGuard)> = VecDeque::new();
+    let mut inflight: VecDeque<OverlapWindow> = VecDeque::new();
     for i in 0..driver.n_cycles() {
         if let Some(dead) = driver.boundary(i) {
             pace.outcome.dead = Some(dead);
@@ -353,11 +353,9 @@ pub(crate) fn drive_write<D: WriteDriver>(
             }
         }
         // All cap+1 collective buffers are full once the next exchange has
-        // run: drain the oldest in-flight I/O before reusing its buffer
-        // (dropping its guard retires it from the handle's inflight tally).
+        // run: drain the oldest in-flight I/O before reusing its buffer.
         while inflight.len() >= pace.cap.max(1) {
-            let (w, _guard) = inflight.pop_front().expect("nonempty");
-            rank.overlap_complete(w);
+            rank.overlap_complete(inflight.pop_front().expect("nonempty"));
         }
         let mut cycle_io_ns = 0u64;
         if let Some(stage) = stage {
@@ -366,19 +364,18 @@ pub(crate) fn drive_write<D: WriteDriver>(
             if pace.cap == 0 {
                 wait_now(rank, &io);
             } else {
-                let w = rank.overlap_begin(io.done_at(), Phase::Io);
-                inflight.push_back((w, handle.nb_issued()));
+                inflight.push_back(rank.overlap_begin(io.done_at(), Phase::Io));
+                handle.note_queued(inflight.len());
                 pace.in_flight(rank, &io, exch_ns, inflight.len() + 1);
             }
         }
         pace.observe(rank, cycle_io_ns);
         // If Auto just lowered the cap, fall back to it right away.
         while inflight.len() > pace.cap {
-            let (w, _guard) = inflight.pop_front().expect("nonempty");
-            rank.overlap_complete(w);
+            rank.overlap_complete(inflight.pop_front().expect("nonempty"));
         }
     }
-    for (w, _guard) in inflight {
+    for w in inflight {
         rank.overlap_complete(w);
     }
     pace.outcome
@@ -404,9 +401,9 @@ pub(crate) fn drive_read<D: ReadDriver>(
 ) -> CycleOutcome {
     let n = driver.n_cycles();
     let mut pace = Pace::new(handle, policy, watch);
-    // Prefetched reads: (cycle index, overlap window, filled stage, nb
-    // guard), in cycle order. `next` is the first cycle not yet issued.
-    let mut q: VecDeque<(usize, OverlapWindow, D::Stage, NbGuard)> = VecDeque::new();
+    // Prefetched reads: (cycle index, overlap window, filled stage), in
+    // cycle order. `next` is the first cycle not yet issued.
+    let mut q: VecDeque<(usize, OverlapWindow, D::Stage)> = VecDeque::new();
     let mut next = 0usize;
     // The previous cycle's distribute duration — the exchange-side work a
     // prefetched read hides behind.
@@ -418,11 +415,10 @@ pub(crate) fn drive_read<D: ReadDriver>(
         }
         driver.begin_cycle(i);
         let mut cycle_io_ns = 0u64;
-        let stage = if q.front().is_some_and(|(c, _, _, _)| *c == i) {
+        let stage = if q.front().is_some_and(|(c, _, _)| *c == i) {
             // This cycle's read was prefetched; its window has been
-            // overlapping the distributions since. Drain it now (the
-            // guard drop retires it from the handle's inflight tally).
-            let (_, w, stage, _guard) = q.pop_front().expect("nonempty");
+            // overlapping the distributions since. Drain it now.
+            let (_, w, stage) = q.pop_front().expect("nonempty");
             rank.overlap_complete(w);
             Some(stage)
         } else {
@@ -447,7 +443,8 @@ pub(crate) fn drive_read<D: ReadDriver>(
             if let Some((io, stage)) = driver.issue(next) {
                 cycle_io_ns += pace.issued(&io);
                 let w = rank.overlap_begin(io.done_at(), Phase::Io);
-                q.push_back((next, w, stage, handle.nb_issued()));
+                q.push_back((next, w, stage));
+                handle.note_queued(q.len());
                 pace.in_flight(rank, &io, exch_ns, q.len() + 1);
             }
             next += 1;
@@ -462,8 +459,8 @@ pub(crate) fn drive_read<D: ReadDriver>(
         "a read stage was issued but never distributed"
     );
     // An aborted loop leaves prefetched reads in flight; drain their
-    // windows (guard drops retire them from the handle's inflight tally).
-    for (_, w, _, _guard) in q {
+    // windows.
+    for (_, w, _) in q {
         rank.overlap_complete(w);
     }
     pace.outcome

@@ -123,9 +123,10 @@ pub(crate) fn detect_failures(rank: &Rank, watchdog_ns: u64) -> Vec<usize> {
 
 /// Run one flexible-engine collective under the crash-recovery loop.
 /// `MpiFile::run_engine` routes here instead of [`flexible::run`], whose
-/// signature this shares, when the installed fault plan schedules rank
-/// crashes; without crashes the plain path is taken and nothing here runs
-/// (charge identity).
+/// signature this shares, when the rank's world is crashable
+/// ([`Rank::crashable`]: built by `flexio_sim::run_crashable`, whatever
+/// its schedule holds); in any other world the plain path is taken and
+/// nothing here runs (charge identity).
 ///
 /// `rank` must be the world communicator the collective was issued on;
 /// the loop derives shrinking survivor subgroups from it. On a verdict:

@@ -169,16 +169,15 @@ impl<'r> MpiFile<'r> {
     }
 
     fn run_engine(&self, acc: &ClientAccess, mem: &MemLayout, mut buf: DataBuf<'_>) -> Result<()> {
-        // Under a crash-scheduling fault plan a flexible call runs inside
-        // the recovery loop (entry detection + survivor replay); without
-        // crashes the plain engine path is byte- and charge-identical to
-        // before the crash machinery existed. The baseline engine has no
-        // crash checkpoints or recovery protocol: under a crash schedule
-        // its scheduled crashes would silently never fire.
-        let crashes = self.handle.pfs().fault_plan().is_some_and(|p| !p.crashes.is_empty());
-        let run = match (self.hints.engine, crashes) {
+        // In a crashable world a flexible call runs inside the recovery
+        // loop (entry detection + survivor replay); in any other world the
+        // plain engine path is byte- and charge-identical to before the
+        // crash machinery existed. The baseline engine has no crash
+        // checkpoints or recovery protocol: in a crashable world its
+        // scheduled crashes would silently never fire.
+        let run = match (self.hints.engine, self.rank.crashable()) {
             (Engine::Romio, true) => {
-                return Err(IoError::BadHints("crash-stop fault plans require the flexible engine"))
+                return Err(IoError::BadHints("crashable worlds require the flexible engine"))
             }
             (Engine::Romio, false) => {
                 return engine::romio::run(self.rank, &self.handle, acc, mem, buf, &self.hints)

@@ -117,7 +117,7 @@ pub struct Hints {
     /// Failure-detection watchdog, microseconds of virtual time
     /// (`flexio_watchdog_us`): how long a rank waits at a collective
     /// boundary for a peer's heartbeat before suspecting it dead. Only
-    /// consulted when the installed fault plan schedules crashes; must
+    /// consulted in a crashable world (`flexio_sim::Rank::crashable`); must
     /// comfortably exceed per-cycle clock skew between ranks or a slow
     /// peer is falsely declared dead. Virtual-time cost only.
     pub watchdog_us: u64,

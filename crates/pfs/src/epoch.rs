@@ -67,11 +67,7 @@ fn decode_slot(rec: &[u8]) -> Option<u64> {
 /// [`PfsErrorKind::TornWrite`]: crate::PfsErrorKind::TornWrite
 pub fn commit_epoch(hdr: &FileHandle, now: u64, gen: u64) -> Result<u64, PfsError> {
     let rec = encode_slot(gen);
-    let guard = hdr.nb_issued();
-    let op = hdr.pwritev_nb(now, (gen % 2) * SLOT_BYTES, &[&rec]);
-    let res = op.wait(now);
-    drop(guard);
-    res
+    hdr.pwritev_nb(now, (gen % 2) * SLOT_BYTES, &[&rec]).wait(now)
 }
 
 /// Recover the committed generation from a family's header handle: the

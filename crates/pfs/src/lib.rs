@@ -41,8 +41,6 @@ pub mod lock;
 pub use cache::{ClientCache, DirtyRun};
 pub use config::{PfsConfig, PfsCostModel};
 pub use extent::ExtentSet;
-pub use fault::{CrashSpec, FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
-pub use fs::{
-    FileHandle, FileObj, IoCompletion, NbGuard, Pfs, RunCursor, RunCursorMut, StatsSnapshot,
-};
+pub use fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
+pub use fs::{FileHandle, FileObj, IoCompletion, Pfs, RunCursor, RunCursorMut, StatsSnapshot};
 pub use lock::{Acquire, LockKind, LockTable};

@@ -310,12 +310,21 @@ impl Rank {
         }
     }
 
+    /// Whether this rank's world was built to crash
+    /// ([`crate::world::run_crashable`] or [`World::with_crashes`]),
+    /// whatever its schedule holds; false under [`crate::world::run`].
+    /// The same on every rank of the world and on every subgroup handle,
+    /// so callers may arm crash detection on it collectively.
+    pub fn crashable(&self) -> bool {
+        self.world.crashable()
+    }
+
     /// Crash checkpoint: if this rank's scheduled crash time (see
     /// [`crate::world::run_crashable`]) has been reached, the rank
-    /// crash-stops — its fiber unwinds (running destructors, releasing
-    /// nb-op guards), its mailbox is reaped, and it never communicates
-    /// again. Call at points where dying is survivable for the rest of
-    /// the world, i.e. *between* collectives, never inside one.
+    /// crash-stops — its fiber unwinds (running destructors), its mailbox
+    /// is reaped, and it never communicates again. Call at points where
+    /// dying is survivable for the rest of the world, i.e. *between*
+    /// collectives, never inside one.
     pub fn maybe_crash(&self) {
         if self.now() >= self.world.crash_time(self.global) && !self.seg().is_dead(self.global) {
             std::panic::resume_unwind(Box::new(crate::world::CrashStop));

@@ -266,21 +266,29 @@ pub struct World {
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
-    /// never). Checked by [`crate::rank::Rank::maybe_crash`].
-    crash_at: Vec<u64>,
+    /// never), checked by [`crate::rank::Rank::maybe_crash`]; `None` in a
+    /// world that cannot crash ([`World::new`]).
+    crash_at: Option<Vec<u64>>,
 }
 
 impl World {
-    /// Create a world of `nprocs` ranks with the given cost model.
+    /// Create a world of `nprocs` ranks with the given cost model. Its
+    /// ranks never crash, and [`Rank::crashable`] is false on them.
+    ///
+    /// [`Rank::crashable`]: crate::rank::Rank::crashable
     pub fn new(nprocs: usize, cost: CostModel) -> Arc<World> {
-        Self::with_crashes(nprocs, cost, &[])
+        assert!(nprocs > 0, "world needs at least one rank");
+        Arc::new(World { nprocs, cost, crash_at: None })
     }
 
     /// [`World::new`] plus a crash-stop schedule: each `(rank, at_ns)`
     /// entry kills that rank's fiber at its first [`Rank::maybe_crash`]
-    /// check at or past `at_ns` of virtual time.
+    /// check at or past `at_ns` of virtual time. The world is crashable
+    /// ([`Rank::crashable`]) whatever the schedule holds, an empty one
+    /// included.
     ///
     /// [`Rank::maybe_crash`]: crate::rank::Rank::maybe_crash
+    /// [`Rank::crashable`]: crate::rank::Rank::crashable
     pub fn with_crashes(nprocs: usize, cost: CostModel, crashes: &[(usize, u64)]) -> Arc<World> {
         assert!(nprocs > 0, "world needs at least one rank");
         let mut crash_at = vec![u64::MAX; nprocs];
@@ -288,12 +296,17 @@ impl World {
             assert!(r < nprocs, "crash rank {r} out of range for {nprocs} ranks");
             crash_at[r] = crash_at[r].min(at);
         }
-        Arc::new(World { nprocs, cost, crash_at })
+        Arc::new(World { nprocs, cost, crash_at: Some(crash_at) })
+    }
+
+    /// Whether this world was built with a crash schedule.
+    pub(crate) fn crashable(&self) -> bool {
+        self.crash_at.is_some()
     }
 
     /// The scheduled crash time of `rank` (`u64::MAX` = never).
     pub(crate) fn crash_time(&self, rank: usize) -> u64 {
-        self.crash_at[rank]
+        self.crash_at.as_ref().map_or(u64::MAX, |c| c[rank])
     }
 
     /// Number of ranks.
@@ -483,9 +496,11 @@ where
 /// Run `f` on every rank of a fresh world carrying a crash-stop schedule:
 /// each `(rank, at_ns)` pair kills that rank at its first
 /// [`Rank::maybe_crash`] check at or past `at_ns` of virtual time.
-/// Crashed ranks return `None`; survivors return `Some`.
+/// Crashed ranks return `None`; survivors return `Some`. Its ranks are
+/// [`Rank::crashable`] even under an empty schedule.
 ///
 /// [`Rank::maybe_crash`]: crate::rank::Rank::maybe_crash
+/// [`Rank::crashable`]: crate::rank::Rank::crashable
 pub fn run_crashable<R, F>(
     nprocs: usize,
     cost: CostModel,
@@ -507,6 +522,17 @@ mod tests {
     fn run_returns_rank_order() {
         let out = run(4, CostModel::free(), |r| r.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn crashable_is_set_by_the_world_not_its_schedule() {
+        assert_eq!(run(3, CostModel::free(), |r| r.crashable()), vec![false; 3]);
+        for schedule in [&[][..], &[(1, u64::MAX / 2)][..]] {
+            let out = run_crashable(3, CostModel::free(), schedule, |r| {
+                (r.crashable(), r.subgroup(&[r.rank()]).crashable())
+            });
+            assert!(out.iter().all(|o| *o == Some((true, true))), "{out:?}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::spec::{partition_plans, tile_plans};
 use crate::tiled::read_file;
 use flexio_core::{Engine, Hints, IoError, MpiFile};
 use flexio_pfs::{
-    epoch, CrashSpec, FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsErrorKind,
+    epoch, FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsErrorKind,
 };
 use flexio_sim::{run_crashable, CostModel, Phase, Stats, XorShift64Star};
 use flexio_types::Datatype;
@@ -98,12 +98,7 @@ impl CrashScenario {
     }
 
     fn fault_plan(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            torn_rate: self.torn_rate,
-            crashes: vec![CrashSpec { rank: self.victim, at_ns: self.at_ns }],
-            ..FaultPlan::default()
-        }
+        FaultPlan { seed: self.seed, torn_rate: self.torn_rate, ..FaultPlan::default() }
     }
 }
 
@@ -218,7 +213,7 @@ pub fn run_crash_checkpoint(scn: &CrashScenario) -> CrashOutcome {
     let mut committed: Option<u64> = None;
     for gen in 0..=scn.clean_epochs {
         let crash_world = gen == scn.clean_epochs;
-        let schedule = if crash_world { scn.fault_plan().crash_schedule() } else { Vec::new() };
+        let schedule = if crash_world { vec![(scn.victim, scn.at_ns)] } else { Vec::new() };
         let path = epoch::slot_path(BASE, gen);
         let inner = Arc::clone(&pfs);
         let plans = Arc::clone(&plans);

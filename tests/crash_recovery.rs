@@ -17,11 +17,13 @@
 //!   readers see a complete old or new epoch;
 //! * crashes work in both directions (write and read collectives) and
 //!   with multiple victims;
-//! * the ROMIO baseline refuses crash plans up front.
+//! * detection is armed by the world (`run_crashable`), not by the file
+//!   system, and costs messages but no bytes;
+//! * the ROMIO baseline refuses crashable worlds up front.
 
 use flexio::core::{Engine, Hints, IoError, MpiFile};
-use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run_crashable, CostModel};
+use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
+use flexio::sim::{run, run_crashable, CostModel, Rank};
 use flexio::types::Datatype;
 use flexio::workload::{
     assert_writer_tiles, checkpoint_spec, read_file, run_crash_checkpoint,
@@ -29,7 +31,7 @@ use flexio::workload::{
 };
 use std::sync::Arc;
 
-fn crash_pfs(crashes: Vec<CrashSpec>) -> Arc<Pfs> {
+fn crash_pfs() -> Arc<Pfs> {
     Pfs::with_faults(
         PfsConfig {
             n_osts: 4,
@@ -40,7 +42,7 @@ fn crash_pfs(crashes: Vec<CrashSpec>) -> Arc<Pfs> {
             client_cache: false,
             cost: PfsCostModel::default(),
         },
-        FaultPlan { crashes, ..FaultPlan::default() },
+        FaultPlan::default(),
     )
 }
 
@@ -86,7 +88,7 @@ fn survivors_match_a_fault_free_run_over_the_survivors() {
     let survivor_plans: Vec<RankPlan> =
         out.survivors.iter().map(|&r| spec.phases[0].plans[r].clone()).collect();
     let gen = scn.clean_epochs;
-    let pfs = crash_pfs(Vec::new());
+    let pfs = crash_pfs();
     let plans = Arc::new(survivor_plans);
     let inner = Arc::clone(&pfs);
     let hints = recovery_hints(true, scn.aggs.min(out.survivors.len()));
@@ -147,7 +149,7 @@ fn any_drawn_crash_time_completes_on_survivors() {
 fn read_collective_recovers_after_a_crash() {
     let spec = checkpoint_spec(0xD00D, 4, 32, 3, 1);
     let victim = 3;
-    let pfs = crash_pfs(vec![CrashSpec { rank: victim, at_ns: 0 }]);
+    let pfs = crash_pfs();
     let plans = Arc::new(spec.phases[0].plans.clone());
 
     // Clean write world (no crash scheduled in it).
@@ -199,7 +201,7 @@ fn read_collective_recovers_after_a_crash() {
 fn disabled_recovery_terminates_with_collective_agreement() {
     let spec = checkpoint_spec(0xACED, 4, 32, 3, 1);
     let victim = 0;
-    let pfs = crash_pfs(vec![CrashSpec { rank: victim, at_ns: 10_000 }]);
+    let pfs = crash_pfs();
     let plans = Arc::new(spec.phases[0].plans.clone());
     let inner = Arc::clone(&pfs);
     let hints = recovery_hints(false, 2);
@@ -226,13 +228,11 @@ fn disabled_recovery_terminates_with_collective_agreement() {
 #[test]
 fn multiple_victims_recover_in_one_pass() {
     let spec = checkpoint_spec(0xFA11, 6, 24, 2, 1);
-    let crashes = vec![CrashSpec { rank: 1, at_ns: 0 }, CrashSpec { rank: 4, at_ns: 0 }];
-    let pfs = crash_pfs(crashes.clone());
+    let pfs = crash_pfs();
     let plans = Arc::new(spec.phases[0].plans.clone());
     let inner = Arc::clone(&pfs);
     let hints = recovery_hints(true, 3);
-    let schedule: Vec<(usize, u64)> = crashes.iter().map(|c| (c.rank, c.at_ns)).collect();
-    let res = run_crashable(6, CostModel::default(), &schedule, move |rank| {
+    let res = run_crashable(6, CostModel::default(), &[(1, 0), (4, 0)], move |rank| {
         let p = &plans[rank.rank()];
         let mut f = MpiFile::open(rank, &inner, "multi", hints.clone()).unwrap();
         f.set_view(p.disp, &Datatype::bytes(1), &p.filetype).unwrap();
@@ -268,12 +268,50 @@ fn multiple_victims_recover_in_one_pass() {
     }
 }
 
-/// The ROMIO baseline has no recovery protocol: opening a collective
-/// with a crash-scheduling plan must fail fast with `BadHints`, not
-/// silently never fire the crash.
+/// Failure detection is armed by the world, not by the file system: the
+/// same flexible write over the same fault-free plan sends heartbeats in
+/// a crashable world with nothing scheduled, none on `run`, and lands the
+/// same bytes either way.
+#[test]
+fn detection_is_armed_by_the_world() {
+    let spec = checkpoint_spec(0xBEA7, 4, 32, 3, 1);
+    let plans = Arc::new(spec.phases[0].plans.clone());
+    let write = |crashable: bool| {
+        let pfs = crash_pfs();
+        let inner = Arc::clone(&pfs);
+        let plans = Arc::clone(&plans);
+        let hints = recovery_hints(true, 2);
+        let body = move |rank: &Rank| {
+            let p = &plans[rank.rank()];
+            let mut f = MpiFile::open(rank, &inner, "armed", hints.clone()).unwrap();
+            f.set_view(p.disp, &Datatype::bytes(1), &p.filetype).unwrap();
+            f.write_all_at(0, &p.step_buffer(0), &p.memtype, p.mem_count).unwrap();
+            rank.stats().msgs_sent
+        };
+        let msgs: u64 = if crashable {
+            let out = run_crashable(4, CostModel::default(), &[], body);
+            out.into_iter().map(|m| m.expect("no crash scheduled")).sum()
+        } else {
+            run(4, CostModel::default(), body).into_iter().sum()
+        };
+        (msgs, read_file(&pfs, "armed"))
+    };
+    let (plain_msgs, plain_image) = write(false);
+    let (armed_msgs, armed_image) = write(true);
+    // The entry checkpoint alone sends a heartbeat to each of 3 peers.
+    assert!(
+        armed_msgs >= plain_msgs + 4 * 3,
+        "a crashable world must send heartbeats: {armed_msgs} vs {plain_msgs} messages"
+    );
+    assert_eq!(armed_image, plain_image, "detection moved bytes");
+}
+
+/// The ROMIO baseline has no recovery protocol: a collective in a
+/// crashable world — even one with no crash scheduled — must fail fast
+/// with `BadHints`, not silently never fire a crash.
 #[test]
 fn romio_rejects_crash_plans_up_front() {
-    let pfs = crash_pfs(vec![CrashSpec { rank: 0, at_ns: 0 }]);
+    let pfs = crash_pfs();
     let hints = Hints { engine: Engine::Romio, ..Hints::default() };
     let res = run_crashable(2, CostModel::default(), &[], move |rank| {
         let mut f = MpiFile::open(rank, &pfs, "romio", hints.clone()).unwrap();
@@ -283,7 +321,7 @@ fn romio_rejects_crash_plans_up_front() {
     for out in res {
         assert!(
             matches!(out, Some(Err(IoError::BadHints(_)))),
-            "romio + crash plan must be rejected, got {out:?}"
+            "romio in a crashable world must be rejected, got {out:?}"
         );
     }
 }
@@ -306,7 +344,7 @@ fn life_goes_on_after_a_recovered_generation() {
     let survivor_plans: Vec<RankPlan> =
         out.survivors.iter().map(|&r| spec.phases[0].plans[r].clone()).collect();
     let plans = Arc::new(survivor_plans);
-    let inner = crash_pfs(Vec::new());
+    let inner = crash_pfs();
     let hints = recovery_hints(true, 2);
     let res = run_crashable(out.survivors.len(), CostModel::default(), &[], move |rank| {
         let p = &plans[rank.rank()];

@@ -93,7 +93,6 @@ fn random_world(rng: &mut XorShift64Star, scale: u64) -> World {
             Vec::new()
         },
         lock_stall_ns: [0, 7_000][(rng.next_u64() % 2) as usize],
-        crashes: Vec::new(),
     });
     let range = |rng: &mut XorShift64Star| (below(rng, 2 * scale), 1 + below(rng, scale));
     World {

@@ -9,7 +9,8 @@
 //! * both engines land byte-identical file images for the same workload,
 //! * work counters (pairs, copies, messages, payload bytes) are
 //!   depth-invariant, `pipeline_depth_used` and the PFS
-//!   `nb_inflight_peak` respect the requested cap, the serial oracle
+//!   `nb_inflight_peak` respect the requested cap (the peak is the deepest
+//!   rank's `pipeline_depth_used` less one), the serial oracle
 //!   hides nothing, and every rank's phase buckets sum to its clock,
 //! * ROMIO at depth 1 charges *exactly* what the serial ROMIO loop
 //!   charged, pinned number for number by fixtures harvested on an
@@ -137,6 +138,12 @@ fn pipelined_engines_match_their_serial_oracles() {
                     "{engine:?}: file image diverges from the depth-1 oracle"
                 );
                 assert_eq!(peak_1, 0, "{engine:?}: serial oracle queued nb ops");
+                // The file system's peak is the pipeline's own depth count,
+                // folded over ranks: one queued op per buffer past the first.
+                for (peak, out) in [(peak_d, &out_d), (peak_1, &out_1)] {
+                    let used = out.iter().map(|o| o.1.pipeline_depth_used).max().unwrap_or(0);
+                    assert_eq!(peak, used.saturating_sub(1), "{engine:?}: nb peak vs depth used");
+                }
                 if let Some(cap) = depth_cap(p.depth) {
                     assert!(
                         peak_d <= cap.saturating_sub(1),

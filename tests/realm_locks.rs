@@ -23,7 +23,7 @@
 use flexio::core::{Engine, Hints, MpiFile, PipelineDepth};
 use flexio::hpio::TimeStepSpec;
 use flexio::io::IoMethod;
-use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel, StatsSnapshot};
+use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, StatsSnapshot};
 use flexio::sim::prop::Runner;
 use flexio::sim::{run, run_crashable, CostModel, XorShift64Star};
 use flexio::types::Datatype;
@@ -320,10 +320,6 @@ fn a_recovered_realm_cancels_the_dead_owners_ahead_lock() {
     const REPS: u64 = 32;
     const VICTIM: usize = 1;
     let tile_byte = |rank: usize, gen: u64, i: u64| (rank as u64 * 61 + gen * 17 + i * 3 + 1) as u8;
-    let plan = FaultPlan {
-        crashes: vec![CrashSpec { rank: VICTIM, at_ns: 500_000_000 }],
-        ..FaultPlan::default()
-    };
     let pfs = Pfs::with_faults(
         PfsConfig {
             n_osts: 4,
@@ -334,7 +330,7 @@ fn a_recovered_realm_cancels_the_dead_owners_ahead_lock() {
             client_cache: true,
             cost: PfsCostModel::default(),
         },
-        plan.clone(),
+        FaultPlan::default(),
     );
     let hints = Hints {
         persistent_file_realms: true,
@@ -343,7 +339,7 @@ fn a_recovered_realm_cancels_the_dead_owners_ahead_lock() {
         watchdog_us: 200_000,
         ..Hints::default()
     };
-    let out = run_crashable(NPROCS, CostModel::default(), &plan.crash_schedule(), |rank| {
+    let out = run_crashable(NPROCS, CostModel::default(), &[(VICTIM, 500_000_000)], |rank| {
         let me = rank.rank();
         let mut f = MpiFile::open(rank, &pfs, "ck", hints.clone()).unwrap();
         let ftype = Datatype::resized(0, NPROCS as u64 * BLOCK, Datatype::bytes(BLOCK));

@@ -20,13 +20,18 @@
 //! `crash-recovery-replay`) moved, the three non-blocking ones came out
 //! byte-identical, and no image hash moved.
 //!
+//! Only the crash scenario runs in a crashable world (`run_crashable`);
+//! the others run on `run`, since a crashable world arms failure
+//! detection even with no crash scheduled, and their blocks were
+//! harvested without it.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
-use flexio::pfs::{CrashSpec, FaultPlan, Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, run_crashable, CostModel, Stats};
+use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
+use flexio::sim::{run, run_crashable, CostModel, Rank, Stats};
 use flexio::types::Datatype;
 use flexio::workload::read_file;
 use std::fmt::Write as _;
@@ -54,11 +59,14 @@ struct Scenario {
     exchange: ExchangeMode,
     pfr: bool,
     fault: Option<FaultPlan>,
+    /// `(rank, at_ns)` to crash-stop; only this scenario runs in a
+    /// crashable world (`run_crashable`), the others on `run`.
+    crash: Option<(usize, u64)>,
 }
 
 fn scenarios() -> Vec<Scenario> {
     use ExchangeMode::{Alltoallw, Nonblocking};
-    let plain = |name, exchange, pfr| Scenario { name, exchange, pfr, fault: None };
+    let plain = |name, exchange, pfr| Scenario { name, exchange, pfr, fault: None, crash: None };
     vec![
         plain("even-alltoallw", Alltoallw, false),
         plain("even-nonblocking", Nonblocking, false),
@@ -71,6 +79,7 @@ fn scenarios() -> Vec<Scenario> {
             exchange: Nonblocking,
             pfr: true,
             fault: Some(FaultPlan::straggler(0, 8.0)),
+            crash: None,
         },
         // Rank 37 dies at a cycle boundary of the first call; the
         // survivors replay it over a 127-rank subgroup (aggregators
@@ -79,10 +88,8 @@ fn scenarios() -> Vec<Scenario> {
             name: "crash-recovery-replay",
             exchange: Alltoallw,
             pfr: true,
-            fault: Some(FaultPlan {
-                crashes: vec![CrashSpec { rank: 37, at_ns: 40_000_000 }],
-                ..FaultPlan::default()
-            }),
+            fault: Some(FaultPlan::default()),
+            crash: Some((37, 40_000_000)),
         },
     ]
 }
@@ -113,8 +120,6 @@ fn run_scenario(scn: &Scenario) -> String {
         Some(plan) => Pfs::with_faults(cfg, plan.clone()),
         None => Pfs::new(cfg),
     };
-    let crashes: Vec<(usize, u64)> =
-        scn.fault.iter().flat_map(|p| p.crashes.iter().map(|c| (c.rank, c.at_ns))).collect();
     let hints = Hints {
         engine: Engine::Flexible,
         cb_nodes: Some(AGGS),
@@ -126,45 +131,48 @@ fn run_scenario(scn: &Scenario) -> String {
         watchdog_us: 200_000,
         ..Hints::default()
     };
-    let crashing = !crashes.is_empty();
+    let crashing = scn.crash.is_some();
     let spec = spec();
     let inner = Arc::clone(&pfs);
-    let per_rank: Vec<Option<(u64, Vec<u64>, Stats)>> =
-        run_crashable(NPROCS, CostModel::default(), &crashes, move |rank| {
-            let r = rank.rank();
-            let mut f = MpiFile::open(rank, &inner, "fx", hints.clone()).unwrap();
-            let (disp, ftype) = spec.file_view(r, TypeStyle::Succinct);
-            let etype = Datatype::bytes(1);
-            let (memtype, count) = (spec.mem_type(), spec.mem_count());
-            let data = spec.make_buffer(r);
-            let mut pairs = Vec::new();
-            let mut call = |f: &MpiFile<'_>, read: bool| {
-                let before = rank.stats().pairs_processed;
-                if read {
-                    let mut back = vec![0u8; data.len()];
-                    f.read_all(&mut back, &memtype, count).unwrap();
-                    assert_eq!(back, data, "rank {r}: read-back differs");
-                } else {
-                    f.write_all(&data, &memtype, count).unwrap();
-                }
-                pairs.push(rank.stats().pairs_processed - before);
-            };
-            f.set_view(disp, &etype, &ftype).unwrap();
-            call(&f, false);
-            call(&f, false);
-            if !crashing {
-                f.set_view(disp + spec.unit() * NPROCS as u64, &etype, &ftype).unwrap();
+    let body = move |rank: &Rank| {
+        let r = rank.rank();
+        let mut f = MpiFile::open(rank, &inner, "fx", hints.clone()).unwrap();
+        let (disp, ftype) = spec.file_view(r, TypeStyle::Succinct);
+        let etype = Datatype::bytes(1);
+        let (memtype, count) = (spec.mem_type(), spec.mem_count());
+        let data = spec.make_buffer(r);
+        let mut pairs = Vec::new();
+        let mut call = |f: &MpiFile<'_>, read: bool| {
+            let before = rank.stats().pairs_processed;
+            if read {
+                let mut back = vec![0u8; data.len()];
+                f.read_all(&mut back, &memtype, count).unwrap();
+                assert_eq!(back, data, "rank {r}: read-back differs");
+            } else {
+                f.write_all(&data, &memtype, count).unwrap();
             }
-            call(&f, false);
-            call(&f, true);
-            // Snapshot before `close`: its phase attribution is not part
-            // of this contract.
-            let out = (rank.now(), pairs, rank.stats());
-            if !crashing {
-                f.close().unwrap();
-            }
-            out
-        });
+            pairs.push(rank.stats().pairs_processed - before);
+        };
+        f.set_view(disp, &etype, &ftype).unwrap();
+        call(&f, false);
+        call(&f, false);
+        if !crashing {
+            f.set_view(disp + spec.unit() * NPROCS as u64, &etype, &ftype).unwrap();
+        }
+        call(&f, false);
+        call(&f, true);
+        // Snapshot before `close`: its phase attribution is not part
+        // of this contract.
+        let out = (rank.now(), pairs, rank.stats());
+        if !crashing {
+            f.close().unwrap();
+        }
+        out
+    };
+    let per_rank: Vec<Option<(u64, Vec<u64>, Stats)>> = match scn.crash {
+        Some(c) => run_crashable(NPROCS, CostModel::default(), &[c], body),
+        None => run(NPROCS, CostModel::default(), body).into_iter().map(Some).collect(),
+    };
     let mut block = String::new();
     writeln!(block, "[{}] image {:016x}", scn.name, fnv(&read_file(&pfs, "fx"))).unwrap();
     for (r, rec) in per_rank.iter().enumerate() {
