@@ -36,7 +36,7 @@ use crate::meta::ClientAccess;
 use crate::realm::{FileRealm, RealmSet};
 use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, IoMethod, Resolved};
 use flexio_pfs::{FileHandle, IoCompletion, LockKind};
-use flexio_sim::{OverlapWindow, Rank};
+use flexio_sim::{OverlapWindow, Phase, Rank};
 use flexio_types::{FlatType, MemLayout, Piece, Seg};
 use std::sync::Arc;
 
@@ -116,7 +116,8 @@ pub fn run(
             rank.charge_pairs(sched.parse_pairs() + sched.cycle(0).pairs());
             let rest: u64 = sched.cycles().skip(1).map(|c| c.pairs()).sum();
             if rest > 0 {
-                derive_win = Some(rank.charge_pairs_overlapped(rest));
+                rank.tally(|s| s.pairs_processed += rest);
+                derive_win = Some(rank.overlap_begin(rank.now() + rank.cost().pairs_ns(rest), Phase::Compute));
             }
         } else {
             rank.charge_pairs(sched.parse_pairs());

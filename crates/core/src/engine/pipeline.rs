@@ -349,7 +349,7 @@ pub(crate) fn drive_write<D: WriteDriver>(
             // Cycle 1+'s derivation has been overlapping this exchange;
             // cycle 1 needs it next, so settle up now.
             if let Some(w) = derive_win.take() {
-                rank.overlap_complete_derive(w);
+                rank.overlap_complete(w);
             }
         }
         // All cap+1 collective buffers are full once the next exchange has
@@ -435,7 +435,7 @@ pub(crate) fn drive_read<D: ReadDriver>(
             // Cycle 1+'s derivation overlapped the fill read; settle up
             // before prefetching needs its piece lists.
             if let Some(w) = derive_win.take() {
-                rank.overlap_complete_derive(w);
+                rank.overlap_complete(w);
             }
         }
         // Prefetch up to `cap` cycles ahead of the one being distributed.

@@ -10,7 +10,7 @@ use crate::realm::RealmSet;
 use flexio_io::{read_scattered_nb, write_gathered_nb};
 use flexio_pfs::{FileHandle, Pfs};
 use flexio_sim::{Phase, Rank};
-use flexio_types::{flatten_shared, Datatype, FileView, MemLayout};
+use flexio_types::{Datatype, FileView, FlatType, FlattenCache, MemLayout};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -48,6 +48,9 @@ pub struct MpiFile<'r> {
     /// call leaves one here, `set_view` and `set_hints` drop it, and the
     /// next call replays it only if its input digest still matches.
     sched_cache: RefCell<Option<ExchangeSchedule>>,
+    /// This file's flattenings of the types its views and calls name: the
+    /// first use of a type on the file is a miss, any later use a hit.
+    flat_cache: RefCell<FlattenCache>,
 }
 
 impl<'r> MpiFile<'r> {
@@ -63,6 +66,7 @@ impl<'r> MpiFile<'r> {
             hints,
             pfr_realms: RefCell::new(None),
             sched_cache: RefCell::new(None),
+            flat_cache: RefCell::default(),
         })
     }
 
@@ -97,18 +101,25 @@ impl<'r> MpiFile<'r> {
     /// Collective `MPI_File_set_view`: tile `filetype` from byte `disp`.
     /// The etype defines the offset unit for the `*_at` operations.
     ///
-    /// Flattening goes through the content-addressed cache: the first view
-    /// of a datatype charges its full `D` pairs, repeat views of an equal
-    /// type share the existing `Arc<FlatType>` and charge one probe pair.
-    /// Any view change drops the cached exchange schedule.
+    /// Flattening goes through the file's content-addressed cache: the
+    /// first view of a datatype on this file charges its full `D` pairs,
+    /// repeat views of an equal type share the existing `Arc<FlatType>` and
+    /// charge one probe pair. Any view change drops the cached exchange
+    /// schedule.
     pub fn set_view(&mut self, disp: u64, etype: &Datatype, filetype: &Datatype) -> Result<()> {
-        let (flat, hit) = flatten_shared(filetype);
-        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
+        let (flat, hit) = self.flatten(filetype);
         self.rank.charge_pairs(if hit { 1 } else { flat.segs.len() as u64 });
         self.view = FileView::new(disp, flat, etype.size())?;
         *self.sched_cache.borrow_mut() = None;
         self.rank.barrier();
         Ok(())
+    }
+
+    /// Flatten `dt` through this file's cache, counting the hit or miss.
+    fn flatten(&self, dt: &Datatype) -> (Arc<FlatType>, bool) {
+        let (flat, hit) = self.flat_cache.borrow_mut().get(dt);
+        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
+        (flat, hit)
     }
 
     fn access_for(&self, offset_etypes: u64, total: u64) -> ClientAccess {
@@ -120,9 +131,7 @@ impl<'r> MpiFile<'r> {
     }
 
     fn mem_layout(&self, buf_len: usize, memtype: &Datatype, count: u64) -> Result<MemLayout> {
-        let (flat, hit) = flatten_shared(memtype);
-        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
-        let mem = MemLayout::new(flat, count);
+        let mem = MemLayout::new(self.flatten(memtype).0, count);
         let needed = mem.span();
         if needed > buf_len as u64 {
             return Err(IoError::BufferTooSmall { needed, got: buf_len as u64 });

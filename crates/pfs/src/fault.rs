@@ -25,7 +25,7 @@ pub enum PfsErrorKind {
     /// before failing it (client crash mid-RPC, target power loss). A
     /// retry — a full idempotent rewrite — heals the tear; a crash before
     /// the retry leaves the prefix on disk, which is exactly what the
-    /// epoch-commit protocol ([`crate::epoch`]) exists to mask.
+    /// epoch-commit protocol (`flexio_workload::epoch`) exists to mask.
     TornWrite,
 }
 

@@ -32,7 +32,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod epoch;
 pub mod extent;
 pub mod fault;
 pub mod fs;

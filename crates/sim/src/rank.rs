@@ -160,11 +160,12 @@ pub struct Stats {
     /// Flatten-cache misses.
     pub flatten_cache_misses: u64,
     /// Virtual ns of in-flight operation time hidden behind other work
-    /// (overlapped windows completed via [`Rank::overlap_complete`]).
+    /// (windows of any phase but [`Phase::Compute`] completed via
+    /// [`Rank::overlap_complete`]).
     pub overlap_saved_ns: u64,
     /// Virtual ns of schedule-derivation compute hidden behind other work
-    /// (windows opened with [`Rank::charge_pairs_overlapped`] and completed
-    /// via [`Rank::overlap_complete_derive`]). Kept separate from
+    /// (windows of [`Phase::Compute`] completed via
+    /// [`Rank::overlap_complete`]). Kept separate from
     /// [`Stats::overlap_saved_ns`] so I/O-pipelining and derive-overlap
     /// savings can be attributed independently.
     pub derive_overlap_saved_ns: u64,
@@ -404,43 +405,19 @@ impl Rank {
     /// (which carried their own attribution) hide an equal share of the
     /// operation. The pair therefore charges `max(op, work)` rather than
     /// `op + work`, while per-phase buckets still sum to elapsed time.
-    /// Returns the hidden ns, also accumulated in
-    /// [`Stats::overlap_saved_ns`].
+    /// Returns the hidden ns, also accumulated by the window's phase: in
+    /// [`Stats::derive_overlap_saved_ns`] for a [`Phase::Compute`] window
+    /// (a derivation's pending pairs), in [`Stats::overlap_saved_ns`]
+    /// otherwise.
     pub fn overlap_complete(&self, w: OverlapWindow) -> u64 {
-        let hidden = self.finish_window(w);
-        self.tally(|s| s.overlap_saved_ns += hidden);
-        hidden
-    }
-
-    /// Advance to a window's completion, attribute the un-hidden remainder
-    /// to its phase, and return the hidden ns — shared by the two public
-    /// completion flavours, which differ only in which savings counter the
-    /// hidden time lands in.
-    fn finish_window(&self, w: OverlapWindow) -> u64 {
-        let duration = w.duration();
         let remainder = w.done_at.saturating_sub(self.now());
         self.advance_to(w.done_at);
         self.note_phase(w.phase, remainder);
-        duration - remainder
-    }
-
-    /// Open an overlapped window for the processing of `n` offset/length
-    /// pairs: the pairs are counted immediately (the derivation work is
-    /// logically done the moment the window opens, like a non-blocking
-    /// file op's data movement), but the clock does not move — the
-    /// compute time is pending until [`Rank::overlap_complete_derive`],
-    /// so exchange or I/O performed in between hides it.
-    pub fn charge_pairs_overlapped(&self, n: u64) -> OverlapWindow {
-        self.tally(|s| s.pairs_processed += n);
-        OverlapWindow { issued_at: self.now(), done_at: self.now() + self.cost().pairs_ns(n), phase: Phase::Compute }
-    }
-
-    /// Complete a window opened with [`Rank::charge_pairs_overlapped`]:
-    /// identical accounting to [`Rank::overlap_complete`] except the
-    /// hidden ns accumulate in [`Stats::derive_overlap_saved_ns`].
-    pub fn overlap_complete_derive(&self, w: OverlapWindow) -> u64 {
-        let hidden = self.finish_window(w);
-        self.tally(|s| s.derive_overlap_saved_ns += hidden);
+        let hidden = w.duration() - remainder;
+        match w.phase {
+            Phase::Compute => self.tally(|s| s.derive_overlap_saved_ns += hidden),
+            _ => self.tally(|s| s.overlap_saved_ns += hidden),
+        }
         hidden
     }
 
@@ -1424,15 +1401,14 @@ mod tests {
 
     #[test]
     fn derive_overlap_separate_counter() {
-        // A derive window hides behind comm work: pairs are counted at
-        // begin, hidden time lands in derive_overlap_saved_ns (not
-        // overlap_saved_ns), and phase buckets still sum to elapsed.
+        // A Compute window hides behind comm work: hidden time lands in
+        // derive_overlap_saved_ns (not overlap_saved_ns), and phase buckets
+        // still sum to elapsed.
         let out = run(1, CostModel::default(), |r| {
-            let w = r.charge_pairs_overlapped(100); // 12_000 ns pending
-            assert_eq!(r.stats().pairs_processed, 100);
+            let w = r.overlap_begin(r.now() + r.cost().pairs_ns(100), Phase::Compute); // 12_000 ns pending
             r.advance(5_000);
             r.note_phase(Phase::Comm, 5_000);
-            let hidden = r.overlap_complete_derive(w);
+            let hidden = r.overlap_complete(w);
             (r.now(), hidden, r.stats())
         });
         let (now, hidden, s) = &out[0];
@@ -1446,11 +1422,13 @@ mod tests {
 
     #[test]
     fn derive_overlap_immediate_complete_matches_blocking() {
-        // begin + complete with no interleaved work must equal a plain
-        // charge_pairs call, charge for charge.
+        // Counting the pairs, then a Compute window's begin + complete with
+        // no interleaved work, must equal a plain charge_pairs call, charge
+        // for charge.
         let out = run(1, CostModel::default(), |r| {
-            let w = r.charge_pairs_overlapped(50);
-            let hidden = r.overlap_complete_derive(w);
+            r.tally(|s| s.pairs_processed += 50);
+            let w = r.overlap_begin(r.now() + r.cost().pairs_ns(50), Phase::Compute);
+            let hidden = r.overlap_complete(w);
             (r.now(), hidden, r.stats())
         });
         let blocking = run(1, CostModel::default(), |r| {
@@ -1484,11 +1462,11 @@ mod tests {
     fn overlap_interleavings_keep_phase_buckets_consistent() {
         // Property (ISSUE 3 satellite): for arbitrary interleavings of
         // charges, overlap_begin and (out-of-order) overlap_complete —
-        // including windows completed long after done_at and derive
-        // windows — the phase buckets always sum to elapsed virtual time,
-        // every window's hidden time is bounded by its duration, and the
-        // two savings counters equal the sums of their windows' hidden
-        // time (never underflowing).
+        // including windows completed long after done_at and Compute
+        // (derive) windows — the phase buckets always sum to elapsed
+        // virtual time, every window's hidden time is bounded by its
+        // duration, and the two savings counters equal the sums of their
+        // windows' hidden time (never underflowing).
         crate::prop::Runner::new("overlap_interleavings").cases(64).run(
             |rng| {
                 let n = 4 + rng.next_below(28);
@@ -1497,23 +1475,19 @@ mod tests {
             |ops| {
                 let ops = ops.clone();
                 run(1, CostModel::default(), move |r| {
-                    let mut open: Vec<(bool, OverlapWindow)> = Vec::new();
+                    let mut open: Vec<OverlapWindow> = Vec::new();
                     let mut hidden_io = 0u64;
                     let mut hidden_derive = 0u64;
                     let mut rng = crate::prng::XorShift64Star::new(ops.len() as u64 + 1);
                     let mut complete_one =
-                        |open: &mut Vec<(bool, OverlapWindow)>, r: &Rank, io: &mut u64, de: &mut u64| {
+                        |open: &mut Vec<OverlapWindow>, r: &Rank, io: &mut u64, de: &mut u64| {
                             if open.is_empty() {
                                 return;
                             }
                             let idx = rng.next_below(open.len() as u64) as usize;
-                            let (is_derive, w) = open.swap_remove(idx);
-                            let dur = w.duration();
-                            let hidden = if is_derive {
-                                r.overlap_complete_derive(w)
-                            } else {
-                                r.overlap_complete(w)
-                            };
+                            let w = open.swap_remove(idx);
+                            let (dur, is_derive) = (w.duration(), w.phase == Phase::Compute);
+                            let hidden = r.overlap_complete(w);
                             assert!(hidden <= dur, "hidden {hidden} exceeds duration {dur}");
                             if is_derive {
                                 *de += hidden;
@@ -1529,8 +1503,8 @@ mod tests {
                                 r.advance(amt);
                                 r.note_phase(Phase::Comm, amt);
                             }
-                            3 => open.push((false, r.overlap_begin(r.now() + amt, Phase::Io))),
-                            4 => open.push((true, r.charge_pairs_overlapped(amt / 64))),
+                            3 => open.push(r.overlap_begin(r.now() + amt, Phase::Io)),
+                            4 => open.push(r.overlap_begin(r.now() + r.cost().pairs_ns(amt / 64), Phase::Compute)),
                             _ => complete_one(&mut open, r, &mut hidden_io, &mut hidden_derive),
                         }
                     }

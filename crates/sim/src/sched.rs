@@ -305,9 +305,6 @@ where
     // One result cell per rank, written by that rank's fiber body and
     // read once every fiber is done.
     let results: Vec<UnsafeCell<Option<R>>> = (0..nprocs).map(|_| UnsafeCell::new(None)).collect();
-    // Per-rank flatten caches start cold in every world (the caller's
-    // thread may have run one before).
-    flexio_types::flatten::reset_flatten_cache();
     let mut el = Sched {
         world: Arc::as_ptr(&world),
         stack_bytes,
@@ -396,10 +393,6 @@ where
     // down by a panic or a deadlock leaves messages behind by the way).
     let untaken = if outcome.is_ok() && el.panic_payload.is_none() { seg.untaken_collective() } else { None };
     ACTIVE.with(|a| a.set(prev_active));
-    // Leave the host thread's flatten cache as cold as we found our own:
-    // scope 0 restored for direct (non-simulated) callers.
-    flexio_types::flatten::set_flatten_scope(0);
-    flexio_types::flatten::reset_flatten_cache();
     if let Err(diag) = outcome {
         panic!("flexio-sim event loop deadlock: {diag}");
     }
@@ -436,7 +429,6 @@ unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
         el.counters.fiber_switches += 1;
         (&mut el.host_ctx as *mut Context, &el.slots[r].ctx as *const Context)
     };
-    flexio_types::flatten::set_flatten_scope(r as u64);
     // SAFETY: fctx is a live suspended (or fresh) fiber context.
     unsafe { switch_stacks(host, fctx) };
     unsafe { (&(*el_ptr).slots)[r].stack.canary_ok() }
@@ -444,7 +436,8 @@ unsafe fn run_segment(el_ptr: *mut Sched, r: usize) -> bool {
 
 /// The driver: repeatedly pop the lowest key of the heap and run that
 /// segment. Returns the deadlock diagnostics (fibers already unwound)
-/// instead of panicking so the caller can clean up thread-locals first.
+/// instead of panicking so the caller can restore the thread's active
+/// scheduler first.
 ///
 /// # Safety
 /// `seg` holds the pinned scheduler of the world it names, which is the

@@ -20,7 +20,7 @@ pub type Dt = Arc<Datatype>;
 /// A derived datatype: a recipe for a typemap of byte segments.
 ///
 /// `Hash`/`Eq` are structural, so a `Datatype` can key the content-addressed
-/// flatten cache ([`crate::flatten::flatten_shared`]): two independently
+/// flatten cache ([`crate::FlattenCache`]): two independently
 /// constructed but identical type trees share one flattening.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Datatype {

@@ -8,6 +8,9 @@
 //! pairs the original ROMIO code ships).
 
 use crate::datatype::Datatype;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One contiguous byte segment of a typemap, relative to the instance origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,68 +143,53 @@ pub fn flatten(dt: &Datatype) -> FlatType {
     FlatType::from_segs(segs, lb, (ub - lb).max(0) as u64)
 }
 
-/// Cap on cached flattenings per scope; reaching it clears that scope's
-/// cache rather than evicting, keeping the common steady-state (a handful
-/// of types reused across many collective calls) cheap and the worst case
-/// bounded.
+/// Cap on cached flattenings; reaching it clears the cache rather than
+/// evicting, keeping the common steady-state (a handful of types reused
+/// across many collective calls) cheap and the worst case bounded.
 const FLATTEN_CACHE_CAP: usize = 256;
 
-std::thread_local! {
-    static FLATTEN_SCOPE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static FLATTEN_CACHE: std::cell::RefCell<
-        std::collections::HashMap<u64, std::collections::HashMap<Datatype, std::sync::Arc<FlatType>>>,
-    > = std::cell::RefCell::new(std::collections::HashMap::new());
+/// Content-addressed flatten memo: like [`flatten`], but returning a shared
+/// `Arc<FlatType>` so repeated `set_view`/`write_all` calls with an equal
+/// `Datatype` reuse one flattening instead of re-walking the type tree and
+/// cloning segment vectors (ROMIO keeps a flattened-datatype cache for the
+/// same reason).
+///
+/// Keyed by structural equality, so two independently built but identical
+/// trees hit. Whoever owns one decides what a hit means: an open file owns
+/// the one whose hits and misses it charges.
+#[derive(Debug, Default)]
+pub struct FlattenCache {
+    map: HashMap<Datatype, Arc<FlatType>>,
 }
 
-/// Select the flatten-cache scope for the current thread.
-///
-/// The cache behind [`flatten_shared`] is partitioned into independent
-/// scopes so hit/miss behaviour — and therefore the virtual-time charges
-/// layered on top — stays per simulated rank although every rank of a
-/// world runs on one host thread: the rank scheduler calls this with the
-/// rank id on each switch into a rank's fiber. Plain (non-simulated)
-/// callers never need to touch it: they use the default scope 0.
-pub fn set_flatten_scope(scope: u64) {
-    FLATTEN_SCOPE.with(|s| s.set(scope));
-}
-
-/// Drop every scope's cached flattenings on the current thread.
-///
-/// The rank scheduler calls this when a world starts (and again when it
-/// finishes), reproducing the cold cache a fresh thread would have seen —
-/// without it, a second `run` on the same host thread would observe warm
-/// caches and its hit/miss counts would depend on what ran before it.
-pub fn reset_flatten_cache() {
-    FLATTEN_CACHE.with(|c| c.borrow_mut().clear());
-}
-
-/// Content-addressed flatten cache: like [`flatten`], but memoized per
-/// (thread, scope) and returning a shared `Arc<FlatType>` so repeated
-/// `set_view`/`write_all` calls with an equal `Datatype` reuse one
-/// flattening instead of re-walking the type tree and cloning segment
-/// vectors (ROMIO keeps a flattened-datatype cache for the same reason).
-///
-/// The cache is keyed by structural equality, so two independently built
-/// but identical trees hit. Each scope (see [`set_flatten_scope`] — one
-/// per simulated rank) has its own map and its own capacity, so hit/miss
-/// counters are deterministic per rank under both rank runtimes.
-///
-/// Returns the shared flattening and whether it was a cache hit.
-pub fn flatten_shared(dt: &Datatype) -> (std::sync::Arc<FlatType>, bool) {
-    let scope = FLATTEN_SCOPE.with(|s| s.get());
-    FLATTEN_CACHE.with(|c| {
-        let mut scopes = c.borrow_mut();
-        let cache = scopes.entry(scope).or_default();
-        if let Some(f) = cache.get(dt) {
-            return (std::sync::Arc::clone(f), true);
+impl FlattenCache {
+    /// The shared flattening of `dt`, and whether it was a cache hit.
+    pub fn get(&mut self, dt: &Datatype) -> (Arc<FlatType>, bool) {
+        if let Some(f) = self.map.get(dt) {
+            return (Arc::clone(f), true);
         }
-        if cache.len() >= FLATTEN_CACHE_CAP {
-            cache.clear();
+        if self.map.len() >= FLATTEN_CACHE_CAP {
+            self.map.clear();
         }
-        let f = std::sync::Arc::new(flatten(dt));
-        cache.insert(dt.clone(), std::sync::Arc::clone(&f));
+        let f = Arc::new(flatten(dt));
+        self.map.insert(dt.clone(), Arc::clone(&f));
         (f, false)
-    })
+    }
+}
+
+std::thread_local! {
+    static SHARED: RefCell<FlattenCache> = RefCell::new(FlattenCache::default());
+}
+
+/// Drop every flattening [`flatten_shared`] holds on the current thread.
+pub fn reset_flatten_cache() {
+    SHARED.with(|c| c.borrow_mut().map.clear());
+}
+
+/// [`FlattenCache::get`] on the current thread's one shared cache, for
+/// host-side callers that charge nothing for a flattening.
+pub fn flatten_shared(dt: &Datatype) -> (Arc<FlatType>, bool) {
+    SHARED.with(|c| c.borrow_mut().get(dt))
 }
 
 /// Append the segments of `count` children tiled at `child_extent` from
@@ -410,10 +398,13 @@ mod tests {
 
     #[test]
     fn shared_flatten_cap_resets_not_breaks() {
+        let mut cache = super::FlattenCache::default();
         for i in 0..(super::FLATTEN_CACHE_CAP as u64 + 50) {
             let t = Datatype::contiguous(i + 1, Datatype::bytes(1));
-            let (f, _) = flatten_shared(&t);
+            let (f, hit) = cache.get(&t);
+            assert!(!hit);
             assert_eq!(f.size, i + 1);
+            assert!(cache.map.len() <= super::FLATTEN_CACHE_CAP);
         }
     }
 }

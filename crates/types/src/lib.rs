@@ -22,7 +22,7 @@ pub mod subarray;
 pub mod view;
 
 pub use datatype::{Datatype, Dt};
-pub use flatten::{flatten, flatten_shared, FlatType, Seg};
+pub use flatten::{flatten, flatten_shared, FlatType, FlattenCache, Seg};
 pub use subarray::{darray, subarray, Distribution};
 pub use view::{
     pack, unpack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,

@@ -27,14 +27,13 @@
 //! crash-point fuzz axis (`tests/workload_fuzz.rs`) drives across drawn
 //! crash times, victims, world sizes, and torn-header rates.
 
+use crate::epoch;
 use crate::gen::{coin, range};
 use crate::oracle::{eq_padded, Oracle};
 use crate::spec::{partition_plans, tile_plans};
 use crate::tiled::read_file;
 use flexio_core::{Engine, Hints, IoError, MpiFile};
-use flexio_pfs::{
-    epoch, FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsErrorKind,
-};
+use flexio_pfs::{FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsErrorKind};
 use flexio_sim::{run_crashable, CostModel, Phase, Stats, XorShift64Star};
 use flexio_types::Datatype;
 use std::sync::Arc;

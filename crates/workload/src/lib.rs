@@ -28,13 +28,15 @@
 //!
 //! The crate also hosts the shared data stream, file-image probe and
 //! tiled world the integration suites used to copy-paste ([`tiled`]),
-//! and the strided workload shape of
-//! `tests/engine_equivalence.rs` ([`strided`]).
+//! the strided workload shape of `tests/engine_equivalence.rs`
+//! ([`strided`]), and the double-slot checkpoint headers the crash
+//! workload ([`crash`]) commits its epochs with ([`epoch`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod crash;
+pub mod epoch;
 pub mod gen;
 pub mod oracle;
 pub mod runner;

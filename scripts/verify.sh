@@ -81,9 +81,11 @@ FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
 # group_by_window, write_gathered_nb, resolve, LockTable, AssignCtx, ... —
 # so a signature change there must fail here, not at the benchmark gate.
 # Its tests check the metric registry against BENCHMARK.json and run every
-# workload once (--smoke, ~13 s).
-echo "== cargo test --release --offline --manifest-path benchmark/Cargo.toml =="
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# workload once (--smoke, ~13 s). `--locked`: a crate-manifest change that
+# would rewrite benchmark/Cargo.lock fails here ("cannot update the lock
+# file") instead of leaving a modified file under benchmark/.
+echo "== cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml =="
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Golden rows: virtual results are bit-reproducible, so every virtual-time
 # experiment `bench --list` names must print its results/<exp>_default.txt

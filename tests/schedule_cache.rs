@@ -6,7 +6,7 @@
 use flexio::core::{Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Stats};
-use flexio::types::Datatype;
+use flexio::types::{flatten_shared, Datatype};
 use flexio::workload::{read_file, step_data};
 use std::sync::Arc;
 
@@ -210,31 +210,44 @@ fn read_replay_returns_correct_bytes() {
 
 #[test]
 fn repeated_set_view_hits_flatten_cache() {
-    // Equal filetypes flatten once per rank: the second set_view of a
+    // Equal filetypes flatten once per file: the second set_view of a
     // structurally equal type shares the Arc'd FlatType and charges a
-    // single probe pair instead of D.
+    // single probe pair instead of D. The file owns its flattenings: the
+    // same type's first view on a second file is a miss charged D pairs,
+    // and a host-side `flatten_shared` inside the rank warms no file.
     let nprocs = 4;
     let pfs = test_pfs();
+    // `k` blocks of BLOCK bytes per rank per tile: D = k pairs.
+    let mk = move |k: u64| {
+        let blocks = Datatype::hvector(k, 1, (nprocs as u64 * BLOCK) as i64, Datatype::bytes(BLOCK));
+        Datatype::resized(0, k * nprocs as u64 * BLOCK, blocks)
+    };
     let stats = run(nprocs, CostModel::default(), move |rank| {
-        let mut f = MpiFile::open(rank, &pfs, "fl", Hints::default()).unwrap();
-        let mk = || {
-            Datatype::resized(0, nprocs as u64 * BLOCK, Datatype::bytes(BLOCK))
+        // (hit, pairs charged) of one set_view.
+        let view = |f: &mut MpiFile, t: &Datatype| {
+            let before = rank.stats();
+            f.set_view(rank.rank() as u64 * BLOCK, &Datatype::bytes(1), t).unwrap();
+            let after = rank.stats();
+            (after.flatten_cache_hits > before.flatten_cache_hits, after.pairs_processed - before.pairs_processed)
         };
-        f.set_view(rank.rank() as u64 * BLOCK, &Datatype::bytes(1), &mk()).unwrap();
-        let before = rank.stats();
+        let mut f = MpiFile::open(rank, &pfs, "fl", Hints::default()).unwrap();
+        let first = view(&mut f, &mk(2));
         // A *new* but structurally equal Datatype value: content hit.
-        f.set_view(rank.rank() as u64 * BLOCK, &Datatype::bytes(1), &mk()).unwrap();
-        let after = rank.stats();
+        let repeat = view(&mut f, &mk(2));
+        let mut g = MpiFile::open(rank, &pfs, "fl2", Hints::default()).unwrap();
+        let second_file = view(&mut g, &mk(2));
+        flatten_shared(&mk(3));
+        let after_shared = view(&mut g, &mk(3));
         f.close().unwrap();
-        (before, after)
+        g.close().unwrap();
+        [first, repeat, second_file, after_shared]
     });
-    for (before, after) in &stats {
-        assert!(after.flatten_cache_hits > before.flatten_cache_hits, "second view must hit");
-        assert_eq!(
-            after.pairs_processed - before.pairs_processed,
-            1,
-            "a flatten hit charges one probe pair"
-        );
+    for views in &stats {
+        let [first, repeat, second_file, after_shared] = *views;
+        assert_eq!(first, (false, 2), "a type's first view on a file is a miss charged D pairs");
+        assert_eq!(repeat, (true, 1), "a flatten hit charges one probe pair");
+        assert_eq!(second_file, (false, 2), "another file's flattening is not this file's");
+        assert_eq!(after_shared, (false, 3), "flatten_shared warms no file's cache");
     }
 }
 
