@@ -140,6 +140,26 @@ impl PfsConfig {
     pub fn ost_of(&self, off: u64) -> usize {
         ((off / self.stripe_size) % self.n_osts as u64) as usize
     }
+
+    /// Add the bytes of `[off, off + len)` that each OST serves to `out`,
+    /// one slot per OST ([`PfsConfig::ost_of`] byte by byte): whole rounds
+    /// of stripes at once, so at most `n_osts` partial stripes on either
+    /// side are visited.
+    pub fn add_ost_bytes(&self, off: u64, len: u64, out: &mut [u64]) {
+        let (size, n) = (self.stripe_size, self.n_osts as u64);
+        let (mut pos, end) = (off, off + len);
+        while pos < end {
+            if pos.is_multiple_of(size) && end - pos >= size * n {
+                let rounds = (end - pos) / (size * n);
+                out.iter_mut().for_each(|o| *o += rounds * size);
+                pos += rounds * size * n;
+                continue;
+            }
+            let take = ((pos / size + 1) * size).min(end) - pos;
+            out[self.ost_of(pos)] += take;
+            pos += take;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -180,5 +200,19 @@ mod tests {
         assert_eq!(c.ost_of(63), 0);
         assert_eq!(c.ost_of(64), 1);
         assert_eq!(c.ost_of(64 * 4), 0);
+    }
+
+    #[test]
+    fn ost_bytes_are_ost_of_byte_by_byte() {
+        for (stripe_size, n_osts) in (1..=8).flat_map(|s| (1..=4).map(move |n| (s, n))) {
+            let c = PfsConfig { stripe_size, n_osts, ..PfsConfig::test_tiny() };
+            for (off, len) in (0..40).flat_map(|o| (0..80).map(move |l| (o, l))) {
+                let mut got = vec![0u64; n_osts];
+                c.add_ost_bytes(off, len, &mut got);
+                let mut want = vec![0u64; n_osts];
+                (off..off + len).for_each(|b| want[c.ost_of(b)] += 1);
+                assert_eq!(got, want, "stripe {stripe_size}, {n_osts} OSTs, [{off}, +{len})");
+            }
+        }
     }
 }

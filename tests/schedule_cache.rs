@@ -3,11 +3,12 @@
 //! charge exactly what a call after `set_hints` charges, and
 //! repeat calls under persistent file realms must charge measurably less.
 
+use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Stats};
 use flexio::types::{flatten_shared, Datatype};
-use flexio::workload::{read_file, step_data};
+use flexio::workload::{checkpoint_spec, eq_padded, read_file, step_data, Oracle};
 use std::sync::Arc;
 
 const BLOCK: u64 = 64;
@@ -267,5 +268,39 @@ fn cache_disabled_never_counts() {
             let hits = w[1].schedule_cache_hits - w[0].schedule_cache_hits;
             assert_eq!((misses, hits), (1, 0), "rank {r} call {}", call + 1);
         }
+    }
+}
+
+/// The cycle order a derivation picks depends on how the file is striped
+/// (DESIGN "Buffer-cycle order across OSTs"), so the striping is part of
+/// the world-shared derivation's cell: two files viewed alike in one
+/// world but striped differently keep one derivation each. Four writers
+/// of six 64-byte tiles, two aggregators in 128-byte windows: on 4 OSTs
+/// of 64-byte stripes the second realm runs rotated by a window, on one
+/// OST in file order (`schedule.rs`'s
+/// `the_two_striping_worlds_shape_reorders_on_four_osts_only`).
+#[test]
+fn files_striped_differently_keep_their_own_derivations() {
+    let spec = checkpoint_spec(5, 4, 64, 6, 1);
+    let phase = spec.phases[0].clone();
+    let hints = Hints { cb_nodes: Some(2), cb_buffer_size: 128, ..Hints::default() };
+    let striped = PfsConfig { n_osts: 4, stripe_size: 64, page_size: 16, ..PfsConfig::default() };
+    let pfs = [Pfs::new(striped), Pfs::new(PfsConfig { n_osts: 1, ..striped })];
+    let (inner, plans) = (pfs.clone(), phase.plans.clone());
+    run(phase.nprocs, CostModel::default(), move |rank| {
+        let plan = &plans[rank.rank()];
+        let mut files: Vec<MpiFile> =
+            inner.iter().map(|pfs| MpiFile::open(rank, pfs, "ckpt", hints.clone()).unwrap()).collect();
+        for f in &mut files {
+            f.set_view(plan.disp, &Datatype::bytes(1), &plan.filetype).unwrap();
+            f.write_all_at(plan.offset_etypes, &plan.step_buffer(0), &plan.memtype, plan.mem_count).unwrap();
+        }
+        assert_eq!(ExchangeSchedule::derivations_live(rank), 2, "one derivation per striping");
+        files.into_iter().for_each(|f| f.close().unwrap());
+    });
+    let mut oracle = Oracle::new();
+    phase.plans.iter().for_each(|plan| oracle.apply_write(plan, 0));
+    for pfs in &pfs {
+        assert!(eq_padded(&read_file(pfs, "ckpt"), oracle.image()), "{:?}: image diverged", pfs.config());
     }
 }
