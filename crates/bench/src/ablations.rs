@@ -3,18 +3,17 @@
 //! clean exit is itself evidence.
 
 use crate::report::{row, Report};
-use crate::worlds::{hpio_call, locking_pfs, mbps, tiled_steps, How, Sample, StepSample};
+use crate::worlds::{hpio, locking_pfs, mbps};
 use crate::Args;
-use flexio_core::{
-    BalancedLoad, Engine, EvenAar, ExchangeMode, Hints, MpiFile, PipelineDepth, RealmAssigner,
-};
+use flexio_core::{BalancedLoad, Engine, EvenAar, ExchangeMode, Hints, PipelineDepth, RealmAssigner};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_io::IoMethod;
 use flexio_pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
-use flexio_sim::{run, CostModel};
 use flexio_types::Datatype;
-use flexio_workload::{read_file, run_crash_checkpoint, step_data, CrashScenario};
-use std::fmt::Arguments;
+use flexio_workload::{
+    read_file, run_crash_checkpoint, step_data, Call, CrashScenario, FileWorld, Io, TiledShape,
+    Timing,
+};
 use std::sync::Arc;
 
 /// A1 (§5.3): request-metadata volume and datatype-processing work —
@@ -36,8 +35,7 @@ pub(crate) fn a1(args: &Args, r: &mut Report) {
             let hints = Hints { engine, cb_nodes: Some((nprocs / 2).max(1)), ..Hints::default() };
             let pfs = Pfs::new(PfsConfig::default());
             // Every message of the world is counted, so no barrier adds any.
-            let untimed = How::UntimedWrite(CostModel::default());
-            let s = hpio_call(&pfs, "meta", spec, style, &hints, untimed);
+            let s = hpio(FileWorld::new(&pfs, "meta", &hints, Timing::Untimed), spec, style, false);
             let bytes = s.sum(|s| s.bytes_sent);
             let meta = bytes.saturating_sub(spec.aggregate_bytes());
             row!(r; m, name, bytes, meta, s.sum(|s| s.pairs_processed));
@@ -76,8 +74,9 @@ pub(crate) fn a2(args: &Args, r: &mut Report) {
             {
                 let hints = Hints { cb_nodes: Some(aggs), exchange, ..Hints::default() };
                 let pfs = Pfs::new(PfsConfig::default());
-                let s = hpio_call(&pfs, "a2", spec, TypeStyle::Succinct, &hints, How::TimedWrite);
-                row!(r; pattern, aggs, mode, mbps(spec.aggregate_bytes(), s.ns));
+                let world = FileWorld::new(&pfs, "a2", &hints, Timing::Whole);
+                let s = hpio(world, spec, TypeStyle::Succinct, false);
+                row!(r; pattern, aggs, mode, mbps(spec.aggregate_bytes(), s.span_ns));
             }
         }
     }
@@ -98,41 +97,30 @@ pub(crate) fn a3(args: &Args, r: &mut Report) {
             ("even-aar", Arc::new(EvenAar) as Arc<dyn RealmAssigner>),
             ("balanced-load", Arc::new(BalancedLoad) as Arc<dyn RealmAssigner>),
         ] {
-            let ns = a3_world(nprocs, cluster, straggler, assigner);
-            row!(r; nprocs, name, mbps(cluster * nprocs as u64 + 1, ns));
+            let hints =
+                Hints { realm_assigner: Some(assigner), cb_nodes: Some(nprocs), ..Hints::default() };
+            let pfs =
+                Pfs::new(PfsConfig { stripe_size: cluster, page_size: 4096, ..PfsConfig::default() });
+            // The one world whose ranks do not share a view shape: rank 0's
+            // filetype has the straggler byte, everyone else's is one cluster.
+            let rank0 = vec![(0, cluster), (straggler as i64, 1)];
+            let view = |rank: usize| match rank {
+                0 => (0, Datatype::hindexed(rank0.clone(), Datatype::bytes(1))),
+                _ => (rank as u64 * cluster, Datatype::bytes(cluster)),
+            };
+            let len = |rank: usize| cluster as usize + (rank == 0) as usize;
+            let s = FileWorld::new(&pfs, "a3", &hints, Timing::Untimed).run(
+                nprocs,
+                1,
+                |rank| Some(view(rank)),
+                |rank, _| Call::contiguous(Io::Write(vec![7u8; len(rank)])),
+            );
+            assert!(s.err().is_none() && s.close.iter().all(Result::is_ok), "A3 world failed");
+            row!(r; nprocs, name, mbps(cluster * nprocs as u64 + 1, s.call_ns[0]));
         }
     }
     r.note("Expected shape: balanced-load spreads the clusters over all aggregators while");
     r.note("even-aar funnels them through one; the gap grows with nprocs.");
-}
-
-/// The one world whose ranks do not share a view shape: rank 0's filetype
-/// has the straggler byte, everyone else's is one contiguous cluster.
-fn a3_world(nprocs: usize, cluster: u64, straggler: u64, assigner: Arc<dyn RealmAssigner>) -> u64 {
-    let pfs = Pfs::new(PfsConfig { stripe_size: cluster, page_size: 4096, ..PfsConfig::default() });
-    let out = run(nprocs, CostModel::default(), |rank| {
-        let hints = Hints {
-            realm_assigner: Some(Arc::clone(&assigner)),
-            cb_nodes: Some(nprocs),
-            ..Hints::default()
-        };
-        let mut f = MpiFile::open(rank, &pfs, "a3", hints).unwrap();
-        let (disp, ftype, len) = if rank.rank() == 0 {
-            let ft =
-                Datatype::hindexed(vec![(0, cluster), (straggler as i64, 1)], Datatype::bytes(1));
-            (0, ft, cluster + 1)
-        } else {
-            (rank.rank() as u64 * cluster, Datatype::bytes(cluster), cluster)
-        };
-        f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
-        let data = vec![7u8; len as usize];
-        let t0 = rank.now();
-        f.write_all(&data, &Datatype::bytes(len), 1).unwrap();
-        let elapsed = rank.now() - t0;
-        f.close().unwrap();
-        rank.allreduce_max(elapsed)
-    });
-    out[0]
 }
 
 /// A4: the exchange-schedule cache on the steady-state checkpoint pattern
@@ -161,14 +149,21 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
         io_method: IoMethod::DataSieve { buffer: 512 << 10 },
         ..Hints::default()
     };
-    let checkpoint = |each_step: &(dyn Fn(&mut MpiFile<'_>) + Sync)| -> (StepSample, Vec<u8>) {
+    // Rank `r` owns the `slice` at `r * slice` of every point.
+    let shape = TiledShape { nprocs, block: slice, reps: points, steps: STEPS };
+    let checkpoint = |uncached: bool| {
         let pfs = locking_pfs(stripe);
-        let s = tiled_steps(&pfs, "ckpt", (nprocs, slice, points, STEPS), &hints, each_step);
-        assert!(s.err.is_none(), "fault-free checkpoint failed: {:?}", s.err);
+        let s = FileWorld::new(&pfs, "ckpt", &hints, Timing::EachCall).run(
+            nprocs,
+            STEPS,
+            |rank| Some(shape.view(rank)),
+            |rank, step| Call { hints: uncached.then(|| hints.clone()), ..shape.write(rank, step) },
+        );
+        assert!(s.err().is_none(), "fault-free checkpoint failed: {:?}", s.err());
         (s, read_file(&pfs, "ckpt"))
     };
-    let (on, image) = checkpoint(&|_| {});
-    let (off, image_off) = checkpoint(&|f| f.set_hints(hints.clone()).unwrap());
+    let (on, image) = checkpoint(false);
+    let (off, image_off) = checkpoint(true);
     assert!(image == image_off, "cache changed the bytes on disk");
     // The surviving checkpoint must be the last step's data.
     for rank in 0..nprocs {
@@ -185,7 +180,7 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
     r.section("step,pairs_cache_on,pairs_cache_off,ms_cache_on:3,ms_cache_off:3");
     let ms = |ns: u64| ns as f64 / 1e6;
     for s in 0..STEPS as usize {
-        row!(r; s + 1, on.pairs[s], off.pairs[s], ms(on.ns[s]), ms(off.ns[s]));
+        row!(r; s + 1, on.call_pairs[s], off.call_pairs[s], ms(on.call_ns[s]), ms(off.call_ns[s]));
     }
     let steady = |v: &[u64]| v[1..].iter().sum::<u64>() as f64 / (v.len() - 1) as f64;
     let phases = |name: &str, v: &[u64], unit: f64| {
@@ -196,76 +191,21 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
         "phase",
         &["call 1".to_string(), "calls 2..N (avg)".to_string()],
         &[
-            phases("pairs on", &on.pairs, 1.0),
-            phases("pairs off", &off.pairs, 1.0),
-            phases("ms on", &on.ns, 1e6),
-            phases("ms off", &off.ns, 1e6),
+            phases("pairs on", &on.call_pairs, 1.0),
+            phases("pairs off", &off.call_pairs, 1.0),
+            phases("ms on", &on.call_ns, 1e6),
+            phases("ms off", &off.call_ns, 1e6),
         ],
     );
-    assert_eq!(on.pairs[0], off.pairs[0], "call 1 must charge identically with the cache armed");
+    let (on_pairs, off_pairs) = (&on.call_pairs, &off.call_pairs);
+    assert_eq!(on_pairs[0], off_pairs[0], "call 1 must charge identically with the cache armed");
     assert!(
-        steady(&on.pairs) < steady(&off.pairs),
+        steady(on_pairs) < steady(off_pairs),
         "steady-state pairs must drop with the cache on"
     );
-    let speedup = steady(&off.ns) / steady(&on.ns);
+    let speedup = steady(&off.call_ns) / steady(&on.call_ns);
     r.heading(&format!("steady-state virtual-time speedup: {speedup:.3}x"));
     r.note("file images byte-identical: yes");
-}
-
-/// The E1 workload the pipeline ablation (A6) runs: 512 B regions,
-/// and a small collective buffer to force many buffer cycles per call —
-/// the regime double buffering targets (one cycle has nothing to overlap
-/// with).
-struct PipelineWorkload {
-    spec: HpioSpec,
-    agg_counts: [usize; 2],
-    /// Every arm must leave the image the first one left.
-    first_image: Option<Vec<u8>>,
-}
-
-impl PipelineWorkload {
-    /// Paper scale: 64 procs, 4096 regions, aggregators {8, 32}. Default
-    /// scale: 16 procs, 1024 regions, aggregators {4, 8}.
-    fn new(args: &Args, r: &mut Report) -> Self {
-        let (nprocs, agg_counts) =
-            args.world(if args.paper { (64, [8, 32]) } else { (16, [4, 8]) });
-        let regions = if args.paper { 4096 } else { 1024 };
-        r.note(&format!(
-            "E1 workload: {nprocs} procs, {regions} regions of 512 B, spacing 128 B, cb 256 KiB"
-        ));
-        let spec = HpioSpec { region_count: regions, nprocs, ..HpioSpec::fig4(512) };
-        PipelineWorkload { spec, agg_counts, first_image: None }
-    }
-
-    /// One arm: the collective write at `depth`, and the PFS-side peak of
-    /// outstanding nonblocking ops it reached.
-    fn arm(
-        &mut self,
-        (engine, aggs): (Engine, usize),
-        depth: PipelineDepth,
-        arm: Arguments,
-    ) -> (Sample, u64) {
-        let hints = Hints {
-            engine,
-            cb_nodes: Some(aggs),
-            cb_buffer_size: 256 << 10,
-            pipeline_depth: depth,
-            ..Hints::default()
-        };
-        let pfs = Pfs::new(PfsConfig::default());
-        let s =
-            hpio_call(&pfs, "pipeline", self.spec, TypeStyle::Succinct, &hints, How::TimedWrite);
-        let image = read_file(&pfs, "pipeline");
-        match &self.first_image {
-            None => self.first_image = Some(image),
-            Some(first) => assert!(*first == image, "file images diverge at {arm}, {aggs} aggs"),
-        }
-        (s, pfs.stats().nb_inflight_peak)
-    }
-
-    fn mbps(&self, s: &Sample) -> f64 {
-        mbps(self.spec.aggregate_bytes(), s.ns)
-    }
 }
 
 /// A6: pipeline depth 1 (serial), 2 (classic double buffering), 4 and
@@ -275,8 +215,21 @@ impl PipelineWorkload {
 /// deepest pipeline any rank reached and the PFS-side peak of outstanding
 /// nonblocking ops; every engine × depth combination must leave a
 /// byte-identical file image.
+///
+/// The workload is E1's with 512 B regions, and a small collective buffer
+/// to force many buffer cycles per call — the regime double buffering
+/// targets (one cycle has nothing to overlap with). Paper scale: 64
+/// procs, 4096 regions, aggregators {8, 32}. Default scale: 16 procs,
+/// 1024 regions, aggregators {4, 8}.
 pub(crate) fn a6(args: &Args, r: &mut Report) {
-    let mut w = PipelineWorkload::new(args, r);
+    let (nprocs, agg_counts) = args.world(if args.paper { (64, [8, 32]) } else { (16, [4, 8]) });
+    let regions = if args.paper { 4096 } else { 1024 };
+    r.note(&format!(
+        "E1 workload: {nprocs} procs, {regions} regions of 512 B, spacing 128 B, cb 256 KiB"
+    ));
+    let spec = HpioSpec { region_count: regions, nprocs, ..HpioSpec::fig4(512) };
+    // Every arm must leave the image the first one left.
+    let mut first_image = None;
     let depths = [
         ("depth-1", PipelineDepth::Fixed(1)),
         ("depth-2", PipelineDepth::Fixed(2)),
@@ -287,18 +240,30 @@ pub(crate) fn a6(args: &Args, r: &mut Report) {
         "aggs,engine,depth,ns,mbps:2,hidden_ns,derive_hidden_ns,depth_used,nb_inflight_peak,\
          bytes_copied",
     );
-    for aggs in w.agg_counts {
+    for aggs in agg_counts {
         for &(ename, engine) in &args.engines {
             let (mut auto_bw, mut fixed2_bw) = (0.0, 0.0);
             for &(name, depth) in &depths {
-                let (s, nb_peak) = w.arm((engine, aggs), depth, format_args!("{ename} {name}"));
-                let bw = w.mbps(&s);
+                let hints = Hints {
+                    engine,
+                    cb_nodes: Some(aggs),
+                    cb_buffer_size: 256 << 10,
+                    pipeline_depth: depth,
+                    ..Hints::default()
+                };
+                let pfs = Pfs::new(PfsConfig::default());
+                let world = FileWorld::new(&pfs, "pipeline", &hints, Timing::Whole);
+                let s = hpio(world, spec, TypeStyle::Succinct, false);
+                let image = read_file(&pfs, "pipeline");
+                let first = first_image.get_or_insert_with(|| image.clone());
+                assert!(*first == image, "file images diverge at {ename} {name}, {aggs} aggs");
+                let bw = mbps(spec.aggregate_bytes(), s.span_ns);
                 row!(r;
-                    aggs, ename, name, s.ns, bw,
+                    aggs, ename, name, s.span_ns, bw,
                     s.sum(|s| s.overlap_saved_ns),
                     s.sum(|s| s.derive_overlap_saved_ns),
                     s.stats.iter().map(|s| s.pipeline_depth_used).max().unwrap_or(0),
-                    nb_peak,
+                    pfs.stats().nb_inflight_peak,
                     s.sum(|s| s.bytes_copied),
                 );
                 match name {
@@ -385,13 +350,22 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
             retry_backoff_us: 100,
             ..Hints::default()
         };
-        let s = tiled_steps(&pfs, "a7", (nprocs, BLOCK, reps, STEPS), &hints, &|_| {});
+        let shape = TiledShape { nprocs, block: BLOCK, reps, steps: STEPS };
+        let s = FileWorld::new(&pfs, "a7", &hints, Timing::EachCall).run(
+            nprocs,
+            STEPS,
+            |rank| Some(shape.view(rank)),
+            |rank, step| shape.write(rank, step),
+        );
+        let clean = s.err().is_some() || s.close.iter().all(Result::is_ok);
+        assert!(clean, "close failed after clean writes");
+        let total_ns: u64 = s.call_ns.iter().sum();
         let image = read_file(&pfs, "a7");
-        (s, image, pfs.stats().faults_injected)
+        (s, total_ns, image, pfs.stats().faults_injected)
     };
 
     let aggs = agg_counts[0];
-    let (oracle, oracle_image, _) = run(aggs, None, false, 4);
+    let (_, oracle_ns, oracle_image, _) = run(aggs, None, false, 4);
     r.heading(&format!("panel 1: transient faults at {aggs} aggregators"));
     r.section("rate,io_retries,outcome,ns,slowdown:3,retries,faults_injected");
     let rates = [0.002, 0.01, 0.05, 0.1];
@@ -399,20 +373,20 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
         vec![("no-retry".to_string(), Vec::new()), ("retry-4".to_string(), Vec::new())];
     for rate in rates {
         for (si, retries) in [0u32, 4].into_iter().enumerate() {
-            let (s, image, faults) =
+            let (s, ns, image, faults) =
                 run(aggs, Some(FaultPlan::transient(0xa7, rate)), false, retries);
             assert!(image == oracle_image, "transient faults changed bytes");
             let retried = s.sum(|s| s.io_retries);
             assert!(retried <= faults, "retry ledger exceeds injected faults");
-            let slowdown = s.total_ns() as f64 / oracle.total_ns() as f64;
-            let outcome = if s.err.is_none() { "ok" } else { "aborted" };
-            row!(r; rate, retries, outcome, s.total_ns(), slowdown, retried, faults);
-            if let Some(e) = &s.err {
+            let slowdown = ns as f64 / oracle_ns as f64;
+            let outcome = if s.err().is_none() { "ok" } else { "aborted" };
+            row!(r; rate, retries, outcome, ns, slowdown, retried, faults);
+            if let Some(e) = s.err() {
                 r.note(&format!("  -> error({e})"));
             }
             // An aborted collective is not a data point on the slowdown
             // curve; plot it as 0 so the gap is visible in the table.
-            series[si].1.push(if s.err.is_none() { slowdown } else { 0.0 });
+            series[si].1.push(if s.err().is_none() { slowdown } else { 0.0 });
         }
     }
     let title = format!("A7.1 transient-fault slowdown, {aggs} aggs (0 = aborted)");
@@ -421,13 +395,13 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
     r.heading("panel 2: persistent straggler OST 0");
     r.section("aggs,multiplier,mode,ns,last_step_ns,slowdown:3,degraded_cycles,realms_rebalanced");
     for aggs in agg_counts {
-        let (oracle, oracle_image, _) = run(aggs, None, true, 4);
+        let (_, oracle_ns, oracle_image, _) = run(aggs, None, true, 4);
         for m in [2.0, 4.0, 8.0, 16.0] {
             let mut static_ns = u64::MAX;
             for (mode, rebalance) in [("static", false), ("rebalance", true)] {
-                let (s, image, _) = run(aggs, Some(FaultPlan::straggler(0, m)), rebalance, 4);
+                let (s, ns, image, _) = run(aggs, Some(FaultPlan::straggler(0, m)), rebalance, 4);
                 assert!(image == oracle_image, "straggler run changed bytes");
-                assert!(s.err.is_none(), "straggler-only plan must not error");
+                assert!(s.err().is_none(), "straggler-only plan must not error");
                 // The EWMA detector deliberately ignores mild stragglers
                 // (below its 2x threshold), and the adaptive pipeline
                 // already hides moderate latency within one aggregator,
@@ -435,16 +409,15 @@ pub(crate) fn a7(args: &Args, r: &mut Report) {
                 // severe enough to exceed both defences.
                 if rebalance && m >= 16.0 {
                     assert!(
-                        s.total_ns() < static_ns,
-                        "aggs {aggs} x{m}: rebalancing ({}) not faster than static ({static_ns})",
-                        s.total_ns()
+                        ns < static_ns,
+                        "aggs {aggs} x{m}: rebalancing ({ns}) not faster than static ({static_ns})"
                     );
                 } else if !rebalance {
-                    static_ns = s.total_ns();
+                    static_ns = ns;
                 }
                 row!(r;
-                    aggs, m, mode, s.total_ns(), *s.ns.last().unwrap(),
-                    s.total_ns() as f64 / oracle.total_ns() as f64,
+                    aggs, m, mode, ns, *s.call_ns.last().unwrap(),
+                    ns as f64 / oracle_ns as f64,
                     s.sum(|s| s.degraded_cycles),
                     s.sum(|s| s.realms_rebalanced),
                 );

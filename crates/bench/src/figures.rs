@@ -1,14 +1,14 @@
 //! The paper's figures (§6: Fig. 4, 5, 7) and the read-direction study.
 
 use crate::report::{row, Report};
-use crate::worlds::{hpio_call, locking_pfs, mbps, presize, How, StepRun};
+use crate::worlds::{hpio, locking_pfs, mbps, presize};
 use crate::Args;
 use flexio_core::{Engine, Hints};
 use flexio_hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio_io::IoMethod;
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::CostModel;
-use flexio_types::Datatype;
+use flexio_workload::{Call, FileWorld, Io, Timing};
 
 /// Fig. 4's three methods: the flexible engine with succinct and with
 /// enumerated filetypes, and the ROMIO baseline.
@@ -40,8 +40,8 @@ pub(crate) fn e1(args: &Args, r: &mut Report) {
             for (name, engine, style) in METHODS {
                 let hints = Hints { engine, cb_nodes: Some(aggs), ..Hints::default() };
                 let pfs = Pfs::new(PfsConfig::default());
-                let s = hpio_call(&pfs, "fig4", spec, style, &hints, How::TimedWrite);
-                let bw = mbps(spec.aggregate_bytes(), s.ns);
+                let s = hpio(FileWorld::new(&pfs, "fig4", &hints, Timing::Whole), spec, style, false);
+                let bw = mbps(spec.aggregate_bytes(), s.span_ns);
                 row!(r; aggs, rs, name, bw, s.sum(|s| s.bytes_copied));
             }
         }
@@ -98,8 +98,10 @@ pub(crate) fn e2(args: &Args, r: &mut Report) {
                 let hints = Hints { cb_nodes: Some(aggs), io_method, ..Hints::default() };
                 let pfs = Pfs::new(PfsConfig::default());
                 presize(&pfs, "fig5", file_bytes);
-                let s = hpio_call(&pfs, "fig5", spec, TypeStyle::Succinct, &hints, How::TimedWrite);
-                row!(r; extent, rs, rs * 100 / extent, name, mbps(spec.aggregate_bytes(), s.ns));
+                let world = FileWorld::new(&pfs, "fig5", &hints, Timing::Whole);
+                let s = hpio(world, spec, TypeStyle::Succinct, false);
+                let bw = mbps(spec.aggregate_bytes(), s.span_ns);
+                row!(r; extent, rs, rs * 100 / extent, name, bw);
             }
         }
     }
@@ -130,8 +132,9 @@ pub(crate) fn e2_spikes(args: &Args, r: &mut Report) {
             let pfs = Pfs::new(PfsConfig::default());
             // Pre-size so unaligned edges hit existing data (real RMW).
             presize(&pfs, "spike", extent * 64 * nprocs as u64);
-            let s = hpio_call(&pfs, "spike", spec, TypeStyle::Succinct, &hints, How::TimedWrite);
-            row!(r; rs, mbps(spec.aggregate_bytes(), s.ns), pfs.stats().rmw_page_reads);
+            let world = FileWorld::new(&pfs, "spike", &hints, Timing::Whole);
+            let s = hpio(world, spec, TypeStyle::Succinct, false);
+            row!(r; rs, mbps(spec.aggregate_bytes(), s.span_ns), pfs.stats().rmw_page_reads);
         }
     }
 }
@@ -172,22 +175,18 @@ pub(crate) fn e3(args: &Args, r: &mut Report) {
                 io_method: IoMethod::DataSieve { buffer: 512 << 10 },
                 ..Hints::default()
             };
-            let s = StepRun {
-                pfs: &pfs,
-                path: "fig7",
-                nprocs: clients,
+            // Each step sets its slice's view inside the timed span.
+            let s = FileWorld::new(&pfs, "fig7", &hints, Timing::Whole).run(
+                clients,
                 steps,
-                hints: &hints,
-                time_each_step: false,
-                before_step: &|f, rank, t| {
-                    let (disp, ftype) = spec.file_view(rank, t);
-                    f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+                |_| None,
+                |rank, t| Call {
+                    view: Some(spec.file_view(rank, t)),
+                    ..Call::contiguous(Io::Write(spec.make_buffer(rank, t)))
                 },
-                data: &|rank, t| spec.make_buffer(rank, t),
-            }
-            .run();
-            assert!(s.err.is_none(), "fault-free time steps failed: {:?}", s.err);
-            row!(r; clients, name, mbps(spec.bytes_per_step() * steps, s.total_ns()));
+            );
+            assert!(s.err().is_none(), "fault-free time steps failed: {:?}", s.err());
+            row!(r; clients, name, mbps(spec.bytes_per_step() * steps, s.span_ns));
         }
     }
     let title = "PFRs & file realm alignment — I/O bandwidth (MB/s)";
@@ -210,11 +209,12 @@ pub(crate) fn read(args: &Args, r: &mut Report) {
             let pfs = Pfs::new(PfsConfig::default());
             // Populate the file with a free collective write first.
             let populate = Hints { cb_nodes: Some(aggs), ..Hints::default() };
-            let free = How::UntimedWrite(CostModel::free());
-            hpio_call(&pfs, "r", spec, TypeStyle::Succinct, &populate, free);
+            let mut free = FileWorld::new(&pfs, "r", &populate, Timing::Untimed);
+            free.cost = CostModel::free();
+            hpio(free, spec, TypeStyle::Succinct, false);
             let hints = Hints { engine, cb_nodes: Some(aggs), ..Hints::default() };
-            let s = hpio_call(&pfs, "r", spec, style, &hints, How::TimedRead);
-            row!(r; rs, name, mbps(spec.aggregate_bytes(), s.ns));
+            let s = hpio(FileWorld::new(&pfs, "r", &hints, Timing::Whole), spec, style, true);
+            row!(r; rs, name, mbps(spec.aggregate_bytes(), s.span_ns));
         }
     }
     r.pivot("Collective read bandwidth (MB/s)", None, "region_size", &["method"], "mbps");

@@ -7,13 +7,14 @@
 //! that is deterministic.
 
 use crate::report::{row, Report};
-use crate::worlds::{hpio_call, How};
+use crate::worlds::hpio;
 use crate::Args;
 use flexio_core::engine::schedule::derivation_window_walks;
 use flexio_core::{Engine, ExchangeMode, Hints};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::{last_run_counters, run, stack_blocks_mapped, Backend, CostModel, SchedCounters};
+use flexio_workload::{FileWorld, Timing};
 use std::time::{Duration, Instant};
 
 /// Host time is noisy where virtual time is not: every wall-clock cell
@@ -40,9 +41,9 @@ fn collective_write(engine: Engine, nprocs: usize) -> (Duration, u64, u64) {
         ..Hints::default()
     };
     // No barrier: the world's own messages and switches are what `--check` pins.
-    let untimed = How::UntimedWrite(CostModel::default());
+    let untimed = FileWorld::new(&pfs, "host_scale", &hints, Timing::Untimed);
     let t0 = Instant::now();
-    let s = hpio_call(&pfs, "host_scale", spec, TypeStyle::Succinct, &hints, untimed);
+    let s = hpio(untimed, spec, TypeStyle::Succinct, false);
     (t0.elapsed(), s.sum(|s| s.msgs_sent), s.sum(|s| s.pairs_processed))
 }
 

@@ -97,6 +97,11 @@ pub fn run(
     } else {
         &*sched_cache.insert(ExchangeSchedule::shared(rank, &wires, key, hints, pfr_state, &layout))
     };
+    // The derivation is the world's, so every rank fails here alike,
+    // before any byte moves.
+    if let Some(broken) = sched.bad_realms() {
+        return Err(IoError::BadHints(broken));
+    }
 
     // ---- buffer cycles ----------------------------------------------------
     // A miss charges the derivation's pairs where the work falls — parse

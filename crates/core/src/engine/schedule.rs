@@ -24,7 +24,9 @@
 use crate::engine::common::ClientStream;
 use crate::hints::{aggregator_ranks, Hints};
 use crate::meta::ClientAccess;
-use crate::realm::{AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet};
+use crate::realm::{
+    broken_rule, AssignCtx, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet,
+};
 use flexio_pfs::PfsConfig;
 use flexio_sim::{GatherTable, Rank};
 use flexio_types::Piece;
@@ -266,6 +268,9 @@ pub(crate) struct Derivation {
     /// Keeps a plugged-in assigner's address — part of the key — from
     /// being reused by another assigner while this derivation lives.
     _assigner: Option<Arc<dyn RealmAssigner>>,
+    /// The rule a plugged-in assigner's realms break, if any: every
+    /// rank's call fails with it, and the plan is empty.
+    bad_realms: Option<&'static str>,
 }
 
 impl Derivation {
@@ -317,6 +322,7 @@ impl Derivation {
             run_cells: 0,
             pfr: None,
             _assigner: hints.realm_assigner.clone(),
+            bad_realms: None,
         };
 
         // ---- aggregate access region ------------------------------------
@@ -360,7 +366,11 @@ impl Derivation {
             computed = assign(&EvenAar);
             &computed
         };
-        assert_eq!(realms.len(), n_agg, "assigner must produce one realm per aggregator");
+        out.bad_realms = hints.realm_assigner.as_ref().and_then(|_| broken_rule(realms, n_agg, (lo, hi)));
+        if out.bad_realms.is_some() {
+            out.pfr = None;
+            return out;
+        }
 
         // ---- windows: every aggregator's, in file order ---------------------
         let cb = hints.cb_buffer_size as u64;
@@ -598,6 +608,11 @@ impl ExchangeSchedule {
     /// yet (a residency probe for tests).
     pub fn derivations_live(rank: &Rank) -> usize {
         rank.shared_live_of::<Derivation>()
+    }
+
+    /// The rule a plugged-in realm assigner broke, if it did.
+    pub(crate) fn bad_realms(&self) -> Option<&'static str> {
+        self.derived.bad_realms
     }
 
     /// Aggregator ranks, in aggregator order.

@@ -165,10 +165,32 @@ pub struct AssignCtx<'a> {
 /// different scheme."
 pub trait RealmAssigner: Send + Sync {
     /// Produce exactly `ctx.n_aggregators` realms that jointly cover the
-    /// aggregate access region (realms must be pairwise disjoint).
+    /// aggregate access region (realms must be pairwise disjoint). The
+    /// flexible engine checks a plugged-in assigner's count, contiguous
+    /// overlap and bytes owned in sum at every derivation; a broken set
+    /// fails the call with the same `IoError::BadHints` on every rank
+    /// before any byte moves. Not caught: tiled realms whose overlap
+    /// exactly cancels a gap.
     fn assign(&self, ctx: &AssignCtx<'_>) -> Vec<FileRealm>;
     /// Human-readable name for logs and benches.
     fn name(&self) -> &'static str;
+}
+
+/// The rule of the [`RealmAssigner`] contract that a plugged-in
+/// assigner's `realms` for `n_agg` aggregators break over the aggregate
+/// access region `[lo, hi)`, if any.
+pub(crate) fn broken_rule(realms: &[FileRealm], n_agg: usize, (lo, hi): (u64, u64)) -> Option<&'static str> {
+    let mut spans: Vec<_> = realms.iter().filter_map(|r| r.bound.filter(|(a, b)| a < b)).collect();
+    spans.sort_unstable();
+    if realms.len() != n_agg {
+        Some("realm assigner must produce one realm per aggregator")
+    } else if spans.windows(2).any(|w| w[0].1 > w[1].0) {
+        Some("realm assigner's contiguous realms overlap")
+    } else if realms.iter().map(|r| r.owned_between(lo, hi)).sum::<u64>() != hi - lo {
+        Some("realm assigner's realms must own the aggregate access region once")
+    } else {
+        None
+    }
 }
 
 fn align_down(x: u64, a: u64) -> u64 {

@@ -19,9 +19,9 @@
 //!   lines;
 //! * [`runner::run_spec`] materializes the spec against a real
 //!   [`Pfs`](flexio_pfs::Pfs) under a chosen engine, faulted or not
-//!   ([`runner::RunConfig`]), one simulated world per phase (rank counts
-//!   may differ phase to phase — that is the restart scenario's point),
-//!   returning images, clocks, stats, and read-backs;
+//!   ([`runner::RunConfig`]), one world per phase (rank counts may differ
+//!   phase to phase — that is the restart scenario's point) on the
+//!   executor every collective file world shares, [`FileWorld`];
 //! * [`oracle::Oracle`] computes the expected file image and expected
 //!   read-backs engine-free, straight from the datatypes, so differential
 //!   suites have an independent referee.
@@ -29,8 +29,9 @@
 //! The crate also hosts the shared data stream, file-image probe and
 //! tiled world the integration suites used to copy-paste ([`tiled`]),
 //! the strided workload shape of `tests/engine_equivalence.rs`
-//! ([`strided`]), and the double-slot checkpoint headers the crash
-//! workload ([`crash`]) commits its epochs with ([`epoch`]).
+//! ([`strided`]), and the crash workload ([`crash`]), whose two rank
+//! bodies carry a victim schedule and commit epochs with [`epoch`]'s
+//! double-slot headers inside the world.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,10 +51,13 @@ pub use crash::{
 };
 pub use gen::generate;
 pub use oracle::{eq_padded, Oracle};
-pub use runner::{check_invariants, run_spec, PhaseResult, RunConfig, RunOutcome};
+pub use runner::{
+    check_invariants, run_phase, run_spec, Call, FileWorld, Io, PhaseResult, RunConfig, RunOutcome,
+    Timing, View,
+};
 pub use spec::{
     checkpoint_spec, many_task_spec, mixed_subarray_spec, read_scan_spec, restart_spec, PfsShape,
     PhaseOp, PhaseSpec, RankPlan, ScenarioKind, WorkloadSpec,
 };
 pub use strided::StridedSpec;
-pub use tiled::{read_file, run_tiled, step_data, RankOutcome, TiledShape};
+pub use tiled::{read_file, run_tiled, step_data, TiledShape};

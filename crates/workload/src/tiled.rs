@@ -1,20 +1,17 @@
-//! Shared tiled-interleave harness helpers.
+//! The suites' shared data stream, file-image probe and tiled world.
 //!
-//! The integration suites (`tests/engine_pipeline_parity.rs`,
-//! `tests/fault_injection.rs` and others) used to carry private copies of
-//! the same seeded data generator, file-image probe and tiled collective
-//! world; this module is the single home for all of them. The byte streams
-//! and world bodies are kept *exactly* as the suites had them, so pinned
-//! regression seeds and harvested charge fixtures replay identically.
+//! [`TiledShape`] builds the tiled interleave's views and writes, and
+//! [`run_tiled`] runs them on the executor ([`FileWorld`]); the bench's
+//! checkpoint ablations time the same calls. Streams and calls are kept
+//! *exactly* as the suites had them, so pinned regression seeds and
+//! harvested charge fixtures replay identically.
 
-use flexio_core::{Hints, IoError, MpiFile};
+use crate::runner::{Call, FileWorld, Io, PhaseResult, Timing, View};
+use flexio_core::Hints;
 use flexio_pfs::Pfs;
-use flexio_sim::{run, CostModel, Stats, XorShift64Star};
+use flexio_sim::XorShift64Star;
 use flexio_types::Datatype;
 use std::sync::Arc;
-
-/// Each rank's `(elapsed, stats, per-call outcomes, read-back)`.
-pub type RankOutcome = (u64, Stats, Vec<Result<(), IoError>>, Vec<u8>);
 
 /// Seeded per-rank, per-step data: deterministic across platforms and
 /// identical to what the differential suites have always written.
@@ -49,40 +46,46 @@ pub struct TiledShape {
     pub steps: u64,
 }
 
-/// Run the tiled workload on `pfs` under `hints`: `steps` collective
-/// writes, then (if `read_back`) one collective read appended to each
-/// rank's outcome list.
+impl TiledShape {
+    /// Bytes one rank moves per call.
+    pub fn call_len(&self) -> usize {
+        (self.reps * self.block) as usize
+    }
+
+    /// Rank `rank`'s view, set at open: its tile of every stripe.
+    pub fn view(&self, rank: usize) -> View {
+        let stripe = self.nprocs as u64 * self.block;
+        (rank as u64 * self.block, Datatype::resized(0, stripe, Datatype::bytes(self.block)))
+    }
+
+    /// Rank `rank`'s write of `step`: fresh [`step_data`] over its tiles.
+    pub fn write(&self, rank: usize, step: u64) -> Call {
+        Call::contiguous(Io::Write(step_data(rank, step, self.call_len())))
+    }
+}
+
+/// Run the tiled workload on `pfs` under `hints`, untimed: `steps`
+/// collective writes, then (if `read_back`) one collective read, whose
+/// outcome ends each rank's outcome list.
 pub fn run_tiled(
     pfs: &Arc<Pfs>,
     path: &str,
     shape: TiledShape,
     hints: &Hints,
     read_back: bool,
-) -> Vec<RankOutcome> {
-    let inner = Arc::clone(pfs);
-    let hints = hints.clone();
-    let path = path.to_string();
-    run(shape.nprocs, CostModel::default(), move |rank| {
-        let mut f = MpiFile::open(rank, &inner, &path, hints.clone()).unwrap();
-        let ftype =
-            Datatype::resized(0, shape.nprocs as u64 * shape.block, Datatype::bytes(shape.block));
-        f.set_view(rank.rank() as u64 * shape.block, &Datatype::bytes(1), &ftype).unwrap();
-        let len = (shape.reps * shape.block) as usize;
-        let mut results = Vec::new();
-        for s in 0..shape.steps {
-            let data = step_data(rank.rank(), s, len);
-            results.push(f.write_all(&data, &Datatype::bytes(len as u64), 1));
-        }
-        let mut back = Vec::new();
-        if read_back {
-            back = vec![0u8; len];
-            results.push(f.read_all(&mut back, &Datatype::bytes(len as u64), 1));
-        }
-        // The close-time flush has no retry loop; a faulted close still
-        // releases everything, so the outcome is not part of any property.
-        let _ = f.close();
-        (rank.now(), rank.stats(), results, back)
-    })
+) -> PhaseResult {
+    FileWorld::new(pfs, path, hints, Timing::Untimed).run(
+        shape.nprocs,
+        shape.steps + read_back as u64,
+        |r| Some(shape.view(r)),
+        |r, i| {
+            if i < shape.steps {
+                shape.write(r, i)
+            } else {
+                Call::contiguous(Io::Read(shape.call_len()))
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -115,7 +118,7 @@ mod tests {
         });
         let shape = TiledShape { nprocs: 3, block: 16, reps: 4, steps: 2 };
         let out = run_tiled(&pfs, "t", shape, &Hints::default(), true);
-        for (r, (_, _, results, back)) in out.iter().enumerate() {
+        for (r, (results, back)) in out.outcomes.iter().zip(&out.read_backs).enumerate() {
             assert_eq!(results.len(), 3);
             assert!(results.iter().all(|x| x.is_ok()));
             assert_eq!(back, &step_data(r, shape.steps - 1, back.len()));

@@ -5,6 +5,13 @@
 //! sharing an "I/O node" adjacent realms (the paper's BG/L example), and
 //! compare it with the built-in assigners on a clustered workload.
 //!
+//! The engine holds a plugged-in assigner to the `RealmAssigner`
+//! contract: one realm per aggregator, contiguous realms pairwise
+//! disjoint, every byte of the aggregate access region owned once. A set
+//! that breaks it fails the collective call with the same
+//! `IoError::BadHints` on every rank, before any byte is written; the
+//! `unwrap`s below would report it.
+//!
 //! Run with: `cargo run --release --example custom_realms`
 
 use flexio::core::{

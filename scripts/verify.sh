@@ -19,6 +19,18 @@ for arg in "$@"; do
   esac
 done
 
+# One executor: every collective file world of the bench experiments is
+# calls built for `flexio_workload::FileWorld::run`, so no experiment
+# grows a rank body of its own again. The two worlds that keep their own
+# bodies live elsewhere: the crash workload's (crates/workload/src/crash.rs:
+# a victim schedule and an in-world epoch commit) and the benchmark
+# package's (benchmark/).
+echo "== one executor: no MpiFile::open under crates/bench/src =="
+if grep -rn 'MpiFile::open' crates/bench/src; then
+  echo "an experiment opens a file itself: build its calls for FileWorld::run" >&2
+  exit 1
+fi
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

@@ -20,7 +20,7 @@ use flexio::core::{Engine, ExchangeMode, Hints, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
-use flexio::workload::{read_file, run_tiled, step_data, RankOutcome, TiledShape};
+use flexio::workload::{read_file, run_tiled, step_data, PhaseResult, TiledShape};
 use std::sync::Arc;
 
 fn timed_pfs(faults: Option<&FaultPlan>) -> Arc<Pfs> {
@@ -91,7 +91,7 @@ fn random_parity(rng: &mut XorShift64Star) -> Parity {
 /// Run `p`'s workload (`steps` collective writes, one collective read)
 /// under `engine` at `depth`. Returns the file image, every rank's
 /// outcome, and the PFS nonblocking-queue high-water mark.
-fn roundtrip(p: &Parity, engine: Engine, depth: PipelineDepth) -> (Vec<u8>, Vec<RankOutcome>, u64) {
+fn roundtrip(p: &Parity, engine: Engine, depth: PipelineDepth) -> (Vec<u8>, PhaseResult, u64) {
     let pfs = timed_pfs(p.plan.as_ref());
     let hints = Hints {
         engine,
@@ -141,7 +141,7 @@ fn pipelined_engines_match_their_serial_oracles() {
                 // The file system's peak is the pipeline's own depth count,
                 // folded over ranks: one queued op per buffer past the first.
                 for (peak, out) in [(peak_d, &out_d), (peak_1, &out_1)] {
-                    let used = out.iter().map(|o| o.1.pipeline_depth_used).max().unwrap_or(0);
+                    let used = out.stats.iter().map(|s| s.pipeline_depth_used).max().unwrap_or(0);
                     assert_eq!(peak, used.saturating_sub(1), "{engine:?}: nb peak vs depth used");
                 }
                 if let Some(cap) = depth_cap(p.depth) {
@@ -150,15 +150,15 @@ fn pipelined_engines_match_their_serial_oracles() {
                         "{engine:?}: nb queue {peak_d} exceeds depth {cap} cap"
                     );
                 }
-                let lead = &out_d[0].2;
+                let lead = &out_d.outcomes[0];
                 for r in 0..p.nprocs {
-                    let (now, d, s) = (&out_d[r].0, &out_d[r].1, &out_1[r].1);
-                    assert_eq!(out_d[r].2, *lead, "{engine:?}: rank {r} outcome split");
-                    assert_eq!(out_d[r].2, out_1[r].2, "{engine:?}: rank {r} outcomes");
-                    assert_eq!(out_d[r].3, out_1[r].3, "{engine:?}: rank {r} read-back");
-                    if out_d[r].2.iter().all(Result::is_ok) {
-                        let want = step_data(r, p.steps - 1, out_d[r].3.len());
-                        assert_eq!(out_d[r].3, want, "{engine:?}: rank {r} read wrong bytes");
+                    let (now, d, s) = (&out_d.clocks[r], &out_d.stats[r], &out_1.stats[r]);
+                    assert_eq!(out_d.outcomes[r], *lead, "{engine:?}: rank {r} outcome split");
+                    assert_eq!(out_d.outcomes[r], out_1.outcomes[r], "{engine:?}: rank {r} outcomes");
+                    assert_eq!(out_d.read_backs[r], out_1.read_backs[r], "{engine:?}: rank {r} read-back");
+                    if out_d.outcomes[r].iter().all(Result::is_ok) {
+                        let want = step_data(r, p.steps - 1, out_d.read_backs[r].len());
+                        assert_eq!(out_d.read_backs[r], want, "{engine:?}: rank {r} read wrong bytes");
                     }
                     assert_eq!(d.pairs_processed, s.pairs_processed, "{engine:?}: rank {r} pairs");
                     assert_eq!(d.memcpy_bytes, s.memcpy_bytes, "{engine:?}: rank {r} copies");
@@ -170,7 +170,7 @@ fn pipelined_engines_match_their_serial_oracles() {
                     );
                     assert_eq!(d.phase_ns.iter().sum::<u64>(), *now, "{engine:?}: rank {r} phase sum");
                     assert_eq!(
-                        out_1[r].1.overlap_saved_ns, 0,
+                        out_1.stats[r].overlap_saved_ns, 0,
                         "{engine:?}: rank {r} serial oracle overlapped"
                     );
                     assert_eq!(s.derive_overlap_saved_ns, 0, "{engine:?}: rank {r} oracle derive");
@@ -196,13 +196,9 @@ fn pipelined_engines_match_their_serial_oracles() {
 fn fixture_run(hints: Hints) -> Vec<(u64, Stats)> {
     let pfs = timed_pfs(None);
     let shape = TiledShape { nprocs: 4, block: 64, reps: 16, steps: 2 };
-    run_tiled(&pfs, "fix", shape, &hints, true)
-        .into_iter()
-        .map(|(now, stats, results, _)| {
-            assert!(results.iter().all(|r| r.is_ok()), "fixture op failed");
-            (now, stats)
-        })
-        .collect()
+    let out = run_tiled(&pfs, "fix", shape, &hints, true);
+    assert!(out.outcomes.iter().flatten().all(|r| r.is_ok()), "fixture op failed");
+    out.clocks.into_iter().zip(out.stats).collect()
 }
 
 /// Per-rank `(clock, phase buckets, hidden ns, pairs, copy bytes,

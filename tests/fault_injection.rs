@@ -20,7 +20,7 @@ use flexio::core::{Engine, ExchangeMode, Hints, IoError, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, StragglerSpec};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
-use flexio::workload::{read_file, run_tiled, RankOutcome, TiledShape};
+use flexio::workload::{read_file, run_tiled, PhaseResult, TiledShape};
 use std::sync::Arc;
 
 /// One randomized chaos case: a tiled collective workload, the engine and
@@ -125,7 +125,7 @@ fn chaos_shape(c: &Chaos) -> TiledShape {
 /// Run `c`'s workload (`steps` collective writes, one collective read),
 /// with or without the fault plan installed. Returns the file image, the
 /// injector's fault count, and every rank's outcome.
-fn roundtrip(c: &Chaos, faults: bool) -> (Vec<u8>, u64, Vec<RankOutcome>) {
+fn roundtrip(c: &Chaos, faults: bool) -> (Vec<u8>, u64, PhaseResult) {
     let pfs = chaos_pfs(c, faults);
     let out = run_tiled(&pfs, "chaos", chaos_shape(c), &chaos_hints(c), true);
     let img = read_file(&pfs, "chaos");
@@ -145,8 +145,9 @@ fn chaos_collectives_stay_collective() {
             let (img_o, oracle_faults, out_o) = roundtrip(c, false);
             assert_eq!(oracle_faults, 0, "oracle must inject nothing");
             assert_eq!(img_f, img_o, "file image must not depend on faults");
-            let lead = &out_f[0].2;
-            for (r, (now, s, results, back)) in out_f.iter().enumerate() {
+            let lead = &out_f.outcomes[0];
+            for (r, results) in out_f.outcomes.iter().enumerate() {
+                let (now, s, back) = (&out_f.clocks[r], &out_f.stats[r], &out_f.read_backs[r]);
                 assert_eq!(results, lead, "rank {r} collective outcome differs");
                 for res in results {
                     if let Err(e) = res {
@@ -156,15 +157,15 @@ fn chaos_collectives_stay_collective() {
                         );
                     }
                 }
-                assert_eq!(back, &out_o[r].3, "rank {r} read-back diverges");
+                assert_eq!(back, &out_o.read_backs[r], "rank {r} read-back diverges");
                 assert_eq!(s.phase_ns.iter().sum::<u64>(), *now, "rank {r} phase sum");
             }
-            let retries: u64 = out_f.iter().map(|o| o.1.io_retries).sum();
+            let retries: u64 = out_f.sum(|s| s.io_retries);
             assert!(retries <= faults, "retries {retries} exceed faults {faults}");
-            for (r, o) in out_o.iter().enumerate() {
-                assert_eq!(o.1.io_retries, 0, "oracle rank {r} retried");
-                assert_eq!(o.1.degraded_cycles, 0, "oracle rank {r} degraded");
-                assert_eq!(o.1.realms_rebalanced, 0, "oracle rank {r} rebalanced");
+            for (r, s) in out_o.stats.iter().enumerate() {
+                assert_eq!(s.io_retries, 0, "oracle rank {r} retried");
+                assert_eq!(s.degraded_cycles, 0, "oracle rank {r} degraded");
+                assert_eq!(s.realms_rebalanced, 0, "oracle rank {r} rebalanced");
             }
         });
 }
@@ -195,7 +196,7 @@ fn exhausted_retries_agree_on_one_error() {
         let (img_o, _, _) = roundtrip(&c, false);
         assert!(faults > 0, "{engine:?}: rate 1.0 must inject faults");
         assert_eq!(img_f, img_o, "{engine:?}: bytes must land despite exhaustion");
-        let lead = &out_f[0].2;
+        let lead = &out_f.outcomes[0];
         assert!(
             lead.iter().all(|r| matches!(r, Err(IoError::Transient(_)))),
             "{engine:?}: every call must exhaust its retries, got {lead:?}"
@@ -212,10 +213,10 @@ fn exhausted_retries_agree_on_one_error() {
             assert_eq!(pe.kind, flexio::pfs::PfsErrorKind::TransientOst);
             assert!(src.source().is_none(), "PfsError is the chain's root");
         }
-        for (r, o) in out_f.iter().enumerate() {
-            assert_eq!(&o.2, lead, "{engine:?}: rank {r} disagrees on the error");
+        for (r, o) in out_f.outcomes.iter().enumerate() {
+            assert_eq!(o, lead, "{engine:?}: rank {r} disagrees on the error");
         }
-        let retries: u64 = out_f.iter().map(|o| o.1.io_retries).sum();
+        let retries: u64 = out_f.sum(|s| s.io_retries);
         assert!(retries <= faults, "{engine:?}: retries {retries} > faults {faults}");
     }
 }
@@ -243,7 +244,7 @@ fn disabled_faults_count_nothing() {
         };
         let (_, faults, out) = roundtrip(&c, false);
         assert_eq!(faults, 0, "{engine:?}: faults injected without a plan");
-        for (r, (_, s, results, _)) in out.iter().enumerate() {
+        for (r, (s, results)) in out.stats.iter().zip(&out.outcomes).enumerate() {
             assert!(results.iter().all(|x| x.is_ok()), "{engine:?}: rank {r} errored");
             assert_eq!(s.io_retries, 0, "{engine:?}: rank {r} retried");
             assert_eq!(s.degraded_cycles, 0, "{engine:?}: rank {r} degraded");
@@ -290,17 +291,17 @@ fn straggler_degrades_and_rebalances() {
     hints.fr_alignment = Some(2048);
     let run_once = |pfs: Arc<Pfs>| {
         let out = run_tiled(&pfs, "slow", chaos_shape(&c), &hints, false);
-        assert!(out.iter().all(|(_, _, results, _)| results.iter().all(|r| r.is_ok())));
+        assert!(out.outcomes.iter().all(|results| results.iter().all(|r| r.is_ok())));
         (read_file(&pfs, "slow"), out)
     };
     let (img_s, out_s) = run_once(Pfs::with_faults(pfs_cfg, c.plan.clone()));
     let (img_o, out_o) = run_once(Pfs::new(pfs_cfg));
     assert_eq!(img_s, img_o, "rebalancing must not change the bytes");
-    let degraded: u64 = out_s.iter().map(|(_, s, _, _)| s.degraded_cycles).sum();
-    let rebalanced: u64 = out_s.iter().map(|(_, s, _, _)| s.realms_rebalanced).sum();
+    let degraded: u64 = out_s.sum(|s| s.degraded_cycles);
+    let rebalanced: u64 = out_s.sum(|s| s.realms_rebalanced);
     assert!(degraded > 0, "straggler OST never flagged as a degraded cycle");
     assert!(rebalanced > 0, "no realm rebalancing despite a persistent straggler");
-    for (r, (_, s, _, _)) in out_o.iter().enumerate() {
+    for (r, s) in out_o.stats.iter().enumerate() {
         assert_eq!(s.degraded_cycles, 0, "oracle rank {r} degraded");
         assert_eq!(s.realms_rebalanced, 0, "oracle rank {r} rebalanced");
     }
@@ -347,17 +348,17 @@ fn rebalance_converges_in_one_detection() {
     hints.fr_alignment = Some(2048);
     let run_once = |pfs: Arc<Pfs>| {
         let out = run_tiled(&pfs, "conv", chaos_shape(&c), &hints, false);
-        assert!(out.iter().all(|(_, _, results, _)| results.iter().all(|r| r.is_ok())));
+        assert!(out.outcomes.iter().all(|results| results.iter().all(|r| r.is_ok())));
         (read_file(&pfs, "conv"), out)
     };
     let (img_s, out_s) = run_once(Pfs::with_faults(pfs_cfg, c.plan.clone()));
     let (img_o, _) = run_once(Pfs::new(pfs_cfg));
     assert_eq!(img_s, img_o, "rebalancing must not change the bytes");
-    let degraded: u64 = out_s.iter().map(|(_, s, _, _)| s.degraded_cycles).sum();
+    let degraded: u64 = out_s.sum(|s| s.degraded_cycles);
     assert!(degraded > 0, "straggler OST never flagged");
     // Exactly one collective rebalance event: every rank notes it once,
     // and no later call detects a residual imbalance.
-    let rebalanced: u64 = out_s.iter().map(|(_, s, _, _)| s.realms_rebalanced).sum();
+    let rebalanced: u64 = out_s.sum(|s| s.realms_rebalanced);
     assert_eq!(
         rebalanced,
         c.nprocs as u64,
@@ -401,13 +402,9 @@ fn rebalance_patches_schedule_cache_without_a_miss() {
     let mut hints = chaos_hints(&c);
     hints.fr_alignment = Some(2048);
     let pfs = Pfs::with_faults(pfs_cfg, c.plan.clone());
-    let out: Vec<Stats> = run_tiled(&pfs, "patch", chaos_shape(&c), &hints, false)
-        .into_iter()
-        .map(|(_, stats, results, _)| {
-            assert!(results.iter().all(|r| r.is_ok()), "patch-run op failed");
-            stats
-        })
-        .collect();
+    let run = run_tiled(&pfs, "patch", chaos_shape(&c), &hints, false);
+    assert!(run.outcomes.iter().flatten().all(|r| r.is_ok()), "patch-run op failed");
+    let out: Vec<Stats> = run.stats;
     let rebalanced: u64 = out.iter().map(|s| s.realms_rebalanced).sum();
     assert_eq!(rebalanced, c.nprocs as u64, "expected exactly one rebalance event");
     for (r, s) in out.iter().enumerate() {
@@ -447,13 +444,9 @@ fn lock_stalls_only_move_time() {
     };
     let work = |pfs: Arc<Pfs>| {
         let shape = TiledShape { nprocs: 4, block: 64, reps: 16, steps: 1 };
-        let out: Vec<u64> = run_tiled(&pfs, "dlm", shape, &Hints::default(), false)
-            .into_iter()
-            .map(|(now, _, results, _)| {
-                assert!(results.iter().all(|r| r.is_ok()), "dlm op failed");
-                now
-            })
-            .collect();
+        let run = run_tiled(&pfs, "dlm", shape, &Hints::default(), false);
+        assert!(run.outcomes.iter().flatten().all(|r| r.is_ok()), "dlm op failed");
+        let out: Vec<u64> = run.clocks;
         (read_file(&pfs, "dlm"), out)
     };
     let (img_fast, t_fast) = work(mk(0));

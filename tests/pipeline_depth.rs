@@ -171,13 +171,9 @@ fn any_depth_matches_serial_oracle() {
 /// read, 512 B collective buffer, timed PFS).
 fn fixture_run(hints: Hints) -> Vec<(u64, Stats)> {
     let shape = TiledShape { nprocs: 4, block: 64, reps: 16, steps: 2 };
-    run_tiled(&timed_pfs(), "fix", shape, &hints, true)
-        .into_iter()
-        .map(|(now, stats, results, _)| {
-            assert!(results.iter().all(|r| r.is_ok()), "fixture op failed");
-            (now, stats)
-        })
-        .collect()
+    let out = run_tiled(&timed_pfs(), "fix", shape, &hints, true);
+    assert!(out.outcomes.iter().flatten().all(|r| r.is_ok()), "fixture op failed");
+    out.clocks.into_iter().zip(out.stats).collect()
 }
 
 /// Per-rank `(clock, phase buckets, hidden ns, pairs, copy bytes,

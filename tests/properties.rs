@@ -1,5 +1,6 @@
 //! Properties of the layers below the engines — `flexio-types`,
-//! `flexio-pfs` and `flexio-core`'s realm assigners — on the in-repo
+//! `flexio-pfs` and `flexio-core`'s realm assigners, and the contract the
+//! flexible engine holds a plugged-in assigner to — on the in-repo
 //! harness (`flexio::sim::prop::Runner`). They live here rather than in
 //! their crates because those crates sit below `flexio-sim`, which owns
 //! the harness; every property uses public API only.
@@ -8,11 +9,17 @@
 //! draw right-shifted) walks toward fewer, smaller, shallower cases. A
 //! case a property does not apply to returns early.
 
-use flexio::core::{AssignCtx, BalancedLoad, EvenAar, PersistentBlockCyclic, RealmAssigner};
+use flexio::core::{
+    AssignCtx, BalancedLoad, Engine, EvenAar, FileRealm, Hints, IoError, PersistentBlockCyclic,
+    RealmAssigner,
+};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
 use flexio::types::{flatten, Datatype, Dt, FileView, FlatType, MemLayout};
+use flexio::workload::{
+    eq_padded, generate, read_file, run_phase, run_tiled, Oracle, PhaseOp, TiledShape,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -480,6 +487,102 @@ fn realm_segments_consistent() {
                 assert_eq!(segs.iter().map(|(_, l)| l).sum::<u64>(), d1 - d0);
                 // Sorted, disjoint.
                 assert!(segs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+            }
+        },
+    );
+}
+
+/// A plugged-in assigner that breaks its contract: the even split with
+/// the first realm's second half left unowned, one realm short, or the
+/// whole region for every aggregator.
+#[derive(Debug, Clone, Copy)]
+enum Broken {
+    Gap,
+    TooFew,
+    AllOwnAll,
+}
+
+impl RealmAssigner for Broken {
+    fn assign(&self, ctx: &AssignCtx<'_>) -> Vec<FileRealm> {
+        let (lo, hi) = ctx.aar;
+        let mut realms = EvenAar.assign(ctx);
+        match self {
+            Broken::Gap => {
+                let first = (hi - lo) / ctx.n_aggregators as u64;
+                realms[0] = FileRealm::contiguous(lo, lo + first / 2);
+            }
+            Broken::TooFew => drop(realms.pop()),
+            Broken::AllOwnAll => realms.fill(FileRealm::contiguous(lo, hi)),
+        }
+        realms
+    }
+
+    fn name(&self) -> &'static str {
+        "broken"
+    }
+}
+
+/// A plugged-in assigner is held to its contract. Each broken kind, on a
+/// tiled write and on a tiled read of a populated file, fails every
+/// rank's call with the same `BadHints` and leaves the image and the read
+/// buffers untouched; the built-in assigners, plugged in, run a generated
+/// workload to the oracle's image and read-backs.
+#[test]
+fn plugged_assigners_keep_the_contract() {
+    Runner::new("plugged_assigners_keep_the_contract").run(
+        |rng| {
+            let nprocs = draw(rng, 2, 5) as usize;
+            let aggs = draw(rng, 2, nprocs as u64 - 1) as usize;
+            let (block, reps) = (8 * draw(rng, 1, 8), draw(rng, 1, 8));
+            (TiledShape { nprocs, block, reps, steps: 1 }, aggs, generate(rng))
+        },
+        |(shape, aggs, spec)| {
+            for broken in [Broken::Gap, Broken::TooFew, Broken::AllOwnAll] {
+                for read in [false, true] {
+                    let pfs = Pfs::new(PfsConfig::default());
+                    run_tiled(&pfs, "f", *shape, &Hints::default(), false);
+                    let before = read_file(&pfs, "f");
+                    let hints = Hints {
+                        cb_nodes: Some(*aggs),
+                        realm_assigner: Some(Arc::new(broken)),
+                        ..Hints::default()
+                    };
+                    // Two writes (the second replays the failed schedule),
+                    // or one read.
+                    let steps = if read { 0 } else { 2 };
+                    let out = run_tiled(&pfs, "f", TiledShape { steps, ..*shape }, &hints, read);
+                    for (r, outcomes) in out.outcomes.iter().enumerate() {
+                        let bad = outcomes.iter().all(|o| matches!(o, Err(IoError::BadHints(_))));
+                        assert!(bad, "{broken:?}, read {read}: rank {r} got {outcomes:?}");
+                        assert_eq!(outcomes, &out.outcomes[0], "{broken:?}: rank {r} disagrees");
+                    }
+                    assert!(read_file(&pfs, "f") == before, "{broken:?}, read {read}: bytes moved");
+                    let filled = out.read_backs.iter().flatten().any(|&b| b != 0);
+                    assert!(!filled, "{broken:?}: a failed read filled its buffer");
+                }
+            }
+            let oracle = Oracle::from_spec(spec);
+            for (name, assigner) in [
+                ("even-aar", Arc::new(EvenAar) as Arc<dyn RealmAssigner>),
+                ("balanced-load", Arc::new(BalancedLoad)),
+                ("persistent-block-cyclic", Arc::new(PersistentBlockCyclic)),
+            ] {
+                let pfs = Pfs::new(PfsConfig::default());
+                for phase in &spec.phases {
+                    let hints = Hints {
+                        realm_assigner: Some(Arc::clone(&assigner)),
+                        ..spec.hints(phase, Engine::Flexible)
+                    };
+                    let out = run_phase(&pfs, phase, &hints);
+                    assert!(out.err().is_none(), "{name}: {:?}", out.err());
+                    if phase.op == PhaseOp::Read {
+                        for (r, plan) in phase.plans.iter().enumerate() {
+                            let want = oracle.expected_read(plan);
+                            assert_eq!(out.read_backs[r], want, "{name}: rank {r} read-back");
+                        }
+                    }
+                }
+                assert!(eq_padded(&read_file(&pfs, "workload"), oracle.image()), "{name}: image");
             }
         },
     );

@@ -291,8 +291,8 @@ fn a_rebalanced_realm_cancels_the_old_owners_ahead_lock() {
     let shape = TiledShape { nprocs: 6, block: 64, reps: 64, steps: 4 };
     let work = |pfs: Arc<Pfs>| {
         let out = run_tiled(&pfs, "slow", shape, &hints, false);
-        assert!(out.iter().all(|(_, _, results, _)| results.iter().all(|r| r.is_ok())));
-        let rebalanced: u64 = out.iter().map(|(_, s, _, _)| s.realms_rebalanced).sum();
+        assert!(out.outcomes.iter().all(|results| results.iter().all(|r| r.is_ok())));
+        let rebalanced: u64 = out.sum(|s| s.realms_rebalanced);
         let stats = pfs.stats();
         (read_file(&pfs, "slow"), rebalanced, stats)
     };

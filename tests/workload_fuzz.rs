@@ -34,7 +34,7 @@ use flexio::workload::{
 fn fuzz_one(spec: &WorkloadSpec) {
     let flexible = RunConfig { engine: Engine::Flexible, faulted: false };
     let a = run_spec(spec, flexible);
-    check_invariants(&a, "flexible/clean");
+    a.phases.iter().for_each(|p| check_invariants(p, "flexible/clean"));
 
     // Oracle: image and every read phase's read-backs.
     let oracle = Oracle::from_spec(spec);
@@ -58,7 +58,7 @@ fn fuzz_one(spec: &WorkloadSpec) {
 
     // Engine vs engine.
     let b = run_spec(spec, RunConfig { engine: Engine::Romio, ..flexible });
-    check_invariants(&b, "romio/clean");
+    b.phases.iter().for_each(|p| check_invariants(p, "romio/clean"));
     assert!(eq_padded(&b.image, &a.image), "engines disagree on the bytes");
     for (pi, (pa, pb)) in a.phases.iter().zip(&b.phases).enumerate() {
         assert_eq!(pa.read_backs, pb.read_backs, "phase {pi}: engine read-backs differ");
@@ -67,7 +67,7 @@ fn fuzz_one(spec: &WorkloadSpec) {
 
     // Faulted vs clean: retries absorb the spec's transient plan.
     let d = run_spec(spec, RunConfig { faulted: true, ..flexible });
-    check_invariants(&d, "flexible/faulted");
+    d.phases.iter().for_each(|p| check_invariants(p, "flexible/faulted"));
     assert!(eq_padded(&d.image, &a.image), "faults changed the bytes on disk");
     for (pi, (pa, pd)) in a.phases.iter().zip(&d.phases).enumerate() {
         assert_eq!(pa.read_backs, pd.read_backs, "phase {pi}: faulted read-backs differ");
