@@ -391,17 +391,20 @@ fn a8_recovery_publishes_abort_keeps_the_old_epoch_and_cost_is_linear_in_the_wat
 }
 
 #[test]
-fn read_bandwidth_grows_with_region_size_and_methods_agree_within_5_percent() {
+fn read_new_struct_is_at_least_old_vec_in_every_row_and_every_method_grows_up_to_1_kib() {
     let f = rows("read");
+    for size in f.distinct("region_size") {
+        let at = |method: &str| f.select("region_size", &size).select("method", method).num("mbps");
+        assert!(at("new+struct") >= at("old+vec"), "{size} B");
+    }
+    // Past 1 KiB the realms start on two OSTs and convoy (EXPERIMENTS
+    // "Read"), so growth is claimed only up to 1 KiB.
+    let sizes = f.distinct("region_size");
+    let n = sizes.iter().filter(|s| s.parse::<u64>().unwrap() <= 1024).count();
+    assert!(n >= 4 && sizes[n - 1] == "1024", "{sizes:?}");
     for method in f.distinct("method") {
         let v = f.select("method", &method).nums("mbps");
-        assert!(v.windows(2).all(|w| w[1] > w[0]), "{method}: {v:?}");
-    }
-    for size in f.distinct("region_size") {
-        let v = f.select("region_size", &size).nums("mbps");
-        let (lo, hi) =
-            (v.iter().copied().fold(f64::MAX, f64::min), v.iter().copied().fold(0.0, f64::max));
-        assert!(hi < 1.05 * lo, "{size} B: {v:?}");
+        assert!(v[..n].windows(2).all(|w| w[1] > w[0]), "{method}: {v:?}");
     }
 }
 

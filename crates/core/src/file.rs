@@ -54,10 +54,15 @@ pub struct MpiFile<'r> {
 }
 
 impl<'r> MpiFile<'r> {
-    /// Collectively open (creating if necessary) `path`.
+    /// Collectively open (creating if necessary) `path`. The rank's world
+    /// enters the file system first ([`Pfs::enter_world`]), so the world's
+    /// first open finds every OST idle: virtual time belongs to the world,
+    /// and no earlier world's tail is queued ahead of it. A later open in
+    /// the same world changes nothing.
     pub fn open(rank: &'r Rank, pfs: &Arc<Pfs>, path: &str, hints: Hints) -> Result<Self> {
         hints.validate_for(rank.nprocs())?;
         let handle = pfs.open(path, rank.rank());
+        pfs.enter_world(rank.world_id());
         rank.barrier();
         Ok(MpiFile {
             rank,

@@ -166,11 +166,13 @@ pub struct AssignCtx<'a> {
 pub trait RealmAssigner: Send + Sync {
     /// Produce exactly `ctx.n_aggregators` realms that jointly cover the
     /// aggregate access region (realms must be pairwise disjoint). The
-    /// flexible engine checks a plugged-in assigner's count, contiguous
-    /// overlap and bytes owned in sum at every derivation; a broken set
-    /// fails the call with the same `IoError::BadHints` on every rank
-    /// before any byte moves. Not caught: tiled realms whose overlap
-    /// exactly cancels a gap.
+    /// flexible engine checks a plugged-in assigner's set at every
+    /// derivation: the count, that contiguous realms do not overlap, that
+    /// the bytes owned inside the region sum to its length, and, for a set
+    /// of tiled realms, that every offset of one period (the lcm of their
+    /// pattern extents) is owned exactly once — so an overlap that cancels
+    /// a gap is caught too. A broken set fails the call with the same
+    /// `IoError::BadHints` on every rank before any byte moves.
     fn assign(&self, ctx: &AssignCtx<'_>) -> Vec<FileRealm>;
     /// Human-readable name for logs and benches.
     fn name(&self) -> &'static str;
@@ -188,9 +190,67 @@ pub(crate) fn broken_rule(realms: &[FileRealm], n_agg: usize, (lo, hi): (u64, u6
         Some("realm assigner's contiguous realms overlap")
     } else if realms.iter().map(|r| r.owned_between(lo, hi)).sum::<u64>() != hi - lo {
         Some("realm assigner's realms must own the aggregate access region once")
+    } else if tiles_break_their_period(realms) {
+        Some("realm assigner's tiled realms must own every byte of their period once")
     } else {
         None
     }
+}
+
+/// The most tile segments [`tiles_break_their_period`] lays out over one
+/// period; a set with more is held to the byte sum alone.
+const MAX_PERIOD_SEGMENTS: u64 = 1 << 20;
+
+/// Whether a set of tiled realms (every realm unbounded) leaves an offset
+/// of one period unowned or owned twice. The period is the lcm of the
+/// pattern extents, taken past every realm's first tile, where the union
+/// repeats. A set with a clipped realm, or whose period overflows or holds
+/// more than [`MAX_PERIOD_SEGMENTS`], is not checked here.
+fn tiles_break_their_period(realms: &[FileRealm]) -> bool {
+    let Some(tiles) = realms.iter().map(FileRealm::tile).collect::<Option<Vec<_>>>() else {
+        return false;
+    };
+    let Some(period) = tiles.iter().try_fold(1u64, |p, (_, ext)| lcm(p, *ext)) else {
+        return false;
+    };
+    let count = tiles.iter().map(|(segs, ext)| segs.len() as u64 * (period / ext)).sum::<u64>();
+    if count > MAX_PERIOD_SEGMENTS {
+        return false;
+    }
+    let start = tiles.iter().flat_map(|(segs, _)| segs.iter().map(|&(o, l)| o + l)).max().unwrap_or(0);
+    let Some(end) = start.checked_add(period) else {
+        return false;
+    };
+    let mut spans = Vec::with_capacity(count as usize + tiles.len());
+    for (segs, ext) in &tiles {
+        for &(off, len) in segs {
+            // The first copy of this segment that ends past `start`.
+            let mut at = off + start.saturating_sub(off + len) / ext * ext;
+            while at < end {
+                if at + len > start {
+                    spans.push((at.max(start), (at + len).min(end)));
+                }
+                at += ext;
+            }
+        }
+    }
+    spans.sort_unstable();
+    let mut next = start;
+    for (a, b) in spans {
+        if a != next {
+            return true;
+        }
+        next = b;
+    }
+    next != end
+}
+
+fn lcm(a: u64, b: u64) -> Option<u64> {
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    (a / x).checked_mul(b)
 }
 
 fn align_down(x: u64, a: u64) -> u64 {
@@ -334,6 +394,28 @@ mod tests {
 
     fn ctx(aar: (u64, u64), a: usize, alignment: Option<u64>) -> AssignCtx<'static> {
         AssignCtx { aar, n_aggregators: a, alignment, clients: &[] }
+    }
+
+    fn cyclic(block: u64, n: u64, at: u64) -> FileRealm {
+        FileRealm::tiled(Arc::new(FlatType::from_segs(vec![Seg::new(0, block)], 0, block * n)), at)
+    }
+
+    #[test]
+    fn a_tiled_set_owns_every_byte_of_its_period_once() {
+        // Period 16 from byte 100: the third realm owns the first 8 bytes
+        // of each, the first two realms 4 bytes each of the other 8.
+        let good = [cyclic(4, 4, 108), cyclic(4, 4, 112), cyclic(8, 2, 100)];
+        assert!(!tiles_break_their_period(&good));
+        // The second realm on the first one's bytes: an overlap that
+        // exactly cancels a gap in every period.
+        let cancel = [cyclic(4, 4, 108), cyclic(4, 4, 124), cyclic(8, 2, 100)];
+        assert!(tiles_break_their_period(&cancel));
+        let gap = [cyclic(4, 4, 108), cyclic(8, 2, 100)];
+        assert!(tiles_break_their_period(&gap));
+        // A clipped realm takes the set out of the period check.
+        assert!(!tiles_break_their_period(&[cyclic(4, 4, 0), FileRealm::contiguous(0, 4)]));
+        assert_eq!(lcm(12, 18), Some(36));
+        assert_eq!(lcm(u64::MAX, 2), None);
     }
 
     #[test]

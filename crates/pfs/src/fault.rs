@@ -61,7 +61,9 @@ impl std::error::Error for PfsError {}
 /// the requester*. The extra span is reply latency at a degraded target,
 /// not pipeline occupancy, so concurrent requests from different clients
 /// still overlap — spreading a slow realm over more aggregators hides
-/// the penalty.
+/// the penalty. The window is virtual time, and every world starts at 0
+/// on idle OSTs ([`crate::Pfs::enter_world`]), so it covers the same span
+/// of each world's run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSpec {
     /// The slow OST.

@@ -101,6 +101,8 @@ pub struct Pfs {
     /// fast path, charge-identical to a file system built before fault
     /// injection existed.
     fault: Option<FaultInjector>,
+    /// The newest world that entered ([`Pfs::enter_world`]); 0 before any.
+    world: AtomicU64,
 }
 
 impl Pfs {
@@ -126,7 +128,26 @@ impl Pfs {
             next_id: AtomicU64::new(1),
             stats: Mutex::default(),
             fault,
+            world: AtomicU64::new(0),
         })
+    }
+
+    /// A world with id `world` starts using the file system. Virtual time
+    /// belongs to a world — every world's ranks start at 0 — so a world
+    /// newer than any seen before starts on idle OSTs: every OST clock
+    /// goes back to 0, and neither an earlier world's work nor set-up done
+    /// outside any world on a bare [`FileHandle`] is queued ahead of it.
+    /// The same or an older id changes nothing, so every rank of a world
+    /// may enter, and enter again. Everything else a Lustre client would
+    /// keep persists: each OST's seek position, locks, client caches and
+    /// the fault draws. Ids come from `flexio_sim::World::id`; the
+    /// collective open is the one caller.
+    pub fn enter_world(&self, world: u64) {
+        if self.world.fetch_max(world, Ordering::SeqCst) < world {
+            for ost in &self.osts {
+                ost.lock().unwrap().clock = 0;
+            }
+        }
     }
 
     /// The installed fault plan, if any.
@@ -914,6 +935,26 @@ mod tests {
 
     fn tiny() -> Arc<Pfs> {
         Pfs::new(PfsConfig::test_tiny())
+    }
+
+    #[test]
+    fn only_a_newer_world_finds_the_osts_idle() {
+        let pfs = Pfs::new(PfsConfig { cost: PfsCostModel::default(), ..PfsConfig::test_tiny() });
+        let h = pfs.open("f", 0);
+        let data = vec![7u8; 64];
+        let busy = h.write(0, 0, &data).unwrap();
+        // The same request at time 0 queues behind the first one until a
+        // newer world enters; an equal or older world leaves the clocks.
+        let again = || h.write(0, 0, &data).unwrap();
+        pfs.enter_world(5);
+        let fresh = again();
+        assert_eq!(fresh, busy, "a newer world starts on idle OSTs");
+        for older_or_equal in [5, 3] {
+            pfs.enter_world(older_or_equal);
+            assert!(again() > fresh, "world {older_or_equal} reset the OST clocks");
+        }
+        pfs.enter_world(6);
+        assert_eq!(again(), busy);
     }
 
     #[test]

@@ -332,6 +332,13 @@ impl Rank {
         }
     }
 
+    /// The id of this rank's world ([`World::id`]): the same on every
+    /// rank and on every subgroup handle of the world, and larger than
+    /// that of every world built before it.
+    pub fn world_id(&self) -> u64 {
+        self.world.id()
+    }
+
     /// The world's cost model.
     pub fn cost(&self) -> &CostModel {
         self.world.cost()

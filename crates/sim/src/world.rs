@@ -10,6 +10,7 @@ use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Panic payload raised by [`crate::rank::Rank::maybe_crash`] when a rank
@@ -258,11 +259,19 @@ pub(crate) struct SharedCell {
 
 pub(crate) type SharedCells = HashMap<(TypeId, u64), SharedCell>;
 
-/// A simulated MPI world: its size, cost model and crash schedule. What
-/// its ranks leave for each other at run time — records, mailboxes,
+/// The id the next world built in this process takes ([`World::id`]).
+static NEXT_WORLD_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_world_id() -> u64 {
+    NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A simulated MPI world: its id, size, cost model and crash schedule.
+/// What its ranks leave for each other at run time — records, mailboxes,
 /// shared cells — belongs to the one scheduler that drives it
 /// (`sched.rs`).
 pub struct World {
+    id: u64,
     pub(crate) nprocs: usize,
     pub(crate) cost: CostModel,
     /// Scheduled crash-stop time per rank, virtual ns (`u64::MAX` =
@@ -278,7 +287,7 @@ impl World {
     /// [`Rank::crashable`]: crate::rank::Rank::crashable
     pub fn new(nprocs: usize, cost: CostModel) -> Arc<World> {
         assert!(nprocs > 0, "world needs at least one rank");
-        Arc::new(World { nprocs, cost, crash_at: None })
+        Arc::new(World { id: next_world_id(), nprocs, cost, crash_at: None })
     }
 
     /// [`World::new`] plus a crash-stop schedule: each `(rank, at_ns)`
@@ -296,7 +305,15 @@ impl World {
             assert!(r < nprocs, "crash rank {r} out of range for {nprocs} ranks");
             crash_at[r] = crash_at[r].min(at);
         }
-        Arc::new(World { nprocs, cost, crash_at: Some(crash_at) })
+        Arc::new(World { id: next_world_id(), nprocs, cost, crash_at: Some(crash_at) })
+    }
+
+    /// The world's id: unique in the process, and larger than the id of
+    /// every world built before it. A file system keys its virtual time
+    /// on it (`flexio_pfs::Pfs::enter_world`): every world starts at
+    /// virtual time 0, so a newer world starts on idle servers.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Whether this world was built with a crash schedule.
@@ -533,6 +550,16 @@ mod tests {
             });
             assert!(out.iter().all(|o| *o == Some((true, true))), "{out:?}");
         }
+    }
+
+    #[test]
+    fn a_world_built_later_has_a_larger_id_seen_by_every_rank() {
+        let a = World::new(2, CostModel::free());
+        let b = World::with_crashes(2, CostModel::free(), &[]);
+        assert!(b.id() > a.id());
+        let ids = run(3, CostModel::free(), |r| (r.world_id(), r.subgroup(&[r.rank()]).world_id()));
+        assert!(ids.iter().all(|&(w, s)| w == ids[0].0 && s == w), "{ids:?}");
+        assert!(ids[0].0 > b.id());
     }
 
     #[test]

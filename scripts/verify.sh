@@ -31,6 +31,35 @@ if grep -rn 'MpiFile::open' crates/bench/src; then
   exit 1
 fi
 
+# One world entry: a world's virtual time starts on idle OSTs because its
+# first collective open enters it into the file system
+# (`Pfs::enter_world`). The contract lives in that one call — no runner,
+# test or benchmark resets the file system's clocks itself. Every tracked
+# Rust file, up to its first `#[cfg(test)]` line and skipping comments,
+# may hold exactly one call, in `MpiFile::open`.
+echo "== one world entry: Pfs::enter_world is called only by MpiFile::open =="
+calls="$(git ls-files -- '*.rs' | awk '
+{
+    file = $0
+    n = 0
+    while ((getline line < file) > 0) {
+        n++
+        if (line ~ /^[ \t]*#\[cfg\(test\)\]/) break
+        if (line ~ /^[ \t]*\/\//) continue
+        if (match(line, /fn [a-z_0-9]+/)) fname = substr(line, RSTART + 3, RLENGTH - 3)
+        if (line ~ /enter_world\(/ && line !~ /fn enter_world\(/) print file ":" n ": in fn " fname
+    }
+    close(file)
+}')"
+echo "$calls"
+case "$calls" in
+  "crates/core/src/file.rs:"*": in fn open") ;;
+  *)
+    echo "Pfs::enter_world must be called once, by MpiFile::open, and nowhere else" >&2
+    exit 1
+    ;;
+esac
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

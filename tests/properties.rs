@@ -16,7 +16,7 @@ use flexio::core::{
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
-use flexio::types::{flatten, Datatype, Dt, FileView, FlatType, MemLayout};
+use flexio::types::{flatten, Datatype, Dt, FileView, FlatType, MemLayout, Seg};
 use flexio::workload::{
     eq_padded, generate, read_file, run_phase, run_tiled, Oracle, PhaseOp, TiledShape,
 };
@@ -493,13 +493,18 @@ fn realm_segments_consistent() {
 }
 
 /// A plugged-in assigner that breaks its contract: the even split with
-/// the first realm's second half left unowned, one realm short, or the
-/// whole region for every aggregator.
+/// the first realm's second half left unowned, one realm short, the
+/// whole region for every aggregator, or block-cyclic tiled realms whose
+/// first realm gives up the second half of its block and takes as many
+/// bytes of the second realm's block instead — an overlap that exactly
+/// cancels a gap, so the bytes owned in the region still sum to its
+/// length.
 #[derive(Debug, Clone, Copy)]
 enum Broken {
     Gap,
     TooFew,
     AllOwnAll,
+    TiledOverlapCancelsGap,
 }
 
 impl RealmAssigner for Broken {
@@ -513,6 +518,15 @@ impl RealmAssigner for Broken {
             }
             Broken::TooFew => drop(realms.pop()),
             Broken::AllOwnAll => realms.fill(FileRealm::contiguous(lo, hi)),
+            Broken::TiledOverlapCancelsGap => {
+                let n = ctx.n_aggregators as u64;
+                let block = (hi - lo).div_ceil(n);
+                let half = block / 2;
+                let tiled =
+                    |segs, at| FileRealm::tiled(Arc::new(FlatType::from_segs(segs, 0, block * n)), at);
+                realms = (0..n).map(|i| tiled(vec![Seg::new(0, block)], lo + i * block)).collect();
+                realms[0] = tiled(vec![Seg::new(0, half), Seg::new(block as i64, block - half)], lo);
+            }
         }
         realms
     }
@@ -537,7 +551,9 @@ fn plugged_assigners_keep_the_contract() {
             (TiledShape { nprocs, block, reps, steps: 1 }, aggs, generate(rng))
         },
         |(shape, aggs, spec)| {
-            for broken in [Broken::Gap, Broken::TooFew, Broken::AllOwnAll] {
+            for broken in
+                [Broken::Gap, Broken::TooFew, Broken::AllOwnAll, Broken::TiledOverlapCancelsGap]
+            {
                 for read in [false, true] {
                     let pfs = Pfs::new(PfsConfig::default());
                     run_tiled(&pfs, "f", *shape, &Hints::default(), false);
@@ -555,6 +571,13 @@ fn plugged_assigners_keep_the_contract() {
                         let bad = outcomes.iter().all(|o| matches!(o, Err(IoError::BadHints(_))));
                         assert!(bad, "{broken:?}, read {read}: rank {r} got {outcomes:?}");
                         assert_eq!(outcomes, &out.outcomes[0], "{broken:?}: rank {r} disagrees");
+                    }
+                    // The bytes owned sum to the region's length: only the
+                    // period check sees the overlap.
+                    if let Broken::TiledOverlapCancelsGap = broken {
+                        let rule = &out.outcomes[0][0];
+                        let period = matches!(rule, Err(IoError::BadHints(m)) if m.contains("period"));
+                        assert!(period, "read {read}: {rule:?}");
                     }
                     assert!(read_file(&pfs, "f") == before, "{broken:?}, read {read}: bytes moved");
                     let filled = out.read_backs.iter().flatten().any(|&b| b != 0);
