@@ -631,6 +631,12 @@ mod tests {
             .collect()
     }
 
+    /// A rebalanced set meets the contract every derivation checks.
+    fn assert_meets_contract(realms: &[FileRealm], period: u64) {
+        let broken = crate::realm::broken_rule(realms, realms.len(), (0, period));
+        assert_eq!(broken, None, "rebalanced realms break the realm contract");
+    }
+
     fn share_bytes(realms: &[FileRealm]) -> Vec<u64> {
         realms
             .iter()
@@ -650,6 +656,7 @@ mod tests {
         };
         let hints = Hints { fr_alignment: Some(1024), ..Hints::default() };
         let new = rebalance_realms(&old, &verdict, &hints).expect("must rebalance");
+        assert_meets_contract(&new, 24576);
         let shares = share_bytes(&new);
         assert_eq!(shares.iter().sum::<u64>(), 24576, "realms must still tile the period");
         assert_eq!(shares[0], 1024, "straggler keeps share*avg/mv aligned down");
@@ -671,6 +678,7 @@ mod tests {
         };
         let hints = Hints { fr_alignment: None, ..Hints::default() };
         let new = rebalance_realms(&old, &verdict, &hints).expect("must rebalance");
+        assert_meets_contract(&new, 24576);
         let shares = share_bytes(&new);
         assert_eq!(shares.iter().sum::<u64>(), 24576);
         let (gain1, gain2) = (shares[1] - 8192, shares[2] - 8192);

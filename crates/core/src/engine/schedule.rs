@@ -268,8 +268,8 @@ pub(crate) struct Derivation {
     /// Keeps a plugged-in assigner's address — part of the key — from
     /// being reused by another assigner while this derivation lives.
     _assigner: Option<Arc<dyn RealmAssigner>>,
-    /// The rule a plugged-in assigner's realms break, if any: every
-    /// rank's call fails with it, and the plan is empty.
+    /// The rule of the [`RealmAssigner`] contract the realm set breaks, if
+    /// any: every rank's call fails with it, and the plan is empty.
     bad_realms: Option<&'static str>,
 }
 
@@ -366,7 +366,7 @@ impl Derivation {
             computed = assign(&EvenAar);
             &computed
         };
-        out.bad_realms = hints.realm_assigner.as_ref().and_then(|_| broken_rule(realms, n_agg, (lo, hi)));
+        out.bad_realms = broken_rule(realms, n_agg, (lo, hi));
         if out.bad_realms.is_some() {
             out.pfr = None;
             return out;
@@ -610,7 +610,7 @@ impl ExchangeSchedule {
         rank.shared_live_of::<Derivation>()
     }
 
-    /// The rule a plugged-in realm assigner broke, if it did.
+    /// The rule of the realm contract this plan's realm set broke, if any.
     pub(crate) fn bad_realms(&self) -> Option<&'static str> {
         self.derived.bad_realms
     }

@@ -166,21 +166,21 @@ pub struct AssignCtx<'a> {
 pub trait RealmAssigner: Send + Sync {
     /// Produce exactly `ctx.n_aggregators` realms that jointly cover the
     /// aggregate access region (realms must be pairwise disjoint). The
-    /// flexible engine checks a plugged-in assigner's set at every
-    /// derivation: the count, that contiguous realms do not overlap, that
-    /// the bytes owned inside the region sum to its length, and, for a set
-    /// of tiled realms, that every offset of one period (the lcm of their
-    /// pattern extents) is owned exactly once — so an overlap that cancels
-    /// a gap is caught too. A broken set fails the call with the same
-    /// `IoError::BadHints` on every rank before any byte moves.
+    /// flexible engine checks every set it derives a schedule from — a
+    /// plugged-in or built-in assigner's, a straggler-rebalanced or a
+    /// recovery set alike: the count, that contiguous realms do not
+    /// overlap, that the bytes owned inside the region sum to its length,
+    /// and, for a set of tiled realms, that every offset of one period (the
+    /// lcm of their pattern extents) is owned exactly once — so an overlap
+    /// that cancels a gap is caught too. A broken set fails the call with
+    /// the same `IoError::BadHints` on every rank before any byte moves.
     fn assign(&self, ctx: &AssignCtx<'_>) -> Vec<FileRealm>;
     /// Human-readable name for logs and benches.
     fn name(&self) -> &'static str;
 }
 
-/// The rule of the [`RealmAssigner`] contract that a plugged-in
-/// assigner's `realms` for `n_agg` aggregators break over the aggregate
-/// access region `[lo, hi)`, if any.
+/// The rule of the [`RealmAssigner`] contract that `realms` for `n_agg`
+/// aggregators break over the aggregate access region `[lo, hi)`, if any.
 pub(crate) fn broken_rule(realms: &[FileRealm], n_agg: usize, (lo, hi): (u64, u64)) -> Option<&'static str> {
     let mut spans: Vec<_> = realms.iter().filter_map(|r| r.bound.filter(|(a, b)| a < b)).collect();
     spans.sort_unstable();
@@ -416,6 +416,34 @@ mod tests {
         assert!(!tiles_break_their_period(&[cyclic(4, 4, 0), FileRealm::contiguous(0, 4)]));
         assert_eq!(lcm(12, 18), Some(36));
         assert_eq!(lcm(u64::MAX, 2), None);
+    }
+
+    /// Every built-in assigner's set passes the check each derivation
+    /// runs, aligned or not, down to more aggregators than bytes.
+    #[test]
+    fn built_in_assigners_meet_the_contract() {
+        let dt = Datatype::bytes(100);
+        let clients = [ClientAccess {
+            view: flexio_types::FileView::new(0, Arc::new(flatten(&dt)), 1).unwrap(),
+            data_start: 0,
+            data_len: 100,
+        }];
+        let assigners: [&dyn RealmAssigner; 3] = [&EvenAar, &BalancedLoad, &PersistentBlockCyclic];
+        for aar in [(0, 100), (7, 1000), (100, 103)] {
+            for n in [1, 3, 8] {
+                for alignment in [None, Some(64)] {
+                    let ctx = AssignCtx { aar, n_aggregators: n, alignment, clients: &clients };
+                    for a in assigners {
+                        assert_eq!(
+                            broken_rule(&a.assign(&ctx), n, aar),
+                            None,
+                            "{} on {aar:?}, {n} aggs, {alignment:?}",
+                            a.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

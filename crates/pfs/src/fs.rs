@@ -180,11 +180,6 @@ impl Pfs {
         FileHandle { pfs: Arc::clone(self), file, client }
     }
 
-    /// Delete a file (for test isolation).
-    pub fn unlink(&self, path: &str) {
-        self.files.lock().unwrap().remove(path);
-    }
-
     /// Snapshot of the global counters.
     pub fn stats(&self) -> StatsSnapshot {
         *self.stats.lock().expect(POISONED)
@@ -1014,16 +1009,6 @@ mod tests {
         let mut buf = [0u8; 5];
         b.read(0, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
-    }
-
-    #[test]
-    fn unlink_resets() {
-        let pfs = tiny();
-        let a = pfs.open("f", 0);
-        a.write(0, 0, b"x").unwrap();
-        pfs.unlink("f");
-        let b = pfs.open("f", 0);
-        assert_eq!(b.size(), 0);
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl Datatype {
         let f = crate::flatten::flatten(self);
         f.contiguous && f.size == f.extent
     }
-
-    /// Number of leaf segments one instance flattens to (`D` in the paper).
-    pub fn flat_count(&self) -> usize {
-        crate::flatten::flatten(self).segs.len()
-    }
 }
 
 fn single_block_bounds(displ: i64, blocklen: u64, child: &Dt) -> (i64, i64) {
@@ -388,13 +383,5 @@ mod tests {
         let f = crate::flatten::flatten(&t);
         let offs: Vec<(i64, u64)> = f.segs.iter().map(|s| (s.off, s.len)).collect();
         assert_eq!(offs, vec![(5, 2), (9, 2)]);
-    }
-
-    #[test]
-    fn flat_count_reports_d() {
-        let vector_like = Datatype::vector(4096, 1, 2, Datatype::bytes(64));
-        assert_eq!(vector_like.flat_count(), 4096);
-        let succinct = Datatype::resized(0, 64 + 128, Datatype::bytes(64));
-        assert_eq!(succinct.flat_count(), 1);
     }
 }

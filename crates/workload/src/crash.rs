@@ -3,12 +3,14 @@
 //!
 //! The scenario is the checkpoint/restart loop an epoch-commit protocol
 //! exists for. `clean_epochs` generations write the interleaved tile
-//! image into alternating shadow slot files ([`epoch::slot_path`]) and
-//! publish each one through the double-slot header
-//! ([`epoch::commit_epoch`], rank 0, after a barrier proves every
-//! writer's data is durably down). Then one more generation runs with a
-//! seeded crash armed: the victim rank dies at its first crash
-//! checkpoint at or past the drawn virtual time.
+//! image into alternating shadow slot files ([`epoch::slot_path`]); then
+//! one more generation runs with a seeded crash armed: the victim rank
+//! dies at its first crash checkpoint at or past the drawn virtual time.
+//! Every generation runs the same rank body (open, view, one collective
+//! write), and the driver decides each commit after the world returns:
+//! it publishes the generation through the double-slot header
+//! ([`epoch::commit_epoch`]) iff every rank that finished it finished
+//! clean — the world's return proves every writer's data is down.
 //!
 //! * With `flexio_crash_recovery=enable`, the survivors detect the
 //!   death, re-form, replay, and complete; the epoch is published as a
@@ -21,31 +23,30 @@
 //!   the previous generation, whose slot file the crashed run never
 //!   touched.
 //!
-//! Either way a restart family — a fresh world over the survivors —
-//! reads the header, opens the named slot, and sees a complete old or
-//! new checkpoint, never a torn mix. That is the property the
-//! crash-point fuzz axis (`tests/workload_fuzz.rs`) drives across drawn
-//! crash times, victims, world sizes, and torn-header rates.
+//! Either way the driver reads the header, and a restart world over the
+//! survivors ([`FileWorld`], the one executor) reads the named slot and
+//! sees a complete old or new checkpoint, never a torn mix. That is the
+//! property the crash-point fuzz axis (`tests/workload_fuzz.rs`) drives
+//! across drawn crash times, victims, world sizes, and torn-header rates.
 
 use crate::epoch;
 use crate::gen::{coin, range};
 use crate::oracle::{eq_padded, Oracle};
+use crate::runner::{Call, FileWorld, Io, PhaseResult, Timing};
 use crate::spec::{partition_plans, tile_plans};
 use crate::tiled::read_file;
 use flexio_core::{Engine, Hints, IoError, MpiFile};
-use flexio_pfs::{FaultPlan, FileHandle, Pfs, PfsConfig, PfsCostModel, PfsErrorKind};
-use flexio_sim::{run_crashable, CostModel, Phase, Stats, XorShift64Star};
+use flexio_pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, PfsErrorKind};
+use flexio_sim::{run_crashable, CostModel, Stats, XorShift64Star};
 use flexio_types::Datatype;
 use std::sync::Arc;
 
 /// Checkpoint-family base name; slots are `ckpt.slot{0,1}`, the header
 /// is `ckpt.epoch`.
 const BASE: &str = "ckpt";
-/// Client id of the out-of-world commit/probe handle on the header file
-/// (far above any rank id; `usize::MAX - 1` is taken by [`read_file`]).
+/// Client id of the out-of-world handle that publishes and reads the
+/// header (far above any rank id; `usize::MAX - 1` is [`read_file`]'s).
 const COMMIT_CLIENT: usize = usize::MAX - 2;
-/// Base client id for per-rank header reads in the restart world.
-const HDR_CLIENT_BASE: usize = 1 << 40;
 
 /// One drawn crash-checkpoint case: the checkpoint shape, the crash
 /// event, and the recovery switches.
@@ -96,8 +97,21 @@ impl CrashScenario {
         }
     }
 
-    fn fault_plan(&self) -> FaultPlan {
-        FaultPlan { seed: self.seed, torn_rate: self.torn_rate, ..FaultPlan::default() }
+    /// A fresh file system under the case's torn-write plan.
+    fn pfs(&self) -> Arc<Pfs> {
+        let plan = FaultPlan { seed: self.seed, torn_rate: self.torn_rate, ..FaultPlan::default() };
+        Pfs::with_faults(
+            PfsConfig {
+                n_osts: 4,
+                stripe_size: 512,
+                page_size: 64,
+                locking: false,
+                lock_expansion: false,
+                client_cache: false,
+                cost: PfsCostModel::default(),
+            },
+            plan,
+        )
     }
 }
 
@@ -115,18 +129,6 @@ pub struct RankRecord {
 /// One generation's per-rank records; `None` marks a crash-stopped rank.
 pub type WorldResult = Vec<Option<RankRecord>>;
 
-/// The restart family's results: per-rank header verdicts, records, and
-/// the slot bytes each reader brought back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartResult {
-    /// Committed generation each reader recovered from the header.
-    pub gens: Vec<Option<u64>>,
-    /// Per-rank clock/stats/outcome.
-    pub records: Vec<RankRecord>,
-    /// Per-rank slot read-backs (contiguous partition, in rank order).
-    pub read_backs: Vec<Vec<u8>>,
-}
-
 /// Everything one crash-checkpoint run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashOutcome {
@@ -139,8 +141,10 @@ pub struct CrashOutcome {
     /// Raw bytes of the committed generation's slot file (empty when no
     /// generation was ever committed).
     pub committed_image: Vec<u8>,
-    /// The restart family's results.
-    pub restart: RestartResult,
+    /// The restart world over the survivors: one collective read of the
+    /// committed slot, its read-backs the partition in rank order (an
+    /// empty result when nothing was ever committed).
+    pub restart: PhaseResult,
 }
 
 /// Draw one crash-checkpoint case. Shrinking lands near the floors:
@@ -174,12 +178,16 @@ pub fn expected_epoch_image(scn: &CrashScenario, gen: u64, writers: &[usize]) ->
     o.image().to_vec()
 }
 
-/// Publish `gen` on the header, retrying torn publishes until the
-/// record lands whole. Returns the completion time.
-fn commit_retrying(hdr: &FileHandle, mut t: u64, gen: u64) -> u64 {
+/// Publish `gen` on the header out of any world at t = 0, like
+/// [`read_file`], retrying torn publishes until the record lands whole.
+/// Call only once generation `gen`'s world has returned: every writer's
+/// data is then down.
+fn publish(pfs: &Arc<Pfs>, gen: u64) {
+    let hdr = pfs.open(&epoch::header_path(BASE), COMMIT_CLIENT);
+    let mut t = 0;
     for _ in 0..64 {
-        match epoch::commit_epoch(hdr, t, gen) {
-            Ok(fin) => return fin,
+        match epoch::commit_epoch(&hdr, t, gen) {
+            Ok(_) => return,
             Err(e) => {
                 assert_eq!(e.kind, PfsErrorKind::TornWrite, "header path only tears");
                 t = e.at;
@@ -189,23 +197,32 @@ fn commit_retrying(hdr: &FileHandle, mut t: u64, gen: u64) -> u64 {
     panic!("epoch {gen} publish failed to land within 64 retries");
 }
 
+/// The restart world: `readers` fresh ranks collectively read generation
+/// `gen`'s slot file, each through its contiguous partition of the image,
+/// set as its view at open.
+fn restart_world(pfs: &Arc<Pfs>, scn: &CrashScenario, readers: usize, gen: u64) -> PhaseResult {
+    let plans = partition_plans(0, readers, scn.image_bytes().max(1), 1);
+    // The reader world may be smaller than the writer world: clamp the
+    // aggregator hint to it (cb_nodes must not exceed the world size).
+    let hints = Hints { cb_nodes: Some(scn.aggs.min(readers)), ..scn.hints() };
+    let path = epoch::slot_path(BASE, gen);
+    FileWorld::new(pfs, &path, &hints, Timing::Untimed).run(
+        readers,
+        1,
+        |r| Some((plans[r].disp, plans[r].filetype.clone())),
+        |r, _| {
+            let p = &plans[r];
+            Call::new(Io::Read(p.buf_len()), p.memtype.clone(), p.mem_count)
+        },
+    )
+}
+
 /// Run one crash-checkpoint case end to end: clean generations, the
-/// crash generation, the commit decision, and the restart family.
+/// crash generation, a commit decision after each, and the restart world.
 pub fn run_crash_checkpoint(scn: &CrashScenario) -> CrashOutcome {
     assert!(scn.victim < scn.nprocs, "victim must be a world rank");
-    let pfs = Pfs::with_faults(
-        PfsConfig {
-            n_osts: 4,
-            stripe_size: 512,
-            page_size: 64,
-            locking: false,
-            lock_expansion: false,
-            client_cache: false,
-            cost: PfsCostModel::default(),
-        },
-        scn.fault_plan(),
-    );
-    let plans = Arc::new(tile_plans(scn.seed, scn.nprocs, scn.block, scn.reps));
+    let pfs = scn.pfs();
+    let plans = tile_plans(scn.seed, scn.nprocs, scn.block, scn.reps);
     let hints = scn.hints();
 
     let mut epochs: Vec<WorldResult> = Vec::new();
@@ -214,104 +231,38 @@ pub fn run_crash_checkpoint(scn: &CrashScenario) -> CrashOutcome {
         let crash_world = gen == scn.clean_epochs;
         let schedule = if crash_world { vec![(scn.victim, scn.at_ns)] } else { Vec::new() };
         let path = epoch::slot_path(BASE, gen);
-        let inner = Arc::clone(&pfs);
-        let plans = Arc::clone(&plans);
-        let hints = hints.clone();
-        let per = run_crashable(scn.nprocs, CostModel::default(), &schedule, move |rank| {
+        let world = run_crashable(scn.nprocs, CostModel::default(), &schedule, |rank| {
             let p = &plans[rank.rank()];
-            let mut f = MpiFile::open(rank, &inner, &path, hints.clone())
+            let mut f = MpiFile::open(rank, &pfs, &path, hints.clone())
                 .expect("hints validated by construction");
             f.set_view(p.disp, &Datatype::bytes(1), &p.filetype)
                 .expect("tile filetype must form a valid view");
+            // No barrier and no `close()` (it barriers): a dead peer would
+            // hang either, so the commit decision is the driver's.
             let outcome = f.write_all_at(0, &p.step_buffer(gen), &p.memtype, p.mem_count);
-            // Clean generations publish in-world: the barrier proves
-            // every writer's data is durably down, then rank 0 commits.
-            // The crash world must not barrier — a dead peer would hang
-            // it — so its commit decision moves to the driver, over the
-            // survivor verdict. (No `close()` either: it barriers too.)
-            if !crash_world {
-                outcome.as_ref().expect("clean generation writes must succeed");
-                rank.barrier();
-                if rank.rank() == 0 {
-                    let hdr = inner.open(&epoch::header_path(BASE), COMMIT_CLIENT);
-                    let t0 = rank.now();
-                    rank.advance_to(commit_retrying(&hdr, t0, gen));
-                    rank.note_phase(Phase::Io, rank.now() - t0);
-                }
-            }
-            (rank.now(), rank.stats(), outcome)
+            RankRecord { clock: rank.now(), stats: rank.stats(), outcome }
         });
-        if !crash_world {
+        // Every rank that finished, finished clean — nobody died (a full
+        // checkpoint) or the survivors recovered and completed (a
+        // survivor checkpoint): publish the generation.
+        let all_ok = world.iter().flatten().all(|rec| rec.outcome.is_ok());
+        assert!(all_ok || crash_world, "clean generation {gen}'s writes must succeed");
+        if all_ok {
+            publish(&pfs, gen);
             committed = Some(gen);
         }
-        epochs.push(
-            per.into_iter()
-                .map(|r| r.map(|(clock, stats, outcome)| RankRecord { clock, stats, outcome }))
-                .collect(),
-        );
+        epochs.push(world);
     }
 
-    let gen = scn.clean_epochs;
     let last = epochs.last().expect("at least the crash generation ran");
     let survivors: Vec<usize> = (0..scn.nprocs).filter(|&r| last[r].is_some()).collect();
-    let all_ok = survivors
-        .iter()
-        .all(|&r| matches!(last[r], Some(RankRecord { outcome: Ok(()), .. })));
-    if all_ok {
-        // Every rank that finished, finished clean — either nobody died
-        // (full checkpoint) or the survivors recovered and completed
-        // (survivor checkpoint). Publish the generation.
-        let hdr = pfs.open(&epoch::header_path(BASE), COMMIT_CLIENT);
-        let t0 = survivors
-            .iter()
-            .map(|&r| last[r].as_ref().expect("survivor record").clock)
-            .max()
-            .unwrap_or(0);
-        commit_retrying(&hdr, t0, gen);
-        committed = Some(gen);
-    }
-
-    // Restart family: a fresh world over the survivors recovers the
-    // committed generation from the header and collectively reads its
-    // slot file with a contiguous partition.
+    let hdr = pfs.open(&epoch::header_path(BASE), COMMIT_CLIENT);
+    let (_, named) = epoch::read_committed(&hdr, 0).expect("header reads are fault-free");
+    assert_eq!(named, committed, "the header must name the last published generation");
+    // A fresh world over the survivors restarts from the named generation.
     let readers = survivors.len();
-    let rplans =
-        Arc::new(partition_plans(0, readers, scn.image_bytes().max(1), 1));
-    let inner = Arc::clone(&pfs);
-    // The reader world may be smaller than the writer world: clamp the
-    // aggregator hint to it (cb_nodes must not exceed the world size).
-    let hints2 = Hints { cb_nodes: Some(scn.aggs.min(readers)), ..hints.clone() };
-    let per = run_crashable(readers, CostModel::default(), &[], move |rank| {
-        let hdr = inner.open(&epoch::header_path(BASE), HDR_CLIENT_BASE + rank.rank());
-        let t0 = rank.now();
-        let (t, hdr_gen) = epoch::read_committed(&hdr, t0).expect("header reads are fault-free");
-        rank.advance_to(t);
-        rank.note_phase(Phase::Io, rank.now() - t0);
-        let (outcome, back) = match hdr_gen {
-            None => (Ok(()), Vec::new()),
-            Some(g) => {
-                let p = &rplans[rank.rank()];
-                let mut f =
-                    MpiFile::open(rank, &inner, &epoch::slot_path(BASE, g), hints2.clone())
-                        .expect("hints validated by construction");
-                f.set_view(p.disp, &Datatype::bytes(1), &p.filetype)
-                    .expect("partition filetype must form a valid view");
-                let mut back = vec![0u8; p.buf_len()];
-                let outcome = f.read_all_at(0, &mut back, &p.memtype, p.mem_count);
-                (outcome, back)
-            }
-        };
-        (rank.now(), rank.stats(), outcome, hdr_gen, back)
-    });
-    let mut restart =
-        RestartResult { gens: Vec::new(), records: Vec::new(), read_backs: Vec::new() };
-    for r in per {
-        let (clock, stats, outcome, hdr_gen, back) = r.expect("no crashes in the restart world");
-        restart.gens.push(hdr_gen);
-        restart.records.push(RankRecord { clock, stats, outcome });
-        restart.read_backs.push(back);
-    }
-
+    let restart =
+        committed.map_or_else(PhaseResult::default, |g| restart_world(&pfs, scn, readers, g));
     let committed_image =
         committed.map(|g| read_file(&pfs, &epoch::slot_path(BASE, g))).unwrap_or_default();
     CrashOutcome { epochs, survivors, committed, committed_image, restart }
@@ -347,8 +298,8 @@ pub fn verify_crash_checkpoint(scn: &CrashScenario) -> CrashOutcome {
     let victim_died = last[scn.victim].is_none();
     let everyone: Vec<usize> = (0..scn.nprocs).collect();
 
-    // Phase buckets sum to the clock on every record of every world —
-    // detection timeouts and commit publishes included.
+    // Phase buckets sum to the clock on every record of every world,
+    // detection timeouts included.
     for (wi, world) in out.epochs.iter().enumerate() {
         for (r, rec) in world.iter().enumerate() {
             let Some(rec) = rec else {
@@ -413,21 +364,14 @@ pub fn verify_crash_checkpoint(scn: &CrashScenario) -> CrashOutcome {
         assert!(eq_padded(&out.committed_image, &want), "clean generation diverged");
     }
 
-    // Restart: every reader recovers the same committed generation, the
-    // collective read succeeds, and the reassembled partition matches
-    // the committed slot byte for byte (zeros past EOF) — so a restart
-    // observes a complete old or new checkpoint, never a torn mix.
-    for (r, g) in out.restart.gens.iter().enumerate() {
-        assert_eq!(*g, out.committed, "restart rank {r}: header verdict");
-    }
-    for (r, rec) in out.restart.records.iter().enumerate() {
-        assert_eq!(rec.outcome, Ok(()), "restart rank {r} read failed");
-        assert_eq!(
-            rec.stats.phase_ns.iter().sum::<u64>(),
-            rec.clock,
-            "restart rank {r}: phase buckets must sum to the clock"
-        );
-    }
+    // Restart: the collective read succeeds (its phase sums and call
+    // agreement are the executor's `check_invariants`), and the
+    // reassembled partition matches the committed slot byte for byte
+    // (zeros past EOF) — so a restart observes a complete old or new
+    // checkpoint, never a torn mix. The header's verdict is asserted by
+    // the run itself.
+    assert_eq!(out.restart.err(), None, "restart read failed");
+    assert!(out.restart.close.iter().all(Result::is_ok), "restart close failed");
     if out.committed.is_some() {
         let reassembled: Vec<u8> = out.restart.read_backs.concat();
         assert!(
@@ -498,6 +442,33 @@ mod tests {
         let scn = CrashScenario { torn_rate: 0.3, ..base_scenario() };
         let out = verify_crash_checkpoint(&scn);
         assert_eq!(out.committed, Some(2));
+    }
+
+    /// The restart world owns its virtual time (DESIGN "Virtual-time
+    /// model"): run three times on one file system, each time after the
+    /// same out-of-world set-up — the slot written on a bare handle at
+    /// t = 0, then a [`read_file`] probe, which leaves the OSTs busy and
+    /// every seek position where a fresh set-up does — it gives every rank
+    /// the same clock and the same counters. Nothing the world does before
+    /// its collective open books OST time that the open then forgets.
+    #[test]
+    fn restart_worlds_in_sequence_see_the_same_file_system() {
+        let scn = base_scenario();
+        let pfs = scn.pfs();
+        let path = epoch::slot_path(BASE, 1);
+        let everyone: Vec<usize> = (0..scn.nprocs).collect();
+        let image = expected_epoch_image(&scn, 1, &everyone);
+        let world = || {
+            pfs.open(&path, COMMIT_CLIENT).write(0, 0, &image).unwrap();
+            assert_eq!(read_file(&pfs, &path), image);
+            let res = restart_world(&pfs, &scn, scn.nprocs, 1);
+            assert!(eq_padded(&res.read_backs.concat(), &image), "restart read the wrong bytes");
+            (res.clocks, res.stats)
+        };
+        let first = world();
+        assert!(first.0.iter().all(|&clock| clock > 0), "the restart world took no time");
+        assert_eq!(world(), first, "the second restart paid the first");
+        assert_eq!(world(), first, "the third restart paid the second");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!
 //! The header record is `[gen: u64 LE][gen ^ MAGIC: u64 LE]`. An
 //! all-zero (never-written) slot is invalid because `0 ^ MAGIC != 0`.
-//! The engine layer decides *when* to commit (after all aggregators'
-//! cycles complete plus a barrier, rank 0 writing); this module only
+//! The crash workload's driver decides *when* to commit (after the
+//! generation's world has returned, out of any world); this module only
 //! provides the naming scheme and the commit/recover primitives.
 
 use flexio_pfs::{FileHandle, PfsError};

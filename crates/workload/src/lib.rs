@@ -29,9 +29,10 @@
 //! The crate also hosts the shared data stream, file-image probe and
 //! tiled world the integration suites used to copy-paste ([`tiled`]),
 //! the strided workload shape of `tests/engine_equivalence.rs`
-//! ([`strided`]), and the crash workload ([`crash`]), whose two rank
-//! bodies carry a victim schedule and commit epochs with [`epoch`]'s
-//! double-slot headers inside the world.
+//! ([`strided`]), and the crash workload ([`crash`]): its one rank body
+//! writes a generation under a victim schedule, the driver commits each
+//! generation with [`epoch`]'s double-slot headers after its world, and
+//! its restart world runs on [`FileWorld`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,7 +48,7 @@ pub mod tiled;
 
 pub use crash::{
     assert_writer_tiles, expected_epoch_image, generate_crash, run_crash_checkpoint,
-    verify_crash_checkpoint, CrashOutcome, CrashScenario, RankRecord, RestartResult,
+    verify_crash_checkpoint, CrashOutcome, CrashScenario, RankRecord,
 };
 pub use gen::generate;
 pub use oracle::{eq_padded, Oracle};

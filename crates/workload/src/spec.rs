@@ -42,7 +42,7 @@ impl ScenarioKind {
         ScenarioKind::Mixed,
     ];
 
-    /// Stable lower-case name (CLI `--scenario` values).
+    /// Stable lower-case name, the `scenario` column of `bench scenario`.
     pub fn name(self) -> &'static str {
         match self {
             ScenarioKind::Checkpoint => "checkpoint",
@@ -51,11 +51,6 @@ impl ScenarioKind {
             ScenarioKind::ReadScan => "read-scan",
             ScenarioKind::Mixed => "mixed",
         }
-    }
-
-    /// Parse a [`ScenarioKind::name`] back into a kind.
-    pub fn from_name(s: &str) -> Option<ScenarioKind> {
-        ScenarioKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -409,10 +404,8 @@ mod tests {
 
     #[test]
     fn scenario_names_roundtrip() {
-        for k in ScenarioKind::ALL {
-            assert_eq!(ScenarioKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(ScenarioKind::from_name("nope"), None);
+        let names: std::collections::BTreeSet<_> = ScenarioKind::ALL.map(ScenarioKind::name).into();
+        assert_eq!(names.len(), ScenarioKind::ALL.len(), "family names must be distinct");
     }
 
     #[test]

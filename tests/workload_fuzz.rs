@@ -176,7 +176,7 @@ fn reads_past_last_writer_extent_see_zeros() {
 /// `flexio::workload::verify_crash_checkpoint`: determinism, survivor
 /// byte-identity masked to survivor tiles, recovery-counter agreement,
 /// phase-sum through recovery, collective error agreement with recovery
-/// off, and the restart family's old-or-new-never-torn read.
+/// off, and the restart world's old-or-new-never-torn read.
 #[test]
 fn crash_point_fuzz() {
     Runner::new("crash_point_fuzz")
