@@ -304,7 +304,7 @@ pub(crate) fn a6(args: &Args, r: &mut Report) {
 /// A7 — fault injection on a tiled collective-write workload.
 ///
 /// 1. **Transient faults**: slowdown vs per-request OST error rate, with
-///    the retry loop off (`flexio_io_retries=0`: the collective aborts on
+///    the retry loop off (`Hints::io_retries` 0: the collective aborts on
 ///    the first fault via the error agreement) and on (default budget,
 ///    backoff charged in virtual time).
 /// 2. **Straggler OST**: slowdown vs straggler severity with static
@@ -473,7 +473,7 @@ fn crash_sample(scn: &CrashScenario) -> CrashSample {
 ///    survivor checkpoint) and off (`abort`: the same detection, then the
 ///    agreed `RanksFailed` verdict — the cost of *failing cleanly*).
 /// 2. **Watchdog**: recovery slowdown at a mid-run crash vs
-///    `flexio_watchdog_us`. Detection latency is the watchdog deadline,
+///    `Hints::watchdog_us`. Detection latency is the watchdog deadline,
 ///    so the curve is linear in the timeout until replay cost dominates.
 ///
 /// Every recovered arm must publish the crash generation as a survivor

@@ -22,7 +22,7 @@ pub fn ewma(prev: Option<u64>, x: u64) -> u64 {
 /// Drive one idempotent file-system request through the retry loop:
 /// reissue a transiently failed request up to `hints.io_retries` times,
 /// each attempt preceded by an exponentially doubling backoff charged in
-/// virtual time (`flexio_retry_backoff_us << attempt`). The fault model
+/// virtual time (`hints.retry_backoff_us << attempt`). The fault model
 /// guarantees requests move their data even when the request itself fails
 /// (server committed, reply lost), so a reissue only re-pays the virtual
 /// window. `op` takes the attempt's start time and returns the completion

@@ -5,7 +5,7 @@
 //! and an **issue half** (aggregator↔file I/O) — and both profit from the
 //! same overlap: while one cycle's file I/O is still in flight, the next
 //! cycle's exchange can already run into its own collective buffer. This
-//! module owns that machinery once, so `flexio_pipeline_depth` means
+//! module owns that machinery once, so `Hints::pipeline_depth` means
 //! exactly the same thing under the flexible engine and the ROMIO
 //! baseline:
 //!
@@ -40,7 +40,7 @@ use std::collections::VecDeque;
 pub(crate) const MAX_INFLIGHT: usize = 7;
 
 /// How many buffer cycles may be in flight ahead of the one being
-/// exchanged — the resolved form of `flexio_pipeline_depth`, expressed
+/// exchanged — the resolved form of `Hints::pipeline_depth`, expressed
 /// as a *cap* on outstanding completion windows (cap = depth − 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CapPolicy {

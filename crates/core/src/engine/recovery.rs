@@ -10,7 +10,7 @@
 //!
 //! 1. **Heartbeat round** — every rank sends a one-byte heartbeat to
 //!    every peer, then collects heartbeats with [`Rank::recv_timeout`]
-//!    against an absolute deadline `now + flexio_watchdog_us`. A peer
+//!    against an absolute deadline `now + Hints::watchdog_us`. A peer
 //!    whose heartbeat never arrives is suspected. Under lowest-virtual-
 //!    clock-first scheduling a live peer's heartbeat always lands before
 //!    the deadline *provided the watchdog exceeds the inter-rank clock
@@ -30,7 +30,7 @@
 //! the drive loop, and the engine returns it as [`IoError::RanksFailed`].
 //! [`run`] wraps the flexible engine with the recovery loop: detect at
 //! entry, run the engine, and on a failed-rank verdict either surface it
-//! (`flexio_crash_recovery=disable` — the same agreed list on every
+//! (`Hints::crash_recovery` off — the same agreed list on every
 //! survivor, never a hang) or shrink the communicator to the survivors,
 //! re-elect aggregators and re-partition realms over them, and replay
 //! the whole call. Replay is idempotent: writes re-land every survivor

@@ -13,7 +13,7 @@
 //!   collective buffer.
 //!
 //! The buffer cycles run on the shared pipeline core
-//! (`engine::pipeline`), so `flexio_pipeline_depth` means the
+//! (`engine::pipeline`), so `Hints::pipeline_depth` means the
 //! same thing here as under the flexible engine — depth 1 charges exactly
 //! like the historical serial loop (fixture-enforced), deeper pipelines
 //! overlap each cycle's *final* buffer-to-file request with the next

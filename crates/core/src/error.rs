@@ -23,16 +23,20 @@ pub enum IoError {
     /// A hint combination is invalid.
     BadHints(&'static str),
     /// A transient PFS fault persisted through every configured retry
-    /// (`flexio_io_retries`); collectively agreed, so every rank of the
+    /// ([`Hints::io_retries`]); collectively agreed, so every rank of the
     /// call returns the same error.
+    ///
+    /// [`Hints::io_retries`]: crate::Hints::io_retries
     Transient(PfsError),
     /// A PFS fault on a path with no retry loop (independent I/O,
-    /// close/sync flushes).
+    /// close's flush).
     Pfs(PfsError),
     /// One or more ranks crash-stopped during the collective and
-    /// `flexio_crash_recovery` is disabled (or the caller is observing
-    /// the failure before replay). Carries the world ranks every
-    /// survivor agreed are dead — the same list on every survivor.
+    /// [`Hints::crash_recovery`] is off (or the caller is observing the
+    /// failure before replay). Carries the world ranks every survivor
+    /// agreed are dead — the same list on every survivor.
+    ///
+    /// [`Hints::crash_recovery`]: crate::Hints::crash_recovery
     RanksFailed(Vec<usize>),
 }
 

@@ -60,7 +60,7 @@ impl<'r> MpiFile<'r> {
     /// and no earlier world's tail is queued ahead of it. A later open in
     /// the same world changes nothing.
     pub fn open(rank: &'r Rank, pfs: &Arc<Pfs>, path: &str, hints: Hints) -> Result<Self> {
-        hints.validate_for(rank.nprocs())?;
+        hints.validate(rank.nprocs())?;
         let handle = pfs.open(path, rank.rank());
         pfs.enter_world(rank.world_id());
         rank.barrier();
@@ -87,7 +87,7 @@ impl<'r> MpiFile<'r> {
     /// derives its schedule afresh, even under the same hints — the way to
     /// run an uncached call.
     pub fn set_hints(&mut self, hints: Hints) -> Result<()> {
-        hints.validate_for(self.rank.nprocs())?;
+        hints.validate(self.rank.nprocs())?;
         self.hints = hints;
         *self.sched_cache.borrow_mut() = None;
         Ok(())
@@ -313,34 +313,6 @@ impl<'r> MpiFile<'r> {
             self.rank.charge_memcpy(total);
         }
         (segs, packed)
-    }
-
-    /// Collective `MPI_File_set_size`: truncate or extend to `size` bytes.
-    pub fn set_size(&self, size: u64) {
-        // Collective: rank 0 performs the metadata operation.
-        if self.rank.rank() == 0 {
-            let t = self.handle.set_size(self.rank.now(), size);
-            self.rank.advance_to(t);
-        }
-        self.rank.barrier();
-    }
-
-    /// Collective `MPI_File_preallocate`: ensure storage for `size` bytes.
-    pub fn preallocate(&self, size: u64) {
-        if self.rank.rank() == 0 {
-            let t = self.handle.preallocate(self.rank.now(), size);
-            self.rank.advance_to(t);
-        }
-        self.rank.barrier();
-    }
-
-    /// Flush this rank's cached pages (if client caching is on). Dirty
-    /// pages always land even on a faulted flush request; the error
-    /// reports the request outcome, as `MPI_File_sync` would.
-    pub fn sync(&self) -> Result<()> {
-        let res = self.handle.flush(self.rank.now());
-        self.charge_io(*res.as_ref().unwrap_or_else(|e| &e.at));
-        res.map(|_| ()).map_err(IoError::Pfs)
     }
 
     /// Advance the clock to the completion time `t` of a file-system

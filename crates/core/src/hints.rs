@@ -1,4 +1,5 @@
-//! MPI-Info-style hints controlling the collective I/O machinery.
+//! Hints controlling the collective I/O machinery: one `Hints` struct,
+//! its fields named after ROMIO's hints where one exists.
 
 use crate::realm::RealmAssigner;
 use flexio_io::IoMethod;
@@ -36,7 +37,7 @@ pub enum ExchangeMode {
 }
 
 /// How many buffer cycles an engine keeps in flight
-/// (`flexio_pipeline_depth`). Depth *d* means up to `d − 1` cycles of file
+/// ([`Hints::pipeline_depth`]). Depth *d* means up to `d − 1` cycles of file
 /// I/O outstanding while the next exchange runs: 1 is the strictly serial
 /// engine, 2 the classic double buffering, deeper pipelines pay off when
 /// one cycle's I/O takes longer than one cycle's exchange. Both engines
@@ -91,35 +92,34 @@ pub struct Hints {
     pub persistent_file_realms: bool,
     /// Data exchange flavour (§5.4).
     pub exchange: ExchangeMode,
-    /// Pipeline depth policy (`flexio_pipeline_depth`): how many buffer
-    /// cycles may be in flight at once, under both engines — depth *d* is
-    /// *d* collective buffers per aggregator, with the exchange for cycle
-    /// *i+1* overlapping the file I/O of cycle *i* (at 2, the original
-    /// ROMIO double-buffering the paper's §4 inherits).
+    /// Pipeline depth policy: how many buffer cycles may be in flight at
+    /// once, under both engines — depth *d* is *d* collective buffers per
+    /// aggregator, with the exchange for cycle *i+1* overlapping the file
+    /// I/O of cycle *i* (at 2, the original ROMIO double-buffering the
+    /// paper's §4 inherits).
     pub pipeline_depth: PipelineDepth,
     /// How many times an aggregator retries a transiently failed file-
     /// system request before the collective gives up and agrees on an
-    /// error (`flexio_io_retries`). 0 fails fast on the first fault.
+    /// error. 0 fails fast on the first fault.
     pub io_retries: u32,
-    /// Base backoff before the first retry, microseconds
-    /// (`flexio_retry_backoff_us`); doubles on each subsequent retry and
-    /// is charged in virtual time like any other wait.
+    /// Base backoff before the first retry, microseconds; doubles on each
+    /// subsequent retry and is charged in virtual time like any other wait.
     pub retry_backoff_us: u64,
-    /// Survive crash-stopped ranks (`flexio_crash_recovery`): when a rank
-    /// dies mid-collective, survivors agree on the dead set, re-elect
-    /// aggregators and re-partition realms over the shrunk group, and
-    /// replay the interrupted call idempotently. Off (the default) the
-    /// collective terminates with [`IoError::RanksFailed`] on every
-    /// survivor instead of hanging.
+    /// Survive crash-stopped ranks: when a rank dies mid-collective,
+    /// survivors agree on the dead set, re-elect aggregators and
+    /// re-partition realms over the shrunk group, and replay the
+    /// interrupted call idempotently. Off (the default) the collective
+    /// terminates with [`IoError::RanksFailed`] on every survivor instead
+    /// of hanging.
     ///
     /// [`IoError::RanksFailed`]: crate::error::IoError::RanksFailed
     pub crash_recovery: bool,
-    /// Failure-detection watchdog, microseconds of virtual time
-    /// (`flexio_watchdog_us`): how long a rank waits at a collective
-    /// boundary for a peer's heartbeat before suspecting it dead. Only
-    /// consulted in a crashable world (`flexio_sim::Rank::crashable`); must
-    /// comfortably exceed per-cycle clock skew between ranks or a slow
-    /// peer is falsely declared dead. Virtual-time cost only.
+    /// Failure-detection watchdog, microseconds of virtual time: how long a
+    /// rank waits at a collective boundary for a peer's heartbeat before
+    /// suspecting it dead. Only consulted in a crashable world
+    /// (`flexio_sim::Rank::crashable`); must comfortably exceed per-cycle
+    /// clock skew between ranks or a slow peer is falsely declared dead.
+    /// Virtual-time cost only.
     pub watchdog_us: u64,
     /// Engine selection.
     pub engine: Engine,
@@ -175,55 +175,39 @@ impl Hints {
         self.cb_nodes.unwrap_or(nprocs).clamp(1, nprocs)
     }
 
-    /// Validate hint consistency.
-    pub fn validate(&self) -> crate::error::Result<()> {
+    /// Validate hint consistency for a world of `nprocs` ranks. This is
+    /// what `MpiFile::open`/`set_hints` use, so an oversized `cb_nodes` is
+    /// a proper error at the API boundary instead of a silently clamped
+    /// schedule. The world-free rules run first, so a set that breaks
+    /// several reports the first of them.
+    pub fn validate(&self, nprocs: usize) -> crate::error::Result<()> {
+        let bad = |msg| Err(crate::error::IoError::BadHints(msg));
         if self.cb_buffer_size == 0 {
-            return Err(crate::error::IoError::BadHints("cb_buffer_size must be nonzero"));
+            return bad("cb_buffer_size must be nonzero");
         }
         if self.cb_nodes == Some(0) {
-            return Err(crate::error::IoError::BadHints("cb_nodes must be nonzero"));
+            return bad("cb_nodes must be nonzero");
         }
         if matches!(
             self.io_method,
             IoMethod::DataSieve { buffer: 0 } | IoMethod::Conditional { sieve_buffer: 0, .. }
         ) {
-            return Err(crate::error::IoError::BadHints(
-                "the sieve buffer (ind_wr_buffer_size / ind_rd_buffer_size) must be nonzero",
-            ));
+            return bad("io_method's sieve buffer must be nonzero");
         }
         if self.fr_alignment == Some(0) {
-            return Err(crate::error::IoError::BadHints("fr_alignment must be nonzero"));
+            return bad("fr_alignment must be nonzero");
         }
         if self.pipeline_depth == PipelineDepth::Fixed(0) {
-            return Err(crate::error::IoError::BadHints(
-                "flexio_pipeline_depth must be a positive integer or auto (0 disables nothing; \
-                 use depth 1 for the serial engine)",
-            ));
+            return bad("pipeline_depth must be Auto or at least Fixed(1), the serial engine");
         }
         if self.io_retries > 32 {
-            return Err(crate::error::IoError::BadHints(
-                "flexio_io_retries must be at most 32 (the backoff doubles per retry)",
-            ));
+            return bad("io_retries must be at most 32 (the backoff doubles per retry)");
         }
         if self.watchdog_us == 0 {
-            return Err(crate::error::IoError::BadHints(
-                "flexio_watchdog_us must be nonzero (a zero watchdog suspects every peer)",
-            ));
+            return bad("watchdog_us must be nonzero (a zero watchdog suspects every peer)");
         }
-        Ok(())
-    }
-
-    /// Validate hint consistency against a concrete world size: everything
-    /// [`Hints::validate`] checks, plus bounds that only make sense once
-    /// `nprocs` is known. This is what `MpiFile::open`/`set_hints` use, so
-    /// an oversized `cb_nodes` is a proper error at the API boundary
-    /// instead of a silently clamped schedule.
-    pub fn validate_for(&self, nprocs: usize) -> crate::error::Result<()> {
-        self.validate()?;
-        if let Some(n) = self.cb_nodes {
-            if n > nprocs {
-                return Err(crate::error::IoError::BadHints("cb_nodes exceeds world size"));
-            }
+        if self.cb_nodes.is_some_and(|n| n > nprocs) {
+            return bad("cb_nodes exceeds world size");
         }
         Ok(())
     }
@@ -243,13 +227,13 @@ mod tests {
     #[test]
     fn default_hints_valid() {
         let h = Hints::default();
-        h.validate().unwrap();
+        h.validate(16).unwrap();
         assert_eq!(h.aggregators(16), 16);
     }
 
     #[test]
     fn cb_nodes_clamped() {
-        // aggregators() still clamps defensively even though validate_for
+        // aggregators() still clamps defensively even though validate
         // rejects out-of-range cb_nodes at the API boundary.
         let h = Hints { cb_nodes: Some(100), ..Hints::default() };
         assert_eq!(h.aggregators(8), 8);
@@ -259,59 +243,61 @@ mod tests {
 
     #[test]
     fn bad_hints_rejected() {
-        assert!(Hints { cb_buffer_size: 0, ..Hints::default() }.validate().is_err());
-        assert!(Hints { fr_alignment: Some(0), ..Hints::default() }.validate().is_err());
-        assert!(Hints { cb_nodes: Some(0), ..Hints::default() }.validate().is_err());
-        assert!(
-            Hints { pipeline_depth: PipelineDepth::Fixed(0), ..Hints::default() }
-                .validate()
-                .is_err()
-        );
-        // validate_for inherits the depth check.
-        assert!(
-            Hints { pipeline_depth: PipelineDepth::Fixed(0), ..Hints::default() }
-                .validate_for(4)
-                .is_err()
-        );
-        Hints { pipeline_depth: PipelineDepth::Fixed(1), ..Hints::default() }.validate().unwrap();
-        Hints { pipeline_depth: PipelineDepth::Fixed(6), ..Hints::default() }
-            .validate_for(4)
-            .unwrap();
-        assert!(Hints { io_retries: 33, ..Hints::default() }.validate().is_err());
-        Hints { io_retries: 0, retry_backoff_us: 0, ..Hints::default() }.validate().unwrap();
-        Hints { io_retries: 32, ..Hints::default() }.validate().unwrap();
+        let d = Hints::default;
+        assert!(Hints { cb_buffer_size: 0, ..d() }.validate(4).is_err());
+        assert!(Hints { fr_alignment: Some(0), ..d() }.validate(4).is_err());
+        assert!(Hints { cb_nodes: Some(0), ..d() }.validate(4).is_err());
+        for io_method in [
+            IoMethod::DataSieve { buffer: 0 },
+            IoMethod::Conditional { extent_threshold: 1 << 10, sieve_buffer: 0 },
+        ] {
+            assert!(Hints { io_method, ..d() }.validate(4).is_err(), "{io_method:?}");
+        }
+        Hints { io_method: IoMethod::DataSieve { buffer: 1 }, ..d() }.validate(4).unwrap();
+        Hints { io_method: IoMethod::Naive, ..d() }.validate(4).unwrap();
+        assert!(Hints { pipeline_depth: PipelineDepth::Fixed(0), ..d() }.validate(4).is_err());
+        Hints { pipeline_depth: PipelineDepth::Fixed(1), ..d() }.validate(4).unwrap();
+        Hints { pipeline_depth: PipelineDepth::Fixed(6), ..d() }.validate(4).unwrap();
+        assert!(Hints { io_retries: 33, ..d() }.validate(4).is_err());
+        Hints { io_retries: 0, retry_backoff_us: 0, ..d() }.validate(4).unwrap();
+        Hints { io_retries: 32, ..d() }.validate(4).unwrap();
     }
 
     #[test]
     fn validate_for_bounds_cb_nodes() {
         let h = Hints { cb_nodes: Some(8), ..Hints::default() };
-        h.validate_for(8).unwrap();
-        assert!(h.validate_for(7).is_err());
-        assert!(Hints { cb_nodes: Some(0), ..Hints::default() }.validate_for(4).is_err());
-        Hints::default().validate_for(1).unwrap();
+        h.validate(8).unwrap();
+        assert!(h.validate(7).is_err());
+        assert!(Hints { cb_nodes: Some(0), ..Hints::default() }.validate(4).is_err());
+        Hints::default().validate(1).unwrap();
     }
 
     #[test]
     fn validate_for_rejections_are_descriptive_bad_hints() {
         use crate::error::IoError;
-        // Oversized cb_nodes names the actual constraint.
-        match (Hints { cb_nodes: Some(5), ..Hints::default() }).validate_for(4) {
-            Err(IoError::BadHints(msg)) => assert!(msg.contains("world size"), "got {msg:?}"),
+        let msg = |h: Hints, nprocs| match h.validate(nprocs) {
+            Err(IoError::BadHints(msg)) => msg,
             other => panic!("expected BadHints, got {other:?}"),
+        };
+        let d = Hints::default;
+        // Each message names the `Hints` field it is about.
+        for (h, field) in [
+            (Hints { cb_nodes: Some(5), ..d() }, "cb_nodes exceeds world size"),
+            (Hints { io_method: IoMethod::DataSieve { buffer: 0 }, ..d() }, "io_method"),
+            (Hints { fr_alignment: Some(0), ..d() }, "fr_alignment"),
+            (Hints { pipeline_depth: PipelineDepth::Fixed(0), ..d() }, "pipeline_depth"),
+            (Hints { io_retries: 33, ..d() }, "io_retries"),
+            (Hints { watchdog_us: 0, ..d() }, "watchdog_us"),
+        ] {
+            let got = msg(h, 4);
+            assert!(got.contains(field), "{field}: got {got:?}");
         }
         // World-free checks run first, so a doubly-bad hint set reports
         // the world-independent problem.
-        match (Hints { cb_buffer_size: 0, cb_nodes: Some(100), ..Hints::default() }).validate_for(1)
-        {
-            Err(IoError::BadHints(msg)) => assert!(msg.contains("cb_buffer_size"), "got {msg:?}"),
-            other => panic!("expected BadHints, got {other:?}"),
-        }
-        match (Hints { fr_alignment: Some(0), ..Hints::default() }).validate_for(2) {
-            Err(IoError::BadHints(msg)) => assert!(msg.contains("fr_alignment"), "got {msg:?}"),
-            other => panic!("expected BadHints, got {other:?}"),
-        }
+        let got = msg(Hints { cb_buffer_size: 0, cb_nodes: Some(100), ..d() }, 1);
+        assert!(got.contains("cb_buffer_size"), "got {got:?}");
         // The boundary case passes: exactly one aggregator per rank.
-        Hints { cb_nodes: Some(4), ..Hints::default() }.validate_for(4).unwrap();
+        Hints { cb_nodes: Some(4), ..d() }.validate(4).unwrap();
     }
 
     #[test]
@@ -319,8 +305,8 @@ mod tests {
         let h = Hints::default();
         assert!(!h.crash_recovery, "recovery must be opt-in");
         assert!(h.watchdog_us > 0);
-        assert!(Hints { watchdog_us: 0, ..Hints::default() }.validate().is_err());
-        Hints { crash_recovery: true, watchdog_us: 1, ..Hints::default() }.validate().unwrap();
+        assert!(Hints { watchdog_us: 0, ..Hints::default() }.validate(4).is_err());
+        Hints { crash_recovery: true, watchdog_us: 1, ..Hints::default() }.validate(4).unwrap();
     }
 
     #[test]

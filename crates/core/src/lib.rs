@@ -27,14 +27,12 @@ pub mod engine;
 pub mod error;
 pub mod file;
 pub mod hints;
-pub mod info;
 pub mod meta;
 pub mod realm;
 
 pub use error::{IoError, Result};
 pub use file::MpiFile;
 pub use hints::{aggregator_ranks, Engine, ExchangeMode, Hints, PipelineDepth};
-pub use info::hints_from_info;
 pub use meta::ClientAccess;
 pub use realm::{
     AssignCtx, BalancedLoad, EvenAar, FileRealm, PersistentBlockCyclic, RealmAssigner, RealmSet,

@@ -187,21 +187,6 @@ impl ClientCache {
         });
     }
 
-    /// Cut the cache at the new file end `size`: a page that straddles it
-    /// keeps its head, and its dirty bit, with the tail zeroed; every page
-    /// wholly past it is dropped, dirty or not — truncated bytes are never
-    /// written back.
-    pub fn truncate(&mut self, size: u64) {
-        let ps = self.page_size;
-        self.pages.retain(|idx, page| {
-            let p_start = idx * ps;
-            if p_start < size && size < p_start + ps {
-                page.data[(size - p_start) as usize..].fill(0);
-            }
-            p_start < size
-        });
-    }
-
     /// Count of dirty pages.
     pub fn dirty_pages(&self) -> usize {
         self.pages.values().filter(|p| p.dirty).count()

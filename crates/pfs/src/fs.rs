@@ -82,7 +82,9 @@ pub struct FileObj {
 }
 
 impl FileObj {
-    /// Logical file size (highest byte ever written + 1).
+    /// Logical file size (highest byte ever written + 1). It only grows:
+    /// every store raises it with a `fetch_max`, and nothing truncates, so
+    /// no client cache holds a page past the end.
     pub fn size(&self) -> u64 {
         self.size.load(Ordering::SeqCst)
     }
@@ -858,46 +860,6 @@ impl FileHandle {
         self.read_span(now, off, len, &[(off, len)], dests)
     }
 
-    /// Truncate or extend the file to exactly `size` bytes. Shrinking
-    /// discards content and cuts every client's cache at the new end
-    /// ([`ClientCache::truncate`]); extending is a metadata-only operation
-    /// (reads of the new region return zeros).
-    pub fn set_size(&self, now: u64, size: u64) -> u64 {
-        let _serial = self.file.serial.lock().unwrap();
-        let mut coh = self.file.coherency.lock().unwrap();
-        let old = self.file.size();
-        if size < old {
-            let mut content = self.file.content.write().unwrap();
-            content.truncate(size as usize);
-            for cache in coh.caches.values_mut() {
-                cache.truncate(size);
-            }
-        }
-        drop(coh);
-        self.file.size.store(size, Ordering::SeqCst);
-        now + self.pfs.cfg.cost.request_ns
-    }
-
-    /// Preallocate storage up to `size` bytes (never shrinks). Charged as
-    /// one OST pass over the newly allocated span.
-    pub fn preallocate(&self, now: u64, size: u64) -> u64 {
-        let old = self.file.size();
-        if size <= old {
-            return now + self.pfs.cfg.cost.request_ns;
-        }
-        self.file.size.fetch_max(size, Ordering::SeqCst);
-        {
-            let mut content = self.file.content.write().unwrap();
-            if content.len() < size as usize {
-                content.resize(size as usize, 0);
-            }
-        }
-        // Allocation cost: one request per stripe in the new span.
-        let c = &self.pfs.cfg.cost;
-        let stripes = (size - old).div_ceil(self.pfs.cfg.stripe_size);
-        now + c.request_ns * stripes.max(1)
-    }
-
     /// Flush this client's dirty pages to storage; returns completion
     /// time. Data always lands even when a transient fault is reported
     /// (so a failed flush cannot lose dirty pages); the error tells the
@@ -1414,53 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn set_size_truncates_and_extends() {
-        let pfs = tiny();
-        let h = pfs.open("f", 0);
-        h.write(0, 0, &[7u8; 100]).unwrap();
-        h.set_size(0, 40);
-        assert_eq!(h.size(), 40);
-        let mut buf = [9u8; 60];
-        h.read(0, 0, &mut buf).unwrap();
-        assert_eq!(&buf[..40], &[7u8; 40]);
-        assert_eq!(&buf[40..], &[0u8; 20], "truncated region must read zero");
-        h.set_size(0, 200);
-        assert_eq!(h.size(), 200);
-    }
-
-    #[test]
-    fn truncate_discards_cached_dirty_pages() {
-        let pfs = Pfs::new(locking_cfg(true));
-        let h = pfs.open("f", 0);
-        h.write(0, 0, &[5u8; 64]).unwrap(); // cached dirty
-        h.set_size(0, 16);
-        h.flush(0).unwrap();
-        let g = pfs.open("f", 1);
-        let mut buf = [1u8; 64];
-        g.read(0, 0, &mut buf).unwrap();
-        assert_eq!(&buf[..16], &[5u8; 16]);
-        assert_eq!(&buf[16..], &[0u8; 48], "dirty pages past EOF must not resurrect");
-    }
-
-    #[test]
-    fn truncate_keeps_the_head_of_a_straddling_dirty_page() {
-        // Page 16: the new end, 8, falls inside the first dirty page.
-        let pfs = Pfs::new(locking_cfg(true));
-        let h = pfs.open("f", 0);
-        h.write(0, 0, &[5u8; 64]).unwrap(); // cached dirty
-        h.set_size(0, 8);
-        let want: Vec<u8> = [[5u8; 8], [0u8; 8]].concat();
-        let mut buf = [1u8; 16];
-        h.read(0, 0, &mut buf).unwrap();
-        assert_eq!(buf[..], want[..], "the cached head must survive the truncate");
-        h.flush(0).unwrap();
-        assert_eq!(h.size(), 8);
-        let mut buf = [1u8; 16];
-        pfs.open("f", 1).read(0, 0, &mut buf).unwrap();
-        assert_eq!(buf[..], want[..], "the head must reach the file");
-    }
-
-    #[test]
     fn write_back_stores_only_the_bytes_below_the_size() {
         // A 100-byte cached write ends inside its seventh 16-byte page.
         // Written back by a flush or by a revocation, the page is charged
@@ -1477,20 +1392,6 @@ mod tests {
         assert_eq!(buf, [6u8; 3]);
         assert_eq!(pfs.stats().lock_revocations, 1);
         assert_eq!(h.size(), 103, "a revocation flush must not round the size up either");
-    }
-
-    #[test]
-    fn preallocate_extends_without_shrinking() {
-        let pfs = tiny();
-        let h = pfs.open("f", 0);
-        h.write(0, 0, &[3u8; 32]).unwrap();
-        h.preallocate(0, 512);
-        assert_eq!(h.size(), 512);
-        h.preallocate(0, 100); // never shrinks
-        assert_eq!(h.size(), 512);
-        let mut buf = [9u8; 8];
-        h.read(0, 0, &mut buf).unwrap();
-        assert_eq!(buf, [3u8; 8]);
     }
 
     #[test]

@@ -127,27 +127,6 @@ impl Datatype {
         Arc::new(Datatype::Resized { lb, extent, child })
     }
 
-    /// A 2-D subarray of an `rows x cols` array of `elem_size`-byte
-    /// elements, selecting the block at (`row0`, `col0`) of shape
-    /// (`sub_rows`, `sub_cols`), row-major. The resulting type is resized
-    /// to the full array extent so it tiles correctly in a file view.
-    pub fn subarray_2d(
-        rows: u64,
-        cols: u64,
-        elem_size: u64,
-        row0: u64,
-        col0: u64,
-        sub_rows: u64,
-        sub_cols: u64,
-    ) -> Dt {
-        assert!(row0 + sub_rows <= rows && col0 + sub_cols <= cols, "subarray out of bounds");
-        let row = Datatype::bytes(sub_cols * elem_size);
-        let start = (row0 * cols + col0) * elem_size;
-        let v = Datatype::hvector(sub_rows, 1, (cols * elem_size) as i64, row);
-        let placed = Datatype::structure(vec![(start as i64, 1, v)]);
-        Datatype::resized(0, rows * cols * elem_size, placed)
-    }
-
     /// Total number of data bytes in one instance of the type.
     pub fn size(&self) -> u64 {
         match self {
@@ -377,7 +356,7 @@ mod tests {
     #[test]
     fn subarray_2d_shape() {
         // 4x4 array of 1-byte elements, 2x2 block at (1,1)
-        let t = Datatype::subarray_2d(4, 4, 1, 1, 1, 2, 2);
+        let t = crate::subarray(&[4, 4], &[2, 2], &[1, 1], 1);
         assert_eq!(t.size(), 4);
         assert_eq!(t.extent(), 16);
         let f = crate::flatten::flatten(&t);

@@ -165,14 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn subarray_2d_matches_helper() {
-        let a = subarray(&[4, 4], &[2, 2], &[1, 1], 1);
-        let b = Datatype::subarray_2d(4, 4, 1, 1, 1, 2, 2);
-        assert_eq!(segs(&a), segs(&b));
-        assert_eq!(a.extent(), b.extent());
-    }
-
-    #[test]
     fn subarray_3d() {
         // 2x3x4 array of 1-byte elements; select [1..2, 1..3, 1..3].
         let t = subarray(&[2, 3, 4], &[1, 2, 2], &[1, 1, 1], 1);

@@ -12,7 +12,7 @@
 //! ([`epoch::commit_epoch`]) iff every rank that finished it finished
 //! clean — the world's return proves every writer's data is down.
 //!
-//! * With `flexio_crash_recovery=enable`, the survivors detect the
+//! * With `Hints::crash_recovery` on, the survivors detect the
 //!   death, re-form, replay, and complete; the epoch is published as a
 //!   *survivor checkpoint* — its survivor tiles byte-identical to a
 //!   fault-free run over the surviving ranks (the victim's tile range is
@@ -69,9 +69,9 @@ pub struct CrashScenario {
     /// Virtual time past which the victim's next crash checkpoint is
     /// fatal (a time past the run's end means the victim survives).
     pub at_ns: u64,
-    /// `flexio_crash_recovery`.
+    /// `Hints::crash_recovery`.
     pub recovery: bool,
-    /// `flexio_watchdog_us`.
+    /// `Hints::watchdog_us`.
     pub watchdog_us: u64,
     /// Torn-write rate for the PFS plan (tears the header publishes and
     /// the data path; retries heal both).

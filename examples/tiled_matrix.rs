@@ -8,7 +8,7 @@
 use flexio::core::{Engine, Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig};
 use flexio::sim::{run, CostModel};
-use flexio::types::Datatype;
+use flexio::types::{subarray, Datatype};
 
 fn main() {
     // 1024 x 1024 matrix of 8-byte elements, 2 x 2 process grid.
@@ -22,15 +22,7 @@ fn main() {
         let pfs2 = pfs.clone();
         let times = run(nprocs, CostModel::default(), move |rank| {
             let (pr, pc) = (rank.rank() as u64 / grid, rank.rank() as u64 % grid);
-            let sub = Datatype::subarray_2d(
-                rows,
-                cols,
-                elem,
-                pr * trows,
-                pc * tcols,
-                trows,
-                tcols,
-            );
+            let sub = subarray(&[rows, cols], &[trows, tcols], &[pr * trows, pc * tcols], elem);
             let hints = Hints { engine, cb_nodes: Some(2), ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs2, "matrix.bin", hints).unwrap();
             f.set_view(0, &Datatype::bytes(elem), &sub).unwrap();

@@ -74,6 +74,14 @@ esac
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
+# The examples: clippy compiles them, this runs them (~1 s for all four).
+# `climate_checkpoint` verifies its image and `tiled_matrix` spot-checks
+# its quadrants, so a broken example fails here.
+for example in quickstart climate_checkpoint tiled_matrix custom_realms; do
+  echo "== cargo run --release --offline --example $example =="
+  cargo run -q --release --offline --example "$example"
+done
+
 echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

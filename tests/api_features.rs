@@ -1,11 +1,14 @@
 //! Integration tests for the supporting API surface: darray/subarray
-//! datatypes driving collective I/O, Info-string hints, and per-rank
-//! cost attribution.
+//! datatypes driving collective I/O, `Hints` at the API edge (a full
+//! configuration drives a call; an invalid set is refused by `open` and
+//! `set_hints` alike and changes nothing), and per-rank cost attribution.
 
-use flexio::core::{hints_from_info, Engine, Hints, MpiFile};
+use flexio::core::{Engine, Hints, IoError, MpiFile, PipelineDepth};
+use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Phase};
 use flexio::types::{darray, subarray, Datatype, Distribution};
+use flexio::workload::{checkpoint_spec, eq_padded, read_file, Oracle};
 use std::sync::Arc;
 
 fn free_pfs() -> Arc<Pfs> {
@@ -96,19 +99,16 @@ fn subarray_3d_collective_write() {
 
 #[test]
 fn info_hints_drive_collective() {
-    // A full configuration expressed as ROMIO info strings.
-    let hints = hints_from_info(
-        Hints::default(),
-        &[
-            ("cb_nodes", "2"),
-            ("cb_buffer_size", "4096"),
-            ("romio_ds_write", "enable"),
-            ("ind_wr_buffer_size", "1024"),
-            ("striping_unit", "512"),
-            ("flexio_pfr", "enable"),
-        ],
-    )
-    .unwrap();
+    // A full configuration: aggregators, buffer and sieving, plus the
+    // paper's two hints, alignment and persistent file realms (§6.4).
+    let hints = Hints {
+        cb_nodes: Some(2),
+        cb_buffer_size: 4096,
+        io_method: IoMethod::DataSieve { buffer: 1024 },
+        fr_alignment: Some(512),
+        persistent_file_realms: true,
+        ..Hints::default()
+    };
     let pfs = free_pfs();
     let pfs2 = Arc::clone(&pfs);
     run(4, CostModel::free(), move |rank| {
@@ -170,34 +170,6 @@ fn profile_attributes_engine_costs() {
 }
 
 #[test]
-fn set_size_and_preallocate_are_collective() {
-    let pfs = free_pfs();
-    let pfs2 = Arc::clone(&pfs);
-    run(3, CostModel::free(), move |rank| {
-        let mut f = MpiFile::open(rank, &pfs2, "sz", Hints::default()).unwrap();
-        let bt = Datatype::bytes(8);
-        f.set_view(0, &bt, &bt).unwrap();
-        if rank.rank() == 0 {
-            f.write_at(0, &[1u8; 64], &Datatype::bytes(64), 1).unwrap();
-        }
-        rank.barrier();
-        f.preallocate(256);
-        assert_eq!(f.size(), 256);
-        // Keep the next collective's rank-0 truncate from racing the
-        // other ranks' size check above (real threads, shared metadata).
-        rank.barrier();
-        f.set_size(32);
-        assert_eq!(f.size(), 32);
-        // Reads past the new EOF return zeros on every rank.
-        let mut buf = vec![9u8; 64];
-        f.read_at(0, &mut buf, &Datatype::bytes(64), 1).unwrap();
-        assert_eq!(&buf[..32], &[1u8; 32]);
-        assert_eq!(&buf[32..], &[0u8; 32]);
-        f.close().unwrap();
-    });
-}
-
-#[test]
 fn engines_agree_on_darray_pattern() {
     let images: Vec<Vec<u8>> = [Engine::Flexible, Engine::Romio]
         .into_iter()
@@ -234,8 +206,8 @@ fn engines_agree_on_darray_pattern() {
     assert_eq!(images[0].len(), 128);
 }
 
-/// Phase buckets sum to the clock through `sync` and `close` too: on a
-/// caching file system both flush dirty pages, and that wait is I/O time.
+/// Phase buckets sum to the clock through `close` too: on a caching file
+/// system it flushes dirty pages, and that wait is I/O time.
 #[test]
 fn phase_buckets_sum_to_the_clock_after_a_flushing_close() {
     for engine in [Engine::Flexible, Engine::Romio] {
@@ -256,8 +228,6 @@ fn phase_buckets_sum_to_the_clock_after_a_flushing_close() {
                 .unwrap();
             let data = vec![rank.rank() as u8 + 1; 1000];
             f.write_all(&data, &Datatype::bytes(1000), 1).unwrap();
-            f.sync().unwrap();
-            f.write_all(&data, &Datatype::bytes(1000), 1).unwrap();
             let io_before = rank.stats().phase_ns[2];
             f.close().unwrap();
             (rank.now(), rank.stats().phase_ns, io_before)
@@ -270,4 +240,74 @@ fn phase_buckets_sum_to_the_clock_after_a_flushing_close() {
             "{engine:?}: no rank flushed at close, the test lost its subject"
         );
     }
+}
+
+/// One invalid `Hints` per validation rule, for a 4-rank world.
+fn invalid_hints() -> Vec<Hints> {
+    let d = Hints::default;
+    vec![
+        Hints { cb_buffer_size: 0, ..d() },
+        Hints { cb_nodes: Some(0), ..d() },
+        Hints { cb_nodes: Some(5), ..d() },
+        Hints { io_method: IoMethod::DataSieve { buffer: 0 }, ..d() },
+        Hints {
+            io_method: IoMethod::Conditional { extent_threshold: 1 << 10, sieve_buffer: 0 },
+            ..d()
+        },
+        Hints { fr_alignment: Some(0), ..d() },
+        Hints { pipeline_depth: PipelineDepth::Fixed(0), ..d() },
+        Hints { io_retries: 33, ..d() },
+        Hints { watchdog_us: 0, ..d() },
+    ]
+}
+
+/// `open` refuses every invalid set on every rank with the same
+/// `BadHints`, before the file is touched.
+#[test]
+fn open_rejects_invalid_hints_on_every_rank() {
+    for hints in invalid_hints() {
+        let pfs = free_pfs();
+        let inner = Arc::clone(&pfs);
+        let label = format!("{hints:?}");
+        let errs = run(4, CostModel::free(), move |rank| {
+            MpiFile::open(rank, &inner, "bad", hints.clone()).err()
+        });
+        assert!(matches!(errs[0], Some(IoError::BadHints(_))), "{label}: got {:?}", errs[0]);
+        assert!(errs.iter().all(|e| *e == errs[0]), "{label}: ranks disagree: {errs:?}");
+        assert_eq!(pfs.stats().bytes_written, 0, "{label}");
+        assert!(read_file(&pfs, "bad").is_empty(), "{label}: the file was written");
+    }
+}
+
+/// A rejected `set_hints` changes nothing: the file keeps its hints and
+/// its cached schedule, so repeating the last write is a cache hit, and
+/// the image is the oracle's.
+#[test]
+fn rejected_set_hints_keeps_the_hints_and_the_schedule() {
+    let spec = checkpoint_spec(44, 4, 64, 6, 2);
+    let plans = spec.phases[0].plans.clone();
+    let hints = Hints { cb_nodes: Some(2), cb_buffer_size: 256, ..Hints::default() };
+    let pfs = free_pfs();
+    let (inner, rank_plans) = (Arc::clone(&pfs), plans.clone());
+    run(4, CostModel::free(), move |rank| {
+        let plan = &rank_plans[rank.rank()];
+        let mut f = MpiFile::open(rank, &inner, "ckpt", hints.clone()).unwrap();
+        f.set_view(plan.disp, &Datatype::bytes(1), &plan.filetype).unwrap();
+        f.write_all_at(plan.offset_etypes, &plan.step_buffer(0), &plan.memtype, plan.mem_count)
+            .unwrap();
+        for bad in invalid_hints() {
+            assert!(matches!(f.set_hints(bad), Err(IoError::BadHints(_))));
+        }
+        assert_eq!(format!("{:?}", f.hints()), format!("{hints:?}"));
+        let hits = rank.stats().schedule_cache_hits;
+        f.write_all_at(plan.offset_etypes, &plan.step_buffer(1), &plan.memtype, plan.mem_count)
+            .unwrap();
+        assert_eq!(rank.stats().schedule_cache_hits, hits + 1, "the schedule was dropped");
+        f.close().unwrap();
+    });
+    let mut oracle = Oracle::new();
+    for step in 0..2 {
+        plans.iter().for_each(|plan| oracle.apply_write(plan, step));
+    }
+    assert!(eq_padded(&read_file(&pfs, "ckpt"), oracle.image()), "image diverged");
 }

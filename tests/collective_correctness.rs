@@ -6,7 +6,7 @@ use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel};
-use flexio::types::Datatype;
+use flexio::types::{subarray, Datatype};
 use flexio::workload::read_file;
 use std::sync::Arc;
 
@@ -285,7 +285,7 @@ fn subarray_2d_tile_write() {
         run(4, CostModel::free(), move |rank| {
             let r0 = (rank.rank() as u64 / 2) * (rows / 2);
             let c0 = (rank.rank() as u64 % 2) * (cols / 2);
-            let sub = Datatype::subarray_2d(rows, cols, 1, r0, c0, rows / 2, cols / 2);
+            let sub = subarray(&[rows, cols], &[rows / 2, cols / 2], &[r0, c0], 1);
             let mut f = MpiFile::open(rank, &pfs, "mat", Hints::default()).unwrap();
             f.set_view(0, &Datatype::bytes(1), &sub).unwrap();
             let n = (rows / 2) * (cols / 2);

@@ -1,6 +1,6 @@
 //! Pipelined-engine tests: pipelining the buffer cycles must never change
 //! the bytes on disk or the deterministic work counters — only the
-//! virtual time. The serial engine (`flexio_pipeline_depth=1`) must hide
+//! virtual time. The serial engine (`PipelineDepth::Fixed(1)`) must hide
 //! nothing, and the pipelined engine (the default, `auto`) must harvest
 //! measurable overlap on cycle-rich workloads.
 
@@ -144,7 +144,7 @@ fn pipelined_counters_match_serial() {
 
 #[test]
 fn serial_engine_never_overlaps() {
-    // `flexio_pipeline_depth=1` is the strictly serial engine: no
+    // `PipelineDepth::Fixed(1)` is the strictly serial engine: no
     // virtual time may be reported as hidden, on any rank, either
     // direction.
     let pfs = timed_pfs();

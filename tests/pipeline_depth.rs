@@ -3,11 +3,11 @@
 //! on disk and the deterministic work counters must be identical; only
 //! virtual time may move. Property-tested over random filetypes, world
 //! sizes, aggregator counts, and depths against the depth-1 oracle, plus
-//! charge-sequence fixtures pinning `flexio_pipeline_depth=2` to the
-//! double-buffered engine and `=1` to the serial engine, number for
+//! charge-sequence fixtures pinning `PipelineDepth::Fixed(2)` to the
+//! double-buffered engine and `Fixed(1)` to the serial engine, number for
 //! number.
 
-use flexio::core::{hints_from_info, ExchangeMode, Hints, MpiFile, PipelineDepth};
+use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::{run, CostModel, Stats, XorShift64Star};
@@ -308,22 +308,4 @@ fn derive_overlap_needs_a_deep_pipeline_and_a_miss() {
         let total: u64 = out.iter().map(|(_, s)| s.derive_overlap_saved_ns).sum();
         assert!(total > 0, "{depth:?} hid no derivation time");
     }
-}
-
-#[test]
-fn depth_hint_parses_and_rejects() {
-    let h = hints_from_info(Hints::default(), &[("flexio_pipeline_depth", "3")]).unwrap();
-    assert_eq!(h.pipeline_depth, PipelineDepth::Fixed(3));
-    let h = hints_from_info(Hints::default(), &[("flexio_pipeline_depth", "auto")]).unwrap();
-    assert_eq!(h.pipeline_depth, PipelineDepth::Auto);
-    for bad in ["0", "-1", "deep", ""] {
-        let err = hints_from_info(Hints::default(), &[("flexio_pipeline_depth", bad)])
-            .expect_err(bad)
-            .to_string();
-        assert!(err.contains("flexio_pipeline_depth"), "undescriptive error {err:?}");
-    }
-    // validate_for rejects a zero depth like validate does.
-    assert!(Hints { pipeline_depth: PipelineDepth::Fixed(0), ..Hints::default() }
-        .validate_for(4)
-        .is_err());
 }
