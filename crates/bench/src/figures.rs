@@ -169,7 +169,9 @@ pub(crate) fn e3(args: &Args, r: &mut Report) {
             let pfs = locking_pfs(stripe);
             let hints = Hints {
                 persistent_file_realms: pfr,
-                fr_alignment: align.then_some(stripe),
+                // Fig. 7's "no alignment" is byte-granular: left unset,
+                // per-call realms would align to the stripe by default.
+                fr_alignment: Some(if align { stripe } else { 1 }),
                 cb_nodes: Some((clients / 2).max(1)),
                 // "data sieving is always on" in this experiment (§6.4).
                 io_method: IoMethod::DataSieve { buffer: 512 << 10 },

@@ -27,11 +27,12 @@ use report::Report;
 use std::process::ExitCode;
 
 /// The flags every virtual-time experiment takes: `--paper` for full
-/// paper scale (the default reduced scale finishes in seconds) and
-/// `--nprocs N` to run the same shape at another world size.
-const SCALE: &[&str] = &["--paper", "--nprocs"];
+/// paper scale (the default reduced scale finishes in seconds), `--nprocs
+/// N` to run the same shape at another world size and `--ost-log` to print
+/// what the OSTs served after the rows.
+const SCALE: &[&str] = &["--paper", "--nprocs", "--ost-log"];
 /// [`SCALE`] plus `--engine {romio,flexible,both}`.
-const SCALE_ENGINE: &[&str] = &["--paper", "--nprocs", "--engine"];
+const SCALE_ENGINE: &[&str] = &["--paper", "--nprocs", "--ost-log", "--engine"];
 
 /// One entry of the registry.
 pub struct Experiment {
@@ -112,6 +113,9 @@ struct Args {
     full: bool,
     /// `host`: assert the deterministic counters and exit.
     check: bool,
+    /// Log every file system's OST service and print it after the rows
+    /// (`Report::print_ost_log`); the rows are the same.
+    ost_log: bool,
 }
 
 impl Default for Args {
@@ -122,6 +126,7 @@ impl Default for Args {
             engines: BOTH_ENGINES.to_vec(),
             full: false,
             check: false,
+            ost_log: false,
         }
     }
 }
@@ -188,7 +193,7 @@ fn parse(argv: &[String]) -> Result<Command, String> {
     };
     let mut args = Args::default();
     while let Some(flag) = argv.next() {
-        if !["--paper", "--nprocs", "--engine", "--full", "--check"].contains(&flag) {
+        if !["--paper", "--nprocs", "--engine", "--full", "--check", "--ost-log"].contains(&flag) {
             return Err(format!("unknown flag `{flag}`"));
         }
         if !exp.flags.contains(&flag) {
@@ -199,6 +204,7 @@ fn parse(argv: &[String]) -> Result<Command, String> {
             "--paper" => args.paper = true,
             "--full" => args.full = true,
             "--check" => args.check = true,
+            "--ost-log" => args.ost_log = true,
             "--nprocs" => {
                 let v = value()?;
                 args.nprocs = match v.parse() {
@@ -228,7 +234,7 @@ fn parse(argv: &[String]) -> Result<Command, String> {
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: bench <exp> [--paper] [--nprocs N] [--engine romio|flexible|both]\n\
+        "usage: bench <exp> [--paper] [--nprocs N] [--engine romio|flexible|both] [--ost-log]\n\
          \x20      bench host [--nprocs N] [--full] [--check]\n\
          \x20      bench --list\n\
          experiments: {}",
@@ -255,9 +261,14 @@ pub fn run_cli(argv: &[String]) -> ExitCode {
         Ok(Command::Run(name, args)) => {
             let exp = find(name).expect("parse returns registered names");
             let mut report = Report::default();
+            if args.ost_log {
+                flexio_pfs::log_ost_service();
+                report.log_ost_service();
+            }
             report.note(exp.title);
             report.note(&args.describe(exp));
             (exp.run)(&args, &mut report);
+            report.print_ost_log();
             ExitCode::SUCCESS
         }
     }
@@ -320,6 +331,10 @@ mod tests {
         let a = args_of("host --nprocs 256 --full --check");
         assert_eq!((a.nprocs, a.full, a.check), (Some(256), true, true));
         assert_eq!(a.describe(find("host").unwrap()), "bench host | nprocs: 256 | full | check");
+        // The log changes no row, so the header does not name it.
+        let a = args_of("a6 --ost-log --engine flexible");
+        assert!(a.ost_log);
+        assert_eq!(a.describe(find("a6").unwrap()), "bench a6 | scale: default | engine: flexible");
     }
 
     #[test]
@@ -365,6 +380,7 @@ mod tests {
         assert_eq!(parse_line("a1 --engine romio"), Err("`a1` does not take `--engine`".into()));
         assert_eq!(parse_line("e3 --check"), Err("`e3` does not take `--check`".into()));
         assert_eq!(parse_line("host --paper"), Err("`host` does not take `--paper`".into()));
+        assert_eq!(parse_line("host --ost-log"), Err("`host` does not take `--ost-log`".into()));
     }
 
     #[test]

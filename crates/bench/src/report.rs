@@ -6,7 +6,9 @@
 //! family; every line up to the next blank one is a row of it or a `#`
 //! comment; a `## title` line opens a table that ends at a blank line.
 
+use flexio_pfs::OstLog;
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// One CSV column: its name in the `# columns:` line and how a
 /// floating-point cell under it is written.
@@ -85,6 +87,9 @@ pub(crate) use row;
 pub(crate) struct Report {
     columns: Vec<Col>,
     rows: Vec<Vec<Cell>>,
+    /// Under `--ost-log`: every row printed, with the service logs of the
+    /// file systems built since the row before it.
+    ost_logs: Option<Vec<(String, Vec<Arc<OstLog>>)>>,
 }
 
 impl Report {
@@ -111,8 +116,40 @@ impl Report {
 
     /// One CSV row of the current family. Prefer [`row!`].
     pub fn row(&mut self, cells: Vec<Cell>) {
-        println!("{}", csv_line(&self.columns, &cells));
+        let line = csv_line(&self.columns, &cells);
+        println!("{line}");
+        if let Some(logs) = &mut self.ost_logs {
+            logs.push((line, flexio_pfs::take_ost_logs()));
+        }
         self.rows.push(cells);
+    }
+
+    /// Keep each row's OST service logs for [`Report::print_ost_log`]:
+    /// those of the file systems built since the row before it, which are
+    /// the ones an experiment builds for a row.
+    pub fn log_ost_service(&mut self) {
+        self.ost_logs = Some(Vec::new());
+    }
+
+    /// After the rows, under `--ost-log`: for every row, what each OST of
+    /// each of its file systems served in each world on it.
+    pub fn print_ost_log(&self) {
+        let Some(logs) = &self.ost_logs else { return };
+        println!("\n# OST service log: per row, its file systems (fs), each one's worlds in order, each OST");
+        println!("# that served a request; busy = Σ service, wait = Σ queueing, inversions = requests served");
+        println!("# before an earlier arrival (arrival, then rank), inverted_ns = their service");
+        println!("# columns: row,fs,world,ost,requests,bytes,busy_ns,wait_ns,inversions,inverted_ns");
+        for (i, (line, fss)) in logs.iter().enumerate() {
+            println!("# row {i}: {line}");
+            for (f, log) in fss.iter().enumerate() {
+                for s in flexio_pfs::service(&log.records()) {
+                    println!(
+                        "{i},{f},{},{},{},{},{},{},{},{}",
+                        s.world, s.ost, s.requests, s.bytes, s.busy_ns, s.wait_ns, s.inversions, s.inverted_ns
+                    );
+                }
+            }
+        }
     }
 
     /// Tables read off the rows pushed since [`Report::section`]: one

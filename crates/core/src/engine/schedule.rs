@@ -139,6 +139,33 @@ fn disjoint_spans(windows: &[Vec<Vec<(u64, u64)>>], reach: &[Vec<u64>]) -> Optio
     spans.windows(2).all(|w| w[0].end <= w[1].start).then_some(spans)
 }
 
+/// Buffer cycles a call over the aggregate access region `[lo, hi)` runs
+/// with `realms`: the most `cb`-byte windows one realm's bytes inside the
+/// region fill.
+fn buffer_cycles(realms: &[FileRealm], (lo, hi): (u64, u64), cb: u64) -> u64 {
+    realms.iter().map(|r| (r.data_lower(hi) - r.data_lower(lo)).div_ceil(cb)).max().unwrap_or(0)
+}
+
+/// Per-call realms when no alignment is hinted and no assigner is plugged
+/// in (DESIGN "Stripe-aligned realms when the hint is unset"): [`EvenAar`]
+/// aligned to the file's `stripe`, so that each aggregator keeps to whole
+/// stripes, if the region spans at least a stripe per aggregator and the
+/// aligned realms need no more `cb`-byte buffer cycles than the even
+/// split; otherwise the even split.
+fn stripe_aligned_or_even(ctx: &AssignCtx<'_>, stripe: u64, cb: u64) -> Vec<FileRealm> {
+    let (lo, hi) = ctx.aar;
+    let even = EvenAar.assign(ctx);
+    if (lo - lo % stripe).saturating_add((ctx.n_aggregators as u64).saturating_mul(stripe)) > hi {
+        return even;
+    }
+    let aligned = EvenAar.assign(&AssignCtx { alignment: Some(stripe), ..*ctx });
+    if buffer_cycles(&aligned, ctx.aar, cb) <= buffer_cycles(&even, ctx.aar, cb) {
+        aligned
+    } else {
+        even
+    }
+}
+
 /// Add the bytes each OST of `layout` holds of one aggregator's natural
 /// windows to `out[k * n_osts + o]`.
 fn add_window_bytes(layout: &PfsConfig, windows: &[Vec<(u64, u64)>], out: &mut [u64]) {
@@ -275,10 +302,12 @@ pub(crate) struct Derivation {
 
 impl Derivation {
     /// Derive the plan for a file on a file system laid out `layout`: its
-    /// stripes are what the cycle order spreads. `pfr` is the file's
-    /// persistent realm set, if one exists already; with
-    /// `persistent_file_realms` and none yet, the set assigned here is kept
-    /// in the result for the file to adopt.
+    /// stripes are what default realms align to and the cycle order
+    /// spreads. `pfr` is the file's persistent realm set, if one exists
+    /// already; with `persistent_file_realms` and none yet, the set
+    /// assigned here is kept in the result for the file to adopt.
+    /// Per-call realms with no alignment hinted and no assigner plugged in
+    /// are cut by [`stripe_aligned_or_even`].
     ///
     /// Each aggregator's realm is cut into `cb_buffer_size` windows in file
     /// order, its natural windows; [`cycle_offsets`] then picks the cycle
@@ -343,17 +372,12 @@ impl Derivation {
         // ---- realm assignment -------------------------------------------
         let n_agg = hints.aggregators(nprocs);
         out.agg_ranks = aggregator_ranks(n_agg, nprocs);
-        let assign = |default: &dyn RealmAssigner| {
-            let ctx = AssignCtx {
-                aar: (lo, hi),
-                n_aggregators: n_agg,
-                alignment: hints.fr_alignment,
-                clients: &clients,
-            };
-            match &hints.realm_assigner {
-                Some(a) => a.assign(&ctx),
-                None => default.assign(&ctx),
-            }
+        let cb = hints.cb_buffer_size as u64;
+        let ctx =
+            AssignCtx { aar: (lo, hi), n_aggregators: n_agg, alignment: hints.fr_alignment, clients: &clients };
+        let assign = |default: &dyn RealmAssigner| match &hints.realm_assigner {
+            Some(a) => a.assign(&ctx),
+            None => default.assign(&ctx),
         };
         let computed: Vec<FileRealm>;
         let realms: &[FileRealm] = if hints.persistent_file_realms {
@@ -363,7 +387,10 @@ impl Derivation {
             };
             &out.pfr.insert(set).realms
         } else {
-            computed = assign(&EvenAar);
+            computed = match (&hints.realm_assigner, hints.fr_alignment) {
+                (None, None) => stripe_aligned_or_even(&ctx, layout.stripe_size, cb),
+                _ => assign(&EvenAar),
+            };
             &computed
         };
         out.bad_realms = broken_rule(realms, n_agg, (lo, hi));
@@ -373,10 +400,9 @@ impl Derivation {
         }
 
         // ---- windows: every aggregator's, in file order ---------------------
-        let cb = hints.cb_buffer_size as u64;
         let data: Vec<(u64, u64)> =
             realms.iter().map(|r| (r.data_lower(lo), r.data_lower(hi))).collect();
-        let ntimes = data.iter().map(|(b, c)| (c - b).div_ceil(cb)).max().unwrap_or(0);
+        let ntimes = buffer_cycles(realms, (lo, hi), cb);
         // `windows[a][k]`: aggregator `a`'s natural window `k`.
         let windows: Vec<Vec<Vec<(u64, u64)>>> = (realms.iter().zip(&data))
             .map(|(realm, &(base, cap))| {
@@ -822,6 +848,10 @@ mod tests {
         assert_ne!(schedule_key(wires(), &h3, 3), base);
         let h4 = Hints { fr_alignment: Some(64), ..Hints::default() };
         assert_ne!(schedule_key(wires(), &h4, 3), base);
+        // Unset may align to the stripe; `Some(1)` never does.
+        let h5 = Hints { fr_alignment: Some(1), ..Hints::default() };
+        assert_ne!(schedule_key(wires(), &h5, 3), base);
+        assert_ne!(schedule_key(wires(), &h5, 3), schedule_key(wires(), &h4, 3));
     }
 
     #[test]
@@ -1141,9 +1171,10 @@ mod tests {
     ) -> Derivation {
         let wires: Vec<Vec<u8>> = clients.iter().map(ClientAccess::to_wire).collect();
         let d = Derivation::new(&wires, hints, earlier, layout);
-        // Against file order: the same windows, rotated, and every client
-        // and aggregator charged the same pairs over the call.
-        let file = Derivation::new(&wires, hints, earlier, &one_ost());
+        // Against file order on one OST of the same stripes, which cuts
+        // the same realms: the same windows, rotated, and every client and
+        // aggregator charged the same pairs over the call.
+        let file = Derivation::new(&wires, hints, earlier, &PfsConfig { n_osts: 1, ..*layout });
         assert!(file.offsets.iter().all(|&s| s == 0), "one OST keeps file order");
         assert_eq!(d.cycles.len(), file.cycles.len());
         for (k, natural) in file.cycles.iter().enumerate() {
@@ -1300,11 +1331,16 @@ mod tests {
     /// interleave `regions` regions of `size` bytes, `spacing` bytes after
     /// each, from byte 0.
     fn hpio(n: u64, regions: u64, size: u64, spacing: u64) -> Vec<ClientAccess> {
+        hpio_from(0, n, regions, size, spacing)
+    }
+
+    /// [`hpio`] after a `header` of bytes, as `bulk-64`'s seeds lay it.
+    fn hpio_from(header: u64, n: u64, regions: u64, size: u64, spacing: u64) -> Vec<ClientAccess> {
         let unit = size + spacing;
         let flat = Arc::new(flatten(&Datatype::resized(0, n * unit, Datatype::bytes(size))));
         (0..n)
             .map(|c| ClientAccess {
-                view: FileView::new(c * unit, Arc::clone(&flat), 1).unwrap(),
+                view: FileView::new(header + c * unit, Arc::clone(&flat), 1).unwrap(),
                 data_start: 0,
                 data_len: regions * size,
             })
@@ -1318,16 +1354,17 @@ mod tests {
 
     const MIB: u64 = 1 << 20;
 
-    /// `bulk-64` (seed 0): 64 clients of 256 4 KiB regions 128 B apart,
-    /// 8 aggregators, the default 4 MiB buffer, 8 OSTs of 2 MiB stripes.
-    /// Each realm is 8.25 MiB and starts on OST 0 or 4, so in file order
-    /// cycles 0 and 1 put two realms' windows on four OSTs and none on the
-    /// other four. Rotating aggregators 2–5 by one and two windows halves
-    /// those cycles' peaks.
+    /// `bulk-64` (seed 0) split evenly (`fr_alignment: Some(1)`): 64
+    /// clients of 256 4 KiB regions 128 B apart, 8 aggregators, the
+    /// default 4 MiB buffer, 8 OSTs of 2 MiB stripes. Each realm is
+    /// 8.25 MiB and starts on OST 0 or 4, so in file order cycles 0 and 1
+    /// put two realms' windows on four OSTs and none on the other four.
+    /// Rotating aggregators 2–5 by one and two windows halves those
+    /// cycles' peaks.
     #[test]
     fn bulk_64s_shape_spreads_each_cycle_over_the_osts() {
         let clients = hpio(64, 256, 4096, 128);
-        let hints = Hints { cb_nodes: Some(8), ..Hints::default() };
+        let hints = Hints { cb_nodes: Some(8), fr_alignment: Some(1), ..Hints::default() };
         let lustre = PfsConfig::default();
         let file = derive(&clients, &hints, &one_ost());
         let d = derive(&clients, &hints, &lustre);
@@ -1338,12 +1375,13 @@ mod tests {
     }
 
     /// E1's default 6-aggregator, 4 KiB-region cell (16 clients of 1 024
-    /// regions): the greedy order cuts the summed peaks from 12 to only
-    /// 11 MiB, short of a quarter, so the call keeps file order.
+    /// regions) split evenly (`fr_alignment: Some(1)`): the greedy order
+    /// cuts the summed peaks from 12 to only 11 MiB, short of a quarter,
+    /// so the call keeps file order.
     #[test]
     fn e1s_six_aggregator_shape_keeps_file_order() {
         let clients = hpio(16, 1024, 4096, 128);
-        let hints = Hints { cb_nodes: Some(6), ..Hints::default() };
+        let hints = Hints { cb_nodes: Some(6), fr_alignment: Some(1), ..Hints::default() };
         let lustre = PfsConfig::default();
         let file = derive(&clients, &hints, &one_ost());
         let (offsets, greedy_sum) = greedy_offsets(&natural_windows(&file), &lustre);
@@ -1351,6 +1389,114 @@ mod tests {
         let file_sum: u64 = cycle_peaks(&file, &lustre).iter().sum();
         assert_eq!((file_sum, greedy_sum), (12 * MIB - 43, 11 * u128::from(MIB) - 150));
         assert!(derive(&clients, &hints, &lustre).offsets.iter().all(|&s| s == 0));
+    }
+
+    /// Each aggregator's `[first byte, end)` over its windows in every
+    /// cycle: its contiguous realm, clipped to the region.
+    fn realm_spans(d: &Derivation) -> Vec<(u64, u64)> {
+        (0..d.agg_ranks.len())
+            .map(|a| {
+                let segs = d.cycles.iter().flat_map(|cyc| &cyc.windows[a]);
+                segs.fold((u64::MAX, 0), |(s, e), &(off, len)| (s.min(off), e.max(off + len)))
+            })
+            .collect()
+    }
+
+    /// The `[first byte, end)` of each contiguous realm of `realms` inside
+    /// the region `[lo, hi)`.
+    fn spans_of(realms: &[FileRealm], (lo, hi): (u64, u64)) -> Vec<(u64, u64)> {
+        (realms.iter())
+            .map(|r| {
+                let segs = r.segments(r.data_lower(lo), r.data_lower(hi));
+                (segs[0].0, segs.last().map_or(0, |&(off, len)| off + len))
+            })
+            .collect()
+    }
+
+    fn even_ctx(aar: (u64, u64), n_aggregators: usize, alignment: Option<u64>) -> AssignCtx<'static> {
+        AssignCtx { aar, n_aggregators, alignment, clients: &[] }
+    }
+
+    /// `bulk-64`'s shape with the hint unset, at the headers of seeds 0,
+    /// 1 and 511 (8·(seed mod 512) bytes): the 66 MiB region spans eight
+    /// stripes per aggregator, and the realms snapped down to 2 MiB
+    /// stripes need three 4 MiB cycles, as the even split's 8.25 MiB
+    /// realms do. So seven realms are 8 MiB and the last is 10 MiB, less
+    /// the header and the last spacing; every boundary is a stripe's.
+    #[test]
+    fn bulk_64s_shape_gets_stripe_aligned_realms() {
+        let hints = Hints { cb_nodes: Some(8), ..Hints::default() };
+        let lustre = PfsConfig::default();
+        for header in [0, 8, 8 * 511] {
+            let d = derive(&hpio_from(header, 64, 256, 4096, 128), &hints, &lustre);
+            let hi = header + 64 * 256 * 4224 - 128;
+            let mut want: Vec<(u64, u64)> = (0..8).map(|a| (a * 8 * MIB, (a + 1) * 8 * MIB)).collect();
+            want[0].0 = header;
+            want[7].1 = hi;
+            assert_eq!(realm_spans(&d), want, "header {header}");
+            assert_eq!(d.cycles.len(), 3);
+        }
+        // Every realm still starts on OST 0 or 4, so cycle order still
+        // earns its place: [8, 8, 2] MiB peaks in file order, 4 MiB in
+        // the chosen one.
+        let clients = hpio(64, 256, 4096, 128);
+        let file = derive(&clients, &hints, &layout(2 * MIB, 1));
+        assert_eq!(cycle_peaks(&file, &lustre), [8 * MIB, 8 * MIB, 2 * MIB - 128]);
+        let d = derive(&clients, &hints, &lustre);
+        assert_eq!(d.offsets, [0, 0, 1, 1, 2, 2, 0, 0]);
+        assert_eq!(cycle_peaks(&d, &lustre), [4 * MIB, 4 * MIB, 4 * MIB - 128]);
+    }
+
+    /// Where the rule keeps the even split. A6's default shape (16
+    /// clients of 1 024 512 B regions, 128 B apart: a region just under
+    /// 5 stripes, 4 aggregators, 256 KiB buffers) would go from 2.5 MiB
+    /// realms in 10 cycles to 2/2/2/4 MiB ones in 16, and E2's (a region
+    /// 992 B short of 32 stripes, 4 aggregators, 4 MiB buffers) from
+    /// 16 MiB realms in 4 cycles to 14/16/16/18 MiB ones in 5: guard (b).
+    /// A region short of a stripe per aggregator, counted from the stripe
+    /// its first byte is in, would collapse realms: guard (a).
+    #[test]
+    fn the_even_split_stays_where_aligned_realms_cost_cycles_or_collapse() {
+        let stripe = 2 * MIB;
+        let even = |aar, n| format!("{:?}", EvenAar.assign(&even_ctx(aar, n, None)));
+        let rule = |aar, n, cb| format!("{:?}", stripe_aligned_or_even(&even_ctx(aar, n, None), stripe, cb));
+        let a6 = (0, 10 * MIB - 128);
+        assert_eq!(rule(a6, 4, 256 << 10), even(a6, 4));
+        let e2 = (0, 64 * MIB - 992);
+        assert_eq!(rule(e2, 4, 4 * MIB), even(e2, 4));
+        let aligned = |aar, n| EvenAar.assign(&even_ctx(aar, n, Some(stripe)));
+        assert_eq!(buffer_cycles(&aligned(e2, 4), e2, 4 * MIB), 5);
+        for short in [(0, 16 * MIB - 1), (3 * MIB, 18 * MIB - 1)] {
+            assert_eq!(rule(short, 8, 4 * MIB), even(short, 8), "{short:?}");
+        }
+        // One stripe per aggregator from the first byte's stripe is
+        // enough.
+        let just = (3 * MIB, 18 * MIB);
+        assert_eq!(rule(just, 8, 4 * MIB), format!("{:?}", aligned(just, 8)));
+        assert_ne!(rule(just, 8, 4 * MIB), even(just, 8));
+    }
+
+    /// The rule is for per-call realms with the hint unset alone: an
+    /// explicit alignment, `Some(1)` (byte-granular: the even split),
+    /// persistent realms and a plugged-in assigner cut on `bulk-64`'s
+    /// shape what they cut without it.
+    #[test]
+    fn hinted_persistent_and_plugged_in_realms_are_not_aligned() {
+        let clients = hpio(64, 256, 4096, 128);
+        let aar = (0, 64 * 256 * 4224 - 128);
+        let lustre = PfsConfig::default();
+        let with = |h: Hints| derive(&clients, &Hints { cb_nodes: Some(8), ..h }, &lustre);
+        let spans = |h: Hints| realm_spans(&with(h));
+        let even = spans_of(&EvenAar.assign(&even_ctx(aar, 8, None)), aar);
+        assert_eq!(spans(Hints { fr_alignment: Some(1), ..Hints::default() }), even);
+        assert_eq!(even[1], (aar.1 / 8, aar.1 / 4), "8.25 MiB realms, less the last spacing");
+        let page = Hints { fr_alignment: Some(4096), ..Hints::default() };
+        assert_eq!(spans(page), spans_of(&EvenAar.assign(&even_ctx(aar, 8, Some(4096))), aar));
+        let mirrored = Hints { realm_assigner: Some(Arc::new(Mirrored)), ..Hints::default() };
+        assert_eq!(spans(mirrored), even.iter().rev().copied().collect::<Vec<_>>());
+        let pfr = with(Hints { persistent_file_realms: true, ..Hints::default() });
+        let block_cyclic = RealmSet::new(PersistentBlockCyclic.assign(&even_ctx(aar, 8, None)));
+        assert_eq!(pfr.pfr.map(|set| set.fingerprint), Some(block_cyclic.fingerprint));
     }
 
     /// What keeps file order without weighing an order: a region inside one

@@ -85,7 +85,13 @@ pub struct Hints {
     /// independent I/O.
     pub io_method: IoMethod,
     /// Align file-realm boundaries to this many bytes (the paper's new
-    /// alignment hint, §6.4). Typically the stripe or page size.
+    /// alignment hint, §6.4). Typically the stripe or page size; `Some(1)`
+    /// is byte-granular, the unaligned split. Unset, per-call realms cut
+    /// by the built-in assigner are aligned to the file's stripe when the
+    /// call's region spans a stripe per aggregator and the aligned realms
+    /// need no more buffer cycles than the even split (DESIGN
+    /// "Stripe-aligned realms when the hint is unset"); persistent realms
+    /// and a plugged-in assigner get no alignment.
     pub fr_alignment: Option<u64>,
     /// Keep file realms fixed across collective calls, anchored at byte 0
     /// (persistent file realms, §5.2/§6.4).

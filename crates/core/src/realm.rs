@@ -154,7 +154,9 @@ pub struct AssignCtx<'a> {
     pub aar: (u64, u64),
     /// Number of aggregators to produce realms for.
     pub n_aggregators: usize,
-    /// Requested boundary alignment in bytes (`fr_alignment` hint).
+    /// Boundary alignment in bytes: the `fr_alignment` hint, or, with it
+    /// unset, the file's stripe where the flexible engine aligns per-call
+    /// realms by default (`Hints::fr_alignment`).
     pub alignment: Option<u64>,
     /// Every rank's access (for data-aware assignment).
     pub clients: &'a [ClientAccess],
@@ -441,6 +443,30 @@ mod tests {
                             a.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `fr_alignment: Some(1)` is byte-granular: every built-in assigner
+    /// cuts realm for realm what it cuts with no alignment.
+    #[test]
+    fn byte_alignment_cuts_the_unaligned_realms() {
+        let dt = Datatype::bytes(1000);
+        let clients = [ClientAccess {
+            view: flexio_types::FileView::new(7, Arc::new(flatten(&dt)), 1).unwrap(),
+            data_start: 0,
+            data_len: 1000,
+        }];
+        let assigners: [&dyn RealmAssigner; 3] = [&EvenAar, &BalancedLoad, &PersistentBlockCyclic];
+        for aar in [(7, 1007), (100, 103), (0, 1 << 40)] {
+            for n in [1, 3, 8, 1000] {
+                for a in assigners {
+                    let cut = |alignment| {
+                        let ctx = AssignCtx { aar, n_aggregators: n, alignment, clients: &clients };
+                        format!("{:?}", a.assign(&ctx))
+                    };
+                    assert_eq!(cut(Some(1)), cut(None), "{} on {aar:?}, {n} aggs", a.name());
                 }
             }
         }

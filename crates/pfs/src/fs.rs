@@ -10,6 +10,7 @@ use crate::cache::{ClientCache, DirtyRun};
 use crate::config::PfsConfig;
 use crate::fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind};
 use crate::lock::{LockKind, LockTable};
+use crate::log::{OstKind, OstLog, OstRecord};
 use std::sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,21 +106,24 @@ pub struct Pfs {
     fault: Option<FaultInjector>,
     /// The newest world that entered ([`Pfs::enter_world`]); 0 before any.
     world: AtomicU64,
+    /// Every request the OSTs served, if built while logging was on
+    /// ([`crate::log`]).
+    log: Option<Arc<OstLog>>,
 }
 
 impl Pfs {
     /// Create a fault-free file system with the given configuration.
     pub fn new(cfg: PfsConfig) -> Arc<Pfs> {
-        Self::build(cfg, None)
+        Self::build(cfg, None, crate::log::new_log())
     }
 
     /// Create a file system with a seeded fault plan installed.
     pub fn with_faults(cfg: PfsConfig, plan: FaultPlan) -> Arc<Pfs> {
         let inj = FaultInjector::new(plan, cfg.n_osts);
-        Self::build(cfg, Some(inj))
+        Self::build(cfg, Some(inj), crate::log::new_log())
     }
 
-    fn build(cfg: PfsConfig, fault: Option<FaultInjector>) -> Arc<Pfs> {
+    fn build(cfg: PfsConfig, fault: Option<FaultInjector>, log: Option<Arc<OstLog>>) -> Arc<Pfs> {
         cfg.validate();
         Arc::new(Pfs {
             cfg,
@@ -131,6 +135,7 @@ impl Pfs {
             stats: Mutex::default(),
             fault,
             world: AtomicU64::new(0),
+            log,
         })
     }
 
@@ -197,17 +202,21 @@ impl Pfs {
     /// the client, or the injected fault detected at that time. A failed
     /// request still occupies the server for its full service time (the
     /// OST did the work and lost the reply, or failed at commit), so OST
-    /// clocks advance identically either way.
+    /// clocks advance identically either way. `client` is for the service
+    /// log alone.
+    #[allow(clippy::too_many_arguments)]
     fn ost_chunk(
         &self,
         file: &FileObj,
+        client: usize,
+        kind: OstKind,
         now: u64,
         off: u64,
         len: u64,
-        is_write: bool,
         rmw_pages: u64,
     ) -> Result<u64, PfsError> {
         let c = &self.cfg.cost;
+        let is_write = kind.is_write();
         let ost_idx = self.cfg.ost_of(off);
         let send_bytes = if is_write { len } else { 0 };
         let arrival = now + c.net_ns + (send_bytes as f64 * c.net_ns_per_byte) as u64;
@@ -221,6 +230,12 @@ impl Pfs {
         ost.clock = start + dur;
         ost.last_end.insert(file.id, self.cfg.page_ceil(off + len));
         let done = ost.clock;
+        if let Some(log) = &self.log {
+            // Under the OST's lock, so that per OST the log is in service
+            // order.
+            let world = self.world.load(Ordering::SeqCst);
+            log.push(OstRecord { world, ost: ost_idx, rank: client, arrival, start, done, bytes: len, kind });
+        }
         drop(ost);
         self.tally(|s| {
             s.ost_requests += 1;
@@ -275,14 +290,17 @@ impl Pfs {
     /// the op's data and server-side time are fully committed either way,
     /// so a retry of the whole op is idempotent — and a returned error
     /// carries the op's would-be completion time in [`PfsError::at`].
+    /// `client` is for the service log alone.
     fn raw_io(
         &self,
         file: &FileObj,
+        client: usize,
+        kind: OstKind,
         now: u64,
         off: u64,
         len: u64,
-        is_write: bool,
     ) -> Result<u64, PfsError> {
+        let is_write = kind.is_write();
         if len == 0 {
             return Ok(now);
         }
@@ -293,7 +311,7 @@ impl Pfs {
             let stripe_end = (pos / self.cfg.stripe_size + 1) * self.cfg.stripe_size;
             let chunk_end = end.min(stripe_end);
             let rmw = if is_write { self.rmw_pages_for(file, pos, chunk_end - pos) } else { 0 };
-            let res = self.ost_chunk(file, now, pos, chunk_end - pos, is_write, rmw);
+            let res = self.ost_chunk(file, client, kind, now, pos, chunk_end - pos, rmw);
             finish = finish.max(keep_first(&mut err, res));
             pos = chunk_end;
         }
@@ -306,12 +324,13 @@ impl Pfs {
     /// of a page past the end holds no file bytes, and storing it would
     /// raise the size to the page boundary. The data lands even when a
     /// request faults. Returns the completion time and the first fault.
-    fn write_back(&self, file: &FileObj, now: u64, runs: Vec<DirtyRun>) -> (u64, Option<PfsError>) {
+    /// `client` issued the write-back (for the service log).
+    fn write_back(&self, file: &FileObj, client: usize, now: u64, runs: Vec<DirtyRun>) -> (u64, Option<PfsError>) {
         let (mut t, mut err) = (now, None);
         for run in runs {
             let len = run.data.len() as u64;
             self.tally(|s| s.flush_bytes += len);
-            t = t.max(keep_first(&mut err, self.raw_io(file, t, run.off, len, true)));
+            t = t.max(keep_first(&mut err, self.raw_io(file, client, OstKind::Flush, t, run.off, len)));
             let keep = file.size().saturating_sub(run.off).min(len);
             let kept = &run.data[..keep as usize];
             self.store_pieces(file, run.off, keep, std::iter::once((run.off, kept)));
@@ -623,7 +642,7 @@ impl FileHandle {
             if let Some(cache) = coh.caches.get_mut(victim) {
                 // The lock manager retries its own traffic: only the time
                 // reaches the requester, never the fault.
-                t = self.pfs.write_back(&self.file, t, cache.take_dirty(*s, *e)).0;
+                t = self.pfs.write_back(&self.file, self.client, t, cache.take_dirty(*s, *e)).0;
                 cache.invalidate(*s, *e);
             }
         }
@@ -683,7 +702,7 @@ impl FileHandle {
                     continue; // overwritten whole
                 }
                 if p_start < size_before {
-                    let res = self.pfs.raw_io(&self.file, t, p_start, ps, false);
+                    let res = self.pfs.raw_io(&self.file, self.client, OstKind::Fill, t, p_start, ps);
                     t = t.max(keep_first(&mut err, res));
                     self.pfs.fill_page(&self.file, cache, page);
                 } else {
@@ -697,7 +716,7 @@ impl FileHandle {
             self.file.size.fetch_max(end, Ordering::SeqCst);
             err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
         } else {
-            let res = self.pfs.raw_io(&self.file, t, off, len, true);
+            let res = self.pfs.raw_io(&self.file, self.client, OstKind::Write, t, off, len);
             // Torn-write injection applies to the direct (uncached) write
             // path only — the path durable collective data and epoch
             // headers take. Cached writes land in volatile client memory
@@ -767,7 +786,7 @@ impl FileHandle {
             // Fetch missing pages as coalesced runs.
             for run in cache.missing_pages(off, len).chunk_by(|a, b| b - a == 1) {
                 let (first, pages) = (run[0], run.len() as u64);
-                let res = self.pfs.raw_io(&self.file, t, first * ps, pages * ps, false);
+                let res = self.pfs.raw_io(&self.file, self.client, OstKind::Fill, t, first * ps, pages * ps);
                 t = t.max(keep_first(&mut err, res));
                 for &page in run {
                     self.pfs.fill_page(&self.file, cache, page);
@@ -779,7 +798,8 @@ impl FileHandle {
             t += (len as f64 * self.pfs.cfg.cost.cache_copy_ns_per_byte) as u64;
             err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
         } else {
-            let res = self.pfs.raw_io(&self.file, t, off, len, false);
+            let kind = if segs.is_empty() { OstKind::PreRead } else { OstKind::Read };
+            let res = self.pfs.raw_io(&self.file, self.client, kind, t, off, len);
             self.pfs.load(&self.file, pieces_mut(segs, dests));
             res.map(|fin| t.max(fin))
         }
@@ -869,7 +889,7 @@ impl FileHandle {
         let Some(cache) = coh.caches.get_mut(&self.client) else {
             return Ok(now); // nothing cached, or no client cache at all
         };
-        let (t, err) = self.pfs.write_back(&self.file, now, cache.take_all_dirty());
+        let (t, err) = self.pfs.write_back(&self.file, self.client, now, cache.take_all_dirty());
         err.map_or(Ok(t), |e| Err(PfsError { at: t, ..e }))
     }
 
@@ -1081,6 +1101,43 @@ mod tests {
         let h2 = pfs.open("f", 1);
         let t2 = h2.write(0, 16, &[0u8; 16]).unwrap();
         assert!(t2 > t1, "second op did not queue: {t2} vs {t1}");
+    }
+
+    /// The same traffic on a file system with a service log and on one
+    /// without: every completion time and counter agrees, and the log
+    /// holds one record per OST request, each served at or after it
+    /// arrived, of the kind that issued it.
+    #[test]
+    fn the_service_log_records_and_charges_nothing() {
+        for cache in [false, true] {
+            let traffic = |pfs: &Arc<Pfs>| {
+                pfs.enter_world(1);
+                let (a, b) = (pfs.open("f", 0), pfs.open("f", 1));
+                let mut times = vec![a.write(0, 0, &[1u8; 200]).unwrap()];
+                times.push(b.write(5, 60, &[2u8; 30]).unwrap());
+                let mut back = [0u8; 40];
+                times.push(a.write_span(7, 10, 40, &[(10, 8), (40, 10)], &[&[3u8; 18]], false).done_at());
+                times.push(a.read(9, 20, &mut back).unwrap());
+                times.push(b.flush(11).unwrap());
+                times.push(a.close(13).unwrap());
+                times
+            };
+            let plain = Pfs::build(locking_cfg(cache), None, None);
+            let log = Arc::new(OstLog::default());
+            let logged = Pfs::build(locking_cfg(cache), None, Some(Arc::clone(&log)));
+            assert_eq!(traffic(&plain), traffic(&logged));
+            assert_eq!(plain.stats(), logged.stats());
+            let log = log.records();
+            assert_eq!(log.len() as u64, logged.stats().ost_requests);
+            assert!(log.iter().all(|r| r.world == 1 && r.arrival <= r.start && r.start < r.done));
+            let kinds: Vec<OstKind> = log.iter().map(|r| r.kind).collect();
+            let want: &[OstKind] = if cache {
+                &[OstKind::Fill, OstKind::Flush]
+            } else {
+                &[OstKind::Write, OstKind::PreRead, OstKind::Read]
+            };
+            assert!(want.iter().all(|k| kinds.contains(k)), "{cache}: {kinds:?}");
+        }
     }
 
     // ---- locking & caching ------------------------------------------------

@@ -36,6 +36,7 @@ pub mod extent;
 pub mod fault;
 pub mod fs;
 pub mod lock;
+pub mod log;
 
 pub use cache::{ClientCache, DirtyRun};
 pub use config::{PfsConfig, PfsCostModel};
@@ -43,3 +44,4 @@ pub use extent::ExtentSet;
 pub use fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
 pub use fs::{FileHandle, FileObj, IoCompletion, Pfs, RunCursor, RunCursorMut, StatsSnapshot};
 pub use lock::{Acquire, LockKind, LockTable};
+pub use log::{inversions, log_ost_service, service, take_ost_logs, OstKind, OstLog, OstRecord, OstService};

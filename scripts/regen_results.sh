@@ -19,6 +19,11 @@
 # Only a release build is run, and a file is replaced only by the complete
 # output of a run that exited 0. A file whose rows did not move keeps its
 # provenance lines: `#@ commit:` names the tree that last changed it.
+#
+# The tree is built once, at the start, and every experiment runs a copy of
+# that one binary: a change to the tree (or another build into the same
+# target directory) while the script runs cannot put a different build
+# behind some of the rows.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,18 +38,21 @@ for arg in "$@"; do
   esac
 done
 
-bench() {
-  cargo run -q --release --offline -p flexio-bench -- "$@"
-}
-
 commit="$(git rev-parse --short HEAD)"
 git diff --quiet HEAD -- crates src Cargo.toml || commit="$commit + uncommitted changes"
 
 mkdir -p target
 tmp="target/regen_results.$$"
-trap 'rm -f "$tmp"' EXIT
+bin="target/regen_results.$$.bench"
+trap 'rm -f "$tmp" "$bin"' EXIT
 
 cargo build -q --release --offline -p flexio-bench
+cp "${CARGO_TARGET_DIR:-target}/release/bench" "$bin"
+
+bench() {
+  "$bin" "$@"
+}
+
 exps="$(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }')"
 
 # A golden file of an experiment `bench --list` no longer names is an

@@ -136,6 +136,14 @@ echo "== FLEXIO_SIM_STACK_KB=64 cargo test --test sim_collective_charges --test 
 FLEXIO_SIM_STACK_KB=64 cargo test -q --release --offline \
   --test sim_collective_charges --test shared_derivation
 
+# The OST service log (`flexio_pfs::log`, `bench <exp> --ost-log`) only
+# records: with every file system logging, the two fixtures that drive
+# file systems replay every charge line and `bench host --check`'s
+# constants hold (`sim_collective_charges` builds no file system).
+echo "== FLEXIO_OST_LOG=1: data_path_charges, shared_derivation, bench host --check =="
+FLEXIO_OST_LOG=1 cargo test -q --release --offline --test data_path_charges --test shared_derivation
+FLEXIO_OST_LOG=1 cargo run -q --release --offline -p flexio-bench -- host --check
+
 # The benchmark is a package of its own (benchmark/, outside the
 # workspace) that imports engine internals — ClientStream, merge_pieces,
 # group_by_window, write_gathered_nb, resolve, LockTable, AssignCtx, ... —

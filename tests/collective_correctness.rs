@@ -252,7 +252,7 @@ fn timestep_pattern_all_fig7_combos() {
             run(spec.nprocs, CostModel::free(), move |rank| {
                 let hints = Hints {
                     persistent_file_realms: pfr,
-                    fr_alignment: align.then_some(256),
+                    fr_alignment: Some(if align { 256 } else { 1 }),
                     cb_nodes: Some(2),
                     ..Hints::default()
                 };

@@ -90,7 +90,7 @@ fn hints_do_not_change_bytes() {
             let reference = run_write(w, Hints::default());
             let hints = Hints {
                 persistent_file_realms: *pfr,
-                fr_alignment: align.then_some(192),
+                fr_alignment: Some(if *align { 192 } else { 1 }),
                 exchange: if *alltoallw {
                     ExchangeMode::Alltoallw
                 } else {

@@ -153,7 +153,7 @@ fn timestep_lock_traffic(
     });
     let hints = Hints {
         persistent_file_realms: pfr,
-        fr_alignment: align.then_some(stripe),
+        fr_alignment: Some(if align { stripe } else { 1 }),
         cb_nodes: Some(aggs),
         io_method: IoMethod::DataSieve { buffer: 512 << 10 },
         ..Hints::default()
