@@ -580,7 +580,7 @@ mod tests {
             IoMethod::DataSieve { buffer: 48 },
             IoMethod::default(),
         ] {
-            // Twin filesystems: a read advances the OST clocks and warms
+            // Twin filesystems: a read books OST time and warms
             // the client cache, so running both reads against one PFS
             // would make the second strictly cheaper.
             let pfs_a = timed_pfs();

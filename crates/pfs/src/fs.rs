@@ -7,6 +7,7 @@
 //! sim rank advances its own clock with the result.
 
 use crate::cache::{ClientCache, DirtyRun};
+use crate::calendar::Calendar;
 use crate::config::PfsConfig;
 use crate::fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind};
 use crate::lock::{LockKind, LockTable};
@@ -56,8 +57,10 @@ pub struct StatsSnapshot {
 const POISONED: &str = "a tally panicked while holding the file-system counters";
 
 struct OstState {
-    clock: u64,
-    /// Last byte-end serviced per file, for seek detection.
+    /// The current world's bookings.
+    calendar: Calendar,
+    /// Last page end booked per file, in booking order: the seek model's
+    /// answer for a request booked before every booking of the world.
     last_end: HashMap<u64, u64>,
 }
 
@@ -128,7 +131,7 @@ impl Pfs {
         Arc::new(Pfs {
             cfg,
             osts: (0..cfg.n_osts)
-                .map(|_| Mutex::new(OstState { clock: 0, last_end: HashMap::new() }))
+                .map(|_| Mutex::new(OstState { calendar: Calendar::default(), last_end: HashMap::new() }))
                 .collect(),
             files: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -141,9 +144,10 @@ impl Pfs {
 
     /// A world with id `world` starts using the file system. Virtual time
     /// belongs to a world — every world's ranks start at 0 — so a world
-    /// newer than any seen before starts on idle OSTs: every OST clock
-    /// goes back to 0, and neither an earlier world's work nor set-up done
-    /// outside any world on a bare [`FileHandle`] is queued ahead of it.
+    /// newer than any seen before starts on idle OSTs: every OST's
+    /// calendar is cleared, and neither an earlier world's work nor set-up
+    /// done outside any world on a bare [`FileHandle`] is queued ahead of
+    /// it.
     /// The same or an older id changes nothing, so every rank of a world
     /// may enter, and enter again. Everything else a Lustre client would
     /// keep persists: each OST's seek position, locks, client caches and
@@ -152,7 +156,7 @@ impl Pfs {
     pub fn enter_world(&self, world: u64) {
         if self.world.fetch_max(world, Ordering::SeqCst) < world {
             for ost in &self.osts {
-                ost.lock().unwrap().clock = 0;
+                ost.lock().unwrap().calendar.clear();
             }
         }
     }
@@ -198,12 +202,15 @@ impl Pfs {
     }
 
     /// Time one OST chunk (a request confined to a single stripe) and
-    /// update that OST's pipeline clock. Returns the completion time at
-    /// the client, or the injected fault detected at that time. A failed
-    /// request still occupies the server for its full service time (the
-    /// OST did the work and lost the reply, or failed at commit), so OST
-    /// clocks advance identically either way. `client` is for the service
-    /// log alone.
+    /// book it in that OST's calendar: it starts in the first idle gap
+    /// after its arrival that holds it, and pays the seek unless the
+    /// booking just before that gap left the OST at its first page (the
+    /// per-file `last_end` when no booking precedes it). Returns the
+    /// completion time at the client, or the injected fault detected at
+    /// that time. A failed request still occupies the server for its full
+    /// service time (the OST did the work and lost the reply, or failed
+    /// at commit), so the calendars are the same either way. `client` is
+    /// for the service log alone.
     #[allow(clippy::too_many_arguments)]
     fn ost_chunk(
         &self,
@@ -220,18 +227,24 @@ impl Pfs {
         let ost_idx = self.cfg.ost_of(off);
         let send_bytes = if is_write { len } else { 0 };
         let arrival = now + c.net_ns + (send_bytes as f64 * c.net_ns_per_byte) as u64;
-        let span = self.cfg.page_ceil(off + len) - self.cfg.page_floor(off);
-        let mut ost = self.osts[ost_idx].lock().unwrap();
-        let start = ost.clock.max(arrival);
-        let last = ost.last_end.get(&file.id).copied();
-        let seek = if last == Some(self.cfg.page_floor(off)) { 0 } else { c.seek_ns };
+        let (first_page, end_page) = (self.cfg.page_floor(off), self.cfg.page_ceil(off + len));
         let rmw_ns = (rmw_pages * self.cfg.page_size) as f64 * c.ns_per_byte;
-        let dur = c.request_ns + seek + (span as f64 * c.ns_per_byte) as u64 + rmw_ns as u64;
-        ost.clock = start + dur;
-        ost.last_end.insert(file.id, self.cfg.page_ceil(off + len));
-        let done = ost.clock;
+        let base = c.request_ns + ((end_page - first_page) as f64 * c.ns_per_byte) as u64 + rmw_ns as u64;
+        let mut ost = self.osts[ost_idx].lock().unwrap();
+        let OstState { calendar, last_end } = &mut *ost;
+        let mut seek = 0;
+        let (start, dur) = calendar.book(arrival, (file.id, end_page), |before| {
+            let contiguous = match before {
+                Some(tail) => tail == (file.id, first_page),
+                None => last_end.get(&file.id) == Some(&first_page),
+            };
+            seek = if contiguous { 0 } else { c.seek_ns };
+            base + seek
+        });
+        last_end.insert(file.id, end_page);
+        let done = start + dur;
         if let Some(log) = &self.log {
-            // Under the OST's lock, so that per OST the log is in service
+            // Under the OST's lock, so that per OST the log is in booking
             // order.
             let world = self.world.load(Ordering::SeqCst);
             log.push(OstRecord { world, ost: ost_idx, rank: client, arrival, start, done, bytes: len, kind });
@@ -921,14 +934,14 @@ mod tests {
         let data = vec![7u8; 64];
         let busy = h.write(0, 0, &data).unwrap();
         // The same request at time 0 queues behind the first one until a
-        // newer world enters; an equal or older world leaves the clocks.
+        // newer world enters; an equal or older world leaves the calendars.
         let again = || h.write(0, 0, &data).unwrap();
         pfs.enter_world(5);
         let fresh = again();
         assert_eq!(fresh, busy, "a newer world starts on idle OSTs");
         for older_or_equal in [5, 3] {
             pfs.enter_world(older_or_equal);
-            assert!(again() > fresh, "world {older_or_equal} reset the OST clocks");
+            assert!(again() > fresh, "world {older_or_equal} cleared the OST calendars");
         }
         pfs.enter_world(6);
         assert_eq!(again(), busy);
@@ -1101,6 +1114,24 @@ mod tests {
         let h2 = pfs.open("f", 1);
         let t2 = h2.write(0, 16, &[0u8; 16]).unwrap();
         assert!(t2 > t1, "second op did not queue: {t2} vs {t1}");
+    }
+
+    #[test]
+    fn a_late_booked_early_arrival_is_served_in_the_idle_gap() {
+        let pfs = Pfs::new(PfsConfig {
+            n_osts: 1,
+            stripe_size: 1 << 20,
+            page_size: 16,
+            locking: false,
+            lock_expansion: true,
+            client_cache: false,
+            cost: PfsCostModel::default(),
+        });
+        pfs.open("f", 0).write(1_000_000, 0, &[0u8; 16]).unwrap();
+        // Booked second, but it arrives long before the first one and the
+        // OST is idle until then: it does not queue behind it.
+        let early = pfs.open("f", 1).write(0, 4096, &[0u8; 16]).unwrap();
+        assert!(early < 1_000_000, "the early arrival queued behind the late one: done at {early}");
     }
 
     /// The same traffic on a file system with a service log and on one

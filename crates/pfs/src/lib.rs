@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod calendar;
 pub mod config;
 pub mod extent;
 pub mod fault;

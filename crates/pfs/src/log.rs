@@ -7,9 +7,12 @@
 //! a file system charges the same with it as without (`bench <exp>
 //! --ost-log` prints the golden rows unchanged).
 //!
-//! An OST serves requests in the order they are booked, which is host call
-//! order, not arrival order. [`inversions`] measures the difference against
-//! the Lamport total order on arrival: the virtual arrival time, then the
+//! Requests are booked in host call order, not arrival order, and an OST
+//! serves each in the first idle gap after its arrival that holds it
+//! ([`crate::calendar`]), so the log's order is not service order: a
+//! request booked late may have been served first. [`inversions`] orders
+//! each OST's records by start and measures the difference against the
+//! Lamport total order on arrival: the virtual arrival time, then the
 //! rank, as a logical clock breaks ties by process id.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,8 +53,9 @@ pub struct OstRecord {
     pub rank: usize,
     /// Virtual ns it reached the OST.
     pub arrival: u64,
-    /// Virtual ns the OST started on it: its arrival, or when the OST was
-    /// done with the request booked before it.
+    /// Virtual ns the OST started on it: its arrival, or the end of the
+    /// booked service it waited behind. Booking order is not start order:
+    /// a request booked later may start earlier, in a gap.
     pub start: u64,
     /// Virtual ns the OST was done with it.
     pub done: u64,
@@ -61,8 +65,8 @@ pub struct OstRecord {
     pub kind: OstKind,
 }
 
-/// One file system's log: its records in booking order, which per OST is
-/// service order.
+/// One file system's log: its records in booking order. Per OST that is
+/// not service order; sort by [`OstRecord::start`] for that.
 #[derive(Debug, Default)]
 pub struct OstLog {
     records: Mutex<Vec<OstRecord>>,
@@ -109,21 +113,25 @@ pub fn take_ost_logs() -> Vec<Arc<OstLog>> {
 
 /// The records of `log` that an OST served before a request of the same
 /// world that arrived earlier — earlier by arrival, then by rank — as
-/// indices into `log`, ascending. While such a record was served, the
-/// earlier arrival had already arrived and was waiting.
+/// indices into `log`, ascending. Each (world, OST)'s records are taken in
+/// service order: by start, then by booking order. While such a record was
+/// served, the earlier arrival had already arrived and was waiting.
 pub fn inversions(log: &[OstRecord]) -> Vec<usize> {
     let key = |r: &OstRecord| (r.arrival, r.rank);
-    // The least key booked after each record at its world's OST.
+    let mut served: Vec<usize> = (0..log.len()).collect();
+    served.sort_by_key(|&i| (log[i].start, i));
+    // The least key served after each record at its world's OST.
     let mut least_later: std::collections::HashMap<(u64, usize), (u64, usize)> = Default::default();
     let mut out = Vec::new();
-    for (i, r) in log.iter().enumerate().rev() {
+    for &i in served.iter().rev() {
+        let r = &log[i];
         let later = least_later.entry((r.world, r.ost)).or_insert((u64::MAX, usize::MAX));
         if *later < key(r) {
             out.push(i);
         }
         *later = (*later).min(key(r));
     }
-    out.reverse();
+    out.sort_unstable();
     out
 }
 
@@ -209,6 +217,20 @@ mod tests {
             }
         );
         assert_eq!((s[1].ost, s[1].inversions, s[1].inverted_ns, s[1].wait_ns), (1, 1, 10, 10));
+    }
+
+    #[test]
+    fn a_gap_filling_request_booked_after_a_later_arrival_is_no_inversion() {
+        // In log order rank 1 comes before rank 2, which arrived earlier;
+        // in service order it does not.
+        let log = [
+            rec(0, 1, 100, 100, 110), // booked first
+            rec(0, 2, 0, 0, 10),      // booked second, served first, in the gap before it
+            rec(0, 0, 105, 110, 120), // waited behind rank 1, which arrived first
+        ];
+        assert!(inversions(&log).is_empty());
+        let s = service(&log);
+        assert_eq!((s[0].requests, s[0].wait_ns, s[0].inversions, s[0].inverted_ns), (3, 5, 0, 0));
     }
 
     #[test]

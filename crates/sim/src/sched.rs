@@ -14,11 +14,12 @@
 //!
 //! Why lowest-clock-first matters: message payloads and per-rank charges
 //! never depend on host order (per-`(src, tag)` queues are single-producer
-//! FIFO), but operations against shared stateful resources — PFS OSTs with
-//! ratcheting service clocks, seeded fault draws — observe the *order* in
-//! which rank segments execute. Lowest-clock-first pins that order down to
-//! a pure function of the workload, which is what turns "deterministic
-//! except for device-queueing races" into "deterministic".
+//! FIFO), but operations against shared stateful resources — PFS OSTs
+//! whose booking calendars never move a booked request, seeded fault
+//! draws — observe the *order* in which rank segments execute.
+//! Lowest-clock-first pins that order down to a pure function of the
+//! workload, which is what turns "deterministic except for
+//! device-queueing races" into "deterministic".
 //!
 //! One owner, one thread: the scheduler of a world's one drive owns
 //! everything its ranks leave for each other — the ready heap, the fiber

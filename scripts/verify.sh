@@ -45,7 +45,7 @@ fi
 # One world entry: a world's virtual time starts on idle OSTs because its
 # first collective open enters it into the file system
 # (`Pfs::enter_world`). The contract lives in that one call — no runner,
-# test or benchmark resets the file system's clocks itself. Every tracked
+# test or benchmark clears the OSTs' calendars itself. Every tracked
 # Rust file, up to its first `#[cfg(test)]` line and skipping comments,
 # may hold exactly one call, in `MpiFile::open`.
 echo "== one world entry: Pfs::enter_world is called only by MpiFile::open =="

@@ -13,6 +13,7 @@ use flexio::core::{
     AssignCtx, BalancedLoad, Engine, EvenAar, FileRealm, Hints, IoError, PersistentBlockCyclic,
     RealmAssigner,
 };
+use flexio::pfs::calendar::Calendar;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
@@ -412,6 +413,70 @@ fn time_monotone() {
             assert!(t > now);
             let t2 = h.read(t, 0, &mut vec![0u8; len]).unwrap();
             assert!(t2 > t);
+        },
+    );
+}
+
+/// The starts a single clock per OST gives `reqs` (`(arrival, duration)`
+/// in booking order): each at `max(clock, arrival)`.
+fn ratchet_starts(reqs: &[(u64, u64)]) -> Vec<u64> {
+    let mut clock = 0;
+    reqs.iter()
+        .map(|&(a, d)| {
+            let start = clock.max(a);
+            clock = start + d;
+            start
+        })
+        .collect()
+}
+
+/// Book `reqs` on one calendar with fixed durations, checking after each
+/// booking that the bookings are sorted, disjoint and never abut, that
+/// they cover exactly the durations booked so far, and that the request
+/// started at or after its arrival in the first gap that held it.
+fn calendar_starts(reqs: &[(u64, u64)]) -> Vec<u64> {
+    let mut cal = Calendar::default();
+    let mut busy = 0;
+    reqs.iter()
+        .map(|&(a, d)| {
+            // The idle gaps before this booking: from each booking's end
+            // (0 for the first) to the next one's start.
+            let b = cal.bookings();
+            let ends = std::iter::once(0).chain(b.iter().map(|x| x.end));
+            let starts = b.iter().map(|x| x.start).chain(std::iter::once(u64::MAX));
+            let gaps: Vec<(u64, u64)> = ends.zip(starts).collect();
+            let (start, dur) = cal.book(a, (0, 0), |_| d);
+            assert_eq!(dur, d);
+            assert!(start >= a, "started at {start} before its arrival at {a}");
+            for (g0, g1) in gaps {
+                let from = g0.max(a);
+                assert!(from >= start || g1.saturating_sub(from) < d, "[{from}, {g1}) held {d} ns before {start}");
+            }
+            busy += d;
+            let b = cal.bookings();
+            assert!(b.iter().all(|x| x.start < x.end), "{b:?}");
+            assert!(b.windows(2).all(|w| w[0].end < w[1].start), "overlap or abutting bookings: {b:?}");
+            assert_eq!(b.iter().map(|x| x.end - x.start).sum::<u64>(), busy, "{b:?}");
+            start
+        })
+        .collect()
+}
+
+/// The OST booking calendar starts every request at or after its arrival,
+/// in the first gap that holds it and never later than a single clock
+/// would, and is the single clock when arrivals never decrease.
+#[test]
+fn the_calendar_never_starts_later_than_the_ratchet() {
+    Runner::new("the_calendar_never_starts_later_than_the_ratchet").run(
+        |rng| (0..draw(rng, 1, 40)).map(|_| (draw(rng, 0, 600), draw(rng, 1, 60))).collect::<Vec<_>>(),
+        |reqs| {
+            let (cal, ratchet) = (calendar_starts(reqs), ratchet_starts(reqs));
+            for (i, (c, r)) in cal.iter().zip(&ratchet).enumerate() {
+                assert!(c <= r, "request {i} starts at {c}, the ratchet's at {r}");
+            }
+            let mut sorted = reqs.clone();
+            sorted.sort_by_key(|&(a, _)| a);
+            assert_eq!(calendar_starts(&sorted), ratchet_starts(&sorted));
         },
     );
 }

@@ -5,7 +5,7 @@
 //! `phase_ns`, the index at which the rank left the collective in host
 //! order (one shared counter), and a digest of what it received. A
 //! change to how the runtime moves messages must move neither a charge
-//! **nor the host order in which ranks run**: the PFS ratchets observe
+//! **nor the host order in which ranks run**: the OST calendars observe
 //! execution order, so a rank that leaves a collective earlier on the
 //! host is a behaviour change even when every clock agrees.
 //!
