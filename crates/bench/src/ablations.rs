@@ -5,7 +5,9 @@
 use crate::report::{row, Report};
 use crate::worlds::{hpio, locking_pfs, mbps};
 use crate::Args;
-use flexio_core::{BalancedLoad, Engine, EvenAar, ExchangeMode, Hints, PipelineDepth, RealmAssigner};
+use flexio_core::{
+    BalancedLoad, Engine, EvenAar, ExchangeMode, Hints, PipelineDepth, RealmAssigner,
+};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_io::IoMethod;
 use flexio_pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
@@ -98,10 +100,16 @@ pub(crate) fn a3(args: &Args, r: &mut Report) {
             ("even-aar", Arc::new(EvenAar) as Arc<dyn RealmAssigner>),
             ("balanced-load", Arc::new(BalancedLoad) as Arc<dyn RealmAssigner>),
         ] {
-            let hints =
-                Hints { realm_assigner: Some(assigner), cb_nodes: Some(nprocs), ..Hints::default() };
-            let pfs =
-                Pfs::new(PfsConfig { stripe_size: cluster, page_size: 4096, ..PfsConfig::default() });
+            let hints = Hints {
+                realm_assigner: Some(assigner),
+                cb_nodes: Some(nprocs),
+                ..Hints::default()
+            };
+            let pfs = Pfs::new(PfsConfig {
+                stripe_size: cluster,
+                page_size: 4096,
+                ..PfsConfig::default()
+            });
             // The one world whose ranks do not share a view shape: rank 0's
             // filetype has the straggler byte, everyone else's is one cluster.
             let rank0 = vec![(0, cluster), (straggler as i64, 1)];
@@ -205,10 +213,7 @@ pub(crate) fn a4(args: &Args, r: &mut Report) {
     );
     let (on_pairs, off_pairs) = (&on.call_pairs, &off.call_pairs);
     assert_eq!(on_pairs[0], off_pairs[0], "call 1 must charge identically with the cache armed");
-    assert!(
-        steady(on_pairs) < steady(off_pairs),
-        "steady-state pairs must drop with the cache on"
-    );
+    assert!(steady(on_pairs) < steady(off_pairs), "steady-state pairs must drop with the cache on");
     let speedup = steady(&off.call_ns) / steady(&on.call_ns);
     r.heading(&format!("steady-state virtual-time speedup: {speedup:.3}x"));
     r.note("file images byte-identical: yes");

@@ -40,7 +40,8 @@ pub(crate) fn e1(args: &Args, r: &mut Report) {
             for (name, engine, style) in METHODS {
                 let hints = Hints { engine, cb_nodes: Some(aggs), ..Hints::default() };
                 let pfs = Pfs::new(PfsConfig::default());
-                let s = hpio(FileWorld::new(&pfs, "fig4", &hints, Timing::Whole), spec, style, false);
+                let s =
+                    hpio(FileWorld::new(&pfs, "fig4", &hints, Timing::Whole), spec, style, false);
                 let bw = mbps(spec.aggregate_bytes(), s.span_ns);
                 row!(r; aggs, rs, name, bw, s.sum(|s| s.bytes_copied));
             }

@@ -386,10 +386,7 @@ mod tests {
     #[test]
     fn the_registry_is_the_fourteen_experiments_with_unique_names() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(
-            names.join(" "),
-            "e1 e2 e2-spikes e3 a1 a2 a3 a4 a6 a7 a8 read scenario host"
-        );
+        assert_eq!(names.join(" "), "e1 e2 e2-spikes e3 a1 a2 a3 a4 a6 a7 a8 read scenario host");
         assert!(usage().ends_with(&names.join(" ")));
         let host_time: Vec<&str> =
             EXPERIMENTS.iter().filter(|e| !e.virtual_time).map(|e| e.name).collect();

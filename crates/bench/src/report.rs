@@ -138,14 +138,23 @@ impl Report {
         println!("\n# OST service log: per row, its file systems (fs), each one's worlds in order, each OST");
         println!("# that served a request; busy = Σ service, wait = Σ queueing, inversions = requests served");
         println!("# before an earlier arrival (arrival, then rank), inverted_ns = their service");
-        println!("# columns: row,fs,world,ost,requests,bytes,busy_ns,wait_ns,inversions,inverted_ns");
+        println!(
+            "# columns: row,fs,world,ost,requests,bytes,busy_ns,wait_ns,inversions,inverted_ns"
+        );
         for (i, (line, fss)) in logs.iter().enumerate() {
             println!("# row {i}: {line}");
             for (f, log) in fss.iter().enumerate() {
                 for s in flexio_pfs::service(&log.records()) {
                     println!(
                         "{i},{f},{},{},{},{},{},{},{},{}",
-                        s.world, s.ost, s.requests, s.bytes, s.busy_ns, s.wait_ns, s.inversions, s.inverted_ns
+                        s.world,
+                        s.ost,
+                        s.requests,
+                        s.bytes,
+                        s.busy_ns,
+                        s.wait_ns,
+                        s.inversions,
+                        s.inverted_ns
                     );
                 }
             }

@@ -70,7 +70,9 @@ pub fn agree_error(rank: &Rank, local: Option<PfsError>) -> Option<PfsError> {
         PfsErrorKind::TornWrite => 2u64,
     };
     let mine = match &local {
-        Some(e) => ((rank.rank() as u64) << 32) | ((e.ost as u64 & 0xff_ffff) << 8) | kind_code(e.kind),
+        Some(e) => {
+            ((rank.rank() as u64) << 32) | ((e.ost as u64 & 0xff_ffff) << 8) | kind_code(e.kind)
+        }
         None => u64::MAX,
     };
     let winner = rank.allreduce_min(mine);
@@ -467,7 +469,8 @@ mod tests {
     #[test]
     fn a_rewound_stream_is_a_new_stream() {
         let a = Arc::new(access(5, 3, 7, 4, 30));
-        let windows: [&[(u64, u64)]; 4] = [&[(0, 12)], &[(12, 2), (20, 9)], &[(29, 1)], &[(30, 100)]];
+        let windows: [&[(u64, u64)]; 4] =
+            [&[(0, 12)], &[(12, 2), (20, 9)], &[(29, 1)], &[(30, 100)]];
         let mut s = ClientStream::new(Arc::clone(&a));
         for w in &windows[..3] {
             s.take_window(w);
@@ -488,11 +491,7 @@ mod tests {
         let groups = group_by_window(&segs, &window);
         assert_eq!(
             groups,
-            vec![
-                (0, vec![(10, 20), (50, 10)]),
-                (1, vec![(310, 5)]),
-                (2, vec![(620, 10)])
-            ]
+            vec![(0, vec![(10, 20), (50, 10)]), (1, vec![(310, 5)]), (2, vec![(620, 10)])]
         );
     }
 
@@ -521,9 +520,8 @@ mod tests {
 
     #[test]
     fn agree_error_unanimous_success() {
-        let outcomes = flexio_sim::run(4, flexio_sim::CostModel::default(), |rank| {
-            agree_error(rank, None)
-        });
+        let outcomes =
+            flexio_sim::run(4, flexio_sim::CostModel::default(), |rank| agree_error(rank, None));
         assert!(outcomes.iter().all(|o| o.is_none()));
     }
 
@@ -546,8 +544,11 @@ mod tests {
     #[test]
     fn agree_error_round_trips_torn_write_kind() {
         let outcomes = flexio_sim::run(3, flexio_sim::CostModel::default(), |rank| {
-            let local = (rank.rank() == 2)
-                .then_some(PfsError { kind: PfsErrorKind::TornWrite, ost: 3, at: 42 });
+            let local = (rank.rank() == 2).then_some(PfsError {
+                kind: PfsErrorKind::TornWrite,
+                ost: 3,
+                at: 42,
+            });
             agree_error(rank, local)
         });
         let expect = PfsError { kind: PfsErrorKind::TornWrite, ost: 3, at: 42 };
@@ -558,10 +559,13 @@ mod tests {
     fn merge_pieces_sorts_and_merges() {
         let per_client = vec![
             (0usize, vec![Piece { file_off: 8, data_pos: 0, len: 4 }]),
-            (1usize, vec![
-                Piece { file_off: 0, data_pos: 0, len: 4 },
-                Piece { file_off: 12, data_pos: 4, len: 4 },
-            ]),
+            (
+                1usize,
+                vec![
+                    Piece { file_off: 0, data_pos: 0, len: 4 },
+                    Piece { file_off: 12, data_pos: 4, len: 4 },
+                ],
+            ),
         ];
         let (entries, segs) = merge_pieces(&per_client);
         assert_eq!(entries[0].0, 0);

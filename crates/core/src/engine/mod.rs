@@ -14,6 +14,6 @@ pub mod romio;
 pub mod schedule;
 
 pub use common::{merge_pieces, ClientStream};
-pub use flexio_types::Piece;
 pub use flexible::DataBuf;
+pub use flexio_types::Piece;
 pub use schedule::{CycleSchedule, ExchangeSchedule};

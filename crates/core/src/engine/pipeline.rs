@@ -88,9 +88,7 @@ impl CapPolicy {
     fn adapt(self, io_ns: u64, exch_ns: u64) -> usize {
         match self {
             CapPolicy::Fixed(c) => c,
-            CapPolicy::Auto { bound } => {
-                (io_ns.div_ceil(exch_ns.max(1)) as usize).clamp(1, bound)
-            }
+            CapPolicy::Auto { bound } => (io_ns.div_ceil(exch_ns.max(1)) as usize).clamp(1, bound),
         }
     }
 
@@ -158,7 +156,9 @@ impl StragglerDetector {
     ) -> Option<StragglerVerdict> {
         let durs = rank.allgatherv_shared(&my_io_ns.to_le_bytes());
         for (a, &ar) in agg_ranks.iter().enumerate() {
-            let d = u64::from_le_bytes(durs.get(ar).try_into().expect("duration payload must be 8 bytes"));
+            let d = u64::from_le_bytes(
+                durs.get(ar).try_into().expect("duration payload must be 8 bytes"),
+            );
             if d > 0 {
                 self.agg_ewma[a] = Some(ewma(self.agg_ewma[a], d));
             }

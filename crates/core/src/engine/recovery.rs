@@ -215,11 +215,10 @@ mod tests {
 
     #[test]
     fn survivors_agree_on_multiple_dead_ranks() {
-        let out =
-            flexio_sim::run_crashable(5, CostModel::default(), &[(0, 0), (3, 0)], |rank| {
-                rank.maybe_crash();
-                detect_failures(rank, 1_000_000)
-            });
+        let out = flexio_sim::run_crashable(5, CostModel::default(), &[(0, 0), (3, 0)], |rank| {
+            rank.maybe_crash();
+            detect_failures(rank, 1_000_000)
+        });
         for (r, res) in out.iter().enumerate() {
             match r {
                 0 | 3 => assert!(res.is_none()),

@@ -373,8 +373,12 @@ impl Derivation {
         let n_agg = hints.aggregators(nprocs);
         out.agg_ranks = aggregator_ranks(n_agg, nprocs);
         let cb = hints.cb_buffer_size as u64;
-        let ctx =
-            AssignCtx { aar: (lo, hi), n_aggregators: n_agg, alignment: hints.fr_alignment, clients: &clients };
+        let ctx = AssignCtx {
+            aar: (lo, hi),
+            n_aggregators: n_agg,
+            alignment: hints.fr_alignment,
+            clients: &clients,
+        };
         let assign = |default: &dyn RealmAssigner| match &hints.realm_assigner {
             Some(a) => a.assign(&ctx),
             None => default.assign(&ctx),
@@ -428,8 +432,11 @@ impl Derivation {
 
         // ---- cycles: the natural windows in an OST-aware order --------------
         let one_stripe = lo / layout.stripe_size == (hi - 1) / layout.stripe_size;
-        let steps = (n_agg as u64).saturating_mul(ntimes.saturating_mul(ntimes)).saturating_mul(layout.n_osts as u64);
-        let file_order = hints.persistent_file_realms || ntimes <= 1 || layout.n_osts <= 1 || one_stripe;
+        let steps = (n_agg as u64)
+            .saturating_mul(ntimes.saturating_mul(ntimes))
+            .saturating_mul(layout.n_osts as u64);
+        let file_order =
+            hints.persistent_file_realms || ntimes <= 1 || layout.n_osts <= 1 || one_stripe;
         out.offsets = if file_order || steps > MAX_ORDER_STEPS {
             vec![0; n_agg]
         } else {
@@ -469,32 +476,33 @@ impl Derivation {
         // not the last searches for the window to walk.
         let mut cells: Vec<Vec<Cell>> = vec![Vec::new(); cycles.len()];
         let mut walks = 0u64;
-        let mut walk = |c: usize, a: usize, stream: &mut ClientStream, cycles: &mut [DerivedCycle]| {
-            stream.rewind();
-            let reach = &reach[a];
-            let last = reach.last().copied().unwrap_or(0);
-            let mut k = 0;
-            while k < cycles.len() {
-                let next = stream.next_off();
-                if reach[k] <= next {
-                    if last <= next {
-                        break;
+        let mut walk =
+            |c: usize, a: usize, stream: &mut ClientStream, cycles: &mut [DerivedCycle]| {
+                stream.rewind();
+                let reach = &reach[a];
+                let last = reach.last().copied().unwrap_or(0);
+                let mut k = 0;
+                while k < cycles.len() {
+                    let next = stream.next_off();
+                    if reach[k] <= next {
+                        if last <= next {
+                            break;
+                        }
+                        k += reach[k..].partition_point(|&end| end <= next);
                     }
-                    k += reach[k..].partition_point(|&end| end <= next);
+                    let t = cycle(a, k);
+                    let cyc = &mut cycles[t];
+                    let from = cyc.pieces.len();
+                    let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
+                    walks += 1;
+                    cyc.row_pairs[c] += charged;
+                    cyc.col_pairs[a] += charged;
+                    if cyc.pieces.len() > from {
+                        cells[t].push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
+                    }
+                    k += 1;
                 }
-                let t = cycle(a, k);
-                let cyc = &mut cycles[t];
-                let from = cyc.pieces.len();
-                let charged = stream.take_window_into(&cyc.windows[a], &mut cyc.pieces);
-                walks += 1;
-                cyc.row_pairs[c] += charged;
-                cyc.col_pairs[a] += charged;
-                if cyc.pieces.len() > from {
-                    cells[t].push(Cell { client: c, agg: a, pieces: from..cyc.pieces.len() });
-                }
-                k += 1;
-            }
-        };
+            };
         // With the aggregators' spans disjoint and sorted, the spans that
         // end at or below a client's first byte charge it nothing, and of
         // the spans starting in one `empty_run` range all but perhaps the
@@ -521,7 +529,8 @@ impl Derivation {
             one_by_one.clear();
             let mut i = spans.partition_point(|s| s.end <= first);
             while i < spans.len() {
-                let run = (spans[i].start > first).then(|| stream.empty_run(spans[i].start)).flatten();
+                let run =
+                    (spans[i].start > first).then(|| stream.empty_run(spans[i].start)).flatten();
                 let Some(run) = run else {
                     one_by_one.push(spans[i].agg);
                     i += 1;
@@ -780,7 +789,9 @@ pub(crate) fn shared_key(rank: &Rank, wires: &GatherTable, hints: &Hints) -> u64
 
 /// Every wire, length-prefixed.
 fn wires_digest(wires: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {
-    let digest = wires.into_iter().fold(Digest::new(), |d, w| d.u64(w.as_ref().len() as u64).bytes(w.as_ref()));
+    let digest = wires
+        .into_iter()
+        .fold(Digest::new(), |d, w| d.u64(w.as_ref().len() as u64).bytes(w.as_ref()));
     digest.finish()
 }
 
@@ -820,7 +831,11 @@ mod tests {
 
     /// The schedule key of a call with every wire digested here: the
     /// reference for [`shared_key`].
-    fn schedule_key(wires: impl IntoIterator<Item = impl AsRef<[u8]>>, hints: &Hints, nprocs: usize) -> u64 {
+    fn schedule_key(
+        wires: impl IntoIterator<Item = impl AsRef<[u8]>>,
+        hints: &Hints,
+        nprocs: usize,
+    ) -> u64 {
         key_of(wires_digest(wires), hints, nprocs)
     }
 
@@ -1024,7 +1039,8 @@ mod tests {
                     let t = cycle_of_window(d, a, k);
                     let (pieces, cells, rows, cols) = &mut out[t];
                     let from = pieces.len();
-                    let charged = seeking_walk(access, &mut data_pos, &d.cycles[t].windows[a], pieces);
+                    let charged =
+                        seeking_walk(access, &mut data_pos, &d.cycles[t].windows[a], pieces);
                     rows[c] += charged;
                     cols[a] += charged;
                     if pieces.len() > from {
@@ -1041,7 +1057,12 @@ mod tests {
     /// [`ClientStream`] keeps its cursor from the last: append the
     /// pieces, move `data_pos` past the last (or as far as the cursor
     /// went, if there are none) and return the pairs charged.
-    fn seeking_walk(access: &ClientAccess, data_pos: &mut u64, win: &[(u64, u64)], out: &mut Vec<Piece>) -> u64 {
+    fn seeking_walk(
+        access: &ClientAccess,
+        data_pos: &mut u64,
+        win: &[(u64, u64)],
+        out: &mut Vec<Piece>,
+    ) -> u64 {
         let data_end = access.data_end();
         if win.is_empty() || *data_pos >= data_end {
             return 0;
@@ -1055,7 +1076,9 @@ mod tests {
             }
             cur.advance_to_file(ws);
             while cur.data_pos() < data_end {
-                let Some(p) = cur.take_below(ws + wlen, data_end - cur.data_pos()) else { continue 'window };
+                let Some(p) = cur.take_below(ws + wlen, data_end - cur.data_pos()) else {
+                    continue 'window;
+                };
                 out.push(p);
             }
             break;
@@ -1136,14 +1159,19 @@ mod tests {
                 let reps = if enumerated { tiles } else { 1 };
                 let regions: Vec<(i64, u64)> =
                     (0..reps * k).map(|j| ((j * n as u64 * stride) as i64, block)).collect();
-                let dt = Datatype::resized(0, reps * extent, Datatype::hindexed(regions, Datatype::bytes(1)));
+                let dt = Datatype::resized(
+                    0,
+                    reps * extent,
+                    Datatype::hindexed(regions, Datatype::bytes(1)),
+                );
                 let total = tiles * k * block;
                 let data_start = rng.next_below(2 * block).min(total - 1);
                 let data_len = match rng.next_below(6) {
                     0 => 0,
                     _ => 1 + rng.next_below(total - data_start),
                 };
-                let view = FileView::new(header + c as u64 * stride, Arc::new(flatten(&dt)), 1).unwrap();
+                let view =
+                    FileView::new(header + c as u64 * stride, Arc::new(flatten(&dt)), 1).unwrap();
                 ClientAccess { view, data_start, data_len }
             })
             .collect();
@@ -1152,8 +1180,10 @@ mod tests {
         let pfr = rng.next_below(2) == 0;
         let alignment = (rng.next_below(2) == 0).then(|| 1 + rng.next_below(32));
         let earlier_hi = (pfr && rng.next_below(2) == 0).then(|| 1 + rng.next_below(extent));
-        let assigner = [Plugged::None, Plugged::None, Plugged::Mirrored, Plugged::BlockCyclic][rng.next_below(4) as usize];
-        let layout = layout(cb_buffer_size as u64 * (1 + rng.next_below(2)), 2 + rng.next_below(3) as usize);
+        let assigner = [Plugged::None, Plugged::None, Plugged::Mirrored, Plugged::BlockCyclic]
+            [rng.next_below(4) as usize];
+        let layout =
+            layout(cb_buffer_size as u64 * (1 + rng.next_below(2)), 2 + rng.next_below(3) as usize);
         World { clients, cb_nodes, cb_buffer_size, pfr, alignment, earlier_hi, assigner, layout }
     }
 
@@ -1179,7 +1209,11 @@ mod tests {
         assert_eq!(d.cycles.len(), file.cycles.len());
         for (k, natural) in file.cycles.iter().enumerate() {
             for (a, window) in natural.windows.iter().enumerate() {
-                assert_eq!(&d.cycles[cycle_of_window(&d, a, k)].windows[a], window, "aggregator {a}, window {k}");
+                assert_eq!(
+                    &d.cycles[cycle_of_window(&d, a, k)].windows[a],
+                    window,
+                    "aggregator {a}, window {k}"
+                );
             }
         }
         let summed = |d: &Derivation, pairs: fn(&DerivedCycle) -> &[u64], n: usize| -> Vec<u64> {
@@ -1193,8 +1227,13 @@ mod tests {
         }
         let (n, n_agg) = (clients.len(), d.agg_ranks.len());
         assert_eq!(summed(&d, rows, n), summed(&file, rows, n), "row pairs over the call");
-        assert_eq!(summed(&d, cols, n_agg), summed(&file, cols, n_agg), "column pairs over the call");
-        let parsed: Vec<ClientAccess> = wires.iter().map(|wire| ClientAccess::from_wire(wire)).collect();
+        assert_eq!(
+            summed(&d, cols, n_agg),
+            summed(&file, cols, n_agg),
+            "column pairs over the call"
+        );
+        let parsed: Vec<ClientAccess> =
+            wires.iter().map(|wire| ClientAccess::from_wire(wire)).collect();
         let walked = cell_by_cell(&d, &parsed);
         for (t, (cyc, (pieces, cells, rows, cols))) in d.cycles.iter().zip(walked).enumerate() {
             let window_pairs: u64 = cyc.windows.iter().map(|w| w.len() as u64).sum();
@@ -1220,9 +1259,15 @@ mod tests {
                     while taken < grouped {
                         taken += entries.next().expect("the entries cover every group").3;
                     }
-                    assert_eq!(taken, grouped, "cycle {t}, aggregator {a}: a group splits an entry");
+                    assert_eq!(
+                        taken, grouped,
+                        "cycle {t}, aggregator {a}: a group splits an entry"
+                    );
                 }
-                assert!(entries.next().is_none(), "cycle {t}, aggregator {a}: an entry past the groups");
+                assert!(
+                    entries.next().is_none(),
+                    "cycle {t}, aggregator {a}: an entry past the groups"
+                );
             }
         }
         d
@@ -1282,7 +1327,11 @@ mod tests {
                     Datatype::resized(0, n * block, Datatype::bytes(block))
                 } else {
                     let listed = (0..regions).map(|j| ((j * n * block) as i64, block)).collect();
-                    Datatype::resized(0, regions * n * block, Datatype::hindexed(listed, Datatype::bytes(1)))
+                    Datatype::resized(
+                        0,
+                        regions * n * block,
+                        Datatype::hindexed(listed, Datatype::bytes(1)),
+                    )
                 };
                 let start = c % block;
                 ClientAccess {
@@ -1324,7 +1373,9 @@ mod tests {
     /// Every aggregator's natural windows, read off a file-order
     /// derivation.
     fn natural_windows(file: &Derivation) -> Vec<Vec<Vec<(u64, u64)>>> {
-        (0..file.agg_ranks.len()).map(|a| file.cycles.iter().map(|cyc| cyc.windows[a].clone()).collect()).collect()
+        (0..file.agg_ranks.len())
+            .map(|a| file.cycles.iter().map(|cyc| cyc.windows[a].clone()).collect())
+            .collect()
     }
 
     /// HPIO's non-contiguous pattern (`flexio-hpio`): `n` clients
@@ -1413,7 +1464,11 @@ mod tests {
             .collect()
     }
 
-    fn even_ctx(aar: (u64, u64), n_aggregators: usize, alignment: Option<u64>) -> AssignCtx<'static> {
+    fn even_ctx(
+        aar: (u64, u64),
+        n_aggregators: usize,
+        alignment: Option<u64>,
+    ) -> AssignCtx<'static> {
         AssignCtx { aar, n_aggregators, alignment, clients: &[] }
     }
 
@@ -1430,7 +1485,8 @@ mod tests {
         for header in [0, 8, 8 * 511] {
             let d = derive(&hpio_from(header, 64, 256, 4096, 128), &hints, &lustre);
             let hi = header + 64 * 256 * 4224 - 128;
-            let mut want: Vec<(u64, u64)> = (0..8).map(|a| (a * 8 * MIB, (a + 1) * 8 * MIB)).collect();
+            let mut want: Vec<(u64, u64)> =
+                (0..8).map(|a| (a * 8 * MIB, (a + 1) * 8 * MIB)).collect();
             want[0].0 = header;
             want[7].1 = hi;
             assert_eq!(realm_spans(&d), want, "header {header}");
@@ -1459,7 +1515,9 @@ mod tests {
     fn the_even_split_stays_where_aligned_realms_cost_cycles_or_collapse() {
         let stripe = 2 * MIB;
         let even = |aar, n| format!("{:?}", EvenAar.assign(&even_ctx(aar, n, None)));
-        let rule = |aar, n, cb| format!("{:?}", stripe_aligned_or_even(&even_ctx(aar, n, None), stripe, cb));
+        let rule = |aar, n, cb| {
+            format!("{:?}", stripe_aligned_or_even(&even_ctx(aar, n, None), stripe, cb))
+        };
         let a6 = (0, 10 * MIB - 128);
         assert_eq!(rule(a6, 4, 256 << 10), even(a6, 4));
         let e2 = (0, 64 * MIB - 992);

@@ -123,7 +123,8 @@ impl<'r> MpiFile<'r> {
     /// Flatten `dt` through this file's cache, counting the hit or miss.
     fn flatten(&self, dt: &Datatype) -> (Arc<FlatType>, bool) {
         let (flat, hit) = self.flat_cache.borrow_mut().get(dt);
-        self.rank.tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
+        self.rank
+            .tally(|s| if hit { s.flatten_cache_hits += 1 } else { s.flatten_cache_misses += 1 });
         (flat, hit)
     }
 

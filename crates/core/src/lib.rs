@@ -127,17 +127,13 @@ mod tests {
     fn roundtrip(engine: Engine, exchange: ExchangeMode) {
         let pfs = small_pfs();
         let outs = run(3, CostModel::free(), move |rank| {
-            let hints = Hints {
-                engine,
-                exchange,
-                cb_buffer_size: 96,
-                ..Hints::default()
-            };
+            let hints = Hints { engine, exchange, cb_buffer_size: 96, ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs, "f", hints).unwrap();
             let bt = Datatype::bytes(16);
             let ft = Datatype::resized(0, 48, bt.clone());
             f.set_view(rank.rank() as u64 * 16, &bt, &ft).unwrap();
-            let data: Vec<u8> = (0..160u32).map(|i| (rank.rank() * 80 + i as usize) as u8).collect();
+            let data: Vec<u8> =
+                (0..160u32).map(|i| (rank.rank() * 80 + i as usize) as u8).collect();
             f.write_all(&data, &Datatype::bytes(160), 1).unwrap();
             let mut back = vec![0u8; 160];
             f.read_all(&mut back, &Datatype::bytes(160), 1).unwrap();
@@ -241,10 +237,7 @@ mod tests {
     fn pfr_realms_stable_across_calls() {
         let pfs = small_pfs();
         let outs = run(2, CostModel::free(), move |rank| {
-            let hints = Hints {
-                persistent_file_realms: true,
-                ..Hints::default()
-            };
+            let hints = Hints { persistent_file_realms: true, ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs, "f", hints).unwrap();
             let bt = Datatype::bytes(8);
             let ft = Datatype::resized(0, 16, bt.clone());
@@ -303,7 +296,10 @@ mod tests {
         };
         assert_eq!(traffic(true), (2, 0));
         let (grants, revocations) = traffic(false);
-        assert!(grants > 2 && revocations > 0, "per-call realms: {grants} grants, {revocations} revocations");
+        assert!(
+            grants > 2 && revocations > 0,
+            "per-call realms: {grants} grants, {revocations} revocations"
+        );
     }
 
     #[test]
@@ -356,10 +352,7 @@ mod tests {
         let pfs = small_pfs();
         let pfs2 = Arc::clone(&pfs);
         run(3, CostModel::free(), move |rank| {
-            let hints = Hints {
-                realm_assigner: Some(Arc::new(AllToFirst)),
-                ..Hints::default()
-            };
+            let hints = Hints { realm_assigner: Some(Arc::new(AllToFirst)), ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs2, "f", hints).unwrap();
             let bt = Datatype::bytes(8);
             let ft = Datatype::resized(0, 24, bt.clone());
@@ -373,10 +366,7 @@ mod tests {
         h.read(0, 0, &mut out).unwrap();
         for blk in 0..9 {
             let want = (blk % 3 + 1) as u8;
-            assert!(
-                out[blk * 8..blk * 8 + 8].iter().all(|&b| b == want),
-                "block {blk} wrong"
-            );
+            assert!(out[blk * 8..blk * 8 + 8].iter().all(|&b| b == want), "block {blk} wrong");
         }
     }
 
@@ -392,8 +382,7 @@ mod tests {
             let pfs = Arc::clone(&pfs);
             let stats = run(4, CostModel::default(), move |rank| {
                 let hints = Hints { cb_nodes: Some(2), ..Hints::default() };
-                let mut f =
-                    MpiFile::open(rank, &pfs, &format!("f{succinct}"), hints).unwrap();
+                let mut f = MpiFile::open(rank, &pfs, &format!("f{succinct}"), hints).unwrap();
                 let bt = Datatype::bytes(region);
                 let stride = (region + spacing) * 4;
                 let ft = if succinct {

@@ -100,8 +100,7 @@ impl FileRealm {
             return None;
         }
         let ft = self.view.ftype();
-        let segs =
-            ft.segs.iter().map(|s| (self.view.disp() + s.off as u64, s.len)).collect();
+        let segs = ft.segs.iter().map(|s| (self.view.disp() + s.off as u64, s.len)).collect();
         Some((segs, ft.extent))
     }
 
@@ -183,7 +182,11 @@ pub trait RealmAssigner: Send + Sync {
 
 /// The rule of the [`RealmAssigner`] contract that `realms` for `n_agg`
 /// aggregators break over the aggregate access region `[lo, hi)`, if any.
-pub(crate) fn broken_rule(realms: &[FileRealm], n_agg: usize, (lo, hi): (u64, u64)) -> Option<&'static str> {
+pub(crate) fn broken_rule(
+    realms: &[FileRealm],
+    n_agg: usize,
+    (lo, hi): (u64, u64),
+) -> Option<&'static str> {
     let mut spans: Vec<_> = realms.iter().filter_map(|r| r.bound.filter(|(a, b)| a < b)).collect();
     spans.sort_unstable();
     if realms.len() != n_agg {
@@ -219,7 +222,8 @@ fn tiles_break_their_period(realms: &[FileRealm]) -> bool {
     if count > MAX_PERIOD_SEGMENTS {
         return false;
     }
-    let start = tiles.iter().flat_map(|(segs, _)| segs.iter().map(|&(o, l)| o + l)).max().unwrap_or(0);
+    let start =
+        tiles.iter().flat_map(|(segs, _)| segs.iter().map(|&(o, l)| o + l)).max().unwrap_or(0);
     let Some(end) = start.checked_add(period) else {
         return false;
     };
@@ -293,9 +297,7 @@ impl RealmAssigner for EvenAar {
         }
         // Guarantee full coverage of the AAR.
         *bounds.last_mut().unwrap() = (*bounds.last().unwrap()).max(hi);
-        (0..ctx.n_aggregators)
-            .map(|i| FileRealm::contiguous(bounds[i], bounds[i + 1]))
-            .collect()
+        (0..ctx.n_aggregators).map(|i| FileRealm::contiguous(bounds[i], bounds[i + 1])).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -379,9 +381,7 @@ impl RealmAssigner for BalancedLoad {
             bounds.push(b);
         }
         bounds.push(hi.max(*bounds.last().unwrap()));
-        (0..ctx.n_aggregators)
-            .map(|i| FileRealm::contiguous(bounds[i], bounds[i + 1]))
-            .collect()
+        (0..ctx.n_aggregators).map(|i| FileRealm::contiguous(bounds[i], bounds[i + 1])).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -606,17 +606,13 @@ mod tests {
             data_len: 100,
         };
         let clients = vec![client];
-        let ctx = AssignCtx {
-            aar: (0, 1000),
-            n_aggregators: 2,
-            alignment: None,
-            clients: &clients,
-        };
+        let ctx =
+            AssignCtx { aar: (0, 1000), n_aggregators: 2, alignment: None, clients: &clients };
         let even = EvenAar.assign(&ctx);
         let bal = BalancedLoad.assign(&ctx);
         // Even split: realm 1 gets nothing useful.
         assert_eq!(even[1].owned_between(500, 1000), 500); // span, but
-        // Balanced: the boundary lands inside the cluster (~byte 50).
+                                                           // Balanced: the boundary lands inside the cluster (~byte 50).
         let b1_start = {
             let d = bal[1].data_lower(0);
             bal[1].segments(d, d + 1)[0].0

@@ -133,9 +133,7 @@ impl HpioSpec {
         let region = Datatype::bytes(self.region_size);
         let ftype = match style {
             TypeStyle::Succinct => Datatype::resized(0, stride, region),
-            TypeStyle::Enumerated => {
-                Datatype::hvector(self.region_count, 1, stride as i64, region)
-            }
+            TypeStyle::Enumerated => Datatype::hvector(self.region_count, 1, stride as i64, region),
         };
         (disp, ftype)
     }
@@ -537,7 +535,8 @@ mod tests {
 
     #[test]
     fn timestep_fast_oracles_equal_the_per_byte_definition() {
-        let base = TimeStepSpec { elem_size: 8, elems_per_point: 7, points: 3, steps: 2, nprocs: 3 };
+        let base =
+            TimeStepSpec { elem_size: 8, elems_per_point: 7, points: 3, steps: 2, nprocs: 3 };
         for s in [
             base,
             TimeStepSpec { elem_size: 1, ..base },
@@ -588,13 +587,7 @@ mod tests {
 
     #[test]
     fn timestep_offsets_disjoint_and_in_slice() {
-        let t = TimeStepSpec {
-            elem_size: 4,
-            elems_per_point: 10,
-            points: 3,
-            steps: 2,
-            nprocs: 4,
-        };
+        let t = TimeStepSpec { elem_size: 4, elems_per_point: 10, points: 3, steps: 2, nprocs: 4 };
         let mut seen = std::collections::HashSet::new();
         for rank in 0..4 {
             for step in 0..2 {
@@ -616,13 +609,7 @@ mod tests {
     fn timestep_view_matches_offsets() {
         use flexio_types::FileView;
         use std::sync::Arc;
-        let t = TimeStepSpec {
-            elem_size: 4,
-            elems_per_point: 10,
-            points: 3,
-            steps: 2,
-            nprocs: 4,
-        };
+        let t = TimeStepSpec { elem_size: 4, elems_per_point: 10, points: 3, steps: 2, nprocs: 4 };
         for rank in 0..4 {
             for step in 0..2 {
                 let (disp, ft) = t.file_view(rank, step);
@@ -640,13 +627,7 @@ mod tests {
 
     #[test]
     fn more_procs_than_elements() {
-        let t = TimeStepSpec {
-            elem_size: 4,
-            elems_per_point: 3,
-            points: 2,
-            steps: 1,
-            nprocs: 5,
-        };
+        let t = TimeStepSpec { elem_size: 4, elems_per_point: 3, points: 2, steps: 1, nprocs: 5 };
         assert_eq!(t.elems_of(3), 0);
         assert_eq!(t.elems_of(4), 0);
         assert_eq!(t.bytes_per_rank_step(4), 0);

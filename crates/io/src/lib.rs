@@ -398,10 +398,7 @@ mod tests {
         let h = pfs_b.open("f", 0);
         write_one(&h, 0, &segs, &data, &IoMethod::DataSieve { buffer: 1 << 20 }, 0).unwrap();
         let sieve_reqs = pfs_b.stats().ost_requests;
-        assert!(
-            naive_reqs > sieve_reqs,
-            "naive {naive_reqs} should exceed sieve {sieve_reqs}"
-        );
+        assert!(naive_reqs > sieve_reqs, "naive {naive_reqs} should exceed sieve {sieve_reqs}");
     }
 
     #[test]
@@ -497,11 +494,7 @@ mod tests {
 
     #[test]
     fn completion_reports_its_window_and_wait_clamps() {
-        for method in [
-            IoMethod::Naive,
-            IoMethod::DataSieve { buffer: 48 },
-            IoMethod::default(),
-        ] {
+        for method in [IoMethod::Naive, IoMethod::DataSieve { buffer: 48 }, IoMethod::default()] {
             let pfs = timed_pfs();
             let h = pfs.open("f", 0);
             let segs = strided_segs(11, 9, 6, 31);
@@ -540,11 +533,7 @@ mod tests {
 
     #[test]
     fn gathered_write_matches_packed_in_time_and_bytes() {
-        for method in [
-            IoMethod::Naive,
-            IoMethod::DataSieve { buffer: 48 },
-            IoMethod::default(),
-        ] {
+        for method in [IoMethod::Naive, IoMethod::DataSieve { buffer: 48 }, IoMethod::default()] {
             let pfs_a = timed_pfs();
             let pfs_b = timed_pfs();
             let ha = pfs_a.open("f", 0);
@@ -575,11 +564,7 @@ mod tests {
 
     #[test]
     fn scattered_read_matches_packed_in_time_and_bytes() {
-        for method in [
-            IoMethod::Naive,
-            IoMethod::DataSieve { buffer: 48 },
-            IoMethod::default(),
-        ] {
+        for method in [IoMethod::Naive, IoMethod::DataSieve { buffer: 48 }, IoMethod::default()] {
             // Twin filesystems: a read books OST time and warms
             // the client cache, so running both reads against one PFS
             // would make the second strictly cheaper.
@@ -594,8 +579,7 @@ mod tests {
             assert_eq!(ta, tb);
             let t = ta;
             let mut packed_out = vec![0u8; data.len()];
-            let packed =
-                read_scattered_nb(&ha, t, &segs, &mut [&mut packed_out], &method, 100);
+            let packed = read_scattered_nb(&ha, t, &segs, &mut [&mut packed_out], &method, 100);
             // Scatter into unevenly sized destination runs (incl. empties).
             let mut bufs: Vec<Vec<u8>> = Vec::new();
             let mut remaining = data.len();
@@ -656,8 +640,7 @@ mod tests {
         let pfs = pfs();
         let h = pfs.open("f", 0);
         let mut out = [0u8; 12];
-        let _ =
-            read_scattered_nb(&h, 0, &[(0, 4), (100, 4)], &mut [&mut out], &IoMethod::Naive, 0);
+        let _ = read_scattered_nb(&h, 0, &[(0, 4), (100, 4)], &mut [&mut out], &IoMethod::Naive, 0);
     }
 
     #[test]

@@ -56,9 +56,7 @@ impl ClientCache {
     /// Insert a clean page fetched from the server.
     pub fn fill(&mut self, page_idx: u64, data: Vec<u8>) {
         debug_assert_eq!(data.len() as u64, self.page_size);
-        self.pages
-            .entry(page_idx)
-            .or_insert(Page { data: data.into_boxed_slice(), dirty: false });
+        self.pages.entry(page_idx).or_insert(Page { data: data.into_boxed_slice(), dirty: false });
     }
 
     /// Page indices in `[off, off+len)` that are *not* cached (and would
@@ -112,14 +110,21 @@ impl ClientCache {
             });
             page.dirty = true;
             while let Some((at, bytes)) = pending {
-                debug_assert!(at >= p_start && at + bytes.len() as u64 <= end, "piece outside range");
+                debug_assert!(
+                    at >= p_start && at + bytes.len() as u64 <= end,
+                    "piece outside range"
+                );
                 if at >= p_end {
                     break;
                 }
                 let n = ((p_end - at) as usize).min(bytes.len());
                 let in_page = (at - p_start) as usize;
                 page.data[in_page..in_page + n].copy_from_slice(&bytes[..n]);
-                pending = if n < bytes.len() { Some((at + n as u64, &bytes[n..])) } else { pieces.next() };
+                pending = if n < bytes.len() {
+                    Some((at + n as u64, &bytes[n..]))
+                } else {
+                    pieces.next()
+                };
             }
         }
         debug_assert!(pending.is_none(), "piece past the end of the range");

@@ -43,7 +43,12 @@ impl Calendar {
     /// before that gap (`None` before every booking). Returns the start
     /// and the duration. The search begins at a binary search over the
     /// booking ends, so a saturated OST costs `O(log n)` a request.
-    pub fn book(&mut self, arrival: u64, tail: Tail, mut dur: impl FnMut(Option<Tail>) -> u64) -> (u64, u64) {
+    pub fn book(
+        &mut self,
+        arrival: u64,
+        tail: Tail,
+        mut dur: impl FnMut(Option<Tail>) -> u64,
+    ) -> (u64, u64) {
         let b = &mut self.booked;
         // The first booking that ends after `arrival`; if it is already
         // busy then, the first gap to try is after it.

@@ -120,10 +120,7 @@ impl PfsConfig {
             self.stripe_size.is_multiple_of(self.page_size),
             "stripe size must be a multiple of the page size"
         );
-        assert!(
-            !self.client_cache || self.locking,
-            "client cache requires locking for coherence"
-        );
+        assert!(!self.client_cache || self.locking, "client cache requires locking for coherence");
     }
 
     /// Round `off` down to a page boundary.

@@ -160,10 +160,7 @@ pub(crate) fn test_draw(seed: u64, i: u64, range: u64) -> u64 {
 impl FaultInjector {
     /// Build an injector for `n_osts` OSTs.
     pub fn new(plan: FaultPlan, n_osts: usize) -> FaultInjector {
-        assert!(
-            (0.0..=1.0).contains(&plan.transient_rate),
-            "transient_rate must be in [0, 1]"
-        );
+        assert!((0.0..=1.0).contains(&plan.transient_rate), "transient_rate must be in [0, 1]");
         assert!((0.0..=1.0).contains(&plan.torn_rate), "torn_rate must be in [0, 1]");
         for s in &plan.stragglers {
             assert!(s.ost < n_osts, "straggler OST {} out of range", s.ost);
@@ -309,8 +306,7 @@ mod tests {
 
     #[test]
     fn lock_stall_passthrough() {
-        let inj =
-            FaultInjector::new(FaultPlan { lock_stall_ns: 77, ..FaultPlan::default() }, 1);
+        let inj = FaultInjector::new(FaultPlan { lock_stall_ns: 77, ..FaultPlan::default() }, 1);
         assert_eq!(inj.lock_stall(), 77);
     }
 
@@ -339,12 +335,8 @@ mod tests {
     /// the sum of penalties: two 3× windows are a 3× device, not 5×.
     #[test]
     fn overlapping_straggler_windows_take_max_not_sum() {
-        let win = |multiplier, from_ns, until_ns| StragglerSpec {
-            ost: 0,
-            multiplier,
-            from_ns,
-            until_ns,
-        };
+        let win =
+            |multiplier, from_ns, until_ns| StragglerSpec { ost: 0, multiplier, from_ns, until_ns };
         let inj = FaultInjector::new(
             FaultPlan {
                 stragglers: vec![win(3.0, 0, 1000), win(3.0, 500, 2000), win(2.0, 0, 2000)],
@@ -370,10 +362,8 @@ mod tests {
 
     #[test]
     fn torn_full_rate_always_fires_with_valid_fraction() {
-        let inj = FaultInjector::new(
-            FaultPlan { seed: 11, torn_rate: 1.0, ..FaultPlan::default() },
-            2,
-        );
+        let inj =
+            FaultInjector::new(FaultPlan { seed: 11, torn_rate: 1.0, ..FaultPlan::default() }, 2);
         for _ in 0..200 {
             let frac = inj.roll_torn(1).expect("rate 1.0 must always tear");
             assert!((0.0..1.0).contains(&frac), "prefix fraction {frac} out of range");
@@ -383,10 +373,8 @@ mod tests {
     #[test]
     fn torn_rate_roughly_respected_and_deterministic() {
         let draws = |seed| {
-            let inj = FaultInjector::new(
-                FaultPlan { seed, torn_rate: 0.25, ..FaultPlan::default() },
-                1,
-            );
+            let inj =
+                FaultInjector::new(FaultPlan { seed, torn_rate: 0.25, ..FaultPlan::default() }, 1);
             (0..4000).filter_map(|_| inj.roll_torn(0)).collect::<Vec<f64>>()
         };
         let d = draws(42);
@@ -417,9 +405,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "torn_rate")]
     fn bad_torn_rate_rejected() {
-        FaultInjector::new(
-            FaultPlan { torn_rate: -0.1, ..FaultPlan::default() },
-            1,
-        );
+        FaultInjector::new(FaultPlan { torn_rate: -0.1, ..FaultPlan::default() }, 1);
     }
 }

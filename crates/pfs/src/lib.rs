@@ -45,4 +45,6 @@ pub use extent::ExtentSet;
 pub use fault::{FaultInjector, FaultPlan, PfsError, PfsErrorKind, StragglerSpec};
 pub use fs::{FileHandle, FileObj, IoCompletion, Pfs, RunCursor, RunCursorMut, StatsSnapshot};
 pub use lock::{Acquire, LockKind, LockTable};
-pub use log::{inversions, log_ost_service, service, take_ost_logs, OstKind, OstLog, OstRecord, OstService};
+pub use log::{
+    inversions, log_ost_service, service, take_ost_logs, OstKind, OstLog, OstRecord, OstService,
+};

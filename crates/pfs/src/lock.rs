@@ -93,12 +93,8 @@ impl LockTable {
             if self.expand {
                 // Lustre-style whole-lock cancellation: a conflicting lock
                 // is cancelled in its entirety, not trimmed.
-                let overlapping: Vec<(u64, u64)> = set
-                    .ranges()
-                    .iter()
-                    .copied()
-                    .filter(|&(s, e)| s < end && e > start)
-                    .collect();
+                let overlapping: Vec<(u64, u64)> =
+                    set.ranges().iter().copied().filter(|&(s, e)| s < end && e > start).collect();
                 for (s, e) in overlapping {
                     set.remove(s, e);
                     revoked.push((other, s, e));
@@ -329,8 +325,14 @@ mod tests {
         // out): whatever order they arrive in, the table is the requests,
         // one grant each, nobody cancelled. (Ordinary requests on an
         // expanding table fail this: the first arrival owns `[0, ∞)`.)
-        let want: Vec<(usize, u64, u64)> =
-            vec![(0, 0, 64), (1, 64, 128), (2, 192, 256), (3, 256, 320), (4, 1024, 1088), (5, 128, 192)];
+        let want: Vec<(usize, u64, u64)> = vec![
+            (0, 0, 64),
+            (1, 64, 128),
+            (2, 192, 256),
+            (3, 256, 320),
+            (4, 1024, 1088),
+            (5, 128, 192),
+        ];
         for expand in [true, false] {
             let mut reference = None;
             for seed in 0..64u64 {
@@ -341,7 +343,11 @@ mod tests {
                 let mut t = LockTable::new(expand);
                 for &(c, s, e) in &order {
                     let a = t.request(c, s, e, LockKind::Ahead);
-                    assert_eq!(a, Acquire { already_held: false, revoked: Vec::new() }, "{order:?}");
+                    assert_eq!(
+                        a,
+                        Acquire { already_held: false, revoked: Vec::new() },
+                        "{order:?}"
+                    );
                 }
                 assert_eq!((t.grants(), t.revocations()), (6, 0), "{order:?}");
                 let got = layout(&t);
@@ -359,7 +365,11 @@ mod tests {
         let mut t = LockTable::default();
         t.acquire(0, 0, 100); // ordinary, uncontended: [0, MAX)
         let a = t.request(1, 1000, 1100, LockKind::Ahead);
-        assert_eq!(a.revoked, vec![(0, 0, u64::MAX)], "whole-lock cancellation, as for any conflict");
+        assert_eq!(
+            a.revoked,
+            vec![(0, 0, u64::MAX)],
+            "whole-lock cancellation, as for any conflict"
+        );
         assert_eq!(t.revocations(), 1);
         // The peer's ordinary regrant grows only into the free gaps, never
         // over the ahead extent — below it ...
@@ -370,7 +380,10 @@ mod tests {
         let a = t.acquire(0, 2000, 2100);
         assert!(a.revoked.is_empty());
         assert!(t.holds(0, 1100, 1 << 60) && !t.holds(0, 1099, 1101));
-        assert_eq!(layout(&t), vec![(0, vec![(0, 1000), (1100, u64::MAX)]), (1, vec![(1000, 1100)])]);
+        assert_eq!(
+            layout(&t),
+            vec![(0, vec![(0, 1000), (1100, u64::MAX)]), (1, vec![(1000, 1100)])]
+        );
         // From here on neither client's traffic inside its own extents
         // costs anything.
         assert!(t.request(1, 1000, 1100, LockKind::Ahead).already_held);
@@ -405,8 +418,11 @@ mod tests {
                 let client = draw(seed, 4 * i, 4) as usize;
                 let start = draw(seed, 4 * i + 1, 64) * 16;
                 let end = start + (1 + draw(seed, 4 * i + 2, 8)) * 16;
-                let kind =
-                    if draw(seed, 4 * i + 3, 2) == 0 { LockKind::Ahead } else { LockKind::Ordinary };
+                let kind = if draw(seed, 4 * i + 3, 2) == 0 {
+                    LockKind::Ahead
+                } else {
+                    LockKind::Ordinary
+                };
                 let got = mixed.request(client, start, end, kind);
                 let want = plain.acquire(client, start, end);
                 assert_eq!(got, want, "seed {seed} request {i}");

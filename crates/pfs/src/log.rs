@@ -169,7 +169,11 @@ pub fn service(log: &[OstRecord]) -> Vec<OstService> {
             worlds.push(r.world);
             worlds.len() - 1
         });
-        let s = by.entry((world, r.ost)).or_insert(OstService { world, ost: r.ost, ..OstService::default() });
+        let s = by.entry((world, r.ost)).or_insert(OstService {
+            world,
+            ost: r.ost,
+            ..OstService::default()
+        });
         let busy = r.done - r.start;
         s.requests += 1;
         s.bytes += r.bytes;

@@ -213,7 +213,10 @@ impl StackArena {
     pub fn new(count: usize, stack_bytes: usize) -> StackArena {
         let stack_bytes = stack_bytes.max(4096).next_multiple_of(16);
         let stride = stack_bytes + COLOUR_BYTES;
-        assert!(stride <= BLOCK_BYTES, "FLEXIO_SIM_STACK_KB: a {stack_bytes}-byte fiber stack does not fit a block");
+        assert!(
+            stride <= BLOCK_BYTES,
+            "FLEXIO_SIM_STACK_KB: a {stack_bytes}-byte fiber stack does not fit a block"
+        );
         let per_block = BLOCK_BYTES / stride;
         let want = count.div_ceil(per_block);
         // The blocks the last world gave back last, in its order: the same

@@ -34,9 +34,9 @@ mod sched;
 pub mod world;
 
 pub use cost::CostModel;
+pub use fiber::stack_blocks_mapped;
 pub use prng::XorShift64Star;
 pub use rank::{GatherTable, OverlapWindow, Phase, Rank, Stats};
-pub use fiber::stack_blocks_mapped;
 pub use world::{last_run_counters, run, run_crashable, run_on, Backend, SchedCounters, World};
 
 #[cfg(test)]
@@ -53,8 +53,10 @@ mod properties {
                 (0..p).map(|_| (rng.next_u64() % 200) as usize).collect::<Vec<_>>()
             },
             |sizes| {
-                let block = |src: usize| (0..sizes[src]).map(|i| (src * 31 + i) as u8).collect::<Vec<u8>>();
-                let out = run(sizes.len(), CostModel::default(), |r| r.allgatherv(&block(r.rank())));
+                let block =
+                    |src: usize| (0..sizes[src]).map(|i| (src * 31 + i) as u8).collect::<Vec<u8>>();
+                let out =
+                    run(sizes.len(), CostModel::default(), |r| r.allgatherv(&block(r.rank())));
                 for v in out {
                     for (src, blk) in v.iter().enumerate() {
                         assert_eq!(blk, &block(src));
@@ -102,7 +104,9 @@ mod properties {
     /// dst)` that every member computes alike.
     fn drawn_collective(comm: &Rank, op: u64, seed: u64) -> Vec<Vec<u8>> {
         let (me, p) = (comm.rank(), comm.nprocs());
-        let draw = |src: usize, dst: usize| XorShift64Star::new(seed ^ (src * 1031 + dst) as u64).next_u64();
+        let draw = |src: usize, dst: usize| {
+            XorShift64Star::new(seed ^ (src * 1031 + dst) as u64).next_u64()
+        };
         let block = |src: usize, dst: usize| {
             let d = draw(src, dst);
             vec![d as u8; (d >> 8) as usize % 24]
@@ -119,7 +123,11 @@ mod properties {
             _ => {
                 let sends = (0..p).filter(|&d| listed(me, d)).map(|d| (d, block(me, d))).collect();
                 let recv_from: Vec<usize> = (0..p).filter(|&s| listed(s, me)).collect();
-                let got = if op == 3 { comm.alltoallw(sends, &recv_from) } else { comm.exchange(sends, &recv_from) };
+                let got = if op == 3 {
+                    comm.alltoallw(sends, &recv_from)
+                } else {
+                    comm.exchange(sends, &recv_from)
+                };
                 got.into_iter().map(|(_, b)| b).collect()
             }
         }
@@ -138,8 +146,13 @@ mod properties {
                 let p = 1 + rng.next_below(24) as usize;
                 let groups = 1 + rng.next_below(3);
                 let group: Vec<u64> = (0..p).map(|_| rng.next_below(groups)).collect();
-                let mut ops = || (0..1 + rng.next_below(6)).map(|_| (rng.next_below(5), rng.next_u64())).collect();
-                let (world_ops, group_ops): (Vec<_>, Vec<Vec<_>>) = (ops(), (0..groups).map(|_| ops()).collect());
+                let mut ops = || {
+                    (0..1 + rng.next_below(6))
+                        .map(|_| (rng.next_below(5), rng.next_u64()))
+                        .collect()
+                };
+                let (world_ops, group_ops): (Vec<_>, Vec<Vec<_>>) =
+                    (ops(), (0..groups).map(|_| ops()).collect());
                 let skew: Vec<u64> = (0..p).map(|_| rng.next_below(4) * 40_000).collect();
                 let t0 = 1 + rng.next_below(1 << 40);
                 (group, world_ops, group_ops, skew, t0)
@@ -149,7 +162,8 @@ mod properties {
                     let out = run(group.len(), CostModel::default(), |r| {
                         r.advance(start + skew[r.rank()]);
                         let mine = group[r.rank()];
-                        let members: Vec<usize> = (0..group.len()).filter(|&m| group[m] == mine).collect();
+                        let members: Vec<usize> =
+                            (0..group.len()).filter(|&m| group[m] == mine).collect();
                         let comm = r.subgroup(&members);
                         let got: Vec<Vec<u8>> = (world_ops.iter().map(|op| (r, op)))
                             .chain(group_ops[mine as usize].iter().map(|op| (&comm, op)))

@@ -69,9 +69,9 @@ fn parse_regression_line(line: &str) -> Option<(u64, u32)> {
     let seed = u64::from_str_radix(tok.trim_start_matches("0x"), 16)
         .unwrap_or_else(|_| panic!("bad regression seed {tok:?}"));
     let level = match toks.next().and_then(|t| t.strip_prefix('s')) {
-        Some(lvl) => lvl
-            .parse()
-            .unwrap_or_else(|_| panic!("bad regression shrink level in line {line:?}")),
+        Some(lvl) => {
+            lvl.parse().unwrap_or_else(|_| panic!("bad regression shrink level in line {line:?}"))
+        }
         None => 0,
     };
     Some((seed, level))

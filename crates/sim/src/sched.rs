@@ -352,7 +352,9 @@ where
                     // Reset its record so no scheduler structure —
                     // deadlock reports included — ever lists it again.
                     // Its result slot stays `None`.
-                    Err(p) if p.is::<crate::world::CrashStop>() => segment(&reap_world).reap_rank(r),
+                    Err(p) if p.is::<crate::world::CrashStop>() => {
+                        segment(&reap_world).reap_rank(r)
+                    }
                     Err(p) => unsafe {
                         let el = &mut *el_ptr;
                         if !p.is::<ForcedUnwind>() && el.panic_payload.is_none() {
@@ -392,7 +394,8 @@ where
     // Every rank has finished: a collective message still in a mailbox is
     // a block its receiver does not list, in every profile (a world torn
     // down by a panic or a deadlock leaves messages behind by the way).
-    let untaken = if outcome.is_ok() && el.panic_payload.is_none() { seg.untaken_collective() } else { None };
+    let untaken =
+        if outcome.is_ok() && el.panic_payload.is_none() { seg.untaken_collective() } else { None };
     ACTIVE.with(|a| a.set(prev_active));
     if let Err(diag) = outcome {
         panic!("flexio-sim event loop deadlock: {diag}");
@@ -469,7 +472,11 @@ unsafe fn drive_solo(seg: Segment<'_>) -> Result<(), String> {
         // SAFETY: rank `r` is live and the popped key is its to run.
         let canary_ok = unsafe { run_segment(seg.el, r) };
         let el = seg.sched();
-        assert!(canary_ok, "rank {r} overflowed its {}-byte fiber stack (raise FLEXIO_SIM_STACK_KB)", el.stack_bytes);
+        assert!(
+            canary_ok,
+            "rank {r} overflowed its {}-byte fiber stack (raise FLEXIO_SIM_STACK_KB)",
+            el.stack_bytes
+        );
         if el.panic_payload.is_some() && !el.unwinding {
             // SAFETY: all fibers are parked; `el` outlives them.
             unsafe { force_unwind(seg.el) };
@@ -555,7 +562,10 @@ mod tests {
             let err = std::panic::catch_unwind(|| stack_bytes(Some(typo)))
                 .expect_err("a mistyped stack size must not fall back to the default");
             let msg = err.downcast_ref::<String>().expect("panic carries a String");
-            assert!(msg.contains("FLEXIO_SIM_STACK_KB") && msg.contains(&format!("{typo:?}")), "{msg}");
+            assert!(
+                msg.contains("FLEXIO_SIM_STACK_KB") && msg.contains(&format!("{typo:?}")),
+                "{msg}"
+            );
         }
     }
 
@@ -679,7 +689,11 @@ mod tests {
             })
         });
         let err = got.expect_err("rank panic must propagate");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"teardown in a round"), "the original payload");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"teardown in a round"),
+            "the original payload"
+        );
         assert_eq!(DROPS.load(Ordering::SeqCst), 101, "parked fibers must unwind too");
     }
 
@@ -708,9 +722,13 @@ mod tests {
     fn a_second_world_reuses_the_first_worlds_stack_blocks() {
         // A thread of its own, so no earlier world left blocks behind.
         std::thread::spawn(|| {
-            let world = |p: usize| move || run(p, CostModel::free(), |_| my_worlds_blocks()).swap_remove(0);
+            let world =
+                |p: usize| move || run(p, CostModel::free(), |_| my_worlds_blocks()).swap_remove(0);
             let (first, a) = blocks_mapped_by(world(512));
-            assert!(first > 1 && first == a.len() as u64, "512 stacks take several blocks, got {first}");
+            assert!(
+                first > 1 && first == a.len() as u64,
+                "512 stacks take several blocks, got {first}"
+            );
             let (second, b) = blocks_mapped_by(world(512));
             assert_eq!(second, 0, "the second world maps no block");
             assert_eq!(a, b, "and takes the first world's blocks, in order");
@@ -737,7 +755,10 @@ mod tests {
             assert_eq!(mapped, 0, "kept blocks serve both");
             for (outer, inner) in out {
                 for b in &inner {
-                    assert!(outer.iter().all(|o| o.end <= b.start || b.end <= o.start), "{b:?} in {outer:?}");
+                    assert!(
+                        outer.iter().all(|o| o.end <= b.start || b.end <= o.start),
+                        "{b:?} in {outer:?}"
+                    );
                 }
             }
         })

@@ -189,7 +189,15 @@ pub(crate) struct Peer {
 impl Default for Peer {
     fn default() -> Peer {
         let mailbox = QueueMap::default();
-        Peer { park_tag: 0, park_clock: 0, park_src: NOT_PARKED, gen: 0, handed: None, mailbox, dead: false }
+        Peer {
+            park_tag: 0,
+            park_clock: 0,
+            park_src: NOT_PARKED,
+            gen: 0,
+            handed: None,
+            mailbox,
+            dead: false,
+        }
     }
 }
 
@@ -380,7 +388,9 @@ impl<'w> Segment<'w> {
     /// holds one of that type.
     pub(crate) fn shared_live(self, of: Option<TypeId>) -> usize {
         let cells = self.shared_cells().iter();
-        cells.filter(|((ty, _), c)| of.is_none_or(|of| of == *ty) && c.value.strong_count() > 0).count()
+        cells
+            .filter(|((ty, _), c)| of.is_none_or(|of| of == *ty) && c.value.strong_count() > 0)
+            .count()
     }
 
     /// Whether `rank` has crash-stopped.
@@ -426,7 +436,14 @@ impl<'w> Segment<'w> {
     /// returns `None` when no matching message has been delivered by
     /// then; the deterministic timer is a scheduler feature, and crash
     /// detection is what needs it. Without one it returns `Some`.
-    pub(crate) fn take(self, dst: usize, src: usize, tag: u64, now: u64, deadline: Option<u64>) -> Option<Msg> {
+    pub(crate) fn take(
+        self,
+        dst: usize,
+        src: usize,
+        tag: u64,
+        now: u64,
+        deadline: Option<u64>,
+    ) -> Option<Msg> {
         self.pop_queued(dst, src, tag).or_else(|| self.park_for_recv(dst, src, tag, now, deadline))
     }
 
@@ -438,7 +455,8 @@ impl<'w> Segment<'w> {
     /// deliveries to them dropped.)
     pub(crate) fn untaken_collective(self) -> Option<(usize, usize, u64)> {
         (0..self.world().nprocs).find_map(|rank| {
-            let keys = self.peer(rank).mailbox.keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
+            let keys =
+                self.peer(rank).mailbox.keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
             keys.min().map(|&(src, tag)| (rank, src, tag))
         })
     }

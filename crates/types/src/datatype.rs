@@ -133,15 +133,11 @@ impl Datatype {
             Datatype::Bytes(n) => *n,
             Datatype::Contiguous { count, child } => count * child.size(),
             Datatype::Vector { count, blocklen, child, .. }
-            | Datatype::Hvector { count, blocklen, child, .. } => {
-                count * blocklen * child.size()
-            }
+            | Datatype::Hvector { count, blocklen, child, .. } => count * blocklen * child.size(),
             Datatype::Indexed { blocks, child } | Datatype::Hindexed { blocks, child } => {
                 blocks.iter().map(|(_, bl)| bl).sum::<u64>() * child.size()
             }
-            Datatype::Struct { fields } => {
-                fields.iter().map(|(_, c, ch)| c * ch.size()).sum()
-            }
+            Datatype::Struct { fields } => fields.iter().map(|(_, c, ch)| c * ch.size()).sum(),
             Datatype::Resized { child, .. } => child.size(),
         }
     }
@@ -161,17 +157,11 @@ impl Datatype {
             }
             Datatype::Vector { count, blocklen, stride, child } => {
                 let ext = child.extent() as i64;
-                block_bounds(
-                    (0..*count).map(|k| k as i64 * stride * ext),
-                    *blocklen,
-                    child,
-                )
+                block_bounds((0..*count).map(|k| k as i64 * stride * ext), *blocklen, child)
             }
-            Datatype::Hvector { count, blocklen, stride, child } => block_bounds(
-                (0..*count).map(|k| k as i64 * stride),
-                *blocklen,
-                child,
-            ),
+            Datatype::Hvector { count, blocklen, stride, child } => {
+                block_bounds((0..*count).map(|k| k as i64 * stride), *blocklen, child)
+            }
             Datatype::Indexed { blocks, child } => {
                 let ext = child.extent() as i64;
                 blocks
@@ -222,11 +212,7 @@ fn single_block_bounds(displ: i64, blocklen: u64, child: &Dt) -> (i64, i64) {
     (displ + lb, displ + (blocklen as i64 - 1) * ext + ub)
 }
 
-fn block_bounds(
-    displs: impl Iterator<Item = i64>,
-    blocklen: u64,
-    child: &Dt,
-) -> (i64, i64) {
+fn block_bounds(displs: impl Iterator<Item = i64>, blocklen: u64, child: &Dt) -> (i64, i64) {
     if blocklen == 0 {
         return (0, 0);
     }

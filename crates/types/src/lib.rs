@@ -25,5 +25,6 @@ pub use datatype::{Datatype, Dt};
 pub use flatten::{flatten, flatten_shared, FlatType, FlattenCache, Seg};
 pub use subarray::{darray, subarray, Distribution};
 pub use view::{
-    pack, unpack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,
+    pack, unpack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor,
+    ViewError,
 };

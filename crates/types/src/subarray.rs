@@ -20,10 +20,7 @@ pub fn subarray(sizes: &[u64], subsizes: &[u64], starts: &[u64], elem_size: u64)
     assert_eq!(sizes.len(), subsizes.len());
     assert_eq!(sizes.len(), starts.len());
     for d in 0..sizes.len() {
-        assert!(
-            starts[d] + subsizes[d] <= sizes[d],
-            "subarray out of bounds in dimension {d}"
-        );
+        assert!(starts[d] + subsizes[d] <= sizes[d], "subarray out of bounds in dimension {d}");
         assert!(subsizes[d] > 0, "empty subarray dimension {d}");
     }
     // Innermost dimension: a contiguous run of elements.
@@ -111,12 +108,8 @@ pub fn darray(
 
     // Innermost dimension first: blocks of contiguous elements.
     let ndim_last = ndims - 1;
-    let mut dt = blocks_to_type(
-        &owned[ndim_last],
-        elem_size,
-        Datatype::bytes(elem_size),
-        elem_size,
-    );
+    let mut dt =
+        blocks_to_type(&owned[ndim_last], elem_size, Datatype::bytes(elem_size), elem_size);
     let mut row_bytes = sizes[ndim_last] * elem_size;
     for d in (0..ndim_last).rev() {
         dt = blocks_to_type(&owned[d], row_bytes, dt, row_bytes);
@@ -212,13 +205,8 @@ mod tests {
             ([1, 0], vec![(8, 2), (12, 2)]),
             ([1, 1], vec![(10, 2), (14, 2)]),
         ] {
-            let t = darray(
-                &[4, 4],
-                &[Distribution::Block, Distribution::Block],
-                &[2, 2],
-                &coords,
-                1,
-            );
+            let t =
+                darray(&[4, 4], &[Distribution::Block, Distribution::Block], &[2, 2], &coords, 1);
             assert_eq!(segs(&t), want, "coords {coords:?}");
             assert_eq!(t.extent(), 16);
         }
@@ -227,13 +215,7 @@ mod tests {
     #[test]
     fn darray_none_dimension() {
         // Rows distributed, columns whole.
-        let t = darray(
-            &[4, 4],
-            &[Distribution::Block, Distribution::None],
-            &[2, 1],
-            &[1, 0],
-            1,
-        );
+        let t = darray(&[4, 4], &[Distribution::Block, Distribution::None], &[2, 1], &[1, 0], 1);
         assert_eq!(segs(&t), vec![(8, 8)]);
     }
 

@@ -88,11 +88,7 @@ impl FileView {
 
     /// A fully contiguous byte view starting at `disp`.
     pub fn contiguous(disp: u64) -> Self {
-        FileView {
-            disp,
-            ftype: Arc::new(FlatType::contiguous_bytes(1 << 40)),
-            etype_size: 1,
-        }
+        FileView { disp, ftype: Arc::new(FlatType::contiguous_bytes(1 << 40)), etype_size: 1 }
     }
 
     /// View displacement in bytes.
@@ -162,13 +158,7 @@ impl FileView {
 
     /// Make a cursor positioned at data byte `pos`.
     pub fn cursor(&self, pos: u64) -> ViewCursor<'_> {
-        let mut c = ViewCursor {
-            view: self,
-            tile: 0,
-            seg: 0,
-            within: 0,
-            evaluated: 0,
-        };
+        let mut c = ViewCursor { view: self, tile: 0, seg: 0, within: 0, evaluated: 0 };
         c.seek_data(pos);
         c
     }

@@ -277,9 +277,8 @@ pub fn assert_writer_tiles(scn: &CrashScenario, gen: u64, writers: &[usize], ima
         for k in 0..scn.reps {
             let off = (k * scn.nprocs as u64 * scn.block + r as u64 * scn.block) as usize;
             let want = &data[(k * scn.block) as usize..((k + 1) * scn.block) as usize];
-            let got: Vec<u8> = (0..scn.block as usize)
-                .map(|i| image.get(off + i).copied().unwrap_or(0))
-                .collect();
+            let got: Vec<u8> =
+                (0..scn.block as usize).map(|i| image.get(off + i).copied().unwrap_or(0)).collect();
             assert_eq!(got, want, "rank {r} tile {k} diverged (gen {gen})");
         }
     }

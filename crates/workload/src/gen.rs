@@ -49,8 +49,11 @@ pub fn mixed_irregular_spec(rng: &mut XorShift64Star, seed: u64, nprocs: usize) 
             }
             let per_tile: u64 = assign[r].iter().map(|&(_, l)| l).sum();
             let total = per_tile * reps;
-            let filetype =
-                Datatype::resized(0, unit, Datatype::indexed(assign[r].clone(), Datatype::bytes(1)));
+            let filetype = Datatype::resized(
+                0,
+                unit,
+                Datatype::indexed(assign[r].clone(), Datatype::bytes(1)),
+            );
             let (memtype, mem_count) = if strided_mem {
                 (Datatype::resized(0, pad, Datatype::bytes(1)), total)
             } else {
@@ -136,8 +139,7 @@ pub fn generate(rng: &mut XorShift64Star) -> WorkloadSpec {
         page: [16, 32, 64][(rng.next_u64() % 3) as usize],
     };
     spec.cb = [128, 256, 512, 1024, 4096][(rng.next_u64() % 5) as usize];
-    spec.exchange =
-        if coin(rng) { ExchangeMode::Alltoallw } else { ExchangeMode::Nonblocking };
+    spec.exchange = if coin(rng) { ExchangeMode::Alltoallw } else { ExchangeMode::Nonblocking };
     spec.pfr = coin(rng);
     spec.depth = match rng.next_u64() % 6 {
         0..=3 => PipelineDepth::Fixed(1 + (rng.next_u64() % 5) as u32),
@@ -180,11 +182,9 @@ mod tests {
         let (mut full_bytes, mut tiny_bytes) = (0u64, 0u64);
         for seed in 1..40u64 {
             full_bytes += generate(&mut XorShift64Star::new(seed)).bytes_written();
-            tiny_bytes += generate(&mut XorShift64Star::with_shrink(
-                seed,
-                flexio_sim::prng::MAX_SHRINK,
-            ))
-            .bytes_written();
+            tiny_bytes +=
+                generate(&mut XorShift64Star::with_shrink(seed, flexio_sim::prng::MAX_SHRINK))
+                    .bytes_written();
         }
         assert!(
             tiny_bytes * 4 < full_bytes,

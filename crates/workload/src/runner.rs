@@ -295,7 +295,10 @@ pub fn check_invariants(ph: &PhaseResult, label: &str) {
         let buckets: u64 = st.phase_ns.iter().sum();
         assert_eq!(buckets, ph.clocks[r], "{label}: rank {r}: phase buckets must sum to the clock");
         let (copied, charged) = (st.bytes_copied, st.memcpy_bytes);
-        assert!(copied <= charged, "{label}: rank {r}: copy ledger {copied} exceeds memcpy {charged}");
+        assert!(
+            copied <= charged,
+            "{label}: rank {r}: copy ledger {copied} exceeds memcpy {charged}"
+        );
     }
     for (call, first) in ph.outcomes.first().into_iter().flatten().enumerate() {
         for (r, o) in ph.outcomes.iter().enumerate() {

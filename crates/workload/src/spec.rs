@@ -253,7 +253,13 @@ pub(crate) fn partition_plans(seed: u64, nprocs: usize, elems: u64, es: u64) -> 
 /// N-to-1 shared-file checkpoint: `nprocs` ranks interleave `block`-byte
 /// tiles (`reps` per call), overwrite the file for `epochs` epochs, then
 /// collectively read it back.
-pub fn checkpoint_spec(seed: u64, nprocs: usize, block: u64, reps: u64, epochs: u64) -> WorkloadSpec {
+pub fn checkpoint_spec(
+    seed: u64,
+    nprocs: usize,
+    block: u64,
+    reps: u64,
+    epochs: u64,
+) -> WorkloadSpec {
     let plans = tile_plans(seed, nprocs, block, reps);
     WorkloadSpec::new(
         ScenarioKind::Checkpoint,
@@ -329,7 +335,8 @@ pub fn read_scan_spec(
     reps: u64,
     scans: u64,
 ) -> WorkloadSpec {
-    let mut phases = vec![PhaseSpec::new(PhaseOp::Write, 1, tile_plans(seed, writers, block, reps))];
+    let mut phases =
+        vec![PhaseSpec::new(PhaseOp::Write, 1, tile_plans(seed, writers, block, reps))];
     let total = writers as u64 * block * reps;
     for s in 0..scans {
         let mut plans = partition_plans(0, readers, total, 1);

@@ -39,9 +39,7 @@ impl StridedSpec {
     /// Rank `r`'s deterministic payload (the historic byte formula of the
     /// equivalence suite — pinned proptest regressions depend on it).
     pub fn data(&self, rank: usize) -> Vec<u8> {
-        (0..self.bytes_per_rank())
-            .map(|i| ((rank as u64 * 89 + i * 13 + 5) % 247) as u8)
-            .collect()
+        (0..self.bytes_per_rank()).map(|i| ((rank as u64 * 89 + i * 13 + 5) % 247) as u8).collect()
     }
 }
 

@@ -68,10 +68,7 @@ fn main() {
         spec.bytes_per_step() as f64 / (1 << 20) as f64,
         times[0] as f64 / 1e6
     );
-    println!(
-        "aggregate bandwidth: {:.2} MB/s",
-        total as f64 / (times[0] as f64 / 1e9) / 1e6
-    );
+    println!("aggregate bandwidth: {:.2} MB/s", total as f64 / (times[0] as f64 / 1e9) / 1e6);
     let s = pfs.stats();
     println!(
         "lock traffic: {} grants, {} revocations (persistent aligned realms keep this flat)",

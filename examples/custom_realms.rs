@@ -14,9 +14,7 @@
 //!
 //! Run with: `cargo run --release --example custom_realms`
 
-use flexio::core::{
-    AssignCtx, BalancedLoad, EvenAar, FileRealm, Hints, MpiFile, RealmAssigner,
-};
+use flexio::core::{AssignCtx, BalancedLoad, EvenAar, FileRealm, Hints, MpiFile, RealmAssigner};
 use flexio::pfs::{Pfs, PfsConfig};
 use flexio::sim::{run, CostModel};
 use flexio::types::Datatype;

@@ -28,9 +28,8 @@ fn main() {
         file.set_view(rank.rank() as u64 * block, &blocktype, &filetype).unwrap();
 
         // Write nblocks blocks, stamped with the rank id.
-        let data: Vec<u8> = (0..block * nblocks)
-            .map(|i| (rank.rank() as u64 * 64 + i % 191) as u8)
-            .collect();
+        let data: Vec<u8> =
+            (0..block * nblocks).map(|i| (rank.rank() as u64 * 64 + i % 191) as u8).collect();
         let t0 = rank.now();
         file.write_all(&data, &Datatype::bytes(block * nblocks), 1).unwrap();
         let write_ns = rank.now() - t0;
@@ -48,11 +47,7 @@ fn main() {
 
     let total = block * nblocks * nprocs as u64;
     for (r, (w, rd)) in times.iter().enumerate() {
-        println!(
-            "rank {r}: write {:6.2} ms  read {:6.2} ms",
-            *w as f64 / 1e6,
-            *rd as f64 / 1e6
-        );
+        println!("rank {r}: write {:6.2} ms  read {:6.2} ms", *w as f64 / 1e6, *rd as f64 / 1e6);
     }
     let worst_w = times.iter().map(|t| t.0).max().unwrap();
     println!(

@@ -41,7 +41,8 @@ fn main() {
 
         // Spot-check the four quadrants.
         let h = pfs.open("matrix.bin", usize::MAX - 1);
-        for (r, c, want) in [(0, 0, 1u8), (0, cols - 1, 2), (rows - 1, 0, 3), (rows - 1, cols - 1, 4)]
+        for (r, c, want) in
+            [(0, 0, 1u8), (0, cols - 1, 2), (rows - 1, 0, 3), (rows - 1, cols - 1, 4)]
         {
             let mut b = [0u8; 1];
             h.read(0, (r * cols + c) * elem, &mut b).unwrap();

@@ -224,8 +224,12 @@ fn phase_buckets_sum_to_the_clock_after_a_flushing_close() {
             let hints = Hints { engine, cb_nodes: Some(2), ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs, "cached", hints).unwrap();
             let block = Datatype::bytes(100);
-            f.set_view(rank.rank() as u64 * 100, &Datatype::bytes(1), &Datatype::resized(0, 400, block))
-                .unwrap();
+            f.set_view(
+                rank.rank() as u64 * 100,
+                &Datatype::bytes(1),
+                &Datatype::resized(0, 400, block),
+            )
+            .unwrap();
             let data = vec![rank.rank() as u8 + 1; 1000];
             f.write_all(&data, &Datatype::bytes(1000), 1).unwrap();
             let io_before = rank.stats().phase_ns[2];

@@ -78,11 +78,7 @@ fn hpio_alltoallw_exchange() {
 
 #[test]
 fn hpio_few_aggregators_small_cb() {
-    let hints = Hints {
-        cb_nodes: Some(2),
-        cb_buffer_size: 256,
-        ..Hints::default()
-    };
+    let hints = Hints { cb_nodes: Some(2), cb_buffer_size: 256, ..Hints::default() };
     hpio_write_and_verify(small_spec(6), TypeStyle::Succinct, hints);
 }
 
@@ -94,10 +90,7 @@ fn hpio_naive_io_method() {
 
 #[test]
 fn hpio_sieve_io_method() {
-    let hints = Hints {
-        io_method: IoMethod::DataSieve { buffer: 300 },
-        ..Hints::default()
-    };
+    let hints = Hints { io_method: IoMethod::DataSieve { buffer: 300 }, ..Hints::default() };
     hpio_write_and_verify(small_spec(4), TypeStyle::Succinct, hints);
 }
 
@@ -182,13 +175,7 @@ fn collective_read_returns_written_data() {
 #[test]
 fn timestep_pattern_with_pfr_and_cache() {
     // The Fig. 7 regime: locking + client cache + PFR + aligned realms.
-    let spec = TimeStepSpec {
-        elem_size: 8,
-        elems_per_point: 10,
-        points: 16,
-        steps: 4,
-        nprocs: 4,
-    };
+    let spec = TimeStepSpec { elem_size: 8, elems_per_point: 10, points: 16, steps: 4, nprocs: 4 };
     let pfs = Pfs::new(PfsConfig {
         n_osts: 2,
         stripe_size: 512,
@@ -230,13 +217,7 @@ fn timestep_pattern_with_pfr_and_cache() {
 
 #[test]
 fn timestep_pattern_all_fig7_combos() {
-    let spec = TimeStepSpec {
-        elem_size: 8,
-        elems_per_point: 7,
-        points: 8,
-        steps: 3,
-        nprocs: 4,
-    };
+    let spec = TimeStepSpec { elem_size: 8, elems_per_point: 7, points: 8, steps: 3, nprocs: 4 };
     for (pfr, align) in [(false, false), (false, true), (true, false), (true, true)] {
         let pfs = Pfs::new(PfsConfig {
             n_osts: 2,

@@ -26,8 +26,8 @@ use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, run_crashable, CostModel, Rank};
 use flexio::types::Datatype;
 use flexio::workload::{
-    assert_writer_tiles, checkpoint_spec, read_file, run_crash_checkpoint,
-    verify_crash_checkpoint, CrashScenario, Oracle, RankPlan,
+    assert_writer_tiles, checkpoint_spec, read_file, run_crash_checkpoint, verify_crash_checkpoint,
+    CrashScenario, Oracle, RankPlan,
 };
 use std::sync::Arc;
 

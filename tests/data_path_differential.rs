@@ -378,10 +378,7 @@ fn reference_chunks(segs: &[(u64, u64)], buffer: usize) -> Vec<(u64, u64)> {
         let stop = (start + buffer).min(end);
         out.push((start, stop));
         // The next byte of data at or past `stop`.
-        start = segs
-            .iter()
-            .find(|&&(o, l)| o + l > stop)
-            .map_or(end, |&(o, _)| o.max(stop));
+        start = segs.iter().find(|&&(o, l)| o + l > stop).map_or(end, |&(o, _)| o.max(stop));
     }
     out
 }
@@ -505,14 +502,8 @@ fn io_hands_each_request_its_sub_runs() {
         let (pa, a) = build(&c.world);
         let (pb, b) = build(&c.world);
         let want = reference_write(&a, NOW, &c.segs, &packed, &c.method, c.extent);
-        let got = write_gathered_nb(
-            &b,
-            NOW,
-            &c.segs,
-            &runs_of(&packed, &c.cuts),
-            &c.method,
-            c.extent,
-        );
+        let got =
+            write_gathered_nb(&b, NOW, &c.segs, &runs_of(&packed, &c.cuts), &c.method, c.extent);
         assert_eq!(got.issued_at(), NOW);
         assert_eq!(outcome(got), want, "write_gathered_nb outcome");
         assert_eq!(observe(&pb, &b, c, want.0), observe(&pa, &a, c, want.0), "write_gathered_nb");

@@ -96,7 +96,11 @@ fn hints_do_not_change_bytes() {
                 } else {
                     ExchangeMode::Nonblocking
                 },
-                io_method: if *naive { IoMethod::Naive } else { IoMethod::DataSieve { buffer: 128 } },
+                io_method: if *naive {
+                    IoMethod::Naive
+                } else {
+                    IoMethod::DataSieve { buffer: 128 }
+                },
                 cb_buffer_size: 256,
                 ..Hints::default()
             };

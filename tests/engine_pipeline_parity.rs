@@ -133,10 +133,7 @@ fn pipelined_engines_match_their_serial_oracles() {
             for engine in [Engine::Romio, Engine::Flexible] {
                 let (img_d, out_d, peak_d) = roundtrip(p, engine, p.depth);
                 let (img_1, out_1, peak_1) = roundtrip(p, engine, PipelineDepth::Fixed(1));
-                assert_eq!(
-                    img_d, img_1,
-                    "{engine:?}: file image diverges from the depth-1 oracle"
-                );
+                assert_eq!(img_d, img_1, "{engine:?}: file image diverges from the depth-1 oracle");
                 assert_eq!(peak_1, 0, "{engine:?}: serial oracle queued nb ops");
                 // The file system's peak is the pipeline's own depth count,
                 // folded over ranks: one queued op per buffer past the first.
@@ -154,11 +151,20 @@ fn pipelined_engines_match_their_serial_oracles() {
                 for r in 0..p.nprocs {
                     let (now, d, s) = (&out_d.clocks[r], &out_d.stats[r], &out_1.stats[r]);
                     assert_eq!(out_d.outcomes[r], *lead, "{engine:?}: rank {r} outcome split");
-                    assert_eq!(out_d.outcomes[r], out_1.outcomes[r], "{engine:?}: rank {r} outcomes");
-                    assert_eq!(out_d.read_backs[r], out_1.read_backs[r], "{engine:?}: rank {r} read-back");
+                    assert_eq!(
+                        out_d.outcomes[r], out_1.outcomes[r],
+                        "{engine:?}: rank {r} outcomes"
+                    );
+                    assert_eq!(
+                        out_d.read_backs[r], out_1.read_backs[r],
+                        "{engine:?}: rank {r} read-back"
+                    );
                     if out_d.outcomes[r].iter().all(Result::is_ok) {
                         let want = step_data(r, p.steps - 1, out_d.read_backs[r].len());
-                        assert_eq!(out_d.read_backs[r], want, "{engine:?}: rank {r} read wrong bytes");
+                        assert_eq!(
+                            out_d.read_backs[r], want,
+                            "{engine:?}: rank {r} read wrong bytes"
+                        );
                     }
                     assert_eq!(d.pairs_processed, s.pairs_processed, "{engine:?}: rank {r} pairs");
                     assert_eq!(d.memcpy_bytes, s.memcpy_bytes, "{engine:?}: rank {r} copies");
@@ -168,7 +174,11 @@ fn pipelined_engines_match_their_serial_oracles() {
                         d.schedule_cache_misses, s.schedule_cache_misses,
                         "{engine:?}: rank {r} cache misses"
                     );
-                    assert_eq!(d.phase_ns.iter().sum::<u64>(), *now, "{engine:?}: rank {r} phase sum");
+                    assert_eq!(
+                        d.phase_ns.iter().sum::<u64>(),
+                        *now,
+                        "{engine:?}: rank {r} phase sum"
+                    );
                     assert_eq!(
                         out_1.stats[r].overlap_saved_ns, 0,
                         "{engine:?}: rank {r} serial oracle overlapped"

@@ -360,8 +360,7 @@ fn rebalance_converges_in_one_detection() {
     // and no later call detects a residual imbalance.
     let rebalanced: u64 = out_s.sum(|s| s.realms_rebalanced);
     assert_eq!(
-        rebalanced,
-        c.nprocs as u64,
+        rebalanced, c.nprocs as u64,
         "expected one collective rebalance event (one note per rank), got {rebalanced}"
     );
 }

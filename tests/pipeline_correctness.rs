@@ -97,10 +97,7 @@ fn pipelined_byte_identical_to_serial() {
             };
             let (img_p, out_p) = image(PIPELINED);
             let (img_s, out_s) = image(SERIAL);
-            assert_eq!(
-                img_p, img_s,
-                "file images diverge ({exchange:?}, uncached={uncached})"
-            );
+            assert_eq!(img_p, img_s, "file images diverge ({exchange:?}, uncached={uncached})");
             for r in 0..nprocs {
                 assert_eq!(
                     out_p[r].2, out_s[r].2,
@@ -184,10 +181,7 @@ fn pipelined_saves_time_single_aggregator() {
     let (t_serial, saved_serial) = elapsed(SERIAL);
     assert_eq!(saved_serial, 0);
     assert!(saved_pipe > 0, "pipelined run hid no time");
-    assert!(
-        t_pipe < t_serial,
-        "pipelined {t_pipe} ns not faster than serial {t_serial} ns"
-    );
+    assert!(t_pipe < t_serial, "pipelined {t_pipe} ns not faster than serial {t_serial} ns");
 }
 
 #[test]

@@ -261,7 +261,8 @@ fn depth_watermark_respects_the_cap() {
             ..Hints::default()
         })
     };
-    for (depth, cap) in [(PipelineDepth::Fixed(1), 1), (PipelineDepth::Fixed(2), 2), (PipelineDepth::Fixed(4), 4)]
+    for (depth, cap) in
+        [(PipelineDepth::Fixed(1), 1), (PipelineDepth::Fixed(2), 2), (PipelineDepth::Fixed(4), 4)]
     {
         let out = stats(depth);
         let deepest = out.iter().map(|(_, s)| s.pipeline_depth_used).max().unwrap();

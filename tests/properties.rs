@@ -51,9 +51,8 @@ fn arb_dt(rng: &mut XorShift64Star, depth: u32) -> Dt {
         _ => {
             // Keep displacements monotonic and non-overlapping so the
             // result is view-compatible.
-            let mut blocks: Vec<(i64, u64)> = (0..draw(rng, 1, 3))
-                .map(|_| (draw(rng, 0, 6) as i64, draw(rng, 1, 2)))
-                .collect();
+            let mut blocks: Vec<(i64, u64)> =
+                (0..draw(rng, 1, 3)).map(|_| (draw(rng, 0, 6) as i64, draw(rng, 1, 2))).collect();
             blocks.sort_unstable();
             let mut cur = 0i64;
             for (d, bl) in &mut blocks {
@@ -198,7 +197,11 @@ fn skip_filetype(rng: &mut XorShift64Star) -> Arc<FlatType> {
         .collect();
     let ub = regions.last().map_or(0, |&(off, len)| off as u64 + len);
     let extent = ub + draw(rng, 0, 3) * draw(rng, 0, 16);
-    Arc::new(flatten(&Datatype::resized(0, extent, Datatype::hindexed(regions, Datatype::bytes(1)))))
+    Arc::new(flatten(&Datatype::resized(
+        0,
+        extent,
+        Datatype::hindexed(regions, Datatype::bytes(1)),
+    )))
 }
 
 /// The linear scan `advance_to_file` is charged as, kept as its
@@ -281,7 +284,11 @@ fn advance_charges_the_linear_scan() {
                 let (pos, before) = (c.data_pos(), c.evaluated());
                 c.advance_to_file(target);
                 let got = (c.evaluated() - before, c.data_pos(), c.file_off());
-                assert_eq!(got, scanned_advance(&v, pos, target), "from data byte {pos} to file offset {target}");
+                assert_eq!(
+                    got,
+                    scanned_advance(&v, pos, target),
+                    "from data byte {pos} to file offset {target}"
+                );
             }
         },
     );
@@ -450,12 +457,18 @@ fn calendar_starts(reqs: &[(u64, u64)]) -> Vec<u64> {
             assert!(start >= a, "started at {start} before its arrival at {a}");
             for (g0, g1) in gaps {
                 let from = g0.max(a);
-                assert!(from >= start || g1.saturating_sub(from) < d, "[{from}, {g1}) held {d} ns before {start}");
+                assert!(
+                    from >= start || g1.saturating_sub(from) < d,
+                    "[{from}, {g1}) held {d} ns before {start}"
+                );
             }
             busy += d;
             let b = cal.bookings();
             assert!(b.iter().all(|x| x.start < x.end), "{b:?}");
-            assert!(b.windows(2).all(|w| w[0].end < w[1].start), "overlap or abutting bookings: {b:?}");
+            assert!(
+                b.windows(2).all(|w| w[0].end < w[1].start),
+                "overlap or abutting bookings: {b:?}"
+            );
             assert_eq!(b.iter().map(|x| x.end - x.start).sum::<u64>(), busy, "{b:?}");
             start
         })
@@ -468,7 +481,9 @@ fn calendar_starts(reqs: &[(u64, u64)]) -> Vec<u64> {
 #[test]
 fn the_calendar_never_starts_later_than_the_ratchet() {
     Runner::new("the_calendar_never_starts_later_than_the_ratchet").run(
-        |rng| (0..draw(rng, 1, 40)).map(|_| (draw(rng, 0, 600), draw(rng, 1, 60))).collect::<Vec<_>>(),
+        |rng| {
+            (0..draw(rng, 1, 40)).map(|_| (draw(rng, 0, 600), draw(rng, 1, 60))).collect::<Vec<_>>()
+        },
         |reqs| {
             let (cal, ratchet) = (calendar_starts(reqs), ratchet_starts(reqs));
             for (i, (c, r)) in cal.iter().zip(&ratchet).enumerate() {
@@ -587,10 +602,12 @@ impl RealmAssigner for Broken {
                 let n = ctx.n_aggregators as u64;
                 let block = (hi - lo).div_ceil(n);
                 let half = block / 2;
-                let tiled =
-                    |segs, at| FileRealm::tiled(Arc::new(FlatType::from_segs(segs, 0, block * n)), at);
+                let tiled = |segs, at| {
+                    FileRealm::tiled(Arc::new(FlatType::from_segs(segs, 0, block * n)), at)
+                };
                 realms = (0..n).map(|i| tiled(vec![Seg::new(0, block)], lo + i * block)).collect();
-                realms[0] = tiled(vec![Seg::new(0, half), Seg::new(block as i64, block - half)], lo);
+                realms[0] =
+                    tiled(vec![Seg::new(0, half), Seg::new(block as i64, block - half)], lo);
             }
         }
         realms
@@ -641,7 +658,8 @@ fn plugged_assigners_keep_the_contract() {
                     // period check sees the overlap.
                     if let Broken::TiledOverlapCancelsGap = broken {
                         let rule = &out.outcomes[0][0];
-                        let period = matches!(rule, Err(IoError::BadHints(m)) if m.contains("period"));
+                        let period =
+                            matches!(rule, Err(IoError::BadHints(m)) if m.contains("period"));
                         assert!(period, "read {read}: {rule:?}");
                     }
                     assert!(read_file(&pfs, "f") == before, "{broken:?}, read {read}: bytes moved");

@@ -207,13 +207,7 @@ fn fig7_shape_pfr_plus_alignment_minimizes_lock_traffic() {
     // other configuration must re-lock — unaligned PFR at its realm
     // boundaries, the per-call realms wherever the expanding grants of a
     // call's first arrivals reached.
-    let spec = TimeStepSpec {
-        elem_size: 32,
-        elems_per_point: 16,
-        points: 64,
-        steps: 8,
-        nprocs: 8,
-    };
+    let spec = TimeStepSpec { elem_size: 32, elems_per_point: 16, points: 64, steps: 8, nprocs: 8 };
     let revocations =
         |pfr, align| timestep_lock_traffic(spec, 512, 4, pfr, align, false).1.lock_revocations;
     assert_eq!(revocations(true, true), 0, "pfr + aligned realms lost a lock");

@@ -31,10 +31,7 @@ fn rank_data(rank: usize, len: usize) -> Vec<u8> {
 /// The invariants: expected file image, correct read-back, and phase
 /// buckets summing to each rank's clock.
 fn scale_roundtrip(nprocs: usize, cb: usize, blocks: u64) {
-    assert!(
-        Backend::event_loop_supported(),
-        "scale smoke requires the fiber rank runtime"
-    );
+    assert!(Backend::event_loop_supported(), "scale smoke requires the fiber rank runtime");
     let pfs = Pfs::new(PfsConfig {
         n_osts: 16,
         stripe_size: 1 << 16,

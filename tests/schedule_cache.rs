@@ -128,11 +128,7 @@ fn later_calls_charge_fewer_pairs_under_pfr() {
     // metadata exchange plus one probe pair.
     let (nprocs, blocks, steps) = (8, 24, 5);
     let pfs = test_pfs();
-    let hints = Hints {
-        persistent_file_realms: true,
-        cb_nodes: Some(4),
-        ..Hints::default()
-    };
+    let hints = Hints { persistent_file_realms: true, cb_nodes: Some(4), ..Hints::default() };
     let snaps = checkpoint_write(&pfs, "pfr", (nprocs, blocks, steps), hints, false);
     for (r, snap) in snaps.iter().enumerate() {
         let per_call = pairs_per_call(snap);
@@ -220,7 +216,8 @@ fn repeated_set_view_hits_flatten_cache() {
     let pfs = test_pfs();
     // `k` blocks of BLOCK bytes per rank per tile: D = k pairs.
     let mk = move |k: u64| {
-        let blocks = Datatype::hvector(k, 1, (nprocs as u64 * BLOCK) as i64, Datatype::bytes(BLOCK));
+        let blocks =
+            Datatype::hvector(k, 1, (nprocs as u64 * BLOCK) as i64, Datatype::bytes(BLOCK));
         Datatype::resized(0, k * nprocs as u64 * BLOCK, blocks)
     };
     let stats = run(nprocs, CostModel::default(), move |rank| {
@@ -229,7 +226,10 @@ fn repeated_set_view_hits_flatten_cache() {
             let before = rank.stats();
             f.set_view(rank.rank() as u64 * BLOCK, &Datatype::bytes(1), t).unwrap();
             let after = rank.stats();
-            (after.flatten_cache_hits > before.flatten_cache_hits, after.pairs_processed - before.pairs_processed)
+            (
+                after.flatten_cache_hits > before.flatten_cache_hits,
+                after.pairs_processed - before.pairs_processed,
+            )
         };
         let mut f = MpiFile::open(rank, &pfs, "fl", Hints::default()).unwrap();
         let first = view(&mut f, &mk(2));
@@ -289,11 +289,14 @@ fn files_striped_differently_keep_their_own_derivations() {
     let (inner, plans) = (pfs.clone(), phase.plans.clone());
     run(phase.nprocs, CostModel::default(), move |rank| {
         let plan = &plans[rank.rank()];
-        let mut files: Vec<MpiFile> =
-            inner.iter().map(|pfs| MpiFile::open(rank, pfs, "ckpt", hints.clone()).unwrap()).collect();
+        let mut files: Vec<MpiFile> = inner
+            .iter()
+            .map(|pfs| MpiFile::open(rank, pfs, "ckpt", hints.clone()).unwrap())
+            .collect();
         for f in &mut files {
             f.set_view(plan.disp, &Datatype::bytes(1), &plan.filetype).unwrap();
-            f.write_all_at(plan.offset_etypes, &plan.step_buffer(0), &plan.memtype, plan.mem_count).unwrap();
+            f.write_all_at(plan.offset_etypes, &plan.step_buffer(0), &plan.memtype, plan.mem_count)
+                .unwrap();
         }
         assert_eq!(ExchangeSchedule::derivations_live(rank), 2, "one derivation per striping");
         files.into_iter().for_each(|f| f.close().unwrap());
@@ -301,6 +304,10 @@ fn files_striped_differently_keep_their_own_derivations() {
     let mut oracle = Oracle::new();
     phase.plans.iter().for_each(|plan| oracle.apply_write(plan, 0));
     for pfs in &pfs {
-        assert!(eq_padded(&read_file(pfs, "ckpt"), oracle.image()), "{:?}: image diverged", pfs.config());
+        assert!(
+            eq_padded(&read_file(pfs, "ckpt"), oracle.image()),
+            "{:?}: image diverged",
+            pfs.config()
+        );
     }
 }

@@ -175,7 +175,11 @@ fn four_rounds(
     late(0);
     let got = comm.alltoallv((0..p).map(|d| block(case, me, d, mixed_len(case, me, d))).collect());
     for (src, b) in got.iter().enumerate() {
-        assert_eq!(b, &block(case, src, me, mixed_len(case, src, me)), "pass {pass}: block {src}->{me}");
+        assert_eq!(
+            b,
+            &block(case, src, me, mixed_len(case, src, me)),
+            "pass {pass}: block {src}->{me}"
+        );
     }
     record("alltoallv", digest_blocks(&got));
     late(1);
@@ -195,7 +199,11 @@ fn four_rounds(
     let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
     let got = comm.alltoallw(sends, recv_from);
     for (src, b) in &got {
-        assert_eq!(b, &block(case, *src, me, 1 + (src + me) % 40), "pass {pass}: alltoallw {src}->{me}");
+        assert_eq!(
+            b,
+            &block(case, *src, me, 1 + (src + me) % 40),
+            "pass {pass}: alltoallw {src}->{me}"
+        );
     }
     let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
     record("alltoallw", digest_blocks(&payloads));
@@ -294,7 +302,11 @@ fn late_entrant_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
         let got = rank.alltoallw(sends, &recv_from);
         for ((src, b), &want) in got.iter().zip(&recv_from) {
             assert_eq!(*src, want);
-            assert_eq!(b, &block(case, want, me, 1 + (want + me) % 40), "pass {pass}: block {want}->{me}");
+            assert_eq!(
+                b,
+                &block(case, want, me, 1 + (want + me) % 40),
+                "pass {pass}: block {want}->{me}"
+            );
         }
         let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
         record("alltoallw", digest_blocks(&payloads));
@@ -338,8 +350,9 @@ fn crash_mid_round_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
         rank.send(peer, 77, &[me as u8]);
     }
     let deadline = rank.now() + 5_000_000;
-    let alive: Vec<usize> =
-        (0..p).filter(|&r| r == me || rank.recv_timeout(r, 77, deadline) == Some(vec![r as u8])).collect();
+    let alive: Vec<usize> = (0..p)
+        .filter(|&r| r == me || rank.recv_timeout(r, 77, deadline) == Some(vec![r as u8]))
+        .collect();
     assert_eq!(alive, (0..p).filter(|&r| r != CRASH_VICTIM).collect::<Vec<_>>());
     let at = order.fetch_add(1, Ordering::SeqCst);
     recs.push(record_line(rank, "detect ", at, alive.len() as u64));
@@ -365,7 +378,11 @@ fn check_row_tables() {
     for (pass, row, table) in &tables {
         for (other_pass, other_row, other) in &tables {
             let same = (pass, row) == (other_pass, other_row);
-            assert_eq!(Arc::ptr_eq(table, other), same, "pass {pass} row {row}, pass {other_pass} row {other_row}");
+            assert_eq!(
+                Arc::ptr_eq(table, other),
+                same,
+                "pass {pass} row {row}, pass {other_pass} row {other_row}"
+            );
         }
     }
 }
@@ -395,15 +412,24 @@ fn two_communicators_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
         }
         for (what, comm) in [("row", &rows), ("col", &cols)] {
             let (g, n) = (comm.rank(), comm.nprocs());
-            let got = comm.alltoallv((0..n).map(|d| block(case, g, d, mixed_len(case, g, d))).collect());
+            let got =
+                comm.alltoallv((0..n).map(|d| block(case, g, d, mixed_len(case, g, d))).collect());
             for (src, b) in got.iter().enumerate() {
-                assert_eq!(b, &block(case, src, g, mixed_len(case, src, g)), "pass {pass} {what}: {src}->{g}");
+                assert_eq!(
+                    b,
+                    &block(case, src, g, mixed_len(case, src, g)),
+                    "pass {pass} {what}: {src}->{g}"
+                );
             }
             record(&format!("{what}-alltoallv"), digest_blocks(&got));
         }
         let table = rows.allgatherv_shared(&block(case, col, 0, (me * 37 % 11) * 9));
         for (src, b) in table.iter().enumerate() {
-            assert_eq!(b, block(case, src, 0, ((row * 8 + src) * 37 % 11) * 9), "pass {pass}: block of {src}");
+            assert_eq!(
+                b,
+                block(case, src, 0, ((row * 8 + src) * 37 % 11) * 9),
+                "pass {pass}: block of {src}"
+            );
         }
         record("row-allgatherv", digest_blocks(table.iter()));
         ROW_TABLES.lock().unwrap().push((pass, row, table));
@@ -440,7 +466,8 @@ fn harvest() -> String {
     ];
     for (name, p, body) in mixed {
         let order = AtomicUsize::new(0);
-        let crashes: &[(usize, u64)] = if name == "crash-mid-round" { &[(CRASH_VICTIM, 0)] } else { &[] };
+        let crashes: &[(usize, u64)] =
+            if name == "crash-mid-round" { &[(CRASH_VICTIM, 0)] } else { &[] };
         // A crash-stopped rank has no records.
         let per_rank = run_crashable(p, CostModel::default(), crashes, |rank| body(rank, &order));
         writeln!(out, "[{name} p={p}]").unwrap();

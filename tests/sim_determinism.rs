@@ -197,8 +197,7 @@ fn paper_scale_bit_identical_run_to_run() {
     // only lowest-clock-first dispatch pins it down.
     for engine in [Engine::Flexible, Engine::Romio] {
         let label = format!("{engine:?} 16 ranks / 4 aggregators");
-        let (out, _) =
-            twice(&label, || parity_run(PfsCostModel::default(), engine, 16, 24, 3, 4));
+        let (out, _) = twice(&label, || parity_run(PfsCostModel::default(), engine, 16, 24, 3, 4));
         assert_phase_sums(&out, &label);
     }
 }
@@ -213,12 +212,8 @@ fn exchange_modes_bit_identical_run_to_run() {
             let pfs = pfs_with(PfsCostModel::free());
             let pfs2 = Arc::clone(&pfs);
             let out = run(8, CostModel::default(), move |rank| {
-                let hints = Hints {
-                    exchange,
-                    cb_nodes: Some(4),
-                    cb_buffer_size: 256,
-                    ..Hints::default()
-                };
+                let hints =
+                    Hints { exchange, cb_nodes: Some(4), cb_buffer_size: 256, ..Hints::default() };
                 let mut f = MpiFile::open(rank, &pfs2, "xmode", hints).unwrap();
                 let block = Datatype::bytes(BLOCK);
                 let ftype = Datatype::resized(0, 8 * BLOCK, block);
@@ -310,7 +305,11 @@ fn fine_grained_shared_derivation_bit_identical_run_to_run() {
             for shift in [0, spec.unit()] {
                 f.set_view(disp + shift, &Datatype::bytes(1), &ftype).unwrap();
                 f.write_all(&data, &spec.mem_type(), spec.mem_count()).unwrap();
-                assert_eq!(ExchangeSchedule::derivations_live(rank), 1, "one derivation per world and view");
+                assert_eq!(
+                    ExchangeSchedule::derivations_live(rank),
+                    1,
+                    "one derivation per world and view"
+                );
             }
             f.read_all(&mut back, &spec.mem_type(), spec.mem_count()).unwrap();
             f.close().unwrap();
@@ -383,8 +382,8 @@ fn message_order_is_fifo_per_source_and_tag() {
         .run(
             |rng: &mut XorShift64Star| {
                 let nprocs = 2 + (rng.next_u64() % 9) as usize; // 2..=10
-                // The draw that used to pick a pool width: the pinned
-                // seeds keep standing for the cases they were pinned for.
+                                                                // The draw that used to pick a pool width: the pinned
+                                                                // seeds keep standing for the cases they were pinned for.
                 rng.next_u64();
                 OrderCase {
                     nprocs,

@@ -24,10 +24,9 @@ use flexio::sim::prop::Runner;
 use flexio::sim::XorShift64Star;
 use flexio::workload::gen::range;
 use flexio::workload::{
-    check_invariants, checkpoint_spec, eq_padded, generate, generate_crash,
-    many_task_spec, mixed_subarray_spec, read_scan_spec, restart_spec, run_spec,
-    verify_crash_checkpoint, CrashScenario, Oracle, PfsShape, PhaseOp, RunConfig, RunOutcome,
-    ScenarioKind, WorkloadSpec,
+    check_invariants, checkpoint_spec, eq_padded, generate, generate_crash, many_task_spec,
+    mixed_subarray_spec, read_scan_spec, restart_spec, run_spec, verify_crash_checkpoint,
+    CrashScenario, Oracle, PfsShape, PhaseOp, RunConfig, RunOutcome, ScenarioKind, WorkloadSpec,
 };
 
 /// Run one spec through every axis and cross-check.
@@ -86,7 +85,11 @@ fn generate_narrow_stripes(rng: &mut XorShift64Star) -> WorkloadSpec {
     let mut spec = generate(rng);
     spec.pfr = false;
     spec.cb = [32, 64, 128][range(rng, 0, 3) as usize];
-    spec.pfs = PfsShape { n_osts: range(rng, 2, 3) as usize, stripe: spec.cb as u64 * range(rng, 1, 2), page: 16 };
+    spec.pfs = PfsShape {
+        n_osts: range(rng, 2, 3) as usize,
+        stripe: spec.cb as u64 * range(rng, 1, 2),
+        page: 16,
+    };
     spec
 }
 
@@ -96,7 +99,9 @@ fn workload_differential_fuzz() {
         .cases(16)
         .regressions(include_str!("workload_fuzz.proptest-regressions"))
         .run(generate, fuzz_one);
-    Runner::new("workload_differential_fuzz_narrow_stripes").cases(16).run(generate_narrow_stripes, fuzz_one);
+    Runner::new("workload_differential_fuzz_narrow_stripes")
+        .cases(16)
+        .run(generate_narrow_stripes, fuzz_one);
 }
 
 /// The generator reaches every scenario family within a small seed

@@ -93,7 +93,10 @@ fn identical_worlds_in_sequence_see_the_same_file_system() {
         let fourth = world(&pfs, engine);
         assert!(first.0.iter().all(|&(clock, _)| clock > 0), "{engine:?}: a world took no time");
         assert!(first.1[2] > 0 && first.1[3] > 0, "{engine:?}: no revocation or no cache fill");
-        assert_eq!(after_set_up, first, "{engine:?}: the first world or the set-up reached the next world");
+        assert_eq!(
+            after_set_up, first,
+            "{engine:?}: the first world or the set-up reached the next world"
+        );
         assert_eq!(fourth, third, "{engine:?}: a world paid the one before it");
         assert_eq!(SPEC.verify(&read_file(&pfs, PATH)), Ok(()), "{engine:?}");
     }
