@@ -339,10 +339,14 @@ fn a6_auto_depth_is_within_3_percent_of_depth_2_for_the_flexible_engine() {
         };
         let (auto, two) = (at("flexible", "auto"), at("flexible", "depth-2"));
         assert!(auto.num("mbps") >= 0.97 * two.num("mbps"), "{aggs} aggs");
-        // ROMIO's sieving read blocks inside each write cycle, so its
-        // curve is nearly flat past depth 2 (depth 4 buys 1.3 % and 3.0 %).
+        // A6 writes a fresh file: ROMIO's sieving read has nothing below
+        // the agreed size to fetch, so its commit writes overlap the next
+        // cycle as the flexible engine's do, and depth 4 buys 26 % at both
+        // counts. Where the file holds the bytes the read blocks each
+        // write cycle and the curve is flat past depth 2
+        // (`tests/agreed_size.rs`).
         let romio = |depth: &str| at("romio", depth).num("mbps");
-        assert!(romio("depth-4") < 1.04 * romio("depth-2"), "{aggs} aggs");
+        assert!(romio("depth-4") > 1.2 * romio("depth-2"), "{aggs} aggs");
     }
 }
 

@@ -71,6 +71,12 @@ case "$calls" in
     ;;
 esac
 
+# One format: every workspace member is as rustfmt (rustfmt.toml at the
+# root) writes it. The benchmark package (benchmark/) is its own package
+# and not checked here.
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
