@@ -253,7 +253,7 @@ pub(crate) fn a6(args: &Args, r: &mut Report) {
     );
     for aggs in agg_counts {
         for &(ename, engine) in &args.engines {
-            let (mut auto_bw, mut fixed2_bw) = (0.0, 0.0);
+            let (mut auto_bw, mut best_fixed) = (0.0, (0.0f64, ""));
             for &(name, depth) in &depths {
                 let hints = Hints {
                     engine,
@@ -277,33 +277,28 @@ pub(crate) fn a6(args: &Args, r: &mut Report) {
                     pfs.stats().nb_inflight_peak,
                     s.sum(|s| s.bytes_copied),
                 );
-                match name {
-                    "auto" => auto_bw = bw,
-                    "depth-2" => fixed2_bw = bw,
-                    _ => {}
+                if name == "auto" {
+                    auto_bw = bw;
+                } else if bw > best_fixed.0 {
+                    best_fixed = (bw, name);
                 }
             }
-            // Only the flexible engine keeps auto competitive with
-            // fixed-2: ROMIO's read-modify-write pass blocks inside issue,
-            // so extra depth hides less there and auto's deeper pipeline
-            // can trail fixed-2 by a hair. The tolerance is for charges
-            // that move service order at the shared OSTs (DESIGN
-            // "Determinism"), not for run-to-run noise — there is none.
-            // It was 3 %, which `--paper` at 32 aggregators has not met
-            // since before PR 21 (3.6 % behind; EXPERIMENTS A6).
-            if engine == Engine::Flexible {
-                assert!(
-                    auto_bw >= 0.95 * fixed2_bw,
-                    "{ename}: auto depth ({auto_bw:.2} MB/s) more than 5 % behind fixed \
-                     depth 2 ({fixed2_bw:.2} MB/s) at {aggs} aggs"
-                );
-            }
+            // Auto depth is a measured guess, not a search over depths, so
+            // it may trail the best fixed depth a little; 1 % allows the
+            // charges that move service order at the shared OSTs (DESIGN
+            // "Determinism"), not run-to-run noise — there is none.
+            let (best_bw, best) = best_fixed;
+            assert!(
+                auto_bw >= 0.99 * best_bw,
+                "{ename}: auto depth ({auto_bw:.2} MB/s) more than 1 % behind fixed {best} \
+                 ({best_bw:.2} MB/s) at {aggs} aggs"
+            );
         }
     }
     let title = "pipeline depth — I/O bandwidth (MB/s)";
     r.pivot(title, None, "aggs", &["engine", "depth"], "mbps");
     r.heading("file images byte-identical across engines and depths at every aggregator count");
-    r.note("auto depth within 5 % of fixed depth 2 throughput for the flexible engine");
+    r.note("auto depth within 1 % of the best fixed depth, or above it, for every engine");
 }
 
 /// A7 — fault injection on a tiled collective-write workload.

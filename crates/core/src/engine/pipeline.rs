@@ -50,14 +50,18 @@ pub(crate) enum CapPolicy {
     /// Start at 1 (double buffering) and re-derive the cap after every
     /// issue from the measured I/O:exchange duration ratio: I/O that runs
     /// `r` times longer than an exchange needs `ceil(r)` cycles of
-    /// exchange work to hide behind. `bound` caps the ratio — an
-    /// aggregator's useful outstanding I/O is limited by its share of the
-    /// stripe width, since ops beyond that only queue on OSTs other
-    /// aggregators are driving (and the measured I/O time then includes
-    /// their queueing, which would talk the ratio into going ever
-    /// deeper).
+    /// exchange work to hide behind. `bound` caps the ratio.
+    ///
+    /// Writes take `MAX_INFLIGHT` ([`drive_write`]): an OST serves each
+    /// booking into the first idle gap after its arrival that fits it, so
+    /// a deeper write-behind takes no OST time from a request that
+    /// arrives before it and only moves when the aggregator reuses its
+    /// own buffers. Reads keep the aggregator's share of the stripe
+    /// width: a prefetch takes OST time ahead of peers' demand reads,
+    /// which their ranks block on at once.
     Auto {
-        /// `clamp(2·n_osts / n_aggregators, 1, MAX_INFLIGHT)`.
+        /// `clamp(2·n_osts / n_aggregators, 1, MAX_INFLIGHT)` as resolved;
+        /// `MAX_INFLIGHT` on the write side.
         bound: usize,
     },
 }
@@ -71,6 +75,14 @@ impl CapPolicy {
             PipelineDepth::Fixed(d) => {
                 CapPolicy::Fixed(((d as usize).saturating_sub(1)).min(MAX_INFLIGHT))
             }
+        }
+    }
+
+    /// The write side's policy: `Auto` bounded by `MAX_INFLIGHT` alone.
+    fn for_writes(self) -> CapPolicy {
+        match self {
+            CapPolicy::Auto { .. } => CapPolicy::Auto { bound: MAX_INFLIGHT },
+            fixed => fixed,
         }
     }
 
@@ -320,7 +332,9 @@ fn wait_now(rank: &Rank, io: &IoCompletion) {
 /// the trailing waits the drain epilogue. `cap == 1` is charge-for-charge
 /// the classic double-buffered engine; `cap == 0` issues and immediately
 /// waits every cycle, charge-for-charge the serial engine. Under
-/// [`CapPolicy::Auto`] the cap follows the measured I/O:exchange ratio.
+/// [`CapPolicy::Auto`] the cap follows the measured I/O:exchange ratio up
+/// to `MAX_INFLIGHT`, whatever bound `policy` carries (the stripe-width
+/// bound is the read side's).
 ///
 /// `watch` enables the straggler detector over those aggregator ranks
 /// (`None` for engines with nothing to rebalance); `derive_win` is an
@@ -334,7 +348,7 @@ pub(crate) fn drive_write<D: WriteDriver>(
     watch: Option<&[usize]>,
     mut derive_win: Option<OverlapWindow>,
 ) -> CycleOutcome {
-    let mut pace = Pace::new(handle, policy, watch);
+    let mut pace = Pace::new(handle, policy.for_writes(), watch);
     let mut inflight: VecDeque<OverlapWindow> = VecDeque::new();
     for i in 0..driver.n_cycles() {
         if let Some(dead) = driver.boundary(i) {
@@ -390,7 +404,8 @@ pub(crate) fn drive_write<D: WriteDriver>(
 /// with). `cap == 1` is charge-for-charge the classic double-buffered
 /// engine; `cap == 0` reads, waits, and distributes serially, matching
 /// the serial engine charge for charge. Under [`CapPolicy::Auto`] the cap
-/// follows the measured I/O:distribute ratio.
+/// follows the measured I/O:distribute ratio up to the policy's stripe-width
+/// bound.
 pub(crate) fn drive_read<D: ReadDriver>(
     rank: &Rank,
     handle: &FileHandle,
@@ -483,7 +498,8 @@ mod tests {
             CapPolicy::resolve(&hints(PipelineDepth::Fixed(99)), 8, 2),
             CapPolicy::Fixed(MAX_INFLIGHT)
         );
-        // Auto bound follows the aggregator's stripe share.
+        // Auto's resolved bound, the read side's, follows the aggregator's
+        // stripe share.
         assert_eq!(
             CapPolicy::resolve(&hints(PipelineDepth::Auto), 8, 2),
             CapPolicy::Auto { bound: 7 }
@@ -496,6 +512,22 @@ mod tests {
             CapPolicy::resolve(&hints(PipelineDepth::Auto), 1, 8),
             CapPolicy::Auto { bound: 1 }
         );
+    }
+
+    #[test]
+    fn writes_bound_auto_by_max_inflight_alone() {
+        // However small the stripe share, the write side may go to
+        // MAX_INFLIGHT; a fixed depth is the same in both directions.
+        for (n_osts, n_aggs) in [(1, 8), (1, 256), (4, 4), (8, 2)] {
+            let auto = CapPolicy::resolve(&hints(PipelineDepth::Auto), n_osts, n_aggs);
+            assert_eq!(auto.for_writes(), CapPolicy::Auto { bound: MAX_INFLIGHT });
+            assert_eq!(auto.for_writes().adapt(9000, 1000), MAX_INFLIGHT);
+        }
+        let read = CapPolicy::resolve(&hints(PipelineDepth::Auto), 1, 256);
+        assert_eq!(read.adapt(9000, 1000), 1);
+        for c in [0, 1, 3, MAX_INFLIGHT] {
+            assert_eq!(CapPolicy::Fixed(c).for_writes(), CapPolicy::Fixed(c));
+        }
     }
 
     #[test]

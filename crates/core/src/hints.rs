@@ -47,11 +47,11 @@ pub enum ExchangeMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineDepth {
     /// Choose per buffer cycle from the measured I/O:exchange time ratio,
-    /// clamped to `[2, 8]` and bounded by the aggregator's share of the
-    /// file system's stripe width (outstanding I/O beyond that only
-    /// queues on OSTs other aggregators are driving). Waiting on
-    /// in-flight I/O is purely local, so each rank adapts independently
-    /// without collective agreement.
+    /// clamped to `[2, 8]`. Reads are also bounded by the aggregator's
+    /// share of the file system's stripe width (a prefetch takes OST time
+    /// ahead of other aggregators' demand reads); writes are not. Waiting
+    /// on in-flight I/O is purely local, so each rank adapts
+    /// independently without collective agreement.
     #[default]
     Auto,
     /// Exactly this many cycles in flight. `Fixed(1)` reproduces the

@@ -8,6 +8,7 @@
 //! number.
 
 use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
+use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::{run, CostModel, Stats, XorShift64Star};
@@ -309,4 +310,85 @@ fn derive_overlap_needs_a_deep_pipeline_and_a_miss() {
         let total: u64 = out.iter().map(|(_, s)| s.derive_overlap_saved_ns).sum();
         assert!(total > 0, "{depth:?} hid no derivation time");
     }
+}
+
+/// `fine-512`'s shape at 128 ranks: 8-byte regions 136 bytes apart,
+/// interleaved across ranks, 64 aggregators, 512-byte buffer cycles, on the
+/// default file system (8 OSTs, 2 MiB stripes), so the whole 272 KiB file
+/// lies in one stripe. With `read`, the same ranks read the file back in a
+/// second world instead, after a depth-1 world has written it. Returns each
+/// rank's clock and stats in the timed world.
+fn fine_world(depth: PipelineDepth, read: bool) -> Vec<(u64, Stats)> {
+    let spec = HpioSpec {
+        region_size: 8,
+        region_count: 16,
+        region_spacing: 128,
+        mem_noncontig: true,
+        file_noncontig: true,
+        nprocs: 128,
+    };
+    let pfs = Pfs::new(PfsConfig::default());
+    let world = |depth, read| {
+        let hints = Hints {
+            cb_nodes: Some(64),
+            cb_buffer_size: 512,
+            exchange: ExchangeMode::Alltoallw,
+            pipeline_depth: depth,
+            ..Hints::default()
+        };
+        let inner = Arc::clone(&pfs);
+        run(spec.nprocs, CostModel::default(), move |rank| {
+            let r = rank.rank();
+            let mut f = MpiFile::open(rank, &inner, "fine", hints.clone()).unwrap();
+            let (disp, ftype) = spec.file_view(r, TypeStyle::Succinct);
+            f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
+            let (memtype, count, data) = (spec.mem_type(), spec.mem_count(), spec.make_buffer(r));
+            if read {
+                let mut back = vec![0u8; data.len()];
+                f.read_all(&mut back, &memtype, count).unwrap();
+                assert_eq!(back, data, "rank {r}: read-back differs");
+            } else {
+                f.write_all(&data, &memtype, count).unwrap();
+            }
+            let out = (rank.now(), rank.stats());
+            f.close().unwrap();
+            out
+        })
+    };
+    if read {
+        world(PipelineDepth::Fixed(1), false);
+    }
+    world(depth, read)
+}
+
+/// The write side of `auto` is bounded by `MAX_INFLIGHT` alone. 64
+/// aggregators over one stripe get a stripe-width share of one in-flight
+/// write; held to it, an aggregator would reach the OST again only after
+/// its previous write was done, leaving idle gaps no peer's request fits.
+/// Deeper write-behind fills them.
+#[test]
+fn auto_write_depth_is_not_held_to_a_stripe_share() {
+    let deepest = |out: &[(u64, Stats)]| out.iter().map(|(_, s)| s.pipeline_depth_used).max();
+    let slowest = |out: &[(u64, Stats)]| out.iter().map(|(now, _)| *now).max().unwrap();
+    let (auto, two) =
+        (fine_world(PipelineDepth::Auto, false), fine_world(PipelineDepth::Fixed(2), false));
+    assert!(deepest(&auto) >= Some(3), "auto stayed at depth {:?}", deepest(&auto));
+    assert!(
+        slowest(&auto) < slowest(&two),
+        "auto ends at {} ns, fixed depth 2 at {} ns",
+        slowest(&auto),
+        slowest(&two)
+    );
+}
+
+/// The read side of `auto` keeps the stripe-width bound, `1 + 2·n_osts /
+/// n_aggregators` buffers (at least 2): a prefetch takes OST time ahead of
+/// peers' demand reads.
+#[test]
+fn auto_read_depth_keeps_the_stripe_share() {
+    let (n_osts, n_aggs) = (PfsConfig::default().n_osts, 64);
+    let bound = 1 + (2 * n_osts / n_aggs).max(1) as u64;
+    let out = fine_world(PipelineDepth::Auto, true);
+    let deepest = out.iter().map(|(_, s)| s.pipeline_depth_used).max().unwrap();
+    assert!((2..=bound).contains(&deepest), "auto read reached depth {deepest}, bound {bound}");
 }

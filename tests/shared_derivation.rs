@@ -32,7 +32,15 @@
 //! earlier in the five crash-free ones, with pairs per call and message
 //! counts unchanged except in the straggler scenario, where timing picks
 //! the rebalanced realms; the crash scenario's slowest rank ends 0.1 %
-//! earlier, and its heartbeats add messages. No image hash moved.
+//! earlier, and its heartbeats add messages. No image hash moved. All six
+//! were regenerated when `auto` write pipelines lost the stripe-width
+//! bound (DESIGN "Depth selection"): 64 aggregators over 4 OSTs had been
+//! held at depth 2, and deeper write-behind fills OST gaps, so the slowest
+//! rank ends 3.3–4.2 % earlier in the four fault-free scenarios, with pairs
+//! per call and message counts unchanged; 7.6 % earlier in the straggler
+//! scenario and 31.2 % earlier in the crash scenario, where timing picks
+//! the rebalanced realms and the replay and so moves pairs and messages
+//! too. No image hash moved.
 //!
 //! Only the crash scenario runs in a crashable world (`run_crashable`);
 //! the others run on `run`, since a crashable world arms failure
