@@ -13,7 +13,7 @@ use flexio_core::engine::schedule::derivation_window_walks;
 use flexio_core::{Engine, ExchangeMode, Hints};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
-use flexio_sim::{last_run_counters, run, stack_blocks_mapped, Backend, CostModel, SchedCounters};
+use flexio_sim::{last_run_counters, run, stack_blocks_mapped, CostModel, SchedCounters};
 use flexio_workload::{FileWorld, Timing};
 use std::time::{Duration, Instant};
 
@@ -231,7 +231,6 @@ const fn counters(fiber_switches: u64, heap_pushes: u64) -> SchedCounters {
 /// scheduler's deterministic work per world and the pairs its ranks are
 /// charged exactly.
 pub(crate) fn host(args: &Args, r: &mut Report) {
-    assert!(Backend::event_loop_supported(), "needs the fiber rank runtime (x86_64 only)");
     if args.check {
         for (engine, nprocs, want_msgs, want, want_pairs) in CHECK {
             let walks_before = derivation_window_walks();

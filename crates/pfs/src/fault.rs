@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the PFS simulator.
 //!
 //! A [`FaultPlan`] describes *what can go wrong* in the file system —
-//! transient per-OST request errors, torn writes, straggler OSTs (a
-//! service-time multiplier over a virtual-time window), and lock-manager
-//! stalls — and a seed. Ranks that crash-stop are not file-system faults:
-//! the world that runs them schedules those (`flexio_sim::run_crashable`).
+//! transient per-OST request errors, torn writes and straggler OSTs (a
+//! service-time multiplier) — and a seed. Ranks that crash-stop are not
+//! file-system faults: the world that runs them schedules those
+//! (`flexio_sim::run_crashable`).
 //! The [`FaultInjector`] built from a plan makes every decision from
 //! `hash(seed, ost, per-OST request index)`, so a plan is reproducible
 //! for a given sequence of requests regardless of wall-clock effects:
@@ -56,24 +56,17 @@ impl std::fmt::Display for PfsError {
 
 impl std::error::Error for PfsError {}
 
-/// A straggler window: requests *starting* inside `[from_ns, until_ns)`
-/// on `ost` take `multiplier`× their normal service time *as observed by
-/// the requester*. The extra span is reply latency at a degraded target,
-/// not pipeline occupancy, so concurrent requests from different clients
-/// still overlap — spreading a slow realm over more aggregators hides
-/// the penalty. The window is virtual time, and every world starts at 0
-/// on idle OSTs ([`crate::Pfs::enter_world`]), so it covers the same span
-/// of each world's run.
+/// A straggler OST: every request on `ost` takes `multiplier`× its
+/// normal service time *as observed by the requester*. The extra span is
+/// reply latency at a degraded target, not pipeline occupancy, so
+/// concurrent requests from different clients still overlap — spreading
+/// a slow realm over more aggregators hides the penalty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSpec {
     /// The slow OST.
     pub ost: usize,
     /// Service-time multiplier (≥ 1.0; 1.0 is a no-op).
     pub multiplier: f64,
-    /// Window start (virtual ns, inclusive).
-    pub from_ns: u64,
-    /// Window end (virtual ns, exclusive). `u64::MAX` = persistent.
-    pub until_ns: u64,
 }
 
 /// Seeded description of the faults to inject. An empty default plan
@@ -90,22 +83,13 @@ pub struct FaultPlan {
     /// deterministically drawn prefix persists, the request fails with
     /// [`PfsErrorKind::TornWrite`].
     pub torn_rate: f64,
-    /// Straggler OST windows.
+    /// Straggler OSTs.
     pub stragglers: Vec<StragglerSpec>,
-    /// Extra lock-manager stall charged on each lock grant, ns (models a
-    /// congested DLM); 0 disables.
-    pub lock_stall_ns: u64,
 }
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        FaultPlan {
-            seed: 1,
-            transient_rate: 0.0,
-            torn_rate: 0.0,
-            stragglers: Vec::new(),
-            lock_stall_ns: 0,
-        }
+        FaultPlan { seed: 1, transient_rate: 0.0, torn_rate: 0.0, stragglers: Vec::new() }
     }
 }
 
@@ -115,12 +99,9 @@ impl FaultPlan {
         FaultPlan { seed, transient_rate: rate, ..FaultPlan::default() }
     }
 
-    /// A plan with a single persistent straggler OST.
+    /// A plan with a single straggler OST.
     pub fn straggler(ost: usize, multiplier: f64) -> FaultPlan {
-        FaultPlan {
-            stragglers: vec![StragglerSpec { ost, multiplier, from_ns: 0, until_ns: u64::MAX }],
-            ..FaultPlan::default()
-        }
+        FaultPlan { stragglers: vec![StragglerSpec { ost, multiplier }], ..FaultPlan::default() }
     }
 }
 
@@ -225,24 +206,19 @@ impl FaultInjector {
         Some((mix64(h) >> 11) as f64 / (1u64 << 53) as f64)
     }
 
-    /// Extra service ns for a request of duration `dur` starting at
-    /// virtual time `start` on `ost` (0 outside any straggler window).
-    /// Overlapping windows on one OST do not stack: the request observes
-    /// the *worst* covering multiplier — a degraded target is one device
-    /// with one (slowest) service rate, not several penalties in series.
-    pub fn straggler_extra(&self, ost: usize, start: u64, dur: u64) -> u64 {
-        let mut worst = 1.0f64;
-        for s in &self.plan.stragglers {
-            if s.ost == ost && start >= s.from_ns && start < s.until_ns {
-                worst = worst.max(s.multiplier);
-            }
-        }
+    /// Extra service ns for a request of duration `dur` on `ost` (0 on an
+    /// OST no straggler names). Two stragglers on one OST do not stack:
+    /// the request observes the *worst* multiplier — a degraded target is
+    /// one device with one (slowest) service rate, not several penalties
+    /// in series.
+    pub fn straggler_extra(&self, ost: usize, dur: u64) -> u64 {
+        let worst = self
+            .plan
+            .stragglers
+            .iter()
+            .filter(|s| s.ost == ost)
+            .fold(1.0f64, |worst, s| worst.max(s.multiplier));
         ((worst - 1.0) * dur as f64) as u64
-    }
-
-    /// Extra lock-manager stall on a grant, ns.
-    pub fn lock_stall(&self) -> u64 {
-        self.plan.lock_stall_ns
     }
 }
 
@@ -279,35 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn straggler_window_scales_duration() {
+    fn straggler_scales_only_its_own_ost() {
         let inj = FaultInjector::new(
             FaultPlan {
-                stragglers: vec![StragglerSpec {
-                    ost: 1,
-                    multiplier: 3.0,
-                    from_ns: 100,
-                    until_ns: 200,
-                }],
+                stragglers: vec![StragglerSpec { ost: 1, multiplier: 3.0 }],
                 ..FaultPlan::default()
             },
             4,
         );
-        assert_eq!(inj.straggler_extra(1, 150, 1000), 2000);
-        assert_eq!(inj.straggler_extra(1, 50, 1000), 0, "before window");
-        assert_eq!(inj.straggler_extra(1, 200, 1000), 0, "window end exclusive");
-        assert_eq!(inj.straggler_extra(0, 150, 1000), 0, "other OST unaffected");
+        assert_eq!(inj.straggler_extra(1, 1000), 2000);
+        for ost in [0, 2, 3] {
+            assert_eq!(inj.straggler_extra(ost, 1000), 0, "OST {ost} unaffected");
+        }
     }
 
     #[test]
     fn persistent_straggler_helper() {
         let inj = FaultInjector::new(FaultPlan::straggler(2, 2.0), 4);
-        assert_eq!(inj.straggler_extra(2, u64::MAX / 2, 500), 500);
-    }
-
-    #[test]
-    fn lock_stall_passthrough() {
-        let inj = FaultInjector::new(FaultPlan { lock_stall_ns: 77, ..FaultPlan::default() }, 1);
-        assert_eq!(inj.lock_stall(), 77);
+        assert_eq!(inj.straggler_extra(2, 500), 500);
     }
 
     #[test]
@@ -331,25 +296,16 @@ mod tests {
         assert!(t.contains("torn") && t.contains("OST 1"), "{t}");
     }
 
-    /// Overlapping windows on one OST observe the worst multiplier, not
-    /// the sum of penalties: two 3× windows are a 3× device, not 5×.
+    /// Two stragglers on one OST observe the worst multiplier, not the
+    /// sum of penalties: a 3× and a 2× straggler are a 3× device, not 4×.
     #[test]
-    fn overlapping_straggler_windows_take_max_not_sum() {
-        let win =
-            |multiplier, from_ns, until_ns| StragglerSpec { ost: 0, multiplier, from_ns, until_ns };
+    fn two_stragglers_on_one_ost_take_max_not_sum() {
+        let slow = |multiplier| StragglerSpec { ost: 0, multiplier };
         let inj = FaultInjector::new(
-            FaultPlan {
-                stragglers: vec![win(3.0, 0, 1000), win(3.0, 500, 2000), win(2.0, 0, 2000)],
-                ..FaultPlan::default()
-            },
+            FaultPlan { stragglers: vec![slow(2.0), slow(3.0)], ..FaultPlan::default() },
             1,
         );
-        // t=700 is inside all three windows: worst is 3x => extra 2*dur.
-        assert_eq!(inj.straggler_extra(0, 700, 100), 200, "max, not sum");
-        // t=1500 is covered by the 3x and 2x windows only: still 3x.
-        assert_eq!(inj.straggler_extra(0, 1500, 100), 200);
-        // t=100 is covered by 3x and 2x.
-        assert_eq!(inj.straggler_extra(0, 100, 100), 200);
+        assert_eq!(inj.straggler_extra(0, 100), 200, "max, not sum");
     }
 
     #[test]

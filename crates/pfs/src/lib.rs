@@ -12,8 +12,8 @@
 //! Data contents are always byte-exact; only *time* is modelled.
 //!
 //! Operations are fallible: an installed [`FaultPlan`] can inject
-//! transient per-OST request errors, straggler-OST service-time windows
-//! and lock-manager stalls, all deterministically from a seed. Without a
+//! transient per-OST request errors, torn writes and straggler-OST
+//! service-time multipliers, all deterministically from a seed. Without a
 //! plan, ops never fail and the timing is charge-identical to the
 //! pre-fault simulator.
 //!

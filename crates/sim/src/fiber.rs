@@ -13,8 +13,8 @@
 //! * x86_64 only, and there is no fallback: the three pieces that name
 //!   registers — [`switch_stacks`], `fiber_entry` and [`prepare`]'s
 //!   register image — are gated here, their bodies elsewhere refuse, and
-//!   `run` refuses before reaching them
-//!   (`Backend::event_loop_supported`). Everything above them compiles
+//!   `run` refuses before reaching them (one `cfg!` test in
+//!   `world::drive`). Everything above them compiles
 //!   on every target. The switch saves rbx/rbp/r12–r15/rsp — the SysV
 //!   callee-saved set. mxcsr and the x87 control word are not saved:
 //!   nothing in this workspace (or in code the simulator can call) changes

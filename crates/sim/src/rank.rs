@@ -166,7 +166,11 @@ pub struct Stats {
     /// and never more than [`Stats::memcpy_bytes`], which also counts
     /// transport self-delivery and independent I/O's pack.
     pub bytes_copied: u64,
-    /// Virtual ns attributed to compute / comm / io phases.
+    /// Virtual ns attributed to compute / comm / io phases. Only time
+    /// a rank waited in is here: I/O hidden behind other work is in
+    /// [`Stats::overlap_saved_ns`], not in the `Io` bucket, so a pipelined
+    /// aggregator whose every read completed behind distribution shows an
+    /// `Io` bucket of 0.
     pub phase_ns: [u64; 3],
     /// Exchange-schedule cache hits (collective-engine layer).
     pub schedule_cache_hits: u64,

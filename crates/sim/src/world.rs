@@ -32,15 +32,6 @@ pub enum Backend {
     EventLoop,
 }
 
-impl Backend {
-    /// Whether the fiber runtime is available on this build target (the
-    /// fiber layer is x86_64-only; since the thread-per-rank runtime's
-    /// retirement there is no fallback elsewhere).
-    pub fn event_loop_supported() -> bool {
-        cfg!(target_arch = "x86_64")
-    }
-}
-
 /// The bytes of a message. Most messages own their buffer; an
 /// `allgatherv` step carries only the byte count it is charged for: the
 /// blocks it stands for are in the round's table
@@ -483,11 +474,12 @@ where
     R: Send,
     F: Fn(&crate::rank::Rank) -> R + Sync,
 {
-    assert!(
-        Backend::event_loop_supported(),
-        "the flexio-sim rank runtime requires x86_64 stackful fibers \
-         (the thread-per-rank fallback was retired)"
-    );
+    if !cfg!(target_arch = "x86_64") {
+        panic!(
+            "the flexio-sim rank runtime requires x86_64 stackful fibers \
+             (the thread-per-rank fallback was retired)"
+        );
+    }
     let out = crate::sched::run_event_loop_partial(world, f);
     // The world is gone — stacks, mailboxes, shared cells — and with it most
     // of what the heap grew for: hand the free pages back to the system,

@@ -3,7 +3,8 @@
 //! This crate provides the data-description layer of the flexio stack:
 //!
 //! * [`Datatype`] — recursive MPI type constructors (contiguous, vector,
-//!   hvector, indexed, hindexed, struct, resized);
+//!   hvector, indexed, hindexed, struct, resized), plus [`subarray()`] for
+//!   a tile of a global array;
 //! * [`FlatType`] — the *flattened datatype* of the paper's §5.3: the `D`
 //!   offset/length pairs of one instance plus extent, the representation
 //!   exchanged between clients and aggregators;
@@ -23,8 +24,7 @@ pub mod view;
 
 pub use datatype::{Datatype, Dt};
 pub use flatten::{flatten, flatten_shared, FlatType, FlattenCache, Seg};
-pub use subarray::{darray, subarray, Distribution};
+pub use subarray::subarray;
 pub use view::{
-    pack, unpack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor,
-    ViewError,
+    pack, CursorPos, FileView, MemLayout, MemRun, MemRuns, Piece, RunOffsets, ViewCursor, ViewError,
 };

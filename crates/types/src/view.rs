@@ -500,14 +500,6 @@ pub fn pack(flat: &Arc<FlatType>, count: u64, buf: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unpack a contiguous byte vector into `count` instances of a datatype
-/// laid out in `buf` — `MPI_Unpack`.
-pub fn unpack(flat: &Arc<FlatType>, count: u64, packed: &[u8], buf: &mut [u8]) {
-    let m = MemLayout::new(Arc::clone(flat), count);
-    assert_eq!(packed.len() as u64, m.total(), "packed size mismatch");
-    m.scatter(buf, 0, packed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,24 +818,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn pack_gathers_instances_in_type_order() {
         let dt = Datatype::hindexed(vec![(1, 3), (6, 2)], Datatype::bytes(1));
         let flat = Arc::new(flatten(&dt));
         let src: Vec<u8> = (0..20).collect();
         let packed = pack(&flat, 2, &src);
         // extent = 7 (lb 1, ub 8): instance 1 starts at byte 7.
         assert_eq!(packed, vec![1, 2, 3, 6, 7, 8, 9, 10, 13, 14]);
-        let mut dst = vec![0u8; 20];
-        unpack(&flat, 2, &packed, &mut dst);
-        let repacked = pack(&flat, 2, &dst);
-        assert_eq!(repacked, packed);
-    }
-
-    #[test]
-    #[should_panic(expected = "packed size mismatch")]
-    fn unpack_size_checked() {
-        let flat = Arc::new(crate::flatten::FlatType::contiguous_bytes(4));
-        unpack(&flat, 1, &[1, 2, 3], &mut [0u8; 4]);
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!
 //! The crate also hosts the shared data stream, file-image probe and
 //! tiled world the integration suites used to copy-paste ([`tiled`]),
-//! the strided workload shape of `tests/engine_equivalence.rs`
-//! ([`strided`]), and the crash workload ([`crash`]): its one rank body
+//! and the crash workload ([`crash`]): its one rank body
 //! writes a generation under a victim schedule, the driver commits each
 //! generation with [`epoch`]'s double-slot headers after its world, and
 //! its restart world runs on [`FileWorld`].
@@ -43,7 +42,6 @@ pub mod gen;
 pub mod oracle;
 pub mod runner;
 pub mod spec;
-pub mod strided;
 pub mod tiled;
 
 pub use crash::{
@@ -60,5 +58,4 @@ pub use spec::{
     checkpoint_spec, many_task_spec, mixed_subarray_spec, read_scan_spec, restart_spec, PfsShape,
     PhaseOp, PhaseSpec, RankPlan, ScenarioKind, WorkloadSpec,
 };
-pub use strided::StridedSpec;
 pub use tiled::{read_file, run_tiled, step_data, TiledShape};

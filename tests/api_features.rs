@@ -1,5 +1,5 @@
-//! Integration tests for the supporting API surface: darray/subarray
-//! datatypes driving collective I/O, `Hints` at the API edge (a full
+//! Integration tests for the supporting API surface: block-cyclic and
+//! subarray datatypes driving collective I/O, `Hints` at the API edge (a full
 //! configuration drives a call; an invalid set is refused by `open` and
 //! `set_hints` alike and changes nothing), and per-rank cost attribution.
 
@@ -7,7 +7,7 @@ use flexio::core::{Engine, Hints, IoError, MpiFile, PipelineDepth};
 use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Phase};
-use flexio::types::{darray, subarray, Datatype, Distribution};
+use flexio::types::{subarray, Datatype};
 use flexio::workload::{checkpoint_spec, eq_padded, read_file, Oracle};
 use std::sync::Arc;
 
@@ -33,13 +33,17 @@ fn darray_block_cyclic_collective_write() {
     {
         let pfs = Arc::clone(&pfs);
         run(4, CostModel::free(), move |rank| {
-            let coords = [rank.rank() as u64 / 2, rank.rank() as u64 % 2];
-            let dt = darray(
-                &[n, n],
-                &[Distribution::Cyclic(1), Distribution::Block],
-                &[2, 2],
-                &coords,
-                elem,
+            let (pr, pc) = (rank.rank() as u64 / 2, rank.rank() as u64 % 2);
+            // Rows pr, pr + 2, pr + 4, pr + 6; in each, half pc of its
+            // eight elements.
+            let dt = Datatype::resized(
+                0,
+                n * n * elem,
+                Datatype::structure(vec![(
+                    ((pr * n + pc * 4) * elem) as i64,
+                    1,
+                    Datatype::hvector(4, 1, (2 * n * elem) as i64, Datatype::bytes(4 * elem)),
+                )]),
             );
             let bytes = dt.size();
             let mut f = MpiFile::open(rank, &pfs, "da", Hints::default()).unwrap();
@@ -178,13 +182,26 @@ fn engines_agree_on_darray_pattern() {
             {
                 let pfs = Arc::clone(&pfs);
                 run(4, CostModel::free(), move |rank| {
-                    let coords = [rank.rank() as u64 / 2, rank.rank() as u64 % 2];
-                    let dt = darray(
-                        &[8, 8],
-                        &[Distribution::Cyclic(2), Distribution::Cyclic(1)],
-                        &[2, 2],
-                        &coords,
-                        2,
+                    let (pr, pc) = (rank.rank() as u64 / 2, rank.rank() as u64 % 2);
+                    // Rows cyclic(2), columns cyclic(1) over a 2x2 grid:
+                    // elements pc, pc + 2, pc + 4, pc + 6 of a 16-byte
+                    // row, in rows 2pr, 2pr + 1, 2pr + 4, 2pr + 5.
+                    let row = Datatype::resized(
+                        0,
+                        16,
+                        Datatype::structure(vec![(
+                            (pc * 2) as i64,
+                            1,
+                            Datatype::hvector(4, 1, 4, Datatype::bytes(2)),
+                        )]),
+                    );
+                    let dt = Datatype::resized(
+                        0,
+                        128,
+                        Datatype::hindexed(
+                            vec![((pr * 32) as i64, 2), ((pr * 32 + 64) as i64, 2)],
+                            row,
+                        ),
                     );
                     let hints = Hints { engine, cb_nodes: Some(2), ..Hints::default() };
                     let mut f = MpiFile::open(rank, &pfs, "x", hints).unwrap();

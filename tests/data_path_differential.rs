@@ -88,11 +88,10 @@ fn random_world(rng: &mut XorShift64Star, scale: u64) -> World {
         transient_rate: [0.0, 0.15, 0.5, 1.0][(rng.next_u64() % 4) as usize],
         torn_rate: [0.0, 0.4, 1.0][(rng.next_u64() % 3) as usize],
         stragglers: if rng.next_u64().is_multiple_of(2) {
-            vec![StragglerSpec { ost: 1, multiplier: 3.0, from_ns: 0, until_ns: u64::MAX }]
+            vec![StragglerSpec { ost: 1, multiplier: 3.0 }]
         } else {
             Vec::new()
         },
-        lock_stall_ns: [0, 7_000][(rng.next_u64() % 2) as usize],
     });
     let range = |rng: &mut XorShift64Star| (below(rng, 2 * scale), 1 + below(rng, scale));
     World {

@@ -3,7 +3,7 @@
 //! The fault model's contract is that faults perturb *time* and
 //! *outcomes*, never data, and that collective calls stay collective.
 //! Property-tested over random workloads, engines, hint combinations and
-//! fault plans (transient OST errors, straggler OSTs, lock stalls):
+//! fault plans (transient OST errors, straggler OSTs):
 //!
 //! * every rank of a collective call returns the same `Ok`/`Err`
 //!   outcome, and any error is a collectively-agreed
@@ -53,14 +53,9 @@ fn random_chaos(rng: &mut XorShift64Star) -> Chaos {
         plan.stragglers.push(StragglerSpec {
             ost: (rng.next_u64() % 4) as usize,
             multiplier: 1.0 + (rng.next_u64() % 8) as f64,
-            from_ns: 0,
-            until_ns: u64::MAX,
         });
     }
     let locking = rng.next_u64().is_multiple_of(4);
-    if locking && rng.next_u64().is_multiple_of(2) {
-        plan.lock_stall_ns = 100 + rng.next_u64() % 2000;
-    }
     Chaos {
         nprocs,
         block: 8 * (1 + rng.next_u64() % 8), // 8..=64
@@ -416,47 +411,6 @@ fn rebalance_patches_schedule_cache_without_a_miss() {
             s.schedule_cache_hits,
             c.steps - 1,
             "rank {r}: every later call must replay the (patched) schedule"
-        );
-    }
-}
-
-/// Lock-manager stalls move clocks, not bytes: with locking on, a
-/// stalled run finishes no earlier than the stall-free run and produces
-/// the identical image.
-#[test]
-fn lock_stalls_only_move_time() {
-    let mk = |stall: u64| {
-        let cfg = PfsConfig {
-            n_osts: 4,
-            stripe_size: 512,
-            page_size: 64,
-            locking: true,
-            lock_expansion: false,
-            client_cache: false,
-            cost: PfsCostModel::default(),
-        };
-        if stall > 0 {
-            Pfs::with_faults(cfg, FaultPlan { lock_stall_ns: stall, ..FaultPlan::default() })
-        } else {
-            Pfs::new(cfg)
-        }
-    };
-    let work = |pfs: Arc<Pfs>| {
-        let shape = TiledShape { nprocs: 4, block: 64, reps: 16, steps: 1 };
-        let run = run_tiled(&pfs, "dlm", shape, &Hints::default(), false);
-        assert!(run.outcomes.iter().flatten().all(|r| r.is_ok()), "dlm op failed");
-        let out: Vec<u64> = run.clocks;
-        (read_file(&pfs, "dlm"), out)
-    };
-    let (img_fast, t_fast) = work(mk(0));
-    let (img_slow, t_slow) = work(mk(10_000));
-    assert_eq!(img_fast, img_slow, "lock stalls changed bytes");
-    for r in 0..4 {
-        assert!(
-            t_slow[r] >= t_fast[r],
-            "rank {r}: stalled run finished earlier ({} < {})",
-            t_slow[r],
-            t_fast[r]
         );
     }
 }

@@ -7,13 +7,13 @@
 //! double-buffered engine and `Fixed(1)` to the serial engine, number for
 //! number.
 
-use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
+use flexio::core::{aggregator_ranks, ExchangeMode, Hints, MpiFile, PipelineDepth};
 use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
-use flexio::sim::{run, CostModel, Stats, XorShift64Star};
+use flexio::sim::{run, CostModel, Phase, Stats, XorShift64Star};
 use flexio::types::{Datatype, Dt};
-use flexio::workload::{read_file, run_tiled, step_data, TiledShape};
+use flexio::workload::{read_file, run_tiled, step_data, Call, FileWorld, Io, TiledShape, Timing};
 use std::sync::Arc;
 
 fn timed_pfs() -> Arc<Pfs> {
@@ -391,4 +391,53 @@ fn auto_read_depth_keeps_the_stripe_share() {
     let out = fine_world(PipelineDepth::Auto, true);
     let deepest = out.iter().map(|(_, s)| s.pipeline_depth_used).max().unwrap();
     assert!((2..=bound).contains(&deepest), "auto read reached depth {deepest}, bound {bound}");
+}
+
+/// A read pipeline can hide an aggregator's whole read: its prefetches
+/// complete behind the distribution of earlier buffers, so its `Io` phase
+/// bucket stays 0 and the time is in `overlap_saved_ns` instead. The
+/// smallest HPIO read world found where that happens: 9 ranks, 5
+/// aggregators (ranks 0, 1, 3, 5, 7), 384 regions of 8 KiB each, `bench
+/// read`'s populate-then-read sequence under `new+struct`. Every
+/// aggregator reads a non-empty realm here, and a pure client never
+/// touches the file, so it has nothing to hide.
+#[test]
+fn hidden_read_io_is_counted_as_overlap_saved() {
+    let spec = HpioSpec { region_count: 384, nprocs: 9, ..HpioSpec::fig4(8192) };
+    let aggs = 5;
+    let pfs = Pfs::new(PfsConfig::default());
+    let hpio_world = |hints: &Hints, cost, timing, read: bool| {
+        let mut world = FileWorld::new(&pfs, "r", hints, timing);
+        world.cost = cost;
+        world.run(
+            spec.nprocs,
+            1,
+            |r| Some(spec.file_view(r, TypeStyle::Succinct)),
+            |r, _| {
+                let io = if read {
+                    Io::Read(spec.buffer_span() as usize)
+                } else {
+                    Io::Write(spec.make_buffer(r))
+                };
+                Call::new(io, spec.mem_type(), spec.mem_count())
+            },
+        )
+    };
+    let hints = Hints { cb_nodes: Some(aggs), ..Hints::default() };
+    hpio_world(&hints, CostModel::free(), Timing::Untimed, false);
+    let s = hpio_world(&hints, CostModel::default(), Timing::Whole, true);
+    assert!(s.err().is_none());
+    let io = |st: &Stats| st.phase_ns[Phase::Io as usize];
+    let agg_ranks = aggregator_ranks(aggs, spec.nprocs);
+    for (r, st) in s.stats.iter().enumerate() {
+        if agg_ranks.contains(&r) {
+            assert!(io(st) + st.overlap_saved_ns > 0, "aggregator {r} shows no read time");
+        } else {
+            assert_eq!(st.overlap_saved_ns, 0, "pure client {r} hid I/O it never issued");
+        }
+    }
+    assert!(
+        agg_ranks.iter().any(|&r| io(&s.stats[r]) == 0 && s.stats[r].overlap_saved_ns > 0),
+        "no aggregator's read is wholly hidden any more: pick a shape where one is"
+    );
 }

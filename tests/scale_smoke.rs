@@ -13,7 +13,7 @@
 
 use flexio::core::{Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, Backend, CostModel, XorShift64Star};
+use flexio::sim::{run, CostModel, XorShift64Star};
 use flexio::types::Datatype;
 use std::sync::Arc;
 
@@ -31,7 +31,6 @@ fn rank_data(rank: usize, len: usize) -> Vec<u8> {
 /// The invariants: expected file image, correct read-back, and phase
 /// buckets summing to each rank's clock.
 fn scale_roundtrip(nprocs: usize, cb: usize, blocks: u64) {
-    assert!(Backend::event_loop_supported(), "scale smoke requires the fiber rank runtime");
     let pfs = Pfs::new(PfsConfig {
         n_osts: 16,
         stripe_size: 1 << 16,

@@ -28,7 +28,7 @@ use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
-use flexio::sim::{run, run_crashable, Backend, CostModel, Rank, Stats, XorShift64Star};
+use flexio::sim::{run, run_crashable, CostModel, Rank, Stats, XorShift64Star};
 use flexio::types::Datatype;
 use flexio::workload::{read_file, step_data};
 use std::sync::Arc;
@@ -94,9 +94,6 @@ fn mixed(r: &Rank) -> RankTrace {
 
 #[test]
 fn mixed_runs_are_bit_identical() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     for p in [1usize, 3, 4, 5, 6, 12] {
         twice(&format!("p={p}"), || run(p, CostModel::default(), mixed));
     }
@@ -104,9 +101,6 @@ fn mixed_runs_are_bit_identical() {
 
 #[test]
 fn pure_collectives_bit_identical_run_to_run() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // No file system at all: pure point-to-point and collective traffic,
     // including payload-dependent branches.
     let workload = |r: &Rank| {
@@ -171,9 +165,6 @@ fn parity_run(
 
 #[test]
 fn collective_io_bit_identical_run_to_run() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // Free and timed PFS cost models, single aggregator (cb 1): the
     // smallest I/O-path configuration, both engines.
     let cases = [(PfsCostModel::free(), 8usize), (PfsCostModel::default(), 6)];
@@ -188,9 +179,6 @@ fn collective_io_bit_identical_run_to_run() {
 
 #[test]
 fn paper_scale_bit_identical_run_to_run() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // Timed PFS, several racing aggregators, both engines — the
     // configuration where the retired thread-per-rank backend was *not*
     // clock-deterministic: OST service order is a host-order fact, and
@@ -204,9 +192,6 @@ fn paper_scale_bit_identical_run_to_run() {
 
 #[test]
 fn exchange_modes_bit_identical_run_to_run() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
         twice(&format!("{exchange:?}"), || {
             let pfs = pfs_with(PfsCostModel::free());
@@ -230,9 +215,6 @@ fn exchange_modes_bit_identical_run_to_run() {
 
 #[test]
 fn fine_grained_flexible_write_is_bit_identical() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // The engine's use of the world-shared cell: 48 ranks, 24 aggregators,
     // 8-byte regions, nine 512-byte cycles, dense exchange. One rank
     // derives the world's schedule, every rank views it.
@@ -270,9 +252,6 @@ fn fine_grained_flexible_write_is_bit_identical() {
 
 #[test]
 fn fine_grained_shared_derivation_bit_identical_run_to_run() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // `fine-512`'s shape at 64 ranks: 8-byte regions, 32 aggregators,
     // nine 512-byte cycles, dense exchange, persistent aligned realms and
     // a second view (a new derivation cut against the first one's
@@ -323,9 +302,6 @@ fn fine_grained_shared_derivation_bit_identical_run_to_run() {
 
 #[test]
 fn crash_stop_and_recv_timeout_are_deterministic() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // Rank 2 crash-stops at its checkpoint; its neighbour times out on
     // the missing message and everyone else finishes normally.
     let crashes = [(2usize, 10u64)];
@@ -345,9 +321,6 @@ fn crash_stop_and_recv_timeout_are_deterministic() {
 
 #[test]
 fn deadlock_is_detected_and_reported() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     // All ranks park on a message nobody sends: a diagnostic, not a hang.
     let deadlocked = || {
         run(4, CostModel::default(), |r: &Rank| {
@@ -373,9 +346,6 @@ struct OrderCase {
 
 #[test]
 fn message_order_is_fifo_per_source_and_tag() {
-    if !Backend::event_loop_supported() {
-        return;
-    }
     flexio::sim::prop::Runner::new("message_order")
         .cases(24)
         .regressions(include_str!("sim_determinism.proptest-regressions"))
