@@ -1,13 +1,11 @@
-//! The design-choice studies DESIGN.md calls out (A1–A4, A6–A8). A4 and
+//! The design-choice studies DESIGN.md calls out (A1, A3, A4, A6–A8). A4 and
 //! A6–A8 assert their own byte-identity and shape claims while they run: a
 //! clean exit is itself evidence.
 
 use crate::report::{row, Report};
 use crate::worlds::{hpio, locking_pfs, mbps};
 use crate::Args;
-use flexio_core::{
-    BalancedLoad, Engine, EvenAar, ExchangeMode, Hints, PipelineDepth, RealmAssigner,
-};
+use flexio_core::{BalancedLoad, Engine, EvenAar, Hints, PipelineDepth, RealmAssigner};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_io::IoMethod;
 use flexio_pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
@@ -47,42 +45,6 @@ pub(crate) fn a1(args: &Args, r: &mut Report) {
     r.note("Expected shape: metadata bytes grow with M for the old engine and for new+vector,");
     r.note("but stay flat for new+struct; pairs processed are highest for new+vector");
     r.note("(O(M*A) on the client side).");
-}
-
-/// A2 (§5.4): data-exchange flavour — sparse non-blocking point-to-point
-/// vs one `MPI_Alltoallw` per buffer cycle. Both send one message per
-/// block that has data (the alltoallw as MPICH runs it, posting nothing
-/// for a zero count) and neither is charged a copy, so the rows differ
-/// only by the order in which the sends are posted.
-pub(crate) fn a2(args: &Args, r: &mut Report) {
-    let nprocs = args.nprocs_or(if args.paper { 64 } else { 16 });
-    r.section("pattern,aggs,mode,mbps:2");
-    // Dense: fine interleave, every client talks to every aggregator.
-    // Sparse: each rank one contiguous range that lands in one
-    // aggregator's realm, so few pairs talk.
-    for (pattern, region, count, sparse) in
-        [("dense(64B interleave)", 64, 2048, false), ("sparse(256KiB blocks)", 256 << 10, 4, true)]
-    {
-        for aggs in [(nprocs / 4).max(1), (nprocs / 2).max(1), nprocs] {
-            let spec = HpioSpec {
-                region_size: region,
-                region_count: count,
-                region_spacing: 0,
-                mem_noncontig: false,
-                file_noncontig: !sparse,
-                nprocs,
-            };
-            for (mode, exchange) in
-                [("nonblocking", ExchangeMode::Nonblocking), ("alltoallw", ExchangeMode::Alltoallw)]
-            {
-                let hints = Hints { cb_nodes: Some(aggs), exchange, ..Hints::default() };
-                let pfs = Pfs::new(PfsConfig::default());
-                let world = FileWorld::new(&pfs, "a2", &hints, Timing::Whole);
-                let s = hpio(world, spec, TypeStyle::Succinct, false);
-                row!(r; pattern, aggs, mode, mbps(spec.aggregate_bytes(), s.span_ns));
-            }
-        }
-    }
 }
 
 /// A3 (§7 future work): load-balanced realm assignment vs the even

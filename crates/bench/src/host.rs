@@ -10,7 +10,7 @@ use crate::report::{row, Report};
 use crate::worlds::hpio;
 use crate::Args;
 use flexio_core::engine::schedule::derivation_window_walks;
-use flexio_core::{Engine, ExchangeMode, Hints};
+use flexio_core::{Engine, Hints};
 use flexio_hpio::{HpioSpec, TypeStyle};
 use flexio_pfs::{Pfs, PfsConfig};
 use flexio_sim::{last_run_counters, run, stack_blocks_mapped, CostModel, SchedCounters};
@@ -36,7 +36,6 @@ fn collective_write(engine: Engine, nprocs: usize) -> (Duration, u64, u64) {
     let hints = Hints {
         cb_nodes: Some((nprocs / 2).max(1)),
         cb_buffer_size: 512,
-        exchange: ExchangeMode::Alltoallw,
         engine,
         ..Hints::default()
     };
@@ -86,7 +85,7 @@ fn ping_pong(nprocs: usize) -> Duration {
 /// per message is what every message costs the runtime — send, hand-off
 /// match or mailbox entry, take or park, fiber switch, heap push and pop
 /// — and the world's spawn/join is under a hundredth of it. (An
-/// `alltoallw` of empty lists sends nothing at all; the benchmark's
+/// `exchange` of empty lists sends nothing at all; the benchmark's
 /// `sim.alltoallv_us` probe sends an 8-byte block to every peer and is
 /// bound by its 262 144 allocations.)
 fn round_empty(nprocs: usize) -> (Duration, u64) {
@@ -151,8 +150,7 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// segment ends); that change moved none of the three worlds' numbers.
 ///
 /// The fourth world is the ROMIO baseline at `fine-512`'s shape (512
-/// ranks, 256 aggregators, 512 B buffer cycles; ROMIO always exchanges
-/// point to point, so the `alltoallw` hint plays no part). Its constants
+/// ranks, 256 aggregators, 512 B buffer cycles). Its constants
 /// were taken from a run of 5d71e89, the commit before the engines' cycle
 /// drivers took one trait per direction and ROMIO one window splitter:
 /// they pin that ROMIO's messages, wakes and charged pairs did not move.
@@ -180,10 +178,15 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// bound held every aggregator at depth 2; deeper, an aggregator leaves
 /// its write cycles at other virtual times and receives park and wake at
 /// other points. No message count or pair moved.
+///
+/// Deleting the `alltoallw` exchange flavour these worlds asked for moved
+/// the flexible ones' from 2 513, 4 012 and 12 130 to 2 346, 3 880 and
+/// 11 390: sends posted in aggregator order rather than MPICH's scattered
+/// one park fewer receives. No message or pair moved, nor the ROMIO world.
 const CHECK: [(Engine, usize, u64, SchedCounters, u64); 4] = [
-    (Engine::Flexible, 256, 12_328, counters(2_513, 2_513), 491_520),
-    (Engine::Flexible, 512, 26_720, counters(4_012, 4_012), 1_949_696),
-    (Engine::Flexible, 1024, 57_552, counters(12_130, 12_130), 7_766_016),
+    (Engine::Flexible, 256, 12_328, counters(2_346, 2_346), 491_520),
+    (Engine::Flexible, 512, 26_720, counters(3_880, 3_880), 1_949_696),
+    (Engine::Flexible, 1024, 57_552, counters(11_390, 11_390), 7_766_016),
     (Engine::Romio, 512, 292_848, counters(104_191, 104_191), 25_600),
 ];
 
@@ -206,7 +209,7 @@ const fn counters(fiber_switches: u64, heap_pushes: u64) -> SchedCounters {
 
 /// The main family is a fig4-style non-contiguous collective write,
 /// deliberately fine-grained (16 regions x 8 B per rank, 512 B collective
-/// buffer, alltoallw exchange, `cb_nodes` = nprocs/2) so that host work
+/// buffer, `cb_nodes` = nprocs/2) so that host work
 /// per rank, not simulated data volume, is the wall. Weak scaling: each
 /// rank's data is constant, the world grows, and what every rank reads
 /// of the others grows with it. As measured (E-host: each part's host
@@ -267,7 +270,7 @@ pub(crate) fn host(args: &Args, r: &mut Report) {
     }
 
     r.note("fine-grained fig4 write: 16 regions x 8 B per rank, cb 512 B,");
-    r.note("alltoallw exchange, cb_nodes = nprocs/2 (weak scaling)");
+    r.note("cb_nodes = nprocs/2 (weak scaling)");
     r.section("nprocs,wall_ms:1,ranks_per_wall_sec:1,msgs,host_ns_per_msg:0,switches,heap_pushes");
     let sweep: &[usize] = if args.full { &[16, 64, 256, 1024, 4096] } else { &[16, 64, 256, 1024] };
     for &nprocs in args.nprocs.as_ref().map_or(sweep, std::slice::from_ref) {

@@ -75,7 +75,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     virt("e3", "E3 / Fig. 7 — persistent file realms x file-realm alignment", SCALE, figures::e3),
     virt("a1", "A1 — metadata representation (§5.3)", SCALE, ablations::a1),
-    virt("a2", "A2 — exchange mode (§5.4)", SCALE, ablations::a2),
     virt("a3", "A3 — realm assignment on sparse clustered access (§7)", SCALE, ablations::a3),
     virt("a4", "A4 — exchange-schedule cache on a checkpoint overwrite", SCALE, ablations::a4),
     virt("a6", "A6 — pipeline depth (adaptive vs fixed)", SCALE_ENGINE, ablations::a6),
@@ -384,9 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_is_the_fourteen_experiments_with_unique_names() {
+    fn the_registry_is_the_thirteen_experiments_with_unique_names() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(names.join(" "), "e1 e2 e2-spikes e3 a1 a2 a3 a4 a6 a7 a8 read scenario host");
+        assert_eq!(names.join(" "), "e1 e2 e2-spikes e3 a1 a3 a4 a6 a7 a8 read scenario host");
         assert!(usage().ends_with(&names.join(" ")));
         let host_time: Vec<&str> =
             EXPERIMENTS.iter().filter(|e| !e.virtual_time).map(|e| e.name).collect();

@@ -284,22 +284,6 @@ fn a1_struct_ships_the_least_metadata_and_vector_the_most() {
 }
 
 #[test]
-fn a2_the_two_exchange_modes_agree_within_one_percent_on_every_row() {
-    // Both send one message per block that has data; they differ only in
-    // the order the sends are posted.
-    let f = rows("a2");
-    for pattern in f.distinct("pattern") {
-        for aggs in f.distinct("aggs") {
-            let at = |mode: &str| {
-                f.select("pattern", &pattern).select("aggs", &aggs).select("mode", mode).num("mbps")
-            };
-            let (nb, w) = (at("nonblocking"), at("alltoallw"));
-            assert!((nb - w).abs() <= 0.01 * nb, "{pattern}, {aggs} aggs: {nb} vs {w}");
-        }
-    }
-}
-
-#[test]
 fn a3_balanced_load_beats_the_even_split_at_every_world_size() {
     let f = rows("a3");
     for nprocs in f.distinct("nprocs") {

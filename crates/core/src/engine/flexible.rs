@@ -16,8 +16,8 @@
 //!   received payloads' runs, as delivered — to `flexio-io`, which may
 //!   choose a different method every cycle (§5.1). A sieved chunk is
 //!   charged the one copy into its sieve buffer, here.
-//! * **Exchange flavour** (§5.4): sparse non-blocking, or an
-//!   `MPI_Alltoallw` collective over the blocks that exist.
+//! * **Data exchange** (§5.4): sparse non-blocking point-to-point, one
+//!   message per client↔aggregator pair with data in the cycle.
 //!
 //! The buffer cycles themselves run on the shared N-deep pipeline core
 //! (`engine::pipeline`): this module contributes one driver
@@ -31,7 +31,7 @@ use crate::engine::pipeline::{
 use crate::engine::recovery::crash_boundary;
 use crate::engine::schedule::{self, ExchangeSchedule};
 use crate::error::{IoError, Result};
-use crate::hints::{ExchangeMode, Hints};
+use crate::hints::Hints;
 use crate::meta::ClientAccess;
 use crate::realm::{FileRealm, RealmSet};
 use flexio_io::{read_scattered_nb, resolve, write_gathered_nb, IoMethod, Resolved};
@@ -412,19 +412,6 @@ struct Flex<'a, U> {
 }
 
 impl<U> Flex<'_, U> {
-    /// The cycle's client↔aggregator data movement, in the hinted
-    /// flavour (§5.4).
-    fn exchange_blocks(
-        &self,
-        sends: Vec<(usize, Vec<u8>)>,
-        recv_from: &[usize],
-    ) -> Vec<(usize, Vec<u8>)> {
-        match self.hints.exchange {
-            ExchangeMode::Nonblocking => self.rank.exchange(sends, recv_from),
-            ExchangeMode::Alltoallw => self.rank.alltoallw(sends, recv_from),
-        }
-    }
-
     /// The issue half's file loop, in either direction: one request per
     /// realm chunk of cycle `i`'s window — sieving must never span a realm
     /// boundary, the gap would belong to another aggregator. `segs` are
@@ -521,7 +508,7 @@ impl WriteDriver for Flex<'_, &[u8]> {
         // order, so a client's payload is found by its position here.
         let agg_pieces: Vec<(usize, &[Piece])> = cyc.agg_pieces().collect();
         let recv_from: Vec<usize> = agg_pieces.iter().map(|&(c, _)| c).collect();
-        let received = self.exchange_blocks(sends, &recv_from);
+        let received = self.rank.exchange(sends, &recv_from);
         if agg_pieces.is_empty() {
             return None; // nothing owned this cycle (or not an aggregator)
         }
@@ -605,7 +592,7 @@ impl ReadDriver for Flex<'_, &mut [u8]> {
         let agg_ranks = self.sched.agg_ranks();
         // Client: receive from every aggregator whose window holds my data.
         let recv_from: Vec<usize> = cyc.my_pieces().map(|(a, _)| agg_ranks[a]).collect();
-        let received = self.exchange_blocks(stage.unwrap_or_default(), &recv_from);
+        let received = self.rank.exchange(stage.unwrap_or_default(), &recv_from);
         // Scatter into the user buffer; `received` is in `my_pieces` order.
         for ((a, pieces), (src, payload)) in cyc.my_pieces().zip(&received) {
             debug_assert_eq!(*src, agg_ranks[a], "payloads out of aggregator order");

@@ -19,20 +19,17 @@ pub enum Engine {
     Romio,
 }
 
-/// How the data exchange phase moves bytes (§5.4).
+/// Ignored: both engines run the one sparse exchange,
+/// `flexio_sim::Rank::exchange` (§5.4's nonblocking point-to-point
+/// flavour). The enum and [`Hints::exchange`] are still here only because
+/// the benchmark package sets `exchange: ExchangeMode::Alltoallw`; a
+/// `[benchmark]` change drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
-    /// Sparse non-blocking sends/receives, overlapped with address
-    /// computation: one message per peer that has data.
+    /// The sparse point-to-point exchange, the one there is.
     #[default]
     Nonblocking,
-    /// One `MPI_Alltoallw` per exchange, run as MPICH runs it: one message
-    /// per block that has data, posted in its scattered order, none for a
-    /// zero count — the same messages as `Nonblocking`, posted in another
-    /// order, which is all that tells the two apart on this cost model.
-    /// Both flavours send and receive through run lists borrowed
-    /// off the user and collective buffers, so neither is charged a pack
-    /// or assembly copy.
+    /// Once `MPI_Alltoallw`; runs as [`ExchangeMode::Nonblocking`].
     Alltoallw,
 }
 
@@ -96,7 +93,7 @@ pub struct Hints {
     /// Keep file realms fixed across collective calls, anchored at byte 0
     /// (persistent file realms, §5.2/§6.4).
     pub persistent_file_realms: bool,
-    /// Data exchange flavour (§5.4).
+    /// Ignored (see [`ExchangeMode`]); named by the benchmark package.
     pub exchange: ExchangeMode,
     /// Pipeline depth policy: how many buffer cycles may be in flight at
     /// once, under both engines — depth *d* is *d* collective buffers per

@@ -10,8 +10,8 @@
 //!   (even, aligned, persistent, load-balanced, or custom), flattened-
 //!   filetype metadata exchange (`D` pairs instead of `M`), a collective
 //!   buffer decoupled from the sieve buffer so the buffer-to-file method
-//!   ([`flexio_io::IoMethod`]) can change every cycle, and selectable
-//!   exchange flavour (non-blocking vs alltoallw).
+//!   ([`flexio_io::IoMethod`]) can change every cycle, and a sparse
+//!   non-blocking data exchange.
 //! * [`hints::Engine::Romio`] — the original ROMIO code path as the
 //!   evaluation baseline: even aggregate-access-region split, fully
 //!   flattened access metadata, integrated data sieving.
@@ -124,10 +124,10 @@ mod tests {
         assert_eq!(interleaved_write(Engine::Flexible, 1, None), expected_interleaved(1));
     }
 
-    fn roundtrip(engine: Engine, exchange: ExchangeMode) {
+    fn roundtrip(engine: Engine) {
         let pfs = small_pfs();
         let outs = run(3, CostModel::free(), move |rank| {
-            let hints = Hints { engine, exchange, cb_buffer_size: 96, ..Hints::default() };
+            let hints = Hints { engine, cb_buffer_size: 96, ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs, "f", hints).unwrap();
             let bt = Datatype::bytes(16);
             let ft = Datatype::resized(0, 48, bt.clone());
@@ -147,17 +147,12 @@ mod tests {
 
     #[test]
     fn write_then_read_all_flexible() {
-        roundtrip(Engine::Flexible, ExchangeMode::Nonblocking);
-    }
-
-    #[test]
-    fn write_then_read_all_alltoallw() {
-        roundtrip(Engine::Flexible, ExchangeMode::Alltoallw);
+        roundtrip(Engine::Flexible);
     }
 
     #[test]
     fn write_then_read_all_romio() {
-        roundtrip(Engine::Romio, ExchangeMode::Nonblocking);
+        roundtrip(Engine::Romio);
     }
 
     #[test]

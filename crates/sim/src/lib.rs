@@ -123,12 +123,7 @@ mod properties {
             _ => {
                 let sends = (0..p).filter(|&d| listed(me, d)).map(|d| (d, block(me, d))).collect();
                 let recv_from: Vec<usize> = (0..p).filter(|&s| listed(s, me)).collect();
-                let got = if op == 3 {
-                    comm.alltoallw(sends, &recv_from)
-                } else {
-                    comm.exchange(sends, &recv_from)
-                };
-                got.into_iter().map(|(_, b)| b).collect()
+                comm.exchange(sends, &recv_from).into_iter().map(|(_, b)| b).collect()
             }
         }
     }
@@ -136,8 +131,8 @@ mod properties {
     /// The time-shift relation: when every rank starts T₀ later, every
     /// exit clock is exactly T₀ later, and the bytes, every `Stats` field
     /// and the scheduler's work are the same. Each case runs a drawn
-    /// sequence of `barrier`, `allgatherv`, `alltoallv`, `alltoallw` and
-    /// `exchange` over the world, then another per communicator of a drawn
+    /// sequence of `barrier`, `allgatherv`, `alltoallv` and `exchange`
+    /// over the world, then another per communicator of a drawn
     /// split, from drawn per-rank entry skews.
     #[test]
     fn collectives_shift_with_the_start_time() {
@@ -148,6 +143,9 @@ mod properties {
                 let group: Vec<u64> = (0..p).map(|_| rng.next_below(groups)).collect();
                 let mut ops = || {
                     (0..1 + rng.next_below(6))
+                        // Five kinds are drawn, as when `alltoallw` was the
+                        // fifth, so a seed replays the case it always drew;
+                        // 3 and 4 both run `exchange`.
                         .map(|_| (rng.next_below(5), rng.next_u64()))
                         .collect()
                 };

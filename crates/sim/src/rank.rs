@@ -28,7 +28,7 @@ const INTERNAL_BASE: u64 = 1 << 40;
 const STEP_BITS: u32 = 24;
 
 /// Collective kinds, indexed by the `op` of a round key.
-const OPS: [&str; 5] = ["barrier", "allgatherv", "alltoallv", "exchange", "alltoallw"];
+const OPS: [&str; 4] = ["barrier", "allgatherv", "alltoallv", "exchange"];
 
 /// Whether `tag` is a collective's rather than a user's.
 pub(crate) fn is_collective(tag: u64) -> bool {
@@ -548,8 +548,8 @@ impl Rank {
     /// no matching message has arrived by `deadline` (absolute virtual
     /// ns), advancing the clock to the deadline — the timed-out wait was
     /// real (Comm) time. The timer is a deterministic scheduler event, so
-    /// a timeout is as reproducible as a delivery. Event-loop backend
-    /// only; this is the primitive under crash-stop failure detection.
+    /// a timeout is as reproducible as a delivery. This is the primitive
+    /// under crash-stop failure detection.
     pub fn recv_timeout(&self, src: usize, tag: u64, deadline: u64) -> Option<Vec<u8>> {
         let before = self.now();
         match self.seg().take(self.global, self.global_of(src), tag, before, Some(deadline)) {
@@ -690,7 +690,7 @@ impl Rank {
     /// result indexed by rank. Step `s` sends the block for `rank + s` and
     /// receives the block of `rank − s`, `nprocs − 1` steps after the
     /// local copy of the own block: one message per peer, empty blocks
-    /// included. [`Rank::alltoallw`] sends only the blocks that exist.
+    /// included. [`Rank::exchange`] sends only the blocks that exist.
     pub fn alltoallv(&self, mut blocks: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let p = self.nprocs();
         assert_eq!(blocks.len(), p, "alltoallv needs one block per rank");
@@ -708,62 +708,23 @@ impl Rank {
         out
     }
 
-    /// `MPI_Alltoallw` over the blocks that exist, run as MPICH runs it: a
-    /// request for every block with data and none for a zero count.
-    /// `sends` lists `(dst, payload)` for the peers this rank has a block
-    /// for, `recv_from` the peers that have one for it, both strictly
-    /// ascending; a listed block is one message, empty or not, and a peer
-    /// listed on neither side costs nothing. The sends are posted in
-    /// MPICH's scattered order — to `rank − 1`, `rank − 2`, … wrapping —
-    /// so the ranks do not all start on the same destination; the receives
-    /// complete in `recv_from` order. A block its receiver does not list
-    /// is a caller bug, reported when the world ends. Returns `(src,
-    /// payload)` in `recv_from` order.
-    pub fn alltoallw(
-        &self,
-        mut sends: Vec<(usize, Vec<u8>)>,
-        recv_from: &[usize],
-    ) -> Vec<(usize, Vec<u8>)> {
-        let p = self.nprocs();
-        assert!(
-            sends.windows(2).all(|w| w[0].0 < w[1].0) && sends.last().is_none_or(|s| s.0 < p),
-            "alltoallw: destinations must be strictly ascending ranks"
-        );
-        assert!(
-            recv_from.windows(2).all(|w| w[0] < w[1]) && recv_from.last().is_none_or(|&s| s < p),
-            "alltoallw: sources must be strictly ascending ranks"
-        );
-        let below = sends.partition_point(|s| s.0 < self.rank);
-        sends[..below].reverse();
-        sends[below..].reverse();
-        self.point_to_point(4, sends, recv_from)
-    }
-
-    /// Sparse exchange: send `sends` (rank, payload) pairs, receive one
-    /// message from every rank in `recv_from`. All participants must call
-    /// this the same number of times with consistent expectations. Returns
-    /// `(src, payload)` pairs in `recv_from` order. The payloads are taken
-    /// by value: each becomes its message (or, sent to self, its own
-    /// receipt) without a copy.
+    /// Sparse exchange, the point-to-point round of two-phase I/O: one
+    /// message for every listed block, empty or not, and none for a peer
+    /// listed on neither side. `sends` lists `(dst, payload)` pairs, posted
+    /// in the order given; then the receives of `recv_from` complete in
+    /// order, one message from each. A block for this rank skips the
+    /// network and is charged its copy where `recv_from` lists it. The
+    /// payloads are taken by value: each becomes its message (or, sent to
+    /// self, its own receipt) without a copy. All participants must call
+    /// this the same number of times with consistent expectations: a block
+    /// its receiver does not list is a caller bug, reported when the world
+    /// ends. Returns `(src, payload)` pairs in `recv_from` order.
     pub fn exchange(
         &self,
         sends: Vec<(usize, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
-        self.point_to_point(3, sends, recv_from)
-    }
-
-    /// The one loop of [`Rank::exchange`] and [`Rank::alltoallw`]: post
-    /// `sends` in the order given, then complete the receives of
-    /// `recv_from` in order; a block for this rank skips the network and
-    /// is charged its copy where `recv_from` lists it.
-    fn point_to_point(
-        &self,
-        op: u64,
-        sends: Vec<(usize, Vec<u8>)>,
-        recv_from: &[usize],
-    ) -> Vec<(usize, Vec<u8>)> {
-        let tag = coll_tag(self.round_key(op), 0);
+        let tag = coll_tag(self.round_key(3), 0);
         let mut self_payloads = std::collections::VecDeque::new();
         for (dst, payload) in sends {
             if dst == self.rank {
@@ -787,8 +748,7 @@ impl Rank {
         }
         assert!(
             self_payloads.is_empty(),
-            "{}: rank {} sends to itself but its recv_from does not list it ({})",
-            OPS[op as usize],
+            "exchange: rank {} sends to itself but its recv_from does not list it ({})",
             self.rank,
             describe_tag(tag),
         );
@@ -1105,14 +1065,14 @@ mod tests {
     }
 
     #[test]
-    fn alltoallw_sends_the_listed_blocks_and_nothing_else() {
+    fn exchange_sends_the_listed_blocks_and_nothing_else() {
         // For p in 1..=65, random listed blocks — empty ones, self-blocks,
         // ranks that list nothing on either side — entered at skewed
         // clocks: every rank gets the bytes the dense `alltoallv` over the
         // same blocks gives it, sends one message per listed block for
         // another rank, and leaves at its entry clock when it lists
         // nothing.
-        crate::prop::Runner::new("alltoallw_listed_blocks").run(
+        crate::prop::Runner::new("exchange_listed_blocks").run(
             |rng| {
                 let p = 1 + rng.next_below(65) as usize;
                 let silent: Vec<bool> = (0..p).map(|_| rng.next_below(4) == 0).collect();
@@ -1150,7 +1110,7 @@ mod tests {
                     let off_rank = sends.iter().filter(|s| s.0 != me).count() as u64;
                     r.advance(skew[me]);
                     let (entry, before) = (r.now(), r.stats().msgs_sent);
-                    let got = r.alltoallw(sends, &recv_from);
+                    let got = r.exchange(sends, &recv_from);
                     assert_eq!(
                         r.stats().msgs_sent - before,
                         off_rank,
@@ -1168,21 +1128,9 @@ mod tests {
         );
     }
 
-    // The next four are callers' contracts, checked in every profile
+    // The next three are callers' contracts, checked in every profile
     // (they were `debug_assert!`s or unchecked: a release build dropped
     // the block, aliased a collective's tag, dropped the payload).
-
-    #[test]
-    #[should_panic(
-        expected = "rank 2 ended the world with a message from rank 0 it never took (collective #1 alltoallw step 0)"
-    )]
-    fn alltoallw_refuses_a_block_its_receiver_does_not_list() {
-        run(3, CostModel::default(), |r| {
-            r.barrier();
-            let sends = if r.rank() == 0 { vec![(2, vec![7; 3])] } else { Vec::new() };
-            r.alltoallw(sends, &[]);
-        });
-    }
 
     #[test]
     #[should_panic(
@@ -1276,8 +1224,8 @@ mod tests {
         vec![(i * 97 + coll * 31 + src * 7 + dst * 3) as u8; len]
     }
 
-    /// Three passes of alltoallv / allgatherv / barrier / exchange /
-    /// alltoallw over `comm`, every payload checked.
+    /// Three passes of alltoallv / allgatherv / barrier / a ring exchange /
+    /// a many-to-two exchange over `comm`, every payload checked.
     fn mixed_rounds(comm: &Rank) {
         let (me, p) = (comm.rank(), comm.nprocs());
         for i in 0..3 {
@@ -1298,10 +1246,10 @@ mod tests {
             let sends = ends.iter().map(|&d| (d, stamp(i, 3, me, d))).collect();
             let all: Vec<usize> = (0..p).collect();
             let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
-            let got = comm.alltoallw(sends, recv_from);
+            let got = comm.exchange(sends, recv_from);
             assert_eq!(got.len(), recv_from.len());
             for (src, b) in &got {
-                assert_eq!(b, &stamp(i, 3, *src, me), "alltoallw pass {i}: {src} -> {me}");
+                assert_eq!(b, &stamp(i, 3, *src, me), "exchange pass {i}: {src} -> {me}");
             }
         }
     }
@@ -1337,7 +1285,7 @@ mod tests {
         assert!(tag(0, 0, 0) >= INTERNAL_BASE);
         assert!(tag(4, OPS.len() as u64 - 1, (1 << STEP_BITS) - 1) < tag(5, 0, 0));
         assert_eq!(describe_tag(tag(4, 2, 70)), "collective #4 alltoallv step 70");
-        assert_eq!(describe_tag(tag(3, 4, 0)), "collective #3 alltoallw step 0");
+        assert_eq!(describe_tag(tag(3, 3, 0)), "collective #3 exchange step 0");
         assert_eq!(describe_tag(tag(9, 0, 2)), "collective #9 barrier step 2");
         assert_eq!(describe_tag(17), "tag=17");
     }

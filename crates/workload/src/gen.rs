@@ -10,7 +10,7 @@ use crate::spec::{
     checkpoint_spec, many_task_spec, mixed_subarray_spec, read_scan_spec, restart_spec, PfsShape,
     PhaseOp, PhaseSpec, RankPlan, ScenarioKind, WorkloadSpec,
 };
-use flexio_core::{ExchangeMode, PipelineDepth};
+use flexio_core::PipelineDepth;
 use flexio_sim::XorShift64Star;
 use flexio_types::Datatype;
 
@@ -139,7 +139,7 @@ pub fn generate(rng: &mut XorShift64Star) -> WorkloadSpec {
         page: [16, 32, 64][(rng.next_u64() % 3) as usize],
     };
     spec.cb = [128, 256, 512, 1024, 4096][(rng.next_u64() % 5) as usize];
-    spec.exchange = if coin(rng) { ExchangeMode::Alltoallw } else { ExchangeMode::Nonblocking };
+    let _ = coin(rng); // once the exchange flavour's; drawn so a seed keeps its spec
     spec.pfr = coin(rng);
     spec.depth = match rng.next_u64() % 6 {
         0..=3 => PipelineDepth::Fixed(1 + (rng.next_u64() % 5) as u32),

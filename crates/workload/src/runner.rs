@@ -233,7 +233,6 @@ impl WorkloadSpec {
             engine,
             cb_nodes: Some(phase.aggs),
             cb_buffer_size: self.cb,
-            exchange: self.exchange,
             persistent_file_realms: self.pfr,
             pipeline_depth: self.depth,
             io_retries: 12,

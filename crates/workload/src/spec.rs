@@ -6,7 +6,7 @@
 //! [runner](crate::runner), the [oracle](crate::oracle), the bench bin —
 //! consumes the same spec, so a scenario is described exactly once.
 
-use flexio_core::{ExchangeMode, PipelineDepth};
+use flexio_core::PipelineDepth;
 use flexio_sim::XorShift64Star;
 use flexio_types::{flatten_shared, subarray, Datatype, Dt, MemLayout};
 
@@ -172,8 +172,6 @@ pub struct WorkloadSpec {
     pub pfs: PfsShape,
     /// `cb_buffer_size` in bytes.
     pub cb: usize,
-    /// Aggregator exchange mode.
-    pub exchange: ExchangeMode,
     /// Persistent file realms.
     pub pfr: bool,
     /// Pipeline depth.
@@ -192,7 +190,6 @@ impl WorkloadSpec {
             kind,
             pfs: PfsShape::default(),
             cb: 1024,
-            exchange: ExchangeMode::default(),
             pfr: false,
             depth: PipelineDepth::default(),
             fault_seed: 1,

@@ -1,7 +1,7 @@
-//! Cross-crate integration tests: both engines, all exchange modes and
-//! hint combinations must produce byte-identical, verifier-clean files.
+//! Cross-crate integration tests: both engines and all hint combinations
+//! must produce byte-identical, verifier-clean files.
 
-use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
+use flexio::core::{Engine, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::io::IoMethod;
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
@@ -68,12 +68,6 @@ fn hpio_flexible_enumerated() {
 fn hpio_romio_engine() {
     let hints = Hints { engine: Engine::Romio, ..Hints::default() };
     hpio_write_and_verify(small_spec(5), TypeStyle::Enumerated, hints);
-}
-
-#[test]
-fn hpio_alltoallw_exchange() {
-    let hints = Hints { exchange: ExchangeMode::Alltoallw, ..Hints::default() };
-    hpio_write_and_verify(small_spec(4), TypeStyle::Succinct, hints);
 }
 
 #[test]

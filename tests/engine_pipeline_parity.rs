@@ -1,7 +1,7 @@
 //! Differential parity suite for the shared pipeline core: the ROMIO
 //! baseline and the flexible engine now run their buffer cycles on the
 //! same `CycleDriver` drive loops, so pipelining must be *semantically
-//! invisible* on both — at every depth, in every exchange mode, and under
+//! invisible* on both — at every depth and under
 //! injected faults:
 //!
 //! * pipelined ROMIO at any depth is byte-identical (file image and
@@ -16,7 +16,7 @@
 //!   charged, pinned number for number by fixtures harvested on an
 //!   earlier commit.
 
-use flexio::core::{Engine, ExchangeMode, Hints, PipelineDepth};
+use flexio::core::{Engine, Hints, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
@@ -40,7 +40,7 @@ fn timed_pfs(faults: Option<&FaultPlan>) -> Arc<Pfs> {
 }
 
 /// One randomized parity case: a tiled collective workload plus the
-/// pipeline depth, exchange mode, and fault plan to run it under —
+/// pipeline depth and fault plan to run it under —
 /// everything but the engine, which the property sweeps itself.
 #[derive(Debug, Clone)]
 struct Parity {
@@ -53,7 +53,6 @@ struct Parity {
     steps: u64,
     aggs: usize,
     cb: usize,
-    exchange: ExchangeMode,
     depth: PipelineDepth,
     /// `None` for a fault-free case.
     plan: Option<FaultPlan>,
@@ -68,14 +67,14 @@ fn random_parity(rng: &mut XorShift64Star) -> Parity {
         steps: 1 + rng.next_u64() % 2,
         aggs: 1 + (rng.next_u64() as usize) % nprocs,
         cb: [128, 256, 512, 1024][(rng.next_u64() % 4) as usize],
-        exchange: if rng.next_u64().is_multiple_of(2) {
-            ExchangeMode::Nonblocking
-        } else {
-            ExchangeMode::Alltoallw
-        },
-        depth: match rng.next_u64() % 6 {
-            0..=3 => PipelineDepth::Fixed(2 + (rng.next_u64() % 5) as u32), // 2..=6
-            _ => PipelineDepth::Auto,
+        depth: {
+            // Once the exchange flavour's coin, still drawn so that a
+            // pinned seed replays the case it always drew.
+            rng.next_u64();
+            match rng.next_u64() % 6 {
+                0..=3 => PipelineDepth::Fixed(2 + (rng.next_u64() % 5) as u32), // 2..=6
+                _ => PipelineDepth::Auto,
+            }
         },
         plan: if rng.next_u64().is_multiple_of(3) {
             // Modest transient rate with a generous retry budget (the
@@ -98,7 +97,6 @@ fn roundtrip(p: &Parity, engine: Engine, depth: PipelineDepth) -> (Vec<u8>, Phas
         pipeline_depth: depth,
         cb_nodes: Some(p.aggs),
         cb_buffer_size: p.cb,
-        exchange: p.exchange,
         io_retries: 12,
         ..Hints::default()
     };

@@ -16,7 +16,7 @@
 //! * each rank's phase buckets still sum to its elapsed clock;
 //! * with no plan installed, every fault counter stays zero.
 
-use flexio::core::{Engine, ExchangeMode, Hints, IoError, PipelineDepth};
+use flexio::core::{Engine, Hints, IoError, PipelineDepth};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel, StragglerSpec};
 use flexio::sim::prop::Runner;
 use flexio::sim::{Stats, XorShift64Star};
@@ -37,7 +37,6 @@ struct Chaos {
     aggs: usize,
     cb: usize,
     engine: Engine,
-    exchange: ExchangeMode,
     pfr: bool,
     depth: PipelineDepth,
     io_retries: u32,
@@ -64,12 +63,12 @@ fn random_chaos(rng: &mut XorShift64Star) -> Chaos {
         aggs: 1 + (rng.next_u64() as usize) % nprocs,
         cb: [128, 256, 512, 1024][(rng.next_u64() % 4) as usize],
         engine: if rng.next_u64().is_multiple_of(2) { Engine::Flexible } else { Engine::Romio },
-        exchange: if rng.next_u64().is_multiple_of(2) {
-            ExchangeMode::Nonblocking
-        } else {
-            ExchangeMode::Alltoallw
+        pfr: {
+            // Once the exchange flavour's coin, still drawn so that a
+            // pinned seed replays the case it always drew.
+            rng.next_u64();
+            rng.next_u64().is_multiple_of(2)
         },
-        pfr: rng.next_u64().is_multiple_of(2),
         depth: match rng.next_u64() % 4 {
             0..=2 => PipelineDepth::Fixed(1 + (rng.next_u64() % 4) as u32),
             _ => PipelineDepth::Auto,
@@ -103,7 +102,6 @@ fn chaos_hints(c: &Chaos) -> Hints {
         engine: c.engine,
         cb_nodes: Some(c.aggs),
         cb_buffer_size: c.cb,
-        exchange: c.exchange,
         persistent_file_realms: c.pfr,
         pipeline_depth: c.depth,
         io_retries: c.io_retries,
@@ -179,7 +177,6 @@ fn exhausted_retries_agree_on_one_error() {
             aggs: 2,
             cb: 512,
             engine,
-            exchange: ExchangeMode::Nonblocking,
             pfr: false,
             depth: PipelineDepth::Fixed(2),
             io_retries: 2,
@@ -229,7 +226,6 @@ fn disabled_faults_count_nothing() {
             aggs: 3,
             cb: 256,
             engine,
-            exchange: ExchangeMode::Alltoallw,
             pfr: true,
             depth: PipelineDepth::Auto,
             io_retries: 4,
@@ -265,7 +261,6 @@ fn straggler_degrades_and_rebalances() {
         aggs: 2,
         cb: 2048,
         engine: Engine::Flexible,
-        exchange: ExchangeMode::Nonblocking,
         pfr: true,
         depth: PipelineDepth::Fixed(1),
         io_retries: 4,
@@ -322,7 +317,6 @@ fn rebalance_converges_in_one_detection() {
         aggs: 3,
         cb: 2048,
         engine: Engine::Flexible,
-        exchange: ExchangeMode::Nonblocking,
         pfr: true,
         depth: PipelineDepth::Fixed(1),
         io_retries: 4,
@@ -376,7 +370,6 @@ fn rebalance_patches_schedule_cache_without_a_miss() {
         aggs: 3,
         cb: 2048,
         engine: Engine::Flexible,
-        exchange: ExchangeMode::Nonblocking,
         pfr: true,
         depth: PipelineDepth::Fixed(1),
         io_retries: 4,

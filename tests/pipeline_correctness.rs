@@ -4,7 +4,7 @@
 //! nothing, and the pipelined engine (the default, `auto`) must harvest
 //! measurable overlap on cycle-rich workloads.
 
-use flexio::core::{ExchangeMode, Hints, MpiFile, PipelineDepth};
+use flexio::core::{Hints, MpiFile, PipelineDepth};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, CostModel, Stats};
 use flexio::types::Datatype;
@@ -76,36 +76,32 @@ fn roundtrip(
 
 #[test]
 fn pipelined_byte_identical_to_serial() {
-    // Every combination of exchange mode × replayed or re-derived
-    // schedule: the pipelined and serial engines must produce
-    // byte-identical file images, and the read path must return
-    // byte-identical user buffers.
+    // Replayed or re-derived schedule: the pipelined and serial engines
+    // must produce byte-identical file images, and the read path must
+    // return byte-identical user buffers.
     let (nprocs, blocks, steps) = (8, 24, 3);
-    for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        for uncached in [false, true] {
-            let image = |pipeline_depth: PipelineDepth| {
-                let pfs = test_pfs();
-                let hints = Hints {
-                    pipeline_depth,
-                    exchange,
-                    cb_nodes: Some(4),
-                    cb_buffer_size: 256, // several cycles per call
-                    ..Hints::default()
-                };
-                let out = roundtrip(&pfs, "pipe", (nprocs, blocks, steps), hints, uncached);
-                (read_file(&pfs, "pipe"), out)
+    for uncached in [false, true] {
+        let image = |pipeline_depth: PipelineDepth| {
+            let pfs = test_pfs();
+            let hints = Hints {
+                pipeline_depth,
+                cb_nodes: Some(4),
+                cb_buffer_size: 256, // several cycles per call
+                ..Hints::default()
             };
-            let (img_p, out_p) = image(PIPELINED);
-            let (img_s, out_s) = image(SERIAL);
-            assert_eq!(img_p, img_s, "file images diverge ({exchange:?}, uncached={uncached})");
-            for r in 0..nprocs {
-                assert_eq!(
-                    out_p[r].2, out_s[r].2,
-                    "rank {r} read buffers diverge ({exchange:?}, uncached={uncached})"
-                );
-                let want = step_data(r, steps - 1, (blocks * BLOCK) as usize);
-                assert_eq!(out_p[r].2, want, "rank {r} read wrong bytes");
-            }
+            let out = roundtrip(&pfs, "pipe", (nprocs, blocks, steps), hints, uncached);
+            (read_file(&pfs, "pipe"), out)
+        };
+        let (img_p, out_p) = image(PIPELINED);
+        let (img_s, out_s) = image(SERIAL);
+        assert_eq!(img_p, img_s, "file images diverge (uncached={uncached})");
+        for r in 0..nprocs {
+            assert_eq!(
+                out_p[r].2, out_s[r].2,
+                "rank {r} read buffers diverge (uncached={uncached})"
+            );
+            let want = step_data(r, steps - 1, (blocks * BLOCK) as usize);
+            assert_eq!(out_p[r].2, want, "rank {r} read wrong bytes");
         }
     }
 }
@@ -115,27 +111,20 @@ fn pipelined_counters_match_serial() {
     // Pipelining reorders virtual time, never work: pairs, copies,
     // messages, and payload bytes must be identical per rank.
     let (nprocs, blocks, steps) = (8, 24, 3);
-    for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        let stats = |pipeline_depth: PipelineDepth| {
-            let pfs = test_pfs();
-            let hints = Hints {
-                pipeline_depth,
-                exchange,
-                cb_nodes: Some(4),
-                cb_buffer_size: 256,
-                ..Hints::default()
-            };
-            roundtrip(&pfs, "cnt", (nprocs, blocks, steps), hints, false)
-        };
-        let pipelined = stats(PIPELINED);
-        let serial = stats(SERIAL);
-        for r in 0..nprocs {
-            let (p, s) = (&pipelined[r].1, &serial[r].1);
-            assert_eq!(p.pairs_processed, s.pairs_processed, "rank {r} pairs ({exchange:?})");
-            assert_eq!(p.memcpy_bytes, s.memcpy_bytes, "rank {r} copies ({exchange:?})");
-            assert_eq!(p.msgs_sent, s.msgs_sent, "rank {r} messages ({exchange:?})");
-            assert_eq!(p.bytes_sent, s.bytes_sent, "rank {r} payload ({exchange:?})");
-        }
+    let stats = |pipeline_depth: PipelineDepth| {
+        let pfs = test_pfs();
+        let hints =
+            Hints { pipeline_depth, cb_nodes: Some(4), cb_buffer_size: 256, ..Hints::default() };
+        roundtrip(&pfs, "cnt", (nprocs, blocks, steps), hints, false)
+    };
+    let pipelined = stats(PIPELINED);
+    let serial = stats(SERIAL);
+    for r in 0..nprocs {
+        let (p, s) = (&pipelined[r].1, &serial[r].1);
+        assert_eq!(p.pairs_processed, s.pairs_processed, "rank {r} pairs");
+        assert_eq!(p.memcpy_bytes, s.memcpy_bytes, "rank {r} copies");
+        assert_eq!(p.msgs_sent, s.msgs_sent, "rank {r} messages");
+        assert_eq!(p.bytes_sent, s.bytes_sent, "rank {r} payload");
     }
 }
 

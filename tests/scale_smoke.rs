@@ -7,9 +7,9 @@
 //! Tier-1 (`cargo test`, debug or release) runs the 512-rank case. The
 //! 4096- and 16384-rank cases are `#[ignore]`d, release-scale runs:
 //! `scripts/verify.sh` runs the 4096-rank one on every change (seconds
-//! in release, most of a minute in debug), the CI `scale` job and
-//! `verify.sh --thorough` run both (`--release -- --ignored`; the
-//! 16384-rank world takes minutes).
+//! in release, most of a minute in debug); the CI `scale` job and
+//! `verify.sh --thorough` run the 16384-rank one (`--release -- --ignored
+//! --exact scale_smoke_16384_ranks`; it takes minutes).
 
 use flexio::core::{Hints, MpiFile};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};

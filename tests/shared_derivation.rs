@@ -4,7 +4,7 @@
 //! `tests/fixtures/shared_derivation.txt` was written by this very file
 //! (`FLEXIO_REGEN_FIXTURE=1`, public API only) run on that commit; the
 //! old per-rank path is gone, so the fixture is the oracle. It records,
-//! for six fine-grained 128-rank scenarios, every rank's final clock, the
+//! for four fine-grained 128-rank scenarios, every rank's final clock, the
 //! pairs it was charged per collective call, its message count and a
 //! digest of its full [`Stats`], plus a hash of the file image. A charge
 //! that moved between ranks, calls or buffer cycles shifts a send and
@@ -40,7 +40,11 @@
 //! per call and message counts unchanged; 7.6 % earlier in the straggler
 //! scenario and 31.2 % earlier in the crash scenario, where timing picks
 //! the rebalanced realms and the replay and so moves pairs and messages
-//! too. No image hash moved.
+//! too. No image hash moved. Then the `alltoallw` exchange flavour was
+//! deleted: `even-alltoallw` and `pfr-aligned-alltoallw` went (their
+//! `-nonblocking` twins remain, unregenerated), and
+//! `crash-recovery-replay`, which had run the flavour, came to run the one
+//! exchange and was regenerated alone.
 //!
 //! Only the crash scenario runs in a crashable world (`run_crashable`);
 //! the others run on `run`, since a crashable world arms failure
@@ -50,7 +54,7 @@
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::core::engine::ExchangeSchedule;
-use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
+use flexio::core::{Engine, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
 use flexio::pfs::{FaultPlan, Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, run_crashable, CostModel, Rank, Stats};
@@ -78,7 +82,6 @@ fn spec() -> HpioSpec {
 
 struct Scenario {
     name: &'static str,
-    exchange: ExchangeMode,
     pfr: bool,
     fault: Option<FaultPlan>,
     /// `(rank, at_ns)` to crash-stop; only this scenario runs in a
@@ -87,18 +90,14 @@ struct Scenario {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    use ExchangeMode::{Alltoallw, Nonblocking};
-    let plain = |name, exchange, pfr| Scenario { name, exchange, pfr, fault: None, crash: None };
+    let plain = |name, pfr| Scenario { name, pfr, fault: None, crash: None };
     vec![
-        plain("even-alltoallw", Alltoallw, false),
-        plain("even-nonblocking", Nonblocking, false),
-        plain("pfr-aligned-alltoallw", Alltoallw, true),
-        plain("pfr-aligned-nonblocking", Nonblocking, true),
+        plain("even-nonblocking", false),
+        plain("pfr-aligned-nonblocking", true),
         // OST 0 serves 8x slower: its aggregators straggle, the realms
         // are rebalanced once and the cached schedule is patched.
         Scenario {
             name: "pfr-straggler-rebalance",
-            exchange: Nonblocking,
             pfr: true,
             fault: Some(FaultPlan::straggler(0, 8.0)),
             crash: None,
@@ -108,7 +107,6 @@ fn scenarios() -> Vec<Scenario> {
         // re-elected, realms re-partitioned) and carry on.
         Scenario {
             name: "crash-recovery-replay",
-            exchange: Alltoallw,
             pfr: true,
             fault: Some(FaultPlan::default()),
             crash: Some((37, 40_000_000)),
@@ -146,7 +144,6 @@ fn run_scenario(scn: &Scenario) -> String {
         engine: Engine::Flexible,
         cb_nodes: Some(AGGS),
         cb_buffer_size: 512,
-        exchange: scn.exchange,
         persistent_file_realms: scn.pfr,
         fr_alignment: scn.pfr.then_some(256),
         crash_recovery: true,

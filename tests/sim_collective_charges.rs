@@ -20,7 +20,7 @@
 //!   sends into the next while its peers still wait in this one;
 //! - `[late-entrant p=130]` and `[… p=512]`: a rank sits out 50 virtual
 //!   ms on a timer — late on the host, not only in virtual time — before
-//!   an `alltoallw` and before an `allgatherv`;
+//!   a scattered `exchange` and before an `allgatherv`;
 //! - `[crash-mid-round p=24]`: the first rank to leave a collective
 //!   crash-stops while its peers are still in it; the survivors time out
 //!   on it and run on over a subgroup;
@@ -32,7 +32,12 @@
 //! The fixture has moved on purpose twice, and was regenerated each time:
 //! when the `allgatherv` became Bruck's log-step round, and when
 //! `alltoallw` became MPICH's scattered isend/irecv over the listed
-//! blocks. Regenerate only when a change is *meant* to move virtual time.
+//! blocks. When `alltoallw` was deleted, its cases came to run `exchange`
+//! over the same blocks posted in the same scattered order
+//! ([`scattered`]): every clock, count, digest and host-order index stayed
+//! as it was, and only the cases' label changed, `alltoallw` →
+//! `exchange-scattered`. Regenerate only when a change is *meant* to move
+//! virtual time.
 
 use flexio::sim::{run, run_crashable, CostModel, GatherTable, Rank};
 use std::fmt::Write as _;
@@ -45,7 +50,7 @@ const CASES: [&str; 6] = [
     "alltoallv-dense-mixed",
     "alltoallv-all-empty",
     "alltoallv-dense-skewed",
-    "alltoallw",
+    "exchange-scattered",
     "allgatherv-mixed",
     "barrier-skewed",
 ];
@@ -74,10 +79,21 @@ fn skew(rank: &Rank, salt: usize) {
     rank.advance(((rank.rank() * 7919 + salt) % 13) as u64 * 50_000);
 }
 
-/// The `alltoallw` case's geometry: every fourth rank is an "aggregator";
+/// The `exchange-scattered` case's geometry: every fourth rank is an
+/// "aggregator";
 /// `src` has data for aggregator `a` unless `(src + a) % 3 == 0`.
 fn sends_to(src: usize, a: usize) -> bool {
     a.is_multiple_of(4) && !(src + a).is_multiple_of(3)
+}
+
+/// `sends`, ascending by destination, in MPICH's scattered `alltoallw`
+/// order: to `me − 1`, `me − 2`, … wrapping round, so the ranks do not
+/// all start on the same destination.
+fn scattered(me: usize, mut sends: Vec<(usize, Vec<u8>)>) -> Vec<(usize, Vec<u8>)> {
+    let below = sends.partition_point(|s| s.0 < me);
+    sends[..below].reverse();
+    sends[below..].reverse();
+    sends
 }
 
 /// One record: `rank [label] clock msgs bytes compute/comm/io order digest`.
@@ -135,7 +151,7 @@ fn rank_body(rank: &Rank, order: &[AtomicUsize]) -> Vec<String> {
         .map(|a| (a, block(3, me, a, 1 + (me + a) % 40)))
         .collect();
     let recv_from: Vec<usize> = (0..p).filter(|&s| sends_to(s, me)).collect();
-    let got = rank.alltoallw(sends, &recv_from);
+    let got = rank.exchange(scattered(me, sends), &recv_from);
     assert_eq!(got.len(), recv_from.len());
     for ((src, b), &want) in got.iter().zip(&recv_from) {
         assert_eq!(*src, want);
@@ -197,16 +213,16 @@ fn four_rounds(
     let sends = ends.iter().map(|&d| (d, block(case, me, d, 1 + (me + d) % 40))).collect();
     let all: Vec<usize> = (0..p).collect();
     let recv_from: &[usize] = if ends.contains(&me) { &all } else { &[] };
-    let got = comm.alltoallw(sends, recv_from);
+    let got = comm.exchange(scattered(me, sends), recv_from);
     for (src, b) in &got {
         assert_eq!(
             b,
             &block(case, *src, me, 1 + (src + me) % 40),
-            "pass {pass}: alltoallw {src}->{me}"
+            "pass {pass}: exchange {src}->{me}"
         );
     }
     let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
-    record("alltoallw", digest_blocks(&payloads));
+    record("exchange-scattered", digest_blocks(&payloads));
 }
 
 const ROUND_MEMBERS: [usize; 5] = [0, 2, 3, 5, 7];
@@ -270,7 +286,7 @@ fn back_to_back_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
     recs
 }
 
-/// The `alltoallw` of case 3's geometry and an `allgatherv`,
+/// The scattered `exchange` of case 3's geometry and an `allgatherv`,
 /// three times over. In passes 1 and 2 one rank sits out 50 virtual ms on
 /// a timer before each of the two: a park, so it is late on the host and
 /// not only in virtual time — by the time it enters, every peer has run
@@ -299,7 +315,7 @@ fn late_entrant_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
             .map(|a| (a, block(case, me, a, 1 + (me + a) % 40)))
             .collect();
         let recv_from: Vec<usize> = (0..p).filter(|&s| sends_to(s, me)).collect();
-        let got = rank.alltoallw(sends, &recv_from);
+        let got = rank.exchange(scattered(me, sends), &recv_from);
         for ((src, b), &want) in got.iter().zip(&recv_from) {
             assert_eq!(*src, want);
             assert_eq!(
@@ -309,7 +325,7 @@ fn late_entrant_body(rank: &Rank, order: &AtomicUsize) -> Vec<String> {
             );
         }
         let payloads: Vec<Vec<u8>> = got.into_iter().map(|(_, b)| b).collect();
-        record("alltoallw", digest_blocks(&payloads));
+        record("exchange-scattered", digest_blocks(&payloads));
         if pass > 0 {
             sit_out(p - pass * p / 5);
         }

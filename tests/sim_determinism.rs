@@ -11,7 +11,7 @@
 //!   branches, timed parks that expire, and skewed clocks;
 //! * collective I/O through both engines under free and timed PFS cost
 //!   models, up to the paper-scale configuration where several
-//!   aggregators race a shared OST clock, in both exchange modes;
+//!   aggregators race a shared OST clock;
 //! * the world-shared schedule derivation (one rank derives, every rank
 //!   views it) at fine granularity with many aggregators;
 //! * crash-stop with a `recv_timeout` watchdog, and the deadlock
@@ -25,7 +25,7 @@
 //! workloads), phase buckets sum to each rank's elapsed clock.
 
 use flexio::core::engine::ExchangeSchedule;
-use flexio::core::{Engine, ExchangeMode, Hints, MpiFile};
+use flexio::core::{Engine, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TypeStyle};
 use flexio::pfs::{Pfs, PfsConfig, PfsCostModel};
 use flexio::sim::{run, run_crashable, CostModel, Rank, Stats, XorShift64Star};
@@ -191,29 +191,6 @@ fn paper_scale_bit_identical_run_to_run() {
 }
 
 #[test]
-fn exchange_modes_bit_identical_run_to_run() {
-    for exchange in [ExchangeMode::Nonblocking, ExchangeMode::Alltoallw] {
-        twice(&format!("{exchange:?}"), || {
-            let pfs = pfs_with(PfsCostModel::free());
-            let pfs2 = Arc::clone(&pfs);
-            let out = run(8, CostModel::default(), move |rank| {
-                let hints =
-                    Hints { exchange, cb_nodes: Some(4), cb_buffer_size: 256, ..Hints::default() };
-                let mut f = MpiFile::open(rank, &pfs2, "xmode", hints).unwrap();
-                let block = Datatype::bytes(BLOCK);
-                let ftype = Datatype::resized(0, 8 * BLOCK, block);
-                f.set_view(rank.rank() as u64 * BLOCK, &Datatype::bytes(1), &ftype).unwrap();
-                let data = step_data(rank.rank(), 0, (12 * BLOCK) as usize);
-                f.write_all(&data, &Datatype::bytes(data.len() as u64), 1).unwrap();
-                f.close().unwrap();
-                (rank.now(), rank.stats())
-            });
-            (out, read_file(&pfs, "xmode"))
-        });
-    }
-}
-
-#[test]
 fn fine_grained_flexible_write_is_bit_identical() {
     // The engine's use of the world-shared cell: 48 ranks, 24 aggregators,
     // 8-byte regions, nine 512-byte cycles, dense exchange. One rank
@@ -230,12 +207,7 @@ fn fine_grained_flexible_write_is_bit_identical() {
         let pfs = Pfs::new(PfsConfig::default());
         let pfs2 = Arc::clone(&pfs);
         let out = run(spec.nprocs, CostModel::default(), move |rank| {
-            let hints = Hints {
-                exchange: ExchangeMode::Alltoallw,
-                cb_nodes: Some(24),
-                cb_buffer_size: 512,
-                ..Hints::default()
-            };
+            let hints = Hints { cb_nodes: Some(24), cb_buffer_size: 512, ..Hints::default() };
             let mut f = MpiFile::open(rank, &pfs2, "fine", hints).unwrap();
             let (disp, ftype) = spec.file_view(rank.rank(), TypeStyle::Succinct);
             f.set_view(disp, &Datatype::bytes(1), &ftype).unwrap();
@@ -270,7 +242,6 @@ fn fine_grained_shared_derivation_bit_identical_run_to_run() {
         let pfs2 = Arc::clone(&pfs);
         let out = run(spec.nprocs, CostModel::default(), move |rank| {
             let hints = Hints {
-                exchange: ExchangeMode::Alltoallw,
                 cb_nodes: Some(32),
                 cb_buffer_size: 512,
                 persistent_file_realms: true,
