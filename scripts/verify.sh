@@ -71,6 +71,17 @@ case "$calls" in
     ;;
 esac
 
+# No engine on the dense all-to-all: ROMIO sends its offset lists as
+# `ADIOI_Calc_others_req` does, a count `alltoall` and then a list only
+# where a count is non-zero (DESIGN "Virtual-time model"), and the
+# flexible engine exchanges through the sparse `exchange`. `Rank::alltoallv`
+# stays for the benchmark's probe and the tests.
+echo "== no engine calls the dense alltoallv =="
+if grep -rn 'alltoallv(' crates/core/src; then
+  echo "crates/core/src calls Rank::alltoallv: use Rank::alltoall or Rank::exchange" >&2
+  exit 1
+fi
+
 # One format: every workspace member is as rustfmt (rustfmt.toml at the
 # root) writes it. The benchmark package (benchmark/) is its own package
 # and not checked here.

@@ -75,6 +75,15 @@
 //! flexible ones ran a path that no longer exists. The eight left, whose
 //! labels still name the exchange they ran, passed unregenerated.
 //!
+//! The four ROMIO blocks were regenerated when ROMIO's offset lists
+//! stopped going through the dense `alltoallv`: a count `alltoall` (four
+//! Bruck steps at 16 ranks, its two rotations charged as 256 B of
+//! copies a call), then a list only to an aggregator the rank has data
+//! for. `bulk`'s slowest rank ends 6.7 % earlier (11 487 144 → 10 855 464
+//! ns); the others' lock and cache traffic and fault draws reorder
+//! (`timestep`: 36 revocations become 35). The four flexible blocks and
+//! every image hash came out byte-identical.
+//!
 //! Regenerate only when a change is *meant* to move virtual time.
 
 use flexio::core::{Engine, Hints, MpiFile};

@@ -239,19 +239,30 @@ fn assert_charges(got: &[(u64, Stats)], want: &[ChargeRow], label: &str) {
 /// of ROMIO's six allgathers here sends one message fewer a rank (57 → 51,
 /// 53 → 47, 49 → 43; bytes unchanged) and every clock and Comm bucket is
 /// 408 000 ns lower; Compute, Io and pairs did not move.
+///
+/// Both tables moved once more when ROMIO's offset lists stopped going
+/// through the dense `alltoallv` (DESIGN "Virtual-time model"): each of
+/// the three calls now runs a count `alltoall` (two steps of 16 B at four
+/// ranks, and two 32 B rotations charged as copies), then sends a list
+/// only to an aggregator it has data for. Per call a rank sends 32 B more
+/// and copies 64 B more (+96 B and +192 B; Compute +96 ns). With one
+/// aggregator, rank 0 sends one message fewer a call (51 → 48) and the
+/// others as many as before; with two, ranks 1 and 3 send one more
+/// (43 → 46). Every slowest clock fell (1 agg: −36 064 ns; 2 agg:
+/// −25 792); Io and pairs did not move.
 const ROMIO_SERIAL_1AGG: [ChargeRow; 4] = [
-    (4_248_248, [36_960, 2_238_464, 1_972_824], 0, 292, 3_840, 51, 3_360),
-    (4_252_248, [12_000, 4_240_248, 0], 0, 100, 0, 43, 3_104),
-    (4_256_248, [12_000, 4_244_248, 0], 0, 100, 0, 43, 3_104),
-    (4_192_248, [12_000, 4_180_248, 0], 0, 100, 0, 43, 3_104),
+    (4_212_184, [37_056, 2_202_304, 1_972_824], 0, 292, 4_032, 48, 3_456),
+    (4_216_184, [12_096, 4_204_088, 0], 0, 100, 192, 43, 3_200),
+    (4_220_184, [12_096, 4_208_088, 0], 0, 100, 192, 43, 3_200),
+    (4_156_184, [12_096, 4_144_088, 0], 0, 100, 192, 43, 3_200),
 ];
 
 /// Same, with two aggregators (ranks 0 and 2).
 const ROMIO_SERIAL_2AGG: [ChargeRow; 4] = [
-    (3_739_340, [24_480, 2_728_448, 986_412], 0, 196, 1_920, 47, 3_232),
-    (3_739_340, [12_000, 3_727_340, 0], 0, 100, 0, 43, 3_104),
-    (3_747_276, [24_480, 2_736_384, 986_412], 0, 196, 1_920, 47, 3_232),
-    (3_735_340, [12_000, 3_723_340, 0], 0, 100, 0, 43, 3_104),
+    (3_717_484, [24_576, 2_706_496, 986_412], 0, 196, 2_112, 47, 3_328),
+    (3_705_420, [12_096, 3_693_324, 0], 0, 100, 192, 46, 3_200),
+    (3_721_484, [24_576, 2_710_496, 986_412], 0, 196, 2_112, 47, 3_328),
+    (3_713_484, [12_096, 3_701_388, 0], 0, 100, 192, 46, 3_200),
 ];
 
 #[test]
