@@ -139,7 +139,7 @@ pub fn run(
     let outcome = match buf {
         DataBuf::Write(user) => {
             let user = &**user;
-            let handle = &handle.clipped_at(wires.stamps().max().unwrap_or(0));
+            let handle = &handle.clipped_at(wires.max_stamp());
             let mut flex =
                 Flex { rank, handle, my, mem, user, hints, sched, charge_cycles, watchdog };
             pipeline::drive_write(rank, handle, &mut flex, policy, watch, derive_win)
@@ -386,8 +386,8 @@ fn group_period(group: &[(u64, u64)]) -> u64 {
 struct WriteStage {
     /// Sorted, merged file segments of this aggregator's window slice.
     segs: Vec<(u64, u64)>,
-    /// The received payloads, in ascending client order.
-    bufs: Vec<Vec<u8>>,
+    /// The received `(client, payload)` pairs, in ascending client order.
+    bufs: Vec<(usize, Vec<u8>)>,
     /// The run plan mapping the file-order segment stream onto
     /// `(payload index, offset, len)` slices of `bufs`, one per plan
     /// entry. The issue half hands these slices to the scatter-gather PFS
@@ -525,15 +525,14 @@ impl WriteDriver for Flex<'_, &[u8]> {
             runs.push((ri, consumed[ri], len as usize));
             consumed[ri] += len as usize;
         }
-        let bufs: Vec<Vec<u8>> = received.into_iter().map(|(_, b)| b).collect();
-        Some(WriteStage { segs, bufs, runs })
+        Some(WriteStage { segs, bufs: received, runs })
     }
 
     /// Commit the stage's runs to the file with nonblocking requests,
     /// retrying transient faults per realm chunk.
     fn issue(&mut self, i: usize, stage: WriteStage) -> IoCompletion {
         let mut runs: Vec<&[u8]> =
-            stage.runs.iter().map(|&(bi, off, len)| &stage.bufs[bi][off..off + len]).collect();
+            stage.runs.iter().map(|&(bi, off, len)| &stage.bufs[bi].1[off..off + len]).collect();
         self.issue_chunks(i, &stage.segs, &mut runs, |at, group, runs, method, period| {
             write_gathered_nb(self.handle, at, group, runs, method, period)
         })

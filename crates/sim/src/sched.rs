@@ -23,10 +23,10 @@
 //!
 //! One owner, one thread: the scheduler of a world's one drive owns
 //! everything its ranks leave for each other — the ready heap, the fiber
-//! slots, the shared cells and one record per rank (`world::Peer`: park
-//! entry and generation, handed message, mailbox, dead flag). Between a
-//! pop of the ready heap and the next exactly one segment runs, and
-//! nobody else touches any of it. A segment proves what it is once, with
+//! slots, the shared cells, the mailbox and one record per rank
+//! (`world::Peer`: park entry and generation, handed message, dead flag).
+//! Between a pop of the ready heap and the next exactly one segment runs,
+//! and nobody else touches any of it. A segment proves what it is once, with
 //! a [`Segment`] token, and reaches all of it through the token's
 //! pointer to this scheduler. There is no second driver (DESIGN.md
 //! "Rank runtime", "Why there is no pool").
@@ -39,7 +39,7 @@
 
 use crate::fiber::{prepare, switch_stacks, Context, FiberStack, Payload, StackArena};
 use crate::rank::Rank;
-use crate::world::{Msg, Peer, SchedCounters, SharedCells, World, LAST_RUN};
+use crate::world::{Msg, Peer, QueueMap, SchedCounters, SharedCells, World, LAST_RUN};
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::cmp::Reverse;
@@ -113,8 +113,10 @@ struct Sched {
     /// stale if the handoff already cleared the park.
     ready: BinaryHeap<Reverse<Key>>,
     /// Each rank's record: park entry and generation, handed message,
-    /// mailbox, dead flag.
+    /// dead flag.
     peers: Vec<Peer>,
+    /// Every delivered message no rank has taken yet.
+    mailbox: QueueMap,
     /// The world's "compute once, share" cells.
     shared: SharedCells,
     slots: Vec<FiberSlot>,
@@ -153,7 +155,7 @@ fn active(world: &World) -> Option<*mut Sched> {
 
 /// Proof that the code holding it is a segment of the scheduler driving
 /// `world` — a rank's fiber — on the one thread that does. Everything
-/// that scheduler owns (records, mailboxes, shared cells, ready heap) is
+/// that scheduler owns (records, mailbox, shared cells, ready heap) is
 /// reached through the token's pointer to it, in `Segment::sched`, and
 /// in no other way. Segments run one at a time, the forced unwind of a
 /// teardown included (it resumes one fiber after another), so whoever
@@ -196,6 +198,11 @@ impl<'w> Segment<'w> {
     /// `rank`'s record.
     pub(crate) fn peer(self, rank: usize) -> &'w mut Peer {
         &mut self.sched().peers[rank]
+    }
+
+    /// The world's undelivered messages.
+    pub(crate) fn mailbox(self) -> &'w mut QueueMap {
+        &mut self.sched().mailbox
     }
 
     /// The world's shared cells.
@@ -315,6 +322,7 @@ where
         panic_payload: None,
         ready: BinaryHeap::with_capacity(nprocs),
         peers: (0..nprocs).map(|_| Peer::default()).collect(),
+        mailbox: QueueMap::default(),
         shared: SharedCells::default(),
         slots: Vec::with_capacity(nprocs),
         stacks: StackArena::new(nprocs, stack_bytes),

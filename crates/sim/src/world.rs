@@ -1,7 +1,7 @@
 //! A world — its size, cost model and crash schedule — the per-rank
-//! record its scheduler keeps (park entry, handed message, mailbox, dead
-//! flag), what a delivery and a receive do with it, and the entry points
-//! that drive a world ([`run`], [`run_crashable`]).
+//! record its scheduler keeps (park entry, handed message, dead flag),
+//! the world's one mailbox, what a delivery and a receive do with them,
+//! and the entry points that drive a world ([`run`], [`run_crashable`]).
 
 use crate::cost::CostModel;
 use crate::sched::Segment;
@@ -94,7 +94,7 @@ pub fn last_run_counters() -> SchedCounters {
 }
 
 /// Multiply-rotate hasher for the mailbox queue map. The keys are small
-/// fixed-size `(src, tag)` pairs from trusted (in-process) senders, and
+/// fixed-size `(route, tag)` pairs from trusted (in-process) senders, and
 /// every message pays two to three lookups — SipHash was a measurable
 /// slice of the per-message cost at host_scale rank counts.
 #[derive(Default)]
@@ -122,11 +122,11 @@ impl Hasher for TagHasher {
     }
 }
 
-/// What waits in a rank's mailbox for one `(src, tag)`. A collective's
+/// What waits in the mailbox for one `(dst, src, tag)`. A collective's
 /// tag names one message from each source, which waits on its own; a
-/// FIFO queue is built only when a second message shares a `(src, tag)`,
-/// as a user tag's may.
-enum Waiting {
+/// FIFO queue is built only when a second message shares a `(dst, src,
+/// tag)`, as a user tag's may.
+pub(crate) enum Waiting {
     One(Msg),
     Many(VecDeque<Msg>),
 }
@@ -144,18 +144,31 @@ impl Waiting {
     }
 }
 
-/// One rank's incoming-message store: what waits for each `(src, tag)`.
-type QueueMap = HashMap<(usize, u64), Waiting, BuildHasherDefault<TagHasher>>;
+/// A world's store of delivered messages nobody has taken yet: what
+/// waits for each receiver, sender and tag, keyed by [`route`] and tag.
+/// One map for the world, not one per rank: a 512-rank write kept 512
+/// small tables, that grew one by one (some 1 900 reallocations a world)
+/// and that every delivery reached through its receiver's record.
+pub(crate) type QueueMap = HashMap<(u64, u64), Waiting, BuildHasherDefault<TagHasher>>;
+
+/// Bits of a rank id in a [`route`] (a world holds at most 2^24 ranks).
+const ROUTE_BITS: u32 = 24;
+
+/// The mailbox key of messages from `src` to `dst`.
+fn route(dst: usize, src: usize) -> u64 {
+    (dst as u64) << ROUTE_BITS | src as u64
+}
 
 /// [`Peer::park_src`] of a rank that is not parked. (A world holds at
 /// most 2^24 ranks.)
 const NOT_PARKED: u32 = u32::MAX;
 
-/// Everything the runtime keeps for one rank between its segments: what
-/// it is parked on, the message a delivery handed it, its mailbox and
-/// whether it is dead. The scheduler holds one record per rank and no
-/// other per-rank state besides the fibers; the records are its whole
-/// park table, and a delivery touches only the receiver's.
+/// Everything the runtime keeps for one rank between its segments but its
+/// queued messages: what it is parked on, the message a delivery handed
+/// it and whether it is dead. The scheduler holds one record per rank and
+/// no other per-rank state besides the fibers and the mailbox's entries;
+/// the records are its whole park table, and a delivery touches only the
+/// receiver's.
 pub(crate) struct Peer {
     /// The park entry: the `(src, tag)` the rank waits for and the clock
     /// it parked at, its wake-up priority. `park_src` is [`NOT_PARKED`]
@@ -170,25 +183,13 @@ pub(crate) struct Peer {
     /// The message a delivery handed the parked rank; the rank takes it
     /// when it resumes.
     pub handed: Option<Msg>,
-    /// Only deliveries that found the rank not parked on their `(src,
-    /// tag)` wait here.
-    mailbox: QueueMap,
     /// The rank has crash-stopped: deliveries to it are dropped.
     dead: bool,
 }
 
 impl Default for Peer {
     fn default() -> Peer {
-        let mailbox = QueueMap::default();
-        Peer {
-            park_tag: 0,
-            park_clock: 0,
-            park_src: NOT_PARKED,
-            gen: 0,
-            handed: None,
-            mailbox,
-            dead: false,
-        }
+        Peer { park_tag: 0, park_clock: 0, park_src: NOT_PARKED, gen: 0, handed: None, dead: false }
     }
 }
 
@@ -389,12 +390,13 @@ impl<'w> Segment<'w> {
         self.peer(rank).dead
     }
 
-    /// Mark `rank` dead and reset the rest of its record — park entry,
-    /// handed message, mailbox — in one write, so the scheduler's
-    /// deadlock diagnostics and memory footprint never carry already-dead
-    /// ranks.
+    /// Mark `rank` dead, reset the rest of its record — park entry,
+    /// handed message — in one write and drop what waits for it in the
+    /// mailbox, so the scheduler's deadlock diagnostics and memory
+    /// footprint never carry already-dead ranks.
     pub(crate) fn reap_rank(self, rank: usize) {
         *self.peer(rank) = Peer { dead: true, ..Peer::default() };
+        self.mailbox().retain(|&(r, _), _| (r >> ROUTE_BITS) as usize != rank);
     }
 
     pub(crate) fn deliver(self, dst: usize, src: usize, tag: u64, msg: Msg) {
@@ -412,7 +414,7 @@ impl<'w> Segment<'w> {
                 p.handed = Some(msg);
                 self.wake(dst, clock);
             }
-            None => match p.mailbox.entry((src, tag)) {
+            None => match self.mailbox().entry((route(dst, src), tag)) {
                 Entry::Vacant(e) => {
                     e.insert(Waiting::One(msg));
                 }
@@ -442,21 +444,21 @@ impl<'w> Segment<'w> {
     /// tag)` lowest first. Read when every rank has finished: a
     /// collective's block its receiver did not list — or a step of a
     /// round nobody took — which nothing else would ever report. (Dead
-    /// ranks' mailboxes were emptied when they were reaped, and
-    /// deliveries to them dropped.)
+    /// ranks' messages were dropped when they were reaped, and deliveries
+    /// to them too.)
     pub(crate) fn untaken_collective(self) -> Option<(usize, usize, u64)> {
-        (0..self.world().nprocs).find_map(|rank| {
-            let keys =
-                self.peer(rank).mailbox.keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
-            keys.min().map(|&(src, tag)| (rank, src, tag))
-        })
+        let keys = self.mailbox().keys().filter(|&&(_, tag)| crate::rank::is_collective(tag));
+        let mask = (1 << ROUTE_BITS) - 1;
+        keys.min().map(|&(r, tag)| ((r >> ROUTE_BITS) as usize, (r & mask) as usize, tag))
     }
 
     /// Take the first message waiting for `dst` from `(src, tag)`, if
     /// there is one, removing the entry when that empties it (so unique
     /// collective tags cannot grow the map without bound).
     fn pop_queued(self, dst: usize, src: usize, tag: u64) -> Option<Msg> {
-        let Entry::Occupied(mut e) = self.peer(dst).mailbox.entry((src, tag)) else { return None };
+        let Entry::Occupied(mut e) = self.mailbox().entry((route(dst, src), tag)) else {
+            return None;
+        };
         match e.get_mut() {
             Waiting::Many(queue) if queue.len() > 1 => queue.pop_front(),
             _ => match e.remove() {
