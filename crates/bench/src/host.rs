@@ -105,7 +105,7 @@ fn ms(wall: Duration) -> f64 {
 /// Host ns per simulated message: the wall divided by the messages. It
 /// grows with the world because messages are not what the main family's
 /// wall is made of (57 552 at 1024 ranks, 4.7× the 256-rank world's, for
-/// 8–10× the wall; see E-host for what the wall is).
+/// more than that of the wall; see E-host for what the wall is).
 fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
     wall.as_secs_f64() * 1e9 / msgs.max(1) as f64
 }
@@ -114,84 +114,20 @@ fn ns_per_msg(wall: Duration, msgs: u64) -> f64 {
 /// ROMIO world cost their scheduler, and the pairs their ranks are
 /// charged: `(engine, nprocs, msgs, counters, pairs)`. All are functions
 /// of the workload alone; a change that moves one has changed the work
-/// per world and has to say so here. Last moved by the log-step
-/// `allgatherv`: the world's one metadata allgather is ⌈log2 p⌉ messages a rank instead
-/// of a ring's p − 1 (658 944 → 595 712 and 2 630 144 → 2 373 120
-/// messages; heap pushes 241 253 → 241 333 and 978 573 → 977 867 as the
-/// wakes of the shorter round fall differently; fiber switches unchanged).
-/// Charging sub-page direct writes with an aligned start their RMW page
-/// read moved the heap pushes once more, 241 333 → 241 331 and 977 867 →
-/// 977 864: the worlds' 8-byte regions are such writes. Then the
-/// alltoallw exchange stopped sending a message per peer pair and sends
-/// only the blocks that exist: 595 712 → 12 328 and 2 373 120 → 26 720
-/// messages, and with the empty blocks gone the wakes of their parked
-/// steps go too (heap pushes 241 331 → 2 263 and 977 864 → 3 901). Last,
-/// the collectives became sends and receives on the mailbox, each rank
-/// stepping its own on its fiber: every wake is now a switch into the
-/// woken fiber, where the scheduler used to step a parked round without
-/// one, so fiber switches equal heap pushes (1 693 → 2 263 and 2 856 →
-/// 3 901); messages and heap pushes did not move.
+/// per world, updates it here and says in CHANGES.md why. Every wake is a
+/// switch into the woken fiber, so fiber switches equal heap pushes.
 ///
 /// `pairs` is the offset/length pairs charged to the world's ranks,
 /// summed: almost all of it the flexible engine's schedule derivation,
 /// charged pair by pair. The 512-rank world is `fine-512`'s shape (512
 /// clients, 16 regions of 8 B each, 256 aggregators, 512 B buffer
-/// cycles), so it pins that derivation's charges. The derivation that
-/// walked every `(client, aggregator, cycle)` cell measured the same.
+/// cycles), so it pins that derivation's charges, which equal those of a
+/// walk of every `(client, aggregator, cycle)` cell.
 ///
-/// Sharing one table per `allgatherv` round, whose step messages carry
-/// only their byte counts, and digesting the schedule key's wires once
-/// per world moved no constant: the same messages of the same sizes park
-/// and wake the same ranks, and the pairs are charged as before.
-///
-/// The 1024-rank world's constants were taken from a run of d09b645, the
-/// commit before the derivation charged its empty cells in closed form (the
-/// cursor kept between walks, within-tile skips counted by a search over
-/// segment ends); that change moved none of the three worlds' numbers.
-///
-/// The fourth world is the ROMIO baseline at `fine-512`'s shape (512
-/// ranks, 256 aggregators, 512 B buffer cycles). Its constants
-/// were taken from a run of 5d71e89, the commit before the engines' cycle
-/// drivers took one trait per direction and ROMIO one window splitter:
-/// they pin that ROMIO's messages, wakes and charged pairs did not move.
-///
-/// The OST booking calendar (DESIGN "OST booking calendar") moved two
-/// worlds' fiber switches and heap pushes: the 1024-rank flexible world's
-/// from 11 815 to 11 803, the ROMIO world's from 104 322 to 104 324. A
-/// request booked after a later arrival now finishes in an idle gap, so
-/// ranks leave their I/O at other virtual times and a few receives park
-/// that did not, or the other way round. No message count or pair moved,
-/// and the 256- and 512-rank flexible worlds did not move at all.
-///
-/// Clipping a collective write's sieve pre-read at the file size its ranks
-/// agreed on (DESIGN "Who moves a byte") moved the same two: the 1024-rank
-/// flexible world's from 11 803 to 11 791 and the ROMIO world's from
-/// 104 324 to 104 442. Every world writes a fresh file, so its aggregators'
-/// pre-reads cost nothing now and they leave their I/O earlier, and
-/// receives park and wake at other points. No message count or pair
-/// moved, and the 256- and 512-rank flexible worlds did not move at all.
-///
-/// Letting `auto` write pipelines go past the stripe-width bound (DESIGN
-/// "Depth selection") moved all four: the flexible worlds' from 2 263,
-/// 3 901 and 11 791 to 2 513, 4 012 and 12 130, the ROMIO world's from
-/// 104 442 to 104 191. Half the ranks aggregate over one stripe, so the
-/// bound held every aggregator at depth 2; deeper, an aggregator leaves
-/// its write cycles at other virtual times and receives park and wake at
-/// other points. No message count or pair moved.
-///
-/// Deleting the `alltoallw` exchange flavour these worlds asked for moved
-/// the flexible ones' from 2 513, 4 012 and 12 130 to 2 346, 3 880 and
-/// 11 390: sends posted in aggregator order rather than MPICH's scattered
-/// one park fewer receives. No message or pair moved, nor the ROMIO world.
-///
-/// Sending ROMIO's offset lists as ROMIO does, a count `alltoall` (nine
-/// Bruck steps at 512 ranks) and then a list only where a count is
-/// non-zero, moved the ROMIO world alone: 292 848 messages became 44 000
-/// and 104 191 fiber switches 7 260. The dense `alltoallv` sent 261 632
-/// messages, one per ordered pair of ranks, in 511 steps a rank; the
-/// count round sends 4 608, and the 8 176 lists go only to the
-/// aggregators each rank has data for. No pair moved, nor any flexible
-/// world.
+/// The fourth world is the ROMIO baseline at `fine-512`'s shape. Its
+/// offset lists follow a count `alltoall` (nine Bruck steps at 512 ranks,
+/// 4 608 messages) and go only to the aggregators each rank has data for
+/// (8 176 lists).
 const CHECK: [(Engine, usize, u64, SchedCounters, u64); 4] = [
     (Engine::Flexible, 256, 12_328, counters(2_346, 2_346), 491_520),
     (Engine::Flexible, 512, 26_720, counters(3_880, 3_880), 1_949_696),
@@ -200,11 +136,9 @@ const CHECK: [(Engine, usize, u64, SchedCounters, u64); 4] = [
 ];
 
 /// Window walks the 512-rank flexible world's schedule derivation makes:
-/// one per `(client, aggregator, cycle)` cell it walks. At 134 113 while
-/// every cell after a client's first byte was walked, empty ones included;
-/// charging the empty cells between two of a client's bytes by the run
-/// left the walks of the cells that hold a piece or reach past such a
-/// run. Host work alone: no pair moved.
+/// one per `(client, aggregator, cycle)` cell it walks, a cell that holds
+/// a piece or reaches past a run of empty cells (the runs are charged in
+/// one step each). Host work alone: no charge depends on it.
 const CHECK_WALKS_512: u64 = 15_073;
 
 /// Fiber-stack blocks two back-to-back 512-rank flexible worlds map on a
@@ -229,8 +163,7 @@ const fn counters(fiber_switches: u64, heap_pushes: u64) -> SchedCounters {
 /// a piece), and most of the rest spawn, open and close and the
 /// scheduler between segments. The metadata allgather and the schedule
 /// key are a few percent together: the round shares one table and the
-/// key's wires are digested once per world, where every rank used to
-/// hold every block and digest every wire (a third of the wall).
+/// key's wires are digested once per world.
 ///
 /// Two more isolate the runtime-overhead floor: spawn/join and a 64-step
 /// ping-pong at 64 ranks, and at 512 dense `alltoallv` calls of empty

@@ -514,8 +514,9 @@ fn read_new_struct_is_at_least_old_vec_in_every_row_and_every_method_grows_up_to
                 assert!(st >= old, "{scale}, {size} B: new+struct {st}, old+vec {old}");
             }
         }
-        // Past 1 KiB the realms start on two OSTs and convoy (EXPERIMENTS
-        // "Read"), so growth is claimed only up to 1 KiB.
+        // Past 1 KiB ROMIO's realms start on two pairs of OSTs and the row
+        // depends on arrival order there (EXPERIMENTS "Read"), so growth
+        // is claimed only up to 1 KiB.
         let sizes = f.distinct("region_size");
         let n = sizes.iter().filter(|s| s.parse::<u64>().unwrap() <= 1024).count();
         assert!(n >= 4 && sizes[n - 1] == "1024", "{scale}: {sizes:?}");
@@ -555,4 +556,21 @@ fn scenario_flexible_engine_leads_romio_in_every_family_but_many_task_and_paper_
             }
         }
     }
+}
+
+#[test]
+fn every_test_of_this_file_is_named_in_experiments_md() {
+    // A claim row of EXPERIMENTS.md names the test that asserts it, so a
+    // test that no row names asserts a claim nobody states.
+    let doc = results_dir().join("../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(&doc).unwrap_or_else(|e| panic!("{}: {e}", doc.display()));
+    let this = include_str!("claims.rs");
+    let unnamed: Vec<&str> = this
+        .lines()
+        .zip(this.lines().skip(1))
+        .filter(|(line, _)| *line == "#[test]")
+        .map(|(_, next)| next.strip_prefix("fn ").and_then(|f| f.split('(').next()).unwrap())
+        .filter(|name| !doc.contains(name))
+        .collect();
+    assert!(unnamed.is_empty(), "tests EXPERIMENTS.md does not name: {unnamed:?}");
 }

@@ -270,7 +270,7 @@ struct Pace<'a> {
     policy: CapPolicy,
     cap: usize,
     // Smoothed I/O and exchange durations feeding the auto depth policy:
-    // one fast or slow cycle no longer swings the cap to its own ratio.
+    // one fast or slow cycle does not swing the cap to its own ratio.
     ewma_io: Option<u64>,
     ewma_exch: Option<u64>,
     /// The watched aggregator ranks and their detector. Only under a

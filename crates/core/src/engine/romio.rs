@@ -18,7 +18,7 @@
 //! The buffer cycles run on the shared pipeline core
 //! (`engine::pipeline`), so `Hints::pipeline_depth` means the
 //! same thing here as under the flexible engine — depth 1 charges exactly
-//! like the historical serial loop (fixture-enforced), deeper pipelines
+//! like a serial loop (`tests/engine_pipeline_parity.rs`), deeper pipelines
 //! overlap each cycle's *final* buffer-to-file request with the next
 //! cycle's exchange. A write cycle's sieving *read* stays blocking at any
 //! depth: it is the read half of a read-modify-write, and the payloads
@@ -124,11 +124,10 @@ impl<'l, E: Extent> WindowSplitter<'l, E> {
 
 /// One precomputed buffer cycle: this rank's pieces per aggregator
 /// (client role) and each client's requests inside my window (aggregator
-/// role). The historical loop derived these lazily from per-cycle
-/// cursors; deriving them up front charges nothing extra — the cursor
-/// walks were never charged (their pair processing was paid when the
-/// lists were built and decoded) — and lets the pipelined drive loop
-/// prefetch future cycles' reads.
+/// role). Deriving them up front rather than cycle by cycle charges
+/// nothing extra — the cursor walks are not charged (their pair
+/// processing is paid when the lists are built and decoded) — and lets the
+/// pipelined drive loop prefetch future cycles' reads.
 struct RomioCycle {
     my_cycle: Vec<Vec<Piece>>,
     agg_cycle: Vec<Vec<(u64, u64)>>,

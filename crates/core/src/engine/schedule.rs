@@ -274,7 +274,7 @@ struct DerivedCycle {
 }
 
 /// The complete exchange plan of one collective call, for every rank: the
-/// table each rank used to compute its own row and column of. A pure
+/// table whose row and column each rank reads. A pure
 /// function of the allgathered wires, the hints digested into its key
 /// ([`shared_key`]), and the realm set; shared by every rank of the world
 /// that derives from the same inputs while any of them still holds it.

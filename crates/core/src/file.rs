@@ -186,8 +186,8 @@ impl<'r> MpiFile<'r> {
     fn run_engine(&self, acc: &ClientAccess, mem: &MemLayout, mut buf: DataBuf<'_>) -> Result<()> {
         // In a crashable world a flexible call runs inside the recovery
         // loop (entry detection + survivor replay); in any other world the
-        // plain engine path is byte- and charge-identical to before the
-        // crash machinery existed. The baseline engine has no crash
+        // plain engine path charges nothing for crash detection. The
+        // baseline engine has no crash
         // checkpoints or recovery protocol: in a crashable world its
         // scheduled crashes would silently never fire.
         let run = match (self.hints.engine, self.rank.crashable()) {

@@ -611,14 +611,14 @@ mod tests {
         assert_eq!(h.size(), 0);
     }
 
-    // The length contract holds in every profile: each of these returned
-    // no error from a release build before it was an `assert!`.
+    // The length contract holds in every profile: without the `assert!` a
+    // release build would return no error on each of these.
 
     #[test]
     #[should_panic(expected = "segments cover 4 bytes but the run list holds 8")]
     fn run_list_longer_than_one_segment_panics() {
-        // Contiguous arm: all 8 bytes used to reach the file, 4 of them
-        // past the segment.
+        // Contiguous arm: unchecked, all 8 bytes would reach the file, 4 of
+        // them past the segment.
         let pfs = pfs();
         let h = pfs.open("f", 0);
         let _ = write_gathered_nb(&h, 0, &[(0, 4)], &[&[7u8; 8]], &IoMethod::Naive, 0);
@@ -627,7 +627,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
     fn run_list_longer_than_the_segments_panics() {
-        // Naive arm: the last 4 bytes used to be dropped.
+        // Naive arm: unchecked, the last 4 bytes would be dropped.
         let pfs = pfs();
         let h = pfs.open("f", 0);
         let _ = write_gathered_nb(&h, 0, &[(0, 4), (100, 4)], &[&[7u8; 12]], &IoMethod::Naive, 0);
@@ -636,7 +636,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segments cover 8 bytes but the run list holds 12")]
     fn dest_list_longer_than_the_segments_panics() {
-        // The destination's tail used to be left unfilled.
+        // Unchecked, the destination's tail would be left unfilled.
         let pfs = pfs();
         let h = pfs.open("f", 0);
         let mut out = [0u8; 12];

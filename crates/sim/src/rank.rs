@@ -193,8 +193,8 @@ pub struct Stats {
     pub schedule_cache_misses: u64,
     /// Cached schedules patched in place after a straggler realm
     /// rebalance (windows re-cut against the new realms without
-    /// re-parsing wire metadata) — a rebalance no longer costs a full
-    /// miss on the next call.
+    /// re-parsing wire metadata), so a rebalance does not cost a full miss
+    /// on the next call.
     pub schedule_cache_patches: u64,
     /// Flatten-cache hits (datatype layer).
     pub flatten_cache_hits: u64,
@@ -1396,8 +1396,9 @@ mod tests {
 
     #[test]
     fn dense_rounds_back_to_back_keep_their_messages_apart() {
-        // 130 ranks: steps run far past the 8 the old tag layout had room
-        // for (step 64 of one collective was step 0 of the next). Then
+        // 130 ranks: steps run far past 8, where a tag layout with room for
+        // fewer steps aliases (step 64 of one collective would be step 0
+        // of the next). Then
         // the same passes over a subgroup. A message left untaken would
         // fail the world-end check.
         run(130, CostModel::default(), |r| {
@@ -1481,9 +1482,8 @@ mod tests {
         }));
         let err = got.expect_err("waiting on a dead rank must be reported");
         let msg = err.downcast_ref::<String>().expect("panic carries a String");
-        // Word for word what the report has said since the ranks parked
-        // on their own fiber stacks (commit 6c2ce6c): both wait for the
-        // dead rank's message, each at the clock it parked at.
+        // Word for word: both wait for the dead rank's message, each at
+        // the clock it parked at.
         assert_eq!(
             msg,
             "flexio-sim event loop deadlock: 2 of 4 ranks parked with no message in flight: \

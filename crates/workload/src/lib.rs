@@ -27,7 +27,7 @@
 //!   suites have an independent referee.
 //!
 //! The crate also hosts the shared data stream, file-image probe and
-//! tiled world the integration suites used to copy-paste ([`tiled`]),
+//! tiled world the integration suites share ([`tiled`]),
 //! and the crash workload ([`crash`]): its one rank body
 //! writes a generation under a victim schedule, the driver commits each
 //! generation with [`epoch`]'s double-slot headers after its world, and

@@ -3,8 +3,7 @@
 # is `bench <exp> [--paper]`'s stdout under `#@` provenance lines, for every
 # virtual-time experiment `bench --list` names, and nothing else. Virtual
 # results are bit-reproducible, so the files are golden: a regenerated file
-# differs from the checked-in one only where a change moved a row — say why
-# in EXPERIMENTS.
+# differs from the checked-in one only where a change moved a row.
 #
 #   sh scripts/regen_results.sh                  write the default-scale files (~20 s)
 #   sh scripts/regen_results.sh --paper          and the --paper files (~8 min)
@@ -15,6 +14,12 @@
 #
 # Either mode fails on an orphan: a results/<exp>_{default,paper}.txt whose
 # <exp> is not in `bench --list` (the flexbench_* records are not golden).
+#
+# A file whose rows moved gets a moved-row report, after its diff under
+# --check and as it is rewritten otherwise: per `# columns:` family, how
+# many rows differ, and per numeric column how many rose and fell by more
+# than 1 %, the range of those changes and their geometric mean. A change
+# that moves rows on purpose pastes the report into CHANGES.
 #
 # Only a release build is run, and a file is replaced only by the complete
 # output of a run that exited 0. A file whose rows did not move keeps its
@@ -53,6 +58,84 @@ bench() {
   "$bin" "$@"
 }
 
+# moved_rows OLD NEW: the moved-row report. Rows pair by position within
+# each family. A key column is one that holds a non-numeric value in some
+# row (a method, an engine, a mode); a family whose column list or row
+# count changed, or whose pair differs in a key column, is "rows
+# reshaped" and gets no numbers. For `mbps` higher is faster; for `ns`,
+# `gen_ns`, `virtual_ns`, `last_step_ns`, `ms_cache_*` and `slowdown`
+# lower is; other columns rise and fall. A pair with a zero or a sign
+# change has no ratio, and is counted apart.
+moved_rows() {
+  awk '
+    function isnum(v) { return v ~ /^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/ }
+    function pct(q) { return sprintf("%+.1f %%", (q - 1) * 100) }
+    FNR == 1 { side++; fam = 0; open = 0 }
+    /^# columns: / {
+      fam++; nfam[side] = fam; cols[side, fam] = substr($0, 12); nrow[side, fam] = 0; open = 1
+      next
+    }
+    /^$/ { open = 0; next }
+    /^#/ { next }
+    open { nrow[side, fam]++; row[side, fam, nrow[side, fam]] = $0 }
+    END {
+      for (f = 1; f <= nfam[2]; f++) {
+        name = "  family " f " (" cols[2, f] ")"
+        if (f > nfam[1] || cols[1, f] != cols[2, f] || nrow[1, f] != nrow[2, f]) {
+          print name ": rows reshaped"
+          continue
+        }
+        n = nrow[2, f]
+        nc = split(cols[2, f], cn, ",")
+        split("", key)
+        differ = 0
+        for (r = 1; r <= n; r++) {
+          split(row[1, f, r], a, ","); split(row[2, f, r], b, ",")
+          for (c = 1; c <= nc; c++) if (!isnum(a[c]) || !isnum(b[c])) key[c] = 1
+          differ += row[1, f, r] != row[2, f, r]
+        }
+        if (!differ) continue
+        reshaped = 0
+        for (r = 1; r <= n; r++) {
+          split(row[1, f, r], a, ","); split(row[2, f, r], b, ",")
+          for (c in key) if (a[c] != b[c]) reshaped = 1
+        }
+        if (reshaped) { print name ": rows reshaped"; continue }
+        print name ": " differ " of " n " rows differ"
+        for (c = 1; c <= nc; c++) {
+          if (c in key) continue
+          up = 0; down = 0; apart = 0; logsum = 0; lo = 0; hi = 0
+          for (r = 1; r <= n; r++) {
+            split(row[1, f, r], a, ","); split(row[2, f, r], b, ",")
+            x = a[c] + 0; y = b[c] + 0
+            if (x == y) continue
+            if (x == 0 || y == 0 || (x < 0) != (y < 0)) { apart++; continue }
+            q = y / x
+            if (q > 1.01) up++
+            else if (q < 1 / 1.01) down++
+            else continue
+            if (up + down == 1 || q < lo) lo = q
+            if (up + down == 1 || q > hi) hi = q
+            logsum += log(q)
+          }
+          if (up + down + apart == 0) continue
+          rise = "rose"; fall = "fell"
+          if (cn[c] ~ /mbps$/) { rise = "faster"; fall = "slower" }
+          if (cn[c] ~ /^(ns|gen_ns|virtual_ns|last_step_ns|slowdown)$/ || cn[c] ~ /^ms_/) {
+            rise = "slower"; fall = "faster"
+          }
+          line = "    " cn[c] ": " up " " rise ", " down " " fall " by more than 1 %"
+          if (up + down) {
+            line = line "; " pct(lo) " to " pct(hi) ", geometric mean " pct(exp(logsum / (up + down)))
+          }
+          if (apart) line = line "; " apart " to or from zero"
+          print line
+        }
+      }
+    }
+  ' "$1" "$2"
+}
+
 exps="$(bench --list | awk -F '\t' '$2 == "virtual" { print $1 }')"
 
 # A golden file of an experiment `bench --list` no longer names is an
@@ -82,8 +165,14 @@ for exp in $exps; do
     elif [ "$CHECK" = 1 ]; then
       echo "MISMATCH  $out is not what \`bench $exp${flag:+ $flag}\` prints:" >&2
       diff -I '^#@' "$out" "$tmp" >&2 || true
+      echo "moved rows of $out:" >&2
+      moved_rows "$out" "$tmp" >&2
       mismatched="$mismatched $out"
     else
+      if [ -f "$out" ]; then
+        echo "moved rows of $out:"
+        moved_rows "$out" "$tmp"
+      fi
       {
         echo "#@ stdout of \`bench $exp${flag:+ $flag}\` (flexio-bench, release)"
         echo "#@ commit: $commit"
@@ -99,13 +188,13 @@ if [ -n "$orphans" ]; then
   for out in $orphans; do
     echo "  $out" >&2
   done
-  echo "(delete them with the experiment, and say so in EXPERIMENTS)" >&2
+  echo "(delete them with the experiment, and say so in CHANGES)" >&2
 fi
 if [ -n "$mismatched" ]; then
   echo "$(echo $mismatched | wc -w) file(s) do not match what this tree prints:" >&2
   for out in $mismatched; do
     echo "  $out" >&2
   done
-  echo "(if the rows moved on purpose: sh scripts/regen_results.sh [--paper], and say why in EXPERIMENTS)" >&2
+  echo "(if the rows moved on purpose: sh scripts/regen_results.sh [--paper], and paste the moved-row reports into CHANGES)" >&2
 fi
 [ -z "$orphans$mismatched" ] || exit 1

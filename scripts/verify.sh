@@ -82,6 +82,70 @@ if grep -rn 'alltoallv(' crates/core/src; then
   exit 1
 fi
 
+# Citations resolve: a citation is DESIGN or EXPERIMENTS (`.md` optional)
+# and one or more quoted titles, as in `DESIGN.md "Rank runtime", "Why
+# there is no pool"`. Each title in a tracked file must begin a heading
+# or a bold lead-in (`**Why there is no pool.**`) of the file it names,
+# up to a word boundary, so no rewrite of the two files
+# leaves a citation pointing nowhere. Comment markers at line starts are
+# dropped and lines joined first, so a citation may wrap. Of the
+# top-level Markdown files only DESIGN, EXPERIMENTS, README and ROADMAP
+# are checked: the others (CHANGES.md among them) and the dated flexbench
+# records under results/ state what was true when they were written.
+echo "== every DESIGN/EXPERIMENTS citation names a heading or bold lead-in =="
+unresolved="$(git ls-files \
+  | grep -v -e '^[^/]*\.md$' -e '^results/flexbench_pr' \
+  | { cat; printf '%s\n' DESIGN.md EXPERIMENTS.md README.md ROADMAP.md; } \
+  | awk '
+    function titles(doc, file,   line) {
+        while ((getline line < file) > 0) {
+            if (line ~ /^#+ /) {
+                sub(/^#+ +/, "", line)
+            } else if (line ~ /^[ \t]*([-*] )?\*\*[^*]+\*\*/) {
+                sub(/^[ \t]*([-*] )?\*\*/, "", line)
+                sub(/\*\*.*/, "", line)
+            } else {
+                continue
+            }
+            title[doc, ++nt[doc]] = line
+        }
+        close(file)
+    }
+    function resolves(doc, t,   i, h) {
+        for (i = 1; i <= nt[doc]; i++) {
+            h = title[doc, i]
+            if (h == t) return 1
+            if (substr(h, 1, length(t)) == t && substr(h, length(t) + 1, 1) !~ /[A-Za-z0-9_]/) return 1
+        }
+        return 0
+    }
+    BEGIN { titles("DESIGN", "DESIGN.md"); titles("EXPERIMENTS", "EXPERIMENTS.md") }
+    {
+        file = $0
+        text = ""
+        while ((getline line < file) > 0) {
+            sub(/^[ \t]*((\/\/[\/!]?|#+|\*|>)[ \t]*)?/, "", line)
+            text = text " " line
+        }
+        close(file)
+        while (match(text, /(DESIGN|EXPERIMENTS)(\.md)? +"[^"`]+"(, *"[^"`]+")*/)) {
+            cite = substr(text, RSTART, RLENGTH)
+            text = substr(text, RSTART + RLENGTH)
+            doc = cite ~ /^DESIGN/ ? "DESIGN" : "EXPERIMENTS"
+            while (match(cite, /"[^"]+"/)) {
+                t = substr(cite, RSTART + 1, RLENGTH - 2)
+                cite = substr(cite, RSTART + RLENGTH)
+                if (!resolves(doc, t)) print file ": " doc " \"" t "\""
+            }
+        }
+    }
+')"
+if [ -n "$unresolved" ]; then
+  echo "$unresolved" >&2
+  echo "a citation names no heading or bold lead-in of DESIGN.md or EXPERIMENTS.md" >&2
+  exit 1
+fi
+
 # One format: every workspace member is as rustfmt (rustfmt.toml at the
 # root) writes it. The benchmark package (benchmark/) is its own package
 # and not checked here.
@@ -175,11 +239,12 @@ cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 # Golden rows: virtual results are bit-reproducible, so every virtual-time
 # experiment `bench --list` names must print its results/<exp>_default.txt
 # exactly (everything below the file's `#@` provenance lines; ~20 s for all
-# 13, and A4, A6-A8 assert their byte-identity and shape claims while their
+# 12, and A4, A6-A8 assert their byte-identity and shape claims while their
 # rows are being diffed), and no results/ file may outlive its experiment.
-# --thorough diffs the 13 `--paper` files as well
+# --thorough diffs the 12 `--paper` files as well
 # (~8 min). A change that moves a row regenerates the files —
-# `sh scripts/regen_results.sh [--paper]` — and says why in EXPERIMENTS;
+# `sh scripts/regen_results.sh [--paper]` — and pastes the moved-row
+# report it prints into CHANGES;
 # crates/bench/tests/claims.rs then checks the paper's claims on the new
 # rows.
 if [ "$THOROUGH" = 1 ]; then

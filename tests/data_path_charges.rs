@@ -1,90 +1,21 @@
-//! The host data path against a charge fixture harvested from the commit
-//! before it stopped materialising joined, packed and sieve-chunk buffers.
+//! The host data path against a charge fixture harvested from a tree that
+//! performed every modelled copy on the host as well.
 //!
-//! `tests/fixtures/data_path_charges.txt` was written by this very file
-//! (`FLEXIO_REGEN_FIXTURE=1`, public API only) run on commit 98c15ec, whose
-//! `flexio-pfs`/`-io` performed every modelled copy on the host as well. A
-//! charge depends on `(off, len)`, never on a buffer, so moving the bytes
-//! run-wise must leave every clock, counter and image byte where it was:
-//! the fixture records, for four data-path shapes × both engines, every
-//! rank's final clock and a digest of its full
-//! [`Stats`], the file system's [`StatsSnapshot`] and a hash of the file
-//! image. (98c15ec also had a packed staging path; the fixture's `zc=on`
-//! label says these blocks are its run path's, and the packed twins it
-//! carried until the path was deleted are tabulated in EXPERIMENTS
-//! "Packed staging vs runs".)
+//! `tests/fixtures/data_path_charges.txt` was first written by this very
+//! file (`FLEXIO_REGEN_FIXTURE=1`, public API only) on commit 98c15ec,
+//! whose `flexio-pfs`/`-io` materialised joined, packed and sieve-chunk
+//! buffers. A charge depends on `(off, len)`, never on a buffer, so moving
+//! the bytes run-wise must leave every clock, counter and image byte where
+//! it was: the fixture records, for four data-path shapes × both engines,
+//! every rank's final clock and a digest of its full [`Stats`], the file
+//! system's [`StatsSnapshot`] and a hash of the file image. A block's
+//! `zc=on` label names the run path and `Nonblocking` the one exchange.
+//! Every image hash is still the copying tree's; a change that moves
+//! virtual time on purpose regenerates the clocks and counters and says in
+//! CHANGES.md what moved.
 //!
-//! Two of the sixteen blocks are younger: `[timestep | Flexible …]`, both
-//! exchange modes, were harvested on the tree that made the flexible
-//! engine lock a persistent realm's chunks *ahead* (DESIGN "Lock requests:
-//! ordinary and ahead") — 23/27 grants and 10/12 revocations became 13 and
-//! 0, and with them the flushes, refills and clocks; their image hash did
-//! not move.
-//!
-//! Then all sixteen were regenerated once more, on purpose, when the
-//! `allgatherv` became Bruck's log-step round (DESIGN "Virtual-time
-//! model"): every block's clocks and message counts moved, and in twelve
-//! the file system's counters too — arrival order at the OSTs and the lock
-//! manager (seeks, ordinary grants and revocations, which request draws a
-//! fault). No image hash moved: the round changed when bytes arrive, never
-//! which.
-//!
-//! The four `[… | Flexible zc=on Alltoallw]` blocks were regenerated
-//! again when `alltoallw` became MPICH's scattered isend/irecv over the
-//! blocks that exist instead of a pairwise round with a message per
-//! peer: their clocks, message counts and file-system counters moved.
-//! The twelve other blocks — ROMIO, which runs no `alltoallw`, and the
-//! non-blocking exchange — and every image hash came out byte-identical.
-//!
-//! The four `[scan | …]` blocks' `w1` and `w2` lines were regenerated
-//! when each world came to start on idle OSTs (DESIGN "Virtual-time
-//! model"): the sweep and the re-read no longer queue behind the write
-//! world's and the `read_file` probe's OST tails, so every rank's clock
-//! fell by 6.1–8.1 ms (the `Stats` digests moved with the phase times).
-//! Their message, copy and retry counts, the file system's counters and
-//! the image hashes did not move, and neither did the twelve other
-//! blocks, which run one world each.
-//!
-//! Fourteen blocks were regenerated when each OST came to keep a booking
-//! calendar instead of a single clock (DESIGN "OST booking calendar"): a
-//! request booked after a later arrival now starts in the idle gap before
-//! it. Every rank clock that moved fell, the slowest rank's by 2.1–18.2 %.
-//! The file system's counters moved in eight of them (seeks are judged
-//! against the calendar predecessor; the ROMIO `timestep` blocks' lock
-//! traffic reorders: 34 revocations became 33). The two `[timestep |
-//! Flexible …]` blocks, which ask for their locks ahead, and every image
-//! hash came out byte-identical.
-//!
-//! All sixteen were regenerated when a collective write's sieve pre-read
-//! came to be charged only below the file size its ranks agreed on at
-//! the start of the call (DESIGN "A collective write's pre-read stops at
-//! the agreed size"). Every block writes a fresh file at least once. The
-//! `bulk` and `torn` blocks pre-read nothing now (`bulk`: 2 162 176
-//! bytes read → 0, 26 OST requests → 13), and their slowest ranks end
-//! 28–52 % earlier. `timestep`'s flexible blocks fall 11.5 %, its ROMIO
-//! blocks 2.3 % (their lock traffic reorders: 33 revocations become 36).
-//! `scan`'s write world falls 30–42 %; its read worlds move both ways
-//! (−11.6 % to +6.3 %), because the fault draws of a stream that books
-//! fewer requests land on other requests (faults injected 7–9 → 5). The
-//! `bulk` block's check that its pre-read runs became a check that it
-//! is clipped to nothing. No image hash moved.
-//!
-//! The eight `… Alltoallw]` blocks went with the `alltoallw` exchange
-//! flavour: the four ROMIO ones were line-for-line copies of their
-//! `Nonblocking` twins (ROMIO never ran the flavour), and the four
-//! flexible ones ran a path that no longer exists. The eight left, whose
-//! labels still name the exchange they ran, passed unregenerated.
-//!
-//! The four ROMIO blocks were regenerated when ROMIO's offset lists
-//! stopped going through the dense `alltoallv`: a count `alltoall` (four
-//! Bruck steps at 16 ranks, its two rotations charged as 256 B of
-//! copies a call), then a list only to an aggregator the rank has data
-//! for. `bulk`'s slowest rank ends 6.7 % earlier (11 487 144 → 10 855 464
-//! ns); the others' lock and cache traffic and fault draws reorder
-//! (`timestep`: 36 revocations become 35). The four flexible blocks and
-//! every image hash came out byte-identical.
-//!
-//! Regenerate only when a change is *meant* to move virtual time.
+//! Regenerate only when a change is *meant* to move virtual time:
+//! `FLEXIO_REGEN_FIXTURE=1 cargo test --release --offline --test data_path_charges`.
 
 use flexio::core::{Engine, Hints, MpiFile};
 use flexio::hpio::{HpioSpec, TimeStepSpec, TypeStyle};
@@ -111,7 +42,7 @@ impl Axes {
     }
 
     /// The block's label; `zc=on Nonblocking` names the run path and the
-    /// exchange the blocks were harvested under, the only ones left.
+    /// exchange the blocks were harvested under.
     fn label(&self) -> String {
         format!("{:?} zc=on Nonblocking", self.engine)
     }

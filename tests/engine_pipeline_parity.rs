@@ -230,26 +230,14 @@ fn assert_charges(got: &[(u64, Stats)], want: &[ChargeRow], label: &str) {
 
 /// Serial (depth 1) ROMIO's charge sequence on the fixture workload with
 /// one aggregator — the trace depth 1 on the shared pipeline must replay
-/// number for number. Harvested, like the table below, on cc3b7af, the
-/// last commit with a packed staging path, in a scratch clone whose only
-/// edit switched these tests from that path to the default one: the run
-/// path's charges as that commit computed them, not this tree's — except
-/// for one deliberate move since. The `allgatherv` became Bruck's log-step
-/// round: at four ranks two steps instead of a ring's three hops, so each
-/// of ROMIO's six allgathers here sends one message fewer a rank (57 → 51,
-/// 53 → 47, 49 → 43; bytes unchanged) and every clock and Comm bucket is
-/// 408 000 ns lower; Compute, Io and pairs did not move.
-///
-/// Both tables moved once more when ROMIO's offset lists stopped going
-/// through the dense `alltoallv` (DESIGN "Virtual-time model"): each of
-/// the three calls now runs a count `alltoall` (two steps of 16 B at four
-/// ranks, and two 32 B rotations charged as copies), then sends a list
-/// only to an aggregator it has data for. Per call a rank sends 32 B more
-/// and copies 64 B more (+96 B and +192 B; Compute +96 ns). With one
-/// aggregator, rank 0 sends one message fewer a call (51 → 48) and the
-/// others as many as before; with two, ranks 1 and 3 send one more
-/// (43 → 46). Every slowest clock fell (1 agg: −36 064 ns; 2 agg:
-/// −25 792); Io and pairs did not move.
+/// number for number. Harvested, like the table below, from the serial
+/// ROMIO engine on cc3b7af, the last commit with a packed staging path,
+/// with these tests switched to the run path. A change that moves virtual
+/// time on purpose updates both tables by printing the rows and says in
+/// CHANGES.md what moved; Io and pairs are still the serial engine's. Each
+/// of the three calls runs ROMIO's metadata exchange as DESIGN
+/// "Virtual-time model" describes it (a count `alltoall`, then a list only
+/// to an aggregator the rank has data for).
 const ROMIO_SERIAL_1AGG: [ChargeRow; 4] = [
     (4_212_184, [37_056, 2_202_304, 1_972_824], 0, 292, 4_032, 48, 3_456),
     (4_216_184, [12_096, 4_204_088, 0], 0, 100, 192, 43, 3_200),

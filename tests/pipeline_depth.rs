@@ -194,15 +194,11 @@ fn assert_charges(got: &[(u64, Stats)], want: &[ChargeRow], label: &str) {
     }
 }
 
-// Both tables were harvested on cc3b7af, the last commit with a packed
-// staging path, in a scratch clone whose only edit switched these tests
-// from that path to the default one: they are the run path's charges as
-// that commit computed them, not this tree's — except for one deliberate
-// move since. The `allgatherv` became Bruck's log-step round: at four
-// ranks two steps instead of a ring's three hops, so each of the three
-// metadata exchanges sends one message fewer a rank (39 → 36 and 31 → 28,
-// bytes unchanged) and every clock and Comm bucket is 144 000 ns lower;
-// Compute, Io, pairs and the hidden ns did not move. Work counters are
+// Both tables were harvested from the serial and the double-buffered
+// engines on cc3b7af, the last commit with a packed staging path, with
+// these tests switched to the run path. A change that moves virtual time
+// on purpose updates them and says in CHANGES.md what moved; Compute, Io,
+// pairs and the hidden ns are still those engines'. Work counters are
 // depth-invariant; rank 0 is the aggregator.
 
 /// Per-rank charge sequence of the double-buffered (depth 2) engine on

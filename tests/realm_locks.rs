@@ -7,9 +7,8 @@
 //!   of its work, not of which aggregator reaches the lock manager first:
 //!   skewing the ranks' start by at most δ moves the slowest rank's end by
 //!   at most δ (+ ε, below). This is ROADMAP item 9's time-shift relation
-//!   in its first instance. Before the ahead request the same skew at the
-//!   benchmark's scale swung the end between 175.9 and 254.0 ms
-//!   (`results/flexbench_pr21_realm_locks.txt`).
+//!   in its first instance. Asked ordinarily, which grants expand is
+//!   decided by arrival order, and the end is a draw.
 //! * Asked ahead, a persistent, stripe-aligned realm chunk is granted once
 //!   and never revoked, call after call, in both directions; asked
 //!   ordinarily, the same realms lose locks to each other. These are exact
@@ -30,7 +29,7 @@ use flexio::types::Datatype;
 use flexio::workload::{read_file, run_tiled, TiledShape};
 use std::sync::{Arc, OnceLock};
 
-// ---- arrival order no longer moves the clock --------------------------------
+// ---- arrival order does not move the clock ----------------------------------
 
 /// `timestep-locks-64`'s shape at a sixteenth of its size: 16 ranks, 8
 /// aggregators, eight steps into a 3.1 MiB file of fifty 64 KiB stripes

@@ -1,57 +1,28 @@
 //! The world-shared schedule derivation against a fixture harvested from
-//! the commit before it existed (per-rank derivation, PR 12's tree).
+//! the per-rank derivation it replaced.
 //!
-//! `tests/fixtures/shared_derivation.txt` was written by this very file
-//! (`FLEXIO_REGEN_FIXTURE=1`, public API only) run on that commit; the
-//! old per-rank path is gone, so the fixture is the oracle. It records,
-//! for four fine-grained 128-rank scenarios, every rank's final clock, the
-//! pairs it was charged per collective call, its message count and a
-//! digest of its full [`Stats`], plus a hash of the file image. A charge
-//! that moved between ranks, calls or buffer cycles shifts a send and
-//! with it some rank's clock, so equality here is the "bit-identical
-//! virtual time" contract of the shared derivation. It was regenerated
-//! once on purpose since, when the `allgatherv` became Bruck's log-step
-//! round: clocks, message counts and `Stats` digests moved everywhere, and
-//! pairs per call in the straggler and crash scenarios, where timing
-//! decides when realms are rebalanced and where the replay starts. No
-//! image hash moved. It was regenerated again when `alltoallw` became
-//! MPICH's scattered isend/irecv over the blocks that exist: the three
-//! scenarios that run it (`even-alltoallw`, `pfr-aligned-alltoallw`,
-//! `crash-recovery-replay`) moved, the three non-blocking ones came out
-//! byte-identical, and no image hash moved. All six were regenerated
-//! when each OST came to keep a booking calendar (DESIGN "OST booking
-//! calendar"): a request booked after a later arrival starts in the idle
-//! gap before it, so every clock moved, the slowest rank's down by
-//! 1.4–68.2 % (the straggler scenario the most), and with them pairs per
-//! call and message counts where timing picks the rebalanced realms and
-//! the replay. No image hash moved. All six were regenerated again when
-//! a collective write's sieve pre-read came to be charged only below the
-//! file size its ranks agreed on at the start of the call (DESIGN "A
-//! collective write's pre-read stops at the agreed size"): every
-//! scenario writes a fresh file, so the slowest rank ends 14.4–15.6 %
-//! earlier in the five crash-free ones, with pairs per call and message
-//! counts unchanged except in the straggler scenario, where timing picks
-//! the rebalanced realms; the crash scenario's slowest rank ends 0.1 %
-//! earlier, and its heartbeats add messages. No image hash moved. All six
-//! were regenerated when `auto` write pipelines lost the stripe-width
-//! bound (DESIGN "Depth selection"): 64 aggregators over 4 OSTs had been
-//! held at depth 2, and deeper write-behind fills OST gaps, so the slowest
-//! rank ends 3.3–4.2 % earlier in the four fault-free scenarios, with pairs
-//! per call and message counts unchanged; 7.6 % earlier in the straggler
-//! scenario and 31.2 % earlier in the crash scenario, where timing picks
-//! the rebalanced realms and the replay and so moves pairs and messages
-//! too. No image hash moved. Then the `alltoallw` exchange flavour was
-//! deleted: `even-alltoallw` and `pfr-aligned-alltoallw` went (their
-//! `-nonblocking` twins remain, unregenerated), and
-//! `crash-recovery-replay`, which had run the flavour, came to run the one
-//! exchange and was regenerated alone.
+//! `tests/fixtures/shared_derivation.txt` was first written by this very
+//! file (`FLEXIO_REGEN_FIXTURE=1`, public API only) on the last tree with
+//! a per-rank derivation; that path is gone, so the fixture is the oracle.
+//! It records, for four fine-grained 128-rank scenarios, every rank's
+//! final clock, the pairs it was charged per collective call, its message
+//! count and a digest of its full [`Stats`], plus a hash of the file
+//! image. A charge that moved between ranks, calls or buffer cycles shifts
+//! a send and with it some rank's clock, so equality here is the
+//! "bit-identical virtual time" contract of the shared derivation. Every
+//! image hash is still the per-rank engine's; a change that moves virtual
+//! time on purpose regenerates the clocks and says in CHANGES.md what
+//! moved. In the straggler and crash scenarios timing decides when realms
+//! are rebalanced and where the replay starts, so there pairs per call and
+//! message counts move with the clocks.
 //!
 //! Only the crash scenario runs in a crashable world (`run_crashable`);
 //! the others run on `run`, since a crashable world arms failure
 //! detection even with no crash scheduled, and their blocks were
 //! harvested without it.
 //!
-//! Regenerate only when a change is *meant* to move virtual time.
+//! Regenerate only when a change is *meant* to move virtual time:
+//! `FLEXIO_REGEN_FIXTURE=1 cargo test --release --offline --test shared_derivation`.
 
 use flexio::core::engine::ExchangeSchedule;
 use flexio::core::{Engine, Hints, MpiFile};

@@ -29,15 +29,12 @@
 //!   columns send it the next; the rows' `allgatherv` rounds, run at
 //!   once under one round key, keep eight tables apart.
 //!
-//! The fixture has moved on purpose twice, and was regenerated each time:
-//! when the `allgatherv` became Bruck's log-step round, and when
-//! `alltoallw` became MPICH's scattered isend/irecv over the listed
-//! blocks. When `alltoallw` was deleted, its cases came to run `exchange`
-//! over the same blocks posted in the same scattered order
-//! ([`scattered`]): every clock, count, digest and host-order index stayed
-//! as it was, and only the cases' label changed, `alltoallw` →
-//! `exchange-scattered`. Regenerate only when a change is *meant* to move
-//! virtual time.
+//! The `exchange-scattered` cases run `exchange` with the sends posted in
+//! MPICH's scattered order, `rank − 1`, `rank − 2`, … ([`scattered`]). A
+//! change that moves a record on purpose regenerates the fixture and says
+//! in CHANGES.md what moved. Regenerate only when a change is *meant* to
+//! move virtual time: `FLEXIO_REGEN_FIXTURE=1 cargo test --release
+//! --offline --test sim_collective_charges`.
 
 use flexio::sim::{run, run_crashable, CostModel, GatherTable, Rank};
 use std::fmt::Write as _;

@@ -323,8 +323,8 @@ fn message_order_is_fifo_per_source_and_tag() {
         .run(
             |rng: &mut XorShift64Star| {
                 let nprocs = 2 + (rng.next_u64() % 9) as usize; // 2..=10
-                                                                // The draw that used to pick a pool width: the pinned
-                                                                // seeds keep standing for the cases they were pinned for.
+                                                                // A spare draw: it keeps the pinned regression seeds
+                                                                // standing for the cases they were pinned for.
                 rng.next_u64();
                 OrderCase {
                     nprocs,
